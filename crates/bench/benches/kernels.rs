@@ -6,8 +6,8 @@
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, Csf};
-use spttn::{Contraction, CostModel, Executor, PlanOptions};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::{Contraction, CostModel, Executor, PlanOptions, Shapes};
 use spttn_bench::{black_box, Harness};
 
 fn executor_for(kernel: &Kernel, nnz: usize, seed: u64) -> Executor {
@@ -16,17 +16,24 @@ fn executor_for(kernel: &Kernel, nnz: usize, seed: u64) -> Executor {
     let coo = random_coo(&sparse_dims, nnz, &mut rng).unwrap();
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(&coo, &order).unwrap();
-    let mut c = Contraction::from_kernel(kernel.clone()).with_sparse_input(csf);
-    for (slot, r) in kernel.inputs.iter().enumerate() {
-        if slot == kernel.sparse_input {
-            continue;
-        }
-        c = c.with_factor(&r.name, random_dense(&kernel.ref_dims(r), &mut rng));
-    }
-    c.compile(PlanOptions::with_cost_model(CostModel::BlasAware {
-        buffer_dim_bound: 2,
-    }))
-    .expect("compile succeeds")
+    let factors: Vec<(&str, DenseTensor)> = kernel
+        .inputs
+        .iter()
+        .enumerate()
+        .filter(|&(slot, _)| slot != kernel.sparse_input)
+        .map(|(_, r)| (r.name.as_str(), random_dense(&kernel.ref_dims(r), &mut rng)))
+        .collect();
+    let named: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (*n, t)).collect();
+    Contraction::from_kernel(kernel.clone())
+        .plan(
+            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &PlanOptions::with_cost_model(CostModel::BlasAware {
+                buffer_dim_bound: 2,
+            }),
+        )
+        .expect("plan succeeds")
+        .bind(csf, &named)
+        .expect("bind succeeds")
 }
 
 fn main() {

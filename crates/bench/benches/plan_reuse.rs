@@ -15,7 +15,7 @@
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
 use spttn::{Contraction, CostModel, PlanCache, PlanOptions, Shapes};
 use spttn_bench::{black_box, Harness};
 
@@ -65,14 +65,22 @@ fn opts() -> PlanOptions {
 fn sweeps_replanning(f: &Fixture, cache: Option<&PlanCache>) -> f64 {
     let mut acc = 0.0;
     for factors in &f.factor_sets {
-        let mut c = Contraction::from_kernel(f.kernel.clone()).with_sparse_input(csf_of(f));
-        for (name, t) in factors {
-            c = c.with_factor(name, t.clone());
-        }
+        let csf = csf_of(f);
+        let shapes = Shapes::new().with_profile(SparsityProfile::from_csf(&csf));
+        let c = Contraction::from_kernel(f.kernel.clone());
+        let named: Vec<(&str, &DenseTensor)> =
+            factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
         let mut exec = match cache {
-            Some(cache) => c.compile_cached(cache, &opts()).expect("compile succeeds"),
-            None => c.compile(opts()).expect("compile succeeds"),
-        };
+            Some(cache) => cache
+                .plan(c, &shapes, &opts())
+                .expect("plan succeeds")
+                .bind(csf, &named),
+            None => c
+                .plan(&shapes, &opts())
+                .expect("plan succeeds")
+                .bind(csf, &named),
+        }
+        .expect("bind succeeds");
         acc += exec.execute().expect("execution succeeds").to_dense().sum();
     }
     acc
@@ -81,7 +89,7 @@ fn sweeps_replanning(f: &Fixture, cache: Option<&PlanCache>) -> f64 {
 /// One plan + one bind, then N rebound executions.
 fn sweeps_plan_once(f: &Fixture) -> f64 {
     let csf = csf_of(f);
-    let shapes = Shapes::new().with_profile(spttn::tensor::SparsityProfile::from_csf(&csf));
+    let shapes = Shapes::new().with_profile(SparsityProfile::from_csf(&csf));
     let plan = Contraction::from_kernel(f.kernel.clone())
         .plan(&shapes, &opts())
         .expect("plan succeeds");

@@ -1,21 +1,20 @@
-//! Tape engine vs interpreter vs SIMD microkernels: the same plans,
-//! bound once per (engine, microkernel policy, thread-count), executed
-//! through the zero-allocation `execute_into` path on large MTTKRP and
-//! TTMc workloads whose dense ranks (32 / 16) hit the rank-specialized
+//! Scalar tape vs SIMD tape: the same plans, bound once per
+//! (microkernel policy, thread-count), executed through the
+//! zero-allocation `execute_into` path on large MTTKRP and TTMc
+//! workloads whose dense ranks (32 / 16) hit the rank-specialized
 //! microkernel variants.
 //!
 //! Run with `cargo bench -p spttn-bench --bench tape_speedup`; set
 //! `SPTTN_BENCH_JSON=BENCH_results.json` to emit the machine-readable
-//! artifact CI uploads. Acceptance bars: the scalar tape keeps ≥1.3×
-//! over the interpreter at 1 thread, and the SIMD tape shows ≥1.5×
-//! over the scalar tape at 1 thread on at least one kernel; the
-//! measured speedups print explicitly.
+//! artifact CI uploads. Acceptance bar: the SIMD tape shows ≥1.5× over
+//! the scalar tape at 1 thread on at least one kernel; the measured
+//! speedups print explicitly.
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
-    Contraction, CostModel, Engine, ExecStats, Executor, Microkernels, PlanOptions, Shapes, Threads,
+    Contraction, CostModel, ExecStats, Executor, Microkernels, PlanOptions, Shapes, Threads,
 };
 use spttn_bench::{black_box, Harness};
 
@@ -42,41 +41,17 @@ fn stats_json(s: &ExecStats) -> String {
     )
 }
 
-/// The three legs under comparison, in fixed row order.
-#[derive(Clone, Copy, PartialEq)]
-enum Leg {
-    Interp,
-    TapeScalar,
-    TapeSimd,
-}
-
-impl Leg {
-    fn engine(self) -> Engine {
-        match self {
-            Leg::Interp => Engine::Interp,
-            _ => Engine::Tape,
-        }
-    }
-    fn micro(self) -> Microkernels {
-        match self {
-            Leg::TapeSimd => Microkernels::Auto,
-            _ => Microkernels::Scalar,
-        }
-    }
-    fn label(self) -> &'static str {
-        match self {
-            Leg::Interp => "interp     ",
-            Leg::TapeScalar => "tape-scalar",
-            Leg::TapeSimd => "tape-simd  ",
-        }
-    }
-}
+/// The two legs under comparison, in fixed row order.
+const LEGS: [(&str, Microkernels); 2] = [
+    ("tape-scalar", Microkernels::Scalar),
+    ("tape-simd  ", Microkernels::Auto),
+];
 
 fn bind_at(
     kernel: &Kernel,
     csf: &Csf,
     factors: &[(String, DenseTensor)],
-    leg: Leg,
+    micro: Microkernels,
     threads: usize,
 ) -> Executor {
     let plan = Contraction::from_kernel(kernel.clone())
@@ -86,8 +61,7 @@ fn bind_at(
                 buffer_dim_bound: 2,
             })
             .with_threads(Threads::N(threads))
-            .with_engine(leg.engine())
-            .with_microkernels(leg.micro()),
+            .with_microkernels(micro),
         )
         .expect("planning succeeds");
     let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
@@ -129,43 +103,36 @@ fn main() {
             120_000,
         ),
     ];
-    const LEGS: [Leg; 3] = [Leg::Interp, Leg::TapeScalar, Leg::TapeSimd];
-
-    let mut h = Harness::new("tape_speedup: interpreter vs scalar tape vs SIMD tape");
+    let mut h = Harness::new("tape_speedup: scalar tape vs SIMD tape");
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     for (name, kernel, dims, nnz) in &workloads {
         let (csf, factors) = operands(kernel, dims, *nnz, 17);
         for threads in [1usize, 4] {
-            for leg in LEGS {
-                let mut exec = bind_at(kernel, &csf, &factors, leg, threads);
+            for (label, micro) in LEGS {
+                let mut exec = bind_at(kernel, &csf, &factors, micro, threads);
                 let mut out = exec.output_template();
-                let id = format!(
-                    "{name} {} @ {threads}t [{} tiles]",
-                    leg.label(),
-                    exec.threads()
-                );
+                let id = format!("{name} {label} @ {threads}t [{} tiles]", exec.threads());
                 let mut last_stats = ExecStats::default();
                 h.bench_function(&id, || {
                     exec.execute_into(&mut out).expect("execution succeeds");
                     last_stats = exec.last_stats();
                     black_box(out.to_dense().sum());
                 });
-                let mut note = stats_json(&last_stats);
-                if let Some(tape) = exec.tape() {
-                    // Record which microkernel implementation the tape
-                    // bound, its vector width, and what the host CPU
-                    // advertises — so artifacts from different machines
-                    // stay comparable.
-                    note = format!(
-                        "{{\"stats\": {note}, \"microkernels\": \"{}\", \"kernel_width\": {}, \
-                         \"superinstructions\": {}, \"specialized\": {}, \"cpu\": \"{}\"}}",
-                        tape.microkernels(),
-                        tape.kernel_width(),
-                        tape.superinstructions(),
-                        tape.specialized(),
-                        spttn::exec::detected_cpu_features(),
-                    );
-                }
+                // Record which microkernel implementation the tape
+                // bound, its vector width, and what the host CPU
+                // advertises — so artifacts from different machines
+                // stay comparable.
+                let tape = exec.tape();
+                let note = format!(
+                    "{{\"stats\": {}, \"microkernels\": \"{}\", \"kernel_width\": {}, \
+                     \"superinstructions\": {}, \"specialized\": {}, \"cpu\": \"{}\"}}",
+                    stats_json(&last_stats),
+                    tape.microkernels(),
+                    tape.kernel_width(),
+                    tape.superinstructions(),
+                    tape.specialized(),
+                    spttn::exec::detected_cpu_features(),
+                );
                 h.note(&id, note);
             }
         }
@@ -173,10 +140,9 @@ fn main() {
     let results = h.finish();
     rows.extend(results);
 
-    // Speedups per workload+threads triple: scalar tape vs interp, SIMD
-    // tape vs interp, and the headline SIMD-vs-scalar-tape ratio.
-    // Median is the headline; min (fastest vs fastest) is the
-    // least-noise estimator on busy machines.
+    // SIMD-vs-scalar-tape speedup per workload+threads pair. Median is
+    // the headline; min (fastest vs fastest) is the least-noise
+    // estimator on busy machines.
     let median = |samples: &[f64]| {
         let mut s = samples.to_vec();
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -184,21 +150,17 @@ fn main() {
     };
     let minimum = |samples: &[f64]| samples.iter().cloned().fold(f64::INFINITY, f64::min);
     println!("\nspeedups (median / min):");
-    for triple in rows.chunks(3) {
-        let [(iid, is), (sid, ss), (vid, vs)] = triple else {
+    for pair in rows.chunks(2) {
+        let [(sid, ss), (vid, vs)] = pair else {
             continue;
         };
         assert!(
-            iid.contains("interp") && sid.contains("tape-scalar") && vid.contains("tape-simd"),
+            sid.contains("tape-scalar") && vid.contains("tape-simd"),
             "row order"
         );
         println!(
-            "{:<46} tape-scalar/interp {:>5.2}x {:>5.2}x | tape-simd/interp {:>5.2}x {:>5.2}x | tape-simd/tape-scalar {:>5.2}x {:>5.2}x",
-            iid.replace("interp      ", ""),
-            median(is) / median(ss),
-            minimum(is) / minimum(ss),
-            median(is) / median(vs),
-            minimum(is) / minimum(vs),
+            "{:<46} tape-simd/tape-scalar {:>5.2}x {:>5.2}x",
+            sid.replace("tape-scalar ", ""),
             median(ss) / median(vs),
             minimum(ss) / minimum(vs)
         );

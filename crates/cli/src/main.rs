@@ -25,8 +25,8 @@ use spttn::exec::naive_einsum;
 use spttn::ir::Kernel;
 use spttn::tensor::{load_coo, random_dense, read_tns, CooTensor, Csf, DenseTensor};
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Engine, Microkernels, ModeOrderPolicy, Plan,
-    PlanOptions, RunBudget, Shapes, SpttnError, Threads,
+    Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
+    RunBudget, Shapes, SpttnError, Threads,
 };
 use spttn_net::{NetOptions, Network, OrderStrategy};
 use std::time::{Duration, Instant};
@@ -65,8 +65,6 @@ OPTIONS:
                           (budgeted exact subset sweep; 'spttn net' only) [greedy]
     --budget N            pair-cost evaluation budget for --order optimal
                           [1000000]
-    --engine E            tape (bind-time compiled instruction tape) |
-                          interp (recursive oracle interpreter)  [tape]
     --microkernels M      auto (explicit-SIMD kernels by CPU detection, fused
                           superinstructions) | scalar (plain scalar kernels,
                           bitwise-stable baseline)  [auto]
@@ -119,7 +117,6 @@ struct Args {
     threads: Threads,
     order: OrderStrategy,
     budget: u64,
-    engine: Engine,
     microkernels: Microkernels,
     cost_model: CostModel,
     mode_order: ModeOrderPolicy,
@@ -195,14 +192,6 @@ fn parse_cost_model(s: &str) -> CostModel {
     }
 }
 
-fn parse_engine(s: &str) -> Engine {
-    match s {
-        "tape" => Engine::Tape,
-        "interp" => Engine::Interp,
-        other => fail(format!("unknown engine '{other}' (tape, interp)")),
-    }
-}
-
 fn parse_microkernels(s: &str) -> Microkernels {
     match s {
         "auto" => Microkernels::Auto,
@@ -267,7 +256,6 @@ fn parse_args() -> Args {
         threads: Threads::N(1),
         order: OrderStrategy::Greedy,
         budget: 1_000_000,
-        engine: Engine::Tape,
         microkernels: Microkernels::Auto,
         cost_model: CostModel::BlasAware {
             buffer_dim_bound: 2,
@@ -338,7 +326,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --budget value"))
             }
-            "--engine" => args.engine = parse_engine(&value(&mut argv, "--engine")),
             "--microkernels" => {
                 args.microkernels = parse_microkernels(&value(&mut argv, "--microkernels"))
             }
@@ -552,7 +539,23 @@ fn make_factors(kernel: &Kernel, seed: u64) -> Vec<(String, DenseTensor)> {
         }
         let t = match factors.iter().find(|(n, _)| *n == r.name) {
             Some((_, t)) => t.clone(),
-            None => random_dense(&kernel.ref_dims(r), &mut rng),
+            None => {
+                // Dimensions come from the command line; bound the byte
+                // size here, before `random_dense` allocates for it
+                // (bind-time admission runs only after this).
+                let dims = kernel.ref_dims(r);
+                let bytes = dims
+                    .iter()
+                    .try_fold(8usize, |n, &d| n.checked_mul(d))
+                    .filter(|&b| b <= isize::MAX as usize);
+                if bytes.is_none() {
+                    fail(format!(
+                        "factors: '{}' with dims {dims:?} is larger than the address space",
+                        r.name
+                    ));
+                }
+                random_dense(&dims, &mut rng)
+            }
         };
         factors.push((r.name.clone(), t));
     }
@@ -593,7 +596,6 @@ fn run_net(args: &Args) {
         PlanOptions::with_cost_model(args.cost_model)
             .with_mode_order(args.mode_order.clone())
             .with_threads(args.threads)
-            .with_engine(args.engine)
             .with_microkernels(args.microkernels)
             .with_verify(args.verify),
         args,
@@ -701,7 +703,6 @@ fn main() {
         PlanOptions::with_cost_model(args.cost_model)
             .with_mode_order(args.mode_order.clone())
             .with_threads(args.threads)
-            .with_engine(args.engine)
             .with_microkernels(args.microkernels)
             .with_verify(args.verify),
         &args,
@@ -741,25 +742,18 @@ fn main() {
     let mut exec = plan
         .bind(csf, &named)
         .unwrap_or_else(|e| fail_stage("bind", e));
+    let tape = exec.tape();
     println!(
-        "bind: {} thread(s), {} engine{}{} ({:.1} ms)",
+        "bind: {} thread(s), tape of {} instrs, {} cursors, {} fingers; \
+         {} kernels ×{}, {} fused, {} specialized{} ({:.1} ms)",
         exec.threads(),
-        match exec.engine() {
-            Engine::Tape => "tape",
-            Engine::Interp => "interp",
-        },
-        exec.tape().map_or(String::new(), |t| {
-            format!(
-                " ({} instrs, {} cursors, {} fingers; {} kernels ×{}, {} fused, {} specialized)",
-                t.num_instrs(),
-                t.num_cursors(),
-                t.num_fingers(),
-                t.microkernels(),
-                t.kernel_width(),
-                t.superinstructions(),
-                t.specialized()
-            )
-        }),
+        tape.num_instrs(),
+        tape.num_cursors(),
+        tape.num_fingers(),
+        tape.microkernels(),
+        tape.kernel_width(),
+        tape.superinstructions(),
+        tape.specialized(),
         if plan.is_natural_order() {
             String::new()
         } else {
@@ -798,13 +792,8 @@ fn main() {
         stats.elems()
     );
     println!(
-        "search: {} node re-resolutions, {} probes ({})",
-        stats.node_searches,
-        stats.search_probes,
-        match exec.engine() {
-            Engine::Tape => "galloping finger search",
-            Engine::Interp => "binary search depth",
-        }
+        "search: {} node re-resolutions, {} probes (galloping finger search)",
+        stats.node_searches, stats.search_probes
     );
 
     if args.check {

@@ -6,16 +6,17 @@
 //! caller can flip from any thread, and a [`RunGuard`] built once per
 //! execution that bundles the token with an optional deadline. The
 //! drivers consult the guard at their natural iteration boundaries —
-//! the compiled tape at root-frame advances, the interpreter at
-//! root-loop iterations, the network executor between contraction
-//! steps — so cancellation latency is bounded by one root subtree, not
-//! one whole execution.
+//! the compiled tape at root-frame advances, the network executor
+//! between contraction steps — so cancellation latency is bounded by
+//! one root subtree, not one whole execution.
 //!
-//! A fired guard surfaces as [`SpttnError::Cancelled`] and the
-//! execution's output is left untouched by the caller-visible contract:
-//! every execution re-zeroes its workspaces and output on entry, so a
-//! cancelled-then-retried executor produces results bitwise identical
-//! to a fresh run.
+//! A fired guard surfaces as [`SpttnError::Cancelled`]. The output is
+//! not rolled back: the serial tape accumulates straight into the
+//! caller's buffer, so a run stopped mid-way leaves it partially
+//! written. What the contract does promise is that nothing sticks:
+//! every execution resets its workspaces on entry (and a `=` plan
+//! re-zeroes its output), so a cancelled-then-retried executor
+//! produces results bitwise identical to a fresh run.
 //!
 //! Both types are allocation-free to construct apart from the token's
 //! one shared flag, and [`RunGuard::check`] on the not-cancelled path
@@ -174,9 +175,9 @@ mod tests {
     fn zero_timeout_expires_immediately() {
         let g = RunGuard::new(None, Some(Duration::ZERO));
         assert!(matches!(
-            g.check("interp"),
+            g.check("network"),
             Err(SpttnError::Cancelled {
-                phase: "interp",
+                phase: "network",
                 ..
             })
         ));

@@ -1,65 +1,53 @@
 //! # spttn-exec
 //!
-//! Execution subsystem for SpTTN loop nests: a loop-forest interpreter
-//! that walks a planned [`spttn_ir::LoopForest`] over a CSF sparse
-//! tensor and dense factors, dispatching innermost dense loops to the
-//! BLAS-style microkernels in [`blas`] (paper Sec. 5).
+//! Execution subsystem for SpTTN loop nests. One engine runs a plan:
+//! the compiled **tape** ([`tape`]). [`CompiledTape`] lowers a planned
+//! [`spttn_ir::LoopForest`] once, at bind time, into a flat instruction
+//! program — loop dispatch, BLAS-style microkernel selection (paper
+//! Sec. 5) and operand addressing all resolved at compile time, densely
+//! iterated sparse modes re-resolved by a monotone finger search — and
+//! an iterative driver replays it over a CSF sparse tensor and dense
+//! factors with zero allocations and zero atomics on the hot path.
 //!
-//! Two entry points:
+//! - [`execute_tape_into`] runs a tape over the whole tree: all Eq.-5
+//!   intermediate buffers live in a caller-held [`Workspace`] and the
+//!   result is accumulated into a caller-owned output ([`OutputMut`]).
+//! - [`execute_tape_tile_into`] runs it over one
+//!   [`spttn_tensor::CsfTile`] (a contiguous slice of root subtrees),
+//!   and the [`parallel`] module fans tiles out across threads —
+//!   [`ParallelExecutor`] keeps a persistent worker pool with one
+//!   workspace and private output per thread so repeated executions
+//!   stay allocation-free, and partial outputs combine through a
+//!   deterministic tree reduction ([`tree_reduce_partials`]).
 //!
-//! - [`execute_forest_into`]: the reuse path — all Eq.-5 intermediate
-//!   buffers live in a caller-held [`Workspace`] and the result is
-//!   accumulated into a caller-owned output ([`OutputMut`]); zero heap
-//!   allocation per call.
-//! - [`execute_forest`]: one-shot convenience that allocates a fresh
-//!   workspace and output.
-//!
-//! The execution core is **tiled**: [`execute_forest_tile_into`] runs a
-//! nest over one [`spttn_tensor::CsfTile`] (a contiguous slice of root
-//! subtrees), and the [`parallel`] module fans tiles out across threads
-//! — [`ParallelExecutor`] keeps a persistent worker pool with one
-//! workspace and private output per thread so repeated executions stay
-//! allocation-free, and partial outputs combine through a deterministic
-//! tree reduction ([`tree_reduce_partials`]).
-//!
-//! Two engines execute a plan:
-//!
-//! - the recursive **interpreter** above ([`execute_forest_into`]),
-//!   which re-derives per-visit decisions from the forest — kept as the
-//!   differential-testing oracle; and
-//! - the **tape engine** ([`tape`]): [`tape::CompiledTape`] lowers the
-//!   nest once into a flat instruction program (loop dispatch,
-//!   microkernel selection, and operand addressing all resolved at
-//!   compile time; densely-iterated sparse modes re-resolved by a
-//!   monotone finger search instead of cold binary search), and an
-//!   iterative driver replays it per tile with zero allocations and
-//!   zero atomics on the hot path.
-//!
-//! A brute-force dense einsum oracle ([`naive_einsum`]) backs the
-//! correctness tests, and [`tape::verify`] statically proves every
-//! compiled tape well-formed (loop structure, cursor bounds, Eq.-5
-//! zero placement, resolver shape) before it ever runs.
-//!
-//! The [`simd`] module supplies explicit-SIMD microkernels (AVX2/FMA,
-//! NEON, portable `std::simd`) selected **once at bind time** and
+//! The [`simd`] module supplies explicit-SIMD microkernels (AVX-512F,
+//! AVX2+FMA, NEON, scalar fallback) selected **once at bind time** and
 //! recorded in the tape as function pointers, plus the fused
 //! `ZeroAccum` superinstructions and rank-specialized kernel variants
 //! the tape compiler emits under [`Microkernels::Auto`].
 //!
+//! Three things exist only to check the tape: [`tape::verify`]
+//! statically proves every compiled tape well-formed (loop structure,
+//! cursor bounds, Eq.-5 zero placement, resolver shape) before it ever
+//! runs; the reference interpreter ([`interp::execute_forest_into`])
+//! walks the forest directly, serially and over the whole tree, and is
+//! the bitwise twin of a scalar-kernel tape that the differential
+//! suites compare against; and a brute-force dense einsum oracle
+//! ([`naive_einsum`]) backs both.
+//!
 //! The [`guard`] module hardens all of this for long-lived services:
-//! a [`CancelToken`]/[`RunGuard`] pair gives every engine cooperative
+//! a [`CancelToken`]/[`RunGuard`] pair gives the tape cooperative
 //! cancellation and deadlines with checkpoints at root-iteration
 //! boundaries, the worker pool isolates panicking jobs behind
 //! `catch_unwind` and respawns dead workers, and [`faults`] injects
 //! deterministic worker panics and thread deaths so the recovery paths
 //! stay tested.
 
-// Unsafe code in the workspace lives in [`parallel`] (scoped-thread
+// Unsafe code in the workspace lives in [`parallel`] (pool job-slot
 // lifetime erasure) and [`simd`] (vendor SIMD intrinsics behind
 // bind-time feature detection); every unsafe operation inside an
 // unsafe fn must carry its own block.
 #![deny(unsafe_op_in_unsafe_fn)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod blas;
 pub mod faults;
@@ -69,18 +57,17 @@ pub mod parallel;
 pub mod reference;
 pub mod simd;
 pub mod tape;
+pub mod workspace;
 
 pub use guard::{CancelToken, RunGuard};
-pub use interp::{
-    execute_forest, execute_forest_into, execute_forest_into_guarded, execute_forest_tile_into,
-    execute_forest_tile_into_guarded, validate_operands, validate_slotted_operands,
-    ContractionOutput, ExecStats, OutputMut, Workspace,
-};
-pub use parallel::{execute_forest_parallel, tree_reduce_partials, ParallelExecutor};
+pub use parallel::{tree_reduce_partials, ParallelExecutor};
 pub use reference::naive_einsum;
 pub use simd::{detected_cpu_features, KernelSel, KernelSet, Microkernels, RankSpec};
 pub use tape::verify::{TapeInvariantError, TapeReport};
 pub use tape::{
-    execute_tape, execute_tape_into, execute_tape_into_guarded, execute_tape_tile_into,
+    execute_tape_into, execute_tape_into_guarded, execute_tape_tile_into,
     execute_tape_tile_into_guarded, CompiledTape, TapeState,
+};
+pub use workspace::{
+    validate_slotted_operands, ContractionOutput, ExecStats, OutputMut, Workspace,
 };

@@ -4,17 +4,12 @@
 //! subtrees ([`spttn_tensor::Csf::partition`]), and the contraction is
 //! linear in the sparse tensor, so each tile's execution is an
 //! independent additive contribution to the output. This module fans
-//! those tiles out across threads:
-//!
-//! - [`execute_forest_parallel`] is the one-shot path: it partitions,
-//!   allocates one [`Workspace`] and one private dense partial per
-//!   tile, and runs the fan-out on [`std::thread::scope`].
-//! - [`ParallelExecutor`] is the plan-once/execute-many path: it owns
-//!   the tiles, per-thread workspaces, per-thread partial outputs, and
-//!   a persistent worker pool, so repeated
-//!   [`ParallelExecutor::execute_into`] calls perform **zero heap
-//!   allocations** — the same contract the serial
-//!   [`crate::execute_forest_into`] honors.
+//! those tiles out across threads: a [`ParallelExecutor`] owns the
+//! tiles, per-thread workspaces, per-thread partial outputs, and a
+//! persistent worker pool, so repeated
+//! [`ParallelExecutor::execute_into`] calls perform **zero heap
+//! allocations** — the same contract the serial
+//! [`crate::execute_tape_into`] honors.
 //!
 //! **Determinism.** The tile partition is a deterministic function of
 //! the tree and the thread count; each tile executes sequentially; and
@@ -26,11 +21,8 @@
 
 use crate::faults;
 use crate::guard::RunGuard;
-use crate::interp::{
-    execute_forest_tile_into_guarded, execute_slots, validate_operands, validate_output,
-    ContractionOutput, ExecStats, OutputMut, Slots, Workspace,
-};
 use crate::tape::{execute_tape_tile_into_guarded, CompiledTape};
+use crate::workspace::{validate_output, ExecStats, OutputMut, Workspace};
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{BufferSpec, ContractionPath, Kernel, LoopForest};
 use spttn_tensor::{Csf, CsfTile, DenseTensor};
@@ -72,126 +64,6 @@ pub fn tree_reduce_partials(partials: &mut [DenseTensor]) {
     }
 }
 
-/// Execute a fused loop forest across `n_threads` scoped threads,
-/// allocating fresh per-thread workspaces and outputs (the one-shot
-/// convenience mirroring [`crate::execute_forest`]).
-///
-/// The CSF is partitioned into at most `n_threads` leaf-balanced root
-/// tiles; each scoped thread executes one tile into a private output,
-/// and the partials are combined with [`tree_reduce_partials`] (dense)
-/// or written to disjoint leaf ranges (pattern-sharing sparse).
-/// Reuse-heavy callers should hold a [`ParallelExecutor`] instead.
-pub fn execute_forest_parallel(
-    kernel: &Kernel,
-    path: &ContractionPath,
-    forest: &LoopForest,
-    csf: &Csf,
-    dense_factors: &[&DenseTensor],
-    n_threads: usize,
-) -> Result<ContractionOutput> {
-    validate_operands(kernel, csf, dense_factors)?;
-    // Slot-ordered references (no tensor data copied), shared by every
-    // thread.
-    let dummy = DenseTensor::zeros(&[]);
-    let mut refs: Vec<&DenseTensor> = Vec::with_capacity(kernel.inputs.len());
-    let mut next = 0usize;
-    for slot in 0..kernel.inputs.len() {
-        if slot == kernel.sparse_input {
-            refs.push(&dummy);
-        } else {
-            refs.push(dense_factors[next]);
-            next += 1;
-        }
-    }
-    let tiles = csf.partition(n_threads.max(1));
-    let mut workspaces: Vec<Workspace> = tiles
-        .iter()
-        .map(|_| Workspace::new(kernel, path, forest))
-        .collect();
-
-    if kernel.output_sparse {
-        let mut vals = vec![0.0; csf.nnz()];
-        // Disjoint leaf-range chunks, one per tile, in tile order.
-        let mut chunks: Vec<&mut [f64]> = Vec::with_capacity(tiles.len());
-        let mut rest: &mut [f64] = &mut vals;
-        for tile in &tiles {
-            let (chunk, tail) = rest.split_at_mut(tile.leaf_nnz());
-            chunks.push(chunk);
-            rest = tail;
-        }
-        run_scoped(kernel, path, forest, csf, &refs, &tiles, &mut workspaces, {
-            chunks.into_iter().map(OutputMut::Sparse).collect()
-        })?;
-        Ok(ContractionOutput::Sparse(csf.to_coo().with_vals(vals)))
-    } else {
-        let odims = kernel.ref_dims(&kernel.output);
-        let mut partials: Vec<DenseTensor> =
-            tiles.iter().map(|_| DenseTensor::zeros(&odims)).collect();
-        run_scoped(kernel, path, forest, csf, &refs, &tiles, &mut workspaces, {
-            partials.iter_mut().map(OutputMut::Dense).collect()
-        })?;
-        tree_reduce_partials(&mut partials);
-        // SAFETY-style invariant: `Csf::partition(n.max(1))` always
-        // yields at least one tile, so `partials` is never empty.
-        debug_assert!(!partials.is_empty(), "partition yields >= 1 tile");
-        partials
-            .into_iter()
-            .next()
-            .map(ContractionOutput::Dense)
-            .ok_or_else(|| SpttnError::Execution("partition produced no tiles".into()))
-    }
-}
-
-/// Scoped fan-out: one thread per tile, each with exclusive borrows of
-/// its workspace and output. Safe code throughout — the disjointness is
-/// expressed with iterators, not pointers.
-#[allow(clippy::too_many_arguments)]
-fn run_scoped(
-    kernel: &Kernel,
-    path: &ContractionPath,
-    forest: &LoopForest,
-    csf: &Csf,
-    refs: &[&DenseTensor],
-    tiles: &[CsfTile],
-    workspaces: &mut [Workspace],
-    outs: Vec<OutputMut<'_>>,
-) -> Result<()> {
-    let results: Vec<Result<()>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(tiles.len());
-        for ((tile, ws), out) in tiles.iter().zip(workspaces.iter_mut()).zip(outs) {
-            handles.push(scope.spawn(move || {
-                execute_slots(
-                    kernel,
-                    path,
-                    forest,
-                    csf,
-                    tile.root_range(),
-                    tile.leaf_range().start,
-                    tile.leaf_nnz(),
-                    Slots::Refs(refs),
-                    ws,
-                    out,
-                    None,
-                )
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(tile, h)| match h.join() {
-                Ok(r) => r,
-                // A panicked tile fails only this execution, with the
-                // same typed error the persistent pool produces.
-                Err(p) => Err(SpttnError::WorkerPanic {
-                    worker: tile,
-                    payload: panic_payload(p.as_ref()),
-                }),
-            })
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
 // ---------------------------------------------------------------------
 // Persistent worker pool (the zero-allocation execute-many path)
 // ---------------------------------------------------------------------
@@ -213,10 +85,7 @@ enum JobOut {
 #[derive(Clone, Copy)]
 struct Job {
     kernel: *const Kernel,
-    path: *const ContractionPath,
-    forest: *const LoopForest,
-    /// Compiled tape program shared by every worker; null selects the
-    /// recursive interpreter.
+    /// Compiled tape program shared by every worker.
     tape: *const CompiledTape,
     csf: *const Csf,
     tile: *const CsfTile,
@@ -242,33 +111,21 @@ fn run_job(job: Job) -> Result<()> {
     // whole job and mutable targets are exclusive to it.
     unsafe {
         let kernel = &*job.kernel;
-        let path = &*job.path;
-        let forest = &*job.forest;
-        let tape: Option<&CompiledTape> = job.tape.as_ref();
+        let tape = &*job.tape;
         let csf = &*job.csf;
         let tile = &*job.tile;
         let factors = std::slice::from_raw_parts(job.factors, job.factors_len);
         let ws = &mut *job.ws;
         let guard: Option<&RunGuard> = job.guard.as_ref();
-        let run = |ws: &mut Workspace, out: OutputMut<'_>| match tape {
-            Some(t) => {
-                execute_tape_tile_into_guarded(t, kernel, csf, tile, factors, ws, out, guard)
-            }
-            None => execute_forest_tile_into_guarded(
-                kernel, path, forest, csf, tile, factors, ws, out, guard,
-            ),
-        };
-        match job.out {
+        let out = match job.out {
             JobOut::Dense(p) => {
                 let partial = &mut *p;
                 partial.fill_zero();
-                run(ws, OutputMut::Dense(partial))
+                OutputMut::Dense(partial)
             }
-            JobOut::Sparse(p, len) => run(
-                ws,
-                OutputMut::Sparse(std::slice::from_raw_parts_mut(p, len)),
-            ),
-        }
+            JobOut::Sparse(p, len) => OutputMut::Sparse(std::slice::from_raw_parts_mut(p, len)),
+        };
+        execute_tape_tile_into_guarded(tape, kernel, csf, tile, factors, ws, out, guard)
     }
 }
 
@@ -496,10 +353,9 @@ pub struct ParallelExecutor {
     /// sparse outputs, which reduce by disjoint leaf ranges instead.
     partials: Vec<DenseTensor>,
     pool: WorkerPool,
-    /// Compiled tape engine shared by every tile (one immutable program,
-    /// per-tile mutable state in each workspace); `None` runs the
-    /// recursive interpreter.
-    tape: Option<Arc<CompiledTape>>,
+    /// Compiled tape shared by every tile (one immutable program,
+    /// per-tile mutable state in each workspace).
+    tape: Arc<CompiledTape>,
     /// Per-level node counts of the CSF the tiles were computed from:
     /// a cheap structural guard (O(order) to compare, allocation-free)
     /// that rejects execution against a tensor the tiling does not
@@ -523,20 +379,27 @@ impl std::fmt::Debug for ParallelExecutor {
 impl ParallelExecutor {
     /// Partition `csf` into at most `n_threads` leaf-balanced tiles and
     /// preallocate every per-tile resource (workspaces from the plan's
-    /// buffer specs, dense partials from the kernel's output shape) plus
-    /// the persistent worker pool.
+    /// buffer specs with `tape`'s driver state prepared, dense partials
+    /// from the kernel's output shape) plus the persistent worker pool.
+    /// `tape` must be compiled from the same `(kernel, path, forest,
+    /// specs)`.
     pub fn new(
         kernel: &Kernel,
         path: &ContractionPath,
         forest: &LoopForest,
         specs: &[BufferSpec],
+        tape: Arc<CompiledTape>,
         csf: &Csf,
         n_threads: usize,
     ) -> ParallelExecutor {
         let tiles = csf.partition(n_threads.max(1));
         let workspaces: Vec<Workspace> = tiles
             .iter()
-            .map(|_| Workspace::from_specs(kernel, path, forest, specs))
+            .map(|_| {
+                let mut ws = Workspace::from_specs(kernel, path, forest, specs);
+                ws.prepare_tape(&tape);
+                ws
+            })
             .collect();
         let partials: Vec<DenseTensor> = if kernel.output_sparse {
             Vec::new()
@@ -550,28 +413,10 @@ impl ParallelExecutor {
             workspaces,
             partials,
             pool,
-            tape: None,
+            tape,
             level_nnz: (0..csf.order()).map(|k| csf.level_nnz(k)).collect(),
             stats: ExecStats::default(),
         }
-    }
-
-    /// Switch this executor to the tape engine (builder style): every
-    /// tile runs `tape` instead of the interpreter, and each per-tile
-    /// workspace preallocates its tape state here so executions stay
-    /// allocation-free. The tape must be compiled from the same plan
-    /// the workspaces were built from.
-    pub fn with_tape(mut self, tape: Arc<CompiledTape>) -> ParallelExecutor {
-        for ws in &mut self.workspaces {
-            ws.prepare_tape(&tape);
-        }
-        self.tape = Some(tape);
-        self
-    }
-
-    /// The compiled tape this executor runs, when on the tape engine.
-    pub fn tape(&self) -> Option<&Arc<CompiledTape>> {
-        self.tape.as_ref()
     }
 
     /// Number of tiles (= executing threads, counting the caller's).
@@ -602,28 +447,13 @@ impl ParallelExecutor {
     /// are then tree-reduced in fixed tile order and added into `out`,
     /// while sparse outputs were already written to disjoint leaf
     /// ranges. Zero heap allocations on the success path.
+    ///
+    /// A cancellation/deadline `guard` is shared by every tile: each
+    /// worker checks it at its own root-iteration boundaries, so the
+    /// whole fan-out stops within one root subtree per thread.
     pub fn execute_into(
         &mut self,
         kernel: &Kernel,
-        path: &ContractionPath,
-        forest: &LoopForest,
-        csf: &Csf,
-        factors_by_slot: &[DenseTensor],
-        out: OutputMut<'_>,
-    ) -> Result<()> {
-        self.execute_into_guarded(kernel, path, forest, csf, factors_by_slot, out, None)
-    }
-
-    /// [`ParallelExecutor::execute_into`] with a cancellation/deadline
-    /// guard shared by every tile: each worker checks it at its own
-    /// root-iteration boundaries, so the whole fan-out stops within one
-    /// root subtree per thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_into_guarded(
-        &mut self,
-        kernel: &Kernel,
-        path: &ContractionPath,
-        forest: &LoopForest,
         csf: &Csf,
         factors_by_slot: &[DenseTensor],
         out: OutputMut<'_>,
@@ -652,9 +482,7 @@ impl ParallelExecutor {
         let ws_base = self.workspaces.as_mut_ptr();
         let shared = Job {
             kernel,
-            path,
-            forest,
-            tape: self.tape.as_ref().map_or(std::ptr::null(), Arc::as_ptr),
+            tape: Arc::as_ptr(&self.tape),
             csf,
             tile: std::ptr::null(),
             factors: factors_by_slot.as_ptr(),

@@ -15,7 +15,6 @@
 //! | `Scalar`      | always available — exactly [`crate::blas`]        |
 //! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime          |
 //! | `Neon`        | aarch64 (NEON is baseline for the target)         |
-//! | `Portable`    | `portable-simd` cargo feature (nightly `std::simd`) |
 //!
 //! Selection is *host state*, not *program shape*: two hosts binding
 //! the same plan with the same [`Microkernels`] option compile tapes
@@ -46,8 +45,7 @@
 //!
 //! The `SPTTN_MICROKERNELS` environment variable overrides the
 //! programmatic option at bind time: `scalar` forces the scalar path,
-//! `portable` prefers `std::simd` when compiled in, anything else (or
-//! unset) behaves as `auto`.
+//! anything else (or unset) behaves as `auto`.
 
 use crate::blas;
 
@@ -82,10 +80,6 @@ pub enum KernelSel {
     /// NEON `std::arch` intrinsics (2 × f64 lanes).
     #[cfg(target_arch = "aarch64")]
     Neon,
-    /// Portable `std::simd` (4 × f64 lanes), nightly-gated behind the
-    /// `portable-simd` cargo feature.
-    #[cfg(feature = "portable-simd")]
-    Portable,
 }
 
 /// Bind-time rank specialization recorded on a tape instruction.
@@ -169,11 +163,7 @@ impl KernelSet {
         if opt == Microkernels::Scalar || env.is_some_and(|v| v.eq_ignore_ascii_case("scalar")) {
             return KernelSet::scalar();
         }
-        let prefer_portable = env.is_some_and(|v| v.eq_ignore_ascii_case("portable"));
-        KernelSet {
-            sel: detect(prefer_portable),
-            fuse: true,
-        }
+        KernelSet::auto_detected()
     }
 
     /// The always-available scalar set: [`crate::blas`] pointers, no
@@ -192,7 +182,7 @@ impl KernelSet {
     /// forcing the rest of the suite scalar.
     pub fn auto_detected() -> KernelSet {
         KernelSet {
-            sel: detect(false),
+            sel: detect(),
             fuse: true,
         }
     }
@@ -218,8 +208,6 @@ impl KernelSet {
             KernelSel::Avx512 => "avx512f",
             #[cfg(target_arch = "aarch64")]
             KernelSel::Neon => "neon",
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => "portable",
         }
     }
 
@@ -235,8 +223,6 @@ impl KernelSet {
             KernelSel::Avx512 => 8,
             #[cfg(target_arch = "aarch64")]
             KernelSel::Neon => 2,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => 4,
         }
     }
 
@@ -267,8 +253,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R32) => x86_512::axpy_fixed::<32>,
             #[cfg(target_arch = "aarch64")]
             (KernelSel::Neon, _) => neon::axpy,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::axpy,
         };
         (kern, spec)
     }
@@ -300,8 +284,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R32) => x86_512::zaxpy_fixed::<32>,
             #[cfg(target_arch = "aarch64")]
             (KernelSel::Neon, _) => neon::zaxpy,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::zaxpy,
         };
         (kern, spec)
     }
@@ -322,8 +304,6 @@ impl KernelSet {
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::dot_fixed::<32>,
             #[cfg(target_arch = "aarch64")]
             (KernelSel::Neon, _) => neon::dot,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::dot,
         };
         (kern, spec)
     }
@@ -339,8 +319,6 @@ impl KernelSet {
             KernelSel::Avx512 => x86_512::xmul,
             #[cfg(target_arch = "aarch64")]
             KernelSel::Neon => neon::xmul,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::xmul,
         }
     }
 
@@ -354,8 +332,6 @@ impl KernelSet {
             KernelSel::Avx512 => x86_512::zxmul,
             #[cfg(target_arch = "aarch64")]
             KernelSel::Neon => neon::zxmul,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::zxmul,
         }
     }
 
@@ -386,8 +362,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R32) => x86_512::ger_fixed::<32>,
             #[cfg(target_arch = "aarch64")]
             (KernelSel::Neon, _) => neon::ger,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::ger,
         };
         (kern, spec)
     }
@@ -402,8 +376,6 @@ impl KernelSet {
             KernelSel::Avx512 => x86_512::zger,
             #[cfg(target_arch = "aarch64")]
             KernelSel::Neon => neon::zger,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::zger,
         }
     }
 
@@ -424,8 +396,6 @@ impl KernelSet {
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::gemv_fixed::<32>,
             #[cfg(target_arch = "aarch64")]
             (KernelSel::Neon, _) => neon::gemv,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::gemv,
         };
         (kern, spec)
     }
@@ -442,20 +412,13 @@ impl KernelSet {
 /// Pick the best implementation the host supports. Under Miri the
 /// vendor intrinsics are unsupported, so everything falls back to
 /// scalar (program shape — fusion, specialization — is unaffected).
-fn detect(prefer_portable: bool) -> KernelSel {
+fn detect() -> KernelSel {
     #[cfg(miri)]
     {
-        let _ = prefer_portable;
         return KernelSel::Scalar;
     }
     #[cfg(not(miri))]
     {
-        #[cfg(feature = "portable-simd")]
-        if prefer_portable {
-            return KernelSel::Portable;
-        }
-        #[cfg(not(feature = "portable-simd"))]
-        let _ = prefer_portable;
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
@@ -467,10 +430,6 @@ fn detect(prefer_portable: bool) -> KernelSel {
         #[cfg(target_arch = "aarch64")]
         {
             return KernelSel::Neon;
-        }
-        #[cfg(feature = "portable-simd")]
-        {
-            return KernelSel::Portable;
         }
         #[allow(unreachable_code)]
         KernelSel::Scalar
@@ -1970,224 +1929,6 @@ mod neon {
             for i in 0..m {
                 // SAFETY: NEON is baseline on aarch64 (see `axpy`).
                 let acc = unsafe { dot_body(&a[i * rs..i * rs + n], xv) };
-                y[i * incy] += alpha * acc;
-            }
-        } else {
-            blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
-        }
-    }
-}
-
-/// Portable `std::simd` kernels (nightly-gated `portable-simd`
-/// feature): 4 × f64 lanes, entirely safe code, same fixed lane-tree
-/// reduction as the vendor-intrinsic modules.
-#[cfg(feature = "portable-simd")]
-mod portable {
-    use super::blas;
-    use std::simd::f64x4;
-
-    const LANES: usize = 4;
-
-    /// [`blas::axpy`]-shaped wrapper.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let yv = f64x4::from_slice(&y[i..]) + a * f64x4::from_slice(&x[i..]);
-                yv.copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] += alpha * x[i];
-                i += 1;
-            }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// Assigning AXPY wrapper.
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                (a * f64x4::from_slice(&x[i..])).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] = alpha * x[i];
-                i += 1;
-            }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// [`blas::dot`]-shaped wrapper with the fixed lane-tree reduction.
-    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &y[..n]);
-            let mut acc0 = f64x4::splat(0.0);
-            let mut acc1 = f64x4::splat(0.0);
-            let mut i = 0;
-            while i + 2 * LANES <= n {
-                acc0 += f64x4::from_slice(&x[i..]) * f64x4::from_slice(&y[i..]);
-                acc1 += f64x4::from_slice(&x[i + LANES..]) * f64x4::from_slice(&y[i + LANES..]);
-                i += 2 * LANES;
-            }
-            if i + LANES <= n {
-                acc0 += f64x4::from_slice(&x[i..]) * f64x4::from_slice(&y[i..]);
-                i += LANES;
-            }
-            // Fixed tree: (acc0 + acc1) → (lane0+lane2, lane1+lane3) →
-            // final pair, then the sequential scalar tail.
-            let s = (acc0 + acc1).to_array();
-            let mut acc = (s[0] + s[2]) + (s[1] + s[3]);
-            while i < n {
-                acc += x[i] * y[i];
-                i += 1;
-            }
-            acc
-        } else {
-            blas::dot(n, x, incx, y, incy)
-        }
-    }
-
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let t = f64x4::from_slice(&x[i..]) * f64x4::from_slice(&z[i..]);
-                (f64x4::from_slice(&y[i..]) + a * t).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] += alpha * x[i] * z[i];
-                i += 1;
-            }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let t = f64x4::from_slice(&x[i..]) * f64x4::from_slice(&z[i..]);
-                (a * t).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] = alpha * x[i] * z[i];
-                i += 1;
-            }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// [`blas::ger`]-shaped wrapper (row-wise vector AXPY).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                axpy(n, xi, y, 1, &mut a[i * rs..i * rs + n], 1);
-            }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// Assigning GER wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                zaxpy(n, xi, y, 1, &mut a[i * rs..i * rs + n], 1);
-            }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// [`blas::gemv`]-shaped wrapper (row-wise vector DOT).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if cs == 1 && incx == 1 {
-            for i in 0..m {
-                let acc = dot(n, &a[i * rs..i * rs + n], 1, x, 1);
                 y[i * incy] += alpha * acc;
             }
         } else {

@@ -1,14 +1,15 @@
 //! Bind-time compilation of loop forests to a flat instruction tape.
 //!
-//! The [`crate::interp`] module *interprets* a planned [`LoopForest`]:
-//! every vertex visit re-matches node variants, re-probes BLAS
-//! eligibility (`try_blas` rebuilds operand metadata from index lists),
-//! recomputes strided offsets from scratch, and re-resolves densely
-//! iterated sparse modes with a cold binary search. All of those
-//! decisions depend only on the *plan*, not on the data — so
-//! [`CompiledTape::compile`] makes each of them exactly once, lowering
-//! `(Kernel, ContractionPath, LoopForest)` into a flat `Vec<Instr>`
-//! program that the tile-parametric driver replays per execution.
+//! The reference interpreter ([`crate::interp`]) walks a planned
+//! [`LoopForest`] directly: every vertex visit re-matches node variants,
+//! re-probes BLAS eligibility (`try_blas` rebuilds operand metadata from
+//! index lists), recomputes strided offsets from scratch, and
+//! re-resolves densely iterated sparse modes with a cold binary search.
+//! All of those decisions depend only on the *plan*, not on the data —
+//! so [`CompiledTape::compile_with`] makes each of them exactly once,
+//! lowering `(Kernel, ContractionPath, LoopForest)` into a flat
+//! `Vec<Instr>` program that the tile-parametric driver replays per
+//! execution.
 //!
 //! # Instruction set
 //!
@@ -33,7 +34,7 @@
 //!   probing disappears entirely. Each microkernel instruction carries
 //!   the **function pointer** of its implementation, chosen once at
 //!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA,
-//!   NEON, or portable `std::simd` — never re-decided per visit), plus
+//!   or NEON — never re-decided per visit), plus
 //!   a [`RankSpec`] recording whether the body is rank-specialized.
 //! - `ZeroAxpy` / `ZeroXmul` / `ZeroGer` — **superinstructions** fusing
 //!   a term's Eq.-5 zero point with its first accumulation: when the
@@ -66,27 +67,26 @@
 //! # Contracts
 //!
 //! The tape mirrors the interpreter's decisions exactly — same loop
-//! structure, same microkernel choices, same floating-point operation
-//! order — so the two engines are mutually redundant oracles: the
-//! differential suite (`tests/tape_vs_interp.rs`) holds them to ≤1e-9
-//! (in practice bitwise) agreement. One compiled tape is shared by all
+//! structure, same microkernel choices, and under
+//! [`KernelSet::scalar`] the same floating-point operation order — so
+//! the differential suite (`tests/tape_vs_interp.rs`) holds the tape to
+//! ≤1e-9 of the interpreter, and the scalar tape to bitwise equality.
+//! One compiled tape is shared by all
 //! worker threads (it is immutable and tile-parametric); the mutable
 //! driver state ([`TapeState`]) lives in each [`Workspace`], is
 //! preallocated by [`Workspace::prepare_tape`], and the driver performs
 //! **zero heap allocations and zero atomic operations** per execution —
-//! stats are plain per-workspace `u64`s folded into the global
-//! [`crate::interp::stats`] shim once per run.
+//! stats are plain per-workspace `u64`s ([`Workspace::stats`]).
 
 use crate::guard::RunGuard;
-use crate::interp::{
-    forest_stamp, stats, validate_operands, validate_output, validate_slots, ContractionOutput,
-    ExecStats, OutputMut, Slots, Workspace,
-};
 use crate::simd::{AxpyFn, DotFn, GemvFn, GerFn, KernelSet, Microkernels, RankSpec, XmulFn};
+use crate::workspace::{
+    forest_stamp, validate_output, validate_slotted_operands, ExecStats, OutputMut, Workspace,
+};
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{
-    buffers_for_forest, BufferSpec, ContractionPath, IndexId, Kernel, LoopForest, LoopNode,
-    LoopVertex, Operand, VertexKind,
+    BufferSpec, ContractionPath, IndexId, Kernel, LoopForest, LoopNode, LoopVertex, Operand,
+    VertexKind,
 };
 use spttn_tensor::{Csf, CsfTile, DenseTensor};
 use std::ops::Range;
@@ -466,27 +466,13 @@ impl TapeState {
 }
 
 impl CompiledTape {
-    /// Lower a planned nest to a tape. `specs` must be the Eq.-5 buffer
-    /// specs of `forest` (the same ones the executing [`Workspace`] was
-    /// built from), so compiled buffer strides agree with the allocated
-    /// buffers.
-    pub fn compile(
-        kernel: &Kernel,
-        path: &ContractionPath,
-        forest: &LoopForest,
-        specs: &[BufferSpec],
-    ) -> Result<CompiledTape> {
-        // Scalar default keeps the free-function tape paths (and every
-        // caller that has not opted in) bitwise-identical to the
-        // pre-SIMD engine; the facade passes its `Microkernels` option
-        // through `compile_with`.
-        Self::compile_with_kernels(kernel, path, forest, specs, KernelSet::scalar())
-    }
-
-    /// [`CompiledTape::compile`] with a [`Microkernels`] policy: the
-    /// policy is resolved against the `SPTTN_MICROKERNELS` environment
-    /// override and the host CPU once, here, and the outcome is
-    /// recorded in the tape.
+    /// Lower a planned nest to a tape under a [`Microkernels`] policy.
+    /// `specs` must be the Eq.-5 buffer specs of `forest` (the same
+    /// ones the executing [`Workspace`] was built from), so compiled
+    /// buffer strides agree with the allocated buffers. The policy is
+    /// resolved against the `SPTTN_MICROKERNELS` environment override
+    /// and the host CPU once, here, and the outcome is recorded in the
+    /// tape.
     pub fn compile_with(
         kernel: &Kernel,
         path: &ContractionPath,
@@ -587,20 +573,6 @@ impl CompiledTape {
         })
     }
 
-    /// Convenience: compile with freshly inferred buffer specs.
-    pub fn from_forest(
-        kernel: &Kernel,
-        path: &ContractionPath,
-        forest: &LoopForest,
-    ) -> Result<CompiledTape> {
-        Self::compile(
-            kernel,
-            path,
-            forest,
-            &buffers_for_forest(kernel, path, forest),
-        )
-    }
-
     /// Build the preallocated mutable driver state for this program.
     pub fn new_state(&self) -> TapeState {
         TapeState {
@@ -635,7 +607,7 @@ impl CompiledTape {
     }
 
     /// Name of the recorded microkernel implementation family
-    /// (`"scalar"`, `"avx2+fma"`, `"neon"`, `"portable"`).
+    /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`, `"neon"`).
     pub fn microkernels(&self) -> &'static str {
         self.kernels.name()
     }
@@ -1671,7 +1643,7 @@ pub fn execute_tape_into_guarded(
         csf.root_range(),
         0,
         csf.nnz(),
-        Slots::Owned(factors_by_slot),
+        factors_by_slot,
         ws,
         out,
         guard,
@@ -1679,13 +1651,19 @@ pub fn execute_tape_into_guarded(
 }
 
 /// Run a compiled tape over one [`CsfTile`], computing exactly the
-/// tile's additive contribution (the tape analogue of
-/// [`crate::execute_forest_tile_into`]).
+/// tile's additive contribution: only the tile's root fibers are
+/// iterated (and finger searches for densely-iterated sparse root modes
+/// are confined to the tile). A dense `out` receives that partial sum;
+/// a sparse `out` must be the slice of output values covering exactly
+/// the tile's [`CsfTile::leaf_range`] (tiles write disjoint leaf
+/// ranges, so pattern-sharing outputs need no cross-tile reduction).
+/// Executing every tile of a [`Csf::partition`] and summing dense
+/// partials in a fixed order reproduces the full result
+/// deterministically.
 ///
 /// After [`Workspace::prepare_tape`] ran, this performs zero heap
 /// allocations and zero atomic operations on the success path; the
-/// workspace's [`ExecStats`] describe this run and are folded into the
-/// global [`crate::interp::stats`] shim once at the end.
+/// workspace's [`ExecStats`] describe this run.
 pub fn execute_tape_tile_into(
     tape: &CompiledTape,
     kernel: &Kernel,
@@ -1725,68 +1703,11 @@ pub fn execute_tape_tile_into_guarded(
         tile.root_range(),
         tile.leaf_range().start,
         tile.leaf_nnz(),
-        Slots::Owned(factors_by_slot),
+        factors_by_slot,
         ws,
         out,
         guard,
     )
-}
-
-/// One-shot convenience mirroring [`crate::execute_forest`]: compile
-/// the nest, allocate a fresh workspace and output, run the tape.
-pub fn execute_tape(
-    kernel: &Kernel,
-    path: &ContractionPath,
-    forest: &LoopForest,
-    csf: &Csf,
-    dense_factors: &[&DenseTensor],
-) -> Result<ContractionOutput> {
-    validate_operands(kernel, csf, dense_factors)?;
-    let tape = CompiledTape::from_forest(kernel, path, forest)?;
-    let dummy = DenseTensor::zeros(&[]);
-    let mut refs: Vec<&DenseTensor> = Vec::with_capacity(kernel.inputs.len());
-    let mut next = 0usize;
-    for slot in 0..kernel.inputs.len() {
-        if slot == kernel.sparse_input {
-            refs.push(&dummy);
-        } else {
-            refs.push(dense_factors[next]);
-            next += 1;
-        }
-    }
-    let mut ws = Workspace::new(kernel, path, forest);
-    ws.prepare_tape(&tape);
-    if kernel.output_sparse {
-        let mut vals = vec![0.0; csf.nnz()];
-        run_tape(
-            &tape,
-            kernel,
-            csf,
-            csf.root_range(),
-            0,
-            csf.nnz(),
-            Slots::Refs(&refs),
-            &mut ws,
-            OutputMut::Sparse(&mut vals),
-            None,
-        )?;
-        Ok(ContractionOutput::Sparse(csf.to_coo().with_vals(vals)))
-    } else {
-        let mut out = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
-        run_tape(
-            &tape,
-            kernel,
-            csf,
-            csf.root_range(),
-            0,
-            csf.nnz(),
-            Slots::Refs(&refs),
-            &mut ws,
-            OutputMut::Dense(&mut out),
-            None,
-        )?;
-        Ok(ContractionOutput::Dense(out))
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1797,12 +1718,12 @@ pub(crate) fn run_tape(
     root: Range<usize>,
     leaf_lo: usize,
     leaf_len: usize,
-    factors: Slots<'_>,
+    factors: &[DenseTensor],
     ws: &mut Workspace,
     out: OutputMut<'_>,
     guard: Option<&RunGuard>,
 ) -> Result<()> {
-    validate_slots(kernel, csf, factors)?;
+    validate_slotted_operands(kernel, csf, factors)?;
     validate_output(kernel, &out, leaf_len)?;
     if ws.buffers.len() != tape.n_terms || ws.forest_stamp != tape.forest_stamp {
         return Err(SpttnError::Execution(
@@ -1816,8 +1737,8 @@ pub(crate) fn run_tape(
             csf.order()
         )));
     }
-    // Preallocated in the normal bind path; the one-shot convenience
-    // path pays this once.
+    // A no-op after the executors' bind-time call; a caller-built
+    // workspace pays the allocation on its first run.
     ws.prepare_tape(tape);
     ws.stats = ExecStats::default();
     let Workspace {
@@ -1848,9 +1769,7 @@ pub(crate) fn run_tape(
         // even that for ungated runs.
         guard: guard.filter(|g| !g.is_noop()),
     };
-    run.go()?;
-    stats::fold(&ws.stats());
-    Ok(())
+    run.go()
 }
 
 struct Run<'a> {
@@ -1858,7 +1777,7 @@ struct Run<'a> {
     csf: &'a Csf,
     root: Range<usize>,
     leaf_lo: usize,
-    factors: Slots<'a>,
+    factors: &'a [DenseTensor],
     buffers: &'a mut [DenseTensor],
     out_dense: &'a mut DenseTensor,
     out_sparse: &'a mut [f64],
@@ -2095,7 +2014,7 @@ impl<'a> Run<'a> {
                         ..
                     } = self;
                     let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
-                    let (xs, xi) = vec_in(*factors, reads, &st.cursors, x);
+                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     kern(n, a, xs, xi, tgt, y.inc);
                     stats.axpy += 1;
                     stats.axpy_elems += n as u64;
@@ -2126,8 +2045,8 @@ impl<'a> Run<'a> {
                         ..
                     } = self;
                     let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
-                    let (xs, xi) = vec_in(*factors, reads, &st.cursors, x);
-                    let (zs, zi) = vec_in(*factors, reads, &st.cursors, z);
+                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
+                    let (zs, zi) = vec_in(factors, reads, &st.cursors, z);
                     kern(n, 1.0, xs, xi, zs, zi, tgt, y.inc);
                     stats.xmul += 1;
                     stats.xmul_elems += n as u64;
@@ -2166,8 +2085,8 @@ impl<'a> Run<'a> {
                         inc: 0,
                     };
                     let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, av);
-                    let (xs, xi) = vec_in(*factors, reads, &st.cursors, x);
-                    let (ys, yi) = vec_in(*factors, reads, &st.cursors, y);
+                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
+                    let (ys, yi) = vec_in(factors, reads, &st.cursors, y);
                     kern(m, n, 1.0, xs, xi, ys, yi, tgt, a.rs, a.cs);
                     stats.ger += 1;
                     stats.ger_elems += (m * n) as u64;
@@ -2192,8 +2111,8 @@ impl<'a> Run<'a> {
                         ..
                     } = self;
                     let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
-                    let (as_, ai) = mat_in(*factors, reads, &st.cursors, a);
-                    let (xs, xi) = vec_in(*factors, reads, &st.cursors, x);
+                    let (as_, ai) = mat_in(factors, reads, &st.cursors, a);
+                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     kern(m, n, 1.0, as_, ai.0, ai.1, xs, xi, tgt, y.inc);
                     stats.gemv += 1;
                     stats.gemv_elems += (m * n) as u64;
@@ -2301,7 +2220,7 @@ impl<'a> Run<'a> {
             Read::Cursor { buf, cur } => {
                 let off = self.st.cursors[cur];
                 match buf {
-                    RBuf::Factor(i) => self.factors.get(i).as_slice()[off],
+                    RBuf::Factor(i) => self.factors[i].as_slice()[off],
                     RBuf::Inter(u) => self.buffers[u].as_slice()[off],
                 }
             }
@@ -2335,7 +2254,7 @@ impl<'a> Run<'a> {
     fn rslice(&self, v: VecSrc) -> (&[f64], usize) {
         let off = self.st.cursors[v.cur];
         match v.buf {
-            RBuf::Factor(i) => (&self.factors.get(i).as_slice()[off..], v.inc),
+            RBuf::Factor(i) => (&self.factors[i].as_slice()[off..], v.inc),
             RBuf::Inter(u) => (&self.buffers[u].as_slice()[off..], v.inc),
         }
     }
@@ -2367,14 +2286,14 @@ fn tgt_split<'b>(
 /// buffer split.
 #[inline]
 fn vec_in<'b>(
-    factors: Slots<'b>,
+    factors: &'b [DenseTensor],
     reads: &'b [DenseTensor],
     cursors: &[usize],
     v: VecSrc,
 ) -> (&'b [f64], usize) {
     let off = cursors[v.cur];
     match v.buf {
-        RBuf::Factor(i) => (&factors.get(i).as_slice()[off..], v.inc),
+        RBuf::Factor(i) => (&factors[i].as_slice()[off..], v.inc),
         RBuf::Inter(u) => (&reads[u].as_slice()[off..], v.inc),
     }
 }
@@ -2382,14 +2301,14 @@ fn vec_in<'b>(
 /// Borrow a matrix source (returns the slice plus `(rs, cs)`).
 #[inline]
 fn mat_in<'b>(
-    factors: Slots<'b>,
+    factors: &'b [DenseTensor],
     reads: &'b [DenseTensor],
     cursors: &[usize],
     m: MatSrc,
 ) -> (&'b [f64], (usize, usize)) {
     let off = cursors[m.cur];
     match m.buf {
-        RBuf::Factor(i) => (&factors.get(i).as_slice()[off..], (m.rs, m.cs)),
+        RBuf::Factor(i) => (&factors[i].as_slice()[off..], (m.rs, m.cs)),
         RBuf::Inter(u) => (&reads[u].as_slice()[off..], (m.rs, m.cs)),
     }
 }

@@ -1191,7 +1191,8 @@ mod tests {
             assert_eq!(iv.kind, VertexKind::Sparse { level: 0 });
             iv.kind = VertexKind::Dense;
         }
-        CompiledTape::from_forest(&k, &path, &forest).unwrap()
+        let bufs = buffers_for_forest(&k, &path, &forest);
+        CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::scalar()).unwrap()
     }
 
     /// Listing-3-style fused nest: all CSF levels tracked.

@@ -3,9 +3,15 @@
 //! flavors (dense, pattern-sharing), fused and unfused forests, and the
 //! BLAS dispatch paths (AXPY, DOT, elementwise, GER, GEMV).
 
+mod common;
+
 use rand::prelude::*;
-use spttn_exec::{execute_forest, naive_einsum, ContractionOutput};
-use spttn_ir::{build_forest, parse_kernel, path_from_picks, Kernel, NestSpec};
+use spttn_core::Result;
+use spttn_exec::interp::execute_forest_into;
+use spttn_exec::{naive_einsum, ContractionOutput, ExecStats, OutputMut, Workspace};
+use spttn_ir::{
+    build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel, LoopForest, NestSpec,
+};
 use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 
 const TOL: f64 = 1e-9;
@@ -26,6 +32,39 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
+/// Interpret a nest from a fresh workspace into a fresh output.
+fn interpret(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    forest: &LoopForest,
+    csf: &Csf,
+    dense: &[&DenseTensor],
+) -> Result<(ContractionOutput, ExecStats)> {
+    let slots = common::by_slot(kernel, dense);
+    let mut ws = Workspace::new(kernel, path, forest);
+    let out = common::fresh_output(kernel, csf, |out| {
+        execute_forest_into(kernel, path, forest, csf, &slots, &mut ws, out)
+    })?;
+    Ok((out, ws.stats()))
+}
+
+/// [`run`] plus the run's dispatch counters.
+fn run_counted(
+    kernel: &Kernel,
+    picks: &[(usize, usize)],
+    orders: Vec<Vec<usize>>,
+    coo: &CooTensor,
+    factors: &[DenseTensor],
+) -> (ContractionOutput, ExecStats) {
+    let path = path_from_picks(kernel, picks);
+    let spec = NestSpec { orders };
+    let forest = build_forest(kernel, &path, &spec).unwrap();
+    let order: Vec<usize> = (0..coo.order()).collect();
+    let csf = Csf::from_coo(coo, &order).unwrap();
+    let refs: Vec<&DenseTensor> = factors.iter().collect();
+    interpret(kernel, &path, &forest, &csf, &refs).unwrap()
+}
+
 fn run(
     kernel: &Kernel,
     picks: &[(usize, usize)],
@@ -33,13 +72,7 @@ fn run(
     coo: &CooTensor,
     factors: &[DenseTensor],
 ) -> ContractionOutput {
-    let path = path_from_picks(kernel, picks);
-    let spec = NestSpec { orders };
-    let forest = build_forest(kernel, &path, &spec).unwrap();
-    let order: Vec<usize> = (0..coo.order()).collect();
-    let csf = Csf::from_coo(coo, &order).unwrap();
-    let refs: Vec<&DenseTensor> = factors.iter().collect();
-    execute_forest(kernel, &path, &forest, &csf, &refs).unwrap()
+    run_counted(kernel, picks, orders, coo, factors).0
 }
 
 fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
@@ -60,16 +93,14 @@ fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing3_matches_oracle() {
     let (k, coo, f) = ttmc_setup(1);
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_counted(
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.axpy > before.axpy, "AXPY microkernel should dispatch");
+    assert!(stats.axpy > 0, "AXPY microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -195,16 +226,14 @@ fn ger_dispatch_matches_oracle() {
     let coo = random_coo(&[6], 4, &mut rng).unwrap();
     let f = vec![random_dense(&[5], &mut rng), random_dense(&[4], &mut rng)];
     // Path (U*V) -> X0(r,s) [GER]; (T*X0) -> S.
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_counted(
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1, 2]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.ger > before.ger, "GER microkernel should dispatch");
+    assert!(stats.ger > 0, "GER microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -226,16 +255,14 @@ fn gemv_dispatch_matches_oracle() {
     ];
     // Path (A*B) -> X0(i) [GEMV]; (T*X0) -> C. Index ids follow the
     // sparse tensor first: k=0, i=1, j=2.
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_counted(
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.gemv > before.gemv, "GEMV microkernel should dispatch");
+    assert!(stats.gemv > 0, "GEMV microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -253,14 +280,14 @@ fn executor_validates_shapes() {
     let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
     // Swap the factors: dims no longer match the kernel.
     let refs: Vec<&DenseTensor> = vec![&f[1], &f[0]];
-    assert!(execute_forest(&k, &path, &forest, &csf, &refs).is_err());
+    assert!(interpret(&k, &path, &forest, &csf, &refs).is_err());
     // Too few factors.
     let refs2: Vec<&DenseTensor> = vec![&f[0]];
-    assert!(execute_forest(&k, &path, &forest, &csf, &refs2).is_err());
+    assert!(interpret(&k, &path, &forest, &csf, &refs2).is_err());
     // CSF built in a different mode order than the kernel declares.
     let bad_csf = Csf::from_coo(&coo, &[2, 1, 0]).unwrap();
     let refs3: Vec<&DenseTensor> = f.iter().collect();
-    assert!(execute_forest(&k, &path, &forest, &bad_csf, &refs3).is_err());
+    assert!(interpret(&k, &path, &forest, &bad_csf, &refs3).is_err());
 }
 
 /// Order-4 TTMc with the Fig. 6 nest: two buffers, deep fusion.
@@ -309,8 +336,6 @@ fn order4_ttmc_fig6_matches_oracle() {
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn workspace_reuse_is_deterministic_and_accumulating() {
-    use spttn_exec::{execute_forest_into, OutputMut, Workspace};
-
     let (k, coo, factors) = ttmc_setup(77);
     let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
     let spec = NestSpec {
@@ -388,8 +413,6 @@ fn workspace_reuse_is_deterministic_and_accumulating() {
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn workspace_from_other_forest_is_rejected() {
-    use spttn_exec::{execute_forest_into, OutputMut, Workspace};
-
     let (k, coo, factors) = ttmc_setup(78);
     let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
     let fused = build_forest(

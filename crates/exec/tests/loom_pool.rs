@@ -251,9 +251,10 @@ mod stress {
     #[cfg_attr(miri, ignore)] // covered by parallel_exec's determinism test
     fn parallel_execution_is_deterministic() {
         use rand::{rngs::StdRng, SeedableRng};
-        use spttn_exec::execute_forest_parallel;
-        use spttn_ir::{build_forest, parse_kernel, path_from_picks, NestSpec};
+        use spttn_exec::{CompiledTape, KernelSet, OutputMut, ParallelExecutor};
+        use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
         use spttn_tensor::{random_coo, random_dense, Csf, DenseTensor};
+        use std::sync::Arc;
 
         let k = parse_kernel(
             "A(i,r) = T(i,j,k) * B(j,r) * C(k,r)",
@@ -268,23 +269,29 @@ mod stress {
         let mut rng = StdRng::seed_from_u64(7);
         let coo = random_coo(&[12, 10, 11], 180, &mut rng).unwrap();
         let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-        let factors = [
+        let slots = [
+            DenseTensor::zeros(&[]), // sparse slot placeholder
             random_dense(&[10, 6], &mut rng),
             random_dense(&[11, 6], &mut rng),
         ];
-        let refs: Vec<&DenseTensor> = factors.iter().collect();
-        let base = execute_forest_parallel(&k, &path, &forest, &csf, &refs, 3).unwrap();
+        let specs = buffers_for_forest(&k, &path, &forest);
+        let tape =
+            CompiledTape::compile_with_kernels(&k, &path, &forest, &specs, KernelSet::scalar())
+                .unwrap();
+        let mut par = ParallelExecutor::new(&k, &path, &forest, &specs, Arc::new(tape), &csf, 3);
+        let mut run = || {
+            let mut out = DenseTensor::zeros(&[12, 6]);
+            par.execute_into(&k, &csf, &slots, OutputMut::Dense(&mut out), None)
+                .unwrap();
+            out
+        };
+        let base = run();
         for _ in 0..4 {
-            let again = execute_forest_parallel(&k, &path, &forest, &csf, &refs, 3).unwrap();
-            match (&base, &again) {
-                (
-                    spttn_exec::ContractionOutput::Dense(a),
-                    spttn_exec::ContractionOutput::Dense(b),
-                ) => {
-                    assert_eq!(a.as_slice(), b.as_slice(), "nondeterministic reduction")
-                }
-                _ => panic!("expected dense outputs"),
-            }
+            assert_eq!(
+                base.as_slice(),
+                run().as_slice(),
+                "nondeterministic reduction"
+            );
         }
     }
 }

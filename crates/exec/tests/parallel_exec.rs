@@ -1,15 +1,18 @@
-//! Exec-level parallel golden tests: the scoped one-shot fan-out and
-//! the persistent [`ParallelExecutor`] must match the serial
-//! interpreter on dense- and sparse-output nests, at every thread
-//! count, bitwise-deterministically.
+//! Exec-level parallel golden tests: the tape-backed
+//! [`ParallelExecutor`] must match the serial reference interpreter on
+//! dense- and sparse-output nests, at every thread count,
+//! bitwise-deterministically.
+
+mod common;
 
 use rand::prelude::*;
+use spttn_exec::interp::execute_forest_into;
 use spttn_exec::{
-    execute_forest, execute_forest_parallel, ContractionOutput, OutputMut, ParallelExecutor,
-    Workspace,
+    execute_tape_tile_into, ContractionOutput, ExecStats, OutputMut, ParallelExecutor, Workspace,
 };
 use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
 use spttn_tensor::{random_coo, random_dense, Csf, DenseTensor};
+use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
@@ -79,67 +82,59 @@ fn tttp_fixture(seed: u64) -> Fixture {
     }
 }
 
-fn serial(f: &Fixture) -> ContractionOutput {
-    let refs: Vec<&DenseTensor> = f.factors.iter().collect();
-    execute_forest(&f.kernel, &f.path, &f.forest, &f.csf, &refs).unwrap()
-}
-
-#[test]
-#[cfg_attr(miri, ignore)] // too slow under the interpreter
-fn scoped_parallel_matches_serial() {
-    for fixture in [ttmc_fixture(11), tttp_fixture(12)] {
-        let want = serial(&fixture).to_dense();
-        let refs: Vec<&DenseTensor> = fixture.factors.iter().collect();
-        for threads in [1, 2, 3, 4, 7, 64] {
-            let got = execute_forest_parallel(
-                &fixture.kernel,
-                &fixture.path,
-                &fixture.forest,
-                &fixture.csf,
-                &refs,
-                threads,
-            )
-            .unwrap();
-            assert!(
-                got.to_dense().approx_eq(&want, TOL),
-                "threads = {threads} diverged from serial"
-            );
-        }
-    }
-}
-
 /// Slot-ordered factors (placeholder in the sparse slot), as the
-/// persistent executor consumes them.
+/// executors consume them.
 fn slotted(f: &Fixture) -> Vec<DenseTensor> {
-    let mut slots = vec![DenseTensor::zeros(&[])];
-    slots.extend(f.factors.iter().cloned());
-    slots
+    common::by_slot(&f.kernel, &f.factors.iter().collect::<Vec<_>>())
+}
+
+/// The serial reference: the interpreter over the whole tree.
+fn serial(f: &Fixture) -> (ContractionOutput, ExecStats) {
+    let slots = slotted(f);
+    let mut ws = Workspace::new(&f.kernel, &f.path, &f.forest);
+    let out = common::fresh_output(&f.kernel, &f.csf, |out| {
+        execute_forest_into(&f.kernel, &f.path, &f.forest, &f.csf, &slots, &mut ws, out)
+    })
+    .unwrap();
+    (out, ws.stats())
+}
+
+/// A pool of `threads` running the fixture's scalar tape — the program
+/// the reference is the bitwise twin of.
+fn pool(f: &Fixture, threads: usize) -> ParallelExecutor {
+    ParallelExecutor::new(
+        &f.kernel,
+        &f.path,
+        &f.forest,
+        &buffers_for_forest(&f.kernel, &f.path, &f.forest),
+        Arc::new(common::scalar_tape(&f.kernel, &f.path, &f.forest)),
+        &f.csf,
+        threads,
+    )
 }
 
 #[test]
 fn parallel_executor_matches_serial_and_is_deterministic() {
     let fixture = ttmc_fixture(21);
-    let want = serial(&fixture).to_dense();
+    let want = serial(&fixture).0.to_dense();
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
-    for threads in [2, 4, 7] {
-        let mut par = ParallelExecutor::new(
-            &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
-            &specs,
-            &fixture.csf,
-            threads,
-        );
+    // 64 threads: far more than the tensor has root fibers. Miri runs
+    // this test too, so it gets the short list.
+    let counts: &[usize] = if cfg!(miri) {
+        &[2, 4, 7]
+    } else {
+        &[1, 2, 3, 4, 7, 64]
+    };
+    for &threads in counts {
+        let mut par = pool(&fixture, threads);
         let mut run = || {
             let mut out = DenseTensor::zeros(&[20, 4, 5]);
             par.execute_into(
                 &fixture.kernel,
-                &fixture.path,
-                &fixture.forest,
                 &fixture.csf,
                 &slots,
                 OutputMut::Dense(&mut out),
+                None,
             )
             .unwrap();
             out
@@ -156,49 +151,27 @@ fn parallel_executor_matches_serial_and_is_deterministic() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn parallel_executor_sparse_output_disjoint_ranges() {
     let fixture = tttp_fixture(22);
-    let want = serial(&fixture).to_dense();
-    let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
-    let mut par = ParallelExecutor::new(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &specs,
-        &fixture.csf,
-        4,
-    );
-    let mut vals = vec![0.0; fixture.csf.nnz()];
-    par.execute_into(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &fixture.csf,
-        &slots,
-        OutputMut::Sparse(&mut vals),
-    )
-    .unwrap();
-    let got = fixture.csf.to_coo().with_vals(vals.clone()).to_dense();
-    assert!(got.approx_eq(&want, TOL));
-    // Exact equality with the serial path: every leaf is written by
-    // exactly one tile, with the same per-leaf accumulation order.
-    let ContractionOutput::Sparse(serial_coo) = serial(&fixture) else {
+    let (ContractionOutput::Sparse(serial_coo), serial_stats) = serial(&fixture) else {
         panic!("TTTP output must be sparse");
     };
-    assert_eq!(vals, serial_coo.vals());
-    // Stats aggregate across tiles to the serial counts.
-    let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
-    let mut serial_vals = vec![0.0; fixture.csf.nnz()];
-    spttn_exec::execute_forest_into(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &fixture.csf,
-        &slots,
-        &mut ws,
-        OutputMut::Sparse(&mut serial_vals),
-    )
-    .unwrap();
-    assert_eq!(par.stats(), ws.stats());
+    let slots = slotted(&fixture);
+    for threads in [1, 4, 64] {
+        let mut par = pool(&fixture, threads);
+        let mut vals = vec![0.0; fixture.csf.nnz()];
+        par.execute_into(
+            &fixture.kernel,
+            &fixture.csf,
+            &slots,
+            OutputMut::Sparse(&mut vals),
+            None,
+        )
+        .unwrap();
+        // Exact equality with the serial path: every leaf is written by
+        // exactly one tile, with the same per-leaf accumulation order.
+        assert_eq!(vals, serial_coo.vals(), "threads = {threads}");
+        // Stats aggregate across tiles to the serial counts.
+        assert_eq!(par.stats(), serial_stats, "threads = {threads}");
+    }
 }
 
 /// A tiling is valid only for the structure it was computed from: a
@@ -209,15 +182,7 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
 fn parallel_executor_rejects_different_structure() {
     let fixture = ttmc_fixture(31);
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
-    let mut par = ParallelExecutor::new(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &specs,
-        &fixture.csf,
-        4,
-    );
+    let mut par = pool(&fixture, 4);
     // Same dims and nnz, different pattern (different seed).
     let mut rng = StdRng::seed_from_u64(99);
     let other = Csf::from_coo(
@@ -230,11 +195,10 @@ fn parallel_executor_rejects_different_structure() {
     let err = par
         .execute_into(
             &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
             &other,
             &slots,
             OutputMut::Dense(&mut out),
+            None,
         )
         .unwrap_err();
     assert!(
@@ -246,11 +210,10 @@ fn parallel_executor_rejects_different_structure() {
     same.vals_mut().iter_mut().for_each(|v| *v *= 2.0);
     par.execute_into(
         &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
         &same,
         &slots,
         OutputMut::Dense(&mut out),
+        None,
     )
     .unwrap();
 }
@@ -259,17 +222,17 @@ fn parallel_executor_rejects_different_structure() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn tile_partials_sum_to_full_output() {
     let fixture = ttmc_fixture(23);
-    let want = serial(&fixture).to_dense();
+    let want = serial(&fixture).0.to_dense();
     let slots = slotted(&fixture);
+    let tape = common::scalar_tape(&fixture.kernel, &fixture.path, &fixture.forest);
     let tiles = fixture.csf.partition(3);
     let mut acc = DenseTensor::zeros(&[20, 4, 5]);
     for tile in &tiles {
         let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
         let mut partial = DenseTensor::zeros(&[20, 4, 5]);
-        spttn_exec::execute_forest_tile_into(
+        execute_tape_tile_into(
+            &tape,
             &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
             &fixture.csf,
             tile,
             &slots,

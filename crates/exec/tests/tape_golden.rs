@@ -1,14 +1,19 @@
-//! Tape-engine golden tests: every compiled tape must reproduce both
-//! the naive dense einsum oracle and the recursive interpreter —
+//! Tape golden tests: every compiled tape must reproduce both the
+//! naive dense einsum oracle and the reference interpreter —
 //! across fused and unfused forests, dense and pattern-sharing
 //! outputs, all five microkernel lowerings, and (crucially) the nests
 //! that force sparse-node re-resolution, where the tape's finger
 //! search replaces the interpreter's per-visit binary search.
 
+mod common;
+
+use common::scalar_tape;
 use rand::prelude::*;
-use spttn_exec::tape::{execute_tape, execute_tape_into, CompiledTape};
-use spttn_exec::{execute_forest, naive_einsum, ContractionOutput, OutputMut, Workspace};
-use spttn_ir::{build_forest, parse_kernel, path_from_picks, Kernel, NestSpec};
+use spttn_exec::interp::execute_forest_into;
+use spttn_exec::{execute_tape_into, naive_einsum, ContractionOutput, OutputMut, Workspace};
+use spttn_ir::{
+    build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel, LoopForest, NestSpec,
+};
 use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 
 const TOL: f64 = 1e-9;
@@ -29,9 +34,46 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
-/// Run one nest through both engines, asserting bitwise agreement
-/// (the tape mirrors the interpreter's operation order exactly), and
-/// return the tape's output for the oracle check.
+/// Run a forest through the interpreter and through its scalar tape
+/// (each from a fresh workspace and output), asserting bitwise
+/// agreement — the tape mirrors the interpreter's operation order
+/// exactly — and return the tape's output for the oracle check.
+fn run_forest_both(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    forest: &LoopForest,
+    csf: &Csf,
+    factors: &[DenseTensor],
+) -> ContractionOutput {
+    let refs: Vec<&DenseTensor> = factors.iter().collect();
+    let slots = common::by_slot(kernel, &refs);
+    let mut ws = Workspace::new(kernel, path, forest);
+    let interp = common::fresh_output(kernel, csf, |out| {
+        execute_forest_into(kernel, path, forest, csf, &slots, &mut ws, out)
+    })
+    .unwrap();
+    let compiled = scalar_tape(kernel, path, forest);
+    // Every golden nest's compiled program must also pass the static
+    // verifier before we trust its output.
+    compiled.verify().expect("golden tape verifies clean");
+    let mut ws = Workspace::new(kernel, path, forest);
+    let tape = common::fresh_output(kernel, csf, |out| {
+        execute_tape_into(&compiled, kernel, csf, &slots, &mut ws, out)
+    })
+    .unwrap();
+    match (&interp, &tape) {
+        (ContractionOutput::Dense(a), ContractionOutput::Dense(b)) => {
+            assert_eq!(a.as_slice(), b.as_slice(), "tape != interp bitwise");
+        }
+        (ContractionOutput::Sparse(a), ContractionOutput::Sparse(b)) => {
+            assert_eq!(a.vals(), b.vals(), "tape != interp bitwise (sparse)");
+        }
+        _ => panic!("tape and interpreter disagree on output flavor"),
+    }
+    tape
+}
+
+/// [`run_forest_both`] on the nest `(picks, orders)` describe.
 fn run_both(
     kernel: &Kernel,
     picks: &[(usize, usize)],
@@ -40,29 +82,10 @@ fn run_both(
     factors: &[DenseTensor],
 ) -> ContractionOutput {
     let path = path_from_picks(kernel, picks);
-    let spec = NestSpec { orders };
-    let forest = build_forest(kernel, &path, &spec).unwrap();
+    let forest = build_forest(kernel, &path, &NestSpec { orders }).unwrap();
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(coo, &order).unwrap();
-    let refs: Vec<&DenseTensor> = factors.iter().collect();
-    // Every golden nest's compiled program must also pass the static
-    // verifier before we trust its output.
-    CompiledTape::from_forest(kernel, &path, &forest)
-        .unwrap()
-        .verify()
-        .expect("golden tape verifies clean");
-    let interp = execute_forest(kernel, &path, &forest, &csf, &refs).unwrap();
-    let tape = execute_tape(kernel, &path, &forest, &csf, &refs).unwrap();
-    match (&interp, &tape) {
-        (ContractionOutput::Dense(a), ContractionOutput::Dense(b)) => {
-            assert_eq!(a.as_slice(), b.as_slice(), "tape != interp bitwise");
-        }
-        (ContractionOutput::Sparse(a), ContractionOutput::Sparse(b)) => {
-            assert_eq!(a.vals(), b.vals(), "tape != interp bitwise (sparse)");
-        }
-        _ => panic!("engines disagree on output flavor"),
-    }
-    tape
+    run_forest_both(kernel, &path, &forest, &csf, factors)
 }
 
 fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
@@ -300,7 +323,6 @@ fn randomized_nests_agree_with_interpreter() {
     let (k, coo, f) = ttmc_setup(42);
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(&coo, &order).unwrap();
-    let refs: Vec<&DenseTensor> = f.iter().collect();
     let want = oracle(&k, &coo, &f);
     let mut checked = 0usize;
     for path in enumerate_paths(&k) {
@@ -308,15 +330,12 @@ fn randomized_nests_agree_with_interpreter() {
             let Ok(forest) = build_forest(&k, &path, &spec) else {
                 continue;
             };
-            let interp = execute_forest(&k, &path, &forest, &csf, &refs).unwrap();
-            let tape = execute_tape(&k, &path, &forest, &csf, &refs).unwrap();
-            assert_eq!(
-                interp.to_dense().as_slice(),
-                tape.to_dense().as_slice(),
-                "engines diverged on {}",
+            let tape = run_forest_both(&k, &path, &forest, &csf, &f);
+            assert!(
+                tape.to_dense().approx_eq(&want, TOL),
+                "diverged from the oracle on {}",
                 forest.render(&k, &path)
             );
-            assert!(tape.to_dense().approx_eq(&want, TOL));
             checked += 1;
         }
     }
@@ -361,13 +380,12 @@ fn finger_search_beats_binary_search_probes() {
     assert_eq!(iv.kind, VertexKind::Sparse { level: 0 });
     iv.kind = VertexKind::Dense;
 
-    let refs: Vec<&DenseTensor> = vec![&u, &v];
     // Interpreter: run through a workspace to read its stats.
     let mut ws = Workspace::new(&k, &path, &forest);
     let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
     slots.extend([u.clone(), v.clone()]);
     let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    spttn_exec::execute_forest_into(
+    execute_forest_into(
         &k,
         &path,
         &forest,
@@ -379,7 +397,7 @@ fn finger_search_beats_binary_search_probes() {
     .unwrap();
     let interp_stats = ws.stats();
 
-    let tape = CompiledTape::from_forest(&k, &path, &forest).unwrap();
+    let tape = scalar_tape(&k, &path, &forest);
     assert!(tape.num_fingers() > 0, "nest must need re-resolution");
     // The finger-search program (the only resolver-bearing tape in the
     // suite) must satisfy the verifier's monotone-descent rules.
@@ -421,7 +439,6 @@ fn finger_search_beats_binary_search_probes() {
         tape_stats.search_probes,
         interp_stats.search_probes
     );
-    let _ = execute_tape(&k, &path, &forest, &csf, &refs).unwrap();
 }
 
 /// A workspace built for a different forest is rejected by the tape
@@ -451,7 +468,7 @@ fn tape_rejects_mismatched_workspace() {
     let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
     slots.extend(factors.iter().cloned());
     let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    let tape = CompiledTape::from_forest(&k, &path, &fused).unwrap();
+    let tape = scalar_tape(&k, &path, &fused);
     let mut ws = Workspace::new(&k, &path, &unfused);
     let e = execute_tape_into(&tape, &k, &csf, &slots, &mut ws, OutputMut::Dense(&mut out));
     assert!(e.is_err(), "mismatched workspace was accepted");

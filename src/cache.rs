@@ -38,16 +38,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 enum SparsityKey {
     /// Exact profile: dims, mode order, per-level prefix nnz.
     Profile(Vec<usize>, Vec<usize>, Vec<u64>),
-    /// Exact pattern: dims, written-position → COO-mode map, nonzero
-    /// count, and the pattern fingerprint (a hash of the flat
-    /// coordinates, computed once when the pattern entered the
-    /// `Shapes`/CSF — not per lookup). The fingerprint is what keeps
+    /// Exact pattern: dims, nonzero count, and the pattern fingerprint
+    /// (a hash of the flat coordinates, computed once when the pattern
+    /// entered the `Shapes` — not per lookup). The fingerprint is what keeps
     /// keys honest under order search — the per-order exact counts the
     /// search compares are a function of the full pattern, not of any
     /// single profile.
     Pattern {
         dims: Vec<usize>,
-        base: Vec<usize>,
         nnz: usize,
         coord_hash: u64,
     },
@@ -63,9 +61,8 @@ impl SparsityKey {
                 let (dims, order, prefix) = p.signature();
                 SparsityKey::Profile(dims, order, prefix)
             }
-            SparsitySource::Pattern { coo, base, fp } => SparsityKey::Pattern {
+            SparsitySource::Pattern { coo, fp } => SparsityKey::Pattern {
                 dims: coo.dims().to_vec(),
-                base: base.clone(),
                 nnz: coo.nnz(),
                 coord_hash: *fp,
             },
@@ -177,7 +174,12 @@ impl PlanCache {
 
     /// Resolve a contraction against `shapes` and return its plan,
     /// running the Sec. 5 DP only when no plan with the same [`PlanKey`]
-    /// is stored yet.
+    /// is stored yet. Single-flight per key: of any number of threads
+    /// racing a cold key, exactly one runs the DP (counted as one miss)
+    /// while the others block on its slot and share the resulting `Arc`
+    /// (each counted as a hit). A failed flight hands its error to
+    /// every waiter but is not retained, so later lookups retry
+    /// planning.
     pub fn plan(
         &self,
         contraction: Contraction,
@@ -186,22 +188,6 @@ impl PlanCache {
     ) -> Result<Arc<Plan>> {
         let (kernel, accumulate) = contraction.resolve_symbolic(shapes)?;
         let source = shapes.resolve_source(&kernel)?;
-        self.plan_from_parts(kernel, source, accumulate, opts)
-    }
-
-    /// Get-or-plan on fully-resolved parts, single-flight per key: of
-    /// any number of threads racing a cold key, exactly one runs the DP
-    /// (counted as one miss) while the others block on its slot and
-    /// share the resulting `Arc` (each counted as a hit). A failed
-    /// flight hands its error to every waiter but is not retained, so
-    /// later lookups retry planning.
-    pub(crate) fn plan_from_parts(
-        &self,
-        kernel: Kernel,
-        source: SparsitySource,
-        accumulate: bool,
-        opts: &PlanOptions,
-    ) -> Result<Arc<Plan>> {
         let key = PlanKey::from_source(&kernel, &source, accumulate, opts);
         let slot: PlanSlot = self
             .plans
@@ -233,14 +219,13 @@ impl PlanCache {
         } else if res.is_ok() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        // The symbolic nest is identical for every thread count,
-        // engine, and microkernel policy, so `ExecOptions` stay out of
+        // The symbolic nest is identical for every thread count and
+        // microkernel policy, so `ExecOptions` stay out of
         // the key — but the caller's options must win over whatever
         // the flight leader planned with: re-apply them on a mismatch
         // (hits with matching options keep sharing the cached `Arc`
         // untouched). `ExecOptions` derives `PartialEq` over every
-        // field, so a new field (engine, verify, microkernels…)
-        // is re-applied here automatically.
+        // field, so a new field is re-applied here automatically.
         res.map(|plan| {
             if plan.exec() == opts.exec {
                 plan

@@ -11,13 +11,8 @@
 //!    path, loop orders, fused forest, and buffer specs — **no tensors**.
 //! 2. **Binding and execution** — [`Plan::bind`] attaches a CSF sparse
 //!    input and named dense factors, producing an
-//!    [`Executor`] whose preallocated workspace makes
+//!    [`Executor`](crate::Executor) whose preallocated workspace makes
 //!    repeated execution allocation-free.
-//!
-//! The one-shot convenience path survives as [`Contraction::compile`]:
-//! bind operands with [`Contraction::with_sparse_input`] /
-//! [`Contraction::with_factor`], and dimensions plus the exact sparsity
-//! profile are inferred from the bound tensors before planning.
 //!
 //! Two expression syntaxes are accepted:
 //!
@@ -32,7 +27,6 @@
 //! the output shares the sparse pattern (TTTP-like) and execution
 //! returns [`ContractionOutput::Sparse`](crate::ContractionOutput).
 
-use crate::executor::Executor;
 use crate::{Result, SpttnError};
 use spttn_cost::{
     candidate_orders, plan_mode_orders, BlasAware, CacheMiss, MaxBufferDim, MaxBufferSize,
@@ -43,7 +37,7 @@ use spttn_ir::{
     buffers_for_forest, build_forest, BufferSpec, ContractionPath, Kernel, KernelBuilder,
     KernelError, LoopForest, NestSpec,
 };
-use spttn_tensor::{CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn_tensor::{CooTensor, SparsityProfile};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -93,29 +87,6 @@ impl Threads {
             Threads::N(n) => n.max(1),
         }
     }
-}
-
-/// Which execution engine a bound [`crate::Executor`] runs.
-///
-/// Both engines execute the identical plan and mirror each other's
-/// floating-point operation order, so results agree to the last bit in
-/// practice (and are held to ≤1e-9 by the differential suite). The
-/// interpreter is kept as the independently-implemented oracle: run it
-/// when validating the tape engine, bisecting a suspected executor
-/// bug, or measuring the specialization speedup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// Compile the loop forest to a flat instruction tape at bind time
-    /// ([`spttn_exec::tape`]): per-visit dispatch, microkernel
-    /// selection, and operand addressing are resolved once, densely
-    /// iterated sparse modes use a monotone finger search, and the
-    /// driver runs allocation- and atomic-free. The default.
-    #[default]
-    Tape,
-    /// The recursive loop-forest interpreter
-    /// ([`spttn_exec::execute_forest_into`]) — re-derives per-visit
-    /// decisions from the forest; slower, kept as the oracle engine.
-    Interp,
 }
 
 /// Resource budget evaluated at [`Plan::bind`] (and
@@ -171,9 +142,8 @@ impl RunBudget {
 /// persistent worker pool with one preallocated workspace and private
 /// output per thread; partial outputs combine through a deterministic
 /// tree reduction, so results are bit-reproducible run to run at a
-/// fixed thread count (and within ≤1e-9 of the serial path). The
-/// [`Engine`] choice is orthogonal: one compiled tape is shared by
-/// every worker thread.
+/// fixed thread count (and within ≤1e-9 of the serial path). One
+/// compiled tape is shared by every worker thread.
 ///
 /// The robustness fields ([`RunBudget`], `deadline`, `cancel`) gate
 /// and bound executions: the budget is enforced at bind time, the
@@ -183,26 +153,24 @@ impl RunBudget {
 pub struct ExecOptions {
     /// Threads the bound executor runs on.
     pub threads: Threads,
-    /// Engine executions run on (default [`Engine::Tape`]).
-    pub engine: Engine,
     /// Statically verify the compiled tape at bind time
     /// ([`CompiledTape::verify`](spttn_exec::CompiledTape::verify))
     /// even in release builds. Debug builds always verify; the check
     /// is O(program size) and runs once per bind, never per execute.
     pub verify: bool,
-    /// Microkernel policy for the tape engine (default
+    /// Microkernel policy for the compiled tape (default
     /// [`Microkernels::Auto`]): `Auto` selects explicit-SIMD kernels
     /// (AVX2+FMA / NEON) by runtime CPU detection once at bind time
     /// and enables the fused/rank-specialized tape superinstructions;
     /// `Scalar` pins the plain scalar kernels, bitwise-identical to
     /// the pre-SIMD tape. The `SPTTN_MICROKERNELS` environment
-    /// variable (`auto` / `scalar`) overrides either. Interpreter
-    /// executions always use the scalar kernels.
+    /// variable (`auto` / `scalar`) overrides either.
     pub microkernels: Microkernels,
     /// Per-execution wall-clock limit, measured from each
     /// `execute_into` call; expiry surfaces as
-    /// [`crate::SpttnError::Cancelled`] with the output contractually
-    /// untouched (re-execute to retry). `None` = no deadline.
+    /// [`crate::SpttnError::Cancelled`] and leaves the caller's output
+    /// partially written — see [`crate::Executor::execute_into`] for
+    /// the retry contract. `None` = no deadline.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation token checked alongside the deadline.
     /// Clone the token before planning and call
@@ -215,12 +183,11 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     /// Serial execution — parallelism is opt-in, keeping default plans
-    /// byte-identical to previous releases — on the tape engine, with
-    /// no deadline, token, or budget.
+    /// byte-identical to previous releases — with no deadline, token,
+    /// or budget.
     fn default() -> Self {
         ExecOptions {
             threads: Threads::N(1),
-            engine: Engine::Tape,
             verify: false,
             microkernels: Microkernels::Auto,
             deadline: None,
@@ -286,14 +253,6 @@ impl PlanOptions {
         self
     }
 
-    /// Set the execution engine (builder style). [`Engine::Tape`] is
-    /// the default; [`Engine::Interp`] selects the recursive
-    /// interpreter — the differential-testing oracle.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.exec.engine = engine;
-        self
-    }
-
     /// Statically verify the compiled tape at bind time even in
     /// release builds (builder style). Debug builds always verify.
     /// Like every [`ExecOptions`] field this is honored on
@@ -317,8 +276,9 @@ impl PlanOptions {
 
     /// Set a per-execution wall-clock deadline (builder style). Every
     /// execution of an executor bound from this plan is cancelled —
-    /// [`crate::SpttnError::Cancelled`], output untouched — once
-    /// `deadline` elapses from its own `execute_into` call.
+    /// [`crate::SpttnError::Cancelled`], see
+    /// [`crate::Executor::execute_into`] for the state of the output —
+    /// once `deadline` elapses from its own `execute_into` call.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.exec.deadline = Some(deadline);
         self
@@ -344,9 +304,8 @@ impl PlanOptions {
     /// candidate order (every permutation up to 4 sparse modes, a
     /// pruned family above) and keeps the cheapest by
     /// `(op count, cost value)` — exact per-order fiber counts when the
-    /// pattern is known ([`Shapes::with_pattern`] or the one-shot
-    /// [`Contraction::compile`] path), the uniform model with
-    /// [`Shapes::with_nnz`]. A lone [`Shapes::with_profile`] cannot
+    /// pattern is known ([`Shapes::with_pattern`]), the uniform model
+    /// with [`Shapes::with_nnz`]. A lone [`Shapes::with_profile`] cannot
     /// score other orders comparably, so `Auto` keeps the natural
     /// order there.
     /// Plan time multiplies accordingly; execution is unaffected except
@@ -400,7 +359,7 @@ pub(crate) struct PatternRef {
 /// Order-sensitive hash of a pattern's shape and flat coordinates —
 /// the cache-key fingerprint that keeps two patterns with identical
 /// natural-order profiles from sharing a mode-order-search key.
-pub(crate) fn pattern_fingerprint(coo: &CooTensor) -> u64 {
+fn pattern_fingerprint(coo: &CooTensor) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     coo.dims().hash(&mut h);
     coo.coords().hash(&mut h);
@@ -563,7 +522,6 @@ impl Shapes {
             }
             return Ok(SparsitySource::Pattern {
                 coo: Arc::clone(&p.coo),
-                base: (0..levels).collect(),
                 fp: p.fp,
             });
         }
@@ -591,13 +549,9 @@ pub(crate) enum SparsitySource {
     /// `run_planner`).
     Profile(SparsityProfile),
     /// Exact coordinates (shared, with a precomputed fingerprint for
-    /// cache keys): `coo` mode `base[p]` is the index written at
-    /// position `p` of the expression. Exact counts for every order.
-    Pattern {
-        coo: Arc<CooTensor>,
-        base: Vec<usize>,
-        fp: u64,
-    },
+    /// cache keys): `coo` mode `p` is the index written at position
+    /// `p` of the expression. Exact counts for every order.
+    Pattern { coo: Arc<CooTensor>, fp: u64 },
     /// Uniform random model with `nnz` nonzeros, every order.
     Uniform { nnz: u64 },
 }
@@ -623,10 +577,7 @@ impl SparsitySource {
                     SparsityProfile::uniform(&modeled_dims(), &natural, p.nnz()).ok()
                 }
             }
-            SparsitySource::Pattern { coo, base, .. } => {
-                let new_order: Vec<usize> = order.iter().map(|&p| base[p]).collect();
-                SparsityProfile::from_coo(coo, &new_order).ok()
-            }
+            SparsitySource::Pattern { coo, .. } => SparsityProfile::from_coo(coo, order).ok(),
             SparsitySource::Uniform { nnz } => {
                 SparsityProfile::uniform(&modeled_dims(), &natural, *nnz).ok()
             }
@@ -641,8 +592,7 @@ struct RawRef {
     indices: Vec<String>,
 }
 
-/// A contraction being assembled: parsed structure, plus operands when
-/// the one-shot [`Contraction::compile`] path is used.
+/// A parsed contraction: structure only, no operands.
 #[derive(Debug, Clone, Default)]
 pub struct Contraction {
     output: Option<RawRef>,
@@ -651,14 +601,11 @@ pub struct Contraction {
     kernel: Option<Kernel>,
     /// `+=` expression: execution accumulates into the bound output.
     accumulate: bool,
-    sparse: Option<Csf>,
-    factors: HashMap<String, DenseTensor>,
 }
 
 impl Contraction {
     /// Parse an einsum-style SpTTN expression (structure only;
-    /// dimensions are supplied at [`Contraction::plan`] time or inferred
-    /// from bound tensors by [`Contraction::compile`]).
+    /// dimensions are supplied at [`Contraction::plan`] time).
     pub fn parse(expr: &str) -> Result<Self> {
         let (output, inputs, accumulate) = parse_expression(expr)?;
         if inputs.is_empty() {
@@ -773,21 +720,6 @@ impl Contraction {
         self
     }
 
-    /// Bind the sparse input (the first right-hand-side tensor) for the
-    /// one-shot [`Contraction::compile`] path. The CSF's storage order
-    /// must match the expression's written index order for that tensor.
-    pub fn with_sparse_input(mut self, csf: Csf) -> Self {
-        self.sparse = Some(csf);
-        self
-    }
-
-    /// Bind a dense factor by tensor name for the one-shot
-    /// [`Contraction::compile`] path.
-    pub fn with_factor(mut self, name: &str, tensor: DenseTensor) -> Self {
-        self.factors.insert(name.to_string(), tensor);
-        self
-    }
-
     /// **Stage 1 — symbolic planning.** Choose a contraction path and
     /// loop orders minimizing the configured cost model, with tier
     /// fallback (paper Sec. 5), using only the index dimensions and
@@ -797,32 +729,6 @@ impl Contraction {
         let (kernel, accumulate) = self.resolve_symbolic(shapes)?;
         let source = shapes.resolve_source(&kernel)?;
         Plan::build(kernel, source, accumulate, opts)
-    }
-
-    /// One-shot convenience: infer dimensions and the exact sparsity
-    /// profile from the operands bound with
-    /// [`Contraction::with_sparse_input`] / [`Contraction::with_factor`],
-    /// plan, and bind — parse → plan → bind in one call. Equivalent to
-    /// the two-stage API with a [`Shapes`] built from the bound tensors.
-    /// Since the bound CSF supplies the exact pattern, a non-natural
-    /// [`PlanOptions::mode_order`] policy is scored on exact per-order
-    /// fiber counts here.
-    pub fn compile(self, opts: PlanOptions) -> Result<Executor> {
-        let (kernel, csf, factors, accumulate) = self.take_operands()?;
-        let plan = Plan::build(kernel, source_from_csf(&csf, &opts), accumulate, &opts)?;
-        plan.into_executor(csf, factors)
-    }
-
-    /// One-shot convenience through a [`crate::PlanCache`]: like
-    /// [`Contraction::compile`], but the symbolic plan is looked up by
-    /// [`crate::PlanKey`] first and the Sec. 5 DP only runs on a miss.
-    pub fn compile_cached(self, cache: &crate::PlanCache, opts: &PlanOptions) -> Result<Executor> {
-        let (kernel, csf, factors, accumulate) = self.take_operands()?;
-        let source = source_from_csf(&csf, opts);
-        // The cache re-applies the caller's exec options (thread count,
-        // engine) on a hit, so the returned plan binds as requested.
-        let plan = cache.plan_from_parts(kernel, source, accumulate, opts)?;
-        (*plan).clone().into_executor(csf, factors)
     }
 
     /// Resolve the validated kernel for symbolic planning: a pre-built
@@ -849,83 +755,6 @@ impl Contraction {
             .ok_or_else(|| SpttnError::Planning("no expression parsed".into()))?;
         let kernel = build_kernel(output, &self.inputs, |name| shapes.dim(name))?;
         Ok((kernel, self.accumulate))
-    }
-
-    /// Consume the bound operands of the one-shot path: validated
-    /// kernel, CSF, dense factors in input order, and the accumulate
-    /// flag.
-    pub(crate) fn take_operands(mut self) -> Result<(Kernel, Csf, Vec<DenseTensor>, bool)> {
-        let Some(csf) = self.sparse.take() else {
-            return Err(SpttnError::Planning(
-                "no sparse input bound; call with_sparse_input".into(),
-            ));
-        };
-        let output = self
-            .output
-            .clone()
-            .ok_or_else(|| SpttnError::Planning("no expression parsed".into()))?;
-
-        let kernel = match self.kernel.take() {
-            Some(k) => k,
-            None => infer_kernel(&output, &self.inputs, &csf, &self.factors)?,
-        };
-
-        // Collect dense factors in input order, moving each binding out
-        // of the map (no clone); a name appearing in several input slots
-        // reuses the first tensor taken.
-        let mut factors: Vec<DenseTensor> = Vec::new();
-        let mut taken: HashMap<String, usize> = HashMap::new();
-        for (slot, r) in kernel.inputs.iter().enumerate() {
-            if slot == kernel.sparse_input {
-                continue;
-            }
-            let t = match self.factors.remove(&r.name) {
-                Some(t) => t,
-                None => match taken.get(&r.name) {
-                    Some(&at) => factors[at].clone(),
-                    None => {
-                        return Err(SpttnError::Planning(format!(
-                            "dense factor '{}' not bound; call with_factor(\"{}\", ...)",
-                            r.name, r.name
-                        )))
-                    }
-                },
-            };
-            taken.insert(r.name.clone(), factors.len());
-            factors.push(t);
-        }
-        if let Some(name) = self.factors.keys().next() {
-            return Err(SpttnError::Planning(format!(
-                "bound factor '{name}' does not appear in the expression"
-            )));
-        }
-
-        // Validate the CSF and factor shapes with the same rules the
-        // executor applies.
-        let refs: Vec<&DenseTensor> = factors.iter().collect();
-        spttn_exec::validate_operands(&kernel, &csf, &refs)?;
-        drop(refs);
-
-        Ok((kernel, csf, factors, self.accumulate))
-    }
-}
-
-/// Sparsity source for the one-shot paths: the bound CSF's own profile
-/// under the natural policy (cheap, no coordinate extraction), the full
-/// coordinate pattern when a non-natural policy needs exact counts for
-/// other orders.
-fn source_from_csf(csf: &Csf, opts: &PlanOptions) -> SparsitySource {
-    match opts.mode_order {
-        ModeOrderPolicy::Natural => SparsitySource::Profile(SparsityProfile::from_csf(csf)),
-        _ => {
-            let coo = csf.to_coo();
-            let fp = pattern_fingerprint(&coo);
-            SparsitySource::Pattern {
-                coo: Arc::new(coo),
-                base: csf.mode_order().to_vec(),
-                fp,
-            }
-        }
     }
 }
 
@@ -1300,8 +1129,7 @@ fn split_top_level(s: &str, sep: char) -> Vec<String> {
 }
 
 /// Build the validated kernel from parsed structure and a dimension
-/// oracle (symbolic path: dimensions come from [`Shapes`]; one-shot
-/// path: from the bound tensors).
+/// oracle (dimensions come from [`Shapes`]).
 fn build_kernel(
     output: &RawRef,
     inputs: &[RawRef],
@@ -1344,61 +1172,4 @@ fn build_kernel(
         b = b.sparse_output();
     }
     Ok(b.build()?)
-}
-
-/// Infer every index dimension from the bound tensors and build the
-/// validated kernel (one-shot path).
-fn infer_kernel(
-    output: &RawRef,
-    inputs: &[RawRef],
-    csf: &Csf,
-    factors: &HashMap<String, DenseTensor>,
-) -> Result<Kernel> {
-    let mut dims: HashMap<String, usize> = HashMap::new();
-    let mut learn = |name: &str, dim: usize| -> Result<()> {
-        match dims.get(name) {
-            Some(&d) if d != dim => Err(SpttnError::Shape(format!(
-                "index '{name}' bound to both dimension {d} and {dim}"
-            ))),
-            Some(_) => Ok(()),
-            None => {
-                dims.insert(name.to_string(), dim);
-                Ok(())
-            }
-        }
-    };
-
-    // Sparse input: written order == CSF storage order.
-    let sparse = &inputs[0];
-    if csf.order() != sparse.indices.len() {
-        return Err(SpttnError::Shape(format!(
-            "sparse tensor '{}' is written with {} indices but the CSF has {} modes",
-            sparse.name,
-            sparse.indices.len(),
-            csf.order()
-        )));
-    }
-    for (level, idx) in sparse.indices.iter().enumerate() {
-        learn(idx, csf.dims()[csf.mode_order()[level]])?;
-    }
-    for r in &inputs[1..] {
-        let t = factors.get(&r.name).ok_or_else(|| {
-            SpttnError::Planning(format!(
-                "dense factor '{}' not bound; call with_factor(\"{}\", ...)",
-                r.name, r.name
-            ))
-        })?;
-        if t.order() != r.indices.len() {
-            return Err(SpttnError::Shape(format!(
-                "factor '{}' is written with {} indices but the tensor has {} modes",
-                r.name,
-                r.indices.len(),
-                t.order()
-            )));
-        }
-        for (pos, idx) in r.indices.iter().enumerate() {
-            learn(idx, t.dims()[pos])?;
-        }
-    }
-    build_kernel(output, inputs, |name| dims.get(name).copied())
 }

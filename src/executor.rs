@@ -2,10 +2,11 @@
 //! execute it repeatedly.
 //!
 //! An [`Executor`] owns the bound CSF sparse input, the dense factors
-//! (slot-ordered), a preallocated [`Workspace`] holding every Eq.-5
-//! intermediate buffer, and output storage — everything execution
-//! touches. After [`Plan::bind`] returns, [`Executor::execute_into`]
-//! performs **zero heap allocations**, and the rebinding methods
+//! (slot-ordered), the tape compiled from the plan's nest, and a
+//! preallocated [`Workspace`] holding every Eq.-5 intermediate buffer
+//! — everything execution touches except the caller's output. After
+//! [`Plan::bind`] returns, [`Executor::execute_into`] performs **zero
+//! heap allocations**, and the rebinding methods
 //! ([`Executor::set_factor`], [`Executor::set_sparse_values`]) copy new
 //! values into the existing allocations, which is exactly the shape of
 //! an ALS / HOOI sweep: plan once, rebind factors each iteration,
@@ -22,12 +23,11 @@
 //! deterministic tile order and tree reduction. `threads = 1` skips all
 //! of this and is byte-identical to previous serial behavior.
 
-use crate::contraction::{Engine, Plan};
+use crate::contraction::Plan;
 use crate::{Result, SpttnError};
 use spttn_exec::{
-    execute_forest_into_guarded, execute_tape_into_guarded, validate_slotted_operands,
-    CompiledTape, ContractionOutput, ExecStats, OutputMut, ParallelExecutor, RunGuard, TapeReport,
-    Workspace,
+    execute_tape_into_guarded, validate_slotted_operands, CompiledTape, ContractionOutput,
+    ExecStats, OutputMut, ParallelExecutor, RunGuard, TapeReport, Workspace,
 };
 use spttn_tensor::{CooTensor, Csf, DenseTensor};
 use std::collections::HashMap;
@@ -86,13 +86,8 @@ impl Plan {
                 )));
             }
         }
-        self.bind_ordered(csf, compact)
-    }
-
-    /// Bind with factors already collected in input order (the sparse
-    /// slot skipped). Shared by [`Plan::bind`] and the one-shot facade.
-    pub(crate) fn bind_ordered(&self, csf: Csf, factors: Vec<DenseTensor>) -> Result<Executor> {
-        self.clone().into_executor(csf, factors)
+        let (csf, leaf_perm) = self.reorder_csf(csf)?;
+        Executor::new(self.clone(), csf, leaf_perm, compact)
     }
 
     /// Compile this plan's nest to an instruction tape and statically
@@ -113,13 +108,6 @@ impl Plan {
             self.exec.microkernels,
         )?;
         tape.verify().map_err(SpttnError::from)
-    }
-
-    /// Consuming variant of [`Plan::bind_ordered`] (avoids the clone
-    /// when the plan is not reused).
-    pub(crate) fn into_executor(self, csf: Csf, factors: Vec<DenseTensor>) -> Result<Executor> {
-        let (csf, leaf_perm) = self.reorder_csf(csf)?;
-        Executor::new(self, csf, leaf_perm, factors)
     }
 
     /// Re-sort an incoming written-order CSF into the plan's chosen
@@ -194,11 +182,10 @@ pub struct Executor {
     /// than one tile. `None` means the serial path, byte-identical to a
     /// single-threaded bind.
     par: Option<ParallelExecutor>,
-    /// The bind-time-compiled instruction tape, present when the plan's
-    /// [`Engine`] is [`Engine::Tape`] (the default). One immutable
-    /// program shared by every executing thread; the per-thread mutable
-    /// state lives in the workspaces.
-    tape: Option<Arc<CompiledTape>>,
+    /// The bind-time-compiled instruction tape: one immutable program
+    /// shared by every executing thread; the per-thread mutable state
+    /// lives in the workspaces.
+    tape: Arc<CompiledTape>,
     /// When the plan chose a non-natural storage order: maps leaf `e`
     /// of the CSF the caller bound to leaf `leaf_perm[e]` of the
     /// rebuilt tree, so [`Executor::set_sparse_values`] keeps accepting
@@ -208,64 +195,8 @@ pub struct Executor {
     /// Microkernel dispatch counters of the most recent execution,
     /// aggregated across threads.
     last_stats: ExecStats,
-    /// Internal output storage for [`Executor::execute`].
-    out_dense: DenseTensor,
-    out_vals: Vec<f64>,
     /// Coordinate template for materializing pattern-sharing outputs.
     coo_template: Option<CooTensor>,
-}
-
-/// Run a bound plan into a pre-validated output target, choosing the
-/// parallel or serial engine, and record the run's aggregated stats.
-/// Free function over the executor's split fields so both `execute`
-/// and `execute_into` can call it under their own borrows.
-#[allow(clippy::too_many_arguments)]
-fn run_parts(
-    plan: &Plan,
-    csf: &Csf,
-    factors: &[DenseTensor],
-    workspace: &mut Workspace,
-    par: &mut Option<ParallelExecutor>,
-    tape: &Option<Arc<CompiledTape>>,
-    last_stats: &mut ExecStats,
-    out: OutputMut<'_>,
-    guard: Option<&RunGuard>,
-) -> Result<()> {
-    let res = match par.as_mut() {
-        // The parallel engine carries its own tape (shared program,
-        // per-tile state) when one was compiled at bind.
-        Some(engine) => engine.execute_into_guarded(
-            &plan.kernel,
-            &plan.path,
-            &plan.forest,
-            csf,
-            factors,
-            out,
-            guard,
-        ),
-        None => match tape {
-            Some(t) => {
-                execute_tape_into_guarded(t, &plan.kernel, csf, factors, workspace, out, guard)
-            }
-            None => execute_forest_into_guarded(
-                &plan.kernel,
-                &plan.path,
-                &plan.forest,
-                csf,
-                factors,
-                workspace,
-                out,
-                guard,
-            ),
-        },
-    };
-    if res.is_ok() {
-        *last_stats = match par.as_ref() {
-            Some(engine) => engine.stats(),
-            None => workspace.stats(),
-        };
-    }
-    res
 }
 
 /// Bind-time workspace admission under
@@ -342,48 +273,39 @@ impl Executor {
         }
         validate_slotted_operands(kernel, &csf, &factors)?;
 
-        // Tape engine (the default): compile the plan's nest to a flat
-        // instruction program exactly once per bind; serial and
-        // parallel executions share the same immutable tape.
-        let tape = match plan.exec.engine {
-            Engine::Tape => {
-                // `compile_with` resolves the plan's microkernel
-                // policy against the host CPU (and the
-                // `SPTTN_MICROKERNELS` override) once, here; the
-                // selected kernels ride in the tape as fn pointers.
-                let tape = CompiledTape::compile_with(
-                    kernel,
-                    &plan.path,
-                    &plan.forest,
-                    &plan.buffers,
-                    plan.exec.microkernels,
-                )?;
-                // Static verification gate: every debug build proves
-                // the program well-formed before it can run;
-                // release builds opt in via
-                // `PlanOptions::with_verify(true)`.
-                if plan.exec.verify || cfg!(debug_assertions) {
-                    tape.verify().map_err(SpttnError::from)?;
-                }
-                Some(Arc::new(tape))
-            }
-            Engine::Interp => None,
-        };
+        // Compile the plan's nest to a flat instruction program
+        // exactly once per bind; serial and parallel executions share
+        // the same immutable tape. `compile_with` resolves the plan's
+        // microkernel policy against the host CPU (and the
+        // `SPTTN_MICROKERNELS` override) once, here; the selected
+        // kernels ride in the tape as fn pointers.
+        let tape = CompiledTape::compile_with(
+            kernel,
+            &plan.path,
+            &plan.forest,
+            &plan.buffers,
+            plan.exec.microkernels,
+        )?;
+        // Static verification gate: every debug build proves the
+        // program well-formed before it can run; release builds opt in
+        // via `PlanOptions::with_verify(true)`.
+        if plan.exec.verify || cfg!(debug_assertions) {
+            tape.verify().map_err(SpttnError::from)?;
+        }
+        let tape = Arc::new(tape);
         // Parallel engine: only when the admitted thread count is >1
         // and the tensor actually splits (a single tile would duplicate
         // the serial path with extra copies).
         let par = if threads > 1 {
-            let mut engine = ParallelExecutor::new(
+            let engine = ParallelExecutor::new(
                 kernel,
                 &plan.path,
                 &plan.forest,
                 &plan.buffers,
+                Arc::clone(&tape),
                 &csf,
                 threads,
             );
-            if let Some(t) = &tape {
-                engine = engine.with_tape(Arc::clone(t));
-            }
             (engine.n_tiles() > 1).then_some(engine)
         } else {
             None
@@ -391,29 +313,14 @@ impl Executor {
         // The serial workspace backs only the `par == None` path; when
         // the engine owns per-thread workspaces, keep a spec-free
         // placeholder instead of a dead replica of every Eq.-5 buffer.
-        let mut workspace = if par.is_some() {
+        let workspace = if par.is_some() {
             Workspace::from_specs(kernel, &plan.path, &plan.forest, &[])
         } else {
-            Workspace::from_specs(kernel, &plan.path, &plan.forest, &plan.buffers)
+            let mut ws = Workspace::from_specs(kernel, &plan.path, &plan.forest, &plan.buffers);
+            ws.prepare_tape(&tape);
+            ws
         };
-        if par.is_none() {
-            if let Some(t) = &tape {
-                workspace.prepare_tape(t);
-            }
-        }
-        let (out_dense, out_vals, coo_template) = if kernel.output_sparse {
-            (
-                DenseTensor::zeros(&[]),
-                vec![0.0; csf.nnz()],
-                Some(csf.to_coo()),
-            )
-        } else {
-            (
-                DenseTensor::zeros(&kernel.ref_dims(&kernel.output)),
-                Vec::new(),
-                None,
-            )
-        };
+        let coo_template = kernel.output_sparse.then(|| csf.to_coo());
 
         Ok(Executor {
             plan,
@@ -425,8 +332,6 @@ impl Executor {
             tape,
             leaf_perm,
             last_stats: ExecStats::default(),
-            out_dense,
-            out_vals,
             coo_template,
         })
     }
@@ -461,19 +366,11 @@ impl Executor {
         self.par.as_ref().map_or(1, ParallelExecutor::n_tiles)
     }
 
-    /// The engine executions run on ([`Engine::Tape`] by default).
-    pub fn engine(&self) -> Engine {
-        match self.tape {
-            Some(_) => Engine::Tape,
-            None => Engine::Interp,
-        }
-    }
-
-    /// The compiled instruction tape, when running on [`Engine::Tape`]
-    /// (exposed for diagnostics: program size, cursor and finger
-    /// counts).
-    pub fn tape(&self) -> Option<&CompiledTape> {
-        self.tape.as_deref()
+    /// The compiled instruction tape executions run (exposed for
+    /// diagnostics: program size, cursor and finger counts, selected
+    /// microkernels).
+    pub fn tape(&self) -> &CompiledTape {
+        &self.tape
     }
 
     /// Microkernel dispatch counters of the most recent
@@ -509,10 +406,13 @@ impl Executor {
     ///
     /// When the plan's [`crate::ExecOptions`] carry a cancel token or a
     /// deadline, execution checks them at every root-subtree boundary
-    /// and returns [`SpttnError::Cancelled`] instead of a partial
-    /// result (the output is left in an unspecified partially-written
-    /// state; re-zero or start from a fresh template before retrying a
-    /// `+=` plan).
+    /// and stops with [`SpttnError::Cancelled`]. The serial tape writes
+    /// straight into `out`, so a run stopped mid-way leaves it holding
+    /// an unspecified part of the result. The executor itself keeps no
+    /// state from the stopped run: calling `execute_into` again on a
+    /// `=` plan (which re-zeroes `out`) gives exactly the result of a
+    /// fresh executor; for a `+=` plan restore the values `out` held
+    /// before the stopped call first.
     pub fn execute_into(&mut self, out: &mut ContractionOutput) -> Result<()> {
         // The deadline clock starts here, at the execution boundary —
         // not at bind. Guard construction is allocation-free (an `Arc`
@@ -542,31 +442,22 @@ impl Executor {
             coo_template,
             ..
         } = self;
-        match out {
+        let kernel = &plan.kernel;
+        let target = match out {
             ContractionOutput::Dense(d) => {
                 // Guard before zeroing so a mismatched output is left
                 // untouched; the core revalidates with a full message.
-                let oinds = &plan.kernel.output.indices;
-                let fits = !plan.kernel.output_sparse
+                let oinds = &kernel.output.indices;
+                let fits = !kernel.output_sparse
                     && d.order() == oinds.len()
                     && oinds
                         .iter()
                         .enumerate()
-                        .all(|(pos, &i)| d.dims()[pos] == plan.kernel.dim(i));
+                        .all(|(pos, &i)| d.dims()[pos] == kernel.dim(i));
                 if fits && !plan.accumulate {
                     d.fill_zero();
                 }
-                run_parts(
-                    plan,
-                    csf,
-                    factors,
-                    workspace,
-                    par,
-                    tape,
-                    last_stats,
-                    OutputMut::Dense(d),
-                    guard,
-                )
+                OutputMut::Dense(d)
             }
             ContractionOutput::Sparse(c) => {
                 if c.dims() != csf.dims() {
@@ -589,77 +480,35 @@ impl Executor {
                         ));
                     }
                 }
-                let fits = plan.kernel.output_sparse && c.nnz() == csf.nnz();
+                let fits = kernel.output_sparse && c.nnz() == csf.nnz();
                 if fits && !plan.accumulate {
                     c.vals_mut().fill(0.0);
                 }
-                run_parts(
-                    plan,
-                    csf,
-                    factors,
-                    workspace,
-                    par,
-                    tape,
-                    last_stats,
-                    OutputMut::Sparse(c.vals_mut()),
-                    guard,
-                )
+                OutputMut::Sparse(c.vals_mut())
+            }
+        };
+        // The parallel engine shares the same tape (one program,
+        // per-tile state); otherwise the tape runs the whole tree here.
+        match par {
+            Some(engine) => {
+                engine.execute_into(kernel, csf, factors, target, guard)?;
+                *last_stats = engine.stats();
+            }
+            None => {
+                execute_tape_into_guarded(tape, kernel, csf, factors, workspace, target, guard)?;
+                *last_stats = workspace.stats();
             }
         }
+        Ok(())
     }
 
     /// Execute and return a freshly materialized output (always `=`
     /// semantics: the result starts from zero). Allocates only for the
     /// returned value; prefer [`Executor::execute_into`] in hot loops.
     pub fn execute(&mut self) -> Result<ContractionOutput> {
-        let guard = RunGuard::new(self.plan.exec.cancel.clone(), self.plan.exec.deadline);
-        let guard = Some(&guard);
-        let Executor {
-            plan,
-            csf,
-            factors,
-            workspace,
-            par,
-            tape,
-            last_stats,
-            out_dense,
-            out_vals,
-            ..
-        } = self;
-        if plan.kernel.output_sparse {
-            out_vals.fill(0.0);
-            run_parts(
-                plan,
-                csf,
-                factors,
-                workspace,
-                par,
-                tape,
-                last_stats,
-                OutputMut::Sparse(out_vals),
-                guard,
-            )?;
-            let coo = self
-                .coo_template
-                .as_ref()
-                .expect("sparse output has a template")
-                .with_vals(self.out_vals.clone());
-            Ok(ContractionOutput::Sparse(coo))
-        } else {
-            out_dense.fill_zero();
-            run_parts(
-                plan,
-                csf,
-                factors,
-                workspace,
-                par,
-                tape,
-                last_stats,
-                OutputMut::Dense(out_dense),
-                guard,
-            )?;
-            Ok(ContractionOutput::Dense(self.out_dense.clone()))
-        }
+        let mut out = self.output_template();
+        self.execute_into(&mut out)?;
+        Ok(out)
     }
 
     /// Rebind a dense factor's values in place (every slot the name

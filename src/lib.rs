@@ -35,8 +35,11 @@
 //!   repeated builds of the same contraction skip the planning DP
 //!   entirely; concurrent misses on one key are single-flight.
 //!
-//! The one-shot path survives as [`Contraction::compile`]: bind
-//! operands directly and get a ready [`Executor`] in one call.
+//! There is one way in — parse → plan → bind → execute — and one engine
+//! behind it: [`Plan::bind`] compiles the nest to an instruction tape
+//! ([`CompiledTape`]) that every execution replays. The loop-forest
+//! interpreter in [`exec::interp`] is a reference the test suites
+//! compare the tape against; nothing here calls it.
 //!
 //! ```
 //! use rand::prelude::*;
@@ -71,7 +74,7 @@
 
 // The facade only re-exports and composes the crates below; all
 // unsafe code in the workspace lives in `spttn_exec::parallel`
-// (scoped-thread lifetime erasure) and `spttn_exec::simd` (vendor
+// (pool job-slot lifetime erasure) and `spttn_exec::simd` (vendor
 // SIMD intrinsics behind bind-time feature detection).
 #![forbid(unsafe_code)]
 
@@ -81,7 +84,7 @@ pub mod executor;
 
 pub use cache::{PlanCache, PlanKey};
 pub use contraction::{
-    Contraction, CostModel, Engine, ExecOptions, Plan, PlanOptions, RunBudget, Shapes, Threads,
+    Contraction, CostModel, ExecOptions, Plan, PlanOptions, RunBudget, Shapes, Threads,
 };
 pub use executor::Executor;
 pub use spttn_core::{Result, Scalar, SpttnError};

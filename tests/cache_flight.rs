@@ -1,6 +1,8 @@
 //! PlanCache concurrency: misses are single-flight per key — N threads
 //! racing a cold key run the planner once, not N times.
 
+mod common;
+
 use spttn::{Contraction, ModeOrderPolicy, PlanCache, PlanOptions, Shapes};
 use spttn_net::{NetOptions, Network, NetworkPlan};
 use std::sync::{Arc, Barrier};
@@ -106,41 +108,52 @@ fn failed_flights_are_not_cached() {
 }
 
 /// A cache hit must honor the *caller's* execution options, not the
-/// flight leader's: the symbolic nest is shared, but engine and thread
-/// count are re-applied on mismatch. Matching options keep sharing one
-/// `Arc` (no clone).
+/// flight leader's: the symbolic nest is shared, but the thread count
+/// is re-applied on mismatch. Matching options keep sharing one `Arc`
+/// (no clone). The cached nest also serves the reference interpreter —
+/// the cross-check workflow: a hit re-bound at 4 threads must land on
+/// what the leader's plan interprets to.
 #[test]
 fn cache_hit_reapplies_callers_exec_options() {
-    use spttn::{Engine, Threads};
+    use rand::prelude::*;
+    use spttn::tensor::{random_coo, random_dense, Csf};
+    use spttn::Threads;
     let cache = PlanCache::new();
-    let tape_opts = PlanOptions::default();
+    let serial_opts = PlanOptions::default();
     let p1 = cache
-        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &tape_opts)
+        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &serial_opts)
         .unwrap();
-    assert_eq!(p1.exec().engine, Engine::Tape);
+    assert_eq!(p1.exec().threads, Threads::N(1));
 
-    // Same key, different engine: hit, but the returned plan must bind
-    // the interpreter (the documented oracle cross-check workflow).
-    let interp_opts = PlanOptions::default().with_engine(Engine::Interp);
-    let p2 = cache
-        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &interp_opts)
-        .unwrap();
-    assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    assert_eq!(p2.exec().engine, Engine::Interp);
-    assert!(!Arc::ptr_eq(&p1, &p2), "mismatched exec needs a new Arc");
-
-    // Different thread count likewise.
+    // Same key, different thread count: hit, but the returned plan
+    // must bind the caller's four threads.
     let par_opts = PlanOptions::default().with_threads(Threads::N(4));
-    let p3 = cache
+    let p2 = cache
         .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &par_opts)
         .unwrap();
-    assert_eq!(p3.exec().threads, Threads::N(4));
+    assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    assert_eq!(p2.exec().threads, Threads::N(4));
+    assert!(!Arc::ptr_eq(&p1, &p2), "mismatched exec needs a new Arc");
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let coo = random_coo(&[40, 30, 20], 1500, &mut rng).unwrap();
+    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let (b, c) = (
+        random_dense(&[30, 8], &mut rng),
+        random_dense(&[20, 8], &mut rng),
+    );
+    let (want, _) = common::interp_reference(&p1, &csf, &[("B", &b), ("C", &c)]);
+    let mut exec = p2.bind(csf, &[("B", &b), ("C", &c)]).unwrap();
+    assert_eq!(exec.threads(), 4);
+    assert!(want
+        .to_dense()
+        .approx_eq(&exec.execute().unwrap().to_dense(), 1e-9));
 
     // Matching options keep sharing the cached Arc untouched.
-    let p4 = cache
-        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &tape_opts)
+    let p3 = cache
+        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &serial_opts)
         .unwrap();
-    assert!(Arc::ptr_eq(&p1, &p4));
+    assert!(Arc::ptr_eq(&p1, &p3));
 }
 
 /// Regression: the static-verification flag must survive a cache hit.
@@ -181,7 +194,7 @@ fn cache_hit_honors_verify_flag() {
 }
 
 /// Regression: the microkernel policy must survive a cache hit exactly
-/// like engine/threads/verify. A bitwise-reproducibility caller forcing
+/// like threads/verify. A bitwise-reproducibility caller forcing
 /// `Microkernels::Scalar` on a kernel some earlier caller planned with
 /// the default `Auto` must get a plan that binds scalar kernels — not
 /// silently inherit the flight leader's SIMD selection.

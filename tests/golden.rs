@@ -5,8 +5,10 @@
 use rand::prelude::*;
 use spttn::ir::stdkernels;
 use spttn::ir::Kernel;
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
-use spttn::{Contraction, ContractionOutput, CostModel, PlanOptions, Threads};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn::{
+    Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, SpttnError, Threads,
+};
 use spttn_exec::naive_einsum;
 
 const TOL: f64 = 1e-9;
@@ -61,19 +63,31 @@ fn operands(
     (coo, factors, want)
 }
 
+/// Plan a kernel against the tensor's exact profile (the kernel carries
+/// its own dimensions) and bind the operands.
+fn plan_and_bind(
+    kernel: &Kernel,
+    coo: &CooTensor,
+    factors: &[(String, DenseTensor)],
+    opts: PlanOptions,
+) -> Executor {
+    let order: Vec<usize> = (0..coo.order()).collect();
+    let csf = Csf::from_coo(coo, &order).unwrap();
+    let plan = Contraction::from_kernel(kernel.clone())
+        .plan(
+            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &opts.with_threads(test_threads()),
+        )
+        .unwrap_or_else(|e| panic!("planning failed for {}: {e}", kernel.to_einsum()));
+    let named: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    plan.bind(csf, &named).unwrap()
+}
+
 /// Plan and execute a kernel under one cost model, comparing to the
 /// oracle.
 fn check_kernel(kernel: &Kernel, nnz: usize, seed: u64, model: CostModel) {
     let (coo, factors, want) = operands(kernel, nnz, seed);
-    let order: Vec<usize> = (0..coo.order()).collect();
-    let csf = Csf::from_coo(&coo, &order).unwrap();
-    let mut c = Contraction::from_kernel(kernel.clone()).with_sparse_input(csf);
-    for (name, t) in &factors {
-        c = c.with_factor(name, t.clone());
-    }
-    let mut exec = c
-        .compile(PlanOptions::with_cost_model(model).with_threads(test_threads()))
-        .unwrap_or_else(|e| panic!("planning failed for {model:?}: {e}"));
+    let mut exec = plan_and_bind(kernel, &coo, &factors, PlanOptions::with_cost_model(model));
     let got = exec.execute().unwrap();
     assert!(
         got.to_dense().approx_eq(&want, TOL),
@@ -117,16 +131,12 @@ fn order4_ttmc_golden() {
 fn tttp_golden_sparse_output() {
     let k = stdkernels::tttp(&[8, 9, 10], 4);
     let (coo, factors, want) = operands(&k, 100, 400);
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let mut c = Contraction::from_kernel(k).with_sparse_input(csf);
-    for (name, t) in &factors {
-        c = c.with_factor(name, t.clone());
-    }
-    let mut exec = c
-        .compile(
-            PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
-        )
-        .unwrap();
+    let mut exec = plan_and_bind(
+        &k,
+        &coo,
+        &factors,
+        PlanOptions::with_cost_model(CostModel::MaxBufferSize),
+    );
     let got = exec.execute().unwrap();
     let ContractionOutput::Sparse(out) = &got else {
         panic!("TTTP output must share the sparse pattern");
@@ -152,10 +162,14 @@ fn parsed_mttkrp_matches_reference() {
 
     let mut exec = Contraction::parse("T[i,j,k]*A[j,r]*B[k,r]->O[i,r]")
         .unwrap()
-        .with_sparse_input(csf)
-        .with_factor("A", a.clone())
-        .with_factor("B", b.clone())
-        .compile(PlanOptions::default().with_threads(test_threads()))
+        .plan(
+            &Shapes::new()
+                .with_dims(&[("i", 12), ("j", 10), ("k", 11), ("r", 5)])
+                .with_profile(SparsityProfile::from_csf(&csf)),
+            &PlanOptions::default().with_threads(test_threads()),
+        )
+        .unwrap()
+        .bind(csf, &[("A", &a), ("B", &b)])
         .unwrap();
     let got = exec.execute().unwrap();
 
@@ -180,13 +194,15 @@ fn parsed_ttmc_matches_reference() {
 
     let mut exec = Contraction::parse("S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)")
         .unwrap()
-        .with_sparse_input(csf)
-        .with_factor("U", u.clone())
-        .with_factor("V", v.clone())
-        .compile(
-            PlanOptions::with_cost_model(CostModel::CacheMiss { d: 1 })
+        .plan(
+            &Shapes::new()
+                .with_dims(&[("i", 10), ("j", 9), ("k", 11), ("r", 4), ("s", 5)])
+                .with_profile(SparsityProfile::from_csf(&csf)),
+            &PlanOptions::with_cost_model(CostModel::CacheMiss { d: 1 })
                 .with_threads(test_threads()),
         )
+        .unwrap()
+        .bind(csf, &[("U", &u), ("V", &v)])
         .unwrap();
     let got = exec.execute().unwrap();
 
@@ -200,45 +216,50 @@ fn parsed_ttmc_matches_reference() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// Facade error surface: unbound factors, shape conflicts, bad names.
+/// Facade error surface: missing dimensions or sparsity at plan time,
+/// unbound factors, shape conflicts and unknown names at bind time.
 #[test]
 fn facade_reports_unified_errors() {
     let mut rng = StdRng::seed_from_u64(800);
     let coo = random_coo(&[6, 7, 8], 40, &mut rng).unwrap();
     let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let expr = "O(i,r) = T(i,j,k) * A(j,r) * B(k,r)";
+    let dims = [("i", 6), ("j", 7), ("k", 8), ("r", 3)];
+    let shapes = Shapes::new()
+        .with_dims(&dims)
+        .with_profile(SparsityProfile::from_csf(&csf));
+    let parse = || Contraction::parse(expr).unwrap();
 
-    // Missing sparse input.
-    let e = Contraction::parse("O(i,r) = T(i,j,k) * A(j,r) * B(k,r)")
-        .unwrap()
-        .compile(PlanOptions::default());
-    assert!(matches!(e, Err(spttn::SpttnError::Planning(_))));
+    // No sparsity information for the sparse input.
+    let e = parse().plan(&Shapes::new().with_dims(&dims), &PlanOptions::default());
+    assert!(matches!(e, Err(SpttnError::Planning(_))));
+
+    // A dimension nobody declared.
+    let e = parse().plan(
+        &Shapes::new()
+            .with_dims(&dims[..3])
+            .with_profile(SparsityProfile::from_csf(&csf)),
+        &PlanOptions::default(),
+    );
+    assert!(matches!(e, Err(SpttnError::Planning(_))));
+
+    let plan = parse().plan(&shapes, &PlanOptions::default()).unwrap();
+    let a = random_dense(&[7, 3], &mut rng);
+    let b = random_dense(&[8, 3], &mut rng);
 
     // Missing factor.
-    let e = Contraction::parse("O(i,r) = T(i,j,k) * A(j,r) * B(k,r)")
-        .unwrap()
-        .with_sparse_input(csf.clone())
-        .with_factor("A", random_dense(&[7, 3], &mut rng))
-        .compile(PlanOptions::default());
-    assert!(matches!(e, Err(spttn::SpttnError::Planning(_))));
+    let e = plan.bind(csf.clone(), &[("A", &a)]);
+    assert!(matches!(e, Err(SpttnError::Execution(_))));
 
     // Conflicting dimension for shared index r.
-    let e = Contraction::parse("O(i,r) = T(i,j,k) * A(j,r) * B(k,r)")
-        .unwrap()
-        .with_sparse_input(csf.clone())
-        .with_factor("A", random_dense(&[7, 3], &mut rng))
-        .with_factor("B", random_dense(&[8, 4], &mut rng))
-        .compile(PlanOptions::default());
-    assert!(matches!(e, Err(spttn::SpttnError::Shape(_))));
+    let b4 = random_dense(&[8, 4], &mut rng);
+    let e = plan.bind(csf.clone(), &[("A", &a), ("B", &b4)]);
+    assert!(matches!(e, Err(SpttnError::Shape(_))));
 
     // Factor name not in the expression.
-    let e = Contraction::parse("O(i,r) = T(i,j,k) * A(j,r) * B(k,r)")
-        .unwrap()
-        .with_sparse_input(csf)
-        .with_factor("A", random_dense(&[7, 3], &mut rng))
-        .with_factor("B", random_dense(&[8, 3], &mut rng))
-        .with_factor("Z", random_dense(&[2, 2], &mut rng))
-        .compile(PlanOptions::default());
-    assert!(matches!(e, Err(spttn::SpttnError::Planning(_))));
+    let z = random_dense(&[2, 2], &mut rng);
+    let e = plan.bind(csf, &[("A", &a), ("B", &b), ("Z", &z)]);
+    assert!(matches!(e, Err(SpttnError::Execution(_))));
 
     // Unparseable expressions.
     assert!(Contraction::parse("garbage").is_err());
@@ -250,12 +271,7 @@ fn facade_reports_unified_errors() {
 fn plan_describe_mentions_structure() {
     let k = stdkernels::mttkrp(&[8, 8, 8], 4);
     let (coo, factors, _) = operands(&k, 60, 900);
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let mut c = Contraction::from_kernel(k).with_sparse_input(csf);
-    for (name, t) in &factors {
-        c = c.with_factor(name, t.clone());
-    }
-    let exec = c.compile(PlanOptions::default()).unwrap();
+    let exec = plan_and_bind(&k, &coo, &factors, PlanOptions::default());
     let d = exec.describe();
     assert!(d.contains("kernel: A(i,a)"), "{d}");
     assert!(d.contains("path:"), "{d}");

@@ -231,30 +231,6 @@ fn sparse_output_kernel_reorders_correctly() {
 }
 
 #[test]
-fn one_shot_compile_uses_exact_pattern_for_auto() {
-    let mut rng = StdRng::seed_from_u64(15);
-    let coo = lopsided_coo(&mut rng);
-    let b = random_dense(&[50, 8], &mut rng);
-    let c = random_dense(&[4, 8], &mut rng);
-    let mut exec = Contraction::parse(MTTKRP)
-        .unwrap()
-        .with_sparse_input(Csf::from_coo(&coo, &[0, 1, 2]).unwrap())
-        .with_factor("B", b.clone())
-        .with_factor("C", c.clone())
-        .compile(
-            PlanOptions::with_cost_model(CostModel::MaxBufferSize)
-                .with_mode_order(ModeOrderPolicy::Auto),
-        )
-        .unwrap();
-    let plan = exec.plan().clone();
-    assert!(!plan.is_natural_order());
-    let factors: Vec<(&str, &DenseTensor)> = vec![("B", &b), ("C", &c)];
-    let got = exec.execute().unwrap();
-    let diff = max_diff(&got, &oracle(&plan, &coo, &factors));
-    assert!(diff <= TOL, "diff {diff}");
-}
-
-#[test]
 fn plan_cache_distinguishes_mode_order_policies() {
     let mut rng = StdRng::seed_from_u64(16);
     let coo = lopsided_coo(&mut rng);

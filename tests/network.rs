@@ -2,15 +2,18 @@
 //! (`spttn-net`): every network — CP-ALS sweep, tensor-train, a
 //! five-tensor chain, and a network forcing off-spine dense steps —
 //! must reproduce the naive whole-network einsum oracle under both
-//! order strategies, both engines, and serial + parallel execution;
+//! order strategies and serial + parallel execution (and so must the
+//! reference interpreter, run on the network flattened to one kernel);
 //! the budgeted exact search must match brute-force order enumeration;
 //! and pooled executors must move and reuse workspaces across threads.
+
+mod common;
 
 use rand::prelude::*;
 use spttn::exec::naive_einsum;
 use spttn::ir::enumerate_paths;
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
-use spttn::{Engine, PlanCache, PlanOptions, Shapes, Threads};
+use spttn::{Contraction, PlanCache, PlanOptions, Shapes, Threads};
 use spttn_net::{modeled_path_flops, NetOptions, Network, OrderStrategy};
 use std::sync::Arc;
 
@@ -86,32 +89,40 @@ impl Fixture {
         named
     }
 
-    /// Plan + bind + execute under every (strategy × threads × engine)
+    /// Plan + bind + execute under every (strategy × threads)
     /// combination, sharing one `PlanCache`, and compare to the oracle.
     fn check_all(&self, expr: &str) {
+        // The network flattened to one kernel, through the reference
+        // interpreter: a second answer independent of every scheduler
+        // decision below.
+        let flat = Contraction::from_kernel(self.net.kernel(&self.shapes).unwrap())
+            .plan(&self.shapes, &PlanOptions::default())
+            .unwrap();
+        let (reference, _) = common::interp_reference(&flat, &self.csf, &self.named());
+        assert!(
+            reference.to_dense().approx_eq(&self.want, TOL),
+            "{expr}: reference interpreter disagrees with the naive oracle"
+        );
         let cache = PlanCache::new();
         for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
             for threads in [1usize, 4] {
-                for engine in [Engine::Tape, Engine::Interp] {
-                    let popts = PlanOptions::default()
-                        .with_threads(Threads::N(threads))
-                        .with_engine(engine)
-                        .with_microkernels(spttn::Microkernels::Scalar);
-                    let nopts = NetOptions::default()
-                        .with_order(strategy)
-                        .with_plan_options(popts);
-                    let nplan = self
-                        .net
-                        .plan_cached(&cache, &self.shapes, &nopts)
-                        .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
-                    let mut exec = nplan.bind(self.csf.clone(), &self.named()).unwrap();
-                    let got = exec.execute().unwrap();
-                    assert!(
-                        got.to_dense().approx_eq(&self.want, TOL),
-                        "{expr}: mismatch at {strategy}, {threads} thread(s), {engine:?}\n{}",
-                        nplan.describe()
-                    );
-                }
+                let popts = PlanOptions::default()
+                    .with_threads(Threads::N(threads))
+                    .with_microkernels(spttn::Microkernels::Scalar);
+                let nopts = NetOptions::default()
+                    .with_order(strategy)
+                    .with_plan_options(popts);
+                let nplan = self
+                    .net
+                    .plan_cached(&cache, &self.shapes, &nopts)
+                    .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
+                let mut exec = nplan.bind(self.csf.clone(), &self.named()).unwrap();
+                let got = exec.execute().unwrap();
+                assert!(
+                    got.to_dense().approx_eq(&self.want, TOL),
+                    "{expr}: mismatch at {strategy}, {threads} thread(s)\n{}",
+                    nplan.describe()
+                );
             }
         }
     }

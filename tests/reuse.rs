@@ -35,18 +35,17 @@ fn random_factors(kernel: &Kernel, rng: &mut StdRng) -> Vec<(String, DenseTensor
     out
 }
 
-/// Freshly plan-and-execute the kernel on the given operands (the
-/// one-shot pipeline the reused executor must agree with).
+/// Freshly plan, bind and execute the kernel on the given operands
+/// (the from-scratch pipeline the reused executor must agree with).
 fn fresh_pipeline(kernel: &Kernel, csf: Csf, factors: &[(String, DenseTensor)]) -> DenseTensor {
-    let mut c = Contraction::from_kernel(kernel.clone()).with_sparse_input(csf);
-    for (name, t) in factors {
-        c = c.with_factor(name, t.clone());
-    }
-    let mut exec = c
-        .compile(
-            PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
+    let plan = Contraction::from_kernel(kernel.clone())
+        .plan(
+            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
         )
         .unwrap();
+    let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let mut exec = plan.bind(csf, &refs).unwrap();
     exec.execute().unwrap().to_dense()
 }
 
@@ -322,32 +321,6 @@ fn plan_cache_hits_on_repeat_and_distinguishes_keys() {
 
     cache.clear();
     assert!(cache.is_empty());
-}
-
-#[test]
-fn compile_cached_skips_replanning() {
-    let cache = PlanCache::new();
-    let mut rng = StdRng::seed_from_u64(54);
-    let coo = random_coo(&[12, 10, 11], 150, &mut rng).unwrap();
-    let a = random_dense(&[10, 5], &mut rng);
-    let b = random_dense(&[11, 5], &mut rng);
-    let opts = PlanOptions::default();
-
-    let mut outs = Vec::new();
-    for _ in 0..3 {
-        let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-        let mut exec = Contraction::parse("T[i,j,k]*A[j,r]*B[k,r]->O[i,r]")
-            .unwrap()
-            .with_sparse_input(csf)
-            .with_factor("A", a.clone())
-            .with_factor("B", b.clone())
-            .compile_cached(&cache, &opts)
-            .unwrap();
-        outs.push(exec.execute().unwrap().to_dense());
-    }
-    assert_eq!((cache.hits(), cache.misses()), (2, 1));
-    assert!(outs[0].approx_eq(&outs[1], TOL));
-    assert!(outs[1].approx_eq(&outs[2], TOL));
 }
 
 #[test]

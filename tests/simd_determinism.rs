@@ -2,7 +2,7 @@
 //! through the facade:
 //!
 //! - the default (`Microkernels::Auto`) tape agrees with the scalar
-//!   interpreter oracle to ≤1e-9 on rank-specialization-friendly
+//!   reference interpreter to ≤1e-9 on rank-specialization-friendly
 //!   kernels (rank ∈ {8, 16, 32} hits the fixed-trip microkernels);
 //! - a parallel SIMD tape is bitwise run-to-run deterministic at a
 //!   fixed thread count, both across repeat executions of one bind and
@@ -15,11 +15,14 @@
 //! the scalar kernels, and scalar-vs-oracle / determinism claims are
 //! only easier.
 
+mod common;
+
+use common::interp_reference;
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Engine, Microkernels, PlanOptions, Shapes, Threads,
+    Contraction, ContractionOutput, CostModel, Microkernels, Plan, PlanOptions, Shapes, Threads,
 };
 
 const TOL: f64 = 1e-9;
@@ -43,14 +46,11 @@ fn operands(kernel: &Kernel, nnz: usize, seed: u64) -> (Csf, Vec<(String, DenseT
     (csf, factors)
 }
 
-fn run(
-    kernel: &Kernel,
-    csf: &Csf,
-    factors: &[(String, DenseTensor)],
-    engine: Engine,
-    micro: Microkernels,
-    threads: usize,
-) -> ContractionOutput {
+fn named(factors: &[(String, DenseTensor)]) -> Vec<(&str, &DenseTensor)> {
+    factors.iter().map(|(n, t)| (n.as_str(), t)).collect()
+}
+
+fn plan(kernel: &Kernel, csf: &Csf, micro: Microkernels, threads: usize) -> Plan {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
             &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
@@ -58,18 +58,36 @@ fn run(
                 buffer_dim_bound: 2,
             })
             .with_threads(Threads::N(threads))
-            .with_engine(engine)
             .with_microkernels(micro),
         )
         .expect("planning succeeds");
-    if engine == Engine::Tape {
-        plan.verify_tape().expect("SIMD tape verifies clean");
-    }
-    let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
-    plan.bind(csf.clone(), &refs)
+    plan.verify_tape().expect("SIMD tape verifies clean");
+    plan
+}
+
+fn run(
+    kernel: &Kernel,
+    csf: &Csf,
+    factors: &[(String, DenseTensor)],
+    micro: Microkernels,
+    threads: usize,
+) -> ContractionOutput {
+    plan(kernel, csf, micro, threads)
+        .bind(csf.clone(), &named(factors))
         .expect("bind succeeds")
         .execute()
         .unwrap()
+}
+
+/// The serial reference interpreter on the same nest (it always runs
+/// the scalar kernels; the plan's microkernel option is inert there).
+fn reference(kernel: &Kernel, csf: &Csf, factors: &[(String, DenseTensor)]) -> ContractionOutput {
+    interp_reference(
+        &plan(kernel, csf, Microkernels::Scalar, 1),
+        csf,
+        &named(factors),
+    )
+    .0
 }
 
 fn bits(out: &ContractionOutput) -> Vec<u64> {
@@ -92,23 +110,9 @@ fn specialization_kernels() -> Vec<(Kernel, usize, u64)> {
 fn simd_tape_matches_interp_oracle() {
     for (kernel, nnz, seed) in specialization_kernels() {
         let (csf, factors) = operands(&kernel, nnz, seed);
-        let oracle = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Interp,
-            Microkernels::Auto, // interp is always scalar; knob is inert
-            1,
-        );
+        let oracle = reference(&kernel, &csf, &factors);
         for threads in [1usize, 4] {
-            let simd = run(
-                &kernel,
-                &csf,
-                &factors,
-                Engine::Tape,
-                Microkernels::Auto,
-                threads,
-            );
+            let simd = run(&kernel, &csf, &factors, Microkernels::Auto, threads);
             assert!(
                 oracle.to_dense().approx_eq(&simd.to_dense(), TOL),
                 "SIMD tape diverged from interp oracle: {} at {threads} threads",
@@ -163,22 +167,8 @@ fn parallel_simd_tape_is_run_to_run_bitwise_deterministic() {
 fn scalar_forced_tape_reproduces_interp_bitwise() {
     for (kernel, nnz, seed) in specialization_kernels() {
         let (csf, factors) = operands(&kernel, nnz, seed);
-        let interp = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Interp,
-            Microkernels::Scalar,
-            1,
-        );
-        let scalar_tape = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Tape,
-            Microkernels::Scalar,
-            1,
-        );
+        let interp = reference(&kernel, &csf, &factors);
+        let scalar_tape = run(&kernel, &csf, &factors, Microkernels::Scalar, 1);
         // The scalar-forced tape runs the same generic loops in the
         // same order as the interpreter — bit-for-bit, not just ≤1e-9.
         assert_eq!(
