@@ -1,7 +1,8 @@
 //! Mode-order search benchmark: `ModeOrderPolicy::Natural` vs `Auto`
 //! planning time (the search replans once per candidate order — up to
-//! `d!` for `d ≤ 4` sparse modes), plus the modeled-flops win the
-//! search buys on a lopsided tensor.
+//! `d!` for `d ≤ 4` sparse modes), plus the modeled win — in executed
+//! work, the score the search compares orders on — that it buys on a
+//! lopsided tensor.
 //!
 //! Run with `cargo bench -p spttn-bench --bench mode_order`.
 
@@ -86,10 +87,10 @@ fn main() {
         )
         .unwrap();
     println!(
-        "mttkrp-3d-lopsided modeled flops: natural {} -> auto {} ({:.1}% cheaper, order {:?})",
-        natural.flops,
-        auto.flops,
-        100.0 * (1.0 - auto.flops as f64 / natural.flops as f64),
+        "mttkrp-3d-lopsided modeled work: natural {:.1} us -> auto {:.1} us ({:.1}% cheaper, order {:?})",
+        natural.work().ns() / 1e3,
+        auto.work().ns() / 1e3,
+        100.0 * (1.0 - auto.work().ns() / natural.work().ns()),
         auto.mode_order(),
     );
 }

@@ -77,7 +77,8 @@ OPTIONS:
                           (bare number = seconds). Expiry exits 3.
     --max-mem BYTES       workspace-byte budget checked at bind; suffix K, M,
                           or G (powers of 1024). Rejection exits 4.
-    --max-flops N         modeled-flop budget checked at bind. Rejection exits 4.
+    --max-flops N         budget on the flops the planned nest executes (the
+                          plan's `work:` line), checked at bind. Rejection exits 4.
     --check               compare against the naive dense oracle (exit 2 on mismatch)
     --verify              statically verify the compiled tape and print the
                           proof summary (always on in debug builds)
@@ -463,12 +464,8 @@ fn print_plan(plan: &Plan) {
             } else {
                 ""
             };
-            match oc.flops {
-                Some(f) => println!(
-                    "  ({}): ~{f} flops, cost {}{marker}",
-                    as_names.join(","),
-                    oc.cost
-                ),
+            match &oc.work {
+                Some(w) => println!("  ({}): {w}, cost {}{marker}", as_names.join(","), oc.cost),
                 None => println!("  ({}): infeasible", as_names.join(",")),
             }
         }

@@ -2,16 +2,23 @@
 //! the maximum number of independent dense loops with bounded buffer
 //! dimension".
 //!
-//! A *BLAS loop* is a dense loop covering a single term with no sparse
-//! iteration remaining beneath it — exactly the loops the runtime can
-//! hand to AXPY/GER-style microkernels (paper Fig. 6). The value is
-//! lexicographic: feasibility (every intermediate buffer within the
-//! dimension bound) dominates; then more BLAS loops win; buffer size
-//! breaks ties. Infeasible values are absorbing, which is what lets the
-//! planner fall back to the next contraction path (Sec. 5).
+//! A *BLAS loop* is a loop over one of the paper's dense indices — not
+//! a mode of the sparse tensor — covering a single term with no sparse
+//! iteration remaining beneath it: exactly the loops the runtime can
+//! hand to AXPY/GER-style microkernels (paper Fig. 6). A CSF index that
+//! a pre-sparse term iterates over its full dimension is a *forfeited
+//! sparse loop* and counts for nothing. Nests are ranked
+//! lexicographically ([`TreeCost::rank`]): feasibility (every
+//! intermediate buffer within the dimension bound) dominates; then more
+//! BLAS loops win; then less executed [`Work`](crate::Work); buffer
+//! size breaks the remaining ties. Infeasible values are absorbing,
+//! which is what lets the planner fall back to the next contraction
+//! path (Sec. 5).
 
 use crate::tree_cost::{TreeCost, VertexCtx};
+use crate::work::WorkCounts;
 use spttn_ir::VertexKind;
+use std::cmp::Ordering;
 
 /// Cost value for [`BlasAware`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,9 +109,13 @@ impl TreeCost for BlasAware {
         if ctx.max_splitting_buffer_dim() > self.buffer_dim_bound {
             return BlasValue::Infeasible;
         }
-        // BLAS-offloadable: dense loop, single covered term, and no
+        // BLAS-offloadable: a loop over a dense index (a CSF index
+        // iterated densely is a forfeited sparse loop, not one of the
+        // paper's dense loops), single covered term, and no
         // sparse-lineage index of that term left to iterate beneath.
-        let offloadable = ctx.kind == VertexKind::Dense && ctx.hi - ctx.lo == 1 && {
+        let dense_index =
+            ctx.kind == VertexKind::Dense && ctx.kernel.sparse_level(ctx.index).is_none();
+        let offloadable = dense_index && ctx.hi - ctx.lo == 1 && {
             let term = &ctx.path.terms[ctx.lo];
             let below = term.iter_inds().minus(ctx.removed).remove(ctx.index);
             !term.lineage().intersects(below)
@@ -117,6 +128,30 @@ impl TreeCost for BlasAware {
 
     fn is_feasible(&self, v: &BlasValue) -> bool {
         !matches!(v, BlasValue::Infeasible)
+    }
+
+    /// Feasible → more BLAS loops → less executed work → smaller
+    /// buffer. `Work` sits above `buf_size` because the buffer size is
+    /// a maximum, which may only come last in an exact lexicographic
+    /// order (see [`TreeCost::BOTTLENECK`]).
+    fn rank(&self, a: (&BlasValue, &WorkCounts), b: (&BlasValue, &WorkCounts)) -> Ordering {
+        use BlasValue::Feasible;
+        match (a.0, b.0) {
+            (
+                Feasible {
+                    blas: b1,
+                    buf_size: s1,
+                },
+                Feasible {
+                    blas: b2,
+                    buf_size: s2,
+                },
+            ) => b2
+                .cmp(b1)
+                .then(a.1.ns().total_cmp(&b.1.ns()))
+                .then(s1.cmp(s2)),
+            _ => a.0.partial_cmp(b.0).expect("BlasValue is totally ordered"),
+        }
     }
 }
 
@@ -274,6 +309,34 @@ mod tests {
         let v3 = eval_forest(&k, &p, &prof, &f3, &BlasAware::default());
         assert_eq!(blas_of(v3), 3);
         assert!(v3 < v, "listing 3 should win the BLAS metric");
+    }
+
+    /// A CSF index iterated densely is a forfeited sparse loop, not a
+    /// BLAS loop: the TTTP nest that runs `k` and `j` over their full
+    /// dimensions under every `i` scores its two `r` loops and nothing
+    /// else — the same as the nest that keeps `j` and `k` sparse.
+    #[test]
+    fn forfeited_sparse_loops_count_zero() {
+        let k = parse_kernel(
+            "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+            &[("i", 8), ("j", 8), ("k", 8), ("r", 3)],
+        )
+        .unwrap();
+        // (U*V)->X0(i,j,r); (W*X0)->X1(i,j,k); (T*X1)->S. r has id 3.
+        let p = path_from_picks(&k, &[(1, 2), (1, 2), (0, 1)]);
+        let prof = SparsityProfile::uniform(&[8; 3], &[0, 1, 2], 60).unwrap();
+        let blas = |orders: Vec<Vec<usize>>| {
+            let f = build_forest(&k, &p, &NestSpec { orders }).unwrap();
+            blas_of(eval_forest(&k, &p, &prof, &f, &BlasAware::default()))
+        };
+        assert_eq!(
+            blas(vec![vec![0, 1, 3], vec![0, 2, 1, 3], vec![0, 1, 2]]),
+            2
+        );
+        assert_eq!(
+            blas(vec![vec![0, 1, 3], vec![0, 1, 2, 3], vec![0, 1, 2]]),
+            2
+        );
     }
 
     #[test]

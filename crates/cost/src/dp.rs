@@ -9,6 +9,15 @@
 //! its own root would otherwise fuse with the suffix forest (the paper's
 //! lines 16–20).
 //!
+//! Every candidate carries its executed [`Work`] beside the model's own
+//! value and candidates are compared by [`TreeCost::rank`] — the model's
+//! value, ties broken by `Work`. That composite is still optimized
+//! exactly: an additive model is strictly increasing in its subtrees, so
+//! a lexicographic tie-break keeps `φ` and `⊕` monotone; a bottleneck
+//! model ([`TreeCost::BOTTLENECK`]) is not, and gets a second pass that
+//! minimizes `Work` over the subtrees whose value stays within the
+//! optimum the first pass found.
+//!
 //! The search honors the same restrictions as enumeration: per-term
 //! sparse-lineage indices stay in CSF order, and a root choice whose
 //! vertex classification is invalid (dense loop covering the sparse
@@ -16,6 +25,7 @@
 //! with forest construction so the DP and the executor agree exactly.
 
 use crate::tree_cost::{TreeCost, VertexCtx};
+use crate::work::{Work, WorkCounts};
 use spttn_ir::{vertex_kind, ContractionPath, IdxSet, IndexId, Kernel, NestSpec};
 use spttn_tensor::SparsityProfile;
 use std::collections::HashMap;
@@ -25,6 +35,9 @@ use std::collections::HashMap;
 pub struct SearchResult<V> {
     /// Optimal cost value.
     pub value: V,
+    /// Executed work of the chosen nest: minimal among the nests that
+    /// attain `value` (see [`TreeCost::rank`]).
+    pub work: WorkCounts,
     /// Loop orders per term (a full [`NestSpec`]).
     pub spec: NestSpec,
     /// Number of memoized subproblems solved.
@@ -34,6 +47,7 @@ pub struct SearchResult<V> {
 #[derive(Debug, Clone)]
 struct Cand<V> {
     value: V,
+    work: WorkCounts,
     orders: Vec<Vec<IndexId>>,
 }
 
@@ -53,6 +67,10 @@ struct Dp<'a, C: TreeCost> {
     path: &'a ContractionPath,
     profile: &'a SparsityProfile,
     cost: &'a C,
+    /// Second pass of a bottleneck model: the optimal value. Subtrees
+    /// above it cannot be part of an optimal nest; all others can, so
+    /// among them only `Work` matters.
+    cap: Option<C::Value>,
     memo: HashMap<(usize, usize, IdxSet), Entry<C::Value>>,
 }
 
@@ -72,12 +90,18 @@ pub fn optimal_order<C: TreeCost>(
         path,
         profile,
         cost,
+        cap: None,
         memo: HashMap::new(),
     };
-    let entry = dp.solve(0, path.len(), IdxSet::EMPTY);
-    let best = entry.best?;
+    let mut best = dp.solve(0, path.len(), IdxSet::EMPTY).best?;
+    if C::BOTTLENECK {
+        dp.cap = Some(best.value);
+        dp.memo.clear();
+        best = dp.solve(0, path.len(), IdxSet::EMPTY).best?;
+    }
     Some(SearchResult {
         value: best.value,
+        work: best.work,
         spec: NestSpec {
             orders: best.orders,
         },
@@ -86,11 +110,23 @@ pub fn optimal_order<C: TreeCost>(
 }
 
 impl<'a, C: TreeCost> Dp<'a, C> {
+    /// Whether candidate `a` replaces the incumbent `b`.
+    fn better(&self, a: &Cand<C::Value>, b: &Option<Cand<C::Value>>) -> bool {
+        let Some(b) = b else { return true };
+        let order = if self.cap.is_some() {
+            a.work.ns().total_cmp(&b.work.ns())
+        } else {
+            self.cost.rank((&a.value, &a.work), (&b.value, &b.work))
+        };
+        order.is_lt()
+    }
+
     fn solve(&mut self, lo: usize, hi: usize, removed: IdxSet) -> Entry<C::Value> {
         if lo == hi {
             return Entry {
                 best: Some(Cand {
                     value: self.cost.empty(),
+                    work: Work.empty(),
                     orders: Vec::new(),
                 }),
                 second: None,
@@ -106,14 +142,11 @@ impl<'a, C: TreeCost> Dp<'a, C> {
             // Line 5: the first term is fully iterated — it becomes a
             // leaf here; recurse on the rest.
             let sub = self.solve(lo + 1, hi, removed);
-            let map = |c: Cand<C::Value>| {
+            let map = |mut c: Cand<C::Value>| {
                 let mut orders = Vec::with_capacity(c.orders.len() + 1);
                 orders.push(Vec::new());
-                orders.extend(c.orders);
-                Cand {
-                    value: c.value,
-                    orders,
-                }
+                orders.append(&mut c.orders);
+                Cand { orders, ..c }
             };
             // A leading leaf means the forest starts with a non-loop
             // node: no root-fusion conflict is possible, so no second
@@ -184,41 +217,35 @@ impl<'a, C: TreeCost> Dp<'a, C> {
                     let value = self
                         .cost
                         .combine(&self.cost.apply(&ctx, &xc.value), &yc.value);
-                    let better = match &cbest {
-                        None => true,
-                        Some(c) => value < c.value,
+                    if self.cap.as_ref().is_some_and(|cap| value > *cap) {
+                        continue;
+                    }
+                    let mut cand = Cand {
+                        value,
+                        work: Work.combine(&Work.apply(&ctx, &xc.work), &yc.work),
+                        orders: Vec::new(),
                     };
-                    if better {
-                        let mut orders = Vec::with_capacity(hi - lo);
+                    if self.better(&cand, &cbest) {
+                        cand.orders.reserve(hi - lo);
                         for sub in &xc.orders {
                             let mut o = Vec::with_capacity(sub.len() + 1);
                             o.push(q);
                             o.extend_from_slice(sub);
-                            orders.push(o);
+                            cand.orders.push(o);
                         }
-                        orders.extend(yc.orders.iter().cloned());
-                        cbest = Some(Cand { value, orders });
+                        cand.orders.extend(yc.orders.iter().cloned());
+                        cbest = Some(cand);
                     }
                 }
                 // Lines 27–30: fold this root's champion into (A, B);
                 // roots across iterations of q are distinct, so A and B
                 // always differ in root.
                 if let Some(c) = cbest {
-                    let beats_best = match &best {
-                        None => true,
-                        Some(b) => c.value < b.value,
-                    };
-                    if beats_best {
+                    if self.better(&c, &best) {
                         second = best.take();
                         best = Some(c);
-                    } else {
-                        let beats_second = match &second {
-                            None => true,
-                            Some(b2) => c.value < b2.value,
-                        };
-                        if beats_second {
-                            second = Some(c);
-                        }
+                    } else if self.better(&c, &second) {
+                        second = Some(c);
                     }
                 }
             }
@@ -316,6 +343,98 @@ mod tests {
             let f = build_forest(&k, &p, &dp.spec).unwrap();
             assert_eq!(eval_forest(&k, &p, &prof, &f, &MaxBufferSize), dp.value);
         }
+    }
+
+    /// DP == exhaustive on each path, in value and in work; returns on
+    /// how many paths `Work` had a tie in `cost` to break.
+    fn check_exact<C: TreeCost>(
+        kernel: &Kernel,
+        prof: &SparsityProfile,
+        paths: &[ContractionPath],
+        cost: &C,
+    ) -> usize {
+        use crate::exhaustive::all_nest_costs;
+        use crate::work::Work;
+        let mut decided = 0;
+        for p in paths {
+            let dp = optimal_order(kernel, p, prof, cost).unwrap();
+            let ex = exhaustive_search(kernel, p, prof, cost).unwrap();
+            let what = p.describe(kernel);
+            assert_eq!(dp.value, ex.value, "{what}");
+            if !cost.is_feasible(&ex.value) {
+                // Absorbing, and the planner discards it: no nest of
+                // this path is any better than another.
+                continue;
+            }
+            assert_eq!(dp.work, ex.work, "{what}: {:?} vs {:?}", dp.work, ex.work);
+            // The DP's spec really is a nest of that value and work.
+            let f = build_forest(kernel, p, &dp.spec).unwrap();
+            assert_eq!(eval_forest(kernel, p, prof, &f, cost), dp.value, "{what}");
+            assert_eq!(eval_forest(kernel, p, prof, &f, &Work), dp.work, "{what}");
+            // Did the tie-break have anything to decide on this path?
+            let values = all_nest_costs(kernel, p, prof, cost);
+            let works = all_nest_costs(kernel, p, prof, &Work);
+            let tied = values
+                .iter()
+                .zip(&works)
+                .filter(|((_, v), _)| *v == ex.value)
+                .any(|(_, (_, w))| *w != ex.work);
+            decided += usize::from(tied);
+        }
+        decided
+    }
+
+    /// Algorithm 1 stays exact with the `Work` tie-break, for every
+    /// model: same value *and* same work as exhaustive enumeration on
+    /// TTMc, all three MTTKRP paths and every TTTP path — and on some
+    /// of them the tie-break is what picks the nest.
+    #[test]
+    fn dp_matches_exhaustive_with_work_tiebreak() {
+        use spttn_ir::enumerate_paths;
+        let mttkrp = parse_kernel(
+            "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+            &[("i", 8), ("j", 9), ("k", 10), ("a", 4)],
+        )
+        .unwrap();
+        let tttp = parse_kernel(
+            "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+            &[("i", 7), ("j", 8), ("k", 9), ("r", 3)],
+        )
+        .unwrap();
+        let (ttmc, _, ttmc_prof) = ttmc3();
+        let cases = [
+            (ttmc, ttmc_prof),
+            (
+                mttkrp,
+                SparsityProfile::uniform(&[8, 9, 10], &[0, 1, 2], 100).unwrap(),
+            ),
+            (
+                tttp,
+                SparsityProfile::uniform(&[7, 8, 9], &[0, 1, 2], 90).unwrap(),
+            ),
+        ];
+        for (kernel, prof) in &cases {
+            let paths = enumerate_paths(kernel);
+            let mut decided = 0;
+            decided += check_exact(kernel, prof, &paths, &MaxBufferDim);
+            decided += check_exact(kernel, prof, &paths, &MaxBufferSize);
+            decided += check_exact(kernel, prof, &paths, &CacheMiss { d: 1 });
+            decided += check_exact(kernel, prof, &paths, &BlasAware::default());
+            assert!(
+                decided > 0,
+                "{}: Work never broke a tie",
+                kernel.to_einsum()
+            );
+        }
+
+        // Where the second pass earns its keep: on this order-4 TTTc
+        // path a single pass with a vertex-by-vertex tie-break returns a
+        // nest of the optimal buffer size but twice the optimal work.
+        let tttc = spttn_ir::stdkernels::tttc(&[4, 5, 6, 7], 2);
+        let prof = SparsityProfile::uniform(&[4, 5, 6, 7], &[0, 1, 2, 3], 150).unwrap();
+        let path = path_from_picks(&tttc, &[(1, 2), (1, 2), (0, 1)]);
+        assert!(check_exact(&tttc, &prof, std::slice::from_ref(&path), &MaxBufferDim) > 0);
+        assert!(check_exact(&tttc, &prof, &[path], &MaxBufferSize) > 0);
     }
 
     #[test]

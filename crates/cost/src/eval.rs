@@ -37,10 +37,12 @@ fn eval_nodes<C: TreeCost>(
     removed: IdxSet,
     cost: &C,
 ) -> C::Value {
+    // Folded from the right and skipping leaves, which is the order the
+    // DP combines in: floating-point costs then agree bit for bit.
     let mut acc = cost.empty();
-    for n in nodes {
+    for n in nodes.iter().rev() {
         let v = match n {
-            LoopNode::Leaf(_) => cost.empty(),
+            LoopNode::Leaf(_) => continue,
             LoopNode::Loop(v) => {
                 let inner = eval_nodes(
                     kernel,
@@ -65,7 +67,7 @@ fn eval_nodes<C: TreeCost>(
                 cost.apply(&ctx, &inner)
             }
         };
-        acc = cost.combine(&acc, &v);
+        acc = cost.combine(&v, &acc);
     }
     acc
 }

@@ -7,6 +7,7 @@
 
 use crate::eval::eval_forest;
 use crate::tree_cost::TreeCost;
+use crate::work::{Work, WorkCounts};
 use spttn_ir::{build_forest, ContractionPath, Kernel, NestSpec, NestSpecIter};
 use spttn_tensor::SparsityProfile;
 
@@ -15,6 +16,9 @@ use spttn_tensor::SparsityProfile;
 pub struct ExhaustiveResult<V> {
     /// Minimal cost value found.
     pub value: V,
+    /// Executed work of the chosen nest (the [`TreeCost::rank`]
+    /// tie-break among nests of equal `value`).
+    pub work: WorkCounts,
     /// A spec achieving it.
     pub spec: NestSpec,
     /// Number of valid nests evaluated.
@@ -23,14 +27,15 @@ pub struct ExhaustiveResult<V> {
     pub invalid: usize,
 }
 
-/// Search every valid nest of `path`, returning the minimum.
+/// Search every valid nest of `path`, returning the [`TreeCost::rank`]
+/// minimum.
 pub fn exhaustive_search<C: TreeCost>(
     kernel: &Kernel,
     path: &ContractionPath,
     profile: &SparsityProfile,
     cost: &C,
 ) -> Option<ExhaustiveResult<C::Value>> {
-    let mut best: Option<(C::Value, NestSpec)> = None;
+    let mut best: Option<(C::Value, WorkCounts, NestSpec)> = None;
     let mut evaluated = 0usize;
     let mut invalid = 0usize;
     for spec in NestSpecIter::new(kernel, path) {
@@ -39,17 +44,19 @@ pub fn exhaustive_search<C: TreeCost>(
             continue;
         };
         let v = eval_forest(kernel, path, profile, &forest, cost);
+        let w = eval_forest(kernel, path, profile, &forest, &Work);
         evaluated += 1;
         let better = match &best {
             None => true,
-            Some((bv, _)) => v < *bv,
+            Some((bv, bw, _)) => cost.rank((&v, &w), (bv, bw)).is_lt(),
         };
         if better {
-            best = Some((v, spec));
+            best = Some((v, w, spec));
         }
     }
-    best.map(|(value, spec)| ExhaustiveResult {
+    best.map(|(value, work, spec)| ExhaustiveResult {
         value,
+        work,
         spec,
         evaluated,
         invalid,

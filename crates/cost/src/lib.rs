@@ -8,14 +8,18 @@
 //! - [`CacheMiss`]: Def. 4.6 cache-miss model.
 //! - [`BlasAware`]: the Sec. 5 evaluation metric (max independent dense
 //!   loops under a buffer-dimension bound).
+//! - [`Work`]: what a nest makes the executor do — sparse node visits,
+//!   tape steps, vector lanes, executed flops. Never configured: it is
+//!   the tie-break under every model above ([`TreeCost::rank`]) and the
+//!   quantity paths and CSF orders are compared on.
 //! - [`optimal_order`]: Algorithm 1 — `O(N³·2^m·m)` dynamic program.
 //! - [`exhaustive_search`] / [`all_nest_costs`]: the factorial-size
 //!   enumeration, for autotuning and cross-checking.
-//! - [`plan`]: the full Sec. 5 pipeline (path ranking + DP + tier
-//!   fallback).
+//! - [`plan`]: the full Sec. 5 pipeline (DP per path in ascending op
+//!   count, least executed work wins, infeasible paths fall through).
 //! - [`plan_mode_orders`]: the CSF storage-order search layered on top
 //!   of [`plan`] — one pipeline run per candidate order
-//!   ([`candidate_orders`]), winners compared by `(flops, cost value)`;
+//!   ([`candidate_orders`]), winners compared like paths are;
 //!   [`ModeOrderPolicy`] is the knob the facade exposes.
 
 // Cost modeling and search are pure computation: no unsafe code, ever.
@@ -29,6 +33,7 @@ pub mod exhaustive;
 pub mod orders;
 pub mod planner;
 pub mod tree_cost;
+pub mod work;
 
 pub use blas::{BlasAware, BlasValue};
 pub use cache::CacheMiss;
@@ -41,3 +46,4 @@ pub use orders::{
 };
 pub use planner::{plan, PlanOptions, PlannedNest};
 pub use tree_cost::{MaxBufferDim, MaxBufferSize, TreeCost, VertexCtx};
+pub use work::{Work, WorkCounts};

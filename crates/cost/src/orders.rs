@@ -12,16 +12,20 @@
 //! plan; [`plan_mode_orders`] does the same here by running the full
 //! Sec. 5 pipeline once per candidate order and keeping the winner.
 //!
-//! Orders are compared by leading-order op count first (the paper's
-//! tier criterion), tie-broken by the nest's tree-separable cost value;
-//! remaining ties keep the earliest candidate, so the natural order —
-//! always listed first — wins when nothing beats it. Candidate sets
-//! come from [`candidate_orders`]: exhaustive for up to
+//! Orders are compared on the same ruler as contraction paths inside
+//! [`plan`]: the executed [`Work`](crate::Work) of each order's planned
+//! nest first, and among orders within `tier_slack` of the least, the
+//! cost model's [`TreeCost::rank`]; remaining ties keep the earliest
+//! candidate, and an order that wins on work alone must undercut the
+//! first candidate by a margin (`REORDER_MARGIN`), so the natural order
+//! — always listed first — wins when nothing clearly beats it.
+//! Candidate sets come from [`candidate_orders`]: exhaustive for up to
 //! [`EXHAUSTIVE_ORDER_LIMIT`] modes (4! = 24 planner runs), pruned to a
 //! small structured family above that.
 
-use crate::planner::{plan, PlanOptions, PlannedNest};
+use crate::planner::{choose, plan, PlanOptions, PlannedNest};
 use crate::tree_cost::TreeCost;
+use crate::work::WorkCounts;
 use spttn_ir::Kernel;
 use spttn_tensor::SparsityProfile;
 
@@ -49,14 +53,26 @@ pub enum ModeOrderPolicy {
 /// permutation (`4! = 24`); above this the pruned family is used.
 pub const EXHAUSTIVE_ORDER_LIMIT: usize = 4;
 
+/// Factor by which a later candidate's executed work must undercut the
+/// first candidate's (the natural order under `Auto`) to displace it on
+/// work alone. `Work` sees neither the CSF re-sort a non-natural order
+/// costs at bind nor locality, and between near-equal orders those
+/// decide: on `mttkrp-hyper` (`benchmark/`, 1M nnz, rank 32) order
+/// `(k,j,i)` models 8 % less work than natural and runs 1.07–1.3x
+/// slower after a 0.44-s re-sort, while on `mttkrp-cube` `(j,k,i)`
+/// models 17 % less and runs 16 % faster.
+const REORDER_MARGIN: f64 = 1.10;
+
 /// Per-candidate-order record of what the search saw, for plan
 /// introspection ("why this order?").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderCost {
     /// The candidate order (level `l` holds written position `order[l]`).
     pub order: Vec<usize>,
-    /// Leading-order op count of the best nest under this order, or
-    /// `None` when no feasible nest exists for it.
+    /// Executed work of the best nest under this order — what orders
+    /// are compared by — or `None` when no feasible nest exists for it.
+    pub work: Option<WorkCounts>,
+    /// Executed op count of that nest (`work`'s flop component).
     pub flops: Option<u128>,
     /// Debug rendering of the best nest's cost value (empty when
     /// infeasible).
@@ -145,10 +161,13 @@ fn permutations(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
 /// `σ` plans `kernel.permute_sparse_modes(σ)` against the profile
 /// `profile_for(σ)` supplies (exact per-order counts when the caller
 /// has the pattern, a model otherwise — returning `None` skips the
-/// candidate). Winners are chosen by `(flops, cost value)` with ties
-/// keeping the earlier candidate, so the natural order is preferred
-/// when equivalent. Returns `None` when no candidate admits a feasible
-/// nest.
+/// candidate). The winner is the order whose nest executes the least
+/// work, the cost model deciding within `opts.tier_slack` of it and
+/// ties keeping the earlier candidate; a winner the cost model does not
+/// prefer to the first feasible candidate must also model
+/// `REORDER_MARGIN` less work than it, so the natural order is kept
+/// unless another is clearly better. Returns `None` when no candidate
+/// admits a feasible nest.
 pub fn plan_mode_orders<C: TreeCost>(
     kernel: &Kernel,
     cost: &C,
@@ -156,8 +175,8 @@ pub fn plan_mode_orders<C: TreeCost>(
     orders: &[Vec<usize>],
     mut profile_for: impl FnMut(&[usize]) -> Option<SparsityProfile>,
 ) -> Option<OrderSearch<C::Value>> {
-    let mut best: Option<OrderSearch<C::Value>> = None;
     let mut explored: Vec<OrderCost> = Vec::with_capacity(orders.len());
+    let mut found: Vec<OrderSearch<C::Value>> = Vec::new();
     for order in orders {
         let Ok(permuted) = kernel.permute_sparse_modes(order) else {
             continue;
@@ -168,22 +187,15 @@ pub fn plan_mode_orders<C: TreeCost>(
         let planned = plan(&permuted, &profile, cost, opts);
         explored.push(OrderCost {
             order: order.clone(),
+            work: planned.as_ref().map(|p| p.work),
             flops: planned.as_ref().map(|p| p.flops),
             cost: planned
                 .as_ref()
                 .map(|p| format!("{:?}", p.value))
                 .unwrap_or_default(),
         });
-        let Some(planned) = planned else { continue };
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                planned.flops < b.planned.flops
-                    || (planned.flops == b.planned.flops && planned.value < b.planned.value)
-            }
-        };
-        if better {
-            best = Some(OrderSearch {
+        if let Some(planned) = planned {
+            found.push(OrderSearch {
                 order: order.clone(),
                 kernel: permuted,
                 profile,
@@ -192,10 +204,19 @@ pub fn plan_mode_orders<C: TreeCost>(
             });
         }
     }
-    best.map(|mut b| {
-        b.explored = explored;
-        b
-    })
+    let scored = found.iter().map(|f| (&f.planned.value, &f.planned.work));
+    let mut chosen = choose(cost, opts.tier_slack, scored)?;
+    let (first, winner) = (&found[0].planned, &found[chosen].planned);
+    // Scored at equal work, `rank` compares the models' values alone.
+    let on_work_alone = cost
+        .rank((&winner.value, &winner.work), (&first.value, &winner.work))
+        .is_ge();
+    if on_work_alone && winner.work.ns() * REORDER_MARGIN > first.work.ns() {
+        chosen = 0;
+    }
+    let mut best = found.swap_remove(chosen);
+    best.explored = explored;
+    Some(best)
 }
 
 #[cfg(test)]
@@ -254,8 +275,8 @@ mod tests {
         // mode toward the root compresses the two-level prefix the
         // factorized schedule's second contraction iterates
         // (`nnz_{ki} < nnz_i · |k|` when the root level is not
-        // saturated), so the uniform model gives non-natural orders a
-        // strictly smaller op count.
+        // saturated), so the uniform model gives non-natural orders
+        // strictly less executed work.
         let dims = [50usize, 50, 4];
         let k = parse_kernel(
             "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
@@ -276,10 +297,10 @@ mod tests {
         let natural = &found.explored[0];
         assert_eq!(natural.order, vec![0, 1, 2]);
         assert!(
-            found.planned.flops < natural.flops.unwrap(),
+            found.planned.work < natural.work.unwrap(),
             "chosen {} !< natural {}",
-            found.planned.flops,
-            natural.flops.unwrap()
+            found.planned.work,
+            natural.work.unwrap()
         );
         // The permuted kernel stores the winning order.
         assert_eq!(found.kernel.csf_index_order().len(), 3);

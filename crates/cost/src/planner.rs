@@ -1,15 +1,28 @@
-//! The SpTTN-Cyclops planning pipeline (paper Sec. 5).
+//! The SpTTN-Cyclops planning pipeline (paper Sec. 5), with every nest
+//! charged for what it executes.
 //!
-//! 1. Enumerate contraction paths and rank them by leading-order op
-//!    count (asymptotic complexity on the kernel's sparsity profile).
-//! 2. Within the cheapest tier, run the Algorithm-1 DP per path under
-//!    the configured tree-separable cost; keep the best feasible nest.
-//! 3. If no nest in the tier satisfies the cost model's constraints
-//!    (e.g. the buffer-dimension bound), fall back to the next tier of
-//!    asymptotically costlier paths — exactly the paper's fallback rule.
+//! The paper ranks contraction paths by leading-order op count and only
+//! then looks at loop nests, on the premise that every nest of a path
+//! costs that path's op count. Here a nest can execute many times its
+//! path's count (see [`crate::work`]), so the quantity paths are tiered
+//! on is the executed [`Work`](crate::Work) of each path's best nest:
+//!
+//! 1. Enumerate contraction paths in ascending ideal op count
+//!    ([`ContractionPath::flops`]). Paths whose count lies within
+//!    `tier_slack` of a leader form a *tier*, as in the paper.
+//! 2. Per path, run the Algorithm-1 DP under the configured
+//!    tree-separable cost — the model's own value, ties broken by
+//!    `Work` ([`TreeCost::rank`]) — and keep the feasible winners.
+//!    Infeasible paths are skipped, which is the paper's fallback to
+//!    costlier tiers. Stop as soon as the next path's ideal count — a
+//!    lower bound on the `Work` of all of its nests — cannot come within
+//!    `tier_slack` of the best `Work` found, or after `max_tiers` tiers.
+//! 3. Among the winners within `tier_slack` of the least `Work`, choose
+//!    by [`TreeCost::rank`]; earlier (cheaper-path) winners keep ties.
 
 use crate::dp::optimal_order;
 use crate::tree_cost::TreeCost;
+use crate::work::WorkCounts;
 use spttn_ir::{enumerate_paths, ContractionPath, Kernel, NestSpec};
 use spttn_tensor::SparsityProfile;
 
@@ -20,8 +33,10 @@ pub struct PlanOptions {
     pub max_paths_per_tier: usize,
     /// Maximum number of tiers to explore before giving up.
     pub max_tiers: usize,
-    /// Treat paths whose op count is within this factor of the tier
-    /// leader as belonging to the same tier (1.0 = exact ties only).
+    /// Width of a tier, as a factor (1.0 = exact ties only): paths whose
+    /// ideal op count is within it of a tier leader share the tier, and
+    /// nests whose executed work is within it of the least are chosen
+    /// among by the cost model alone.
     pub tier_slack: f64,
 }
 
@@ -44,14 +59,46 @@ pub struct PlannedNest<V> {
     pub spec: NestSpec,
     /// Tree-separable cost value of the nest.
     pub value: V,
-    /// Leading-order scalar op count of the path.
+    /// Executed work of the nest under the profile.
+    pub work: WorkCounts,
+    /// Executed scalar op count of the nest ([`WorkCounts::flops`]).
     pub flops: u128,
-    /// Which tier (0 = asymptotically optimal) the path came from.
+    /// Leading-order scalar op count of the path
+    /// ([`ContractionPath::flops`]) — what `flops` would be if every
+    /// term ran under its longest sparse prefix.
+    pub ideal_flops: u128,
+    /// Which ideal-op-count tier (0 = asymptotically optimal) the path
+    /// came from.
     pub tier: usize,
 }
 
+/// Index of the nest to run among `work`-scored candidates: within
+/// `slack` of the least executed work, the [`TreeCost::rank`] minimum;
+/// the earliest candidate keeps ties. Shared by the path choice of
+/// [`plan`] and the CSF-order choice of
+/// [`plan_mode_orders`](crate::plan_mode_orders).
+pub(crate) fn choose<'a, C: TreeCost>(
+    cost: &C,
+    slack: f64,
+    candidates: impl Iterator<Item = (&'a C::Value, &'a WorkCounts)> + Clone,
+) -> Option<usize>
+where
+    C::Value: 'a,
+{
+    let least = candidates
+        .clone()
+        .map(|(_, w)| w.ns())
+        .min_by(f64::total_cmp)?;
+    let band = least * slack.max(1.0);
+    candidates
+        .enumerate()
+        .filter(|(_, (_, w))| w.ns() <= band)
+        .min_by(|(_, a), (_, b)| cost.rank(*a, *b))
+        .map(|(i, _)| i)
+}
+
 /// Plan a kernel: choose contraction path and loop orders minimizing
-/// `cost`, with tier fallback on infeasibility.
+/// executed work and then `cost` (see the [module docs](self)).
 pub fn plan<C: TreeCost>(
     kernel: &Kernel,
     profile: &SparsityProfile,
@@ -62,53 +109,42 @@ pub fn plan<C: TreeCost>(
         .into_iter()
         .map(|p| (p.flops(kernel, profile), p))
         .collect();
-    if paths.is_empty() {
-        return None;
-    }
     paths.sort_by_key(|(f, _)| *f);
+    let slack = opts.tier_slack.max(1.0);
 
-    let mut tier_start = 0usize;
-    for tier in 0..opts.max_tiers {
-        if tier_start >= paths.len() {
+    let mut winners: Vec<PlannedNest<C::Value>> = Vec::new();
+    let mut least_ns = f64::INFINITY;
+    let (mut tier, mut leader, mut in_tier) = (0usize, paths.first()?.0, 0usize);
+    for (ideal, path) in paths {
+        if ideal > ((leader as f64 * slack) as u128).max(leader) {
+            (tier, leader, in_tier) = (tier + 1, ideal, 0);
+        }
+        if tier >= opts.max_tiers || WorkCounts::floor_ns(ideal) > least_ns * slack {
             break;
         }
-        let leader = paths[tier_start].0;
-        let limit = (leader as f64 * opts.tier_slack.max(1.0)) as u128;
-        let mut tier_end = tier_start;
-        while tier_end < paths.len() && paths[tier_end].0 <= limit.max(leader) {
-            tier_end += 1;
+        in_tier += 1;
+        if in_tier > opts.max_paths_per_tier {
+            continue;
         }
-        let mut best: Option<PlannedNest<C::Value>> = None;
-        for (flops, path) in paths[tier_start..tier_end]
-            .iter()
-            .take(opts.max_paths_per_tier)
-        {
-            let Some(r) = optimal_order(kernel, path, profile, cost) else {
-                continue;
-            };
-            if !cost.is_feasible(&r.value) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some(b) => r.value < b.value || (r.value == b.value && *flops < b.flops),
-            };
-            if better {
-                best = Some(PlannedNest {
-                    path: path.clone(),
-                    spec: r.spec,
-                    value: r.value,
-                    flops: *flops,
-                    tier,
-                });
-            }
+        let Some(r) = optimal_order(kernel, &path, profile, cost) else {
+            continue;
+        };
+        if !cost.is_feasible(&r.value) {
+            continue;
         }
-        if best.is_some() {
-            return best;
-        }
-        tier_start = tier_end;
+        least_ns = least_ns.min(r.work.ns());
+        winners.push(PlannedNest {
+            path,
+            spec: r.spec,
+            value: r.value,
+            work: r.work,
+            flops: r.work.executed_flops(),
+            ideal_flops: ideal,
+            tier,
+        });
     }
-    None
+    let chosen = choose(cost, slack, winners.iter().map(|w| (&w.value, &w.work)))?;
+    Some(winners.swap_remove(chosen))
 }
 
 #[cfg(test)]
@@ -151,9 +187,71 @@ mod tests {
         let plan = plan(&k, &prof, &MaxBufferSize, &PlanOptions::default()).unwrap();
         let nnz = prof.prefix_nnz(3) as u128;
         let nnz_ij = prof.prefix_nnz(2) as u128;
-        assert_eq!(plan.flops, 2 * nnz * 16 + 2 * nnz_ij * 16);
+        assert_eq!(plan.ideal_flops, 2 * nnz * 16 + 2 * nnz_ij * 16);
+        // Every loop over a sparse mode runs on the CSF: the nest
+        // executes exactly its path's ideal count.
+        assert_eq!(plan.flops, plan.ideal_flops);
         // Buffer for the factorized fused nest is one factor row.
         assert!(plan.value <= 16);
+    }
+
+    /// On a dense-fiber cube the Khatri-Rao path has the fewest flops
+    /// (tier 0) but, under the buffer bound, only nests that hoist `a`
+    /// above the sparse root: one CSF walk per trip. Tiering on executed
+    /// work instead of path flops takes the factorized path of the next
+    /// tier — one walk, AXPY leaves.
+    #[test]
+    fn executed_work_outranks_path_flops() {
+        let k = parse_kernel(
+            "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+            &[("i", 64), ("j", 12), ("k", 12), ("a", 16)],
+        )
+        .unwrap();
+        let prof = profile(&[64, 12, 12], 6000);
+        let mut by_flops = enumerate_paths(&k);
+        by_flops.sort_by_key(|p| p.flops(&k, &prof));
+        assert_ne!(by_flops[0].sparse_term, 0, "tier 0 is the KRP path");
+
+        let cost = BlasAware::default();
+        let krp = optimal_order(&k, &by_flops[0], &prof, &cost).unwrap();
+        assert!(cost.is_feasible(&krp.value));
+        assert_eq!(krp.work.walks, 16.0);
+
+        let plan = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
+        assert_eq!(plan.tier, 1);
+        assert_eq!(plan.path.sparse_term, 0);
+        assert_eq!(plan.work.walks, 1.0);
+        assert!(plan.flops > by_flops[0].flops(&k, &prof));
+        assert!(plan.work.ns() * 5.0 < krp.work.ns());
+    }
+
+    /// `tier_slack` is a band on executed work: inside it the cost
+    /// model alone decides, so a wide band hands the choice back to the
+    /// BLAS count even at several times the work.
+    #[test]
+    fn tier_slack_is_a_band_on_work() {
+        let k = parse_kernel(
+            "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+            &[("i", 40), ("j", 40), ("k", 40), ("r", 8), ("s", 8)],
+        )
+        .unwrap();
+        let prof = profile(&[40, 40, 40], 600);
+        let cost = BlasAware::default();
+        let exact = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
+        let wide = plan(
+            &k,
+            &prof,
+            &cost,
+            &PlanOptions {
+                tier_slack: 1e6,
+                ..PlanOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(exact.work <= wide.work);
+        assert!(cost
+            .rank((&wide.value, &wide.work), (&exact.value, &exact.work))
+            .is_le());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! their stored size `|out_inds \ removed|` (Eq. 5) is exact at this
 //! vertex and charged nowhere else.
 
+use crate::work::WorkCounts;
 use spttn_ir::{ContractionPath, IdxSet, IndexId, Kernel, VertexKind};
 use spttn_tensor::SparsityProfile;
+use std::cmp::Ordering;
 
 /// Everything `φ` may inspect at one loop vertex.
 #[derive(Debug, Clone, Copy)]
@@ -113,6 +115,22 @@ pub trait TreeCost {
     fn is_feasible(&self, _v: &Self::Value) -> bool {
         true
     }
+
+    /// True when `⊕` is `max`: the value is set by the single worst
+    /// vertex, so it is not *strictly* increasing in its subtrees and
+    /// breaking its ties by [`Work`](crate::Work) vertex by vertex would
+    /// lose optimality. [`optimal_order`](crate::optimal_order) instead
+    /// finds the optimal value first, then minimizes `Work` over the
+    /// nests that attain it.
+    const BOTTLENECK: bool = false;
+
+    /// The one ordering by which a nest is chosen — inside the DP,
+    /// across contraction paths and across CSF orders: the model's own
+    /// value, ties broken by executed work (less is better).
+    fn rank(&self, a: (&Self::Value, &WorkCounts), b: (&Self::Value, &WorkCounts)) -> Ordering {
+        let by_value = a.0.partial_cmp(b.0).unwrap_or(Ordering::Equal);
+        by_value.then(a.1.ns().total_cmp(&b.1.ns()))
+    }
 }
 
 /// Def. 4.5: maximum intermediate-buffer dimensionality.
@@ -133,6 +151,8 @@ impl TreeCost for MaxBufferDim {
     fn apply(&self, ctx: &VertexCtx<'_>, inner: &usize) -> usize {
         ctx.max_splitting_buffer_dim().max(*inner)
     }
+
+    const BOTTLENECK: bool = true;
 }
 
 /// Def. 4.5 variant: maximum intermediate-buffer element count.
@@ -153,6 +173,8 @@ impl TreeCost for MaxBufferSize {
     fn apply(&self, ctx: &VertexCtx<'_>, inner: &u128) -> u128 {
         ctx.max_splitting_buffer_size().max(*inner)
     }
+
+    const BOTTLENECK: bool = true;
 }
 
 #[cfg(test)]

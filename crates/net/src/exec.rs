@@ -86,7 +86,8 @@ impl NetworkExecutor {
 
         // Bind-time admission of the network-wide budget (carried by
         // the collapsed kernel's `ExecOptions`). Flops are the dense
-        // steps plus the kernel's modeled count; workspace bytes are
+        // steps plus what the kernel's chosen nest executes
+        // (`Plan::flops`); workspace bytes are
         // the intermediates plus the kernel's serial one-thread floor
         // (the inner `Plan::bind` degrades its own thread count below
         // that bound). Both gates run before any workspace is checked

@@ -29,16 +29,16 @@
 
 use crate::{Result, SpttnError};
 use spttn_cost::{
-    candidate_orders, plan_mode_orders, BlasAware, CacheMiss, MaxBufferDim, MaxBufferSize,
-    ModeOrderPolicy, OrderCost, OrderSearch, TreeCost,
+    candidate_orders, eval_forest, plan_mode_orders, BlasAware, CacheMiss, MaxBufferDim,
+    MaxBufferSize, ModeOrderPolicy, OrderCost, OrderSearch, TreeCost, Work, WorkCounts,
 };
 use spttn_exec::{CancelToken, Microkernels};
 use spttn_ir::{
-    buffers_for_forest, build_forest, BufferSpec, ContractionPath, Kernel, KernelBuilder,
-    KernelError, LoopForest, NestSpec,
+    buffers_for_forest, build_forest, enumerate_paths, BufferSpec, ContractionPath, Kernel,
+    KernelBuilder, KernelError, LoopForest, NestSpec,
 };
 use spttn_tensor::{CooTensor, SparsityProfile};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,7 +99,9 @@ impl Threads {
 /// footprint replicated per worker thread
 /// ([`Plan::parallel_footprint`] × 8 bytes; network binds add their
 /// materialized intermediates), and `max_modeled_flops` bounds the
-/// plan's modeled operation count. Workspace pressure degrades
+/// operation count the nest that will run executes ([`Plan::flops`] —
+/// not its path's ideal count, which a nest can exceed many times
+/// over). Workspace pressure degrades
 /// gracefully — the bind drops to the largest thread count (and hence
 /// tile count) that fits, down to the serial path — before a typed
 /// [`crate::SpttnError::BudgetExceeded`] reports predicted vs allowed.
@@ -215,7 +217,9 @@ pub struct PlanOptions {
     pub max_paths_per_tier: usize,
     /// Maximum asymptotic-cost tiers to explore before giving up.
     pub max_tiers: usize,
-    /// Paths within this factor of the tier leader share the tier.
+    /// Paths within this factor of the tier leader share the tier, and
+    /// nests (across paths and CSF orders) whose executed work is
+    /// within it of the least are chosen among by the cost model alone.
     pub tier_slack: f64,
     /// Execution-stage options the plan carries into [`Plan::bind`].
     /// Not part of [`crate::PlanKey`]: the symbolic plan is identical
@@ -303,7 +307,7 @@ impl PlanOptions {
     /// [`ModeOrderPolicy::Auto`] runs the Sec. 5 planner once per
     /// candidate order (every permutation up to 4 sparse modes, a
     /// pruned family above) and keeps the cheapest by
-    /// `(op count, cost value)` — exact per-order fiber counts when the
+    /// `(executed work, cost value)` — exact per-order fiber counts when the
     /// pattern is known ([`Shapes::with_pattern`]), the uniform model
     /// with [`Shapes::with_nnz`]. A lone [`Shapes::with_profile`] cannot
     /// score other orders comparably, so `Auto` keeps the natural
@@ -771,7 +775,8 @@ struct Planned {
     order_costs: Vec<OrderCost>,
     path: ContractionPath,
     spec: NestSpec,
-    flops: u128,
+    work: WorkCounts,
+    ideal_flops: u128,
     tier: usize,
     cost: String,
 }
@@ -785,7 +790,8 @@ fn erase<V: std::fmt::Debug>(s: OrderSearch<V>) -> Planned {
         cost: format!("{:?}", s.planned.value),
         path: s.planned.path,
         spec: s.planned.spec,
-        flops: s.planned.flops,
+        work: s.planned.work,
+        ideal_flops: s.planned.ideal_flops,
         tier: s.planned.tier,
     }
 }
@@ -864,9 +870,15 @@ pub struct Plan {
     /// Per-candidate-order planning record (one entry per explored
     /// order; a single entry under a natural/fixed policy).
     pub(crate) order_costs: Vec<OrderCost>,
-    /// Leading-order scalar-operation count of the chosen path.
+    pub(crate) work: WorkCounts,
+    pub(crate) ideal_flops: u128,
+    /// Scalar-operation count one execution of the chosen nest performs
+    /// under the plan's sparsity profile (exact for a pattern-derived
+    /// profile). This is what bind-time admission
+    /// ([`RunBudget::max_modeled_flops`]) compares with the budget.
     pub flops: u128,
-    /// Asymptotic-cost tier the path came from (0 = optimal).
+    /// Tier of the chosen path among all paths ranked by ideal op count
+    /// (0 = asymptotically optimal).
     pub tier: usize,
     /// Debug rendering of the chosen nest's cost value.
     pub cost: String,
@@ -894,9 +906,46 @@ impl Plan {
             exec: opts.exec.clone(),
             mode_order: planned.order,
             order_costs: planned.order_costs,
-            flops: planned.flops,
+            flops: planned.work.executed_flops(),
+            work: planned.work,
+            ideal_flops: planned.ideal_flops,
             tier: planned.tier,
             cost: planned.cost,
+        })
+    }
+
+    /// This plan with the planner's choice replaced by an explicit
+    /// nest: `path` (e.g. from [`spttn_ir::path_from_picks`] on
+    /// [`Plan::kernel`]) and one loop order per term. Forest, buffers,
+    /// executed work, flops and tier are recomputed for it; kernel, CSF
+    /// order, profile and execution options are kept, and [`Plan::cost`]
+    /// reads `explicit nest` (no cost model chose it). Errors when the
+    /// orders do not form a valid fused nest.
+    ///
+    /// For benchmarks and tests that mean one particular nest rather
+    /// than whatever the planner currently prefers.
+    pub fn with_nest(&self, path: ContractionPath, spec: NestSpec) -> Result<Plan> {
+        let forest = build_forest(&self.kernel, &path, &spec)?;
+        let buffers = buffers_for_forest(&self.kernel, &path, &forest);
+        let work = eval_forest(&self.kernel, &path, &self.profile, &forest, &Work);
+        let ideal_flops = path.flops(&self.kernel, &self.profile);
+        // Tier = how many distinct op counts rank below this path's.
+        let cheaper: BTreeSet<u128> = enumerate_paths(&self.kernel)
+            .iter()
+            .map(|p| p.flops(&self.kernel, &self.profile))
+            .filter(|&f| f < ideal_flops)
+            .collect();
+        Ok(Plan {
+            cost: "explicit nest".into(),
+            flops: work.executed_flops(),
+            work,
+            ideal_flops,
+            tier: cheaper.len(),
+            path,
+            spec,
+            forest,
+            buffers,
+            ..self.clone()
         })
     }
 
@@ -951,6 +1000,21 @@ impl Plan {
         &self.profile
     }
 
+    /// What one execution of the chosen nest does, as the planner
+    /// models it: CSF walks, sparse node visits, tape steps, vector
+    /// lanes and executed flops ([`Plan::flops`]). The planner picks
+    /// the nest of least work; the cost model decides among equals.
+    pub fn work(&self) -> &WorkCounts {
+        &self.work
+    }
+
+    /// Leading-order op count of the chosen *path*
+    /// ([`ContractionPath::flops`]): what [`Plan::flops`] would be if
+    /// every term ran under its longest sparse prefix.
+    pub fn ideal_flops(&self) -> u128 {
+        self.ideal_flops
+    }
+
     /// The chosen CSF storage order: level `l` of the tree holds the
     /// sparse index written at position `mode_order()[l]` of the
     /// original expression. The identity permutation under
@@ -986,9 +1050,9 @@ impl Plan {
 
     /// Per-candidate-order planning record: the orders the search
     /// explored (natural/fixed policies record exactly one), each with
-    /// the best nest's op count (`None` when infeasible for that order)
-    /// and cost rendering. The chosen order is the `(flops, cost)`
-    /// minimum.
+    /// the best nest's executed work and op count (`None` when
+    /// infeasible for that order) and cost rendering. The chosen order
+    /// is the `(work, cost)` minimum.
     pub fn order_costs(&self) -> &[OrderCost] {
         &self.order_costs
     }
@@ -1021,6 +1085,10 @@ impl Plan {
         s.push_str(&format!(
             "cost:   {} (tier {}, ~{} flops)\n",
             self.cost, self.tier, self.flops
+        ));
+        s.push_str(&format!(
+            "work:   {} (path ideal {})\n",
+            self.work, self.ideal_flops
         ));
         for b in &self.buffers {
             let names: Vec<&str> = b.inds.iter().map(|&i| self.kernel.index_name(i)).collect();

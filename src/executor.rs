@@ -235,9 +235,10 @@ impl Executor {
     ) -> Result<Executor> {
         // Budget admission runs before any binding work: a plan the
         // budget rejects must not allocate workspaces or spawn a pool.
-        // Flops are structural (no degradation can lower them), so they
-        // gate first; the workspace check then degrades the thread
-        // count before giving up.
+        // `plan.flops` is what this nest executes, not its path's ideal
+        // count. Flops are structural (no degradation can lower them),
+        // so they gate first; the workspace check then degrades the
+        // thread count before giving up.
         if let Some(max) = plan.exec.budget.max_modeled_flops {
             if plan.flops > max {
                 return Err(SpttnError::BudgetExceeded {

@@ -11,6 +11,7 @@
 
 use rand::prelude::*;
 use spttn::exec::faults::{self, Fault};
+use spttn::ir::{path_from_picks, NestSpec};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
     Contraction, ContractionOutput, Microkernels, Plan, PlanOptions, RunBudget, Shapes, SpttnError,
@@ -271,5 +272,61 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
     let plan = mttkrp_plan(1, &csf, |o| {
         o.with_budget(RunBudget::default().with_max_modeled_flops(flops))
     });
-    assert!(plan.bind(csf, &factors).is_ok());
+    assert!(plan.bind(csf.clone(), &factors).is_ok());
+
+    // The gate reads what the nest that will run executes, not its
+    // path's ideal count. TTTP's cheapest path can run its two
+    // pre-sparse terms under the sparse descent (the ideal count) or
+    // with `k` and `j` over their full extents under every `i`; a
+    // budget of the ideal count — which admitted the second nest when
+    // admission read the path — rejects it, naming the executed number,
+    // and admits the first.
+    let tttp = |budget: RunBudget| {
+        Contraction::parse("S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)")
+            .unwrap()
+            .plan(
+                &Shapes::new()
+                    .with_dims(&[("i", 24), ("j", 16), ("k", 18), ("r", 6)])
+                    .with_profile(SparsityProfile::from_csf(&csf)),
+                &PlanOptions::default().with_budget(budget),
+            )
+            .unwrap()
+    };
+    let probe = tttp(RunBudget::default());
+    let kernel = probe.kernel().clone();
+    let id = |name: &str| kernel.indices.iter().position(|x| x.name == name).unwrap();
+    let (i, j, k, r) = (id("i"), id("j"), id("k"), id("r"));
+    let dense_jk = |plan: &Plan| {
+        plan.with_nest(
+            path_from_picks(&kernel, &[(1, 2), (1, 2), (0, 1)]),
+            NestSpec {
+                orders: vec![vec![i, j, r], vec![i, k, j, r], vec![i, j, k]],
+            },
+        )
+        .unwrap()
+    };
+    let heavy = dense_jk(&probe);
+    let (executed, ideal) = (heavy.flops, heavy.ideal_flops());
+    assert!(executed > 2 * ideal, "{executed} executed vs {ideal} ideal");
+    let (u, v, w) = (
+        random_dense(&[24, 6], &mut rng),
+        random_dense(&[16, 6], &mut rng),
+        random_dense(&[18, 6], &mut rng),
+    );
+    let uvw = [("U", &u), ("V", &v), ("W", &w)];
+    let budget = RunBudget::default().with_max_modeled_flops(ideal);
+    match dense_jk(&tttp(budget)).bind(csf.clone(), &uvw) {
+        Err(e @ SpttnError::BudgetExceeded { .. }) => {
+            assert!(
+                matches!(e, SpttnError::BudgetExceeded { predicted, allowed, .. }
+                    if predicted == executed && allowed == ideal),
+                "{e}"
+            );
+            assert!(e.to_string().contains(&executed.to_string()), "{e}");
+        }
+        other => panic!("expected the executed count to be rejected, got {other:?}"),
+    }
+    let plan = tttp(budget);
+    assert_eq!((plan.flops, plan.path()), (ideal, heavy.path()));
+    assert!(plan.bind(csf, &uvw).is_ok());
 }

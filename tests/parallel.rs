@@ -5,7 +5,7 @@
 //! threads than roots) must all work.
 
 use rand::prelude::*;
-use spttn::ir::{stdkernels, Kernel};
+use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
 use spttn::{Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, Threads};
 
@@ -195,41 +195,60 @@ fn accumulate_semantics_survive_parallelism() {
 }
 
 /// Per-execution stats: zero before the first run, populated and
-/// aggregated across threads afterwards.
+/// aggregated across threads afterwards. The default nest sits wholly
+/// under the sparse root, so tiles partition its dispatches exactly;
+/// a nest with a dense prologue outside every sparse loop (named here
+/// explicitly — the planner no longer picks one) repeats the prologue
+/// in every tile.
 #[test]
 fn last_stats_reports_per_execution_dispatches() {
     let kernel = stdkernels::mttkrp(&[30, 24, 26], 8);
     let (csf, factors) = operands(&kernel, 500, 80);
-    let mut serial = bind_at(
-        &kernel,
-        &csf,
-        &factors,
-        CostModel::BlasAware {
-            buffer_dim_bound: 2,
-        },
-        1,
-    );
+    let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let plan_at = |threads: usize| {
+        Contraction::from_kernel(kernel.clone())
+            .plan(
+                &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+                &PlanOptions::default().with_threads(Threads::N(threads)),
+            )
+            .unwrap()
+    };
+    let mut serial = plan_at(1).bind(csf.clone(), &refs).unwrap();
     assert_eq!(serial.last_stats().total(), 0, "no execution yet");
     serial.execute().unwrap();
     let s1 = serial.last_stats();
-    assert!(s1.total() > 0, "BLAS-aware MTTKRP must dispatch kernels");
+    // One AXPY per nonzero, one row update per (i,j) fiber.
+    assert_eq!(s1.axpy as usize, csf.nnz());
+    assert_eq!(s1.total() as usize, csf.nnz() + csf.prefix_nnz(2));
     // Per-execution, not cumulative: a second run reports the same.
     serial.execute().unwrap();
     assert_eq!(serial.last_stats(), s1);
 
-    let mut par = bind_at(
-        &kernel,
-        &csf,
-        &factors,
-        CostModel::BlasAware {
-            buffer_dim_bound: 2,
-        },
-        4,
-    );
+    let mut par = plan_at(4).bind(csf.clone(), &refs).unwrap();
     par.execute().unwrap();
-    // Tiling partitions sparse-rooted work and may duplicate work that
-    // sits outside every sparse loop; never less than serial.
-    assert!(par.last_stats().total() >= s1.total());
+    assert_eq!(par.last_stats().total(), s1.total());
+
+    // `a` hoisted over a Khatri-Rao prologue and the whole CSF walk:
+    // the prologue's dispatches belong to no tile, so each tile runs
+    // them again.
+    let (i, j, k, a) = (0, 1, 2, 3);
+    let hoisted = |threads: usize| {
+        let plan = plan_at(threads);
+        let nest = NestSpec {
+            orders: vec![vec![a, j, k], vec![a, i, j, k]],
+        };
+        let path = path_from_picks(plan.kernel(), &[(1, 2), (0, 1)]);
+        plan.with_nest(path, nest)
+            .unwrap()
+            .bind(csf.clone(), &refs)
+            .unwrap()
+    };
+    let (mut one, mut four) = (hoisted(1), hoisted(4));
+    let want = one.execute().unwrap().to_dense();
+    assert!(four.execute().unwrap().to_dense().approx_eq(&want, TOL));
+    let prologue = one.last_stats().total();
+    assert!(prologue > 0, "the prologue dispatches microkernels");
+    assert_eq!(four.last_stats().total(), prologue * four.threads() as u64);
 }
 
 /// `Threads::Auto` resolves to the machine's parallelism and binds.
