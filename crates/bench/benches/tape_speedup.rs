@@ -8,6 +8,14 @@
 //! planner picked before it charged nests for executed work, kept so
 //! the scalar-`Leaf`-heavy tape path stays measured.
 //!
+//! The planned MTTKRP rows (the reference cube and the benchmark gate's
+//! hypersparse tensor) also carry a `hand-nest` row at 1 thread: the
+//! same nest written as plain Rust loops over the CSF, calling the very
+//! microkernel pointers the SIMD tape binds, its output asserted
+//! bitwise equal to the tape's. That is the ceiling a code generator
+//! for the tape could reach; tape-simd over hand-nest is what
+//! interpretation costs today.
+//!
 //! Run with `cargo bench -p spttn-bench --bench tape_speedup`; set
 //! `SPTTN_BENCH_JSON=BENCH_results.json` to emit the machine-readable
 //! artifact CI uploads. Acceptance bar: the SIMD tape shows ≥1.5× over
@@ -15,6 +23,7 @@
 //! speedups print explicitly.
 
 use rand::prelude::*;
+use spttn::exec::KernelSet;
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
@@ -65,6 +74,30 @@ fn hoisted_a(plan: Plan) -> Plan {
     plan.with_nest(path, spec).expect("a valid MTTKRP nest")
 }
 
+/// MTTKRP's planned nest — `(i,j,k,a),(i,j,a)` with `X0[a]` on the
+/// `T*C` path — as plain loops over the natural-order CSF: per `(i,j)`
+/// fiber an assigning AXPY for the first `k`, an AXPY for each further
+/// one, then one XMUL into `A`'s row.
+fn hand_nest(csf: &Csf, b: &[f64], c: &[f64], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
+    let r = x0.len();
+    let (zaxpy, _) = ks.zaxpy(r, true, Some(r));
+    let (axpy, _) = ks.axpy(r, true, Some(r));
+    let xmul = ks.xmul();
+    let vals = csf.vals();
+    out.fill(0.0);
+    for ni in csf.root_range() {
+        let row = &mut out[csf.node_coord(0, ni) * r..][..r];
+        for nj in csf.children(0, ni) {
+            let mut kern = zaxpy;
+            for nk in csf.children(1, nj) {
+                kern(r, vals[nk], &c[csf.node_coord(2, nk) * r..], 1, x0, 1);
+                kern = axpy;
+            }
+            xmul(r, 1.0, &b[csf.node_coord(1, nj) * r..], 1, x0, 1, row, 1);
+        }
+    }
+}
+
 fn bind_at(
     kernel: &Kernel,
     nest: Nest,
@@ -107,40 +140,62 @@ fn operands(
     (csf, factors)
 }
 
+/// One bench workload: a kernel under a nest on a seeded tensor.
+struct Workload {
+    name: &'static str,
+    kernel: Kernel,
+    nest: Nest,
+    dims: [usize; 3],
+    nnz: usize,
+    /// Also run [`hand_nest`] (the planned MTTKRP nest only).
+    hand_nest: bool,
+}
+
 fn main() {
     let planned: Nest = |plan| plan;
-    let workloads: Vec<(&str, Kernel, Nest, Vec<usize>, usize)> = vec![
-        (
-            "mttkrp-large hoisted-a",
-            stdkernels::mttkrp(&[512, 96, 96], 32),
-            hoisted_a,
-            vec![512, 96, 96],
-            250_000,
-        ),
-        (
-            "mttkrp-large",
-            stdkernels::mttkrp(&[512, 96, 96], 32),
-            planned,
-            vec![512, 96, 96],
-            250_000,
-        ),
-        (
-            "ttmc-large",
-            stdkernels::ttmc(&[384, 64, 64], &[32, 32]),
-            planned,
-            vec![384, 64, 64],
-            120_000,
-        ),
+    let workloads = [
+        Workload {
+            name: "mttkrp-large hoisted-a",
+            kernel: stdkernels::mttkrp(&[512, 96, 96], 32),
+            nest: hoisted_a,
+            dims: [512, 96, 96],
+            nnz: 250_000,
+            hand_nest: false,
+        },
+        Workload {
+            name: "mttkrp-large",
+            kernel: stdkernels::mttkrp(&[512, 96, 96], 32),
+            nest: planned,
+            dims: [512, 96, 96],
+            nnz: 250_000,
+            hand_nest: true,
+        },
+        Workload {
+            // The benchmark gate's `mttkrp-hyper` tensor.
+            name: "mttkrp-hyper",
+            kernel: stdkernels::mttkrp(&[2000, 1500, 1000], 32),
+            nest: planned,
+            dims: [2000, 1500, 1000],
+            nnz: 1_000_000,
+            hand_nest: true,
+        },
+        Workload {
+            name: "ttmc-large",
+            kernel: stdkernels::ttmc(&[384, 64, 64], &[32, 32]),
+            nest: planned,
+            dims: [384, 64, 64],
+            nnz: 120_000,
+            hand_nest: false,
+        },
     ];
     let mut h = Harness::new("tape_speedup: scalar tape vs SIMD tape");
-    let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-    for (name, kernel, nest, dims, nnz) in &workloads {
-        let (csf, factors) = operands(kernel, dims, *nnz, 17);
+    for w in &workloads {
+        let (csf, factors) = operands(&w.kernel, &w.dims, w.nnz, 17);
         for threads in [1usize, 4] {
             for (label, micro) in LEGS {
-                let mut exec = bind_at(kernel, *nest, &csf, &factors, micro, threads);
+                let mut exec = bind_at(&w.kernel, w.nest, &csf, &factors, micro, threads);
                 let mut out = exec.output_template();
-                let id = format!("{name} {label} @ {threads}t [{} tiles]", exec.threads());
+                let id = format!("{} {label} @ {threads}t [{} tiles]", w.name, exec.threads());
                 let mut last_stats = ExecStats::default();
                 h.bench_function(&id, || {
                     exec.execute_into(&mut out).expect("execution succeeds");
@@ -163,23 +218,50 @@ fn main() {
                     spttn::exec::detected_cpu_features(),
                 );
                 h.note(&id, note);
+
+                if w.hand_nest && threads == 1 && micro == Microkernels::Auto {
+                    let ks = KernelSet::resolve(micro);
+                    let (b, c) = (factors[0].1.as_slice(), factors[1].1.as_slice());
+                    let tape_out = out.to_dense();
+                    let mut x0 = vec![0.0; factors[0].1.dims()[1]];
+                    let mut hand = vec![0.0; tape_out.len()];
+                    h.bench_function(&format!("{} hand-nest   @ 1t", w.name), || {
+                        hand_nest(&csf, b, c, &mut x0, &mut hand, &ks);
+                        black_box(hand.iter().sum::<f64>());
+                    });
+                    assert!(
+                        hand.iter()
+                            .zip(tape_out.as_slice())
+                            .all(|(h, t)| h.to_bits() == t.to_bits()),
+                        "{}: the hand nest is not bitwise the SIMD tape",
+                        w.name
+                    );
+                }
             }
         }
     }
-    let results = h.finish();
-    rows.extend(results);
+    let rows = h.finish();
 
-    // SIMD-vs-scalar-tape speedup per workload+threads pair. Median is
-    // the headline; min (fastest vs fastest) is the least-noise
-    // estimator on busy machines.
+    // Median is the headline; min (fastest vs fastest) is the
+    // least-noise estimator on busy machines.
     let median = |samples: &[f64]| {
         let mut s = samples.to_vec();
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         s[s.len() / 2]
     };
     let minimum = |samples: &[f64]| samples.iter().cloned().fold(f64::INFINITY, f64::min);
+    let ratio = |what: &str, id: &str, num: &[f64], den: &[f64]| {
+        println!(
+            "{id:<46} {what} {:>5.2}x {:>5.2}x",
+            median(num) / median(den),
+            minimum(num) / minimum(den)
+        );
+    };
+
+    // SIMD-vs-scalar-tape speedup per workload+threads pair.
     println!("\nspeedups (median / min):");
-    for pair in rows.chunks(2) {
+    let (hand, tapes): (Vec<_>, Vec<_>) = rows.iter().partition(|(id, _)| id.contains("hand-nest"));
+    for pair in tapes.chunks(2) {
         let [(sid, ss), (vid, vs)] = pair else {
             continue;
         };
@@ -187,11 +269,21 @@ fn main() {
             sid.contains("tape-scalar") && vid.contains("tape-simd"),
             "row order"
         );
-        println!(
-            "{:<46} tape-simd/tape-scalar {:>5.2}x {:>5.2}x",
-            sid.replace("tape-scalar ", ""),
-            median(ss) / median(vs),
-            minimum(ss) / minimum(vs)
+        ratio(
+            "tape-simd/tape-scalar",
+            &sid.replace("tape-scalar ", ""),
+            ss,
+            vs,
         );
+    }
+
+    // What interpreting the tape costs over the same nest compiled.
+    println!("\nSIMD tape over the hand-written nest, 1 thread (median / min):");
+    for (hid, hs) in hand {
+        let name = hid.split(" hand-nest").next().unwrap_or(hid);
+        let tape = format!("{name} tape-simd   @ 1t");
+        if let Some((_, ts)) = tapes.iter().find(|(id, _)| id.starts_with(&tape)) {
+            ratio("tape-simd/hand-nest", name, ts, hs);
+        }
     }
 }

@@ -60,8 +60,9 @@ impl Harness {
         self
     }
 
-    /// Time one closure; the closure is one full iteration.
-    pub fn bench_function(&mut self, id: &str, mut f: impl FnMut()) {
+    /// Time one closure; the closure is one full iteration. Returns the
+    /// timed samples in milliseconds.
+    pub fn bench_function(&mut self, id: &str, mut f: impl FnMut()) -> &[f64] {
         for _ in 0..self.warmup {
             f();
         }
@@ -76,6 +77,7 @@ impl Harness {
             samples_ms: samples,
             note: None,
         });
+        &self.results[self.results.len() - 1].samples_ms
     }
 
     /// Attach a machine-readable metadata object (a raw JSON object

@@ -67,7 +67,8 @@ OPTIONS:
                           [1000000]
     --microkernels M      auto (explicit-SIMD kernels by CPU detection, fused
                           superinstructions) | scalar (plain scalar kernels,
-                          bitwise-stable baseline)  [auto]
+                          bitwise-stable baseline); covers the kernel's tape
+                          and 'spttn net' dense steps alike  [auto]
     --cost-model M        blas-aware[:BOUND] | max-buffer-dim | max-buffer-size |
                           cache-miss[:D]    [blas-aware:2]
     --mode-order P        natural | auto | L0,L1,... (written positions) [natural]

@@ -7,8 +7,9 @@
 //! execution that bundles the token with an optional deadline. The
 //! drivers consult the guard at their natural iteration boundaries —
 //! the compiled tape at root-frame advances, the network executor
-//! between contraction steps — so cancellation latency is bounded by
-//! one root subtree, not one whole execution.
+//! between contraction steps and every ~64k lanes inside a dense one —
+//! so cancellation latency is bounded by one root subtree, not one
+//! whole execution.
 //!
 //! A fired guard surfaces as [`SpttnError::Cancelled`]. The output is
 //! not rolled back: the serial tape accumulates straight into the

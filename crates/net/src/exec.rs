@@ -1,13 +1,130 @@
-//! Bound network execution: dense stride-walk steps feeding a single
-//! collapsed SpTTN kernel, allocation-free in steady state.
+//! Bound network execution: dense steps on bind-time microkernels
+//! feeding a single collapsed SpTTN kernel, allocation-free in steady
+//! state.
+//!
+//! A [`crate::plan::DenseStep`] arrives with its loops ordered and its
+//! [`Leaf`] chosen (`plan.rs`). Binding resolves the leaf against the
+//! plan's `ExecOptions::microkernels` **once** — the same
+//! [`KernelSet`] policy, environment override and host detection the
+//! collapsed kernel's tape uses — and stores the function pointer in
+//! the step; executing is an iterative odometer over the outer loops
+//! with one microkernel call per trip. So dense steps honour
+//! `--microkernels scalar` / `SPTTN_MICROKERNELS=scalar` (bitwise the
+//! scalar stride walk kept in this file's tests) and the run's
+//! [`RunGuard`], which the walk consults about every
+//! [`CHECK_LANES`] lanes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use spttn::exec::simd::{AxpyFn, XmulFn};
+use spttn::exec::KernelSet;
 use spttn::tensor::{Csf, DenseTensor};
 use spttn::{ContractionOutput, ExecStats, Executor, Result, RunGuard, SpttnError};
 
-use crate::plan::{CollapsedInput, DenseStep, LoopDim, NetworkPlan, StepSrc, WorkspacePool};
+use crate::plan::{CollapsedInput, DenseStep, Leaf, LoopDim, NetworkPlan, StepSrc, WorkspacePool};
+
+/// Vector lanes a dense step runs between two guard checks (a check is
+/// an atomic load and, under a deadline, a clock read).
+const CHECK_LANES: usize = 1 << 16;
+
+/// A step's leaf with its microkernel resolved.
+#[derive(Debug, Clone, Copy)]
+enum LeafCall {
+    Axpy(AxpyFn),
+    Xmul(XmulFn),
+}
+
+/// A [`DenseStep`] bound to its microkernel.
+#[derive(Debug)]
+struct BoundStep {
+    left: StepSrc,
+    right: StepSrc,
+    out_slot: usize,
+    /// The loops around the vector loop, outermost first.
+    outer: Vec<LoopDim>,
+    /// The vector loop and the microkernel that runs it.
+    vec: LoopDim,
+    call: LeafCall,
+    /// Odometer over `outer`, preallocated so the walk never allocates.
+    trip: Vec<usize>,
+    /// Leaf calls between guard checks ([`CHECK_LANES`] lanes).
+    check_every: usize,
+    /// Some extent is zero: the output stays zero-filled.
+    empty: bool,
+}
+
+impl BoundStep {
+    fn bind(step: &DenseStep, ks: &KernelSet) -> BoundStep {
+        let (&vec, outer) = step.loops.split_last().expect("a step has a vector loop");
+        let call = match step.leaf {
+            Leaf::Axpy => {
+                let contiguous = vec.l == 1 && vec.o == 1;
+                LeafCall::Axpy(ks.axpy(vec.extent, contiguous, Some(vec.extent)).0)
+            }
+            Leaf::Xmul => LeafCall::Xmul(ks.xmul()),
+        };
+        BoundStep {
+            left: step.left,
+            right: step.right,
+            out_slot: step.out_slot,
+            outer: outer.to_vec(),
+            vec,
+            call,
+            trip: vec![0; outer.len()],
+            check_every: (CHECK_LANES / vec.extent.max(1)).max(1),
+            empty: step.flops == 0,
+        }
+    }
+
+    /// Accumulate the step into `out`: an odometer over the outer
+    /// loops, innermost digit fastest, one leaf call per trip.
+    fn run(&mut self, l: &[f64], r: &[f64], out: &mut [f64], guard: &RunGuard) -> Result<()> {
+        if self.empty {
+            return Ok(());
+        }
+        let check_every = if guard.is_noop() {
+            usize::MAX
+        } else {
+            self.check_every
+        };
+        let mut until_check = check_every;
+        let v = self.vec;
+        let (mut lo, mut ro, mut oo) = (0, 0, 0);
+        self.trip.fill(0);
+        loop {
+            let (l, r, out) = (&l[lo..], &r[ro..], &mut out[oo..]);
+            match self.call {
+                LeafCall::Axpy(kern) => kern(v.extent, r[0], l, v.l, out, v.o),
+                LeafCall::Xmul(kern) => kern(v.extent, 1.0, l, v.l, r, v.r, out, v.o),
+            }
+            let mut d = self.outer.len();
+            loop {
+                if d == 0 {
+                    return Ok(());
+                }
+                d -= 1;
+                let dim = self.outer[d];
+                self.trip[d] += 1;
+                if self.trip[d] < dim.extent {
+                    lo += dim.l;
+                    ro += dim.r;
+                    oo += dim.o;
+                    break;
+                }
+                self.trip[d] = 0;
+                lo -= dim.l * (dim.extent - 1);
+                ro -= dim.r * (dim.extent - 1);
+                oo -= dim.o * (dim.extent - 1);
+            }
+            until_check -= 1;
+            if until_check == 0 {
+                guard.check("network")?;
+                until_check = check_every;
+            }
+        }
+    }
+}
 
 /// Where a user factor's data flows on [`NetworkExecutor::set_factor`].
 #[derive(Debug, Clone, Default)]
@@ -30,7 +147,7 @@ struct Route {
 #[derive(Debug)]
 pub struct NetworkExecutor {
     exec: Executor,
-    steps: Vec<DenseStep>,
+    steps: Vec<BoundStep>,
     inters: Vec<DenseTensor>,
     dense_inputs: Vec<DenseTensor>,
     /// `(workspace slot, kernel factor name)` pairs pushed into the
@@ -170,9 +287,12 @@ impl NetworkExecutor {
             }
         }
         let exec = plan.plan.bind(csf, &refs)?;
+        // One kernel-set resolution per bind, as for the tape: it reads
+        // the environment override, so it must not happen per execute.
+        let ks = KernelSet::resolve(opts.microkernels);
         Ok(NetworkExecutor {
             exec,
-            steps: plan.steps.clone(),
+            steps: plan.steps.iter().map(|s| BoundStep::bind(s, &ks)).collect(),
             inters,
             dense_inputs,
             feeds,
@@ -190,17 +310,43 @@ impl NetworkExecutor {
     /// A cancel token or deadline on the collapsed kernel's
     /// [`spttn::ExecOptions`] guards the whole network run: the shared
     /// deadline clock starts here, execution checks it before every
-    /// dense step and at the kernel's root-subtree boundaries, and an
-    /// expiry returns [`SpttnError::Cancelled`] with phase `"network"`
-    /// (between steps) or the kernel's own phase. On any early exit the
-    /// intermediates are marked dirty and scrubbed before pool checkin.
+    /// dense step, about every 64k lanes inside one (never
+    /// inside a microkernel call) and at the kernel's root-subtree
+    /// boundaries, and an expiry returns [`SpttnError::Cancelled`] with
+    /// phase `"network"` (in or between steps) or the kernel's own
+    /// phase. On any early exit the intermediates are marked dirty and
+    /// scrubbed before pool checkin.
     pub fn execute_into(&mut self, out: &mut ContractionOutput) -> Result<()> {
         let opts = self.exec.plan().exec();
         // One guard for the whole network execution: the kernel run at
         // the end shares the same deadline instant as the dense steps.
         let guard = RunGuard::new(opts.cancel, opts.deadline);
         self.dirty = true;
-        for step in &self.steps {
+        self.run_dense_steps(&guard)?;
+        guard.check("network")?;
+        for (slot, name) in &self.feeds {
+            self.exec.set_factor(name, &self.inters[*slot])?;
+        }
+        self.exec.execute_into_guarded(out, Some(&guard))?;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// The dense steps alone, into the intermediates — the part of
+    /// [`NetworkExecutor::execute_into`] before the collapsed kernel,
+    /// under the same guard. For benches that time the steps directly.
+    #[doc(hidden)]
+    pub fn execute_dense_steps(&mut self) -> Result<()> {
+        let opts = self.exec.plan().exec();
+        let guard = RunGuard::new(opts.cancel, opts.deadline);
+        self.dirty = true;
+        self.run_dense_steps(&guard)?;
+        self.dirty = false;
+        Ok(())
+    }
+
+    fn run_dense_steps(&mut self, guard: &RunGuard) -> Result<()> {
+        for step in &mut self.steps {
             guard.check("network")?;
             // Split the output workspace out of `inters` so the borrows
             // of an `Inter` operand and the output never alias: a
@@ -217,14 +363,8 @@ impl NetworkExecutor {
                 StepSrc::User(k) => self.dense_inputs[k].as_slice(),
                 StepSrc::Inter(s) => before[s].as_slice(),
             };
-            run_loops(&step.loops, l, r, dst, 0, 0, 0);
+            step.run(l, r, dst, guard)?;
         }
-        guard.check("network")?;
-        for (slot, name) in &self.feeds {
-            self.exec.set_factor(name, &self.inters[*slot])?;
-        }
-        self.exec.execute_into_guarded(out, Some(&guard))?;
-        self.dirty = false;
         Ok(())
     }
 
@@ -316,34 +456,288 @@ impl Drop for NetworkExecutor {
     }
 }
 
-/// Recursive stride walk: outer loops advance precomputed offsets, the
-/// innermost level does `out[o] += l[lo] * r[ro]`. No temporaries, no
-/// allocation, no data-dependent control flow.
-fn run_loops(
-    loops: &[LoopDim],
-    l: &[f64],
-    r: &[f64],
-    out: &mut [f64],
-    lo: usize,
-    ro: usize,
-    oo: usize,
-) {
-    match loops.split_first() {
-        None => out[oo] += l[lo] * r[ro],
-        Some((d, rest)) => {
-            let (mut lo, mut ro, mut oo) = (lo, ro, oo);
-            for _ in 0..d.extent {
-                run_loops(rest, l, r, out, lo, ro, oo);
-                lo += d.l;
-                ro += d.r;
-                oo += d.o;
-            }
-        }
-    }
-}
-
 // The pooling contract: bind on one thread, execute on another.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<NetworkExecutor>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::networks::{goldens, Fixture, Golden};
+    use crate::plan::{lower, spine_terms, term_loops};
+    use crate::{NetOptions, OrderStrategy};
+    use spttn::{Microkernels, PlanOptions};
+
+    /// The recursive stride walk the lowering replaced, kept as the
+    /// scalar tier's bitwise reference (the role `spttn::exec::interp`
+    /// plays for the tape): loops in canonical order, one scalar
+    /// multiply-add at the leaf, contracted indices innermost and
+    /// ascending.
+    fn run_loops(
+        loops: &[LoopDim],
+        l: &[f64],
+        r: &[f64],
+        out: &mut [f64],
+        (lo, ro, oo): (usize, usize, usize),
+    ) {
+        match loops.split_first() {
+            None => out[oo] += l[lo] * r[ro],
+            Some((d, rest)) => {
+                for i in 0..d.extent {
+                    run_loops(rest, l, r, out, (lo + i * d.l, ro + i * d.r, oo + i * d.o));
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Deterministic values in (-1, 1) with full mantissas (splitmix64
+    /// of the flat offset), so a reassociated sum shows in the bits.
+    fn filled(dims: &[usize], salt: u64) -> DenseTensor {
+        let mut t = DenseTensor::zeros(dims);
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            let mut z = (salt << 32 | i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *v = ((z >> 11) as f64 / (1u64 << 52) as f64) - 1.0;
+        }
+        t
+    }
+
+    /// Canonical loops of `left * right -> out`, one letter per index.
+    fn canonical(left: &str, right: &str, out: &str, dim: &dyn Fn(char) -> usize) -> Vec<LoopDim> {
+        let stride = |order: &str, c: char| match order.find(c) {
+            None => 0,
+            Some(p) => order[p + 1..].chars().map(dim).product(),
+        };
+        let mut con: Vec<char> = left.chars().filter(|c| !out.contains(*c)).collect();
+        con.sort_unstable();
+        out.chars()
+            .chain(con)
+            .map(|c| LoopDim {
+                extent: dim(c),
+                l: stride(left, c),
+                r: stride(right, c),
+                o: stride(out, c),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_leaf_is_bitwise_the_stride_walk_under_scalar_kernels() {
+        let dim = |c: char| match c {
+            'a' => 3,
+            'b' => 4,
+            'j' => 5,
+            'k' => 7,
+            'm' => 33,
+            'r' => 32,
+            'v' => 6,
+            'u' => 1,
+            other => panic!("no extent for '{other}'"),
+        };
+        let cases: &[(&str, &str, &str, Leaf)] = &[
+            // GEMM: the vector index `r` is contiguous on the right.
+            ("jm", "mr", "jr", Leaf::Axpy),
+            // A·Bᵀ and matrix-vector: the vector index is strided.
+            ("jk", "vk", "jv", Leaf::Axpy),
+            ("jk", "k", "j", Leaf::Axpy),
+            // Outer product and Khatri–Rao.
+            ("j", "r", "jr", Leaf::Axpy),
+            ("jr", "kr", "jkr", Leaf::Xmul),
+            // Several K loops, a batch index, permuted operands.
+            ("jab", "vab", "jv", Leaf::Axpy),
+            ("jab", "bar", "jr", Leaf::Axpy),
+            ("bjk", "kbr", "bjr", Leaf::Axpy),
+            ("kjb", "rkb", "jrb", Leaf::Xmul),
+            // Vector index unit-stride in neither operand, or nowhere.
+            ("mj", "rm", "jr", Leaf::Axpy),
+            ("bkj", "rkb", "jrb", Leaf::Axpy),
+            // Extent-1 loops drop out, down to a lone vector loop.
+            ("ju", "ur", "jr", Leaf::Axpy),
+            ("u", "ur", "r", Leaf::Axpy),
+        ];
+        for &(left, right, out, want_leaf) in cases {
+            let dims = |order: &str| order.chars().map(dim).collect::<Vec<_>>();
+            let canon = canonical(left, right, out, &dim);
+            let (loops, leaf, swap) = lower(&canon, out.len());
+            assert_eq!(leaf, want_leaf, "{left}*{right}->{out}");
+            let (mut l, mut r) = (filled(&dims(left), 1), filled(&dims(right), 2));
+            let mut want = DenseTensor::zeros(&dims(out));
+            run_loops(
+                &canon,
+                l.as_slice(),
+                r.as_slice(),
+                want.as_mut_slice(),
+                (0, 0, 0),
+            );
+            if swap {
+                std::mem::swap(&mut l, &mut r);
+            }
+            let step = DenseStep {
+                left: StepSrc::User(0),
+                right: StepSrc::User(1),
+                out_slot: 0,
+                loops,
+                leaf,
+                flops: 2,
+                desc: String::new(),
+            };
+            let guard = RunGuard::new(None, None);
+            for (ks, bitwise) in [
+                (KernelSet::scalar(), true),
+                (KernelSet::auto_detected(), false),
+            ] {
+                let mut got = DenseTensor::zeros(&dims(out));
+                BoundStep::bind(&step, &ks)
+                    .run(l.as_slice(), r.as_slice(), got.as_mut_slice(), &guard)
+                    .unwrap();
+                if bitwise {
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "{left}*{right}->{out} ({leaf:?}) is not the stride walk bit for bit"
+                    );
+                } else {
+                    assert!(
+                        got.approx_eq(&want, 1e-9),
+                        "{left}*{right}->{out} ({leaf:?}) diverges under {}",
+                        ks.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fired_guard_stops_every_step_shape_after_check_lanes() {
+        // No clock involved: the token is cancelled before the walk
+        // starts, so the first in-step check — `CHECK_LANES` lanes in —
+        // must fire, whatever the shape. Matrix-vector and the outer
+        // product have a single loop around the vector loop.
+        let dim = |c: char| match c {
+            'j' => 64,
+            'k' => 3000,
+            'r' => 48,
+            other => panic!("no extent for '{other}'"),
+        };
+        for (left, right, out) in [("jk", "k", "j"), ("k", "r", "kr"), ("jk", "kr", "jr")] {
+            let dims = |order: &str| order.chars().map(dim).collect::<Vec<_>>();
+            let canon = canonical(left, right, out, &dim);
+            let (loops, leaf, swap) = lower(&canon, out.len());
+            let vector = loops.last().unwrap().extent;
+            let trips: usize = loops.iter().map(|d| d.extent).product::<usize>() / vector;
+            let (mut l, mut r) = (filled(&dims(left), 1), filled(&dims(right), 2));
+            if swap {
+                std::mem::swap(&mut l, &mut r);
+            }
+            let step = DenseStep {
+                left: StepSrc::User(0),
+                right: StepSrc::User(1),
+                out_slot: 0,
+                loops,
+                leaf,
+                flops: 2,
+                desc: String::new(),
+            };
+            let mut bound = BoundStep::bind(&step, &KernelSet::scalar());
+            assert!(
+                bound.check_every < trips,
+                "{left}*{right}->{out}: {trips} trips never reach a check"
+            );
+            let mut full = DenseTensor::zeros(&dims(out));
+            bound
+                .run(
+                    l.as_slice(),
+                    r.as_slice(),
+                    full.as_mut_slice(),
+                    &RunGuard::new(None, None),
+                )
+                .unwrap();
+
+            let tok = spttn::CancelToken::new();
+            tok.cancel();
+            let guard = RunGuard::new(Some(tok), None);
+            let mut part = DenseTensor::zeros(&dims(out));
+            match bound.run(l.as_slice(), r.as_slice(), part.as_mut_slice(), &guard) {
+                Err(SpttnError::Cancelled { phase, .. }) => assert_eq!(phase, "network"),
+                other => panic!("{left}*{right}->{out}: expected Cancelled, got {other:?}"),
+            }
+            // It stopped `check_every` leaf calls in: neither nothing
+            // nor everything was written.
+            assert!(part.as_slice().iter().any(|&v| v != 0.0));
+            assert_ne!(bits(part.as_slice()), bits(full.as_slice()));
+        }
+    }
+
+    /// Beyond the shared goldens: the benchmark's factored shape,
+    /// scaled down, and a chain whose second step reads the first's
+    /// output.
+    static EXTRAS: [Golden; 2] = [
+        Golden {
+            expr: "T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]",
+            dims: &[("i", 9), ("j", 30), ("k", 8), ("m", 16), ("r", 32)],
+            sparse_dims: &[9, 30, 8],
+            nnz: 300,
+            seed: 41,
+        },
+        Golden {
+            expr: "T[i,j]*D1[j,m]*D2[m,n]*D3[n,r] -> O[i,r]",
+            dims: &[("i", 40), ("j", 30), ("m", 3), ("n", 4), ("r", 5)],
+            sparse_dims: &[40, 30],
+            nnz: 170,
+            seed: 43,
+        },
+    ];
+
+    #[test]
+    fn scalar_tier_steps_are_bitwise_the_stride_walk_on_the_golden_networks() {
+        let mut steps_checked = 0;
+        for g in goldens().into_iter().chain(&EXTRAS) {
+            let fx = Fixture::golden(g);
+            let expr = g.expr;
+            for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+                let popts = PlanOptions::default().with_microkernels(Microkernels::Scalar);
+                let nopts = NetOptions::default()
+                    .with_order(strategy)
+                    .with_plan_options(popts);
+                let nplan = fx.net.plan(&fx.shapes, &nopts).unwrap();
+                let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
+                exec.execute().unwrap();
+                // The s-th step is the s-th off-spine term.
+                let on_spine = spine_terms(nplan.kernel(), nplan.path());
+                let terms = (0..on_spine.len()).filter(|&t| !on_spine[t]);
+                for (step, t) in nplan.steps.iter().zip(terms) {
+                    let (canon, n_out) = term_loops(nplan.kernel(), nplan.path(), t);
+                    let src = |s: StepSrc| match s {
+                        StepSrc::User(k) => exec.dense_inputs[k].as_slice(),
+                        StepSrc::Inter(slot) => exec.inters[slot].as_slice(),
+                    };
+                    // The canonical strides belong to the written
+                    // operand order; undo `lower`'s swap.
+                    let (_, _, swap) = lower(&canon, n_out);
+                    let (l, r) = match swap {
+                        true => (src(step.right), src(step.left)),
+                        false => (src(step.left), src(step.right)),
+                    };
+                    let got = &exec.inters[step.out_slot];
+                    let mut want = vec![0.0; got.len()];
+                    run_loops(&canon, l, r, &mut want, (0, 0, 0));
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "{expr} ({strategy}): step {} is not the stride walk bit for bit",
+                        step.desc
+                    );
+                    steps_checked += 1;
+                }
+            }
+        }
+        assert!(steps_checked >= 6, "only {steps_checked} dense steps ran");
+    }
+}

@@ -14,10 +14,11 @@
 //!    materialization-aware cost model of [`modeled_path_flops`].
 //! 3. The chosen order is lowered ([`NetworkPlan`]): pairwise steps
 //!    that do not involve the sparse operand become materialized dense
-//!    loops, while every step along the sparse *spine* collapses into a
-//!    single SpTTN kernel that the Sec. 5 planner re-optimizes (loop
-//!    nest, mode order, buffers) — optionally through a shared
-//!    [`spttn::PlanCache`].
+//!    steps (loop nests whose innermost loop is one of the tape's
+//!    microkernels), while every step along the sparse *spine*
+//!    collapses into a single SpTTN kernel that the Sec. 5 planner
+//!    re-optimizes (loop nest, mode order, buffers) — optionally
+//!    through a shared [`spttn::PlanCache`].
 //! 4. [`NetworkPlan::bind`] produces a [`NetworkExecutor`] whose
 //!    steady-state `execute_into` is allocation-free; intermediate
 //!    workspaces can be checked out of a [`WorkspacePool`] shared by
@@ -45,6 +46,14 @@ mod exec;
 mod network;
 mod plan;
 mod planner;
+
+// The golden networks the root suites run, shared with this crate's
+// unit tests (the file names this crate from outside).
+#[cfg(test)]
+extern crate self as spttn_net;
+#[cfg(test)]
+#[path = "../../../tests/common/networks.rs"]
+mod networks;
 
 pub use exec::NetworkExecutor;
 pub use network::Network;

@@ -7,9 +7,40 @@
 //! SpTTN kernel (the sparse tensor, the spine's original dense
 //! operands, and the materialized off-spine intermediates `_net{t}`),
 //! which the Sec. 5 planner then fuses and orders optimally. Off-spine
-//! terms are dense-dense contractions with no sparsity to exploit; they
-//! lower to precomputed stride-walk loops writing preallocated
-//! intermediates.
+//! terms are dense-dense contractions with no sparsity to exploit; each
+//! lowers, at plan time, to a loop order and a [`Leaf`] — the
+//! microkernel family that runs its innermost loop — writing a
+//! preallocated intermediate.
+//!
+//! ## Dense-step lowering
+//!
+//! Every loop index of a step falls into one class by where it lives:
+//!
+//! | class | left | right | output |
+//! |-------|------|-------|--------|
+//! | batch | ✓    | ✓     | ✓      |
+//! | M     | ✓    |       | ✓      |
+//! | N     |      | ✓     | ✓      |
+//! | K     | ✓    | ✓     |        |
+//!
+//! [`lower`] orders the loops *output loops, then K loops, then one
+//! vector loop* — the output index whose strides are smallest — so the
+//! accumulator row stays put across the whole K sweep, and the vector
+//! loop becomes one microkernel call:
+//!
+//! | vector index | [`Leaf`] |
+//! |--------------|----------|
+//! | M or N       | `Axpy`: `out_row += s · x_row` |
+//! | batch        | `Xmul`: `out_row += l_row ∘ r_row` |
+//!
+//! Every leaf is that single loop; folding a second one into GER or
+//! GEMV waits for a measured workload that wants it. K loops keep their
+//! relative order (first contracted index outermost), so every output
+//! cell sums its contributions in ascending index order — the order the
+//! scalar reference walk in `exec.rs`'s tests uses, which the scalar
+//! microkernel tier reproduces bitwise. Extent-1 loops are dropped. The
+//! lowering is host-independent; which function pointer a leaf calls is
+//! decided at bind (`exec.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -22,15 +53,25 @@ use crate::exec::NetworkExecutor;
 use crate::network::{Network, INTER_PREFIX};
 use crate::planner::{choose_path, NetOptions, SearchReport};
 
-/// One loop of a dense step's stride walk: `extent` iterations
-/// advancing the left/right/output offsets by the given strides
-/// (`0` when the operand does not carry the loop's index).
+/// One loop of a dense step: `extent` trips advancing the
+/// left/right/output offsets by the given strides (`0` when the operand
+/// does not carry the loop's index).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoopDim {
     pub extent: usize,
     pub l: usize,
     pub r: usize,
     pub o: usize,
+}
+
+/// The microkernel family that runs a step's innermost (vector) loop
+/// `v`. The vector operand is always `left`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf {
+    /// `out[v] += right · left[v]`.
+    Axpy,
+    /// `out[v] += left[v] · right[v]`.
+    Xmul,
 }
 
 /// Where a dense step reads an operand from.
@@ -43,20 +84,111 @@ pub(crate) enum StepSrc {
 }
 
 /// A materialized dense-dense pairwise contraction, fully resolved to
-/// loop extents and strides at plan time.
+/// loop extents, strides and a leaf at plan time.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseStep {
+    /// The operand the vector loop reads (either side of the written
+    /// product — [`lower`] may have swapped them).
     pub left: StepSrc,
     pub right: StepSrc,
     /// Output workspace slot (`inters[out_slot]`).
     pub out_slot: usize,
-    /// Output loops first (row-major over the intermediate), then
-    /// contracted loops.
+    /// Loops in execution order; the last is the leaf's.
     pub loops: Vec<LoopDim>,
-    /// Modeled flops (`2·∏ extents`).
+    pub leaf: Leaf,
+    /// Modeled flops (`2·∏ extents`); zero iff some extent is zero and
+    /// the step has nothing to run.
     pub flops: u128,
     /// Human-readable `A(i,j)*B(j,k) -> _net2(i,k)` form.
     pub desc: String,
+}
+
+/// Which terms of `path` sit on the sparse spine: a term is on it iff
+/// its subtree contains the sparse leaf (exactly one operand side can).
+pub(crate) fn spine_terms(kernel: &Kernel, path: &ContractionPath) -> Vec<bool> {
+    let mut on_spine = vec![false; path.terms.len()];
+    for t in 0..path.terms.len() {
+        let side = |op: Operand| match op {
+            Operand::Input(i) => i == kernel.sparse_input,
+            Operand::Inter(u) => on_spine[u],
+        };
+        on_spine[t] = side(path.terms[t].left) || side(path.terms[t].right);
+    }
+    on_spine
+}
+
+/// Index order of a term operand: a user factor's written order, an
+/// intermediate's ascending-id order.
+fn operand_order(kernel: &Kernel, path: &ContractionPath, op: Operand) -> Vec<IndexId> {
+    match op {
+        Operand::Input(i) => kernel.inputs[i].indices.clone(),
+        Operand::Inter(u) => path.terms[u].out_inds.to_vec(),
+    }
+}
+
+/// Term `t` as loops in canonical order — output loops row-major over
+/// the intermediate, then contracted loops by ascending index — and the
+/// number of output loops. This is the nest the scalar reference walks.
+pub(crate) fn term_loops(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    t: usize,
+) -> (Vec<LoopDim>, usize) {
+    let term = &path.terms[t];
+    let lorder = operand_order(kernel, path, term.left);
+    let rorder = operand_order(kernel, path, term.right);
+    let out_v = term.out_inds.to_vec();
+    let stride_in = |order: &[IndexId], idx: IndexId| -> usize {
+        match order.iter().position(|&i| i == idx) {
+            None => 0,
+            Some(p) => order[p + 1..].iter().map(|&i| kernel.dim(i)).product(),
+        }
+    };
+    let loops = out_v
+        .iter()
+        .chain(term.contracted().to_vec().iter())
+        .map(|&idx| LoopDim {
+            extent: kernel.dim(idx),
+            l: stride_in(&lorder, idx),
+            r: stride_in(&rorder, idx),
+            o: stride_in(&out_v, idx),
+        })
+        .collect();
+    (loops, out_v.len())
+}
+
+/// Order canonical loops (the first `n_out` are output loops) for
+/// execution and pick the leaf — see the module docs. Returns the
+/// loops, the leaf, and whether the operands were swapped so that the
+/// vector loop's operand is `left` (the product commutes bitwise).
+pub(crate) fn lower(loops: &[LoopDim], n_out: usize) -> (Vec<LoopDim>, Leaf, bool) {
+    let (outs, cons) = loops.split_at(n_out);
+    // The vector loop: smallest largest-stride first, then smallest
+    // stride sum; a degenerate extent-1 loop only when nothing else
+    // exists, and ties to the later index (unit stride in the output).
+    let v = (0..n_out)
+        .rev()
+        .min_by_key(|&i| {
+            let d = outs[i];
+            (d.extent == 1, d.l.max(d.r).max(d.o), d.l + d.r + d.o)
+        })
+        .expect("a dense step has an output index");
+    let swap = outs[v].l == 0;
+    let side = |d: &LoopDim| {
+        let (l, r) = if swap { (d.r, d.l) } else { (d.l, d.r) };
+        LoopDim { l, r, ..*d }
+    };
+    let mut order: Vec<LoopDim> = outs
+        .iter()
+        .enumerate()
+        .filter(|&(i, d)| i != v && d.extent != 1)
+        .map(|(_, d)| side(d))
+        .collect();
+    order.extend(cons.iter().filter(|d| d.extent != 1).map(side));
+    let vec = side(&outs[v]);
+    let leaf = if vec.r != 0 { Leaf::Xmul } else { Leaf::Axpy };
+    order.push(vec);
+    (order, leaf, swap)
 }
 
 /// How the collapsed kernel's dense factor slots are fed at bind time.
@@ -118,17 +250,8 @@ impl NetworkPlan {
             choose_path(&kernel, &profile, opts)
         };
 
-        // A term is on the sparse spine iff its subtree contains the
-        // sparse leaf; exactly one operand side can be sparse.
         let nterms = path.terms.len();
-        let mut on_spine = vec![false; nterms];
-        for t in 0..nterms {
-            let side = |op: Operand| match op {
-                Operand::Input(i) => i == kernel.sparse_input,
-                Operand::Inter(u) => on_spine[u],
-            };
-            on_spine[t] = side(path.terms[t].left) || side(path.terms[t].right);
-        }
+        let on_spine = spine_terms(&kernel, &path);
 
         // Lower off-spine terms to dense steps, in term (postorder)
         // order — children always precede their consumer.
@@ -136,17 +259,12 @@ impl NetworkPlan {
         let mut inter_dims: Vec<Vec<usize>> = Vec::new();
         let mut step_users: Vec<(String, Vec<usize>)> = Vec::new();
         let mut steps: Vec<DenseStep> = Vec::new();
-        let op_order = |op: Operand| -> Vec<IndexId> {
-            match op {
-                Operand::Input(i) => kernel.inputs[i].indices.clone(),
-                Operand::Inter(u) => path.terms[u].out_inds.to_vec(),
-            }
-        };
         let op_desc = |op: Operand| -> String {
-            let (name, inds) = match op {
-                Operand::Input(i) => (kernel.inputs[i].name.clone(), op_order(op)),
-                Operand::Inter(u) => (format!("{INTER_PREFIX}{u}"), op_order(op)),
+            let name = match op {
+                Operand::Input(i) => kernel.inputs[i].name.clone(),
+                Operand::Inter(u) => format!("{INTER_PREFIX}{u}"),
             };
+            let inds = operand_order(&kernel, &path, op);
             let names: Vec<&str> = inds.iter().map(|&i| kernel.index_name(i)).collect();
             format!("{name}({})", names.join(","))
         };
@@ -182,27 +300,14 @@ impl NetworkPlan {
                     }
                 }
             };
-            let left = resolve(term.left);
-            let right = resolve(term.right);
-            let lorder = op_order(term.left);
-            let rorder = op_order(term.right);
-            let stride_in = |order: &[IndexId], idx: IndexId| -> usize {
-                match order.iter().position(|&i| i == idx) {
-                    None => 0,
-                    Some(p) => order[p + 1..].iter().map(|&i| kernel.dim(i)).product(),
-                }
-            };
-            let con_v = term.contracted().to_vec();
-            let mut loops = Vec::with_capacity(out_v.len() + con_v.len());
-            let mut flops: u128 = 2;
-            for &idx in out_v.iter().chain(con_v.iter()) {
-                loops.push(LoopDim {
-                    extent: kernel.dim(idx),
-                    l: stride_in(&lorder, idx),
-                    r: stride_in(&rorder, idx),
-                    o: stride_in(&out_v, idx),
-                });
-                flops = flops.saturating_mul(kernel.dim(idx) as u128);
+            let (canonical, n_out) = term_loops(&kernel, &path, t);
+            let flops = canonical
+                .iter()
+                .fold(2u128, |f, d| f.saturating_mul(d.extent as u128));
+            let (loops, leaf, swap) = lower(&canonical, n_out);
+            let (mut left, mut right) = (resolve(term.left), resolve(term.right));
+            if swap {
+                std::mem::swap(&mut left, &mut right);
             }
             let slot = inter_dims.len();
             inter_slot[t] = Some(slot);
@@ -219,6 +324,7 @@ impl NetworkPlan {
                 right,
                 out_slot: slot,
                 loops,
+                leaf,
                 flops,
                 desc,
             });

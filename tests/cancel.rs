@@ -2,7 +2,8 @@
 //! produce output **bitwise identical** to a fresh, never-cancelled
 //! run — cancellation may leave no sticky state in workspaces, pool
 //! workers, or outputs. Asserted for the kernel executor at 1 and 4
-//! threads (token and deadline variants) and for the network executor.
+//! threads (token and deadline variants) and for the network executor,
+//! between dense steps and inside one.
 
 use rand::prelude::*;
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
@@ -124,5 +125,97 @@ fn network_cancel_then_retry_is_bitwise_identical() {
         bits(&exec.execute().unwrap()),
         want,
         "network retry after cancel must be bitwise identical"
+    );
+}
+
+#[test]
+fn deadline_interrupts_a_dense_step() {
+    // One off-spine step, `D1(j,m)*D2(m,r)` at 128×M×128, that is all K
+    // sweep, against a cancel 2 ms in. The step has to outlast that
+    // delay some fifty times over for the time bounds below to hold on
+    // a busy runner, and an unoptimized build runs it ≈ 25× slower, so
+    // M follows the profile: ≈ 0.7 s of step in a debug build, ≈ 140 ms
+    // in release. The sparse tensor is a full 512×128 block so that
+    // contracting it first models more flops than `D1*D2` does.
+    const M: usize = if cfg!(debug_assertions) {
+        4_000
+    } else {
+        20_000
+    };
+    let mut rng = StdRng::seed_from_u64(37);
+    let coo = random_coo(&[512, 128], 512 * 128, &mut rng).unwrap();
+    let csf = Csf::from_coo(&coo, &[0, 1]).unwrap();
+    let d1 = random_dense(&[128, M], &mut rng);
+    let d2 = random_dense(&[M, 128], &mut rng);
+    let factors: [(&str, &DenseTensor); 2] = [("D1", &d1), ("D2", &d2)];
+    let net = Network::parse("T[i,j]*D1[j,m]*D2[m,r]->O[i,r]").unwrap();
+    let shapes = Shapes::new()
+        .with_dims(&[("i", 512), ("j", 128), ("m", M), ("r", 128)])
+        .with_profile(SparsityProfile::from_csf(&csf));
+    let plan_with = |popts: PlanOptions| {
+        let nplan = net
+            .plan(&shapes, &NetOptions::default().with_plan_options(popts))
+            .unwrap();
+        assert_eq!(nplan.num_dense_steps(), 1, "{}", nplan.describe());
+        nplan
+    };
+
+    // A fresh, unguarded run: the reference bits and the step's time.
+    let mut fresh = plan_with(PlanOptions::default())
+        .bind(csf.clone(), &factors)
+        .unwrap();
+    let t0 = std::time::Instant::now();
+    let want = bits(&fresh.execute().unwrap());
+    let full = t0.elapsed();
+
+    // The deadline fires inside the step, not after it, and the pooled
+    // workspace it was writing comes back scrubbed.
+    let nplan = plan_with(PlanOptions::default().with_deadline(Duration::from_millis(2)));
+    let pool = std::sync::Arc::new(nplan.pool());
+    let mut exec = nplan.bind_pooled(&pool, csf.clone(), &factors).unwrap();
+    match exec.execute() {
+        Err(SpttnError::Cancelled { phase, elapsed }) => {
+            assert_eq!(phase, "network");
+            assert!(
+                elapsed < full / 2,
+                "cancelled after {elapsed:?}; the whole run takes {full:?}"
+            );
+        }
+        other => panic!("expected network Cancelled, got {other:?}"),
+    }
+    drop(exec);
+    let set = pool.checkout();
+    assert!(
+        set.iter().all(|t| t.as_slice().iter().all(|&v| v == 0.0)),
+        "a workspace interrupted mid-step must come back scrubbed"
+    );
+
+    // The same interruption by token, so that the executor can be
+    // retried: nothing of the abandoned walk may stick.
+    let tok = CancelToken::new();
+    let nplan = plan_with(PlanOptions::default().with_cancel(tok.clone()));
+    let mut exec = nplan.bind(csf, &factors).unwrap();
+    let cancelled = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(2));
+            tok.cancel();
+        });
+        exec.execute()
+    });
+    match cancelled {
+        Err(SpttnError::Cancelled { phase, elapsed }) => {
+            assert_eq!(phase, "network");
+            assert!(
+                elapsed < full / 2,
+                "cancelled after {elapsed:?} of {full:?}"
+            );
+        }
+        other => panic!("expected network Cancelled, got {other:?}"),
+    }
+    tok.reset();
+    assert_eq!(
+        bits(&exec.execute().unwrap()),
+        want,
+        "retry after an in-step cancel must be bitwise identical to a fresh run"
     );
 }

@@ -8,173 +8,83 @@
 //! and pooled executors must move and reuse workspaces across threads.
 
 mod common;
+#[path = "common/networks.rs"]
+mod networks;
 
-use rand::prelude::*;
-use spttn::exec::naive_einsum;
+use networks::{Fixture, CP_ALS, DENSE_CHAIN, FIVE_TENSOR, TENSOR_TRAIN};
 use spttn::ir::enumerate_paths;
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
-use spttn::{Contraction, PlanCache, PlanOptions, Shapes, Threads};
+use spttn::{Contraction, PlanCache, PlanOptions, Threads};
 use spttn_net::{modeled_path_flops, NetOptions, Network, OrderStrategy};
 use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
-/// Operands + oracle for a network: seeded random factors (one per
-/// dense kernel slot, shared by name) and the naive dense contraction
-/// of the whole-network kernel.
-struct Fixture {
-    net: Network,
-    shapes: Shapes,
-    csf: Csf,
-    factors: Vec<(String, DenseTensor)>,
-    want: DenseTensor,
-}
-
-impl Fixture {
-    fn new(
-        expr: &str,
-        dims: &[(&str, usize)],
-        sparse_dims: &[usize],
-        nnz: usize,
-        seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let coo = random_coo(sparse_dims, nnz, &mut rng).unwrap();
-        let order: Vec<usize> = (0..coo.order()).collect();
-        let csf = Csf::from_coo(&coo, &order).unwrap();
-        let net = Network::parse(expr).unwrap();
-        let shapes = Shapes::new()
-            .with_dims(dims)
-            .with_profile(SparsityProfile::from_csf(&csf));
-        let kernel = net.kernel(&shapes).unwrap();
-        let mut factors: Vec<(String, DenseTensor)> = Vec::new();
-        for (slot, r) in kernel.inputs.iter().enumerate() {
-            if slot == kernel.sparse_input {
-                continue;
-            }
-            let t = match factors.iter().find(|(n, _)| *n == r.name) {
-                Some((_, t)) => t.clone(),
-                None => random_dense(&kernel.ref_dims(r), &mut rng),
-            };
-            factors.push((r.name.clone(), t));
-        }
-        let sparse_dense = coo.to_dense();
-        let mut slots: Vec<&DenseTensor> = Vec::new();
-        let mut next = 0usize;
-        for slot in 0..kernel.inputs.len() {
-            if slot == kernel.sparse_input {
-                slots.push(&sparse_dense);
-            } else {
-                slots.push(&factors[next].1);
-                next += 1;
-            }
-        }
-        let want = naive_einsum(&kernel, &slots).unwrap();
-        Fixture {
-            net,
-            shapes,
-            csf,
-            factors,
-            want,
-        }
-    }
-
-    fn named(&self) -> Vec<(&str, &DenseTensor)> {
-        let mut named: Vec<(&str, &DenseTensor)> = Vec::new();
-        for (name, t) in &self.factors {
-            if !named.iter().any(|(n, _)| n == name) {
-                named.push((name, t));
-            }
-        }
-        named
-    }
-
-    /// Plan + bind + execute under every (strategy × threads)
-    /// combination, sharing one `PlanCache`, and compare to the oracle.
-    fn check_all(&self, expr: &str) {
-        // The network flattened to one kernel, through the reference
-        // interpreter: a second answer independent of every scheduler
-        // decision below.
-        let flat = Contraction::from_kernel(self.net.kernel(&self.shapes).unwrap())
-            .plan(&self.shapes, &PlanOptions::default())
-            .unwrap();
-        let (reference, _) = common::interp_reference(&flat, &self.csf, &self.named());
-        assert!(
-            reference.to_dense().approx_eq(&self.want, TOL),
-            "{expr}: reference interpreter disagrees with the naive oracle"
-        );
-        let cache = PlanCache::new();
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
-            for threads in [1usize, 4] {
-                let popts = PlanOptions::default()
-                    .with_threads(Threads::N(threads))
-                    .with_microkernels(spttn::Microkernels::Scalar);
-                let nopts = NetOptions::default()
-                    .with_order(strategy)
-                    .with_plan_options(popts);
-                let nplan = self
-                    .net
-                    .plan_cached(&cache, &self.shapes, &nopts)
-                    .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
-                let mut exec = nplan.bind(self.csf.clone(), &self.named()).unwrap();
-                let got = exec.execute().unwrap();
-                assert!(
-                    got.to_dense().approx_eq(&self.want, TOL),
-                    "{expr}: mismatch at {strategy}, {threads} thread(s)\n{}",
-                    nplan.describe()
-                );
-            }
+/// Plan + bind + execute under every (strategy × threads)
+/// combination, sharing one `PlanCache`, and compare to the oracle.
+fn check_all(fx: &Fixture) {
+    let expr = fx.net.expr();
+    // The network flattened to one kernel, through the reference
+    // interpreter: a second answer independent of every scheduler
+    // decision below.
+    let flat = Contraction::from_kernel(fx.net.kernel(&fx.shapes).unwrap())
+        .plan(&fx.shapes, &PlanOptions::default())
+        .unwrap();
+    let (reference, _) = common::interp_reference(&flat, &fx.csf, &fx.named());
+    assert!(
+        reference.to_dense().approx_eq(&fx.want, TOL),
+        "{expr}: reference interpreter disagrees with the naive oracle"
+    );
+    let cache = PlanCache::new();
+    for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+        for threads in [1usize, 4] {
+            let popts = PlanOptions::default()
+                .with_threads(Threads::N(threads))
+                .with_microkernels(spttn::Microkernels::Scalar);
+            let nopts = NetOptions::default()
+                .with_order(strategy)
+                .with_plan_options(popts);
+            let nplan = fx
+                .net
+                .plan_cached(&cache, &fx.shapes, &nopts)
+                .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
+            let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
+            let got = exec.execute().unwrap();
+            assert!(
+                got.to_dense().approx_eq(&fx.want, TOL),
+                "{expr}: mismatch at {strategy}, {threads} thread(s)\n{}",
+                nplan.describe()
+            );
         }
     }
 }
 
 #[test]
 fn cp_als_sweep_matches_oracle() {
-    // One MTTKRP-shaped network per mode, as a CP-ALS sweep issues them.
-    let dims: &[(&str, usize)] = &[("i", 14), ("j", 12), ("k", 10), ("r", 5)];
-    for (m, expr) in [
-        "T[i,j,k]*B[j,r]*C[k,r] -> A_new[i,r]",
-        "T[i,j,k]*A[i,r]*C[k,r] -> B_new[j,r]",
-        "T[i,j,k]*A[i,r]*B[j,r] -> C_new[k,r]",
-    ]
-    .iter()
-    .enumerate()
-    {
-        Fixture::new(expr, dims, &[14, 12, 10], 200, 31 + m as u64).check_all(expr);
+    for g in &CP_ALS {
+        check_all(&Fixture::golden(g));
     }
 }
 
 #[test]
 fn tensor_train_matches_oracle() {
-    let expr = "T[i,j,k]*G1[i,a]*G2[a,j,b]*G3[b,k,c] -> O[c]";
-    let dims: &[(&str, usize)] = &[("i", 13), ("j", 11), ("k", 9), ("a", 4), ("b", 3), ("c", 5)];
-    Fixture::new(expr, dims, &[13, 11, 9], 180, 7).check_all(expr);
+    check_all(&Fixture::golden(&TENSOR_TRAIN));
 }
 
 #[test]
 fn five_tensor_network_matches_oracle() {
-    // A chain hanging off the sparse tensor: the tail contractions
-    // D(s,u) and C(r,s) are candidates for off-spine materialization.
-    let expr = "T[i,j,k]*A[j,r]*B[k,r]*C[r,s]*D[s,u] -> O[i,u]";
-    let dims: &[(&str, usize)] = &[("i", 12), ("j", 10), ("k", 8), ("r", 4), ("s", 5), ("u", 3)];
-    Fixture::new(expr, dims, &[12, 10, 8], 150, 11).check_all(expr);
+    check_all(&Fixture::golden(&FIVE_TENSOR));
 }
 
 #[test]
 fn dense_chain_network_matches_oracle() {
-    // D1*D2 is far cheaper than touching the sparse tensor first, so
-    // this network exercises the materialized dense-step path and the
-    // `_net` intermediate feeding the collapsed kernel.
-    let expr = "T[i,j]*D1[j,m]*D2[m,r] -> O[i,r]";
-    let dims: &[(&str, usize)] = &[("i", 20), ("j", 15), ("m", 4), ("r", 6)];
-    let fx = Fixture::new(expr, dims, &[20, 15], 120, 23);
+    let fx = Fixture::golden(&DENSE_CHAIN);
     let nplan = fx.net.plan(&fx.shapes, &NetOptions::default()).unwrap();
     assert!(
         nplan.num_dense_steps() >= 1,
         "expected an off-spine dense step:\n{}",
         nplan.describe()
     );
-    fx.check_all(expr);
+    check_all(&fx);
 }
 
 #[test]

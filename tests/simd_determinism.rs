@@ -8,7 +8,12 @@
 //!   fixed thread count, both across repeat executions of one bind and
 //!   across independent binds of the same plan;
 //! - `Microkernels::Scalar` reproduces the interpreter bitwise — the
-//!   opt-out knob really does restore the pre-SIMD operation order.
+//!   opt-out knob really does restore the pre-SIMD operation order;
+//! - the policy reaches `spttn-net`'s dense steps: on every golden
+//!   network of `tests/network.rs`, `Auto` agrees with `Scalar` to
+//!   ≤1e-9 and both are bitwise stable across executes and binds. (That
+//!   a `Scalar` dense step is *bitwise the stride walk* is asserted
+//!   where that reference lives, in `crates/net/src/exec.rs`'s tests.)
 //!
 //! Every assertion here also holds when `SPTTN_MICROKERNELS=scalar`
 //! forces the whole suite scalar (the CI leg): Auto then resolves to
@@ -16,6 +21,8 @@
 //! only easier.
 
 mod common;
+#[path = "common/networks.rs"]
+mod networks;
 
 use common::interp_reference;
 use rand::prelude::*;
@@ -24,6 +31,7 @@ use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile}
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, Plan, PlanOptions, Shapes, Threads,
 };
+use spttn_net::{NetOptions, OrderStrategy};
 
 const TOL: f64 = 1e-9;
 
@@ -177,5 +185,47 @@ fn scalar_forced_tape_reproduces_interp_bitwise() {
             "Microkernels::Scalar must restore the pre-SIMD operation order: {}",
             kernel.to_einsum()
         );
+    }
+}
+
+#[test]
+fn network_dense_steps_honour_the_microkernel_policy() {
+    for g in networks::goldens() {
+        let fx = networks::Fixture::golden(g);
+        for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+            for threads in [1usize, 4] {
+                // Two binds of one plan, two executes of the first.
+                let run = |micro: Microkernels| -> [Vec<u64>; 3] {
+                    let popts = PlanOptions::default()
+                        .with_threads(Threads::N(threads))
+                        .with_microkernels(micro);
+                    let nopts = NetOptions::default()
+                        .with_order(strategy)
+                        .with_plan_options(popts);
+                    let nplan = fx.net.plan(&fx.shapes, &nopts).unwrap();
+                    let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
+                    let mut again = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
+                    [
+                        bits(&exec.execute().unwrap()),
+                        bits(&exec.execute().unwrap()),
+                        bits(&again.execute().unwrap()),
+                    ]
+                };
+                let what = format!("{} ({strategy}, {threads} thread(s))", g.expr);
+                let scalar = run(Microkernels::Scalar);
+                let auto = run(Microkernels::Auto);
+                for tier in [&scalar, &auto] {
+                    assert_eq!(
+                        tier[0], tier[1],
+                        "{what}: not bitwise stable across executes"
+                    );
+                    assert_eq!(tier[0], tier[2], "{what}: not bitwise stable across binds");
+                }
+                for (s, a) in scalar[0].iter().zip(&auto[0]) {
+                    let (s, a) = (f64::from_bits(*s), f64::from_bits(*a));
+                    assert!((s - a).abs() <= TOL, "{what}: Auto {a} vs Scalar {s}");
+                }
+            }
+        }
     }
 }
