@@ -3,8 +3,8 @@
 //! Runs the whole stack on real data: parse an einsum-style contraction,
 //! ingest a FROSTT `.tns` or MatrixMarket `.mtx` sparse tensor, plan
 //! under a selectable cost model and CSF mode-order policy, bind with
-//! seeded random dense factors, execute (serially or on the tiled
-//! parallel engine), and report plan and execution statistics — with an
+//! seeded random dense factors, execute on the tile engine (one tile
+//! per thread), and report plan and execution statistics — with an
 //! optional naive-oracle check.
 //!
 //! ```text

@@ -44,6 +44,6 @@ pub use orders::{
     candidate_orders, plan_mode_orders, ModeOrderPolicy, OrderCost, OrderSearch,
     EXHAUSTIVE_ORDER_LIMIT,
 };
-pub use planner::{plan, PlanOptions, PlannedNest};
+pub use planner::{plan, PlannedNest};
 pub use tree_cost::{MaxBufferDim, MaxBufferSize, TreeCost, VertexCtx};
 pub use work::{Work, WorkCounts};

@@ -14,8 +14,8 @@
 //!
 //! Orders are compared on the same ruler as contraction paths inside
 //! [`plan`]: the executed [`Work`](crate::Work) of each order's planned
-//! nest first, and among orders within `tier_slack` of the least, the
-//! cost model's [`TreeCost::rank`]; remaining ties keep the earliest
+//! nest first, and among orders that tie on the least, the cost
+//! model's [`TreeCost::rank`]; remaining ties keep the earliest
 //! candidate, and an order that wins on work alone must undercut the
 //! first candidate by a margin (`REORDER_MARGIN`), so the natural order
 //! — always listed first — wins when nothing clearly beats it.
@@ -23,7 +23,7 @@
 //! [`EXHAUSTIVE_ORDER_LIMIT`] modes (4! = 24 planner runs), pruned to a
 //! small structured family above that.
 
-use crate::planner::{choose, plan, PlanOptions, PlannedNest};
+use crate::planner::{choose, plan, PlannedNest};
 use crate::tree_cost::TreeCost;
 use crate::work::WorkCounts;
 use spttn_ir::Kernel;
@@ -162,7 +162,7 @@ fn permutations(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
 /// `profile_for(σ)` supplies (exact per-order counts when the caller
 /// has the pattern, a model otherwise — returning `None` skips the
 /// candidate). The winner is the order whose nest executes the least
-/// work, the cost model deciding within `opts.tier_slack` of it and
+/// work, the cost model deciding among exact ties on it and remaining
 /// ties keeping the earlier candidate; a winner the cost model does not
 /// prefer to the first feasible candidate must also model
 /// `REORDER_MARGIN` less work than it, so the natural order is kept
@@ -171,7 +171,6 @@ fn permutations(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
 pub fn plan_mode_orders<C: TreeCost>(
     kernel: &Kernel,
     cost: &C,
-    opts: &PlanOptions,
     orders: &[Vec<usize>],
     mut profile_for: impl FnMut(&[usize]) -> Option<SparsityProfile>,
 ) -> Option<OrderSearch<C::Value>> {
@@ -184,7 +183,7 @@ pub fn plan_mode_orders<C: TreeCost>(
         let Some(profile) = profile_for(order) else {
             continue;
         };
-        let planned = plan(&permuted, &profile, cost, opts);
+        let planned = plan(&permuted, &profile, cost);
         explored.push(OrderCost {
             order: order.clone(),
             work: planned.as_ref().map(|p| p.work),
@@ -205,7 +204,7 @@ pub fn plan_mode_orders<C: TreeCost>(
         }
     }
     let scored = found.iter().map(|f| (&f.planned.value, &f.planned.work));
-    let mut chosen = choose(cost, opts.tier_slack, scored)?;
+    let mut chosen = choose(cost, scored)?;
     let (first, winner) = (&found[0].planned, &found[chosen].planned);
     // Scored at equal work, `rank` compares the models' values alone.
     let on_work_alone = cost
@@ -284,14 +283,7 @@ mod tests {
         )
         .unwrap();
         let orders = candidate_orders(&dims);
-        let found = plan_mode_orders(
-            &k,
-            &MaxBufferSize,
-            &PlanOptions::default(),
-            &orders,
-            uniform_for(&dims, 30),
-        )
-        .unwrap();
+        let found = plan_mode_orders(&k, &MaxBufferSize, &orders, uniform_for(&dims, 30)).unwrap();
         assert_ne!(found.order, vec![0, 1, 2], "natural order should lose");
         assert_eq!(found.explored.len(), orders.len());
         let natural = &found.explored[0];
@@ -319,14 +311,7 @@ mod tests {
         )
         .unwrap();
         let orders = candidate_orders(&dims);
-        let found = plan_mode_orders(
-            &k,
-            &MaxBufferSize,
-            &PlanOptions::default(),
-            &orders,
-            uniform_for(&dims, 500),
-        )
-        .unwrap();
+        let found = plan_mode_orders(&k, &MaxBufferSize, &orders, uniform_for(&dims, 500)).unwrap();
         assert_eq!(found.order, vec![0, 1, 2]);
     }
 }

@@ -8,17 +8,19 @@
 //! on is the executed [`Work`](crate::Work) of each path's best nest:
 //!
 //! 1. Enumerate contraction paths in ascending ideal op count
-//!    ([`ContractionPath::flops`]). Paths whose count lies within
-//!    `tier_slack` of a leader form a *tier*, as in the paper.
-//! 2. Per path, run the Algorithm-1 DP under the configured
-//!    tree-separable cost — the model's own value, ties broken by
-//!    `Work` ([`TreeCost::rank`]) — and keep the feasible winners.
-//!    Infeasible paths are skipped, which is the paper's fallback to
-//!    costlier tiers. Stop as soon as the next path's ideal count — a
-//!    lower bound on the `Work` of all of its nests — cannot come within
-//!    `tier_slack` of the best `Work` found, or after `max_tiers` tiers.
-//! 3. Among the winners within `tier_slack` of the least `Work`, choose
-//!    by [`TreeCost::rank`]; earlier (cheaper-path) winners keep ties.
+//!    ([`ContractionPath::flops`]). Paths whose counts tie form a
+//!    *tier*, as in the paper.
+//! 2. Per path (at most 64 per tier), run the Algorithm-1 DP under the
+//!    configured tree-separable cost — the model's own value, ties
+//!    broken by `Work` ([`TreeCost::rank`]) — and keep the feasible
+//!    winners. Infeasible paths are skipped, which is the paper's
+//!    fallback to costlier tiers. Stop as soon as the next path's ideal
+//!    count — a lower bound on the `Work` of all of its nests — exceeds
+//!    the best `Work` found, or after 16 tiers.
+//! 3. Among the winners that tie on the least `Work`, choose by
+//!    [`TreeCost::rank`]; earlier (cheaper-path) winners keep ties.
+//!
+//! The three search limits are constants: no caller ever set them.
 
 use crate::dp::optimal_order;
 use crate::tree_cost::TreeCost;
@@ -26,29 +28,15 @@ use crate::work::WorkCounts;
 use spttn_ir::{enumerate_paths, ContractionPath, Kernel, NestSpec};
 use spttn_tensor::SparsityProfile;
 
-/// Planner options.
-#[derive(Debug, Clone)]
-pub struct PlanOptions {
-    /// Maximum number of paths to run the DP on per cost tier.
-    pub max_paths_per_tier: usize,
-    /// Maximum number of tiers to explore before giving up.
-    pub max_tiers: usize,
-    /// Width of a tier, as a factor (1.0 = exact ties only): paths whose
-    /// ideal op count is within it of a tier leader share the tier, and
-    /// nests whose executed work is within it of the least are chosen
-    /// among by the cost model alone.
-    pub tier_slack: f64,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            max_paths_per_tier: 64,
-            max_tiers: 16,
-            tier_slack: 1.0,
-        }
-    }
-}
+/// Maximum number of paths the DP runs on per cost tier.
+const MAX_PATHS_PER_TIER: usize = 64;
+/// Maximum number of tiers explored before giving up.
+const MAX_TIERS: usize = 16;
+/// Width of a tier, as a factor (1.0 = exact ties only): paths whose
+/// ideal op count is within it of a tier leader share the tier, and
+/// nests whose executed work is within it of the least are chosen among
+/// by the cost model alone.
+const TIER_SLACK: f64 = 1.0;
 
 /// A planned loop nest: path, loop orders, and costs.
 #[derive(Debug, Clone)]
@@ -73,13 +61,12 @@ pub struct PlannedNest<V> {
 }
 
 /// Index of the nest to run among `work`-scored candidates: within
-/// `slack` of the least executed work, the [`TreeCost::rank`] minimum;
-/// the earliest candidate keeps ties. Shared by the path choice of
-/// [`plan`] and the CSF-order choice of
+/// `TIER_SLACK` of the least executed work, the [`TreeCost::rank`]
+/// minimum; the earliest candidate keeps ties. Shared by the path
+/// choice of [`plan`] and the CSF-order choice of
 /// [`plan_mode_orders`](crate::plan_mode_orders).
 pub(crate) fn choose<'a, C: TreeCost>(
     cost: &C,
-    slack: f64,
     candidates: impl Iterator<Item = (&'a C::Value, &'a WorkCounts)> + Clone,
 ) -> Option<usize>
 where
@@ -89,7 +76,7 @@ where
         .clone()
         .map(|(_, w)| w.ns())
         .min_by(f64::total_cmp)?;
-    let band = least * slack.max(1.0);
+    let band = least * TIER_SLACK;
     candidates
         .enumerate()
         .filter(|(_, (_, w))| w.ns() <= band)
@@ -103,27 +90,25 @@ pub fn plan<C: TreeCost>(
     kernel: &Kernel,
     profile: &SparsityProfile,
     cost: &C,
-    opts: &PlanOptions,
 ) -> Option<PlannedNest<C::Value>> {
     let mut paths: Vec<(u128, ContractionPath)> = enumerate_paths(kernel)
         .into_iter()
         .map(|p| (p.flops(kernel, profile), p))
         .collect();
     paths.sort_by_key(|(f, _)| *f);
-    let slack = opts.tier_slack.max(1.0);
 
     let mut winners: Vec<PlannedNest<C::Value>> = Vec::new();
     let mut least_ns = f64::INFINITY;
     let (mut tier, mut leader, mut in_tier) = (0usize, paths.first()?.0, 0usize);
     for (ideal, path) in paths {
-        if ideal > ((leader as f64 * slack) as u128).max(leader) {
+        if ideal > ((leader as f64 * TIER_SLACK) as u128).max(leader) {
             (tier, leader, in_tier) = (tier + 1, ideal, 0);
         }
-        if tier >= opts.max_tiers || WorkCounts::floor_ns(ideal) > least_ns * slack {
+        if tier >= MAX_TIERS || WorkCounts::floor_ns(ideal) > least_ns * TIER_SLACK {
             break;
         }
         in_tier += 1;
-        if in_tier > opts.max_paths_per_tier {
+        if in_tier > MAX_PATHS_PER_TIER {
             continue;
         }
         let Some(r) = optimal_order(kernel, &path, profile, cost) else {
@@ -143,7 +128,7 @@ pub fn plan<C: TreeCost>(
             tier,
         });
     }
-    let chosen = choose(cost, slack, winners.iter().map(|w| (&w.value, &w.work)))?;
+    let chosen = choose(cost, winners.iter().map(|w| (&w.value, &w.work)))?;
     Some(winners.swap_remove(chosen))
 }
 
@@ -167,7 +152,7 @@ mod tests {
         )
         .unwrap();
         let prof = profile(&[64, 64, 64], 4000);
-        let plan = plan(&k, &prof, &MaxBufferDim, &PlanOptions::default()).unwrap();
+        let plan = plan(&k, &prof, &MaxBufferDim).unwrap();
         assert_eq!(plan.tier, 0);
         // The asymptotically optimal path contracts T first.
         assert_eq!(plan.path.sparse_term, 0);
@@ -184,7 +169,7 @@ mod tests {
         )
         .unwrap();
         let prof = profile(&[40, 40, 40], 4000);
-        let plan = plan(&k, &prof, &MaxBufferSize, &PlanOptions::default()).unwrap();
+        let plan = plan(&k, &prof, &MaxBufferSize).unwrap();
         let nnz = prof.prefix_nnz(3) as u128;
         let nnz_ij = prof.prefix_nnz(2) as u128;
         assert_eq!(plan.ideal_flops, 2 * nnz * 16 + 2 * nnz_ij * 16);
@@ -217,41 +202,12 @@ mod tests {
         assert!(cost.is_feasible(&krp.value));
         assert_eq!(krp.work.walks, 16.0);
 
-        let plan = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
+        let plan = plan(&k, &prof, &cost).unwrap();
         assert_eq!(plan.tier, 1);
         assert_eq!(plan.path.sparse_term, 0);
         assert_eq!(plan.work.walks, 1.0);
         assert!(plan.flops > by_flops[0].flops(&k, &prof));
         assert!(plan.work.ns() * 5.0 < krp.work.ns());
-    }
-
-    /// `tier_slack` is a band on executed work: inside it the cost
-    /// model alone decides, so a wide band hands the choice back to the
-    /// BLAS count even at several times the work.
-    #[test]
-    fn tier_slack_is_a_band_on_work() {
-        let k = parse_kernel(
-            "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
-            &[("i", 40), ("j", 40), ("k", 40), ("r", 8), ("s", 8)],
-        )
-        .unwrap();
-        let prof = profile(&[40, 40, 40], 600);
-        let cost = BlasAware::default();
-        let exact = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
-        let wide = plan(
-            &k,
-            &prof,
-            &cost,
-            &PlanOptions {
-                tier_slack: 1e6,
-                ..PlanOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(exact.work <= wide.work);
-        assert!(cost
-            .rank((&wide.value, &wide.work), (&exact.value, &exact.work))
-            .is_le());
     }
 
     #[test]
@@ -273,7 +229,7 @@ mod tests {
         let cost = BlasAware {
             buffer_dim_bound: 2,
         };
-        let plan = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
+        let plan = plan(&k, &prof, &cost).unwrap();
         let BlasValue::Feasible { blas, .. } = plan.value else {
             panic!("expected feasible plan");
         };
@@ -295,7 +251,7 @@ mod tests {
         let cost = BlasAware {
             buffer_dim_bound: 0,
         };
-        let plan0 = plan(&k, &prof, &cost, &PlanOptions::default()).unwrap();
+        let plan0 = plan(&k, &prof, &cost).unwrap();
         assert!(cost.is_feasible(&plan0.value));
     }
 
@@ -307,7 +263,7 @@ mod tests {
         )
         .unwrap();
         let prof = profile(&[32; 3], 2000);
-        let plan = plan(&k, &prof, &MaxBufferSize, &PlanOptions::default()).unwrap();
+        let plan = plan(&k, &prof, &MaxBufferSize).unwrap();
         let nnz = prof.prefix_nnz(3) as u128;
         // All terms should run under the sparse descent: op count is
         // O(nnz * R), nowhere near the dense I*J*R.

@@ -4,7 +4,7 @@
 //! integration tests (`tests/faults.rs`) can arm faults through the
 //! public API without a feature flag keeping them out of the default
 //! `cargo test` surface. The disarmed cost is a single relaxed atomic
-//! load per parallel job — nothing on the per-element hot path.
+//! load per tile job — nothing on the per-element hot path.
 //!
 //! Faults are **one-shot**: arming [`Fault::WorkerPanic`] makes the
 //! next job claimed by that pool worker panic exactly once (caught by
@@ -12,9 +12,10 @@
 //! [`spttn_core::SpttnError::WorkerPanic`]); [`Fault::WorkerDeath`]
 //! additionally makes the worker thread exit after failing the job, so
 //! the pool's respawn path is exercised; [`Fault::Tile0Panic`] panics
-//! the calling thread's tile-0 job (also caught). The registry is
-//! process-global — suites that arm faults must not run their armed
-//! sections concurrently with other parallel executions (the facade
+//! the calling thread's tile-0 job (also caught) — at any thread count,
+//! since every execution has a tile 0. The registry is process-global —
+//! suites that arm faults must not run their armed sections
+//! concurrently with any other execution in the process (the facade
 //! test binary runs them within one test each, and `clear` resets
 //! stray state).
 

@@ -12,11 +12,11 @@
 //! whole execution.
 //!
 //! A fired guard surfaces as [`SpttnError::Cancelled`]. The output is
-//! not rolled back: the serial tape accumulates straight into the
-//! caller's buffer, so a run stopped mid-way leaves it partially
-//! written. What the contract does promise is that nothing sticks:
-//! every execution resets its workspaces on entry (and a `=` plan
-//! re-zeroes its output), so a cancelled-then-retried executor
+//! not rolled back: at every thread count tile 0 accumulates straight
+//! into the caller's buffer, so a run stopped mid-way leaves it
+//! partially written. What the contract does promise is that nothing
+//! sticks: every execution resets its workspaces on entry (and a `=`
+//! plan re-zeroes its output), so a cancelled-then-retried executor
 //! produces results bitwise identical to a fresh run.
 //!
 //! Both types are allocation-free to construct apart from the token's

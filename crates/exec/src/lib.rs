@@ -9,16 +9,21 @@
 //! an iterative driver replays it over a CSF sparse tensor and dense
 //! factors with zero allocations and zero atomics on the hot path.
 //!
-//! - [`execute_tape_into`] runs a tape over the whole tree: all Eq.-5
-//!   intermediate buffers live in a caller-held [`Workspace`] and the
-//!   result is accumulated into a caller-owned output ([`OutputMut`]).
-//! - [`execute_tape_tile_into`] runs it over one
-//!   [`spttn_tensor::CsfTile`] (a contiguous slice of root subtrees),
-//!   and the [`parallel`] module fans tiles out across threads —
-//!   [`ParallelExecutor`] keeps a persistent worker pool with one
-//!   workspace and private output per thread so repeated executions
-//!   stay allocation-free, and partial outputs combine through a
-//!   deterministic tree reduction ([`tree_reduce_partials`]).
+//! - [`ParallelExecutor`] ([`parallel`]) is the one way a bound plan
+//!   runs: the CSF root level is partitioned into leaf-balanced tiles
+//!   ([`spttn_tensor::Csf::partition`]), tile 0 runs on the calling
+//!   thread straight into the caller-owned output ([`OutputMut`]), and
+//!   tiles 1… run on a persistent worker pool into private partials
+//!   combined through a deterministic tree reduction
+//!   ([`tree_reduce_partials`]). One thread is one tile — no worker, no
+//!   partial — with the same cancellation, panic isolation, stats and
+//!   zero-allocation contract as any other count. All Eq.-5
+//!   intermediate buffers live in one preallocated [`Workspace`] per
+//!   tile.
+//! - [`execute_tape_into`] and [`execute_tape_tile_into`] are the thin
+//!   unguarded wrappers over the same driver — whole tree, or one
+//!   [`spttn_tensor::CsfTile`] — for benches and tests that time or
+//!   check the tape without an engine around it.
 //!
 //! The [`simd`] module supplies explicit-SIMD microkernels (AVX-512F,
 //! AVX2+FMA, NEON, scalar fallback) selected **once at bind time** and
@@ -38,10 +43,10 @@
 //! The [`guard`] module hardens all of this for long-lived services:
 //! a [`CancelToken`]/[`RunGuard`] pair gives the tape cooperative
 //! cancellation and deadlines with checkpoints at root-iteration
-//! boundaries, the worker pool isolates panicking jobs behind
-//! `catch_unwind` and respawns dead workers, and [`faults`] injects
-//! deterministic worker panics and thread deaths so the recovery paths
-//! stay tested.
+//! boundaries, the engine isolates a panicking tile — the caller's own
+//! tile 0 included — behind `catch_unwind` and respawns dead workers,
+//! and [`faults`] injects deterministic tile panics and thread deaths so
+//! the recovery paths stay tested.
 
 // Unsafe code in the workspace lives in [`parallel`] (pool job-slot
 // lifetime erasure) and [`simd`] (vendor SIMD intrinsics behind
@@ -64,10 +69,7 @@ pub use parallel::{tree_reduce_partials, ParallelExecutor};
 pub use reference::naive_einsum;
 pub use simd::{detected_cpu_features, KernelSel, KernelSet, Microkernels, RankSpec};
 pub use tape::verify::{TapeInvariantError, TapeReport};
-pub use tape::{
-    execute_tape_into, execute_tape_into_guarded, execute_tape_tile_into,
-    execute_tape_tile_into_guarded, CompiledTape, TapeState,
-};
+pub use tape::{execute_tape_into, execute_tape_tile_into, CompiledTape, TapeState};
 pub use workspace::{
     validate_slotted_operands, ContractionOutput, ExecStats, OutputMut, Workspace,
 };

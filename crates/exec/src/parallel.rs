@@ -1,27 +1,38 @@
-//! Parallel tiled execution of planned loop nests.
+//! The tile engine: every planned loop nest runs through here.
 //!
 //! The CSF root level splits into contiguous tiles of complete root
 //! subtrees ([`spttn_tensor::Csf::partition`]), and the contraction is
 //! linear in the sparse tensor, so each tile's execution is an
-//! independent additive contribution to the output. This module fans
-//! those tiles out across threads: a [`ParallelExecutor`] owns the
-//! tiles, per-thread workspaces, per-thread partial outputs, and a
-//! persistent worker pool, so repeated
+//! independent additive contribution to the output — the paper's
+//! runtime (Sec. 5): one loop nest, a partition of the sparse tensor,
+//! a reduction of the outputs. A [`ParallelExecutor`] owns the tiles,
+//! one workspace per tile, one private dense partial per tile *after
+//! the first*, and a persistent pool of `tiles − 1` worker threads.
+//! Tile 0 always runs on the calling thread and accumulates straight
+//! into the caller's output; tiles 1… run on the workers into their
+//! partials, which are tree-reduced and added afterwards. One thread is
+//! that scheme with one tile — no worker thread, no partial, no
+//! reduction — not a second executor. Repeated
 //! [`ParallelExecutor::execute_into`] calls perform **zero heap
-//! allocations** — the same contract the serial
-//! [`crate::execute_tape_into`] honors.
+//! allocations** at every tile count.
 //!
 //! **Determinism.** The tile partition is a deterministic function of
 //! the tree and the thread count; each tile executes sequentially; and
-//! dense partial outputs are combined by a fixed-shape pairwise *tree
-//! reduction* in tile order ([`tree_reduce_partials`]). Two runs at the
-//! same thread count are therefore bitwise identical. Pattern-sharing
-//! sparse outputs (TTTP-like) need no reduction at all: tiles write
-//! disjoint leaf ranges of the value array.
+//! the dense partials of tiles 1… are combined by a fixed-shape
+//! pairwise *tree reduction* in tile order ([`tree_reduce_partials`])
+//! before one add into the output tile 0 wrote: `p0 + reduce(p1…)`. Two
+//! runs at the same tile count are therefore bitwise identical.
+//! Pattern-sharing sparse outputs (TTTP-like) need no reduction at all:
+//! tiles write disjoint leaf ranges of the value array.
+//!
+//! **Faults.** A panic inside any tile — the caller's included — is
+//! caught and surfaces as a typed [`SpttnError::WorkerPanic`] naming
+//! the tile; a cancelled or panicked run leaves the caller's output
+//! partially written and nothing else behind.
 
 use crate::faults;
 use crate::guard::RunGuard;
-use crate::tape::{execute_tape_tile_into_guarded, CompiledTape};
+use crate::tape::{run_tape_tile, CompiledTape};
 use crate::workspace::{validate_output, ExecStats, OutputMut, Workspace};
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{BufferSpec, ContractionPath, Kernel, LoopForest};
@@ -43,9 +54,10 @@ fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
 /// Deterministic pairwise tree reduction of per-tile partial outputs.
 ///
 /// Combines `partials[i] += partials[i + gap]` for gaps 1, 2, 4, … in
-/// ascending tile order, leaving the reduced sum in `partials[0]`. The
-/// reduction shape depends only on `partials.len()`, so a fixed tile
-/// count gives a bitwise-reproducible floating-point sum run to run.
+/// ascending tile order, leaving the reduced sum in `partials[0]` (an
+/// empty slice is a no-op). The reduction shape depends only on
+/// `partials.len()`, so a fixed tile count gives a bitwise-reproducible
+/// floating-point sum run to run.
 pub fn tree_reduce_partials(partials: &mut [DenseTensor]) {
     let n = partials.len();
     let mut gap = 1usize;
@@ -65,7 +77,7 @@ pub fn tree_reduce_partials(partials: &mut [DenseTensor]) {
 }
 
 // ---------------------------------------------------------------------
-// Persistent worker pool (the zero-allocation execute-many path)
+// Persistent worker pool (tiles 1… of every execution)
 // ---------------------------------------------------------------------
 
 /// Where a worker writes its tile's contribution.
@@ -125,7 +137,7 @@ fn run_job(job: Job) -> Result<()> {
             }
             JobOut::Sparse(p, len) => OutputMut::Sparse(std::slice::from_raw_parts_mut(p, len)),
         };
-        execute_tape_tile_into_guarded(tape, kernel, csf, tile, factors, ws, out, guard)
+        run_tape_tile(tape, kernel, csf, tile, factors, ws, out, guard)
     }
 }
 
@@ -336,21 +348,24 @@ fn worker_loop(shared: &WorkerShared, slot: usize) {
     }
 }
 
-/// The plan-once/execute-many parallel engine: leaf-balanced CSF root
-/// tiles, one preallocated [`Workspace`] and private dense partial per
-/// tile, and a persistent worker pool of `tiles − 1` threads (the
-/// caller's thread executes tile 0).
+/// The plan-once/execute-many tile engine: leaf-balanced CSF root
+/// tiles, one preallocated [`Workspace`] per tile, a private dense
+/// partial per tile after the first, and a persistent worker pool of
+/// `tiles − 1` threads (the caller's thread executes tile 0, straight
+/// into the caller's output).
 ///
 /// After construction, [`ParallelExecutor::execute_into`] performs zero
 /// heap allocations on the success path, and its output is
 /// run-to-run deterministic at a fixed thread count (see the
-/// [module docs](self)). The `spttn` facade's `Executor` owns one of
-/// these when a plan is bound with more than one thread.
+/// [module docs](self)). Every `Executor` of the `spttn` facade owns
+/// one of these; a 1-thread bind is the engine with one tile.
 pub struct ParallelExecutor {
     tiles: Vec<CsfTile>,
     workspaces: Vec<Workspace>,
-    /// One private dense partial per tile; empty for pattern-sharing
-    /// sparse outputs, which reduce by disjoint leaf ranges instead.
+    /// One private dense partial per tile after the first
+    /// (`partials[i − 1]` belongs to tile `i`); empty for a one-tile
+    /// engine and for pattern-sharing sparse outputs, which reduce by
+    /// disjoint leaf ranges instead.
     partials: Vec<DenseTensor>,
     pool: WorkerPool,
     /// Compiled tape shared by every tile (one immutable program,
@@ -401,13 +416,14 @@ impl ParallelExecutor {
                 ws
             })
             .collect();
+        let n_workers = tiles.len() - 1;
         let partials: Vec<DenseTensor> = if kernel.output_sparse {
             Vec::new()
         } else {
             let odims = kernel.ref_dims(&kernel.output);
-            tiles.iter().map(|_| DenseTensor::zeros(&odims)).collect()
+            (0..n_workers).map(|_| DenseTensor::zeros(&odims)).collect()
         };
-        let pool = WorkerPool::new(tiles.len().saturating_sub(1));
+        let pool = WorkerPool::new(n_workers);
         ParallelExecutor {
             tiles,
             workspaces,
@@ -435,22 +451,32 @@ impl ParallelExecutor {
         &self.workspaces
     }
 
+    /// The compiled tape every tile runs.
+    pub fn tape(&self) -> &CompiledTape {
+        &self.tape
+    }
+
     /// Microkernel dispatch counters of the most recent execution,
     /// aggregated across all tiles/threads.
     pub fn stats(&self) -> ExecStats {
         self.stats
     }
 
-    /// Execute the plan across the pool, **accumulating** into `out`
-    /// (zero it first for `=` semantics). Tiles 1… run on the persistent
-    /// workers while tile 0 runs on the calling thread; dense partials
-    /// are then tree-reduced in fixed tile order and added into `out`,
-    /// while sparse outputs were already written to disjoint leaf
-    /// ranges. Zero heap allocations on the success path.
+    /// Execute the plan over every tile, **accumulating** into `out`
+    /// (zero it first for `=` semantics). Tile 0 runs on the calling
+    /// thread straight into `out` while tiles 1… run on the persistent
+    /// workers; their dense partials are then tree-reduced in fixed tile
+    /// order and added into `out`, while sparse outputs were already
+    /// written to disjoint leaf ranges. Zero heap allocations on the
+    /// success path.
     ///
     /// A cancellation/deadline `guard` is shared by every tile: each
-    /// worker checks it at its own root-iteration boundaries, so the
-    /// whole fan-out stops within one root subtree per thread.
+    /// thread checks it at its own root-iteration boundaries, so the
+    /// whole fan-out stops within one root subtree per thread. A run
+    /// that stops — cancelled, or a tile panicked
+    /// ([`SpttnError::WorkerPanic`], tile 0 being the caller) — leaves
+    /// `out` holding an unspecified part of the result and the engine
+    /// ready for the next call.
     pub fn execute_into(
         &mut self,
         kernel: &Kernel,
@@ -475,14 +501,22 @@ impl ParallelExecutor {
         // Validate the caller's output up front, so a shape error leaves
         // the partials untouched and no worker starts.
         validate_output(kernel, &out, csf.nnz())?;
-        let n = self.tiles.len();
-        debug_assert_eq!(self.pool.len() + 1, n.max(1));
-        // Raw bases for the per-tile exclusive targets; all derived
-        // before any job is submitted so the borrows stay disjoint.
-        let ws_base = self.workspaces.as_mut_ptr();
+        let (tile0, worker_tiles) = self
+            .tiles
+            .split_first()
+            .expect("a partition holds at least one tile");
+        let (ws0, worker_ws) = self
+            .workspaces
+            .split_first_mut()
+            .expect("one workspace per tile");
+        debug_assert_eq!(self.pool.len(), worker_tiles.len());
+        // Raw base of the workers' exclusive workspaces, derived before
+        // any job is submitted and disjoint from tile 0's `ws0`.
+        let ws_base = worker_ws.as_mut_ptr();
+        let tape: &CompiledTape = &self.tape;
         let shared = Job {
             kernel,
-            tape: Arc::as_ptr(&self.tape),
+            tape,
             csf,
             tile: std::ptr::null(),
             factors: factors_by_slot.as_ptr(),
@@ -491,95 +525,92 @@ impl ParallelExecutor {
             out: JobOut::Sparse(std::ptr::null_mut(), 0),
             guard: guard.map_or(std::ptr::null(), |g| g as *const RunGuard),
         };
+        let pool = &self.pool;
+        // Worker `w` runs tile `w + 1` on workspace `w + 1`.
+        let submit = |w: usize, out: JobOut| {
+            let tile = &worker_tiles[w];
+            // SAFETY: one workspace per tile, so the offset is in bounds
+            // and no two jobs share a workspace.
+            let ws = unsafe { ws_base.add(w) };
+            pool.submit(
+                w,
+                Job {
+                    tile,
+                    ws,
+                    out,
+                    ..shared
+                },
+            );
+        };
+        // Tile 0 runs here, on plain borrows, once the workers have
+        // their jobs; they are always waited for before any result is
+        // looked at, so no job outlives this call. The first error in
+        // tile order wins.
+        let run_tile0_and_wait = |ws0: &mut Workspace, out0: OutputMut<'_>| {
+            let r0 = catch_tile0(|| {
+                run_tape_tile(tape, kernel, csf, tile0, factors_by_slot, ws0, out0, guard)
+            });
+            r0.and(pool.wait_all())
+        };
         match out {
             OutputMut::Dense(d) => {
                 let part_base = self.partials.as_mut_ptr();
-                for i in 1..n {
-                    // SAFETY: each job gets a distinct workspace/partial.
-                    let job = Job {
-                        tile: &self.tiles[i],
-                        ws: unsafe { ws_base.add(i) },
-                        out: JobOut::Dense(unsafe { part_base.add(i) }),
-                        ..shared
-                    };
-                    self.pool.submit(i - 1, job);
+                for w in 0..worker_tiles.len() {
+                    // SAFETY: one partial per tile after the first, so
+                    // the offset is in bounds and worker `w`'s alone.
+                    submit(w, JobOut::Dense(unsafe { part_base.add(w) }));
                 }
-                let job0 = Job {
-                    tile: &self.tiles[0],
-                    ws: ws_base,
-                    out: JobOut::Dense(part_base),
-                    ..shared
-                };
-                let r0 = run_tile0(&self.pool, job0);
-                let rw = self.pool.wait_all();
-                r0?;
-                rw?;
+                run_tile0_and_wait(ws0, OutputMut::Dense(&mut *d))?;
                 tree_reduce_partials(&mut self.partials);
-                for (dv, sv) in d.as_mut_slice().iter_mut().zip(self.partials[0].as_slice()) {
-                    *dv += sv;
+                if let Some(rest) = self.partials.first() {
+                    for (dv, sv) in d.as_mut_slice().iter_mut().zip(rest.as_slice()) {
+                        *dv += sv;
+                    }
                 }
             }
             OutputMut::Sparse(v) => {
-                let vp = v.as_mut_ptr();
-                for i in 1..n {
-                    let tile = &self.tiles[i];
-                    // SAFETY: leaf ranges of distinct tiles are disjoint.
-                    let job = Job {
-                        tile,
-                        ws: unsafe { ws_base.add(i) },
-                        out: JobOut::Sparse(
-                            unsafe { vp.add(tile.leaf_range().start) },
-                            tile.leaf_nnz(),
-                        ),
-                        ..shared
-                    };
-                    self.pool.submit(i - 1, job);
+                // Tiles cover ascending contiguous leaf ranges from 0:
+                // tile 0 takes the head of `v`, the workers disjoint
+                // chunks of the rest.
+                let head = tile0.leaf_range().end;
+                let (v0, rest) = v.split_at_mut(head);
+                let rest_base = rest.as_mut_ptr();
+                for (w, tile) in worker_tiles.iter().enumerate() {
+                    // SAFETY: the structure guard makes the tiles' leaf
+                    // ranges partition `0..v.len()`, so each chunk lies
+                    // inside `rest` and overlaps no other.
+                    let chunk = unsafe { rest_base.add(tile.leaf_range().start - head) };
+                    submit(w, JobOut::Sparse(chunk, tile.leaf_nnz()));
                 }
-                let t0 = &self.tiles[0];
-                // SAFETY: tile 0's leaf range starts inside `v` and is
-                // disjoint from every range handed to the workers above.
-                let job0 = Job {
-                    tile: t0,
-                    ws: ws_base,
-                    out: JobOut::Sparse(unsafe { vp.add(t0.leaf_range().start) }, t0.leaf_nnz()),
-                    ..shared
-                };
-                let r0 = run_tile0(&self.pool, job0);
-                let rw = self.pool.wait_all();
-                r0?;
-                rw?;
+                run_tile0_and_wait(ws0, OutputMut::Sparse(v0))?;
             }
         }
         self.stats = ExecStats::default();
         for ws in &self.workspaces {
-            let s = ws.stats();
-            self.stats.merge(&s);
+            self.stats.merge(&ws.stats());
         }
         Ok(())
     }
 }
 
-/// Run tile 0's job on the calling thread, panic-safely: a panic here
-/// must still wait for the in-flight workers (whose jobs point into the
-/// executor's buffers) before control leaves the executor, and then
-/// surfaces as a structured [`SpttnError::WorkerPanic`] (worker 0 = the
-/// calling thread) instead of unwinding through the caller.
-fn run_tile0(pool: &WorkerPool, job: Job) -> Result<()> {
-    match catch_unwind(AssertUnwindSafe(|| {
+/// Run tile 0 on the calling thread, panic-safely: a panic must not
+/// unwind out of the engine while workers still hold pointers into its
+/// buffers (the caller waits for them next), and it surfaces as a
+/// structured [`SpttnError::WorkerPanic`] (worker 0 = the calling
+/// thread) at every tile count — one tile included.
+fn catch_tile0(tile0: impl FnOnce() -> Result<()>) -> Result<()> {
+    catch_unwind(AssertUnwindSafe(|| {
         if faults::claim_tile0_fault() {
             panic!("injected fault: tile-0 panic");
         }
-        run_job(job)
-    })) {
-        Ok(r) => r,
-        Err(p) => {
-            let _ = pool.wait_all();
-            Err(SpttnError::WorkerPanic {
-                worker: 0,
-                payload: panic_payload(p.as_ref()),
-            })
-        }
-    }
+        tile0()
+    }))
+    .unwrap_or_else(|p| {
+        Err(SpttnError::WorkerPanic {
+            worker: 0,
+            payload: panic_payload(p.as_ref()),
+        })
+    })
 }
 
 impl Clone for ParallelExecutor {
@@ -616,6 +647,53 @@ mod tests {
             let want = (n * (n + 1) / 2) as f64;
             assert_eq!(partials[0].as_slice(), &[want, want, want]);
         }
+    }
+
+    /// Tile 0 writes the caller's output, so an engine holds a dense
+    /// partial (and a thread) only per tile after the first — none at
+    /// all with one tile — and no partial for a pattern-sharing output.
+    /// Construction only: executing here could claim a fault armed by
+    /// `faults::tests`, which shares this process.
+    #[test]
+    fn partials_and_workers_are_one_per_tile_after_the_first() {
+        use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
+        use spttn_tensor::CooTensor;
+
+        let mut coo = CooTensor::new(&[6, 4]).unwrap();
+        for e in 0..12usize {
+            coo.push(&[e % 6, (e * 3) % 4], 1.0 + e as f64).unwrap();
+        }
+        let csf = Csf::from_coo(&coo, &[0, 1]).unwrap();
+        let engine = |expr: &str, orders: Vec<Vec<usize>>, threads: usize| {
+            let k = parse_kernel(expr, &[("i", 6), ("j", 4), ("r", 3)]).unwrap();
+            let path = path_from_picks(&k, &[(0, 1)]);
+            let forest = build_forest(&k, &path, &NestSpec { orders }).unwrap();
+            let specs = buffers_for_forest(&k, &path, &forest);
+            let tape = CompiledTape::compile_with_kernels(
+                &k,
+                &path,
+                &forest,
+                &specs,
+                crate::KernelSet::scalar(),
+            )
+            .unwrap();
+            ParallelExecutor::new(&k, &path, &forest, &specs, Arc::new(tape), &csf, threads)
+        };
+        for threads in [1usize, 2, 3, 64] {
+            let dense = engine("O(i,r) = T(i,j) * B(j,r)", vec![vec![0, 1, 2]], threads);
+            let n = dense.n_tiles();
+            assert!((1..=threads.min(6)).contains(&n), "{n} tiles at {threads}");
+            assert_eq!(dense.partials.len(), n - 1);
+            assert_eq!(dense.pool.len(), n - 1);
+            assert_eq!(dense.workspaces().len(), n);
+
+            let sparse = engine("S(i,j) = T(i,j) * B(i,j)", vec![vec![0, 1]], threads);
+            assert_eq!(sparse.n_tiles(), n);
+            assert_eq!(sparse.partials.len(), 0);
+            assert_eq!(sparse.pool.len(), n - 1);
+        }
+        let one = engine("O(i,r) = T(i,j) * B(j,r)", vec![vec![0, 1, 2]], 1);
+        assert_eq!((one.n_tiles(), one.pool.handles.len()), (1, 0));
     }
 
     #[test]

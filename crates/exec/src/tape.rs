@@ -1610,8 +1610,8 @@ fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ker
 // ---------------------------------------------------------------------
 
 /// Run a compiled tape over the whole tree into a caller-owned output,
-/// reusing the workspace (see [`execute_tape_tile_into`] for the tiled
-/// variant and the allocation contract).
+/// reusing the workspace, unguarded (see [`execute_tape_tile_into`] for
+/// the tiled variant and the allocation contract).
 pub fn execute_tape_into(
     tape: &CompiledTape,
     kernel: &Kernel,
@@ -1619,22 +1619,6 @@ pub fn execute_tape_into(
     factors_by_slot: &[DenseTensor],
     ws: &mut Workspace,
     out: OutputMut<'_>,
-) -> Result<()> {
-    execute_tape_into_guarded(tape, kernel, csf, factors_by_slot, ws, out, None)
-}
-
-/// [`execute_tape_into`] with a cancellation/deadline guard, checked
-/// once before the run and then at every root-frame advance — so
-/// cancellation latency is bounded by one root subtree.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_tape_into_guarded(
-    tape: &CompiledTape,
-    kernel: &Kernel,
-    csf: &Csf,
-    factors_by_slot: &[DenseTensor],
-    ws: &mut Workspace,
-    out: OutputMut<'_>,
-    guard: Option<&RunGuard>,
 ) -> Result<()> {
     run_tape(
         tape,
@@ -1646,7 +1630,7 @@ pub fn execute_tape_into_guarded(
         factors_by_slot,
         ws,
         out,
-        guard,
+        None,
     )
 }
 
@@ -1659,7 +1643,8 @@ pub fn execute_tape_into_guarded(
 /// ranges, so pattern-sharing outputs need no cross-tile reduction).
 /// Executing every tile of a [`Csf::partition`] and summing dense
 /// partials in a fixed order reproduces the full result
-/// deterministically.
+/// deterministically — which is what [`crate::ParallelExecutor`] does,
+/// with a cancellation guard, at every thread count.
 ///
 /// After [`Workspace::prepare_tape`] ran, this performs zero heap
 /// allocations and zero atomic operations on the success path; the
@@ -1673,22 +1658,6 @@ pub fn execute_tape_tile_into(
     ws: &mut Workspace,
     out: OutputMut<'_>,
 ) -> Result<()> {
-    execute_tape_tile_into_guarded(tape, kernel, csf, tile, factors_by_slot, ws, out, None)
-}
-
-/// [`execute_tape_tile_into`] with a cancellation/deadline guard (see
-/// [`execute_tape_into_guarded`] for the checkpoint cadence).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_tape_tile_into_guarded(
-    tape: &CompiledTape,
-    kernel: &Kernel,
-    csf: &Csf,
-    tile: &CsfTile,
-    factors_by_slot: &[DenseTensor],
-    ws: &mut Workspace,
-    out: OutputMut<'_>,
-    guard: Option<&RunGuard>,
-) -> Result<()> {
     if tile.depth() != csf.order().max(1) {
         return Err(SpttnError::Execution(format!(
             "tile spans {} levels but the CSF has {} (tile built for a different tensor?)",
@@ -1696,6 +1665,23 @@ pub fn execute_tape_tile_into_guarded(
             csf.order()
         )));
     }
+    run_tape_tile(tape, kernel, csf, tile, factors_by_slot, ws, out, None)
+}
+
+/// [`run_tape`] over one tile of `csf`'s own partition, optionally
+/// guarded — what the tile engine runs on every thread (its structure
+/// guard already ties its tiles to the tensor).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_tape_tile(
+    tape: &CompiledTape,
+    kernel: &Kernel,
+    csf: &Csf,
+    tile: &CsfTile,
+    factors: &[DenseTensor],
+    ws: &mut Workspace,
+    out: OutputMut<'_>,
+    guard: Option<&RunGuard>,
+) -> Result<()> {
     run_tape(
         tape,
         kernel,
@@ -1703,15 +1689,20 @@ pub fn execute_tape_tile_into_guarded(
         tile.root_range(),
         tile.leaf_range().start,
         tile.leaf_nnz(),
-        factors_by_slot,
+        factors,
         ws,
         out,
         guard,
     )
 }
 
+/// The driver behind every entry point: replay `tape` over the root
+/// range `root` of `csf`, whose leaves start at `leaf_lo` and number
+/// `leaf_len`. A `guard` is checked once before the run and then at
+/// every root-frame advance — so cancellation latency is bounded by one
+/// root subtree.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tape(
+fn run_tape(
     tape: &CompiledTape,
     kernel: &Kernel,
     csf: &Csf,

@@ -82,12 +82,13 @@ impl ExecStats {
         self.axpy_elems + self.dot_elems + self.xmul_elems + self.ger_elems + self.gemv_elems
     }
 
-    /// Floating-point operations implied by the element counters (two
-    /// flops — one multiply, one add — per element for every kernel;
-    /// XMUL's extra multiply makes it three).
+    /// Floating-point operations implied by the element counters: two
+    /// — one multiply, one add — per element for every kernel, which is
+    /// what the cost model charges a `tgt += l·r` whatever microkernel
+    /// runs it. (XMUL's signature carries an `alpha`, but the tape and
+    /// `spttn-net` always pass 1.0.)
     pub fn flops(&self) -> u64 {
-        2 * (self.axpy_elems + self.dot_elems + self.ger_elems + self.gemv_elems)
-            + 3 * self.xmul_elems
+        2 * self.elems()
     }
 }
 

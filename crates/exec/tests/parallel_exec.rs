@@ -1,14 +1,15 @@
-//! Exec-level parallel golden tests: the tape-backed
-//! [`ParallelExecutor`] must match the serial reference interpreter on
-//! dense- and sparse-output nests, at every thread count,
-//! bitwise-deterministically.
+//! Exec-level tile-engine golden tests: the tape-backed
+//! [`ParallelExecutor`] must match the whole-tree reference interpreter
+//! on dense- and sparse-output nests, at every tile count — one
+//! included — bitwise-deterministically.
 
 mod common;
 
 use rand::prelude::*;
 use spttn_exec::interp::execute_forest_into;
 use spttn_exec::{
-    execute_tape_tile_into, ContractionOutput, ExecStats, OutputMut, ParallelExecutor, Workspace,
+    execute_tape_into, execute_tape_tile_into, ContractionOutput, ExecStats, OutputMut,
+    ParallelExecutor, Workspace,
 };
 use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
 use spttn_tensor::{random_coo, random_dense, Csf, DenseTensor};
@@ -88,7 +89,7 @@ fn slotted(f: &Fixture) -> Vec<DenseTensor> {
     common::by_slot(&f.kernel, &f.factors.iter().collect::<Vec<_>>())
 }
 
-/// The serial reference: the interpreter over the whole tree.
+/// The reference: the interpreter, one thread over the whole tree.
 fn serial(f: &Fixture) -> (ContractionOutput, ExecStats) {
     let slots = slotted(f);
     let mut ws = Workspace::new(&f.kernel, &f.path, &f.forest);
@@ -147,6 +148,73 @@ fn parallel_executor_matches_serial_and_is_deterministic() {
     }
 }
 
+/// Tile 0 is the caller at every tile count and accumulates straight
+/// into the caller's output: a one-tile engine (no worker, no partial)
+/// is bitwise the bare tape over the whole tree, on top of whatever
+/// the output held, for dense and pattern-sharing outputs alike; with
+/// more tiles the same prefill survives under the reduced partials.
+/// Small enough for Miri, which tracks the borrows tile 0 runs on
+/// beside the workers' raw-pointer jobs.
+#[test]
+fn tile0_accumulates_into_the_callers_output() {
+    let fixture = ttmc_fixture(24);
+    let slots = slotted(&fixture);
+    let tape = common::scalar_tape(&fixture.kernel, &fixture.path, &fixture.forest);
+    let prefilled = || {
+        let mut t = DenseTensor::zeros(&[20, 4, 5]);
+        t.fill(0.5);
+        t
+    };
+    let mut want = prefilled();
+    let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
+    execute_tape_into(
+        &tape,
+        &fixture.kernel,
+        &fixture.csf,
+        &slots,
+        &mut ws,
+        OutputMut::Dense(&mut want),
+    )
+    .unwrap();
+    for (threads, exact) in [(1usize, true), (3, false)] {
+        let mut par = pool(&fixture, threads);
+        assert_eq!(par.n_tiles(), threads);
+        for _ in 0..2 {
+            let mut out = prefilled();
+            let target = OutputMut::Dense(&mut out);
+            par.execute_into(&fixture.kernel, &fixture.csf, &slots, target, None)
+                .unwrap();
+            if exact {
+                assert_eq!(out.as_slice(), want.as_slice());
+                assert_eq!(par.stats(), ws.stats());
+            } else {
+                assert!(out.approx_eq(&want, TOL), "threads = {threads}");
+            }
+        }
+    }
+
+    let fixture = tttp_fixture(25);
+    let slots = slotted(&fixture);
+    let tape = common::scalar_tape(&fixture.kernel, &fixture.path, &fixture.forest);
+    let mut want = vec![0.25; fixture.csf.nnz()];
+    let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
+    execute_tape_into(
+        &tape,
+        &fixture.kernel,
+        &fixture.csf,
+        &slots,
+        &mut ws,
+        OutputMut::Sparse(&mut want),
+    )
+    .unwrap();
+    let mut par = pool(&fixture, 1);
+    let mut vals = vec![0.25; fixture.csf.nnz()];
+    let target = OutputMut::Sparse(&mut vals);
+    par.execute_into(&fixture.kernel, &fixture.csf, &slots, target, None)
+        .unwrap();
+    assert_eq!(vals, want);
+}
+
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn parallel_executor_sparse_output_disjoint_ranges() {
@@ -166,10 +234,10 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
             None,
         )
         .unwrap();
-        // Exact equality with the serial path: every leaf is written by
+        // Exact equality with the reference: every leaf is written by
         // exactly one tile, with the same per-leaf accumulation order.
         assert_eq!(vals, serial_coo.vals(), "threads = {threads}");
-        // Stats aggregate across tiles to the serial counts.
+        // Stats aggregate across tiles to the whole-tree counts.
         assert_eq!(par.stats(), serial_stats, "threads = {threads}");
     }
 }

@@ -42,5 +42,5 @@ pub use order::{
     count_orders, lineage_in_csf_order, order_is_valid, orders_for_term, LoopOrder, NestSpec,
     NestSpecIter,
 };
-pub use parse::parse_kernel;
+pub use parse::{parse_expr, parse_kernel, ParsedExpr, ParsedRef};
 pub use path::{enumerate_paths, path_from_picks, ContractionPath, Operand, Term};

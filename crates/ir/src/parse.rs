@@ -1,8 +1,20 @@
-//! Einsum-style kernel parser.
+//! The einsum-style expression front end: one grammar, one lowering.
 //!
-//! Parses expressions like
-//! `"S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)"` into a [`Kernel`]. By
-//! convention the **first input on the right-hand side is the sparse
+//! [`parse_expr`] reads an SpTTN expression — structure only, no
+//! dimensions — in either accepted syntax:
+//!
+//! - paper style: `"S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)"` (`+=`
+//!   instead of `=` marks accumulation into the bound output)
+//! - arrow style: `"T[i,j,k]*U[j,r]*V[k,s] -> S[i,r,s]"`
+//!
+//! with `()` and `[]` interchangeable. [`ParsedExpr::lower`] turns the
+//! parsed names into a validated [`Kernel`] given a dimension per index
+//! name; [`parse_kernel`] is the two composed. The facade's
+//! `Contraction` and `spttn-net`'s `Network` store a [`ParsedExpr`] and
+//! lower it once dimensions arrive, so every entry point shares one
+//! grammar, one index numbering and one set of error messages.
+//!
+//! By convention the **first input on the right-hand side is the sparse
 //! tensor** (the paper writes every SpTTN with the sparse tensor first).
 //! When the output's index set equals the sparse input's index set
 //! exactly, the output is marked as pattern-sharing (TTTP-like): with a
@@ -10,30 +22,45 @@
 //! outside the sparse pattern, which is the paper's definition of a
 //! valid SpTTN output.
 
-use crate::index::IndexInfo;
-use crate::kernel::{Kernel, KernelError, TensorRef};
-use std::collections::HashMap;
+use crate::kernel::{Kernel, KernelBuilder, KernelError};
+use std::collections::BTreeSet;
 
-/// One parsed tensor reference: name plus index names.
+/// One parsed tensor reference: name plus written index names.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct RawRef {
-    name: String,
-    indices: Vec<String>,
+pub struct ParsedRef {
+    /// Tensor name.
+    pub name: String,
+    /// Index names in written order.
+    pub indices: Vec<String>,
 }
 
-fn parse_ref(s: &str) -> Result<RawRef, KernelError> {
+/// A parsed expression: structure only, no dimensions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParsedExpr {
+    /// The output reference.
+    pub output: ParsedRef,
+    /// The input references in written order; the first is the sparse
+    /// tensor. Never empty after [`parse_expr`].
+    pub inputs: Vec<ParsedRef>,
+    /// `+=` expression: execution accumulates into the bound output.
+    pub accumulate: bool,
+}
+
+fn perr<T>(msg: String) -> Result<T, KernelError> {
+    Err(KernelError::Parse(msg))
+}
+
+fn parse_ref(s: &str) -> Result<ParsedRef, KernelError> {
     let s = s.trim();
-    let open = s
-        .find('(')
-        .ok_or_else(|| KernelError::Parse(format!("expected '(' in tensor reference '{s}'")))?;
+    let Some(open) = s.find('(') else {
+        return perr(format!("expected '(' or '[' in tensor reference '{s}'"));
+    };
     if !s.ends_with(')') {
-        return Err(KernelError::Parse(format!(
-            "expected ')' at end of tensor reference '{s}'"
-        )));
+        return perr(format!("unterminated tensor reference '{s}'"));
     }
     let name = s[..open].trim();
     if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(KernelError::Parse(format!("bad tensor name in '{s}'")));
+        return perr(format!("bad tensor name in '{s}'"));
     }
     let inner = &s[open + 1..s.len() - 1];
     let indices: Vec<String> = if inner.trim().is_empty() {
@@ -43,19 +70,112 @@ fn parse_ref(s: &str) -> Result<RawRef, KernelError> {
     };
     for i in &indices {
         if i.is_empty() || !i.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return Err(KernelError::Parse(format!("bad index name '{i}' in '{s}'")));
+            return perr(format!("bad index name '{i}' in '{s}'"));
         }
     }
-    Ok(RawRef {
+    Ok(ParsedRef {
         name: name.to_string(),
         indices,
     })
 }
 
-/// Parse an einsum-style SpTTN kernel.
+/// Parse an SpTTN expression in either syntax (see the
+/// [module docs](self)) into its structure.
+///
+/// Rejected here, with a pointed [`KernelError::Parse`] message: a
+/// missing `=`/`->`, malformed references, empty factors (a trailing,
+/// doubled, leading or lone `*` — never silently dropped), and an
+/// output index that appears in no input factor, which has no loop to
+/// produce it.
+pub fn parse_expr(expr: &str) -> Result<ParsedExpr, KernelError> {
+    let e = expr.replace('[', "(").replace(']', ")");
+    let (lhs, rhs, accumulate) = if let Some((ins, out)) = e.split_once("->") {
+        (out, ins, false)
+    } else if let Some((out, ins)) = e.split_once("+=") {
+        (out, ins, true)
+    } else if let Some((out, ins)) = e.split_once('=') {
+        (out, ins, false)
+    } else {
+        return perr("expected '=' or '->' in contraction expression".into());
+    };
+    let output = parse_ref(lhs)?;
+    let mut inputs = Vec::new();
+    for part in split_top_level(rhs, '*') {
+        if part.trim().is_empty() {
+            return perr(format!(
+                "empty factor in '{}' (stray or doubled '*'?)",
+                rhs.trim()
+            ));
+        }
+        inputs.push(parse_ref(&part)?);
+    }
+    for idx in &output.indices {
+        if !inputs.iter().any(|r| r.indices.contains(idx)) {
+            return perr(format!(
+                "output index '{idx}' appears in no input factor of '{expr}'"
+            ));
+        }
+    }
+    Ok(ParsedExpr {
+        output,
+        inputs,
+        accumulate,
+    })
+}
+
+impl ParsedExpr {
+    /// All distinct index names, in first-appearance order over the
+    /// inputs (so the sparse tensor's come first) and then the output.
+    /// This is the order [`ParsedExpr::lower`] numbers indices in.
+    pub fn index_names(&self) -> Vec<String> {
+        let mut seen: Vec<String> = Vec::new();
+        let refs = self.inputs.iter().chain(std::iter::once(&self.output));
+        for n in refs.flat_map(|r| &r.indices) {
+            if !seen.contains(n) {
+                seen.push(n.clone());
+            }
+        }
+        seen
+    }
+
+    /// Lower to a validated [`Kernel`], asking `dim_of` for the
+    /// dimension of every index name. `dim_of` owns the error for a
+    /// name it cannot size, so each caller reports a missing dimension
+    /// in its own terms (a `dims` slice here, `Shapes` in the facade).
+    ///
+    /// Index ids follow [`ParsedExpr::index_names`]; the first input is
+    /// the sparse tensor; the output shares its pattern exactly when
+    /// their index sets are equal.
+    pub fn lower<E: From<KernelError>>(
+        &self,
+        mut dim_of: impl FnMut(&str) -> Result<usize, E>,
+    ) -> Result<Kernel, E> {
+        let mut b = KernelBuilder::new();
+        for name in self.index_names() {
+            b = b.index(&name, dim_of(&name)?);
+        }
+        fn strs(r: &ParsedRef) -> Vec<&str> {
+            r.indices.iter().map(String::as_str).collect()
+        }
+        fn set(r: &ParsedRef) -> BTreeSet<&str> {
+            strs(r).into_iter().collect()
+        }
+        b = b.output(&self.output.name, &strs(&self.output));
+        for r in &self.inputs {
+            b = b.input(&r.name, &strs(r));
+        }
+        if self.inputs.first().map(set) == Some(set(&self.output)) {
+            b = b.sparse_output();
+        }
+        Ok(b.build()?)
+    }
+}
+
+/// Parse an einsum-style SpTTN kernel: [`parse_expr`] lowered with the
+/// dimensions in `dims`.
 ///
 /// `dims` maps index names to dimension sizes; every index appearing in
-/// the expression must be present. `=` and `+=` are both accepted.
+/// the expression must be present. Both syntaxes are accepted.
 ///
 /// ```
 /// use spttn_ir::parse_kernel;
@@ -68,91 +188,12 @@ fn parse_ref(s: &str) -> Result<RawRef, KernelError> {
 /// assert_eq!(k.inputs.len(), 3);
 /// ```
 pub fn parse_kernel(expr: &str, dims: &[(&str, usize)]) -> Result<Kernel, KernelError> {
-    let (lhs, rhs) = split_equation(expr)?;
-    let out_raw = parse_ref(lhs)?;
-    let mut in_raw = Vec::new();
-    for part in split_top_level(rhs, '*') {
-        // Reject empty segments (trailing, doubled, or lone '*') with a
-        // pointed message instead of silently dropping them — the same
-        // contract as the facade's arrow-syntax parser.
-        if part.trim().is_empty() {
-            return Err(KernelError::Parse(format!(
-                "empty factor in '{}' (stray or doubled '*'?)",
-                rhs.trim()
-            )));
-        }
-        in_raw.push(parse_ref(&part)?);
-    }
-    if in_raw.is_empty() {
-        return Err(KernelError::NoInputs);
-    }
-
-    let dim_map: HashMap<&str, usize> = dims.iter().copied().collect();
-    let mut lookup: HashMap<String, usize> = HashMap::new();
-    let mut indices: Vec<IndexInfo> = Vec::new();
-    let mut resolve = |names: &[String]| -> Result<Vec<usize>, KernelError> {
-        let mut out = Vec::with_capacity(names.len());
-        for n in names {
-            let id = match lookup.get(n) {
-                Some(&id) => id,
-                None => {
-                    let dim = *dim_map.get(n.as_str()).ok_or_else(|| {
-                        KernelError::Parse(format!("no dimension given for index '{n}'"))
-                    })?;
-                    let id = indices.len();
-                    lookup.insert(n.clone(), id);
-                    indices.push(IndexInfo {
-                        name: n.clone(),
-                        dim,
-                        sparse_level: None,
-                    });
-                    id
-                }
-            };
-            out.push(id);
-        }
-        Ok(out)
-    };
-
-    // Resolve the sparse input (first RHS tensor) before the output so
-    // index ids follow the paper's convention of listing T's modes first.
-    let mut inputs = Vec::with_capacity(in_raw.len());
-    for r in &in_raw {
-        inputs.push(TensorRef {
-            name: r.name.clone(),
-            indices: resolve(&r.indices)?,
-        });
-    }
-    let output = TensorRef {
-        name: out_raw.name.clone(),
-        indices: resolve(&out_raw.indices)?,
-    };
-
-    let sparse_input = 0;
-    let output_sparse = output
-        .indices
-        .iter()
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
-        == inputs[sparse_input]
-            .indices
-            .iter()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>();
-
-    Kernel::new(indices, output, inputs, sparse_input, output_sparse)
-}
-
-fn split_equation(expr: &str) -> Result<(&str, &str), KernelError> {
-    if let Some(pos) = expr.find("+=") {
-        Ok((&expr[..pos], &expr[pos + 2..]))
-    } else if let Some(pos) = expr.find('=') {
-        Ok((&expr[..pos], &expr[pos + 1..]))
-    } else {
-        Err(KernelError::Parse(
-            "expected '=' in kernel expression".into(),
-        ))
-    }
+    parse_expr(expr)?.lower(|name| {
+        let found = dims.iter().find(|(n, _)| *n == name);
+        found
+            .map(|&(_, dim)| dim)
+            .ok_or_else(|| KernelError::Parse(format!("no dimension given for index '{name}'")))
+    })
 }
 
 /// Split on `sep` outside parentheses. Every segment is kept — including
@@ -203,6 +244,21 @@ mod tests {
     fn parses_plus_equals() {
         let k = parse_kernel("A(i) += T(i,j) * B(j)", &[("i", 3), ("j", 4)]).unwrap();
         assert_eq!(k.inputs.len(), 2);
+        assert!(parse_expr("A(i) += T(i,j) * B(j)").unwrap().accumulate);
+        assert!(!parse_expr("A(i) = T(i,j) * B(j)").unwrap().accumulate);
+    }
+
+    #[test]
+    fn arrow_and_bracket_syntax_lower_to_the_same_kernel() {
+        let dims: &[(&str, usize)] = &[("i", 10), ("j", 11), ("k", 12), ("a", 4)];
+        let paper = parse_kernel("A(i,a) = T(i,j,k) * B(j,a) * C(k,a)", dims).unwrap();
+        for expr in [
+            "T[i,j,k]*B[j,a]*C[k,a]->A[i,a]",
+            "T(i,j,k) * B(j,a) * C(k,a) -> A(i,a)",
+            "A[i,a] = T[i,j,k] * B[j,a] * C[k,a]",
+        ] {
+            assert_eq!(parse_kernel(expr, dims).unwrap(), paper, "{expr}");
+        }
     }
 
     #[test]

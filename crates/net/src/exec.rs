@@ -205,7 +205,7 @@ impl NetworkExecutor {
         // the collapsed kernel's `ExecOptions`). Flops are the dense
         // steps plus what the kernel's chosen nest executes
         // (`Plan::flops`); workspace bytes are
-        // the intermediates plus the kernel's serial one-thread floor
+        // the intermediates plus the kernel's one-thread floor
         // (the inner `Plan::bind` degrades its own thread count below
         // that bound). Both gates run before any workspace is checked
         // out of the pool, so a rejected bind touches nothing.

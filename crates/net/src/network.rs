@@ -1,7 +1,7 @@
 //! Network description: parsing and structural validation.
 
-use spttn::ir::{Kernel, KernelBuilder, KernelError, MAX_INDICES};
-use spttn::{Contraction, PlanCache, Result, Shapes, SpttnError};
+use spttn::ir::{parse_expr, Kernel, KernelError, ParsedExpr, ParsedRef, MAX_INDICES};
+use spttn::{PlanCache, Result, Shapes, SpttnError};
 
 use crate::plan::NetworkPlan;
 use crate::planner::NetOptions;
@@ -15,29 +15,27 @@ pub(crate) const INTER_PREFIX: &str = "_net";
 /// shared indices, reduced to a single output.
 ///
 /// Structure only — dimensions and sparsity arrive at [`Network::plan`]
-/// time through [`Shapes`], mirroring the two-stage [`Contraction`]
-/// API.
+/// time through [`Shapes`], mirroring the two-stage
+/// [`Contraction`](spttn::Contraction) API.
 #[derive(Debug, Clone)]
 pub struct Network {
     expr: String,
-    /// `(name, written index names)`; entry 0 is the sparse tensor.
-    inputs: Vec<(String, Vec<String>)>,
-    output: (String, Vec<String>),
-    accumulate: bool,
+    /// The parsed structure; input 0 is the sparse tensor.
+    parsed: ParsedExpr,
 }
 
 impl Network {
     /// Parse an einsum-style network expression, e.g.
     /// `"T[i,j,k]*A[j,r]*B[k,r]*C[r,s] -> O[i,s]"` (or the `O[..] = ..`
     /// form). The first factor is the sparse tensor; every other factor
-    /// is dense. Unlike [`Contraction`], the dense factors may share
-    /// indices among themselves that never touch the sparse tensor
-    /// (chains, trees, rings).
+    /// is dense. Unlike [`Contraction`](spttn::Contraction), the dense
+    /// factors may share indices among themselves that never touch the
+    /// sparse tensor (chains, trees, rings). The grammar is
+    /// [`spttn::ir::parse_expr`]'s, the same one the facade reads.
     pub fn parse(expr: &str) -> Result<Self> {
-        let c = Contraction::parse(expr)?;
-        let inputs = c.input_refs();
-        let output = c.output_ref().expect("parse always sets an output");
-        for (name, _) in inputs.iter().chain(std::iter::once(&output)) {
+        let parsed = parse_expr(expr)?;
+        let inputs = &parsed.inputs;
+        for ParsedRef { name, .. } in inputs.iter().chain(std::iter::once(&parsed.output)) {
             if name.starts_with(INTER_PREFIX) {
                 return Err(SpttnError::Kernel(KernelError::Parse(format!(
                     "tensor name '{name}' uses the reserved intermediate prefix '{INTER_PREFIX}'"
@@ -47,25 +45,23 @@ impl Network {
         // The same name written twice with the same indices is one
         // shared operand (legal); with different indices it would make
         // by-name binding ambiguous.
-        for (i, (name, inds)) in inputs.iter().enumerate() {
-            for (other, oinds) in &inputs[i + 1..] {
-                if name == other && inds != oinds {
+        for (i, a) in inputs.iter().enumerate() {
+            for b in &inputs[i + 1..] {
+                if a.name == b.name && a.indices != b.indices {
                     return Err(SpttnError::Kernel(KernelError::Parse(format!(
-                        "tensor '{name}' appears twice with different indices \
-                         ({inds:?} vs {oinds:?})"
+                        "tensor '{}' appears twice with different indices ({:?} vs {:?})",
+                        a.name, a.indices, b.indices
                     ))));
                 }
             }
         }
-        let distinct = c.all_index_names().len();
+        let distinct = parsed.index_names().len();
         if distinct > MAX_INDICES {
             return Err(KernelError::TooManyIndices(distinct).into());
         }
         Ok(Network {
             expr: expr.to_string(),
-            inputs,
-            output,
-            accumulate: c.is_accumulate(),
+            parsed,
         })
     }
 
@@ -76,50 +72,42 @@ impl Network {
 
     /// Number of input tensors in the network.
     pub fn num_tensors(&self) -> usize {
-        self.inputs.len()
+        self.parsed.inputs.len()
     }
 
     /// True when execution accumulates into the bound output (`+=`).
     pub fn is_accumulate(&self) -> bool {
-        self.accumulate
+        self.parsed.accumulate
     }
 
-    /// Input references as `(name, written index names)`; entry 0 is
+    /// Input references (name plus written index names); entry 0 is
     /// the sparse tensor.
-    pub fn input_refs(&self) -> &[(String, Vec<String>)] {
-        &self.inputs
+    pub fn input_refs(&self) -> &[ParsedRef] {
+        &self.parsed.inputs
     }
 
-    /// The output reference as `(name, written index names)`.
-    pub fn output_ref(&self) -> &(String, Vec<String>) {
-        &self.output
+    /// The output reference (name plus written index names).
+    pub fn output_ref(&self) -> &ParsedRef {
+        &self.parsed.output
     }
 
     /// Index names written on the sparse tensor, in written (CSF
     /// storage) order.
     pub fn sparse_index_names(&self) -> Vec<String> {
-        self.inputs[0].1.clone()
+        self.parsed.inputs[0].indices.clone()
     }
 
     /// All distinct index names, inputs first in first-appearance
     /// order. Drivers use this to know which dimensions need declaring.
     pub fn all_index_names(&self) -> Vec<String> {
-        let mut seen: Vec<String> = Vec::new();
-        for (_, inds) in &self.inputs {
-            for n in inds {
-                if !seen.contains(n) {
-                    seen.push(n.clone());
-                }
-            }
-        }
-        seen
+        self.parsed.index_names()
     }
 
     /// Distinct dense factor names (everything except the sparse
     /// tensor), in expression order — the names a bind must supply.
     pub fn dense_factor_names(&self) -> Vec<String> {
         let mut seen: Vec<String> = Vec::new();
-        for (name, _) in &self.inputs[1..] {
+        for ParsedRef { name, .. } in &self.parsed.inputs[1..] {
             if !seen.contains(name) {
                 seen.push(name.clone());
             }
@@ -128,41 +116,14 @@ impl Network {
     }
 
     /// Resolve the whole network into a single validated [`Kernel`]
-    /// (every index dimension comes from `shapes`). Path enumeration,
-    /// cost modeling, and the naive-einsum oracle all operate on this
+    /// (every index dimension comes from `shapes`) through the shared
+    /// lowering, [`ParsedExpr::lower`]. Path enumeration, cost
+    /// modeling, and the naive-einsum oracle all operate on this
     /// kernel; the lowered execution never materializes it as one loop
     /// nest unless the chosen path puts every factor on the sparse
     /// spine.
     pub fn kernel(&self, shapes: &Shapes) -> Result<Kernel> {
-        let mut b = KernelBuilder::new();
-        for (_, inds) in &self.inputs {
-            for idx in inds {
-                let dim = shapes.dim(idx).ok_or_else(|| {
-                    SpttnError::Planning(format!(
-                        "no dimension bound for index '{idx}'; call Shapes::with_dim(\"{idx}\", ...)"
-                    ))
-                })?;
-                b = b.index(idx, dim);
-            }
-        }
-        let oinds: Vec<&str> = self.output.1.iter().map(String::as_str).collect();
-        b = b.output(&self.output.0, &oinds);
-        for (name, inds) in &self.inputs {
-            let iinds: Vec<&str> = inds.iter().map(String::as_str).collect();
-            b = b.input(name, &iinds);
-        }
-        // Pattern-sharing output when its index set equals the sparse
-        // tensor's — the same rule the single-kernel facade applies.
-        let mut oset: Vec<&String> = self.output.1.iter().collect();
-        let mut sset: Vec<&String> = self.inputs[0].1.iter().collect();
-        oset.sort();
-        oset.dedup();
-        sset.sort();
-        sset.dedup();
-        if oset == sset {
-            b = b.sparse_output();
-        }
-        Ok(b.build()?)
+        self.parsed.lower(|idx| shapes.require_dim(idx))
     }
 
     /// **Stage 1 — symbolic planning.** Search contraction orders under

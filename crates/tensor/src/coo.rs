@@ -133,6 +133,16 @@ impl CooTensor {
     /// exactly zero are retained (the sparsity pattern is fixed, as the
     /// paper assumes: positions, not values, define the structure).
     pub fn sort_dedup(&mut self, mode_order: &[usize]) -> Result<(), TensorError> {
+        self.sort_dedup_ranks(mode_order).map(drop)
+    }
+
+    /// [`CooTensor::sort_dedup`], returning the sort itself: incoming
+    /// entry `ranks[k]` sorted to rank `k` (before duplicates merged —
+    /// with distinct entries, rank `k` is entry `k` of the result).
+    pub(crate) fn sort_dedup_ranks(
+        &mut self,
+        mode_order: &[usize],
+    ) -> Result<Vec<usize>, TensorError> {
         let d = self.dims.len();
         if !is_permutation(mode_order, d) {
             return Err(TensorError::InvalidPermutation);
@@ -170,7 +180,7 @@ impl CooTensor {
         }
         self.coords = new_coords;
         self.vals = new_vals;
-        Ok(())
+        Ok(perm)
     }
 
     /// Densify into a [`DenseTensor`] (testing / small-problem oracle).

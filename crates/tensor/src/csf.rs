@@ -12,7 +12,6 @@
 //! original tensor mode stored at that level); the paper restricts loop
 //! orders to iterate sparse indices in this storage order.
 
-use crate::coo::is_permutation;
 use crate::{CooTensor, TensorError};
 use std::ops::Range;
 
@@ -25,13 +24,13 @@ use std::ops::Range;
 /// contiguous node range at *every* level — a tile is pure metadata
 /// (one `Range` per level) over the unmodified tree. Tiles partition
 /// the tensor by complete root subtrees, which is exactly the unit of
-/// independent work the parallel executor fans out: the contraction is
+/// independent work the tile engine fans out: the contraction is
 /// linear in the sparse tensor, so executing each tile separately and
 /// summing the partial outputs reproduces the full result.
 ///
 /// Build tiles with [`Csf::partition`] (leaf-nnz-balanced),
 /// [`Csf::tile_of_roots`] (explicit root range), or [`Csf::full_tile`]
-/// (the whole tree, used by the serial path).
+/// (the whole tree).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsfTile {
     /// `ranges[k]` is the node range this tile spans at tree level `k`;
@@ -113,12 +112,15 @@ impl Csf {
     /// The input is copied, sorted lexicographically in `mode_order`, and
     /// deduplicated (duplicate coordinates are summed).
     pub fn from_coo(coo: &CooTensor, mode_order: &[usize]) -> Result<Self, TensorError> {
-        let d = coo.order();
-        if !is_permutation(mode_order, d) {
-            return Err(TensorError::InvalidPermutation);
-        }
         let mut sorted = coo.clone();
         sorted.sort_dedup(mode_order)?;
+        Ok(Self::from_sorted(&sorted, mode_order))
+    }
+
+    /// Build the tree over entries already sorted under `mode_order`
+    /// and free of duplicates.
+    fn from_sorted(sorted: &CooTensor, mode_order: &[usize]) -> Self {
+        let d = sorted.order();
         let n = sorted.nnz();
 
         // Permuted coordinate accessor: coordinate at tree level k of entry e.
@@ -180,12 +182,12 @@ impl Csf {
         let vals = sorted.vals().to_vec();
         debug_assert_eq!(vals.len(), levels.last().map_or(0, |l| l.idx.len()));
 
-        Ok(Csf {
-            dims: coo.dims().to_vec(),
+        Csf {
+            dims: sorted.dims().to_vec(),
             mode_order: mode_order.to_vec(),
             levels,
             vals,
-        })
+        }
     }
 
     /// Dimensions in original mode numbering.
@@ -273,7 +275,7 @@ impl Csf {
         &self.levels[k]
     }
 
-    /// The tile covering the entire tree (the serial execution path).
+    /// The tile covering the entire tree.
     pub fn full_tile(&self) -> CsfTile {
         let d = self.order().max(1);
         CsfTile {
@@ -432,19 +434,33 @@ impl Csf {
     /// Returns `self.clone()` when the order already matches. The values
     /// are preserved exactly (entries are already deduplicated, so the
     /// rebuild is a pure resort): `O(nnz · order)` to extract entries
-    /// plus `O(nnz log nnz)` to sort them — no densification.
+    /// plus `O(nnz log nnz)` to sort them — no densification. The tree
+    /// half of [`Csf::reordered_with_perm`].
     pub fn reordered(&self, new_mode_order: &[usize]) -> Result<Self, TensorError> {
-        if !is_permutation(new_mode_order, self.order()) {
-            return Err(TensorError::InvalidPermutation);
-        }
         if new_mode_order == self.mode_order {
             return Ok(self.clone());
         }
-        let mut coo = CooTensor::new(&self.dims)?;
-        self.for_each_entry(|coord, v| {
-            coo.push(coord, v).expect("in-bounds by construction");
-        });
-        Csf::from_coo(&coo, new_mode_order)
+        Ok(self.reordered_with_perm(new_mode_order)?.0)
+    }
+
+    /// [`Csf::reordered`] plus the leaf permutation of the rebuild, both
+    /// from one sort of the entries: leaf `e` of this tree is leaf
+    /// `perm[e]` of the returned one. What `Plan::bind` runs when a plan
+    /// chose another storage order, so values supplied later in this
+    /// tree's leaf order can be scattered into the rebuilt tree.
+    pub fn reordered_with_perm(
+        &self,
+        new_mode_order: &[usize],
+    ) -> Result<(Self, Vec<usize>), TensorError> {
+        let mut entries = self.to_coo();
+        // A tree's entries are distinct, so nothing merges: rank `k` of
+        // the sort is leaf `k` of the rebuilt tree.
+        let ranks = entries.sort_dedup_ranks(new_mode_order)?;
+        let mut perm = vec![0usize; ranks.len()];
+        for (new, &old) in ranks.iter().enumerate() {
+            perm[old] = new;
+        }
+        Ok((Self::from_sorted(&entries, new_mode_order), perm))
     }
 }
 
@@ -751,6 +767,14 @@ mod tests {
             let direct = Csf::from_coo(&coo, &order).unwrap();
             let re = csf.reordered(&order).unwrap();
             assert_eq!(re, direct, "order {order:?}");
+            // The permutation half: leaf `e` of the old tree is leaf
+            // `perm[e]` of the new one, identity included.
+            let (tree, perm) = csf.reordered_with_perm(&order).unwrap();
+            assert_eq!(tree, direct, "order {order:?}");
+            let (old, new): (Vec<_>, Vec<_>) = (csf.entries().collect(), tree.entries().collect());
+            for (e, &to) in perm.iter().enumerate() {
+                assert_eq!(old[e], new[to], "order {order:?}, leaf {e}");
+            }
         }
         // Same order: exact clone.
         assert_eq!(csf.reordered(&[0, 1, 2]).unwrap(), csf);

@@ -15,10 +15,7 @@
 //! mode-order policy and — for pattern-backed sparsity, where the
 //! search scores orders on exact per-order fiber counts — a fingerprint
 //! of the coordinates themselves, since two patterns with identical
-//! natural-order profiles can crown different orders. The one lossy
-//! field is `tier_slack: f64` on [`PlanOptions`], which is quantized to
-//! parts per million so the key stays `Eq + Hash` without comparing raw
-//! floats.
+//! natural-order profiles can crown different orders.
 //!
 //! Lookups are **single-flight**: when several threads miss on the same
 //! key at once, exactly one runs the planner while the rest block on
@@ -88,12 +85,6 @@ pub struct PlanKey {
     cost_model: CostModel,
     /// CSF mode-order policy (structural data — derives `Hash`).
     mode_order: ModeOrderPolicy,
-    /// Search limits.
-    max_paths_per_tier: usize,
-    max_tiers: usize,
-    /// `tier_slack` quantized to parts per million (after the planner's
-    /// own clamp to ≥ 1.0), keeping the raw `f64` out of the key.
-    tier_slack_ppm: u64,
     /// `=` vs `+=` execution semantics.
     accumulate: bool,
 }
@@ -129,9 +120,6 @@ impl PlanKey {
             sparsity: SparsityKey::of(source),
             cost_model: opts.cost_model,
             mode_order: opts.mode_order.clone(),
-            max_paths_per_tier: opts.max_paths_per_tier,
-            max_tiers: opts.max_tiers,
-            tier_slack_ppm: (opts.tier_slack.max(1.0) * 1e6).round() as u64,
             accumulate,
         }
     }

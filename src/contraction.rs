@@ -14,7 +14,8 @@
 //!    [`Executor`](crate::Executor) whose preallocated workspace makes
 //!    repeated execution allocation-free.
 //!
-//! Two expression syntaxes are accepted:
+//! Two expression syntaxes are accepted (the grammar and the names →
+//! [`Kernel`] lowering live in [`spttn_ir::parse`]):
 //!
 //! - paper style: `"A(i,a) = T(i,j,k) * B(j,a) * C(k,a)"` (use `+=`
 //!   instead of `=` to accumulate into the bound output on
@@ -34,8 +35,8 @@ use spttn_cost::{
 };
 use spttn_exec::{CancelToken, Microkernels};
 use spttn_ir::{
-    buffers_for_forest, build_forest, enumerate_paths, BufferSpec, ContractionPath, Kernel,
-    KernelBuilder, KernelError, LoopForest, NestSpec,
+    buffers_for_forest, build_forest, enumerate_paths, parse_expr, BufferSpec, ContractionPath,
+    Kernel, LoopForest, NestSpec, ParsedExpr,
 };
 use spttn_tensor::{CooTensor, SparsityProfile};
 use std::collections::{BTreeSet, HashMap};
@@ -66,14 +67,16 @@ pub enum CostModel {
     },
 }
 
-/// Thread-count selection for parallel execution.
+/// Thread-count selection: the most tiles a bind may split the sparse
+/// tensor into. Every count runs the same engine — tile 0 on the
+/// calling thread, one pool worker per further tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Threads {
     /// One thread per available hardware core
     /// ([`std::thread::available_parallelism`], falling back to 1).
     Auto,
-    /// Exactly `n` threads; `N(1)` (or `N(0)`) is the serial path,
-    /// byte-identical to a plan executed without parallelism.
+    /// At most `n` threads; `N(1)` (or `N(0)`) is one tile on the
+    /// calling thread — no worker thread, no partial output.
     N(usize),
 }
 
@@ -103,7 +106,7 @@ impl Threads {
 /// not its path's ideal count, which a nest can exceed many times
 /// over). Workspace pressure degrades
 /// gracefully — the bind drops to the largest thread count (and hence
-/// tile count) that fits, down to the serial path — before a typed
+/// tile count) that fits, down to one — before a typed
 /// [`crate::SpttnError::BudgetExceeded`] reports predicted vs allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RunBudget {
@@ -139,13 +142,15 @@ impl RunBudget {
 
 /// Execution-stage options, carried by a [`Plan`] into [`Plan::bind`].
 ///
-/// With more than one thread, binding partitions the CSF root level
-/// into leaf-balanced tiles and the executor fans them out over a
-/// persistent worker pool with one preallocated workspace and private
-/// output per thread; partial outputs combine through a deterministic
-/// tree reduction, so results are bit-reproducible run to run at a
-/// fixed thread count (and within ≤1e-9 of the serial path). One
-/// compiled tape is shared by every worker thread.
+/// Binding partitions the CSF root level into at most `threads`
+/// leaf-balanced tiles, each with its own preallocated workspace. Tile
+/// 0 runs on the calling thread straight into the caller's output;
+/// tiles 1… run on a persistent worker pool into private partial
+/// outputs that a deterministic tree reduction adds afterwards, so
+/// results are bit-reproducible run to run and bind to bind at a fixed
+/// thread count (and within ≤1e-9 across counts). One thread is the
+/// same engine with one tile. One compiled tape is shared by every
+/// executing thread.
 ///
 /// The robustness fields ([`RunBudget`], `deadline`, `cancel`) gate
 /// and bound executions: the budget is enforced at bind time, the
@@ -184,9 +189,8 @@ pub struct ExecOptions {
 }
 
 impl Default for ExecOptions {
-    /// Serial execution — parallelism is opt-in, keeping default plans
-    /// byte-identical to previous releases — with no deadline, token,
-    /// or budget.
+    /// One thread (one tile) — more is opt-in — with no deadline,
+    /// token, or budget.
     fn default() -> Self {
         ExecOptions {
             threads: Threads::N(1),
@@ -213,14 +217,6 @@ pub struct PlanOptions {
     /// still takes a CSF stored in the *written* order and rebuilds it
     /// when the plan's order differs — see [`Plan::mode_order`].
     pub mode_order: ModeOrderPolicy,
-    /// Maximum contraction paths the DP runs on per cost tier.
-    pub max_paths_per_tier: usize,
-    /// Maximum asymptotic-cost tiers to explore before giving up.
-    pub max_tiers: usize,
-    /// Paths within this factor of the tier leader share the tier, and
-    /// nests (across paths and CSF orders) whose executed work is
-    /// within it of the least are chosen among by the cost model alone.
-    pub tier_slack: f64,
     /// Execution-stage options the plan carries into [`Plan::bind`].
     /// Not part of [`crate::PlanKey`]: the symbolic plan is identical
     /// for every thread count.
@@ -234,16 +230,13 @@ impl Default for PlanOptions {
                 buffer_dim_bound: 2,
             },
             mode_order: ModeOrderPolicy::Natural,
-            max_paths_per_tier: 64,
-            max_tiers: 16,
-            tier_slack: 1.0,
             exec: ExecOptions::default(),
         }
     }
 }
 
 impl PlanOptions {
-    /// Options with a specific cost model and default search limits.
+    /// Options with a specific cost model and every other default.
     pub fn with_cost_model(cost_model: CostModel) -> Self {
         PlanOptions {
             cost_model,
@@ -320,14 +313,6 @@ impl PlanOptions {
     pub fn with_mode_order(mut self, mode_order: ModeOrderPolicy) -> Self {
         self.mode_order = mode_order;
         self
-    }
-
-    fn search(&self) -> spttn_cost::PlanOptions {
-        spttn_cost::PlanOptions {
-            max_paths_per_tier: self.max_paths_per_tier,
-            max_tiers: self.max_tiers,
-            tier_slack: self.tier_slack,
-        }
     }
 }
 
@@ -438,6 +423,17 @@ impl Shapes {
         self.dims.get(name).copied()
     }
 
+    /// The dimension bound to an index name, or the planning error that
+    /// says how to bind it — the `dim_of` every expression lowering
+    /// ([`spttn_ir::ParsedExpr::lower`]) runs against.
+    pub fn require_dim(&self, name: &str) -> Result<usize> {
+        self.dim(name).ok_or_else(|| {
+            SpttnError::Planning(format!(
+                "no dimension bound for index '{name}'; call Shapes::with_dim(\"{name}\", ...)"
+            ))
+        })
+    }
+
     /// Resolve the sparsity description into a natural-(written-)order
     /// [`SparsityProfile`] for a sparse input whose written index names
     /// are `names` — the profile multi-kernel schedulers (`spttn-net`)
@@ -448,11 +444,7 @@ impl Shapes {
     pub fn natural_profile(&self, names: &[String]) -> Result<SparsityProfile> {
         let mut dims = Vec::with_capacity(names.len());
         for n in names {
-            dims.push(self.dim(n).ok_or_else(|| {
-                SpttnError::Planning(format!(
-                    "no dimension bound for index '{n}'; call Shapes::with_dim(\"{n}\", ...)"
-                ))
-            })?);
+            dims.push(self.require_dim(n)?);
         }
         let natural: Vec<usize> = (0..names.len()).collect();
         if let Some(p) = &self.profile {
@@ -589,47 +581,32 @@ impl SparsitySource {
     }
 }
 
-/// One tensor reference parsed from the expression.
+/// What a [`Contraction`] was made from.
 #[derive(Debug, Clone)]
-struct RawRef {
-    name: String,
-    indices: Vec<String>,
+enum Source {
+    /// A parsed expression; dimensions arrive with the [`Shapes`].
+    Expr(ParsedExpr),
+    /// A pre-built kernel (bypasses parsing and dimension inference).
+    Kernel(Kernel),
 }
 
 /// A parsed contraction: structure only, no operands.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Contraction {
-    output: Option<RawRef>,
-    inputs: Vec<RawRef>,
-    /// Pre-built kernel (bypasses parsing and dimension inference).
-    kernel: Option<Kernel>,
+    source: Source,
     /// `+=` expression: execution accumulates into the bound output.
     accumulate: bool,
 }
 
 impl Contraction {
     /// Parse an einsum-style SpTTN expression (structure only;
-    /// dimensions are supplied at [`Contraction::plan`] time).
+    /// dimensions are supplied at [`Contraction::plan`] time). Grammar
+    /// and rejections are [`spttn_ir::parse_expr`]'s.
     pub fn parse(expr: &str) -> Result<Self> {
-        let (output, inputs, accumulate) = parse_expression(expr)?;
-        if inputs.is_empty() {
-            return Err(KernelError::NoInputs.into());
-        }
-        // An output index appearing in no input factor has nothing to
-        // produce it; reject at parse time with the offending name
-        // instead of surfacing later as an opaque planner error.
-        for idx in &output.indices {
-            if !inputs.iter().any(|r| r.indices.contains(idx)) {
-                return Err(SpttnError::Kernel(KernelError::Parse(format!(
-                    "output index '{idx}' appears in no input factor of '{expr}'"
-                ))));
-            }
-        }
+        let parsed = parse_expr(expr)?;
         Ok(Contraction {
-            output: Some(output),
-            inputs,
-            accumulate,
-            ..Default::default()
+            accumulate: parsed.accumulate,
+            source: Source::Expr(parsed),
         })
     }
 
@@ -637,55 +614,25 @@ impl Contraction {
     /// [`spttn_ir::stdkernels`]); the kernel's declared dimensions are
     /// used directly, and bound tensors are validated against them.
     pub fn from_kernel(kernel: Kernel) -> Self {
-        let as_raw = |r: &spttn_ir::TensorRef| RawRef {
-            name: r.name.clone(),
-            indices: r
-                .indices
-                .iter()
-                .map(|&i| kernel.index_name(i).to_string())
-                .collect(),
-        };
         Contraction {
-            output: Some(as_raw(&kernel.output)),
-            inputs: kernel.inputs.iter().map(as_raw).collect(),
-            kernel: Some(kernel),
-            ..Default::default()
+            source: Source::Kernel(kernel),
+            accumulate: false,
         }
     }
 
     /// Index names written on the sparse input (the first
     /// right-hand-side tensor), in written order — the names whose
-    /// dimensions an ingested tensor file supplies. `None` before an
-    /// expression is parsed.
+    /// dimensions an ingested tensor file supplies.
     pub fn sparse_index_names(&self) -> Option<Vec<String>> {
-        if let Some(k) = &self.kernel {
-            return Some(
+        match &self.source {
+            Source::Kernel(k) => Some(
                 k.csf_index_order()
                     .iter()
                     .map(|&i| k.index_name(i).to_string())
                     .collect(),
-            );
+            ),
+            Source::Expr(p) => p.inputs.first().map(|r| r.indices.clone()),
         }
-        self.inputs.first().map(|r| r.indices.clone())
-    }
-
-    /// Parsed input tensor references as `(name, written index names)`
-    /// pairs, in expression order — the first entry is the sparse
-    /// input. Multi-kernel schedulers (the `spttn-net` crate) read the
-    /// network structure through this instead of re-parsing.
-    pub fn input_refs(&self) -> Vec<(String, Vec<String>)> {
-        self.inputs
-            .iter()
-            .map(|r| (r.name.clone(), r.indices.clone()))
-            .collect()
-    }
-
-    /// The parsed output reference as `(name, written index names)`,
-    /// `None` before an expression is parsed.
-    pub fn output_ref(&self) -> Option<(String, Vec<String>)> {
-        self.output
-            .as_ref()
-            .map(|r| (r.name.clone(), r.indices.clone()))
     }
 
     /// True when execution accumulates into the bound output (a `+=`
@@ -694,26 +641,14 @@ impl Contraction {
         self.accumulate
     }
 
-    /// All distinct index names in the expression, inputs first (in
-    /// first-appearance order) then any output-only names. Drivers use
-    /// this to know which dimensions still need declaring.
+    /// All distinct index names in the expression, in first-appearance
+    /// order over the inputs. Drivers use this to know which dimensions
+    /// still need declaring.
     pub fn all_index_names(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        let mut push = |n: &String| {
-            if !seen.contains(n) {
-                seen.push(n.clone());
-            }
-        };
-        if let Some(k) = &self.kernel {
-            return k.indices.iter().map(|i| i.name.clone()).collect();
+        match &self.source {
+            Source::Kernel(k) => k.indices.iter().map(|i| i.name.clone()).collect(),
+            Source::Expr(p) => p.index_names(),
         }
-        for r in &self.inputs {
-            r.indices.iter().for_each(&mut push);
-        }
-        if let Some(o) = &self.output {
-            o.indices.iter().for_each(&mut push);
-        }
-        seen
     }
 
     /// Mark the contraction as accumulating into the bound output
@@ -739,25 +674,23 @@ impl Contraction {
     /// kernel is used as-is, otherwise every index dimension comes from
     /// `shapes`.
     pub(crate) fn resolve_symbolic(self, shapes: &Shapes) -> Result<(Kernel, bool)> {
-        if let Some(kernel) = self.kernel {
-            // Dimensions live in the kernel; catch contradictions early.
-            for info in &kernel.indices {
-                if let Some(d) = shapes.dim(&info.name) {
-                    if d != info.dim {
-                        return Err(SpttnError::Shape(format!(
-                            "index '{}' is {} in the kernel but {d} in the shapes",
-                            info.name, info.dim
-                        )));
+        let kernel = match self.source {
+            Source::Kernel(kernel) => {
+                // Dimensions live in the kernel; catch contradictions early.
+                for info in &kernel.indices {
+                    if let Some(d) = shapes.dim(&info.name) {
+                        if d != info.dim {
+                            return Err(SpttnError::Shape(format!(
+                                "index '{}' is {} in the kernel but {d} in the shapes",
+                                info.name, info.dim
+                            )));
+                        }
                     }
                 }
+                kernel
             }
-            return Ok((kernel, self.accumulate));
-        }
-        let output = self
-            .output
-            .as_ref()
-            .ok_or_else(|| SpttnError::Planning("no expression parsed".into()))?;
-        let kernel = build_kernel(output, &self.inputs, |name| shapes.dim(name))?;
+            Source::Expr(parsed) => parsed.lower(|idx| shapes.require_dim(idx))?,
+        };
         Ok((kernel, self.accumulate))
     }
 }
@@ -829,11 +762,9 @@ fn run_planner(kernel: &Kernel, source: &SparsitySource, opts: &PlanOptions) -> 
                 }
             },
         };
-        plan_mode_orders(kernel, cost, &opts.search(), &orders, |o| {
-            source.profile_for(kernel, o)
-        })
-        .map(erase)
-        .ok_or_else(|| SpttnError::Planning("no feasible loop nest found".into()))
+        plan_mode_orders(kernel, cost, &orders, |o| source.profile_for(kernel, o))
+            .map(erase)
+            .ok_or_else(|| SpttnError::Planning("no feasible loop nest found".into()))
     }
     match opts.cost_model {
         CostModel::MaxBufferDim => go(kernel, source, &MaxBufferDim, opts),
@@ -951,7 +882,7 @@ impl Plan {
 
     /// Replace the execution options this plan carries into
     /// [`Plan::bind`] (builder style). The symbolic nest is untouched —
-    /// the same plan can be bound serially and in parallel.
+    /// the same plan can be bound at any thread count.
     pub fn with_exec(mut self, exec: ExecOptions) -> Plan {
         self.exec = exec;
         self
@@ -1103,141 +1034,4 @@ impl Plan {
         s.push_str(&self.forest.render(&self.kernel, &self.path));
         s
     }
-}
-
-/// Parse either expression syntax into (output, inputs, accumulate).
-fn parse_expression(expr: &str) -> Result<(RawRef, Vec<RawRef>, bool)> {
-    let e = expr.replace('[', "(").replace(']', ")");
-    let (lhs, rhs, accumulate) = if let Some((ins, out)) = e.split_once("->") {
-        (out.trim().to_string(), ins.trim().to_string(), false)
-    } else if let Some(pos) = e.find("+=") {
-        (
-            e[..pos].trim().to_string(),
-            e[pos + 2..].trim().to_string(),
-            true,
-        )
-    } else if let Some(pos) = e.find('=') {
-        (
-            e[..pos].trim().to_string(),
-            e[pos + 1..].trim().to_string(),
-            false,
-        )
-    } else {
-        return Err(SpttnError::Kernel(KernelError::Parse(
-            "expected '=' or '->' in contraction expression".into(),
-        )));
-    };
-    let output = parse_ref(&lhs)?;
-    let mut inputs = Vec::new();
-    for part in split_top_level(&rhs, '*') {
-        if part.trim().is_empty() {
-            return Err(SpttnError::Kernel(KernelError::Parse(format!(
-                "empty factor in '{}' (stray or doubled '*'?)",
-                rhs.trim()
-            ))));
-        }
-        inputs.push(parse_ref(&part)?);
-    }
-    Ok((output, inputs, accumulate))
-}
-
-fn parse_ref(s: &str) -> Result<RawRef> {
-    let s = s.trim();
-    let err = |m: String| SpttnError::Kernel(KernelError::Parse(m));
-    let open = s
-        .find('(')
-        .ok_or_else(|| err(format!("expected '(' or '[' in tensor reference '{s}'")))?;
-    if !s.ends_with(')') {
-        return Err(err(format!("unterminated tensor reference '{s}'")));
-    }
-    let name = s[..open].trim();
-    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Err(err(format!("bad tensor name in '{s}'")));
-    }
-    let inner = &s[open + 1..s.len() - 1];
-    let indices: Vec<String> = if inner.trim().is_empty() {
-        Vec::new()
-    } else {
-        inner.split(',').map(|x| x.trim().to_string()).collect()
-    };
-    for i in &indices {
-        if i.is_empty() || !i.chars().all(|c| c.is_alphanumeric() || c == '_') {
-            return Err(err(format!("bad index name '{i}' in '{s}'")));
-        }
-    }
-    Ok(RawRef {
-        name: name.to_string(),
-        indices,
-    })
-}
-
-/// Split on `sep` outside parentheses. Every segment is kept — including
-/// empty ones from doubled or trailing separators — so the caller can
-/// reject them with a pointed message instead of silently dropping them.
-fn split_top_level(s: &str, sep: char) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            c if c == sep && depth == 0 => out.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    out.push(cur);
-    out
-}
-
-/// Build the validated kernel from parsed structure and a dimension
-/// oracle (dimensions come from [`Shapes`]).
-fn build_kernel(
-    output: &RawRef,
-    inputs: &[RawRef],
-    dim_of: impl Fn(&str) -> Option<usize>,
-) -> Result<Kernel> {
-    let mut b = KernelBuilder::new();
-    // Declare indices in first-appearance order (sparse modes first).
-    for r in inputs {
-        for idx in &r.indices {
-            let dim = dim_of(idx).ok_or_else(|| {
-                SpttnError::Planning(format!(
-                    "no dimension bound for index '{idx}'; call Shapes::with_dim(\"{idx}\", ...)"
-                ))
-            })?;
-            b = b.index(idx, dim);
-        }
-    }
-    for idx in &output.indices {
-        if dim_of(idx).is_none() {
-            return Err(SpttnError::Kernel(KernelError::UnboundOutputIndex(
-                idx.clone(),
-            )));
-        }
-    }
-    let oinds: Vec<&str> = output.indices.iter().map(String::as_str).collect();
-    b = b.output(&output.name, &oinds);
-    for r in inputs {
-        let iinds: Vec<&str> = r.indices.iter().map(String::as_str).collect();
-        b = b.input(&r.name, &iinds);
-    }
-    // Pattern-sharing output: index set equals the sparse input's.
-    let sparse = &inputs[0];
-    let mut oset: Vec<&String> = output.indices.iter().collect();
-    let mut sset: Vec<&String> = sparse.indices.iter().collect();
-    oset.sort();
-    oset.dedup();
-    sset.sort();
-    sset.dedup();
-    if oset == sset {
-        b = b.sparse_output();
-    }
-    Ok(b.build()?)
 }

@@ -2,32 +2,32 @@
 //! execute it repeatedly.
 //!
 //! An [`Executor`] owns the bound CSF sparse input, the dense factors
-//! (slot-ordered), the tape compiled from the plan's nest, and a
-//! preallocated [`Workspace`] holding every Eq.-5 intermediate buffer
-//! — everything execution touches except the caller's output. After
-//! [`Plan::bind`] returns, [`Executor::execute_into`] performs **zero
-//! heap allocations**, and the rebinding methods
-//! ([`Executor::set_factor`], [`Executor::set_sparse_values`]) copy new
-//! values into the existing allocations, which is exactly the shape of
-//! an ALS / HOOI sweep: plan once, rebind factors each iteration,
-//! execute.
+//! (slot-ordered) and a tile engine
+//! ([`ParallelExecutor`]) holding the tape
+//! compiled from the plan's nest and one preallocated [`Workspace`] per
+//! tile with every Eq.-5 intermediate buffer — everything execution
+//! touches except the caller's output. After [`Plan::bind`] returns,
+//! [`Executor::execute_into`] performs **zero heap allocations**, and
+//! the rebinding methods ([`Executor::set_factor`],
+//! [`Executor::set_sparse_values`]) copy new values into the existing
+//! allocations, which is exactly the shape of an ALS / HOOI sweep: plan
+//! once, rebind factors each iteration, execute.
 //!
-//! When the plan's [`crate::ExecOptions`] resolve to more than one
-//! thread, binding also partitions the CSF root level into
-//! leaf-balanced tiles and builds a
-//! [`ParallelExecutor`] — a persistent worker pool
-//! with one workspace and private output per thread. The allocation
-//! contract is unchanged (fan-out reuses preallocated job slots and
-//! buffers), results stay within ≤1e-9 of the serial path, and a fixed
-//! thread count is bit-reproducible run to run thanks to the
-//! deterministic tile order and tree reduction. `threads = 1` skips all
-//! of this and is byte-identical to previous serial behavior.
+//! There is one way down, whatever the plan's [`crate::ExecOptions`]
+//! say: binding partitions the CSF root level into at most
+//! `threads` leaf-balanced tiles; tile 0 runs on the calling thread and
+//! accumulates straight into the caller's output, tiles 1… run on a
+//! persistent worker pool into private partials that a deterministic
+//! tree reduction adds afterwards. One thread is one tile: no worker
+//! thread, no partial, no reduction — and the same cancellation, panic
+//! isolation, stats and allocation contract as any other count. A fixed
+//! thread count is bit-reproducible run to run and bind to bind.
 
 use crate::contraction::Plan;
 use crate::{Result, SpttnError};
 use spttn_exec::{
-    execute_tape_into_guarded, validate_slotted_operands, CompiledTape, ContractionOutput,
-    ExecStats, OutputMut, ParallelExecutor, RunGuard, TapeReport, Workspace,
+    validate_slotted_operands, CompiledTape, ContractionOutput, ExecStats, OutputMut,
+    ParallelExecutor, RunGuard, TapeReport, Workspace,
 };
 use spttn_tensor::{CooTensor, Csf, DenseTensor};
 use std::collections::HashMap;
@@ -140,24 +140,7 @@ impl Plan {
             .iter()
             .map(|&p| csf.mode_order()[p])
             .collect();
-        // Entries of a CSF are distinct, so sorting them under the new
-        // order is a unique total order — position `k` of this sort is
-        // exactly leaf `k` of the rebuilt tree.
-        let coo = csf.to_coo();
-        let mut idx: Vec<usize> = (0..coo.nnz()).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            let (ca, cb) = (coo.coord(a), coo.coord(b));
-            new_order
-                .iter()
-                .map(|&m| ca[m].cmp(&cb[m]))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut leaf_perm = vec![0usize; coo.nnz()];
-        for (new_pos, &old) in idx.iter().enumerate() {
-            leaf_perm[old] = new_pos;
-        }
-        let rebuilt = Csf::from_coo(&coo, &new_order)?;
+        let (rebuilt, leaf_perm) = csf.reordered_with_perm(&new_order)?;
         Ok((rebuilt, Some(leaf_perm)))
     }
 }
@@ -175,26 +158,18 @@ pub struct Executor {
     factors: Vec<DenseTensor>,
     /// Input slots each factor name fills (for [`Executor::set_factor`]).
     slots_by_name: HashMap<String, Vec<usize>>,
-    workspace: Workspace,
-    /// Tiled multi-threaded engine (worker pool + per-thread workspaces
-    /// and partial outputs), present when the plan's [`crate::ExecOptions`]
-    /// resolve to more than one thread *and* the tensor splits into more
-    /// than one tile. `None` means the serial path, byte-identical to a
-    /// single-threaded bind.
-    par: Option<ParallelExecutor>,
-    /// The bind-time-compiled instruction tape: one immutable program
-    /// shared by every executing thread; the per-thread mutable state
-    /// lives in the workspaces.
-    tape: Arc<CompiledTape>,
+    /// The tile engine: the bind-time-compiled tape (one immutable
+    /// program shared by every executing thread), one workspace per
+    /// tile, the partials and worker pool of tiles 1…, and the stats of
+    /// the most recent run. One tile when the admitted thread count is
+    /// 1 or the tensor does not split.
+    engine: ParallelExecutor,
     /// When the plan chose a non-natural storage order: maps leaf `e`
     /// of the CSF the caller bound to leaf `leaf_perm[e]` of the
     /// rebuilt tree, so [`Executor::set_sparse_values`] keeps accepting
     /// values in the caller's leaf order. `None` on natural-order plans
     /// (identity mapping).
     leaf_perm: Option<Vec<usize>>,
-    /// Microkernel dispatch counters of the most recent execution,
-    /// aggregated across threads.
-    last_stats: ExecStats,
     /// Coordinate template for materializing pattern-sharing outputs.
     coo_template: Option<CooTensor>,
 }
@@ -203,10 +178,10 @@ pub struct Executor {
 /// [`RunBudget::max_workspace_bytes`](crate::RunBudget): find the
 /// largest thread count `t ≤ requested` whose replicated Eq.-5
 /// footprint ([`Plan::parallel_footprint`] × 8 bytes) fits the budget.
-/// Degradation is graceful — fewer threads first, down to the serial
-/// path — and only when even one thread's workspace exceeds the budget
-/// does binding fail with a typed [`SpttnError::BudgetExceeded`]
-/// reporting predicted vs allowed bytes.
+/// Degradation is graceful — fewer threads (and so fewer tiles) first,
+/// down to one — and only when even one thread's workspace exceeds the
+/// budget does binding fail with a typed
+/// [`SpttnError::BudgetExceeded`] reporting predicted vs allowed bytes.
 fn admit_threads(plan: &Plan, requested: usize, max_bytes: Option<u64>) -> Result<usize> {
     let Some(max) = max_bytes else {
         return Ok(requested);
@@ -275,11 +250,11 @@ impl Executor {
         validate_slotted_operands(kernel, &csf, &factors)?;
 
         // Compile the plan's nest to a flat instruction program
-        // exactly once per bind; serial and parallel executions share
-        // the same immutable tape. `compile_with` resolves the plan's
-        // microkernel policy against the host CPU (and the
-        // `SPTTN_MICROKERNELS` override) once, here; the selected
-        // kernels ride in the tape as fn pointers.
+        // exactly once per bind; every tile runs the same immutable
+        // tape. `compile_with` resolves the plan's microkernel policy
+        // against the host CPU (and the `SPTTN_MICROKERNELS` override)
+        // once, here; the selected kernels ride in the tape as fn
+        // pointers.
         let tape = CompiledTape::compile_with(
             kernel,
             &plan.path,
@@ -293,34 +268,15 @@ impl Executor {
         if plan.exec.verify || cfg!(debug_assertions) {
             tape.verify().map_err(SpttnError::from)?;
         }
-        let tape = Arc::new(tape);
-        // Parallel engine: only when the admitted thread count is >1
-        // and the tensor actually splits (a single tile would duplicate
-        // the serial path with extra copies).
-        let par = if threads > 1 {
-            let engine = ParallelExecutor::new(
-                kernel,
-                &plan.path,
-                &plan.forest,
-                &plan.buffers,
-                Arc::clone(&tape),
-                &csf,
-                threads,
-            );
-            (engine.n_tiles() > 1).then_some(engine)
-        } else {
-            None
-        };
-        // The serial workspace backs only the `par == None` path; when
-        // the engine owns per-thread workspaces, keep a spec-free
-        // placeholder instead of a dead replica of every Eq.-5 buffer.
-        let workspace = if par.is_some() {
-            Workspace::from_specs(kernel, &plan.path, &plan.forest, &[])
-        } else {
-            let mut ws = Workspace::from_specs(kernel, &plan.path, &plan.forest, &plan.buffers);
-            ws.prepare_tape(&tape);
-            ws
-        };
+        let engine = ParallelExecutor::new(
+            kernel,
+            &plan.path,
+            &plan.forest,
+            &plan.buffers,
+            Arc::new(tape),
+            &csf,
+            threads,
+        );
         let coo_template = kernel.output_sparse.then(|| csf.to_coo());
 
         Ok(Executor {
@@ -328,11 +284,8 @@ impl Executor {
             csf,
             factors,
             slots_by_name,
-            workspace,
-            par,
-            tape,
+            engine,
             leaf_perm,
-            last_stats: ExecStats::default(),
             coo_template,
         })
     }
@@ -347,38 +300,30 @@ impl Executor {
         &self.csf
     }
 
-    /// The preallocated workspace (exposed so callers can assert buffer
-    /// stability across executions). Under parallel execution this is a
-    /// spec-free placeholder — see [`Executor::parallel`] for the
-    /// per-thread workspaces that actually run.
-    pub fn workspace(&self) -> &Workspace {
-        &self.workspace
+    /// The preallocated workspaces, one per tile (exposed so callers can
+    /// assert buffer stability across executions).
+    pub fn workspaces(&self) -> &[Workspace] {
+        self.engine.workspaces()
     }
 
-    /// The tiled parallel engine, when this executor runs multi-threaded
-    /// (plan bound with >1 thread and a tensor that splits into >1 tile).
-    pub fn parallel(&self) -> Option<&ParallelExecutor> {
-        self.par.as_ref()
-    }
-
-    /// Number of threads executions actually use: the parallel engine's
-    /// tile count, or 1 on the serial path.
+    /// Number of threads executions actually use: the engine's tile
+    /// count, the caller's thread included.
     pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, ParallelExecutor::n_tiles)
+        self.engine.n_tiles()
     }
 
     /// The compiled instruction tape executions run (exposed for
     /// diagnostics: program size, cursor and finger counts, selected
     /// microkernels).
     pub fn tape(&self) -> &CompiledTape {
-        &self.tape
+        self.engine.tape()
     }
 
     /// Microkernel dispatch counters of the most recent
     /// [`Executor::execute`] / [`Executor::execute_into`], aggregated
     /// across all executing threads. Zeros before the first execution.
     pub fn last_stats(&self) -> ExecStats {
-        self.last_stats
+        self.engine.stats()
     }
 
     /// The first bound tensor for a factor name, if any.
@@ -406,14 +351,16 @@ impl Executor {
     /// accumulated on top of the output's existing values.
     ///
     /// When the plan's [`crate::ExecOptions`] carry a cancel token or a
-    /// deadline, execution checks them at every root-subtree boundary
-    /// and stops with [`SpttnError::Cancelled`]. The serial tape writes
-    /// straight into `out`, so a run stopped mid-way leaves it holding
-    /// an unspecified part of the result. The executor itself keeps no
-    /// state from the stopped run: calling `execute_into` again on a
-    /// `=` plan (which re-zeroes `out`) gives exactly the result of a
-    /// fresh executor; for a `+=` plan restore the values `out` held
-    /// before the stopped call first.
+    /// deadline, every tile checks them at its root-subtree boundaries
+    /// and the run stops with [`SpttnError::Cancelled`]; a panic inside
+    /// any tile, the caller's included, stops it with
+    /// [`SpttnError::WorkerPanic`] instead of unwinding. Tile 0 writes
+    /// straight into `out` at every thread count, so a stopped run
+    /// leaves it holding an unspecified part of the result. The
+    /// executor itself keeps no state from the stopped run: calling
+    /// `execute_into` again on a `=` plan (which re-zeroes `out`) gives
+    /// exactly the result of a fresh executor; for a `+=` plan restore
+    /// the values `out` held before the stopped call first.
     pub fn execute_into(&mut self, out: &mut ContractionOutput) -> Result<()> {
         // The deadline clock starts here, at the execution boundary —
         // not at bind. Guard construction is allocation-free (an `Arc`
@@ -436,10 +383,7 @@ impl Executor {
             plan,
             csf,
             factors,
-            workspace,
-            par,
-            tape,
-            last_stats,
+            engine,
             coo_template,
             ..
         } = self;
@@ -488,19 +432,7 @@ impl Executor {
                 OutputMut::Sparse(c.vals_mut())
             }
         };
-        // The parallel engine shares the same tape (one program,
-        // per-tile state); otherwise the tape runs the whole tree here.
-        match par {
-            Some(engine) => {
-                engine.execute_into(kernel, csf, factors, target, guard)?;
-                *last_stats = engine.stats();
-            }
-            None => {
-                execute_tape_into_guarded(tape, kernel, csf, factors, workspace, target, guard)?;
-                *last_stats = workspace.stats();
-            }
-        }
-        Ok(())
+        engine.execute_into(kernel, csf, factors, target, guard)
     }
 
     /// Execute and return a freshly materialized output (always `=`
@@ -580,10 +512,10 @@ impl Executor {
 
 // Pooling contract: executors are checked out of a pool on one thread
 // and executed on another (`spttn-net` routes intermediates this way),
-// so `Executor` must stay `Send`. The worker pool inside
-// `ParallelExecutor` owns its threads and shares state only through
-// `Mutex`/`Condvar`; this assertion turns any future non-`Send` field
-// into a compile error instead of a downstream breakage.
+// so `Executor` must stay `Send`. The worker pool inside the engine
+// owns its threads and shares state only through `Mutex`/`Condvar`;
+// this assertion turns any future non-`Send` field into a compile
+// error instead of a downstream breakage.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Executor>();

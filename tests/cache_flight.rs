@@ -77,14 +77,11 @@ fn racing_threads_on_distinct_keys_plan_each() {
 
 #[test]
 fn failed_flights_are_not_cached() {
-    // max_tiers = 0 guarantees "no feasible loop nest" every time; the
-    // error must propagate to the caller but never be pinned in the
-    // cache, so a later (fixed) lookup plans fresh.
+    // A `Fixed` order that is not a permutation fails planning every
+    // time; the error must propagate to the caller but never be pinned
+    // in the cache, so every retry runs the planner again.
     let cache = PlanCache::new();
-    let broken = PlanOptions {
-        max_tiers: 0,
-        ..PlanOptions::default()
-    };
+    let broken = PlanOptions::default().with_mode_order(ModeOrderPolicy::Fixed(vec![0, 0, 1]));
 
     for _ in 0..2 {
         let e = cache.plan(Contraction::parse(EXPR).unwrap(), &shapes(), &broken);
@@ -96,11 +93,8 @@ fn failed_flights_are_not_cached() {
     assert_eq!(cache.len(), 0);
     assert!(cache.is_empty());
 
-    // The same key with working options now plans and caches normally.
-    let fixed = PlanOptions {
-        max_tiers: 16,
-        ..broken
-    };
+    // With the permutation repaired the lookup plans and caches normally.
+    let fixed = broken.with_mode_order(ModeOrderPolicy::Fixed(vec![0, 2, 1]));
     cache
         .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &fixed)
         .unwrap();

@@ -80,14 +80,10 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
     let b = random_dense(&[18, 6], &mut rng);
     let factors: Vec<(&str, &DenseTensor)> = vec![("A", &a), ("B", &b)];
 
-    // Baseline: serial reference result every recovered execution must
+    // Baseline: the 1-thread result every recovered execution must
     // reproduce exactly (scalar microkernels are bitwise-stable).
-    let serial = mttkrp_plan(1, &csf, |o| o);
-    let want = serial
-        .bind(csf.clone(), &factors)
-        .unwrap()
-        .execute()
-        .unwrap();
+    let one = mttkrp_plan(1, &csf, |o| o);
+    let want = one.bind(csf.clone(), &factors).unwrap().execute().unwrap();
     let want = as_dense(&want).clone();
 
     // ---- 4 threads: pool-worker faults ------------------------------
@@ -113,7 +109,7 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
     assert_eq!(
         as_dense(&got).as_slice(),
         want.as_slice(),
-        "post-panic execution must match the serial baseline"
+        "post-panic execution must match the 1-thread baseline"
     );
 
     // (b) A worker whose thread dies is respawned before the next run.
@@ -126,7 +122,7 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
     assert_eq!(
         as_dense(&got).as_slice(),
         want.as_slice(),
-        "execution after worker respawn must match the serial baseline"
+        "execution after worker respawn must match the 1-thread baseline"
     );
 
     // (c) A tile-0 (calling thread) panic is caught and typed too.
@@ -168,19 +164,43 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
         );
     }
 
-    // ---- 1 thread: the serial path never claims pool faults ---------
+    // ---- 1 thread: the same engine with one tile --------------------
+    // Tile 0 is the calling thread at every tile count, so its panic is
+    // caught and typed here too; a one-tile engine has no pool slot, so
+    // a pool-worker fault finds nobody to claim it.
     let mut exec1 = mttkrp_plan(1, &csf, |o| o)
         .bind(csf.clone(), &factors)
         .unwrap();
     assert_eq!(exec1.threads(), 1);
     faults::inject(Fault::WorkerPanic { worker: 0 });
     faults::inject(Fault::Tile0Panic);
+    match exec1.execute() {
+        Err(SpttnError::WorkerPanic { worker, payload }) => {
+            assert_eq!(worker, 0, "the caller's tile");
+            assert!(payload.contains("injected fault"), "got '{payload}'");
+        }
+        other => panic!("expected tile-0 WorkerPanic at 1 thread, got {other:?}"),
+    }
+    // The tile-0 fault is spent, the slot-0 fault still armed and
+    // unclaimed: the next run is bitwise the unfaulted result.
     let got = exec1.execute().unwrap();
     assert_eq!(
         as_dense(&got).as_slice(),
         want.as_slice(),
-        "serial execution must be untouched by armed pool faults"
+        "the run after a recovered 1-thread panic must match a fresh one"
     );
+    let mut out = exec1.output_template();
+    exec1.execute_into(&mut out).unwrap();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..3 {
+        exec1.execute_into(&mut out).unwrap();
+    }
+    assert_eq!(
+        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        0,
+        "a recovered one-tile engine must still execute allocation-free"
+    );
+    assert_eq!(as_dense(&out).as_slice(), want.as_slice());
     faults::clear();
 
     // ---- deadlines: a guard that fires before the first root subtree

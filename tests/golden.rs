@@ -14,8 +14,8 @@ use spttn_exec::naive_einsum;
 const TOL: f64 = 1e-9;
 
 /// Thread count for end-to-end executions: CI runs this suite at
-/// `SPTTN_TEST_THREADS=1` and `=4` so the serial and parallel engines
-/// both stay green.
+/// `SPTTN_TEST_THREADS=1` and `=4` so the engine stays green at one tile
+/// and at several.
 fn test_threads() -> Threads {
     match std::env::var("SPTTN_TEST_THREADS") {
         Ok(v) => Threads::N(v.parse().expect("SPTTN_TEST_THREADS must be an integer")),

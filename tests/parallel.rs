@@ -1,8 +1,8 @@
-//! Parallel execution golden tests through the facade: every standard
-//! kernel, executed at several thread counts, must match the serial
-//! path to ≤ 1e-9; fixed thread counts must be bitwise deterministic;
-//! and the degenerate shapes (empty tensor, single root fiber, more
-//! threads than roots) must all work.
+//! Tile-engine golden tests through the facade: every standard kernel,
+//! executed at several thread counts, must match the one-tile run to
+//! ≤ 1e-9; fixed thread counts must be bitwise deterministic; and the
+//! degenerate shapes (empty tensor, single root fiber, more threads
+//! than roots) must all work.
 
 use rand::prelude::*;
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
@@ -60,7 +60,7 @@ fn execute_at(
 }
 
 /// Every stdkernel (dense and pattern-sharing outputs), at thread
-/// counts 1/2/4/7, agrees with the serial path to ≤ 1e-9.
+/// counts 2/4/7, agrees with the one-tile run to ≤ 1e-9.
 #[test]
 fn stdkernels_parallel_match_serial() {
     let suite: Vec<(Kernel, usize)> = vec![
@@ -76,7 +76,7 @@ fn stdkernels_parallel_match_serial() {
             let got = execute_at(kernel, &csf, &factors, CostModel::MaxBufferSize, threads);
             assert!(
                 got.to_dense().approx_eq(&want, TOL),
-                "{} at {threads} threads diverged from serial",
+                "{} at {threads} threads diverged from one tile",
                 kernel.to_einsum()
             );
         }
@@ -112,15 +112,17 @@ fn empty_tensor_runs_at_any_thread_count() {
     ];
     for threads in [1usize, 4] {
         let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, threads);
-        // One tile (empty), so the engine stays serial.
+        // One (empty) tile whatever was asked for.
         assert_eq!(exec.threads(), 1);
         let out = exec.execute().unwrap().to_dense();
         assert_eq!(out.norm(), 0.0);
     }
 }
 
-/// A tensor whose nonzeros share one root fiber cannot split; parallel
-/// binds fall back to one tile and still match.
+/// A one-tile bind — one thread asked for, or a tensor whose nonzeros
+/// share one root fiber and so cannot split — reports one thread and
+/// holds one workspace; both run the same engine, so they agree to the
+/// bit.
 #[test]
 fn single_root_fiber_and_threads_beyond_roots() {
     let kernel = stdkernels::mttkrp(&[12, 10, 11], 5);
@@ -139,9 +141,13 @@ fn single_root_fiber_and_threads_beyond_roots() {
         ("F1".to_string(), random_dense(&[10, 5], &mut rng)),
         ("F2".to_string(), random_dense(&[11, 5], &mut rng)),
     ];
-    let want = execute_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, 1).to_dense();
+    let mut one = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, 1);
+    assert_eq!(one.threads(), 1, "Threads::N(1) → one tile");
+    assert_eq!(one.workspaces().len(), 1);
+    let want = one.execute().unwrap().to_dense();
     let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, 4);
     assert_eq!(exec.threads(), 1, "one root fiber → one tile");
+    assert_eq!(exec.workspaces().len(), 1);
     let got = exec.execute().unwrap().to_dense();
     assert_eq!(got.as_slice(), want.as_slice());
 
@@ -159,8 +165,8 @@ fn single_root_fiber_and_threads_beyond_roots() {
     assert!(got.approx_eq(&want, TOL));
 }
 
-/// `+=` accumulation composes with parallel execution exactly like the
-/// serial path: two executions double the output.
+/// `+=` accumulation composes with several tiles exactly as with one:
+/// two executions double the output.
 #[test]
 fn accumulate_semantics_survive_parallelism() {
     let kernel = stdkernels::ttmc(&[24, 14, 16], &[4, 5]);
@@ -184,9 +190,9 @@ fn accumulate_semantics_survive_parallelism() {
         exec.execute_into(&mut out).unwrap();
         out.to_dense()
     };
-    let serial = run_twice(build(1));
+    let one = run_twice(build(1));
     let parallel = run_twice(build(4));
-    assert!(parallel.approx_eq(&serial, TOL));
+    assert!(parallel.approx_eq(&one, TOL));
     // And both really accumulated: one execution is half of two.
     let once = build(4).execute().unwrap().to_dense();
     let mut doubled = once.clone();

@@ -1,12 +1,15 @@
 //! What the planner chooses, and whether it tells the truth about it.
 //!
-//! Two invariants of the executed-work term in the Sec.-5 pipeline:
+//! Three invariants of the executed-work term in the Sec.-5 pipeline:
 //!
 //! - **executed == modeled.** For an exact-pattern `Shapes`,
 //!   `Plan::flops` equals the trip count of the plan's loop forest over
 //!   the real CSF, counted here by a walker that shares no code with
 //!   the cost model — for every `stdkernels` entry under every cost
 //!   model, and for an explicit nest that iterates CSF indices densely.
+//! - **counted == modeled.** Where every leaf of the default plan runs
+//!   as a microkernel, the flops `ExecStats` counts during a real
+//!   execution are `Plan::flops` to the flop, at 1 tile and at 4.
 //! - **plan shapes.** On the five shapes of `BENCHMARK.json` (at the
 //!   benchmark's smoke size), under an exact pattern and under the
 //!   uniform model alike, the default plan never hoists a dense index
@@ -17,8 +20,8 @@ use rand::prelude::*;
 use spttn::ir::{
     path_from_picks, stdkernels, Kernel, LoopForest, LoopNode, LoopVertex, NestSpec, VertexKind,
 };
-use spttn::tensor::{random_coo, CooTensor, Csf};
-use spttn::{Contraction, CostModel, Plan, PlanOptions, Shapes};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
+use spttn::{Contraction, CostModel, Plan, PlanOptions, Shapes, Threads};
 use spttn_net::{NetOptions, Network, OrderStrategy};
 
 const MODELS: [CostModel; 4] = [
@@ -141,6 +144,56 @@ fn executed_flops_count_densely_iterated_csf_indices() {
     );
     assert!(old.work().ns() > 3.0 * plan.work().ns());
     assert!(old.describe().contains("work:"), "{}", old.describe());
+}
+
+/// What `ExecStats` counts while the default plan runs is what the plan
+/// said it would execute: every `tgt += l·r` lane is two flops whichever
+/// microkernel carries it (XMUL used to be booked at three), and tiles
+/// partition the dispatches of a nest that sits wholly under the sparse
+/// root. TTTP's last term `S += T·X1` is a scalar `Instr::Leaf` per
+/// nonzero, which `ExecStats` does not see yet (ROADMAP item 4): exactly
+/// `2·nnz` flops short.
+#[test]
+fn counted_flops_equal_modeled_flops_where_leaves_are_microkernels() {
+    let cases: [(Kernel, [usize; 3], usize, u128); 3] = [
+        (stdkernels::mttkrp(&[60, 50, 40], 8), [60, 50, 40], 3_000, 0),
+        (
+            stdkernels::ttmc(&[60, 50, 40], &[4, 4]),
+            [60, 50, 40],
+            3_000,
+            0,
+        ),
+        (stdkernels::tttp(&[40, 30, 20], 8), [40, 30, 20], 1_500, 2),
+    ];
+    let mut rng = StdRng::seed_from_u64(9);
+    for (kernel, dims, nnz, uncounted_per_nnz) in cases {
+        let pattern = coo(&dims, nnz, 1);
+        let csf = natural_csf(&pattern);
+        let factors: Vec<(String, DenseTensor)> = kernel.inputs[1..]
+            .iter()
+            .map(|r| (r.name.clone(), random_dense(&kernel.ref_dims(r), &mut rng)))
+            .collect();
+        let refs: Vec<(&str, &DenseTensor)> =
+            factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+        for threads in [1usize, 4] {
+            let plan = Contraction::from_kernel(kernel.clone())
+                .plan(
+                    &Shapes::new().with_pattern(pattern.clone()),
+                    &PlanOptions::default().with_threads(Threads::N(threads)),
+                )
+                .unwrap();
+            let mut exec = plan.bind(csf.clone(), &refs).unwrap();
+            assert_eq!(exec.threads(), threads);
+            exec.execute().unwrap();
+            assert_eq!(
+                u128::from(exec.last_stats().flops()) + uncounted_per_nnz * csf.nnz() as u128,
+                plan.flops,
+                "{} at {threads} thread(s):\n{}",
+                kernel.to_einsum(),
+                plan.describe()
+            );
+        }
+    }
 }
 
 /// The two ways a `Shapes` can describe the smoke tensors.

@@ -8,13 +8,15 @@
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
-use spttn::{Contraction, ContractionOutput, CostModel, PlanCache, PlanOptions, Shapes, Threads};
+use spttn::{
+    Contraction, ContractionOutput, CostModel, Executor, PlanCache, PlanOptions, Shapes, Threads,
+};
 
 const TOL: f64 = 1e-9;
 
 /// Thread count for end-to-end executions: CI runs this suite at
-/// `SPTTN_TEST_THREADS=1` and `=4` so the serial and parallel engines
-/// both stay green.
+/// `SPTTN_TEST_THREADS=1` and `=4` so the engine stays green at one
+/// tile and at several.
 fn test_threads() -> Threads {
     match std::env::var("SPTTN_TEST_THREADS") {
         Ok(v) => Threads::N(v.parse().expect("SPTTN_TEST_THREADS must be an integer")),
@@ -81,13 +83,13 @@ fn check_reuse(kernel: &Kernel, nnz: usize, seed: u64) {
     );
 
     // Record buffer addresses: rebinding and re-executing must not move
-    // any workspace allocation.
-    let ptrs: Vec<*const f64> = exec
-        .workspace()
-        .buffers()
-        .iter()
-        .map(|b| b.as_slice().as_ptr())
-        .collect();
+    // any allocation of any tile's workspace.
+    let buffer_ptrs = |exec: &Executor| -> Vec<*const f64> {
+        let all = exec.workspaces().iter().flat_map(|ws| ws.buffers());
+        all.map(|b| b.as_slice().as_ptr()).collect()
+    };
+    assert_eq!(exec.workspaces().len(), exec.threads());
+    let ptrs = buffer_ptrs(&exec);
 
     // Rebind: fresh factor values, fresh same-pattern sparse values.
     for (name, t) in &factors2 {
@@ -106,13 +108,11 @@ fn check_reuse(kernel: &Kernel, nnz: usize, seed: u64) {
         kernel.to_einsum()
     );
 
-    let ptrs_after: Vec<*const f64> = exec
-        .workspace()
-        .buffers()
-        .iter()
-        .map(|b| b.as_slice().as_ptr())
-        .collect();
-    assert_eq!(ptrs, ptrs_after, "workspace buffers were reallocated");
+    assert_eq!(
+        ptrs,
+        buffer_ptrs(&exec),
+        "workspace buffers were reallocated"
+    );
 }
 
 #[test]
