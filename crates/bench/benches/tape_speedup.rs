@@ -35,8 +35,7 @@ fn stats_json(s: &ExecStats) -> String {
     format!(
         "{{\"axpy\": {}, \"dot\": {}, \"xmul\": {}, \"ger\": {}, \"gemv\": {}, \
          \"axpy_elems\": {}, \"dot_elems\": {}, \"xmul_elems\": {}, \"ger_elems\": {}, \
-         \"gemv_elems\": {}, \"elems\": {}, \"flops\": {}, \
-         \"node_searches\": {}, \"search_probes\": {}}}",
+         \"gemv_elems\": {}, \"elems\": {}, \"flops\": {}}}",
         s.axpy,
         s.dot,
         s.xmul,
@@ -48,9 +47,7 @@ fn stats_json(s: &ExecStats) -> String {
         s.ger_elems,
         s.gemv_elems,
         s.elems(),
-        s.flops(),
-        s.node_searches,
-        s.search_probes
+        s.flops()
     )
 }
 

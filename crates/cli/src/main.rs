@@ -717,7 +717,7 @@ fn main() {
     if args.verify {
         // Static proof of the compiled program, before (or without)
         // binding any data: loop structure, cursor bounds, Eq.-5 zero
-        // placement, resolver shape.
+        // placement, node tracking.
         let report = plan
             .verify_tape()
             .unwrap_or_else(|e| fail(format!("verify: {e}")));
@@ -742,12 +742,11 @@ fn main() {
         .unwrap_or_else(|e| fail_stage("bind", e));
     let tape = exec.tape();
     println!(
-        "bind: {} thread(s), tape of {} instrs, {} cursors, {} fingers; \
+        "bind: {} thread(s), tape of {} instrs, {} cursors; \
          {} kernels ×{}, {} fused, {} specialized{} ({:.1} ms)",
         exec.threads(),
         tape.num_instrs(),
         tape.num_cursors(),
-        tape.num_fingers(),
         tape.microkernels(),
         tape.kernel_width(),
         tape.superinstructions(),
@@ -788,10 +787,6 @@ fn main() {
         stats.gemv,
         stats.total(),
         stats.elems()
-    );
-    println!(
-        "search: {} node re-resolutions, {} probes (galloping finger search)",
-        stats.node_searches, stats.search_probes
     );
 
     if args.check {

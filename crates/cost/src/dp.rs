@@ -2,12 +2,15 @@
 //!
 //! Finds, for a fixed contraction path and any tree-separable cost, the
 //! loop order minimizing the cost — in `O(N³·2^m·m)` instead of the
-//! `O((m!)^N)` of exhaustive enumeration. Subproblems are
-//! (contiguous term range, set of already-iterated indices); each
-//! subproblem returns both the best loop order and the best one whose
-//! first loop has a *different* root index, which the parent needs when
-//! its own root would otherwise fuse with the suffix forest (the paper's
-//! lines 16–20).
+//! `O((m!)^N)` of exhaustive enumeration. Subproblems — the memo key —
+//! are (contiguous term range, set of already-iterated indices, tracked
+//! CSF depth): the depth is how many leading CSF levels the enclosing
+//! *sparse* loops cover, which [`spttn_ir::vertex_kind`] classifies by
+//! and the iterated set alone does not determine (a CSF index may have
+//! been iterated densely). Each subproblem returns both the best loop
+//! order and the best one whose first loop has a *different* root index,
+//! which the parent needs when its own root would otherwise fuse with
+//! the suffix forest (the paper's lines 16–20).
 //!
 //! Every candidate carries its executed [`Work`] beside the model's own
 //! value and candidates are compared by [`TreeCost::rank`] — the model's
@@ -71,7 +74,7 @@ struct Dp<'a, C: TreeCost> {
     /// above it cannot be part of an optimal nest; all others can, so
     /// among them only `Work` matters.
     cap: Option<C::Value>,
-    memo: HashMap<(usize, usize, IdxSet), Entry<C::Value>>,
+    memo: HashMap<(usize, usize, IdxSet, usize), Entry<C::Value>>,
 }
 
 /// Run Algorithm 1 on a contraction path. Returns `None` only for empty
@@ -93,11 +96,11 @@ pub fn optimal_order<C: TreeCost>(
         cap: None,
         memo: HashMap::new(),
     };
-    let mut best = dp.solve(0, path.len(), IdxSet::EMPTY).best?;
+    let mut best = dp.solve(0, path.len(), IdxSet::EMPTY, 0).best?;
     if C::BOTTLENECK {
         dp.cap = Some(best.value);
         dp.memo.clear();
-        best = dp.solve(0, path.len(), IdxSet::EMPTY).best?;
+        best = dp.solve(0, path.len(), IdxSet::EMPTY, 0).best?;
     }
     Some(SearchResult {
         value: best.value,
@@ -121,7 +124,7 @@ impl<'a, C: TreeCost> Dp<'a, C> {
         order.is_lt()
     }
 
-    fn solve(&mut self, lo: usize, hi: usize, removed: IdxSet) -> Entry<C::Value> {
+    fn solve(&mut self, lo: usize, hi: usize, removed: IdxSet, tracked: usize) -> Entry<C::Value> {
         if lo == hi {
             return Entry {
                 best: Some(Cand {
@@ -132,7 +135,7 @@ impl<'a, C: TreeCost> Dp<'a, C> {
                 second: None,
             };
         }
-        let key = (lo, hi, removed);
+        let key = (lo, hi, removed, tracked);
         if let Some(e) = self.memo.get(&key) {
             return e.clone();
         }
@@ -141,7 +144,7 @@ impl<'a, C: TreeCost> Dp<'a, C> {
         let entry = if remaining_first.is_empty() {
             // Line 5: the first term is fully iterated — it becomes a
             // leaf here; recurse on the rest.
-            let sub = self.solve(lo + 1, hi, removed);
+            let sub = self.solve(lo + 1, hi, removed, tracked);
             let map = |mut c: Cand<C::Value>| {
                 let mut orders = Vec::with_capacity(c.orders.len() + 1);
                 orders.push(Vec::new());
@@ -188,13 +191,13 @@ impl<'a, C: TreeCost> Dp<'a, C> {
                     if !order_ok {
                         break;
                     }
-                    let Ok(kind) = vertex_kind(self.kernel, self.path, lo, lo + s, removed, q)
+                    let Ok(kind) = vertex_kind(self.kernel, self.path, lo, lo + s, tracked, q)
                     else {
                         continue;
                     };
-                    let x = self.solve(lo, lo + s, removed.insert(q));
+                    let x = self.solve(lo, lo + s, removed.insert(q), kind.tracked_below(tracked));
                     let Some(xc) = x.best else { continue };
-                    let y = self.solve(lo + s, hi, removed);
+                    let y = self.solve(lo + s, hi, removed, tracked);
                     // Lines 16–20: if the suffix forest would start with
                     // a loop over q, the combined tree would not be
                     // fully fused — take its second-best instead.
@@ -435,6 +438,21 @@ mod tests {
         let path = path_from_picks(&tttc, &[(1, 2), (1, 2), (0, 1)]);
         assert!(check_exact(&tttc, &prof, std::slice::from_ref(&path), &MaxBufferDim) > 0);
         assert!(check_exact(&tttc, &prof, &[path], &MaxBufferSize) > 0);
+
+        // The path whose nests used to reach a CSF node by search: under
+        // the fused dense `i` of terms 1–2 the `j` and `k` loops are
+        // dense, in the DP exactly as in `build_forest`.
+        let witness = parse_kernel(
+            "S(i,j,k) = T(i,j,k) * A(i,r) * B(j,r) * C(k,r) * D(k,r)",
+            &[("i", 5), ("j", 6), ("k", 7), ("r", 3)],
+        )
+        .unwrap();
+        let prof = SparsityProfile::uniform(&[5, 6, 7], &[0, 1, 2], 60).unwrap();
+        let path = [path_from_picks(&witness, &[(0, 2), (0, 1), (0, 1), (0, 1)])];
+        check_exact(&witness, &prof, &path, &MaxBufferDim);
+        check_exact(&witness, &prof, &path, &MaxBufferSize);
+        check_exact(&witness, &prof, &path, &CacheMiss { d: 1 });
+        check_exact(&witness, &prof, &path, &BlasAware::default());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! directly, re-deriving on every vertex visit the decisions the tape
 //! compiler makes once:
 //!
-//! - **Sparse vertices** iterate the children of the current CSF node at
-//!   their level; the descent is tracked per level, and when a sparse
-//!   loop sits below a *densely* iterated sparse mode the node is
-//!   re-resolved by binary search (absent coordinates contribute exactly
-//!   zero, by the lineage-pruning argument of Sec. 4).
+//! - **Sparse vertices** iterate the children of the CSF node the
+//!   enclosing sparse loop stands on (the root range at level 0). The
+//!   forest rule ([`spttn_ir::vertex_kind`]) makes that the only case;
+//!   a hand-built forest that breaks it is refused up front
+//!   ([`LoopForest::check_descent`]), as the tape compiler does.
 //! - **Dense vertices** iterate the full index dimension. Innermost
 //!   dense loops covering a single term are dispatched to the
 //!   [`crate::blas`] microkernels (AXPY/DOT/elementwise for one loop,
@@ -59,6 +59,7 @@ pub fn execute_forest_into(
 ) -> Result<()> {
     validate_slotted_operands(kernel, csf, factors_by_slot)?;
     validate_output(kernel, &out, csf.nnz())?;
+    forest.check_descent(kernel, path)?;
     let specs = buffers_for_forest(kernel, path, forest);
     if ws.buffers.len() != path.len()
         || ws.forest_stamp != forest_stamp(forest)
@@ -93,16 +94,12 @@ pub fn execute_forest_into(
         buffers,
         buffer_inds: &buffer_inds,
         coords: vec![0; kernel.num_indices()],
-        nodes: vec![None; kernel.csf_index_order().len()],
+        nodes: vec![usize::MAX; kernel.csf_index_order().len()],
         out_dense,
         out_sparse,
         stats,
-        node_searches: std::cell::Cell::new(0),
-        search_probes: std::cell::Cell::new(0),
     };
     exec.exec_siblings(&forest.roots, path.len());
-    exec.stats.node_searches += exec.node_searches.get();
-    exec.stats.search_probes += exec.search_probes.get();
     Ok(())
 }
 
@@ -167,7 +164,7 @@ struct Exec<'a> {
     /// Current coordinate per kernel index.
     coords: Vec<usize>,
     /// Current CSF node per tree level (set by enclosing sparse loops).
-    nodes: Vec<Option<usize>>,
+    nodes: Vec<usize>,
     /// Dense output target (workspace scratch when the output is sparse).
     out_dense: &'a mut DenseTensor,
     /// Sparse output values, parallel with the CSF's leaves (empty when
@@ -175,27 +172,6 @@ struct Exec<'a> {
     out_sparse: &'a mut [f64],
     /// Per-execution microkernel dispatch counters (workspace-owned).
     stats: &'a mut ExecStats,
-    /// Search counters, in `Cell`s because [`Exec::resolve_node`] runs
-    /// under shared borrows; folded into `stats` after the run.
-    node_searches: std::cell::Cell<u64>,
-    search_probes: std::cell::Cell<u64>,
-}
-
-/// Binary search for `target` in a sorted, duplicate-free slice,
-/// counting the coordinate comparisons performed (the interpreter's
-/// per-visit search depth, reported as [`ExecStats::search_probes`]).
-fn binary_search_counting(idx: &[usize], target: usize, probes: &mut u64) -> Option<usize> {
-    let (mut lo, mut hi) = (0usize, idx.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        *probes += 1;
-        match idx[mid].cmp(&target) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some(mid),
-        }
-    }
-    None
 }
 
 impl<'a> Exec<'a> {
@@ -245,67 +221,30 @@ impl<'a> Exec<'a> {
                 }
             }
             VertexKind::Sparse { level } => {
-                let Some(range) = self.level_range(level) else {
-                    // Coordinate prefix absent from the pattern: every
-                    // covered term is prunable, contributions vanish.
-                    return;
+                let range = match level {
+                    0 => self.csf.root_range(),
+                    l => self.csf.children(l - 1, self.nodes[l - 1]),
                 };
                 for node in range {
                     self.coords[v.index] = self.csf.node_coord(level, node);
-                    self.nodes[level] = Some(node);
+                    self.nodes[level] = node;
                     self.exec_siblings(&v.children, v.term_hi);
                 }
-                self.nodes[level] = None;
             }
         }
     }
 
-    /// Node range a sparse loop at `level` iterates, under the current
-    /// descent; `None` when the enclosing coordinates are off-pattern.
-    fn level_range(&self, level: usize) -> Option<std::ops::Range<usize>> {
-        if level == 0 {
-            Some(self.csf.root_range())
-        } else {
-            let parent = self.resolve_node(level - 1)?;
-            Some(self.csf.children(level - 1, parent))
-        }
-    }
-
-    /// CSF node at `level` for the current coordinates: tracked nodes
-    /// where an enclosing sparse loop set them, binary search where a
-    /// sparse mode was iterated densely.
-    fn resolve_node(&self, level: usize) -> Option<usize> {
-        let mut node: Option<usize> = None;
-        for l in 0..=level {
-            if let Some(n) = self.nodes[l] {
-                node = Some(n);
-                continue;
-            }
-            let range = if l == 0 {
-                self.csf.root_range()
-            } else {
-                self.csf.children(l - 1, node?)
-            };
-            let target = self.coords[self.kernel.index_at_level(l)];
-            let idx = &self.csf.level(l).idx[range.clone()];
-            self.node_searches.set(self.node_searches.get() + 1);
-            let mut probes = self.search_probes.get();
-            let found = binary_search_counting(idx, target, &mut probes);
-            self.search_probes.set(probes);
-            match found {
-                Some(pos) => node = Some(range.start + pos),
-                None => return None,
-            }
-        }
-        node
+    /// The leaf node the innermost sparse loop stands on.
+    fn leaf_node(&self) -> usize {
+        self.nodes[self.csf.order() - 1]
     }
 
     /// Read an operand's value at the current coordinates.
     fn read_operand(&self, op: Operand) -> f64 {
         match op {
-            Operand::Input(i) if i == self.kernel.sparse_input => self
-                .resolve_node(self.csf.order() - 1)
-                .map_or(0.0, |n| self.csf.leaf_val(n)),
+            Operand::Input(i) if i == self.kernel.sparse_input => {
+                self.csf.leaf_val(self.leaf_node())
+            }
             Operand::Input(i) => {
                 let f = &self.factors[i];
                 let off = offset_in(&self.kernel.inputs[i].indices, f.strides(), &self.coords);
@@ -323,12 +262,8 @@ impl<'a> Exec<'a> {
     fn accumulate_cell(&mut self, t: usize, v: f64) {
         if t + 1 == self.path.len() {
             if self.kernel.output_sparse {
-                match self.resolve_node(self.csf.order() - 1) {
-                    Some(n) => self.out_sparse[n] += v,
-                    // Off-pattern cell of a pattern-sharing output: the
-                    // contribution is exactly zero by lineage pruning.
-                    None => debug_assert_eq!(v, 0.0),
-                }
+                let node = self.leaf_node();
+                self.out_sparse[node] += v;
             } else {
                 let off = offset_in(
                     &self.kernel.output.indices,

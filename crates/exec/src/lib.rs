@@ -4,8 +4,9 @@
 //! the compiled **tape** ([`tape`]). [`CompiledTape`] lowers a planned
 //! [`spttn_ir::LoopForest`] once, at bind time, into a flat instruction
 //! program — loop dispatch, BLAS-style microkernel selection (paper
-//! Sec. 5) and operand addressing all resolved at compile time, densely
-//! iterated sparse modes re-resolved by a monotone finger search — and
+//! Sec. 5) and operand addressing all resolved at compile time, every
+//! sparse loop stepping down from the CSF node its enclosing sparse
+//! loop stands on (no node is ever searched for) — and
 //! an iterative driver replays it over a CSF sparse tensor and dense
 //! factors with zero allocations and zero atomics on the hot path.
 //!
@@ -33,7 +34,7 @@
 //!
 //! Three things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,
-//! cursor bounds, Eq.-5 zero placement, resolver shape) before it ever
+//! cursor bounds, Eq.-5 zero placement, node tracking) before it ever
 //! runs; the reference interpreter ([`interp::execute_forest_into`])
 //! walks the forest directly, serially and over the whole tree, and is
 //! the bitwise twin of a scalar-kernel tape that the differential

@@ -3,8 +3,7 @@
 //! The reference interpreter ([`crate::interp`]) walks a planned
 //! [`LoopForest`] directly: every vertex visit re-matches node variants,
 //! re-probes BLAS eligibility (`try_blas` rebuilds operand metadata from
-//! index lists), recomputes strided offsets from scratch, and
-//! re-resolves densely iterated sparse modes with a cold binary search.
+//! index lists) and recomputes strided offsets from scratch.
 //! All of those decisions depend only on the *plan*, not on the data —
 //! so [`CompiledTape::compile_with`] makes each of them exactly once,
 //! lowering `(Kernel, ContractionPath, LoopForest)` into a flat
@@ -22,9 +21,9 @@
 //!   the *advance table*: `(cursor, stride)` pairs whose running
 //!   offsets are incremented by `Δcoordinate · stride` on every step
 //!   and restored on exit, replacing the interpreter's per-visit
-//!   `offset_in` recomputation. A sparse header also carries how to
-//!   locate its parent CSF node: the tile root range, a node tracked by
-//!   an enclosing sparse loop, or a finger-search resolver.
+//!   `offset_in` recomputation. A sparse header also carries where
+//!   its parent CSF node is: the tile root range, or the node an
+//!   enclosing sparse loop stands on.
 //! - `Leaf` — one scalar contraction `tgt += l · r`, with both operand
 //!   addresses precompiled to cursors (or the sparse leaf value).
 //! - `Dot` / `Axpy` / `Xmul` / `Ger` / `Gemv` — a whole innermost dense
@@ -45,24 +44,18 @@
 //!   Emitted only under [`Microkernels::Auto`]; the fused kernels never
 //!   skip the write (even for `α == 0`), preserving the zero point.
 //!
-//! # Finger search
+//! # The tape never searches
 //!
-//! When a sparse CSF mode is iterated *densely* above a sparse loop
-//! (e.g. Listing 4's `s` above `k`, or an unfused consumer
-//! re-descending the tree), the node for the current coordinate must be
-//! re-resolved inside the dense loop. The interpreter binary-searches
-//! the child range from scratch on every visit. The tape exploits the
-//! **monotone traversal invariant**: while the enclosing context (the
-//! parent node) is fixed, successive targets of one resolution site are
-//! non-decreasing, and CSF child ranges are sorted — so each searched
-//! level keeps a *finger* (the last position), and a new target gallops
-//! forward from it (exponential steps, then binary search in the
-//! bracket). A parent change or a target decrease resets the finger to
-//! the range start, so monotonicity is purely an accelerant, never a
-//! correctness assumption. Amortized over a full dense sweep this is
-//! O(range + dim) instead of O(dim · log range); the probe counts are
-//! reported in [`ExecStats::search_probes`] next to the interpreter's
-//! binary-search depths.
+//! A sparse loop iterates the children of the node its enclosing sparse
+//! loop stands on, and a sparse value or pattern-sharing output cell is
+//! the leaf node the innermost sparse loop stands on: the forest rule
+//! ([`spttn_ir::vertex_kind`] — sparse vertices form a chain from the
+//! root level, a CSF index under a densely iterated shallower one is
+//! dense itself) guarantees both for every planned nest, so no CSF node
+//! is ever looked up by coordinate. [`LoopForest`] is public data; a
+//! hand-built forest that breaks the rule is refused at compile time
+//! ([`LoopForest::check_descent`]), and [`verify`] proves every
+//! tracked-node claim of a compiled program against its loop structure.
 //!
 //! # Contracts
 //!
@@ -108,8 +101,7 @@ enum RBuf {
 enum Read {
     /// `store[cursors[cur]]`.
     Cursor { buf: RBuf, cur: usize },
-    /// The sparse tensor's leaf value at the resolved node (0 when the
-    /// coordinate prefix is off-pattern — lineage pruning).
+    /// The sparse tensor's leaf value at the tracked leaf node.
     SparseVal,
 }
 
@@ -162,11 +154,9 @@ struct MatTgt {
 enum NodeRes {
     /// No sparse access in this instruction.
     None,
-    /// Every level up to the leaf is tracked by an enclosing sparse
-    /// loop: read `nodes[level]` directly.
+    /// Every level down to the leaf is tracked by an enclosing sparse
+    /// loop: read `nodes[level]`.
     Tracked(usize),
-    /// Some level is densely iterated: run the finger-search resolver.
-    Resolver(usize),
 }
 
 /// How a sparse loop header locates the node range it iterates.
@@ -174,11 +164,9 @@ enum NodeRes {
 enum ParentLoc {
     /// Level 0: the executed tile's root range.
     Root,
-    /// Parent level is tracked by an enclosing sparse loop.
+    /// The children of the node the enclosing sparse loop at this
+    /// level stands on.
     Tracked(usize),
-    /// Parent must be resolved (finger search); off-pattern skips the
-    /// loop — the covered contributions vanish by lineage pruning.
-    Resolver(usize),
 }
 
 /// Slice of the advance table owned by one loop header.
@@ -308,30 +296,6 @@ enum Instr {
     },
 }
 
-/// One level of a resolver's descent program.
-#[derive(Debug, Clone, Copy)]
-enum ResLevel {
-    /// Node set by an enclosing sparse loop: read `nodes[l]`.
-    Tracked,
-    /// Finger-search `coords[index]` in the current child range, with
-    /// persistent finger state at `slot`.
-    Search { index: IndexId, slot: usize },
-}
-
-/// Compile-time spec of one sparse-node resolver.
-///
-/// `levels[i]` describes CSF level `start + i`. Unlike the
-/// interpreter's `resolve_node` — which walks from level 0 and
-/// searches every untracked level even when a deeper tracked level
-/// overrides the result — the compiled descent starts at the deepest
-/// tracked level at or below the target, so redundant shallow searches
-/// are skipped entirely.
-#[derive(Debug, Clone)]
-struct ResolverSpec {
-    start: usize,
-    levels: Vec<ResLevel>,
-}
-
 /// Static operand-store extents captured at compile time, making a
 /// [`CompiledTape`] self-describing for [`CompiledTape::verify`]: the
 /// verifier proves cursor offsets in range against these lengths
@@ -366,9 +330,7 @@ struct TapeBounds {
 pub struct CompiledTape {
     instrs: Vec<Instr>,
     adv: Vec<AdvEntry>,
-    resolvers: Vec<ResolverSpec>,
     n_cursors: usize,
-    n_fingers: usize,
     n_indices: usize,
     n_levels: usize,
     n_terms: usize,
@@ -378,33 +340,6 @@ pub struct CompiledTape {
     /// Microkernel selection recorded at compile time (function
     /// pointers inside the instructions were drawn from this set).
     kernels: KernelSet,
-}
-
-/// Invalid/uninitialized finger parent marker.
-const PARENT_INVALID: usize = usize::MAX;
-/// Finger parent marker for level-0 (tile root range) searches.
-const PARENT_ROOT: usize = usize::MAX - 1;
-
-/// Per-site finger state of one searched CSF level.
-#[derive(Debug, Clone, Copy)]
-struct Finger {
-    /// Parent node the current range was derived from ([`PARENT_ROOT`]
-    /// for level 0, [`PARENT_INVALID`] before first use).
-    parent: usize,
-    /// Last searched coordinate (monotonicity detector).
-    target: usize,
-    /// Last search position (the finger).
-    pos: usize,
-}
-
-impl Default for Finger {
-    fn default() -> Self {
-        Finger {
-            parent: PARENT_INVALID,
-            target: 0,
-            pos: 0,
-        }
-    }
 }
 
 /// Loop-iteration frame of the driver's explicit stack.
@@ -437,8 +372,6 @@ pub struct TapeState {
     /// Fixed-size frame stack (`fp` is the live depth).
     frames: Vec<Frame>,
     fp: usize,
-    /// Finger state per searched resolver level.
-    fingers: Vec<Finger>,
     /// Forest fingerprint of the tape this state was sized for.
     stamp: u64,
 }
@@ -451,7 +384,6 @@ impl TapeState {
             && self.nodes.len() == tape.n_levels
             && self.cursors.len() == tape.n_cursors
             && self.frames.len() == tape.max_depth
-            && self.fingers.len() == tape.n_fingers
     }
 
     /// Reset to the start-of-run state (cheap: O(state size), which is
@@ -461,7 +393,6 @@ impl TapeState {
         self.nodes.fill(usize::MAX);
         self.cursors.fill(0);
         self.fp = 0;
-        self.fingers.fill(Finger::default());
     }
 }
 
@@ -473,6 +404,11 @@ impl CompiledTape {
     /// resolved against the `SPTTN_MICROKERNELS` environment override
     /// and the host CPU once, here, and the outcome is recorded in the
     /// tape.
+    ///
+    /// Fails on a forest no [`spttn_ir::build_forest`] call returns:
+    /// one that breaks the CSF descent rule (a sparse loop or sparse
+    /// access the enclosing sparse loops do not reach), or an operand
+    /// index no enclosing loop iterates.
     pub fn compile_with(
         kernel: &Kernel,
         path: &ContractionPath,
@@ -499,6 +435,7 @@ impl CompiledTape {
         specs: &[BufferSpec],
         kernels: KernelSet,
     ) -> Result<CompiledTape> {
+        forest.check_descent(kernel, path)?;
         let n_terms = path.len();
         let mut buffer_inds: Vec<Vec<IndexId>> = vec![Vec::new(); n_terms];
         let mut buffer_strides: Vec<Vec<usize>> = vec![Vec::new(); n_terms];
@@ -524,9 +461,7 @@ impl CompiledTape {
             out_strides: kernel.ref_strides(&kernel.output),
             instrs: Vec::new(),
             adv: Vec::new(),
-            resolvers: Vec::new(),
             n_cursors: 0,
-            n_fingers: 0,
             loops: Vec::new(),
             kernels,
         };
@@ -560,9 +495,7 @@ impl CompiledTape {
         Ok(CompiledTape {
             instrs: c.instrs,
             adv: c.adv,
-            resolvers: c.resolvers,
             n_cursors: c.n_cursors,
-            n_fingers: c.n_fingers,
             n_indices: kernel.num_indices(),
             n_levels: kernel.csf_index_order().len(),
             n_terms,
@@ -581,7 +514,6 @@ impl CompiledTape {
             cursors: vec![0; self.n_cursors],
             frames: vec![Frame::default(); self.max_depth],
             fp: 0,
-            fingers: vec![Finger::default(); self.n_fingers],
             stamp: self.forest_stamp,
         }
     }
@@ -594,11 +526,6 @@ impl CompiledTape {
     /// Number of precompiled operand addresses (incremental cursors).
     pub fn num_cursors(&self) -> usize {
         self.n_cursors
-    }
-
-    /// Number of finger-search sites (searched resolver levels).
-    pub fn num_fingers(&self) -> usize {
-        self.n_fingers
     }
 
     /// The microkernel selection recorded at compile time.
@@ -653,8 +580,8 @@ impl CompiledTape {
     ///
     /// Abstractly interprets every instruction without touching data:
     /// loop structure, frame-stack depth, cursor bounds under declared
-    /// extents, Eq.-5 zero-before-accumulate domination, resolver
-    /// shape, and operand-index ranges. Cost is O(program size),
+    /// extents, Eq.-5 zero-before-accumulate domination, sparse-node
+    /// tracking, and operand-index ranges. Cost is O(program size),
     /// independent of the tensors; `Plan::bind` runs it on every debug
     /// build and behind `PlanOptions::with_verify(true)` in release.
     pub fn verify(&self) -> std::result::Result<verify::TapeReport, verify::TapeInvariantError> {
@@ -714,8 +641,6 @@ enum CTgt {
 /// One enclosing emitted loop during compilation.
 struct LoopCtx {
     index: IndexId,
-    /// CSF level for sparse loops (tracked-ness of resolvers).
-    level: Option<usize>,
     /// Advance entries collected for this loop's body.
     adv: Vec<AdvEntry>,
 }
@@ -732,9 +657,7 @@ struct Compiler<'a> {
     out_strides: Vec<usize>,
     instrs: Vec<Instr>,
     adv: Vec<AdvEntry>,
-    resolvers: Vec<ResolverSpec>,
     n_cursors: usize,
-    n_fingers: usize,
     loops: Vec<LoopCtx>,
     /// Microkernel selection the emitted instructions draw their
     /// function pointers from.
@@ -776,55 +699,10 @@ impl<'a> Compiler<'a> {
         Ok(cur)
     }
 
-    /// True when CSF `level` is iterated by an enclosing *sparse* loop
-    /// at the current compile point.
-    fn tracked(&self, level: usize) -> bool {
-        self.loops.iter().any(|c| c.level == Some(level))
-    }
-
-    /// Allocate a resolver for descent down to `target` level. The
-    /// descent starts at the deepest tracked level at or below the
-    /// target (searches above it would be discarded anyway).
-    fn resolver(&mut self, target: usize) -> usize {
-        let start = (0..=target).rev().find(|&l| self.tracked(l)).unwrap_or(0);
-        let levels = (start..=target)
-            .map(|l| {
-                if self.tracked(l) {
-                    ResLevel::Tracked
-                } else {
-                    let slot = self.n_fingers;
-                    self.n_fingers += 1;
-                    ResLevel::Search {
-                        index: self.kernel.index_at_level(l),
-                        slot,
-                    }
-                }
-            })
-            .collect();
-        self.resolvers.push(ResolverSpec { start, levels });
-        self.resolvers.len() - 1
-    }
-
-    /// Node resolution for an instruction touching the sparse leaves.
-    fn node_res(&mut self) -> NodeRes {
-        let leaf = self.kernel.csf_index_order().len() - 1;
-        if (0..=leaf).all(|l| self.tracked(l)) {
-            NodeRes::Tracked(leaf)
-        } else {
-            NodeRes::Resolver(self.resolver(leaf))
-        }
-    }
-
-    /// Parent locator for a sparse loop header at `level`, derived from
-    /// the loops enclosing it (call before pushing the loop's own ctx).
-    fn parent_loc(&mut self, level: usize) -> ParentLoc {
-        if level == 0 {
-            ParentLoc::Root
-        } else if self.tracked(level - 1) {
-            ParentLoc::Tracked(level - 1)
-        } else {
-            ParentLoc::Resolver(self.resolver(level - 1))
-        }
+    /// Node resolution for an instruction touching the sparse leaves:
+    /// the descent rule puts it under a sparse loop over every level.
+    fn node_res(&self) -> NodeRes {
+        NodeRes::Tracked(self.kernel.csf_index_order().len() - 1)
     }
 
     /// Term range covered by a node (mirror of the interpreter's).
@@ -861,17 +739,8 @@ impl<'a> Compiler<'a> {
         }
         let header = self.instrs.len();
         self.instrs.push(Instr::EndLoop); // placeholder, patched below
-                                          // The parent locator sees only the loops *enclosing* v.
-        let parent = match v.kind {
-            VertexKind::Sparse { level } => Some(self.parent_loc(level)),
-            VertexKind::Dense => None,
-        };
         self.loops.push(LoopCtx {
             index: v.index,
-            level: match v.kind {
-                VertexKind::Sparse { level } => Some(level),
-                VertexKind::Dense => None,
-            },
             adv: Vec::new(),
         });
         self.compile_siblings(&v.children, v.term_hi)?;
@@ -889,7 +758,12 @@ impl<'a> Compiler<'a> {
             VertexKind::Sparse { level } => Instr::Sparse {
                 index: v.index,
                 level,
-                parent: parent.expect("sparse vertices computed a parent"),
+                // The descent rule: the enclosing sparse loop stands on
+                // this level's parent node.
+                parent: match level {
+                    0 => ParentLoc::Root,
+                    l => ParentLoc::Tracked(l - 1),
+                },
                 adv,
                 end,
             },
@@ -1636,8 +1510,7 @@ pub fn execute_tape_into(
 
 /// Run a compiled tape over one [`CsfTile`], computing exactly the
 /// tile's additive contribution: only the tile's root fibers are
-/// iterated (and finger searches for densely-iterated sparse root modes
-/// are confined to the tile). A dense `out` receives that partial sum;
+/// iterated. A dense `out` receives that partial sum;
 /// a sparse `out` must be the slice of output values covering exactly
 /// the tile's [`CsfTile::leaf_range`] (tiles write disjoint leaf
 /// ranges, so pattern-sharing outputs need no cross-tile reduction).
@@ -1658,7 +1531,7 @@ pub fn execute_tape_tile_into(
     ws: &mut Workspace,
     out: OutputMut<'_>,
 ) -> Result<()> {
-    if tile.depth() != csf.order().max(1) {
+    if tile.depth() != csf.order() {
         return Err(SpttnError::Execution(format!(
             "tile spans {} levels but the CSF has {} (tile built for a different tensor?)",
             tile.depth(),
@@ -1777,51 +1650,6 @@ struct Run<'a> {
     guard: Option<&'a RunGuard>,
 }
 
-/// Search `idx[from..hi]` (sorted, duplicate-free) for `target` by
-/// galloping forward from `from`: exponential steps to bracket the
-/// target, then binary search inside the bracket. `Ok(pos)` on a hit,
-/// `Err(lower_bound)` on a miss (where the finger should rest so the
-/// next, larger target continues forward). `probes` counts coordinate
-/// comparisons.
-fn gallop(
-    idx: &[usize],
-    from: usize,
-    hi: usize,
-    target: usize,
-    probes: &mut u64,
-) -> std::result::Result<usize, usize> {
-    let mut lo = from; // invariant: everything before `lo` is < target
-    let mut step = 1usize;
-    let mut bound = from;
-    loop {
-        if bound >= hi {
-            bound = hi;
-            break;
-        }
-        *probes += 1;
-        match idx[bound].cmp(&target) {
-            std::cmp::Ordering::Equal => return Ok(bound),
-            std::cmp::Ordering::Greater => break,
-            std::cmp::Ordering::Less => {
-                lo = bound + 1;
-                bound = from + step;
-                step *= 2;
-            }
-        }
-    }
-    let mut hi2 = bound;
-    while lo < hi2 {
-        let mid = lo + (hi2 - lo) / 2;
-        *probes += 1;
-        match idx[mid].cmp(&target) {
-            std::cmp::Ordering::Equal => return Ok(mid),
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi2 = mid,
-        }
-    }
-    Err(lo)
-}
-
 impl<'a> Run<'a> {
     fn go(&mut self) -> Result<()> {
         let instrs = &self.tape.instrs;
@@ -1858,15 +1686,11 @@ impl<'a> Run<'a> {
                     adv,
                     end,
                 } => {
-                    let range = match self.parent_range(level, parent) {
-                        Some(r) if !r.is_empty() => r,
-                        // Empty fiber or off-pattern prefix: every
-                        // covered contribution vanishes.
-                        _ => {
-                            pc = end;
-                            continue;
-                        }
-                    };
+                    let range = self.parent_range(parent);
+                    if range.is_empty() {
+                        pc = end;
+                        continue;
+                    }
                     let node = range.start;
                     let coord = self.csf.node_coord(level, node);
                     self.st.nodes[level] = node;
@@ -2133,80 +1957,28 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Node range a sparse loop at `level` iterates; `None` when the
-    /// enclosing coordinates are off-pattern.
+    /// Node range a sparse loop iterates.
     #[inline]
-    fn parent_range(&mut self, level: usize, parent: ParentLoc) -> Option<Range<usize>> {
+    fn parent_range(&self, parent: ParentLoc) -> Range<usize> {
         match parent {
-            ParentLoc::Root => Some(self.root.clone()),
-            ParentLoc::Tracked(l) => Some(self.csf.children(l, self.st.nodes[l])),
-            ParentLoc::Resolver(r) => {
-                let node = self.resolve(r)?;
-                Some(self.csf.children(level - 1, node))
-            }
+            ParentLoc::Root => self.root.clone(),
+            ParentLoc::Tracked(l) => self.csf.children(l, self.st.nodes[l]),
         }
     }
 
-    /// CSF node for an instruction's sparse accesses.
+    /// CSF node for an instruction's sparse accesses (`usize::MAX`,
+    /// never a node, for an instruction that has none).
     #[inline]
-    fn node_of(&mut self, res: NodeRes) -> Option<usize> {
+    fn node_of(&self, res: NodeRes) -> usize {
         match res {
-            NodeRes::None => None,
-            NodeRes::Tracked(l) => Some(self.st.nodes[l]),
-            NodeRes::Resolver(r) => self.resolve(r),
+            NodeRes::None => usize::MAX,
+            NodeRes::Tracked(l) => self.st.nodes[l],
         }
-    }
-
-    /// Run a resolver's descent program: tracked levels are direct
-    /// reads, searched levels gallop forward from their finger.
-    fn resolve(&mut self, rid: usize) -> Option<usize> {
-        let spec = &self.tape.resolvers[rid];
-        let mut node = usize::MAX;
-        for (off, lev) in spec.levels.iter().enumerate() {
-            let l = spec.start + off;
-            match *lev {
-                ResLevel::Tracked => node = self.st.nodes[l],
-                ResLevel::Search { index, slot } => {
-                    let (range, pkey) = if l == 0 {
-                        (self.root.clone(), PARENT_ROOT)
-                    } else {
-                        (self.csf.children(l - 1, node), node)
-                    };
-                    let target = self.st.coords[index];
-                    let mut fg = self.st.fingers[slot];
-                    // A new parent invalidates the range; a decreased
-                    // target means the enclosing dense sweep restarted.
-                    // Either way the finger rewinds — monotonicity is
-                    // an accelerant, not an assumption.
-                    if fg.parent != pkey || target < fg.target {
-                        fg.pos = range.start;
-                    }
-                    fg.parent = pkey;
-                    fg.target = target;
-                    self.stats.node_searches += 1;
-                    let idx = &self.csf.level(l).idx;
-                    let from = fg.pos.max(range.start);
-                    match gallop(idx, from, range.end, target, &mut self.stats.search_probes) {
-                        Ok(pos) => {
-                            fg.pos = pos;
-                            self.st.fingers[slot] = fg;
-                            node = pos;
-                        }
-                        Err(lower) => {
-                            fg.pos = lower;
-                            self.st.fingers[slot] = fg;
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-        Some(node)
     }
 
     /// Read a loop-invariant scalar source.
     #[inline]
-    fn read(&self, r: Read, node: Option<usize>) -> f64 {
+    fn read(&self, r: Read, node: usize) -> f64 {
         match r {
             Read::Cursor { buf, cur } => {
                 let off = self.st.cursors[cur];
@@ -2215,13 +1987,13 @@ impl<'a> Run<'a> {
                     RBuf::Inter(u) => self.buffers[u].as_slice()[off],
                 }
             }
-            Read::SparseVal => node.map_or(0.0, |n| self.csf.leaf_val(n)),
+            Read::SparseVal => self.csf.leaf_val(node),
         }
     }
 
     /// Accumulate into a cell target.
     #[inline]
-    fn cell(&mut self, tgt: Write, node: Option<usize>, v: f64) {
+    fn cell(&mut self, tgt: Write, node: usize, v: f64) {
         match tgt {
             Write::Cell { out, term, cur } => {
                 let off = self.st.cursors[cur];
@@ -2231,12 +2003,7 @@ impl<'a> Run<'a> {
                     self.buffers[term].as_mut_slice()[off] += v;
                 }
             }
-            Write::SparseCell => match node {
-                Some(n) => self.out_sparse[n - self.leaf_lo] += v,
-                // Off-pattern cell of a pattern-sharing output: exactly
-                // zero by lineage pruning.
-                None => debug_assert_eq!(v, 0.0),
-            },
+            Write::SparseCell => self.out_sparse[node - self.leaf_lo] += v,
         }
     }
 
@@ -2301,38 +2068,5 @@ fn mat_in<'b>(
     match m.buf {
         RBuf::Factor(i) => (&factors[i].as_slice()[off..], (m.rs, m.cs)),
         RBuf::Inter(u) => (&reads[u].as_slice()[off..], (m.rs, m.cs)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gallop_finds_and_brackets() {
-        let idx = [2usize, 3, 5, 8, 13, 21, 34];
-        let mut probes = 0u64;
-        // Hits from various fingers.
-        assert_eq!(gallop(&idx, 0, idx.len(), 2, &mut probes), Ok(0));
-        assert_eq!(gallop(&idx, 0, idx.len(), 34, &mut probes), Ok(6));
-        assert_eq!(gallop(&idx, 3, idx.len(), 13, &mut probes), Ok(4));
-        // Misses return the lower bound.
-        assert_eq!(gallop(&idx, 0, idx.len(), 4, &mut probes), Err(2));
-        assert_eq!(gallop(&idx, 2, idx.len(), 40, &mut probes), Err(7));
-        assert_eq!(gallop(&idx, 0, 0, 1, &mut probes), Err(0));
-        assert!(probes > 0);
-        // A forward sweep from a finger is cheaper than cold binary
-        // search: the next element costs exactly one probe.
-        let mut p2 = 0u64;
-        assert_eq!(gallop(&idx, 4, idx.len(), 13, &mut p2), Ok(4));
-        assert_eq!(p2, 1);
-    }
-
-    #[test]
-    fn gallop_restricted_range() {
-        let idx = [1usize, 4, 7, 1, 3, 9]; // two sibling ranges
-        let mut probes = 0u64;
-        assert_eq!(gallop(&idx, 3, 6, 3, &mut probes), Ok(4));
-        assert_eq!(gallop(&idx, 3, 6, 7, &mut probes), Err(5));
     }
 }

@@ -34,19 +34,18 @@
 //!    inside a loop body do not dominate code after the loop — the
 //!    loop may run zero times — so the zeroed set is restored at every
 //!    loop exit.
-//! 4. **Resolver shape** — finger-search resolvers descend consecutive
-//!    CSF levels `start..=target`. The verifier proves the target
-//!    level exists and matches the use site (parent of a `Sparse`
-//!    header at `level` resolves `level−1`; a sparse-value access
-//!    resolves the leaf level), that levels marked `Tracked` really
-//!    are tracked by an enclosing sparse loop at the use point, that a
-//!    descent only starts with a search at level 0 (anything deeper
-//!    needs a parent node), and that each searched level looks up the
-//!    kernel index actually stored at that level.
-//! 5. **Operand ranges** — every slot, buffer, cursor, finger,
-//!    resolver, CSF level, and advance-table range referenced by any
-//!    instruction is in range, and a `Dense` header's baked-in extent
-//!    equals the kernel's declared dimension for that index.
+//! 4. **Node tracking** — the driver never looks a CSF node up: a
+//!    `Sparse` header at `level` takes its range from the tile roots
+//!    (level 0 only) or from the node tracked at `level−1`, and a
+//!    sparse-value read or pattern-sharing write uses the node tracked
+//!    at the leaf level. The verifier proves every such claim real —
+//!    an enclosing sparse loop over exactly that level is open at the
+//!    use site — and that sparse loops nest in CSF level order, each
+//!    over the kernel index stored at its level.
+//! 5. **Operand ranges** — every slot, buffer, cursor, CSF level, and
+//!    advance-table range referenced by any instruction is in range,
+//!    and a `Dense` header's baked-in extent equals the kernel's
+//!    declared dimension for that index.
 //! 6. **Superinstruction contracts** — a fused `ZeroAxpy`/`ZeroXmul`/
 //!    `ZeroGer` replaces an Eq.-5 `Zero`, so it must *assign* the
 //!    term's whole buffer: unit target stride, buffer (never output)
@@ -63,8 +62,7 @@
 //! or `spttn plan --verify`.
 
 use super::{
-    CompiledTape, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, ResLevel, VecSrc, VecTgt,
-    Write,
+    CompiledTape, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, VecSrc, VecTgt, Write,
 };
 use crate::simd::RankSpec;
 use spttn_core::SpttnError;
@@ -88,8 +86,8 @@ pub enum TapeInvariantError {
         depth: usize,
         capacity: usize,
     },
-    /// An instruction operand (term, cursor, finger slot, resolver id,
-    /// CSF level, index id, advance-table range) is out of range.
+    /// An instruction operand (term, cursor, CSF level, index id,
+    /// advance-table range) is out of range.
     OperandOutOfRange {
         pc: usize,
         what: &'static str,
@@ -129,15 +127,6 @@ pub enum TapeInvariantError {
         pc: usize,
         source: usize,
         term: usize,
-    },
-    /// A finger-search resolver's descent is malformed: wrong target
-    /// level, empty or non-consecutive levels, a search below an
-    /// unresolved parent, or a searched index that is not the one
-    /// stored at that CSF level.
-    ResolverInvariant {
-        pc: usize,
-        resolver: usize,
-        detail: String,
     },
     /// Sparse-node tracking is inconsistent at a use site: a level
     /// assumed tracked is not tracked by any enclosing loop, a parent
@@ -225,11 +214,6 @@ impl fmt::Display for TapeInvariantError {
                 f,
                 "instr {pc}: microkernel for term {term} sources buffer {source}, which the read/write split cannot serve"
             ),
-            TapeInvariantError::ResolverInvariant {
-                pc,
-                resolver,
-                detail,
-            } => write!(f, "instr {pc}: resolver {resolver}: {detail}"),
             TapeInvariantError::TrackingInvariant { pc, detail } => {
                 write!(f, "instr {pc}: node tracking: {detail}")
             }
@@ -288,8 +272,6 @@ pub struct TapeReport {
     pub accesses_checked: usize,
     /// Distinct cursors bound to a backing store.
     pub cursors_bound: usize,
-    /// Resolver use sites checked.
-    pub resolver_sites: usize,
 }
 
 impl fmt::Display for TapeReport {
@@ -298,7 +280,7 @@ impl fmt::Display for TapeReport {
             f,
             "verified {} instrs ({} dense + {} sparse loops, nesting {}/{}), \
              {} zero points, {} microkernels ({} fused, {} rank-specialized), \
-             {} accesses in bounds over {} cursors, {} resolver sites",
+             {} accesses in bounds over {} cursors",
             self.instrs,
             self.dense_loops,
             self.sparse_loops,
@@ -309,8 +291,7 @@ impl fmt::Display for TapeReport {
             self.zero_accums,
             self.specialized,
             self.accesses_checked,
-            self.cursors_bound,
-            self.resolver_sites
+            self.cursors_bound
         )
     }
 }
@@ -469,15 +450,6 @@ impl<'t> Checker<'t> {
                                 });
                             }
                             self.require_tracked(pc, l)?;
-                        }
-                        ParentLoc::Resolver(r) => {
-                            if level == 0 {
-                                return Err(TapeInvariantError::TrackingInvariant {
-                                    pc,
-                                    detail: "level-0 loop resolves a parent (it has none)".into(),
-                                });
-                            }
-                            self.check_resolver(pc, r, level - 1)?;
                         }
                     }
                     self.report.sparse_loops += 1;
@@ -1050,10 +1022,9 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// Node resolution at a sparse access: tracked leaf or a resolver
-    /// descending to the leaf level.
+    /// Node resolution at a sparse access: the tracked leaf level.
     fn check_node_res(
-        &mut self,
+        &self,
         pc: usize,
         res: NodeRes,
         needs_node: bool,
@@ -1080,130 +1051,49 @@ impl<'t> Checker<'t> {
                 }
                 self.require_tracked(pc, l)
             }
-            NodeRes::Resolver(r) => self.check_resolver(pc, r, leaf),
         }
-    }
-
-    /// Prove a resolver's descent well-formed for its use site: it
-    /// must end exactly at `target`, its `Tracked` levels must be
-    /// tracked here, a leading search must start at level 0, and every
-    /// searched level must look up that level's stored index.
-    fn check_resolver(
-        &mut self,
-        pc: usize,
-        rid: usize,
-        target: usize,
-    ) -> Result<(), TapeInvariantError> {
-        self.in_range(pc, "resolver", rid, self.tape.resolvers.len())?;
-        let spec = &self.tape.resolvers[rid];
-        if spec.levels.is_empty() {
-            return Err(TapeInvariantError::ResolverInvariant {
-                pc,
-                resolver: rid,
-                detail: "empty descent".into(),
-            });
-        }
-        let last = spec.start + spec.levels.len() - 1;
-        if last != target || spec.start > target {
-            return Err(TapeInvariantError::ResolverInvariant {
-                pc,
-                resolver: rid,
-                detail: format!(
-                    "descent covers levels {}..={last} but the use site needs level {target}",
-                    spec.start
-                ),
-            });
-        }
-        if target >= self.tape.n_levels {
-            return Err(TapeInvariantError::ResolverInvariant {
-                pc,
-                resolver: rid,
-                detail: format!(
-                    "target level {target} past the CSF depth {}",
-                    self.tape.n_levels
-                ),
-            });
-        }
-        for (off, lev) in spec.levels.iter().enumerate() {
-            let l = spec.start + off;
-            match *lev {
-                ResLevel::Tracked => self.require_tracked(pc, l)?,
-                ResLevel::Search { index, slot } => {
-                    self.in_range(pc, "finger slot", slot, self.tape.n_fingers)?;
-                    self.in_range(pc, "searched index", index, self.tape.n_indices)?;
-                    if off == 0 && l != 0 {
-                        return Err(TapeInvariantError::ResolverInvariant {
-                            pc,
-                            resolver: rid,
-                            detail: format!(
-                                "descent starts with a search at level {l} without a resolved parent"
-                            ),
-                        });
-                    }
-                    if self.tape.bounds.level_index[l] != index {
-                        return Err(TapeInvariantError::ResolverInvariant {
-                            pc,
-                            resolver: rid,
-                            detail: format!(
-                                "level {l} searched on index {index} but stores index {}",
-                                self.tape.bounds.level_index[l]
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        self.report.resolver_sites += 1;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AdvEntry, CompiledTape, Instr, ResLevel, ResolverSpec};
+    use super::super::{AdvEntry, CompiledTape, Instr};
     use super::*;
     use crate::simd::KernelSet;
     use spttn_ir::{
-        buffers_for_forest, build_forest, parse_kernel, path_from_picks, LoopNode, NestSpec,
-        VertexKind,
+        buffers_for_forest, build_forest, parse_kernel, path_from_picks, ContractionPath,
+        FuseError, Kernel, LoopForest, LoopNode, NestSpec, VertexKind,
     };
 
-    /// Listing-3 TTMC nest; with `flip_root_dense` the root sparse
-    /// mode is iterated densely, which forces every deeper sparse loop
-    /// and leaf read to compile a finger-search resolver (the same
-    /// construction the finger-search golden test uses — planner-built
-    /// nests always track every level).
-    fn compiled(flip_root_dense: bool) -> CompiledTape {
+    /// The order-3 TTMc kernel on its `T`-first path, fused by `orders`.
+    fn ttmc_nest(orders: Vec<Vec<usize>>) -> (Kernel, ContractionPath, LoopForest) {
         let k = parse_kernel(
             "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
             &[("i", 8), ("j", 9), ("k", 10), ("r", 4), ("s", 5)],
         )
         .unwrap();
         let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
-        let spec = NestSpec {
-            orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-        };
-        let mut forest = build_forest(&k, &path, &spec).unwrap();
-        if flip_root_dense {
-            let LoopNode::Loop(iv) = &mut forest.roots[0] else {
-                panic!("listing 3 has a root loop");
-            };
-            assert_eq!(iv.kind, VertexKind::Sparse { level: 0 });
-            iv.kind = VertexKind::Dense;
-        }
-        let bufs = buffers_for_forest(&k, &path, &forest);
-        CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::scalar()).unwrap()
+        let forest = build_forest(&k, &path, &NestSpec { orders }).unwrap();
+        (k, path, forest)
     }
 
-    /// Listing-3-style fused nest: all CSF levels tracked.
+    fn scalar_tape(k: &Kernel, path: &ContractionPath, forest: &LoopForest) -> CompiledTape {
+        let bufs = buffers_for_forest(k, path, forest);
+        CompiledTape::compile_with_kernels(k, path, forest, &bufs, KernelSet::scalar()).unwrap()
+    }
+
+    /// Listing-3 nest: every dense loop lowers to a microkernel.
     fn tracked_tape() -> CompiledTape {
-        compiled(false)
+        let (k, path, forest) = ttmc_nest(vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]]);
+        scalar_tape(&k, &path, &forest)
     }
 
-    /// Same nest with the root sparse mode iterated densely — compiles
-    /// finger-search resolvers.
-    fn resolver_tape() -> CompiledTape {
-        compiled(true)
+    /// Listing-4 nest: the fused dense `s` loop keeps a real `Dense`
+    /// header, and `T`'s value is read by a scalar `Leaf` under the
+    /// sparse `k` loop inside it.
+    fn listing4_tape() -> CompiledTape {
+        let (k, path, forest) = ttmc_nest(vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]]);
+        scalar_tape(&k, &path, &forest)
     }
 
     /// Outer-product nest whose Eq.-5 buffer is written by exactly one
@@ -1249,18 +1139,32 @@ mod tests {
 
     #[test]
     fn valid_tapes_verify_clean() {
-        for tape in [tracked_tape(), resolver_tape()] {
+        for tape in [tracked_tape(), listing4_tape()] {
             let report = tape.verify().expect("compiler output must verify");
             assert_eq!(report.instrs, tape.num_instrs());
             assert!(report.max_nesting <= report.frame_capacity);
             assert!(report.accesses_checked > 0);
             assert!(report.zeros > 0, "Eq.-5 split points placed");
         }
-        let r = resolver_tape().verify().unwrap();
-        assert!(
-            r.resolver_sites > 0,
-            "resolver nest exercises check_resolver"
-        );
+    }
+
+    /// A hand-built forest that would need a searched node — Listing 3
+    /// with its root sparse mode flipped to dense, so the `j` loop's
+    /// parent is tracked by nothing — is refused with a typed error,
+    /// never compiled.
+    #[test]
+    fn compile_refuses_a_forest_that_needs_a_searched_node() {
+        let (k, path, mut forest) = ttmc_nest(vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]]);
+        let LoopNode::Loop(iv) = &mut forest.roots[0] else {
+            panic!("listing 3 has a root loop");
+        };
+        assert_eq!(iv.kind, VertexKind::Sparse { level: 0 });
+        iv.kind = VertexKind::Dense;
+        let bufs = buffers_for_forest(&k, &path, &forest);
+        let err =
+            CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::scalar())
+                .expect_err("broken descent must not compile");
+        assert_eq!(err, SpttnError::Fuse(FuseError::BrokenDescent { index: 1 }));
     }
 
     #[test]
@@ -1330,22 +1234,32 @@ mod tests {
         }
     }
 
-    /// Class 4: dangle a resolver level — the descent no longer ends
-    /// at the level its use site needs.
+    /// Class 4: untrack a parent — the root sparse header becomes a
+    /// dense one, so the `j` loop's `ParentLoc::Tracked(0)` names a
+    /// level no enclosing loop tracks (the tape a searched-node forest
+    /// would have been, had the compiler accepted it).
     #[test]
-    fn mutation_dangling_resolver_rejected() {
-        let mut tape = resolver_tape();
-        assert!(!tape.resolvers.is_empty(), "nest compiles resolvers");
-        tape.resolvers[0].levels.pop();
-        if tape.resolvers[0].levels.is_empty() {
-            tape.resolvers[0] = ResolverSpec {
-                start: 0,
-                levels: Vec::new(),
-            };
-        }
+    fn mutation_untracked_parent_rejected() {
+        let mut tape = tracked_tape();
+        let Instr::Sparse {
+            index,
+            level: 0,
+            adv,
+            end,
+            ..
+        } = tape.instrs[0]
+        else {
+            panic!("listing 3 opens with the root sparse loop");
+        };
+        tape.instrs[0] = Instr::Dense {
+            index,
+            dim: tape.bounds.index_dims[index],
+            adv,
+            end,
+        };
         match tape.verify() {
-            Err(TapeInvariantError::ResolverInvariant { .. }) => {}
-            other => panic!("expected ResolverInvariant, got {other:?}"),
+            Err(TapeInvariantError::TrackingInvariant { .. }) => {}
+            other => panic!("expected TrackingInvariant, got {other:?}"),
         }
     }
 
@@ -1388,9 +1302,7 @@ mod tests {
     /// disagrees with the kernel's declared dimension.
     #[test]
     fn mutation_extent_mismatch_rejected() {
-        // The flipped-root nest keeps a real Dense header (the fully
-        // tracked nest lowers every dense loop to a microkernel).
-        let mut tape = resolver_tape();
+        let mut tape = listing4_tape();
         let d = tape
             .instrs
             .iter_mut()
@@ -1493,34 +1405,39 @@ mod tests {
         }
     }
 
-    /// Class 8: untrack a resolver level — a `Tracked` descent step at
-    /// a level no enclosing loop tracks.
+    /// Class 8: move a sparse-value `Leaf` out from under its deepest
+    /// sparse loop — it would read the leaf node of a loop that is no
+    /// longer open.
     #[test]
-    fn mutation_untracked_level_rejected() {
-        let mut tape = resolver_tape();
-        let spec = tape
-            .resolvers
-            .iter_mut()
-            .find(|s| {
-                s.levels
-                    .iter()
-                    .any(|l| matches!(l, ResLevel::Search { .. }))
+    fn mutation_sparse_leaf_outside_its_loop_rejected() {
+        let mut tape = listing4_tape();
+        let leaf = tape
+            .instrs
+            .iter()
+            .position(|i| {
+                matches!(
+                    i,
+                    Instr::Leaf {
+                        res: NodeRes::Tracked(_),
+                        ..
+                    }
+                )
             })
-            .expect("nest compiles searched resolvers");
-        // Turn a searched level into a tracked one: nothing on the
-        // stack tracks it at the use site.
-        for l in &mut spec.levels {
-            if matches!(l, ResLevel::Search { .. }) {
-                *l = ResLevel::Tracked;
-                break;
-            }
-        }
+            .expect("listing 4 reads T in a scalar leaf");
+        // [Sparse k, Leaf, EndLoop] → [Sparse k, EndLoop, Leaf].
+        assert!(matches!(
+            tape.instrs[leaf - 1],
+            Instr::Sparse { level: 2, .. }
+        ));
+        assert!(matches!(tape.instrs[leaf + 1], Instr::EndLoop));
+        tape.instrs.swap(leaf, leaf + 1);
+        let Instr::Sparse { end, .. } = &mut tape.instrs[leaf - 1] else {
+            unreachable!()
+        };
+        *end -= 1;
         match tape.verify() {
-            Err(
-                TapeInvariantError::TrackingInvariant { .. }
-                | TapeInvariantError::ResolverInvariant { .. },
-            ) => {}
-            other => panic!("expected a tracking/resolver error, got {other:?}"),
+            Err(TapeInvariantError::TrackingInvariant { .. }) => {}
+            other => panic!("expected TrackingInvariant, got {other:?}"),
         }
     }
 }

@@ -13,8 +13,7 @@ use spttn_core::{Result, SpttnError};
 use spttn_ir::{buffers_for_forest, BufferSpec, ContractionPath, Kernel, LoopForest};
 use spttn_tensor::{CooTensor, Csf, DenseTensor};
 
-/// Per-execution counters of microkernel dispatches and sparse-node
-/// searches.
+/// Per-execution counters of microkernel dispatches.
 ///
 /// One instance lives in every [`Workspace`]; each run resets it at the
 /// start, so after a call the workspace's stats describe exactly that
@@ -33,13 +32,6 @@ pub struct ExecStats {
     pub ger: u64,
     /// GEMV dispatches.
     pub gemv: u64,
-    /// Sparse-node re-resolutions: one per CSF level that had to be
-    /// searched (rather than tracked by an enclosing sparse loop).
-    pub node_searches: u64,
-    /// Coordinate comparisons performed by those searches — galloping
-    /// finger probes on the tape (see [`crate::tape`]), binary search
-    /// depth on the reference interpreter.
-    pub search_probes: u64,
     /// Elements processed by AXPY dispatches (Σ n per call).
     pub axpy_elems: u64,
     /// Elements processed by DOT dispatches (Σ n per call).
@@ -61,8 +53,6 @@ impl ExecStats {
         self.xmul += other.xmul;
         self.ger += other.ger;
         self.gemv += other.gemv;
-        self.node_searches += other.node_searches;
-        self.search_probes += other.search_probes;
         self.axpy_elems += other.axpy_elems;
         self.dot_elems += other.dot_elems;
         self.xmul_elems += other.xmul_elems;
@@ -70,8 +60,7 @@ impl ExecStats {
         self.gemv_elems += other.gemv_elems;
     }
 
-    /// Total microkernel dispatches (searches are not dispatches and
-    /// are excluded).
+    /// Total microkernel dispatches.
     pub fn total(&self) -> u64 {
         self.axpy + self.dot + self.xmul + self.ger + self.gemv
     }

@@ -1,9 +1,9 @@
 //! Tape golden tests: every compiled tape must reproduce both the
 //! naive dense einsum oracle and the reference interpreter —
 //! across fused and unfused forests, dense and pattern-sharing
-//! outputs, all five microkernel lowerings, and (crucially) the nests
-//! that force sparse-node re-resolution, where the tape's finger
-//! search replaces the interpreter's per-visit binary search.
+//! outputs, all five microkernel lowerings, sparse loops under dense
+//! ones, and a nest whose CSF indices iterate densely under a dense
+//! ancestor of their parent level.
 
 mod common;
 
@@ -101,8 +101,7 @@ fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
     (k, coo, vec![u, v])
 }
 
-/// Listing 3: 1-d buffer, sparse k loop, trailing dense s (AXPY path),
-/// all CSF levels tracked — no searches at all on either engine.
+/// Listing 3: 1-d buffer, sparse k loop, trailing dense s (AXPY path).
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing3_matches_oracle() {
@@ -118,8 +117,10 @@ fn ttmc_listing3_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// Listing 4: dense s *above* sparse k — the sparse loop re-resolves
-/// its parent per s iteration. This is the finger-search path.
+/// Listing 4: dense s *above* sparse k — the sparse loop re-enters the
+/// children of the tracked `j` node on every s iteration (`s` is not a
+/// CSF index, so nothing is looked up; the name predates that being
+/// checked).
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing4_finger_search_matches_oracle() {
@@ -135,8 +136,9 @@ fn ttmc_listing4_finger_search_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// Listing 2 (unfused): the consumer re-descends the CSF below its own
-/// dense s loop — multi-level finger resolution.
+/// Listing 2 (unfused): the consumer re-descends the CSF from the root
+/// below its own dense s loop, every level tracked by its own sparse
+/// loop.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_unfused_redescent_matches_oracle() {
@@ -193,7 +195,7 @@ fn mttkrp_factorized_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// TTTP: pattern-sharing output written through the tape's resolved
+/// TTTP: pattern-sharing output written through the tape's tracked
 /// leaf nodes.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
@@ -342,103 +344,45 @@ fn randomized_nests_agree_with_interpreter() {
     assert!(checked > 10, "sweep exercised only {checked} nests");
 }
 
-/// The tape reports finger probes where the interpreter reports binary
-/// search depth, and on a monotone dense sweep the finger does
-/// strictly fewer comparisons.
-///
-/// The Sec.-4 forest builder keeps every CSF level of the sparse term
-/// tracked (dense iteration over the sparse term's modes is rejected
-/// as `BrokenDescent`), so planner-built nests never re-resolve — the
-/// resolution path is the *executor-level* contract for forests that
-/// iterate a sparse mode densely, which both engines support: absent
-/// coordinates read zero by lineage pruning. Build such a forest
-/// directly by flipping the root vertex of Listing 3 to dense.
+/// The one nest shape that used to reach a CSF node by search: terms
+/// 1–2 fuse on `(r, i)` with `i` dense (`A*C` is not prunable there),
+/// so the `j` and `k` loops under it now iterate densely and `X0` —
+/// zero off the pattern — supplies the sparsity.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
-fn finger_search_beats_binary_search_probes() {
-    use spttn_ir::{LoopNode, VertexKind};
+fn csf_indices_under_a_dense_ancestor_match_oracle() {
     let k = parse_kernel(
-        "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
-        &[("i", 40), ("j", 20), ("k", 30), ("r", 3), ("s", 4)],
+        "S(i,j,k) = T(i,j,k) * A(i,r) * B(j,r) * C(k,r) * D(k,r)",
+        &[("i", 6), ("j", 7), ("k", 8), ("r", 3)],
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let coo = random_coo(&[40, 20, 30], 2500, &mut rng).unwrap();
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let u = random_dense(&[20, 3], &mut rng);
-    let v = random_dense(&[30, 4], &mut rng);
-    let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
-    let spec = NestSpec {
-        orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-    };
-    let mut forest = build_forest(&k, &path, &spec).unwrap();
-    // Iterate the root sparse mode densely: every deeper sparse loop
-    // (and every leaf-value read) must now re-resolve level 0.
-    let LoopNode::Loop(iv) = &mut forest.roots[0] else {
-        panic!("listing 3 has a root loop");
-    };
-    assert_eq!(iv.kind, VertexKind::Sparse { level: 0 });
-    iv.kind = VertexKind::Dense;
-
-    // Interpreter: run through a workspace to read its stats.
-    let mut ws = Workspace::new(&k, &path, &forest);
-    let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
-    slots.extend([u.clone(), v.clone()]);
-    let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    execute_forest_into(
+    let coo = random_coo(&[6, 7, 8], 90, &mut rng).unwrap();
+    let f = vec![
+        random_dense(&[6, 3], &mut rng),
+        random_dense(&[7, 3], &mut rng),
+        random_dense(&[8, 3], &mut rng),
+        random_dense(&[8, 3], &mut rng),
+    ];
+    // T*B→X0; A*C→X1; D*X0→X2; X1*X2→S.
+    let got = run_both(
         &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
-    let interp_stats = ws.stats();
-
-    let tape = scalar_tape(&k, &path, &forest);
-    assert!(tape.num_fingers() > 0, "nest must need re-resolution");
-    // The finger-search program (the only resolver-bearing tape in the
-    // suite) must satisfy the verifier's monotone-descent rules.
-    tape.verify().expect("resolver tape verifies clean");
-    let mut ws2 = Workspace::new(&k, &path, &forest);
-    ws2.prepare_tape(&tape);
-    let mut out2 = DenseTensor::zeros(&k.ref_dims(&k.output));
-    execute_tape_into(
-        &tape,
-        &k,
-        &csf,
-        &slots,
-        &mut ws2,
-        OutputMut::Dense(&mut out2),
-    )
-    .unwrap();
-    let tape_stats = ws2.stats();
-
-    assert_eq!(out.as_slice(), out2.as_slice());
-    let want = oracle(&k, &coo, &[u.clone(), v.clone()]);
-    assert!(
-        out.approx_eq(&want, TOL),
-        "dense iteration over a sparse mode diverged from the oracle"
+        &[(0, 2), (0, 1), (0, 1), (0, 1)],
+        vec![
+            vec![0, 1, 2, 3],
+            vec![3, 0, 2],
+            vec![3, 0, 1, 2],
+            vec![0, 1, 2, 3],
+        ],
+        &coo,
+        &f,
     );
-    // The tape skips searches the interpreter performs and discards
-    // (shallow levels below a tracked one), and its finger turns the
-    // remaining ones into near-constant forward probes.
-    assert!(interp_stats.node_searches > 0);
-    assert!(tape_stats.node_searches > 0);
-    assert!(
-        tape_stats.node_searches <= interp_stats.node_searches,
-        "tape searched more sites ({}) than the interpreter ({})",
-        tape_stats.node_searches,
-        interp_stats.node_searches
-    );
-    assert!(
-        tape_stats.search_probes < interp_stats.search_probes,
-        "finger probes {} should beat binary probes {}",
-        tape_stats.search_probes,
-        interp_stats.search_probes
-    );
+    let ContractionOutput::Sparse(out) = &got else {
+        panic!("output shares the sparse pattern");
+    };
+    assert_eq!(out.nnz(), coo.nnz());
+    let want = oracle(&k, &coo, &f);
+    assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
 /// A workspace built for a different forest is rejected by the tape

@@ -7,9 +7,14 @@
 //! become leaves (the innermost scalar contraction).
 //!
 //! Each vertex is classified ([`VertexKind`]): a loop over a sparse mode
-//! iterates CSF fibers when the descent is contiguous from the root mode
-//! *and* every covered term is prunable at that index (its contributions
-//! outside the sparse pattern vanish); otherwise the loop runs densely.
+//! iterates CSF fibers when it steps down from the node the enclosing
+//! sparse loops stand on *and* every covered term is prunable at that
+//! index (its contributions outside the sparse pattern vanish);
+//! otherwise the loop runs densely. So the sparse vertices on any
+//! root-to-leaf path form a chain `Sparse{0}, Sparse{1}, …` from the
+//! root level — a sparse loop is always "the children of the node its
+//! enclosing sparse loop stands on", never a lookup — and a CSF index
+//! below a densely iterated shallower CSF index iterates densely too.
 //! A dense loop over a sparse mode is invalid for the term holding the
 //! sparse tensor itself — its CSF descent would break — and such
 //! combinations are rejected, mirroring the paper's restriction to
@@ -32,6 +37,18 @@ pub enum VertexKind {
     Dense,
 }
 
+impl VertexKind {
+    /// Tracked CSF depth inside a vertex of this kind that itself sits
+    /// at tracked depth `tracked`: a sparse loop stands on one more
+    /// level, a dense loop on none.
+    pub fn tracked_below(self, tracked: usize) -> usize {
+        match self {
+            VertexKind::Sparse { level } => level + 1,
+            VertexKind::Dense => tracked,
+        }
+    }
+}
+
 /// Errors when building or validating a fused forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FuseError {
@@ -41,8 +58,11 @@ pub enum FuseError {
         /// Offending term position.
         term: usize,
     },
-    /// A loop over sparse index `index` would cover the sparse tensor's
-    /// own term while iterating densely (CSF descent broken).
+    /// The CSF descent breaks at sparse index `index`: a loop over it
+    /// would cover the sparse tensor's own term while iterating densely
+    /// — or, in a hand-built forest ([`LoopForest::check_descent`]), a
+    /// sparse loop or sparse access sits where the enclosing sparse
+    /// loops do not reach it.
     BrokenDescent {
         /// Offending index.
         index: IndexId,
@@ -57,7 +77,9 @@ impl std::fmt::Display for FuseError {
             FuseError::BadOrder { term } => write!(f, "invalid loop order for term {term}"),
             FuseError::BrokenDescent { index } => write!(
                 f,
-                "sparse index {index} fused densely over the sparse tensor's term"
+                "CSF descent broken at sparse index {index}: a sparse loop, the sparse \
+                 tensor's term or a sparse output is not under sparse loops over \
+                 every shallower level"
             ),
             FuseError::WrongArity => write!(f, "spec arity does not match path"),
         }
@@ -98,7 +120,16 @@ pub struct LoopForest {
 }
 
 /// Classify the loop vertex for index `q` covering path terms
-/// `[lo, hi)` with ancestor indices `removed`.
+/// `[lo, hi)`, where the enclosing **sparse** loops cover the leading
+/// `tracked` CSF levels.
+///
+/// The rule: `q` at CSF level `l` iterates sparsely only when
+/// `l == tracked` — its parent node is the one the enclosing sparse
+/// loop stands on — and every covered term is prunable at `q`. A CSF
+/// index whose parent level was iterated densely (`tracked < l`)
+/// therefore runs densely itself; the executor never looks a node up.
+/// A `Sparse { level }` vertex raises the tracked depth of its subtree
+/// to `level + 1`; a `Dense` vertex leaves it unchanged.
 ///
 /// Returns an error when the vertex must be dense but covers the sparse
 /// tensor's own term. This predicate is shared verbatim by the
@@ -108,15 +139,16 @@ pub fn vertex_kind(
     path: &ContractionPath,
     lo: usize,
     hi: usize,
-    removed: IdxSet,
+    tracked: usize,
     q: IndexId,
 ) -> Result<VertexKind, FuseError> {
     let level = match kernel.sparse_level(q) {
         None => return Ok(VertexKind::Dense),
         Some(l) => l,
     };
-    // Descent continuity: all shallower CSF modes already iterated.
-    let continuous = (0..level).all(|l| removed.contains(kernel.index_at_level(l)));
+    // Descent continuity: the enclosing sparse loops stand on this
+    // level's parent node.
+    let continuous = level == tracked;
     // Prunability: every covered term's contributions at coordinates
     // outside the sparse pattern must vanish. A term qualifies if its
     // operands carry lineage at q, or its consumer chain (within the
@@ -159,17 +191,19 @@ pub fn build_forest(
         }
     }
     let items: Vec<(usize, usize)> = (0..path.len()).map(|t| (t, 0usize)).collect();
-    let roots = peel(kernel, path, spec, &items, IdxSet::EMPTY)?;
+    let roots = peel(kernel, path, spec, &items, 0)?;
     Ok(LoopForest { roots })
 }
 
-/// Recursive peeling: `items` is a list of (term, depth-into-order).
+/// Recursive peeling: `items` is a list of (term, depth-into-order);
+/// `tracked` is the number of leading CSF levels the enclosing sparse
+/// loops cover.
 fn peel(
     kernel: &Kernel,
     path: &ContractionPath,
     spec: &NestSpec,
     items: &[(usize, usize)],
-    removed: IdxSet,
+    tracked: usize,
 ) -> Result<Vec<LoopNode>, FuseError> {
     let mut nodes = Vec::new();
     let mut pos = 0usize;
@@ -195,9 +229,9 @@ fn peel(
         }
         let lo = items[pos].0;
         let hi = items[end - 1].0 + 1;
-        let kind = vertex_kind(kernel, path, lo, hi, removed, q)?;
+        let kind = vertex_kind(kernel, path, lo, hi, tracked, q)?;
         let inner: Vec<(usize, usize)> = items[pos..end].iter().map(|&(t, d)| (t, d + 1)).collect();
-        let children = peel(kernel, path, spec, &inner, removed.insert(q))?;
+        let children = peel(kernel, path, spec, &inner, kind.tracked_below(tracked))?;
         nodes.push(LoopNode::Loop(LoopVertex {
             index: q,
             kind,
@@ -211,6 +245,48 @@ fn peel(
 }
 
 impl LoopForest {
+    /// Check the CSF descent rule [`build_forest`] establishes, for
+    /// forests assembled by hand (the type is public data): every
+    /// `Sparse { level }` vertex sits under sparse loops over exactly
+    /// the levels `0..level`, and every leaf that reads the sparse
+    /// tensor or writes a pattern-sharing output sits under sparse
+    /// loops over all of them — so an executor steps down the tree and
+    /// never looks a node up. The error names the CSF index at which
+    /// the descent breaks.
+    pub fn check_descent(&self, kernel: &Kernel, path: &ContractionPath) -> Result<(), FuseError> {
+        fn walk(
+            nodes: &[LoopNode],
+            tracked: usize,
+            kernel: &Kernel,
+            path: &ContractionPath,
+        ) -> Result<(), FuseError> {
+            let depth = kernel.csf_index_order().len();
+            for n in nodes {
+                match n {
+                    LoopNode::Loop(v) => {
+                        if let VertexKind::Sparse { level } = v.kind {
+                            if level != tracked || level >= depth {
+                                return Err(FuseError::BrokenDescent { index: v.index });
+                            }
+                        }
+                        walk(&v.children, v.kind.tracked_below(tracked), kernel, path)?;
+                    }
+                    LoopNode::Leaf(t) => {
+                        let on_pattern = *t == path.sparse_term
+                            || (kernel.output_sparse && *t + 1 == path.len());
+                        if on_pattern && tracked != depth {
+                            return Err(FuseError::BrokenDescent {
+                                index: kernel.index_at_level(tracked),
+                            });
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+        walk(&self.roots, 0, kernel, path)
+    }
+
     /// Maximum loop depth (longest root-to-leaf vertex chain).
     pub fn max_depth(&self) -> usize {
         fn depth(n: &LoopNode) -> usize {
@@ -523,14 +599,165 @@ mod tests {
         // vertex_kind directly: range covering only the dense-first term
         // of the U*V path, probing sparse index j.
         let p2 = path_from_picks(&k, &[(1, 2), (0, 1)]);
-        let kind = vertex_kind(&k, &p2, 0, 1, IdxSet::EMPTY, 1).unwrap();
+        let kind = vertex_kind(&k, &p2, 0, 1, 0, 1).unwrap();
         assert_eq!(kind, VertexKind::Dense);
         // And for the fused TTMc path term 0 alone, i is prunable.
-        let kind = vertex_kind(&k, &p, 0, 1, IdxSet::EMPTY, 0).unwrap();
+        let kind = vertex_kind(&k, &p, 0, 1, 0, 0).unwrap();
         assert_eq!(kind, VertexKind::Sparse { level: 0 });
-        // k without i,j removed: discontinuous descent, but term 0 covers
-        // the sparse term, so it cannot run densely either.
-        assert!(vertex_kind(&k, &p, 0, 1, IdxSet::EMPTY, 2).is_err());
+        // k with no level tracked: discontinuous descent, but term 0
+        // covers the sparse term, so it cannot run densely either.
+        assert!(vertex_kind(&k, &p, 0, 1, 0, 2).is_err());
+    }
+
+    /// The two halves of the continuity rule, on the same call: level
+    /// `l` is `Sparse { l }` exactly when the enclosing sparse loops
+    /// cover `l` levels; with fewer tracked it is `Dense`, or
+    /// `BrokenDescent` when the range holds the sparse term.
+    #[test]
+    fn sparse_only_at_the_tracked_depth() {
+        let (k, p) = ttmc3();
+        // Term 1 (U * X0, lineage {i,j,k}) alone, probing j and i.
+        for (q, level) in [(0, 0), (1, 1)] {
+            assert_eq!(
+                vertex_kind(&k, &p, 1, 2, level, q),
+                Ok(VertexKind::Sparse { level })
+            );
+        }
+        assert_eq!(vertex_kind(&k, &p, 1, 2, 0, 1), Ok(VertexKind::Dense));
+        // The same probes over the sparse term itself.
+        assert_eq!(
+            vertex_kind(&k, &p, 0, 1, 1, 1),
+            Ok(VertexKind::Sparse { level: 1 })
+        );
+        assert_eq!(
+            vertex_kind(&k, &p, 0, 2, 0, 1),
+            Err(FuseError::BrokenDescent { index: 1 })
+        );
+        assert_eq!(VertexKind::Sparse { level: 1 }.tracked_below(1), 2);
+        assert_eq!(VertexKind::Dense.tracked_below(1), 1);
+    }
+
+    /// `S(i,j,k) = T(i,j,k)*A(i,r)*B(j,r)*C(k,r)*D(k,r)` on the path
+    /// `T*B→X0; A*C→X1; D*X0→X2; X1*X2→S` — the one nest shape that
+    /// used to need a searched CSF node.
+    fn witness() -> (Kernel, ContractionPath) {
+        let k = parse_kernel(
+            "S(i,j,k) = T(i,j,k) * A(i,r) * B(j,r) * C(k,r) * D(k,r)",
+            &[("i", 5), ("j", 6), ("k", 7), ("r", 3)],
+        )
+        .unwrap();
+        let p = path_from_picks(&k, &[(0, 2), (0, 1), (0, 1), (0, 1)]);
+        (k, p)
+    }
+
+    /// Terms 1–2 fuse on `(r, i)`; `A*C` is not prunable at `i`, so `i`
+    /// runs densely there, and the `j` and `k` loops under it — CSF
+    /// indices below a dense ancestor of their parent level — are dense
+    /// too instead of looking their parent node up.
+    #[test]
+    fn csf_index_under_dense_ancestor_is_dense() {
+        let (k, p) = witness();
+        let spec = NestSpec {
+            orders: vec![
+                vec![0, 1, 2, 3],
+                vec![3, 0, 2],
+                vec![3, 0, 1, 2],
+                vec![0, 1, 2, 3],
+            ],
+        };
+        let f = build_forest(&k, &p, &spec).unwrap();
+        let LoopNode::Loop(r) = &f.roots[1] else {
+            panic!()
+        };
+        assert_eq!((r.index, r.term_lo, r.term_hi), (3, 1, 3));
+        let LoopNode::Loop(i) = &r.children[0] else {
+            panic!()
+        };
+        assert_eq!((i.index, i.kind), (0, VertexKind::Dense));
+        // Under i: term 1's k loop, then term 2's j loop holding k.
+        let LoopNode::Loop(k1) = &i.children[0] else {
+            panic!()
+        };
+        assert_eq!((k1.index, k1.kind), (2, VertexKind::Dense));
+        let LoopNode::Loop(j) = &i.children[1] else {
+            panic!()
+        };
+        assert_eq!((j.index, j.kind), (1, VertexKind::Dense));
+        let LoopNode::Loop(k2) = &j.children[0] else {
+            panic!()
+        };
+        assert_eq!((k2.index, k2.kind), (2, VertexKind::Dense));
+    }
+
+    /// `check_descent` refuses what `build_forest` never returns: a
+    /// sparse loop whose parent level runs densely, and a sparse-tensor
+    /// leaf under a densely iterated CSF level.
+    #[test]
+    fn check_descent_rejects_hand_broken_forests() {
+        let (k, p) = ttmc3();
+        let spec = NestSpec {
+            orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
+        };
+        let good = build_forest(&k, &p, &spec).unwrap();
+        assert_eq!(good.check_descent(&k, &p), Ok(()));
+
+        let mut flipped_root = good.clone();
+        let LoopNode::Loop(i) = &mut flipped_root.roots[0] else {
+            panic!()
+        };
+        i.kind = VertexKind::Dense;
+        // The j loop is still Sparse { level: 1 }, with nothing tracked.
+        assert_eq!(
+            flipped_root.check_descent(&k, &p),
+            Err(FuseError::BrokenDescent { index: 1 })
+        );
+
+        let mut dense_leaf_level = good;
+        let LoopNode::Loop(i) = &mut dense_leaf_level.roots[0] else {
+            panic!()
+        };
+        let LoopNode::Loop(j) = &mut i.children[0] else {
+            panic!()
+        };
+        let LoopNode::Loop(kv) = &mut j.children[0] else {
+            panic!()
+        };
+        kv.kind = VertexKind::Dense;
+        // T's leaf now sits under two tracked levels of three.
+        assert_eq!(
+            dense_leaf_level.check_descent(&k, &p),
+            Err(FuseError::BrokenDescent { index: 2 })
+        );
+    }
+
+    /// The rule holds on everything `build_forest` returns: on every
+    /// valid nest of every path of the standard kernels and of the
+    /// witness kernel (≈ 127 k forests), each `Sparse { level }` vertex sits directly on the chain
+    /// `Sparse{0} … Sparse{level−1}` and every leaf that reads `T` or
+    /// writes a pattern-sharing output sits under all CSF levels.
+    #[test]
+    fn every_built_forest_tracks_its_descent() {
+        use crate::order::NestSpecIter;
+        use crate::path::enumerate_paths;
+        use crate::stdkernels::{mttkrp, ttmc, tttc, tttp};
+        let mut nests = 0usize;
+        for k in [
+            mttkrp(&[4, 5, 6], 3),
+            ttmc(&[4, 5, 6], &[2, 3]),
+            tttp(&[4, 5, 6], 3),
+            tttc(&[4, 5, 6], 2),
+            witness().0,
+        ] {
+            for p in enumerate_paths(&k) {
+                for spec in NestSpecIter::new(&k, &p) {
+                    if let Ok(f) = build_forest(&k, &p, &spec) {
+                        assert_eq!(f.check_descent(&k, &p), Ok(()), "{}", spec.describe(&k));
+                        nests += 1;
+                    }
+                }
+            }
+        }
+        assert!(nests > 100_000, "walked only {nests} nests");
     }
 
     #[test]

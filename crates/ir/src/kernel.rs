@@ -38,6 +38,9 @@ pub enum KernelError {
     RepeatedIndex(String, String),
     /// The kernel has no inputs.
     NoInputs,
+    /// The sparse input (named) has no indices: there is no CSF tree to
+    /// iterate, and a scalar belongs in a dense factor.
+    ScalarSparseInput(String),
     /// A sparse-pattern output must have exactly the sparse input's
     /// index set.
     BadSparseOutput,
@@ -59,6 +62,10 @@ impl std::fmt::Display for KernelError {
                 write!(f, "index '{i}' repeated within tensor '{t}'")
             }
             KernelError::NoInputs => write!(f, "kernel has no input tensors"),
+            KernelError::ScalarSparseInput(t) => write!(
+                f,
+                "sparse input '{t}' has no indices; a scalar belongs in a dense factor"
+            ),
             KernelError::BadSparseOutput => write!(
                 f,
                 "a sparse-pattern output must use exactly the sparse input's indices"
@@ -106,6 +113,11 @@ impl Kernel {
         }
         if sparse_input >= inputs.len() {
             return Err(KernelError::BadSparseInput(sparse_input));
+        }
+        if inputs[sparse_input].indices.is_empty() {
+            return Err(KernelError::ScalarSparseInput(
+                inputs[sparse_input].name.clone(),
+            ));
         }
         // No repeated index within a single tensor reference.
         for t in inputs.iter().chain(std::iter::once(&output)) {

@@ -369,13 +369,13 @@ impl NetworkPlan {
                 }
             }
         }
-        if collapsed_refs.len() > opts.max_kernel_inputs {
+        // Guards the single-kernel planner's search space.
+        const MAX_COLLAPSED_INPUTS: usize = 8;
+        if collapsed_refs.len() > MAX_COLLAPSED_INPUTS {
             return Err(SpttnError::Planning(format!(
                 "the chosen order keeps {} tensors on the sparse spine, above the \
-                 collapsed-kernel limit of {} (NetOptions::max_kernel_inputs); \
-                 raise the limit or restructure the network",
-                collapsed_refs.len(),
-                opts.max_kernel_inputs
+                 collapsed-kernel limit of {MAX_COLLAPSED_INPUTS}; restructure the network",
+                collapsed_refs.len()
             )));
         }
 

@@ -60,9 +60,6 @@ pub struct NetOptions {
     /// Maximum number of pair-cost evaluations the exact sweep may
     /// spend before falling back to greedy.
     pub budget: u64,
-    /// Maximum number of inputs the collapsed sparse-spine kernel may
-    /// have (guards the single-kernel planner's search space).
-    pub max_kernel_inputs: usize,
     /// Planner options for the collapsed sparse kernel (cost model,
     /// engine, threads, …).
     pub plan: PlanOptions,
@@ -73,7 +70,6 @@ impl Default for NetOptions {
         NetOptions {
             order: OrderStrategy::Greedy,
             budget: 1_000_000,
-            max_kernel_inputs: 8,
             plan: PlanOptions::default(),
         }
     }
@@ -89,12 +85,6 @@ impl NetOptions {
     /// Set the exact-search evaluation budget.
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Set the collapsed-kernel input-count guard.
-    pub fn with_max_kernel_inputs(mut self, n: usize) -> Self {
-        self.max_kernel_inputs = n;
         self
     }
 

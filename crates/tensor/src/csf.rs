@@ -110,8 +110,12 @@ impl Csf {
     /// Build a CSF tree from a COO tensor under the given mode order.
     ///
     /// The input is copied, sorted lexicographically in `mode_order`, and
-    /// deduplicated (duplicate coordinates are summed).
+    /// deduplicated (duplicate coordinates are summed). An order-0 tensor
+    /// is refused: a tree needs at least one level.
     pub fn from_coo(coo: &CooTensor, mode_order: &[usize]) -> Result<Self, TensorError> {
+        if coo.order() == 0 {
+            return Err(TensorError::ZeroOrder);
+        }
         let mut sorted = coo.clone();
         sorted.sort_dedup(mode_order)?;
         Ok(Self::from_sorted(&sorted, mode_order))
@@ -277,11 +281,8 @@ impl Csf {
 
     /// The tile covering the entire tree.
     pub fn full_tile(&self) -> CsfTile {
-        let d = self.order().max(1);
         CsfTile {
-            ranges: (0..d)
-                .map(|k| 0..self.levels.get(k).map_or(0, |l| l.idx.len()))
-                .collect(),
+            ranges: self.levels.iter().map(|l| 0..l.idx.len()).collect(),
         }
     }
 
@@ -303,11 +304,10 @@ impl Csf {
             roots.start <= roots.end && roots.end <= n_roots,
             "root range {roots:?} out of bounds for {n_roots} roots"
         );
-        let d = self.order().max(1);
-        let mut ranges = Vec::with_capacity(d);
+        let mut ranges = Vec::with_capacity(self.order());
         let (mut lo, mut hi) = (roots.start, roots.end);
         ranges.push(lo..hi);
-        for k in 0..self.order().saturating_sub(1) {
+        for k in 0..self.order() - 1 {
             lo = self.levels[k].ptr[lo];
             hi = self.levels[k].ptr[hi];
             ranges.push(lo..hi);
@@ -532,6 +532,15 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// A scalar has no level to hang a tree on (it used to build a
+    /// level-less `Csf` that hung `Plan::bind`).
+    #[test]
+    fn order0_tensor_is_refused() {
+        let mut scalar = CooTensor::new(&[]).unwrap();
+        scalar.push(&[], 2.5).unwrap();
+        assert_eq!(Csf::from_coo(&scalar, &[]), Err(TensorError::ZeroOrder));
     }
 
     #[test]

@@ -72,6 +72,9 @@ pub enum TensorError {
     InvalidPermutation,
     /// Shape with a zero-sized mode (unsupported).
     ZeroDim,
+    /// An order-0 (scalar) tensor where a sparse tree is built: CSF
+    /// needs at least one mode to have levels.
+    ZeroOrder,
 }
 
 impl std::fmt::Display for TensorError {
@@ -86,6 +89,9 @@ impl std::fmt::Display for TensorError {
             }
             TensorError::InvalidPermutation => write!(f, "invalid mode permutation"),
             TensorError::ZeroDim => write!(f, "tensors with zero-sized modes are unsupported"),
+            TensorError::ZeroOrder => {
+                write!(f, "an order-0 tensor has no modes to build a CSF tree over")
+            }
         }
     }
 }

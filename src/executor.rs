@@ -313,7 +313,7 @@ impl Executor {
     }
 
     /// The compiled instruction tape executions run (exposed for
-    /// diagnostics: program size, cursor and finger counts, selected
+    /// diagnostics: program size, cursor count, selected
     /// microkernels).
     pub fn tape(&self) -> &CompiledTape {
         self.engine.tape()

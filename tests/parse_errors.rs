@@ -3,10 +3,13 @@
 //! leading, or lone `*` is an "empty factor" parse error through
 //! `spttn_ir::parse_kernel` and through the facade's
 //! `Contraction::parse`, in the `=`, `+=` and `->` syntaxes alike —
-//! never silently swallowed.
+//! never silently swallowed. What only the lowering can see — a sparse
+//! operand with no indices — is one `KernelError` from every front end
+//! that lowers.
 
 use spttn::ir::{parse_kernel, KernelError};
-use spttn::{Contraction, SpttnError};
+use spttn::{Contraction, PlanOptions, Shapes, SpttnError};
+use spttn_net::{NetOptions, Network};
 
 const DIMS: &[(&str, usize)] = &[("i", 3), ("j", 4), ("r", 2), ("z", 5)];
 
@@ -70,6 +73,40 @@ fn facade_rejects_output_only_indices() {
     // parser must name the offending index, in both syntaxes.
     for expr in ["A(i,z) = T(i,j) * B(j)", "T[i,j]*B[j,r]->A[i,z]"] {
         assert_parse_error(expr, "output index 'z'");
+    }
+}
+
+/// An order-0 sparse operand parses (the grammar allows `T()`), but no
+/// `Kernel` is built from it: `parse_kernel`, `Contraction::plan` and
+/// `Network::plan` all return the same typed single-line error naming
+/// the tensor — it used to plan and then hang `Plan::bind`.
+#[test]
+fn order0_sparse_operand_is_a_typed_error_everywhere() {
+    let shapes = Shapes::new().with_dims(&[("a", 2), ("b", 3)]).with_nnz(1);
+    for expr in ["A(a) = T() * B(a)", "T[]*B[a,b]*C[b]->A[a]"] {
+        let planned = Contraction::parse(expr)
+            .expect("the grammar accepts an empty index list")
+            .plan(&shapes, &PlanOptions::default())
+            .map(|_| ());
+        let net = Network::parse(expr)
+            .and_then(|n| n.plan(&shapes, &NetOptions::default()))
+            .map(|_| ());
+        let ir = parse_kernel(expr, &[("a", 2), ("b", 3)]).map(|_| ());
+        for (via, got) in [
+            ("parse_kernel", ir.map_err(SpttnError::from)),
+            ("Contraction::plan", planned),
+            ("Network::plan", net),
+        ] {
+            let e = got.expect_err(via);
+            assert_eq!(
+                e,
+                SpttnError::Kernel(KernelError::ScalarSparseInput("T".into())),
+                "'{expr}' via {via}"
+            );
+            let text = e.to_string();
+            assert!(text.contains("sparse input 'T' has no indices"), "{text}");
+            assert!(!text.contains('\n'), "{text}");
+        }
     }
 }
 
