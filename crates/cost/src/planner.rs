@@ -8,8 +8,8 @@
 //! on is the executed [`Work`](crate::Work) of each path's best nest:
 //!
 //! 1. Enumerate contraction paths in ascending ideal op count
-//!    ([`ContractionPath::flops`]). Paths whose counts tie form a
-//!    *tier*, as in the paper.
+//!    ([`ContractionPath::flops`]). Paths whose counts tie exactly form
+//!    a *tier*, as in the paper.
 //! 2. Per path (at most 64 per tier), run the Algorithm-1 DP under the
 //!    configured tree-separable cost — the model's own value, ties
 //!    broken by `Work` ([`TreeCost::rank`]) — and keep the feasible
@@ -17,10 +17,10 @@
 //!    fallback to costlier tiers. Stop as soon as the next path's ideal
 //!    count — a lower bound on the `Work` of all of its nests — exceeds
 //!    the best `Work` found, or after 16 tiers.
-//! 3. Among the winners that tie on the least `Work`, choose by
+//! 3. Among the winners that tie exactly on the least `Work`, choose by
 //!    [`TreeCost::rank`]; earlier (cheaper-path) winners keep ties.
 //!
-//! The three search limits are constants: no caller ever set them.
+//! The two search limits are constants: no caller ever set them.
 
 use crate::dp::optimal_order;
 use crate::tree_cost::TreeCost;
@@ -32,11 +32,6 @@ use spttn_tensor::SparsityProfile;
 const MAX_PATHS_PER_TIER: usize = 64;
 /// Maximum number of tiers explored before giving up.
 const MAX_TIERS: usize = 16;
-/// Width of a tier, as a factor (1.0 = exact ties only): paths whose
-/// ideal op count is within it of a tier leader share the tier, and
-/// nests whose executed work is within it of the least are chosen among
-/// by the cost model alone.
-const TIER_SLACK: f64 = 1.0;
 
 /// A planned loop nest: path, loop orders, and costs.
 #[derive(Debug, Clone)]
@@ -60,8 +55,8 @@ pub struct PlannedNest<V> {
     pub tier: usize,
 }
 
-/// Index of the nest to run among `work`-scored candidates: within
-/// `TIER_SLACK` of the least executed work, the [`TreeCost::rank`]
+/// Index of the nest to run among `work`-scored candidates: among
+/// exact ties on the least executed work, the [`TreeCost::rank`]
 /// minimum; the earliest candidate keeps ties. Shared by the path
 /// choice of [`plan`] and the CSF-order choice of
 /// [`plan_mode_orders`](crate::plan_mode_orders).
@@ -76,10 +71,9 @@ where
         .clone()
         .map(|(_, w)| w.ns())
         .min_by(f64::total_cmp)?;
-    let band = least * TIER_SLACK;
     candidates
         .enumerate()
-        .filter(|(_, (_, w))| w.ns() <= band)
+        .filter(|(_, (_, w))| w.ns() <= least)
         .min_by(|(_, a), (_, b)| cost.rank(*a, *b))
         .map(|(i, _)| i)
 }
@@ -101,10 +95,10 @@ pub fn plan<C: TreeCost>(
     let mut least_ns = f64::INFINITY;
     let (mut tier, mut leader, mut in_tier) = (0usize, paths.first()?.0, 0usize);
     for (ideal, path) in paths {
-        if ideal > ((leader as f64 * TIER_SLACK) as u128).max(leader) {
+        if ideal > leader {
             (tier, leader, in_tier) = (tier + 1, ideal, 0);
         }
-        if tier >= MAX_TIERS || WorkCounts::floor_ns(ideal) > least_ns * TIER_SLACK {
+        if tier >= MAX_TIERS || WorkCounts::floor_ns(ideal) > least_ns {
             break;
         }
         in_tier += 1;

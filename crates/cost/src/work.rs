@@ -17,14 +17,17 @@
 //! `⊕ = +` — so Algorithm 1 stays exact for it. The one kind of vertex
 //! that deviates, a loop (or loop pair) over dense indices that the
 //! tape lowers to a single microkernel dispatch, has exactly one
-//! possible subtree, so no choice is made beneath it. A CSF index
+//! possible subtree, so no choice is made beneath it. Whether a loop is
+//! such a dispatch is the executor's own rule,
+//! [`Term::leaf_op`](spttn_ir::Term::leaf_op) — the model asks it, it
+//! does not restate it; what the model adds is that a CSF index
 //! iterated densely gets no such discount (see [`Work::apply`]).
 //! Sparse branching factors telescope to `prefix_nnz`, which makes
 //! [`WorkCounts::flops`] the nest's executed flop count — exact for a
 //! pattern-derived profile, whatever is or is not vectorized.
 
 use crate::tree_cost::{TreeCost, VertexCtx};
-use spttn_ir::{IdxSet, IndexId, Term, VertexKind};
+use spttn_ir::{IndexId, VertexKind};
 use std::cmp::Ordering;
 
 /// One CSF node visit. `benchmark/results/initial.json`:
@@ -115,32 +118,6 @@ impl std::fmt::Display for WorkCounts {
     }
 }
 
-/// Whether the tape lowers a dense loop over `q` whose only child is
-/// term `term`'s leaf to one BLAS-1 microkernel (AXPY / XMUL when the
-/// target carries `q`, DOT when both operands do).
-fn lowers_to_blas1(term: &Term, q: IndexId) -> bool {
-    term.out_inds.contains(q) || (term.left_inds.contains(q) && term.right_inds.contains(q))
-}
-
-/// Whether the tape lowers the dense loop pair `(q1, q2)` around term
-/// `term`'s leaf to one GER (target carries both, each operand one) or
-/// GEMV (target carries one, one operand both, the other the summed
-/// index).
-fn lowers_to_blas2(term: &Term, q1: IndexId, q2: IndexId) -> bool {
-    let pair = IdxSet::single(q1).insert(q2);
-    let left = term.left_inds.intersect(pair);
-    let right = term.right_inds.intersect(pair);
-    let out = term.out_inds.intersect(pair);
-    match out.len() {
-        2 => left.len() == 1 && right.len() == 1 && left != right,
-        1 => {
-            let summed = pair.minus(out);
-            (left == pair && right == summed) || (right == pair && left == summed)
-        }
-        _ => false,
-    }
-}
-
 impl TreeCost for Work {
     type Value = WorkCounts;
 
@@ -179,8 +156,9 @@ impl TreeCost for Work {
             .sum();
 
         // A loop (or loop pair) over dense indices around a single
-        // term's leaf is one microkernel dispatch. A CSF index iterated
-        // densely never qualifies, even where the tape would vectorize
+        // term's leaf is one microkernel dispatch where the lowering
+        // rule names a kernel for it. A CSF index iterated densely is
+        // never priced as one, even where the tape would vectorize
         // it: it runs down the leading index of its factor (`U(i,r)`),
         // a stride of the rank away from the contiguous lanes
         // `VECTOR_LANE_NS` was measured on.
@@ -189,8 +167,8 @@ impl TreeCost for Work {
             let term = &ctx.path.terms[ctx.lo];
             let mut below = term.iter_inds().minus(iterated).iter();
             let lanes_per_trip = match (below.next(), below.next()) {
-                (None, _) if lowers_to_blas1(term, ctx.index) => Some(1.0),
-                (Some(q2), None) if is_dense(q2) && lowers_to_blas2(term, ctx.index, q2) => {
+                (None, _) if term.leaf_op(ctx.index, None).is_some() => Some(1.0),
+                (Some(q2), None) if is_dense(q2) && term.leaf_op(ctx.index, Some(q2)).is_some() => {
                     // `inner` is the row kernel the pair's second loop
                     // would have been on its own.
                     Some(inner.lanes)

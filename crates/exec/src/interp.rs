@@ -14,18 +14,26 @@
 //! - **Dense vertices** iterate the full index dimension. Innermost
 //!   dense loops covering a single term are dispatched to the
 //!   [`crate::blas`] microkernels (AXPY/DOT/elementwise for one loop,
-//!   GER/GEMV for two), mirroring the paper's Sec. 5 runtime.
+//!   GER/GEMV for two), as in the paper's Sec. 5 runtime — where the
+//!   lowering rule ([`spttn_ir::lower`]) names one.
 //! - **Intermediate buffers** follow Eq. 5: each non-final term owns the
 //!   dense buffer computed by [`spttn_ir::buffers_for_forest`]; the
 //!   buffer is zeroed exactly at its split vertex — once per iteration
 //!   of the deepest loop shared by producer and consumer — and indexed
 //!   by the stored (non-ancestor) coordinates only.
 //!
-//! It makes the same microkernel choices in the same floating-point
+//! It runs the same microkernel calls in the same floating-point
 //! operation order as a tape compiled with
 //! [`KernelSet::scalar`](crate::simd::KernelSet::scalar), so the two
-//! agree bitwise. It is serial, covers the whole tree, takes no guard,
-//! and no production code calls it.
+//! agree bitwise. What that agreement vouches for is the tape's
+//! *addressing and operation order*: cursors against offsets recomputed
+//! from coordinates, the frame stack against recursion. It does not
+//! vouch for *which* kernel a loop becomes — both engines ask
+//! [`Term::leaf_op`](spttn_ir::Term::leaf_op), so a wrong rule is wrong
+//! in both. The rule has its own exhaustive test beside its statement;
+//! the naive oracle and `tests/plan_shape.rs`'s exact dispatch and flop
+//! counts judge its results. The interpreter is serial, covers the whole
+//! tree, takes no guard, and no production code calls it.
 
 use crate::blas;
 use crate::workspace::{
@@ -33,7 +41,7 @@ use crate::workspace::{
 };
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{
-    buffers_for_forest, ContractionPath, IndexId, Kernel, LoopForest, LoopNode, LoopVertex,
+    buffers_for_forest, ContractionPath, IndexId, Kernel, LeafOp, LoopForest, LoopNode, LoopVertex,
     Operand, VertexKind,
 };
 use spttn_tensor::{Csf, DenseTensor};
@@ -106,7 +114,7 @@ pub fn execute_forest_into(
 /// Offset of the current coordinates within a tensor addressed by
 /// `inds` (one index id per tensor mode, matching `strides`).
 fn offset_in(inds: &[IndexId], strides: &[usize], coords: &[usize]) -> usize {
-    inds.iter().zip(strides).map(|(&i, &s)| coords[i] * s).sum()
+    strided(inds, strides, coords, []).0
 }
 
 /// Which backing store a strided source lives in.
@@ -116,39 +124,6 @@ enum BufSel {
     Factor(usize),
     /// Intermediate buffer of a term.
     Inter(usize),
-}
-
-/// Source operand metadata for microkernel dispatch, relative to one or
-/// two candidate loop indices.
-#[derive(Debug, Clone, Copy)]
-enum SrcMeta {
-    /// Constant under both loops (includes the sparse leaf value).
-    Const(f64),
-    /// Strided access: `data[base + i*s1 + j*s2]`.
-    Var {
-        buf: BufSel,
-        base: usize,
-        s1: usize,
-        has1: bool,
-        s2: usize,
-        has2: bool,
-    },
-}
-
-/// Target metadata for microkernel dispatch.
-#[derive(Debug, Clone, Copy)]
-enum TgtMeta {
-    /// Scalar accumulation cell (loop indices contracted away).
-    Cell,
-    /// Strided target in the dense output or a term buffer.
-    Var {
-        out: bool,
-        base: usize,
-        s1: usize,
-        has1: bool,
-        s2: usize,
-        has2: bool,
-    },
 }
 
 struct Exec<'a> {
@@ -284,41 +259,98 @@ impl<'a> Exec<'a> {
 
     // ----- BLAS microkernel dispatch ---------------------------------
 
-    /// Dispatch an innermost dense loop (or dense loop pair) covering a
-    /// single term to a BLAS microkernel. Returns `false` when the shape
-    /// does not match a kernel; the generic interpreter then handles it
-    /// (and inner vertices get their own dispatch chance).
+    /// Dispatch a dense loop (or dense loop pair) to the microkernel the
+    /// lowering rule names for it ([`Term::leaf_op`] on
+    /// [`LoopVertex::leaf_loops`] — the same call the tape compiler
+    /// makes). Returns `false` when it names none; the generic
+    /// interpreter then handles the vertex (and an inner vertex gets its
+    /// own dispatch chance). The arms only address, in the tape
+    /// compiler's order.
     fn try_blas(&mut self, v: &LoopVertex) -> bool {
-        if v.kind != VertexKind::Dense || v.term_hi - v.term_lo != 1 {
+        let Some((q1, q2, t)) = v.leaf_loops() else {
             return false;
-        }
-        let t = v.term_lo;
-        match v.children.as_slice() {
-            [LoopNode::Leaf(_)] => self.blas1(v.index, t),
-            [LoopNode::Loop(v2)]
-                if v2.kind == VertexKind::Dense
-                    && v2.term_hi - v2.term_lo == 1
-                    && matches!(v2.children.as_slice(), [LoopNode::Leaf(_)]) =>
-            {
-                self.blas2(v.index, v2.index, t)
+        };
+        let term = &self.path.terms[t];
+        let Some(op) = term.leaf_op(q1, q2) else {
+            return false;
+        };
+        let dim = |q: IndexId| self.kernel.dim(q);
+        let factors = self.factors;
+        match (op, q2) {
+            (LeafOp::Dot, _) => {
+                let n = dim(q1);
+                let (xb, x0, [xi]) = self.src(term.left, [q1]);
+                let (yb, y0, [yi]) = self.src(term.right, [q1]);
+                let v = {
+                    let (reads, _) = self.buffers.split_at(t);
+                    let x = slice_of(factors, reads, xb, x0);
+                    let y = slice_of(factors, reads, yb, y0);
+                    blas::dot(n, x, xi, y, yi)
+                };
+                self.stats.dot += 1;
+                self.stats.dot_elems += n as u64;
+                self.accumulate_cell(t, v);
             }
-            _ => false,
+            (LeafOp::Axpy { vec }, _) => {
+                let n = dim(q1);
+                let (xb, x0, [xi]) = self.src(term.operand(vec), [q1]);
+                let alpha = self.read_operand(term.operand(vec.other()));
+                self.stats.axpy += 1;
+                self.stats.axpy_elems += n as u64;
+                let (reads, y, [yi]) = self.tgt(t, [q1]);
+                blas::axpy(n, alpha, slice_of(factors, reads, xb, x0), xi, y, yi);
+            }
+            (LeafOp::Xmul, _) => {
+                let n = dim(q1);
+                let (xb, x0, [xi]) = self.src(term.left, [q1]);
+                let (zb, z0, [zi]) = self.src(term.right, [q1]);
+                self.stats.xmul += 1;
+                self.stats.xmul_elems += n as u64;
+                let (reads, y, [yi]) = self.tgt(t, [q1]);
+                let x = slice_of(factors, reads, xb, x0);
+                let z = slice_of(factors, reads, zb, z0);
+                blas::xmul(n, 1.0, x, xi, z, zi, y, yi);
+            }
+            (LeafOp::Ger { x }, Some(q2)) => {
+                let (m, n) = (dim(q1), dim(q2));
+                let (xb, x0, [xi]) = self.src(term.operand(x), [q1]);
+                let (yb, y0, [yi]) = self.src(term.operand(x.other()), [q2]);
+                self.stats.ger += 1;
+                self.stats.ger_elems += (m * n) as u64;
+                let (reads, a, [rs, cs]) = self.tgt(t, [q1, q2]);
+                let x = slice_of(factors, reads, xb, x0);
+                let y = slice_of(factors, reads, yb, y0);
+                blas::ger(m, n, 1.0, x, xi, y, yi, a, rs, cs);
+            }
+            (LeafOp::Gemv { mat, row, col }, _) => {
+                let (m, n) = (dim(row), dim(col));
+                let (ab, a0, [rs, cs]) = self.src(term.operand(mat), [row, col]);
+                let (xb, x0, [xi]) = self.src(term.operand(mat.other()), [col]);
+                self.stats.gemv += 1;
+                self.stats.gemv_elems += (m * n) as u64;
+                let (reads, y, [yi]) = self.tgt(t, [row]);
+                let a = slice_of(factors, reads, ab, a0);
+                let x = slice_of(factors, reads, xb, x0);
+                blas::gemv(m, n, 1.0, a, rs, cs, x, xi, y, yi);
+            }
+            (LeafOp::Ger { .. }, None) => unreachable!("leaf_op names GER for a loop pair only"),
         }
+        true
     }
 
-    /// Source metadata w.r.t. loop indices `q1` (and optionally `q2`).
-    fn src_meta(&self, op: Operand, q1: IndexId, q2: Option<IndexId>) -> SrcMeta {
+    /// A dense source inside a microkernel that runs it along the
+    /// lowered loops `along`: its store, its offset at the current
+    /// coordinates of every other stored index, and its stride along
+    /// each of `along`.
+    fn src<const N: usize>(&self, op: Operand, along: [IndexId; N]) -> (BufSel, usize, [usize; N]) {
         let (buf, inds, strides): (BufSel, &[IndexId], &[usize]) = match op {
-            Operand::Input(i) if i == self.kernel.sparse_input => {
-                return SrcMeta::Const(self.read_operand(op));
-            }
             Operand::Input(i) => {
-                let f = &self.factors[i];
-                (
-                    BufSel::Factor(i),
-                    &self.kernel.inputs[i].indices,
-                    f.strides(),
-                )
+                assert_ne!(
+                    i, self.kernel.sparse_input,
+                    "the sparse input is never strided"
+                );
+                let inds = &self.kernel.inputs[i].indices;
+                (BufSel::Factor(i), inds, self.factors[i].strides())
             }
             Operand::Inter(u) => (
                 BufSel::Inter(u),
@@ -326,293 +358,54 @@ impl<'a> Exec<'a> {
                 self.buffers[u].strides(),
             ),
         };
-        let mut base = 0usize;
-        let (mut s1, mut has1, mut s2, mut has2) = (0usize, false, 0usize, false);
-        for (pos, &ind) in inds.iter().enumerate() {
-            if ind == q1 {
-                s1 = strides[pos];
-                has1 = true;
-            } else if Some(ind) == q2 {
-                s2 = strides[pos];
-                has2 = true;
-            } else {
-                base += self.coords[ind] * strides[pos];
-            }
-        }
-        if !has1 && !has2 {
-            SrcMeta::Const(self.read_operand(op))
-        } else {
-            SrcMeta::Var {
-                buf,
-                base,
-                s1,
-                has1,
-                s2,
-                has2,
-            }
-        }
+        let (base, incs) = strided(inds, strides, &self.coords, along);
+        (buf, base, incs)
     }
 
-    /// Target metadata; `None` means dispatch is unsupported (sparse
-    /// pattern-sharing output indexed by a loop index).
-    fn tgt_meta(&self, t: usize, q1: IndexId, q2: Option<IndexId>) -> Option<TgtMeta> {
-        let (out, inds, strides): (bool, &[IndexId], &[usize]) = if t + 1 == self.path.len() {
-            if self.kernel.output_sparse {
-                let oi = self.path.terms[t].out_inds;
-                if oi.contains(q1) || q2.is_some_and(|q| oi.contains(q)) {
-                    return None;
-                }
-                return Some(TgtMeta::Cell);
-            }
-            (true, &self.kernel.output.indices, self.out_dense.strides())
+    /// Term `t`'s target inside a microkernel that runs it along
+    /// `along`, addressed like [`Exec::src`] and borrowed mutably beside
+    /// the buffers of earlier terms, which the sources may live in.
+    fn tgt<const N: usize>(
+        &mut self,
+        t: usize,
+        along: [IndexId; N],
+    ) -> (&[DenseTensor], &mut [f64], [usize; N]) {
+        let (reads, tail) = self.buffers.split_at_mut(t);
+        let (store, inds): (&mut DenseTensor, &[IndexId]) = if t + 1 < self.path.len() {
+            (&mut tail[0], &self.buffer_inds[t])
         } else {
-            (false, &self.buffer_inds[t], self.buffers[t].strides())
+            assert!(
+                !self.kernel.output_sparse,
+                "a pattern-sharing output is never strided"
+            );
+            (&mut *self.out_dense, &self.kernel.output.indices)
         };
-        let mut base = 0usize;
-        let (mut s1, mut has1, mut s2, mut has2) = (0usize, false, 0usize, false);
-        for (pos, &ind) in inds.iter().enumerate() {
-            if ind == q1 {
-                s1 = strides[pos];
-                has1 = true;
-            } else if Some(ind) == q2 {
-                s2 = strides[pos];
-                has2 = true;
-            } else {
-                base += self.coords[ind] * strides[pos];
-            }
-        }
-        if has1 || has2 {
-            Some(TgtMeta::Var {
-                out,
-                base,
-                s1,
-                has1,
-                s2,
-                has2,
-            })
-        } else {
-            Some(TgtMeta::Cell)
+        let (base, incs) = strided(inds, store.strides(), &self.coords, along);
+        (reads, &mut store.as_mut_slice()[base..], incs)
+    }
+}
+
+/// Address a tensor stored by `inds` inside a microkernel that runs it
+/// along the lowered loops `along`: the offset of the current
+/// coordinates of every other stored index, and the stride of each
+/// `along` index (which the lowering rule says the tensor carries).
+fn strided<const N: usize>(
+    inds: &[IndexId],
+    strides: &[usize],
+    coords: &[usize],
+    along: [IndexId; N],
+) -> (usize, [usize; N]) {
+    let (mut base, mut incs) = (0usize, [None; N]);
+    for (&ind, &stride) in inds.iter().zip(strides) {
+        match along.iter().position(|&q| q == ind) {
+            Some(k) => incs[k] = Some(stride),
+            None => base += coords[ind] * stride,
         }
     }
-
-    /// One dense loop over `q`, single term `t`: AXPY / elementwise /
-    /// DOT dispatch.
-    fn blas1(&mut self, q: IndexId, t: usize) -> bool {
-        let n = self.kernel.dim(q);
-        let term = &self.path.terms[t];
-        let lm = self.src_meta(term.left, q, None);
-        let rm = self.src_meta(term.right, q, None);
-        let Some(tm) = self.tgt_meta(t, q, None) else {
-            return false;
-        };
-        match tm {
-            TgtMeta::Cell => {
-                // Σ_q l[q]·r[q] into a scalar cell: DOT.
-                if let (
-                    SrcMeta::Var {
-                        buf: lb,
-                        base: lbase,
-                        s1: ls,
-                        ..
-                    },
-                    SrcMeta::Var {
-                        buf: rb,
-                        base: rbase,
-                        s1: rs,
-                        ..
-                    },
-                ) = (lm, rm)
-                {
-                    let v = {
-                        let (reads, _) = self.buffers.split_at(t);
-                        let x = slice_of(self.factors, reads, lb, lbase);
-                        let y = slice_of(self.factors, reads, rb, rbase);
-                        blas::dot(n, x, ls, y, rs)
-                    };
-                    self.stats.dot += 1;
-                    self.stats.dot_elems += n as u64;
-                    self.accumulate_cell(t, v);
-                    true
-                } else {
-                    false
-                }
-            }
-            TgtMeta::Var {
-                out,
-                base: tbase,
-                s1: ts,
-                ..
-            } => {
-                let factors = self.factors;
-                let Exec {
-                    buffers,
-                    out_dense,
-                    stats: run_stats,
-                    ..
-                } = self;
-                let (reads, tail) = buffers.split_at_mut(t);
-                let tgt: &mut [f64] = if out {
-                    &mut out_dense.as_mut_slice()[tbase..]
-                } else {
-                    &mut tail[0].as_mut_slice()[tbase..]
-                };
-                match (lm, rm) {
-                    (SrcMeta::Var { buf, base, s1, .. }, SrcMeta::Const(c))
-                    | (SrcMeta::Const(c), SrcMeta::Var { buf, base, s1, .. }) => {
-                        let x = slice_of(factors, reads, buf, base);
-                        blas::axpy(n, c, x, s1, tgt, ts);
-                        run_stats.axpy += 1;
-                        run_stats.axpy_elems += n as u64;
-                        true
-                    }
-                    (
-                        SrcMeta::Var {
-                            buf: lb,
-                            base: lbase,
-                            s1: ls,
-                            ..
-                        },
-                        SrcMeta::Var {
-                            buf: rb,
-                            base: rbase,
-                            s1: rs,
-                            ..
-                        },
-                    ) => {
-                        let x = slice_of(factors, reads, lb, lbase);
-                        let z = slice_of(factors, reads, rb, rbase);
-                        blas::xmul(n, 1.0, x, ls, z, rs, tgt, ts);
-                        run_stats.xmul += 1;
-                        run_stats.xmul_elems += n as u64;
-                        true
-                    }
-                    (SrcMeta::Const(_), SrcMeta::Const(_)) => false,
-                }
-            }
-        }
-    }
-
-    /// Two nested dense loops `(q1, q2)` over a single term: GER / GEMV
-    /// dispatch.
-    fn blas2(&mut self, q1: IndexId, q2: IndexId, t: usize) -> bool {
-        let (m, n) = (self.kernel.dim(q1), self.kernel.dim(q2));
-        let term = &self.path.terms[t];
-        let lm = self.src_meta(term.left, q1, Some(q2));
-        let rm = self.src_meta(term.right, q1, Some(q2));
-        let Some(TgtMeta::Var {
-            out,
-            base: tbase,
-            s1: t1,
-            has1: th1,
-            s2: t2,
-            has2: th2,
-        }) = self.tgt_meta(t, q1, Some(q2))
-        else {
-            return false;
-        };
-        let (SrcMeta::Var { .. }, SrcMeta::Var { .. }) = (lm, rm) else {
-            return false;
-        };
-        // Destructure both Vars.
-        let (lb, lbase, l1, lh1, l2, lh2) = match lm {
-            SrcMeta::Var {
-                buf,
-                base,
-                s1,
-                has1,
-                s2,
-                has2,
-            } => (buf, base, s1, has1, s2, has2),
-            SrcMeta::Const(_) => unreachable!(),
-        };
-        let (rb, rbase, r1, rh1, r2, rh2) = match rm {
-            SrcMeta::Var {
-                buf,
-                base,
-                s1,
-                has1,
-                s2,
-                has2,
-            } => (buf, base, s1, has1, s2, has2),
-            SrcMeta::Const(_) => unreachable!(),
-        };
-
-        let factors = self.factors;
-        let Exec {
-            buffers,
-            out_dense,
-            stats: run_stats,
-            ..
-        } = self;
-        let (reads, tail) = buffers.split_at_mut(t);
-        let tgt: &mut [f64] = if out {
-            &mut out_dense.as_mut_slice()[tbase..]
-        } else {
-            &mut tail[0].as_mut_slice()[tbase..]
-        };
-
-        if th1 && th2 {
-            // Rank-1 update: x carries q1, y carries q2.
-            if lh1 && !lh2 && !rh1 && rh2 {
-                let x = slice_of(factors, reads, lb, lbase);
-                let y = slice_of(factors, reads, rb, rbase);
-                blas::ger(m, n, 1.0, x, l1, y, r2, tgt, t1, t2);
-                run_stats.ger += 1;
-                run_stats.ger_elems += (m * n) as u64;
-                return true;
-            }
-            if !lh1 && lh2 && rh1 && !rh2 {
-                let x = slice_of(factors, reads, rb, rbase);
-                let y = slice_of(factors, reads, lb, lbase);
-                blas::ger(m, n, 1.0, x, r1, y, l2, tgt, t1, t2);
-                run_stats.ger += 1;
-                run_stats.ger_elems += (m * n) as u64;
-                return true;
-            }
-            return false;
-        }
-        if th1 && !th2 {
-            // y[q1] += Σ_q2 A[q1,q2] · x[q2].
-            if lh1 && lh2 && !rh1 && rh2 {
-                let a = slice_of(factors, reads, lb, lbase);
-                let x = slice_of(factors, reads, rb, rbase);
-                blas::gemv(m, n, 1.0, a, l1, l2, x, r2, tgt, t1);
-                run_stats.gemv += 1;
-                run_stats.gemv_elems += (m * n) as u64;
-                return true;
-            }
-            if rh1 && rh2 && !lh1 && lh2 {
-                let a = slice_of(factors, reads, rb, rbase);
-                let x = slice_of(factors, reads, lb, lbase);
-                blas::gemv(m, n, 1.0, a, r1, r2, x, l2, tgt, t1);
-                run_stats.gemv += 1;
-                run_stats.gemv_elems += (m * n) as u64;
-                return true;
-            }
-            return false;
-        }
-        if !th1 && th2 {
-            // y[q2] += Σ_q1 A[q2,q1] · x[q1].
-            if lh1 && lh2 && rh1 && !rh2 {
-                let a = slice_of(factors, reads, lb, lbase);
-                let x = slice_of(factors, reads, rb, rbase);
-                blas::gemv(n, m, 1.0, a, l2, l1, x, r1, tgt, t2);
-                run_stats.gemv += 1;
-                run_stats.gemv_elems += (m * n) as u64;
-                return true;
-            }
-            if rh1 && rh2 && lh1 && !lh2 {
-                let a = slice_of(factors, reads, rb, rbase);
-                let x = slice_of(factors, reads, lb, lbase);
-                blas::gemv(n, m, 1.0, a, r2, r1, x, l1, tgt, t2);
-                run_stats.gemv += 1;
-                run_stats.gemv_elems += (m * n) as u64;
-                return true;
-            }
-            return false;
-        }
-        false
-    }
+    (
+        base,
+        incs.map(|s| s.expect("the operand stores the lowered loop index")),
+    )
 }
 
 /// Borrow the backing slice of a source, offset by `base`.

@@ -2,8 +2,8 @@
 //!
 //! The reference interpreter ([`crate::interp`]) walks a planned
 //! [`LoopForest`] directly: every vertex visit re-matches node variants,
-//! re-probes BLAS eligibility (`try_blas` rebuilds operand metadata from
-//! index lists) and recomputes strided offsets from scratch.
+//! asks the lowering rule again whether the vertex is a microkernel
+//! call, and recomputes strided offsets from scratch.
 //! All of those decisions depend only on the *plan*, not on the data —
 //! so [`CompiledTape::compile_with`] makes each of them exactly once,
 //! lowering `(Kernel, ContractionPath, LoopForest)` into a flat
@@ -27,10 +27,13 @@
 //! - `Leaf` — one scalar contraction `tgt += l · r`, with both operand
 //!   addresses precompiled to cursors (or the sparse leaf value).
 //! - `Dot` / `Axpy` / `Xmul` / `Ger` / `Gemv` — a whole innermost dense
-//!   loop (or loop pair) lowered to a single microkernel call. BLAS-1/2
-//!   eligibility, operand roles, and every stride are resolved at
-//!   compile time; the interpreter's per-visit `src_meta`/`tgt_meta`
-//!   probing disappears entirely. Each microkernel instruction carries
+//!   loop (or loop pair) lowered to a single microkernel call. *Which*
+//!   loops, and which operand is the vector, the matrix or the scalar,
+//!   is not decided here: it is [`spttn_ir::lower`]'s rule
+//!   ([`Term::leaf_op`](spttn_ir::Term::leaf_op) on
+//!   [`LoopVertex::leaf_loops`]), read off the term's index sets. The
+//!   compiler only addresses — one cursor and the strides per operand,
+//!   resolved at compile time. Each microkernel instruction carries
 //!   the **function pointer** of its implementation, chosen once at
 //!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA,
 //!   or NEON — never re-decided per visit), plus
@@ -59,11 +62,15 @@
 //!
 //! # Contracts
 //!
-//! The tape mirrors the interpreter's decisions exactly — same loop
-//! structure, same microkernel choices, and under
-//! [`KernelSet::scalar`] the same floating-point operation order — so
-//! the differential suite (`tests/tape_vs_interp.rs`) holds the tape to
-//! ≤1e-9 of the interpreter, and the scalar tape to bitwise equality.
+//! The tape and the interpreter read the same forest and the same
+//! lowering rule, so they have the same loop structure and the same
+//! microkernel calls by construction; what each does on its own —
+//! addressing, and under [`KernelSet::scalar`] the floating-point
+//! operation order — the differential suite (`tests/tape_vs_interp.rs`)
+//! checks: the tape to ≤1e-9 of the interpreter, the scalar tape to
+//! bitwise equality. Neither is a second opinion on the rule itself;
+//! that is tested where it is stated (`spttn_ir::lower`), and against
+//! exact dispatch and flop counts in `tests/plan_shape.rs`.
 //! One compiled tape is shared by all
 //! worker threads (it is immutable and tile-parametric); the mutable
 //! driver state ([`TapeState`]) lives in each [`Workspace`], is
@@ -78,8 +85,8 @@ use crate::workspace::{
 };
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{
-    BufferSpec, ContractionPath, IndexId, Kernel, LoopForest, LoopNode, LoopVertex, Operand,
-    VertexKind,
+    BufferSpec, ContractionPath, IndexId, Kernel, LeafOp, LoopForest, LoopNode, LoopVertex,
+    Operand, VertexKind,
 };
 use spttn_tensor::{Csf, CsfTile, DenseTensor};
 use std::ops::Range;
@@ -593,49 +600,13 @@ impl CompiledTape {
 // Compilation
 // ---------------------------------------------------------------------
 
-/// Compile-time operand metadata relative to candidate loop indices
-/// `q1`/`q2` — the static mirror of the interpreter's `SrcMeta`.
-enum CMeta {
-    /// The sparse input: loop-invariant (its value never carries q).
-    SparseConst,
-    /// Dense source not using q1/q2: loop-invariant scalar.
-    Const {
-        buf: RBuf,
-        inds: Vec<IndexId>,
-        strides: Vec<usize>,
-    },
-    /// Strided source.
-    Var {
-        buf: RBuf,
-        inds: Vec<IndexId>,
-        strides: Vec<usize>,
-        s1: usize,
-        has1: bool,
-        s2: usize,
-        has2: bool,
-    },
-}
-
-/// Compile-time target metadata — the static mirror of `TgtMeta`.
-enum CTgt {
-    /// Scalar cell of the pattern-sharing sparse output.
-    CellSparse,
-    /// Dense scalar cell (q1/q2 absent from the target's indices).
-    CellDense {
-        out: bool,
-        inds: Vec<IndexId>,
-        strides: Vec<usize>,
-    },
-    /// Strided target.
-    Var {
-        out: bool,
-        inds: Vec<IndexId>,
-        strides: Vec<usize>,
-        s1: usize,
-        has1: bool,
-        s2: usize,
-        has2: bool,
-    },
+/// Where a dense operand or target lives: its backing store (`RBuf`
+/// of a source, "is the dense output" of a target), the indices it is
+/// stored by, and their strides.
+struct Site<S> {
+    store: S,
+    inds: Vec<IndexId>,
+    strides: Vec<usize>,
 }
 
 /// One enclosing emitted loop during compilation.
@@ -665,21 +636,16 @@ struct Compiler<'a> {
 }
 
 impl<'a> Compiler<'a> {
-    /// Allocate a cursor for a site addressed by `inds`/`strides`,
-    /// registering one advance entry with each enclosing loop that
-    /// iterates one of the site's indices (`q1`/`q2` are carried as
-    /// microkernel strides instead and skipped here).
-    fn cursor(
-        &mut self,
-        inds: &[IndexId],
-        strides: &[usize],
-        q1: Option<IndexId>,
-        q2: Option<IndexId>,
-    ) -> Result<usize> {
+    /// Allocate a cursor for `site`, registering one advance entry with
+    /// each enclosing loop that iterates one of the site's indices. The
+    /// indices in `along` are the lowered loops the site runs along
+    /// inside a microkernel: they are carried as the call's strides, not
+    /// advanced.
+    fn cursor<S>(&mut self, site: &Site<S>, along: &[IndexId]) -> Result<usize> {
         let cur = self.n_cursors;
         self.n_cursors += 1;
-        for (pos, &ind) in inds.iter().enumerate() {
-            if Some(ind) == q1 || Some(ind) == q2 {
+        for (&ind, &stride) in site.inds.iter().zip(&site.strides) {
+            if along.contains(&ind) {
                 continue;
             }
             let ctx = self
@@ -691,21 +657,23 @@ impl<'a> Compiler<'a> {
                         "tape compile: operand index {ind} is not iterated by an enclosing loop"
                     ))
                 })?;
-            ctx.adv.push(AdvEntry {
-                cur,
-                stride: strides[pos],
-            });
+            ctx.adv.push(AdvEntry { cur, stride });
         }
         Ok(cur)
     }
 
-    /// Node resolution for an instruction touching the sparse leaves:
-    /// the descent rule puts it under a sparse loop over every level.
-    fn node_res(&self) -> NodeRes {
-        NodeRes::Tracked(self.kernel.csf_index_order().len() - 1)
+    /// Node resolution for an instruction: one that touches the sparse
+    /// leaves reads the leaf node, which the descent rule puts under a
+    /// sparse loop over every level.
+    fn node_res(&self, touches_leaves: bool) -> NodeRes {
+        if touches_leaves {
+            NodeRes::Tracked(self.kernel.csf_index_order().len() - 1)
+        } else {
+            NodeRes::None
+        }
     }
 
-    /// Term range covered by a node (mirror of the interpreter's).
+    /// Term range covered by a node.
     fn node_range(n: &LoopNode) -> (usize, usize) {
         match n {
             LoopNode::Leaf(t) => (*t, *t + 1),
@@ -713,8 +681,9 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compile a sibling list, baking in the Eq.-5 split-point zeroing
-    /// the interpreter derives per visit.
+    /// Compile a sibling list, baking in the Eq.-5 split-point zeroing:
+    /// a buffer splits here when its producer is inside a child and its
+    /// consumer is a later sibling.
     fn compile_siblings(&mut self, nodes: &[LoopNode], parent_hi: usize) -> Result<()> {
         for n in nodes {
             let (lo, hi) = Self::node_range(n);
@@ -780,38 +749,14 @@ impl<'a> Compiler<'a> {
     /// Compile one scalar-leaf contraction.
     fn compile_leaf(&mut self, t: usize) -> Result<()> {
         let term = &self.path.terms[t];
-        let (tl, tr) = (term.left, term.right);
-        let left = self.read_operand(tl)?;
-        let right = self.read_operand(tr)?;
-        let tgt = if t + 1 == self.path.len() {
-            if self.kernel.output_sparse {
-                Write::SparseCell
-            } else {
-                let inds = self.kernel.output.indices.clone();
-                let strides = self.out_strides.clone();
-                Write::Cell {
-                    out: true,
-                    term: t,
-                    cur: self.cursor(&inds, &strides, None, None)?,
-                }
-            }
-        } else {
-            let inds = self.buffer_inds[t].clone();
-            let strides = self.buffer_strides[t].clone();
-            Write::Cell {
-                out: false,
-                term: t,
-                cur: self.cursor(&inds, &strides, None, None)?,
-            }
-        };
-        let needs_node = matches!(left, Read::SparseVal)
-            || matches!(right, Read::SparseVal)
-            || matches!(tgt, Write::SparseCell);
-        let res = if needs_node {
-            self.node_res()
-        } else {
-            NodeRes::None
-        };
+        let left = self.scalar_src(term.left)?;
+        let right = self.scalar_src(term.right)?;
+        let tgt = self.cell_tgt(t)?;
+        let res = self.node_res(
+            matches!(left, Read::SparseVal)
+                || matches!(right, Read::SparseVal)
+                || matches!(tgt, Write::SparseCell),
+        );
         self.instrs.push(Instr::Leaf {
             left,
             right,
@@ -821,36 +766,13 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// Compile a full-coordinate scalar read of an operand.
-    fn read_operand(&mut self, op: Operand) -> Result<Read> {
-        Ok(match op {
-            Operand::Input(i) if i == self.kernel.sparse_input => Read::SparseVal,
-            Operand::Input(i) => {
-                let inds = self.kernel.inputs[i].indices.clone();
-                let strides = self.factor_strides[i].clone();
-                Read::Cursor {
-                    buf: RBuf::Factor(i),
-                    cur: self.cursor(&inds, &strides, None, None)?,
-                }
-            }
-            Operand::Inter(u) => {
-                let inds = self.buffer_inds[u].clone();
-                let strides = self.buffer_strides[u].clone();
-                Read::Cursor {
-                    buf: RBuf::Inter(u),
-                    cur: self.cursor(&inds, &strides, None, None)?,
-                }
-            }
-        })
-    }
+    // ----- Addressing ------------------------------------------------
 
-    // ----- BLAS lowering (static mirror of the interpreter's probe) --
-
-    /// Source metadata w.r.t. `q1` (and optionally `q2`), from index
-    /// lists alone — no cursors are allocated until a dispatch commits.
-    fn src_meta(&self, op: Operand, q1: IndexId, q2: Option<IndexId>) -> CMeta {
-        let (buf, inds, strides): (RBuf, &[IndexId], &[usize]) = match op {
-            Operand::Input(i) if i == self.kernel.sparse_input => return CMeta::SparseConst,
+    /// Where a source operand lives; `None` for the sparse input, whose
+    /// value is the tracked leaf's.
+    fn src_site(&self, op: Operand) -> Option<Site<RBuf>> {
+        let (store, inds, strides) = match op {
+            Operand::Input(i) if i == self.kernel.sparse_input => return None,
             Operand::Input(i) => (
                 RBuf::Factor(i),
                 &self.kernel.inputs[i].indices,
@@ -862,152 +784,104 @@ impl<'a> Compiler<'a> {
                 &self.buffer_strides[u],
             ),
         };
-        let (mut s1, mut has1, mut s2, mut has2) = (0usize, false, 0usize, false);
-        for (pos, &ind) in inds.iter().enumerate() {
-            if ind == q1 {
-                s1 = strides[pos];
-                has1 = true;
-            } else if Some(ind) == q2 {
-                s2 = strides[pos];
-                has2 = true;
-            }
-        }
-        if !has1 && !has2 {
-            CMeta::Const {
-                buf,
-                inds: inds.to_vec(),
-                strides: strides.to_vec(),
-            }
-        } else {
-            CMeta::Var {
-                buf,
-                inds: inds.to_vec(),
-                strides: strides.to_vec(),
-                s1,
-                has1,
-                s2,
-                has2,
-            }
-        }
+        Some(Site {
+            store,
+            inds: inds.clone(),
+            strides: strides.clone(),
+        })
     }
 
-    /// Target metadata; `None` means dispatch is unsupported (sparse
-    /// pattern-sharing output indexed by a loop index).
-    fn tgt_meta(&self, t: usize, q1: IndexId, q2: Option<IndexId>) -> Option<CTgt> {
-        let (out, inds, strides): (bool, &[IndexId], &[usize]) = if t + 1 == self.path.len() {
-            if self.kernel.output_sparse {
-                let oi = self.path.terms[t].out_inds;
-                if oi.contains(q1) || q2.is_some_and(|q| oi.contains(q)) {
-                    return None;
-                }
-                return Some(CTgt::CellSparse);
-            }
-            (true, &self.kernel.output.indices, &self.out_strides)
-        } else {
+    /// Where term `t` accumulates: the dense output (`store == true`)
+    /// for the final term, its Eq.-5 buffer otherwise; `None` for a
+    /// pattern-sharing sparse output, whose cell is the tracked leaf's.
+    fn tgt_site(&self, t: usize) -> Option<Site<bool>> {
+        let (store, inds, strides) = if t + 1 < self.path.len() {
             (false, &self.buffer_inds[t], &self.buffer_strides[t])
-        };
-        let (mut s1, mut has1, mut s2, mut has2) = (0usize, false, 0usize, false);
-        for (pos, &ind) in inds.iter().enumerate() {
-            if ind == q1 {
-                s1 = strides[pos];
-                has1 = true;
-            } else if Some(ind) == q2 {
-                s2 = strides[pos];
-                has2 = true;
-            }
-        }
-        if has1 || has2 {
-            Some(CTgt::Var {
-                out,
-                inds: inds.to_vec(),
-                strides: strides.to_vec(),
-                s1,
-                has1,
-                s2,
-                has2,
-            })
+        } else if self.kernel.output_sparse {
+            return None;
         } else {
-            Some(CTgt::CellDense {
-                out,
-                inds: inds.to_vec(),
-                strides: strides.to_vec(),
-            })
-        }
-    }
-
-    /// Materialize a `Var` source as a microkernel vector operand.
-    fn vec_src(
-        &mut self,
-        m: &CMeta,
-        inc: usize,
-        q1: IndexId,
-        q2: Option<IndexId>,
-    ) -> Result<VecSrc> {
-        let CMeta::Var {
-            buf, inds, strides, ..
-        } = m
-        else {
-            unreachable!("vec_src takes Var metadata");
+            (true, &self.kernel.output.indices, &self.out_strides)
         };
-        let (buf, inds, strides) = (*buf, inds.clone(), strides.clone());
-        Ok(VecSrc {
-            buf,
-            cur: self.cursor(&inds, &strides, Some(q1), q2)?,
-            inc,
+        Some(Site {
+            store,
+            inds: inds.clone(),
+            strides: strides.clone(),
         })
     }
 
-    /// Materialize a loop-invariant source as a scalar read.
-    fn const_src(&mut self, m: &CMeta) -> Result<Read> {
-        match m {
-            CMeta::SparseConst => Ok(Read::SparseVal),
-            CMeta::Const { buf, inds, strides } => {
-                let (buf, inds, strides) = (*buf, inds.clone(), strides.clone());
-                Ok(Read::Cursor {
-                    buf,
-                    cur: self.cursor(&inds, &strides, None, None)?,
-                })
-            }
-            CMeta::Var { .. } => unreachable!("const_src takes invariant metadata"),
-        }
-    }
-
-    /// Materialize a cell target.
-    fn cell_tgt(&mut self, tm: &CTgt, t: usize) -> Result<Write> {
-        match tm {
-            CTgt::CellSparse => Ok(Write::SparseCell),
-            CTgt::CellDense { out, inds, strides } => {
-                let (out, inds, strides) = (*out, inds.clone(), strides.clone());
-                Ok(Write::Cell {
-                    out,
-                    term: t,
-                    cur: self.cursor(&inds, &strides, None, None)?,
-                })
-            }
-            CTgt::Var { .. } => unreachable!("cell_tgt takes cell metadata"),
-        }
-    }
-
-    /// Materialize a strided target vector.
-    fn vec_tgt(
+    /// Address a dense site inside a microkernel that runs it along the
+    /// lowered loops `along`: the cursor every enclosing loop advances,
+    /// and the stride of each `along` index. Both failures mean the
+    /// forest is not one the lowering rule was read off.
+    fn strided<S, const N: usize>(
         &mut self,
-        tm: &CTgt,
-        inc: usize,
-        q1: IndexId,
-        q2: Option<IndexId>,
-    ) -> Result<VecTgt> {
-        let CTgt::Var {
-            out, inds, strides, ..
-        } = tm
-        else {
-            unreachable!("vec_tgt takes Var metadata");
-        };
-        let (out, inds, strides) = (*out, inds.clone(), strides.clone());
-        Ok(VecTgt {
-            out,
-            cur: self.cursor(&inds, &strides, Some(q1), q2)?,
-            inc,
+        site: Option<Site<S>>,
+        along: [IndexId; N],
+    ) -> Result<(S, usize, [usize; N])> {
+        let site = site.ok_or_else(|| {
+            SpttnError::Execution(
+                "tape compile: a lowered loop runs along the sparse tensor's pattern".into(),
+            )
+        })?;
+        let mut incs = [0usize; N];
+        for (inc, q) in incs.iter_mut().zip(along) {
+            let pos = site.inds.iter().position(|&i| i == q).ok_or_else(|| {
+                SpttnError::Execution(format!(
+                    "tape compile: lowered loop index {q} is not stored by its operand"
+                ))
+            })?;
+            *inc = site.strides[pos];
+        }
+        let cur = self.cursor(&site, &along)?;
+        Ok((site.store, cur, incs))
+    }
+
+    /// A full-coordinate scalar read of an operand.
+    fn scalar_src(&mut self, op: Operand) -> Result<Read> {
+        Ok(match self.src_site(op) {
+            None => Read::SparseVal,
+            Some(site) => Read::Cursor {
+                buf: site.store,
+                cur: self.cursor(&site, &[])?,
+            },
         })
+    }
+
+    /// Term `t`'s accumulation cell at the full coordinates.
+    fn cell_tgt(&mut self, t: usize) -> Result<Write> {
+        Ok(match self.tgt_site(t) {
+            None => Write::SparseCell,
+            Some(site) => Write::Cell {
+                out: site.store,
+                term: t,
+                cur: self.cursor(&site, &[])?,
+            },
+        })
+    }
+
+    /// An operand as the vector running along `q`.
+    fn vec_src(&mut self, op: Operand, q: IndexId) -> Result<VecSrc> {
+        let (buf, cur, [inc]) = self.strided(self.src_site(op), [q])?;
+        Ok(VecSrc { buf, cur, inc })
+    }
+
+    /// An operand as the matrix with rows along `row`, columns along `col`.
+    fn mat_src(&mut self, op: Operand, row: IndexId, col: IndexId) -> Result<MatSrc> {
+        let (buf, cur, [rs, cs]) = self.strided(self.src_site(op), [row, col])?;
+        Ok(MatSrc { buf, cur, rs, cs })
+    }
+
+    /// Term `t`'s target as the vector running along `q`.
+    fn vec_tgt(&mut self, t: usize, q: IndexId) -> Result<VecTgt> {
+        let (out, cur, [inc]) = self.strided(self.tgt_site(t), [q])?;
+        Ok(VecTgt { out, cur, inc })
+    }
+
+    /// Term `t`'s target as the matrix with rows along `row`, columns
+    /// along `col`.
+    fn mat_tgt(&mut self, t: usize, row: IndexId, col: IndexId) -> Result<MatTgt> {
+        let (out, cur, [rs, cs]) = self.strided(self.tgt_site(t), [row, col])?;
+        Ok(MatTgt { out, cur, rs, cs })
     }
 
     /// Rank-specialization pin for a microkernel writing term `t`: a
@@ -1022,55 +896,30 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Try to lower a vertex to one microkernel instruction; mirrors
-    /// the interpreter's `try_blas` decisions exactly so both engines
-    /// execute the same operation sequence.
-    fn try_blas(&mut self, v: &LoopVertex) -> Result<bool> {
-        if v.kind != VertexKind::Dense || v.term_hi - v.term_lo != 1 {
-            return Ok(false);
-        }
-        let t = v.term_lo;
-        match v.children.as_slice() {
-            [LoopNode::Leaf(_)] => self.blas1(v.index, t),
-            [LoopNode::Loop(v2)]
-                if v2.kind == VertexKind::Dense
-                    && v2.term_hi - v2.term_lo == 1
-                    && matches!(v2.children.as_slice(), [LoopNode::Leaf(_)]) =>
-            {
-                self.blas2(v.index, v2.index, t)
-            }
-            _ => Ok(false),
-        }
-    }
+    // ----- Microkernel lowering ---------------------------------------
 
-    /// One dense loop over `q`, single term `t`: AXPY / elementwise /
-    /// DOT lowering.
-    fn blas1(&mut self, q: IndexId, t: usize) -> Result<bool> {
-        let n = self.kernel.dim(q);
-        let term = &self.path.terms[t];
-        let (tl, tr) = (term.left, term.right);
-        let lm = self.src_meta(tl, q, None);
-        let rm = self.src_meta(tr, q, None);
-        let Some(tm) = self.tgt_meta(t, q, None) else {
+    /// Lower a vertex to one microkernel instruction where the lowering
+    /// rule ([`Term::leaf_op`] on [`LoopVertex::leaf_loops`]) names one.
+    /// The arms only address: which operand is the vector, the matrix or
+    /// the scalar is the rule's answer, not re-derived here.
+    fn try_blas(&mut self, v: &LoopVertex) -> Result<bool> {
+        let Some((q1, q2, t)) = v.leaf_loops() else {
             return Ok(false);
         };
-        match &tm {
-            CTgt::CellSparse | CTgt::CellDense { .. } => {
-                // Σ_q l[q]·r[q] into a scalar cell: DOT.
-                let (CMeta::Var { s1: ls, .. }, CMeta::Var { s1: rs, .. }) = (&lm, &rm) else {
-                    return Ok(false);
-                };
-                let (ls, rs) = (*ls, *rs);
-                let x = self.vec_src(&lm, ls, q, None)?;
-                let y = self.vec_src(&rm, rs, q, None)?;
-                let tgt = self.cell_tgt(&tm, t)?;
-                let res = if matches!(tgt, Write::SparseCell) {
-                    self.node_res()
-                } else {
-                    NodeRes::None
-                };
+        let term = &self.path.terms[t];
+        let Some(op) = term.leaf_op(q1, q2) else {
+            return Ok(false);
+        };
+        let dim = |q: IndexId| self.kernel.dim(q);
+        let instr = match (op, q2) {
+            (LeafOp::Dot, _) => {
+                let n = dim(q1);
+                let x = self.vec_src(term.left, q1)?;
+                let y = self.vec_src(term.right, q1)?;
+                let tgt = self.cell_tgt(t)?;
+                let res = self.node_res(matches!(tgt, Write::SparseCell));
                 let (kern, spec) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
-                self.instrs.push(Instr::Dot {
+                Instr::Dot {
                     n,
                     x,
                     y,
@@ -1078,134 +927,49 @@ impl<'a> Compiler<'a> {
                     res,
                     kern,
                     spec,
-                });
-                Ok(true)
-            }
-            CTgt::Var { s1: ts, .. } => {
-                let ts = *ts;
-                let y = self.vec_tgt(&tm, ts, q, None)?;
-                match (&lm, &rm) {
-                    (CMeta::Var { s1, .. }, CMeta::SparseConst | CMeta::Const { .. }) => {
-                        let s1 = *s1;
-                        let x = self.vec_src(&lm, s1, q, None)?;
-                        let alpha = self.const_src(&rm)?;
-                        let res = if matches!(alpha, Read::SparseVal) {
-                            self.node_res()
-                        } else {
-                            NodeRes::None
-                        };
-                        let hint = self.tgt_hint(y.out, t, n);
-                        let (kern, spec) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, hint);
-                        self.instrs.push(Instr::Axpy {
-                            n,
-                            term: t,
-                            alpha,
-                            x,
-                            y,
-                            res,
-                            kern,
-                            spec,
-                        });
-                        Ok(true)
-                    }
-                    (CMeta::SparseConst | CMeta::Const { .. }, CMeta::Var { s1, .. }) => {
-                        let s1 = *s1;
-                        let x = self.vec_src(&rm, s1, q, None)?;
-                        let alpha = self.const_src(&lm)?;
-                        let res = if matches!(alpha, Read::SparseVal) {
-                            self.node_res()
-                        } else {
-                            NodeRes::None
-                        };
-                        let hint = self.tgt_hint(y.out, t, n);
-                        let (kern, spec) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, hint);
-                        self.instrs.push(Instr::Axpy {
-                            n,
-                            term: t,
-                            alpha,
-                            x,
-                            y,
-                            res,
-                            kern,
-                            spec,
-                        });
-                        Ok(true)
-                    }
-                    (CMeta::Var { s1: ls, .. }, CMeta::Var { s1: rs, .. }) => {
-                        let (ls, rs) = (*ls, *rs);
-                        let x = self.vec_src(&lm, ls, q, None)?;
-                        let z = self.vec_src(&rm, rs, q, None)?;
-                        let kern = self.kernels.xmul();
-                        self.instrs.push(Instr::Xmul {
-                            n,
-                            term: t,
-                            x,
-                            z,
-                            y,
-                            kern,
-                        });
-                        Ok(true)
-                    }
-                    _ => Ok(false),
                 }
             }
-        }
-    }
-
-    /// Two nested dense loops `(q1, q2)` over a single term: GER / GEMV
-    /// lowering. The emitted call parameters match the interpreter's
-    /// dispatch branch for branch.
-    fn blas2(&mut self, q1: IndexId, q2: IndexId, t: usize) -> Result<bool> {
-        let (m, n) = (self.kernel.dim(q1), self.kernel.dim(q2));
-        let term = &self.path.terms[t];
-        let (tl, tr) = (term.left, term.right);
-        let lm = self.src_meta(tl, q1, Some(q2));
-        let rm = self.src_meta(tr, q1, Some(q2));
-        let Some(tm) = self.tgt_meta(t, q1, Some(q2)) else {
-            return Ok(false);
-        };
-        let CTgt::Var {
-            s1: t1,
-            has1: th1,
-            s2: t2,
-            has2: th2,
-            ..
-        } = &tm
-        else {
-            return Ok(false);
-        };
-        let (t1, th1, t2, th2) = (*t1, *th1, *t2, *th2);
-        let (
-            CMeta::Var {
-                s1: l1,
-                has1: lh1,
-                s2: l2,
-                has2: lh2,
-                ..
-            },
-            CMeta::Var {
-                s1: r1,
-                has1: rh1,
-                s2: r2,
-                has2: rh2,
-                ..
-            },
-        ) = (&lm, &rm)
-        else {
-            return Ok(false);
-        };
-        let (l1, lh1, l2, lh2) = (*l1, *lh1, *l2, *lh2);
-        let (r1, rh1, r2, rh2) = (*r1, *rh1, *r2, *rh2);
-
-        if th1 && th2 {
-            // Rank-1 update: x carries q1, y carries q2.
-            if lh1 && !lh2 && !rh1 && rh2 {
-                let x = self.vec_src(&lm, l1, q1, Some(q2))?;
-                let y = self.vec_src(&rm, r2, q1, Some(q2))?;
-                let a = self.mat_tgt(&tm, t1, t2, q1, q2)?;
+            (LeafOp::Axpy { vec }, _) => {
+                let n = dim(q1);
+                let y = self.vec_tgt(t, q1)?;
+                let x = self.vec_src(term.operand(vec), q1)?;
+                let alpha = self.scalar_src(term.operand(vec.other()))?;
+                let res = self.node_res(matches!(alpha, Read::SparseVal));
+                let hint = self.tgt_hint(y.out, t, n);
+                let (kern, spec) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, hint);
+                Instr::Axpy {
+                    n,
+                    term: t,
+                    alpha,
+                    x,
+                    y,
+                    res,
+                    kern,
+                    spec,
+                }
+            }
+            (LeafOp::Xmul, _) => {
+                let y = self.vec_tgt(t, q1)?;
+                let x = self.vec_src(term.left, q1)?;
+                let z = self.vec_src(term.right, q1)?;
+                Instr::Xmul {
+                    n: dim(q1),
+                    term: t,
+                    x,
+                    z,
+                    y,
+                    kern: self.kernels.xmul(),
+                }
+            }
+            (LeafOp::Ger { x }, Some(q2)) => {
+                let (m, n) = (dim(q1), dim(q2));
+                let (xs, ys) = (term.operand(x), term.operand(x.other()));
+                let x = self.vec_src(xs, q1)?;
+                let y = self.vec_src(ys, q2)?;
+                let a = self.mat_tgt(t, q1, q2)?;
                 let hint = self.tgt_hint(a.out, t, n);
                 let (kern, spec) = self.kernels.ger(n, a.cs == 1 && y.inc == 1, hint);
-                self.instrs.push(Instr::Ger {
+                Instr::Ger {
                     m,
                     n,
                     term: t,
@@ -1214,37 +978,15 @@ impl<'a> Compiler<'a> {
                     a,
                     kern,
                     spec,
-                });
-                return Ok(true);
+                }
             }
-            if !lh1 && lh2 && rh1 && !rh2 {
-                let x = self.vec_src(&rm, r1, q1, Some(q2))?;
-                let y = self.vec_src(&lm, l2, q1, Some(q2))?;
-                let a = self.mat_tgt(&tm, t1, t2, q1, q2)?;
-                let hint = self.tgt_hint(a.out, t, n);
-                let (kern, spec) = self.kernels.ger(n, a.cs == 1 && y.inc == 1, hint);
-                self.instrs.push(Instr::Ger {
-                    m,
-                    n,
-                    term: t,
-                    x,
-                    y,
-                    a,
-                    kern,
-                    spec,
-                });
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-        if th1 && !th2 {
-            // y[q1] += Σ_q2 A[q1,q2] · x[q2].
-            if lh1 && lh2 && !rh1 && rh2 {
-                let a = self.mat_src(&lm, l1, l2, q1, q2)?;
-                let x = self.vec_src(&rm, r2, q1, Some(q2))?;
-                let y = self.vec_tgt(&tm, t1, q1, Some(q2))?;
+            (LeafOp::Gemv { mat, row, col }, _) => {
+                let (m, n) = (dim(row), dim(col));
+                let a = self.mat_src(term.operand(mat), row, col)?;
+                let x = self.vec_src(term.operand(mat.other()), col)?;
+                let y = self.vec_tgt(t, row)?;
                 let (kern, spec) = self.kernels.gemv(n, a.cs == 1 && x.inc == 1);
-                self.instrs.push(Instr::Gemv {
+                Instr::Gemv {
                     m,
                     n,
                     term: t,
@@ -1253,115 +995,12 @@ impl<'a> Compiler<'a> {
                     y,
                     kern,
                     spec,
-                });
-                return Ok(true);
+                }
             }
-            if rh1 && rh2 && !lh1 && lh2 {
-                let a = self.mat_src(&rm, r1, r2, q1, q2)?;
-                let x = self.vec_src(&lm, l2, q1, Some(q2))?;
-                let y = self.vec_tgt(&tm, t1, q1, Some(q2))?;
-                let (kern, spec) = self.kernels.gemv(n, a.cs == 1 && x.inc == 1);
-                self.instrs.push(Instr::Gemv {
-                    m,
-                    n,
-                    term: t,
-                    a,
-                    x,
-                    y,
-                    kern,
-                    spec,
-                });
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-        if !th1 && th2 {
-            // y[q2] += Σ_q1 A[q2,q1] · x[q1]  (m/n swapped in the call).
-            if lh1 && lh2 && rh1 && !rh2 {
-                let a = self.mat_src(&lm, l2, l1, q1, q2)?;
-                let x = self.vec_src(&rm, r1, q1, Some(q2))?;
-                let y = self.vec_tgt(&tm, t2, q1, Some(q2))?;
-                // Row length of the emitted call is `m` (m/n swapped).
-                let (kern, spec) = self.kernels.gemv(m, a.cs == 1 && x.inc == 1);
-                self.instrs.push(Instr::Gemv {
-                    m: n,
-                    n: m,
-                    term: t,
-                    a,
-                    x,
-                    y,
-                    kern,
-                    spec,
-                });
-                return Ok(true);
-            }
-            if rh1 && rh2 && lh1 && !lh2 {
-                let a = self.mat_src(&rm, r2, r1, q1, q2)?;
-                let x = self.vec_src(&lm, l1, q1, Some(q2))?;
-                let y = self.vec_tgt(&tm, t2, q1, Some(q2))?;
-                // Row length of the emitted call is `m` (m/n swapped).
-                let (kern, spec) = self.kernels.gemv(m, a.cs == 1 && x.inc == 1);
-                self.instrs.push(Instr::Gemv {
-                    m: n,
-                    n: m,
-                    term: t,
-                    a,
-                    x,
-                    y,
-                    kern,
-                    spec,
-                });
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-        Ok(false)
-    }
-
-    fn mat_src(
-        &mut self,
-        m: &CMeta,
-        rs: usize,
-        cs: usize,
-        q1: IndexId,
-        q2: IndexId,
-    ) -> Result<MatSrc> {
-        let CMeta::Var {
-            buf, inds, strides, ..
-        } = m
-        else {
-            unreachable!("mat_src takes Var metadata");
+            (LeafOp::Ger { .. }, None) => unreachable!("leaf_op names GER for a loop pair only"),
         };
-        let (buf, inds, strides) = (*buf, inds.clone(), strides.clone());
-        Ok(MatSrc {
-            buf,
-            cur: self.cursor(&inds, &strides, Some(q1), Some(q2))?,
-            rs,
-            cs,
-        })
-    }
-
-    fn mat_tgt(
-        &mut self,
-        tm: &CTgt,
-        rs: usize,
-        cs: usize,
-        q1: IndexId,
-        q2: IndexId,
-    ) -> Result<MatTgt> {
-        let CTgt::Var {
-            out, inds, strides, ..
-        } = tm
-        else {
-            unreachable!("mat_tgt takes Var metadata");
-        };
-        let (out, inds, strides) = (*out, inds.clone(), strides.clone());
-        Ok(MatTgt {
-            out,
-            cur: self.cursor(&inds, &strides, Some(q1), Some(q2))?,
-            rs,
-            cs,
-        })
+        self.instrs.push(instr);
+        Ok(true)
     }
 }
 

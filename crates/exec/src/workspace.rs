@@ -86,8 +86,10 @@ impl ExecStats {
 pub enum ContractionOutput {
     /// Dense output tensor (MTTKRP, TTMc, ...).
     Dense(DenseTensor),
-    /// Pattern-sharing sparse output (TTTP / SDDMM-like), in COO form
-    /// with the sparse input's coordinates.
+    /// Pattern-sharing sparse output (TTTP / SDDMM-like), in COO form:
+    /// the sparse input's entries in the bound CSF's leaf order, each
+    /// coordinate with its modes in the **output's** written order
+    /// (`S(k,j,i) = T(i,j,k)·…` comes back shaped `K×J×I`).
     Sparse(CooTensor),
 }
 

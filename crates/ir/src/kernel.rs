@@ -41,6 +41,9 @@ pub enum KernelError {
     /// The sparse input (named) has no indices: there is no CSF tree to
     /// iterate, and a scalar belongs in a dense factor.
     ScalarSparseInput(String),
+    /// The sparse input (named) is the only input: with no dense
+    /// factor there is no pairwise contraction to plan.
+    NoDenseFactor(String),
     /// A sparse-pattern output must have exactly the sparse input's
     /// index set.
     BadSparseOutput,
@@ -65,6 +68,11 @@ impl std::fmt::Display for KernelError {
             KernelError::ScalarSparseInput(t) => write!(
                 f,
                 "sparse input '{t}' has no indices; a scalar belongs in a dense factor"
+            ),
+            KernelError::NoDenseFactor(t) => write!(
+                f,
+                "contraction of '{t}' has no dense factor; a plain reduction is not \
+                 an SpTTN kernel — multiply by a ones vector"
             ),
             KernelError::BadSparseOutput => write!(
                 f,
@@ -151,6 +159,12 @@ impl Kernel {
         // Sparse-pattern outputs must match the sparse input exactly.
         if output_sparse && output.index_set() != inputs[sparse_input].index_set() {
             return Err(KernelError::BadSparseOutput);
+        }
+        // Last, so that a malformed reference is reported as what it is.
+        if inputs.len() == 1 {
+            return Err(KernelError::NoDenseFactor(
+                inputs[sparse_input].name.clone(),
+            ));
         }
         Ok(Kernel {
             indices,

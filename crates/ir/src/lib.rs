@@ -16,6 +16,9 @@
 //!   4.1–4.3.
 //! - [`BufferSpec`] / [`buffers_for_forest`]: intermediate tensors from
 //!   Eq. 5.
+//! - [`LeafOp`] / [`Term::leaf_op`] / [`LoopVertex::leaf_loops`]: the one
+//!   statement of which dense loops become a microkernel call and which
+//!   operand plays which role — Sec. 5's BLAS hand-off ([`lower`]).
 
 // The IR is pure symbolic manipulation: no unsafe code, ever.
 #![forbid(unsafe_code)]
@@ -24,6 +27,7 @@ pub mod buffer;
 pub mod fuse;
 pub mod index;
 pub mod kernel;
+pub mod lower;
 pub mod order;
 pub mod parse;
 pub mod path;
@@ -38,9 +42,13 @@ pub use fuse::{
 };
 pub use index::{IdxSet, IndexId, IndexInfo, MAX_INDICES};
 pub use kernel::{Kernel, KernelBuilder, KernelError, TensorRef};
+pub use lower::{LeafOp, Side};
 pub use order::{
     count_orders, lineage_in_csf_order, order_is_valid, orders_for_term, LoopOrder, NestSpec,
     NestSpecIter,
 };
 pub use parse::{parse_expr, parse_kernel, ParsedExpr, ParsedRef};
-pub use path::{enumerate_paths, path_from_picks, ContractionPath, Operand, Term};
+pub use path::{
+    contract_pair, enumerate_paths, leaf_items, pair_term, path_from_picks, ContractionPath,
+    Operand, PathItem, Term,
+};

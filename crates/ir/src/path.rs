@@ -212,31 +212,29 @@ impl ContractionPath {
     }
 }
 
-/// Item tracked during path enumeration.
+/// A tensor on the working list of a pairwise contraction order: a
+/// kernel input or an intermediate, with its index set and the sparse
+/// lineage it carries. The list starts as the kernel's inputs
+/// ([`leaf_items`]); every step ([`pair_term`], [`contract_pair`]) drops
+/// two items and appends their product — the coordinates
+/// [`path_from_picks`] picks are given in.
 #[derive(Debug, Clone, Copy)]
-struct Item {
-    op: Operand,
-    inds: IdxSet,
-    lineage: IdxSet,
+pub struct PathItem {
+    /// The operand a term reads this item as.
+    pub op: Operand,
+    /// Index set of the tensor.
+    pub inds: IdxSet,
+    /// Sparse-mode indices along which it carries the sparse pattern.
+    pub lineage: IdxSet,
 }
 
-/// Enumerate every ordered contraction path for the kernel
-/// (Sec. 4.1.1): recursively contract all unordered pairs of remaining
-/// tensors, appending the intermediate to the working list. Each ordered
-/// term sequence is produced exactly once.
-pub fn enumerate_paths(kernel: &Kernel) -> Vec<ContractionPath> {
-    let n = kernel.inputs.len();
-    if n == 1 {
-        // Degenerate single-input "contraction": represent as one term
-        // multiplying the sparse tensor by a scalar identity is not
-        // meaningful; SpTTN kernels have >= 2 inputs in practice.
-        return Vec::new();
-    }
-    let items: Vec<Item> = kernel
+/// The initial working list: one item per kernel input, in input order.
+pub fn leaf_items(kernel: &Kernel) -> Vec<PathItem> {
+    kernel
         .inputs
         .iter()
         .enumerate()
-        .map(|(i, t)| Item {
+        .map(|(i, t)| PathItem {
             op: Operand::Input(i),
             inds: t.index_set(),
             lineage: if i == kernel.sparse_input {
@@ -245,66 +243,96 @@ pub fn enumerate_paths(kernel: &Kernel) -> Vec<ContractionPath> {
                 IdxSet::EMPTY
             },
         })
+        .collect()
+}
+
+/// The term contracting working-list items `a` and `b`: its output
+/// keeps the indices the kernel output or any other item still needs.
+/// (`consumer` is linked once the whole path is known.)
+pub fn pair_term(kernel: &Kernel, items: &[PathItem], a: usize, b: usize) -> Term {
+    let (ia, ib) = (items[a], items[b]);
+    let needed = items
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| k != a && k != b)
+        .fold(kernel.output_indices(), |s, (_, it)| s.union(it.inds));
+    Term {
+        left: ia.op,
+        right: ib.op,
+        left_inds: ia.inds,
+        right_inds: ib.inds,
+        out_inds: ia.inds.union(ib.inds).intersect(needed),
+        left_lineage: ia.lineage,
+        right_lineage: ib.lineage,
+        consumer: None,
+    }
+}
+
+/// The working list after `term` — term number `id` of its path, from
+/// [`pair_term`] on the same `a`, `b` — ran: both operands dropped, the
+/// intermediate appended at the end.
+pub fn contract_pair(
+    items: &[PathItem],
+    a: usize,
+    b: usize,
+    id: usize,
+    term: &Term,
+) -> Vec<PathItem> {
+    let mut rest: Vec<PathItem> = items
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| k != a && k != b)
+        .map(|(_, it)| *it)
         .collect();
+    rest.push(PathItem {
+        op: Operand::Inter(id),
+        inds: term.out_inds,
+        lineage: term.out_lineage(),
+    });
+    rest
+}
+
+/// Enumerate every ordered contraction path for the kernel
+/// (Sec. 4.1.1): recursively contract all unordered pairs of remaining
+/// tensors, appending the intermediate to the working list. Each ordered
+/// term sequence is produced exactly once.
+pub fn enumerate_paths(kernel: &Kernel) -> Vec<ContractionPath> {
     let mut out = Vec::new();
-    let mut terms: Vec<Term> = Vec::with_capacity(n - 1);
-    recurse(kernel, &items, &mut terms, &mut out);
+    let mut terms: Vec<Term> = Vec::with_capacity(kernel.inputs.len() - 1);
+    recurse(kernel, &leaf_items(kernel), &mut terms, &mut out);
     for p in &mut out {
         finalize(p);
     }
     out
 }
 
-fn recurse(kernel: &Kernel, items: &[Item], terms: &mut Vec<Term>, out: &mut Vec<ContractionPath>) {
+/// Position of the term that takes the sparse input directly.
+fn sparse_term_of(kernel: &Kernel, terms: &[Term]) -> usize {
+    let sparse = Operand::Input(kernel.sparse_input);
+    terms
+        .iter()
+        .position(|t| t.left == sparse || t.right == sparse)
+        .expect("every path contracts the sparse input")
+}
+
+fn recurse(
+    kernel: &Kernel,
+    items: &[PathItem],
+    terms: &mut Vec<Term>,
+    out: &mut Vec<ContractionPath>,
+) {
     if items.len() == 1 {
-        let sparse_term = terms
-            .iter()
-            .position(|t| {
-                t.left == Operand::Input(kernel.sparse_input)
-                    || t.right == Operand::Input(kernel.sparse_input)
-            })
-            .expect("every path contracts the sparse input");
         out.push(ContractionPath {
             terms: terms.clone(),
-            sparse_term,
+            sparse_term: sparse_term_of(kernel, terms),
         });
         return;
     }
     for a in 0..items.len() {
         for b in a + 1..items.len() {
-            let (ia, ib) = (items[a], items[b]);
-            // Indices needed by the output or any other remaining item.
-            let mut needed = kernel.output_indices();
-            for (k, it) in items.iter().enumerate() {
-                if k != a && k != b {
-                    needed = needed.union(it.inds);
-                }
-            }
-            let union = ia.inds.union(ib.inds);
-            let out_inds = union.intersect(needed);
-            let lineage_out = ia.lineage.union(ib.lineage).intersect(out_inds);
-            let term_id = terms.len();
-            terms.push(Term {
-                left: ia.op,
-                right: ib.op,
-                left_inds: ia.inds,
-                right_inds: ib.inds,
-                out_inds,
-                left_lineage: ia.lineage,
-                right_lineage: ib.lineage,
-                consumer: None,
-            });
-            let mut rest: Vec<Item> = Vec::with_capacity(items.len() - 1);
-            for (k, it) in items.iter().enumerate() {
-                if k != a && k != b {
-                    rest.push(*it);
-                }
-            }
-            rest.push(Item {
-                op: Operand::Inter(term_id),
-                inds: out_inds,
-                lineage: lineage_out,
-            });
+            let term = pair_term(kernel, items, a, b);
+            let rest = contract_pair(items, a, b, terms.len(), &term);
+            terms.push(term);
             recurse(kernel, &rest, terms, out);
             terms.pop();
         }
@@ -334,66 +362,20 @@ fn finalize(path: &mut ContractionPath) {
 /// baseline schedules): each pick names two positions in the working
 /// item list (inputs first, intermediates appended in creation order).
 pub fn path_from_picks(kernel: &Kernel, picks: &[(usize, usize)]) -> ContractionPath {
-    let n = kernel.inputs.len();
-    assert_eq!(picks.len(), n - 1, "need exactly n-1 picks");
-    let mut items: Vec<Item> = kernel
-        .inputs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Item {
-            op: Operand::Input(i),
-            inds: t.index_set(),
-            lineage: if i == kernel.sparse_input {
-                t.index_set()
-            } else {
-                IdxSet::EMPTY
-            },
-        })
-        .collect();
+    assert_eq!(
+        picks.len(),
+        kernel.inputs.len() - 1,
+        "need exactly n-1 picks"
+    );
+    let mut items = leaf_items(kernel);
     let mut terms = Vec::new();
     for &(a, b) in picks {
         assert!(a < items.len() && b < items.len() && a != b, "bad pick");
-        let (ia, ib) = (items[a], items[b]);
-        let mut needed = kernel.output_indices();
-        for (k, it) in items.iter().enumerate() {
-            if k != a && k != b {
-                needed = needed.union(it.inds);
-            }
-        }
-        let union = ia.inds.union(ib.inds);
-        let out_inds = union.intersect(needed);
-        let lineage_out = ia.lineage.union(ib.lineage).intersect(out_inds);
-        let term_id = terms.len();
-        terms.push(Term {
-            left: ia.op,
-            right: ib.op,
-            left_inds: ia.inds,
-            right_inds: ib.inds,
-            out_inds,
-            left_lineage: ia.lineage,
-            right_lineage: ib.lineage,
-            consumer: None,
-        });
-        let mut rest: Vec<Item> = Vec::with_capacity(items.len() - 1);
-        for (k, it) in items.iter().enumerate() {
-            if k != a && k != b {
-                rest.push(*it);
-            }
-        }
-        rest.push(Item {
-            op: Operand::Inter(term_id),
-            inds: out_inds,
-            lineage: lineage_out,
-        });
-        items = rest;
+        let term = pair_term(kernel, &items, a, b);
+        items = contract_pair(&items, a, b, terms.len(), &term);
+        terms.push(term);
     }
-    let sparse_term = terms
-        .iter()
-        .position(|t: &Term| {
-            t.left == Operand::Input(kernel.sparse_input)
-                || t.right == Operand::Input(kernel.sparse_input)
-        })
-        .expect("path must contract the sparse input");
+    let sparse_term = sparse_term_of(kernel, &terms);
     let mut p = ContractionPath { terms, sparse_term };
     finalize(&mut p);
     p

@@ -229,26 +229,9 @@ impl NetworkPlan {
         opts: &NetOptions,
     ) -> Result<Self> {
         let kernel = network.kernel(shapes)?;
-        let n = kernel.inputs.len();
         let sparse_names: Vec<String> = network.sparse_index_names();
-        let (path, report) = if n == 1 {
-            // Degenerate single-tensor "network": nothing to order.
-            let empty = ContractionPath {
-                terms: Vec::new(),
-                sparse_term: 0,
-            };
-            let report = SearchReport {
-                strategy: opts.order,
-                evaluated_pairs: 0,
-                truncated: false,
-                greedy_flops: 0,
-                chosen_flops: 0,
-            };
-            (empty, report)
-        } else {
-            let profile = shapes.natural_profile(&sparse_names)?;
-            choose_path(&kernel, &profile, opts)
-        };
+        let profile = shapes.natural_profile(&sparse_names)?;
+        let (path, report) = choose_path(&kernel, &profile, opts);
 
         let nterms = path.terms.len();
         let on_spine = spine_terms(&kernel, &path);

@@ -24,7 +24,9 @@
 //! dynamic program over leaf subsets rather than a sweep over ordered
 //! paths.
 
-use spttn::ir::{path_from_picks, ContractionPath, IdxSet, Kernel};
+use spttn::ir::{
+    contract_pair, leaf_items, pair_term, path_from_picks, ContractionPath, IdxSet, Kernel,
+};
 use spttn::tensor::SparsityProfile;
 use spttn::PlanOptions;
 
@@ -155,29 +157,6 @@ pub fn modeled_path_flops(
         .fold(0u128, u128::saturating_add)
 }
 
-/// Item tracked by the greedy working list.
-#[derive(Clone, Copy)]
-struct Item {
-    inds: IdxSet,
-    lineage: IdxSet,
-}
-
-fn leaf_items(kernel: &Kernel) -> Vec<Item> {
-    kernel
-        .inputs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| Item {
-            inds: t.index_set(),
-            lineage: if i == kernel.sparse_input {
-                t.index_set()
-            } else {
-                IdxSet::EMPTY
-            },
-        })
-        .collect()
-}
-
 /// Greedy sweep: repeatedly contract the cheapest pair. Returns the
 /// pick sequence (working-list coordinates for
 /// [`path_from_picks`]) plus the number of pair evaluations spent.
@@ -190,17 +169,10 @@ fn greedy_picks(kernel: &Kernel, profile: &SparsityProfile) -> (Vec<(usize, usiz
         for a in 0..items.len() {
             for b in a + 1..items.len() {
                 evaluated += 1;
-                let union = items[a].inds.union(items[b].inds);
-                let lineage = items[a].lineage.union(items[b].lineage);
-                let cost = term_model_flops(kernel, profile, union, lineage);
-                let mut needed = kernel.output_indices();
-                for (k, it) in items.iter().enumerate() {
-                    if k != a && k != b {
-                        needed = needed.union(it.inds);
-                    }
-                }
-                let out = union.intersect(needed);
-                let size = out
+                let term = pair_term(kernel, &items, a, b);
+                let cost = term_model_flops(kernel, profile, term.iter_inds(), term.lineage());
+                let size = term
+                    .out_inds
                     .iter()
                     .map(|i| kernel.dim(i) as u128)
                     .fold(1u128, u128::saturating_mul);
@@ -210,29 +182,9 @@ fn greedy_picks(kernel: &Kernel, profile: &SparsityProfile) -> (Vec<(usize, usiz
             }
         }
         let (_, _, a, b) = best.expect("at least one pair");
+        let term = pair_term(kernel, &items, a, b);
+        items = contract_pair(&items, a, b, picks.len(), &term);
         picks.push((a, b));
-        // Mirror `path_from_picks`: drop both operands, append the
-        // intermediate at the end of the working list.
-        let union = items[a].inds.union(items[b].inds);
-        let lineage = items[a].lineage.union(items[b].lineage);
-        let mut needed = kernel.output_indices();
-        for (k, it) in items.iter().enumerate() {
-            if k != a && k != b {
-                needed = needed.union(it.inds);
-            }
-        }
-        let out = union.intersect(needed);
-        let mut rest: Vec<Item> = Vec::with_capacity(items.len() - 1);
-        for (k, it) in items.iter().enumerate() {
-            if k != a && k != b {
-                rest.push(*it);
-            }
-        }
-        rest.push(Item {
-            inds: out,
-            lineage: lineage.intersect(out),
-        });
-        items = rest;
     }
     (picks, evaluated)
 }

@@ -216,6 +216,25 @@ impl CooTensor {
         out
     }
 
+    /// The same entries, in the same order, with the modes permuted:
+    /// mode `p` of the result is mode `perm[p]` of `self` — how a
+    /// pattern-sharing output written `S(k,j,i)` is shaped from the
+    /// coordinates of `T(i,j,k)`. The identity costs nothing.
+    pub fn permuted_modes(mut self, perm: &[usize]) -> Result<CooTensor, TensorError> {
+        if !is_permutation(perm, self.order()) {
+            return Err(TensorError::InvalidPermutation);
+        }
+        if perm.iter().enumerate().any(|(p, &m)| p != m) {
+            let old = &self;
+            let coords = (0..old.nnz())
+                .flat_map(|e| perm.iter().map(move |&m| old.coord(e)[m]))
+                .collect();
+            self.dims = perm.iter().map(|&m| self.dims[m]).collect();
+            self.coords = coords;
+        }
+        Ok(self)
+    }
+
     /// Replace all values, keeping the pattern. Length must match `nnz`.
     pub fn with_vals(&self, vals: Vec<f64>) -> CooTensor {
         assert_eq!(vals.len(), self.nnz(), "value count must match pattern");
@@ -269,6 +288,21 @@ mod tests {
         assert!(matches!(
             t.push(&[0], 1.0),
             Err(TensorError::OrderMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn permuted_modes_keeps_entry_order() {
+        let t = sample();
+        let p = t.clone().permuted_modes(&[2, 0, 1]).unwrap();
+        assert_eq!(p.dims(), &[5, 3, 4]);
+        assert_eq!(p.coord(3), &[4, 0, 3]);
+        assert_eq!(p.vals(), t.vals());
+        assert_eq!(p.permuted_modes(&[1, 2, 0]).unwrap(), t);
+        assert_eq!(t.clone().permuted_modes(&[0, 1, 2]).unwrap(), t);
+        assert!(matches!(
+            t.permuted_modes(&[0, 0, 1]),
+            Err(TensorError::InvalidPermutation)
         ));
     }
 

@@ -277,7 +277,20 @@ impl Executor {
             &csf,
             threads,
         );
-        let coo_template = kernel.output_sparse.then(|| csf.to_coo());
+        // A pattern-sharing output carries the CSF's entries in leaf
+        // order, shaped as the output is written: its mode `p` is the
+        // tensor mode stored at the level of the output's `p`-th index.
+        let coo_template = if kernel.output_sparse {
+            let modes: Vec<usize> = kernel
+                .output
+                .indices
+                .iter()
+                .map(|&i| csf.mode_order()[kernel.sparse_level(i).expect("pattern index")])
+                .collect();
+            Some(csf.to_coo().permuted_modes(&modes)?)
+        } else {
+            None
+        };
 
         Ok(Executor {
             plan,
@@ -334,7 +347,8 @@ impl Executor {
 
     /// A zeroed output with the correct shape for
     /// [`Executor::execute_into`]: a dense tensor, or a pattern-sharing
-    /// sparse tensor with the CSF's coordinates.
+    /// sparse tensor with the CSF's entries in leaf order and its modes
+    /// in the output's written order.
     pub fn output_template(&self) -> ContractionOutput {
         match &self.coo_template {
             Some(coo) => ContractionOutput::Sparse(coo.with_vals(vec![0.0; self.csf.nnz()])),
@@ -405,18 +419,20 @@ impl Executor {
                 OutputMut::Dense(d)
             }
             ContractionOutput::Sparse(c) => {
-                if c.dims() != csf.dims() {
-                    return Err(SpttnError::Shape(format!(
-                        "sparse output has dims {:?}, the bound CSF has {:?}",
-                        c.dims(),
-                        csf.dims()
-                    )));
-                }
                 // A pattern-sharing output must carry *exactly* the
-                // bound CSF's coordinates in leaf order — same nnz with
-                // different coordinates would silently pair values with
-                // the wrong positions. Cheap memcmp, no allocation.
+                // bound CSF's coordinates in leaf order and the output's
+                // written mode order — same nnz with different
+                // coordinates would silently pair values with the wrong
+                // positions. Cheap memcmp, no allocation. (A sparse
+                // `out` for a dense-output plan is the core's refusal.)
                 if let Some(template) = coo_template {
+                    if c.dims() != template.dims() {
+                        return Err(SpttnError::Shape(format!(
+                            "sparse output has dims {:?}, the plan's output has {:?}",
+                            c.dims(),
+                            template.dims()
+                        )));
+                    }
                     if c.coords() != template.coords() {
                         return Err(SpttnError::Shape(
                             "sparse output's coordinate pattern differs from the bound CSF; \

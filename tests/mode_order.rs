@@ -242,10 +242,10 @@ fn fixed_policy_plans_and_executes_the_requested_order() {
 fn sparse_output_kernel_reorders_correctly() {
     // TTTP: the output shares the sparse pattern; under a non-natural
     // order the entries are enumerated in the plan's leaf order but the
-    // dense view must be unchanged.
+    // dense view must be unchanged — and shaped as the output is
+    // written, whichever order that is.
     let mut rng = StdRng::seed_from_u64(14);
     let coo = skewed_coo(&[12, 9, 5], 70, 1.5, &mut rng).unwrap();
-    let expr = "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)";
     let shapes = Shapes::new()
         .with_dims(&[("i", 12), ("j", 9), ("k", 5), ("r", 3)])
         .with_pattern(coo.clone());
@@ -254,19 +254,27 @@ fn sparse_output_kernel_reorders_correctly() {
     let w = random_dense(&[5, 3], &mut rng);
     let factors: Vec<(&str, &DenseTensor)> = vec![("U", &u), ("V", &v), ("W", &w)];
 
-    let plan = Contraction::parse(expr)
-        .unwrap()
-        .plan(
-            &shapes,
-            &PlanOptions::default().with_mode_order(ModeOrderPolicy::Fixed(vec![2, 1, 0])),
-        )
-        .unwrap();
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let mut exec = plan.bind(csf, &factors).unwrap();
-    let got = exec.execute().unwrap();
-    assert!(matches!(got, ContractionOutput::Sparse(_)));
-    let diff = max_diff(&got, &oracle(&plan, &coo, &factors));
-    assert!(diff <= TOL, "diff {diff}");
+    for (written, dims) in [("i,j,k", [12, 9, 5]), ("k,i,j", [5, 12, 9])] {
+        for order in [vec![0, 1, 2], vec![2, 1, 0]] {
+            let expr = format!("S({written}) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)");
+            let plan = Contraction::parse(&expr)
+                .unwrap()
+                .plan(
+                    &shapes,
+                    &PlanOptions::default().with_mode_order(ModeOrderPolicy::Fixed(order)),
+                )
+                .unwrap();
+            let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+            let mut exec = plan.bind(csf, &factors).unwrap();
+            let got = exec.execute().unwrap();
+            let ContractionOutput::Sparse(s) = &got else {
+                panic!("{expr}: dense output");
+            };
+            assert_eq!(s.dims(), dims, "{expr}");
+            let diff = max_diff(&got, &oracle(&plan, &coo, &factors));
+            assert!(diff <= TOL, "{expr}: diff {diff}");
+        }
+    }
 }
 
 #[test]

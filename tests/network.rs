@@ -87,6 +87,25 @@ fn dense_chain_network_matches_oracle() {
     check_all(&fx);
 }
 
+/// A pattern-sharing network output written in another order than the
+/// sparse input comes back shaped as written, template included.
+#[test]
+fn permuted_pattern_output_matches_oracle() {
+    let fx = Fixture::new(
+        "T[i,j,k]*U[i,r]*V[j,r]*W[k,r] -> S[k,i,j]",
+        &[("i", 7), ("j", 6), ("k", 5), ("r", 3)],
+        &[7, 6, 5],
+        60,
+        41,
+    );
+    let nplan = fx.net.plan(&fx.shapes, &NetOptions::default()).unwrap();
+    let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
+    let mut out = exec.output_template();
+    exec.execute_into(&mut out).unwrap();
+    assert_eq!(out.to_dense().dims(), [5, 7, 6]);
+    assert!(out.to_dense().approx_eq(&fx.want, TOL));
+}
+
 #[test]
 fn exact_search_matches_brute_force_enumeration() {
     // The budgeted subset sweep must land on the true minimum over all

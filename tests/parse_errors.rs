@@ -4,8 +4,8 @@
 //! `spttn_ir::parse_kernel` and through the facade's
 //! `Contraction::parse`, in the `=`, `+=` and `->` syntaxes alike —
 //! never silently swallowed. What only the lowering can see — a sparse
-//! operand with no indices — is one `KernelError` from every front end
-//! that lowers.
+//! operand with no indices, a sparse operand with nothing to contract
+//! with — is one `KernelError` from every front end that lowers.
 
 use spttn::ir::{parse_kernel, KernelError};
 use spttn::{Contraction, PlanOptions, Shapes, SpttnError};
@@ -76,37 +76,56 @@ fn facade_rejects_output_only_indices() {
     }
 }
 
-/// An order-0 sparse operand parses (the grammar allows `T()`), but no
-/// `Kernel` is built from it: `parse_kernel`, `Contraction::plan` and
-/// `Network::plan` all return the same typed single-line error naming
-/// the tensor — it used to plan and then hang `Plan::bind`.
+/// `expr` parses, but no `Kernel` is built from it: `parse_kernel`,
+/// `Contraction::plan` and `Network::plan` all return `want`, a typed
+/// single-line error whose text contains `needle`.
+fn assert_kernel_error_everywhere(expr: &str, want: KernelError, needle: &str) {
+    let dims = [("i", 3), ("j", 4), ("a", 2), ("b", 3)];
+    let shapes = Shapes::new().with_dims(&dims).with_nnz(1);
+    let planned = Contraction::parse(expr)
+        .expect("the grammar accepts the expression")
+        .plan(&shapes, &PlanOptions::default())
+        .map(|_| ());
+    let net = Network::parse(expr)
+        .and_then(|n| n.plan(&shapes, &NetOptions::default()))
+        .map(|_| ());
+    let ir = parse_kernel(expr, &dims).map(|_| ());
+    for (via, got) in [
+        ("parse_kernel", ir.map_err(SpttnError::from)),
+        ("Contraction::plan", planned),
+        ("Network::plan", net),
+    ] {
+        let e = got.expect_err(via);
+        assert_eq!(e, SpttnError::Kernel(want.clone()), "'{expr}' via {via}");
+        let text = e.to_string();
+        assert!(text.contains(needle), "{text}");
+        assert!(!text.contains('\n'), "{text}");
+    }
+}
+
+/// An order-0 sparse operand parses (the grammar allows `T()`) — it
+/// used to plan and then hang `Plan::bind`.
 #[test]
 fn order0_sparse_operand_is_a_typed_error_everywhere() {
-    let shapes = Shapes::new().with_dims(&[("a", 2), ("b", 3)]).with_nnz(1);
     for expr in ["A(a) = T() * B(a)", "T[]*B[a,b]*C[b]->A[a]"] {
-        let planned = Contraction::parse(expr)
-            .expect("the grammar accepts an empty index list")
-            .plan(&shapes, &PlanOptions::default())
-            .map(|_| ());
-        let net = Network::parse(expr)
-            .and_then(|n| n.plan(&shapes, &NetOptions::default()))
-            .map(|_| ());
-        let ir = parse_kernel(expr, &[("a", 2), ("b", 3)]).map(|_| ());
-        for (via, got) in [
-            ("parse_kernel", ir.map_err(SpttnError::from)),
-            ("Contraction::plan", planned),
-            ("Network::plan", net),
-        ] {
-            let e = got.expect_err(via);
-            assert_eq!(
-                e,
-                SpttnError::Kernel(KernelError::ScalarSparseInput("T".into())),
-                "'{expr}' via {via}"
-            );
-            let text = e.to_string();
-            assert!(text.contains("sparse input 'T' has no indices"), "{text}");
-            assert!(!text.contains('\n'), "{text}");
-        }
+        assert_kernel_error_everywhere(
+            expr,
+            KernelError::ScalarSparseInput("T".into()),
+            "sparse input 'T' has no indices",
+        );
+    }
+}
+
+/// A contraction of the sparse tensor alone has no pairwise step to
+/// plan — it used to be reported as "no feasible loop nest found".
+#[test]
+fn contraction_without_a_dense_factor_is_a_typed_error_everywhere() {
+    for expr in ["A(i) = T(i,j)", "T[i,j]->A[j]"] {
+        assert_kernel_error_everywhere(
+            expr,
+            KernelError::NoDenseFactor("T".into()),
+            "contraction of 'T' has no dense factor",
+        );
     }
 }
 

@@ -2,7 +2,8 @@
 //! generator of well-formed single-sparse-operand einsums — sparse
 //! order 2–4, one to five dense factors each over zero to two sparse and
 //! one or two dense indices in shuffled order, the output a random
-//! index subset or exactly the sparse index set (pattern-sharing) —
+//! index subset or exactly the sparse index set (pattern-sharing, in the
+//! sparse input's written order or any other) —
 //! each planned on the exact pattern of a small random tensor under all
 //! four cost models, statically verified, executed at 1 and 3 threads
 //! (and at `SPTTN_TEST_THREADS` when CI sets it) and held to the naive
@@ -81,19 +82,15 @@ fn generate(case_no: usize, rng: &mut StdRng) -> Case {
             used.push(name);
         }
     }
-    // One output in four shares the sparse pattern exactly. Such an
-    // output comes back with the sparse input's coordinates, so it is
-    // written in the sparse input's order (a subset that happens to be
-    // a permutation of it too).
-    let mut output = if rng.gen_range(0..4usize) == 0 {
+    // One output in four is written as the sparse input is; a random
+    // subset that happens to be a permutation of the sparse indices
+    // shares the pattern too, in its own written order.
+    let output = if rng.gen_range(0..4usize) == 0 {
         sparse.to_vec()
     } else {
         let k = rng.gen_range(1..used.len() + 1);
         pick(&used, k, rng)
     };
-    if output.len() == order && sparse.iter().all(|i| output.contains(i)) {
-        output = sparse.to_vec();
-    }
     let refs: Vec<String> = std::iter::once(format!("T({})", sparse.join(",")))
         .chain(
             factors
@@ -153,6 +150,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     let threads = thread_counts();
     let (mut planned, mut refused) = (0usize, 0usize);
     let (mut pattern_out, mut five_factors, mut off_spine, mut dense_csf) = (0, 0, 0, 0);
+    let mut permuted_pattern_out = 0;
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
         let cells: usize = case.sparse_dims.iter().product();
@@ -204,7 +202,10 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
             planned += 1;
             plan.verify_tape()
                 .unwrap_or_else(|e| panic!("{what} under {model:?}: {e}\n{}", plan.describe()));
-            pattern_out += usize::from(plan.kernel().output_sparse);
+            let k = plan.kernel();
+            pattern_out += usize::from(k.output_sparse);
+            permuted_pattern_out +=
+                usize::from(k.output_sparse && k.output.indices != k.sparse_ref().indices);
             dense_csf += usize::from(has_dense_csf_loop(&plan));
             let want = want.get_or_insert_with(|| oracle(plan.kernel(), &coo, &factors));
             for &t in &threads {
@@ -231,6 +232,10 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     );
     // The generator still produces what the suite exists to check.
     assert!(pattern_out > 0, "no pattern-sharing output");
+    assert!(
+        permuted_pattern_out > 0,
+        "no pattern-sharing output written in another order than the sparse input"
+    );
     assert!(five_factors > 0, "no five-factor kernel");
     assert!(off_spine > 0, "no factor without a sparse index");
     assert!(dense_csf > 0, "no plan iterates a CSF index densely");
