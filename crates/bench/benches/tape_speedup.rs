@@ -16,6 +16,12 @@
 //! for the tape could reach; tape-simd over hand-nest is what
 //! interpretation costs today.
 //!
+//! Tripwire (exit 1, which CI's `bench-smoke` propagates): the planned
+//! cube MTTKRP's SIMD tape must compile its innermost `k` loop to a
+//! fused `SparseAxpy`, and its fastest run must stay within
+//! [`MAX_OVER_HAND`]× the hand nest's (3.2× before the fused loop,
+//! ≈ 2.2× with it).
+//!
 //! Run with `cargo bench -p spttn-bench --bench tape_speedup`; set
 //! `SPTTN_BENCH_JSON=BENCH_results.json` to emit the machine-readable
 //! artifact CI uploads. Acceptance bar: the SIMD tape shows ≥1.5× over
@@ -50,6 +56,11 @@ fn stats_json(s: &ExecStats) -> String {
         s.flops()
     )
 }
+
+/// The tripwire workload: the planned reference cube.
+const CUBE: &str = "mttkrp-large";
+/// Ceiling on the cube's tape-simd / hand-nest ratio of fastest runs.
+const MAX_OVER_HAND: f64 = 3.0;
 
 /// The two legs under comparison, in fixed row order.
 const LEGS: [(&str, Microkernels); 2] = [
@@ -186,6 +197,9 @@ fn main() {
         },
     ];
     let mut h = Harness::new("tape_speedup: scalar tape vs SIMD tape");
+    // Fused sparse-AXPY loops in the cube's SIMD tape, when that tape
+    // was compiled with superinstructions on.
+    let mut cube_fused: Option<usize> = None;
     for w in &workloads {
         let (csf, factors) = operands(&w.kernel, &w.dims, w.nnz, 17);
         for threads in [1usize, 4] {
@@ -215,6 +229,10 @@ fn main() {
                     spttn::exec::detected_cpu_features(),
                 );
                 h.note(&id, note);
+                if w.name == CUBE && threads == 1 && tape.kernel_set().superinstructions() {
+                    let report = tape.verify().expect("the cube's tape verifies");
+                    cube_fused = Some(report.sparse_axpys);
+                }
 
                 if w.hand_nest && threads == 1 && micro == Microkernels::Auto {
                     let ks = KernelSet::resolve(micro);
@@ -276,11 +294,38 @@ fn main() {
 
     // What interpreting the tape costs over the same nest compiled.
     println!("\nSIMD tape over the hand-written nest, 1 thread (median / min):");
+    let mut cube_over_hand = None;
     for (hid, hs) in hand {
         let name = hid.split(" hand-nest").next().unwrap_or(hid);
         let tape = format!("{name} tape-simd   @ 1t");
         if let Some((_, ts)) = tapes.iter().find(|(id, _)| id.starts_with(&tape)) {
             ratio("tape-simd/hand-nest", name, ts, hs);
+            if name == CUBE {
+                cube_over_hand = Some(minimum(ts) / minimum(hs));
+            }
         }
+    }
+
+    let Some(fused) = cube_fused else {
+        println!("\ntripwire skipped: the cube's tape was compiled without superinstructions");
+        return;
+    };
+    let over = cube_over_hand.expect("the cube has a hand-nest row");
+    let mut failures = Vec::new();
+    if fused == 0 {
+        failures.push(format!(
+            "the planned {CUBE} SIMD tape compiles no SparseAxpy"
+        ));
+    }
+    if over > MAX_OVER_HAND {
+        failures.push(format!(
+            "{CUBE} tape-simd is {over:.2}x the hand nest (min), over {MAX_OVER_HAND}x"
+        ));
+    }
+    for f in &failures {
+        eprintln!("tape_speedup: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -28,9 +28,10 @@
 //!
 //! The [`simd`] module supplies explicit-SIMD microkernels (AVX-512F,
 //! AVX2+FMA, NEON, scalar fallback) selected **once at bind time** and
-//! recorded in the tape as function pointers, plus the fused
-//! `ZeroAccum` superinstructions and rank-specialized kernel variants
-//! the tape compiler emits under [`Microkernels::Auto`].
+//! recorded in the tape as function pointers, plus the assigning and
+//! rank-specialized kernel variants behind the superinstructions the
+//! tape compiler emits under [`Microkernels::Auto`] (fused `ZeroAccum`
+//! pairs and fused sparse-AXPY loops).
 //!
 //! Three things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,

@@ -142,7 +142,8 @@ pub type GemvFn = fn(usize, usize, f64, &[f64], usize, usize, &[f64], usize, &mu
 
 /// A bind-time kernel selection: which implementation family to draw
 /// function pointers from, and whether the tape compiler may emit
-/// superinstructions (`ZeroAccum` fusion, rank specialization).
+/// superinstructions (`ZeroAccum` fusion, fused sparse-AXPY loops, rank
+/// specialization).
 ///
 /// Program shape (`fuse`) depends only on the [`Microkernels`] option;
 /// implementation (`sel`) additionally on the host CPU. Copying the set
@@ -193,7 +194,8 @@ impl KernelSet {
     }
 
     /// Whether the tape compiler may fuse `Zero` + first accumulation
-    /// into `ZeroAccum` superinstructions and rank-specialize.
+    /// into `ZeroAccum` superinstructions, fuse innermost sparse AXPY
+    /// loops, and rank-specialize.
     pub fn superinstructions(&self) -> bool {
         self.fuse
     }

@@ -46,6 +46,15 @@
 //!   `y = 0; y += αx`), halving the memory traffic of the split point.
 //!   Emitted only under [`Microkernels::Auto`]; the fused kernels never
 //!   skip the write (even for `α == 0`), preserving the zero point.
+//! - `SparseAxpy` — **superinstruction** for an innermost sparse loop
+//!   whose whole body is one `Axpy` (`Sparse; Axpy; EndLoop`, the inner
+//!   loop of MTTKRP and TTMc): one instruction walks the parent's
+//!   children in place — coordinate, cursor advance, alpha, call — with
+//!   no frame and no per-child dispatch. A directly preceding `Zero` of
+//!   the Axpy's own, fully covered buffer folds into the first child's
+//!   call (its assigning twin) when the loop is below the root: a
+//!   non-root CSF node always has a child, whereas a tile's root range
+//!   can be empty. Emitted only under [`Microkernels::Auto`].
 //!
 //! # The tape never searches
 //!
@@ -301,6 +310,26 @@ enum Instr {
         a: MatTgt,
         kern: GerFn,
     },
+    /// Superinstruction: `Sparse` header + `Axpy` body + `EndLoop` —
+    /// `y[q] += alpha · x[q]` once per child of the parent node, with no
+    /// frame. `first`, when set, is the assigning twin of `kern` that a
+    /// folded `Zero { term }` leaves for the first child (`level > 0`
+    /// only).
+    SparseAxpy {
+        index: IndexId,
+        level: usize,
+        parent: ParentLoc,
+        adv: AdvRange,
+        n: usize,
+        term: usize,
+        alpha: Read,
+        x: VecSrc,
+        y: VecTgt,
+        res: NodeRes,
+        kern: AxpyFn,
+        first: Option<AxpyFn>,
+        spec: RankSpec,
+    },
 }
 
 /// Static operand-store extents captured at compile time, making a
@@ -370,8 +399,6 @@ struct Frame {
 /// nothing.
 #[derive(Debug, Clone)]
 pub struct TapeState {
-    /// Current coordinate per kernel index (0 outside its loop).
-    coords: Vec<usize>,
     /// Current CSF node per tracked tree level.
     nodes: Vec<usize>,
     /// Running offsets of every compiled operand address.
@@ -387,7 +414,6 @@ impl TapeState {
     /// True when this state was sized for `tape`.
     pub(crate) fn matches(&self, tape: &CompiledTape) -> bool {
         self.stamp == tape.forest_stamp
-            && self.coords.len() == tape.n_indices
             && self.nodes.len() == tape.n_levels
             && self.cursors.len() == tape.n_cursors
             && self.frames.len() == tape.max_depth
@@ -396,7 +422,6 @@ impl TapeState {
     /// Reset to the start-of-run state (cheap: O(state size), which is
     /// O(program size), independent of the data).
     fn reset(&mut self) {
-        self.coords.fill(0);
         self.nodes.fill(usize::MAX);
         self.cursors.fill(0);
         self.fp = 0;
@@ -475,6 +500,7 @@ impl CompiledTape {
         c.compile_siblings(&forest.roots, n_terms)?;
         if kernels.superinstructions() {
             fuse_zero_accum(&mut c.instrs, &buffer_lens, &kernels);
+            fuse_sparse_axpy(&mut c.instrs, &buffer_lens, &kernels);
         }
         let bounds = TapeBounds {
             factor_lens: kernel
@@ -516,7 +542,6 @@ impl CompiledTape {
     /// Build the preallocated mutable driver state for this program.
     pub fn new_state(&self) -> TapeState {
         TapeState {
-            coords: vec![0; self.n_indices],
             nodes: vec![usize::MAX; self.n_levels],
             cursors: vec![0; self.n_cursors],
             frames: vec![Frame::default(); self.max_depth],
@@ -551,14 +576,18 @@ impl CompiledTape {
         self.kernels.width()
     }
 
-    /// Number of fused `ZeroAccum` superinstructions in the program.
+    /// Number of superinstructions in the program: fused `ZeroAccum`
+    /// pairs and fused sparse-AXPY loops.
     pub fn superinstructions(&self) -> usize {
         self.instrs
             .iter()
             .filter(|i| {
                 matches!(
                     i,
-                    Instr::ZeroAxpy { .. } | Instr::ZeroXmul { .. } | Instr::ZeroGer { .. }
+                    Instr::ZeroAxpy { .. }
+                        | Instr::ZeroXmul { .. }
+                        | Instr::ZeroGer { .. }
+                        | Instr::SparseAxpy { .. }
                 )
             })
             .count()
@@ -576,6 +605,7 @@ impl CompiledTape {
                     | Instr::Ger { spec, .. }
                     | Instr::Gemv { spec, .. }
                     | Instr::ZeroAxpy { spec, .. }
+                    | Instr::SparseAxpy { spec, .. }
                         if *spec != RankSpec::Gen
                 )
             })
@@ -1009,25 +1039,16 @@ impl<'a> Compiler<'a> {
 /// one assigning superinstruction (Eq.-5 zero point + first
 /// accumulation in a single pass).
 ///
-/// Soundness of the coverage tests: a `VecTgt` covers the buffer iff it
-/// is not the output, has unit increment, and its trip count equals the
-/// buffer's flat length — then the target cursor addresses offset 0 and
-/// the kernel touches every element, so replacing "fill + accumulate"
-/// with "assign" is exact. (The cursor *is* statically 0: full coverage
-/// means no enclosing loop iterates any buffer index, so no advance
-/// entry ever moves it.) A `MatTgt` additionally needs row-major
-/// packing (`rs == n`, `m·n == len`). Adjacency guarantees the fused
-/// instruction executes on exactly the control paths the `Zero` did.
+/// Soundness of the coverage tests: a `VecTgt` covers the buffer iff
+/// [`covers`] holds; a `MatTgt` additionally needs row-major packing
+/// (`rs == n`, `m·n == len`). Then the kernel touches every element, so
+/// replacing "fill + accumulate" with "assign" is exact. Adjacency
+/// guarantees the fused instruction executes on exactly the control
+/// paths the `Zero` did.
 ///
 /// Sources cannot alias the zeroed buffer: producer ordering means a
 /// microkernel for term `t` only reads factors and buffers of earlier
 /// terms (the verifier's `ProducerOrderViolation` rule).
-///
-/// Jump targets: removing the instruction at `i + 1` shifts everything
-/// after it down by one. No loop `end` can point *at* `i + 1` or
-/// `i + 2` — an `end` always lands one past an `EndLoop`, and neither
-/// `i` (a `Zero`) nor `i + 1` (a microkernel) is one — so the blanket
-/// `end > i + 1 → end -= 1` patch is exact.
 fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
     let mut i = 0;
     while i + 1 < instrs.len() {
@@ -1045,26 +1066,16 @@ fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ker
                 res,
                 spec,
                 ..
-            } if t == term && !y.out && y.inc == 1 && n == buffer_lens[t] => {
-                // The assigning twin must sit at exactly the recorded
-                // specialization: a fixed-rank zaxpy would assert unit
-                // source stride, which only the non-Gen spec implies.
-                let (kern, zspec) = match spec.rank() {
-                    Some(r) => kernels.zaxpy(r, true, Some(r)),
-                    None => kernels.zaxpy(n, false, None),
-                };
-                debug_assert_eq!(zspec, spec);
-                Some(Instr::ZeroAxpy {
-                    n,
-                    term: t,
-                    alpha,
-                    x,
-                    y,
-                    res,
-                    kern,
-                    spec: zspec,
-                })
-            }
+            } if t == term && covers(y, n, buffer_lens[t]) => Some(Instr::ZeroAxpy {
+                n,
+                term: t,
+                alpha,
+                x,
+                y,
+                res,
+                kern: assigning_axpy(kernels, n, spec),
+                spec,
+            }),
             Instr::Xmul {
                 n,
                 term: t,
@@ -1072,16 +1083,14 @@ fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ker
                 z,
                 y,
                 ..
-            } if t == term && !y.out && y.inc == 1 && n == buffer_lens[t] => {
-                Some(Instr::ZeroXmul {
-                    n,
-                    term: t,
-                    x,
-                    z,
-                    y,
-                    kern: kernels.zxmul(),
-                })
-            }
+            } if t == term && covers(y, n, buffer_lens[t]) => Some(Instr::ZeroXmul {
+                n,
+                term: t,
+                x,
+                z,
+                y,
+                kern: kernels.zxmul(),
+            }),
             Instr::Ger {
                 m,
                 n,
@@ -1105,16 +1114,117 @@ fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ker
         };
         if let Some(f) = fused {
             instrs[i] = f;
-            instrs.remove(i + 1);
-            for ins in instrs.iter_mut() {
-                if let Instr::Dense { end, .. } | Instr::Sparse { end, .. } = ins {
-                    if *end > i + 1 {
-                        *end -= 1;
-                    }
-                }
-            }
+            // `instrs[i]` is a `Zero`, the removed one a microkernel.
+            remove_instrs(instrs, i + 1..i + 2);
         }
         i += 1;
+    }
+}
+
+/// Peephole pass turning an innermost sparse loop whose body is one
+/// `Axpy` — `Sparse; Axpy; EndLoop` — into one `SparseAxpy`, run after
+/// [`fuse_zero_accum`] (which leaves a `Zero` before a loop alone).
+///
+/// A directly preceding `Zero` of the Axpy's own term folds into the
+/// first child's call when the Axpy [`covers`] the buffer and the loop
+/// sits below the root: every non-root CSF node has at least one child,
+/// so the assigning call runs on every path the `Zero` did. A tile's
+/// root range can be empty, so a level-0 loop keeps its `Zero`.
+fn fuse_sparse_axpy(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
+    let mut i = 0;
+    while i + 2 < instrs.len() {
+        let (
+            Instr::Sparse {
+                index,
+                level,
+                parent,
+                adv,
+                end,
+            },
+            Instr::Axpy {
+                n,
+                term,
+                alpha,
+                x,
+                y,
+                res,
+                kern,
+                spec,
+            },
+            Instr::EndLoop,
+        ) = (instrs[i], instrs[i + 1], instrs[i + 2])
+        else {
+            i += 1;
+            continue;
+        };
+        debug_assert_eq!(end, i + 3, "a one-instruction body closes its own loop");
+        let fold = level > 0
+            && i > 0
+            && matches!(instrs[i - 1], Instr::Zero { term: z } if z == term)
+            && covers(y, n, buffer_lens[term]);
+        let lo = if fold { i - 1 } else { i };
+        instrs[lo] = Instr::SparseAxpy {
+            index,
+            level,
+            parent,
+            adv,
+            n,
+            term,
+            alpha,
+            x,
+            y,
+            res,
+            kern,
+            first: fold.then(|| assigning_axpy(kernels, n, spec)),
+            spec,
+        };
+        // `instrs[lo]` was the folded `Zero` or the header; the removed
+        // ones are the rest of `(Zero;) Sparse; Axpy; EndLoop`.
+        remove_instrs(instrs, lo + 1..i + 3);
+        i = lo + 1;
+    }
+}
+
+/// Whether an accumulating vector target of `n` elements covers a
+/// whole Eq.-5 buffer of `len`: not the output, unit increment, and the
+/// trip count is the buffer's flat length. Its cursor is then
+/// statically 0 — full coverage means no enclosing loop iterates any
+/// buffer index, so no advance entry ever moves it.
+fn covers(y: VecTgt, n: usize, len: usize) -> bool {
+    !y.out && y.inc == 1 && n == len
+}
+
+/// The assigning twin of an `Axpy` recorded at `spec`. It must sit at
+/// exactly that specialization: a fixed-rank zaxpy asserts unit source
+/// stride, which only a non-`Gen` spec implies.
+fn assigning_axpy(kernels: &KernelSet, n: usize, spec: RankSpec) -> AxpyFn {
+    let (kern, zspec) = match spec.rank() {
+        Some(r) => kernels.zaxpy(r, true, Some(r)),
+        None => kernels.zaxpy(n, false, None),
+    };
+    debug_assert_eq!(zspec, spec);
+    kern
+}
+
+/// Remove `instrs[range]` and re-patch every loop `end` past it.
+///
+/// An `end` always lands one past an `EndLoop`, so no `end` points at
+/// a removed instruction as long as neither `instrs[range.start - 1]`
+/// nor any removed instruction but the last is an `EndLoop` — what
+/// both peephole passes guarantee, and debug builds assert. Then every
+/// `end > range.start` is at least `range.end`, and shifting it down by
+/// the removed count is exact (`end == range.end` lands on the
+/// instruction that followed the removed ones, now at `range.start`).
+fn remove_instrs(instrs: &mut Vec<Instr>, range: Range<usize>) {
+    let removed = range.len();
+    instrs.drain(range.clone());
+    for ins in instrs.iter_mut() {
+        if let Instr::Dense { end, .. } | Instr::Sparse { end, .. } = ins {
+            debug_assert!(!range.contains(end), "loop end {end} points into {range:?}");
+            if *end > range.start {
+                *end -= removed;
+            }
+        }
     }
 }
 
@@ -1302,14 +1412,11 @@ impl<'a> Run<'a> {
                     self.buffers[term].fill_zero();
                     pc += 1;
                 }
-                Instr::Dense {
-                    index, dim, end, ..
-                } => {
+                Instr::Dense { dim, end, .. } => {
                     if dim == 0 {
                         pc = end;
                         continue;
                     }
-                    self.st.coords[index] = 0;
                     self.push_frame(Frame {
                         instr: pc,
                         pos: 0,
@@ -1319,11 +1426,11 @@ impl<'a> Run<'a> {
                     pc += 1;
                 }
                 Instr::Sparse {
-                    index,
                     level,
                     parent,
                     adv,
                     end,
+                    ..
                 } => {
                     let range = self.parent_range(parent);
                     if range.is_empty() {
@@ -1333,7 +1440,6 @@ impl<'a> Run<'a> {
                     let node = range.start;
                     let coord = self.csf.node_coord(level, node);
                     self.st.nodes[level] = node;
-                    self.st.coords[index] = coord;
                     self.advance(adv, coord as isize);
                     self.push_frame(Frame {
                         instr: pc,
@@ -1347,13 +1453,7 @@ impl<'a> Run<'a> {
                     let fi = self.st.fp - 1;
                     let f = self.st.frames[fi];
                     match instrs[f.instr] {
-                        Instr::Dense {
-                            index,
-                            dim,
-                            adv,
-                            end,
-                            ..
-                        } => {
+                        Instr::Dense { dim, adv, end, .. } => {
                             let x = f.pos + 1;
                             if x < dim {
                                 // Root-frame advance = once per root
@@ -1364,23 +1464,17 @@ impl<'a> Run<'a> {
                                     }
                                 }
                                 self.st.frames[fi].pos = x;
-                                self.st.coords[index] = x;
                                 self.advance(adv, 1);
                                 pc = f.instr + 1;
                             } else {
                                 // Restore the coordinate-0 cursor state.
                                 self.advance(adv, -(f.pos as isize));
-                                self.st.coords[index] = 0;
                                 self.st.fp = fi;
                                 pc = end;
                             }
                         }
                         Instr::Sparse {
-                            index,
-                            level,
-                            adv,
-                            end,
-                            ..
+                            level, adv, end, ..
                         } => {
                             let node = f.pos + 1;
                             if node < f.end {
@@ -1391,14 +1485,12 @@ impl<'a> Run<'a> {
                                 }
                                 let coord = self.csf.node_coord(level, node);
                                 self.st.nodes[level] = node;
-                                self.st.coords[index] = coord;
                                 self.advance(adv, coord as isize - f.prev as isize);
                                 self.st.frames[fi].pos = node;
                                 self.st.frames[fi].prev = coord;
                                 pc = f.instr + 1;
                             } else {
                                 self.advance(adv, -(f.prev as isize));
-                                self.st.coords[index] = 0;
                                 self.st.fp = fi;
                                 pc = end;
                             }
@@ -1570,6 +1662,55 @@ impl<'a> Run<'a> {
                     kern(m, n, 1.0, as_, ai.0, ai.1, xs, xi, tgt, y.inc);
                     stats.gemv += 1;
                     stats.gemv_elems += (m * n) as u64;
+                    pc += 1;
+                }
+                Instr::SparseAxpy {
+                    level,
+                    parent,
+                    adv,
+                    n,
+                    term,
+                    alpha,
+                    x,
+                    y,
+                    res,
+                    kern,
+                    first,
+                    ..
+                } => {
+                    let range = self.parent_range(parent);
+                    let at_root = self.st.fp == 0;
+                    let mut call = first.unwrap_or(kern);
+                    let mut prev = 0usize;
+                    for node in range.clone() {
+                        // A root-level loop keeps the root frame's
+                        // cancellation checkpoint: once per root child.
+                        if at_root && node != range.start {
+                            if let Some(g) = self.guard {
+                                g.check("tape")?;
+                            }
+                        }
+                        let coord = self.csf.node_coord(level, node);
+                        self.st.nodes[level] = node;
+                        self.advance(adv, coord as isize - prev as isize);
+                        prev = coord;
+                        let a = self.read(alpha, self.node_of(res));
+                        let Run {
+                            factors,
+                            buffers,
+                            out_dense,
+                            st,
+                            ..
+                        } = self;
+                        let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
+                        let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
+                        call(n, a, xs, xi, tgt, y.inc);
+                        call = kern;
+                    }
+                    self.advance(adv, -(prev as isize));
+                    let calls = range.len() as u64;
+                    self.stats.axpy += calls;
+                    self.stats.axpy_elems += calls * n as u64;
                     pc += 1;
                 }
             }

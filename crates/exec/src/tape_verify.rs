@@ -51,6 +51,12 @@
 //!    term's whole buffer: unit target stride, buffer (never output)
 //!    target, and extent equal to the buffer length. It then
 //!    establishes zero domination exactly like the `Zero` it fused.
+//!    A fused sparse-AXPY loop (`SparseAxpy`) is checked as its parts:
+//!    the `Sparse` header rules of 4 (one `check_sparse_header` for
+//!    both), the loop open over its body, and the body as an `Axpy` —
+//!    or, with a folded zero, as a `ZeroAxpy`, which is only sound
+//!    below the root (a non-root node always has a child; a tile's
+//!    root range can be empty), so a fold at level 0 is rejected.
 //!    Rank-specialized sites (`RankSpec::R8/R16/R32`) must dispatch
 //!    with exactly the specialized trip count over unit-stride
 //!    operands — the fixed kernels assert this at run time; the
@@ -263,8 +269,12 @@ pub struct TapeReport {
     /// Microkernel instructions, fused superinstructions included.
     pub microkernels: usize,
     /// Fused `ZeroAccum` superinstructions proved to assign their
-    /// term's whole buffer.
+    /// term's whole buffer (a `SparseAxpy` with a folded zero included).
     pub zero_accums: usize,
+    /// Innermost sparse loops fused with their AXPY body
+    /// (`SparseAxpy`), each also counted as a sparse loop and a
+    /// microkernel.
+    pub sparse_axpys: usize,
     /// Rank-specialized microkernel sites proved to match their
     /// pinned trip count and unit strides.
     pub specialized: usize,
@@ -280,7 +290,7 @@ impl fmt::Display for TapeReport {
             f,
             "verified {} instrs ({} dense + {} sparse loops, nesting {}/{}), \
              {} zero points, {} microkernels ({} fused, {} rank-specialized), \
-             {} accesses in bounds over {} cursors",
+             {} fused sparse-AXPY loops, {} accesses in bounds over {} cursors",
             self.instrs,
             self.dense_loops,
             self.sparse_loops,
@@ -290,6 +300,7 @@ impl fmt::Display for TapeReport {
             self.microkernels,
             self.zero_accums,
             self.specialized,
+            self.sparse_axpys,
             self.accesses_checked,
             self.cursors_bound
         )
@@ -402,57 +413,7 @@ impl<'t> Checker<'t> {
                     adv,
                     end,
                 } => {
-                    self.in_range(pc, "loop index", index, self.tape.n_indices)?;
-                    self.in_range(pc, "CSF level", level, self.tape.n_levels)?;
-                    if self.tape.bounds.level_index[level] != index {
-                        return Err(TapeInvariantError::TrackingInvariant {
-                            pc,
-                            detail: format!(
-                                "sparse loop iterates index {index} but CSF level {level} stores index {}",
-                                self.tape.bounds.level_index[level]
-                            ),
-                        });
-                    }
-                    // CSF descent order: an enclosing sparse loop must
-                    // iterate a strictly shallower level (Def. 3.2
-                    // restricts loop orders to the storage order).
-                    for l in &self.stack {
-                        if let Some(el) = l.level {
-                            if el >= level {
-                                return Err(TapeInvariantError::TrackingInvariant {
-                                    pc,
-                                    detail: format!(
-                                        "sparse loop at level {level} nested inside level {el} (against CSF storage order)"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    match parent {
-                        ParentLoc::Root => {
-                            if level != 0 {
-                                return Err(TapeInvariantError::TrackingInvariant {
-                                    pc,
-                                    detail: format!(
-                                        "level-{level} loop iterates the tile root range (only level 0 may)"
-                                    ),
-                                });
-                            }
-                        }
-                        ParentLoc::Tracked(l) => {
-                            if level == 0 || l != level - 1 {
-                                return Err(TapeInvariantError::TrackingInvariant {
-                                    pc,
-                                    detail: format!(
-                                        "level-{level} loop takes its range from tracked level {l} (needs level {})",
-                                        level.wrapping_sub(1)
-                                    ),
-                                });
-                            }
-                            self.require_tracked(pc, l)?;
-                        }
-                    }
-                    self.report.sparse_loops += 1;
+                    self.check_sparse_header(pc, index, level, parent)?;
                     self.loop_body(
                         pc,
                         end,
@@ -514,14 +475,7 @@ impl<'t> Checker<'t> {
                     spec,
                     ..
                 } => {
-                    self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    let needs_node = matches!(alpha, Read::SparseVal);
-                    self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
-                    self.check_read(pc, alpha)?;
-                    self.check_vec_src(pc, x, n, Some(term))?;
-                    self.check_vec_tgt(pc, y, n, term)?;
-                    self.check_node_res(pc, res, needs_node)?;
-                    self.report.microkernels += 1;
+                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, false)?;
                     pc += 1;
                 }
                 Instr::Xmul {
@@ -580,15 +534,7 @@ impl<'t> Checker<'t> {
                     spec,
                     ..
                 } => {
-                    self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    let needs_node = matches!(alpha, Read::SparseVal);
-                    self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
-                    self.check_read(pc, alpha)?;
-                    self.check_vec_src(pc, x, n, Some(term))?;
-                    self.check_zero_vec_tgt(pc, y, n, term)?;
-                    self.check_node_res(pc, res, needs_node)?;
-                    self.report.microkernels += 1;
-                    self.report.zero_accums += 1;
+                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, true)?;
                     pc += 1;
                 }
                 Instr::ZeroXmul {
@@ -617,6 +563,51 @@ impl<'t> Checker<'t> {
                     self.check_zero_mat_tgt(pc, a, m, n, term)?;
                     self.report.microkernels += 1;
                     self.report.zero_accums += 1;
+                    pc += 1;
+                }
+                Instr::SparseAxpy {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    n,
+                    term,
+                    alpha,
+                    x,
+                    y,
+                    res,
+                    first,
+                    spec,
+                    ..
+                } => {
+                    self.check_sparse_header(pc, index, level, parent)?;
+                    self.check_adv_range(pc, adv)?;
+                    // The loop drives no frame: it is open only for the
+                    // body's cursor bounds and node tracking. A folded
+                    // body's zero domination outlives it (`level > 0`:
+                    // at least one child runs).
+                    self.stack.push(OpenLoop {
+                        index,
+                        level: Some(level),
+                        adv,
+                    });
+                    self.report.max_nesting = self.report.max_nesting.max(self.stack.len());
+                    let body =
+                        self.check_axpy(pc, n, term, alpha, x, y, res, spec, first.is_some());
+                    self.stack.pop();
+                    body?;
+                    // A folded zero must run on every path its `Zero`
+                    // did; a tile's root range can be empty, so at
+                    // level 0 it covers nothing on that path.
+                    if first.is_some() && level == 0 {
+                        return Err(TapeInvariantError::ZeroAccumCoverage {
+                            pc,
+                            term,
+                            covered: 0,
+                            len: self.tape.bounds.buffer_lens[term],
+                        });
+                    }
+                    self.report.sparse_axpys += 1;
                     pc += 1;
                 }
             }
@@ -653,15 +644,7 @@ impl<'t> Checker<'t> {
                 ),
             });
         }
-        let (a, b) = (info.adv.0 as usize, info.adv.1 as usize);
-        if a > b || b > self.tape.adv.len() {
-            return Err(TapeInvariantError::OperandOutOfRange {
-                pc: header,
-                what: "advance-table range end",
-                got: b,
-                limit: self.tape.adv.len(),
-            });
-        }
+        self.check_adv_range(header, info.adv)?;
         self.stack.push(info);
         if self.stack.len() > self.tape.max_depth {
             return Err(TapeInvariantError::FrameOverflow {
@@ -675,6 +658,115 @@ impl<'t> Checker<'t> {
         self.block(header + 1, end - 1)?;
         self.zeroed = saved;
         self.stack.pop();
+        Ok(())
+    }
+
+    /// A loop header's slice of the advance table is in range.
+    fn check_adv_range(&self, pc: usize, adv: (u32, u32)) -> Result<(), TapeInvariantError> {
+        let (a, b) = (adv.0 as usize, adv.1 as usize);
+        if a > b || b > self.tape.adv.len() {
+            return Err(TapeInvariantError::OperandOutOfRange {
+                pc,
+                what: "advance-table range end",
+                got: b,
+                limit: self.tape.adv.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The header rules of a sparse loop, fused or not: it iterates the
+    /// index its CSF level stores, nests in storage order, and takes its
+    /// range from the tile roots (level 0) or from the node an enclosing
+    /// loop tracks at the level above.
+    fn check_sparse_header(
+        &mut self,
+        pc: usize,
+        index: usize,
+        level: usize,
+        parent: ParentLoc,
+    ) -> Result<(), TapeInvariantError> {
+        self.in_range(pc, "loop index", index, self.tape.n_indices)?;
+        self.in_range(pc, "CSF level", level, self.tape.n_levels)?;
+        if self.tape.bounds.level_index[level] != index {
+            return Err(TapeInvariantError::TrackingInvariant {
+                pc,
+                detail: format!(
+                    "sparse loop iterates index {index} but CSF level {level} stores index {}",
+                    self.tape.bounds.level_index[level]
+                ),
+            });
+        }
+        // CSF descent order: an enclosing sparse loop must iterate a
+        // strictly shallower level (Def. 3.2 restricts loop orders to
+        // the storage order).
+        for l in &self.stack {
+            if let Some(el) = l.level {
+                if el >= level {
+                    return Err(TapeInvariantError::TrackingInvariant {
+                        pc,
+                        detail: format!(
+                            "sparse loop at level {level} nested inside level {el} (against CSF storage order)"
+                        ),
+                    });
+                }
+            }
+        }
+        match parent {
+            ParentLoc::Root => {
+                if level != 0 {
+                    return Err(TapeInvariantError::TrackingInvariant {
+                        pc,
+                        detail: format!(
+                            "level-{level} loop iterates the tile root range (only level 0 may)"
+                        ),
+                    });
+                }
+            }
+            ParentLoc::Tracked(l) => {
+                if level == 0 || l != level - 1 {
+                    return Err(TapeInvariantError::TrackingInvariant {
+                        pc,
+                        detail: format!(
+                            "level-{level} loop takes its range from tracked level {l} (needs level {})",
+                            level.wrapping_sub(1)
+                        ),
+                    });
+                }
+                self.require_tracked(pc, l)?;
+            }
+        }
+        self.report.sparse_loops += 1;
+        Ok(())
+    }
+
+    /// An AXPY body — of an `Axpy`, a `ZeroAxpy` (`assigning`), or a
+    /// `SparseAxpy` with or without a folded zero.
+    #[allow(clippy::too_many_arguments)]
+    fn check_axpy(
+        &mut self,
+        pc: usize,
+        n: usize,
+        term: usize,
+        alpha: Read,
+        x: VecSrc,
+        y: VecTgt,
+        res: NodeRes,
+        spec: RankSpec,
+        assigning: bool,
+    ) -> Result<(), TapeInvariantError> {
+        self.in_range(pc, "target term", term, self.tape.n_terms)?;
+        self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
+        self.check_read(pc, alpha)?;
+        self.check_vec_src(pc, x, n, Some(term))?;
+        if assigning {
+            self.check_zero_vec_tgt(pc, y, n, term)?;
+            self.report.zero_accums += 1;
+        } else {
+            self.check_vec_tgt(pc, y, n, term)?;
+        }
+        self.check_node_res(pc, res, matches!(alpha, Read::SparseVal))?;
+        self.report.microkernels += 1;
         Ok(())
     }
 
@@ -1118,9 +1210,47 @@ mod tests {
             .unwrap()
     }
 
+    /// Listing 3 compiled with superinstructions on: the inner `k` loop
+    /// and its AXPY into `X0[s]` (`s` = 5, generic rank) fuse into one
+    /// `SparseAxpy` at level 2 with `X0`'s zero folded in.
+    fn fused_loop_tape() -> CompiledTape {
+        let (k, path, forest) = ttmc_nest(vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]]);
+        let bufs = buffers_for_forest(&k, &path, &forest);
+        CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::auto_detected())
+            .unwrap()
+    }
+
+    /// The folded `SparseAxpy` of [`fused_loop_tape`].
+    fn folded_loop(tape: &mut CompiledTape) -> &mut Instr {
+        tape.instrs
+            .iter_mut()
+            .find(|i| matches!(i, Instr::SparseAxpy { first: Some(_), .. }))
+            .expect("listing 3 folds X0's zero into its fused k loop")
+    }
+
+    /// `X0(a) = Σ_k T(k)·B(k,a)` zeroed in front of a fused loop over
+    /// the CSF roots, then `A(a,b) = X0(a)·C(a,b)`: the pass keeps the
+    /// `Zero` (a tile's root range can be empty).
+    fn root_loop_tape() -> CompiledTape {
+        let k = parse_kernel(
+            "A(a,b) = T(k) * B(k,a) * C(a,b)",
+            &[("k", 7), ("a", 5), ("b", 3)],
+        )
+        .unwrap();
+        let path = path_from_picks(&k, &[(0, 1), (0, 1)]);
+        let spec = NestSpec {
+            orders: vec![vec![0, 1], vec![1, 2]],
+        };
+        let forest = build_forest(&k, &path, &spec).unwrap();
+        let bufs = buffers_for_forest(&k, &path, &forest);
+        CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::auto_detected())
+            .unwrap()
+    }
+
     /// Listing-3 nest with the buffer's innermost extent on a
     /// specialization rank (8): compiled with fusion on, its AXPY
-    /// sites record `RankSpec::R8`.
+    /// site — fused into the `k` loop's `SparseAxpy` — records
+    /// `RankSpec::R8`.
     fn specialized_tape() -> CompiledTape {
         let k = parse_kernel(
             "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
@@ -1335,10 +1465,34 @@ mod tests {
 
         let tape = specialized_tape();
         assert!(tape.specialized() > 0, "rank-8 buffer pins R8 kernels");
+        assert!(
+            tape.instrs.iter().any(|i| matches!(
+                i,
+                Instr::SparseAxpy {
+                    first: Some(_),
+                    spec: RankSpec::R8,
+                    ..
+                }
+            )),
+            "the k loop fuses with its R8 AXPY and folds X0's zero"
+        );
         let report = tape.verify().expect("specialized tape must verify");
         assert!(report.specialized > 0);
+        assert_eq!(
+            (report.sparse_axpys, report.zeros, report.zero_accums),
+            (1, 0, 1),
+            "X0's only split point folded into the fused loop"
+        );
         let text = format!("{report}");
         assert!(text.contains("rank-specialized"));
+
+        let tape = root_loop_tape();
+        let report = tape.verify().expect("root-level fused loop must verify");
+        assert_eq!(
+            (report.sparse_axpys, report.zeros, report.zero_accums),
+            (1, 1, 0),
+            "a level-0 loop keeps its Zero"
+        );
     }
 
     /// Class 9: shrink a fused superinstruction's extent — it no
@@ -1394,14 +1548,83 @@ mod tests {
             .instrs
             .iter_mut()
             .find_map(|i| match i {
-                Instr::Axpy { n, spec, .. } if spec.rank().is_some() => Some(n),
+                Instr::SparseAxpy { n, spec, .. } if spec.rank().is_some() => Some(n),
                 _ => None,
             })
-            .expect("nest records a rank-specialized AXPY");
+            .expect("nest records a rank-specialized fused AXPY loop");
         *n -= 1;
         match tape.verify() {
             Err(TapeInvariantError::SpecializationMismatch { rank: 8, .. }) => {}
             other => panic!("expected SpecializationMismatch, got {other:?}"),
+        }
+    }
+
+    /// Class 12: fold a `Zero` into a fused loop over the CSF roots —
+    /// a tile's root range can be empty, so the assigning call would
+    /// not run on that path and the buffer would keep stale values.
+    #[test]
+    fn mutation_root_level_fold_rejected() {
+        let mut tape = root_loop_tape();
+        let zero_at = tape
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Zero { .. }))
+            .expect("the root loop keeps its Zero");
+        let Instr::SparseAxpy {
+            level: 0,
+            kern,
+            first,
+            ..
+        } = &mut tape.instrs[zero_at + 1]
+        else {
+            panic!("the Zero sits right before the root-level fused loop");
+        };
+        *first = Some(*kern);
+        tape.instrs.remove(zero_at);
+        for ins in &mut tape.instrs {
+            match ins {
+                Instr::Dense { end, .. } | Instr::Sparse { end, .. } if *end > zero_at => {
+                    *end -= 1;
+                }
+                _ => {}
+            }
+        }
+        match tape.verify() {
+            Err(TapeInvariantError::ZeroAccumCoverage { covered: 0, .. }) => {}
+            other => panic!("expected ZeroAccumCoverage, got {other:?}"),
+        }
+    }
+
+    /// Class 13: shrink a folded fused loop's extent — its assigning
+    /// first call no longer covers the buffer it stands in for zeroing.
+    #[test]
+    fn mutation_partial_folded_loop_rejected() {
+        let mut tape = fused_loop_tape();
+        let Instr::SparseAxpy { n, .. } = folded_loop(&mut tape) else {
+            unreachable!()
+        };
+        *n -= 1;
+        match tape.verify() {
+            Err(TapeInvariantError::ZeroAccumCoverage { covered, len, .. }) => {
+                assert!(covered < len);
+            }
+            other => panic!("expected ZeroAccumCoverage, got {other:?}"),
+        }
+    }
+
+    /// Class 14: point a fused loop's parent at the wrong level — it
+    /// would iterate the children of a node two levels up.
+    #[test]
+    fn mutation_fused_loop_wrong_parent_rejected() {
+        let mut tape = fused_loop_tape();
+        let Instr::SparseAxpy { level, parent, .. } = folded_loop(&mut tape) else {
+            unreachable!()
+        };
+        assert_eq!(*level, 2);
+        *parent = ParentLoc::Tracked(0);
+        match tape.verify() {
+            Err(TapeInvariantError::TrackingInvariant { .. }) => {}
+            other => panic!("expected TrackingInvariant, got {other:?}"),
         }
     }
 
