@@ -65,7 +65,7 @@ OPTIONS:
                           (budgeted exact subset sweep; 'spttn net' only) [greedy]
     --budget N            pair-cost evaluation budget for --order optimal
                           [1000000]
-    --microkernels M      auto (explicit-SIMD kernels by CPU detection, fused
+    --microkernels M      auto (SIMD kernels by CPU detection, fused
                           superinstructions) | scalar (plain scalar kernels,
                           bitwise-stable baseline); covers the kernel's tape
                           and 'spttn net' dense steps alike  [auto]

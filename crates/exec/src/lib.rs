@@ -26,9 +26,9 @@
 //!   [`spttn_tensor::CsfTile`] — for benches and tests that time or
 //!   check the tape without an engine around it.
 //!
-//! The [`simd`] module supplies explicit-SIMD microkernels (AVX-512F,
-//! AVX2+FMA, NEON, scalar fallback) selected **once at bind time** and
-//! recorded in the tape as function pointers, plus the assigning and
+//! The [`simd`] module supplies the microkernel tiers (AVX-512F and
+//! AVX2+FMA on x86_64, scalar everywhere) selected **once at bind time**
+//! and recorded in the tape as function pointers, plus the assigning and
 //! rank-specialized kernel variants behind the superinstructions the
 //! tape compiler emits under [`Microkernels::Auto`] (fused `ZeroAccum`
 //! pairs and fused sparse-AXPY loops).
@@ -51,9 +51,10 @@
 //! the recovery paths stay tested.
 
 // Unsafe code in the workspace lives in [`parallel`] (pool job-slot
-// lifetime erasure) and [`simd`] (vendor SIMD intrinsics behind
-// bind-time feature detection); every unsafe operation inside an
-// unsafe fn must carry its own block.
+// lifetime erasure) and [`simd`] (calls into `#[target_feature]`
+// kernels behind bind-time feature detection, and the DOT/GEMV
+// intrinsics); every unsafe operation inside an unsafe fn must carry
+// its own block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod blas;

@@ -1,4 +1,4 @@
-//! Explicit-SIMD microkernels with bind-time selection.
+//! SIMD microkernels with bind-time selection.
 //!
 //! The compiled tape ([`crate::tape`]) removed every per-visit
 //! *decision* from the hot loops; what remains is per-element *work*
@@ -10,11 +10,18 @@
 //!
 //! ## Implementations
 //!
-//! | [`KernelSel`] | when                                              |
-//! |---------------|---------------------------------------------------|
-//! | `Scalar`      | always available — exactly [`crate::blas`]        |
-//! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime          |
-//! | `Neon`        | aarch64 (NEON is baseline for the target)         |
+//! | [`KernelSel`] | when                                                  |
+//! |---------------|-------------------------------------------------------|
+//! | `Scalar`      | always available — exactly [`crate::blas`]; the only tier on non-x86_64 targets |
+//! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime              |
+//! | `Avx512`      | x86_64 with AVX-512F (and AVX2+FMA) detected at runtime |
+//!
+//! The element-parallel kernels — AXPY, XMUL, GER, their assigning
+//! twins and their rank-specialized bodies — are written once, as plain
+//! `f64::mul_add` loops, and compiled once per x86 tier under that
+//! tier's `#[target_feature]`; the compiler picks the vector width.
+//! DOT and GEMV are hand-written AVX2 lane trees that both x86 tiers
+//! share. Each tier is one table of function pointers.
 //!
 //! Selection is *host state*, not *program shape*: two hosts binding
 //! the same plan with the same [`Microkernels`] option compile tapes
@@ -28,20 +35,33 @@
 //! {8, 16, 32}); when a kernel's trip count is statically one of those
 //! — known at bind time from the `BufferSpec` dims — the tape records a
 //! monomorphized, fully-unrolled body ([`RankSpec::R8`]/`R16`/`R32`)
-//! instead of the generic loop.
+//! instead of the generic loop. On the x86 tiers a generic
+//! element-parallel call whose runtime `n` is 8, 16 or 32 runs the same
+//! unrolled body.
 //!
 //! ## Determinism contract
 //!
 //! - Scalar kernels accumulate strictly left-to-right, exactly like
 //!   [`crate::blas`]; forcing [`Microkernels::Scalar`] reproduces the
 //!   pre-SIMD tape **bitwise**.
-//! - SIMD reductions use a *fixed lane tree*: lane-striped partial
-//!   accumulators combined in a fixed order, then a strictly sequential
-//!   scalar tail. The shape depends only on the kernel width, so
-//!   results are run-to-run bitwise stable at a fixed (thread count,
-//!   kernel selection) — but differ from strict scalar ordering by
-//!   floating-point reassociation (and FMA contraction), bounded by the
-//!   ≤1e-9 differential tolerance the test suite enforces.
+//! - Element-parallel SIMD kernels have no reduction order: a
+//!   contiguous call computes each output element with one fused
+//!   multiply-add (`y = fma(α, x, y)`, `y = fma(α, x·z, y)`,
+//!   `a = fma(α·x_i, y_j, a)`; the assigning twins one product) at
+//!   every length, tail included. Their results are therefore bitwise
+//!   the same on `Avx2Fma` and `Avx512`. Strided calls run the scalar
+//!   kernels on both tiers.
+//! - DOT and GEMV reduce through a *fixed lane tree*: lane-striped
+//!   partial accumulators combined in a fixed order, then a strictly
+//!   sequential scalar tail. The tree is 4 lanes wide on both x86
+//!   tiers, so a sum is never reordered by which tier was detected.
+//!   These stay hand-written intrinsics: a plain-Rust loop of the same
+//!   tree was bitwise equal but 3–5× slower (n = 32 on an AVX-512 Xeon:
+//!   18.7 vs 4.6 ns).
+//! - Results are run-to-run bitwise stable at a fixed (thread count,
+//!   kernel selection), and differ from strict scalar ordering only by
+//!   FMA contraction and reassociation, bounded by the ≤1e-9
+//!   differential tolerance the test suite enforces.
 //!
 //! The `SPTTN_MICROKERNELS` environment variable overrides the
 //! programmatic option at bind time: `scalar` forces the scalar path,
@@ -67,19 +87,16 @@ pub enum Microkernels {
 pub enum KernelSel {
     /// Sequential scalar kernels ([`crate::blas`] semantics).
     Scalar,
-    /// AVX2 + FMA `std::arch` intrinsics (4 × f64 lanes).
+    /// AVX2 + FMA (4 × f64 lanes).
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
-    /// AVX-512F `std::arch` intrinsics (8 × f64 lanes) for the
-    /// element-parallel kernels (AXPY/GER/XMUL families, which have no
-    /// reduction order); DOT and GEMV keep the AVX2 fixed lane tree so
-    /// reduction shapes never depend on which x86 tier was detected.
-    /// Requires AVX2+FMA as well (for those fallback kernels).
+    /// AVX-512F (8 × f64 lanes) for the element-parallel kernels
+    /// (AXPY/GER/XMUL families, which have no reduction order); DOT and
+    /// GEMV keep the AVX2 fixed lane tree so reduction shapes never
+    /// depend on which x86 tier was detected. Requires AVX2+FMA as well
+    /// (for those kernels).
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// NEON `std::arch` intrinsics (2 × f64 lanes).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 /// Bind-time rank specialization recorded on a tape instruction.
@@ -139,6 +156,51 @@ pub type XmulFn = fn(usize, f64, &[f64], usize, &[f64], usize, &mut [f64], usize
 pub type GerFn = fn(usize, usize, f64, &[f64], usize, &[f64], usize, &mut [f64], usize, usize);
 /// `y[i] += alpha * Σ_j A[i,j] * x[j]` — signature of [`blas::gemv`].
 pub type GemvFn = fn(usize, usize, f64, &[f64], usize, usize, &[f64], usize, &mut [f64], usize);
+
+/// One tier's kernels. Families with rank twins are indexed by
+/// [`RankSpec`] in declaration order (`Gen`, `R8`, `R16`, `R32`).
+struct Table {
+    name: &'static str,
+    width: usize,
+    axpy: [AxpyFn; 4],
+    zaxpy: [AxpyFn; 4],
+    dot: [DotFn; 4],
+    xmul: XmulFn,
+    zxmul: XmulFn,
+    ger: [GerFn; 4],
+    zger: GerFn,
+    gemv: [GemvFn; 4],
+}
+
+/// The scalar tier: [`blas`] for the generic bodies (and for DOT/GEMV
+/// at every rank), unrolled scalar twins for the fixed ranks.
+static SCALAR: Table = Table {
+    name: "scalar",
+    width: 1,
+    axpy: [
+        blas::axpy,
+        scalar_fixed::axpy::<8>,
+        scalar_fixed::axpy::<16>,
+        scalar_fixed::axpy::<32>,
+    ],
+    zaxpy: [
+        scalar_zero::zaxpy,
+        scalar_fixed::zaxpy::<8>,
+        scalar_fixed::zaxpy::<16>,
+        scalar_fixed::zaxpy::<32>,
+    ],
+    dot: [blas::dot; 4],
+    xmul: blas::xmul,
+    zxmul: scalar_zero::zxmul,
+    ger: [
+        blas::ger,
+        scalar_fixed::ger::<8>,
+        scalar_fixed::ger::<16>,
+        scalar_fixed::ger::<32>,
+    ],
+    zger: scalar_zero::zger,
+    gemv: [blas::gemv; 4],
+};
 
 /// A bind-time kernel selection: which implementation family to draw
 /// function pointers from, and whether the tape compiler may emit
@@ -202,204 +264,64 @@ impl KernelSet {
 
     /// Human-readable name of the selection (bench/CLI reporting).
     pub fn name(&self) -> &'static str {
-        match self.sel {
-            KernelSel::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => "avx2+fma",
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => "avx512f",
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => "neon",
-        }
+        self.table().name
     }
 
     /// f64 lanes per vector register for the selection (1 for scalar;
     /// the widest register the selection uses — AVX-512 reductions
     /// still run 4-wide, see [`KernelSel::Avx512`]).
     pub fn width(&self) -> usize {
-        match self.sel {
-            KernelSel::Scalar => 1,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => 4,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => 8,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => 2,
-        }
+        self.table().width
     }
 
     /// AXPY kernel for trip count `n`; `contig` means both increments
     /// are 1, `hint` pins the trip count for rank specialization.
     pub fn axpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
         let spec = self.spec(n, contig, hint);
-        let kern: AxpyFn = match (self.sel, spec) {
-            (KernelSel::Scalar, RankSpec::Gen) => blas::axpy,
-            (KernelSel::Scalar, RankSpec::R8) => scalar_fixed::axpy::<8>,
-            (KernelSel::Scalar, RankSpec::R16) => scalar_fixed::axpy::<16>,
-            (KernelSel::Scalar, RankSpec::R32) => scalar_fixed::axpy::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::Gen) => x86::axpy,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R8) => x86::axpy_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R16) => x86::axpy_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R32) => x86::axpy_fixed::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::Gen) => x86_512::axpy,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R8) => x86_512::axpy_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R16) => x86_512::axpy_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R32) => x86_512::axpy_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::axpy,
-        };
-        (kern, spec)
+        (self.table().axpy[spec as usize], spec)
     }
 
     /// Assigning AXPY (`y = alpha * x`) for `ZeroAccum` fusion. Never
     /// skips the write — `alpha == 0` must still zero the target.
     pub fn zaxpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
         let spec = self.spec(n, contig, hint);
-        let kern: AxpyFn = match (self.sel, spec) {
-            (KernelSel::Scalar, RankSpec::Gen) => scalar_zero::zaxpy,
-            (KernelSel::Scalar, RankSpec::R8) => scalar_fixed::zaxpy::<8>,
-            (KernelSel::Scalar, RankSpec::R16) => scalar_fixed::zaxpy::<16>,
-            (KernelSel::Scalar, RankSpec::R32) => scalar_fixed::zaxpy::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::Gen) => x86::zaxpy,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R8) => x86::zaxpy_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R16) => x86::zaxpy_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R32) => x86::zaxpy_fixed::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::Gen) => x86_512::zaxpy,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R8) => x86_512::zaxpy_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R16) => x86_512::zaxpy_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R32) => x86_512::zaxpy_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::zaxpy,
-        };
-        (kern, spec)
+        (self.table().zaxpy[spec as usize], spec)
     }
 
     /// DOT kernel for trip count `n` (`contig`: both increments 1).
     pub fn dot(&self, n: usize, contig: bool) -> (DotFn, RankSpec) {
         let spec = self.spec(n, contig, Some(n));
-        let kern: DotFn = match (self.sel, spec) {
-            (KernelSel::Scalar, _) => blas::dot,
-            // AVX-512 keeps the 4-wide fixed lane tree for reductions.
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::Gen) => x86::dot,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R8) => x86::dot_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R16) => x86::dot_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::dot_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::dot,
-        };
-        (kern, spec)
+        (self.table().dot[spec as usize], spec)
     }
 
     /// XMUL (elementwise ternary) kernel. No rank-specialized variants:
     /// the generic body is already a single fused multiply pass.
     pub fn xmul(&self) -> XmulFn {
-        match self.sel {
-            KernelSel::Scalar => blas::xmul,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => x86::xmul,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => x86_512::xmul,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::xmul,
-        }
+        self.table().xmul
     }
 
     /// Assigning XMUL (`y = alpha * x ∘ z`) for `ZeroAccum` fusion.
     pub fn zxmul(&self) -> XmulFn {
-        match self.sel {
-            KernelSel::Scalar => scalar_zero::zxmul,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => x86::zxmul,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => x86_512::zxmul,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::zxmul,
-        }
+        self.table().zxmul
     }
 
     /// GER (rank-1 update) kernel; `n` is the row length, `contig`
     /// means unit column stride and unit `y` increment.
     pub fn ger(&self, n: usize, contig: bool, hint: Option<usize>) -> (GerFn, RankSpec) {
         let spec = self.spec(n, contig, hint);
-        let kern: GerFn = match (self.sel, spec) {
-            (KernelSel::Scalar, RankSpec::Gen) => blas::ger,
-            (KernelSel::Scalar, RankSpec::R8) => scalar_fixed::ger::<8>,
-            (KernelSel::Scalar, RankSpec::R16) => scalar_fixed::ger::<16>,
-            (KernelSel::Scalar, RankSpec::R32) => scalar_fixed::ger::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::Gen) => x86::ger,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R8) => x86::ger_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R16) => x86::ger_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma, RankSpec::R32) => x86::ger_fixed::<32>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::Gen) => x86_512::ger,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R8) => x86_512::ger_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R16) => x86_512::ger_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx512, RankSpec::R32) => x86_512::ger_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::ger,
-        };
-        (kern, spec)
+        (self.table().ger[spec as usize], spec)
     }
 
     /// Assigning GER (`A = alpha * x ⊗ y`) for `ZeroAccum` fusion.
     pub fn zger(&self) -> GerFn {
-        match self.sel {
-            KernelSel::Scalar => scalar_zero::zger,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => x86::zger,
-            #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => x86_512::zger,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::zger,
-        }
+        self.table().zger
     }
 
     /// GEMV kernel; `n` is the row length, `contig` means unit column
     /// stride and unit `x` increment.
     pub fn gemv(&self, n: usize, contig: bool) -> (GemvFn, RankSpec) {
         let spec = self.spec(n, contig, Some(n));
-        let kern: GemvFn = match (self.sel, spec) {
-            (KernelSel::Scalar, _) => blas::gemv,
-            // AVX-512 keeps the 4-wide fixed lane tree for reductions.
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::Gen) => x86::gemv,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R8) => x86::gemv_fixed::<8>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R16) => x86::gemv_fixed::<16>,
-            #[cfg(target_arch = "x86_64")]
-            (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::gemv_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::gemv,
-        };
-        (kern, spec)
+        (self.table().gemv[spec as usize], spec)
     }
 
     fn spec(&self, n: usize, contig: bool, hint: Option<usize>) -> RankSpec {
@@ -409,33 +331,42 @@ impl KernelSet {
             RankSpec::Gen
         }
     }
+
+    fn table(&self) -> &'static Table {
+        match self.sel {
+            KernelSel::Scalar => &SCALAR,
+            #[cfg(target_arch = "x86_64")]
+            KernelSel::Avx2Fma => &avx2::TABLE,
+            #[cfg(target_arch = "x86_64")]
+            KernelSel::Avx512 => &avx512::TABLE,
+        }
+    }
 }
 
-/// Pick the best implementation the host supports. Under Miri the
-/// vendor intrinsics are unsupported, so everything falls back to
-/// scalar (program shape — fusion, specialization — is unaffected).
+/// Whether this host can run `sel`'s kernels. Under Miri the vendor
+/// intrinsics are unsupported, so only the scalar tier qualifies.
+#[cfg(target_arch = "x86_64")]
+fn host_supports(sel: KernelSel) -> bool {
+    use std::arch::is_x86_feature_detected as has;
+    let avx2 = !cfg!(miri) && has!("avx2") && has!("fma");
+    match sel {
+        KernelSel::Scalar => true,
+        KernelSel::Avx2Fma => avx2,
+        KernelSel::Avx512 => avx2 && has!("avx512f"),
+    }
+}
+
+/// Pick the best implementation the host supports (program shape —
+/// fusion, specialization — does not depend on it). Targets other than
+/// x86_64 run the scalar tier.
 fn detect() -> KernelSel {
-    #[cfg(miri)]
-    {
-        return KernelSel::Scalar;
-    }
-    #[cfg(not(miri))]
-    {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return KernelSel::Avx512;
-            }
-            return KernelSel::Avx2Fma;
+    #[cfg(target_arch = "x86_64")]
+    for sel in [KernelSel::Avx512, KernelSel::Avx2Fma] {
+        if host_supports(sel) {
+            return sel;
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return KernelSel::Neon;
-        }
-        #[allow(unreachable_code)]
-        KernelSel::Scalar
     }
+    KernelSel::Scalar
 }
 
 /// Comma-separated CPU features relevant to kernel selection that the
@@ -469,7 +400,8 @@ pub fn detected_cpu_features() -> String {
 }
 
 /// Scalar assigning twins used by `ZeroAccum` superinstructions when
-/// the scalar implementation family is selected (old hosts, Miri).
+/// the scalar implementation family is selected (old hosts, non-x86_64
+/// targets, Miri) and by the x86 tiers for strided calls.
 /// Unlike [`blas::axpy`]/[`blas::ger`] these must **not** early-return
 /// on `alpha == 0`: the fused instruction owns the Eq.-5 zero point,
 /// so the target must be overwritten unconditionally.
@@ -625,88 +557,26 @@ mod scalar_fixed {
     }
 }
 
-/// AVX2+FMA kernels (x86_64). Every body is a safe
-/// `#[target_feature]` function over length-checked slices with a
-/// single internal `unsafe` block for the vendor intrinsics; the
-/// wrappers are the only call sites and each carries the SAFETY
-/// argument for why the required CPU features are present.
+/// DOT and GEMV for both x86 tiers (AVX2+FMA): hand-written lane trees,
+/// because the tree *is* the reduction order the determinism contract
+/// fixes. Every body is a safe `#[target_feature]` function over
+/// length-checked slices with a single internal `unsafe` block for the
+/// vendor intrinsics; the wrappers are the only call sites and each
+/// carries the SAFETY argument for why the required CPU features are
+/// present.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::blas;
+    use super::{blas, DotFn, GemvFn};
     use core::arch::x86_64::{
         _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm_add_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        _mm256_loadu_pd, _mm256_setzero_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
-    /// `y[..len] += alpha * x[..len]`, 4 lanes, 4× unrolled.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn axpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: every load/store below addresses `x[i..i+4]` or
-        // `y[i..i+4]` with `i + 4 <= n` (the scalar tail stays `< n`),
-        // inside the slices whose lengths were checked above.
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i + 16 <= n {
-                let y0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-                let y1 = _mm256_fmadd_pd(
-                    a,
-                    _mm256_loadu_pd(xp.add(i + 4)),
-                    _mm256_loadu_pd(yp.add(i + 4)),
-                );
-                let y2 = _mm256_fmadd_pd(
-                    a,
-                    _mm256_loadu_pd(xp.add(i + 8)),
-                    _mm256_loadu_pd(yp.add(i + 8)),
-                );
-                let y3 = _mm256_fmadd_pd(
-                    a,
-                    _mm256_loadu_pd(xp.add(i + 12)),
-                    _mm256_loadu_pd(yp.add(i + 12)),
-                );
-                _mm256_storeu_pd(yp.add(i), y0);
-                _mm256_storeu_pd(yp.add(i + 4), y1);
-                _mm256_storeu_pd(yp.add(i + 8), y2);
-                _mm256_storeu_pd(yp.add(i + 12), y3);
-                i += 16;
-            }
-            while i + 4 <= n {
-                let yv = _mm256_fmadd_pd(a, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-                _mm256_storeu_pd(yp.add(i), yv);
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len]` (assigning twin of [`axpy_body`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn zaxpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: all accesses stay in `x[..n]` / `y[..n]` as in
-        // `axpy_body` (vector steps gated by `i + 4 <= n`, tail `< n`).
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i + 4 <= n {
-                _mm256_storeu_pd(yp.add(i), _mm256_mul_pd(a, _mm256_loadu_pd(xp.add(i))));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
+    /// DOT by [`super::RankSpec`]: generic, then the fixed ranks.
+    pub(super) const DOT: [DotFn; 4] = [dot, dot_fixed::<8>, dot_fixed::<16>, dot_fixed::<32>];
+    /// GEMV by [`super::RankSpec`]: generic, then the fixed ranks.
+    pub(super) const GEMV: [GemvFn; 4] =
+        [gemv, gemv_fixed::<8>, gemv_fixed::<16>, gemv_fixed::<32>];
 
     /// Lane-striped dot product with the fixed reduction tree
     /// `(acc0 + acc1) → (low128 + high128) → (lane0 + lane1)` followed
@@ -753,96 +623,10 @@ mod x86 {
         }
     }
 
-    /// `y[..len] += alpha * x[..len] ∘ z[..len]`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn xmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: vector accesses gated by `i + 4 <= n`, scalar tail by
-        // `i < n`; all inside the three length-checked slices.
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i + 4 <= n {
-                let t = _mm256_mul_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(zp.add(i)));
-                _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(a, t, _mm256_loadu_pd(yp.add(i))));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len] ∘ z[..len]` (assigning twin).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn zxmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `xmul_body`.
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i + 4 <= n {
-                let t = _mm256_mul_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(zp.add(i)));
-                _mm256_storeu_pd(yp.add(i), _mm256_mul_pd(a, t));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Whole-matrix GER row loop inside one `#[target_feature]`
-    /// region: the per-row AXPY bodies inline here (same feature set,
-    /// so the calls are safe and inlinable), which lets LLVM keep the
-    /// invariant `y` vector in registers across rows instead of
-    /// reloading it past an opaque call boundary per row.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn ger_rows_body(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        let yv = &y[..n];
-        for i in 0..m {
-            axpy_body(alpha * x[i * incx], yv, &mut a[i * rs..i * rs + n]);
-        }
-    }
-
-    /// Assigning twin of [`ger_rows_body`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn zger_rows_body(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        let yv = &y[..n];
-        for i in 0..m {
-            zaxpy_body(alpha * x[i * incx], yv, &mut a[i * rs..i * rs + n]);
-        }
-    }
-
     /// Whole-matrix GEMV row loop inside one `#[target_feature]`
-    /// region (same rationale as [`ger_rows_body`]: the shared `x`
-    /// vector stays resident across the inlined per-row DOTs).
+    /// region: the per-row DOT bodies inline here, so the shared `x`
+    /// vector stays resident across rows instead of being reloaded past
+    /// an opaque call boundary per row.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     fn gemv_rows_body(
@@ -861,132 +645,14 @@ mod x86 {
         }
     }
 
-    /// [`blas::axpy`]-shaped wrapper: vectorize the contiguous case,
-    /// delegate strided calls to the scalar kernel.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy: even NaN inputs leave y alone
-        }
-        if incx == 1 && incy == 1 {
-            // SAFETY: this function is only installed in a tape by a
-            // `KernelSet` whose `detect()` observed AVX2 and FMA via
-            // `is_x86_feature_detected!` on this host at bind time.
-            unsafe { axpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// Assigning AXPY wrapper (never skips the write).
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
-            unsafe { zaxpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
     /// [`blas::dot`]-shaped wrapper.
     pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
         if incx == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
+            // SAFETY: reachable only via a `KernelSet` whose `detect()`
+            // observed AVX2+FMA on this host at bind time.
             unsafe { dot_body(&x[..n], &y[..n]) }
         } else {
             blas::dot(n, x, incx, y, incy)
-        }
-    }
-
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
-            unsafe { xmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
-            unsafe { zxmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// [`blas::ger`]-shaped wrapper: each row is one vector AXPY.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
-            unsafe { ger_rows_body(m, n, alpha, x, incx, a, rs, y) }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// Assigning GER wrapper: each row is one assigning vector AXPY.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
-            unsafe { zger_rows_body(m, n, alpha, x, incx, a, rs, y) }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
         }
     }
 
@@ -1006,47 +672,10 @@ mod x86 {
     ) {
         if cs == 1 && incx == 1 {
             // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `axpy` above).
+            // AVX2+FMA at bind time (see `dot` above).
             unsafe { gemv_rows_body(m, n, alpha, a, rs, x, y, incy) }
         } else {
             blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
-        }
-    }
-
-    /// Rank-specialized AXPY: contiguous, trip count statically `N`.
-    /// The monomorphized body lets LLVM fully unroll `N/4` vector ops.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn axpy_fixed_body<const N: usize>(alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert!(N.is_multiple_of(4) && x.len() == N && y.len() == N);
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: `N` is a multiple of 4 and both slices have exactly
-        // `N` elements (wrapper slices to `..N`); every access is
-        // `[i, i+4)` with `i + 4 <= N`.
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i < N {
-                let yv = _mm256_fmadd_pd(a, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-                _mm256_storeu_pd(yp.add(i), yv);
-                i += 4;
-            }
-        }
-    }
-
-    /// Rank-specialized assigning AXPY body.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn zaxpy_fixed_body<const N: usize>(alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert!(N.is_multiple_of(4) && x.len() == N && y.len() == N);
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: as in `axpy_fixed_body` — `N % 4 == 0`, slices of
-        // exactly `N`, accesses `[i, i+4)` with `i + 4 <= N`.
-        unsafe {
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i < N {
-                _mm256_storeu_pd(yp.add(i), _mm256_mul_pd(a, _mm256_loadu_pd(xp.add(i))));
-                i += 4;
-            }
         }
     }
 
@@ -1081,45 +710,6 @@ mod x86 {
         }
     }
 
-    /// Rank-specialized whole-matrix GER: `y` is hoisted into at most
-    /// eight ymm registers once, then every row is `N/4` fully
-    /// unrolled FMAs against the resident vector. This is the hot
-    /// kernel of rank-specialized TTMc.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn ger_rows_fixed_body<const N: usize>(
-        m: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        debug_assert!(N.is_multiple_of(4) && N <= 32);
-        if m == 0 {
-            return;
-        }
-        assert!(y.len() >= N && x.len() > (m - 1) * incx && a.len() >= (m - 1) * rs + N);
-        let (xp, yp, ap) = (x.as_ptr(), y.as_ptr(), a.as_mut_ptr());
-        // SAFETY: the asserts above bound every access — `y` loads read
-        // `[4k, 4k+4) ⊆ [0, N)`, `x` reads `i * incx ≤ (m-1) * incx`,
-        // and row accesses touch `[i*rs, i*rs + N) ⊆ [0, (m-1)*rs + N)`.
-        unsafe {
-            let mut yv = [_mm256_setzero_pd(); 8];
-            for (k, lane) in yv.iter_mut().enumerate().take(N / 4) {
-                *lane = _mm256_loadu_pd(yp.add(4 * k));
-            }
-            for i in 0..m {
-                let xi = _mm256_set1_pd(alpha * *xp.add(i * incx));
-                let row = ap.add(i * rs);
-                for (k, lane) in yv.iter().enumerate().take(N / 4) {
-                    let acc = _mm256_fmadd_pd(xi, *lane, _mm256_loadu_pd(row.add(4 * k)));
-                    _mm256_storeu_pd(row.add(4 * k), acc);
-                }
-            }
-        }
-    }
-
     /// Rank-specialized whole-matrix GEMV: `x` hoisted into registers
     /// once; each row reduces through the same fixed lane tree as
     /// [`dot_fixed_body`] (acc0 takes offsets `0, 8, …`, acc1 takes
@@ -1141,8 +731,10 @@ mod x86 {
         }
         assert!(x.len() >= N && y.len() > (m - 1) * incy && a.len() >= (m - 1) * rs + N);
         let (xp, ap, yp) = (x.as_ptr(), a.as_ptr(), y.as_mut_ptr());
-        // SAFETY: bounded by the asserts above exactly as in
-        // `ger_rows_fixed_body`; `y` writes touch `i * incy` only.
+        // SAFETY: the asserts above bound every access — `x` loads read
+        // `[4k, 4k+4) ⊆ [0, N)`, row loads touch
+        // `[i*rs, i*rs + N) ⊆ [0, (m-1)*rs + N)`, and `y` writes touch
+        // `i * incy ≤ (m-1) * incy` only.
         unsafe {
             let mut xv = [_mm256_setzero_pd(); 8];
             for (k, lane) in xv.iter_mut().enumerate().take(N / 4) {
@@ -1168,45 +760,6 @@ mod x86 {
         }
     }
 
-    /// Rank-specialized AXPY wrapper (`n == N`, unit strides enforced).
-    pub(super) fn axpy_fixed<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized axpy misuse"
-        );
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `axpy` above).
-        unsafe { axpy_fixed_body::<N>(alpha, &x[..N], &mut y[..N]) }
-    }
-
-    /// Rank-specialized assigning AXPY wrapper.
-    pub(super) fn zaxpy_fixed<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized zaxpy misuse"
-        );
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `axpy` above).
-        unsafe { zaxpy_fixed_body::<N>(alpha, &x[..N], &mut y[..N]) }
-    }
-
     /// Rank-specialized DOT wrapper.
     pub(super) fn dot_fixed<const N: usize>(
         n: usize,
@@ -1220,34 +773,8 @@ mod x86 {
             "rank-specialized dot misuse"
         );
         // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `axpy` above).
+        // AVX2+FMA at bind time (see `dot` above).
         unsafe { dot_fixed_body::<N>(&x[..N], &y[..N]) }
-    }
-
-    /// Rank-specialized GER wrapper: row length statically `N`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger_fixed<const N: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        assert!(
-            n == N && cs == 1 && incy == 1,
-            "rank-specialized ger misuse"
-        );
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `axpy` above).
-        unsafe { ger_rows_fixed_body::<N>(m, alpha, x, incx, a, rs, y) }
     }
 
     /// Rank-specialized GEMV wrapper: row length statically `N`.
@@ -1269,675 +796,239 @@ mod x86 {
             "rank-specialized gemv misuse"
         );
         // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `axpy` above).
+        // AVX2+FMA at bind time (see `dot` above).
         unsafe { gemv_rows_fixed_body::<N>(m, alpha, a, rs, x, y, incy) }
     }
 }
 
-/// AVX-512F kernels (x86_64, 8 × f64 lanes) for the element-parallel
-/// families only: AXPY, GER, and XMUL assign each output element from
-/// exactly one FMA, so widening the vector changes no reduction order
-/// and the results stay bitwise independent of the detected x86 tier.
-/// DOT and GEMV are *not* duplicated here — [`KernelSet`] routes them
-/// to the AVX2 bodies so the fixed 4-lane reduction tree is the same
-/// on every x86 host.
+/// Panic unless a rank-specialized body (`N > 0`) is called at its
+/// pinned trip count with unit strides; `N == 0` is the generic body.
 #[cfg(target_arch = "x86_64")]
-mod x86_512 {
-    use super::blas;
-    use core::arch::x86_64::{
-        _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
-        _mm512_storeu_pd,
+#[inline]
+fn check_rank<const N: usize>(n: usize, contig: bool, kernel: &str) {
+    assert!(
+        N == 0 || (n == N && contig),
+        "rank-specialized {kernel} misuse"
+    );
+}
+
+/// `$body::<R, $assign>(args)` with `R` the fixed rank `n` equals (8,
+/// 16 or 32), else 0: a generic call at a common rank runs the unrolled
+/// body instead of the vectorizer's wide loop, whose short-length
+/// remainder would run a 16-long call at a quarter of the width.
+#[cfg(target_arch = "x86_64")]
+macro_rules! at_rank {
+    ($n:expr, $body:ident::<$assign:ident>($($arg:expr),*)) => {
+        match $n {
+            8 => $body::<8, $assign>($($arg),*),
+            16 => $body::<16, $assign>($($arg),*),
+            32 => $body::<32, $assign>($($arg),*),
+            _ => $body::<0, $assign>($($arg),*),
+        }
     };
+}
 
-    /// `y[..len] += alpha * x[..len]`, 8 lanes per step, 16-wide
-    /// unrolled main loop, strictly sequential scalar tail.
-    #[target_feature(enable = "avx512f")]
-    fn axpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: vector accesses read/write `[i, i+8)` only while
-        // `i + 8 <= n` (16-wide steps check `i + 16 <= n`); the scalar
-        // tail indexes `< n`. All within the length-checked slices.
-        unsafe {
-            let a = _mm512_set1_pd(alpha);
-            let mut i = 0;
-            while i + 16 <= n {
-                let y0 = _mm512_fmadd_pd(a, _mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(yp.add(i)));
-                let y1 = _mm512_fmadd_pd(
-                    a,
-                    _mm512_loadu_pd(xp.add(i + 8)),
-                    _mm512_loadu_pd(yp.add(i + 8)),
-                );
-                _mm512_storeu_pd(yp.add(i), y0);
-                _mm512_storeu_pd(yp.add(i + 8), y1);
-                i += 16;
-            }
-            if i + 8 <= n {
-                let yv = _mm512_fmadd_pd(a, _mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(yp.add(i)));
-                _mm512_storeu_pd(yp.add(i), yv);
-                i += 8;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
+/// The element-parallel kernels of one x86 tier, written once as plain
+/// `f64::mul_add` loops and compiled under the tier's
+/// `#[target_feature]` so the compiler vectorizes them at its width.
+///
+/// Every body takes `const N` (0: runtime trip count, else the rank,
+/// which lets the compiler unroll fully; every call at n = 8, 16 or 32
+/// runs that body, see `at_rank!`) and `const ASSIGN` (overwrite
+/// instead of accumulate: the `ZeroAccum` twins). The
+/// entry points keep the [`blas`] contract — accumulating kernels
+/// early-return on `alpha == 0`, assigning ones never skip the write —
+/// and hand strided calls to the scalar kernels.
+macro_rules! element_parallel_tier {
+    ($tier:ident, $features:literal, $name:literal, $width:literal) => {
+        #[cfg(target_arch = "x86_64")]
+        mod $tier {
+            use super::{blas, check_rank, scalar_zero, x86, Table};
 
-    /// `y[..len] = alpha * x[..len]` (assigning twin of [`axpy_body`]).
-    #[target_feature(enable = "avx512f")]
-    fn zaxpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: accesses bounded exactly as in `axpy_body`.
-        unsafe {
-            let a = _mm512_set1_pd(alpha);
-            let mut i = 0;
-            while i + 8 <= n {
-                _mm512_storeu_pd(yp.add(i), _mm512_mul_pd(a, _mm512_loadu_pd(xp.add(i))));
-                i += 8;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Whole-matrix GER row loop (see `x86::ger_rows_body` for the
-    /// rationale: one `#[target_feature]` region keeps `y` resident).
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    fn ger_rows_body(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        let yv = &y[..n];
-        for i in 0..m {
-            axpy_body(alpha * x[i * incx], yv, &mut a[i * rs..i * rs + n]);
-        }
-    }
-
-    /// Assigning twin of [`ger_rows_body`].
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    fn zger_rows_body(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        let yv = &y[..n];
-        for i in 0..m {
-            zaxpy_body(alpha * x[i * incx], yv, &mut a[i * rs..i * rs + n]);
-        }
-    }
-
-    /// `y[..len] += alpha * x[..len] ∘ z[..len]`.
-    #[target_feature(enable = "avx512f")]
-    fn xmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: vector accesses gated by `i + 8 <= n`, scalar tail by
-        // `i < n`; all inside the three length-checked slices.
-        unsafe {
-            let a = _mm512_set1_pd(alpha);
-            let mut i = 0;
-            while i + 8 <= n {
-                let t = _mm512_mul_pd(_mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(zp.add(i)));
-                _mm512_storeu_pd(yp.add(i), _mm512_fmadd_pd(a, t, _mm512_loadu_pd(yp.add(i))));
-                i += 8;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len] ∘ z[..len]` (assigning twin).
-    #[target_feature(enable = "avx512f")]
-    fn zxmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `xmul_body`.
-        unsafe {
-            let a = _mm512_set1_pd(alpha);
-            let mut i = 0;
-            while i + 8 <= n {
-                let t = _mm512_mul_pd(_mm512_loadu_pd(xp.add(i)), _mm512_loadu_pd(zp.add(i)));
-                _mm512_storeu_pd(yp.add(i), _mm512_mul_pd(a, t));
-                i += 8;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Rank-specialized whole-matrix GER: `y` hoisted into at most
-    /// four zmm registers once, each row is `N/8` fully unrolled FMAs.
-    #[target_feature(enable = "avx512f")]
-    fn ger_rows_fixed_body<const N: usize>(
-        m: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        a: &mut [f64],
-        rs: usize,
-        y: &[f64],
-    ) {
-        debug_assert!(N.is_multiple_of(8) && N <= 32);
-        if m == 0 {
-            return;
-        }
-        assert!(y.len() >= N && x.len() > (m - 1) * incx && a.len() >= (m - 1) * rs + N);
-        let (xp, yp, ap) = (x.as_ptr(), y.as_ptr(), a.as_mut_ptr());
-        // SAFETY: the asserts above bound every access — `y` loads read
-        // `[8k, 8k+8) ⊆ [0, N)`, `x` reads `i * incx ≤ (m-1) * incx`,
-        // and row accesses touch `[i*rs, i*rs + N) ⊆ [0, (m-1)*rs + N)`.
-        unsafe {
-            let mut yv = [_mm512_setzero_pd(); 4];
-            for (k, lane) in yv.iter_mut().enumerate().take(N / 8) {
-                *lane = _mm512_loadu_pd(yp.add(8 * k));
-            }
-            for i in 0..m {
-                let xi = _mm512_set1_pd(alpha * *xp.add(i * incx));
-                let row = ap.add(i * rs);
-                for (k, lane) in yv.iter().enumerate().take(N / 8) {
-                    let acc = _mm512_fmadd_pd(xi, *lane, _mm512_loadu_pd(row.add(8 * k)));
-                    _mm512_storeu_pd(row.add(8 * k), acc);
+            /// `y[..n] (+)= alpha * x[..n]`.
+            #[target_feature(enable = $features)]
+            fn axpy_body<const N: usize, const ASSIGN: bool>(
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                y: &mut [f64],
+            ) {
+                let n = if N == 0 { n } else { N };
+                for (yi, &xi) in y[..n].iter_mut().zip(&x[..n]) {
+                    *yi = if ASSIGN {
+                        alpha * xi
+                    } else {
+                        alpha.mul_add(xi, *yi)
+                    };
                 }
             }
-        }
-    }
 
-    /// [`blas::axpy`]-shaped wrapper: vectorize the contiguous case,
-    /// delegate strided calls to the scalar kernel.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy: even NaN inputs leave y alone
-        }
-        if incx == 1 && incy == 1 {
-            // SAFETY: this function is only installed in a tape by a
-            // `KernelSet` whose `detect()` observed AVX-512F via
-            // `is_x86_feature_detected!` on this host at bind time.
-            unsafe { axpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
+            /// `y[..n] (+)= alpha * (x[..n] ∘ z[..n])`.
+            #[target_feature(enable = $features)]
+            fn xmul_body<const N: usize, const ASSIGN: bool>(
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                z: &[f64],
+                y: &mut [f64],
+            ) {
+                let n = if N == 0 { n } else { N };
+                for ((yi, &xi), &zi) in y[..n].iter_mut().zip(&x[..n]).zip(&z[..n]) {
+                    let t = xi * zi;
+                    *yi = if ASSIGN {
+                        alpha * t
+                    } else {
+                        alpha.mul_add(t, *yi)
+                    };
+                }
+            }
 
-    /// Assigning AXPY wrapper (never skips the write).
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX-512F at bind time (see `axpy` above).
-            unsafe { zaxpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
+            /// Rows `a[i*rs..][..n] (+)= (alpha * x[i*incx]) * y[..n]`.
+            /// One up-front bound covers every row; a fixed-rank `y` is
+            /// copied into a local array so it stays in registers
+            /// across rows.
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            fn ger_body<const N: usize, const ASSIGN: bool>(
+                m: usize,
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                incx: usize,
+                y: &[f64],
+                a: &mut [f64],
+                rs: usize,
+            ) {
+                let n = if N == 0 { n } else { N };
+                if m == 0 {
+                    return;
+                }
+                assert!(x.len() > (m - 1) * incx && a.len() >= (m - 1) * rs + n);
+                let mut fixed = [0.0; N];
+                fixed.copy_from_slice(&y[..N]);
+                let y = if N == 0 { &y[..n] } else { &fixed[..] };
+                for i in 0..m {
+                    let xi = alpha * x[i * incx];
+                    for (aij, &yj) in a[i * rs..i * rs + n].iter_mut().zip(y) {
+                        *aij = if ASSIGN {
+                            xi * yj
+                        } else {
+                            xi.mul_add(yj, *aij)
+                        };
+                    }
+                }
+            }
 
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX-512F at bind time (see `axpy` above).
-            unsafe { xmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
+            fn axpy<const N: usize, const ASSIGN: bool>(
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                incx: usize,
+                y: &mut [f64],
+                incy: usize,
+            ) {
+                let contig = incx == 1 && incy == 1;
+                check_rank::<N>(n, contig, "axpy");
+                if !ASSIGN && alpha == 0.0 {
+                    return; // match blas::axpy: even NaN inputs leave y alone
+                }
+                if !contig {
+                    return if ASSIGN {
+                        scalar_zero::zaxpy(n, alpha, x, incx, y, incy)
+                    } else {
+                        blas::axpy(n, alpha, x, incx, y, incy)
+                    };
+                }
+                // SAFETY: this tier's table is only reachable through a
+                // `KernelSet` whose `detect()` observed the tier's CPU
+                // features on this host at bind time.
+                unsafe { at_rank!(n, axpy_body::<ASSIGN>(n, alpha, x, y)) }
+            }
 
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX-512F at bind time (see `axpy` above).
-            unsafe { zxmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
+            #[allow(clippy::too_many_arguments)]
+            fn xmul<const ASSIGN: bool>(
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                incx: usize,
+                z: &[f64],
+                incz: usize,
+                y: &mut [f64],
+                incy: usize,
+            ) {
+                if incx != 1 || incz != 1 || incy != 1 {
+                    return if ASSIGN {
+                        scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy)
+                    } else {
+                        blas::xmul(n, alpha, x, incx, z, incz, y, incy)
+                    };
+                }
+                // SAFETY: as in `axpy` — detected at bind time.
+                unsafe { at_rank!(n, xmul_body::<ASSIGN>(n, alpha, x, z, y)) }
+            }
 
-    /// [`blas::ger`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX-512F at bind time (see `axpy` above).
-            unsafe { ger_rows_body(m, n, alpha, x, incx, a, rs, y) }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
+            #[allow(clippy::too_many_arguments)]
+            fn ger<const N: usize, const ASSIGN: bool>(
+                m: usize,
+                n: usize,
+                alpha: f64,
+                x: &[f64],
+                incx: usize,
+                y: &[f64],
+                incy: usize,
+                a: &mut [f64],
+                rs: usize,
+                cs: usize,
+            ) {
+                let contig = cs == 1 && incy == 1;
+                check_rank::<N>(n, contig, "ger");
+                if !ASSIGN && alpha == 0.0 {
+                    return; // match blas::ger
+                }
+                if !contig {
+                    return if ASSIGN {
+                        scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs)
+                    } else {
+                        blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs)
+                    };
+                }
+                // SAFETY: as in `axpy` — detected at bind time.
+                unsafe { at_rank!(n, ger_body::<ASSIGN>(m, n, alpha, x, incx, y, a, rs)) }
+            }
 
-    /// Assigning GER wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX-512F at bind time (see `axpy` above).
-            unsafe { zger_rows_body(m, n, alpha, x, incx, a, rs, y) }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
+            pub(super) static TABLE: Table = Table {
+                name: $name,
+                width: $width,
+                axpy: [
+                    axpy::<0, false>,
+                    axpy::<8, false>,
+                    axpy::<16, false>,
+                    axpy::<32, false>,
+                ],
+                zaxpy: [
+                    axpy::<0, true>,
+                    axpy::<8, true>,
+                    axpy::<16, true>,
+                    axpy::<32, true>,
+                ],
+                dot: x86::DOT,
+                xmul: xmul::<false>,
+                zxmul: xmul::<true>,
+                ger: [
+                    ger::<0, false>,
+                    ger::<8, false>,
+                    ger::<16, false>,
+                    ger::<32, false>,
+                ],
+                zger: ger::<0, true>,
+                gemv: x86::GEMV,
+            };
         }
-    }
-
-    /// Rank-specialized AXPY wrapper (`n == N`, unit strides enforced).
-    pub(super) fn axpy_fixed<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized axpy misuse"
-        );
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX-512F at bind time (see `axpy` above).
-        unsafe { axpy_body(alpha, &x[..N], &mut y[..N]) }
-    }
-
-    /// Rank-specialized assigning AXPY wrapper.
-    pub(super) fn zaxpy_fixed<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized zaxpy misuse"
-        );
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX-512F at bind time (see `axpy` above).
-        unsafe { zaxpy_body(alpha, &x[..N], &mut y[..N]) }
-    }
-
-    /// Rank-specialized GER wrapper: row length statically `N`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger_fixed<const N: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        assert!(
-            n == N && cs == 1 && incy == 1,
-            "rank-specialized ger misuse"
-        );
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX-512F at bind time (see `axpy` above).
-        unsafe { ger_rows_fixed_body::<N>(m, alpha, x, incx, a, rs, y) }
-    }
-}
-
-/// NEON kernels (aarch64, 2 × f64 lanes). NEON is baseline for the
-/// aarch64 targets we build, so no runtime detection is needed; the
-/// bodies still follow the same slice-checked + single-unsafe-block
-/// discipline as the x86 module.
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::blas;
-    use core::arch::aarch64::{
-        vaddq_f64, vdupq_n_f64, vfmaq_f64, vgetq_lane_f64, vld1q_f64, vmulq_f64, vst1q_f64,
     };
-
-    /// `y[..len] += alpha * x[..len]`, 2 lanes.
-    #[target_feature(enable = "neon")]
-    fn axpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: vector steps gated by `i + 2 <= n`, tail by `i < n`;
-        // all inside the length-checked slices.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let yv = vfmaq_f64(vld1q_f64(yp.add(i)), a, vld1q_f64(xp.add(i)));
-                vst1q_f64(yp.add(i), yv);
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len]` (assigning twin).
-    #[target_feature(enable = "neon")]
-    fn zaxpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `axpy_body`.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                vst1q_f64(yp.add(i), vmulq_f64(a, vld1q_f64(xp.add(i))));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Lane-striped dot with fixed tree `(acc0 + acc1) → lane0 + lane1`
-    /// and a sequential scalar tail (run-to-run bitwise stable).
-    #[target_feature(enable = "neon")]
-    fn dot_body(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        // SAFETY: vector loads gated by `i + 4 <= n` / `i + 2 <= n`,
-        // tail by `i < n`; all inside the length-checked slices.
-        unsafe {
-            let mut acc0 = vdupq_n_f64(0.0);
-            let mut acc1 = vdupq_n_f64(0.0);
-            let mut i = 0;
-            while i + 4 <= n {
-                acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-                acc1 = vfmaq_f64(acc1, vld1q_f64(xp.add(i + 2)), vld1q_f64(yp.add(i + 2)));
-                i += 4;
-            }
-            if i + 2 <= n {
-                acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-                i += 2;
-            }
-            let s = vaddq_f64(acc0, acc1);
-            let mut acc = vgetq_lane_f64::<0>(s) + vgetq_lane_f64::<1>(s);
-            while i < n {
-                acc += *xp.add(i) * *yp.add(i);
-                i += 1;
-            }
-            acc
-        }
-    }
-
-    /// `y[..len] += alpha * x[..len] ∘ z[..len]`.
-    #[target_feature(enable = "neon")]
-    fn xmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `axpy_body`, three slices.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let t = vmulq_f64(vld1q_f64(xp.add(i)), vld1q_f64(zp.add(i)));
-                vst1q_f64(yp.add(i), vfmaq_f64(vld1q_f64(yp.add(i)), a, t));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len] ∘ z[..len]` (assigning twin).
-    #[target_feature(enable = "neon")]
-    fn zxmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `xmul_body`.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let t = vmulq_f64(vld1q_f64(xp.add(i)), vld1q_f64(zp.add(i)));
-                vst1q_f64(yp.add(i), vmulq_f64(a, t));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// [`blas::axpy`]-shaped wrapper.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on every aarch64 target this
-            // crate builds for (`target_feature = "neon"` is always
-            // enabled by the ABI).
-            unsafe { axpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// Assigning AXPY wrapper.
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { zaxpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// [`blas::dot`]-shaped wrapper.
-    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { dot_body(&x[..n], &y[..n]) }
-        } else {
-            blas::dot(n, x, incx, y, incy)
-        }
-    }
-
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { xmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { zxmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// [`blas::ger`]-shaped wrapper (row-wise vector AXPY).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            let yv = &y[..n];
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                unsafe { axpy_body(xi, yv, &mut a[i * rs..i * rs + n]) }
-            }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// Assigning GER wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            let yv = &y[..n];
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                unsafe { zaxpy_body(xi, yv, &mut a[i * rs..i * rs + n]) }
-            }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// [`blas::gemv`]-shaped wrapper (row-wise vector DOT).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if cs == 1 && incx == 1 {
-            let xv = &x[..n];
-            for i in 0..m {
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                let acc = unsafe { dot_body(&a[i * rs..i * rs + n], xv) };
-                y[i * incy] += alpha * acc;
-            }
-        } else {
-            blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
-        }
-    }
 }
+
+element_parallel_tier!(avx2, "avx2,fma", "avx2+fma", 4);
+element_parallel_tier!(avx512, "avx512f", "avx512f", 8);
 
 #[cfg(test)]
 mod tests {
@@ -1987,6 +1078,112 @@ mod tests {
             let mut a = [f64::NAN; 6];
             ks.zger()(2, 3, 0.0, &[1.0, 2.0], 1, &[3.0, 4.0, 5.0], 1, &mut a, 3, 1);
             assert_eq!(a, [0.0; 6], "{} zger must assign", ks.name());
+        }
+    }
+
+    /// The trip counts `tests/simd_diff.rs` sweeps.
+    const LENS: &[usize] = &[
+        0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 100, 257,
+    ];
+
+    fn vals(n: usize, seed: f64) -> Vec<f64> {
+        (0..n)
+            .map(|i| (i as f64 * 0.754_877 + seed).sin())
+            .collect()
+    }
+
+    /// The plain loop every contiguous element-parallel call must equal
+    /// bitwise: `y = fma(alpha, x ∘ z, y)` (`z` all ones for AXPY), or
+    /// the product alone when assigning; accumulating calls skip
+    /// `alpha == 0` as `blas` does.
+    fn reference(alpha: f64, assign: bool, x: &[f64], z: Option<&[f64]>, y: &mut [f64]) {
+        if !assign && alpha == 0.0 {
+            return;
+        }
+        for (i, yi) in y.iter_mut().enumerate() {
+            let t = z.map_or(x[i], |z| x[i] * z[i]);
+            *yi = if assign {
+                alpha * t
+            } else {
+                alpha.mul_add(t, *yi)
+            };
+        }
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// Every x86 tier the host has equals [`reference`] bit for bit —
+    /// and hence every other tier — on AXPY, ZAXPY, XMUL, ZXMUL, GER
+    /// and ZGER, generic and rank-pinned, tails included.
+    #[test]
+    fn element_parallel_kernels_are_one_fma_per_element_on_every_tier() {
+        #[cfg(target_arch = "x86_64")]
+        let tiers: Vec<KernelSel> = [KernelSel::Avx2Fma, KernelSel::Avx512]
+            .into_iter()
+            .filter(|&sel| host_supports(sel))
+            .collect();
+        #[cfg(not(target_arch = "x86_64"))]
+        let tiers: Vec<KernelSel> = Vec::new();
+        for sel in tiers {
+            let ks = KernelSet { sel, fuse: true };
+            for &n in LENS {
+                let (x, z, y0) = (vals(n, 0.1), vals(n, 0.7), vals(n, 1.3));
+                for alpha in [1.37, 0.0, -2.5] {
+                    // `Some(n)` pins R8/R16/R32 at those lengths; `None`
+                    // keeps the generic body at every length.
+                    for hint in [None, Some(n)] {
+                        for assign in [false, true] {
+                            let what =
+                                format!("{} n={n} a={alpha} {hint:?} assign={assign}", ks.name());
+                            let (kern, spec) = if assign {
+                                ks.zaxpy(n, true, hint)
+                            } else {
+                                ks.axpy(n, true, hint)
+                            };
+                            let pinned = hint.is_some() && matches!(n, 8 | 16 | 32);
+                            assert_eq!(spec.rank().is_some(), pinned, "{what}");
+                            let (mut got, mut want) = (y0.clone(), y0.clone());
+                            kern(n, alpha, &x, 1, &mut got, 1);
+                            reference(alpha, assign, &x, None, &mut want);
+                            assert_bits(&got, &want, &format!("axpy {what}"));
+
+                            // GER: 5 rows of length n with a padded row stride.
+                            let (m, rs) = (5, n + 3);
+                            let (kern, _) = if assign {
+                                (ks.zger(), RankSpec::Gen)
+                            } else {
+                                ks.ger(n, true, hint)
+                            };
+                            let xs = vals(m, 2.1);
+                            let a0 = vals(m * rs, 2.9);
+                            let (mut got, mut want) = (a0.clone(), a0);
+                            kern(m, n, alpha, &xs, 1, &y0, 1, &mut got, rs, 1);
+                            // Row i is an AXPY of `y` by `alpha * x[i]`.
+                            if assign || alpha != 0.0 {
+                                for (i, &xi) in xs.iter().enumerate() {
+                                    let row = &mut want[i * rs..i * rs + n];
+                                    reference(alpha * xi, assign, &y0, None, row);
+                                }
+                            }
+                            assert_bits(&got, &want, &format!("ger {what}"));
+                        }
+                    }
+                    for assign in [false, true] {
+                        let kern = if assign { ks.zxmul() } else { ks.xmul() };
+                        let (mut got, mut want) = (y0.clone(), y0.clone());
+                        kern(n, alpha, &x, 1, &z, 1, &mut got, 1);
+                        reference(alpha, assign, &x, Some(&z), &mut want);
+                        assert_bits(
+                            &got,
+                            &want,
+                            &format!("xmul {} n={n} a={alpha} assign={assign}", ks.name()),
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -35,8 +35,8 @@
 //!   compiler only addresses — one cursor and the strides per operand,
 //!   resolved at compile time. Each microkernel instruction carries
 //!   the **function pointer** of its implementation, chosen once at
-//!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA,
-//!   or NEON — never re-decided per visit), plus
+//!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA
+//!   or AVX-512F — never re-decided per visit), plus
 //!   a [`RankSpec`] recording whether the body is rank-specialized.
 //! - `ZeroAxpy` / `ZeroXmul` / `ZeroGer` — **superinstructions** fusing
 //!   a term's Eq.-5 zero point with its first accumulation: when the
@@ -566,7 +566,7 @@ impl CompiledTape {
     }
 
     /// Name of the recorded microkernel implementation family
-    /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`, `"neon"`).
+    /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`).
     pub fn microkernels(&self) -> &'static str {
         self.kernels.name()
     }

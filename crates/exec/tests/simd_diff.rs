@@ -1,4 +1,4 @@
-//! Differential sweep: every explicit-SIMD microkernel against its
+//! Differential sweep: every SIMD microkernel against its
 //! scalar twin, on randomized lengths crossing every tail-handling
 //! boundary (lane multiples, non-multiples, below one lane, the
 //! 16-wide unroll edge), both contiguous and strided, within ≤1e-9 —

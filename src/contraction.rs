@@ -166,8 +166,8 @@ pub struct ExecOptions {
     /// is O(program size) and runs once per bind, never per execute.
     pub verify: bool,
     /// Microkernel policy for the compiled tape (default
-    /// [`Microkernels::Auto`]): `Auto` selects explicit-SIMD kernels
-    /// (AVX2+FMA / NEON) by runtime CPU detection once at bind time
+    /// [`Microkernels::Auto`]): `Auto` selects SIMD kernels
+    /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time
     /// and enables the fused/rank-specialized tape superinstructions;
     /// `Scalar` pins the plain scalar kernels, bitwise-identical to
     /// the pre-SIMD tape. The `SPTTN_MICROKERNELS` environment
