@@ -1,6 +1,6 @@
 //! Scalar tape vs SIMD tape: the same plans, bound once per
 //! (microkernel policy, thread-count), executed through the
-//! zero-allocation `execute_into` path on large MTTKRP and TTMc
+//! zero-allocation `execute_into` path on large MTTKRP, TTMc and TTTP
 //! workloads whose dense ranks (32 / 16) hit the rank-specialized
 //! microkernel variants. MTTKRP runs twice: under the planner's nest
 //! (one CSF walk, AXPY leaves) and under an explicit nest that hoists
@@ -9,18 +9,19 @@
 //! the scalar-`Leaf`-heavy tape path stays measured.
 //!
 //! The planned MTTKRP rows (the reference cube and the benchmark gate's
-//! hypersparse tensor) also carry a `hand-nest` row at 1 thread: the
-//! same nest written as plain Rust loops over the CSF, calling the very
-//! microkernel pointers the SIMD tape binds, its output asserted
-//! bitwise equal to the tape's. That is the ceiling a code generator
-//! for the tape could reach; tape-simd over hand-nest is what
-//! interpretation costs today.
+//! hypersparse tensor), TTMc and TTTP (the gate's `tttp-mid` shape)
+//! also carry a `hand-nest` row at 1 thread: the same nest written as
+//! plain Rust loops over the CSF, calling the very microkernel pointers
+//! the SIMD tape binds, its output asserted bitwise equal to the
+//! tape's. That is the ceiling a code generator for the tape could
+//! reach; tape-simd over hand-nest is what interpretation costs today.
 //!
-//! Tripwire (exit 1, which CI's `bench-smoke` propagates): the planned
+//! Tripwires (exit 1, which CI's `bench-smoke` propagates): the planned
 //! cube MTTKRP's SIMD tape must compile its innermost `k` loop to a
-//! fused `SparseAxpy`, and its fastest run must stay within
-//! [`MAX_OVER_HAND`]× the hand nest's (3.2× before the fused loop,
-//! ≈ 2.2× with it).
+//! fused `SparseAxpy`, and TTTP's to a fused `SparseDot`; and each one's
+//! fastest run must stay within its [`TRIPWIRES`] ceiling over the hand
+//! nest's (the cube: 3.2× before the fused loop, ≈ 2.2× with it; TTTP:
+//! 3.4–4.7× before, 2.7–3.6× with it, on a noisy 2-core box).
 //!
 //! Run with `cargo bench -p spttn-bench --bench tape_speedup`; set
 //! `SPTTN_BENCH_JSON=BENCH_results.json` to emit the machine-readable
@@ -29,11 +30,12 @@
 //! speedups print explicitly.
 
 use rand::prelude::*;
-use spttn::exec::KernelSet;
+use spttn::exec::{KernelSet, TapeReport};
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
-    Contraction, CostModel, ExecStats, Executor, Microkernels, Plan, PlanOptions, Shapes, Threads,
+    Contraction, ContractionOutput, CostModel, ExecStats, Executor, Microkernels, Plan,
+    PlanOptions, Shapes, Threads,
 };
 use spttn_bench::{black_box, Harness};
 
@@ -57,10 +59,30 @@ fn stats_json(s: &ExecStats) -> String {
     )
 }
 
-/// The tripwire workload: the planned reference cube.
-const CUBE: &str = "mttkrp-large";
-/// Ceiling on the cube's tape-simd / hand-nest ratio of fastest runs.
-const MAX_OVER_HAND: f64 = 3.0;
+/// A planned workload whose SIMD tape must compile a fused sparse loop
+/// (`fused`, counted by `count`), and the ceiling on its tape-simd /
+/// hand-nest ratio of fastest runs.
+struct Tripwire {
+    workload: &'static str,
+    fused: &'static str,
+    count: fn(&TapeReport) -> usize,
+    max_over_hand: f64,
+}
+
+const TRIPWIRES: [Tripwire; 2] = [
+    Tripwire {
+        workload: "mttkrp-large",
+        fused: "SparseAxpy",
+        count: |r| r.sparse_axpys,
+        max_over_hand: 3.0,
+    },
+    Tripwire {
+        workload: "tttp-mid",
+        fused: "SparseDot",
+        count: |r| r.sparse_dots,
+        max_over_hand: 3.5,
+    },
+];
 
 /// The two legs under comparison, in fixed row order.
 const LEGS: [(&str, Microkernels); 2] = [
@@ -82,12 +104,17 @@ fn hoisted_a(plan: Plan) -> Plan {
     plan.with_nest(path, spec).expect("a valid MTTKRP nest")
 }
 
+/// A planned nest written as plain loops over the natural-order CSF:
+/// the dense factors in written order, the scratch buffer `X0`, the
+/// output (dense data, or sparse values in leaf order) and the kernel
+/// set whose pointers the SIMD tape bound.
+type HandNest = fn(&Csf, &[&[f64]], &mut [f64], &mut [f64], &KernelSet);
+
 /// MTTKRP's planned nest — `(i,j,k,a),(i,j,a)` with `X0[a]` on the
-/// `T*C` path — as plain loops over the natural-order CSF: per `(i,j)`
-/// fiber an assigning AXPY for the first `k`, an AXPY for each further
-/// one, then one XMUL into `A`'s row.
-fn hand_nest(csf: &Csf, b: &[f64], c: &[f64], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
-    let r = x0.len();
+/// `T*C` path — per `(i,j)` fiber an assigning AXPY for the first `k`,
+/// an AXPY for each further one, then one XMUL into `A`'s row.
+fn mttkrp_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
+    let (b, c, r) = (f[0], f[1], x0.len());
     let (zaxpy, _) = ks.zaxpy(r, true, Some(r));
     let (axpy, _) = ks.axpy(r, true, Some(r));
     let xmul = ks.xmul();
@@ -103,6 +130,61 @@ fn hand_nest(csf: &Csf, b: &[f64], c: &[f64], x0: &mut [f64], out: &mut [f64], k
             }
             xmul(r, 1.0, &b[csf.node_coord(1, nj) * r..], 1, x0, 1, row, 1);
         }
+    }
+}
+
+/// TTMc's planned nest — `(i,j,k,s),(i,j,r,s)` with `X0[s]` on the
+/// `T*V` path — per `(i,j)` fiber the same AXPY run over `k`, then one
+/// GER of `U`'s row and `X0` into `S`'s `i` slab.
+fn ttmc_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
+    let (u, v, s) = (f[0], f[1], x0.len());
+    let r = u.len() / csf.dims()[1];
+    let (zaxpy, _) = ks.zaxpy(s, true, Some(s));
+    let (axpy, _) = ks.axpy(s, true, Some(s));
+    let (ger, _) = ks.ger(s, true, Some(s));
+    let vals = csf.vals();
+    out.fill(0.0);
+    for ni in csf.root_range() {
+        let slab = &mut out[csf.node_coord(0, ni) * r * s..][..r * s];
+        for nj in csf.children(0, ni) {
+            let mut kern = zaxpy;
+            for nk in csf.children(1, nj) {
+                kern(s, vals[nk], &v[csf.node_coord(2, nk) * s..], 1, x0, 1);
+                kern = axpy;
+            }
+            let urow = &u[csf.node_coord(1, nj) * r..];
+            ger(r, s, 1.0, urow, 1, x0, 1, slab, s, 1);
+        }
+    }
+}
+
+/// TTTP's planned nest — `(i,j,r),(i,j,k,r),(i,j,k)` — per `(i,j)`
+/// fiber an assigning XMUL of `U`'s and `V`'s rows into `X0[r]`, then
+/// per nonzero one DOT of `W`'s row with `X0`, scaled by the value into
+/// the output cell. `0.0 + d` is what the tape's zeroed `X1` holds.
+fn tttp_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
+    let (u, v, w, r) = (f[0], f[1], f[2], x0.len());
+    let zxmul = ks.zxmul();
+    let (dot, _) = ks.dot(r, true);
+    let vals = csf.vals();
+    out.fill(0.0);
+    for ni in csf.root_range() {
+        let urow = &u[csf.node_coord(0, ni) * r..];
+        for nj in csf.children(0, ni) {
+            zxmul(r, 1.0, urow, 1, &v[csf.node_coord(1, nj) * r..], 1, x0, 1);
+            for nk in csf.children(1, nj) {
+                let d = dot(r, &w[csf.node_coord(2, nk) * r..], 1, x0, 1);
+                out[nk] += vals[nk] * (0.0 + d);
+            }
+        }
+    }
+}
+
+/// The output's values: dense data, or sparse values in leaf order.
+fn out_vals(out: &ContractionOutput) -> &[f64] {
+    match out {
+        ContractionOutput::Dense(d) => d.as_slice(),
+        ContractionOutput::Sparse(c) => c.vals(),
     }
 }
 
@@ -155,8 +237,8 @@ struct Workload {
     nest: Nest,
     dims: [usize; 3],
     nnz: usize,
-    /// Also run [`hand_nest`] (the planned MTTKRP nest only).
-    hand_nest: bool,
+    /// The planned nest by hand, for planned workloads.
+    hand: Option<HandNest>,
 }
 
 fn main() {
@@ -168,7 +250,7 @@ fn main() {
             nest: hoisted_a,
             dims: [512, 96, 96],
             nnz: 250_000,
-            hand_nest: false,
+            hand: None,
         },
         Workload {
             name: "mttkrp-large",
@@ -176,7 +258,7 @@ fn main() {
             nest: planned,
             dims: [512, 96, 96],
             nnz: 250_000,
-            hand_nest: true,
+            hand: Some(mttkrp_nest),
         },
         Workload {
             // The benchmark gate's `mttkrp-hyper` tensor.
@@ -185,7 +267,7 @@ fn main() {
             nest: planned,
             dims: [2000, 1500, 1000],
             nnz: 1_000_000,
-            hand_nest: true,
+            hand: Some(mttkrp_nest),
         },
         Workload {
             name: "ttmc-large",
@@ -193,13 +275,22 @@ fn main() {
             nest: planned,
             dims: [384, 64, 64],
             nnz: 120_000,
-            hand_nest: false,
+            hand: Some(ttmc_nest),
+        },
+        Workload {
+            // The benchmark gate's `tttp-mid` shape.
+            name: "tttp-mid",
+            kernel: stdkernels::tttp(&[600, 400, 300], 32),
+            nest: planned,
+            dims: [600, 400, 300],
+            nnz: 150_000,
+            hand: Some(tttp_nest),
         },
     ];
     let mut h = Harness::new("tape_speedup: scalar tape vs SIMD tape");
-    // Fused sparse-AXPY loops in the cube's SIMD tape, when that tape
+    // Fused loops in each tripwire workload's SIMD tape, when that tape
     // was compiled with superinstructions on.
-    let mut cube_fused: Option<usize> = None;
+    let mut fused: Vec<Option<usize>> = vec![None; TRIPWIRES.len()];
     for w in &workloads {
         let (csf, factors) = operands(&w.kernel, &w.dims, w.nnz, 17);
         for threads in [1usize, 4] {
@@ -211,7 +302,7 @@ fn main() {
                 h.bench_function(&id, || {
                     exec.execute_into(&mut out).expect("execution succeeds");
                     last_stats = exec.last_stats();
-                    black_box(out.to_dense().sum());
+                    black_box(out_vals(&out).iter().sum::<f64>());
                 });
                 // Record which microkernel implementation the tape
                 // bound, its vector width, and what the host CPU
@@ -229,24 +320,29 @@ fn main() {
                     spttn::exec::detected_cpu_features(),
                 );
                 h.note(&id, note);
-                if w.name == CUBE && threads == 1 && tape.kernel_set().superinstructions() {
-                    let report = tape.verify().expect("the cube's tape verifies");
-                    cube_fused = Some(report.sparse_axpys);
+                let tripwire = TRIPWIRES.iter().position(|t| t.workload == w.name);
+                if let Some(t) = tripwire {
+                    if threads == 1 && tape.kernel_set().superinstructions() {
+                        let report = tape.verify().expect("the tripwire tape verifies");
+                        fused[t] = Some((TRIPWIRES[t].count)(&report));
+                    }
                 }
 
-                if w.hand_nest && threads == 1 && micro == Microkernels::Auto {
+                if let (Some(hand_nest), 1, Microkernels::Auto) = (w.hand, threads, micro) {
                     let ks = KernelSet::resolve(micro);
-                    let (b, c) = (factors[0].1.as_slice(), factors[1].1.as_slice());
-                    let tape_out = out.to_dense();
-                    let mut x0 = vec![0.0; factors[0].1.dims()[1]];
+                    let f: Vec<&[f64]> = factors.iter().map(|(_, t)| t.as_slice()).collect();
+                    let tape_out = out_vals(&out);
+                    // Each nest's `X0` runs along the last factor's rank.
+                    let (_, last) = factors.last().expect("a dense factor");
+                    let mut x0 = vec![0.0; *last.dims().last().expect("a rank mode")];
                     let mut hand = vec![0.0; tape_out.len()];
                     h.bench_function(&format!("{} hand-nest   @ 1t", w.name), || {
-                        hand_nest(&csf, b, c, &mut x0, &mut hand, &ks);
+                        hand_nest(&csf, &f, &mut x0, &mut hand, &ks);
                         black_box(hand.iter().sum::<f64>());
                     });
                     assert!(
                         hand.iter()
-                            .zip(tape_out.as_slice())
+                            .zip(tape_out)
                             .all(|(h, t)| h.to_bits() == t.to_bits()),
                         "{}: the hand nest is not bitwise the SIMD tape",
                         w.name
@@ -294,33 +390,40 @@ fn main() {
 
     // What interpreting the tape costs over the same nest compiled.
     println!("\nSIMD tape over the hand-written nest, 1 thread (median / min):");
-    let mut cube_over_hand = None;
+    let mut over_hand: Vec<Option<f64>> = vec![None; TRIPWIRES.len()];
     for (hid, hs) in hand {
         let name = hid.split(" hand-nest").next().unwrap_or(hid);
         let tape = format!("{name} tape-simd   @ 1t");
         if let Some((_, ts)) = tapes.iter().find(|(id, _)| id.starts_with(&tape)) {
             ratio("tape-simd/hand-nest", name, ts, hs);
-            if name == CUBE {
-                cube_over_hand = Some(minimum(ts) / minimum(hs));
+            if let Some(t) = TRIPWIRES.iter().position(|t| t.workload == name) {
+                over_hand[t] = Some(minimum(ts) / minimum(hs));
             }
         }
     }
 
-    let Some(fused) = cube_fused else {
-        println!("\ntripwire skipped: the cube's tape was compiled without superinstructions");
-        return;
-    };
-    let over = cube_over_hand.expect("the cube has a hand-nest row");
     let mut failures = Vec::new();
-    if fused == 0 {
-        failures.push(format!(
-            "the planned {CUBE} SIMD tape compiles no SparseAxpy"
-        ));
-    }
-    if over > MAX_OVER_HAND {
-        failures.push(format!(
-            "{CUBE} tape-simd is {over:.2}x the hand nest (min), over {MAX_OVER_HAND}x"
-        ));
+    for ((t, fused), over) in TRIPWIRES.iter().zip(fused).zip(over_hand) {
+        let Some(fused) = fused else {
+            println!(
+                "\ntripwire skipped: the {} tape was compiled without superinstructions",
+                t.workload
+            );
+            continue;
+        };
+        let over = over.expect("a tripwire workload has a hand-nest row");
+        if fused == 0 {
+            failures.push(format!(
+                "the planned {} SIMD tape compiles no {}",
+                t.workload, t.fused
+            ));
+        }
+        if over > t.max_over_hand {
+            failures.push(format!(
+                "{} tape-simd is {over:.2}x the hand nest (min), over {}x",
+                t.workload, t.max_over_hand
+            ));
+        }
     }
     for f in &failures {
         eprintln!("tape_speedup: {f}");

@@ -31,7 +31,7 @@
 //! and recorded in the tape as function pointers, plus the assigning and
 //! rank-specialized kernel variants behind the superinstructions the
 //! tape compiler emits under [`Microkernels::Auto`] (fused `ZeroAccum`
-//! pairs and fused sparse-AXPY loops).
+//! pairs and fused sparse-AXPY and sparse-DOT loops).
 //!
 //! Three things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,

@@ -204,7 +204,7 @@ static SCALAR: Table = Table {
 
 /// A bind-time kernel selection: which implementation family to draw
 /// function pointers from, and whether the tape compiler may emit
-/// superinstructions (`ZeroAccum` fusion, fused sparse-AXPY loops, rank
+/// superinstructions (`ZeroAccum` fusion, fused sparse loops, rank
 /// specialization).
 ///
 /// Program shape (`fuse`) depends only on the [`Microkernels`] option;
@@ -213,8 +213,8 @@ static SCALAR: Table = Table {
 /// lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSet {
-    sel: KernelSel,
-    fuse: bool,
+    pub(crate) sel: KernelSel,
+    pub(crate) fuse: bool,
 }
 
 impl KernelSet {
@@ -257,7 +257,7 @@ impl KernelSet {
 
     /// Whether the tape compiler may fuse `Zero` + first accumulation
     /// into `ZeroAccum` superinstructions, fuse innermost sparse AXPY
-    /// loops, and rank-specialize.
+    /// and DOT loops, and rank-specialize.
     pub fn superinstructions(&self) -> bool {
         self.fuse
     }

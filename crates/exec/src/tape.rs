@@ -46,15 +46,21 @@
 //!   `y = 0; y += αx`), halving the memory traffic of the split point.
 //!   Emitted only under [`Microkernels::Auto`]; the fused kernels never
 //!   skip the write (even for `α == 0`), preserving the zero point.
-//! - `SparseAxpy` — **superinstruction** for an innermost sparse loop
-//!   whose whole body is one `Axpy` (`Sparse; Axpy; EndLoop`, the inner
-//!   loop of MTTKRP and TTMc): one instruction walks the parent's
-//!   children in place — coordinate, cursor advance, alpha, call — with
-//!   no frame and no per-child dispatch. A directly preceding `Zero` of
-//!   the Axpy's own, fully covered buffer folds into the first child's
-//!   call (its assigning twin) when the loop is below the root: a
-//!   non-root CSF node always has a child, whereas a tile's root range
-//!   can be empty. Emitted only under [`Microkernels::Auto`].
+//! - `SparseAxpy` / `SparseDot` — **superinstructions** for an innermost
+//!   sparse loop with a straight-line body: one instruction walks the
+//!   parent's children in place — coordinate, cursor advance, body —
+//!   with no frame and no per-child dispatch. Emitted only under
+//!   [`Microkernels::Auto`]. The two bodies:
+//!   - `Sparse; Axpy; EndLoop` (the inner loop of MTTKRP and TTMc):
+//!     alpha, call. A directly preceding `Zero` of the Axpy's own, fully
+//!     covered buffer folds into the first child's call (its assigning
+//!     twin) when the loop is below the root: a non-root CSF node always
+//!     has a child, whereas a tile's root range can be empty.
+//!   - `Sparse; Zero t; Dot → t; Leaf; EndLoop` with `t` a one-element
+//!     buffer (the inner loop of TTTP and SDDMM): the DOT result stays in
+//!     a register, and the `Leaf` operand that read `t` takes `0.0 + d`
+//!     — exactly what the zeroed cell held — so `t` is never written.
+//!     The `Zero` runs per child, so a loop at any level fuses.
 //!
 //! # The tape never searches
 //!
@@ -165,6 +171,25 @@ struct MatTgt {
     cs: usize,
 }
 
+/// A scalar contraction `tgt += left · right` (a `Leaf`'s operands).
+#[derive(Debug, Clone, Copy)]
+struct ScalarMul {
+    left: Read,
+    right: Read,
+    tgt: Write,
+    res: NodeRes,
+}
+
+/// A DOT call `Σ_q x[q]·y[q]` over `n` elements.
+#[derive(Debug, Clone, Copy)]
+struct DotCall {
+    n: usize,
+    x: VecSrc,
+    y: VecSrc,
+    kern: DotFn,
+    spec: RankSpec,
+}
+
 /// How an instruction obtains the CSF node its sparse accesses use.
 #[derive(Debug, Clone, Copy)]
 enum NodeRes {
@@ -219,21 +244,12 @@ enum Instr {
     /// Advance or exit the innermost open loop.
     EndLoop,
     /// Scalar contraction of one term.
-    Leaf {
-        left: Read,
-        right: Read,
-        tgt: Write,
-        res: NodeRes,
-    },
+    Leaf(ScalarMul),
     /// `tgt += Σ_q x[q]·y[q]` (an innermost dense loop lowered to DOT).
     Dot {
-        n: usize,
-        x: VecSrc,
-        y: VecSrc,
+        dot: DotCall,
         tgt: Write,
         res: NodeRes,
-        kern: DotFn,
-        spec: RankSpec,
     },
     /// `y[q] += alpha · x[q]`.
     Axpy {
@@ -329,6 +345,19 @@ enum Instr {
         kern: AxpyFn,
         first: Option<AxpyFn>,
         spec: RankSpec,
+    },
+    /// Superinstruction: `Sparse` header + `Zero { term }` + `Dot` into
+    /// `term`'s one-element buffer + `Leaf` + `EndLoop` — once per child
+    /// of the parent node, `d = dot`, then `leaf` with every read of
+    /// `term` taken as `0.0 + d`, with no frame and no write to `term`.
+    SparseDot {
+        index: IndexId,
+        level: usize,
+        parent: ParentLoc,
+        adv: AdvRange,
+        term: usize,
+        dot: DotCall,
+        leaf: ScalarMul,
     },
 }
 
@@ -500,7 +529,7 @@ impl CompiledTape {
         c.compile_siblings(&forest.roots, n_terms)?;
         if kernels.superinstructions() {
             fuse_zero_accum(&mut c.instrs, &buffer_lens, &kernels);
-            fuse_sparse_axpy(&mut c.instrs, &buffer_lens, &kernels);
+            fuse_sparse_loops(&mut c.instrs, &buffer_lens, &kernels);
         }
         let bounds = TapeBounds {
             factor_lens: kernel
@@ -577,7 +606,7 @@ impl CompiledTape {
     }
 
     /// Number of superinstructions in the program: fused `ZeroAccum`
-    /// pairs and fused sparse-AXPY loops.
+    /// pairs and fused sparse-AXPY and sparse-DOT loops.
     pub fn superinstructions(&self) -> usize {
         self.instrs
             .iter()
@@ -588,6 +617,7 @@ impl CompiledTape {
                         | Instr::ZeroXmul { .. }
                         | Instr::ZeroGer { .. }
                         | Instr::SparseAxpy { .. }
+                        | Instr::SparseDot { .. }
                 )
             })
             .count()
@@ -600,12 +630,13 @@ impl CompiledTape {
             .filter(|i| {
                 matches!(
                     i,
-                    Instr::Dot { spec, .. }
-                    | Instr::Axpy { spec, .. }
+                    Instr::Axpy { spec, .. }
                     | Instr::Ger { spec, .. }
                     | Instr::Gemv { spec, .. }
                     | Instr::ZeroAxpy { spec, .. }
                     | Instr::SparseAxpy { spec, .. }
+                    | Instr::Dot { dot: DotCall { spec, .. }, .. }
+                    | Instr::SparseDot { dot: DotCall { spec, .. }, .. }
                         if *spec != RankSpec::Gen
                 )
             })
@@ -787,12 +818,12 @@ impl<'a> Compiler<'a> {
                 || matches!(right, Read::SparseVal)
                 || matches!(tgt, Write::SparseCell),
         );
-        self.instrs.push(Instr::Leaf {
+        self.instrs.push(Instr::Leaf(ScalarMul {
             left,
             right,
             tgt,
             res,
-        });
+        }));
         Ok(())
     }
 
@@ -949,15 +980,14 @@ impl<'a> Compiler<'a> {
                 let tgt = self.cell_tgt(t)?;
                 let res = self.node_res(matches!(tgt, Write::SparseCell));
                 let (kern, spec) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
-                Instr::Dot {
+                let dot = DotCall {
                     n,
                     x,
                     y,
-                    tgt,
-                    res,
                     kern,
                     spec,
-                }
+                };
+                Instr::Dot { dot, tgt, res }
             }
             (LeafOp::Axpy { vec }, _) => {
                 let n = dim(q1);
@@ -1121,27 +1151,37 @@ fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ker
     }
 }
 
-/// Peephole pass turning an innermost sparse loop whose body is one
-/// `Axpy` — `Sparse; Axpy; EndLoop` — into one `SparseAxpy`, run after
-/// [`fuse_zero_accum`] (which leaves a `Zero` before a loop alone).
+/// Peephole pass turning an innermost sparse loop with one of two
+/// straight-line bodies into one superinstruction, run after
+/// [`fuse_zero_accum`] (which leaves a `Zero` before a loop, and a
+/// `Zero` before a `Dot`, alone):
 ///
-/// A directly preceding `Zero` of the Axpy's own term folds into the
-/// first child's call when the Axpy [`covers`] the buffer and the loop
-/// sits below the root: every non-root CSF node has at least one child,
-/// so the assigning call runs on every path the `Zero` did. A tile's
-/// root range can be empty, so a level-0 loop keeps its `Zero`.
-fn fuse_sparse_axpy(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
+/// - `Sparse; Axpy; EndLoop` becomes a `SparseAxpy`. A directly
+///   preceding `Zero` of the Axpy's own term folds into the first
+///   child's call when the Axpy [`covers`] the buffer and the loop sits
+///   below the root: every non-root CSF node has at least one child, so
+///   the assigning call runs on every path the `Zero` did. A tile's root
+///   range can be empty, so a level-0 loop keeps its `Zero`.
+/// - `Sparse; Zero t; Dot → t; Leaf; EndLoop` becomes a `SparseDot` when
+///   `t` is a one-element buffer that exactly one `Leaf` operand reads.
+///   `t`'s only consumer is that `Leaf` (a buffer has one consumer
+///   term), so nothing after the loop reads it.
+fn fuse_sparse_loops(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
     let mut i = 0;
-    while i + 2 < instrs.len() {
-        let (
-            Instr::Sparse {
-                index,
-                level,
-                parent,
-                adv,
-                end,
-            },
-            Instr::Axpy {
+    while i < instrs.len() {
+        let Instr::Sparse {
+            index,
+            level,
+            parent,
+            adv,
+            end,
+        } = instrs[i]
+        else {
+            i += 1;
+            continue;
+        };
+        let (lo, fused) = match instrs[i + 1..end - 1] {
+            [Instr::Axpy {
                 n,
                 term,
                 alpha,
@@ -1150,39 +1190,60 @@ fn fuse_sparse_axpy(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &Ke
                 res,
                 kern,
                 spec,
-            },
-            Instr::EndLoop,
-        ) = (instrs[i], instrs[i + 1], instrs[i + 2])
-        else {
-            i += 1;
-            continue;
+            }] => {
+                let fold = level > 0
+                    && i > 0
+                    && matches!(instrs[i - 1], Instr::Zero { term: z } if z == term)
+                    && covers(y, n, buffer_lens[term]);
+                let fused = Instr::SparseAxpy {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    n,
+                    term,
+                    alpha,
+                    x,
+                    y,
+                    res,
+                    kern,
+                    first: fold.then(|| assigning_axpy(kernels, n, spec)),
+                    spec,
+                };
+                (if fold { i - 1 } else { i }, fused)
+            }
+            [Instr::Zero { term }, Instr::Dot { dot, tgt, .. }, Instr::Leaf(leaf)]
+                if matches!(tgt, Write::Cell { out: false, term: t, .. } if t == term)
+                    && buffer_lens[term] == 1
+                    && reads_term(leaf.left, term) != reads_term(leaf.right, term) =>
+            {
+                let fused = Instr::SparseDot {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    term,
+                    dot,
+                    leaf,
+                };
+                (i, fused)
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
         };
-        debug_assert_eq!(end, i + 3, "a one-instruction body closes its own loop");
-        let fold = level > 0
-            && i > 0
-            && matches!(instrs[i - 1], Instr::Zero { term: z } if z == term)
-            && covers(y, n, buffer_lens[term]);
-        let lo = if fold { i - 1 } else { i };
-        instrs[lo] = Instr::SparseAxpy {
-            index,
-            level,
-            parent,
-            adv,
-            n,
-            term,
-            alpha,
-            x,
-            y,
-            res,
-            kern,
-            first: fold.then(|| assigning_axpy(kernels, n, spec)),
-            spec,
-        };
+        instrs[lo] = fused;
         // `instrs[lo]` was the folded `Zero` or the header; the removed
-        // ones are the rest of `(Zero;) Sparse; Axpy; EndLoop`.
-        remove_instrs(instrs, lo + 1..i + 3);
+        // ones are the rest of the loop, its `EndLoop` last.
+        remove_instrs(instrs, lo + 1..end);
         i = lo + 1;
     }
+}
+
+/// Whether a scalar read is of term `term`'s buffer.
+fn reads_term(r: Read, term: usize) -> bool {
+    matches!(r, Read::Cursor { buf: RBuf::Inter(u), .. } if u == term)
 }
 
 /// Whether an accumulating vector target of `n` elements covers a
@@ -1211,7 +1272,8 @@ fn assigning_axpy(kernels: &KernelSet, n: usize, spec: RankSpec) -> AxpyFn {
 /// An `end` always lands one past an `EndLoop`, so no `end` points at
 /// a removed instruction as long as neither `instrs[range.start - 1]`
 /// nor any removed instruction but the last is an `EndLoop` — what
-/// both peephole passes guarantee, and debug builds assert. Then every
+/// both peephole passes guarantee (a fused loop body is straight-line),
+/// and debug builds assert. Then every
 /// `end > range.start` is at least `range.end`, and shifting it down by
 /// the removed count is exact (`end == range.end` lands on the
 /// instruction that followed the removed ones, now at `range.start`).
@@ -1498,34 +1560,22 @@ impl<'a> Run<'a> {
                         _ => unreachable!("frame points at a loop header"),
                     }
                 }
-                Instr::Leaf {
+                Instr::Leaf(ScalarMul {
                     left,
                     right,
                     tgt,
                     res,
-                } => {
+                }) => {
                     let node = self.node_of(res);
                     let v = self.read(left, node) * self.read(right, node);
                     self.cell(tgt, node, v);
                     pc += 1;
                 }
-                Instr::Dot {
-                    n,
-                    x,
-                    y,
-                    tgt,
-                    res,
-                    kern,
-                    ..
-                } => {
+                Instr::Dot { dot, tgt, res } => {
                     let node = self.node_of(res);
-                    let v = {
-                        let (xs, xi) = self.rslice(x);
-                        let (ys, yi) = self.rslice(y);
-                        kern(n, xs, xi, ys, yi)
-                    };
+                    let v = self.dot(dot);
                     self.stats.dot += 1;
-                    self.stats.dot_elems += n as u64;
+                    self.stats.dot_elems += dot.n as u64;
                     self.cell(tgt, node, v);
                     pc += 1;
                 }
@@ -1678,45 +1728,85 @@ impl<'a> Run<'a> {
                     first,
                     ..
                 } => {
-                    let range = self.parent_range(parent);
-                    let at_root = self.st.fp == 0;
                     let mut call = first.unwrap_or(kern);
-                    let mut prev = 0usize;
-                    for node in range.clone() {
-                        // A root-level loop keeps the root frame's
-                        // cancellation checkpoint: once per root child.
-                        if at_root && node != range.start {
-                            if let Some(g) = self.guard {
-                                g.check("tape")?;
-                            }
-                        }
-                        let coord = self.csf.node_coord(level, node);
-                        self.st.nodes[level] = node;
-                        self.advance(adv, coord as isize - prev as isize);
-                        prev = coord;
-                        let a = self.read(alpha, self.node_of(res));
+                    let calls = self.walk_children(level, parent, adv, |run| {
+                        let a = run.read(alpha, run.node_of(res));
                         let Run {
                             factors,
                             buffers,
                             out_dense,
                             st,
                             ..
-                        } = self;
+                        } = run;
                         let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
                         let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                         call(n, a, xs, xi, tgt, y.inc);
                         call = kern;
-                    }
-                    self.advance(adv, -(prev as isize));
-                    let calls = range.len() as u64;
+                    })?;
                     self.stats.axpy += calls;
                     self.stats.axpy_elems += calls * n as u64;
+                    pc += 1;
+                }
+                Instr::SparseDot {
+                    level,
+                    parent,
+                    adv,
+                    term,
+                    dot,
+                    leaf,
+                    ..
+                } => {
+                    let (dot_l, dot_r) =
+                        (reads_term(leaf.left, term), reads_term(leaf.right, term));
+                    let calls = self.walk_children(level, parent, adv, |run| {
+                        // What `Zero; Dot` left in the cell: +0.0 for a
+                        // -0.0 product, as the unfused add gives.
+                        let t = 0.0 + run.dot(dot);
+                        let node = run.node_of(leaf.res);
+                        let l = if dot_l { t } else { run.read(leaf.left, node) };
+                        let r = if dot_r { t } else { run.read(leaf.right, node) };
+                        run.cell(leaf.tgt, node, l * r);
+                    })?;
+                    self.stats.dot += calls;
+                    self.stats.dot_elems += calls * dot.n as u64;
                     pc += 1;
                 }
             }
         }
         debug_assert_eq!(self.st.fp, 0, "all loops exited");
         Ok(())
+    }
+
+    /// The per-child walk of a fused sparse loop: step the tracked node
+    /// at `level` and the loop's cursors to each child of `parent`, run
+    /// `body`, then restore the cursors. Returns the number of children.
+    #[inline(always)]
+    fn walk_children(
+        &mut self,
+        level: usize,
+        parent: ParentLoc,
+        adv: AdvRange,
+        mut body: impl FnMut(&mut Self),
+    ) -> Result<u64> {
+        let range = self.parent_range(parent);
+        let at_root = self.st.fp == 0;
+        let mut prev = 0usize;
+        for node in range.clone() {
+            // A root-level loop keeps the root frame's cancellation
+            // checkpoint: once per root child.
+            if at_root && node != range.start {
+                if let Some(g) = self.guard {
+                    g.check("tape")?;
+                }
+            }
+            let coord = self.csf.node_coord(level, node);
+            self.st.nodes[level] = node;
+            self.advance(adv, coord as isize - prev as isize);
+            prev = coord;
+            body(self);
+        }
+        self.advance(adv, -(prev as isize));
+        Ok(range.len() as u64)
     }
 
     #[inline]
@@ -1787,6 +1877,14 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Run a DOT call (no mutable target in play).
+    #[inline]
+    fn dot(&self, d: DotCall) -> f64 {
+        let (xs, xi) = self.rslice(d.x);
+        let (ys, yi) = self.rslice(d.y);
+        (d.kern)(d.n, xs, xi, ys, yi)
+    }
+
     /// Borrow a vector source slice (no mutable target in play).
     #[inline]
     fn rslice(&self, v: VecSrc) -> (&[f64], usize) {
@@ -1848,5 +1946,111 @@ fn mat_in<'b>(
     match m.buf {
         RBuf::Factor(i) => (&factors[i].as_slice()[off..], (m.rs, m.cs)),
         RBuf::Inter(u) => (&reads[u].as_slice()[off..], (m.rs, m.cs)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simd::KernelSel;
+    use rand::prelude::*;
+    use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
+    use spttn_tensor::{random_coo, random_dense};
+
+    /// One fused-DOT nest: expression, extents, nonzeros, path picks
+    /// and loop orders.
+    type Nest = (
+        &'static str,
+        &'static [(&'static str, usize)],
+        usize,
+        &'static [(usize, usize)],
+        &'static [&'static [usize]],
+    );
+
+    /// Every nest whose innermost sparse loop is `Zero; Dot; Leaf`,
+    /// compiled from one forest on one kernel tier with fusion on and
+    /// off, gives the same output bits: the fused loop reads `0.0 + d`
+    /// where the unfused one stored `d` into a zeroed cell and loaded it.
+    #[test]
+    fn fused_dot_loops_are_bitwise_the_unfused_tape() {
+        let nests: [Nest; 4] = [
+            (
+                "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
+                &[("i", 9), ("j", 7), ("r", 32)],
+                30,
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 2], &[0, 1]],
+            ),
+            (
+                "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+                &[("i", 6), ("j", 5), ("k", 7), ("r", 32)],
+                80,
+                &[(1, 2), (1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
+            ),
+            (
+                "y(i) = T(i,j) * U(i,r) * V(j,r)",
+                &[("i", 9), ("j", 7), ("r", 12)],
+                30,
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 2], &[0, 1]],
+            ),
+            (
+                "S(i) = T(i) * U(i,r) * V(r)",
+                &[("i", 40), ("r", 12)],
+                15,
+                &[(1, 2), (0, 1)],
+                &[&[0, 1], &[0]],
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(41);
+        for (expr, dims, nnz, picks, orders) in nests {
+            let kernel = parse_kernel(expr, dims).unwrap();
+            let path = path_from_picks(&kernel, picks);
+            let orders = orders.iter().map(|o| o.to_vec()).collect();
+            let forest = build_forest(&kernel, &path, &NestSpec { orders }).unwrap();
+            let specs = buffers_for_forest(&kernel, &path, &forest);
+            let sparse_dims = kernel.ref_dims(kernel.sparse_ref());
+            let coo = random_coo(&sparse_dims, nnz, &mut rng).unwrap();
+            let csf = Csf::from_coo(&coo, &(0..sparse_dims.len()).collect::<Vec<_>>()).unwrap();
+            let factors: Vec<DenseTensor> = (kernel.inputs.iter().enumerate())
+                .map(|(slot, r)| {
+                    if slot == kernel.sparse_input {
+                        DenseTensor::zeros(&[])
+                    } else {
+                        random_dense(&kernel.ref_dims(r), &mut rng)
+                    }
+                })
+                .collect();
+            for sel in [KernelSel::Scalar, KernelSet::auto_detected().sel] {
+                let run = |fuse| {
+                    let ks = KernelSet { sel, fuse };
+                    let tape =
+                        CompiledTape::compile_with_kernels(&kernel, &path, &forest, &specs, ks)
+                            .unwrap();
+                    tape.verify().unwrap();
+                    let fused = (tape.instrs.iter())
+                        .filter(|i| matches!(i, Instr::SparseDot { .. }))
+                        .count();
+                    let mut ws = Workspace::from_specs(&kernel, &path, &forest, &specs);
+                    let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
+                    let mut vals = vec![0.0; csf.nnz()];
+                    let out = if kernel.output_sparse {
+                        OutputMut::Sparse(&mut vals)
+                    } else {
+                        OutputMut::Dense(&mut dense)
+                    };
+                    execute_tape_into(&tape, &kernel, &csf, &factors, &mut ws, out).unwrap();
+                    let bits = (dense.as_slice().iter().chain(&vals))
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>();
+                    (fused, bits, ws.stats())
+                };
+                let (on, off) = (run(true), run(false));
+                assert_eq!((on.0, off.0), (1, 0), "{expr}: the inner loop fuses");
+                assert_eq!(on.1, off.1, "{expr} on {sel:?}");
+                assert_eq!(on.2, off.2, "{expr}: same dispatches and elements");
+            }
+        }
     }
 }

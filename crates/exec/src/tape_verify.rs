@@ -51,16 +51,24 @@
 //!    term's whole buffer: unit target stride, buffer (never output)
 //!    target, and extent equal to the buffer length. It then
 //!    establishes zero domination exactly like the `Zero` it fused.
-//!    A fused sparse-AXPY loop (`SparseAxpy`) is checked as its parts:
-//!    the `Sparse` header rules of 4 (one `check_sparse_header` for
-//!    both), the loop open over its body, and the body as an `Axpy` —
-//!    or, with a folded zero, as a `ZeroAxpy`, which is only sound
-//!    below the root (a non-root node always has a child; a tile's
-//!    root range can be empty), so a fold at level 0 is rejected.
 //!    Rank-specialized sites (`RankSpec::R8/R16/R32`) must dispatch
 //!    with exactly the specialized trip count over unit-stride
 //!    operands — the fixed kernels assert this at run time; the
 //!    verifier proves it statically.
+//!    A fused sparse loop is checked as its parts: the `Sparse` header
+//!    rules of 4 (one `check_sparse_header` for fused and unfused
+//!    loops), the loop open over its body, then the body.
+//!    - `SparseAxpy`: the body is an `Axpy` — or, with a folded zero, a
+//!      `ZeroAxpy`, which is only sound below the root (a non-root node
+//!      always has a child; a tile's root range can be empty), so a
+//!      fold at level 0 is rejected.
+//!    - `SparseDot`: the body is a `Dot` whose sources are earlier terms
+//!      than its folded term `t`, then a `Leaf` checked with `t` zeroed
+//!      (the per-child `Zero`). `t` must be a one-element buffer — the
+//!      DOT result stands in for all of it — and it is never written,
+//!      so after the loop no read of `t` is zero-dominated: `t` has no
+//!      other reader. Any level is sound, since nothing folds across
+//!      children.
 //!
 //! The cost is O(program size · nesting depth) — independent of the
 //! tensor data — so `Plan::bind` runs it unconditionally in debug
@@ -68,7 +76,8 @@
 //! or `spttn plan --verify`.
 
 use super::{
-    CompiledTape, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, VecSrc, VecTgt, Write,
+    CompiledTape, DotCall, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, ScalarMul,
+    VecSrc, VecTgt, Write,
 };
 use crate::simd::RankSpec;
 use spttn_core::SpttnError;
@@ -275,6 +284,10 @@ pub struct TapeReport {
     /// (`SparseAxpy`), each also counted as a sparse loop and a
     /// microkernel.
     pub sparse_axpys: usize,
+    /// Innermost sparse loops fused with their `Zero; Dot; Leaf` body
+    /// (`SparseDot`), each also counted as a sparse loop and a
+    /// microkernel.
+    pub sparse_dots: usize,
     /// Rank-specialized microkernel sites proved to match their
     /// pinned trip count and unit strides.
     pub specialized: usize,
@@ -290,7 +303,8 @@ impl fmt::Display for TapeReport {
             f,
             "verified {} instrs ({} dense + {} sparse loops, nesting {}/{}), \
              {} zero points, {} microkernels ({} fused, {} rank-specialized), \
-             {} fused sparse-AXPY loops, {} accesses in bounds over {} cursors",
+             {} fused sparse-AXPY loops, {} fused sparse-DOT loops, \
+             {} accesses in bounds over {} cursors",
             self.instrs,
             self.dense_loops,
             self.sparse_loops,
@@ -301,6 +315,7 @@ impl fmt::Display for TapeReport {
             self.zero_accums,
             self.specialized,
             self.sparse_axpys,
+            self.sparse_dots,
             self.accesses_checked,
             self.cursors_bound
         )
@@ -432,37 +447,14 @@ impl<'t> Checker<'t> {
                         detail: "EndLoop without an open loop".into(),
                     });
                 }
-                Instr::Leaf {
-                    left,
-                    right,
-                    tgt,
-                    res,
-                } => {
-                    let needs_node = matches!(left, Read::SparseVal)
-                        || matches!(right, Read::SparseVal)
-                        || matches!(tgt, Write::SparseCell);
-                    self.check_read(pc, left)?;
-                    self.check_read(pc, right)?;
-                    self.check_cell(pc, tgt)?;
-                    self.check_node_res(pc, res, needs_node)?;
+                Instr::Leaf(leaf) => {
+                    self.check_leaf(pc, leaf)?;
                     pc += 1;
                 }
-                Instr::Dot {
-                    n,
-                    x,
-                    y,
-                    tgt,
-                    res,
-                    spec,
-                    ..
-                } => {
-                    let needs_node = matches!(tgt, Write::SparseCell);
-                    self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
-                    self.check_vec_src(pc, x, n, None)?;
-                    self.check_vec_src(pc, y, n, None)?;
+                Instr::Dot { dot, tgt, res } => {
+                    self.check_dot(pc, dot, None)?;
                     self.check_cell(pc, tgt)?;
-                    self.check_node_res(pc, res, needs_node)?;
-                    self.report.microkernels += 1;
+                    self.check_node_res(pc, res, matches!(tgt, Write::SparseCell))?;
                     pc += 1;
                 }
                 Instr::Axpy {
@@ -580,22 +572,11 @@ impl<'t> Checker<'t> {
                     spec,
                     ..
                 } => {
-                    self.check_sparse_header(pc, index, level, parent)?;
-                    self.check_adv_range(pc, adv)?;
-                    // The loop drives no frame: it is open only for the
-                    // body's cursor bounds and node tracking. A folded
-                    // body's zero domination outlives it (`level > 0`:
-                    // at least one child runs).
-                    self.stack.push(OpenLoop {
-                        index,
-                        level: Some(level),
-                        adv,
-                    });
-                    self.report.max_nesting = self.report.max_nesting.max(self.stack.len());
-                    let body =
-                        self.check_axpy(pc, n, term, alpha, x, y, res, spec, first.is_some());
-                    self.stack.pop();
-                    body?;
+                    // A folded body's zero domination outlives the loop
+                    // (`level > 0`: at least one child runs).
+                    self.fused_loop(pc, index, level, parent, adv, |ck| {
+                        ck.check_axpy(pc, n, term, alpha, x, y, res, spec, first.is_some())
+                    })?;
                     // A folded zero must run on every path its `Zero`
                     // did; a tile's root range can be empty, so at
                     // level 0 it covers nothing on that path.
@@ -610,9 +591,70 @@ impl<'t> Checker<'t> {
                     self.report.sparse_axpys += 1;
                     pc += 1;
                 }
+                Instr::SparseDot {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    term,
+                    dot,
+                    leaf,
+                } => {
+                    self.in_range(pc, "folded term", term, self.tape.n_terms)?;
+                    // The DOT result stands in for the whole buffer.
+                    let len = self.tape.bounds.buffer_lens[term];
+                    if len != 1 {
+                        return Err(TapeInvariantError::ZeroAccumCoverage {
+                            pc,
+                            term,
+                            covered: 1,
+                            len,
+                        });
+                    }
+                    self.fused_loop(pc, index, level, parent, adv, |ck| {
+                        // The DOT may not source `term`: the fused loop
+                        // never zeroes it.
+                        ck.check_dot(pc, dot, Some(term))?;
+                        // The per-child `Zero`: a read of `term` is the
+                        // DOT result.
+                        ck.zeroed[term] = true;
+                        ck.check_leaf(pc, leaf)
+                    })?;
+                    // `term` is never written, so no later read may
+                    // count on what the unfused loop left in it.
+                    self.zeroed[term] = false;
+                    self.report.sparse_dots += 1;
+                    pc += 1;
+                }
             }
         }
         Ok(())
+    }
+
+    /// Check a fused sparse loop (`SparseAxpy`, `SparseDot`): its header
+    /// by the rules of a `Sparse` one, then `body` with the loop open.
+    /// The loop drives no frame: it is open only for the body's cursor
+    /// bounds and node tracking.
+    fn fused_loop(
+        &mut self,
+        pc: usize,
+        index: usize,
+        level: usize,
+        parent: ParentLoc,
+        adv: (u32, u32),
+        body: impl FnOnce(&mut Self) -> Result<(), TapeInvariantError>,
+    ) -> Result<(), TapeInvariantError> {
+        self.check_sparse_header(pc, index, level, parent)?;
+        self.check_adv_range(pc, adv)?;
+        self.stack.push(OpenLoop {
+            index,
+            level: Some(level),
+            adv,
+        });
+        self.report.max_nesting = self.report.max_nesting.max(self.stack.len());
+        let checked = body(self);
+        self.stack.pop();
+        checked
     }
 
     /// Enter a loop at `header` with jump target `end` inside the
@@ -737,6 +779,39 @@ impl<'t> Checker<'t> {
             }
         }
         self.report.sparse_loops += 1;
+        Ok(())
+    }
+
+    /// A scalar contraction — of a `Leaf` or a `SparseDot`.
+    fn check_leaf(&mut self, pc: usize, leaf: ScalarMul) -> Result<(), TapeInvariantError> {
+        let ScalarMul {
+            left,
+            right,
+            tgt,
+            res,
+        } = leaf;
+        let needs_node = matches!(left, Read::SparseVal)
+            || matches!(right, Read::SparseVal)
+            || matches!(tgt, Write::SparseCell);
+        self.check_read(pc, left)?;
+        self.check_read(pc, right)?;
+        self.check_cell(pc, tgt)?;
+        self.check_node_res(pc, res, needs_node)
+    }
+
+    /// A DOT call — of a `Dot`, or of a `SparseDot` (`split_term` its
+    /// folded term).
+    fn check_dot(
+        &mut self,
+        pc: usize,
+        dot: DotCall,
+        split_term: Option<usize>,
+    ) -> Result<(), TapeInvariantError> {
+        let DotCall { n, x, y, spec, .. } = dot;
+        self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
+        self.check_vec_src(pc, x, n, split_term)?;
+        self.check_vec_src(pc, y, n, split_term)?;
+        self.report.microkernels += 1;
         Ok(())
     }
 
@@ -1149,7 +1224,7 @@ impl<'t> Checker<'t> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AdvEntry, CompiledTape, Instr};
+    use super::super::{reads_term, AdvEntry, CompiledTape, Instr};
     use super::*;
     use crate::simd::KernelSet;
     use spttn_ir::{
@@ -1267,15 +1342,55 @@ mod tests {
             .unwrap()
     }
 
+    /// Order-3 TTTP on its gate path (`U*V → X0`, `W*X0 → X1`,
+    /// `T*X1 → S`) compiled with superinstructions on: the inner `k`
+    /// loop — `Zero X1; Dot; Leaf` over a rank-32 DOT — fuses into one
+    /// `SparseDot` at level 2 folding `X1`.
+    fn fused_dot_tape() -> CompiledTape {
+        let k = parse_kernel(
+            "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+            &[("i", 6), ("j", 5), ("k", 7), ("r", 32)],
+        )
+        .unwrap();
+        let path = path_from_picks(&k, &[(1, 2), (1, 2), (0, 1)]);
+        let spec = NestSpec {
+            orders: vec![vec![0, 1, 3], vec![0, 1, 2, 3], vec![0, 1, 2]],
+        };
+        let forest = build_forest(&k, &path, &spec).unwrap();
+        let bufs = buffers_for_forest(&k, &path, &forest);
+        CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::auto_detected())
+            .unwrap()
+    }
+
+    /// The `SparseDot` of [`fused_dot_tape`] and its position.
+    fn dot_loop(tape: &mut CompiledTape) -> (usize, &mut Instr) {
+        tape.instrs
+            .iter_mut()
+            .enumerate()
+            .find(|(_, i)| matches!(i, Instr::SparseDot { .. }))
+            .expect("TTTP's k loop fuses into a SparseDot")
+    }
+
     #[test]
     fn valid_tapes_verify_clean() {
-        for tape in [tracked_tape(), listing4_tape()] {
+        for tape in [tracked_tape(), listing4_tape(), fused_dot_tape()] {
             let report = tape.verify().expect("compiler output must verify");
             assert_eq!(report.instrs, tape.num_instrs());
             assert!(report.max_nesting <= report.frame_capacity);
             assert!(report.accesses_checked > 0);
-            assert!(report.zeros > 0, "Eq.-5 split points placed");
+            assert!(
+                report.zeros + report.zero_accums + report.sparse_dots > 0,
+                "Eq.-5 split points placed"
+            );
         }
+        let report = fused_dot_tape().verify().unwrap();
+        assert_eq!(
+            (report.sparse_dots, report.zeros, report.zero_accums),
+            (1, 0, 1),
+            "X1's zero folded into the fused k loop, X0's into a ZeroXmul"
+        );
+        assert_eq!(report.specialized, 1, "the rank-32 DOT");
+        assert!(format!("{report}").contains("1 fused sparse-DOT loops"));
     }
 
     /// A hand-built forest that would need a searched node — Listing 3
@@ -1628,6 +1743,71 @@ mod tests {
         }
     }
 
+    /// Class 15: shrink a fused DOT loop's rank-32 trip count — the
+    /// pinned kernel would assert (or read past its rows) at run time.
+    #[test]
+    fn mutation_fused_dot_trip_count_rejected() {
+        let mut tape = fused_dot_tape();
+        let (_, Instr::SparseDot { dot, .. }) = dot_loop(&mut tape) else {
+            unreachable!()
+        };
+        assert_eq!(dot.spec, RankSpec::R32);
+        dot.n -= 1;
+        match tape.verify() {
+            Err(TapeInvariantError::SpecializationMismatch { rank: 32, .. }) => {}
+            other => panic!("expected SpecializationMismatch, got {other:?}"),
+        }
+    }
+
+    /// Class 16: point a fused DOT loop's parent at the wrong level.
+    #[test]
+    fn mutation_fused_dot_wrong_parent_rejected() {
+        let mut tape = fused_dot_tape();
+        let (_, Instr::SparseDot { level, parent, .. }) = dot_loop(&mut tape) else {
+            unreachable!()
+        };
+        assert_eq!(*level, 2);
+        *parent = ParentLoc::Tracked(0);
+        match tape.verify() {
+            Err(TapeInvariantError::TrackingInvariant { .. }) => {}
+            other => panic!("expected TrackingInvariant, got {other:?}"),
+        }
+    }
+
+    /// Class 17: read the folded buffer after its fused DOT loop — the
+    /// loop never writes it, so the read is not zero-dominated (which
+    /// is what proves the fused `Leaf` was its only reader).
+    #[test]
+    fn mutation_read_of_folded_dot_buffer_rejected() {
+        let mut tape = fused_dot_tape();
+        let (at, &mut Instr::SparseDot { term, leaf, .. }) = dot_loop(&mut tape) else {
+            unreachable!()
+        };
+        let folded = if reads_term(leaf.left, term) {
+            leaf.left
+        } else {
+            leaf.right
+        };
+        let read = ScalarMul {
+            left: folded,
+            right: folded,
+            ..leaf
+        };
+        tape.instrs.insert(at + 1, Instr::Leaf(read));
+        for ins in &mut tape.instrs {
+            match ins {
+                Instr::Dense { end, .. } | Instr::Sparse { end, .. } if *end > at => *end += 1,
+                _ => {}
+            }
+        }
+        match tape.verify() {
+            Err(TapeInvariantError::MissingZero { pc, term: t }) => {
+                assert_eq!((pc, t), (at + 1, term));
+            }
+            other => panic!("expected MissingZero, got {other:?}"),
+        }
+    }
+
     /// Class 8: move a sparse-value `Leaf` out from under its deepest
     /// sparse loop — it would read the leaf node of a loop that is no
     /// longer open.
@@ -1640,10 +1820,10 @@ mod tests {
             .position(|i| {
                 matches!(
                     i,
-                    Instr::Leaf {
+                    Instr::Leaf(ScalarMul {
                         res: NodeRes::Tracked(_),
                         ..
-                    }
+                    })
                 )
             })
             .expect("listing 4 reads T in a scalar leaf");

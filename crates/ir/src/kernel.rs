@@ -44,6 +44,9 @@ pub enum KernelError {
     /// The sparse input (named) is the only input: with no dense
     /// factor there is no pairwise contraction to plan.
     NoDenseFactor(String),
+    /// An index (named) has extent 0: a tensor with no coordinates in
+    /// one mode holds no element.
+    ZeroExtent(String),
     /// A sparse-pattern output must have exactly the sparse input's
     /// index set.
     BadSparseOutput,
@@ -73,6 +76,10 @@ impl std::fmt::Display for KernelError {
                 f,
                 "contraction of '{t}' has no dense factor; a plain reduction is not \
                  an SpTTN kernel — multiply by a ones vector"
+            ),
+            KernelError::ZeroExtent(i) => write!(
+                f,
+                "index '{i}' has extent 0; every index needs at least one coordinate"
             ),
             KernelError::BadSparseOutput => write!(
                 f,
@@ -118,6 +125,9 @@ impl Kernel {
         }
         if inputs.is_empty() {
             return Err(KernelError::NoInputs);
+        }
+        if let Some(i) = indices.iter().find(|i| i.dim == 0) {
+            return Err(KernelError::ZeroExtent(i.name.clone()));
         }
         if sparse_input >= inputs.len() {
             return Err(KernelError::BadSparseInput(sparse_input));

@@ -28,9 +28,10 @@ fn row_major_strides(dims: &[usize]) -> Vec<usize> {
 impl DenseTensor {
     /// Create a zero-filled tensor with the given dimensions.
     ///
-    /// A zero-order tensor (`dims == []`) is a scalar holding one value.
+    /// A zero-order tensor (`dims == []`) is a scalar holding one value;
+    /// a tensor with an extent-0 mode holds none.
     pub fn zeros(dims: &[usize]) -> Self {
-        let len = dims.iter().product::<usize>().max(1);
+        let len = dims.iter().product();
         DenseTensor {
             dims: dims.to_vec(),
             strides: row_major_strides(dims),
@@ -40,7 +41,7 @@ impl DenseTensor {
 
     /// Create a tensor from an explicit row-major data vector.
     pub fn from_data(dims: &[usize], data: Vec<f64>) -> Result<Self, TensorError> {
-        let len = dims.iter().product::<usize>().max(1);
+        let len: usize = dims.iter().product();
         if data.len() != len {
             return Err(TensorError::OrderMismatch {
                 expected: len,

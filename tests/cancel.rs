@@ -2,15 +2,15 @@
 //! produce output **bitwise identical** to a fresh, never-cancelled
 //! run — cancellation may leave no sticky state in workspaces, pool
 //! workers, or outputs. Asserted for the kernel executor at 1 and 4
-//! threads (token and deadline variants), for a root-level fused
-//! sparse-AXPY loop, and for the network executor,
+//! threads (token and deadline variants), for root-level fused
+//! sparse-AXPY and sparse-DOT loops, and for the network executor,
 //! between dense steps and inside one.
 
 use rand::prelude::*;
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
     CancelToken, Contraction, ContractionOutput, Microkernels, PlanOptions, Shapes, SpttnError,
-    Threads,
+    TapeReport, Threads,
 };
 use spttn_net::{NetOptions, Network};
 use std::time::Duration;
@@ -93,58 +93,74 @@ fn cancelled_then_retried_is_bitwise_identical_to_fresh() {
     }
 }
 
-/// An order-1 sparse operand: the whole tape is one fused sparse-AXPY
-/// loop over the CSF roots, which keeps the root frame's cancellation
-/// checkpoint and leaves nothing behind when cancelled.
+/// An order-1 sparse operand: the whole tape is one fused sparse loop
+/// over the CSF roots — an AXPY body, or a DOT one — which keeps the
+/// root frame's cancellation checkpoint and leaves nothing behind when
+/// cancelled.
 #[test]
 fn root_level_fused_loop_cancel_then_retry_is_bitwise_identical() {
     let mut rng = StdRng::seed_from_u64(31);
     let coo = random_coo(&[400], 120, &mut rng).unwrap();
     let csf = Csf::from_coo(&coo, &[0]).unwrap();
     let b = random_dense(&[400, 8], &mut rng);
-    let factors: [(&str, &DenseTensor); 1] = [("B", &b)];
+    let v = random_dense(&[8], &mut rng);
     let shapes = Shapes::new()
         .with_dims(&[("i", 400), ("a", 8)])
         .with_profile(SparsityProfile::from_csf(&csf));
-    let plan_with = |opts: &PlanOptions| {
-        Contraction::parse("T[i]*B[i,a]->y[a]")
-            .unwrap()
-            .plan(&shapes, opts)
-            .unwrap()
-    };
+    // Expression, factors, and the report count of its fused loop.
+    type Case<'a> = (
+        &'a str,
+        &'a [(&'a str, &'a DenseTensor)],
+        fn(&TapeReport) -> usize,
+    );
+    let cases: [Case; 2] = [
+        ("T[i]*B[i,a]->y[a]", &[("B", &b)], |r| r.sparse_axpys),
+        ("T[i]*B[i,a]*v[a]->S[i]", &[("B", &b), ("v", &v)], |r| {
+            r.sparse_dots
+        }),
+    ];
 
-    for threads in [1usize, 4] {
-        let base = PlanOptions::default().with_threads(Threads::N(threads));
-        let want = bits(
-            &plan_with(&base)
-                .bind(csf.clone(), &factors)
+    for (expr, factors, fused_loops) in cases {
+        let plan_with = |opts: &PlanOptions| {
+            Contraction::parse(expr)
                 .unwrap()
-                .execute()
-                .unwrap(),
-        );
+                .plan(&shapes, opts)
+                .unwrap()
+        };
+        for threads in [1usize, 4] {
+            let base = PlanOptions::default().with_threads(Threads::N(threads));
+            let want = bits(
+                &plan_with(&base)
+                    .bind(csf.clone(), factors)
+                    .unwrap()
+                    .execute()
+                    .unwrap(),
+            );
 
-        let tok = CancelToken::new();
-        let mut exec = plan_with(&base.clone().with_cancel(tok.clone()))
-            .bind(csf.clone(), &factors)
-            .unwrap();
-        // One fused loop wherever superinstructions are on (not under
-        // a `SPTTN_MICROKERNELS=scalar` override).
-        let fused = exec.tape().kernel_set().superinstructions();
-        assert_eq!(
-            exec.tape().verify().unwrap().sparse_axpys,
-            usize::from(fused)
-        );
-        tok.cancel();
-        match exec.execute() {
-            Err(SpttnError::Cancelled { .. }) => {}
-            other => panic!("{threads} thread(s): expected Cancelled, got {other:?}"),
+            let tok = CancelToken::new();
+            let mut exec = plan_with(&base.clone().with_cancel(tok.clone()))
+                .bind(csf.clone(), factors)
+                .unwrap();
+            // One fused loop wherever superinstructions are on (not
+            // under a `SPTTN_MICROKERNELS=scalar` override).
+            let fused = exec.tape().kernel_set().superinstructions();
+            assert_eq!(
+                fused_loops(&exec.tape().verify().unwrap()),
+                usize::from(fused),
+                "{expr}"
+            );
+            tok.cancel();
+            match exec.execute() {
+                Err(SpttnError::Cancelled { .. }) => {}
+                other => panic!("{expr} @ {threads}t: expected Cancelled, got {other:?}"),
+            }
+            tok.reset();
+            assert_eq!(
+                bits(&exec.execute().unwrap()),
+                want,
+                "{expr} @ {threads}t: retry after cancel must be bitwise identical"
+            );
         }
-        tok.reset();
-        assert_eq!(
-            bits(&exec.execute().unwrap()),
-            want,
-            "{threads} thread(s): retry after cancel must be bitwise identical"
-        );
     }
 }
 

@@ -5,7 +5,8 @@
 //! `Contraction::parse`, in the `=`, `+=` and `->` syntaxes alike —
 //! never silently swallowed. What only the lowering can see — a sparse
 //! operand with no indices, a sparse operand with nothing to contract
-//! with — is one `KernelError` from every front end that lowers.
+//! with, an index of extent 0 — is one `KernelError` from every front
+//! end that lowers.
 
 use spttn::ir::{parse_kernel, KernelError};
 use spttn::{Contraction, PlanOptions, Shapes, SpttnError};
@@ -76,12 +77,20 @@ fn facade_rejects_output_only_indices() {
     }
 }
 
-/// `expr` parses, but no `Kernel` is built from it: `parse_kernel`,
-/// `Contraction::plan` and `Network::plan` all return `want`, a typed
-/// single-line error whose text contains `needle`.
-fn assert_kernel_error_everywhere(expr: &str, want: KernelError, needle: &str) {
-    let dims = [("i", 3), ("j", 4), ("a", 2), ("b", 3)];
-    let shapes = Shapes::new().with_dims(&dims).with_nnz(1);
+/// Extents for the kernel-error expressions.
+const KERNEL_DIMS: &[(&str, usize)] = &[("i", 3), ("j", 4), ("a", 2), ("b", 3)];
+
+/// `expr` under the extents `dims` parses, but no `Kernel` is built
+/// from it: `parse_kernel`, `Contraction::plan` and `Network::plan` all
+/// return `want`, a typed single-line error whose text contains
+/// `needle`.
+fn assert_kernel_error_everywhere(
+    expr: &str,
+    dims: &[(&str, usize)],
+    want: KernelError,
+    needle: &str,
+) {
+    let shapes = Shapes::new().with_dims(dims).with_nnz(1);
     let planned = Contraction::parse(expr)
         .expect("the grammar accepts the expression")
         .plan(&shapes, &PlanOptions::default())
@@ -89,7 +98,7 @@ fn assert_kernel_error_everywhere(expr: &str, want: KernelError, needle: &str) {
     let net = Network::parse(expr)
         .and_then(|n| n.plan(&shapes, &NetOptions::default()))
         .map(|_| ());
-    let ir = parse_kernel(expr, &dims).map(|_| ());
+    let ir = parse_kernel(expr, dims).map(|_| ());
     for (via, got) in [
         ("parse_kernel", ir.map_err(SpttnError::from)),
         ("Contraction::plan", planned),
@@ -110,6 +119,7 @@ fn order0_sparse_operand_is_a_typed_error_everywhere() {
     for expr in ["A(a) = T() * B(a)", "T[]*B[a,b]*C[b]->A[a]"] {
         assert_kernel_error_everywhere(
             expr,
+            KERNEL_DIMS,
             KernelError::ScalarSparseInput("T".into()),
             "sparse input 'T' has no indices",
         );
@@ -123,8 +133,35 @@ fn contraction_without_a_dense_factor_is_a_typed_error_everywhere() {
     for expr in ["A(i) = T(i,j)", "T[i,j]->A[j]"] {
         assert_kernel_error_everywhere(
             expr,
+            KERNEL_DIMS,
             KernelError::NoDenseFactor("T".into()),
             "contraction of 'T' has no dense factor",
+        );
+    }
+}
+
+/// An extent-0 index — dense, sparse, or carried only by dense network
+/// factors — used to plan: the naive oracle then read a phantom element
+/// `DenseTensor::zeros` allocated for an empty tensor, and the tape
+/// verifier rejected the tape's accesses into a factor of length 0.
+#[test]
+fn zero_extent_is_a_typed_error_everywhere() {
+    let zero = |name: &str| -> Vec<(&str, usize)> {
+        let mut dims = vec![("i", 3), ("j", 4), ("m", 2), ("r", 2)];
+        dims.iter_mut().find(|(n, _)| *n == name).unwrap().1 = 0;
+        dims
+    };
+    for (expr, index) in [
+        ("A(i,r) = T(i,j) * B(j,r)", "r"),
+        ("T[i,j]*B[j,r]->A[i,r]", "r"),
+        ("A(i) = T(i,j) * B(j)", "j"),
+        ("T[i,j]*D1[j,m]*D2[m,r]->O[i,r]", "m"),
+    ] {
+        assert_kernel_error_everywhere(
+            expr,
+            &zero(index),
+            KernelError::ZeroExtent(index.into()),
+            &format!("index '{index}' has extent 0"),
         );
     }
 }
