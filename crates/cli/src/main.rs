@@ -436,6 +436,13 @@ fn build_shapes(
         }
     }
     for (name, dim) in &args.dim_overrides {
+        if !all_names.contains(name) {
+            fail(format!(
+                "--dim {name}={dim}: '{}' has no index '{name}' (its indices: {})",
+                args.expr,
+                all_names.join(", ")
+            ));
+        }
         shapes = shapes.with_dim(name, *dim);
     }
     match (coo, args.nnz) {

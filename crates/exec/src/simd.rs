@@ -203,9 +203,9 @@ static SCALAR: Table = Table {
 };
 
 /// A bind-time kernel selection: which implementation family to draw
-/// function pointers from, and whether the tape compiler may emit
-/// superinstructions (`ZeroAccum` fusion, fused sparse loops, rank
-/// specialization).
+/// function pointers from, and whether the tape compiler may fuse as it
+/// emits (assigning calls in place of a zero point, fused sparse loops)
+/// and rank-specialize.
 ///
 /// Program shape (`fuse`) depends only on the [`Microkernels`] option;
 /// implementation (`sel`) additionally on the host CPU. Copying the set
@@ -255,9 +255,10 @@ impl KernelSet {
         self.sel
     }
 
-    /// Whether the tape compiler may fuse `Zero` + first accumulation
-    /// into `ZeroAccum` superinstructions, fuse innermost sparse AXPY
-    /// and DOT loops, and rank-specialize.
+    /// Whether the tape compiler, as it emits, may turn a call that
+    /// covers the buffer zeroed right before it into the assigning call
+    /// (`ZeroAccum` fusion), replace innermost sparse AXPY and DOT loops
+    /// with one instruction each, and rank-specialize.
     pub fn superinstructions(&self) -> bool {
         self.fuse
     }

@@ -38,19 +38,25 @@
 //!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA
 //!   or AVX-512F — never re-decided per visit), plus
 //!   a [`RankSpec`] recording whether the body is rank-specialized.
-//! - `ZeroAxpy` / `ZeroXmul` / `ZeroGer` — **superinstructions** fusing
-//!   a term's Eq.-5 zero point with its first accumulation: when the
-//!   instruction immediately following `Zero { t }` is a microkernel
-//!   that accumulates into term `t`'s *entire* buffer, the pair
-//!   collapses into one assigning pass (`y = αx` instead of
-//!   `y = 0; y += αx`), halving the memory traffic of the split point.
-//!   Emitted only under [`Microkernels::Auto`]; the fused kernels never
-//!   skip the write (even for `α == 0`), preserving the zero point.
-//! - `SparseAxpy` / `SparseDot` — **superinstructions** for an innermost
-//!   sparse loop with a straight-line body: one instruction walks the
-//!   parent's children in place — coordinate, cursor advance, body —
-//!   with no frame and no per-child dispatch. Emitted only under
-//!   [`Microkernels::Auto`]. The two bodies:
+//!
+//! # Superinstructions
+//!
+//! Under [`Microkernels::Auto`] the compiler fuses as it emits, looking
+//! only at what it has just written — nothing after the fused site
+//! exists yet, so no jump is ever re-patched:
+//!
+//! - An `Axpy` / `Xmul` / `Ger` with `assign` set fuses a term's Eq.-5
+//!   zero point with its first accumulation: when the call compiled
+//!   right after `Zero { t }` accumulates into term `t`'s *entire*
+//!   buffer, the pair collapses into one assigning pass (`y = αx`
+//!   instead of `y = 0; y += αx`), halving the memory traffic of the
+//!   split point. The assigning kernels never skip the write (even for
+//!   `α == 0`), preserving the zero point.
+//! - `SparseAxpy` / `SparseDot` replace an innermost sparse loop with a
+//!   straight-line body, decided when the loop's body is complete and
+//!   its `EndLoop` not yet written: one instruction walks the parent's
+//!   children in place — coordinate, cursor advance, body — with no
+//!   frame and no per-child dispatch. The two bodies:
 //!   - `Sparse; Axpy; EndLoop` (the inner loop of MTTKRP and TTMc):
 //!     alpha, call. A directly preceding `Zero` of the Axpy's own, fully
 //!     covered buffer folds into the first child's call (its assigning
@@ -251,7 +257,9 @@ enum Instr {
         tgt: Write,
         res: NodeRes,
     },
-    /// `y[q] += alpha · x[q]`.
+    /// `y[q] += alpha · x[q]`. With `assign`, `kern` is the assigning
+    /// twin `y[q] = alpha · x[q]` standing in for the `Zero { term }`
+    /// it was fused with (likewise for `Xmul` and `Ger`).
     Axpy {
         n: usize,
         term: usize,
@@ -261,6 +269,7 @@ enum Instr {
         res: NodeRes,
         kern: AxpyFn,
         spec: RankSpec,
+        assign: bool,
     },
     /// `y[q] += x[q] · z[q]`.
     Xmul {
@@ -270,6 +279,7 @@ enum Instr {
         z: VecSrc,
         y: VecTgt,
         kern: XmulFn,
+        assign: bool,
     },
     /// Rank-1 update `a[q1,q2] += x[q1] · y[q2]`.
     Ger {
@@ -281,6 +291,7 @@ enum Instr {
         a: MatTgt,
         kern: GerFn,
         spec: RankSpec,
+        assign: bool,
     },
     /// `y[i] += Σ_j a[i,j] · x[j]` (call-parameter order baked in).
     Gemv {
@@ -292,39 +303,6 @@ enum Instr {
         y: VecTgt,
         kern: GemvFn,
         spec: RankSpec,
-    },
-    /// Superinstruction: `Zero { term }` fused with an `Axpy` covering
-    /// the whole buffer — one assigning pass `y[q] = alpha · x[q]`.
-    ZeroAxpy {
-        n: usize,
-        term: usize,
-        alpha: Read,
-        x: VecSrc,
-        y: VecTgt,
-        res: NodeRes,
-        kern: AxpyFn,
-        spec: RankSpec,
-    },
-    /// Superinstruction: `Zero` + full-coverage `Xmul`,
-    /// `y[q] = x[q] · z[q]`.
-    ZeroXmul {
-        n: usize,
-        term: usize,
-        x: VecSrc,
-        z: VecSrc,
-        y: VecTgt,
-        kern: XmulFn,
-    },
-    /// Superinstruction: `Zero` + full-coverage `Ger`,
-    /// `a[q1,q2] = x[q1] · y[q2]`.
-    ZeroGer {
-        m: usize,
-        n: usize,
-        term: usize,
-        x: VecSrc,
-        y: VecSrc,
-        a: MatTgt,
-        kern: GerFn,
     },
     /// Superinstruction: `Sparse` header + `Axpy` body + `EndLoop` —
     /// `y[q] += alpha · x[q]` once per child of the parent node, with no
@@ -514,6 +492,7 @@ impl CompiledTape {
             buffer_inds,
             buffer_strides,
             buffer_hint,
+            buffer_lens,
             factor_strides: kernel
                 .inputs
                 .iter()
@@ -527,10 +506,6 @@ impl CompiledTape {
             kernels,
         };
         c.compile_siblings(&forest.roots, n_terms)?;
-        if kernels.superinstructions() {
-            fuse_zero_accum(&mut c.instrs, &buffer_lens, &kernels);
-            fuse_sparse_loops(&mut c.instrs, &buffer_lens, &kernels);
-        }
         let bounds = TapeBounds {
             factor_lens: kernel
                 .inputs
@@ -544,7 +519,7 @@ impl CompiledTape {
                     }
                 })
                 .collect(),
-            buffer_lens,
+            buffer_lens: c.buffer_lens,
             out_len: if kernel.output_sparse {
                 0
             } else {
@@ -605,17 +580,18 @@ impl CompiledTape {
         self.kernels.width()
     }
 
-    /// Number of superinstructions in the program: fused `ZeroAccum`
-    /// pairs and fused sparse-AXPY and sparse-DOT loops.
+    /// Number of superinstructions in the program: assigning calls
+    /// (fused `ZeroAccum` pairs) and fused sparse-AXPY and sparse-DOT
+    /// loops.
     pub fn superinstructions(&self) -> usize {
         self.instrs
             .iter()
             .filter(|i| {
                 matches!(
                     i,
-                    Instr::ZeroAxpy { .. }
-                        | Instr::ZeroXmul { .. }
-                        | Instr::ZeroGer { .. }
+                    Instr::Axpy { assign: true, .. }
+                        | Instr::Xmul { assign: true, .. }
+                        | Instr::Ger { assign: true, .. }
                         | Instr::SparseAxpy { .. }
                         | Instr::SparseDot { .. }
                 )
@@ -633,7 +609,6 @@ impl CompiledTape {
                     Instr::Axpy { spec, .. }
                     | Instr::Ger { spec, .. }
                     | Instr::Gemv { spec, .. }
-                    | Instr::ZeroAxpy { spec, .. }
                     | Instr::SparseAxpy { spec, .. }
                     | Instr::Dot { dot: DotCall { spec, .. }, .. }
                     | Instr::SparseDot { dot: DotCall { spec, .. }, .. }
@@ -685,6 +660,9 @@ struct Compiler<'a> {
     /// Innermost buffer extent when it is a supported fixed rank
     /// ([`BufferSpec::rank_hint`]) — the pin for rank specialization.
     buffer_hint: Vec<Option<usize>>,
+    /// Flat length of each term's Eq.-5 buffer — what a fused call must
+    /// cover to stand in for its `Zero`.
+    buffer_lens: Vec<usize>,
     factor_strides: Vec<Vec<usize>>,
     out_strides: Vec<usize>,
     instrs: Vec<Instr>,
@@ -759,8 +737,73 @@ impl<'a> Compiler<'a> {
                 LoopNode::Leaf(t) => self.compile_leaf(*t)?,
                 LoopNode::Loop(v) => self.compile_loop(v)?,
             }
+            if self.kernels.superinstructions() {
+                self.fuse_zero_into_call();
+            }
         }
         Ok(())
+    }
+
+    /// Fuse the child just compiled with the `Zero { t }` in front of it
+    /// when the child is one microkernel call accumulating over term
+    /// `t`'s **entire** buffer: the call becomes assigning in place.
+    ///
+    /// Coverage: a `VecTgt` covers the buffer iff [`covers`] holds; a
+    /// `MatTgt` additionally needs row-major packing (`rs == n`,
+    /// `m·n == len`). Then the call writes every element, so "fill +
+    /// accumulate" equals "assign", and it runs on exactly the paths the
+    /// adjacent `Zero` did. Sources cannot alias the zeroed buffer: a
+    /// call for term `t` only reads factors and buffers of earlier terms
+    /// (the verifier's `ProducerOrderViolation` rule).
+    fn fuse_zero_into_call(&mut self) {
+        let ks = self.kernels;
+        let [.., Instr::Zero { term }, call] = &mut self.instrs[..] else {
+            return;
+        };
+        let (term, len) = (*term, self.buffer_lens[*term]);
+        let assign = match call {
+            Instr::Axpy {
+                n,
+                term: t,
+                y,
+                kern,
+                spec,
+                assign,
+                ..
+            } if *t == term && covers(*y, *n, len) => {
+                *kern = assigning_axpy(&ks, *n, *spec);
+                assign
+            }
+            Instr::Xmul {
+                n,
+                term: t,
+                y,
+                kern,
+                assign,
+                ..
+            } if *t == term && covers(*y, *n, len) => {
+                *kern = ks.zxmul();
+                assign
+            }
+            Instr::Ger {
+                m,
+                n,
+                term: t,
+                a,
+                kern,
+                spec,
+                assign,
+                ..
+            } if *t == term && !a.out && a.cs == 1 && a.rs == *n && *m * *n == len => {
+                // The assigning GER has no fixed-rank bodies.
+                (*kern, *spec) = (ks.zger(), RankSpec::Gen);
+                assign
+            }
+            _ => return,
+        };
+        *assign = true;
+        // The call takes the `Zero`'s place.
+        self.instrs.swap_remove(self.instrs.len() - 2);
     }
 
     fn compile_loop(&mut self, v: &LoopVertex) -> Result<()> {
@@ -774,10 +817,10 @@ impl<'a> Compiler<'a> {
             adv: Vec::new(),
         });
         self.compile_siblings(&v.children, v.term_hi)?;
-        self.instrs.push(Instr::EndLoop);
-        let end = self.instrs.len();
         let ctx = self.loops.pop().expect("loop ctx pushed above");
         let adv = self.flush_adv(ctx.adv);
+        // Past the `EndLoop` pushed below.
+        let end = self.instrs.len() + 1;
         self.instrs[header] = match v.kind {
             VertexKind::Dense => Instr::Dense {
                 index: v.index,
@@ -785,20 +828,110 @@ impl<'a> Compiler<'a> {
                 adv,
                 end,
             },
-            VertexKind::Sparse { level } => Instr::Sparse {
-                index: v.index,
-                level,
+            VertexKind::Sparse { level } => {
                 // The descent rule: the enclosing sparse loop stands on
                 // this level's parent node.
-                parent: match level {
+                let parent = match level {
                     0 => ParentLoc::Root,
                     l => ParentLoc::Tracked(l - 1),
-                },
-                adv,
-                end,
-            },
+                };
+                if self.kernels.superinstructions()
+                    && self.fuse_sparse_loop(header, v.index, level, parent, adv)
+                {
+                    return Ok(());
+                }
+                Instr::Sparse {
+                    index: v.index,
+                    level,
+                    parent,
+                    adv,
+                    end,
+                }
+            }
         };
+        self.instrs.push(Instr::EndLoop);
         Ok(())
+    }
+
+    /// Replace the sparse loop whose header placeholder sits at `header`
+    /// and whose body is everything after it by one superinstruction,
+    /// when the body is one of two straight-line shapes. Returns whether
+    /// it did.
+    ///
+    /// - `Axpy` becomes a `SparseAxpy`. A directly preceding `Zero` of
+    ///   the Axpy's own term folds into the first child's call when the
+    ///   Axpy [`covers`] the buffer and the loop sits below the root:
+    ///   every non-root CSF node has at least one child, so the
+    ///   assigning call runs on every path the `Zero` did. A tile's root
+    ///   range can be empty, so a level-0 loop keeps its `Zero`. An
+    ///   already assigning Axpy (its own `Zero` fused inside the loop)
+    ///   stays a loop.
+    /// - `Zero t; Dot → t; Leaf` becomes a `SparseDot` when `t` is a
+    ///   one-element buffer that exactly one `Leaf` operand reads. `t`'s
+    ///   only consumer is that `Leaf` (a buffer has one consumer term),
+    ///   so nothing after the loop reads it.
+    fn fuse_sparse_loop(
+        &mut self,
+        header: usize,
+        index: IndexId,
+        level: usize,
+        parent: ParentLoc,
+        adv: AdvRange,
+    ) -> bool {
+        let (at, fused) = match self.instrs[header + 1..] {
+            [Instr::Axpy {
+                n,
+                term,
+                alpha,
+                x,
+                y,
+                res,
+                kern,
+                spec,
+                assign: false,
+            }] => {
+                let fold = level > 0
+                    && header > 0
+                    && matches!(self.instrs[header - 1], Instr::Zero { term: z } if z == term)
+                    && covers(y, n, self.buffer_lens[term]);
+                let fused = Instr::SparseAxpy {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    n,
+                    term,
+                    alpha,
+                    x,
+                    y,
+                    res,
+                    kern,
+                    first: fold.then(|| assigning_axpy(&self.kernels, n, spec)),
+                    spec,
+                };
+                (if fold { header - 1 } else { header }, fused)
+            }
+            [Instr::Zero { term }, Instr::Dot { dot, tgt, .. }, Instr::Leaf(leaf)]
+                if matches!(tgt, Write::Cell { out: false, term: t, .. } if t == term)
+                    && self.buffer_lens[term] == 1
+                    && reads_term(leaf.left, term) != reads_term(leaf.right, term) =>
+            {
+                let fused = Instr::SparseDot {
+                    index,
+                    level,
+                    parent,
+                    adv,
+                    term,
+                    dot,
+                    leaf,
+                };
+                (header, fused)
+            }
+            _ => return false,
+        };
+        self.instrs.truncate(at);
+        self.instrs.push(fused);
+        true
     }
 
     fn flush_adv(&mut self, entries: Vec<AdvEntry>) -> AdvRange {
@@ -1006,6 +1139,7 @@ impl<'a> Compiler<'a> {
                     res,
                     kern,
                     spec,
+                    assign: false,
                 }
             }
             (LeafOp::Xmul, _) => {
@@ -1019,6 +1153,7 @@ impl<'a> Compiler<'a> {
                     z,
                     y,
                     kern: self.kernels.xmul(),
+                    assign: false,
                 }
             }
             (LeafOp::Ger { x }, Some(q2)) => {
@@ -1038,6 +1173,7 @@ impl<'a> Compiler<'a> {
                     a,
                     kern,
                     spec,
+                    assign: false,
                 }
             }
             (LeafOp::Gemv { mat, row, col }, _) => {
@@ -1061,183 +1197,6 @@ impl<'a> Compiler<'a> {
         };
         self.instrs.push(instr);
         Ok(true)
-    }
-}
-
-/// Peephole pass fusing `Zero { t }` with an immediately following
-/// microkernel that accumulates over term `t`'s **entire** buffer into
-/// one assigning superinstruction (Eq.-5 zero point + first
-/// accumulation in a single pass).
-///
-/// Soundness of the coverage tests: a `VecTgt` covers the buffer iff
-/// [`covers`] holds; a `MatTgt` additionally needs row-major packing
-/// (`rs == n`, `m·n == len`). Then the kernel touches every element, so
-/// replacing "fill + accumulate" with "assign" is exact. Adjacency
-/// guarantees the fused instruction executes on exactly the control
-/// paths the `Zero` did.
-///
-/// Sources cannot alias the zeroed buffer: producer ordering means a
-/// microkernel for term `t` only reads factors and buffers of earlier
-/// terms (the verifier's `ProducerOrderViolation` rule).
-fn fuse_zero_accum(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
-    let mut i = 0;
-    while i + 1 < instrs.len() {
-        let Instr::Zero { term } = instrs[i] else {
-            i += 1;
-            continue;
-        };
-        let fused = match instrs[i + 1] {
-            Instr::Axpy {
-                n,
-                term: t,
-                alpha,
-                x,
-                y,
-                res,
-                spec,
-                ..
-            } if t == term && covers(y, n, buffer_lens[t]) => Some(Instr::ZeroAxpy {
-                n,
-                term: t,
-                alpha,
-                x,
-                y,
-                res,
-                kern: assigning_axpy(kernels, n, spec),
-                spec,
-            }),
-            Instr::Xmul {
-                n,
-                term: t,
-                x,
-                z,
-                y,
-                ..
-            } if t == term && covers(y, n, buffer_lens[t]) => Some(Instr::ZeroXmul {
-                n,
-                term: t,
-                x,
-                z,
-                y,
-                kern: kernels.zxmul(),
-            }),
-            Instr::Ger {
-                m,
-                n,
-                term: t,
-                x,
-                y,
-                a,
-                ..
-            } if t == term && !a.out && a.cs == 1 && a.rs == n && m * n == buffer_lens[t] => {
-                Some(Instr::ZeroGer {
-                    m,
-                    n,
-                    term: t,
-                    x,
-                    y,
-                    a,
-                    kern: kernels.zger(),
-                })
-            }
-            _ => None,
-        };
-        if let Some(f) = fused {
-            instrs[i] = f;
-            // `instrs[i]` is a `Zero`, the removed one a microkernel.
-            remove_instrs(instrs, i + 1..i + 2);
-        }
-        i += 1;
-    }
-}
-
-/// Peephole pass turning an innermost sparse loop with one of two
-/// straight-line bodies into one superinstruction, run after
-/// [`fuse_zero_accum`] (which leaves a `Zero` before a loop, and a
-/// `Zero` before a `Dot`, alone):
-///
-/// - `Sparse; Axpy; EndLoop` becomes a `SparseAxpy`. A directly
-///   preceding `Zero` of the Axpy's own term folds into the first
-///   child's call when the Axpy [`covers`] the buffer and the loop sits
-///   below the root: every non-root CSF node has at least one child, so
-///   the assigning call runs on every path the `Zero` did. A tile's root
-///   range can be empty, so a level-0 loop keeps its `Zero`.
-/// - `Sparse; Zero t; Dot → t; Leaf; EndLoop` becomes a `SparseDot` when
-///   `t` is a one-element buffer that exactly one `Leaf` operand reads.
-///   `t`'s only consumer is that `Leaf` (a buffer has one consumer
-///   term), so nothing after the loop reads it.
-fn fuse_sparse_loops(instrs: &mut Vec<Instr>, buffer_lens: &[usize], kernels: &KernelSet) {
-    let mut i = 0;
-    while i < instrs.len() {
-        let Instr::Sparse {
-            index,
-            level,
-            parent,
-            adv,
-            end,
-        } = instrs[i]
-        else {
-            i += 1;
-            continue;
-        };
-        let (lo, fused) = match instrs[i + 1..end - 1] {
-            [Instr::Axpy {
-                n,
-                term,
-                alpha,
-                x,
-                y,
-                res,
-                kern,
-                spec,
-            }] => {
-                let fold = level > 0
-                    && i > 0
-                    && matches!(instrs[i - 1], Instr::Zero { term: z } if z == term)
-                    && covers(y, n, buffer_lens[term]);
-                let fused = Instr::SparseAxpy {
-                    index,
-                    level,
-                    parent,
-                    adv,
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    res,
-                    kern,
-                    first: fold.then(|| assigning_axpy(kernels, n, spec)),
-                    spec,
-                };
-                (if fold { i - 1 } else { i }, fused)
-            }
-            [Instr::Zero { term }, Instr::Dot { dot, tgt, .. }, Instr::Leaf(leaf)]
-                if matches!(tgt, Write::Cell { out: false, term: t, .. } if t == term)
-                    && buffer_lens[term] == 1
-                    && reads_term(leaf.left, term) != reads_term(leaf.right, term) =>
-            {
-                let fused = Instr::SparseDot {
-                    index,
-                    level,
-                    parent,
-                    adv,
-                    term,
-                    dot,
-                    leaf,
-                };
-                (i, fused)
-            }
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        instrs[lo] = fused;
-        // `instrs[lo]` was the folded `Zero` or the header; the removed
-        // ones are the rest of the loop, its `EndLoop` last.
-        remove_instrs(instrs, lo + 1..end);
-        i = lo + 1;
     }
 }
 
@@ -1265,29 +1224,6 @@ fn assigning_axpy(kernels: &KernelSet, n: usize, spec: RankSpec) -> AxpyFn {
     };
     debug_assert_eq!(zspec, spec);
     kern
-}
-
-/// Remove `instrs[range]` and re-patch every loop `end` past it.
-///
-/// An `end` always lands one past an `EndLoop`, so no `end` points at
-/// a removed instruction as long as neither `instrs[range.start - 1]`
-/// nor any removed instruction but the last is an `EndLoop` — what
-/// both peephole passes guarantee (a fused loop body is straight-line),
-/// and debug builds assert. Then every
-/// `end > range.start` is at least `range.end`, and shifting it down by
-/// the removed count is exact (`end == range.end` lands on the
-/// instruction that followed the removed ones, now at `range.start`).
-fn remove_instrs(instrs: &mut Vec<Instr>, range: Range<usize>) {
-    let removed = range.len();
-    instrs.drain(range.clone());
-    for ins in instrs.iter_mut() {
-        if let Instr::Dense { end, .. } | Instr::Sparse { end, .. } = ins {
-            debug_assert!(!range.contains(end), "loop end {end} points into {range:?}");
-            if *end > range.start {
-                *end -= removed;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1588,16 +1524,6 @@ impl<'a> Run<'a> {
                     res,
                     kern,
                     ..
-                }
-                | Instr::ZeroAxpy {
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    res,
-                    kern,
-                    ..
                 } => {
                     let node = self.node_of(res);
                     let a = self.read(alpha, node);
@@ -1623,14 +1549,7 @@ impl<'a> Run<'a> {
                     z,
                     y,
                     kern,
-                }
-                | Instr::ZeroXmul {
-                    n,
-                    term,
-                    x,
-                    z,
-                    y,
-                    kern,
+                    ..
                 } => {
                     let Run {
                         factors,
@@ -1657,15 +1576,6 @@ impl<'a> Run<'a> {
                     a,
                     kern,
                     ..
-                }
-                | Instr::ZeroGer {
-                    m,
-                    n,
-                    term,
-                    x,
-                    y,
-                    a,
-                    kern,
                 } => {
                     let Run {
                         factors,
@@ -1957,29 +1867,48 @@ mod tests {
     use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
     use spttn_tensor::{random_coo, random_dense};
 
-    /// One fused-DOT nest: expression, extents, nonzeros, path picks
-    /// and loop orders.
+    /// One nest: expression, extents, nonzeros, path picks, loop orders,
+    /// and the superinstructions it compiles to with fusion on.
     type Nest = (
         &'static str,
         &'static [(&'static str, usize)],
         usize,
         &'static [(usize, usize)],
         &'static [&'static [usize]],
+        &'static [&'static str],
     );
 
-    /// Every nest whose innermost sparse loop is `Zero; Dot; Leaf`,
-    /// compiled from one forest on one kernel tier with fusion on and
-    /// off, gives the same output bits: the fused loop reads `0.0 + d`
-    /// where the unfused one stored `d` into a zeroed cell and loaded it.
+    /// The fused shape an instruction is, if any.
+    fn fused_shape(i: &Instr) -> Option<&'static str> {
+        Some(match i {
+            Instr::Axpy { assign: true, .. } => "assigning Axpy",
+            Instr::Xmul { assign: true, .. } => "assigning Xmul",
+            Instr::Ger { assign: true, .. } => "assigning Ger",
+            Instr::SparseAxpy { first: Some(_), .. } => "SparseAxpy + Zero",
+            Instr::SparseAxpy { .. } => "SparseAxpy",
+            Instr::SparseDot { .. } => "SparseDot",
+            _ => return None,
+        })
+    }
+
+    /// Every fused shape — a `Zero` folded into an AXPY, XMUL or GER, a
+    /// sparse-AXPY loop with and without a folded `Zero`, and the
+    /// `Zero; Dot; Leaf` sparse-DOT loop — compiled from one forest on
+    /// one kernel tier with fusion on and off gives the same output bits
+    /// and the same dispatch counts. (The fused DOT loop reads `0.0 + d`
+    /// where the unfused one stored `d` into a zeroed cell and loaded it;
+    /// an assigning call writes `αx` where the unfused pair added it to
+    /// zero.)
     #[test]
-    fn fused_dot_loops_are_bitwise_the_unfused_tape() {
-        let nests: [Nest; 4] = [
+    fn fused_tapes_are_bitwise_the_unfused_tape() {
+        let nests: [Nest; 8] = [
             (
                 "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
                 &[("i", 9), ("j", 7), ("r", 32)],
                 30,
                 &[(1, 2), (0, 1)],
                 &[&[0, 1, 2], &[0, 1]],
+                &["SparseDot"],
             ),
             (
                 "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
@@ -1987,6 +1916,7 @@ mod tests {
                 80,
                 &[(1, 2), (1, 2), (0, 1)],
                 &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
+                &["assigning Xmul", "SparseDot"],
             ),
             (
                 "y(i) = T(i,j) * U(i,r) * V(j,r)",
@@ -1994,6 +1924,7 @@ mod tests {
                 30,
                 &[(1, 2), (0, 1)],
                 &[&[0, 1, 2], &[0, 1]],
+                &["SparseDot"],
             ),
             (
                 "S(i) = T(i) * U(i,r) * V(r)",
@@ -2001,10 +1932,47 @@ mod tests {
                 15,
                 &[(1, 2), (0, 1)],
                 &[&[0, 1], &[0]],
+                &["SparseDot"],
+            ),
+            // `X0(r) = T(i,j)·U(i,r)` is zeroed and swept once per `j`.
+            (
+                "Y(i,s) = T(i,j) * U(i,r) * V(j,r,s)",
+                &[("i", 9), ("j", 7), ("r", 12), ("s", 5)],
+                30,
+                &[(0, 1), (0, 1)],
+                &[&[0, 1, 2], &[0, 1, 3, 2]],
+                &["assigning Axpy"],
+            ),
+            // `X0(r,s) = U(r)·V(s)`, one GER over the whole buffer.
+            (
+                "S(i) = T(i,r,s) * U(r) * V(s)",
+                &[("i", 6), ("r", 4), ("s", 8)],
+                40,
+                &[(1, 2), (0, 1)],
+                &[&[1, 2], &[0, 1, 2]],
+                &["assigning Ger"],
+            ),
+            // Listing 3: `X0(s)` is zeroed in front of the inner `k` loop.
+            (
+                "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+                &[("i", 8), ("j", 9), ("k", 10), ("r", 4), ("s", 5)],
+                120,
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 4], &[0, 1, 4, 3]],
+                &["SparseAxpy + Zero"],
+            ),
+            // A loop over the CSF roots keeps its `Zero`.
+            (
+                "A(a,b) = T(k) * B(k,a) * C(a,b)",
+                &[("k", 7), ("a", 5), ("b", 3)],
+                5,
+                &[(0, 1), (0, 1)],
+                &[&[0, 1], &[1, 2]],
+                &["SparseAxpy"],
             ),
         ];
         let mut rng = StdRng::seed_from_u64(41);
-        for (expr, dims, nnz, picks, orders) in nests {
+        for (expr, dims, nnz, picks, orders, shapes) in nests {
             let kernel = parse_kernel(expr, dims).unwrap();
             let path = path_from_picks(&kernel, picks);
             let orders = orders.iter().map(|o| o.to_vec()).collect();
@@ -2029,9 +1997,8 @@ mod tests {
                         CompiledTape::compile_with_kernels(&kernel, &path, &forest, &specs, ks)
                             .unwrap();
                     tape.verify().unwrap();
-                    let fused = (tape.instrs.iter())
-                        .filter(|i| matches!(i, Instr::SparseDot { .. }))
-                        .count();
+                    let fused: Vec<_> = tape.instrs.iter().filter_map(fused_shape).collect();
+                    assert_eq!(fused.len(), tape.superinstructions());
                     let mut ws = Workspace::from_specs(&kernel, &path, &forest, &specs);
                     let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
                     let mut vals = vec![0.0; csf.nnz()];
@@ -2047,7 +2014,7 @@ mod tests {
                     (fused, bits, ws.stats())
                 };
                 let (on, off) = (run(true), run(false));
-                assert_eq!((on.0, off.0), (1, 0), "{expr}: the inner loop fuses");
+                assert_eq!((&on.0[..], &off.0[..]), (shapes, &[][..]), "{expr}");
                 assert_eq!(on.1, off.1, "{expr} on {sel:?}");
                 assert_eq!(on.2, off.2, "{expr}: same dispatches and elements");
             }

@@ -46,11 +46,13 @@
 //!    advance-table range referenced by any instruction is in range,
 //!    and a `Dense` header's baked-in extent equals the kernel's
 //!    declared dimension for that index.
-//! 6. **Superinstruction contracts** — a fused `ZeroAxpy`/`ZeroXmul`/
-//!    `ZeroGer` replaces an Eq.-5 `Zero`, so it must *assign* the
-//!    term's whole buffer: unit target stride, buffer (never output)
-//!    target, and extent equal to the buffer length. It then
-//!    establishes zero domination exactly like the `Zero` it fused.
+//! 6. **Superinstruction contracts** — an `Axpy`/`Xmul`/`Ger` with
+//!    `assign` set replaces an Eq.-5 `Zero`, so it must *assign* the
+//!    term's whole buffer: unit target stride (row-major packing for a
+//!    GER), buffer (never output) target, and extent equal to the
+//!    buffer length. It then establishes zero domination exactly like
+//!    the `Zero` it fused; without `assign` the same call is an
+//!    accumulation that a `Zero` must dominate (rule 3).
 //!    Rank-specialized sites (`RankSpec::R8/R16/R32`) must dispatch
 //!    with exactly the specialized trip count over unit-stride
 //!    operands — the fixed kernels assert this at run time; the
@@ -58,10 +60,10 @@
 //!    A fused sparse loop is checked as its parts: the `Sparse` header
 //!    rules of 4 (one `check_sparse_header` for fused and unfused
 //!    loops), the loop open over its body, then the body.
-//!    - `SparseAxpy`: the body is an `Axpy` — or, with a folded zero, a
-//!      `ZeroAxpy`, which is only sound below the root (a non-root node
-//!      always has a child; a tile's root range can be empty), so a
-//!      fold at level 0 is rejected.
+//!    - `SparseAxpy`: the body is an `Axpy` — assigning for the first
+//!      child when a zero is folded in, which is only sound below the
+//!      root (a non-root node always has a child; a tile's root range
+//!      can be empty), so a fold at level 0 is rejected.
 //!    - `SparseDot`: the body is a `Dot` whose sources are earlier terms
 //!      than its folded term `t`, then a `Leaf` checked with `t` zeroed
 //!      (the per-child `Zero`). `t` must be a one-element buffer — the
@@ -277,7 +279,7 @@ pub struct TapeReport {
     pub zeros: usize,
     /// Microkernel instructions, fused superinstructions included.
     pub microkernels: usize,
-    /// Fused `ZeroAccum` superinstructions proved to assign their
+    /// Assigning calls (fused `ZeroAccum` pairs) proved to assign their
     /// term's whole buffer (a `SparseAxpy` with a folded zero included).
     pub zero_accums: usize,
     /// Innermost sparse loops fused with their AXPY body
@@ -465,18 +467,25 @@ impl<'t> Checker<'t> {
                     y,
                     res,
                     spec,
+                    assign,
                     ..
                 } => {
-                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, false)?;
+                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, assign)?;
                     pc += 1;
                 }
                 Instr::Xmul {
-                    n, term, x, z, y, ..
+                    n,
+                    term,
+                    x,
+                    z,
+                    y,
+                    assign,
+                    ..
                 } => {
                     self.in_range(pc, "target term", term, self.tape.n_terms)?;
                     self.check_vec_src(pc, x, n, Some(term))?;
                     self.check_vec_src(pc, z, n, Some(term))?;
-                    self.check_vec_tgt(pc, y, n, term)?;
+                    self.check_vec_tgt(pc, y, n, term, assign)?;
                     self.report.microkernels += 1;
                     pc += 1;
                 }
@@ -488,13 +497,14 @@ impl<'t> Checker<'t> {
                     y,
                     a,
                     spec,
+                    assign,
                     ..
                 } => {
                     self.in_range(pc, "target term", term, self.tape.n_terms)?;
                     self.check_spec(pc, spec, n, a.cs == 1 && y.inc == 1)?;
                     self.check_vec_src(pc, x, m, Some(term))?;
                     self.check_vec_src(pc, y, n, Some(term))?;
-                    self.check_mat_tgt(pc, a, m, n, term)?;
+                    self.check_mat_tgt(pc, a, m, n, term, assign)?;
                     self.report.microkernels += 1;
                     pc += 1;
                 }
@@ -512,49 +522,8 @@ impl<'t> Checker<'t> {
                     self.check_spec(pc, spec, n, a.cs == 1 && x.inc == 1)?;
                     self.check_mat_src(pc, a, m, n, term)?;
                     self.check_vec_src(pc, x, n, Some(term))?;
-                    self.check_vec_tgt(pc, y, m, term)?;
+                    self.check_vec_tgt(pc, y, m, term, false)?;
                     self.report.microkernels += 1;
-                    pc += 1;
-                }
-                Instr::ZeroAxpy {
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    res,
-                    spec,
-                    ..
-                } => {
-                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, true)?;
-                    pc += 1;
-                }
-                Instr::ZeroXmul {
-                    n, term, x, z, y, ..
-                } => {
-                    self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    self.check_vec_src(pc, x, n, Some(term))?;
-                    self.check_vec_src(pc, z, n, Some(term))?;
-                    self.check_zero_vec_tgt(pc, y, n, term)?;
-                    self.report.microkernels += 1;
-                    self.report.zero_accums += 1;
-                    pc += 1;
-                }
-                Instr::ZeroGer {
-                    m,
-                    n,
-                    term,
-                    x,
-                    y,
-                    a,
-                    ..
-                } => {
-                    self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    self.check_vec_src(pc, x, m, Some(term))?;
-                    self.check_vec_src(pc, y, n, Some(term))?;
-                    self.check_zero_mat_tgt(pc, a, m, n, term)?;
-                    self.report.microkernels += 1;
-                    self.report.zero_accums += 1;
                     pc += 1;
                 }
                 Instr::SparseAxpy {
@@ -815,8 +784,8 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// An AXPY body — of an `Axpy`, a `ZeroAxpy` (`assigning`), or a
-    /// `SparseAxpy` with or without a folded zero.
+    /// An AXPY body — of an `Axpy` (`assigning` when fused with its
+    /// `Zero`), or of a `SparseAxpy` with or without a folded zero.
     #[allow(clippy::too_many_arguments)]
     fn check_axpy(
         &mut self,
@@ -834,12 +803,7 @@ impl<'t> Checker<'t> {
         self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
         self.check_read(pc, alpha)?;
         self.check_vec_src(pc, x, n, Some(term))?;
-        if assigning {
-            self.check_zero_vec_tgt(pc, y, n, term)?;
-            self.report.zero_accums += 1;
-        } else {
-            self.check_vec_tgt(pc, y, n, term)?;
-        }
+        self.check_vec_tgt(pc, y, n, term, assigning)?;
         self.check_node_res(pc, res, matches!(alpha, Read::SparseVal))?;
         self.report.microkernels += 1;
         Ok(())
@@ -1066,14 +1030,20 @@ impl<'t> Checker<'t> {
     }
 
     /// Strided vector target sweeping `n` elements into the output or
-    /// `term`'s buffer.
+    /// `term`'s buffer; an `assign`ing one must cover the buffer with
+    /// unit stride ([`Checker::zero_accum`]).
     fn check_vec_tgt(
         &mut self,
         pc: usize,
         y: VecTgt,
         n: usize,
         term: usize,
+        assign: bool,
     ) -> Result<(), TapeInvariantError> {
+        if assign {
+            let covered = if y.out { 0 } else { n };
+            self.zero_accum(pc, term, covered, !y.out && y.inc == 1)?;
+        }
         let store = if y.out {
             if self.tape.bounds.output_sparse {
                 return Err(TapeInvariantError::TrackingInvariant {
@@ -1089,7 +1059,8 @@ impl<'t> Checker<'t> {
         self.check_access(pc, y.cur, store, n.saturating_sub(1) * y.inc)
     }
 
-    /// Strided matrix target (GER's `A`, `m × n`).
+    /// Strided matrix target (GER's `A`, `m × n`); an `assign`ing one
+    /// must cover the buffer row-major dense ([`Checker::zero_accum`]).
     fn check_mat_tgt(
         &mut self,
         pc: usize,
@@ -1097,7 +1068,12 @@ impl<'t> Checker<'t> {
         m: usize,
         n: usize,
         term: usize,
+        assign: bool,
     ) -> Result<(), TapeInvariantError> {
+        if assign {
+            let covered = if a.out { 0 } else { m * n };
+            self.zero_accum(pc, term, covered, !a.out && a.cs == 1 && a.rs == n)?;
+        }
         let store = if a.out {
             if self.tape.bounds.output_sparse {
                 return Err(TapeInvariantError::TrackingInvariant {
@@ -1138,54 +1114,30 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// Assigning (fused `ZeroAccum`) vector target: must be the term's
-    /// buffer, unit stride, and cover it end to end — the
-    /// superinstruction replaced the Eq.-5 `Zero`, so partial coverage
-    /// would leave stale elements alive. Establishes zero domination
-    /// for the rest of the block, exactly like the fused `Zero`.
-    fn check_zero_vec_tgt(
+    /// An assigning (fused `ZeroAccum`) target writing `covered`
+    /// elements of `term`'s buffer, `packed` when it is that buffer (not
+    /// the output) at unit element stride: the call replaced the Eq.-5
+    /// `Zero`, so it must cover the buffer end to end, or stale elements
+    /// would stay alive. It then establishes zero domination for the
+    /// rest of the block, exactly like the fused `Zero`.
+    fn zero_accum(
         &mut self,
         pc: usize,
-        y: VecTgt,
-        n: usize,
         term: usize,
+        covered: usize,
+        packed: bool,
     ) -> Result<(), TapeInvariantError> {
         let len = self.tape.bounds.buffer_lens[term];
-        if y.out || y.inc != 1 || n != len {
+        if !packed || covered != len {
             return Err(TapeInvariantError::ZeroAccumCoverage {
                 pc,
                 term,
-                covered: if y.out { 0 } else { n },
+                covered,
                 len,
             });
         }
-        self.check_access(pc, y.cur, Store::Buffer(term), n.saturating_sub(1))?;
         self.zeroed[term] = true;
-        Ok(())
-    }
-
-    /// Assigning (fused `ZeroGer`) matrix target: row-major dense
-    /// coverage of the term's whole buffer.
-    fn check_zero_mat_tgt(
-        &mut self,
-        pc: usize,
-        a: MatTgt,
-        m: usize,
-        n: usize,
-        term: usize,
-    ) -> Result<(), TapeInvariantError> {
-        let len = self.tape.bounds.buffer_lens[term];
-        if a.out || a.cs != 1 || a.rs != n || m * n != len {
-            return Err(TapeInvariantError::ZeroAccumCoverage {
-                pc,
-                term,
-                covered: if a.out { 0 } else { m * n },
-                len,
-            });
-        }
-        let extra = m.saturating_sub(1) * a.rs + n.saturating_sub(1) * a.cs;
-        self.check_access(pc, a.cur, Store::Buffer(term), extra)?;
-        self.zeroed[term] = true;
+        self.report.zero_accums += 1;
         Ok(())
     }
 
@@ -1265,7 +1217,7 @@ mod tests {
 
     /// Outer-product nest whose Eq.-5 buffer is written by exactly one
     /// GER: compiled with superinstructions pinned on, the `Zero` and
-    /// the full-coverage `Ger` fuse into a `ZeroGer`. Uses
+    /// the full-coverage `Ger` fuse into an assigning `Ger`. Uses
     /// `auto_detected` (not `resolve`) so the program shape ignores the
     /// `SPTTN_MICROKERNELS` environment override the scalar-forced CI
     /// leg sets.
@@ -1387,7 +1339,7 @@ mod tests {
         assert_eq!(
             (report.sparse_dots, report.zeros, report.zero_accums),
             (1, 0, 1),
-            "X1's zero folded into the fused k loop, X0's into a ZeroXmul"
+            "X1's zero folded into the fused k loop, X0's into an assigning Xmul"
         );
         assert_eq!(report.specialized, 1, "the rank-32 DOT");
         assert!(format!("{report}").contains("1 fused sparse-DOT loops"));
@@ -1620,10 +1572,12 @@ mod tests {
             .instrs
             .iter_mut()
             .find_map(|i| match i {
-                Instr::ZeroGer { m, .. } => Some(m),
+                Instr::Ger {
+                    m, assign: true, ..
+                } => Some(m),
                 _ => None,
             })
-            .expect("nest fuses a ZeroGer");
+            .expect("nest fuses an assigning Ger");
         *m -= 1;
         match tape.verify() {
             Err(TapeInvariantError::ZeroAccumCoverage { covered, len, .. }) => {
@@ -1642,14 +1596,88 @@ mod tests {
             .instrs
             .iter_mut()
             .find_map(|i| match i {
-                Instr::ZeroGer { a, .. } => Some(a),
+                Instr::Ger {
+                    a, assign: true, ..
+                } => Some(a),
                 _ => None,
             })
-            .expect("nest fuses a ZeroGer");
+            .expect("nest fuses an assigning Ger");
         a.out = true;
         match tape.verify() {
             Err(TapeInvariantError::ZeroAccumCoverage { covered: 0, .. }) => {}
             other => panic!("expected ZeroAccumCoverage with zero coverage, got {other:?}"),
+        }
+    }
+
+    /// Class 18: set `assign` on an accumulating call — into the dense
+    /// output (no zero point to stand in for), or into one row of a
+    /// buffer (the rest would keep stale values).
+    #[test]
+    fn mutation_assign_on_accumulating_call_rejected() {
+        // TTMc: term 0 sweeps `X0[j,:]` of a `(j,s)` buffer, term 1 a
+        // strided column of the output `S[i,:,s]`. MTTKRP: term 1 is
+        // an XMUL into the output row `A[i,:]`.
+        let (k, path, forest) = ttmc_nest(vec![vec![0, 1, 2, 4], vec![0, 4, 1, 3]]);
+        let ttmc = scalar_tape(&k, &path, &forest);
+        let k = parse_kernel(
+            "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+            &[("i", 6), ("j", 5), ("k", 7), ("a", 4)],
+        )
+        .unwrap();
+        let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
+        let orders = vec![vec![0, 1, 2, 3], vec![0, 1, 3]];
+        let forest = build_forest(&k, &path, &NestSpec { orders }).unwrap();
+        let mttkrp = scalar_tape(&k, &path, &forest);
+        let mut seen = Vec::new();
+        for tape in [ttmc, mttkrp] {
+            tape.verify().expect("the unmutated nest verifies");
+            for pc in 0..tape.instrs.len() {
+                let mut bad = tape.clone();
+                let (kind, n, term, out, assign) = match &mut bad.instrs[pc] {
+                    Instr::Axpy {
+                        n, term, y, assign, ..
+                    } => ("Axpy", *n, *term, y.out, assign),
+                    Instr::Xmul {
+                        n, term, y, assign, ..
+                    } => ("Xmul", *n, *term, y.out, assign),
+                    _ => continue,
+                };
+                assert!(!*assign, "scalar tapes do not fuse");
+                // MTTKRP's AXPY sweeps all of `X0(a)`: not this class.
+                if !out && n == tape.bounds.buffer_lens[term] {
+                    continue;
+                }
+                *assign = true;
+                seen.push((kind, out));
+                match bad.verify() {
+                    Err(TapeInvariantError::ZeroAccumCoverage { covered, len, .. }) => {
+                        // The output has no buffer; a buffer row is part
+                        // of one.
+                        assert!(if out { covered == 0 } else { covered < len });
+                    }
+                    other => panic!("{kind} at {pc}: expected ZeroAccumCoverage, got {other:?}"),
+                }
+            }
+        }
+        seen.sort();
+        assert_eq!(seen, [("Axpy", false), ("Axpy", true), ("Xmul", true)]);
+    }
+
+    /// Class 19: clear `assign` on a fused call — it now accumulates
+    /// into a buffer no `Zero` dominates.
+    #[test]
+    fn mutation_cleared_assign_rejected() {
+        let mut tape = fused_ger_tape();
+        let (pc, assign) = (tape.instrs.iter_mut().enumerate())
+            .find_map(|(pc, i)| match i {
+                Instr::Ger { assign, .. } if *assign => Some((pc, assign)),
+                _ => None,
+            })
+            .expect("nest fuses an assigning Ger");
+        *assign = false;
+        match tape.verify() {
+            Err(TapeInvariantError::MissingZero { pc: at, .. }) => assert_eq!(at, pc),
+            other => panic!("expected MissingZero, got {other:?}"),
         }
     }
 
