@@ -7,6 +7,8 @@
 //! nonzero) to keep sorting and partitioning cache-friendly.
 
 use crate::{DenseTensor, TensorError};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// A sparse tensor in coordinate format.
 ///
@@ -43,6 +45,14 @@ impl CooTensor {
             t.push(&coord, v)?;
         }
         Ok(t)
+    }
+
+    /// Assemble entries a reader has already validated against `dims`:
+    /// `order` coordinates per value, every one in bounds, no dimension 0.
+    pub(crate) fn from_validated(dims: Vec<usize>, coords: Vec<usize>, vals: Vec<f64>) -> Self {
+        debug_assert!(!dims.contains(&0));
+        debug_assert_eq!(coords.len(), dims.len() * vals.len());
+        CooTensor { dims, coords, vals }
     }
 
     /// Append one nonzero entry.
@@ -132,8 +142,42 @@ impl CooTensor {
     /// must be a permutation of `0..order`. Entries whose merged value is
     /// exactly zero are retained (the sparsity pattern is fixed, as the
     /// paper assumes: positions, not values, define the structure).
+    ///
+    /// Entries that are already strictly increasing under `mode_order`
+    /// (sorted, no duplicates) are left as they are after one O(nnz)
+    /// check, without the sort's permutation or copy.
     pub fn sort_dedup(&mut self, mode_order: &[usize]) -> Result<(), TensorError> {
-        self.sort_dedup_ranks(mode_order).map(drop)
+        if !is_permutation(mode_order, self.order()) {
+            return Err(TensorError::InvalidPermutation);
+        }
+        if !self.is_canonical(mode_order) {
+            self.sort_dedup_ranks(mode_order)?;
+        }
+        Ok(())
+    }
+
+    /// These entries sorted and deduplicated under `mode_order`: `self`
+    /// itself when it already is, else a sorted copy. What
+    /// [`crate::Csf::from_coo`] and [`crate::SparsityProfile::from_coo`]
+    /// build from, so canonical input is neither copied nor re-sorted.
+    pub(crate) fn sorted_under(&self, mode_order: &[usize]) -> Result<Cow<'_, Self>, TensorError> {
+        if !is_permutation(mode_order, self.order()) {
+            return Err(TensorError::InvalidPermutation);
+        }
+        if self.is_canonical(mode_order) {
+            return Ok(Cow::Borrowed(self));
+        }
+        let mut sorted = self.clone();
+        sorted.sort_dedup_ranks(mode_order)?;
+        Ok(Cow::Owned(sorted))
+    }
+
+    /// True when every entry is strictly greater than the one before it
+    /// under `mode_order` (a valid permutation): what `sort_dedup` would
+    /// leave unchanged.
+    fn is_canonical(&self, mode_order: &[usize]) -> bool {
+        (1..self.nnz())
+            .all(|e| cmp_under(self.coord(e - 1), self.coord(e), mode_order) == Ordering::Less)
     }
 
     /// [`CooTensor::sort_dedup`], returning the sort itself: incoming
@@ -149,18 +193,7 @@ impl CooTensor {
         }
         let n = self.nnz();
         let mut perm: Vec<usize> = (0..n).collect();
-        let coords = &self.coords;
-        perm.sort_unstable_by(|&a, &b| {
-            for &m in mode_order {
-                let ca = coords[a * d + m];
-                let cb = coords[b * d + m];
-                match ca.cmp(&cb) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        perm.sort_unstable_by(|&a, &b| cmp_under(self.coord(a), self.coord(b), mode_order));
 
         let mut new_coords = Vec::with_capacity(self.coords.len());
         let mut new_vals: Vec<f64> = Vec::with_capacity(n);
@@ -244,6 +277,18 @@ impl CooTensor {
             vals,
         }
     }
+}
+
+/// Lexicographic order of two coordinates, comparing mode `mode_order[k]`
+/// at position `k`.
+fn cmp_under(a: &[usize], b: &[usize], mode_order: &[usize]) -> Ordering {
+    for &m in mode_order {
+        match a[m].cmp(&b[m]) {
+            Ordering::Equal => continue,
+            other => return other,
+        }
+    }
+    Ordering::Equal
 }
 
 pub(crate) fn is_permutation(p: &[usize], d: usize) -> bool {

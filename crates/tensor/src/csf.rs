@@ -109,15 +109,17 @@ pub struct Csf {
 impl Csf {
     /// Build a CSF tree from a COO tensor under the given mode order.
     ///
-    /// The input is copied, sorted lexicographically in `mode_order`, and
-    /// deduplicated (duplicate coordinates are summed). An order-0 tensor
-    /// is refused: a tree needs at least one level.
+    /// Input that is already sorted lexicographically in `mode_order`
+    /// without duplicates (what the readers in [`crate::io`] produce for
+    /// the natural order) is read in place after one O(nnz) check.
+    /// Anything else is copied, sorted, and deduplicated first
+    /// (duplicate coordinates are summed); the tree is the same either
+    /// way. An order-0 tensor is refused: a tree needs at least one level.
     pub fn from_coo(coo: &CooTensor, mode_order: &[usize]) -> Result<Self, TensorError> {
         if coo.order() == 0 {
             return Err(TensorError::ZeroOrder);
         }
-        let mut sorted = coo.clone();
-        sorted.sort_dedup(mode_order)?;
+        let sorted = coo.sorted_under(mode_order)?;
         Ok(Self::from_sorted(&sorted, mode_order))
     }
 

@@ -15,15 +15,24 @@
 //!   value 1.0), with `general` or `symmetric` symmetry (symmetric
 //!   off-diagonal entries are mirrored).
 //!
-//! Both readers stream line by line from any [`BufRead`], validate as
-//! they go, and finish with the canonical ingest step the rest of the
-//! stack expects: entries sorted lexicographically in natural mode
-//! order with duplicate coordinates summed
-//! ([`CooTensor::sort_dedup`]). [`load_coo`] dispatches on a file
-//! path's extension.
+//! Both readers stream from any [`BufRead`] one line at a time, as
+//! bytes, through one reused buffer, and validate as they go; the whole
+//! file is never held in memory. An all-ASCII line is split into fields
+//! byte by byte; a line with any byte ≥ 0x80 must be UTF-8 (comment
+//! included) and is split on Unicode whitespace, exactly as
+//! [`str::split_whitespace`] does. Coordinates are parsed as integers
+//! straight from the bytes (an optional `+`, then decimal digits, no
+//! overflow); values go through [`str::parse::<f64>`], which is
+//! correctly rounded. Entries land directly in the tensor's storage,
+//! and the readers finish with the canonical ingest step the rest of the
+//! stack expects: entries sorted lexicographically in natural mode order
+//! with duplicate coordinates summed ([`CooTensor::sort_dedup`], a
+//! single O(nnz) check when the file is already sorted). [`load_coo`]
+//! dispatches on a file path's extension.
 
 use crate::{CooTensor, TensorError};
 use std::io::BufRead;
+use std::ops::Range;
 use std::path::Path;
 
 /// Errors produced while reading a tensor from text.
@@ -31,14 +40,19 @@ use std::path::Path;
 pub enum IoError {
     /// The underlying reader failed.
     Io(std::io::Error),
-    /// The text does not conform to the format (line number, message).
+    /// A line does not conform to the format (line number, message).
     Parse {
         /// 1-based line number the error was detected on.
         line: usize,
         /// What went wrong.
         message: String,
     },
-    /// The parsed entries failed tensor validation (bounds, shape).
+    /// The input as a whole does not conform, with no one line to
+    /// blame: no entries at all, an empty MatrixMarket file or one
+    /// without a size line, an entry count that disagrees with that
+    /// line, or an unrecognized file extension.
+    Format(String),
+    /// The parsed entries failed tensor validation (mode count, shape).
     Tensor(TensorError),
 }
 
@@ -47,6 +61,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, message } => write!(f, "line {line}: {message}"),
+            IoError::Format(message) => f.write_str(message),
             IoError::Tensor(e) => write!(f, "tensor error: {e}"),
         }
     }
@@ -73,117 +88,226 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
     }
 }
 
-/// Raw entries accumulated while streaming, before bounds are known.
-struct RawEntries {
-    order: usize,
-    /// Flat 0-based coordinates, `order` per entry.
-    coords: Vec<usize>,
-    vals: Vec<f64>,
-    /// Per-mode maximum coordinate seen (for dimension inference).
-    max_coord: Vec<usize>,
+/// Input lines as bytes, one at a time, through one reused buffer.
+struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    lineno: usize,
 }
 
-impl RawEntries {
-    fn new(order: usize) -> Self {
-        RawEntries {
-            order,
-            coords: Vec::new(),
-            vals: Vec::new(),
-            max_coord: vec![0; order],
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines {
+            reader,
+            buf: Vec::new(),
+            lineno: 0,
         }
     }
 
-    fn push(&mut self, coord: &[usize], v: f64) {
-        for (m, &c) in coord.iter().enumerate() {
-            self.max_coord[m] = self.max_coord[m].max(c);
+    /// The next line's 1-based number and bytes without the `\n`
+    /// (a `\r` before it is left for the field splitter, which treats
+    /// it as whitespace); `None` at the end of the input.
+    fn next_line(&mut self) -> Result<Option<(usize, &[u8])>, IoError> {
+        self.buf.clear();
+        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
         }
-        self.coords.extend_from_slice(coord);
-        self.vals.push(v);
+        self.lineno += 1;
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+        }
+        Ok(Some((self.lineno, &self.buf)))
     }
+}
 
-    /// Build the COO tensor: declared dims (validated to cover every
-    /// entry) or inferred dims (per-mode maximum + 1), then the
-    /// canonical sort/dedup ingest step.
-    fn finish(self, declared: Option<&[usize]>) -> Result<CooTensor, IoError> {
-        let dims: Vec<usize> = match declared {
-            Some(d) => {
-                if d.len() != self.order {
-                    return Err(IoError::Tensor(TensorError::OrderMismatch {
-                        expected: self.order,
-                        actual: d.len(),
-                    }));
-                }
-                d.to_vec()
+/// Split line `lineno` into the byte ranges of the whitespace-separated
+/// fields [`str::split_whitespace`] yields for it, up to the first
+/// `comment` character if one is given. An ASCII line is split in one
+/// pass over its bytes; a line with any byte ≥ 0x80 must be UTF-8 as a
+/// whole, comment included, and is split on Unicode whitespace.
+fn split_fields(
+    line: &[u8],
+    comment: Option<u8>,
+    lineno: usize,
+    fields: &mut Vec<Range<usize>>,
+) -> Result<(), IoError> {
+    fields.clear();
+    let ascii = line.iter().map(|&b| (b < 0x80).then_some(char::from(b)));
+    if let Some(end) = push_fields(fields, line.len(), comment, ascii.enumerate()) {
+        // The comment is not split, but must be ASCII too for this path.
+        if line[end..].is_ascii() {
+            return Ok(());
+        }
+    }
+    fields.clear();
+    let chars = utf8(line, lineno)?.char_indices();
+    push_fields(
+        fields,
+        line.len(),
+        comment,
+        chars.map(|(i, c)| (i, Some(c))),
+    );
+    Ok(())
+}
+
+/// Line `lineno` as text, or the parse error that names it.
+fn utf8(line: &[u8], lineno: usize) -> Result<&str, IoError> {
+    std::str::from_utf8(line).map_err(|e| parse_err(lineno, format!("not valid UTF-8 ({e})")))
+}
+
+/// Push the byte ranges of the maximal runs of non-whitespace `chars`
+/// (byte offset, character) before the first `comment`, for a line of
+/// `len` bytes, and return where that data part ends. A `None`
+/// character (a byte that is not ASCII) abandons the split.
+fn push_fields(
+    fields: &mut Vec<Range<usize>>,
+    len: usize,
+    comment: Option<u8>,
+    chars: impl Iterator<Item = (usize, Option<char>)>,
+) -> Option<usize> {
+    let comment = comment.map(char::from);
+    let mut start = None;
+    for (i, c) in chars {
+        let c = c?;
+        if Some(c) == comment {
+            if let Some(s) = start {
+                fields.push(s..i);
             }
-            None => self.max_coord.iter().map(|&m| m + 1).collect(),
-        };
-        let mut coo = CooTensor::new(&dims)?;
-        for (e, &v) in self.vals.iter().enumerate() {
-            coo.push(&self.coords[e * self.order..(e + 1) * self.order], v)?;
+            return Some(i);
         }
-        let natural: Vec<usize> = (0..self.order).collect();
-        coo.sort_dedup(&natural)?;
-        Ok(coo)
+        match (c.is_whitespace(), start) {
+            (true, Some(s)) => {
+                fields.push(s..i);
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
     }
+    if let Some(s) = start {
+        fields.push(s..len);
+    }
+    Some(len)
+}
+
+/// A field of line `lineno` as a non-negative integer, read the way
+/// `str::parse::<usize>` reads it: an optional `+`, then one or more
+/// decimal digits, with no overflow. `what` names the field in the error.
+fn parse_index(field: &[u8], lineno: usize, what: &str) -> Result<usize, IoError> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    let n = digits.iter().try_fold(0usize, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(usize::from(d))
+    });
+    match n {
+        Some(n) if !digits.is_empty() => Ok(n),
+        _ => Err(bad(field, lineno, what)),
+    }
+}
+
+fn parse_value(field: &[u8], lineno: usize) -> Result<f64, IoError> {
+    let v = std::str::from_utf8(field).ok().and_then(|s| s.parse().ok());
+    v.ok_or_else(|| bad(field, lineno, "value"))
+}
+
+fn bad(field: &[u8], lineno: usize, what: &str) -> IoError {
+    let field = String::from_utf8_lossy(field);
+    parse_err(lineno, format!("bad {what} '{field}'"))
+}
+
+/// Build the tensor from validated entries and run the canonical
+/// sort/dedup ingest step.
+fn finish(dims: Vec<usize>, coords: Vec<usize>, vals: Vec<f64>) -> Result<CooTensor, IoError> {
+    if dims.contains(&0) {
+        return Err(TensorError::ZeroDim.into());
+    }
+    let mut coo = CooTensor::from_validated(dims, coords, vals);
+    let natural: Vec<usize> = (0..coo.order()).collect();
+    coo.sort_dedup(&natural)?;
+    Ok(coo)
 }
 
 /// Read a FROSTT `.tns` tensor: one `c1 ... cd value` entry per line,
 /// 1-based coordinates, `#` comments and blank lines skipped.
 ///
 /// The mode count comes from the first data line; every later line must
-/// match it. `dims` declares the dimensions (entries are validated
-/// against them); `None` infers each dimension as the largest
-/// coordinate seen in that mode. Entries are sorted in natural mode
-/// order and duplicate coordinates are summed on ingest.
+/// match it. `dims` declares the dimensions (each entry is checked
+/// against them on its own line); `None` infers each dimension as the
+/// largest coordinate seen in that mode. Entries are sorted in natural
+/// mode order and duplicate coordinates are summed on ingest.
 ///
 /// An input with no data lines errors: a tensor's mode count cannot be
 /// inferred from nothing (declare dims and build an empty
 /// [`CooTensor`] directly if that is what you mean).
 pub fn read_tns<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<CooTensor, IoError> {
-    let mut entries: Option<RawEntries> = None;
-    let mut coord: Vec<usize> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line?;
-        let data = line.split('#').next().unwrap_or("").trim();
-        if data.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = data.split_whitespace().collect();
-        if fields.len() < 2 {
-            return Err(parse_err(
-                lineno,
-                format!("expected 'c1 ... cd value', got '{data}'"),
-            ));
+    let mut lines = Lines::new(reader);
+    let mut fields = Vec::new();
+    // Declared dims, or the largest 1-based coordinate seen per mode.
+    let mut extents: Vec<usize> = Vec::new();
+    let (mut coords, mut vals) = (Vec::new(), Vec::new());
+    while let Some((lineno, line)) = lines.next_line()? {
+        split_fields(line, Some(b'#'), lineno, &mut fields)?;
+        match fields.len() {
+            0 => continue,
+            // One field is all the line holds besides whitespace.
+            1 => {
+                let got = String::from_utf8_lossy(&line[fields[0].clone()]);
+                return Err(parse_err(
+                    lineno,
+                    format!("expected 'c1 ... cd value', got '{got}'"),
+                ));
+            }
+            _ => {}
         }
         let order = fields.len() - 1;
-        let entries = entries.get_or_insert_with(|| RawEntries::new(order));
-        if order != entries.order {
+        if vals.is_empty() {
+            extents = match dims {
+                Some(d) if d.len() != order => {
+                    return Err(TensorError::OrderMismatch {
+                        expected: order,
+                        actual: d.len(),
+                    }
+                    .into())
+                }
+                Some(d) => d.to_vec(),
+                None => vec![0; order],
+            };
+        } else if order != extents.len() {
             return Err(parse_err(
                 lineno,
                 format!(
                     "entry has {order} coordinates, previous entries have {}",
-                    entries.order
+                    extents.len()
                 ),
             ));
         }
-        coord.clear();
-        for f in &fields[..order] {
-            let c: usize = f
-                .parse()
-                .map_err(|_| parse_err(lineno, format!("bad coordinate '{f}'")))?;
+        for (m, range) in fields[..order].iter().enumerate() {
+            let c = parse_index(&line[range.clone()], lineno, "coordinate")?;
             if c == 0 {
                 return Err(parse_err(lineno, "coordinates are 1-based; got 0"));
             }
-            coord.push(c - 1);
+            if dims.is_none() {
+                extents[m] = extents[m].max(c);
+            } else if c > extents[m] {
+                return Err(parse_err(
+                    lineno,
+                    format!(
+                        "coordinate {c} out of bounds for mode {m} of dimension {}",
+                        extents[m]
+                    ),
+                ));
+            }
+            coords.push(c - 1);
         }
-        let v: f64 = fields[order]
-            .parse()
-            .map_err(|_| parse_err(lineno, format!("bad value '{}'", fields[order])))?;
-        entries.push(&coord, v);
+        vals.push(parse_value(&line[fields[order].clone()], lineno)?);
     }
-    let entries = entries.ok_or_else(|| parse_err(0, "no tensor entries in input"))?;
-    entries.finish(dims)
+    if vals.is_empty() {
+        return Err(IoError::Format("no tensor entries in input".into()));
+    }
+    finish(extents, coords, vals)
 }
 
 /// Read a MatrixMarket coordinate file as a 2-mode [`CooTensor`].
@@ -196,14 +320,16 @@ pub fn read_tns<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<CooTens
 /// the number of entry lines. Duplicates are summed on ingest, matching
 /// [`read_tns`].
 pub fn read_mtx<R: BufRead>(reader: R) -> Result<CooTensor, IoError> {
-    let mut lines = reader.lines().enumerate();
+    let mut lines = Lines::new(reader);
 
     // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-    let (hline, header) = lines
-        .next()
-        .ok_or_else(|| parse_err(1, "empty MatrixMarket file"))
-        .and_then(|(n, l)| Ok((n + 1, l?)))?;
-    let head: Vec<String> = header.split_whitespace().map(str::to_lowercase).collect();
+    let Some((hline, header)) = lines.next_line()? else {
+        return Err(IoError::Format("empty MatrixMarket file".into()));
+    };
+    let head: Vec<String> = utf8(header, hline)?
+        .split_whitespace()
+        .map(str::to_lowercase)
+        .collect();
     if head.len() < 5 || head[0] != "%%matrixmarket" || head[1] != "matrix" {
         return Err(parse_err(
             hline,
@@ -239,33 +365,22 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<CooTensor, IoError> {
 
     // Size line: rows cols nnz (after % comments).
     let mut size: Option<(usize, usize, usize)> = None;
-    let mut entries = RawEntries::new(2);
-    let mut declared_nnz = 0usize;
+    let mut fields = Vec::new();
+    let (mut coords, mut vals) = (Vec::new(), Vec::new());
     let mut seen = 0usize;
-    for (lineno, line) in lines {
-        let lineno = lineno + 1;
-        let line = line?;
-        let data = line.trim();
-        if data.is_empty() || data.starts_with('%') {
+    while let Some((lineno, line)) = lines.next_line()? {
+        split_fields(line, None, lineno, &mut fields)?;
+        if fields.first().is_none_or(|f| line[f.start] == b'%') {
             continue;
         }
-        let fields: Vec<&str> = data.split_whitespace().collect();
+        let index = |k: usize, what| parse_index(&line[fields[k].clone()], lineno, what);
         match size {
             None => {
                 if fields.len() != 3 {
                     return Err(parse_err(lineno, "expected size line 'rows cols nnz'"));
                 }
-                let mut it = fields.iter().map(|f| {
-                    f.parse::<usize>()
-                        .map_err(|_| parse_err(lineno, format!("bad size field '{f}'")))
-                });
-                let (r, c, n) = (
-                    it.next().unwrap()?,
-                    it.next().unwrap()?,
-                    it.next().unwrap()?,
-                );
-                declared_nnz = n;
-                size = Some((r, c, n));
+                let what = "size field";
+                size = Some((index(0, what)?, index(1, what)?, index(2, what)?));
             }
             Some((rows, cols, _)) => {
                 let want = if pattern { 2 } else { 3 };
@@ -275,12 +390,8 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<CooTensor, IoError> {
                         format!("expected {want} fields per entry, got {}", fields.len()),
                     ));
                 }
-                let i: usize = fields[0]
-                    .parse()
-                    .map_err(|_| parse_err(lineno, format!("bad row index '{}'", fields[0])))?;
-                let j: usize = fields[1]
-                    .parse()
-                    .map_err(|_| parse_err(lineno, format!("bad column index '{}'", fields[1])))?;
+                let i = index(0, "row index")?;
+                let j = index(1, "column index")?;
                 if i == 0 || j == 0 {
                     return Err(parse_err(lineno, "indices are 1-based; got 0"));
                 }
@@ -290,31 +401,30 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<CooTensor, IoError> {
                         format!("entry ({i}, {j}) outside declared {rows} x {cols}"),
                     ));
                 }
-                let v: f64 = if pattern {
+                let v = if pattern {
                     1.0
                 } else {
-                    fields[2]
-                        .parse()
-                        .map_err(|_| parse_err(lineno, format!("bad value '{}'", fields[2])))?
+                    parse_value(&line[fields[2].clone()], lineno)?
                 };
-                entries.push(&[i - 1, j - 1], v);
+                coords.extend_from_slice(&[i - 1, j - 1]);
+                vals.push(v);
                 if symmetric && i != j {
-                    entries.push(&[j - 1, i - 1], v);
+                    coords.extend_from_slice(&[j - 1, i - 1]);
+                    vals.push(v);
                 }
                 seen += 1;
             }
         }
     }
-    let Some((rows, cols, _)) = size else {
-        return Err(parse_err(0, "missing size line 'rows cols nnz'"));
+    let Some((rows, cols, declared_nnz)) = size else {
+        return Err(IoError::Format("missing size line 'rows cols nnz'".into()));
     };
     if seen != declared_nnz {
-        return Err(parse_err(
-            0,
-            format!("size line declares {declared_nnz} entries, file has {seen}"),
-        ));
+        return Err(IoError::Format(format!(
+            "size line declares {declared_nnz} entries, file has {seen}"
+        )));
     }
-    entries.finish(Some(&[rows, cols]))
+    finish(vec![rows, cols], coords, vals)
 }
 
 /// Load a sparse tensor from a file path, dispatching on the extension:
@@ -330,13 +440,10 @@ pub fn load_coo(path: impl AsRef<Path>) -> Result<CooTensor, IoError> {
     match ext.as_deref() {
         Some("tns") => read_tns(reader, None),
         Some("mtx") => read_mtx(reader),
-        _ => Err(parse_err(
-            0,
-            format!(
-                "unrecognized tensor file extension in '{}'; expected .tns or .mtx",
-                path.display()
-            ),
-        )),
+        _ => Err(IoError::Format(format!(
+            "unrecognized tensor file extension in '{}'; expected .tns or .mtx",
+            path.display()
+        ))),
     }
 }
 
@@ -370,11 +477,13 @@ mod tests {
         let text = "2 2 1.0\n";
         let coo = read_tns(text.as_bytes(), Some(&[5, 5])).unwrap();
         assert_eq!(coo.dims(), &[5, 5]);
-        let e = read_tns(text.as_bytes(), Some(&[1, 5])).unwrap_err();
-        assert!(matches!(
-            e,
-            IoError::Tensor(TensorError::CoordOutOfBounds { .. })
-        ));
+        // Out of bounds: the line, and the coordinate as written.
+        let e = read_tns("1 1 1.0\n2 2 1.0\n".as_bytes(), Some(&[1, 5])).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
+        assert_eq!(
+            e.to_string(),
+            "line 2: coordinate 2 out of bounds for mode 0 of dimension 1"
+        );
         let e = read_tns(text.as_bytes(), Some(&[5, 5, 5])).unwrap_err();
         assert!(matches!(
             e,
@@ -392,11 +501,31 @@ mod tests {
         assert!(read_tns("1 1 x\n".as_bytes(), None).is_err());
         // Lone field.
         assert!(read_tns("7\n".as_bytes(), None).is_err());
-        // Empty input: mode count unknowable.
-        assert!(read_tns("# only comments\n".as_bytes(), None).is_err());
+        // Empty input: mode count unknowable, and no line to blame.
+        let e = read_tns("# only comments\n".as_bytes(), None).unwrap_err();
+        assert!(matches!(e, IoError::Format(_)), "{e}");
+        assert_eq!(e.to_string(), "no tensor entries in input");
         // Error carries the offending line number.
         let e = read_tns("1 1 1.0\n1 bad 2.0\n".as_bytes(), None).unwrap_err();
         assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
+        // Invalid UTF-8 is a parse error on its line, not an i/o error.
+        let e = read_tns(&b"1 1 1.0\n1 1 2.0 # \xff\n"[..], None).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
+        // An overflowing coordinate is a bad coordinate.
+        let e = read_tns("99999999999999999999999 1 1.0\n".as_bytes(), None).unwrap_err();
+        assert!(e.to_string().contains("bad coordinate"), "{e}");
+    }
+
+    /// The accepted forms the byte-level splitter must keep: `+7`
+    /// coordinates, tabs, CRLF, comments anywhere, and Unicode
+    /// whitespace (which sends the line down the `str` path).
+    #[test]
+    fn tns_accepts_every_separator_form() {
+        let text = "#c\r\n+1\t2 3.5#c\r\n\t2 \u{a0}1\u{2003}-0.5 \r\n\x0b1 1 +1e0\x0c\n2 1 1";
+        let coo = read_tns(text.as_bytes(), None).unwrap();
+        assert_eq!(coo.dims(), &[2, 2]);
+        assert_eq!(coo.coords(), &[0, 0, 0, 1, 1, 0]);
+        assert_eq!(coo.vals(), &[1.0, 3.5, 0.5]);
     }
 
     #[test]
@@ -440,11 +569,15 @@ mod tests {
             "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 2 3\n".as_bytes()
         )
         .is_err());
-        // nnz mismatch.
-        assert!(read_mtx(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n".as_bytes()
-        )
-        .is_err());
+        // nnz mismatch: about the whole file, so no line.
+        let e =
+            read_mtx("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n".as_bytes())
+                .unwrap_err();
+        assert_eq!(e.to_string(), "size line declares 2 entries, file has 1");
+        // Missing size line.
+        let e = read_mtx("%%MatrixMarket matrix coordinate real general\n% c\n".as_bytes())
+            .unwrap_err();
+        assert!(matches!(e, IoError::Format(_)), "{e}");
         // Out-of-bounds entry.
         assert!(read_mtx(
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n".as_bytes()

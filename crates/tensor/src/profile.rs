@@ -36,15 +36,13 @@ impl SparsityProfile {
         }
     }
 
-    /// Exact profile of a COO tensor under an arbitrary mode order
-    /// (sorts a copy; use for CSF mode-order search).
+    /// Exact profile of a COO tensor under an arbitrary mode order (use
+    /// for CSF mode-order search). Input already sorted in `mode_order`
+    /// without duplicates is counted in place in one pass; anything else
+    /// is counted on a sorted, deduplicated copy.
     pub fn from_coo(coo: &CooTensor, mode_order: &[usize]) -> Result<Self, TensorError> {
         let d = coo.order();
-        if !is_permutation(mode_order, d) {
-            return Err(TensorError::InvalidPermutation);
-        }
-        let mut sorted = coo.clone();
-        sorted.sort_dedup(mode_order)?;
+        let sorted = coo.sorted_under(mode_order)?;
         let n = sorted.nnz();
         let mut prefix_nnz = vec![0u64; d + 1];
         prefix_nnz[0] = 1;

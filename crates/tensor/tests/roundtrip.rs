@@ -2,7 +2,9 @@
 //! order, on randomized 3- and 4-mode tensors — the invariant the
 //! planner's mode-order search and `Plan::bind`'s re-sort path depend
 //! on: whatever storage order a tree uses, the set of (coordinate,
-//! value) entries it represents is unchanged.
+//! value) entries it represents is unchanged. Input that is already
+//! sorted skips the sort; the last test checks that skipping it changes
+//! nothing.
 
 use rand::prelude::*;
 use spttn_tensor::{random_coo, skewed_coo, CooTensor, Csf, SparsityProfile};
@@ -113,5 +115,75 @@ fn duplicates_merge_identically_under_every_order() {
         assert_eq!(dense.get(&[1, 2, 0]), 3.5, "order {order:?}");
         assert_eq!(dense.get(&[0, 0, 4]), 0.0, "order {order:?}");
         assert_eq!(dense.get(&[3, 1, 1]), 4.0, "order {order:?}");
+    }
+}
+
+/// `entries` in random order with a few entries repeated (new values),
+/// so every mode order takes the copying sort.
+fn shuffled_with_duplicates(coo: &CooTensor, rng: &mut StdRng) -> CooTensor {
+    let mut entries: Vec<(Vec<usize>, f64)> = coo.iter().map(|(c, v)| (c.to_vec(), v)).collect();
+    for k in 0..coo.nnz() / 8 {
+        let e = rng.gen_range(0..coo.nnz());
+        entries.push((coo.coord(e).to_vec(), k as f64 + 0.5));
+    }
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..i + 1));
+    }
+    CooTensor::from_entries(coo.dims(), entries).unwrap()
+}
+
+fn same_bits(a: &CooTensor, b: &CooTensor) -> bool {
+    a.dims() == b.dims()
+        && a.coords() == b.coords()
+        && a.vals()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(b.vals().iter().map(|v| v.to_bits()))
+}
+
+/// Input that is already sorted without duplicates skips the sort in
+/// `sort_dedup`, `Csf::from_coo` and `SparsityProfile::from_coo`; the
+/// result must be what the sort produces from a shuffled copy with
+/// duplicates, under every mode order.
+#[test]
+fn sorted_input_fast_path_matches_the_sort() {
+    let mut rng = StdRng::seed_from_u64(404);
+    for (dims, nnz) in [
+        (vec![7usize, 5, 9], 90),
+        (vec![5, 4, 6, 3], 120),
+        (vec![11, 13], 40),
+        (vec![30], 12),
+    ] {
+        let coo = random_coo(&dims, nnz, &mut rng).unwrap();
+        let messy = shuffled_with_duplicates(&coo, &mut rng);
+        for order in permutations(coo.order()) {
+            let label = format!("{dims:?} under {order:?}");
+            // The slow path: shuffled, duplicated input is sorted.
+            let mut sorted = messy.clone();
+            sorted.sort_dedup(&order).unwrap();
+            assert_eq!(sorted.nnz(), coo.nnz(), "{label}");
+            // The fast path: sorted input is left exactly as it is.
+            let mut again = sorted.clone();
+            again.sort_dedup(&order).unwrap();
+            assert!(same_bits(&again, &sorted), "{label}: sort_dedup");
+            assert_eq!(
+                Csf::from_coo(&sorted, &order).unwrap(),
+                Csf::from_coo(&messy, &order).unwrap(),
+                "{label}: Csf::from_coo"
+            );
+            assert_eq!(
+                SparsityProfile::from_coo(&sorted, &order).unwrap(),
+                SparsityProfile::from_coo(&messy, &order).unwrap(),
+                "{label}: SparsityProfile::from_coo"
+            );
+            // Sorted but for one repeated last entry: not canonical, so
+            // the duplicate still merges.
+            let last = sorted.nnz() - 1;
+            let mut dup = sorted.clone();
+            dup.push(sorted.coord(last), 1.0).unwrap();
+            dup.sort_dedup(&order).unwrap();
+            assert_eq!(dup.nnz(), sorted.nnz(), "{label}: trailing duplicate");
+            assert_eq!(dup.val(last), sorted.val(last) + 1.0, "{label}");
+        }
     }
 }

@@ -36,8 +36,9 @@ enum SparsityKey {
     /// Exact profile: dims, mode order, per-level prefix nnz.
     Profile(Vec<usize>, Vec<usize>, Vec<u64>),
     /// Exact pattern: dims, nonzero count, and the pattern fingerprint
-    /// (a hash of the flat coordinates, computed once when the pattern
-    /// entered the `Shapes` — not per lookup). The fingerprint is what keeps
+    /// (a hash of the flat coordinates, computed by the first key built
+    /// for the pattern and shared by every `Shapes` clone that carries
+    /// it — not per lookup). The fingerprint is what keeps
     /// keys honest under order search — the per-order exact counts the
     /// search compares are a function of the full pattern, not of any
     /// single profile.
@@ -58,10 +59,10 @@ impl SparsityKey {
                 let (dims, order, prefix) = p.signature();
                 SparsityKey::Profile(dims, order, prefix)
             }
-            SparsitySource::Pattern { coo, fp } => SparsityKey::Pattern {
-                dims: coo.dims().to_vec(),
-                nnz: coo.nnz(),
-                coord_hash: *fp,
+            SparsitySource::Pattern(p) => SparsityKey::Pattern {
+                dims: p.coo.dims().to_vec(),
+                nnz: p.coo.nnz(),
+                coord_hash: p.fingerprint(),
             },
             SparsitySource::Uniform { nnz } => SparsityKey::Uniform(*nnz),
         }

@@ -41,7 +41,7 @@ use spttn_ir::{
 use spttn_tensor::{CooTensor, SparsityProfile};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Cost model driving the planner (paper Defs. 4.5, 4.6 and Sec. 5).
@@ -333,26 +333,32 @@ pub struct Shapes {
     dims: HashMap<String, usize>,
     nnz: Option<u64>,
     profile: Option<SparsityProfile>,
-    pattern: Option<PatternRef>,
+    pattern: Option<Arc<Pattern>>,
 }
 
-/// A shared coordinate pattern plus its fingerprint, computed once at
-/// [`Shapes::with_pattern`] time so neither repeated plans nor cache
-/// lookups re-copy or re-hash `O(nnz)` coordinates.
-#[derive(Debug, Clone)]
-pub(crate) struct PatternRef {
-    pub(crate) coo: Arc<CooTensor>,
-    pub(crate) fp: u64,
+/// A coordinate pattern, shared by every clone of the [`Shapes`] that
+/// carries it, so repeated plans never re-copy `O(nnz)` coordinates.
+#[derive(Debug)]
+pub(crate) struct Pattern {
+    pub(crate) coo: CooTensor,
+    /// Computed by the first [`PlanCache`](crate::PlanCache) key that
+    /// needs it, then shared: a plan without a cache never hashes.
+    fingerprint: OnceLock<u64>,
 }
 
-/// Order-sensitive hash of a pattern's shape and flat coordinates —
-/// the cache-key fingerprint that keeps two patterns with identical
-/// natural-order profiles from sharing a mode-order-search key.
-fn pattern_fingerprint(coo: &CooTensor) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    coo.dims().hash(&mut h);
-    coo.coords().hash(&mut h);
-    h.finish()
+impl Pattern {
+    /// Order-sensitive hash of the pattern's shape and flat coordinates
+    /// — the cache-key fingerprint that keeps two patterns with
+    /// identical natural-order profiles from sharing a mode-order-search
+    /// key.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            self.coo.dims().hash(&mut h);
+            self.coo.coords().hash(&mut h);
+            h.finish()
+        })
+    }
 }
 
 impl Shapes {
@@ -409,12 +415,17 @@ impl Shapes {
     /// profile-guided rather than model-guided. Takes precedence over
     /// [`Shapes::with_nnz`]; [`Shapes::with_profile`] takes precedence
     /// over both.
+    ///
+    /// The pattern is shared by every clone of these shapes. Its
+    /// cache-key fingerprint (a hash of every coordinate) is computed on
+    /// the first [`PlanCache`](crate::PlanCache) lookup that needs it,
+    /// once per pattern; [`Contraction::plan`] without a cache never
+    /// computes it.
     pub fn with_pattern(mut self, pattern: CooTensor) -> Self {
-        let fp = pattern_fingerprint(&pattern);
-        self.pattern = Some(PatternRef {
-            coo: Arc::new(pattern),
-            fp,
-        });
+        self.pattern = Some(Arc::new(Pattern {
+            coo: pattern,
+            fingerprint: OnceLock::new(),
+        }));
         self
     }
 
@@ -516,10 +527,7 @@ impl Shapes {
                     )));
                 }
             }
-            return Ok(SparsitySource::Pattern {
-                coo: Arc::clone(&p.coo),
-                fp: p.fp,
-            });
+            return Ok(SparsitySource::Pattern(Arc::clone(p)));
         }
         if let Some(nnz) = self.nnz {
             return Ok(SparsitySource::Uniform { nnz });
@@ -544,10 +552,10 @@ pub(crate) enum SparsitySource {
     /// nonzero count (`Auto` does not search past natural here — see
     /// `run_planner`).
     Profile(SparsityProfile),
-    /// Exact coordinates (shared, with a precomputed fingerprint for
-    /// cache keys): `coo` mode `p` is the index written at position
-    /// `p` of the expression. Exact counts for every order.
-    Pattern { coo: Arc<CooTensor>, fp: u64 },
+    /// Exact coordinates (shared, with the fingerprint cache keys
+    /// compute once): the pattern's mode `p` is the index written at
+    /// position `p` of the expression. Exact counts for every order.
+    Pattern(Arc<Pattern>),
     /// Uniform random model with `nnz` nonzeros, every order.
     Uniform { nnz: u64 },
 }
@@ -573,7 +581,7 @@ impl SparsitySource {
                     SparsityProfile::uniform(&modeled_dims(), &natural, p.nnz()).ok()
                 }
             }
-            SparsitySource::Pattern { coo, .. } => SparsityProfile::from_coo(coo, order).ok(),
+            SparsitySource::Pattern(p) => SparsityProfile::from_coo(&p.coo, order).ok(),
             SparsitySource::Uniform { nnz } => {
                 SparsityProfile::uniform(&modeled_dims(), &natural, *nnz).ok()
             }
@@ -757,7 +765,7 @@ fn run_planner(kernel: &Kernel, source: &SparsitySource, opts: &PlanOptions) -> 
             // everywhere) search the full candidate set.
             ModeOrderPolicy::Auto => match source {
                 SparsitySource::Profile(_) => vec![(0..d).collect()],
-                SparsitySource::Pattern { .. } | SparsitySource::Uniform { .. } => {
+                SparsitySource::Pattern(_) | SparsitySource::Uniform { .. } => {
                     candidate_orders(&kernel.ref_dims(kernel.sparse_ref()))
                 }
             },

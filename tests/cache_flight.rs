@@ -309,3 +309,41 @@ fn racing_networks_share_flights() {
         );
     }
 }
+
+/// Pattern-backed keys carry a fingerprint of the coordinates, computed
+/// on the first lookup that needs it: equal patterns hit whether they
+/// come from one `Shapes` (a clone shares the fingerprint) or two built
+/// apart, and a different pattern with the same dims and nnz misses.
+#[test]
+fn pattern_keys_hit_on_equal_patterns_and_miss_on_different_ones() {
+    use rand::prelude::*;
+    use spttn::tensor::random_coo;
+    let dims = [40usize, 30, 20];
+    let mut rng = StdRng::seed_from_u64(29);
+    let coo = random_coo(&dims, 300, &mut rng).unwrap();
+    let other = random_coo(&dims, 300, &mut rng).unwrap();
+    assert_ne!(coo.coords(), other.coords());
+    let with = |pattern| {
+        Shapes::new()
+            .with_dims(&[("i", 40), ("j", 30), ("k", 20), ("r", 8)])
+            .with_pattern(pattern)
+    };
+    let cache = PlanCache::new();
+    let opts = PlanOptions::default().with_mode_order(ModeOrderPolicy::Auto);
+    let plan = |shapes: &Shapes| {
+        cache
+            .plan(Contraction::parse(EXPR).unwrap(), shapes, &opts)
+            .unwrap()
+    };
+    let shapes = with(coo.clone());
+    let first = plan(&shapes);
+    assert!(Arc::ptr_eq(&first, &plan(&shapes.clone())));
+    assert!(Arc::ptr_eq(&first, &plan(&with(coo))));
+    assert_eq!((cache.hits(), cache.misses()), (2, 1));
+    let _ = plan(&with(other));
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (2, 2),
+        "a different pattern re-plans"
+    );
+}
