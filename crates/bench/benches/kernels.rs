@@ -6,7 +6,7 @@
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{Contraction, CostModel, Executor, PlanOptions, Shapes};
 use spttn_bench::{black_box, Harness};
 
@@ -26,7 +26,7 @@ fn executor_for(kernel: &Kernel, nnz: usize, seed: u64) -> Executor {
     let named: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (*n, t)).collect();
     Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             }),

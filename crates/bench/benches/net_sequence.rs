@@ -17,7 +17,7 @@
 
 use rand::prelude::*;
 use spttn::exec::KernelSet;
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{Microkernels, PlanOptions, Shapes, Threads};
 use spttn_bench::{black_box, Harness};
 use spttn_net::{NetOptions, Network, NetworkExecutor, NetworkPlan, OrderStrategy};
@@ -136,9 +136,7 @@ fn main() {
         let order: Vec<usize> = (0..w.sparse_dims.len()).collect();
         let csf = Csf::from_coo(&coo, &order).unwrap();
         let net = Network::parse(w.expr).expect("workload parses");
-        let shapes = Shapes::new()
-            .with_dims(w.dims)
-            .with_profile(SparsityProfile::from_csf(&csf));
+        let shapes = Shapes::new().with_dims(w.dims).with_pattern(csf.to_coo());
         let kernel = net.kernel(&shapes).expect("workload kernel");
         let factors: Vec<(String, DenseTensor)> = kernel
             .inputs

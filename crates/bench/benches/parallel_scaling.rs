@@ -7,7 +7,7 @@
 
 use rand::prelude::*;
 use spttn::ir::stdkernels;
-use spttn::tensor::{random_coo, random_dense, Csf, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf};
 use spttn::{Contraction, CostModel, Executor, PlanOptions, Shapes, Threads};
 use spttn_bench::{black_box, Harness};
 
@@ -23,7 +23,7 @@ fn bind_at(
     let kernel = stdkernels::mttkrp(&DIMS, RANK);
     let plan = Contraction::from_kernel(kernel)
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             })

@@ -15,7 +15,7 @@
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{Contraction, CostModel, PlanCache, PlanOptions, Shapes};
 use spttn_bench::{black_box, Harness};
 
@@ -66,7 +66,7 @@ fn sweeps_replanning(f: &Fixture, cache: Option<&PlanCache>) -> f64 {
     let mut acc = 0.0;
     for factors in &f.factor_sets {
         let csf = csf_of(f);
-        let shapes = Shapes::new().with_profile(SparsityProfile::from_csf(&csf));
+        let shapes = Shapes::new().with_pattern(csf.to_coo());
         let c = Contraction::from_kernel(f.kernel.clone());
         let named: Vec<(&str, &DenseTensor)> =
             factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
@@ -89,7 +89,7 @@ fn sweeps_replanning(f: &Fixture, cache: Option<&PlanCache>) -> f64 {
 /// One plan + one bind, then N rebound executions.
 fn sweeps_plan_once(f: &Fixture) -> f64 {
     let csf = csf_of(f);
-    let shapes = Shapes::new().with_profile(SparsityProfile::from_csf(&csf));
+    let shapes = Shapes::new().with_pattern(csf.to_coo());
     let plan = Contraction::from_kernel(f.kernel.clone())
         .plan(&shapes, &opts())
         .expect("plan succeeds");

@@ -1,23 +1,21 @@
 //! Planner benchmark: symbolic `Contraction::plan` over the stdkernels
 //! suite, per cost model — the perf baseline future planner PRs are
 //! measured against. Planning is purely structural (Shapes + sparsity
-//! profile); no tensor data is bound.
+//! pattern); no tensor values are bound.
 //!
 //! Run with `cargo bench -p spttn-bench --bench planner`.
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, SparsityProfile};
+use spttn::tensor::{random_coo, CooTensor};
 use spttn::{Contraction, CostModel, PlanOptions, Shapes};
 use spttn_bench::{black_box, Harness};
 
-/// Exact sparsity profile of a random pattern for the kernel.
-fn profile_for(kernel: &Kernel, nnz: usize, seed: u64) -> SparsityProfile {
+/// A random sparsity pattern for the kernel's sparse input.
+fn pattern_for(kernel: &Kernel, nnz: usize, seed: u64) -> CooTensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let sparse_dims = kernel.ref_dims(kernel.sparse_ref());
-    let coo = random_coo(&sparse_dims, nnz, &mut rng).unwrap();
-    let order: Vec<usize> = (0..coo.order()).collect();
-    SparsityProfile::from_coo(&coo, &order).unwrap()
+    random_coo(&sparse_dims, nnz, &mut rng).unwrap()
 }
 
 fn main() {
@@ -53,7 +51,7 @@ fn main() {
                 .product::<usize>()
                 / 4,
         );
-        let shapes = Shapes::new().with_profile(profile_for(kernel, nnz, 42));
+        let shapes = Shapes::new().with_pattern(pattern_for(kernel, nnz, 42));
         for (mname, model) in &models {
             let kernel = kernel.clone();
             let shapes = shapes.clone();

@@ -32,7 +32,7 @@
 use rand::prelude::*;
 use spttn::exec::{KernelSet, TapeReport};
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, ExecStats, Executor, Microkernels, Plan,
     PlanOptions, Shapes, Threads,
@@ -198,7 +198,7 @@ fn bind_at(
 ) -> Executor {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             })

@@ -53,7 +53,7 @@ materialized, and the sparse spine collapses into one planned kernel.
 INPUT:
     --tns FILE            FROSTT text tensor (1-based coords, '#' comments)
     --mtx FILE            MatrixMarket coordinate matrix
-    --dims D1xD2x...      declare sparse dims (validates .tns; enables file-less plan)
+    --dims D1xD2x...      declare sparse dims (validates the file; enables file-less plan)
     --nnz N               model nonzero count (plan without a file)
 
 OPTIONS:
@@ -64,7 +64,7 @@ OPTIONS:
     --order O             network contraction order: greedy | optimal
                           (budgeted exact subset sweep; 'spttn net' only) [greedy]
     --budget N            pair-cost evaluation budget for --order optimal
-                          [1000000]
+                          ('spttn net' only) [1000000]
     --microkernels M      auto (SIMD kernels by CPU detection, fused
                           superinstructions) | scalar (plain scalar kernels,
                           bitwise-stable baseline); covers the kernel's tape
@@ -117,8 +117,8 @@ struct Args {
     rank: usize,
     dim_overrides: Vec<(String, usize)>,
     threads: Threads,
-    order: OrderStrategy,
-    budget: u64,
+    order: Option<OrderStrategy>,
+    budget: Option<u64>,
     microkernels: Microkernels,
     cost_model: CostModel,
     mode_order: ModeOrderPolicy,
@@ -256,8 +256,8 @@ fn parse_args() -> Args {
         rank: 16,
         dim_overrides: Vec::new(),
         threads: Threads::N(1),
-        order: OrderStrategy::Greedy,
-        budget: 1_000_000,
+        order: None,
+        budget: None,
         microkernels: Microkernels::Auto,
         cost_model: CostModel::BlasAware {
             buffer_dim_bound: 2,
@@ -317,16 +317,18 @@ fn parse_args() -> Args {
                 }
             }
             "--order" => {
-                args.order = match value(&mut argv, "--order").as_str() {
+                args.order = Some(match value(&mut argv, "--order").as_str() {
                     "greedy" => OrderStrategy::Greedy,
                     "optimal" => OrderStrategy::Optimal,
                     other => fail(format!("unknown order '{other}' (greedy, optimal)")),
-                }
+                })
             }
             "--budget" => {
-                args.budget = value(&mut argv, "--budget")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --budget value"))
+                args.budget = Some(
+                    value(&mut argv, "--budget")
+                        .parse()
+                        .unwrap_or_else(|_| fail("bad --budget value")),
+                )
             }
             "--microkernels" => {
                 args.microkernels = parse_microkernels(&value(&mut argv, "--microkernels"))
@@ -359,6 +361,13 @@ fn parse_args() -> Args {
             other => fail(format!("unknown flag '{other}'")),
         }
     }
+    // A flag that would change nothing is refused, not ignored.
+    if args.cmd != "net" && (args.order.is_some() || args.budget.is_some()) {
+        fail("--order and --budget order a network: they apply to 'spttn net' only");
+    }
+    if args.nnz.is_some() && (args.tns.is_some() || args.mtx.is_some()) {
+        fail("--nnz models a tensor without a file; the file's own pattern is exact");
+    }
     args
 }
 
@@ -383,23 +392,30 @@ fn apply_limits(mut popts: PlanOptions, args: &Args) -> PlanOptions {
 
 /// Load the sparse input as COO, or `None` for file-less planning.
 fn load_input(args: &Args) -> Option<CooTensor> {
-    let coo = match (&args.tns, &args.mtx) {
+    let path = match (&args.tns, &args.mtx) {
         (Some(_), Some(_)) => fail("pass --tns or --mtx, not both"),
-        (Some(path), None) => match &args.dims {
-            // Declared dims validate the file's coordinates.
-            Some(dims) => {
-                let file = std::fs::File::open(path)
-                    .unwrap_or_else(|e| fail(format!("cannot open '{path}': {e}")));
-                read_tns(std::io::BufReader::new(file), Some(dims))
-                    .unwrap_or_else(|e| fail(format!("reading '{path}': {e}")))
-            }
-            None => load_coo(path).unwrap_or_else(|e| fail(format!("reading '{path}': {e}"))),
-        },
-        (None, Some(path)) => {
-            load_coo(path).unwrap_or_else(|e| fail(format!("reading '{path}': {e}")))
-        }
+        (Some(path), None) | (None, Some(path)) => path,
         (None, None) => return None,
     };
+    let coo = match (&args.tns, &args.dims) {
+        // Declared dims validate the file's coordinates.
+        (Some(_), Some(dims)) => {
+            let file = std::fs::File::open(path)
+                .unwrap_or_else(|e| fail(format!("cannot open '{path}': {e}")));
+            read_tns(std::io::BufReader::new(file), Some(dims))
+        }
+        _ => load_coo(path),
+    }
+    .unwrap_or_else(|e| fail(format!("reading '{path}': {e}")));
+    // A .mtx declares its own size, so declared dims must agree with it.
+    if let Some(dims) = args.dims.as_deref().filter(|&d| d != coo.dims()) {
+        let x = |d: &[usize]| d.iter().map(usize::to_string).collect::<Vec<_>>().join("x");
+        fail(format!(
+            "--dims {} does not match the size line of '{path}' ({})",
+            x(dims),
+            x(coo.dims())
+        ));
+    }
     Some(coo)
 }
 
@@ -605,10 +621,12 @@ fn run_net(args: &Args) {
             .with_verify(args.verify),
         args,
     );
-    let nopts = NetOptions::default()
-        .with_order(args.order)
-        .with_budget(args.budget)
-        .with_plan_options(popts);
+    let defaults = NetOptions::default();
+    let nopts = NetOptions {
+        order: args.order.unwrap_or(defaults.order),
+        budget: args.budget.unwrap_or(defaults.budget),
+        plan: popts,
+    };
 
     let t_plan = Instant::now();
     let nplan = net

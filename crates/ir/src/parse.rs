@@ -22,6 +22,7 @@
 //! outside the sparse pattern, which is the paper's definition of a
 //! valid SpTTN output.
 
+use crate::index::MAX_INDICES;
 use crate::kernel::{Kernel, KernelBuilder, KernelError};
 use std::collections::BTreeSet;
 
@@ -46,8 +47,18 @@ pub struct ParsedExpr {
     pub accumulate: bool,
 }
 
+/// A parse error. Its message quotes the input, so line breaks and
+/// other control characters in it are escaped: the error is one line.
 fn perr<T>(msg: String) -> Result<T, KernelError> {
-    Err(KernelError::Parse(msg))
+    let mut line = String::with_capacity(msg.len());
+    for c in msg.chars() {
+        if c.is_control() || matches!(c, '\u{2028}' | '\u{2029}') {
+            line.extend(c.escape_default());
+        } else {
+            line.push(c);
+        }
+    }
+    Err(KernelError::Parse(line))
 }
 
 fn parse_ref(s: &str) -> Result<ParsedRef, KernelError> {
@@ -84,9 +95,10 @@ fn parse_ref(s: &str) -> Result<ParsedRef, KernelError> {
 ///
 /// Rejected here, with a pointed [`KernelError::Parse`] message: a
 /// missing `=`/`->`, malformed references, empty factors (a trailing,
-/// doubled, leading or lone `*` — never silently dropped), and an
-/// output index that appears in no input factor, which has no loop to
-/// produce it.
+/// doubled, leading or lone `*` — never silently dropped), an output
+/// index that appears in no input factor, which has no loop to produce
+/// it, and more distinct indices than [`MAX_INDICES`]
+/// ([`KernelError::TooManyIndices`]).
 pub fn parse_expr(expr: &str) -> Result<ParsedExpr, KernelError> {
     let e = expr.replace('[', "(").replace(']', ")");
     let (lhs, rhs, accumulate) = if let Some((ins, out)) = e.split_once("->") {
@@ -116,11 +128,15 @@ pub fn parse_expr(expr: &str) -> Result<ParsedExpr, KernelError> {
             ));
         }
     }
-    Ok(ParsedExpr {
+    let parsed = ParsedExpr {
         output,
         inputs,
         accumulate,
-    })
+    };
+    match parsed.index_names().len() {
+        n if n > MAX_INDICES => Err(KernelError::TooManyIndices(n)),
+        _ => Ok(parsed),
+    }
 }
 
 impl ParsedExpr {

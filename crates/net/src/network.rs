@@ -1,6 +1,6 @@
 //! Network description: parsing and structural validation.
 
-use spttn::ir::{parse_expr, Kernel, KernelError, ParsedExpr, ParsedRef, MAX_INDICES};
+use spttn::ir::{parse_expr, Kernel, KernelError, ParsedExpr, ParsedRef};
 use spttn::{PlanCache, Result, Shapes, SpttnError};
 
 use crate::plan::NetworkPlan;
@@ -54,10 +54,6 @@ impl Network {
                     ))));
                 }
             }
-        }
-        let distinct = parsed.index_names().len();
-        if distinct > MAX_INDICES {
-            return Err(KernelError::TooManyIndices(distinct).into());
         }
         Ok(Network {
             expr: expr.to_string(),

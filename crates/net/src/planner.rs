@@ -334,56 +334,30 @@ pub(crate) fn choose_path(
     let (gpicks, mut evaluated) = greedy_picks(kernel, profile);
     let greedy_path = path_from_picks(kernel, &gpicks);
     let greedy_flops = modeled_path_flops(kernel, &greedy_path, profile);
-    match opts.order {
-        OrderStrategy::Greedy => {
-            let report = SearchReport {
-                strategy: OrderStrategy::Greedy,
-                evaluated_pairs: evaluated,
-                truncated: false,
-                greedy_flops,
-                chosen_flops: greedy_flops,
-            };
-            (greedy_path, report)
-        }
+    let (path, chosen_flops, truncated) = match opts.order {
+        OrderStrategy::Greedy => (greedy_path, greedy_flops, false),
         OrderStrategy::Optimal => {
             match optimal_picks(kernel, profile, greedy_flops, opts.budget, &mut evaluated) {
                 Some((flops, picks)) if flops < greedy_flops => {
                     let path = path_from_picks(kernel, &picks);
                     debug_assert_eq!(modeled_path_flops(kernel, &path, profile), flops);
-                    let report = SearchReport {
-                        strategy: OrderStrategy::Optimal,
-                        evaluated_pairs: evaluated,
-                        truncated: false,
-                        greedy_flops,
-                        chosen_flops: flops,
-                    };
-                    (path, report)
+                    (path, flops, false)
                 }
-                Some(_) => {
-                    // The sweep completed and greedy was already
-                    // optimal (it is one of the trees the DP covers).
-                    let report = SearchReport {
-                        strategy: OrderStrategy::Optimal,
-                        evaluated_pairs: evaluated,
-                        truncated: false,
-                        greedy_flops,
-                        chosen_flops: greedy_flops,
-                    };
-                    (greedy_path, report)
-                }
-                None => {
-                    let report = SearchReport {
-                        strategy: OrderStrategy::Optimal,
-                        evaluated_pairs: evaluated,
-                        truncated: true,
-                        greedy_flops,
-                        chosen_flops: greedy_flops,
-                    };
-                    (greedy_path, report)
-                }
+                // The sweep completed and greedy was already optimal
+                // (it is one of the trees the DP covers).
+                Some(_) => (greedy_path, greedy_flops, false),
+                None => (greedy_path, greedy_flops, true),
             }
         }
-    }
+    };
+    let report = SearchReport {
+        strategy: opts.order,
+        evaluated_pairs: evaluated,
+        truncated,
+        greedy_flops,
+        chosen_flops,
+    };
+    (path, report)
 }
 
 #[cfg(test)]

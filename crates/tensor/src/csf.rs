@@ -227,17 +227,6 @@ impl Csf {
         self.levels[k].idx.len()
     }
 
-    /// `nnz` of the length-`k` prefix: `prefix_nnz(0) == 1` (the virtual
-    /// root), `prefix_nnz(order()) == nnz()`.
-    #[inline]
-    pub fn prefix_nnz(&self, k: usize) -> usize {
-        if k == 0 {
-            1
-        } else {
-            self.level_nnz(k - 1)
-        }
-    }
-
     /// Range of root nodes (level 0).
     #[inline]
     pub fn root_range(&self) -> std::ops::Range<usize> {
@@ -563,10 +552,9 @@ mod tests {
     #[test]
     fn prefix_nnz_counts() {
         let csf = Csf::from_coo(&sample(), &[0, 1, 2]).unwrap();
-        assert_eq!(csf.prefix_nnz(0), 1);
-        assert_eq!(csf.prefix_nnz(1), 2); // distinct i
-        assert_eq!(csf.prefix_nnz(2), 4); // distinct (i,j)
-        assert_eq!(csf.prefix_nnz(3), 5); // nnz
+        assert_eq!(csf.level_nnz(0), 2); // distinct i
+        assert_eq!(csf.level_nnz(1), 4); // distinct (i,j)
+        assert_eq!(csf.level_nnz(2), 5); // nnz
     }
 
     #[test]
@@ -800,6 +788,6 @@ mod tests {
         let csf = Csf::from_coo(&coo, &[0]).unwrap();
         assert_eq!(csf.level(0).idx, vec![1, 4]);
         assert_eq!(csf.vals(), &[1.0, 2.0]);
-        assert_eq!(csf.prefix_nnz(1), 2);
+        assert_eq!(csf.level_nnz(0), 2);
     }
 }

@@ -12,7 +12,7 @@
 //! at level `k` equals `nnz_{I1..Ik}(T)` — the nonzero count of the
 //! reduced tensor obtained by summing away trailing modes (paper
 //! Sec. 2.2). Those per-level counts drive the planner's asymptotic cost
-//! model, so they are exposed both from concrete data ([`Csf::prefix_nnz`])
+//! model, so they are exposed both from concrete data ([`Csf::level_nnz`])
 //! and from the data-independent [`SparsityProfile`].
 //!
 //! For multicore execution the root level of a CSF tree can be split

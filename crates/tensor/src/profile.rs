@@ -9,7 +9,7 @@
 //! the tensor, using the [`SparsityProfile::uniform`] model.
 
 use crate::coo::is_permutation;
-use crate::{CooTensor, Csf, TensorError};
+use crate::{CooTensor, TensorError};
 
 /// Dimension sizes plus CSF-prefix nonzero counts for one mode order.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,17 +25,6 @@ pub struct SparsityProfile {
 }
 
 impl SparsityProfile {
-    /// Exact profile of a CSF tensor (its stored mode order).
-    pub fn from_csf(csf: &Csf) -> Self {
-        let d = csf.order();
-        let prefix_nnz = (0..=d).map(|k| csf.prefix_nnz(k) as u64).collect();
-        SparsityProfile {
-            dims: csf.dims().to_vec(),
-            mode_order: csf.mode_order().to_vec(),
-            prefix_nnz,
-        }
-    }
-
     /// Exact profile of a COO tensor under an arbitrary mode order (use
     /// for CSF mode-order search). Input already sorted in `mode_order`
     /// without duplicates is counted in place in one pass; anything else
@@ -133,18 +122,6 @@ impl SparsityProfile {
         self.prefix_nnz[k]
     }
 
-    /// A hashable fingerprint of this profile: dimensions, mode order,
-    /// and per-level prefix counts. Two profiles with equal signatures
-    /// drive the planner to identical decisions, which is what makes
-    /// them honest cache-key material for plan caches.
-    pub fn signature(&self) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
-        (
-            self.dims.clone(),
-            self.mode_order.clone(),
-            self.prefix_nnz.clone(),
-        )
-    }
-
     /// Length of the longest CSF prefix whose modes are all contained in
     /// the set described by `contains` (original mode numbering).
     ///
@@ -167,6 +144,7 @@ impl SparsityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csf;
 
     fn sample() -> CooTensor {
         CooTensor::from_entries(
@@ -187,9 +165,15 @@ mod tests {
         let coo = sample();
         for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
             let csf = Csf::from_coo(&coo, &order).unwrap();
-            let p1 = SparsityProfile::from_csf(&csf);
-            let p2 = SparsityProfile::from_coo(&coo, &order).unwrap();
-            assert_eq!(p1, p2, "order {order:?}");
+            let p = SparsityProfile::from_coo(&coo, &order).unwrap();
+            assert_eq!(p.mode_order(), csf.mode_order());
+            for k in 0..3 {
+                assert_eq!(
+                    p.prefix_nnz(k + 1),
+                    csf.level_nnz(k) as u64,
+                    "order {order:?}"
+                );
+            }
         }
     }
 

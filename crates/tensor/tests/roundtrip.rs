@@ -45,12 +45,17 @@ fn assert_roundtrips(coo: &CooTensor, label: &str) {
         // rebuilt COO re-sorted to natural order must be identical.
         let back = canonical(&csf.to_coo());
         assert_eq!(back, want, "{label}: round-trip under {order:?}");
-        // The CSF's own profile must agree with the profile computed
-        // directly from the COO under the same order (the quantity the
-        // order search scores with).
-        let from_csf = SparsityProfile::from_csf(&csf);
-        let from_coo = SparsityProfile::from_coo(coo, &order).unwrap();
-        assert_eq!(from_csf, from_coo, "{label}: profile under {order:?}");
+        // The CSF's per-level node counts must agree with the profile
+        // computed directly from the COO under the same order (the
+        // quantity the order search scores with).
+        let profile = SparsityProfile::from_coo(coo, &order).unwrap();
+        for k in 0..coo.order() {
+            assert_eq!(
+                profile.prefix_nnz(k + 1),
+                csf.level_nnz(k) as u64,
+                "{label}: level {k} under {order:?}"
+            );
+        }
         // reordered() from this tree to every other order must equal a
         // direct build in that order.
         for other in permutations(coo.order()) {

@@ -33,8 +33,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Hashable fingerprint of the sparsity information the planner ran on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum SparsityKey {
-    /// Exact profile: dims, mode order, per-level prefix nnz.
-    Profile(Vec<usize>, Vec<usize>, Vec<u64>),
     /// Exact pattern: dims, nonzero count, and the pattern fingerprint
     /// (a hash of the flat coordinates, computed by the first key built
     /// for the pattern and shared by every `Shapes` clone that carries
@@ -55,10 +53,6 @@ enum SparsityKey {
 impl SparsityKey {
     fn of(source: &SparsitySource) -> SparsityKey {
         match source {
-            SparsitySource::Profile(p) => {
-                let (dims, order, prefix) = p.signature();
-                SparsityKey::Profile(dims, order, prefix)
-            }
             SparsitySource::Pattern(p) => SparsityKey::Pattern {
                 dims: p.coo.dims().to_vec(),
                 nnz: p.coo.nnz(),
@@ -80,7 +74,7 @@ pub struct PlanKey {
     sparse_input: usize,
     /// Whether the output shares the sparse pattern.
     output_sparse: bool,
-    /// Sparsity information summary (profile, pattern, or model).
+    /// Sparsity information summary (pattern or model).
     sparsity: SparsityKey,
     /// Cost model (integral parameters only — derives `Hash` directly).
     cost_model: CostModel,
@@ -91,23 +85,8 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Build the key for fully-resolved planning inputs.
-    pub fn new(
-        kernel: &Kernel,
-        profile: &spttn_tensor::SparsityProfile,
-        accumulate: bool,
-        opts: &PlanOptions,
-    ) -> Self {
-        Self::from_source(
-            kernel,
-            &SparsitySource::Profile(profile.clone()),
-            accumulate,
-            opts,
-        )
-    }
-
     /// Build the key for a resolved sparsity source.
-    pub(crate) fn from_source(
+    fn from_source(
         kernel: &Kernel,
         source: &SparsitySource,
         accumulate: bool,
@@ -175,8 +154,7 @@ impl PlanCache {
         shapes: &Shapes,
         opts: &PlanOptions,
     ) -> Result<Arc<Plan>> {
-        let (kernel, accumulate) = contraction.resolve_symbolic(shapes)?;
-        let source = shapes.resolve_source(&kernel)?;
+        let (kernel, source, accumulate) = contraction.resolve_symbolic(shapes)?;
         let key = PlanKey::from_source(&kernel, &source, accumulate, opts);
         let slot: PlanSlot = self
             .plans

@@ -6,9 +6,10 @@
 //! 1. **Symbolic planning** — [`Contraction::parse`] reads an
 //!    einsum-style expression (structure only), and [`Contraction::plan`]
 //!    runs the Sec. 5 planner against a data-independent [`Shapes`]
-//!    description (index dimensions plus a sparsity profile or modeled
-//!    nnz). The resulting [`Plan`] holds only the kernel, contraction
-//!    path, loop orders, fused forest, and buffer specs — **no tensors**.
+//!    description (index dimensions plus a coordinate pattern or a
+//!    modeled nnz). The resulting [`Plan`] holds only the kernel,
+//!    contraction path, loop orders, fused forest, and buffer specs —
+//!    **no tensors**.
 //! 2. **Binding and execution** — [`Plan::bind`] attaches a CSF sparse
 //!    input and named dense factors, producing an
 //!    [`Executor`](crate::Executor) whose preallocated workspace makes
@@ -38,7 +39,7 @@ use spttn_ir::{
     buffers_for_forest, build_forest, enumerate_paths, parse_expr, BufferSpec, ContractionPath,
     Kernel, LoopForest, NestSpec, ParsedExpr,
 };
-use spttn_tensor::{CooTensor, SparsityProfile};
+use spttn_tensor::{CooTensor, SparsityProfile, TensorError};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -302,9 +303,7 @@ impl PlanOptions {
     /// pruned family above) and keeps the cheapest by
     /// `(executed work, cost value)` — exact per-order fiber counts when the
     /// pattern is known ([`Shapes::with_pattern`]), the uniform model
-    /// with [`Shapes::with_nnz`]. A lone [`Shapes::with_profile`] cannot
-    /// score other orders comparably, so `Auto` keeps the natural
-    /// order there.
+    /// with [`Shapes::with_nnz`].
     /// Plan time multiplies accordingly; execution is unaffected except
     /// for the one-time CSF rebuild at [`Plan::bind`] when a
     /// non-natural order wins. For pattern-sharing (TTTP-like) outputs
@@ -317,8 +316,8 @@ impl PlanOptions {
 }
 
 /// Data-independent operand description for symbolic planning: one
-/// dimension per index name, plus sparsity information for the sparse
-/// input — either an exact [`SparsityProfile`] or a modeled uniform
+/// dimension per index name, plus the sparse input's coordinate pattern
+/// (exact fiber counts under every CSF order) or a modeled uniform
 /// nonzero count.
 ///
 /// ```
@@ -332,7 +331,6 @@ impl PlanOptions {
 pub struct Shapes {
     dims: HashMap<String, usize>,
     nnz: Option<u64>,
-    profile: Option<SparsityProfile>,
     pattern: Option<Arc<Pattern>>,
 }
 
@@ -383,24 +381,10 @@ impl Shapes {
     }
 
     /// Model the sparse input as a uniformly-random pattern with `nnz`
-    /// nonzeros (see [`SparsityProfile::uniform`]).
+    /// nonzeros (see [`SparsityProfile::uniform`]), under every CSF
+    /// order alike.
     pub fn with_nnz(mut self, nnz: u64) -> Self {
         self.nnz = Some(nnz);
-        self
-    }
-
-    /// Use exact per-level fiber counts for the sparse input. Takes
-    /// precedence over [`Shapes::with_pattern`] and [`Shapes::with_nnz`].
-    ///
-    /// A profile describes exactly one CSF order, so it cannot score
-    /// alternatives: under
-    /// [`ModeOrderPolicy::Auto`](crate::cost::ModeOrderPolicy) the
-    /// search degenerates to the natural order (use
-    /// [`Shapes::with_pattern`] to search on exact per-order counts);
-    /// a `Fixed` non-natural order falls back to the uniform model at
-    /// this profile's nonzero count.
-    pub fn with_profile(mut self, profile: SparsityProfile) -> Self {
-        self.profile = Some(profile);
         self
     }
 
@@ -408,13 +392,12 @@ impl Shapes {
     /// tensor whose mode `m` is the index written at position `m` of
     /// the expression (values are ignored — only coordinates matter).
     ///
-    /// A pattern carries strictly more information than a profile: the
-    /// planner can derive exact per-level fiber counts for **any** CSF
-    /// mode order, which is what makes
-    /// [`ModeOrderPolicy::Auto`](crate::cost::ModeOrderPolicy) searches
-    /// profile-guided rather than model-guided. Takes precedence over
-    /// [`Shapes::with_nnz`]; [`Shapes::with_profile`] takes precedence
-    /// over both.
+    /// The planner derives exact per-level fiber counts from it for
+    /// **any** CSF mode order, so every order — including each
+    /// candidate of a
+    /// [`ModeOrderPolicy::Auto`](crate::cost::ModeOrderPolicy) search —
+    /// is scored on the real tensor. Takes precedence over
+    /// [`Shapes::with_nnz`].
     ///
     /// The pattern is shared by every clone of these shapes. Its
     /// cache-key fingerprint (a hash of every coordinate) is computed on
@@ -449,109 +432,54 @@ impl Shapes {
     /// [`SparsityProfile`] for a sparse input whose written index names
     /// are `names` — the profile multi-kernel schedulers (`spttn-net`)
     /// score candidate contraction sequences against before any
-    /// per-step plan exists. Exact when built from
-    /// [`Shapes::with_profile`] or [`Shapes::with_pattern`]; the
+    /// per-step plan exists. Exact under [`Shapes::with_pattern`]; the
     /// uniform model under [`Shapes::with_nnz`].
     pub fn natural_profile(&self, names: &[String]) -> Result<SparsityProfile> {
-        let mut dims = Vec::with_capacity(names.len());
-        for n in names {
-            dims.push(self.require_dim(n)?);
-        }
-        let natural: Vec<usize> = (0..names.len()).collect();
-        if let Some(p) = &self.profile {
-            if p.order() != names.len() {
-                return Err(SpttnError::Shape(format!(
-                    "sparsity profile has {} modes but the sparse input has {}",
-                    p.order(),
-                    names.len()
-                )));
-            }
-            return Ok(p.clone());
-        }
-        if let Some(p) = &self.pattern {
-            if p.coo.order() != names.len() {
-                return Err(SpttnError::Shape(format!(
-                    "sparsity pattern has {} modes but the sparse input has {}",
-                    p.coo.order(),
-                    names.len()
-                )));
-            }
-            return SparsityProfile::from_coo(&p.coo, &natural).map_err(SpttnError::from);
-        }
-        if let Some(nnz) = self.nnz {
-            return SparsityProfile::uniform(&dims, &natural, nnz).map_err(SpttnError::from);
-        }
-        Err(SpttnError::Planning(
-            "no sparsity information for the sparse input; call Shapes::with_nnz \
-             (uniform model), Shapes::with_pattern (exact coordinates), or \
-             Shapes::with_profile (exact counts)"
-                .into(),
-        ))
+        let dims = names
+            .iter()
+            .map(|n| self.require_dim(n))
+            .collect::<Result<Vec<_>>>()?;
+        let natural: Vec<usize> = (0..dims.len()).collect();
+        Ok(self.sparsity(&dims)?.profile_for(&dims, &natural)?)
     }
 
-    /// Resolve the sparsity source the planner runs on, validated
-    /// against the kernel's sparse-input dimensions.
-    pub(crate) fn resolve_source(&self, kernel: &Kernel) -> Result<SparsitySource> {
-        let levels = kernel.csf_index_order().len();
-        if let Some(p) = &self.profile {
-            if p.order() != levels {
-                return Err(SpttnError::Shape(format!(
-                    "sparsity profile has {} modes but the sparse input has {levels}",
-                    p.order()
-                )));
-            }
-            for l in 0..levels {
-                let want = kernel.dim(kernel.index_at_level(l));
-                let got = p.dims()[p.mode_order()[l]];
-                if want != got {
-                    return Err(SpttnError::Shape(format!(
-                        "sparsity profile level {l} has dimension {got}, kernel expects {want}"
-                    )));
-                }
-            }
-            return Ok(SparsitySource::Profile(p.clone()));
-        }
+    /// The sparsity source for a sparse input whose written modes have
+    /// dimensions `dims`: the pattern, checked against them, else the
+    /// uniform model.
+    pub(crate) fn sparsity(&self, dims: &[usize]) -> Result<SparsitySource> {
         if let Some(p) = &self.pattern {
-            if p.coo.order() != levels {
+            let got = p.coo.dims();
+            if got.len() != dims.len() {
                 return Err(SpttnError::Shape(format!(
-                    "sparsity pattern has {} modes but the sparse input has {levels}",
-                    p.coo.order()
+                    "sparsity pattern has {} modes but the sparse input has {}",
+                    got.len(),
+                    dims.len()
                 )));
             }
-            for l in 0..levels {
-                let want = kernel.dim(kernel.index_at_level(l));
-                let got = p.coo.dims()[l];
-                if want != got {
-                    return Err(SpttnError::Shape(format!(
-                        "sparsity pattern mode {l} has dimension {got}, kernel expects {want}"
-                    )));
-                }
+            if let Some(m) = (0..dims.len()).find(|&m| got[m] != dims[m]) {
+                return Err(SpttnError::Shape(format!(
+                    "sparsity pattern mode {m} has dimension {}, kernel expects {}",
+                    got[m], dims[m]
+                )));
             }
             return Ok(SparsitySource::Pattern(Arc::clone(p)));
         }
-        if let Some(nnz) = self.nnz {
-            return Ok(SparsitySource::Uniform { nnz });
+        match self.nnz {
+            Some(nnz) => Ok(SparsitySource::Uniform { nnz }),
+            None => Err(SpttnError::Planning(
+                "no sparsity information for the sparse input; call Shapes::with_nnz \
+                 (uniform model) or Shapes::with_pattern (exact coordinates)"
+                    .into(),
+            )),
         }
-        Err(SpttnError::Planning(
-            "no sparsity information for the sparse input; call Shapes::with_nnz \
-             (uniform model), Shapes::with_pattern (exact coordinates), or \
-             Shapes::with_profile (exact counts)"
-                .into(),
-        ))
     }
 }
 
 /// How the planner obtains a [`SparsityProfile`] for a candidate CSF
-/// mode order: from an exact pattern (any order, exact counts), from
-/// one exact profile (its own order exact, others modeled), or from the
-/// uniform model.
+/// mode order: exact counts from the pattern, or the uniform model —
+/// either way, every order is scored the same way.
 #[derive(Debug, Clone)]
 pub(crate) enum SparsitySource {
-    /// Exact fiber counts for the natural written order; a `Fixed`
-    /// non-natural order falls back to the uniform model at the same
-    /// nonzero count (`Auto` does not search past natural here — see
-    /// `run_planner`).
-    Profile(SparsityProfile),
     /// Exact coordinates (shared, with the fingerprint cache keys
     /// compute once): the pattern's mode `p` is the index written at
     /// position `p` of the expression. Exact counts for every order.
@@ -561,29 +489,19 @@ pub(crate) enum SparsitySource {
 }
 
 impl SparsitySource {
-    /// Profile for the candidate order `order` (a permutation of
-    /// written positions) of `kernel`'s sparse input, where `kernel` is
-    /// in natural written order. `None` skips the candidate.
-    pub(crate) fn profile_for(&self, kernel: &Kernel, order: &[usize]) -> Option<SparsityProfile> {
-        let identity = order.iter().enumerate().all(|(l, &p)| l == p);
-        let modeled_dims = || -> Vec<usize> {
-            order
-                .iter()
-                .map(|&p| kernel.dim(kernel.index_at_level(p)))
-                .collect()
-        };
-        let natural: Vec<usize> = (0..order.len()).collect();
+    /// Profile of a sparse input whose written modes have dimensions
+    /// `dims`, stored in `order` (a permutation of written positions).
+    pub(crate) fn profile_for(
+        &self,
+        dims: &[usize],
+        order: &[usize],
+    ) -> std::result::Result<SparsityProfile, TensorError> {
         match self {
-            SparsitySource::Profile(p) => {
-                if identity {
-                    Some(p.clone())
-                } else {
-                    SparsityProfile::uniform(&modeled_dims(), &natural, p.nnz()).ok()
-                }
-            }
-            SparsitySource::Pattern(p) => SparsityProfile::from_coo(&p.coo, order).ok(),
+            SparsitySource::Pattern(p) => SparsityProfile::from_coo(&p.coo, order),
             SparsitySource::Uniform { nnz } => {
-                SparsityProfile::uniform(&modeled_dims(), &natural, *nnz).ok()
+                let permuted: Vec<usize> = order.iter().map(|&p| dims[p]).collect();
+                let natural: Vec<usize> = (0..order.len()).collect();
+                SparsityProfile::uniform(&permuted, &natural, *nnz)
             }
         }
     }
@@ -673,15 +591,17 @@ impl Contraction {
     /// sparsity description in `shapes` — no tensor data. The returned
     /// [`Plan`] can be bound to many operand sets via [`Plan::bind`].
     pub fn plan(self, shapes: &Shapes, opts: &PlanOptions) -> Result<Plan> {
-        let (kernel, accumulate) = self.resolve_symbolic(shapes)?;
-        let source = shapes.resolve_source(&kernel)?;
+        let (kernel, source, accumulate) = self.resolve_symbolic(shapes)?;
         Plan::build(kernel, source, accumulate, opts)
     }
 
-    /// Resolve the validated kernel for symbolic planning: a pre-built
+    /// Resolve the validated kernel for symbolic planning — a pre-built
     /// kernel is used as-is, otherwise every index dimension comes from
-    /// `shapes`.
-    pub(crate) fn resolve_symbolic(self, shapes: &Shapes) -> Result<(Kernel, bool)> {
+    /// `shapes` — and the sparsity source checked against it.
+    pub(crate) fn resolve_symbolic(
+        self,
+        shapes: &Shapes,
+    ) -> Result<(Kernel, SparsitySource, bool)> {
         let kernel = match self.source {
             Source::Kernel(kernel) => {
                 // Dimensions live in the kernel; catch contradictions early.
@@ -699,7 +619,8 @@ impl Contraction {
             }
             Source::Expr(parsed) => parsed.lower(|idx| shapes.require_dim(idx))?,
         };
-        Ok((kernel, self.accumulate))
+        let source = shapes.sparsity(&kernel.ref_dims(kernel.sparse_ref()))?;
+        Ok((kernel, source, self.accumulate))
     }
 }
 
@@ -747,30 +668,18 @@ fn run_planner(kernel: &Kernel, source: &SparsitySource, opts: &PlanOptions) -> 
     where
         C::Value: std::fmt::Debug,
     {
-        let d = kernel.csf_index_order().len();
+        let dims = kernel.ref_dims(kernel.sparse_ref());
         let orders: Vec<Vec<usize>> = match &opts.mode_order {
-            ModeOrderPolicy::Natural => vec![(0..d).collect()],
+            ModeOrderPolicy::Natural => vec![(0..dims.len()).collect()],
             ModeOrderPolicy::Fixed(order) => {
                 // Surface a bad permutation as its own error instead of
                 // an opaque "no feasible nest".
                 kernel.permute_sparse_modes(order)?;
                 vec![order.clone()]
             }
-            // Auto needs comparable scores across candidates. A lone
-            // exact profile can score only its own (natural) order;
-            // modeling the others uniformly would compare exact against
-            // modeled counts and could crown a genuinely worse order —
-            // so the search degenerates to natural there. Patterns
-            // (exact everywhere) and the uniform model (consistent
-            // everywhere) search the full candidate set.
-            ModeOrderPolicy::Auto => match source {
-                SparsitySource::Profile(_) => vec![(0..d).collect()],
-                SparsitySource::Pattern(_) | SparsitySource::Uniform { .. } => {
-                    candidate_orders(&kernel.ref_dims(kernel.sparse_ref()))
-                }
-            },
+            ModeOrderPolicy::Auto => candidate_orders(&dims),
         };
-        plan_mode_orders(kernel, cost, &orders, |o| source.profile_for(kernel, o))
+        plan_mode_orders(kernel, cost, &orders, |o| source.profile_for(&dims, o).ok())
             .map(erase)
             .ok_or_else(|| SpttnError::Planning("no feasible loop nest found".into()))
     }

@@ -7,7 +7,7 @@
 //! between dense steps and inside one.
 
 use rand::prelude::*;
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     CancelToken, Contraction, ContractionOutput, Microkernels, PlanOptions, Shapes, SpttnError,
     TapeReport, Threads,
@@ -34,7 +34,7 @@ fn cancelled_then_retried_is_bitwise_identical_to_fresh() {
     let factors: Vec<(&str, &DenseTensor)> = vec![("A", &a), ("B", &b)];
     let shapes = Shapes::new()
         .with_dims(&[("i", 24), ("j", 16), ("k", 18), ("r", 6)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
 
     for threads in [1usize, 4] {
         let base = PlanOptions::default()
@@ -106,7 +106,7 @@ fn root_level_fused_loop_cancel_then_retry_is_bitwise_identical() {
     let v = random_dense(&[8], &mut rng);
     let shapes = Shapes::new()
         .with_dims(&[("i", 400), ("a", 8)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
     // Expression, factors, and the report count of its fused loop.
     type Case<'a> = (
         &'a str,
@@ -174,7 +174,7 @@ fn network_cancel_then_retry_is_bitwise_identical() {
     let net = Network::parse("T[i,j]*D1[j,m]*D2[m,r]->O[i,r]").unwrap();
     let shapes = Shapes::new()
         .with_dims(&[("i", 30), ("j", 20), ("m", 4), ("r", 5)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
 
     let tok = CancelToken::new();
     let popts = PlanOptions::default()
@@ -223,7 +223,7 @@ fn deadline_interrupts_a_dense_step() {
     let net = Network::parse("T[i,j]*D1[j,m]*D2[m,r]->O[i,r]").unwrap();
     let shapes = Shapes::new()
         .with_dims(&[("i", 512), ("j", 128), ("m", M), ("r", 128)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
     let plan_with = |popts: PlanOptions| {
         let nplan = net
             .plan(&shapes, &NetOptions::default().with_plan_options(popts))

@@ -7,7 +7,7 @@
 
 use rand::prelude::*;
 use spttn::exec::naive_einsum;
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::Shapes;
 use spttn_net::Network;
 
@@ -107,9 +107,7 @@ impl Fixture {
         let order: Vec<usize> = (0..coo.order()).collect();
         let csf = Csf::from_coo(&coo, &order).unwrap();
         let net = Network::parse(expr).unwrap();
-        let shapes = Shapes::new()
-            .with_dims(dims)
-            .with_profile(SparsityProfile::from_csf(&csf));
+        let shapes = Shapes::new().with_dims(dims).with_pattern(coo.clone());
         let kernel = net.kernel(&shapes).unwrap();
         let mut factors: Vec<(String, DenseTensor)> = Vec::new();
         for (slot, r) in kernel.inputs.iter().enumerate() {

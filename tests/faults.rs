@@ -12,7 +12,7 @@
 use rand::prelude::*;
 use spttn::exec::faults::{self, Fault};
 use spttn::ir::{path_from_picks, NestSpec};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, Microkernels, Plan, PlanOptions, RunBudget, Shapes, SpttnError,
     Threads,
@@ -57,7 +57,7 @@ fn mttkrp_plan(threads: usize, csf: &Csf, extra: impl FnOnce(PlanOptions) -> Pla
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 24), ("j", 16), ("k", 18), ("r", 6)])
-                .with_profile(SparsityProfile::from_csf(csf)),
+                .with_pattern(csf.to_coo()),
             &opts,
         )
         .unwrap()
@@ -307,7 +307,7 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
             .plan(
                 &Shapes::new()
                     .with_dims(&[("i", 24), ("j", 16), ("k", 18), ("r", 6)])
-                    .with_profile(SparsityProfile::from_csf(&csf)),
+                    .with_pattern(csf.to_coo()),
                 &PlanOptions::default().with_budget(budget),
             )
             .unwrap()

@@ -5,7 +5,7 @@
 use rand::prelude::*;
 use spttn::ir::stdkernels;
 use spttn::ir::Kernel;
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, SpttnError, Threads,
 };
@@ -75,7 +75,7 @@ fn plan_and_bind(
     let csf = Csf::from_coo(coo, &order).unwrap();
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &opts.with_threads(test_threads()),
         )
         .unwrap_or_else(|e| panic!("planning failed for {}: {e}", kernel.to_einsum()));
@@ -165,7 +165,7 @@ fn parsed_mttkrp_matches_reference() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 12), ("j", 10), ("k", 11), ("r", 5)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::default().with_threads(test_threads()),
         )
         .unwrap()
@@ -197,7 +197,7 @@ fn parsed_ttmc_matches_reference() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 10), ("j", 9), ("k", 11), ("r", 4), ("s", 5)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::CacheMiss { d: 1 })
                 .with_threads(test_threads()),
         )
@@ -225,9 +225,7 @@ fn facade_reports_unified_errors() {
     let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
     let expr = "O(i,r) = T(i,j,k) * A(j,r) * B(k,r)";
     let dims = [("i", 6), ("j", 7), ("k", 8), ("r", 3)];
-    let shapes = Shapes::new()
-        .with_dims(&dims)
-        .with_profile(SparsityProfile::from_csf(&csf));
+    let shapes = Shapes::new().with_dims(&dims).with_pattern(csf.to_coo());
     let parse = || Contraction::parse(expr).unwrap();
 
     // No sparsity information for the sparse input.
@@ -238,7 +236,7 @@ fn facade_reports_unified_errors() {
     let e = parse().plan(
         &Shapes::new()
             .with_dims(&dims[..3])
-            .with_profile(SparsityProfile::from_csf(&csf)),
+            .with_pattern(csf.to_coo()),
         &PlanOptions::default(),
     );
     assert!(matches!(e, Err(SpttnError::Planning(_))));

@@ -362,28 +362,6 @@ fn set_sparse_values_respects_callers_leaf_order_under_reorder() {
 }
 
 #[test]
-fn profile_only_auto_degenerates_to_natural() {
-    // An exact profile describes one order; Auto must not crown a
-    // different order off incomparable uniform-model scores.
-    let mut rng = StdRng::seed_from_u64(19);
-    let coo = lopsided_coo(&mut rng);
-    let profile = spttn::tensor::SparsityProfile::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let shapes = Shapes::new()
-        .with_dims(&[("i", 50), ("j", 50), ("k", 4), ("a", 8)])
-        .with_profile(profile);
-    let plan = Contraction::parse(MTTKRP)
-        .unwrap()
-        .plan(
-            &shapes,
-            &PlanOptions::with_cost_model(CostModel::MaxBufferSize)
-                .with_mode_order(ModeOrderPolicy::Auto),
-        )
-        .unwrap();
-    assert!(plan.is_natural_order());
-    assert_eq!(plan.order_costs().len(), 1);
-}
-
-#[test]
 fn uniform_model_auto_search_still_correct() {
     // Auto with only `with_nnz` (no pattern): orders are scored by the
     // uniform model; whatever wins, execution must stay exact.

@@ -8,7 +8,7 @@
 //! perturb the counters between the before/after reads.
 
 use rand::prelude::*;
-use spttn::tensor::{random_coo, random_dense, Csf, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf};
 use spttn::{Contraction, CostModel, PlanOptions, Shapes, Threads};
 use spttn_net::{NetOptions, Network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,7 +52,7 @@ fn execute_into_performs_zero_heap_allocations() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 20), ("j", 16), ("k", 18), ("r", 6)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             }),
@@ -88,7 +88,7 @@ fn execute_into_performs_zero_heap_allocations() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 20), ("j", 16), ("k", 18), ("r", 4)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize),
         )
         .unwrap();
@@ -121,7 +121,7 @@ fn execute_into_performs_zero_heap_allocations() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 20), ("j", 16), ("k", 18), ("r", 6)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             })
@@ -162,7 +162,7 @@ fn execute_into_performs_zero_heap_allocations() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 30), ("j", 20), ("m", 4), ("r", 5)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &NetOptions::default(),
         )
         .unwrap();

@@ -6,7 +6,7 @@
 
 use rand::prelude::*;
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, Threads};
 
 const TOL: f64 = 1e-9;
@@ -39,7 +39,7 @@ fn bind_at(
 ) -> Executor {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(model).with_threads(Threads::N(threads)),
         )
         .unwrap();
@@ -175,7 +175,7 @@ fn accumulate_semantics_survive_parallelism() {
         let plan = Contraction::from_kernel(kernel.clone())
             .with_accumulate(true)
             .plan(
-                &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+                &Shapes::new().with_pattern(csf.to_coo()),
                 &PlanOptions::with_cost_model(CostModel::MaxBufferSize)
                     .with_threads(Threads::N(threads)),
             )
@@ -214,7 +214,7 @@ fn last_stats_reports_per_execution_dispatches() {
     let plan_at = |threads: usize| {
         Contraction::from_kernel(kernel.clone())
             .plan(
-                &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+                &Shapes::new().with_pattern(csf.to_coo()),
                 &PlanOptions::default().with_threads(Threads::N(threads)),
             )
             .unwrap()
@@ -225,7 +225,7 @@ fn last_stats_reports_per_execution_dispatches() {
     let s1 = serial.last_stats();
     // One AXPY per nonzero, one row update per (i,j) fiber.
     assert_eq!(s1.axpy as usize, csf.nnz());
-    assert_eq!(s1.total() as usize, csf.nnz() + csf.prefix_nnz(2));
+    assert_eq!(s1.total() as usize, csf.nnz() + csf.level_nnz(1));
     // Per-execution, not cumulative: a second run reports the same.
     serial.execute().unwrap();
     assert_eq!(serial.last_stats(), s1);
@@ -266,7 +266,7 @@ fn threads_auto_binds_and_matches() {
     let want = execute_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, 1).to_dense();
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(Threads::Auto),
         )
         .unwrap();

@@ -8,7 +8,7 @@
 //! with, an index of extent 0 — is one `KernelError` from every front
 //! end that lowers.
 
-use spttn::ir::{parse_kernel, KernelError};
+use spttn::ir::{parse_kernel, KernelError, MAX_INDICES};
 use spttn::{Contraction, PlanOptions, Shapes, SpttnError};
 use spttn_net::{NetOptions, Network};
 
@@ -172,4 +172,39 @@ fn well_formed_expressions_still_parse() {
         assert!(parse_kernel(expr, DIMS).is_ok(), "{expr}");
         assert!(Contraction::parse(expr).is_ok(), "{expr}");
     }
+}
+
+/// A parse error quotes the input; a line break or other control
+/// character in the quoted text is escaped, so the error stays on one
+/// line (it used to print the raw break).
+#[test]
+fn quoted_line_breaks_are_escaped() {
+    for (expr, needle) in [
+        ("A(i) = T(i,j\nk) * B(j)", "bad index name 'j\\nk'"),
+        (
+            "A(i)\0= T(i,j) * B(j)",
+            "unterminated tensor reference 'A(i)\\u{0}'",
+        ),
+        ("T[i,j\u{2028}k]*B[j]->A[i]", "bad index name 'j\\u{2028}k'"),
+    ] {
+        assert_parse_error(expr, needle);
+        let text = Contraction::parse(expr).unwrap_err().to_string();
+        assert!(!text.contains(['\n', '\0', '\u{2028}']), "{text}");
+    }
+}
+
+/// One distinct index over `MAX_INDICES` is refused by the grammar, so
+/// every front end rejects it at parse time — `Contraction::parse` used
+/// to accept it and fail only at plan time.
+#[test]
+fn too_many_indices_is_a_parse_error_everywhere() {
+    let rest: Vec<String> = (1..=MAX_INDICES).map(|x| format!("x{x}")).collect();
+    let expr = format!("A(x0) = T(x0,x1) * B({})", rest.join(","));
+    let want = SpttnError::Kernel(KernelError::TooManyIndices(MAX_INDICES + 1));
+    assert_eq!(Contraction::parse(&expr).unwrap_err(), want);
+    assert_eq!(Network::parse(&expr).unwrap_err(), want);
+    assert_eq!(
+        parse_kernel(&expr, &[]).unwrap_err(),
+        KernelError::TooManyIndices(MAX_INDICES + 1)
+    );
 }

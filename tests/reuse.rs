@@ -7,7 +7,7 @@
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Executor, PlanCache, PlanOptions, Shapes, Threads,
 };
@@ -42,7 +42,7 @@ fn random_factors(kernel: &Kernel, rng: &mut StdRng) -> Vec<(String, DenseTensor
 fn fresh_pipeline(kernel: &Kernel, csf: Csf, factors: &[(String, DenseTensor)]) -> DenseTensor {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
         )
         .unwrap();
@@ -66,7 +66,7 @@ fn check_reuse(kernel: &Kernel, nnz: usize, seed: u64) {
     // Stage 1: symbolic plan from the exact profile — no tensor data.
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
         )
         .unwrap();
@@ -146,7 +146,7 @@ fn executor_execute_into_matches_execute() {
         .plan(
             &Shapes::new()
                 .with_dims(&[("i", 12), ("j", 10), ("k", 11), ("r", 5)])
-                .with_profile(SparsityProfile::from_csf(&csf)),
+                .with_pattern(csf.to_coo()),
             &PlanOptions::default(),
         )
         .unwrap();
@@ -171,7 +171,7 @@ fn accumulate_expression_adds_into_output() {
     let b = random_dense(&[11, 5], &mut rng);
     let shapes = Shapes::new()
         .with_dims(&[("i", 12), ("j", 10), ("k", 11), ("r", 5)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
 
     let plan = Contraction::parse("O(i,r) += T(i,j,k) * A(j,r) * B(k,r)")
         .unwrap()
@@ -334,7 +334,7 @@ fn tttp_reused_executor_keeps_sparse_output_pattern() {
 
     let plan = Contraction::from_kernel(k.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
         )
         .unwrap();
@@ -382,7 +382,7 @@ fn execute_into_rejects_foreign_sparse_pattern() {
     let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
     let mut exec = Contraction::from_kernel(k)
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::MaxBufferSize).with_threads(test_threads()),
         )
         .unwrap()

@@ -27,7 +27,7 @@ mod networks;
 use common::interp_reference;
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, Plan, PlanOptions, Shapes, Threads,
 };
@@ -61,7 +61,7 @@ fn named(factors: &[(String, DenseTensor)]) -> Vec<(&str, &DenseTensor)> {
 fn plan(kernel: &Kernel, csf: &Csf, micro: Microkernels, threads: usize) -> Plan {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(CostModel::BlasAware {
                 buffer_dim_bound: 2,
             })
@@ -138,7 +138,7 @@ fn parallel_simd_tape_is_run_to_run_bitwise_deterministic() {
             factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
         let plan = Contraction::from_kernel(kernel.clone())
             .plan(
-                &Shapes::new().with_profile(SparsityProfile::from_csf(&csf)),
+                &Shapes::new().with_pattern(csf.to_coo()),
                 &PlanOptions::with_cost_model(CostModel::BlasAware {
                     buffer_dim_bound: 2,
                 })

@@ -20,7 +20,7 @@ use spttn::exec::{
     TapeReport, Workspace,
 };
 use spttn::ir::{path_from_picks, Kernel, NestSpec};
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{Contraction, ContractionOutput, ExecStats, Plan, PlanOptions, Shapes, Threads};
 
 const TOL: f64 = 1e-9;
@@ -38,9 +38,7 @@ fn case(expr: &str, dims: &[(&str, usize)], order: usize, nnz: usize, threads: u
     let sparse_dims: Vec<usize> = dims[..order].iter().map(|&(_, d)| d).collect();
     let coo = random_coo(&sparse_dims, nnz, &mut rng).unwrap();
     let csf = Csf::from_coo(&coo, &(0..order).collect::<Vec<_>>()).unwrap();
-    let shapes = Shapes::new()
-        .with_dims(dims)
-        .with_profile(SparsityProfile::from_csf(&csf));
+    let shapes = Shapes::new().with_dims(dims).with_pattern(coo.clone());
     let plan = Contraction::parse(expr)
         .unwrap()
         .plan(

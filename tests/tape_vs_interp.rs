@@ -14,7 +14,7 @@ use common::interp_reference;
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
-use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
+use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Executor, Plan, PlanOptions, Shapes, Threads,
 };
@@ -56,7 +56,7 @@ fn named(factors: &[(String, DenseTensor)]) -> Vec<(&str, &DenseTensor)> {
 fn plan_at(kernel: &Kernel, csf: &Csf, model: CostModel, threads: usize) -> Plan {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
-            &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
+            &Shapes::new().with_pattern(csf.to_coo()),
             &PlanOptions::with_cost_model(model).with_threads(Threads::N(threads)),
         )
         .expect("planning succeeds");
@@ -181,7 +181,7 @@ fn accumulate_path_matches_across_engines() {
     let factors: [(&str, &DenseTensor); 2] = [("B", &b), ("C", &c)];
     let shapes = Shapes::new()
         .with_dims(&[("i", 24), ("j", 20), ("k", 22), ("a", 6)])
-        .with_profile(SparsityProfile::from_csf(&csf));
+        .with_pattern(csf.to_coo());
     let plan_at = |threads: usize| {
         Contraction::parse("A(i,a) += T(i,j,k) * B(j,a) * C(k,a)")
             .unwrap()
