@@ -3,8 +3,8 @@
 //! the benchmark gate's workloads dispatch (rank 16 and 32 fixed-rank
 //! bodies, generic 4096-long vectors). Every kernel is timed on the
 //! host's best tier (`KernelSet::auto_detected()`) and on the scalar
-//! tier (`KernelSet::scalar()`, which never rank-specializes, so its
-//! rows report the `Gen` body the scalar tape runs). `gemm-256` times
+//! tier (`KernelSet::scalar()`), each at the specialization the tape
+//! records for that shape — the same at every tier. `gemm-256` times
 //! the dense `blas::gemm` that only the examples use.
 //!
 //! Each row is about 2^20 kernel elements of back-to-back calls on the

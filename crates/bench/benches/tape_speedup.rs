@@ -1,4 +1,5 @@
-//! Scalar tape vs SIMD tape: the same plans, bound once per
+//! Scalar tape vs SIMD tape: the same plans — one fused program, two
+//! kernel tables — bound once per
 //! (microkernel policy, thread-count), executed through the
 //! zero-allocation `execute_into` path on large MTTKRP, TTMc and TTTP
 //! workloads whose dense ranks (32 / 16) hit the rank-specialized
@@ -17,7 +18,7 @@
 //! reach; tape-simd over hand-nest is what interpretation costs today.
 //!
 //! Tripwires (exit 1, which CI's `bench-smoke` propagates): the planned
-//! cube MTTKRP's SIMD tape must compile its innermost `k` loop to a
+//! cube MTTKRP's tape must compile its innermost `k` loop to a
 //! fused `SparseAxpy`, and TTTP's to a fused `SparseDot`; and each one's
 //! fastest run must stay within its [`TRIPWIRES`] ceiling over the hand
 //! nest's (the cube: 3.2× before the fused loop, ≈ 2.2× with it; TTTP:
@@ -322,7 +323,7 @@ fn main() {
                 h.note(&id, note);
                 let tripwire = TRIPWIRES.iter().position(|t| t.workload == w.name);
                 if let Some(t) = tripwire {
-                    if threads == 1 && tape.kernel_set().superinstructions() {
+                    if threads == 1 {
                         let report = tape.verify().expect("the tripwire tape verifies");
                         fused[t] = Some((TRIPWIRES[t].count)(&report));
                     }

@@ -65,10 +65,11 @@ OPTIONS:
                           (budgeted exact subset sweep; 'spttn net' only) [greedy]
     --budget N            pair-cost evaluation budget for --order optimal
                           ('spttn net' only) [1000000]
-    --microkernels M      auto (SIMD kernels by CPU detection, fused
-                          superinstructions) | scalar (plain scalar kernels,
-                          bitwise-stable baseline); covers the kernel's tape
-                          and 'spttn net' dense steps alike  [auto]
+    --microkernels M      auto (SIMD kernels by CPU detection) | scalar (plain
+                          scalar kernels, bitwise-stable baseline) — a kernel
+                          table, not a program shape: both run the same fused
+                          tape; covers the kernel's tape and 'spttn net' dense
+                          steps alike  [auto]
     --cost-model M        blas-aware[:BOUND] | max-buffer-dim | max-buffer-size |
                           cache-miss[:D]    [blas-aware:2]
     --mode-order P        natural | auto | L0,L1,... (written positions) [natural]
@@ -341,10 +342,11 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| fail("bad --seed value"))
             }
             "--repeat" => {
-                args.repeat = value(&mut argv, "--repeat")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail("bad --repeat value"))
-                    .max(1)
+                args.repeat = match value(&mut argv, "--repeat").parse::<usize>() {
+                    Ok(0) => fail("--repeat must be at least 1: every run executes once"),
+                    Ok(n) => n,
+                    Err(_) => fail("bad --repeat value"),
+                }
             }
             "--timeout" => args.timeout = Some(parse_duration(&value(&mut argv, "--timeout"))),
             "--max-mem" => args.max_mem = Some(parse_bytes(&value(&mut argv, "--max-mem"))),
@@ -371,9 +373,15 @@ fn parse_args() -> Args {
     args
 }
 
-/// Map `--timeout` / `--max-mem` / `--max-flops` onto the execution
+/// The planner options `run`, `plan` and `net` share, with
+/// `--timeout` / `--max-mem` / `--max-flops` mapped onto the execution
 /// options the plan carries into bind and execute.
-fn apply_limits(mut popts: PlanOptions, args: &Args) -> PlanOptions {
+fn plan_options(args: &Args) -> PlanOptions {
+    let mut popts = PlanOptions::with_cost_model(args.cost_model)
+        .with_mode_order(args.mode_order.clone())
+        .with_threads(args.threads)
+        .with_microkernels(args.microkernels)
+        .with_verify(args.verify);
     if let Some(t) = args.timeout {
         popts = popts.with_deadline(t);
     }
@@ -593,6 +601,33 @@ fn dedup_named(factors: &[(String, DenseTensor)]) -> Vec<(&str, &DenseTensor)> {
     named
 }
 
+/// Execute `--repeat` times, each on a fresh output so `+=` plans do
+/// not pile several contractions into one (and trip `--check`); print
+/// the best wall time and return the last output.
+fn time_runs<E>(
+    args: &Args,
+    exec: &mut E,
+    fresh: fn(&E) -> ContractionOutput,
+    run: fn(&mut E, &mut ContractionOutput) -> Result<(), SpttnError>,
+) -> ContractionOutput {
+    let mut out = fresh(exec);
+    let mut best = f64::INFINITY;
+    for rep in 0..args.repeat {
+        if rep > 0 {
+            out = fresh(exec);
+        }
+        let t = Instant::now();
+        run(exec, &mut out).unwrap_or_else(|e| fail_stage("execute", e));
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    println!(
+        "execute: best {:.3} ms over {} run(s)",
+        best * 1e3,
+        args.repeat
+    );
+    out
+}
+
 fn report_check(diff: f64) {
     println!("check: max |Δ| vs naive oracle = {diff:.3e}");
     if diff.is_nan() || diff > CHECK_TOL {
@@ -613,19 +648,11 @@ fn run_net(args: &Args) {
         &net.all_index_names(),
         coo.as_ref(),
     );
-    let popts = apply_limits(
-        PlanOptions::with_cost_model(args.cost_model)
-            .with_mode_order(args.mode_order.clone())
-            .with_threads(args.threads)
-            .with_microkernels(args.microkernels)
-            .with_verify(args.verify),
-        args,
-    );
     let defaults = NetOptions::default();
     let nopts = NetOptions {
         order: args.order.unwrap_or(defaults.order),
         budget: args.budget.unwrap_or(defaults.budget),
-        plan: popts,
+        plan: plan_options(args),
     };
 
     let t_plan = Instant::now();
@@ -666,21 +693,11 @@ fn run_net(args: &Args) {
         t_bind.elapsed().as_secs_f64() * 1e3
     );
 
-    let mut out = exec.output_template();
-    let mut best = f64::INFINITY;
-    for rep in 0..args.repeat {
-        if rep > 0 {
-            out = exec.output_template();
-        }
-        let t = Instant::now();
-        exec.execute_into(&mut out)
-            .unwrap_or_else(|e| fail_stage("execute", e));
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    println!(
-        "execute: best {:.3} ms over {} run(s)",
-        best * 1e3,
-        args.repeat
+    let out = time_runs(
+        args,
+        &mut exec,
+        |e| e.output_template(),
+        |e, o| e.execute_into(o),
     );
     let stats = exec.kernel_stats();
     println!(
@@ -722,14 +739,7 @@ fn main() {
         &contraction.all_index_names(),
         coo.as_ref(),
     );
-    let opts = apply_limits(
-        PlanOptions::with_cost_model(args.cost_model)
-            .with_mode_order(args.mode_order.clone())
-            .with_threads(args.threads)
-            .with_microkernels(args.microkernels)
-            .with_verify(args.verify),
-        &args,
-    );
+    let opts = plan_options(&args);
 
     let t_plan = Instant::now();
     let plan = contraction
@@ -784,25 +794,13 @@ fn main() {
         t_bind.elapsed().as_secs_f64() * 1e3
     );
 
-    let mut out = exec.output_template();
-    let mut best = f64::INFINITY;
-    for rep in 0..args.repeat {
-        if rep > 0 {
-            // Reset between timed runs so '+=' (accumulate) plans don't
-            // pile K contractions into one output and trip --check.
-            out = exec.output_template();
-        }
-        let t = Instant::now();
-        exec.execute_into(&mut out)
-            .unwrap_or_else(|e| fail_stage("execute", e));
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    let stats = exec.last_stats();
-    println!(
-        "execute: best {:.3} ms over {} run(s)",
-        best * 1e3,
-        args.repeat
+    let out = time_runs(
+        &args,
+        &mut exec,
+        |e| e.output_template(),
+        |e, o| e.execute_into(o),
     );
+    let stats = exec.last_stats();
     println!(
         "stats: axpy {} dot {} xmul {} ger {} gemv {} ({} dispatches over {} elements)",
         stats.axpy,

@@ -57,11 +57,17 @@ pub const EXHAUSTIVE_ORDER_LIMIT: usize = 4;
 /// first candidate's (the natural order under `Auto`) to displace it on
 /// work alone. `Work` sees neither the CSF re-sort a non-natural order
 /// costs at bind nor locality, and between near-equal orders those
-/// decide: on `mttkrp-hyper` (`benchmark/`, 1M nnz, rank 32) order
-/// `(k,j,i)` models 8 % less work than natural and runs 1.07–1.3x
-/// slower after a 0.44-s re-sort, while on `mttkrp-cube` `(j,k,i)`
-/// models 17 % less and runs 16 % faster.
-const REORDER_MARGIN: f64 = 1.10;
+/// decide. Measured on the `benchmark/` seed-2 tensors (rank 32, six
+/// alternating `spttn run --repeat 30` pairs each, 2-core AVX-512 box):
+/// - `mttkrp-hyper` (1M nnz): `(k,j,i)` models 35.48 ms against
+///   natural's 39.74 (1.12x less) but ran at a median best of 45.7 ms
+///   (39.5–63.6) against 45.3 (44.3–45.9), after a 0.35–0.52-s re-sort;
+/// - `mttkrp-cube` (250k nnz): `(j,k,i)` models 2.75 ms against 4.15
+///   (1.51x less) and ran at 4.55 ms (4.0–6.3) against 5.71 (4.8–8.1),
+///   after a 0.06–0.08-s re-sort.
+///
+/// The margin sits above the first ratio and well below the second.
+const REORDER_MARGIN: f64 = 1.20;
 
 /// Per-candidate-order record of what the search saw, for plan
 /// introspection ("why this order?").

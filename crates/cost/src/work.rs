@@ -14,20 +14,27 @@
 //!
 //! It is tree-separable in the shape of Def. 4.6 — every count obeys
 //! `φ(x) = I(v)·(c(v) + x)` with the same trip count `I(v)`, and
-//! `⊕ = +` — so Algorithm 1 stays exact for it. The one kind of vertex
-//! that deviates, a loop (or loop pair) over dense indices that the
-//! tape lowers to a single microkernel dispatch, has exactly one
-//! possible subtree, so no choice is made beneath it. Whether a loop is
-//! such a dispatch is the executor's own rule,
-//! [`Term::leaf_op`](spttn_ir::Term::leaf_op) — the model asks it, it
-//! does not restate it; what the model adds is that a CSF index
-//! iterated densely gets no such discount (see [`Work::apply`]).
+//! `⊕ = +` — so Algorithm 1 stays exact for it. The two kinds of vertex
+//! that deviate each have exactly one possible subtree, so no choice is
+//! made beneath them:
+//!
+//! - a loop (or loop pair) over dense indices that the tape lowers to a
+//!   single microkernel dispatch, by the executor's own rule
+//!   [`Term::leaf_op`](spttn_ir::Term::leaf_op) — the model asks it, it
+//!   does not restate it; what the model adds is that a CSF index
+//!   iterated densely gets no such discount (see [`Work::apply`]);
+//! - a sparse loop the tape runs as one instruction, by
+//!   [`fused_loop`]: one step per visit instead of one per child, with
+//!   the unfused loop's visits, lanes and flops. A zero point the tape
+//!   folds into a call is worth one buffer fill of lanes; the model
+//!   does not price it.
+//!
 //! Sparse branching factors telescope to `prefix_nnz`, which makes
 //! [`WorkCounts::flops`] the nest's executed flop count — exact for a
 //! pattern-derived profile, whatever is or is not vectorized.
 
 use crate::tree_cost::{TreeCost, VertexCtx};
-use spttn_ir::{IndexId, VertexKind};
+use spttn_ir::{fused_loop, IndexId, VertexKind};
 use std::cmp::Ordering;
 
 /// One CSF node visit. `benchmark/results/initial.json`:
@@ -60,7 +67,8 @@ pub struct WorkCounts {
     /// CSF nodes visited by sparse loops.
     pub sparse_visits: f64,
     /// Interpreted tape steps: trips of dense loops that stay loops,
-    /// scalar leaves, and microkernel dispatches.
+    /// scalar leaves, microkernel dispatches, and one per visit of a
+    /// fused sparse loop.
     pub steps: f64,
     /// Elements streamed through vector code: multiply-adds inside
     /// microkernels, plus buffer elements zero-filled at Eq.-5 split
@@ -189,13 +197,21 @@ impl TreeCost for Work {
             VertexKind::Sparse { .. } => (1.0, 0.0),
             VertexKind::Dense => (0.0, 1.0),
         };
+        // A sparse loop the tape runs as one instruction dispatches once
+        // per visit, not once per child.
+        let fused = matches!(ctx.kind, VertexKind::Sparse { level }
+            if fused_loop(ctx.kernel, ctx.path, level, ctx.lo..ctx.hi, iterated));
         WorkCounts {
             walks: match ctx.kind {
                 VertexKind::Sparse { level: 0 } => 1.0,
                 _ => trips * inner.walks,
             },
             sparse_visits: trips * (own_visit + inner.sparse_visits),
-            steps: trips * (own_step + leaves + inner.steps),
+            steps: if fused {
+                1.0
+            } else {
+                trips * (own_step + leaves + inner.steps)
+            },
             lanes: trips * inner.lanes + zeroed,
             flops: trips * (2.0 * leaves + inner.flops),
         }
@@ -251,7 +267,9 @@ mod tests {
         assert!(inner < hoisted);
     }
 
-    /// A GER nest is one dispatch per visit, not one per row.
+    /// A GER nest is one dispatch per visit, not one per row, and the
+    /// fused sparse-AXPY `k` loop beside it one step per visit, not one
+    /// per nonzero: two steps per `(i,j)` fiber.
     #[test]
     fn blas2_pair_is_one_dispatch() {
         let k = parse_kernel(
@@ -267,10 +285,35 @@ mod tests {
         let f = build_forest(&k, &p, &spec).unwrap();
         let w = eval_forest(&k, &p, &prof, &f, &Work);
         let (nnz_ij, nnz) = (prof.prefix_nnz(2) as f64, prof.prefix_nnz(3) as f64);
-        assert!((w.steps - (nnz + nnz_ij)).abs() < 1e-6, "{w:?}");
+        assert!((w.steps - 2.0 * nnz_ij).abs() < 1e-6, "{w:?}");
         // AXPY rows of 5, GER tiles of 4×5, and `X0[s]` zeroed per (i,j).
         let lanes = nnz * 5.0 + nnz_ij * 20.0 + nnz_ij * 5.0;
         assert!((w.lanes - lanes).abs() < 1e-6, "{w:?}");
+    }
+
+    /// SDDMM's inner `j` loop — a rank-12 DOT into a scalar, then the
+    /// leaf that reads it — is one step per `i` fiber. Per nonzero it
+    /// keeps the DOT's lanes, the scalar's zero fill and both terms'
+    /// flops.
+    #[test]
+    fn fused_dot_loop_is_one_step_per_visit() {
+        let k = parse_kernel(
+            "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
+            &[("i", 9), ("j", 7), ("r", 12)],
+        )
+        .unwrap();
+        let p = path_from_picks(&k, &[(1, 2), (0, 1)]);
+        let prof = SparsityProfile::uniform(&[9, 7], &[0, 1], 30).unwrap();
+        let spec = NestSpec {
+            orders: vec![vec![0, 1, 2], vec![0, 1]],
+        };
+        let f = build_forest(&k, &p, &spec).unwrap();
+        let w = eval_forest(&k, &p, &prof, &f, &Work);
+        let (fibers, nnz) = (prof.prefix_nnz(1) as f64, prof.prefix_nnz(2) as f64);
+        assert!((w.sparse_visits - (fibers + nnz)).abs() < 1e-6, "{w:?}");
+        assert!((w.steps - fibers).abs() < 1e-6, "{w:?}");
+        assert!((w.lanes - nnz * 13.0).abs() < 1e-6, "{w:?}");
+        assert!((w.flops - nnz * 26.0).abs() < 1e-6, "{w:?}");
     }
 
     /// Algorithm 1 is exact for `Work` on its own, on every path.

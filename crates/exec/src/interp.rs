@@ -34,6 +34,12 @@
 //! the naive oracle and `tests/plan_shape.rs`'s exact dispatch and flop
 //! counts judge its results. The interpreter is serial, covers the whole
 //! tree, takes no guard, and no production code calls it.
+//!
+//! It is also the one program that never fuses. Every kernel tier runs
+//! the tape's fused program — assigning calls in place of zero points,
+//! sparse loops run as one instruction by [`spttn_ir::fused_loop`] — so
+//! the interpreter is what fusion is checked against: the scalar tape
+//! bitwise, the host tier to ≤ 1e-9 with equal dispatch counts.
 
 use crate::blas;
 use crate::workspace::{

@@ -23,10 +23,10 @@
 //! DOT and GEMV are hand-written AVX2 lane trees that both x86 tiers
 //! share. Each tier is one table of function pointers.
 //!
-//! Selection is *host state*, not *program shape*: two hosts binding
-//! the same plan with the same [`Microkernels`] option compile tapes
-//! with identical instruction streams (same fusion, same rank
-//! specialization) and differ only in which function pointers the
+//! Selection is *host state*, not *program shape*: program shape
+//! depends only on the plan. Every bind of the same plan, at every
+//! tier, compiles the same instruction stream (same fusion, same rank
+//! specialization); binds differ only in which function pointers the
 //! instructions carry.
 //!
 //! ## Rank specialization
@@ -43,7 +43,8 @@
 //!
 //! - Scalar kernels accumulate strictly left-to-right, exactly like
 //!   [`crate::blas`]; forcing [`Microkernels::Scalar`] reproduces the
-//!   pre-SIMD tape **bitwise**.
+//!   reference interpreter [`crate::interp`] **bitwise**, fused
+//!   program and all.
 //! - Element-parallel SIMD kernels have no reduction order: a
 //!   contiguous call computes each output element with one fused
 //!   multiply-add (`y = fma(α, x, y)`, `y = fma(α, x·z, y)`,
@@ -72,13 +73,14 @@ use crate::blas;
 /// Microkernel policy for bound executors (facade `ExecOptions` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Microkernels {
-    /// Vectorize when the host supports it: superinstruction fusion and
-    /// rank specialization on, kernel implementations chosen by runtime
-    /// CPU feature detection (scalar where nothing better exists).
+    /// Vectorize when the host supports it: kernel implementations
+    /// chosen by runtime CPU feature detection (scalar where nothing
+    /// better exists).
     #[default]
     Auto,
-    /// Force the scalar [`crate::blas`] kernels with no fusion — the
-    /// tape is bitwise-identical to the pre-SIMD engine.
+    /// Force the scalar [`crate::blas`] kernel table. A kernel table,
+    /// not a program shape: the tape is the one every tier runs, and
+    /// its results equal the reference interpreter's bit for bit.
     Scalar,
 }
 
@@ -203,18 +205,16 @@ static SCALAR: Table = Table {
 };
 
 /// A bind-time kernel selection: which implementation family to draw
-/// function pointers from, and whether the tape compiler may fuse as it
-/// emits (assigning calls in place of a zero point, fused sparse loops)
-/// and rank-specialize.
+/// function pointers from.
 ///
-/// Program shape (`fuse`) depends only on the [`Microkernels`] option;
-/// implementation (`sel`) additionally on the host CPU. Copying the set
-/// into the tape makes the selection permanent for that tape's
+/// Program shape — fusion, rank specialization — depends only on the
+/// plan; the selection decides which table of kernels its calls point
+/// into, by the [`Microkernels`] option and the host CPU. Copying the
+/// set into the tape makes the selection permanent for that tape's
 /// lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSet {
     pub(crate) sel: KernelSel,
-    pub(crate) fuse: bool,
 }
 
 impl KernelSet {
@@ -229,38 +229,29 @@ impl KernelSet {
         KernelSet::auto_detected()
     }
 
-    /// The always-available scalar set: [`crate::blas`] pointers, no
-    /// fusion, no specialization — the pre-SIMD tape, bit for bit.
+    /// The always-available scalar table: [`crate::blas`] and its
+    /// strictly sequential assigning and fixed-rank twins. A kernel
+    /// table, not a program shape: the tape fuses and rank-specializes
+    /// as at every tier, and runs the reference interpreter's operation
+    /// order bit for bit.
     pub fn scalar() -> KernelSet {
         KernelSet {
             sel: KernelSel::Scalar,
-            fuse: false,
         }
     }
 
     /// The set [`Microkernels::Auto`] resolves to when no environment
-    /// override is present: fusion on, implementation by host
-    /// detection. Differential tests and benches use this to exercise
-    /// the vectorized path even while `SPTTN_MICROKERNELS=scalar` is
+    /// override is present: implementation by host detection.
+    /// Differential tests and benches use this to exercise the
+    /// vectorized kernels even while `SPTTN_MICROKERNELS=scalar` is
     /// forcing the rest of the suite scalar.
     pub fn auto_detected() -> KernelSet {
-        KernelSet {
-            sel: detect(),
-            fuse: true,
-        }
+        KernelSet { sel: detect() }
     }
 
     /// Which implementation family this set draws from.
     pub fn selection(&self) -> KernelSel {
         self.sel
-    }
-
-    /// Whether the tape compiler, as it emits, may turn a call that
-    /// covers the buffer zeroed right before it into the assigning call
-    /// (`ZeroAccum` fusion), replace innermost sparse AXPY and DOT loops
-    /// with one instruction each, and rank-specialize.
-    pub fn superinstructions(&self) -> bool {
-        self.fuse
     }
 
     /// Human-readable name of the selection (bench/CLI reporting).
@@ -278,20 +269,20 @@ impl KernelSet {
     /// AXPY kernel for trip count `n`; `contig` means both increments
     /// are 1, `hint` pins the trip count for rank specialization.
     pub fn axpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
-        let spec = self.spec(n, contig, hint);
+        let spec = RankSpec::of(n, contig, hint);
         (self.table().axpy[spec as usize], spec)
     }
 
     /// Assigning AXPY (`y = alpha * x`) for `ZeroAccum` fusion. Never
     /// skips the write — `alpha == 0` must still zero the target.
     pub fn zaxpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
-        let spec = self.spec(n, contig, hint);
+        let spec = RankSpec::of(n, contig, hint);
         (self.table().zaxpy[spec as usize], spec)
     }
 
     /// DOT kernel for trip count `n` (`contig`: both increments 1).
     pub fn dot(&self, n: usize, contig: bool) -> (DotFn, RankSpec) {
-        let spec = self.spec(n, contig, Some(n));
+        let spec = RankSpec::of(n, contig, Some(n));
         (self.table().dot[spec as usize], spec)
     }
 
@@ -309,7 +300,7 @@ impl KernelSet {
     /// GER (rank-1 update) kernel; `n` is the row length, `contig`
     /// means unit column stride and unit `y` increment.
     pub fn ger(&self, n: usize, contig: bool, hint: Option<usize>) -> (GerFn, RankSpec) {
-        let spec = self.spec(n, contig, hint);
+        let spec = RankSpec::of(n, contig, hint);
         (self.table().ger[spec as usize], spec)
     }
 
@@ -321,16 +312,8 @@ impl KernelSet {
     /// GEMV kernel; `n` is the row length, `contig` means unit column
     /// stride and unit `x` increment.
     pub fn gemv(&self, n: usize, contig: bool) -> (GemvFn, RankSpec) {
-        let spec = self.spec(n, contig, Some(n));
+        let spec = RankSpec::of(n, contig, Some(n));
         (self.table().gemv[spec as usize], spec)
-    }
-
-    fn spec(&self, n: usize, contig: bool, hint: Option<usize>) -> RankSpec {
-        if self.fuse {
-            RankSpec::of(n, contig, hint)
-        } else {
-            RankSpec::Gen
-        }
     }
 
     fn table(&self) -> &'static Table {
@@ -401,8 +384,9 @@ pub fn detected_cpu_features() -> String {
 }
 
 /// Scalar assigning twins used by `ZeroAccum` superinstructions when
-/// the scalar implementation family is selected (old hosts, non-x86_64
-/// targets, Miri) and by the x86 tiers for strided calls.
+/// the scalar implementation family is selected ([`Microkernels::Scalar`],
+/// old hosts, non-x86_64 targets, Miri) and by the x86 tiers for strided
+/// calls.
 /// Unlike [`blas::axpy`]/[`blas::ger`] these must **not** early-return
 /// on `alpha == 0`: the fused instruction owns the Eq.-5 zero point,
 /// so the target must be overwritten unconditionally.
@@ -481,8 +465,8 @@ mod scalar_zero {
 
 /// Scalar rank-specialized bodies: monomorphized over the trip count so
 /// the compiler fully unrolls. Semantics match [`blas`] element for
-/// element (strictly sequential), so a fuse-enabled tape on a host
-/// without SIMD stays bitwise-equal to the generic scalar tape.
+/// element (strictly sequential), so a rank-specialized scalar tape
+/// stays bitwise-equal to the generic one.
 mod scalar_fixed {
     /// Unrolled `y[..N] += alpha * x[..N]` (contiguous, `n == N`).
     pub fn axpy<const N: usize>(
@@ -1035,17 +1019,16 @@ element_parallel_tier!(avx512, "avx512f", "avx512f", 8);
 mod tests {
     use super::*;
 
+    /// Resolving `Scalar` picks the scalar table and nothing else: the
+    /// program shape, rank specialization included, is the plan's.
     #[test]
     fn resolve_scalar_disables_fusion() {
         let ks = KernelSet::resolve(Microkernels::Scalar);
         assert_eq!(ks.selection(), KernelSel::Scalar);
-        assert!(!ks.superinstructions());
         assert_eq!(ks.width(), 1);
         assert_eq!(ks.name(), "scalar");
-        // No specialization without fusion: even a perfect hint stays
-        // on the generic blas kernel.
-        let (_, spec) = ks.axpy(8, true, Some(8));
-        assert_eq!(spec, RankSpec::Gen);
+        assert_eq!(ks.axpy(8, true, Some(8)).1, RankSpec::R8);
+        assert_eq!(ks.axpy(8, true, None).1, RankSpec::Gen);
     }
 
     #[test]
@@ -1054,7 +1037,6 @@ mod tests {
         // leg exports SPTTN_MICROKERNELS=scalar, which would turn
         // resolve's answer scalar and void the assertions below.
         let ks = KernelSet::auto_detected();
-        assert!(ks.superinstructions());
         assert_eq!(ks.axpy(8, true, Some(8)).1, RankSpec::R8);
         assert_eq!(ks.axpy(16, true, Some(16)).1, RankSpec::R16);
         assert_eq!(ks.axpy(32, true, Some(32)).1, RankSpec::R32);
@@ -1129,7 +1111,7 @@ mod tests {
         #[cfg(not(target_arch = "x86_64"))]
         let tiers: Vec<KernelSel> = Vec::new();
         for sel in tiers {
-            let ks = KernelSet { sel, fuse: true };
+            let ks = KernelSet { sel };
             for &n in LENS {
                 let (x, z, y0) = (vals(n, 0.1), vals(n, 0.7), vals(n, 1.3));
                 for alpha in [1.37, 0.0, -2.5] {

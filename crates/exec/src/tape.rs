@@ -41,9 +41,10 @@
 //!
 //! # Superinstructions
 //!
-//! Under [`Microkernels::Auto`] the compiler fuses as it emits, looking
-//! only at what it has just written — nothing after the fused site
-//! exists yet, so no jump is ever re-patched:
+//! At every kernel tier the compiler fuses as it emits — nothing after
+//! the fused site exists yet, so no jump is ever re-patched. The program
+//! is a function of the plan alone; the [`KernelSet`] only supplies the
+//! function pointers:
 //!
 //! - An `Axpy` / `Xmul` / `Ger` with `assign` set fuses a term's Eq.-5
 //!   zero point with its first accumulation: when the call compiled
@@ -53,16 +54,16 @@
 //!   split point. The assigning kernels never skip the write (even for
 //!   `α == 0`), preserving the zero point.
 //! - `SparseAxpy` / `SparseDot` replace an innermost sparse loop with a
-//!   straight-line body, decided when the loop's body is complete and
-//!   its `EndLoop` not yet written: one instruction walks the parent's
-//!   children in place — coordinate, cursor advance, body — with no
-//!   frame and no per-child dispatch. The two bodies:
+//!   straight-line body where [`spttn_ir::fused_loop`] — the rule the
+//!   cost model prices too — names one: one instruction walks the
+//!   parent's children in place — coordinate, cursor advance, body —
+//!   with no frame and no per-child dispatch. The two bodies:
 //!   - `Sparse; Axpy; EndLoop` (the inner loop of MTTKRP and TTMc):
 //!     alpha, call. A directly preceding `Zero` of the Axpy's own, fully
 //!     covered buffer folds into the first child's call (its assigning
 //!     twin) when the loop is below the root: a non-root CSF node always
 //!     has a child, whereas a tile's root range can be empty.
-//!   - `Sparse; Zero t; Dot → t; Leaf; EndLoop` with `t` a one-element
+//!   - `Sparse; Zero t; Dot → t; Leaf; EndLoop` with `t` a scalar
 //!     buffer (the inner loop of TTTP and SDDMM): the DOT result stays in
 //!     a register, and the `Leaf` operand that read `t` takes `0.0 + d`
 //!     — exactly what the zeroed cell held — so `t` is never written.
@@ -106,8 +107,8 @@ use crate::workspace::{
 };
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{
-    BufferSpec, ContractionPath, IndexId, Kernel, LeafOp, LoopForest, LoopNode, LoopVertex,
-    Operand, VertexKind,
+    fused_loop, BufferSpec, ContractionPath, IdxSet, IndexId, Kernel, LeafOp, LoopForest, LoopNode,
+    LoopVertex, Operand, VertexKind,
 };
 use spttn_tensor::{Csf, CsfTile, DenseTensor};
 use std::ops::Range;
@@ -564,11 +565,6 @@ impl CompiledTape {
         self.n_cursors
     }
 
-    /// The microkernel selection recorded at compile time.
-    pub fn kernel_set(&self) -> KernelSet {
-        self.kernels
-    }
-
     /// Name of the recorded microkernel implementation family
     /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`).
     pub fn microkernels(&self) -> &'static str {
@@ -737,9 +733,7 @@ impl<'a> Compiler<'a> {
                 LoopNode::Leaf(t) => self.compile_leaf(*t)?,
                 LoopNode::Loop(v) => self.compile_loop(v)?,
             }
-            if self.kernels.superinstructions() {
-                self.fuse_zero_into_call();
-            }
+            self.fuse_zero_into_call();
         }
         Ok(())
     }
@@ -835,10 +829,11 @@ impl<'a> Compiler<'a> {
                     0 => ParentLoc::Root,
                     l => ParentLoc::Tracked(l - 1),
                 };
-                if self.kernels.superinstructions()
-                    && self.fuse_sparse_loop(header, v.index, level, parent, adv)
-                {
-                    return Ok(());
+                let enclosing = self.loops.iter().map(|c| c.index);
+                let iterated = enclosing.collect::<IdxSet>().insert(v.index);
+                let terms = v.term_lo..v.term_hi;
+                if fused_loop(self.kernel, self.path, level, terms, iterated) {
+                    return self.fuse_sparse_loop(header, v.index, level, parent, adv);
                 }
                 Instr::Sparse {
                     index: v.index,
@@ -855,21 +850,18 @@ impl<'a> Compiler<'a> {
 
     /// Replace the sparse loop whose header placeholder sits at `header`
     /// and whose body is everything after it by one superinstruction,
-    /// when the body is one of two straight-line shapes. Returns whether
-    /// it did.
+    /// where [`fused_loop`] says the tape fuses it: the body has one of
+    /// the rule's two shapes, and this only moves its operands.
     ///
     /// - `Axpy` becomes a `SparseAxpy`. A directly preceding `Zero` of
     ///   the Axpy's own term folds into the first child's call when the
     ///   Axpy [`covers`] the buffer and the loop sits below the root:
     ///   every non-root CSF node has at least one child, so the
     ///   assigning call runs on every path the `Zero` did. A tile's root
-    ///   range can be empty, so a level-0 loop keeps its `Zero`. An
-    ///   already assigning Axpy (its own `Zero` fused inside the loop)
-    ///   stays a loop.
-    /// - `Zero t; Dot → t; Leaf` becomes a `SparseDot` when `t` is a
-    ///   one-element buffer that exactly one `Leaf` operand reads. `t`'s
-    ///   only consumer is that `Leaf` (a buffer has one consumer term),
-    ///   so nothing after the loop reads it.
+    ///   range can be empty, so a level-0 loop keeps its `Zero`.
+    /// - `Zero t; Dot → t; Leaf` becomes a `SparseDot`: `t` is a scalar
+    ///   whose one consumer is that `Leaf`, so nothing after the loop
+    ///   reads it.
     fn fuse_sparse_loop(
         &mut self,
         header: usize,
@@ -877,7 +869,7 @@ impl<'a> Compiler<'a> {
         level: usize,
         parent: ParentLoc,
         adv: AdvRange,
-    ) -> bool {
+    ) -> Result<()> {
         let (at, fused) = match self.instrs[header + 1..] {
             [Instr::Axpy {
                 n,
@@ -888,7 +880,7 @@ impl<'a> Compiler<'a> {
                 res,
                 kern,
                 spec,
-                assign: false,
+                ..
             }] => {
                 let fold = level > 0
                     && header > 0
@@ -911,11 +903,7 @@ impl<'a> Compiler<'a> {
                 };
                 (if fold { header - 1 } else { header }, fused)
             }
-            [Instr::Zero { term }, Instr::Dot { dot, tgt, .. }, Instr::Leaf(leaf)]
-                if matches!(tgt, Write::Cell { out: false, term: t, .. } if t == term)
-                    && self.buffer_lens[term] == 1
-                    && reads_term(leaf.left, term) != reads_term(leaf.right, term) =>
-            {
+            [Instr::Zero { term }, Instr::Dot { dot, .. }, Instr::Leaf(leaf)] => {
                 let fused = Instr::SparseDot {
                     index,
                     level,
@@ -927,11 +915,15 @@ impl<'a> Compiler<'a> {
                 };
                 (header, fused)
             }
-            _ => return false,
+            _ => {
+                return Err(SpttnError::Execution(format!(
+                    "tape compile: the sparse loop over index {index} does not have its fused shape"
+                )))
+            }
         };
         self.instrs.truncate(at);
         self.instrs.push(fused);
-        true
+        Ok(())
     }
 
     fn flush_adv(&mut self, entries: Vec<AdvEntry>) -> AdvRange {
@@ -1893,12 +1885,13 @@ mod tests {
 
     /// Every fused shape — a `Zero` folded into an AXPY, XMUL or GER, a
     /// sparse-AXPY loop with and without a folded `Zero`, and the
-    /// `Zero; Dot; Leaf` sparse-DOT loop — compiled from one forest on
-    /// one kernel tier with fusion on and off gives the same output bits
-    /// and the same dispatch counts. (The fused DOT loop reads `0.0 + d`
-    /// where the unfused one stored `d` into a zeroed cell and loaded it;
-    /// an assigning call writes `αx` where the unfused pair added it to
-    /// zero.)
+    /// `Zero; Dot; Leaf` sparse-DOT loop — compiled from one forest
+    /// gives the dispatch counts of the unfused program, the reference
+    /// interpreter: its output bits on the scalar tier, and its output
+    /// to ≤ 1e-9 on the host's. Both tiers compile one program. (The
+    /// fused DOT loop reads `0.0 + d` where the unfused one stored `d`
+    /// into a zeroed cell and loaded it; an assigning call writes `αx`
+    /// where the unfused pair added it to zero.)
     #[test]
     fn fused_tapes_are_bitwise_the_unfused_tape() {
         let nests: [Nest; 8] = [
@@ -1990,34 +1983,52 @@ mod tests {
                     }
                 })
                 .collect();
-            for sel in [KernelSel::Scalar, KernelSet::auto_detected().sel] {
-                let run = |fuse| {
-                    let ks = KernelSet { sel, fuse };
+            let run = |ks: Option<KernelSet>| {
+                let mut ws = Workspace::from_specs(&kernel, &path, &forest, &specs);
+                let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
+                let mut vals = vec![0.0; csf.nnz()];
+                let out = if kernel.output_sparse {
+                    OutputMut::Sparse(&mut vals)
+                } else {
+                    OutputMut::Dense(&mut dense)
+                };
+                let (mut fused, mut program) = (Vec::new(), None);
+                if let Some(ks) = ks {
                     let tape =
                         CompiledTape::compile_with_kernels(&kernel, &path, &forest, &specs, ks)
                             .unwrap();
-                    tape.verify().unwrap();
-                    let fused: Vec<_> = tape.instrs.iter().filter_map(fused_shape).collect();
+                    fused = tape.instrs.iter().filter_map(fused_shape).collect();
                     assert_eq!(fused.len(), tape.superinstructions());
-                    let mut ws = Workspace::from_specs(&kernel, &path, &forest, &specs);
-                    let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
-                    let mut vals = vec![0.0; csf.nnz()];
-                    let out = if kernel.output_sparse {
-                        OutputMut::Sparse(&mut vals)
-                    } else {
-                        OutputMut::Dense(&mut dense)
-                    };
+                    let (n, sup, spec) = (tape.num_instrs(), fused.len(), tape.specialized());
+                    program = Some((n, sup, spec, tape.verify().unwrap()));
                     execute_tape_into(&tape, &kernel, &csf, &factors, &mut ws, out).unwrap();
-                    let bits = (dense.as_slice().iter().chain(&vals))
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>();
-                    (fused, bits, ws.stats())
-                };
-                let (on, off) = (run(true), run(false));
-                assert_eq!((&on.0[..], &off.0[..]), (shapes, &[][..]), "{expr}");
-                assert_eq!(on.1, off.1, "{expr} on {sel:?}");
-                assert_eq!(on.2, off.2, "{expr}: same dispatches and elements");
+                } else {
+                    crate::interp::execute_forest_into(
+                        &kernel, &path, &forest, &csf, &factors, &mut ws, out,
+                    )
+                    .unwrap();
+                }
+                let vals: Vec<f64> = dense.as_slice().iter().chain(&vals).copied().collect();
+                (fused, vals, ws.stats(), program)
+            };
+            let reference = run(None);
+            let mut programs = Vec::new();
+            for ks in [KernelSet::scalar(), KernelSet::auto_detected()] {
+                let got = run(Some(ks));
+                programs.push(got.3);
+                assert_eq!(&got.0[..], shapes, "{expr}");
+                assert_eq!(got.2, reference.2, "{expr}: same dispatches and elements");
+                for (g, r) in got.1.iter().zip(&reference.1) {
+                    match ks.selection() {
+                        KernelSel::Scalar => assert_eq!(g.to_bits(), r.to_bits(), "{expr}"),
+                        _ => assert!((g - r).abs() <= 1e-9, "{expr} on {}", ks.name()),
+                    }
+                }
             }
+            assert_eq!(
+                programs[0], programs[1],
+                "{expr}: one program at every tier"
+            );
         }
     }
 }

@@ -1216,11 +1216,8 @@ mod tests {
     }
 
     /// Outer-product nest whose Eq.-5 buffer is written by exactly one
-    /// GER: compiled with superinstructions pinned on, the `Zero` and
-    /// the full-coverage `Ger` fuse into an assigning `Ger`. Uses
-    /// `auto_detected` (not `resolve`) so the program shape ignores the
-    /// `SPTTN_MICROKERNELS` environment override the scalar-forced CI
-    /// leg sets.
+    /// GER: the `Zero` and the full-coverage `Ger` fuse into an
+    /// assigning `Ger`.
     fn fused_ger_tape() -> CompiledTape {
         let k = parse_kernel(
             "S(i) = T(i,r,s) * U(r) * V(s)",
@@ -1237,9 +1234,9 @@ mod tests {
             .unwrap()
     }
 
-    /// Listing 3 compiled with superinstructions on: the inner `k` loop
-    /// and its AXPY into `X0[s]` (`s` = 5, generic rank) fuse into one
-    /// `SparseAxpy` at level 2 with `X0`'s zero folded in.
+    /// Listing 3: the inner `k` loop and its AXPY into `X0[s]` (`s` = 5,
+    /// generic rank) fuse into one `SparseAxpy` at level 2 with `X0`'s
+    /// zero folded in.
     fn fused_loop_tape() -> CompiledTape {
         let (k, path, forest) = ttmc_nest(vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]]);
         let bufs = buffers_for_forest(&k, &path, &forest);
@@ -1275,9 +1272,8 @@ mod tests {
     }
 
     /// Listing-3 nest with the buffer's innermost extent on a
-    /// specialization rank (8): compiled with fusion on, its AXPY
-    /// site — fused into the `k` loop's `SparseAxpy` — records
-    /// `RankSpec::R8`.
+    /// specialization rank (8): its AXPY site — fused into the `k`
+    /// loop's `SparseAxpy` — records `RankSpec::R8`.
     fn specialized_tape() -> CompiledTape {
         let k = parse_kernel(
             "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
@@ -1295,9 +1291,8 @@ mod tests {
     }
 
     /// Order-3 TTTP on its gate path (`U*V → X0`, `W*X0 → X1`,
-    /// `T*X1 → S`) compiled with superinstructions on: the inner `k`
-    /// loop — `Zero X1; Dot; Leaf` over a rank-32 DOT — fuses into one
-    /// `SparseDot` at level 2 folding `X1`.
+    /// `T*X1 → S`): the inner `k` loop — `Zero X1; Dot; Leaf` over a
+    /// rank-32 DOT — fuses into one `SparseDot` at level 2 folding `X1`.
     fn fused_dot_tape() -> CompiledTape {
         let k = parse_kernel(
             "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
@@ -1378,7 +1373,9 @@ mod tests {
     /// and the buffer accumulation is no longer dominated.
     #[test]
     fn mutation_dropped_zero_rejected() {
-        let mut tape = tracked_tape();
+        // Listing 4: the scalar buffer's `Zero` sits before a sparse
+        // loop, so no call absorbs it.
+        let mut tape = listing4_tape();
         let zero_at = tape
             .instrs
             .iter()
@@ -1633,21 +1630,38 @@ mod tests {
             tape.verify().expect("the unmutated nest verifies");
             for pc in 0..tape.instrs.len() {
                 let mut bad = tape.clone();
-                let (kind, n, term, out, assign) = match &mut bad.instrs[pc] {
+                // An AXPY fused into its sparse loop assigns through the
+                // first child's call.
+                let (kind, n, term, out) = match &mut bad.instrs[pc] {
                     Instr::Axpy {
                         n, term, y, assign, ..
-                    } => ("Axpy", *n, *term, y.out, assign),
+                    } if !*assign => {
+                        *assign = true;
+                        ("Axpy", *n, *term, y.out)
+                    }
+                    Instr::SparseAxpy {
+                        n,
+                        term,
+                        y,
+                        kern,
+                        first: first @ None,
+                        ..
+                    } => {
+                        *first = Some(*kern);
+                        ("Axpy", *n, *term, y.out)
+                    }
                     Instr::Xmul {
                         n, term, y, assign, ..
-                    } => ("Xmul", *n, *term, y.out, assign),
+                    } if !*assign => {
+                        *assign = true;
+                        ("Xmul", *n, *term, y.out)
+                    }
                     _ => continue,
                 };
-                assert!(!*assign, "scalar tapes do not fuse");
                 // MTTKRP's AXPY sweeps all of `X0(a)`: not this class.
                 if !out && n == tape.bounds.buffer_lens[term] {
                     continue;
                 }
-                *assign = true;
                 seen.push((kind, out));
                 match bad.verify() {
                     Err(TapeInvariantError::ZeroAccumCoverage { covered, len, .. }) => {

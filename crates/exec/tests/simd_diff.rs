@@ -83,20 +83,24 @@ fn rank_specialized_axpy_matches_scalar_twin() {
     let scalar = KernelSet::scalar();
     let mut rng = StdRng::seed_from_u64(12);
     for &r in RANKS {
-        // Pinned trip count, contiguous: the auto set takes the
-        // fixed-rank path; the scalar set keeps the generic pre-SIMD
-        // shape (it never fuses or specializes, by contract), so this
-        // doubles as fixed-vs-generic differential coverage.
+        // Pinned trip count, contiguous: both sets take their fixed-rank
+        // path (program shape is the plan's, not the tier's). The
+        // scalar fixed-rank body must equal the generic one bit for
+        // bit, which doubles as fixed-vs-generic differential coverage.
         let (kern, spec) = auto.axpy(r, true, Some(r));
         let (skern, sspec) = scalar.axpy(r, true, Some(r));
+        let (gkern, gspec) = scalar.axpy(r, true, None);
         assert_eq!(spec.rank(), Some(r), "auto set must pin the rank");
-        assert_eq!(sspec.rank(), None, "scalar set keeps the generic shape");
+        assert_eq!(sspec.rank(), Some(r), "scalar set must pin the rank");
+        assert_eq!(gspec.rank(), None, "no hint keeps the generic body");
         let x = buf(r, 1, &mut rng);
         let y0 = buf(r, 1, &mut rng);
-        let (mut ya, mut yb) = (y0.clone(), y0);
+        let (mut ya, mut yb, mut yc) = (y0.clone(), y0.clone(), y0);
         kern(r, 0.77, &x, 1, &mut ya, 1);
         skern(r, 0.77, &x, 1, &mut yb, 1);
+        gkern(r, 0.77, &x, 1, &mut yc, 1);
         assert_close(&ya, &yb, &format!("axpy_fixed r={r}"));
+        assert_bitwise(&yb, &yc, &format!("scalar axpy_fixed r={r}"));
     }
 }
 

@@ -50,6 +50,9 @@ pub enum KernelError {
     /// A sparse-pattern output must have exactly the sparse input's
     /// index set.
     BadSparseOutput,
+    /// A sparse mode order that is not a permutation of `0..order`
+    /// (the order given, and the sparse tensor's order).
+    BadModeOrder(Vec<usize>, usize),
     /// Parse error with message.
     Parse(String),
 }
@@ -85,6 +88,9 @@ impl std::fmt::Display for KernelError {
                 f,
                 "a sparse-pattern output must use exactly the sparse input's indices"
             ),
+            KernelError::BadModeOrder(perm, d) => {
+                write!(f, "mode order {perm:?} is not a permutation of 0..{d}")
+            }
             KernelError::Parse(m) => write!(f, "parse error: {m}"),
         }
     }
@@ -277,9 +283,7 @@ impl Kernel {
                 .all(|&l| l < d && !std::mem::replace(&mut seen[l], true))
         };
         if !valid {
-            return Err(KernelError::Parse(format!(
-                "mode order {perm:?} is not a permutation of 0..{d}"
-            )));
+            return Err(KernelError::BadModeOrder(perm.to_vec(), d));
         }
         let mut inputs = self.inputs.clone();
         let old = &self.inputs[self.sparse_input].indices;

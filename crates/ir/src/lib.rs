@@ -18,7 +18,8 @@
 //!   Eq. 5.
 //! - [`LeafOp`] / [`Term::leaf_op`] / [`LoopVertex::leaf_loops`]: the one
 //!   statement of which dense loops become a microkernel call and which
-//!   operand plays which role — Sec. 5's BLAS hand-off ([`lower`]).
+//!   operand plays which role — Sec. 5's BLAS hand-off ([`lower`]) —
+//!   and, with [`fused_loop`], which sparse loops run as one instruction.
 
 // The IR is pure symbolic manipulation: no unsafe code, ever.
 #![forbid(unsafe_code)]
@@ -42,7 +43,7 @@ pub use fuse::{
 };
 pub use index::{IdxSet, IndexId, IndexInfo, MAX_INDICES};
 pub use kernel::{Kernel, KernelBuilder, KernelError, TensorRef};
-pub use lower::{LeafOp, Side};
+pub use lower::{fused_loop, LeafOp, Side};
 pub use order::{
     count_orders, lineage_in_csf_order, order_is_valid, orders_for_term, LoopOrder, NestSpec,
     NestSpecIter,

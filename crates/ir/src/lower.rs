@@ -38,10 +38,30 @@
 //!
 //! [`LoopVertex::leaf_loops`] is the shape test that goes with it: which
 //! vertices of a fused forest are such a loop or loop pair at all.
+//!
+//! # Fused sparse loops
+//!
+//! One level up, [`fused_loop`] states which sparse loops the tape runs
+//! as one instruction that walks the CSF node's children with no
+//! per-child dispatch. A sparse vertex at CSF level `l` fuses by the
+//! terms it covers and the indices each has left for loops below it:
+//!
+//! | covers | left below | per child, one instruction runs |
+//! |---|---|---|
+//! | `t` | one index `q`, a dense loop at depth `l + 1`, `leaf_op(q)` an AXPY | sparse-AXPY: `t`'s AXPY |
+//! | `t`, `t + 1`, `t`'s consumer `t + 1` | `t`: one dense `q`, `leaf_op(q)` a DOT; `t + 1`: none | sparse-DOT: `t`'s DOT into a scalar, then `t + 1`'s leaf |
+//! | anything else | | none: the loop keeps its frame |
+//!
+//! Either way the vertex has exactly one possible subtree, so the cost
+//! model may price it as one step per visit without losing Algorithm
+//! 1's exactness. Whether a zero point folds into the fused call
+//! depends on buffer strides, so that stays the tape compiler's call.
 
-use crate::fuse::{LoopNode, LoopVertex, VertexKind};
-use crate::index::IndexId;
-use crate::path::{Operand, Term};
+use crate::fuse::{vertex_kind, LoopNode, LoopVertex, VertexKind};
+use crate::index::{IdxSet, IndexId};
+use crate::kernel::Kernel;
+use crate::path::{ContractionPath, Operand, Term};
+use std::ops::Range;
 
 /// One of a term's two operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,6 +152,36 @@ impl Term {
             }),
             _ => None,
         }
+    }
+}
+
+/// Whether the tape runs the sparse loop at CSF `level` over `terms` as
+/// one instruction. `iterated` holds its index and its enclosing
+/// loops'; a covered term's other indices are the ones it has left
+/// below. See the [module docs](self).
+pub fn fused_loop(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    level: usize,
+    terms: Range<usize>,
+    iterated: IdxSet,
+) -> bool {
+    let below = |t: usize| path.terms[t].iter_inds().minus(iterated);
+    // The kernel of a term's one loop left below, if that loop is dense.
+    let lone_dense_op = |t: usize| {
+        let q = below(t).iter().next().filter(|_| below(t).len() == 1)?;
+        let kind = vertex_kind(kernel, path, t, t + 1, level + 1, q);
+        (kind == Ok(VertexKind::Dense)).then(|| path.terms[t].leaf_op(q, None))?
+    };
+    let t = terms.start;
+    match terms.len() {
+        1 => matches!(lone_dense_op(t), Some(LeafOp::Axpy { .. })),
+        2 => {
+            path.terms[t].consumer == Some(t + 1)
+                && below(t + 1).is_empty()
+                && lone_dense_op(t) == Some(LeafOp::Dot)
+        }
+        _ => false,
     }
 }
 

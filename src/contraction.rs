@@ -168,11 +168,12 @@ pub struct ExecOptions {
     pub verify: bool,
     /// Microkernel policy for the compiled tape (default
     /// [`Microkernels::Auto`]): `Auto` selects SIMD kernels
-    /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time
-    /// and enables the fused/rank-specialized tape superinstructions;
-    /// `Scalar` pins the plain scalar kernels, bitwise-identical to
-    /// the pre-SIMD tape. The `SPTTN_MICROKERNELS` environment
-    /// variable (`auto` / `scalar`) overrides either.
+    /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time;
+    /// `Scalar` pins the plain scalar kernels, bitwise-identical to the
+    /// reference interpreter. Either way the tape is the same fused,
+    /// rank-specialized program: the policy picks a kernel table, not a
+    /// program shape. The `SPTTN_MICROKERNELS` environment variable
+    /// (`auto` / `scalar`) overrides either.
     pub microkernels: Microkernels,
     /// Per-execution wall-clock limit, measured from each
     /// `execute_into` call; expiry surfaces as
@@ -263,9 +264,10 @@ impl PlanOptions {
 
     /// Set the tape microkernel policy (builder style).
     /// [`Microkernels::Scalar`] forces the plain scalar kernels —
-    /// bitwise-identical to the pre-SIMD tape engine — while
+    /// bitwise-identical to the reference interpreter — while
     /// [`Microkernels::Auto`] (the default) picks the best SIMD
-    /// implementation the host supports at bind time. Honored on
+    /// implementation the host supports at bind time; both run the same
+    /// program. Honored on
     /// [`crate::PlanCache`] hits like every [`ExecOptions`] field.
     pub fn with_microkernels(mut self, microkernels: Microkernels) -> Self {
         self.exec.microkernels = microkernels;

@@ -9,7 +9,7 @@
 //! end that lowers.
 
 use spttn::ir::{parse_kernel, KernelError, MAX_INDICES};
-use spttn::{Contraction, PlanOptions, Shapes, SpttnError};
+use spttn::{Contraction, ModeOrderPolicy, PlanOptions, Shapes, SpttnError};
 use spttn_net::{NetOptions, Network};
 
 const DIMS: &[(&str, usize)] = &[("i", 3), ("j", 4), ("r", 2), ("z", 5)];
@@ -207,4 +207,34 @@ fn too_many_indices_is_a_parse_error_everywhere() {
         parse_kernel(&expr, &[]).unwrap_err(),
         KernelError::TooManyIndices(MAX_INDICES + 1)
     );
+}
+
+/// A `Fixed` sparse mode order that is not a permutation is its own
+/// typed error from both planners — nothing was parsed, so the message
+/// does not say "parse error".
+#[test]
+fn bad_mode_order_is_not_a_parse_error() {
+    let shapes = Shapes::new()
+        .with_dims(&[("i", 3), ("j", 4), ("k", 5), ("a", 2)])
+        .with_nnz(6);
+    let opts = PlanOptions::default().with_mode_order(ModeOrderPolicy::Fixed(vec![0, 0, 1]));
+    let expr = "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)";
+    let planned = Contraction::parse(expr).unwrap().plan(&shapes, &opts);
+    let net = Network::parse(expr)
+        .unwrap()
+        .plan(&shapes, &NetOptions::default().with_plan_options(opts));
+    for (via, got) in [
+        ("Contraction::plan", planned.map(|_| ())),
+        ("Network::plan", net.map(|_| ())),
+    ] {
+        let e = got.expect_err(via);
+        assert_eq!(
+            e,
+            SpttnError::Kernel(KernelError::BadModeOrder(vec![0, 0, 1], 3)),
+            "{via}"
+        );
+        let text = e.to_string();
+        assert!(text.contains("mode order [0, 0, 1] is not a permutation of 0..3"));
+        assert!(!text.contains("parse error"), "{via}: {text}");
+    }
 }

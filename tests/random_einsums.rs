@@ -7,7 +7,11 @@
 //! each planned on the exact pattern of a small random tensor under all
 //! four cost models, statically verified, executed at 1 and 3 threads
 //! (and at `SPTTN_TEST_THREADS` when CI sets it) and held to the naive
-//! dense oracle at ≤ 1e-9.
+//! dense oracle at ≤ 1e-9. Each plan also runs on the scalar kernel
+//! tier, whose output must equal the reference interpreter's bit for
+//! bit, and each case whose search is cheap in a debug build is
+//! planned once more under `ModeOrderPolicy::Auto`, the search the cost
+//! model steers, and executed from a written-order tensor.
 //!
 //! This is the test that catches a wrong CSF-continuity rule
 //! (`spttn_ir::vertex_kind`): a nest that iterates a CSF index sparsely
@@ -16,10 +20,16 @@
 //! suite asserts its own coverage, so a generator drift that stops
 //! producing the interesting shapes fails loudly.
 
+mod common;
+
+use common::interp_reference;
 use rand::prelude::*;
 use spttn::ir::{Kernel, LoopNode, VertexKind};
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
-use spttn::{Contraction, CostModel, Plan, PlanOptions, Shapes, SpttnError, Threads};
+use spttn::{
+    Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
+    Shapes, SpttnError, Threads,
+};
 use spttn_exec::naive_einsum;
 
 const TOL: f64 = 1e-9;
@@ -138,6 +148,15 @@ fn has_dense_csf_loop(plan: &Plan) -> bool {
     go(&plan.forest().roots, plan.kernel())
 }
 
+/// The output's values, bit for bit.
+fn bits(out: &ContractionOutput) -> Vec<u64> {
+    let vals = match out {
+        ContractionOutput::Dense(d) => d.as_slice(),
+        ContractionOutput::Sparse(c) => c.vals(),
+    };
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
 fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTensor {
     let sparse = coo.to_dense();
     let inputs: Vec<&DenseTensor> = std::iter::once(&sparse).chain(factors).collect();
@@ -150,7 +169,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     let threads = thread_counts();
     let (mut planned, mut refused) = (0usize, 0usize);
     let (mut pattern_out, mut five_factors, mut off_spine, mut dense_csf) = (0, 0, 0, 0);
-    let mut permuted_pattern_out = 0;
+    let (mut permuted_pattern_out, mut searched, mut reordered) = (0, 0, 0);
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
         let cells: usize = case.sparse_dims.iter().product();
@@ -223,8 +242,54 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
                     plan.describe()
                 );
             }
+            // The scalar tier runs the fused program in the unfused
+            // interpreter's operation order.
+            let mut exec_opts = plan.exec();
+            (exec_opts.threads, exec_opts.microkernels) = (Threads::N(1), Microkernels::Scalar);
+            let scalar = plan
+                .clone()
+                .with_exec(exec_opts)
+                .bind(csf.clone(), &named)
+                .and_then(|mut exec| exec.execute())
+                .unwrap_or_else(|e| panic!("{what} under {model:?} on the scalar tier: {e}"));
+            assert!(
+                scalar.to_dense().approx_eq(want, TOL),
+                "{what} under {model:?}"
+            );
+            assert_eq!(
+                bits(&scalar),
+                bits(&interp_reference(&plan, &csf, &named).0),
+                "{what} under {model:?}: the scalar tier is not the interpreter bitwise\n{}",
+                plan.describe()
+            );
         }
+        // An order-4 search plans 24 orders; with three or more factors
+        // each has hundreds of paths, seconds per case in a debug build.
+        if case.sparse_dims.len() == 4 && case.factors.len() >= 3 {
+            continue;
+        }
+        searched += 1;
+        let auto = Contraction::parse(&case.expr)
+            .unwrap()
+            .plan(
+                &shapes,
+                &PlanOptions::default().with_mode_order(ModeOrderPolicy::Auto),
+            )
+            .unwrap_or_else(|e| panic!("{what} under Auto: {e}"));
+        reordered += usize::from(!auto.is_natural_order());
+        let got = auto
+            .bind(csf.clone(), &named)
+            .and_then(|mut exec| exec.execute())
+            .unwrap_or_else(|e| panic!("{what} under Auto: {e}"));
+        let want = want.get_or_insert_with(|| oracle(&auto.natural_kernel(), &coo, &factors));
+        assert!(
+            got.to_dense().approx_eq(want, TOL),
+            "{what} under Auto diverged from the oracle\n{}",
+            auto.describe()
+        );
     }
+    println!("{reordered} of {searched} searched cases: Auto picked a non-natural CSF order");
+    assert!(reordered > 0, "Auto never left the natural order");
     assert!(
         refused * 10 < planned + refused,
         "{refused} of {} plans refused",

@@ -2,9 +2,9 @@
 //! innermost sparse loop whose body is one AXPY (`SparseAxpy`):
 //!
 //! - the default MTTKRP and TTMc tapes compile it, with the Eq.-5 zero
-//!   folded into the first child's call, under the SIMD kernel set and
-//!   not at all under the scalar one; both tapes run the same
-//!   dispatches over the same elements and meet the oracle at ≤ 1e-9;
+//!   folded into the first child's call, under the SIMD and the scalar
+//!   kernel set alike; both tapes run the same dispatches over the same
+//!   elements and meet the oracle at ≤ 1e-9;
 //! - a fused loop over the CSF roots (an order-1 sparse operand) never
 //!   folds — a tile's root range can be empty — and matches the oracle
 //!   at 1, 3 and 4 threads, more threads than root fibers included, and
@@ -151,17 +151,8 @@ fn default_mttkrp_and_ttmc_fold_their_zero_into_a_fused_loop() {
         assert_eq!(simd_rep.sparse_axpys, 1, "the inner k loop fuses: {what}");
         // `Zero; Sparse; Axpy; EndLoop` became one instruction, and the
         // split point it held is now the fused loop's assigning call.
-        assert_eq!(simd_rep.instrs + 3, scalar_rep.instrs, "{what}");
         assert_eq!((simd_rep.zeros, simd_rep.zero_accums), (0, 1), "{what}");
-        assert_eq!(
-            (
-                scalar_rep.sparse_axpys,
-                scalar_rep.zeros,
-                scalar_rep.zero_accums
-            ),
-            (0, 1, 0),
-            "the scalar tape keeps every instruction: {what}"
-        );
+        assert_eq!(scalar_rep, simd_rep, "one program at every tier: {what}");
         assert_eq!(simd_stats, scalar_stats, "same dispatches and elements");
         assert!(simd_stats.axpy > 0);
         let want = c.oracle();
