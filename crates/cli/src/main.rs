@@ -77,13 +77,16 @@ OPTIONS:
     --repeat K            execute K times, report best wall time [1]
     --timeout DUR         wall-clock deadline per execution; suffix ms, s, or m
                           (bare number = seconds). Expiry exits 3.
-    --max-mem BYTES       workspace-byte budget checked at bind; suffix K, M,
-                          or G (powers of 1024). Rejection exits 4.
+    --max-mem BYTES       budget on what bind preallocates: Eq.-5 buffers per
+                          thread, an output partial per thread after the
+                          first, and 'spttn net' intermediates; suffix K, M,
+                          or G (powers of 1024). Threads are shed to fit;
+                          rejection exits 4.
     --max-flops N         budget on the flops the planned nest executes (the
                           plan's `work:` line), checked at bind. Rejection exits 4.
     --check               compare against the naive dense oracle (exit 2 on mismatch)
-    --verify              statically verify the compiled tape and print the
-                          proof summary (always on in debug builds)
+    --verify              print the static proof summary of the compiled tape
+                          (every bind verifies it)
     -h, --help            this text"
     );
     std::process::exit(1)
@@ -380,8 +383,7 @@ fn plan_options(args: &Args) -> PlanOptions {
     let mut popts = PlanOptions::with_cost_model(args.cost_model)
         .with_mode_order(args.mode_order.clone())
         .with_threads(args.threads)
-        .with_microkernels(args.microkernels)
-        .with_verify(args.verify);
+        .with_microkernels(args.microkernels);
     if let Some(t) = args.timeout {
         popts = popts.with_deadline(t);
     }

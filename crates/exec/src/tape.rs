@@ -565,6 +565,13 @@ impl CompiledTape {
         self.n_cursors
     }
 
+    /// The kernel table the program's calls were drawn from — the one
+    /// to use for microkernel calls made beside this tape (`spttn-net`'s
+    /// dense steps), so both run one resolution of the policy.
+    pub fn kernels(&self) -> &KernelSet {
+        &self.kernels
+    }
+
     /// Name of the recorded microkernel implementation family
     /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`).
     pub fn microkernels(&self) -> &'static str {
@@ -621,8 +628,7 @@ impl CompiledTape {
     /// loop structure, frame-stack depth, cursor bounds under declared
     /// extents, Eq.-5 zero-before-accumulate domination, sparse-node
     /// tracking, and operand-index ranges. Cost is O(program size),
-    /// independent of the tensors; `Plan::bind` runs it on every debug
-    /// build and behind `PlanOptions::with_verify(true)` in release.
+    /// independent of the tensors; every `Plan::bind` runs it.
     pub fn verify(&self) -> std::result::Result<verify::TapeReport, verify::TapeInvariantError> {
         verify::verify(self)
     }

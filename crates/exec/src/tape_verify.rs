@@ -73,9 +73,8 @@
 //!      children.
 //!
 //! The cost is O(program size · nesting depth) — independent of the
-//! tensor data — so `Plan::bind` runs it unconditionally in debug
-//! builds; release callers opt in with `PlanOptions::with_verify(true)`
-//! or `spttn plan --verify`.
+//! tensor data — so every `Plan::bind` runs it; `Plan::verify_tape`
+//! (`spttn plan --verify`) runs it without binding.
 
 use super::{
     CompiledTape, DotCall, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, ScalarMul,

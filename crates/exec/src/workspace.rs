@@ -262,11 +262,6 @@ impl Workspace {
     pub fn buffers(&self) -> &[DenseTensor] {
         &self.buffers
     }
-
-    /// Total preallocated intermediate elements.
-    pub fn total_elems(&self) -> usize {
-        self.buffers.iter().map(DenseTensor::len).sum()
-    }
 }
 
 /// A caller-owned output target for an execution.

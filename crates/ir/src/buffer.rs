@@ -127,19 +127,6 @@ pub fn total_buffer_size(buffers: &[BufferSpec]) -> u128 {
     buffers.iter().map(BufferSpec::size).sum()
 }
 
-/// Workspace element count of a nest executed as `n_workers` parallel
-/// root tiles.
-///
-/// Buffer specs are data-independent, so tiling the CSF root level does
-/// not change any buffer's shape — but each worker needs a private
-/// replica of every Eq.-5 buffer (plus, for dense outputs, a private
-/// partial of the output itself; not counted here since its size comes
-/// from the kernel, not the specs). The parallel executor uses this to
-/// report the memory cost of a thread count before committing to it.
-pub fn tiled_workspace_footprint(buffers: &[BufferSpec], n_workers: usize) -> u128 {
-    total_buffer_size(buffers) * n_workers.max(1) as u128
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,21 +222,6 @@ mod tests {
         assert_eq!(bufs[1].dims, vec![4, 5]);
         assert_eq!(max_buffer_dim(&bufs), 2);
         assert_eq!(max_buffer_size(&bufs), 20);
-    }
-
-    #[test]
-    fn tiled_footprint_scales_with_workers() {
-        let (k, p) = ttmc3();
-        let spec = NestSpec {
-            orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-        };
-        let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
-        let one = total_buffer_size(&bufs);
-        assert_eq!(tiled_workspace_footprint(&bufs, 1), one);
-        assert_eq!(tiled_workspace_footprint(&bufs, 4), 4 * one);
-        // Zero workers is clamped to one (the serial path).
-        assert_eq!(tiled_workspace_footprint(&bufs, 0), one);
     }
 
     #[test]

@@ -35,8 +35,7 @@ pub mod path;
 pub mod stdkernels;
 
 pub use buffer::{
-    buffers_for_forest, max_buffer_dim, max_buffer_size, tiled_workspace_footprint,
-    total_buffer_size, BufferSpec,
+    buffers_for_forest, max_buffer_dim, max_buffer_size, total_buffer_size, BufferSpec,
 };
 pub use fuse::{
     build_forest, vertex_kind, FuseError, LoopForest, LoopNode, LoopVertex, VertexKind,

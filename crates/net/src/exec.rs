@@ -3,26 +3,32 @@
 //! state.
 //!
 //! A [`crate::plan::DenseStep`] arrives with its loops ordered and its
-//! [`Leaf`] chosen (`plan.rs`). Binding resolves the leaf against the
-//! plan's `ExecOptions::microkernels` **once** — the same
-//! [`KernelSet`] policy, environment override and host detection the
-//! collapsed kernel's tape uses — and stores the function pointer in
-//! the step; executing is an iterative odometer over the outer loops
-//! with one microkernel call per trip. So dense steps honour
+//! [`LeafOp`] named by the tape's own lowering rule (`plan.rs`). Binding
+//! draws that leaf's microkernel from the table the collapsed kernel's
+//! tape was compiled with — one [`KernelSet`] resolution per bind, the
+//! plan's `ExecOptions::microkernels`, environment override and host
+//! detection included — and stores the function pointer in the step;
+//! executing is an iterative odometer over the outer loops with one
+//! microkernel call per trip. So dense steps honour
 //! `--microkernels scalar` / `SPTTN_MICROKERNELS=scalar` (bitwise the
 //! scalar stride walk kept in this file's tests) and the run's
-//! [`RunGuard`], which the walk consults about every
-//! [`CHECK_LANES`] lanes.
+//! [`RunGuard`], which the walk consults about every [`CHECK_LANES`]
+//! lanes.
+//!
+//! Admission is the collapsed kernel's rule ([`spttn::Plan::admit`]):
+//! a bind hands it the dense steps' flops and the intermediates' bytes
+//! before it touches anything.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use spttn::exec::simd::{AxpyFn, XmulFn};
 use spttn::exec::KernelSet;
+use spttn::ir::{LeafOp, Side};
 use spttn::tensor::{Csf, DenseTensor};
 use spttn::{ContractionOutput, ExecStats, Executor, Result, RunGuard, SpttnError};
 
-use crate::plan::{CollapsedInput, DenseStep, Leaf, LoopDim, NetworkPlan, StepSrc, WorkspacePool};
+use crate::plan::{CollapsedInput, DenseStep, LoopDim, NetworkPlan, StepSrc, WorkspacePool};
 
 /// Vector lanes a dense step runs between two guard checks (a check is
 /// an atomic load and, under a deadline, a clock read).
@@ -31,7 +37,9 @@ const CHECK_LANES: usize = 1 << 16;
 /// A step's leaf with its microkernel resolved.
 #[derive(Debug, Clone, Copy)]
 enum LeafCall {
-    Axpy(AxpyFn),
+    /// AXPY along the operand on this side, scaled by the other's
+    /// element.
+    Axpy(AxpyFn, Side),
     Xmul(XmulFn),
 }
 
@@ -58,11 +66,16 @@ impl BoundStep {
     fn bind(step: &DenseStep, ks: &KernelSet) -> BoundStep {
         let (&vec, outer) = step.loops.split_last().expect("a step has a vector loop");
         let call = match step.leaf {
-            Leaf::Axpy => {
-                let contiguous = vec.l == 1 && vec.o == 1;
-                LeafCall::Axpy(ks.axpy(vec.extent, contiguous, Some(vec.extent)).0)
+            LeafOp::Axpy { vec: side } => {
+                let inc = match side {
+                    Side::Left => vec.l,
+                    Side::Right => vec.r,
+                };
+                let contiguous = inc == 1 && vec.o == 1;
+                LeafCall::Axpy(ks.axpy(vec.extent, contiguous, Some(vec.extent)).0, side)
             }
-            Leaf::Xmul => LeafCall::Xmul(ks.xmul()),
+            LeafOp::Xmul => LeafCall::Xmul(ks.xmul()),
+            op => unreachable!("a vector loop runs an output index, never {op:?}"),
         };
         BoundStep {
             left: step.left,
@@ -95,7 +108,8 @@ impl BoundStep {
         loop {
             let (l, r, out) = (&l[lo..], &r[ro..], &mut out[oo..]);
             match self.call {
-                LeafCall::Axpy(kern) => kern(v.extent, r[0], l, v.l, out, v.o),
+                LeafCall::Axpy(kern, Side::Left) => kern(v.extent, r[0], l, v.l, out, v.o),
+                LeafCall::Axpy(kern, Side::Right) => kern(v.extent, l[0], r, v.r, out, v.o),
                 LeafCall::Xmul(kern) => kern(v.extent, 1.0, l, v.l, r, v.r, out, v.o),
             }
             let mut d = self.outer.len();
@@ -171,6 +185,16 @@ impl NetworkExecutor {
         csf: Csf,
         factors: &[(&str, &DenseTensor)],
     ) -> Result<Self> {
+        // Admission first, by the collapsed kernel's rule: the dense
+        // steps and the intermediates ride on its own charge, so a bind
+        // the budget rejects allocates nothing.
+        let dense_flops = plan
+            .steps
+            .iter()
+            .map(|s| s.flops)
+            .fold(0u128, u128::saturating_add);
+        let admitted = plan.plan.admit(dense_flops, plan.intermediate_bytes())?;
+
         let mut fmap: HashMap<&str, &DenseTensor> = HashMap::new();
         for (name, t) in factors {
             fmap.insert(name, t);
@@ -199,52 +223,6 @@ impl NetworkExecutor {
                 )));
             }
             routes.entry(r.name.clone()).or_default();
-        }
-
-        // Bind-time admission of the network-wide budget (carried by
-        // the collapsed kernel's `ExecOptions`). Flops are the dense
-        // steps plus what the kernel's chosen nest executes
-        // (`Plan::flops`); workspace bytes are
-        // the intermediates plus the kernel's one-thread floor
-        // (the inner `Plan::bind` degrades its own thread count below
-        // that bound). Both gates run before any workspace is checked
-        // out of the pool, so a rejected bind touches nothing.
-        let opts = plan.plan.exec();
-        let dense_flops = plan
-            .steps
-            .iter()
-            .map(|s| s.flops)
-            .fold(0u128, u128::saturating_add);
-        if let Some(max) = opts.budget.max_modeled_flops {
-            let predicted = dense_flops.saturating_add(plan.plan.flops);
-            if predicted > max {
-                return Err(SpttnError::BudgetExceeded {
-                    resource: "modeled flops",
-                    predicted,
-                    allowed: max,
-                });
-            }
-        }
-        if let Some(max) = opts.budget.max_workspace_bytes {
-            let inter_bytes: u128 = plan
-                .inter_dims
-                .iter()
-                .map(|d| {
-                    d.iter()
-                        .map(|&x| x as u128)
-                        .product::<u128>()
-                        .saturating_mul(8)
-                })
-                .fold(0, u128::saturating_add);
-            let predicted =
-                inter_bytes.saturating_add(plan.plan.parallel_footprint(1).saturating_mul(8));
-            if predicted > u128::from(max) {
-                return Err(SpttnError::BudgetExceeded {
-                    resource: "workspace bytes",
-                    predicted,
-                    allowed: u128::from(max),
-                });
-            }
         }
 
         // Dense-step-only factors never reach the collapsed kernel, so
@@ -286,13 +264,16 @@ impl NetworkExecutor {
                 }
             }
         }
-        let exec = plan.plan.bind(csf, &refs)?;
-        // One kernel-set resolution per bind, as for the tape: it reads
-        // the environment override, so it must not happen per execute.
-        let ks = KernelSet::resolve(opts.microkernels);
+        let exec = plan.plan.bind_admitted(admitted, csf, &refs)?;
+        let kernels = exec.tape().kernels();
+        let steps = plan
+            .steps
+            .iter()
+            .map(|s| BoundStep::bind(s, kernels))
+            .collect();
         Ok(NetworkExecutor {
             exec,
-            steps: plan.steps.iter().map(|s| BoundStep::bind(s, &ks)).collect(),
+            steps,
             inters,
             dense_inputs,
             feeds,
@@ -317,10 +298,9 @@ impl NetworkExecutor {
     /// phase. On any early exit the intermediates are marked dirty and
     /// scrubbed before pool checkin.
     pub fn execute_into(&mut self, out: &mut ContractionOutput) -> Result<()> {
-        let opts = self.exec.plan().exec();
         // One guard for the whole network execution: the kernel run at
         // the end shares the same deadline instant as the dense steps.
-        let guard = RunGuard::new(opts.cancel, opts.deadline);
+        let guard = self.exec.plan().exec().guard();
         self.dirty = true;
         self.run_dense_steps(&guard)?;
         guard.check("network")?;
@@ -337,8 +317,7 @@ impl NetworkExecutor {
     /// under the same guard. For benches that time the steps directly.
     #[doc(hidden)]
     pub fn execute_dense_steps(&mut self) -> Result<()> {
-        let opts = self.exec.plan().exec();
-        let guard = RunGuard::new(opts.cancel, opts.deadline);
+        let guard = self.exec.plan().exec().guard();
         self.dirty = true;
         self.run_dense_steps(&guard)?;
         self.dirty = false;
@@ -468,6 +447,7 @@ mod tests {
     use crate::networks::{goldens, Fixture, Golden};
     use crate::plan::{lower, spine_terms, term_loops};
     use crate::{NetOptions, OrderStrategy};
+    use spttn::ir::{IdxSet, IndexId, Operand, Term};
     use spttn::{Microkernels, PlanOptions};
 
     /// The recursive stride walk the lowering replaced, kept as the
@@ -509,15 +489,38 @@ mod tests {
         t
     }
 
-    /// Canonical loops of `left * right -> out`, one letter per index.
+    /// `left * right -> out` as a path term, one index id per letter.
+    fn term(left: &str, right: &str, out: &str) -> Term {
+        let set = |s: &str| {
+            s.bytes()
+                .map(|c| IndexId::from(c - b'a'))
+                .collect::<IdxSet>()
+        };
+        Term {
+            left: Operand::Input(0),
+            right: Operand::Input(1),
+            left_inds: set(left),
+            right_inds: set(right),
+            out_inds: set(out),
+            left_lineage: IdxSet::EMPTY,
+            right_lineage: IdxSet::EMPTY,
+            consumer: None,
+        }
+    }
+
+    /// Canonical loops of `left * right -> out`, one letter per index:
+    /// output loops by ascending letter (the id order of [`term`]), then
+    /// contracted ones.
     fn canonical(left: &str, right: &str, out: &str, dim: &dyn Fn(char) -> usize) -> Vec<LoopDim> {
         let stride = |order: &str, c: char| match order.find(c) {
             None => 0,
             Some(p) => order[p + 1..].chars().map(dim).product(),
         };
+        let mut outs: Vec<char> = out.chars().collect();
+        outs.sort_unstable();
         let mut con: Vec<char> = left.chars().filter(|c| !out.contains(*c)).collect();
         con.sort_unstable();
-        out.chars()
+        outs.into_iter()
             .chain(con)
             .map(|c| LoopDim {
                 extent: dim(c),
@@ -541,33 +544,37 @@ mod tests {
             'u' => 1,
             other => panic!("no extent for '{other}'"),
         };
-        let cases: &[(&str, &str, &str, Leaf)] = &[
+        let (l, r) = (
+            LeafOp::Axpy { vec: Side::Left },
+            LeafOp::Axpy { vec: Side::Right },
+        );
+        let cases: &[(&str, &str, &str, LeafOp)] = &[
             // GEMM: the vector index `r` is contiguous on the right.
-            ("jm", "mr", "jr", Leaf::Axpy),
+            ("jm", "mr", "jr", r),
             // A·Bᵀ and matrix-vector: the vector index is strided.
-            ("jk", "vk", "jv", Leaf::Axpy),
-            ("jk", "k", "j", Leaf::Axpy),
+            ("jk", "vk", "jv", r),
+            ("jk", "k", "j", l),
             // Outer product and Khatri–Rao.
-            ("j", "r", "jr", Leaf::Axpy),
-            ("jr", "kr", "jkr", Leaf::Xmul),
+            ("j", "r", "jr", r),
+            ("jr", "kr", "jkr", LeafOp::Xmul),
             // Several K loops, a batch index, permuted operands.
-            ("jab", "vab", "jv", Leaf::Axpy),
-            ("jab", "bar", "jr", Leaf::Axpy),
-            ("bjk", "kbr", "bjr", Leaf::Axpy),
-            ("kjb", "rkb", "jrb", Leaf::Xmul),
+            ("jab", "vab", "jv", r),
+            ("jab", "bar", "jr", r),
+            ("bjk", "kbr", "bjr", r),
+            ("kjb", "rkb", "jrb", LeafOp::Xmul),
             // Vector index unit-stride in neither operand, or nowhere.
-            ("mj", "rm", "jr", Leaf::Axpy),
-            ("bkj", "rkb", "jrb", Leaf::Axpy),
+            ("mj", "rm", "jr", l),
+            ("bkj", "rkb", "jrb", r),
             // Extent-1 loops drop out, down to a lone vector loop.
-            ("ju", "ur", "jr", Leaf::Axpy),
-            ("u", "ur", "r", Leaf::Axpy),
+            ("ju", "ur", "jr", r),
+            ("u", "ur", "r", r),
         ];
         for &(left, right, out, want_leaf) in cases {
             let dims = |order: &str| order.chars().map(dim).collect::<Vec<_>>();
             let canon = canonical(left, right, out, &dim);
-            let (loops, leaf, swap) = lower(&canon, out.len());
+            let (loops, leaf) = lower(&term(left, right, out), &canon);
             assert_eq!(leaf, want_leaf, "{left}*{right}->{out}");
-            let (mut l, mut r) = (filled(&dims(left), 1), filled(&dims(right), 2));
+            let (l, r) = (filled(&dims(left), 1), filled(&dims(right), 2));
             let mut want = DenseTensor::zeros(&dims(out));
             run_loops(
                 &canon,
@@ -576,9 +583,6 @@ mod tests {
                 want.as_mut_slice(),
                 (0, 0, 0),
             );
-            if swap {
-                std::mem::swap(&mut l, &mut r);
-            }
             let step = DenseStep {
                 left: StepSrc::User(0),
                 right: StepSrc::User(1),
@@ -629,13 +633,10 @@ mod tests {
         for (left, right, out) in [("jk", "k", "j"), ("k", "r", "kr"), ("jk", "kr", "jr")] {
             let dims = |order: &str| order.chars().map(dim).collect::<Vec<_>>();
             let canon = canonical(left, right, out, &dim);
-            let (loops, leaf, swap) = lower(&canon, out.len());
+            let (loops, leaf) = lower(&term(left, right, out), &canon);
             let vector = loops.last().unwrap().extent;
             let trips: usize = loops.iter().map(|d| d.extent).product::<usize>() / vector;
-            let (mut l, mut r) = (filled(&dims(left), 1), filled(&dims(right), 2));
-            if swap {
-                std::mem::swap(&mut l, &mut r);
-            }
+            let (l, r) = (filled(&dims(left), 1), filled(&dims(right), 2));
             let step = DenseStep {
                 left: StepSrc::User(0),
                 right: StepSrc::User(1),
@@ -713,21 +714,20 @@ mod tests {
                 let on_spine = spine_terms(nplan.kernel(), nplan.path());
                 let terms = (0..on_spine.len()).filter(|&t| !on_spine[t]);
                 for (step, t) in nplan.steps.iter().zip(terms) {
-                    let (canon, n_out) = term_loops(nplan.kernel(), nplan.path(), t);
+                    let canon = term_loops(nplan.kernel(), nplan.path(), t);
                     let src = |s: StepSrc| match s {
                         StepSrc::User(k) => exec.dense_inputs[k].as_slice(),
                         StepSrc::Inter(slot) => exec.inters[slot].as_slice(),
                     };
-                    // The canonical strides belong to the written
-                    // operand order; undo `lower`'s swap.
-                    let (_, _, swap) = lower(&canon, n_out);
-                    let (l, r) = match swap {
-                        true => (src(step.right), src(step.left)),
-                        false => (src(step.left), src(step.right)),
-                    };
                     let got = &exec.inters[step.out_slot];
                     let mut want = vec![0.0; got.len()];
-                    run_loops(&canon, l, r, &mut want, (0, 0, 0));
+                    run_loops(
+                        &canon,
+                        src(step.left),
+                        src(step.right),
+                        &mut want,
+                        (0, 0, 0),
+                    );
                     assert_eq!(
                         bits(got.as_slice()),
                         bits(&want),

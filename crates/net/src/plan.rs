@@ -8,9 +8,9 @@
 //! operands, and the materialized off-spine intermediates `_net{t}`),
 //! which the Sec. 5 planner then fuses and orders optimally. Off-spine
 //! terms are dense-dense contractions with no sparsity to exploit; each
-//! lowers, at plan time, to a loop order and a [`Leaf`] — the
-//! microkernel family that runs its innermost loop — writing a
-//! preallocated intermediate.
+//! lowers, at plan time, to a loop order and a [`LeafOp`] — the
+//! microkernel that runs its innermost loop — writing a preallocated
+//! intermediate.
 //!
 //! ## Dense-step lowering
 //!
@@ -26,12 +26,11 @@
 //! [`lower`] orders the loops *output loops, then K loops, then one
 //! vector loop* — the output index whose strides are smallest — so the
 //! accumulator row stays put across the whole K sweep, and the vector
-//! loop becomes one microkernel call:
-//!
-//! | vector index | [`Leaf`] |
-//! |--------------|----------|
-//! | M or N       | `Axpy`: `out_row += s · x_row` |
-//! | batch        | `Xmul`: `out_row += l_row ∘ r_row` |
+//! loop becomes one microkernel call: the one the tape's lowering rule,
+//! [`Term::leaf_op`], names for the vector index. An output index on
+//! one operand (M or N) is `Axpy { vec }`, `out_row += s · vec_row`;
+//! one on both (batch) is `Xmul`, `out_row += l_row ∘ r_row`. The
+//! operands stay in their written order.
 //!
 //! Every leaf is that single loop; folding a second one into GER or
 //! GEMV waits for a measured workload that wants it. K loops keep their
@@ -45,7 +44,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use spttn::ir::{ContractionPath, IndexId, Kernel, KernelBuilder, Operand};
+use spttn::ir::{ContractionPath, IndexId, Kernel, KernelBuilder, LeafOp, Operand, Term};
 use spttn::tensor::{Csf, DenseTensor};
 use spttn::{Contraction, Plan, PlanCache, Result, Shapes, SpttnError};
 
@@ -64,16 +63,6 @@ pub(crate) struct LoopDim {
     pub o: usize,
 }
 
-/// The microkernel family that runs a step's innermost (vector) loop
-/// `v`. The vector operand is always `left`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Leaf {
-    /// `out[v] += right · left[v]`.
-    Axpy,
-    /// `out[v] += left[v] · right[v]`.
-    Xmul,
-}
-
 /// Where a dense step reads an operand from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepSrc {
@@ -87,15 +76,14 @@ pub(crate) enum StepSrc {
 /// loop extents, strides and a leaf at plan time.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseStep {
-    /// The operand the vector loop reads (either side of the written
-    /// product — [`lower`] may have swapped them).
     pub left: StepSrc,
     pub right: StepSrc,
     /// Output workspace slot (`inters[out_slot]`).
     pub out_slot: usize,
     /// Loops in execution order; the last is the leaf's.
     pub loops: Vec<LoopDim>,
-    pub leaf: Leaf,
+    /// The vector loop's microkernel, by [`Term::leaf_op`].
+    pub leaf: LeafOp,
     /// Modeled flops (`2·∏ extents`); zero iff some extent is zero and
     /// the step has nothing to run.
     pub flops: u128,
@@ -127,13 +115,9 @@ fn operand_order(kernel: &Kernel, path: &ContractionPath, op: Operand) -> Vec<In
 }
 
 /// Term `t` as loops in canonical order — output loops row-major over
-/// the intermediate, then contracted loops by ascending index — and the
-/// number of output loops. This is the nest the scalar reference walks.
-pub(crate) fn term_loops(
-    kernel: &Kernel,
-    path: &ContractionPath,
-    t: usize,
-) -> (Vec<LoopDim>, usize) {
+/// the intermediate (its `out_inds` order), then contracted loops by
+/// ascending index. This is the nest the scalar reference walks.
+pub(crate) fn term_loops(kernel: &Kernel, path: &ContractionPath, t: usize) -> Vec<LoopDim> {
     let term = &path.terms[t];
     let lorder = operand_order(kernel, path, term.left);
     let rorder = operand_order(kernel, path, term.right);
@@ -144,7 +128,7 @@ pub(crate) fn term_loops(
             Some(p) => order[p + 1..].iter().map(|&i| kernel.dim(i)).product(),
         }
     };
-    let loops = out_v
+    out_v
         .iter()
         .chain(term.contracted().to_vec().iter())
         .map(|&idx| LoopDim {
@@ -153,15 +137,13 @@ pub(crate) fn term_loops(
             r: stride_in(&rorder, idx),
             o: stride_in(&out_v, idx),
         })
-        .collect();
-    (loops, out_v.len())
+        .collect()
 }
 
-/// Order canonical loops (the first `n_out` are output loops) for
-/// execution and pick the leaf — see the module docs. Returns the
-/// loops, the leaf, and whether the operands were swapped so that the
-/// vector loop's operand is `left` (the product commutes bitwise).
-pub(crate) fn lower(loops: &[LoopDim], n_out: usize) -> (Vec<LoopDim>, Leaf, bool) {
+/// Order `term`'s canonical loops ([`term_loops`]) for execution and
+/// name the leaf — see the module docs.
+pub(crate) fn lower(term: &Term, loops: &[LoopDim]) -> (Vec<LoopDim>, LeafOp) {
+    let n_out = term.out_inds.len();
     let (outs, cons) = loops.split_at(n_out);
     // The vector loop: smallest largest-stride first, then smallest
     // stride sum; a degenerate extent-1 loop only when nothing else
@@ -173,22 +155,23 @@ pub(crate) fn lower(loops: &[LoopDim], n_out: usize) -> (Vec<LoopDim>, Leaf, boo
             (d.extent == 1, d.l.max(d.r).max(d.o), d.l + d.r + d.o)
         })
         .expect("a dense step has an output index");
-    let swap = outs[v].l == 0;
-    let side = |d: &LoopDim| {
-        let (l, r) = if swap { (d.r, d.l) } else { (d.l, d.r) };
-        LoopDim { l, r, ..*d }
-    };
     let mut order: Vec<LoopDim> = outs
         .iter()
         .enumerate()
         .filter(|&(i, d)| i != v && d.extent != 1)
-        .map(|(_, d)| side(d))
+        .map(|(_, d)| *d)
         .collect();
-    order.extend(cons.iter().filter(|d| d.extent != 1).map(side));
-    let vec = side(&outs[v]);
-    let leaf = if vec.r != 0 { Leaf::Xmul } else { Leaf::Axpy };
-    order.push(vec);
-    (order, leaf, swap)
+    order.extend(cons.iter().filter(|d| d.extent != 1));
+    order.push(outs[v]);
+    let q = term
+        .out_inds
+        .iter()
+        .nth(v)
+        .expect("one loop per output index");
+    let leaf = term
+        .leaf_op(q, None)
+        .expect("an output index is on an operand");
+    (order, leaf)
 }
 
 /// How the collapsed kernel's dense factor slots are fed at bind time.
@@ -283,15 +266,12 @@ impl NetworkPlan {
                     }
                 }
             };
-            let (canonical, n_out) = term_loops(&kernel, &path, t);
+            let canonical = term_loops(&kernel, &path, t);
             let flops = canonical
                 .iter()
                 .fold(2u128, |f, d| f.saturating_mul(d.extent as u128));
-            let (loops, leaf, swap) = lower(&canonical, n_out);
-            let (mut left, mut right) = (resolve(term.left), resolve(term.right));
-            if swap {
-                std::mem::swap(&mut left, &mut right);
-            }
+            let (loops, leaf) = lower(term, &canonical);
+            let (left, right) = (resolve(term.left), resolve(term.right));
             let slot = inter_dims.len();
             inter_slot[t] = Some(slot);
             inter_dims.push(out_v.iter().map(|&i| kernel.dim(i)).collect());
@@ -435,6 +415,15 @@ impl NetworkPlan {
     /// Modeled flops of each dense step, in execution order.
     pub fn dense_step_flops(&self) -> Vec<u128> {
         self.steps.iter().map(|s| s.flops).collect()
+    }
+
+    /// Bytes of the materialized intermediates a bind holds — what
+    /// admission charges beside the collapsed kernel's own workspace.
+    pub fn intermediate_bytes(&self) -> u128 {
+        self.inter_dims
+            .iter()
+            .map(|d| d.iter().fold(8u128, |b, &x| b.saturating_mul(x as u128)))
+            .fold(0, u128::saturating_add)
     }
 
     /// A [`WorkspacePool`] shaped for this plan's intermediates. Share

@@ -62,8 +62,10 @@ pub struct NetOptions {
     /// Maximum number of pair-cost evaluations the exact sweep may
     /// spend before falling back to greedy.
     pub budget: u64,
-    /// Planner options for the collapsed sparse kernel (cost model,
-    /// engine, threads, …).
+    /// Planner options for the collapsed sparse kernel (cost model, mode
+    /// order, threads, microkernels, …). Its execution options cover
+    /// the whole network: one guard, one kernel table and one budget
+    /// admission for the dense steps and the kernel alike.
     pub plan: PlanOptions,
 }
 

@@ -194,7 +194,7 @@ impl PlanCache {
         // untouched). `ExecOptions` derives `PartialEq` over every
         // field, so a new field is re-applied here automatically.
         res.map(|plan| {
-            if plan.exec() == opts.exec {
+            if *plan.exec() == opts.exec {
                 plan
             } else {
                 Arc::new((*plan).clone().with_exec(opts.exec.clone()))

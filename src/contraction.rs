@@ -34,10 +34,10 @@ use spttn_cost::{
     candidate_orders, eval_forest, plan_mode_orders, BlasAware, CacheMiss, MaxBufferDim,
     MaxBufferSize, ModeOrderPolicy, OrderCost, OrderSearch, TreeCost, Work, WorkCounts,
 };
-use spttn_exec::{CancelToken, Microkernels};
+use spttn_exec::{CancelToken, Microkernels, RunGuard};
 use spttn_ir::{
-    buffers_for_forest, build_forest, enumerate_paths, parse_expr, BufferSpec, ContractionPath,
-    Kernel, LoopForest, NestSpec, ParsedExpr,
+    buffers_for_forest, build_forest, enumerate_paths, parse_expr, total_buffer_size, BufferSpec,
+    ContractionPath, Kernel, LoopForest, NestSpec, ParsedExpr,
 };
 use spttn_tensor::{CooTensor, SparsityProfile, TensorError};
 use std::collections::{BTreeSet, HashMap};
@@ -93,22 +93,24 @@ impl Threads {
     }
 }
 
-/// Resource budget evaluated at [`Plan::bind`] (and
-/// `NetworkPlan::bind` in `spttn-net`) **before** any workspace is
-/// allocated — the admission-control half of the hardened runtime.
+/// Resource budget checked as the first step of [`Plan::bind`] (and of
+/// `NetworkPlan::bind` in `spttn-net`, through the same rule), so a
+/// rejected bind allocates nothing — the admission-control half of the
+/// hardened runtime.
 ///
 /// Both limits are modeled quantities from the paper's Sec.-5 cost
-/// pipeline, so rejection is predictable and allocation-free:
-/// `max_workspace_bytes` bounds the Eq.-5 intermediate-buffer
-/// footprint replicated per worker thread
+/// pipeline, charged for what the bind will allocate and run:
+/// `max_workspace_bytes` bounds the Eq.-5 buffers replicated per
+/// thread plus one dense output partial per thread after the first
 /// ([`Plan::parallel_footprint`] × 8 bytes; network binds add their
 /// materialized intermediates), and `max_modeled_flops` bounds the
 /// operation count the nest that will run executes ([`Plan::flops`] —
 /// not its path's ideal count, which a nest can exceed many times
-/// over). Workspace pressure degrades
-/// gracefully — the bind drops to the largest thread count (and hence
-/// tile count) that fits, down to one — before a typed
-/// [`crate::SpttnError::BudgetExceeded`] reports predicted vs allowed.
+/// over; network binds add their dense steps). Workspace pressure
+/// degrades gracefully — the bind drops to the largest thread count
+/// (and hence tile count) that fits, down to one — before a typed
+/// [`crate::SpttnError::BudgetExceeded`] reports the one-thread charge
+/// against the allowance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RunBudget {
     /// Maximum preallocated workspace, in bytes. `None` = unlimited.
@@ -161,11 +163,6 @@ impl RunBudget {
 pub struct ExecOptions {
     /// Threads the bound executor runs on.
     pub threads: Threads,
-    /// Statically verify the compiled tape at bind time
-    /// ([`CompiledTape::verify`](spttn_exec::CompiledTape::verify))
-    /// even in release builds. Debug builds always verify; the check
-    /// is O(program size) and runs once per bind, never per execute.
-    pub verify: bool,
     /// Microkernel policy for the compiled tape (default
     /// [`Microkernels::Auto`]): `Auto` selects SIMD kernels
     /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time;
@@ -196,12 +193,20 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             threads: Threads::N(1),
-            verify: false,
             microkernels: Microkernels::Auto,
             deadline: None,
             cancel: None,
             budget: RunBudget::default(),
         }
+    }
+}
+
+impl ExecOptions {
+    /// The cancel/deadline guard of one execution, its clock starting
+    /// now — what every `execute_into` builds first. Allocation-free (an
+    /// `Arc` clone of the token at most).
+    pub fn guard(&self) -> RunGuard {
+        RunGuard::new(self.cancel.clone(), self.deadline)
     }
 }
 
@@ -249,16 +254,6 @@ impl PlanOptions {
     /// Set the execution thread count (builder style).
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.exec.threads = threads;
-        self
-    }
-
-    /// Statically verify the compiled tape at bind time even in
-    /// release builds (builder style). Debug builds always verify.
-    /// Like every [`ExecOptions`] field this is honored on
-    /// [`crate::PlanCache`] hits too — cached plans are re-bound with
-    /// the caller's options, not the flight leader's.
-    pub fn with_verify(mut self, verify: bool) -> Self {
-        self.exec.verify = verify;
         self
     }
 
@@ -808,15 +803,28 @@ impl Plan {
     }
 
     /// The execution options [`Plan::bind`] will apply.
-    pub fn exec(&self) -> ExecOptions {
-        self.exec.clone()
+    pub fn exec(&self) -> &ExecOptions {
+        &self.exec
     }
 
-    /// Preallocated workspace elements needed to execute this plan at
-    /// `threads` parallel workers (each worker replicates every Eq.-5
-    /// buffer).
+    /// Elements a bind at `threads` threads preallocates, what
+    /// admission charges (× 8 bytes) against
+    /// [`RunBudget::max_workspace_bytes`]: every Eq.-5 buffer once per
+    /// thread, plus a dense output partial per thread after the first
+    /// (a pattern-sharing output has none: tiles write disjoint leaf
+    /// ranges).
     pub fn parallel_footprint(&self, threads: usize) -> u128 {
-        spttn_ir::tiled_workspace_footprint(&self.buffers, threads)
+        let t = threads.max(1) as u128;
+        let partial: u128 = if self.kernel.output_sparse {
+            0
+        } else {
+            (self.kernel.output.indices.iter())
+                .map(|&i| self.kernel.dim(i) as u128)
+                .product()
+        };
+        total_buffer_size(&self.buffers)
+            .saturating_mul(t)
+            .saturating_add(partial.saturating_mul(t - 1))
     }
 
     /// The validated kernel.

@@ -33,6 +33,14 @@ use spttn_tensor::{CooTensor, Csf, DenseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// A thread count [`Plan::admit`] granted under the plan's budget. Only
+/// `admit` makes one, so no bind skips the rule.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Admission {
+    threads: usize,
+}
+
 impl Plan {
     /// Bind operands to this plan: the CSF sparse input (stored in the
     /// **expression's written index order**) and one dense tensor per
@@ -45,7 +53,69 @@ impl Plan {
     /// incoming tree is re-sorted into that order here — a one-time
     /// `O(nnz log nnz)` rebuild, after which execution is as
     /// allocation-free as ever.
+    ///
+    /// The first step is budget admission ([`Plan::admit`]): a bind the
+    /// plan's [`RunBudget`](crate::RunBudget) rejects returns
+    /// [`SpttnError::BudgetExceeded`] having allocated nothing.
     pub fn bind(&self, csf: Csf, factors: &[(&str, &DenseTensor)]) -> Result<Executor> {
+        let admitted = self.admit(0, 0)?;
+        self.bind_admitted(admitted, csf, factors)
+    }
+
+    /// Budget admission, the one rule every bind passes first: the
+    /// modeled flops `Plan::flops + extra_flops` against
+    /// [`RunBudget::max_modeled_flops`](crate::RunBudget), then the
+    /// bytes `8 · Plan::parallel_footprint(t) + extra_bytes` against
+    /// [`RunBudget::max_workspace_bytes`](crate::RunBudget) at the
+    /// largest thread count `t` up to the requested one that fits.
+    /// Flops are structural — no thread count lowers them — so they gate
+    /// first; workspace pressure sheds threads (and so tiles) down to
+    /// one before it rejects, reporting the one-thread charge.
+    ///
+    /// The `extra_*` charges are a caller's own beside the kernel's:
+    /// `spttn-net` adds its dense steps and intermediates, then binds
+    /// through [`Plan::bind_admitted`].
+    #[doc(hidden)]
+    pub fn admit(&self, extra_flops: u128, extra_bytes: u128) -> Result<Admission> {
+        let budget = self.exec.budget;
+        let flops = self.flops.saturating_add(extra_flops);
+        if let Some(allowed) = budget.max_modeled_flops.filter(|&max| flops > max) {
+            return Err(SpttnError::BudgetExceeded {
+                resource: "modeled flops",
+                predicted: flops,
+                allowed,
+            });
+        }
+        let mut threads = self.exec.threads.resolve();
+        if let Some(allowed) = budget.max_workspace_bytes.map(u128::from) {
+            let bytes = |t| {
+                self.parallel_footprint(t)
+                    .saturating_mul(8)
+                    .saturating_add(extra_bytes)
+            };
+            while threads > 1 && bytes(threads) > allowed {
+                threads -= 1;
+            }
+            if bytes(threads) > allowed {
+                return Err(SpttnError::BudgetExceeded {
+                    resource: "workspace bytes",
+                    predicted: bytes(1),
+                    allowed,
+                });
+            }
+        }
+        Ok(Admission { threads })
+    }
+
+    /// [`Plan::bind`] after its admission step: bind at the thread
+    /// count `admitted` grants.
+    #[doc(hidden)]
+    pub fn bind_admitted(
+        &self,
+        admitted: Admission,
+        csf: Csf,
+        factors: &[(&str, &DenseTensor)],
+    ) -> Result<Executor> {
         // A duplicated name would silently shadow the later binding.
         for (pos, (name, _)) in factors.iter().enumerate() {
             if factors[..pos].iter().any(|(n, _)| n == name) {
@@ -87,7 +157,7 @@ impl Plan {
             }
         }
         let (csf, leaf_perm) = self.reorder_csf(csf)?;
-        Executor::new(self.clone(), csf, leaf_perm, compact)
+        Executor::new(self.clone(), csf, leaf_perm, compact, admitted.threads)
     }
 
     /// Compile this plan's nest to an instruction tape and statically
@@ -95,10 +165,9 @@ impl Plan {
     /// path. Returns the proof summary on success; a malformed program
     /// surfaces as an execution error naming the violated invariant.
     ///
-    /// [`Plan::bind`] performs the same check on every debug build
-    /// (and, with [`crate::PlanOptions::with_verify`], in release), so
-    /// calling this is only needed to verify a plan that will not be
-    /// bound here — e.g. file-less planning.
+    /// Every [`Plan::bind`] performs the same check, so calling this is
+    /// only needed to verify a plan that will not be bound here — e.g.
+    /// file-less planning.
     pub fn verify_tape(&self) -> Result<TapeReport> {
         let tape = CompiledTape::compile_with(
             &self.kernel,
@@ -174,60 +243,14 @@ pub struct Executor {
     coo_template: Option<CooTensor>,
 }
 
-/// Bind-time workspace admission under
-/// [`RunBudget::max_workspace_bytes`](crate::RunBudget): find the
-/// largest thread count `t ≤ requested` whose replicated Eq.-5
-/// footprint ([`Plan::parallel_footprint`] × 8 bytes) fits the budget.
-/// Degradation is graceful — fewer threads (and so fewer tiles) first,
-/// down to one — and only when even one thread's workspace exceeds the
-/// budget does binding fail with a typed
-/// [`SpttnError::BudgetExceeded`] reporting predicted vs allowed bytes.
-fn admit_threads(plan: &Plan, requested: usize, max_bytes: Option<u64>) -> Result<usize> {
-    let Some(max) = max_bytes else {
-        return Ok(requested);
-    };
-    let bytes = |t: usize| plan.parallel_footprint(t).saturating_mul(8);
-    let mut t = requested.max(1);
-    while t > 1 && bytes(t) > u128::from(max) {
-        t -= 1;
-    }
-    if bytes(t) > u128::from(max) {
-        return Err(SpttnError::BudgetExceeded {
-            resource: "workspace bytes",
-            predicted: bytes(1),
-            allowed: u128::from(max),
-        });
-    }
-    Ok(t)
-}
-
 impl Executor {
     fn new(
         plan: Plan,
         csf: Csf,
         leaf_perm: Option<Vec<usize>>,
         compact: Vec<DenseTensor>,
+        threads: usize,
     ) -> Result<Executor> {
-        // Budget admission runs before any binding work: a plan the
-        // budget rejects must not allocate workspaces or spawn a pool.
-        // `plan.flops` is what this nest executes, not its path's ideal
-        // count. Flops are structural (no degradation can lower them),
-        // so they gate first; the workspace check then degrades the
-        // thread count before giving up.
-        if let Some(max) = plan.exec.budget.max_modeled_flops {
-            if plan.flops > max {
-                return Err(SpttnError::BudgetExceeded {
-                    resource: "modeled flops",
-                    predicted: plan.flops,
-                    allowed: max,
-                });
-            }
-        }
-        let threads = admit_threads(
-            &plan,
-            plan.exec.threads.resolve(),
-            plan.exec.budget.max_workspace_bytes,
-        )?;
         let kernel = &plan.kernel;
         let n_dense = kernel.inputs.len() - 1;
         if compact.len() != n_dense {
@@ -262,12 +285,9 @@ impl Executor {
             &plan.buffers,
             plan.exec.microkernels,
         )?;
-        // Static verification gate: every debug build proves the
-        // program well-formed before it can run; release builds opt in
-        // via `PlanOptions::with_verify(true)`.
-        if plan.exec.verify || cfg!(debug_assertions) {
-            tape.verify().map_err(SpttnError::from)?;
-        }
+        // Static verification gate: every bind proves the program
+        // well-formed before it can run (O(program size), once).
+        tape.verify().map_err(SpttnError::from)?;
         let engine = ParallelExecutor::new(
             kernel,
             &plan.path,
@@ -377,10 +397,8 @@ impl Executor {
     /// the values `out` held before the stopped call first.
     pub fn execute_into(&mut self, out: &mut ContractionOutput) -> Result<()> {
         // The deadline clock starts here, at the execution boundary —
-        // not at bind. Guard construction is allocation-free (an `Arc`
-        // clone of the token at most), preserving the zero-allocation
-        // contract of the hot path.
-        let guard = RunGuard::new(self.plan.exec.cancel.clone(), self.plan.exec.deadline);
+        // not at bind.
+        let guard = self.plan.exec.guard();
         self.execute_into_guarded(out, Some(&guard))
     }
 

@@ -150,45 +150,8 @@ fn cache_hit_reapplies_callers_exec_options() {
     assert!(Arc::ptr_eq(&p1, &p3));
 }
 
-/// Regression: the static-verification flag must survive a cache hit.
-/// A release-mode caller asking for `with_verify(true)` on a kernel
-/// that some earlier caller already planned without it must still get
-/// a plan whose bind runs the tape verifier — the hit path re-applies
-/// exec options, and `verify` is one of them.
-#[test]
-fn cache_hit_honors_verify_flag() {
-    let cache = PlanCache::new();
-    let p1 = cache
-        .plan(
-            Contraction::parse(EXPR).unwrap(),
-            &shapes(),
-            &PlanOptions::default(),
-        )
-        .unwrap();
-    assert!(!p1.exec().verify, "default plans do not opt into verify");
-
-    let verified_opts = PlanOptions::default().with_verify(true);
-    let p2 = cache
-        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &verified_opts)
-        .unwrap();
-    assert_eq!((cache.hits(), cache.misses()), (1, 1), "same key: a hit");
-    assert!(p2.exec().verify, "hit must re-apply the caller's verify");
-    assert!(!Arc::ptr_eq(&p1, &p2), "mismatched exec needs a new Arc");
-
-    // The cached entry itself is untouched: a third default caller
-    // still shares the original unverified Arc.
-    let p3 = cache
-        .plan(
-            Contraction::parse(EXPR).unwrap(),
-            &shapes(),
-            &PlanOptions::default(),
-        )
-        .unwrap();
-    assert!(Arc::ptr_eq(&p1, &p3));
-}
-
 /// Regression: the microkernel policy must survive a cache hit exactly
-/// like threads/verify. A bitwise-reproducibility caller forcing
+/// like threads. A bitwise-reproducibility caller forcing
 /// `Microkernels::Scalar` on a kernel some earlier caller planned with
 /// the default `Auto` must get a plan that binds scalar kernels — not
 /// silently inherit the flight leader's SIMD selection.

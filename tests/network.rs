@@ -13,7 +13,7 @@ mod networks;
 
 use networks::{Fixture, CP_ALS, DENSE_CHAIN, FIVE_TENSOR, TENSOR_TRAIN};
 use spttn::ir::enumerate_paths;
-use spttn::{Contraction, PlanCache, PlanOptions, Threads};
+use spttn::{Contraction, PlanCache, PlanOptions, RunBudget, SpttnError, Threads};
 use spttn_net::{modeled_path_flops, NetOptions, Network, OrderStrategy};
 use std::sync::Arc;
 
@@ -104,6 +104,60 @@ fn permuted_pattern_output_matches_oracle() {
     exec.execute_into(&mut out).unwrap();
     assert_eq!(out.to_dense().dims(), [5, 7, 6]);
     assert!(out.to_dense().approx_eq(&fx.want, TOL));
+}
+
+/// A network bind passes the collapsed kernel's admission rule with its
+/// dense steps and intermediates on top. The factored shape at 4
+/// threads with exactly the one-thread charge binds at one thread — the
+/// 4-thread bind would hold 3 output partials more — and one byte, or
+/// one flop, under the network totals is refused naming them.
+#[test]
+fn network_budget_is_the_kernel_rule_plus_the_dense_steps() {
+    let fx = Fixture::new(
+        "T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]",
+        &[("i", 40), ("j", 30), ("k", 8), ("m", 16), ("r", 32)],
+        &[40, 30, 8],
+        600,
+        41,
+    );
+    let plan = |budget: RunBudget| {
+        let popts = PlanOptions::default()
+            .with_threads(Threads::N(4))
+            .with_budget(budget);
+        let nopts = NetOptions::default().with_plan_options(popts);
+        fx.net.plan(&fx.shapes, &nopts).unwrap()
+    };
+    let bind = |budget| plan(budget).bind(fx.csf.clone(), &fx.named());
+    let probe = plan(RunBudget::default());
+    assert!(probe.num_dense_steps() > 0, "{}", probe.describe());
+    let kernel = probe.kernel_plan();
+    let one_thread = 8 * kernel.parallel_footprint(1) + probe.intermediate_bytes();
+    assert_eq!(one_thread, 33_792, "{}", probe.describe());
+    let bytes = |b: u128| RunBudget::default().with_max_workspace_bytes(u64::try_from(b).unwrap());
+
+    let mut exec = bind(bytes(one_thread)).unwrap();
+    assert_eq!(exec.threads(), 1, "the one-thread charge admits one thread");
+    assert!(exec.execute().unwrap().to_dense().approx_eq(&fx.want, TOL));
+    assert_eq!(
+        bind(bytes(one_thread - 1)).map(|_| ()),
+        Err(SpttnError::BudgetExceeded {
+            resource: "workspace bytes",
+            predicted: one_thread,
+            allowed: one_thread - 1,
+        })
+    );
+
+    let flops = probe.dense_step_flops().iter().sum::<u128>() + kernel.flops;
+    let flops_cap = |f| RunBudget::default().with_max_modeled_flops(f);
+    assert!(bind(flops_cap(flops)).is_ok());
+    assert_eq!(
+        bind(flops_cap(flops - 1)).map(|_| ()),
+        Err(SpttnError::BudgetExceeded {
+            resource: "modeled flops",
+            predicted: flops,
+            allowed: flops - 1,
+        })
+    );
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Acceptance criterion: `Executor::execute_into` performs **zero heap
 //! allocations** after construction (the compiled program and driver
 //! state are preallocated at bind), serially, across the worker pool,
-//! and through the network executor.
+//! and through the network executor; and a bind the budget rejects
+//! allocates nothing at all.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! binary holds exactly one test function so no concurrent test can
@@ -9,7 +10,7 @@
 
 use rand::prelude::*;
 use spttn::tensor::{random_coo, random_dense, Csf};
-use spttn::{Contraction, CostModel, PlanOptions, Shapes, Threads};
+use spttn::{Contraction, CostModel, PlanOptions, RunBudget, Shapes, SpttnError, Threads};
 use spttn_net::{NetOptions, Network};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,4 +187,46 @@ fn execute_into_performs_zero_heap_allocations() {
         0,
         "network execute_into / set_factor allocated on the heap"
     );
+
+    // Admission is the first step of a bind: one the budget rejects
+    // clones no factor, re-sorts nothing and checks out no workspace —
+    // for a kernel and for a network alike.
+    let one_byte = PlanOptions::default()
+        .with_threads(Threads::N(4))
+        .with_budget(RunBudget::default().with_max_workspace_bytes(1));
+    let coo = random_coo(&[20, 16, 18], 400, &mut rng).unwrap();
+    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let plan = Contraction::parse("T[i,j,k]*A[j,r]*B[k,r]->O[i,r]")
+        .unwrap()
+        .plan(
+            &Shapes::new()
+                .with_dims(&[("i", 20), ("j", 16), ("k", 18), ("r", 6)])
+                .with_pattern(csf.to_coo()),
+            &one_byte,
+        )
+        .unwrap();
+    let factors = [("A", &a), ("B", &b)];
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let rejected = plan.bind(csf, &factors);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert!(matches!(rejected, Err(SpttnError::BudgetExceeded { .. })));
+    assert_eq!(after - before, 0, "a rejected kernel bind allocated");
+
+    let coo = random_coo(&[30, 20], 350, &mut rng).unwrap();
+    let csf = Csf::from_coo(&coo, &[0, 1]).unwrap();
+    let nplan = net
+        .plan(
+            &Shapes::new()
+                .with_dims(&[("i", 30), ("j", 20), ("m", 4), ("r", 5)])
+                .with_pattern(csf.to_coo()),
+            &NetOptions::default().with_plan_options(one_byte),
+        )
+        .unwrap();
+    assert!(nplan.num_dense_steps() >= 1);
+    let factors = [("D1", &d1), ("D2", &d2)];
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let rejected = nplan.bind(csf, &factors);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert!(matches!(rejected, Err(SpttnError::BudgetExceeded { .. })));
+    assert_eq!(after - before, 0, "a rejected network bind allocated");
 }

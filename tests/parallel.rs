@@ -7,7 +7,9 @@
 use rand::prelude::*;
 use spttn::ir::{path_from_picks, stdkernels, Kernel, NestSpec};
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
-use spttn::{Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, Threads};
+use spttn::{
+    Contraction, ContractionOutput, CostModel, Executor, PlanOptions, RunBudget, Shapes, Threads,
+};
 
 const TOL: f64 = 1e-9;
 
@@ -81,6 +83,48 @@ fn stdkernels_parallel_match_serial() {
             );
         }
     }
+}
+
+/// Admission charges what a bind at `t` threads allocates: every Eq.-5
+/// buffer once per thread plus a dense output partial per thread after
+/// the first. A budget of exactly that admits `t` threads; the
+/// buffers-only charge, which left the partials out, no longer does. A
+/// pattern-sharing output has no partials.
+#[test]
+fn footprint_charges_buffers_per_thread_and_partials_after_the_first() {
+    let kernel = stdkernels::mttkrp(&[40, 20, 24], 8);
+    let (csf, factors) = operands(&kernel, 600, 12);
+    let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let plan = |budget: RunBudget| {
+        Contraction::from_kernel(kernel.clone())
+            .plan(
+                &Shapes::new().with_pattern(csf.to_coo()),
+                &PlanOptions::default()
+                    .with_threads(Threads::N(4))
+                    .with_budget(budget),
+            )
+            .unwrap()
+    };
+    let probe = plan(RunBudget::default());
+    let buffers: u128 = probe.buffers().iter().map(|b| b.size()).sum();
+    let partial = 40 * 8;
+    assert!(buffers > 0, "{}", probe.describe());
+    for t in 1..=4u128 {
+        let want = t * buffers + (t - 1) * partial;
+        assert_eq!(probe.parallel_footprint(t as usize), want);
+    }
+    let threads_at = |bytes: u128| {
+        let budget = RunBudget::default().with_max_workspace_bytes(u64::try_from(bytes).unwrap());
+        plan(budget).bind(csf.clone(), &refs).unwrap().threads()
+    };
+    assert_eq!(threads_at(8 * probe.parallel_footprint(4)), 4, "exact fit");
+    assert!(threads_at(8 * 4 * buffers) < 4, "partials are charged");
+
+    let tttp = Contraction::from_kernel(stdkernels::tttp(&[20, 18, 22], 4))
+        .plan(&Shapes::new().with_nnz(300), &PlanOptions::default())
+        .unwrap();
+    let tttp_buffers: u128 = tttp.buffers().iter().map(|b| b.size()).sum();
+    assert_eq!(tttp.parallel_footprint(4), 4 * tttp_buffers);
 }
 
 /// Two executions at the same fixed thread count — on the same executor

@@ -228,7 +228,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
             dense_csf += usize::from(has_dense_csf_loop(&plan));
             let want = want.get_or_insert_with(|| oracle(plan.kernel(), &coo, &factors));
             for &t in &threads {
-                let mut exec_opts = plan.exec();
+                let mut exec_opts = plan.exec().clone();
                 exec_opts.threads = Threads::N(t);
                 let got = plan
                     .clone()
@@ -244,7 +244,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
             }
             // The scalar tier runs the fused program in the unfused
             // interpreter's operation order.
-            let mut exec_opts = plan.exec();
+            let mut exec_opts = plan.exec().clone();
             (exec_opts.threads, exec_opts.microkernels) = (Threads::N(1), Microkernels::Scalar);
             let scalar = plan
                 .clone()

@@ -61,8 +61,8 @@ fn plan_at(kernel: &Kernel, csf: &Csf, model: CostModel, threads: usize) -> Plan
         )
         .expect("planning succeeds");
     // Every tape the differential suite runs must also prove out
-    // statically (bind re-checks this in debug builds; asserting
-    // here keeps the invariant visible in release runs too).
+    // statically (every bind re-checks this; asserting here keeps the
+    // invariant visible in the suite).
     plan.verify_tape()
         .expect("differential tape verifies clean");
     plan
