@@ -35,7 +35,7 @@ fn median(samples: &[f64]) -> f64 {
 
 /// GFLOP/s of the bound contiguous AXPY at length `n`, operands in L1.
 fn axpy_gflops(n: usize) -> f64 {
-    let (axpy, _) = KernelSet::resolve(Microkernels::Auto).axpy(n, true, Some(n));
+    let (axpy, _) = KernelSet::resolve(Microkernels::Auto).axpy(n, true, None);
     let x = vec![1.0f64; n];
     let mut y = vec![0.0f64; n];
     let calls = 200_000usize;

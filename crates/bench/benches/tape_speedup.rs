@@ -2,8 +2,8 @@
 //! kernel tables — bound once per
 //! (microkernel policy, thread-count), executed through the
 //! zero-allocation `execute_into` path on large MTTKRP, TTMc and TTTP
-//! workloads whose dense ranks (32 / 16) hit the rank-specialized
-//! microkernel variants. MTTKRP runs twice: under the planner's nest
+//! workloads whose dense ranks (32 / 16) run the kernels' unrolled
+//! fixed-rank bodies. MTTKRP runs twice: under the planner's nest
 //! (one CSF walk, AXPY leaves) and under an explicit nest that hoists
 //! `a` above a Khatri-Rao prologue and the whole walk — what the
 //! planner picked before it charged nests for executed work, kept so
@@ -116,8 +116,8 @@ type HandNest = fn(&Csf, &[&[f64]], &mut [f64], &mut [f64], &KernelSet);
 /// an AXPY for each further one, then one XMUL into `A`'s row.
 fn mttkrp_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
     let (b, c, r) = (f[0], f[1], x0.len());
-    let (zaxpy, _) = ks.zaxpy(r, true, Some(r));
-    let (axpy, _) = ks.axpy(r, true, Some(r));
+    let zaxpy = ks.zaxpy();
+    let (axpy, _) = ks.axpy(r, true, None);
     let xmul = ks.xmul();
     let vals = csf.vals();
     out.fill(0.0);
@@ -140,9 +140,9 @@ fn mttkrp_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &Ke
 fn ttmc_nest(csf: &Csf, f: &[&[f64]], x0: &mut [f64], out: &mut [f64], ks: &KernelSet) {
     let (u, v, s) = (f[0], f[1], x0.len());
     let r = u.len() / csf.dims()[1];
-    let (zaxpy, _) = ks.zaxpy(s, true, Some(s));
-    let (axpy, _) = ks.axpy(s, true, Some(s));
-    let (ger, _) = ks.ger(s, true, Some(s));
+    let zaxpy = ks.zaxpy();
+    let (axpy, _) = ks.axpy(s, true, None);
+    let (ger, _) = ks.ger(s, true, None);
     let vals = csf.vals();
     out.fill(0.0);
     for ni in csf.root_range() {

@@ -3,9 +3,11 @@
 //! The paper offloads innermost dense loops to BLAS (Sec. 5, Fig. 6:
 //! xAXPY for rank-1 updates along one mode, xGER for two). These are
 //! pure-Rust equivalents: strided in general, with contiguous fast paths
-//! written so the compiler auto-vectorizes them. They also back the
-//! pairwise baseline's dense contractions and the examples' small dense
-//! linear algebra.
+//! written so the compiler auto-vectorizes them. The reference
+//! interpreter ([`crate::interp`]) calls them directly; the scalar
+//! kernel tier ([`crate::simd`]) runs their arithmetic — its DOT and
+//! GEMV are these functions — so a scalar-tier tape reproduces the
+//! interpreter bit for bit.
 
 /// `y[i*incy] += alpha * x[i*incx]` for `i in 0..n` (xAXPY).
 #[inline]
@@ -66,20 +68,6 @@ pub fn xmul(
     } else {
         for i in 0..n {
             y[i * incy] += alpha * x[i * incx] * z[i * incz];
-        }
-    }
-}
-
-/// `x[i*incx] *= alpha` (xSCAL).
-#[inline]
-pub fn scal(n: usize, alpha: f64, x: &mut [f64], incx: usize) {
-    if incx == 1 {
-        for v in &mut x[..n] {
-            *v *= alpha;
-        }
-    } else {
-        for i in 0..n {
-            x[i * incx] *= alpha;
         }
     }
 }
@@ -155,25 +143,6 @@ pub fn gemv(
     }
 }
 
-/// `c[i,j] += alpha * Σ_k a[i,k] * b[k,j]`, all row-major dense
-/// (xGEMM, ijk-blocked enough for the example workloads).
-pub fn gemm(m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (l, &av) in arow.iter().enumerate() {
-            let brow = &b[l * n..(l + 1) * n];
-            let f = alpha * av;
-            if f != 0.0 {
-                for j in 0..n {
-                    crow[j] += f * brow[j];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,13 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn scal_scales() {
-        let mut x = [1.0, 2.0, 3.0];
-        scal(3, 3.0, &mut x, 1);
-        assert_eq!(x, [3.0, 6.0, 9.0]);
-    }
-
-    #[test]
     fn ger_rank1() {
         let x = [1.0, 2.0];
         let y = [3.0, 4.0, 5.0];
@@ -247,15 +209,5 @@ mod tests {
         let mut y = [0.0; 3];
         gemv(3, 2, 1.0, &a, 2, 1, &x, 1, &mut y, 1);
         assert_eq!(y, [3.0, 7.0, 11.0]);
-    }
-
-    #[test]
-    fn gemm_small() {
-        // [[1,2],[3,4]] * [[5,6],[7,8]] = [[19,22],[43,50]].
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0];
-        let mut c = [0.0; 4];
-        gemm(2, 2, 2, 1.0, &a, &b, &mut c);
-        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
 }

@@ -28,10 +28,12 @@
 //!
 //! The [`simd`] module supplies the microkernel tiers (AVX-512F and
 //! AVX2+FMA on x86_64, scalar everywhere) selected **once at bind time**
-//! and recorded in the tape as function pointers, plus the assigning and
-//! rank-specialized kernel variants behind the superinstructions the
-//! tape compiler emits at every tier (assigning calls that replace a
-//! zero point, and fused sparse-AXPY and sparse-DOT loops).
+//! and recorded in the tape as function pointers — one per kernel
+//! family, which picks its unrolled fixed-rank body from its own trip
+//! count at each call — plus the assigning kernels behind the
+//! superinstructions the tape compiler emits at every tier (assigning
+//! calls that replace a zero point, and fused sparse-AXPY and
+//! sparse-DOT loops).
 //!
 //! Three things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,

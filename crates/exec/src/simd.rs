@@ -12,46 +12,52 @@
 //!
 //! | [`KernelSel`] | when                                                  |
 //! |---------------|-------------------------------------------------------|
-//! | `Scalar`      | always available — exactly [`crate::blas`]; the only tier on non-x86_64 targets |
+//! | `Scalar`      | always available — [`crate::blas`]'s arithmetic, unfused; the only tier on non-x86_64 targets |
 //! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime              |
 //! | `Avx512`      | x86_64 with AVX-512F (and AVX2+FMA) detected at runtime |
 //!
-//! The element-parallel kernels — AXPY, XMUL, GER, their assigning
-//! twins and their rank-specialized bodies — are written once, as plain
-//! `f64::mul_add` loops, and compiled once per x86 tier under that
-//! tier's `#[target_feature]`; the compiler picks the vector width.
-//! DOT and GEMV are hand-written AVX2 lane trees that both x86 tiers
-//! share. Each tier is one table of function pointers.
+//! The element-parallel kernels — AXPY, XMUL, GER and their assigning
+//! twins — are written once, as plain loops, and instantiated once per
+//! tier: under each x86 tier's `#[target_feature]` with `f64::mul_add`
+//! (the compiler picks the vector width), and with no feature and
+//! unfused products and sums as the scalar tier. DOT and GEMV are
+//! hand-written AVX2 lane trees that both x86 tiers share; the scalar
+//! tier's are [`crate::blas`]'s. Each tier is one table with one
+//! function pointer per kernel family.
 //!
 //! Selection is *host state*, not *program shape*: program shape
 //! depends only on the plan. Every bind of the same plan, at every
-//! tier, compiles the same instruction stream (same fusion, same rank
-//! specialization); binds differ only in which function pointers the
-//! instructions carry.
+//! tier, compiles the same instruction stream (same fusion); binds
+//! differ only in which function pointers the instructions carry.
 //!
 //! ## Rank specialization
 //!
 //! Tensor-network ranks are small and fixed (the benches use R ∈
-//! {8, 16, 32}); when a kernel's trip count is statically one of those
-//! — known at bind time from the `BufferSpec` dims — the tape records a
-//! monomorphized, fully-unrolled body ([`RankSpec::R8`]/`R16`/`R32`)
-//! instead of the generic loop. On the x86 tiers a generic
-//! element-parallel call whose runtime `n` is 8, 16 or 32 runs the same
+//! {8, 16, 32}). Each kernel picks its body from its own trip count at
+//! every call: a contiguous call at n = 8, 16 or 32 runs a body
+//! monomorphized over that rank, which the compiler unrolls fully;
+//! any other call runs the generic loop. That is one `match n` inside
+//! the kernel (`at_rank!`) — the element-parallel kernels at every
+//! tier, DOT and GEMV on the x86 tiers — so nothing upstream records
+//! the choice. The [`KernelSet`] accessors report it ([`RankSpec`]) and
+//! [`crate::CompiledTape::specialized`] counts the sites that take an
 //! unrolled body.
 //!
 //! ## Determinism contract
 //!
-//! - Scalar kernels accumulate strictly left-to-right, exactly like
-//!   [`crate::blas`]; forcing [`Microkernels::Scalar`] reproduces the
-//!   reference interpreter [`crate::interp`] **bitwise**, fused
-//!   program and all.
+//! - Scalar kernels round every product and sum, in [`crate::blas`]'s
+//!   order, and accumulate DOT and GEMV strictly left-to-right; forcing
+//!   [`Microkernels::Scalar`] reproduces the reference interpreter
+//!   [`crate::interp`] **bitwise**, fused program and all. (XMUL
+//!   computes `α·(x·z)` where `blas` computes `(α·x)·z`; every caller
+//!   passes `α = 1`.)
 //! - Element-parallel SIMD kernels have no reduction order: a
 //!   contiguous call computes each output element with one fused
 //!   multiply-add (`y = fma(α, x, y)`, `y = fma(α, x·z, y)`,
 //!   `a = fma(α·x_i, y_j, a)`; the assigning twins one product) at
 //!   every length, tail included. Their results are therefore bitwise
 //!   the same on `Avx2Fma` and `Avx512`. Strided calls run the scalar
-//!   kernels on both tiers.
+//!   tier's unfused arithmetic on every tier.
 //! - DOT and GEMV reduce through a *fixed lane tree*: lane-striped
 //!   partial accumulators combined in a fixed order, then a strictly
 //!   sequential scalar tail. The tree is 4 lanes wide on both x86
@@ -101,12 +107,12 @@ pub enum KernelSel {
     Avx512,
 }
 
-/// Bind-time rank specialization recorded on a tape instruction.
-///
-/// `R8`/`R16`/`R32` promise a contiguous trip count statically equal to
-/// 8/16/32 and dispatch to a fully-unrolled monomorphized body; `Gen`
-/// is the generic strided kernel. The tape verifier checks the promise
-/// against the recorded extents.
+/// Which body a microkernel call takes, as the [`KernelSet`] accessors
+/// report it. `R8`/`R16`/`R32`: a contiguous call at that trip count,
+/// which runs a fully-unrolled body (the element-parallel kernels at
+/// every tier, DOT and GEMV on the x86 tiers); `Gen`: the generic loop.
+/// Each kernel makes this choice from its own `n` at every call; nothing
+/// records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankSpec {
     /// Generic trip count (runtime `n`, any stride).
@@ -120,31 +126,21 @@ pub enum RankSpec {
 }
 
 impl RankSpec {
-    /// The promised trip count, or `None` for the generic kernel.
-    pub fn rank(self) -> Option<usize> {
-        match self {
-            RankSpec::Gen => None,
-            RankSpec::R8 => Some(8),
-            RankSpec::R16 => Some(16),
-            RankSpec::R32 => Some(32),
-        }
-    }
-
-    /// Specialization decision: `n` must be one of the supported fixed
-    /// ranks, the access contiguous, and the trip count statically
-    /// pinned (`hint == Some(n)` — the output row length or the
-    /// `BufferSpec`'s innermost dim).
-    fn of(n: usize, contig: bool, hint: Option<usize>) -> RankSpec {
-        if !contig || hint != Some(n) {
-            return RankSpec::Gen;
-        }
+    /// The body a call at trip count `n` takes; `contig` means unit
+    /// strides along the loop.
+    pub fn of(n: usize, contig: bool) -> RankSpec {
         match n {
-            8 => RankSpec::R8,
-            16 => RankSpec::R16,
-            32 => RankSpec::R32,
+            8 if contig => RankSpec::R8,
+            16 if contig => RankSpec::R16,
+            32 if contig => RankSpec::R32,
             _ => RankSpec::Gen,
         }
     }
+}
+
+/// Whether a call at trip count `n` runs a fixed rank's unrolled body.
+pub(crate) fn unrolled(n: usize, contig: bool) -> bool {
+    RankSpec::of(n, contig) != RankSpec::Gen
 }
 
 /// `y[i*incy] += alpha * x[i*incx]` — signature of [`blas::axpy`].
@@ -159,56 +155,25 @@ pub type GerFn = fn(usize, usize, f64, &[f64], usize, &[f64], usize, &mut [f64],
 /// `y[i] += alpha * Σ_j A[i,j] * x[j]` — signature of [`blas::gemv`].
 pub type GemvFn = fn(usize, usize, f64, &[f64], usize, usize, &[f64], usize, &mut [f64], usize);
 
-/// One tier's kernels. Families with rank twins are indexed by
-/// [`RankSpec`] in declaration order (`Gen`, `R8`, `R16`, `R32`).
+/// One tier's kernels: one function per family, each picking its body
+/// from its own trip count at every call.
 struct Table {
     name: &'static str,
     width: usize,
-    axpy: [AxpyFn; 4],
-    zaxpy: [AxpyFn; 4],
-    dot: [DotFn; 4],
+    axpy: AxpyFn,
+    zaxpy: AxpyFn,
+    dot: DotFn,
     xmul: XmulFn,
     zxmul: XmulFn,
-    ger: [GerFn; 4],
+    ger: GerFn,
     zger: GerFn,
-    gemv: [GemvFn; 4],
+    gemv: GemvFn,
 }
-
-/// The scalar tier: [`blas`] for the generic bodies (and for DOT/GEMV
-/// at every rank), unrolled scalar twins for the fixed ranks.
-static SCALAR: Table = Table {
-    name: "scalar",
-    width: 1,
-    axpy: [
-        blas::axpy,
-        scalar_fixed::axpy::<8>,
-        scalar_fixed::axpy::<16>,
-        scalar_fixed::axpy::<32>,
-    ],
-    zaxpy: [
-        scalar_zero::zaxpy,
-        scalar_fixed::zaxpy::<8>,
-        scalar_fixed::zaxpy::<16>,
-        scalar_fixed::zaxpy::<32>,
-    ],
-    dot: [blas::dot; 4],
-    xmul: blas::xmul,
-    zxmul: scalar_zero::zxmul,
-    ger: [
-        blas::ger,
-        scalar_fixed::ger::<8>,
-        scalar_fixed::ger::<16>,
-        scalar_fixed::ger::<32>,
-    ],
-    zger: scalar_zero::zger,
-    gemv: [blas::gemv; 4],
-};
 
 /// A bind-time kernel selection: which implementation family to draw
 /// function pointers from.
 ///
-/// Program shape — fusion, rank specialization — depends only on the
-/// plan; the selection decides which table of kernels its calls point
+/// Program shape — fusion — depends only on the plan; the selection decides which table of kernels its calls point
 /// into, by the [`Microkernels`] option and the host CPU. Copying the
 /// set into the tape makes the selection permanent for that tape's
 /// lifetime.
@@ -229,11 +194,10 @@ impl KernelSet {
         KernelSet::auto_detected()
     }
 
-    /// The always-available scalar table: [`crate::blas`] and its
-    /// strictly sequential assigning and fixed-rank twins. A kernel
-    /// table, not a program shape: the tape fuses and rank-specializes
-    /// as at every tier, and runs the reference interpreter's operation
-    /// order bit for bit.
+    /// The always-available scalar table: [`crate::blas`]'s arithmetic,
+    /// unfused, and its assigning twins. A kernel table, not a program
+    /// shape: the tape fuses as at every tier, and runs the reference
+    /// interpreter's operation order bit for bit.
     pub fn scalar() -> KernelSet {
         KernelSet {
             sel: KernelSel::Scalar,
@@ -266,28 +230,26 @@ impl KernelSet {
         self.table().width
     }
 
-    /// AXPY kernel for trip count `n`; `contig` means both increments
-    /// are 1, `hint` pins the trip count for rank specialization.
-    pub fn axpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
-        let spec = RankSpec::of(n, contig, hint);
-        (self.table().axpy[spec as usize], spec)
+    /// AXPY kernel, and the body a call at trip count `n` takes
+    /// (`contig`: both increments 1). The kernel picks that body itself
+    /// at every call; `_hint` is unread.
+    pub fn axpy(&self, n: usize, contig: bool, _hint: Option<usize>) -> (AxpyFn, RankSpec) {
+        (self.table().axpy, RankSpec::of(n, contig))
     }
 
     /// Assigning AXPY (`y = alpha * x`) for `ZeroAccum` fusion. Never
     /// skips the write — `alpha == 0` must still zero the target.
-    pub fn zaxpy(&self, n: usize, contig: bool, hint: Option<usize>) -> (AxpyFn, RankSpec) {
-        let spec = RankSpec::of(n, contig, hint);
-        (self.table().zaxpy[spec as usize], spec)
+    pub fn zaxpy(&self) -> AxpyFn {
+        self.table().zaxpy
     }
 
-    /// DOT kernel for trip count `n` (`contig`: both increments 1).
+    /// DOT kernel, and the body a call at trip count `n` takes
+    /// (`contig`: both increments 1).
     pub fn dot(&self, n: usize, contig: bool) -> (DotFn, RankSpec) {
-        let spec = RankSpec::of(n, contig, Some(n));
-        (self.table().dot[spec as usize], spec)
+        (self.table().dot, RankSpec::of(n, contig))
     }
 
-    /// XMUL (elementwise ternary) kernel. No rank-specialized variants:
-    /// the generic body is already a single fused multiply pass.
+    /// XMUL (elementwise ternary) kernel.
     pub fn xmul(&self) -> XmulFn {
         self.table().xmul
     }
@@ -297,11 +259,11 @@ impl KernelSet {
         self.table().zxmul
     }
 
-    /// GER (rank-1 update) kernel; `n` is the row length, `contig`
-    /// means unit column stride and unit `y` increment.
-    pub fn ger(&self, n: usize, contig: bool, hint: Option<usize>) -> (GerFn, RankSpec) {
-        let spec = RankSpec::of(n, contig, hint);
-        (self.table().ger[spec as usize], spec)
+    /// GER (rank-1 update) kernel, and the body a call with row length
+    /// `n` takes (`contig`: unit column stride and unit `y` increment).
+    /// `_hint` is unread.
+    pub fn ger(&self, n: usize, contig: bool, _hint: Option<usize>) -> (GerFn, RankSpec) {
+        (self.table().ger, RankSpec::of(n, contig))
     }
 
     /// Assigning GER (`A = alpha * x ⊗ y`) for `ZeroAccum` fusion.
@@ -309,16 +271,14 @@ impl KernelSet {
         self.table().zger
     }
 
-    /// GEMV kernel; `n` is the row length, `contig` means unit column
-    /// stride and unit `x` increment.
-    pub fn gemv(&self, n: usize, contig: bool) -> (GemvFn, RankSpec) {
-        let spec = RankSpec::of(n, contig, Some(n));
-        (self.table().gemv[spec as usize], spec)
+    /// GEMV kernel (`y += alpha * A x`).
+    pub fn gemv(&self) -> GemvFn {
+        self.table().gemv
     }
 
     fn table(&self) -> &'static Table {
         match self.sel {
-            KernelSel::Scalar => &SCALAR,
+            KernelSel::Scalar => &scalar::TABLE,
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx2Fma => &avx2::TABLE,
             #[cfg(target_arch = "x86_64")]
@@ -341,7 +301,7 @@ fn host_supports(sel: KernelSel) -> bool {
 }
 
 /// Pick the best implementation the host supports (program shape —
-/// fusion, specialization — does not depend on it). Targets other than
+/// fusion — does not depend on it). Targets other than
 /// x86_64 run the scalar tier.
 fn detect() -> KernelSel {
     #[cfg(target_arch = "x86_64")]
@@ -383,199 +343,63 @@ pub fn detected_cpu_features() -> String {
     }
 }
 
-/// Scalar assigning twins used by `ZeroAccum` superinstructions when
-/// the scalar implementation family is selected ([`Microkernels::Scalar`],
-/// old hosts, non-x86_64 targets, Miri) and by the x86 tiers for strided
-/// calls.
-/// Unlike [`blas::axpy`]/[`blas::ger`] these must **not** early-return
-/// on `alpha == 0`: the fused instruction owns the Eq.-5 zero point,
-/// so the target must be overwritten unconditionally.
-mod scalar_zero {
-    /// `y[i*incy] = alpha * x[i*incx]`.
-    pub fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &mut y[..n]);
-            for i in 0..n {
-                y[i] = alpha * x[i];
-            }
-        } else {
-            for i in 0..n {
-                y[i * incy] = alpha * x[i * incx];
-            }
-        }
-    }
-
-    /// `y[i*incy] = alpha * x[i*incx] * z[i*incz]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
-            for i in 0..n {
-                y[i] = alpha * x[i] * z[i];
-            }
-        } else {
-            for i in 0..n {
-                y[i * incy] = alpha * x[i * incx] * z[i * incz];
-            }
-        }
-    }
-
-    /// `A[i*rs + j*cs] = alpha * x[i*incx] * y[j*incy]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            let yv = &y[..n];
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                let row = &mut a[i * rs..i * rs + n];
-                for j in 0..n {
-                    row[j] = xi * yv[j];
-                }
-            }
-        } else {
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                for j in 0..n {
-                    a[i * rs + j * cs] = xi * y[j * incy];
-                }
-            }
-        }
-    }
+/// `c + a·b`, rounded twice in [`blas`]'s order: the scalar tier's
+/// accumulation, and every tier's strided one.
+#[inline(always)]
+fn unfused(a: f64, b: f64, c: f64) -> f64 {
+    c + a * b
 }
 
-/// Scalar rank-specialized bodies: monomorphized over the trip count so
-/// the compiler fully unrolls. Semantics match [`blas`] element for
-/// element (strictly sequential), so a rank-specialized scalar tape
-/// stays bitwise-equal to the generic one.
-mod scalar_fixed {
-    /// Unrolled `y[..N] += alpha * x[..N]` (contiguous, `n == N`).
-    pub fn axpy<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized axpy misuse"
-        );
-        if alpha == 0.0 {
-            return;
+/// `$body::<R>(args)` (with `$assign` after `R` when given) where `R` is
+/// the fixed rank `n` equals (8, 16 or 32), else 0: a call at a common
+/// rank runs the unrolled body instead of the generic loop, whose
+/// short-length remainder would run a 16-long call at a quarter of the
+/// vector width.
+macro_rules! at_rank {
+    ($n:expr, $body:ident$(::<$assign:ident>)?($($arg:expr),*)) => {
+        match $n {
+            8 => $body::<8 $(, $assign)?>($($arg),*),
+            16 => $body::<16 $(, $assign)?>($($arg),*),
+            32 => $body::<32 $(, $assign)?>($($arg),*),
+            _ => $body::<0 $(, $assign)?>($($arg),*),
         }
-        let (x, y) = (&x[..N], &mut y[..N]);
-        for i in 0..N {
-            y[i] += alpha * x[i];
-        }
-    }
-
-    /// Unrolled `y[..N] = alpha * x[..N]` (assigning twin).
-    pub fn zaxpy<const N: usize>(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized zaxpy misuse"
-        );
-        let (x, y) = (&x[..N], &mut y[..N]);
-        for i in 0..N {
-            y[i] = alpha * x[i];
-        }
-    }
-
-    /// Unrolled rank-1 update with row length `N` (`cs == 1`,
-    /// `incy == 1`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn ger<const N: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        assert!(
-            n == N && cs == 1 && incy == 1,
-            "rank-specialized ger misuse"
-        );
-        if alpha == 0.0 {
-            return;
-        }
-        let yv = &y[..N];
-        for i in 0..m {
-            let xi = alpha * x[i * incx];
-            let row = &mut a[i * rs..i * rs + N];
-            for j in 0..N {
-                row[j] += xi * yv[j];
-            }
-        }
-    }
+    };
 }
 
-/// DOT and GEMV for both x86 tiers (AVX2+FMA): hand-written lane trees,
-/// because the tree *is* the reduction order the determinism contract
-/// fixes. Every body is a safe `#[target_feature]` function over
-/// length-checked slices with a single internal `unsafe` block for the
-/// vendor intrinsics; the wrappers are the only call sites and each
-/// carries the SAFETY argument for why the required CPU features are
-/// present.
+/// DOT and GEMV for both x86 tiers (AVX2+FMA): one hand-written lane
+/// tree, because the tree *is* the reduction order the determinism
+/// contract fixes. The wrappers are the only call sites of the
+/// `#[target_feature]` bodies and each carries the SAFETY argument for
+/// why the required CPU features are present. Strided calls run the
+/// scalar tier's [`blas`] loops.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{blas, DotFn, GemvFn};
+    use super::blas;
     use core::arch::x86_64::{
         _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
         _mm256_loadu_pd, _mm256_setzero_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
-    /// DOT by [`super::RankSpec`]: generic, then the fixed ranks.
-    pub(super) const DOT: [DotFn; 4] = [dot, dot_fixed::<8>, dot_fixed::<16>, dot_fixed::<32>];
-    /// GEMV by [`super::RankSpec`]: generic, then the fixed ranks.
-    pub(super) const GEMV: [GemvFn; 4] =
-        [gemv, gemv_fixed::<8>, gemv_fixed::<16>, gemv_fixed::<32>];
-
-    /// Lane-striped dot product with the fixed reduction tree
-    /// `(acc0 + acc1) → (low128 + high128) → (lane0 + lane1)` followed
-    /// by a strictly sequential scalar tail — the tree shape depends
-    /// only on the 4-lane width, never on `n`, so results are
-    /// run-to-run bitwise stable.
+    /// Lane-striped dot product of the `n` elements at `xp` and `yp`
+    /// (`n` is `N` when `N > 0`) with the fixed reduction tree `(acc0 +
+    /// acc1) → (low128 + high128) → (lane0 + lane1)` followed by a
+    /// strictly sequential scalar tail — the tree shape depends only on
+    /// the 4-lane width, never on `n`, so results are run-to-run bitwise
+    /// stable. At a fixed rank (a multiple of 8) the loop unrolls fully
+    /// and there is no tail.
+    ///
+    /// # Safety
+    ///
+    /// `n` elements must be readable at both pointers.
+    // SAFETY: an `unsafe fn` because it reads through raw pointers; see
+    // `# Safety` above.
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn dot_body(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        // SAFETY: vector loads read `x[i..i+4]` / `y[i..i+4]` only
-        // while `i + 4 <= n` (8-wide steps check `i + 8 <= n`); the
-        // scalar tail indexes `< n`. All within the checked slices.
+    #[inline]
+    unsafe fn lane_tree<const N: usize>(n: usize, xp: *const f64, yp: *const f64) -> f64 {
+        let n = if N == 0 { n } else { N };
+        // SAFETY: vector loads read `[i, i+4)` only while `i + 4 <= n`
+        // (8-wide steps check `i + 8 <= n`); the scalar tail reads
+        // `i < n`. The caller guarantees `n` readable elements.
         unsafe {
             let mut acc0 = _mm256_setzero_pd();
             let mut acc1 = _mm256_setzero_pd();
@@ -609,12 +433,13 @@ mod x86 {
     }
 
     /// Whole-matrix GEMV row loop inside one `#[target_feature]`
-    /// region: the per-row DOT bodies inline here, so the shared `x`
-    /// vector stays resident across rows instead of being reloaded past
-    /// an opaque call boundary per row.
+    /// region: each row's [`lane_tree`] inlines here, under one bound
+    /// for every row. A fixed-rank `x` is copied into a local array so
+    /// it stays in registers across rows instead of being reloaded per
+    /// row.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    fn gemv_rows_body(
+    fn gemv_body<const N: usize>(
         m: usize,
         n: usize,
         alpha: f64,
@@ -624,18 +449,33 @@ mod x86 {
         y: &mut [f64],
         incy: usize,
     ) {
-        let xv = &x[..n];
-        for i in 0..m {
-            y[i * incy] += alpha * dot_body(&a[i * rs..i * rs + n], xv);
+        let n = if N == 0 { n } else { N };
+        if m == 0 {
+            return;
+        }
+        assert!(y.len() > (m - 1) * incy && a.len() >= (m - 1) * rs + n);
+        let mut fixed = [0.0; N];
+        fixed.copy_from_slice(&x[..N]);
+        let x = if N == 0 { &x[..n] } else { &fixed[..] };
+        let (ap, yp) = (a.as_ptr(), y.as_mut_ptr());
+        // SAFETY: the assert bounds every access — row `i` reads
+        // `[i*rs, i*rs + n) ⊆ [0, (m-1)*rs + n)` of `a` and `x` holds
+        // `n` elements; `y` writes touch `i * incy ≤ (m-1) * incy` only.
+        unsafe {
+            for i in 0..m {
+                *yp.add(i * incy) += alpha * lane_tree::<N>(n, ap.add(i * rs), x.as_ptr());
+            }
         }
     }
 
     /// [`blas::dot`]-shaped wrapper.
     pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
         if incx == 1 && incy == 1 {
-            // SAFETY: reachable only via a `KernelSet` whose `detect()`
-            // observed AVX2+FMA on this host at bind time.
-            unsafe { dot_body(&x[..n], &y[..n]) }
+            let (x, y) = (&x[..n], &y[..n]);
+            // SAFETY: both slices hold `n` elements, and this is
+            // reachable only via a `KernelSet` whose `detect()` observed
+            // AVX2+FMA on this host at bind time.
+            unsafe { at_rank!(n, lane_tree(n, x.as_ptr(), y.as_ptr())) }
         } else {
             blas::dot(n, x, incx, y, incy)
         }
@@ -658,180 +498,45 @@ mod x86 {
         if cs == 1 && incx == 1 {
             // SAFETY: reachable only via a `KernelSet` that detected
             // AVX2+FMA at bind time (see `dot` above).
-            unsafe { gemv_rows_body(m, n, alpha, a, rs, x, y, incy) }
+            unsafe { at_rank!(n, gemv_body(m, n, alpha, a, rs, x, y, incy)) }
         } else {
             blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
         }
     }
-
-    /// Rank-specialized DOT body: `N/4` unrolled FMAs into lane-striped
-    /// accumulators, reduced by the same fixed tree as [`dot_body`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn dot_fixed_body<const N: usize>(x: &[f64], y: &[f64]) -> f64 {
-        debug_assert!(N.is_multiple_of(8) && x.len() == N && y.len() == N);
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        // SAFETY: `N % 8 == 0` and both slices hold exactly `N`
-        // elements, so loads at `i` and `i + 4` with `i + 8 <= N` stay
-        // in bounds.
-        unsafe {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut i = 0;
-            while i < N {
-                acc0 =
-                    _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc0);
-                acc1 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(xp.add(i + 4)),
-                    _mm256_loadu_pd(yp.add(i + 4)),
-                    acc1,
-                );
-                i += 8;
-            }
-            let s = _mm256_add_pd(acc0, acc1);
-            let lo = _mm256_castpd256_pd128(s);
-            let hi = _mm256_extractf128_pd::<1>(s);
-            let pair = _mm_add_pd(lo, hi);
-            _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair))
-        }
-    }
-
-    /// Rank-specialized whole-matrix GEMV: `x` hoisted into registers
-    /// once; each row reduces through the same fixed lane tree as
-    /// [`dot_fixed_body`] (acc0 takes offsets `0, 8, …`, acc1 takes
-    /// `4, 12, …`), so results stay bitwise identical to the per-row
-    /// formulation.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn gemv_rows_fixed_body<const N: usize>(
-        m: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        x: &[f64],
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        debug_assert!(N.is_multiple_of(8) && N <= 32);
-        if m == 0 {
-            return;
-        }
-        assert!(x.len() >= N && y.len() > (m - 1) * incy && a.len() >= (m - 1) * rs + N);
-        let (xp, ap, yp) = (x.as_ptr(), a.as_ptr(), y.as_mut_ptr());
-        // SAFETY: the asserts above bound every access — `x` loads read
-        // `[4k, 4k+4) ⊆ [0, N)`, row loads touch
-        // `[i*rs, i*rs + N) ⊆ [0, (m-1)*rs + N)`, and `y` writes touch
-        // `i * incy ≤ (m-1) * incy` only.
-        unsafe {
-            let mut xv = [_mm256_setzero_pd(); 8];
-            for (k, lane) in xv.iter_mut().enumerate().take(N / 4) {
-                *lane = _mm256_loadu_pd(xp.add(4 * k));
-            }
-            for i in 0..m {
-                let row = ap.add(i * rs);
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                let mut k = 0;
-                while k < N / 4 {
-                    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(row.add(4 * k)), xv[k], acc0);
-                    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(row.add(4 * k + 4)), xv[k + 1], acc1);
-                    k += 2;
-                }
-                let s = _mm256_add_pd(acc0, acc1);
-                let lo = _mm256_castpd256_pd128(s);
-                let hi = _mm256_extractf128_pd::<1>(s);
-                let pair = _mm_add_pd(lo, hi);
-                let acc = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-                *yp.add(i * incy) += alpha * acc;
-            }
-        }
-    }
-
-    /// Rank-specialized DOT wrapper.
-    pub(super) fn dot_fixed<const N: usize>(
-        n: usize,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-    ) -> f64 {
-        assert!(
-            n == N && incx == 1 && incy == 1,
-            "rank-specialized dot misuse"
-        );
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `dot` above).
-        unsafe { dot_fixed_body::<N>(&x[..N], &y[..N]) }
-    }
-
-    /// Rank-specialized GEMV wrapper: row length statically `N`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv_fixed<const N: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        assert!(
-            n == N && cs == 1 && incx == 1,
-            "rank-specialized gemv misuse"
-        );
-        // SAFETY: reachable only via a `KernelSet` that detected
-        // AVX2+FMA at bind time (see `dot` above).
-        unsafe { gemv_rows_fixed_body::<N>(m, alpha, a, rs, x, y, incy) }
-    }
 }
 
-/// Panic unless a rank-specialized body (`N > 0`) is called at its
-/// pinned trip count with unit strides; `N == 0` is the generic body.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn check_rank<const N: usize>(n: usize, contig: bool, kernel: &str) {
-    assert!(
-        N == 0 || (n == N && contig),
-        "rank-specialized {kernel} misuse"
-    );
-}
-
-/// `$body::<R, $assign>(args)` with `R` the fixed rank `n` equals (8,
-/// 16 or 32), else 0: a generic call at a common rank runs the unrolled
-/// body instead of the vectorizer's wide loop, whose short-length
-/// remainder would run a 16-long call at a quarter of the width.
-#[cfg(target_arch = "x86_64")]
-macro_rules! at_rank {
-    ($n:expr, $body:ident::<$assign:ident>($($arg:expr),*)) => {
-        match $n {
-            8 => $body::<8, $assign>($($arg),*),
-            16 => $body::<16, $assign>($($arg),*),
-            32 => $body::<32, $assign>($($arg),*),
-            _ => $body::<0, $assign>($($arg),*),
-        }
-    };
-}
-
-/// The element-parallel kernels of one x86 tier, written once as plain
-/// `f64::mul_add` loops and compiled under the tier's
-/// `#[target_feature]` so the compiler vectorizes them at its width.
+/// The element-parallel kernels of one tier — AXPY, XMUL and GER, each
+/// with its assigning twin — written once as plain loops over
+/// `$madd(a, b, c)`, `a·b + c`. An x86 tier compiles them under its
+/// `#[target_feature]` with `f64::mul_add`, so the compiler vectorizes
+/// them at its width with one rounding per element; the scalar tier
+/// compiles them with no feature and [`unfused`], [`blas`]'s arithmetic.
 ///
 /// Every body takes `const N` (0: runtime trip count, else the rank,
-/// which lets the compiler unroll fully; every call at n = 8, 16 or 32
-/// runs that body, see `at_rank!`) and `const ASSIGN` (overwrite
-/// instead of accumulate: the `ZeroAccum` twins). The
-/// entry points keep the [`blas`] contract — accumulating kernels
-/// early-return on `alpha == 0`, assigning ones never skip the write —
-/// and hand strided calls to the scalar kernels.
+/// which lets the compiler unroll fully; every contiguous call at n = 8,
+/// 16 or 32 runs that body, see `at_rank!`) and `const ASSIGN`
+/// (overwrite instead of accumulate: the `ZeroAccum` twins). The entry
+/// points keep the [`blas`] contract — accumulating kernels early-return
+/// on `alpha == 0`, assigning ones never skip the write — and run
+/// strided calls through [`unfused`], so a strided call is the scalar
+/// tier's arithmetic at every tier.
 macro_rules! element_parallel_tier {
-    ($tier:ident, $features:literal, $name:literal, $width:literal) => {
-        #[cfg(target_arch = "x86_64")]
+    ($(#[$cfg:meta])? $tier:ident, [$($features:literal)?], $madd:path, $name:literal,
+     $width:literal, $dot:path, $gemv:path) => {
+        $(#[$cfg])?
+        // The scalar tier's bodies need no CPU feature, so its calls
+        // need no `unsafe`.
+        #[allow(unused_unsafe)]
         mod $tier {
-            use super::{blas, check_rank, scalar_zero, x86, Table};
+            use super::{unfused, Table};
 
             /// `y[..n] (+)= alpha * x[..n]`.
-            #[target_feature(enable = $features)]
+            ///
+            /// The bodies stay out of line, as a `#[target_feature]`
+            /// body is anyway: inlined into the scalar tier's entry,
+            /// a fixed-rank body vectorizes only in part.
+            $(#[target_feature(enable = $features)])?
+            #[inline(never)]
             fn axpy_body<const N: usize, const ASSIGN: bool>(
                 n: usize,
                 alpha: f64,
@@ -840,16 +545,13 @@ macro_rules! element_parallel_tier {
             ) {
                 let n = if N == 0 { n } else { N };
                 for (yi, &xi) in y[..n].iter_mut().zip(&x[..n]) {
-                    *yi = if ASSIGN {
-                        alpha * xi
-                    } else {
-                        alpha.mul_add(xi, *yi)
-                    };
+                    *yi = if ASSIGN { alpha * xi } else { $madd(alpha, xi, *yi) };
                 }
             }
 
             /// `y[..n] (+)= alpha * (x[..n] ∘ z[..n])`.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
+            #[inline(never)]
             fn xmul_body<const N: usize, const ASSIGN: bool>(
                 n: usize,
                 alpha: f64,
@@ -860,11 +562,7 @@ macro_rules! element_parallel_tier {
                 let n = if N == 0 { n } else { N };
                 for ((yi, &xi), &zi) in y[..n].iter_mut().zip(&x[..n]).zip(&z[..n]) {
                     let t = xi * zi;
-                    *yi = if ASSIGN {
-                        alpha * t
-                    } else {
-                        alpha.mul_add(t, *yi)
-                    };
+                    *yi = if ASSIGN { alpha * t } else { $madd(alpha, t, *yi) };
                 }
             }
 
@@ -872,7 +570,8 @@ macro_rules! element_parallel_tier {
             /// One up-front bound covers every row; a fixed-rank `y` is
             /// copied into a local array so it stays in registers
             /// across rows.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
+            #[inline(never)]
             #[allow(clippy::too_many_arguments)]
             fn ger_body<const N: usize, const ASSIGN: bool>(
                 m: usize,
@@ -895,16 +594,12 @@ macro_rules! element_parallel_tier {
                 for i in 0..m {
                     let xi = alpha * x[i * incx];
                     for (aij, &yj) in a[i * rs..i * rs + n].iter_mut().zip(y) {
-                        *aij = if ASSIGN {
-                            xi * yj
-                        } else {
-                            xi.mul_add(yj, *aij)
-                        };
+                        *aij = if ASSIGN { xi * yj } else { $madd(xi, yj, *aij) };
                     }
                 }
             }
 
-            fn axpy<const N: usize, const ASSIGN: bool>(
+            fn axpy<const ASSIGN: bool>(
                 n: usize,
                 alpha: f64,
                 x: &[f64],
@@ -912,17 +607,15 @@ macro_rules! element_parallel_tier {
                 y: &mut [f64],
                 incy: usize,
             ) {
-                let contig = incx == 1 && incy == 1;
-                check_rank::<N>(n, contig, "axpy");
                 if !ASSIGN && alpha == 0.0 {
                     return; // match blas::axpy: even NaN inputs leave y alone
                 }
-                if !contig {
-                    return if ASSIGN {
-                        scalar_zero::zaxpy(n, alpha, x, incx, y, incy)
-                    } else {
-                        blas::axpy(n, alpha, x, incx, y, incy)
-                    };
+                if incx != 1 || incy != 1 {
+                    for i in 0..n {
+                        let (xi, yi) = (x[i * incx], &mut y[i * incy]);
+                        *yi = if ASSIGN { alpha * xi } else { unfused(alpha, xi, *yi) };
+                    }
+                    return;
                 }
                 // SAFETY: this tier's table is only reachable through a
                 // `KernelSet` whose `detect()` observed the tier's CPU
@@ -942,18 +635,18 @@ macro_rules! element_parallel_tier {
                 incy: usize,
             ) {
                 if incx != 1 || incz != 1 || incy != 1 {
-                    return if ASSIGN {
-                        scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy)
-                    } else {
-                        blas::xmul(n, alpha, x, incx, z, incz, y, incy)
-                    };
+                    for i in 0..n {
+                        let (t, yi) = (x[i * incx] * z[i * incz], &mut y[i * incy]);
+                        *yi = if ASSIGN { alpha * t } else { unfused(alpha, t, *yi) };
+                    }
+                    return;
                 }
                 // SAFETY: as in `axpy` — detected at bind time.
                 unsafe { at_rank!(n, xmul_body::<ASSIGN>(n, alpha, x, z, y)) }
             }
 
             #[allow(clippy::too_many_arguments)]
-            fn ger<const N: usize, const ASSIGN: bool>(
+            fn ger<const ASSIGN: bool>(
                 m: usize,
                 n: usize,
                 alpha: f64,
@@ -965,17 +658,18 @@ macro_rules! element_parallel_tier {
                 rs: usize,
                 cs: usize,
             ) {
-                let contig = cs == 1 && incy == 1;
-                check_rank::<N>(n, contig, "ger");
                 if !ASSIGN && alpha == 0.0 {
                     return; // match blas::ger
                 }
-                if !contig {
-                    return if ASSIGN {
-                        scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs)
-                    } else {
-                        blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs)
-                    };
+                if cs != 1 || incy != 1 {
+                    for i in 0..m {
+                        let xi = alpha * x[i * incx];
+                        for j in 0..n {
+                            let (yj, aij) = (y[j * incy], &mut a[i * rs + j * cs]);
+                            *aij = if ASSIGN { xi * yj } else { unfused(xi, yj, *aij) };
+                        }
+                    }
+                    return;
                 }
                 // SAFETY: as in `axpy` — detected at bind time.
                 unsafe { at_rank!(n, ger_body::<ASSIGN>(m, n, alpha, x, incx, y, a, rs)) }
@@ -984,43 +678,55 @@ macro_rules! element_parallel_tier {
             pub(super) static TABLE: Table = Table {
                 name: $name,
                 width: $width,
-                axpy: [
-                    axpy::<0, false>,
-                    axpy::<8, false>,
-                    axpy::<16, false>,
-                    axpy::<32, false>,
-                ],
-                zaxpy: [
-                    axpy::<0, true>,
-                    axpy::<8, true>,
-                    axpy::<16, true>,
-                    axpy::<32, true>,
-                ],
-                dot: x86::DOT,
+                axpy: axpy::<false>,
+                zaxpy: axpy::<true>,
+                dot: $dot,
                 xmul: xmul::<false>,
                 zxmul: xmul::<true>,
-                ger: [
-                    ger::<0, false>,
-                    ger::<8, false>,
-                    ger::<16, false>,
-                    ger::<32, false>,
-                ],
-                zger: ger::<0, true>,
-                gemv: x86::GEMV,
+                ger: ger::<false>,
+                zger: ger::<true>,
+                gemv: $gemv,
             };
         }
     };
 }
 
-element_parallel_tier!(avx2, "avx2,fma", "avx2+fma", 4);
-element_parallel_tier!(avx512, "avx512f", "avx512f", 8);
+element_parallel_tier!(
+    scalar,
+    [],
+    unfused,
+    "scalar",
+    1,
+    super::blas::dot,
+    super::blas::gemv
+);
+element_parallel_tier!(
+    #[cfg(target_arch = "x86_64")]
+    avx2,
+    ["avx2,fma"],
+    f64::mul_add,
+    "avx2+fma",
+    4,
+    super::x86::dot,
+    super::x86::gemv
+);
+element_parallel_tier!(
+    #[cfg(target_arch = "x86_64")]
+    avx512,
+    ["avx512f"],
+    f64::mul_add,
+    "avx512f",
+    8,
+    super::x86::dot,
+    super::x86::gemv
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Resolving `Scalar` picks the scalar table and nothing else: the
-    /// program shape, rank specialization included, is the plan's.
+    /// body each call takes is the kernel's choice at every tier.
     #[test]
     fn resolve_scalar_disables_fusion() {
         let ks = KernelSet::resolve(Microkernels::Scalar);
@@ -1028,23 +734,25 @@ mod tests {
         assert_eq!(ks.width(), 1);
         assert_eq!(ks.name(), "scalar");
         assert_eq!(ks.axpy(8, true, Some(8)).1, RankSpec::R8);
-        assert_eq!(ks.axpy(8, true, None).1, RankSpec::Gen);
+        assert_eq!(ks.axpy(8, false, Some(8)).1, RankSpec::Gen);
     }
 
+    /// The accessors report the unrolled body exactly for contiguous
+    /// calls at 8, 16 and 32; the hint is unread.
     #[test]
     fn auto_specializes_only_on_pinned_contiguous_ranks() {
         // `auto_detected`, not `resolve(Auto)`: the scalar-forced CI
         // leg exports SPTTN_MICROKERNELS=scalar, which would turn
-        // resolve's answer scalar and void the assertions below.
+        // resolve's answer scalar.
         let ks = KernelSet::auto_detected();
         assert_eq!(ks.axpy(8, true, Some(8)).1, RankSpec::R8);
-        assert_eq!(ks.axpy(16, true, Some(16)).1, RankSpec::R16);
-        assert_eq!(ks.axpy(32, true, Some(32)).1, RankSpec::R32);
-        // Not a supported rank / not contiguous / hint mismatch → Gen.
+        assert_eq!(ks.ger(16, true, None).1, RankSpec::R16);
+        assert_eq!(ks.dot(32, true).1, RankSpec::R32);
+        assert_eq!(ks.axpy(16, true, Some(8)).1, RankSpec::R16);
+        // Not a fixed rank / not contiguous → Gen.
         assert_eq!(ks.axpy(12, true, Some(12)).1, RankSpec::Gen);
         assert_eq!(ks.axpy(16, false, Some(16)).1, RankSpec::Gen);
-        assert_eq!(ks.axpy(16, true, None).1, RankSpec::Gen);
-        assert_eq!(ks.axpy(16, true, Some(8)).1, RankSpec::Gen);
+        assert_eq!(ks.dot(24, true).1, RankSpec::Gen);
     }
 
     #[test]
@@ -1054,8 +762,7 @@ mod tests {
         for ks in [KernelSet::scalar(), KernelSet::auto_detected()] {
             let x = [1.0_f64; 8];
             let mut y = [f64::NAN; 8];
-            let (zk, _) = ks.zaxpy(8, true, Some(8));
-            zk(8, 0.0, &x, 1, &mut y, 1);
+            ks.zaxpy()(8, 0.0, &x, 1, &mut y, 1);
             assert_eq!(y, [0.0; 8], "{} zaxpy must assign", ks.name());
 
             let mut a = [f64::NAN; 6];
@@ -1075,20 +782,46 @@ mod tests {
             .collect()
     }
 
-    /// The plain loop every contiguous element-parallel call must equal
-    /// bitwise: `y = fma(alpha, x ∘ z, y)` (`z` all ones for AXPY), or
-    /// the product alone when assigning; accumulating calls skip
-    /// `alpha == 0` as `blas` does.
-    fn reference(alpha: f64, assign: bool, x: &[f64], z: Option<&[f64]>, y: &mut [f64]) {
+    /// Every tier this host can run, the scalar one first.
+    fn tiers() -> Vec<KernelSel> {
+        #[cfg(target_arch = "x86_64")]
+        let tiers = [KernelSel::Scalar, KernelSel::Avx2Fma, KernelSel::Avx512]
+            .into_iter()
+            .filter(|&sel| host_supports(sel))
+            .collect();
+        #[cfg(not(target_arch = "x86_64"))]
+        let tiers = vec![KernelSel::Scalar];
+        tiers
+    }
+
+    /// The loop every element-parallel call must equal bitwise:
+    /// `y[i·iy] (+)= alpha · t` with `t = x[i·ix] (· z[i·iz])`, one
+    /// fused multiply-add per element when `fused`, else the unfused
+    /// `alpha * t + y`; the product alone when assigning. Accumulating
+    /// calls skip `alpha == 0` as `blas` does.
+    #[allow(clippy::too_many_arguments)]
+    fn reference(
+        fused: bool,
+        alpha: f64,
+        assign: bool,
+        n: usize,
+        (x, ix): (&[f64], usize),
+        z: Option<(&[f64], usize)>,
+        y: &mut [f64],
+        iy: usize,
+    ) {
         if !assign && alpha == 0.0 {
             return;
         }
-        for (i, yi) in y.iter_mut().enumerate() {
-            let t = z.map_or(x[i], |z| x[i] * z[i]);
+        for i in 0..n {
+            let t = z.map_or(x[i * ix], |(z, iz)| x[i * ix] * z[i * iz]);
+            let yi = &mut y[i * iy];
             *yi = if assign {
                 alpha * t
-            } else {
+            } else if fused {
                 alpha.mul_add(t, *yi)
+            } else {
+                alpha * t + *yi
             };
         }
     }
@@ -1098,74 +831,149 @@ mod tests {
         assert_eq!(bits(got), bits(want), "{what}");
     }
 
-    /// Every x86 tier the host has equals [`reference`] bit for bit —
-    /// and hence every other tier — on AXPY, ZAXPY, XMUL, ZXMUL, GER
-    /// and ZGER, generic and rank-pinned, tails included.
+    /// Every tier the host has equals [`reference`] bit for bit on
+    /// AXPY, ZAXPY, XMUL, ZXMUL, GER and ZGER at every length, tails and
+    /// fixed ranks included, contiguous and strided: a contiguous x86
+    /// call fuses each element's multiply-add, the scalar tier and every
+    /// strided call do not.
     #[test]
     fn element_parallel_kernels_are_one_fma_per_element_on_every_tier() {
-        #[cfg(target_arch = "x86_64")]
-        let tiers: Vec<KernelSel> = [KernelSel::Avx2Fma, KernelSel::Avx512]
-            .into_iter()
-            .filter(|&sel| host_supports(sel))
-            .collect();
-        #[cfg(not(target_arch = "x86_64"))]
-        let tiers: Vec<KernelSel> = Vec::new();
-        for sel in tiers {
+        for sel in tiers() {
             let ks = KernelSet { sel };
             for &n in LENS {
-                let (x, z, y0) = (vals(n, 0.1), vals(n, 0.7), vals(n, 1.3));
-                for alpha in [1.37, 0.0, -2.5] {
-                    // `Some(n)` pins R8/R16/R32 at those lengths; `None`
-                    // keeps the generic body at every length.
-                    for hint in [None, Some(n)] {
+                // (x, z, y) strides: contiguous, then strided sources and
+                // a strided target.
+                for (ix, iz, iy) in [(1, 1, 1), (2, 3, 1), (1, 1, 3)] {
+                    let contig = (ix, iz, iy) == (1, 1, 1);
+                    let fused = contig && sel != KernelSel::Scalar;
+                    let x = vals(n * ix, 0.1);
+                    let z = vals(n * iz, 0.7);
+                    let y0 = vals(n * iy, 1.3);
+                    for alpha in [1.37, 0.0, -2.5] {
                         for assign in [false, true] {
-                            let what =
-                                format!("{} n={n} a={alpha} {hint:?} assign={assign}", ks.name());
-                            let (kern, spec) = if assign {
-                                ks.zaxpy(n, true, hint)
+                            let what = format!(
+                                "{} n={n} strides=({ix},{iz},{iy}) a={alpha} assign={assign}",
+                                ks.name()
+                            );
+                            let kern = if assign {
+                                ks.zaxpy()
                             } else {
-                                ks.axpy(n, true, hint)
+                                ks.axpy(n, true, None).0
                             };
-                            let pinned = hint.is_some() && matches!(n, 8 | 16 | 32);
-                            assert_eq!(spec.rank().is_some(), pinned, "{what}");
                             let (mut got, mut want) = (y0.clone(), y0.clone());
-                            kern(n, alpha, &x, 1, &mut got, 1);
-                            reference(alpha, assign, &x, None, &mut want);
+                            kern(n, alpha, &x, ix, &mut got, iy);
+                            reference(fused, alpha, assign, n, (&x, ix), None, &mut want, iy);
                             assert_bits(&got, &want, &format!("axpy {what}"));
 
-                            // GER: 5 rows of length n with a padded row stride.
-                            let (m, rs) = (5, n + 3);
-                            let (kern, _) = if assign {
-                                (ks.zger(), RankSpec::Gen)
+                            let kern = if assign { ks.zxmul() } else { ks.xmul() };
+                            let (mut got, mut want) = (y0.clone(), y0.clone());
+                            kern(n, alpha, &x, ix, &z, iz, &mut got, iy);
+                            let zs = Some((&z[..], iz));
+                            reference(fused, alpha, assign, n, (&x, ix), zs, &mut want, iy);
+                            assert_bits(&got, &want, &format!("xmul {what}"));
+
+                            // GER: 5 rows of length n along `y` (stride
+                            // `ix`), column stride `iy`, padded rows.
+                            let (m, cs) = (5, iy);
+                            let rs = n * cs + 3;
+                            let kern = if assign {
+                                ks.zger()
                             } else {
-                                ks.ger(n, true, hint)
+                                ks.ger(n, true, None).0
                             };
                             let xs = vals(m, 2.1);
                             let a0 = vals(m * rs, 2.9);
                             let (mut got, mut want) = (a0.clone(), a0);
-                            kern(m, n, alpha, &xs, 1, &y0, 1, &mut got, rs, 1);
+                            kern(m, n, alpha, &xs, 1, &x, ix, &mut got, rs, cs);
                             // Row i is an AXPY of `y` by `alpha * x[i]`.
                             if assign || alpha != 0.0 {
                                 for (i, &xi) in xs.iter().enumerate() {
-                                    let row = &mut want[i * rs..i * rs + n];
-                                    reference(alpha * xi, assign, &y0, None, row);
+                                    let row = &mut want[i * rs..];
+                                    reference(
+                                        fused,
+                                        alpha * xi,
+                                        assign,
+                                        n,
+                                        (&x, ix),
+                                        None,
+                                        row,
+                                        cs,
+                                    );
                                 }
                             }
                             assert_bits(&got, &want, &format!("ger {what}"));
                         }
                     }
-                    for assign in [false, true] {
-                        let kern = if assign { ks.zxmul() } else { ks.xmul() };
-                        let (mut got, mut want) = (y0.clone(), y0.clone());
-                        kern(n, alpha, &x, 1, &z, 1, &mut got, 1);
-                        reference(alpha, assign, &x, Some(&z), &mut want);
-                        assert_bits(
-                            &got,
-                            &want,
-                            &format!("xmul {} n={n} a={alpha} assign={assign}", ks.name()),
-                        );
-                    }
                 }
+            }
+        }
+    }
+
+    /// The documented DOT lane tree in plain Rust: fused products into
+    /// 4-lane accumulators `acc0` (offsets 0, 8, …) and `acc1` (4, 12,
+    /// …), one 4-wide step into `acc0`, then `(acc0 + acc1) → (lo + hi)
+    /// → (lane0 + lane1)` and the tail added in order.
+    fn lane_tree(x: &[f64], y: &[f64]) -> f64 {
+        let n = x.len();
+        let step = |acc: &mut [f64; 4], i: usize| {
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a = x[i + l].mul_add(y[i + l], *a);
+            }
+        };
+        let (mut acc0, mut acc1) = ([0.0; 4], [0.0; 4]);
+        let mut i = 0;
+        while i + 8 <= n {
+            step(&mut acc0, i);
+            step(&mut acc1, i + 4);
+            i += 8;
+        }
+        if i + 4 <= n {
+            step(&mut acc0, i);
+            i += 4;
+        }
+        let s: Vec<f64> = acc0.iter().zip(&acc1).map(|(a, b)| a + b).collect();
+        let mut acc = (s[0] + s[2]) + (s[1] + s[3]);
+        for k in i..n {
+            acc += x[k] * y[k];
+        }
+        acc
+    }
+
+    /// DOT and every GEMV row on each x86 tier the host has reduce
+    /// through [`lane_tree`] bit for bit at every length 0..=40 (the
+    /// fixed ranks included), with padded GEMV rows; strided calls sum
+    /// in order.
+    #[test]
+    fn dot_and_gemv_reduce_through_the_documented_lane_tree() {
+        for sel in tiers().into_iter().filter(|&s| s != KernelSel::Scalar) {
+            let ks = KernelSet { sel };
+            for n in 0..=40 {
+                let what = format!("{} n={n}", ks.name());
+                let (x, y) = (vals(n, 0.3), vals(n, 1.9));
+                let got = ks.dot(n, true).0(n, &x, 1, &y, 1);
+                assert_bits(&[got], &[lane_tree(&x, &y)], &format!("dot {what}"));
+
+                let (m, rs, alpha) = (3, n + 5, 0.7);
+                let a = vals(m * rs, 2.3);
+                let y0 = vals(m, 0.9);
+                let mut got = y0.clone();
+                ks.gemv()(m, n, alpha, &a, rs, 1, &x, 1, &mut got, 1);
+                let want: Vec<f64> = (0..m)
+                    .map(|i| y0[i] + alpha * lane_tree(&a[i * rs..i * rs + n], &x))
+                    .collect();
+                assert_bits(&got, &want, &format!("gemv {what}"));
+
+                // Strided: `x` at stride 2.
+                let xs = vals(2 * n, 0.3);
+                let in_order = |a: &[f64]| (0..n).fold(0.0, |acc, j| acc + a[j] * xs[2 * j]);
+                let got = ks.dot(n, false).0(n, &y, 1, &xs, 2);
+                assert_bits(&[got], &[in_order(&y)], &format!("strided dot {what}"));
+                let mut got = y0.clone();
+                ks.gemv()(m, n, alpha, &a, rs, 1, &xs, 2, &mut got, 1);
+                let want: Vec<f64> = (0..m)
+                    .map(|i| y0[i] + alpha * in_order(&a[i * rs..]))
+                    .collect();
+                assert_bits(&got, &want, &format!("strided gemv {what}"));
             }
         }
     }

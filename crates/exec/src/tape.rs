@@ -36,8 +36,10 @@
 //!   resolved at compile time. Each microkernel instruction carries
 //!   the **function pointer** of its implementation, chosen once at
 //!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA
-//!   or AVX-512F — never re-decided per visit), plus
-//!   a [`RankSpec`] recording whether the body is rank-specialized.
+//!   or AVX-512F — never re-decided per visit). Which body the call
+//!   runs — a fixed rank's unrolled one or the generic loop — the
+//!   kernel picks from its own trip count; the program does not record
+//!   it.
 //!
 //! # Superinstructions
 //!
@@ -101,7 +103,7 @@
 //! stats are plain per-workspace `u64`s ([`Workspace::stats`]).
 
 use crate::guard::RunGuard;
-use crate::simd::{AxpyFn, DotFn, GemvFn, GerFn, KernelSet, Microkernels, RankSpec, XmulFn};
+use crate::simd::{unrolled, AxpyFn, DotFn, GemvFn, GerFn, KernelSet, Microkernels, XmulFn};
 use crate::workspace::{
     forest_stamp, validate_output, validate_slotted_operands, ExecStats, OutputMut, Workspace,
 };
@@ -194,7 +196,6 @@ struct DotCall {
     x: VecSrc,
     y: VecSrc,
     kern: DotFn,
-    spec: RankSpec,
 }
 
 /// How an instruction obtains the CSF node its sparse accesses use.
@@ -269,7 +270,6 @@ enum Instr {
         y: VecTgt,
         res: NodeRes,
         kern: AxpyFn,
-        spec: RankSpec,
         assign: bool,
     },
     /// `y[q] += x[q] · z[q]`.
@@ -291,7 +291,6 @@ enum Instr {
         y: VecSrc,
         a: MatTgt,
         kern: GerFn,
-        spec: RankSpec,
         assign: bool,
     },
     /// `y[i] += Σ_j a[i,j] · x[j]` (call-parameter order baked in).
@@ -303,7 +302,6 @@ enum Instr {
         x: VecSrc,
         y: VecTgt,
         kern: GemvFn,
-        spec: RankSpec,
     },
     /// Superinstruction: `Sparse` header + `Axpy` body + `EndLoop` —
     /// `y[q] += alpha · x[q]` once per child of the parent node, with no
@@ -323,7 +321,6 @@ enum Instr {
         res: NodeRes,
         kern: AxpyFn,
         first: Option<AxpyFn>,
-        spec: RankSpec,
     },
     /// Superinstruction: `Sparse` header + `Zero { term }` + `Dot` into
     /// `term`'s one-element buffer + `Leaf` + `EndLoop` — once per child
@@ -479,12 +476,10 @@ impl CompiledTape {
         let n_terms = path.len();
         let mut buffer_inds: Vec<Vec<IndexId>> = vec![Vec::new(); n_terms];
         let mut buffer_strides: Vec<Vec<usize>> = vec![Vec::new(); n_terms];
-        let mut buffer_hint: Vec<Option<usize>> = vec![None; n_terms];
         let mut buffer_lens = vec![0usize; n_terms];
         for s in specs {
             buffer_inds[s.producer] = s.inds.clone();
             buffer_strides[s.producer] = s.strides();
-            buffer_hint[s.producer] = s.rank_hint();
             buffer_lens[s.producer] = s.dims.iter().product();
         }
         let mut c = Compiler {
@@ -492,7 +487,6 @@ impl CompiledTape {
             path,
             buffer_inds,
             buffer_strides,
-            buffer_hint,
             buffer_lens,
             factor_strides: kernel
                 .inputs
@@ -602,21 +596,25 @@ impl CompiledTape {
             .count()
     }
 
-    /// Number of rank-specialized microkernel sites in the program.
+    /// Number of microkernel sites whose recorded trip count and
+    /// strides take a fixed rank's unrolled body: contiguous at 8, 16 or
+    /// 32 (see [`crate::simd`]).
     pub fn specialized(&self) -> usize {
         self.instrs
             .iter()
-            .filter(|i| {
-                matches!(
-                    i,
-                    Instr::Axpy { spec, .. }
-                    | Instr::Ger { spec, .. }
-                    | Instr::Gemv { spec, .. }
-                    | Instr::SparseAxpy { spec, .. }
-                    | Instr::Dot { dot: DotCall { spec, .. }, .. }
-                    | Instr::SparseDot { dot: DotCall { spec, .. }, .. }
-                        if *spec != RankSpec::Gen
-                )
+            .filter(|i| match **i {
+                Instr::Axpy { n, x, y, .. } | Instr::SparseAxpy { n, x, y, .. } => {
+                    unrolled(n, x.inc == 1 && y.inc == 1)
+                }
+                Instr::Xmul { n, x, z, y, .. } => {
+                    unrolled(n, x.inc == 1 && z.inc == 1 && y.inc == 1)
+                }
+                Instr::Ger { n, y, a, .. } => unrolled(n, a.cs == 1 && y.inc == 1),
+                Instr::Gemv { n, a, x, .. } => unrolled(n, a.cs == 1 && x.inc == 1),
+                Instr::Dot { dot, .. } | Instr::SparseDot { dot, .. } => {
+                    unrolled(dot.n, dot.x.inc == 1 && dot.y.inc == 1)
+                }
+                _ => false,
             })
             .count()
     }
@@ -659,9 +657,6 @@ struct Compiler<'a> {
     path: &'a ContractionPath,
     buffer_inds: Vec<Vec<IndexId>>,
     buffer_strides: Vec<Vec<usize>>,
-    /// Innermost buffer extent when it is a supported fixed rank
-    /// ([`BufferSpec::rank_hint`]) — the pin for rank specialization.
-    buffer_hint: Vec<Option<usize>>,
     /// Flat length of each term's Eq.-5 buffer — what a fused call must
     /// cover to stand in for its `Zero`.
     buffer_lens: Vec<usize>,
@@ -767,11 +762,10 @@ impl<'a> Compiler<'a> {
                 term: t,
                 y,
                 kern,
-                spec,
                 assign,
                 ..
             } if *t == term && covers(*y, *n, len) => {
-                *kern = assigning_axpy(&ks, *n, *spec);
+                *kern = ks.zaxpy();
                 assign
             }
             Instr::Xmul {
@@ -791,12 +785,10 @@ impl<'a> Compiler<'a> {
                 term: t,
                 a,
                 kern,
-                spec,
                 assign,
                 ..
             } if *t == term && !a.out && a.cs == 1 && a.rs == *n && *m * *n == len => {
-                // The assigning GER has no fixed-rank bodies.
-                (*kern, *spec) = (ks.zger(), RankSpec::Gen);
+                *kern = ks.zger();
                 assign
             }
             _ => return,
@@ -885,7 +877,6 @@ impl<'a> Compiler<'a> {
                 y,
                 res,
                 kern,
-                spec,
                 ..
             }] => {
                 let fold = level > 0
@@ -904,8 +895,7 @@ impl<'a> Compiler<'a> {
                     y,
                     res,
                     kern,
-                    first: fold.then(|| assigning_axpy(&self.kernels, n, spec)),
-                    spec,
+                    first: fold.then(|| self.kernels.zaxpy()),
                 };
                 (if fold { header - 1 } else { header }, fused)
             }
@@ -1076,18 +1066,6 @@ impl<'a> Compiler<'a> {
         Ok(MatTgt { out, cur, rs, cs })
     }
 
-    /// Rank-specialization pin for a microkernel writing term `t`: a
-    /// dense-output row's trip count is statically the kernel dim; a
-    /// buffer's pin comes from its `BufferSpec` innermost dim
-    /// ([`BufferSpec::rank_hint`]).
-    fn tgt_hint(&self, out: bool, t: usize, n: usize) -> Option<usize> {
-        if out {
-            Some(n)
-        } else {
-            self.buffer_hint[t]
-        }
-    }
-
     // ----- Microkernel lowering ---------------------------------------
 
     /// Lower a vertex to one microkernel instruction where the lowering
@@ -1110,14 +1088,8 @@ impl<'a> Compiler<'a> {
                 let y = self.vec_src(term.right, q1)?;
                 let tgt = self.cell_tgt(t)?;
                 let res = self.node_res(matches!(tgt, Write::SparseCell));
-                let (kern, spec) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
-                let dot = DotCall {
-                    n,
-                    x,
-                    y,
-                    kern,
-                    spec,
-                };
+                let (kern, _) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
+                let dot = DotCall { n, x, y, kern };
                 Instr::Dot { dot, tgt, res }
             }
             (LeafOp::Axpy { vec }, _) => {
@@ -1126,8 +1098,7 @@ impl<'a> Compiler<'a> {
                 let x = self.vec_src(term.operand(vec), q1)?;
                 let alpha = self.scalar_src(term.operand(vec.other()))?;
                 let res = self.node_res(matches!(alpha, Read::SparseVal));
-                let hint = self.tgt_hint(y.out, t, n);
-                let (kern, spec) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, hint);
+                let (kern, _) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, None);
                 Instr::Axpy {
                     n,
                     term: t,
@@ -1136,7 +1107,6 @@ impl<'a> Compiler<'a> {
                     y,
                     res,
                     kern,
-                    spec,
                     assign: false,
                 }
             }
@@ -1160,8 +1130,7 @@ impl<'a> Compiler<'a> {
                 let x = self.vec_src(xs, q1)?;
                 let y = self.vec_src(ys, q2)?;
                 let a = self.mat_tgt(t, q1, q2)?;
-                let hint = self.tgt_hint(a.out, t, n);
-                let (kern, spec) = self.kernels.ger(n, a.cs == 1 && y.inc == 1, hint);
+                let (kern, _) = self.kernels.ger(n, a.cs == 1 && y.inc == 1, None);
                 Instr::Ger {
                     m,
                     n,
@@ -1170,7 +1139,6 @@ impl<'a> Compiler<'a> {
                     y,
                     a,
                     kern,
-                    spec,
                     assign: false,
                 }
             }
@@ -1179,7 +1147,6 @@ impl<'a> Compiler<'a> {
                 let a = self.mat_src(term.operand(mat), row, col)?;
                 let x = self.vec_src(term.operand(mat.other()), col)?;
                 let y = self.vec_tgt(t, row)?;
-                let (kern, spec) = self.kernels.gemv(n, a.cs == 1 && x.inc == 1);
                 Instr::Gemv {
                     m,
                     n,
@@ -1187,8 +1154,7 @@ impl<'a> Compiler<'a> {
                     a,
                     x,
                     y,
-                    kern,
-                    spec,
+                    kern: self.kernels.gemv(),
                 }
             }
             (LeafOp::Ger { .. }, None) => unreachable!("leaf_op names GER for a loop pair only"),
@@ -1210,18 +1176,6 @@ fn reads_term(r: Read, term: usize) -> bool {
 /// buffer index, so no advance entry ever moves it.
 fn covers(y: VecTgt, n: usize, len: usize) -> bool {
     !y.out && y.inc == 1 && n == len
-}
-
-/// The assigning twin of an `Axpy` recorded at `spec`. It must sit at
-/// exactly that specialization: a fixed-rank zaxpy asserts unit source
-/// stride, which only a non-`Gen` spec implies.
-fn assigning_axpy(kernels: &KernelSet, n: usize, spec: RankSpec) -> AxpyFn {
-    let (kern, zspec) = match spec.rank() {
-        Some(r) => kernels.zaxpy(r, true, Some(r)),
-        None => kernels.zaxpy(n, false, None),
-    };
-    debug_assert_eq!(zspec, spec);
-    kern
 }
 
 // ---------------------------------------------------------------------

@@ -53,10 +53,6 @@
 //!    buffer length. It then establishes zero domination exactly like
 //!    the `Zero` it fused; without `assign` the same call is an
 //!    accumulation that a `Zero` must dominate (rule 3).
-//!    Rank-specialized sites (`RankSpec::R8/R16/R32`) must dispatch
-//!    with exactly the specialized trip count over unit-stride
-//!    operands — the fixed kernels assert this at run time; the
-//!    verifier proves it statically.
 //!    A fused sparse loop is checked as its parts: the `Sparse` header
 //!    rules of 4 (one `check_sparse_header` for fused and unfused
 //!    loops), the loop open over its body, then the body.
@@ -80,7 +76,6 @@ use super::{
     CompiledTape, DotCall, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, ScalarMul,
     VecSrc, VecTgt, Write,
 };
-use crate::simd::RankSpec;
 use spttn_core::SpttnError;
 use std::fmt;
 
@@ -159,16 +154,6 @@ pub enum TapeInvariantError {
         covered: usize,
         len: usize,
     },
-    /// A rank-specialized microkernel site whose recorded operands do
-    /// not match the specialization — the fixed-rank kernel asserts
-    /// its pinned trip count and unit strides at run time, so a
-    /// mismatch here is a guaranteed panic (or, without debug asserts,
-    /// an out-of-bounds sweep).
-    SpecializationMismatch {
-        pc: usize,
-        rank: usize,
-        detail: String,
-    },
 }
 
 impl fmt::Display for TapeInvariantError {
@@ -242,10 +227,6 @@ impl fmt::Display for TapeInvariantError {
                 f,
                 "instr {pc}: fused zero-accumulate covers {covered} of the {len} elements of term {term}'s buffer"
             ),
-            TapeInvariantError::SpecializationMismatch { pc, rank, detail } => write!(
-                f,
-                "instr {pc}: rank-{rank} specialized kernel {detail}"
-            ),
         }
     }
 }
@@ -289,9 +270,6 @@ pub struct TapeReport {
     /// (`SparseDot`), each also counted as a sparse loop and a
     /// microkernel.
     pub sparse_dots: usize,
-    /// Rank-specialized microkernel sites proved to match their
-    /// pinned trip count and unit strides.
-    pub specialized: usize,
     /// Cursor-addressed accesses proved in bounds.
     pub accesses_checked: usize,
     /// Distinct cursors bound to a backing store.
@@ -303,7 +281,7 @@ impl fmt::Display for TapeReport {
         write!(
             f,
             "verified {} instrs ({} dense + {} sparse loops, nesting {}/{}), \
-             {} zero points, {} microkernels ({} fused, {} rank-specialized), \
+             {} zero points, {} microkernels ({} fused), \
              {} fused sparse-AXPY loops, {} fused sparse-DOT loops, \
              {} accesses in bounds over {} cursors",
             self.instrs,
@@ -314,7 +292,6 @@ impl fmt::Display for TapeReport {
             self.zeros,
             self.microkernels,
             self.zero_accums,
-            self.specialized,
             self.sparse_axpys,
             self.sparse_dots,
             self.accesses_checked,
@@ -465,11 +442,10 @@ impl<'t> Checker<'t> {
                     x,
                     y,
                     res,
-                    spec,
                     assign,
                     ..
                 } => {
-                    self.check_axpy(pc, n, term, alpha, x, y, res, spec, assign)?;
+                    self.check_axpy(pc, n, term, alpha, x, y, res, assign)?;
                     pc += 1;
                 }
                 Instr::Xmul {
@@ -495,12 +471,10 @@ impl<'t> Checker<'t> {
                     x,
                     y,
                     a,
-                    spec,
                     assign,
                     ..
                 } => {
                     self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    self.check_spec(pc, spec, n, a.cs == 1 && y.inc == 1)?;
                     self.check_vec_src(pc, x, m, Some(term))?;
                     self.check_vec_src(pc, y, n, Some(term))?;
                     self.check_mat_tgt(pc, a, m, n, term, assign)?;
@@ -514,11 +488,9 @@ impl<'t> Checker<'t> {
                     a,
                     x,
                     y,
-                    spec,
                     ..
                 } => {
                     self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                    self.check_spec(pc, spec, n, a.cs == 1 && x.inc == 1)?;
                     self.check_mat_src(pc, a, m, n, term)?;
                     self.check_vec_src(pc, x, n, Some(term))?;
                     self.check_vec_tgt(pc, y, m, term, false)?;
@@ -537,13 +509,12 @@ impl<'t> Checker<'t> {
                     y,
                     res,
                     first,
-                    spec,
                     ..
                 } => {
                     // A folded body's zero domination outlives the loop
                     // (`level > 0`: at least one child runs).
                     self.fused_loop(pc, index, level, parent, adv, |ck| {
-                        ck.check_axpy(pc, n, term, alpha, x, y, res, spec, first.is_some())
+                        ck.check_axpy(pc, n, term, alpha, x, y, res, first.is_some())
                     })?;
                     // A folded zero must run on every path its `Zero`
                     // did; a tile's root range can be empty, so at
@@ -775,8 +746,7 @@ impl<'t> Checker<'t> {
         dot: DotCall,
         split_term: Option<usize>,
     ) -> Result<(), TapeInvariantError> {
-        let DotCall { n, x, y, spec, .. } = dot;
-        self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
+        let DotCall { n, x, y, .. } = dot;
         self.check_vec_src(pc, x, n, split_term)?;
         self.check_vec_src(pc, y, n, split_term)?;
         self.report.microkernels += 1;
@@ -795,11 +765,9 @@ impl<'t> Checker<'t> {
         x: VecSrc,
         y: VecTgt,
         res: NodeRes,
-        spec: RankSpec,
         assigning: bool,
     ) -> Result<(), TapeInvariantError> {
         self.in_range(pc, "target term", term, self.tape.n_terms)?;
-        self.check_spec(pc, spec, n, x.inc == 1 && y.inc == 1)?;
         self.check_read(pc, alpha)?;
         self.check_vec_src(pc, x, n, Some(term))?;
         self.check_vec_tgt(pc, y, n, term, assigning)?;
@@ -1089,30 +1057,6 @@ impl<'t> Checker<'t> {
         self.check_access(pc, a.cur, store, extra)
     }
 
-    /// Rank-specialized sites must dispatch with exactly the pinned
-    /// trip count over unit-stride operands (the fixed-rank kernels
-    /// assert this at run time; prove it statically instead).
-    fn check_spec(
-        &mut self,
-        pc: usize,
-        spec: RankSpec,
-        n: usize,
-        contig: bool,
-    ) -> Result<(), TapeInvariantError> {
-        let Some(r) = spec.rank() else {
-            return Ok(());
-        };
-        if n != r || !contig {
-            return Err(TapeInvariantError::SpecializationMismatch {
-                pc,
-                rank: r,
-                detail: format!("dispatched with trip count {n}, contiguous = {contig}"),
-            });
-        }
-        self.report.specialized += 1;
-        Ok(())
-    }
-
     /// An assigning (fused `ZeroAccum`) target writing `covered`
     /// elements of `term`'s buffer, `packed` when it is that buffer (not
     /// the output) at unit element stride: the call replaced the Eq.-5
@@ -1270,9 +1214,9 @@ mod tests {
             .unwrap()
     }
 
-    /// Listing-3 nest with the buffer's innermost extent on a
-    /// specialization rank (8): its AXPY site — fused into the `k`
-    /// loop's `SparseAxpy` — records `RankSpec::R8`.
+    /// Listing-3 nest with the buffer's innermost extent on a fixed
+    /// rank (8): its AXPY site — fused into the `k` loop's `SparseAxpy`
+    /// — runs the rank-8 unrolled body.
     fn specialized_tape() -> CompiledTape {
         let k = parse_kernel(
             "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
@@ -1335,7 +1279,6 @@ mod tests {
             (1, 0, 1),
             "X1's zero folded into the fused k loop, X0's into an assigning Xmul"
         );
-        assert_eq!(report.specialized, 1, "the rank-32 DOT");
         assert!(format!("{report}").contains("1 fused sparse-DOT loops"));
     }
 
@@ -1511,10 +1454,9 @@ mod tests {
         }
     }
 
-    /// Fused and rank-specialized programs are first-class citizens of
-    /// the verifier: both compile-time shapes verify clean, establish
-    /// zero domination through the superinstruction, and show up in
-    /// the report.
+    /// Fused programs are first-class citizens of the verifier: each
+    /// fused shape verifies clean, establishes zero domination through
+    /// the superinstruction, and shows up in the report.
     #[test]
     fn fused_tapes_verify_clean() {
         let tape = fused_ger_tape();
@@ -1527,27 +1469,27 @@ mod tests {
         );
 
         let tape = specialized_tape();
-        assert!(tape.specialized() > 0, "rank-8 buffer pins R8 kernels");
+        assert!(
+            tape.specialized() > 0,
+            "a rank-8 site takes the unrolled body"
+        );
         assert!(
             tape.instrs.iter().any(|i| matches!(
                 i,
                 Instr::SparseAxpy {
                     first: Some(_),
-                    spec: RankSpec::R8,
+                    n: 8,
                     ..
                 }
             )),
-            "the k loop fuses with its R8 AXPY and folds X0's zero"
+            "the k loop fuses with its rank-8 AXPY and folds X0's zero"
         );
         let report = tape.verify().expect("specialized tape must verify");
-        assert!(report.specialized > 0);
         assert_eq!(
             (report.sparse_axpys, report.zeros, report.zero_accums),
             (1, 0, 1),
             "X0's only split point folded into the fused loop"
         );
-        let text = format!("{report}");
-        assert!(text.contains("rank-specialized"));
 
         let tape = root_loop_tape();
         let report = tape.verify().expect("root-level fused loop must verify");
@@ -1602,6 +1544,27 @@ mod tests {
         match tape.verify() {
             Err(TapeInvariantError::ZeroAccumCoverage { covered: 0, .. }) => {}
             other => panic!("expected ZeroAccumCoverage with zero coverage, got {other:?}"),
+        }
+    }
+
+    /// Class 11: grow the trip count of a site that takes the rank-8
+    /// unrolled body — the call would read past its source rows. The
+    /// cursor bounds are what prove every such site's `n` fits.
+    #[test]
+    fn mutation_specialized_trip_count_rejected() {
+        let mut tape = specialized_tape();
+        let n = tape
+            .instrs
+            .iter_mut()
+            .find_map(|i| match i {
+                Instr::SparseAxpy { n: n @ 8, .. } => Some(n),
+                _ => None,
+            })
+            .expect("nest fuses its rank-8 AXPY loop");
+        *n += 1;
+        match tape.verify() {
+            Err(TapeInvariantError::CursorOutOfBounds { .. }) => {}
+            other => panic!("expected CursorOutOfBounds, got {other:?}"),
         }
     }
 
@@ -1694,27 +1657,6 @@ mod tests {
         }
     }
 
-    /// Class 11: skew a rank-specialized site's trip count — the
-    /// pinned fixed-rank kernel would assert (or sweep out of bounds)
-    /// at run time.
-    #[test]
-    fn mutation_specialized_trip_count_rejected() {
-        let mut tape = specialized_tape();
-        let n = tape
-            .instrs
-            .iter_mut()
-            .find_map(|i| match i {
-                Instr::SparseAxpy { n, spec, .. } if spec.rank().is_some() => Some(n),
-                _ => None,
-            })
-            .expect("nest records a rank-specialized fused AXPY loop");
-        *n -= 1;
-        match tape.verify() {
-            Err(TapeInvariantError::SpecializationMismatch { rank: 8, .. }) => {}
-            other => panic!("expected SpecializationMismatch, got {other:?}"),
-        }
-    }
-
     /// Class 12: fold a `Zero` into a fused loop over the CSF roots —
     /// a tile's root range can be empty, so the assigning call would
     /// not run on that path and the buffer would keep stale values.
@@ -1784,19 +1726,19 @@ mod tests {
         }
     }
 
-    /// Class 15: shrink a fused DOT loop's rank-32 trip count — the
-    /// pinned kernel would assert (or read past its rows) at run time.
+    /// Class 15: grow a fused DOT loop's rank-32 trip count — the call
+    /// would read past the last row of its operands.
     #[test]
     fn mutation_fused_dot_trip_count_rejected() {
         let mut tape = fused_dot_tape();
         let (_, Instr::SparseDot { dot, .. }) = dot_loop(&mut tape) else {
             unreachable!()
         };
-        assert_eq!(dot.spec, RankSpec::R32);
-        dot.n -= 1;
+        assert_eq!(dot.n, 32);
+        dot.n += 1;
         match tape.verify() {
-            Err(TapeInvariantError::SpecializationMismatch { rank: 32, .. }) => {}
-            other => panic!("expected SpecializationMismatch, got {other:?}"),
+            Err(TapeInvariantError::CursorOutOfBounds { .. }) => {}
+            other => panic!("expected CursorOutOfBounds, got {other:?}"),
         }
     }
 

@@ -13,7 +13,7 @@
 //! — still valid, just vacuous.
 
 use rand::prelude::*;
-use spttn_exec::KernelSet;
+use spttn_exec::{blas, KernelSet, RankSpec};
 use spttn_tensor::random_vec;
 
 const TOL: f64 = 1e-9;
@@ -27,7 +27,7 @@ const LENS: &[usize] = &[
 /// Strides exercised for the strided (non-contiguous) call shapes.
 const STRIDES: &[usize] = &[2, 3];
 
-/// The specialization ranks `RankSpec` pins at compile time.
+/// The fixed ranks every kernel runs an unrolled body at.
 const RANKS: &[usize] = &[8, 16, 32];
 
 fn buf(n: usize, inc: usize, rng: &mut StdRng) -> Vec<f64> {
@@ -83,22 +83,19 @@ fn rank_specialized_axpy_matches_scalar_twin() {
     let scalar = KernelSet::scalar();
     let mut rng = StdRng::seed_from_u64(12);
     for &r in RANKS {
-        // Pinned trip count, contiguous: both sets take their fixed-rank
-        // path (program shape is the plan's, not the tier's). The
-        // scalar fixed-rank body must equal the generic one bit for
+        // A contiguous call at a fixed rank takes the unrolled body at
+        // both tiers. The scalar tier's must equal `blas::axpy` bit for
         // bit, which doubles as fixed-vs-generic differential coverage.
-        let (kern, spec) = auto.axpy(r, true, Some(r));
-        let (skern, sspec) = scalar.axpy(r, true, Some(r));
-        let (gkern, gspec) = scalar.axpy(r, true, None);
-        assert_eq!(spec.rank(), Some(r), "auto set must pin the rank");
-        assert_eq!(sspec.rank(), Some(r), "scalar set must pin the rank");
-        assert_eq!(gspec.rank(), None, "no hint keeps the generic body");
+        let (kern, spec) = auto.axpy(r, true, None);
+        let (skern, sspec) = scalar.axpy(r, true, None);
+        assert_ne!(spec, RankSpec::Gen, "a fixed rank takes the unrolled body");
+        assert_eq!(sspec, spec, "the report is the same at every tier");
         let x = buf(r, 1, &mut rng);
         let y0 = buf(r, 1, &mut rng);
         let (mut ya, mut yb, mut yc) = (y0.clone(), y0.clone(), y0);
         kern(r, 0.77, &x, 1, &mut ya, 1);
         skern(r, 0.77, &x, 1, &mut yb, 1);
-        gkern(r, 0.77, &x, 1, &mut yc, 1);
+        blas::axpy(r, 0.77, &x, 1, &mut yc, 1);
         assert_close(&ya, &yb, &format!("axpy_fixed r={r}"));
         assert_bitwise(&yb, &yc, &format!("scalar axpy_fixed r={r}"));
     }
@@ -111,8 +108,7 @@ fn zaxpy_assigns_and_matches_scalar_twin() {
     let mut rng = StdRng::seed_from_u64(13);
     for &n in LENS {
         for alpha in [1.1, 0.0] {
-            let (kern, _) = auto.zaxpy(n, true, None);
-            let (skern, _) = scalar.zaxpy(n, true, None);
+            let (kern, skern) = (auto.zaxpy(), scalar.zaxpy());
             let x = buf(n, 1, &mut rng);
             // NaN targets: the assigning twin owns the zero point, so
             // every covered element must be overwritten — even at
@@ -160,7 +156,7 @@ fn dot_matches_scalar_twin() {
         let x = buf(r, 1, &mut rng);
         let y = buf(r, 1, &mut rng);
         let (a, b) = (kern(r, &x, 1, &y, 1), skern(r, &x, 1, &y, 1));
-        assert!((a - b).abs() <= TOL, "dot_fixed r={r}: {a} vs {b}");
+        assert!((a - b).abs() <= TOL, "rank dot r={r}: {a} vs {b}");
     }
 }
 
@@ -243,8 +239,8 @@ fn ger_matches_scalar_twin() {
         let x = buf(m, 1, &mut rng);
         let y = buf(r, 1, &mut rng);
         let a0 = random_vec(m * r, &mut rng);
-        let (kern, _) = auto.ger(r, true, Some(r));
-        let (skern, _) = scalar.ger(r, true, Some(r));
+        let (kern, _) = auto.ger(r, true, None);
+        let (skern, _) = scalar.ger(r, true, None);
         let (mut aa, mut ab) = (a0.clone(), a0);
         kern(m, r, 1.0, &x, 1, &y, 1, &mut aa, r, 1);
         skern(m, r, 1.0, &x, 1, &y, 1, &mut ab, r, 1);
@@ -262,8 +258,7 @@ fn gemv_matches_scalar_twin() {
             let a = random_vec(m * n, &mut rng);
             let x = buf(n, 1, &mut rng);
             let y0 = buf(m, 1, &mut rng);
-            let (kern, _) = auto.gemv(n, true);
-            let (skern, _) = scalar.gemv(n, true);
+            let (kern, skern) = (auto.gemv(), scalar.gemv());
             let (mut ya, mut yb, mut yc) = (y0.clone(), y0.clone(), y0);
             kern(m, n, 1.0, &a, n, 1, &x, 1, &mut ya, 1);
             skern(m, n, 1.0, &a, n, 1, &x, 1, &mut yb, 1);
@@ -273,8 +268,6 @@ fn gemv_matches_scalar_twin() {
 
             // Transposed-walk shape: column-major A (rs = 1, cs = m),
             // the layout the swapped tape call sites emit.
-            let (kern, _) = auto.gemv(n, false);
-            let (skern, _) = scalar.gemv(n, false);
             let a = random_vec(n * m, &mut rng);
             let y0 = buf(m, 1, &mut rng);
             let (mut ya, mut yb) = (y0.clone(), y0);

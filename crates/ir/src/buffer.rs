@@ -56,18 +56,6 @@ impl BufferSpec {
     pub fn strides(&self) -> Vec<usize> {
         row_major_strides(&self.dims)
     }
-
-    /// Innermost (contiguous) extent when it is a common small rank —
-    /// the compile-time hint bind-time compilers use to pick
-    /// rank-specialized microkernel variants. Returns the last stored
-    /// dimension iff it is one of the supported specialization ranks
-    /// (8, 16, 32); any other shape gets the generic kernels.
-    pub fn rank_hint(&self) -> Option<usize> {
-        match self.dims.last() {
-            Some(&n @ (8 | 16 | 32)) => Some(n),
-            _ => None,
-        }
-    }
 }
 
 /// Row-major strides for a dimension list (last mode contiguous) —

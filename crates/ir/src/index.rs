@@ -152,14 +152,6 @@ pub struct IndexInfo {
     pub sparse_level: Option<usize>,
 }
 
-impl IndexInfo {
-    /// True when the index is a mode of the sparse input tensor.
-    #[inline]
-    pub fn is_sparse(&self) -> bool {
-        self.sparse_level.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,16 +98,6 @@ impl ContractionPath {
         self.terms.is_empty()
     }
 
-    /// Maximum loop depth over terms (number of distinct indices of the
-    /// deepest term) — the paper's asymptotic-complexity proxy.
-    pub fn max_loop_depth(&self) -> usize {
-        self.terms
-            .iter()
-            .map(|t| t.iter_inds().len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Leading-order scalar-operation count of this path on a tensor with
     /// the given sparsity profile, assuming maximal fusion (paper
     /// Sec. 2.4 / Sec. 7 examples).
@@ -160,22 +150,6 @@ impl ContractionPath {
             }
         }
         ell
-    }
-
-    /// Total dense size of all materialized intermediates (the memory an
-    /// *unfused* pairwise execution needs; the fused executor allocates
-    /// only the much smaller buffers of Eq. 5).
-    pub fn materialized_intermediate_size(&self, kernel: &Kernel) -> u128 {
-        self.terms
-            .iter()
-            .take(self.terms.len().saturating_sub(1))
-            .map(|t| {
-                t.out_inds
-                    .iter()
-                    .map(|i| kernel.dim(i) as u128)
-                    .product::<u128>()
-            })
-            .sum()
     }
 
     /// Render the path as `T(i,j,k)*V(k,s) -> X(i,j,s) ; ...`.
@@ -458,7 +432,6 @@ mod tests {
         let p2 = path_from_picks(&k, &[(1, 2), (0, 1)]);
         let expect2 = 2u128 * 80 * 8 * 90 * 9 + 2 * nnz * 8 * 9;
         assert_eq!(p2.flops(&k, &profile), expect2);
-        assert_eq!(p2.max_loop_depth(), 5);
     }
 
     fn toy_tensor() -> spttn_tensor::CooTensor {
@@ -514,14 +487,6 @@ mod tests {
         let k = ttmc3();
         let p = path_from_picks(&k, &[(1, 2), (0, 1)]);
         assert_eq!(p.sparse_prefix_len(0, &k), 0);
-    }
-
-    #[test]
-    fn materialized_sizes() {
-        let k = ttmc3();
-        let p = path_from_picks(&k, &[(0, 2), (0, 1)]);
-        // X(i,j,s): 100*80*9.
-        assert_eq!(p.materialized_intermediate_size(&k), 100 * 80 * 9);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl BoundStep {
                     Side::Right => vec.r,
                 };
                 let contiguous = inc == 1 && vec.o == 1;
-                LeafCall::Axpy(ks.axpy(vec.extent, contiguous, Some(vec.extent)).0, side)
+                LeafCall::Axpy(ks.axpy(vec.extent, contiguous, None).0, side)
             }
             LeafOp::Xmul => LeafCall::Xmul(ks.xmul()),
             op => unreachable!("a vector loop runs an output index, never {op:?}"),

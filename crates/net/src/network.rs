@@ -66,25 +66,9 @@ impl Network {
         &self.expr
     }
 
-    /// Number of input tensors in the network.
-    pub fn num_tensors(&self) -> usize {
-        self.parsed.inputs.len()
-    }
-
     /// True when execution accumulates into the bound output (`+=`).
     pub fn is_accumulate(&self) -> bool {
         self.parsed.accumulate
-    }
-
-    /// Input references (name plus written index names); entry 0 is
-    /// the sparse tensor.
-    pub fn input_refs(&self) -> &[ParsedRef] {
-        &self.parsed.inputs
-    }
-
-    /// The output reference (name plus written index names).
-    pub fn output_ref(&self) -> &ParsedRef {
-        &self.parsed.output
     }
 
     /// Index names written on the sparse tensor, in written (CSF
@@ -97,18 +81,6 @@ impl Network {
     /// order. Drivers use this to know which dimensions need declaring.
     pub fn all_index_names(&self) -> Vec<String> {
         self.parsed.index_names()
-    }
-
-    /// Distinct dense factor names (everything except the sparse
-    /// tensor), in expression order — the names a bind must supply.
-    pub fn dense_factor_names(&self) -> Vec<String> {
-        let mut seen: Vec<String> = Vec::new();
-        for ParsedRef { name, .. } in &self.parsed.inputs[1..] {
-            if !seen.contains(name) {
-                seen.push(name.clone());
-            }
-        }
-        seen
     }
 
     /// Resolve the whole network into a single validated [`Kernel`]
@@ -150,9 +122,7 @@ mod tests {
     #[test]
     fn parses_multi_tensor_networks() {
         let n = Network::parse("T[i,j,k]*A[j,r]*B[k,r]*C[r,s] -> O[i,s]").unwrap();
-        assert_eq!(n.num_tensors(), 4);
         assert_eq!(n.sparse_index_names(), vec!["i", "j", "k"]);
-        assert_eq!(n.dense_factor_names(), vec!["A", "B", "C"]);
         assert_eq!(n.all_index_names(), vec!["i", "j", "k", "r", "s"]);
         assert!(!n.is_accumulate());
     }

@@ -194,20 +194,6 @@ impl DenseTensor {
             (a - b).abs() <= tol * scale
         })
     }
-
-    /// Iterate `(coordinate, value)` pairs in row-major order.
-    pub fn iter_coords(&self) -> impl Iterator<Item = (Vec<usize>, f64)> + '_ {
-        let dims = self.dims.clone();
-        self.data.iter().enumerate().map(move |(pos, &v)| {
-            let mut coord = vec![0usize; dims.len()];
-            let mut rem = pos;
-            for k in (0..dims.len()).rev() {
-                coord[k] = rem % dims[k];
-                rem /= dims[k];
-            }
-            (coord, v)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -252,15 +238,6 @@ mod tests {
     fn from_data_checks_len() {
         assert!(DenseTensor::from_data(&[2, 2], vec![1.0; 4]).is_ok());
         assert!(DenseTensor::from_data(&[2, 2], vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn iter_coords_roundtrip() {
-        let t = DenseTensor::from_fn(&[2, 2, 2], |c| (c[0] * 4 + c[1] * 2 + c[2]) as f64);
-        for (coord, v) in t.iter_coords() {
-            assert_eq!(t.get(&coord), v);
-        }
-        assert_eq!(t.iter_coords().count(), 8);
     }
 
     #[test]

@@ -121,24 +121,6 @@ impl SparsityProfile {
     pub fn prefix_nnz(&self, k: usize) -> u64 {
         self.prefix_nnz[k]
     }
-
-    /// Length of the longest CSF prefix whose modes are all contained in
-    /// the set described by `contains` (original mode numbering).
-    ///
-    /// This is the number of sparse loops a term with that mode set can
-    /// share with the CSF descent; the remaining modes must be iterated
-    /// densely (the paper restricts loop orders to CSF storage order).
-    pub fn max_prefix_len(&self, contains: impl Fn(usize) -> bool) -> usize {
-        let mut len = 0;
-        for &m in &self.mode_order {
-            if contains(m) {
-                len += 1;
-            } else {
-                break;
-            }
-        }
-        len
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +167,6 @@ mod tests {
         assert_eq!(p.prefix_nnz(2), 4);
         assert_eq!(p.prefix_nnz(3), 5);
         assert_eq!(p.nnz(), 5);
-    }
-
-    #[test]
-    fn max_prefix_len_respects_order() {
-        let p = SparsityProfile::from_coo(&sample(), &[0, 1, 2]).unwrap();
-        assert_eq!(p.max_prefix_len(|m| m == 0), 1);
-        assert_eq!(p.max_prefix_len(|m| m <= 1), 2);
-        assert_eq!(p.max_prefix_len(|m| m == 1), 0); // j without i: no prefix
-        assert_eq!(p.max_prefix_len(|_| true), 3);
-        assert_eq!(p.max_prefix_len(|m| m == 0 || m == 2), 1); // i then gap
     }
 
     #[test]

@@ -167,9 +167,8 @@ pub struct ExecOptions {
     /// [`Microkernels::Auto`]): `Auto` selects SIMD kernels
     /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time;
     /// `Scalar` pins the plain scalar kernels, bitwise-identical to the
-    /// reference interpreter. Either way the tape is the same fused,
-    /// rank-specialized program: the policy picks a kernel table, not a
-    /// program shape. The `SPTTN_MICROKERNELS` environment variable
+    /// reference interpreter. Either way the tape is the same fused
+    /// program: the policy picks a kernel table, not a program shape. The `SPTTN_MICROKERNELS` environment variable
     /// (`auto` / `scalar`) overrides either.
     pub microkernels: Microkernels,
     /// Per-execution wall-clock limit, measured from each
