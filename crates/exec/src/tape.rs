@@ -21,11 +21,13 @@
 //!   the *advance table*: `(cursor, stride)` pairs whose running
 //!   offsets are incremented by `Δcoordinate · stride` on every step
 //!   and restored on exit, replacing the interpreter's per-visit
-//!   `offset_in` recomputation. A sparse header also carries where
-//!   its parent CSF node is: the tile root range, or the node an
-//!   enclosing sparse loop stands on.
+//!   `offset_in` recomputation. A sparse header names only its CSF
+//!   level: at level 0 it iterates the tile root range, below that the
+//!   children of the node the enclosing level-`ℓ−1` loop stands on.
 //! - `Leaf` — one scalar contraction `tgt += l · r`, with both operand
-//!   addresses precompiled to cursors (or the sparse leaf value).
+//!   addresses precompiled to cursors (or the sparse leaf value). A
+//!   target names its term: the final term's is the output, any other
+//!   term's its Eq.-5 buffer.
 //! - `Dot` / `Axpy` / `Xmul` / `Ger` / `Gemv` — a whole innermost dense
 //!   loop (or loop pair) lowered to a single microkernel call. *Which*
 //!   loops, and which operand is the vector, the matrix or the scalar,
@@ -79,10 +81,13 @@
 //! ([`spttn_ir::vertex_kind`] — sparse vertices form a chain from the
 //! root level, a CSF index under a densely iterated shallower one is
 //! dense itself) guarantees both for every planned nest, so no CSF node
-//! is ever looked up by coordinate. [`LoopForest`] is public data; a
-//! hand-built forest that breaks the rule is refused at compile time
-//! ([`LoopForest::check_descent`]), and [`verify`] proves every
-//! tracked-node claim of a compiled program against its loop structure.
+//! is ever looked up by coordinate. Both facts are derived, never
+//! stored: an instruction names a sparse loop's level, and the driver
+//! takes the parent from `nodes[level − 1]` and the leaf from the last
+//! level. [`LoopForest`] is public data; a hand-built forest that breaks
+//! the rule is refused at compile time ([`LoopForest::check_descent`]),
+//! and [`verify`] proves every level a compiled program uses tracked by
+//! an enclosing loop.
 //!
 //! # Contracts
 //!
@@ -139,10 +144,11 @@ enum Read {
 /// An accumulation-cell target.
 #[derive(Debug, Clone, Copy)]
 enum Write {
-    /// `store[cursors[cur]] += v` into the dense output (`term` is the
-    /// final term) or the term's buffer.
-    Cell { out: bool, term: usize, cur: usize },
-    /// Pattern-sharing sparse output: `vals[node - leaf_lo] += v`.
+    /// `store[cursors[cur]] += v` into the dense output when `term` is
+    /// the final term, into the term's buffer otherwise.
+    Cell { term: usize, cur: usize },
+    /// Pattern-sharing sparse output: `vals[leaf - leaf_lo] += v` at the
+    /// tracked leaf node.
     SparseCell,
 }
 
@@ -163,18 +169,17 @@ struct MatSrc {
     cs: usize,
 }
 
-/// Strided vector target of a microkernel.
+/// Strided vector target of a microkernel, in the store of the
+/// instruction's term (see [`Write::Cell`]).
 #[derive(Debug, Clone, Copy)]
 struct VecTgt {
-    out: bool,
     cur: usize,
     inc: usize,
 }
 
-/// Strided matrix target (GER's `A`).
+/// Strided matrix target (GER's `A`), in the store of its term.
 #[derive(Debug, Clone, Copy)]
 struct MatTgt {
-    out: bool,
     cur: usize,
     rs: usize,
     cs: usize,
@@ -186,7 +191,6 @@ struct ScalarMul {
     left: Read,
     right: Read,
     tgt: Write,
-    res: NodeRes,
 }
 
 /// A DOT call `Σ_q x[q]·y[q]` over `n` elements.
@@ -196,26 +200,6 @@ struct DotCall {
     x: VecSrc,
     y: VecSrc,
     kern: DotFn,
-}
-
-/// How an instruction obtains the CSF node its sparse accesses use.
-#[derive(Debug, Clone, Copy)]
-enum NodeRes {
-    /// No sparse access in this instruction.
-    None,
-    /// Every level down to the leaf is tracked by an enclosing sparse
-    /// loop: read `nodes[level]`.
-    Tracked(usize),
-}
-
-/// How a sparse loop header locates the node range it iterates.
-#[derive(Debug, Clone, Copy)]
-enum ParentLoc {
-    /// Level 0: the executed tile's root range.
-    Root,
-    /// The children of the node the enclosing sparse loop at this
-    /// level stands on.
-    Tracked(usize),
 }
 
 /// Slice of the advance table owned by one loop header.
@@ -241,11 +225,11 @@ enum Instr {
         adv: AdvRange,
         end: usize,
     },
-    /// Sparse loop header iterating CSF children at `level`.
+    /// Sparse loop header over the CSF nodes at `level`: the tile roots
+    /// at level 0, the children of the node tracked at `level − 1`
+    /// below.
     Sparse {
-        index: IndexId,
         level: usize,
-        parent: ParentLoc,
         adv: AdvRange,
         end: usize,
     },
@@ -254,11 +238,7 @@ enum Instr {
     /// Scalar contraction of one term.
     Leaf(ScalarMul),
     /// `tgt += Σ_q x[q]·y[q]` (an innermost dense loop lowered to DOT).
-    Dot {
-        dot: DotCall,
-        tgt: Write,
-        res: NodeRes,
-    },
+    Dot { dot: DotCall, tgt: Write },
     /// `y[q] += alpha · x[q]`. With `assign`, `kern` is the assigning
     /// twin `y[q] = alpha · x[q]` standing in for the `Zero { term }`
     /// it was fused with (likewise for `Xmul` and `Ger`).
@@ -268,7 +248,6 @@ enum Instr {
         alpha: Read,
         x: VecSrc,
         y: VecTgt,
-        res: NodeRes,
         kern: AxpyFn,
         assign: bool,
     },
@@ -309,16 +288,13 @@ enum Instr {
     /// folded `Zero { term }` leaves for the first child (`level > 0`
     /// only).
     SparseAxpy {
-        index: IndexId,
         level: usize,
-        parent: ParentLoc,
         adv: AdvRange,
         n: usize,
         term: usize,
         alpha: Read,
         x: VecSrc,
         y: VecTgt,
-        res: NodeRes,
         kern: AxpyFn,
         first: Option<AxpyFn>,
     },
@@ -327,9 +303,7 @@ enum Instr {
     /// of the parent node, `d = dot`, then `leaf` with every read of
     /// `term` taken as `0.0 + d`, with no frame and no write to `term`.
     SparseDot {
-        index: IndexId,
         level: usize,
-        parent: ParentLoc,
         adv: AdvRange,
         term: usize,
         dot: DotCall,
@@ -637,8 +611,8 @@ impl CompiledTape {
 // ---------------------------------------------------------------------
 
 /// Where a dense operand or target lives: its backing store (`RBuf`
-/// of a source, "is the dense output" of a target), the indices it is
-/// stored by, and their strides.
+/// of a source; a target's is its term's), the indices it is stored
+/// by, and their strides.
 struct Site<S> {
     store: S,
     inds: Vec<IndexId>,
@@ -698,17 +672,6 @@ impl<'a> Compiler<'a> {
         Ok(cur)
     }
 
-    /// Node resolution for an instruction: one that touches the sparse
-    /// leaves reads the leaf node, which the descent rule puts under a
-    /// sparse loop over every level.
-    fn node_res(&self, touches_leaves: bool) -> NodeRes {
-        if touches_leaves {
-            NodeRes::Tracked(self.kernel.csf_index_order().len() - 1)
-        } else {
-            NodeRes::None
-        }
-    }
-
     /// Term range covered by a node.
     fn node_range(n: &LoopNode) -> (usize, usize) {
         match n {
@@ -755,7 +718,7 @@ impl<'a> Compiler<'a> {
         let [.., Instr::Zero { term }, call] = &mut self.instrs[..] else {
             return;
         };
-        let (term, len) = (*term, self.buffer_lens[*term]);
+        let (term, lens) = (*term, &self.buffer_lens);
         let assign = match call {
             Instr::Axpy {
                 n,
@@ -764,7 +727,7 @@ impl<'a> Compiler<'a> {
                 kern,
                 assign,
                 ..
-            } if *t == term && covers(*y, *n, len) => {
+            } if *t == term && covers(term, y.inc, *n, lens) => {
                 *kern = ks.zaxpy();
                 assign
             }
@@ -775,7 +738,7 @@ impl<'a> Compiler<'a> {
                 kern,
                 assign,
                 ..
-            } if *t == term && covers(*y, *n, len) => {
+            } if *t == term && covers(term, y.inc, *n, lens) => {
                 *kern = ks.zxmul();
                 assign
             }
@@ -787,7 +750,7 @@ impl<'a> Compiler<'a> {
                 kern,
                 assign,
                 ..
-            } if *t == term && !a.out && a.cs == 1 && a.rs == *n && *m * *n == len => {
+            } if *t == term && a.rs == *n && covers(term, a.cs, *m * *n, lens) => {
                 *kern = ks.zger();
                 assign
             }
@@ -821,25 +784,13 @@ impl<'a> Compiler<'a> {
                 end,
             },
             VertexKind::Sparse { level } => {
-                // The descent rule: the enclosing sparse loop stands on
-                // this level's parent node.
-                let parent = match level {
-                    0 => ParentLoc::Root,
-                    l => ParentLoc::Tracked(l - 1),
-                };
                 let enclosing = self.loops.iter().map(|c| c.index);
                 let iterated = enclosing.collect::<IdxSet>().insert(v.index);
                 let terms = v.term_lo..v.term_hi;
                 if fused_loop(self.kernel, self.path, level, terms, iterated) {
-                    return self.fuse_sparse_loop(header, v.index, level, parent, adv);
+                    return self.fuse_sparse_loop(header, v.index, level, adv);
                 }
-                Instr::Sparse {
-                    index: v.index,
-                    level,
-                    parent,
-                    adv,
-                    end,
-                }
+                Instr::Sparse { level, adv, end }
             }
         };
         self.instrs.push(Instr::EndLoop);
@@ -865,7 +816,6 @@ impl<'a> Compiler<'a> {
         header: usize,
         index: IndexId,
         level: usize,
-        parent: ParentLoc,
         adv: AdvRange,
     ) -> Result<()> {
         let (at, fused) = match self.instrs[header + 1..] {
@@ -875,25 +825,21 @@ impl<'a> Compiler<'a> {
                 alpha,
                 x,
                 y,
-                res,
                 kern,
                 ..
             }] => {
                 let fold = level > 0
                     && header > 0
                     && matches!(self.instrs[header - 1], Instr::Zero { term: z } if z == term)
-                    && covers(y, n, self.buffer_lens[term]);
+                    && covers(term, y.inc, n, &self.buffer_lens);
                 let fused = Instr::SparseAxpy {
-                    index,
                     level,
-                    parent,
                     adv,
                     n,
                     term,
                     alpha,
                     x,
                     y,
-                    res,
                     kern,
                     first: fold.then(|| self.kernels.zaxpy()),
                 };
@@ -901,9 +847,7 @@ impl<'a> Compiler<'a> {
             }
             [Instr::Zero { term }, Instr::Dot { dot, .. }, Instr::Leaf(leaf)] => {
                 let fused = Instr::SparseDot {
-                    index,
                     level,
-                    parent,
                     adv,
                     term,
                     dot,
@@ -934,17 +878,8 @@ impl<'a> Compiler<'a> {
         let left = self.scalar_src(term.left)?;
         let right = self.scalar_src(term.right)?;
         let tgt = self.cell_tgt(t)?;
-        let res = self.node_res(
-            matches!(left, Read::SparseVal)
-                || matches!(right, Read::SparseVal)
-                || matches!(tgt, Write::SparseCell),
-        );
-        self.instrs.push(Instr::Leaf(ScalarMul {
-            left,
-            right,
-            tgt,
-            res,
-        }));
+        self.instrs
+            .push(Instr::Leaf(ScalarMul { left, right, tgt }));
         Ok(())
     }
 
@@ -973,19 +908,19 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    /// Where term `t` accumulates: the dense output (`store == true`)
-    /// for the final term, its Eq.-5 buffer otherwise; `None` for a
-    /// pattern-sharing sparse output, whose cell is the tracked leaf's.
-    fn tgt_site(&self, t: usize) -> Option<Site<bool>> {
-        let (store, inds, strides) = if t + 1 < self.path.len() {
-            (false, &self.buffer_inds[t], &self.buffer_strides[t])
+    /// Where term `t` accumulates: the dense output for the final term,
+    /// its Eq.-5 buffer otherwise; `None` for a pattern-sharing sparse
+    /// output, whose cell is the tracked leaf's.
+    fn tgt_site(&self, t: usize) -> Option<Site<()>> {
+        let (inds, strides) = if t + 1 < self.path.len() {
+            (&self.buffer_inds[t], &self.buffer_strides[t])
         } else if self.kernel.output_sparse {
             return None;
         } else {
-            (true, &self.kernel.output.indices, &self.out_strides)
+            (&self.kernel.output.indices, &self.out_strides)
         };
         Some(Site {
-            store,
+            store: (),
             inds: inds.clone(),
             strides: strides.clone(),
         })
@@ -1034,7 +969,6 @@ impl<'a> Compiler<'a> {
         Ok(match self.tgt_site(t) {
             None => Write::SparseCell,
             Some(site) => Write::Cell {
-                out: site.store,
                 term: t,
                 cur: self.cursor(&site, &[])?,
             },
@@ -1055,15 +989,15 @@ impl<'a> Compiler<'a> {
 
     /// Term `t`'s target as the vector running along `q`.
     fn vec_tgt(&mut self, t: usize, q: IndexId) -> Result<VecTgt> {
-        let (out, cur, [inc]) = self.strided(self.tgt_site(t), [q])?;
-        Ok(VecTgt { out, cur, inc })
+        let ((), cur, [inc]) = self.strided(self.tgt_site(t), [q])?;
+        Ok(VecTgt { cur, inc })
     }
 
     /// Term `t`'s target as the matrix with rows along `row`, columns
     /// along `col`.
     fn mat_tgt(&mut self, t: usize, row: IndexId, col: IndexId) -> Result<MatTgt> {
-        let (out, cur, [rs, cs]) = self.strided(self.tgt_site(t), [row, col])?;
-        Ok(MatTgt { out, cur, rs, cs })
+        let ((), cur, [rs, cs]) = self.strided(self.tgt_site(t), [row, col])?;
+        Ok(MatTgt { cur, rs, cs })
     }
 
     // ----- Microkernel lowering ---------------------------------------
@@ -1087,17 +1021,15 @@ impl<'a> Compiler<'a> {
                 let x = self.vec_src(term.left, q1)?;
                 let y = self.vec_src(term.right, q1)?;
                 let tgt = self.cell_tgt(t)?;
-                let res = self.node_res(matches!(tgt, Write::SparseCell));
                 let (kern, _) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
                 let dot = DotCall { n, x, y, kern };
-                Instr::Dot { dot, tgt, res }
+                Instr::Dot { dot, tgt }
             }
             (LeafOp::Axpy { vec }, _) => {
                 let n = dim(q1);
                 let y = self.vec_tgt(t, q1)?;
                 let x = self.vec_src(term.operand(vec), q1)?;
                 let alpha = self.scalar_src(term.operand(vec.other()))?;
-                let res = self.node_res(matches!(alpha, Read::SparseVal));
                 let (kern, _) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, None);
                 Instr::Axpy {
                     n,
@@ -1105,7 +1037,6 @@ impl<'a> Compiler<'a> {
                     alpha,
                     x,
                     y,
-                    res,
                     kern,
                     assign: false,
                 }
@@ -1169,13 +1100,14 @@ fn reads_term(r: Read, term: usize) -> bool {
     matches!(r, Read::Cursor { buf: RBuf::Inter(u), .. } if u == term)
 }
 
-/// Whether an accumulating vector target of `n` elements covers a
-/// whole Eq.-5 buffer of `len`: not the output, unit increment, and the
-/// trip count is the buffer's flat length. Its cursor is then
-/// statically 0 — full coverage means no enclosing loop iterates any
-/// buffer index, so no advance entry ever moves it.
-fn covers(y: VecTgt, n: usize, len: usize) -> bool {
-    !y.out && y.inc == 1 && n == len
+/// Whether an accumulating target of term `term`, `n` elements at
+/// increment `inc`, covers the term's whole Eq.-5 buffer (`lens` holds
+/// every term's buffer length): not the final term's output, unit
+/// increment, and the trip count is the buffer's flat length. Its
+/// cursor is then statically 0 — full coverage means no enclosing loop
+/// iterates any buffer index, so no advance entry ever moves it.
+fn covers(term: usize, inc: usize, n: usize, lens: &[usize]) -> bool {
+    term + 1 < lens.len() && inc == 1 && n == lens[term]
 }
 
 // ---------------------------------------------------------------------
@@ -1375,14 +1307,8 @@ impl<'a> Run<'a> {
                     });
                     pc += 1;
                 }
-                Instr::Sparse {
-                    level,
-                    parent,
-                    adv,
-                    end,
-                    ..
-                } => {
-                    let range = self.parent_range(parent);
+                Instr::Sparse { level, adv, end } => {
+                    let range = self.level_range(level);
                     if range.is_empty() {
                         pc = end;
                         continue;
@@ -1423,9 +1349,7 @@ impl<'a> Run<'a> {
                                 pc = end;
                             }
                         }
-                        Instr::Sparse {
-                            level, adv, end, ..
-                        } => {
+                        Instr::Sparse { level, adv, end } => {
                             let node = f.pos + 1;
                             if node < f.end {
                                 if fi == 0 {
@@ -1448,23 +1372,16 @@ impl<'a> Run<'a> {
                         _ => unreachable!("frame points at a loop header"),
                     }
                 }
-                Instr::Leaf(ScalarMul {
-                    left,
-                    right,
-                    tgt,
-                    res,
-                }) => {
-                    let node = self.node_of(res);
-                    let v = self.read(left, node) * self.read(right, node);
-                    self.cell(tgt, node, v);
+                Instr::Leaf(ScalarMul { left, right, tgt }) => {
+                    let v = self.read(left) * self.read(right);
+                    self.cell(tgt, v);
                     pc += 1;
                 }
-                Instr::Dot { dot, tgt, res } => {
-                    let node = self.node_of(res);
+                Instr::Dot { dot, tgt } => {
                     let v = self.dot(dot);
                     self.stats.dot += 1;
                     self.stats.dot_elems += dot.n as u64;
-                    self.cell(tgt, node, v);
+                    self.cell(tgt, v);
                     pc += 1;
                 }
                 Instr::Axpy {
@@ -1473,12 +1390,10 @@ impl<'a> Run<'a> {
                     alpha,
                     x,
                     y,
-                    res,
                     kern,
                     ..
                 } => {
-                    let node = self.node_of(res);
-                    let a = self.read(alpha, node);
+                    let a = self.read(alpha);
                     let Run {
                         factors,
                         buffers,
@@ -1487,7 +1402,7 @@ impl<'a> Run<'a> {
                         stats,
                         ..
                     } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
+                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
                     let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     kern(n, a, xs, xi, tgt, y.inc);
                     stats.axpy += 1;
@@ -1511,7 +1426,7 @@ impl<'a> Run<'a> {
                         stats,
                         ..
                     } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
+                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
                     let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     let (zs, zi) = vec_in(factors, reads, &st.cursors, z);
                     kern(n, 1.0, xs, xi, zs, zi, tgt, y.inc);
@@ -1537,12 +1452,7 @@ impl<'a> Run<'a> {
                         stats,
                         ..
                     } = self;
-                    let av = VecTgt {
-                        out: a.out,
-                        cur: a.cur,
-                        inc: 0,
-                    };
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, av);
+                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, a.cur);
                     let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     let (ys, yi) = vec_in(factors, reads, &st.cursors, y);
                     kern(m, n, 1.0, xs, xi, ys, yi, tgt, a.rs, a.cs);
@@ -1568,7 +1478,7 @@ impl<'a> Run<'a> {
                         stats,
                         ..
                     } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
+                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
                     let (as_, ai) = mat_in(factors, reads, &st.cursors, a);
                     let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                     kern(m, n, 1.0, as_, ai.0, ai.1, xs, xi, tgt, y.inc);
@@ -1578,21 +1488,18 @@ impl<'a> Run<'a> {
                 }
                 Instr::SparseAxpy {
                     level,
-                    parent,
                     adv,
                     n,
                     term,
                     alpha,
                     x,
                     y,
-                    res,
                     kern,
                     first,
-                    ..
                 } => {
                     let mut call = first.unwrap_or(kern);
-                    let calls = self.walk_children(level, parent, adv, |run| {
-                        let a = run.read(alpha, run.node_of(res));
+                    let calls = self.walk_children(level, adv, |run| {
+                        let a = run.read(alpha);
                         let Run {
                             factors,
                             buffers,
@@ -1600,7 +1507,7 @@ impl<'a> Run<'a> {
                             st,
                             ..
                         } = run;
-                        let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y);
+                        let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
                         let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
                         call(n, a, xs, xi, tgt, y.inc);
                         call = kern;
@@ -1611,23 +1518,20 @@ impl<'a> Run<'a> {
                 }
                 Instr::SparseDot {
                     level,
-                    parent,
                     adv,
                     term,
                     dot,
                     leaf,
-                    ..
                 } => {
                     let (dot_l, dot_r) =
                         (reads_term(leaf.left, term), reads_term(leaf.right, term));
-                    let calls = self.walk_children(level, parent, adv, |run| {
+                    let calls = self.walk_children(level, adv, |run| {
                         // What `Zero; Dot` left in the cell: +0.0 for a
                         // -0.0 product, as the unfused add gives.
                         let t = 0.0 + run.dot(dot);
-                        let node = run.node_of(leaf.res);
-                        let l = if dot_l { t } else { run.read(leaf.left, node) };
-                        let r = if dot_r { t } else { run.read(leaf.right, node) };
-                        run.cell(leaf.tgt, node, l * r);
+                        let l = if dot_l { t } else { run.read(leaf.left) };
+                        let r = if dot_r { t } else { run.read(leaf.right) };
+                        run.cell(leaf.tgt, l * r);
                     })?;
                     self.stats.dot += calls;
                     self.stats.dot_elems += calls * dot.n as u64;
@@ -1640,17 +1544,17 @@ impl<'a> Run<'a> {
     }
 
     /// The per-child walk of a fused sparse loop: step the tracked node
-    /// at `level` and the loop's cursors to each child of `parent`, run
-    /// `body`, then restore the cursors. Returns the number of children.
+    /// at `level` and the loop's cursors to each node of
+    /// [`Run::level_range`], run `body`, then restore the cursors.
+    /// Returns the number of nodes walked.
     #[inline(always)]
     fn walk_children(
         &mut self,
         level: usize,
-        parent: ParentLoc,
         adv: AdvRange,
         mut body: impl FnMut(&mut Self),
     ) -> Result<u64> {
-        let range = self.parent_range(parent);
+        let range = self.level_range(level);
         let at_root = self.st.fp == 0;
         let mut prev = 0usize;
         for node in range.clone() {
@@ -1689,28 +1593,26 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Node range a sparse loop iterates.
+    /// Node range a sparse loop at `level` iterates: the tile roots at
+    /// level 0, the children of the node tracked at `level − 1` below.
     #[inline]
-    fn parent_range(&self, parent: ParentLoc) -> Range<usize> {
-        match parent {
-            ParentLoc::Root => self.root.clone(),
-            ParentLoc::Tracked(l) => self.csf.children(l, self.st.nodes[l]),
+    fn level_range(&self, level: usize) -> Range<usize> {
+        match level {
+            0 => self.root.clone(),
+            l => self.csf.children(l - 1, self.st.nodes[l - 1]),
         }
     }
 
-    /// CSF node for an instruction's sparse accesses (`usize::MAX`,
-    /// never a node, for an instruction that has none).
+    /// The node tracked at the leaf level, where every sparse value and
+    /// pattern-sharing output cell lives.
     #[inline]
-    fn node_of(&self, res: NodeRes) -> usize {
-        match res {
-            NodeRes::None => usize::MAX,
-            NodeRes::Tracked(l) => self.st.nodes[l],
-        }
+    fn leaf_node(&self) -> usize {
+        self.st.nodes[self.tape.n_levels - 1]
     }
 
     /// Read a loop-invariant scalar source.
     #[inline]
-    fn read(&self, r: Read, node: usize) -> f64 {
+    fn read(&self, r: Read) -> f64 {
         match r {
             Read::Cursor { buf, cur } => {
                 let off = self.st.cursors[cur];
@@ -1719,23 +1621,26 @@ impl<'a> Run<'a> {
                     RBuf::Inter(u) => self.buffers[u].as_slice()[off],
                 }
             }
-            Read::SparseVal => self.csf.leaf_val(node),
+            Read::SparseVal => self.csf.leaf_val(self.leaf_node()),
         }
     }
 
     /// Accumulate into a cell target.
     #[inline]
-    fn cell(&mut self, tgt: Write, node: usize, v: f64) {
+    fn cell(&mut self, tgt: Write, v: f64) {
         match tgt {
-            Write::Cell { out, term, cur } => {
+            Write::Cell { term, cur } => {
                 let off = self.st.cursors[cur];
-                if out {
+                if term + 1 == self.buffers.len() {
                     self.out_dense.as_mut_slice()[off] += v;
                 } else {
                     self.buffers[term].as_mut_slice()[off] += v;
                 }
             }
-            Write::SparseCell => self.out_sparse[node - self.leaf_lo] += v,
+            Write::SparseCell => {
+                let leaf = self.leaf_node();
+                self.out_sparse[leaf - self.leaf_lo] += v;
+            }
         }
     }
 
@@ -1758,21 +1663,22 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Split the buffers at `term` and borrow the mutable target slice
-/// (the dense output, or `term`'s buffer); sources always live in
-/// earlier buffers or factors, so the split is safe by the path's
-/// producer-before-consumer order.
+/// Split the buffers at `term` and borrow the mutable target slice at
+/// cursor `cur` (the dense output for the final term, `term`'s buffer
+/// otherwise); sources always live in earlier buffers or factors, so
+/// the split is safe by the path's producer-before-consumer order.
 #[inline]
 fn tgt_split<'b>(
     buffers: &'b mut [DenseTensor],
     out_dense: &'b mut DenseTensor,
     cursors: &[usize],
     term: usize,
-    y: VecTgt,
+    cur: usize,
 ) -> (&'b [DenseTensor], &'b mut [f64]) {
-    let off = cursors[y.cur];
+    let off = cursors[cur];
+    let out = term + 1 == buffers.len();
     let (reads, tail) = buffers.split_at_mut(term);
-    let tgt: &'b mut [f64] = if y.out {
+    let tgt: &'b mut [f64] = if out {
         &mut out_dense.as_mut_slice()[off..]
     } else {
         &mut tail[0].as_mut_slice()[off..]

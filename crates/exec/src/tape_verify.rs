@@ -34,14 +34,17 @@
 //!    inside a loop body do not dominate code after the loop — the
 //!    loop may run zero times — so the zeroed set is restored at every
 //!    loop exit.
-//! 4. **Node tracking** — the driver never looks a CSF node up: a
-//!    `Sparse` header at `level` takes its range from the tile roots
-//!    (level 0 only) or from the node tracked at `level−1`, and a
-//!    sparse-value read or pattern-sharing write uses the node tracked
-//!    at the leaf level. The verifier proves every such claim real —
-//!    an enclosing sparse loop over exactly that level is open at the
-//!    use site — and that sparse loops nest in CSF level order, each
-//!    over the kernel index stored at its level.
+//! 4. **Node tracking** — the driver never looks a CSF node up, and no
+//!    instruction says which node it uses: a `Sparse` header at level
+//!    ℓ iterates the tile roots (ℓ = 0) or the children of the node
+//!    tracked at ℓ−1, and a sparse-value read or pattern-sharing write
+//!    uses the node tracked at the leaf level. The verifier proves each
+//!    of those levels tracked — an enclosing sparse loop over exactly
+//!    that level is open at the use site — and that sparse loops nest
+//!    in CSF level order. A sparse loop iterates the kernel index its
+//!    level stores. A write lands in its term's store: the dense output
+//!    for the final term (never on a pattern-sharing output), the
+//!    term's Eq.-5 buffer otherwise.
 //! 5. **Operand ranges** — every slot, buffer, cursor, CSF level, and
 //!    advance-table range referenced by any instruction is in range,
 //!    and a `Dense` header's baked-in extent equals the kernel's
@@ -49,13 +52,14 @@
 //! 6. **Superinstruction contracts** — an `Axpy`/`Xmul`/`Ger` with
 //!    `assign` set replaces an Eq.-5 `Zero`, so it must *assign* the
 //!    term's whole buffer: unit target stride (row-major packing for a
-//!    GER), buffer (never output) target, and extent equal to the
-//!    buffer length. It then establishes zero domination exactly like
+//!    GER), a buffer target (never the final term's output), and
+//!    extent equal to the buffer length. It then establishes zero domination exactly like
 //!    the `Zero` it fused; without `assign` the same call is an
 //!    accumulation that a `Zero` must dominate (rule 3).
 //!    A fused sparse loop is checked as its parts: the `Sparse` header
 //!    rules of 4 (one `check_sparse_header` for fused and unfused
-//!    loops), the loop open over its body, then the body.
+//!    loops, keyed on the level alone), the loop open over its body,
+//!    then the body.
 //!    - `SparseAxpy`: the body is an `Axpy` — assigning for the first
 //!      child when a zero is folded in, which is only sound below the
 //!      root (a non-root node always has a child; a tile's root range
@@ -73,8 +77,7 @@
 //! (`spttn plan --verify`) runs it without binding.
 
 use super::{
-    CompiledTape, DotCall, Instr, MatSrc, MatTgt, NodeRes, ParentLoc, RBuf, Read, ScalarMul,
-    VecSrc, VecTgt, Write,
+    CompiledTape, DotCall, Instr, MatSrc, MatTgt, RBuf, Read, ScalarMul, VecSrc, VecTgt, Write,
 };
 use spttn_core::SpttnError;
 use std::fmt;
@@ -139,10 +142,10 @@ pub enum TapeInvariantError {
         source: usize,
         term: usize,
     },
-    /// Sparse-node tracking is inconsistent at a use site: a level
-    /// assumed tracked is not tracked by any enclosing loop, a parent
-    /// locator points at the wrong level, a sparse access lacks node
-    /// resolution, or sparse loops are nested against CSF level order.
+    /// Sparse-node tracking is inconsistent at a use site: a sparse
+    /// loop's parent level or a sparse access's leaf level is not
+    /// tracked by any enclosing loop, sparse loops are nested against
+    /// CSF level order, or a write disagrees with the output's kind.
     TrackingInvariant { pc: usize, detail: String },
     /// A fused `ZeroAccum` superinstruction does not assign its term's
     /// whole buffer (wrong extent, strided target, or an output
@@ -310,6 +313,7 @@ enum Store {
 
 /// One open loop during the structured walk.
 struct OpenLoop {
+    /// The iterated index (a sparse loop's is its level's).
     index: usize,
     /// CSF level for sparse loops.
     level: Option<usize>,
@@ -399,14 +403,8 @@ impl<'t> Checker<'t> {
                     )?;
                     pc = end;
                 }
-                Instr::Sparse {
-                    index,
-                    level,
-                    parent,
-                    adv,
-                    end,
-                } => {
-                    self.check_sparse_header(pc, index, level, parent)?;
+                Instr::Sparse { level, adv, end } => {
+                    let index = self.check_sparse_header(pc, level)?;
                     self.loop_body(
                         pc,
                         end,
@@ -429,10 +427,9 @@ impl<'t> Checker<'t> {
                     self.check_leaf(pc, leaf)?;
                     pc += 1;
                 }
-                Instr::Dot { dot, tgt, res } => {
+                Instr::Dot { dot, tgt } => {
                     self.check_dot(pc, dot, None)?;
                     self.check_cell(pc, tgt)?;
-                    self.check_node_res(pc, res, matches!(tgt, Write::SparseCell))?;
                     pc += 1;
                 }
                 Instr::Axpy {
@@ -441,11 +438,10 @@ impl<'t> Checker<'t> {
                     alpha,
                     x,
                     y,
-                    res,
                     assign,
                     ..
                 } => {
-                    self.check_axpy(pc, n, term, alpha, x, y, res, assign)?;
+                    self.check_axpy(pc, n, term, alpha, x, y, assign)?;
                     pc += 1;
                 }
                 Instr::Xmul {
@@ -498,23 +494,20 @@ impl<'t> Checker<'t> {
                     pc += 1;
                 }
                 Instr::SparseAxpy {
-                    index,
                     level,
-                    parent,
                     adv,
                     n,
                     term,
                     alpha,
                     x,
                     y,
-                    res,
                     first,
                     ..
                 } => {
                     // A folded body's zero domination outlives the loop
                     // (`level > 0`: at least one child runs).
-                    self.fused_loop(pc, index, level, parent, adv, |ck| {
-                        ck.check_axpy(pc, n, term, alpha, x, y, res, first.is_some())
+                    self.fused_loop(pc, level, adv, |ck| {
+                        ck.check_axpy(pc, n, term, alpha, x, y, first.is_some())
                     })?;
                     // A folded zero must run on every path its `Zero`
                     // did; a tile's root range can be empty, so at
@@ -531,9 +524,7 @@ impl<'t> Checker<'t> {
                     pc += 1;
                 }
                 Instr::SparseDot {
-                    index,
                     level,
-                    parent,
                     adv,
                     term,
                     dot,
@@ -550,7 +541,7 @@ impl<'t> Checker<'t> {
                             len,
                         });
                     }
-                    self.fused_loop(pc, index, level, parent, adv, |ck| {
+                    self.fused_loop(pc, level, adv, |ck| {
                         // The DOT may not source `term`: the fused loop
                         // never zeroes it.
                         ck.check_dot(pc, dot, Some(term))?;
@@ -577,13 +568,11 @@ impl<'t> Checker<'t> {
     fn fused_loop(
         &mut self,
         pc: usize,
-        index: usize,
         level: usize,
-        parent: ParentLoc,
         adv: (u32, u32),
         body: impl FnOnce(&mut Self) -> Result<(), TapeInvariantError>,
     ) -> Result<(), TapeInvariantError> {
-        self.check_sparse_header(pc, index, level, parent)?;
+        let index = self.check_sparse_header(pc, level)?;
         self.check_adv_range(pc, adv)?;
         self.stack.push(OpenLoop {
             index,
@@ -656,28 +645,16 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// The header rules of a sparse loop, fused or not: it iterates the
-    /// index its CSF level stores, nests in storage order, and takes its
-    /// range from the tile roots (level 0) or from the node an enclosing
-    /// loop tracks at the level above.
+    /// The header rules of a sparse loop, fused or not: it nests in
+    /// storage order, and below level 0 an enclosing loop tracks the
+    /// level above, whose node's children it iterates. Returns the index
+    /// the loop iterates: the one its level stores.
     fn check_sparse_header(
         &mut self,
         pc: usize,
-        index: usize,
         level: usize,
-        parent: ParentLoc,
-    ) -> Result<(), TapeInvariantError> {
-        self.in_range(pc, "loop index", index, self.tape.n_indices)?;
+    ) -> Result<usize, TapeInvariantError> {
         self.in_range(pc, "CSF level", level, self.tape.n_levels)?;
-        if self.tape.bounds.level_index[level] != index {
-            return Err(TapeInvariantError::TrackingInvariant {
-                pc,
-                detail: format!(
-                    "sparse loop iterates index {index} but CSF level {level} stores index {}",
-                    self.tape.bounds.level_index[level]
-                ),
-            });
-        }
         // CSF descent order: an enclosing sparse loop must iterate a
         // strictly shallower level (Def. 3.2 restricts loop orders to
         // the storage order).
@@ -693,49 +670,19 @@ impl<'t> Checker<'t> {
                 }
             }
         }
-        match parent {
-            ParentLoc::Root => {
-                if level != 0 {
-                    return Err(TapeInvariantError::TrackingInvariant {
-                        pc,
-                        detail: format!(
-                            "level-{level} loop iterates the tile root range (only level 0 may)"
-                        ),
-                    });
-                }
-            }
-            ParentLoc::Tracked(l) => {
-                if level == 0 || l != level - 1 {
-                    return Err(TapeInvariantError::TrackingInvariant {
-                        pc,
-                        detail: format!(
-                            "level-{level} loop takes its range from tracked level {l} (needs level {})",
-                            level.wrapping_sub(1)
-                        ),
-                    });
-                }
-                self.require_tracked(pc, l)?;
-            }
+        if level > 0 {
+            self.require_tracked(pc, level - 1)?;
         }
         self.report.sparse_loops += 1;
-        Ok(())
+        Ok(self.tape.bounds.level_index[level])
     }
 
     /// A scalar contraction — of a `Leaf` or a `SparseDot`.
     fn check_leaf(&mut self, pc: usize, leaf: ScalarMul) -> Result<(), TapeInvariantError> {
-        let ScalarMul {
-            left,
-            right,
-            tgt,
-            res,
-        } = leaf;
-        let needs_node = matches!(left, Read::SparseVal)
-            || matches!(right, Read::SparseVal)
-            || matches!(tgt, Write::SparseCell);
+        let ScalarMul { left, right, tgt } = leaf;
         self.check_read(pc, left)?;
         self.check_read(pc, right)?;
-        self.check_cell(pc, tgt)?;
-        self.check_node_res(pc, res, needs_node)
+        self.check_cell(pc, tgt)
     }
 
     /// A DOT call — of a `Dot`, or of a `SparseDot` (`split_term` its
@@ -764,14 +711,12 @@ impl<'t> Checker<'t> {
         alpha: Read,
         x: VecSrc,
         y: VecTgt,
-        res: NodeRes,
         assigning: bool,
     ) -> Result<(), TapeInvariantError> {
         self.in_range(pc, "target term", term, self.tape.n_terms)?;
         self.check_read(pc, alpha)?;
         self.check_vec_src(pc, x, n, Some(term))?;
         self.check_vec_tgt(pc, y, n, term, assigning)?;
-        self.check_node_res(pc, res, matches!(alpha, Read::SparseVal))?;
         self.report.microkernels += 1;
         Ok(())
     }
@@ -807,6 +752,12 @@ impl<'t> Checker<'t> {
             });
         }
         Ok(())
+    }
+
+    /// A sparse value or pattern-sharing output cell is the node
+    /// tracked at the leaf level: an enclosing sparse loop must track it.
+    fn require_leaf(&self, pc: usize) -> Result<(), TapeInvariantError> {
+        self.require_tracked(pc, self.tape.n_levels.saturating_sub(1))
     }
 
     /// Worst-case offset a cursor reaches at the current point: the
@@ -900,7 +851,8 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// Scalar source: bounds plus zero domination for buffer reads.
+    /// Scalar source: bounds plus zero domination for buffer reads, the
+    /// tracked leaf for the sparse value.
     fn check_read(&mut self, pc: usize, r: Read) -> Result<(), TapeInvariantError> {
         match r {
             Read::Cursor { buf, cur } => {
@@ -910,28 +862,17 @@ impl<'t> Checker<'t> {
                 }
                 self.check_access(pc, cur, store, 0)
             }
-            Read::SparseVal => Ok(()),
+            Read::SparseVal => self.require_leaf(pc),
         }
     }
 
-    /// Scalar accumulation cell: the output, or a zero-dominated
-    /// buffer cell.
+    /// Scalar accumulation cell: its term's store ([`Checker::tgt_store`]),
+    /// or a pattern-sharing cell at the tracked leaf.
     fn check_cell(&mut self, pc: usize, w: Write) -> Result<(), TapeInvariantError> {
         match w {
-            Write::Cell { out, term, cur } => {
+            Write::Cell { term, cur } => {
                 self.in_range(pc, "target term", term, self.tape.n_terms)?;
-                let store = if out {
-                    if self.tape.bounds.output_sparse {
-                        return Err(TapeInvariantError::TrackingInvariant {
-                            pc,
-                            detail: "dense-output write on a pattern-sharing output".into(),
-                        });
-                    }
-                    Store::Out
-                } else {
-                    self.require_zeroed(pc, term)?;
-                    Store::Buffer(term)
-                };
+                let store = self.tgt_store(pc, term)?;
                 self.check_access(pc, cur, store, 0)
             }
             Write::SparseCell => {
@@ -941,9 +882,31 @@ impl<'t> Checker<'t> {
                         detail: "sparse-cell write on a dense output".into(),
                     });
                 }
-                Ok(())
+                self.require_leaf(pc)
             }
         }
+    }
+
+    /// Whether `term` is the final term, whose target is the output.
+    fn writes_output(&self, term: usize) -> bool {
+        term + 1 == self.tape.n_terms
+    }
+
+    /// The store term `term`'s dense writes land in: the dense output
+    /// for the final term — never on a pattern-sharing output — and
+    /// its zero-dominated Eq.-5 buffer otherwise.
+    fn tgt_store(&self, pc: usize, term: usize) -> Result<Store, TapeInvariantError> {
+        if !self.writes_output(term) {
+            self.require_zeroed(pc, term)?;
+            return Ok(Store::Buffer(term));
+        }
+        if self.tape.bounds.output_sparse {
+            return Err(TapeInvariantError::TrackingInvariant {
+                pc,
+                detail: "dense-output write on a pattern-sharing output".into(),
+            });
+        }
+        Ok(Store::Out)
     }
 
     /// Strided vector source of a microkernel sweeping `n` elements.
@@ -1008,21 +971,9 @@ impl<'t> Checker<'t> {
         assign: bool,
     ) -> Result<(), TapeInvariantError> {
         if assign {
-            let covered = if y.out { 0 } else { n };
-            self.zero_accum(pc, term, covered, !y.out && y.inc == 1)?;
+            self.zero_accum(pc, term, n, y.inc == 1)?;
         }
-        let store = if y.out {
-            if self.tape.bounds.output_sparse {
-                return Err(TapeInvariantError::TrackingInvariant {
-                    pc,
-                    detail: "dense-output write on a pattern-sharing output".into(),
-                });
-            }
-            Store::Out
-        } else {
-            self.require_zeroed(pc, term)?;
-            Store::Buffer(term)
-        };
+        let store = self.tgt_store(pc, term)?;
         self.check_access(pc, y.cur, store, n.saturating_sub(1) * y.inc)
     }
 
@@ -1038,31 +989,20 @@ impl<'t> Checker<'t> {
         assign: bool,
     ) -> Result<(), TapeInvariantError> {
         if assign {
-            let covered = if a.out { 0 } else { m * n };
-            self.zero_accum(pc, term, covered, !a.out && a.cs == 1 && a.rs == n)?;
+            self.zero_accum(pc, term, m * n, a.cs == 1 && a.rs == n)?;
         }
-        let store = if a.out {
-            if self.tape.bounds.output_sparse {
-                return Err(TapeInvariantError::TrackingInvariant {
-                    pc,
-                    detail: "dense-output write on a pattern-sharing output".into(),
-                });
-            }
-            Store::Out
-        } else {
-            self.require_zeroed(pc, term)?;
-            Store::Buffer(term)
-        };
+        let store = self.tgt_store(pc, term)?;
         let extra = m.saturating_sub(1) * a.rs + n.saturating_sub(1) * a.cs;
         self.check_access(pc, a.cur, store, extra)
     }
 
     /// An assigning (fused `ZeroAccum`) target writing `covered`
-    /// elements of `term`'s buffer, `packed` when it is that buffer (not
-    /// the output) at unit element stride: the call replaced the Eq.-5
-    /// `Zero`, so it must cover the buffer end to end, or stale elements
-    /// would stay alive. It then establishes zero domination for the
-    /// rest of the block, exactly like the fused `Zero`.
+    /// elements of `term`'s store, `packed` when at unit element stride:
+    /// the call replaced the Eq.-5 `Zero`, so it must cover the buffer
+    /// end to end, or stale elements would stay alive. The final term
+    /// writes the output, which has no zero point: it covers nothing.
+    /// The call then establishes zero domination for the rest of the
+    /// block, exactly like the fused `Zero`.
     fn zero_accum(
         &mut self,
         pc: usize,
@@ -1071,7 +1011,9 @@ impl<'t> Checker<'t> {
         packed: bool,
     ) -> Result<(), TapeInvariantError> {
         let len = self.tape.bounds.buffer_lens[term];
-        if !packed || covered != len {
+        let out = self.writes_output(term);
+        let covered = if out { 0 } else { covered };
+        if out || !packed || covered != len {
             return Err(TapeInvariantError::ZeroAccumCoverage {
                 pc,
                 term,
@@ -1082,38 +1024,6 @@ impl<'t> Checker<'t> {
         self.zeroed[term] = true;
         self.report.zero_accums += 1;
         Ok(())
-    }
-
-    /// Node resolution at a sparse access: the tracked leaf level.
-    fn check_node_res(
-        &self,
-        pc: usize,
-        res: NodeRes,
-        needs_node: bool,
-    ) -> Result<(), TapeInvariantError> {
-        let leaf = self.tape.n_levels.saturating_sub(1);
-        match res {
-            NodeRes::None => {
-                if needs_node {
-                    return Err(TapeInvariantError::TrackingInvariant {
-                        pc,
-                        detail: "sparse access without node resolution".into(),
-                    });
-                }
-                Ok(())
-            }
-            NodeRes::Tracked(l) => {
-                if l != leaf {
-                    return Err(TapeInvariantError::TrackingInvariant {
-                        pc,
-                        detail: format!(
-                            "sparse access reads tracked level {l} (leaf values live at level {leaf})"
-                        ),
-                    });
-                }
-                self.require_tracked(pc, l)
-            }
-        }
     }
 }
 
@@ -1371,22 +1281,16 @@ mod tests {
     }
 
     /// Class 4: untrack a parent — the root sparse header becomes a
-    /// dense one, so the `j` loop's `ParentLoc::Tracked(0)` names a
-    /// level no enclosing loop tracks (the tape a searched-node forest
-    /// would have been, had the compiler accepted it).
+    /// dense one, so no enclosing loop tracks level 0, whose node's
+    /// children the level-1 `j` loop iterates (the tape a searched-node
+    /// forest would have been, had the compiler accepted it).
     #[test]
     fn mutation_untracked_parent_rejected() {
         let mut tape = tracked_tape();
-        let Instr::Sparse {
-            index,
-            level: 0,
-            adv,
-            end,
-            ..
-        } = tape.instrs[0]
-        else {
+        let Instr::Sparse { level: 0, adv, end } = tape.instrs[0] else {
             panic!("listing 3 opens with the root sparse loop");
         };
+        let index = tape.bounds.level_index[0];
         tape.instrs[0] = Instr::Dense {
             index,
             dim: tape.bounds.index_dims[index],
@@ -1525,22 +1429,25 @@ mod tests {
         }
     }
 
-    /// Class 10: retarget a fused superinstruction at the dense output
-    /// — only Eq.-5 buffers have a zero point to fuse.
+    /// Class 10: retarget a fused superinstruction at the final term,
+    /// whose target is the dense output — only Eq.-5 buffers have a
+    /// zero point to fuse.
     #[test]
     fn mutation_output_zero_accum_rejected() {
         let mut tape = fused_ger_tape();
-        let a = tape
+        let last = tape.n_terms - 1;
+        let term = tape
             .instrs
             .iter_mut()
             .find_map(|i| match i {
                 Instr::Ger {
-                    a, assign: true, ..
-                } => Some(a),
+                    term, assign: true, ..
+                } => Some(term),
                 _ => None,
             })
             .expect("nest fuses an assigning Ger");
-        a.out = true;
+        assert_ne!(*term, last);
+        *term = last;
         match tape.verify() {
             Err(TapeInvariantError::ZeroAccumCoverage { covered: 0, .. }) => {}
             other => panic!("expected ZeroAccumCoverage with zero coverage, got {other:?}"),
@@ -1594,32 +1501,32 @@ mod tests {
                 let mut bad = tape.clone();
                 // An AXPY fused into its sparse loop assigns through the
                 // first child's call.
-                let (kind, n, term, out) = match &mut bad.instrs[pc] {
+                let (kind, n, term) = match &mut bad.instrs[pc] {
                     Instr::Axpy {
-                        n, term, y, assign, ..
+                        n, term, assign, ..
                     } if !*assign => {
                         *assign = true;
-                        ("Axpy", *n, *term, y.out)
+                        ("Axpy", *n, *term)
                     }
                     Instr::SparseAxpy {
                         n,
                         term,
-                        y,
                         kern,
                         first: first @ None,
                         ..
                     } => {
                         *first = Some(*kern);
-                        ("Axpy", *n, *term, y.out)
+                        ("Axpy", *n, *term)
                     }
                     Instr::Xmul {
-                        n, term, y, assign, ..
+                        n, term, assign, ..
                     } if !*assign => {
                         *assign = true;
-                        ("Xmul", *n, *term, y.out)
+                        ("Xmul", *n, *term)
                     }
                     _ => continue,
                 };
+                let out = term + 1 == tape.n_terms;
                 // MTTKRP's AXPY sweeps all of `X0(a)`: not this class.
                 if !out && n == tape.bounds.buffer_lens[term] {
                     continue;
@@ -1710,16 +1617,17 @@ mod tests {
         }
     }
 
-    /// Class 14: point a fused loop's parent at the wrong level — it
-    /// would iterate the children of a node two levels up.
+    /// Class 14: move a fused loop to the wrong level — at level 1 it
+    /// would iterate the children of the root node its enclosing `j`
+    /// loop already walks, nested against CSF storage order.
     #[test]
     fn mutation_fused_loop_wrong_parent_rejected() {
         let mut tape = fused_loop_tape();
-        let Instr::SparseAxpy { level, parent, .. } = folded_loop(&mut tape) else {
+        let Instr::SparseAxpy { level, .. } = folded_loop(&mut tape) else {
             unreachable!()
         };
         assert_eq!(*level, 2);
-        *parent = ParentLoc::Tracked(0);
+        *level = 1;
         match tape.verify() {
             Err(TapeInvariantError::TrackingInvariant { .. }) => {}
             other => panic!("expected TrackingInvariant, got {other:?}"),
@@ -1742,15 +1650,16 @@ mod tests {
         }
     }
 
-    /// Class 16: point a fused DOT loop's parent at the wrong level.
+    /// Class 16: move a fused DOT loop to the wrong level (its parent
+    /// becomes the root node, one level up).
     #[test]
     fn mutation_fused_dot_wrong_parent_rejected() {
         let mut tape = fused_dot_tape();
-        let (_, Instr::SparseDot { level, parent, .. }) = dot_loop(&mut tape) else {
+        let (_, Instr::SparseDot { level, .. }) = dot_loop(&mut tape) else {
             unreachable!()
         };
         assert_eq!(*level, 2);
-        *parent = ParentLoc::Tracked(0);
+        *level = 1;
         match tape.verify() {
             Err(TapeInvariantError::TrackingInvariant { .. }) => {}
             other => panic!("expected TrackingInvariant, got {other:?}"),
@@ -1803,10 +1712,15 @@ mod tests {
             .position(|i| {
                 matches!(
                     i,
-                    Instr::Leaf(ScalarMul {
-                        res: NodeRes::Tracked(_),
-                        ..
-                    })
+                    Instr::Leaf(
+                        ScalarMul {
+                            left: Read::SparseVal,
+                            ..
+                        } | ScalarMul {
+                            right: Read::SparseVal,
+                            ..
+                        }
+                    )
                 )
             })
             .expect("listing 4 reads T in a scalar leaf");
@@ -1823,6 +1737,54 @@ mod tests {
         *end -= 1;
         match tape.verify() {
             Err(TapeInvariantError::TrackingInvariant { .. }) => {}
+            other => panic!("expected TrackingInvariant, got {other:?}"),
+        }
+    }
+
+    /// Class 20: move a pattern-sharing output write out from under the
+    /// leaf-level loop. SDDMM with `T·U → X0(j,r)` swept by a fused
+    /// loop, then `S(i,j) += V(j,r)·X0(j,r)` as an unfused `r, j` nest:
+    /// the moved `Leaf` reads only zero-dominated cursors, so its cell
+    /// alone names the leaf node of a loop that is no longer open.
+    #[test]
+    fn mutation_sparse_cell_outside_its_loop_rejected() {
+        let k = parse_kernel(
+            "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
+            &[("i", 9), ("j", 7), ("r", 12)],
+        )
+        .unwrap();
+        let path = path_from_picks(&k, &[(0, 1), (0, 1)]);
+        let orders = vec![vec![0, 1, 2], vec![0, 2, 1]];
+        let forest = build_forest(&k, &path, &NestSpec { orders }).unwrap();
+        let mut tape = scalar_tape(&k, &path, &forest);
+        tape.verify().expect("the unmutated nest verifies");
+        let leaf = tape
+            .instrs
+            .iter()
+            .position(|i| {
+                matches!(
+                    i,
+                    Instr::Leaf(ScalarMul {
+                        left: Read::Cursor { .. },
+                        right: Read::Cursor { .. },
+                        tgt: Write::SparseCell,
+                    })
+                )
+            })
+            .expect("the j loop writes S from cursors alone");
+        // [Sparse j, Leaf, EndLoop] → [Sparse j, EndLoop, Leaf].
+        assert!(matches!(
+            tape.instrs[leaf - 1],
+            Instr::Sparse { level: 1, .. }
+        ));
+        assert!(matches!(tape.instrs[leaf + 1], Instr::EndLoop));
+        tape.instrs.swap(leaf, leaf + 1);
+        let Instr::Sparse { end, .. } = &mut tape.instrs[leaf - 1] else {
+            unreachable!()
+        };
+        *end -= 1;
+        match tape.verify() {
+            Err(TapeInvariantError::TrackingInvariant { pc, .. }) => assert_eq!(pc, leaf + 1),
             other => panic!("expected TrackingInvariant, got {other:?}"),
         }
     }

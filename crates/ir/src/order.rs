@@ -173,11 +173,6 @@ impl NestSpecIter {
             done,
         }
     }
-
-    /// Per-term order lists (useful for random sampling).
-    pub fn per_term(&self) -> &[Vec<LoopOrder>] {
-        &self.per_term
-    }
 }
 
 impl Iterator for NestSpecIter {

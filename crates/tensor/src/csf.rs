@@ -65,12 +65,6 @@ impl CsfTile {
         self.leaf_range().len()
     }
 
-    /// Number of root fibers in the tile.
-    #[inline]
-    pub fn num_roots(&self) -> usize {
-        self.root_range().len()
-    }
-
     /// True when the tile covers no root fibers.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -370,8 +364,7 @@ impl Csf {
     }
 
     /// Visit every entry in leaf order as `(original-mode coordinates,
-    /// value)`, without materializing anything per entry — the
-    /// allocation-free counterpart of [`Csf::entries`].
+    /// value)`, without materializing anything per entry.
     pub fn for_each_entry(&self, mut f: impl FnMut(&[usize], f64)) {
         let d = self.order();
         if d == 0 || self.nnz() == 0 {
@@ -395,25 +388,6 @@ impl Csf {
             } else {
                 k -= 1;
             }
-        }
-    }
-
-    /// A lazy leaf-order iterator over `(original-mode coordinates,
-    /// value)` pairs. Walks the tree with O(order) state instead of
-    /// materializing all `nnz · order` coordinates up front; each item
-    /// allocates only its own coordinate vector (use
-    /// [`Csf::for_each_entry`] to avoid even that).
-    pub fn entries(&self) -> CsfEntries<'_> {
-        let d = self.order();
-        let mut ranges: Vec<Range<usize>> = vec![0..0; d];
-        if d > 0 {
-            ranges[0] = self.root_range();
-        }
-        CsfEntries {
-            csf: self,
-            coord: vec![0usize; d],
-            ranges,
-            level: 0,
         }
     }
 
@@ -464,45 +438,6 @@ fn next_in(r: &mut Range<usize>) -> Option<usize> {
         Some(n)
     } else {
         None
-    }
-}
-
-/// Lazy leaf-order entry iterator over a CSF tree; see [`Csf::entries`].
-#[derive(Debug, Clone)]
-pub struct CsfEntries<'a> {
-    csf: &'a Csf,
-    /// Current coordinate per original mode (valid for ancestors of the
-    /// cursor).
-    coord: Vec<usize>,
-    /// Unvisited node range per level, valid for `0..=level`.
-    ranges: Vec<Range<usize>>,
-    /// Deepest level with a live range.
-    level: usize,
-}
-
-impl Iterator for CsfEntries<'_> {
-    type Item = (Vec<usize>, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let d = self.csf.order();
-        if d == 0 {
-            return None;
-        }
-        loop {
-            if let Some(node) = next_in(&mut self.ranges[self.level]) {
-                let k = self.level;
-                self.coord[self.csf.mode_order[k]] = self.csf.node_coord(k, node);
-                if k + 1 == d {
-                    return Some((self.coord.clone(), self.csf.leaf_val(node)));
-                }
-                self.ranges[k + 1] = self.csf.children(k, node);
-                self.level = k + 1;
-            } else if self.level == 0 {
-                return None;
-            } else {
-                self.level -= 1;
-            }
-        }
     }
 }
 
@@ -612,13 +547,14 @@ mod tests {
     #[test]
     fn entries_match_coo_lazily() {
         let csf = Csf::from_coo(&sample(), &[0, 1, 2]).unwrap();
-        let coo = csf.to_coo();
-        let want: Vec<(Vec<usize>, f64)> = coo.iter().map(|(c, v)| (c.to_vec(), v)).collect();
-        let got: Vec<(Vec<usize>, f64)> = csf.entries().collect();
+        // Leaf order under the identity order is lexicographic.
+        let mut want: Vec<(Vec<usize>, f64)> =
+            sample().iter().map(|(c, v)| (c.to_vec(), v)).collect();
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut got: Vec<(Vec<usize>, f64)> = Vec::new();
+        csf.for_each_entry(|c, v| got.push((c.to_vec(), v)));
         assert_eq!(got, want);
-        // Laziness: the first item is available without draining.
-        let mut it = csf.entries();
-        assert_eq!(it.next(), Some((vec![0, 0, 0], 1.0)));
+        assert_eq!(csf.to_coo().iter().count(), 5);
         // Permuted storage reports original-mode coordinates.
         let csf = Csf::from_coo(&sample(), &[2, 0, 1]).unwrap();
         let mut seen = 0usize;
@@ -700,7 +636,7 @@ mod tests {
         assert_eq!(tiles.len(), 4);
         for t in &tiles {
             assert_eq!(t.leaf_nnz(), 32);
-            assert_eq!(t.num_roots(), 4);
+            assert_eq!(t.root_range().len(), 4);
         }
     }
 
@@ -710,7 +646,7 @@ mod tests {
         let csf = Csf::from_coo(&sample(), &[0, 1, 2]).unwrap();
         let tiles = csf.partition(7);
         assert_eq!(tiles.len(), 2);
-        assert!(tiles.iter().all(|t| t.num_roots() == 1));
+        assert!(tiles.iter().all(|t| t.root_range().len() == 1));
         // Empty tensor: a single empty tile.
         let empty = Csf::from_coo(&CooTensor::new(&[4, 4]).unwrap(), &[0, 1]).unwrap();
         let tiles = empty.partition(4);
@@ -770,9 +706,13 @@ mod tests {
             // `perm[e]` of the new one, identity included.
             let (tree, perm) = csf.reordered_with_perm(&order).unwrap();
             assert_eq!(tree, direct, "order {order:?}");
-            let (old, new): (Vec<_>, Vec<_>) = (csf.entries().collect(), tree.entries().collect());
+            let (old, new) = (csf.to_coo(), tree.to_coo());
             for (e, &to) in perm.iter().enumerate() {
-                assert_eq!(old[e], new[to], "order {order:?}, leaf {e}");
+                assert_eq!(
+                    (old.coord(e), old.val(e)),
+                    (new.coord(to), new.val(to)),
+                    "order {order:?}, leaf {e}"
+                );
             }
         }
         // Same order: exact clone.

@@ -1,13 +1,11 @@
 //! Synthetic workload generators.
 //!
 //! The paper evaluates on FROSTT tensors plus randomly generated sparse
-//! tensors of various dimensions and sparsities. The FROSTT datasets are
-//! not redistributable here, so [`frostt_like`] generates random tensors
-//! with the *published shapes and nonzero counts* of those datasets
-//! (optionally scaled down), preserving the op counts and memory
-//! behaviour of each kernel — SpTTN costs are data-independent given the
-//! pattern. [`skewed_coo`] additionally provides power-law fiber-density
-//! skew for sensitivity studies.
+//! tensors of various dimensions and sparsities. SpTTN costs are
+//! data-independent given the pattern, so [`random_coo`] (uniform
+//! coordinates at an exact nonzero count) stands in for a dataset of
+//! the same shape and density; [`skewed_coo`] additionally provides
+//! power-law fiber-density skew for sensitivity studies.
 
 use crate::{CooTensor, DenseTensor, TensorError};
 use rand::distributions::{Distribution, Uniform};
@@ -121,97 +119,6 @@ fn identity_order(d: usize) -> Vec<usize> {
     (0..d).collect()
 }
 
-/// Published shape/nnz statistics of the datasets used in the paper's
-/// evaluation (FROSTT repository plus the 1998 DARPA intrusion-detection
-/// tensor). Values are the publicly documented dataset statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrosttPreset {
-    /// NELL-2: 12092 x 9184 x 28818, ~76.9M nonzeros.
-    Nell2,
-    /// NIPS publications: 2482 x 2862 x 14036 x 17, ~3.1M nonzeros.
-    Nips,
-    /// Enron emails: 6066 x 5699 x 244268 x 1176, ~54.2M nonzeros.
-    Enron,
-    /// VAST 2015 Mini-Challenge 1 (3-d): 165427 x 11374 x 2, ~26M nonzeros.
-    Vast3d,
-    /// 1998 DARPA intrusion detection: 22476 x 22476 x 23776223, ~28.4M.
-    Darpa,
-}
-
-impl FrosttPreset {
-    /// Published dimensions of the dataset.
-    pub fn dims(self) -> Vec<usize> {
-        match self {
-            FrosttPreset::Nell2 => vec![12092, 9184, 28818],
-            FrosttPreset::Nips => vec![2482, 2862, 14036, 17],
-            FrosttPreset::Enron => vec![6066, 5699, 244268, 1176],
-            FrosttPreset::Vast3d => vec![165427, 11374, 2],
-            FrosttPreset::Darpa => vec![22476, 22476, 23776223],
-        }
-    }
-
-    /// Published nonzero count of the dataset.
-    pub fn nnz(self) -> usize {
-        match self {
-            FrosttPreset::Nell2 => 76_879_419,
-            FrosttPreset::Nips => 3_101_609,
-            FrosttPreset::Enron => 54_202_099,
-            FrosttPreset::Vast3d => 26_021_945,
-            FrosttPreset::Darpa => 28_436_033,
-        }
-    }
-
-    /// Dataset name as used in the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrosttPreset::Nell2 => "nell-2",
-            FrosttPreset::Nips => "nips",
-            FrosttPreset::Enron => "enron",
-            FrosttPreset::Vast3d => "vast-3d",
-            FrosttPreset::Darpa => "darpa",
-        }
-    }
-
-    /// All presets, in the order the paper lists them.
-    pub fn all() -> [FrosttPreset; 5] {
-        [
-            FrosttPreset::Nell2,
-            FrosttPreset::Nips,
-            FrosttPreset::Enron,
-            FrosttPreset::Vast3d,
-            FrosttPreset::Darpa,
-        ]
-    }
-}
-
-/// Generate a random tensor with the shape of a FROSTT dataset, scaled.
-///
-/// `scale` in `(0, 1]` multiplies every dimension; the nonzero count is
-/// scaled to preserve the dataset's density (`nnz * scale^order`), with
-/// a floor of 1. `scale = 1.0` reproduces the full published shape.
-pub fn frostt_like<R: Rng + ?Sized>(
-    preset: FrosttPreset,
-    scale: f64,
-    rng: &mut R,
-) -> Result<CooTensor, TensorError> {
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    let dims: Vec<usize> = preset
-        .dims()
-        .iter()
-        .map(|&d| ((d as f64 * scale).ceil() as usize).max(1))
-        .collect();
-    let order = dims.len();
-    let nnz = ((preset.nnz() as f64) * scale.powi(order as i32))
-        .round()
-        .max(1.0) as usize;
-    let mut cells = 1u128;
-    for &d in &dims {
-        cells = cells.saturating_mul(d as u128);
-    }
-    let nnz = nnz.min(cells.min(usize::MAX as u128) as usize);
-    random_coo(&dims, nnz, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,25 +163,6 @@ mod tests {
             "expected most coordinates below 200, got {low}/{}",
             t.nnz()
         );
-    }
-
-    #[test]
-    fn frostt_like_scaled_shape() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let t = frostt_like(FrosttPreset::Nips, 0.01, &mut rng).unwrap();
-        assert_eq!(t.dims().len(), 4);
-        assert_eq!(t.dims()[0], 25); // ceil(2482 * 0.01)
-        assert!(t.nnz() > 0);
-    }
-
-    #[test]
-    fn presets_expose_paper_stats() {
-        assert_eq!(FrosttPreset::Nell2.dims(), vec![12092, 9184, 28818]);
-        assert_eq!(FrosttPreset::Darpa.nnz(), 28_436_033);
-        assert_eq!(FrosttPreset::all().len(), 5);
-        for p in FrosttPreset::all() {
-            assert!(!p.name().is_empty());
-        }
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub mod io;
 pub mod profile;
 
 pub use coo::CooTensor;
-pub use csf::{Csf, CsfEntries, CsfLevel, CsfTile};
+pub use csf::{Csf, CsfLevel, CsfTile};
 pub use dense::DenseTensor;
-pub use gen::{frostt_like, random_coo, random_dense, random_vec, skewed_coo, FrosttPreset};
+pub use gen::{random_coo, random_dense, random_vec, skewed_coo};
 pub use io::{load_coo, read_mtx, read_tns, IoError};
 pub use profile::SparsityProfile;
 

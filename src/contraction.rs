@@ -120,11 +120,6 @@ pub struct RunBudget {
 }
 
 impl RunBudget {
-    /// No limits (the default).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
     /// Cap the preallocated workspace footprint (builder style).
     pub fn with_max_workspace_bytes(mut self, bytes: u64) -> Self {
         self.max_workspace_bytes = Some(bytes);

@@ -19,6 +19,11 @@
 //! that is not zero off the pattern, computes a different tensor. The
 //! suite asserts its own coverage, so a generator drift that stops
 //! producing the interesting shapes fails loudly.
+//!
+//! `parity_probe` (ignored by default) replays the same cases and
+//! prints one digest per (cost model, kernel tier) of everything a
+//! behaviour-preserving change must keep: run it at two commits and
+//! diff the lines.
 
 mod common;
 
@@ -33,6 +38,7 @@ use spttn::{
 use spttn_exec::naive_einsum;
 
 const TOL: f64 = 1e-9;
+const SEED: u64 = 0x5eed_e1f5;
 /// Generated einsums (the suite's floor is 120).
 const CASES: usize = 128;
 const SPARSE_NAMES: [&str; 4] = ["i", "j", "k", "l"];
@@ -122,6 +128,25 @@ fn generate(case_no: usize, rng: &mut StdRng) -> Case {
     }
 }
 
+/// Draw a case's sparse input (a third of its cells) and its dense
+/// factors.
+fn draw(case: &Case, rng: &mut StdRng) -> (CooTensor, Vec<DenseTensor>) {
+    let cells: usize = case.sparse_dims.iter().product();
+    let coo = random_coo(&case.sparse_dims, (cells / 3).max(2), rng).unwrap();
+    let factors = case
+        .factors
+        .iter()
+        .map(|inds| {
+            let dims: Vec<usize> = inds
+                .iter()
+                .map(|i| case.dims.iter().find(|(n, _)| n == i).unwrap().1)
+                .collect();
+            random_dense(&dims, rng)
+        })
+        .collect();
+    (coo, factors)
+}
+
 /// Thread counts every case executes at.
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1, 3];
@@ -165,26 +190,14 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
 
 #[test]
 fn random_einsums_match_the_oracle_under_every_cost_model() {
-    let mut rng = StdRng::seed_from_u64(0x5eed_e1f5);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let threads = thread_counts();
     let (mut planned, mut refused) = (0usize, 0usize);
     let (mut pattern_out, mut five_factors, mut off_spine, mut dense_csf) = (0, 0, 0, 0);
     let (mut permuted_pattern_out, mut searched, mut reordered) = (0, 0, 0);
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
-        let cells: usize = case.sparse_dims.iter().product();
-        let coo = random_coo(&case.sparse_dims, (cells / 3).max(2), &mut rng).unwrap();
-        let factors: Vec<DenseTensor> = case
-            .factors
-            .iter()
-            .map(|inds| {
-                let dims: Vec<usize> = inds
-                    .iter()
-                    .map(|i| case.dims.iter().find(|(n, _)| n == i).unwrap().1)
-                    .collect();
-                random_dense(&dims, &mut rng)
-            })
-            .collect();
+        let (coo, factors) = draw(&case, &mut rng);
         let names: Vec<String> = (0..factors.len()).map(|f| format!("F{f}")).collect();
         let named: Vec<(&str, &DenseTensor)> =
             names.iter().map(String::as_str).zip(&factors).collect();
@@ -304,4 +317,70 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     assert!(five_factors > 0, "no five-factor kernel");
     assert!(off_spine > 0, "no factor without a sparse index");
     assert!(dense_csf > 0, "no plan iterates a CSF index densely");
+}
+
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Parity probe: every case of the suite, planned under each cost
+/// model and bound at one thread on each kernel tier, folded into one
+/// digest line per (cost model, tier). A digest covers the output
+/// bits, the run's `ExecStats`, the tape's instruction,
+/// superinstruction and specialized-site counts, and its full
+/// `TapeReport`, so equal lines at two commits mean the same programs
+/// computed the same bits:
+///
+/// `cargo test --release --test random_einsums -- --ignored --nocapture parity_probe`
+#[test]
+#[ignore = "prints digests to diff across commits; asserts nothing"]
+fn parity_probe() {
+    const TIERS: [Microkernels; 2] = [Microkernels::Scalar, Microkernels::Auto];
+    let mut digests = [(0usize, 0xcbf2_9ce4_8422_2325u64, ""); MODELS.len() * TIERS.len()];
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case_no in 0..CASES {
+        let case = generate(case_no, &mut rng);
+        let (coo, factors) = draw(&case, &mut rng);
+        let names: Vec<String> = (0..factors.len()).map(|f| format!("F{f}")).collect();
+        let named: Vec<(&str, &DenseTensor)> =
+            names.iter().map(String::as_str).zip(&factors).collect();
+        let natural: Vec<usize> = (0..coo.order()).collect();
+        let csf = Csf::from_coo(&coo, &natural).unwrap();
+        let shapes = Shapes::new().with_dims(&case.dims).with_pattern(coo);
+        for (m, model) in MODELS.into_iter().enumerate() {
+            let opts = PlanOptions::with_cost_model(model);
+            let Ok(plan) = Contraction::parse(&case.expr).unwrap().plan(&shapes, &opts) else {
+                continue;
+            };
+            for (t, tier) in TIERS.into_iter().enumerate() {
+                let mut exec_opts = plan.exec().clone();
+                (exec_opts.threads, exec_opts.microkernels) = (Threads::N(1), tier);
+                let mut exec = plan
+                    .clone()
+                    .with_exec(exec_opts)
+                    .bind(csf.clone(), &named)
+                    .unwrap();
+                let out = exec.execute().unwrap();
+                let tape = exec.tape();
+                let line = format!(
+                    "{case_no} {:?} {:?} {} {} {} {:?}",
+                    bits(&out),
+                    exec.last_stats(),
+                    tape.num_instrs(),
+                    tape.superinstructions(),
+                    tape.specialized(),
+                    tape.verify().unwrap()
+                );
+                let (n, h, name) = &mut digests[m * TIERS.len() + t];
+                (*n, *h, *name) = (*n + 1, fnv(*h, line.as_bytes()), tape.microkernels());
+            }
+        }
+    }
+    for (i, (n, h, name)) in digests.iter().enumerate() {
+        let (model, tier) = (MODELS[i / TIERS.len()], TIERS[i % TIERS.len()]);
+        println!("parity {model:?} {tier:?} ({name}): {n} plans, digest {h:016x}");
+    }
 }
