@@ -360,6 +360,7 @@ mod tests {
     use super::*;
     use crate::kernel::KernelBuilder;
     use crate::parse_kernel;
+    use spttn_tensor::SubsetCounts;
 
     fn ttmc3() -> Kernel {
         parse_kernel(
@@ -421,7 +422,10 @@ mod tests {
     fn ttmc_flops_match_paper_formulas() {
         // Paper Sec. 2.4.2: T*V then *U costs 2 nnz(T) S + 2 nnz_IJ S R.
         let k = ttmc3();
-        let profile = SparsityProfile::from_coo(&toy_tensor(), &[0, 1, 2]).unwrap();
+        let profile = SubsetCounts::of(&toy_tensor())
+            .unwrap()
+            .profile(&[0, 1, 2])
+            .unwrap();
         let p = path_from_picks(&k, &[(0, 2), (0, 1)]);
         let nnz = profile.prefix_nnz(3) as u128;
         let nnz_ij = profile.prefix_nnz(2) as u128;
@@ -452,7 +456,10 @@ mod tests {
         .unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let fibrous = spttn_tensor::random_coo(&[40, 40, 40], 4000, &mut rng).unwrap();
-        let profile = SparsityProfile::from_coo(&fibrous, &[0, 1, 2]).unwrap();
+        let profile = SubsetCounts::of(&fibrous)
+            .unwrap()
+            .profile(&[0, 1, 2])
+            .unwrap();
         let best = enumerate_paths(&k)
             .iter()
             .map(|p| p.flops(&k, &profile))

@@ -158,8 +158,8 @@ impl CooTensor {
 
     /// These entries sorted and deduplicated under `mode_order`: `self`
     /// itself when it already is, else a sorted copy. What
-    /// [`crate::Csf::from_coo`] and [`crate::SparsityProfile::from_coo`]
-    /// build from, so canonical input is neither copied nor re-sorted.
+    /// [`crate::Csf::from_coo`] builds from, so canonical input is
+    /// neither copied nor re-sorted.
     pub(crate) fn sorted_under(&self, mode_order: &[usize]) -> Result<Cow<'_, Self>, TensorError> {
         if !is_permutation(mode_order, self.order()) {
             return Err(TensorError::InvalidPermutation);
@@ -183,6 +183,7 @@ impl CooTensor {
     /// [`CooTensor::sort_dedup`], returning the sort itself: incoming
     /// entry `ranks[k]` sorted to rank `k` (before duplicates merged —
     /// with distinct entries, rank `k` is entry `k` of the result).
+    /// Duplicates are summed in input order.
     pub(crate) fn sort_dedup_ranks(
         &mut self,
         mode_order: &[usize],
@@ -192,8 +193,7 @@ impl CooTensor {
             return Err(TensorError::InvalidPermutation);
         }
         let n = self.nnz();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_unstable_by(|&a, &b| cmp_under(self.coord(a), self.coord(b), mode_order));
+        let perm = self.sorted_perm(mode_order);
 
         let mut new_coords = Vec::with_capacity(self.coords.len());
         let mut new_vals: Vec<f64> = Vec::with_capacity(n);
@@ -214,6 +214,46 @@ impl CooTensor {
         self.coords = new_coords;
         self.vals = new_vals;
         Ok(perm)
+    }
+
+    /// Entry indices in lexicographic order under `mode_order` (a full
+    /// order, or some of the modes: [`crate::SubsetCounts`] sorts by a
+    /// subset), equal keys in input order: a stable LSD counting sort,
+    /// one pass per digit of each listed mode's coordinates, last mode
+    /// first, with no comparisons. A mode takes one pass when its extent
+    /// fits one digit (65 536 cells at 32 768 or more entries) and none
+    /// at extent 1. Holds two indices per entry while it runs.
+    pub(crate) fn sorted_perm(&self, mode_order: &[usize]) -> Vec<usize> {
+        let (d, n) = (self.order(), self.nnz());
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut next = vec![0usize; n];
+        let mut starts: Vec<usize> = Vec::new();
+        // Digits of 8 to 16 bits: no more buckets than about 2·nnz.
+        let bits = (usize::BITS - n.leading_zeros()).clamp(8, 16);
+        let mask = (1usize << bits) - 1;
+        for &m in mode_order.iter().rev() {
+            let top = self.dims[m] - 1;
+            let digits = (usize::BITS - top.leading_zeros()).div_ceil(bits);
+            for shift in (0..digits).map(|k| k * bits) {
+                let digit = |e: usize| (self.coords[e * d + m] >> shift) & mask;
+                let buckets = (top >> shift).min(mask) + 1;
+                starts.clear();
+                starts.resize(buckets + 1, 0);
+                for e in 0..n {
+                    starts[digit(e) + 1] += 1;
+                }
+                for b in 1..buckets {
+                    starts[b] += starts[b - 1];
+                }
+                for &e in &perm {
+                    let slot = &mut starts[digit(e)];
+                    next[*slot] = e;
+                    *slot += 1;
+                }
+                std::mem::swap(&mut perm, &mut next);
+            }
+        }
+        perm
     }
 
     /// Densify into a [`DenseTensor`] (testing / small-problem oracle).

@@ -399,8 +399,9 @@ impl Csf {
     /// Returns `self.clone()` when the order already matches. The values
     /// are preserved exactly (entries are already deduplicated, so the
     /// rebuild is a pure resort): `O(nnz · order)` to extract entries
-    /// plus `O(nnz log nnz)` to sort them — no densification. The tree
-    /// half of [`Csf::reordered_with_perm`].
+    /// and a stable counting sort of them, one pass per mode (per digit
+    /// of a mode past 65 536 cells) — no comparisons, no densification.
+    /// The tree half of [`Csf::reordered_with_perm`].
     pub fn reordered(&self, new_mode_order: &[usize]) -> Result<Self, TensorError> {
         if new_mode_order == self.mode_order {
             return Ok(self.clone());

@@ -13,7 +13,9 @@
 //! reduced tensor obtained by summing away trailing modes (paper
 //! Sec. 2.2). Those per-level counts drive the planner's asymptotic cost
 //! model, so they are exposed both from concrete data ([`Csf::level_nnz`])
-//! and from the data-independent [`SparsityProfile`].
+//! and from the data-independent [`SparsityProfile`], which
+//! [`SubsetCounts`] supplies for every order from one count per mode
+//! subset.
 //!
 //! For multicore execution the root level of a CSF tree can be split
 //! into contiguous tiles of complete root subtrees: [`CsfTile`] is the
@@ -47,7 +49,7 @@ pub use csf::{Csf, CsfLevel, CsfTile};
 pub use dense::DenseTensor;
 pub use gen::{random_coo, random_dense, random_vec, skewed_coo};
 pub use io::{load_coo, read_mtx, read_tns, IoError};
-pub use profile::SparsityProfile;
+pub use profile::{SparsityProfile, SubsetCounts, MAX_COUNTED_ORDER};
 
 /// Errors produced by tensor construction and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +77,13 @@ pub enum TensorError {
     /// An order-0 (scalar) tensor where a sparse tree is built: CSF
     /// needs at least one mode to have levels.
     ZeroOrder,
+    /// A pattern with more modes than [`SubsetCounts`] counts.
+    TooManyModes {
+        /// The pattern's order.
+        order: usize,
+        /// [`MAX_COUNTED_ORDER`].
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for TensorError {
@@ -92,6 +101,10 @@ impl std::fmt::Display for TensorError {
             TensorError::ZeroOrder => {
                 write!(f, "an order-0 tensor has no modes to build a CSF tree over")
             }
+            TensorError::TooManyModes { order, max } => write!(
+                f,
+                "a pattern of order {order} has too many mode subsets to count (at most {max} modes)"
+            ),
         }
     }
 }

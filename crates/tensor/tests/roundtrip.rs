@@ -7,7 +7,7 @@
 //! nothing.
 
 use rand::prelude::*;
-use spttn_tensor::{random_coo, skewed_coo, CooTensor, Csf, SparsityProfile};
+use spttn_tensor::{random_coo, skewed_coo, CooTensor, Csf, SubsetCounts};
 
 /// All permutations of `0..d` (d ≤ 4 here, so at most 24).
 fn permutations(d: usize) -> Vec<Vec<usize>> {
@@ -38,6 +38,7 @@ fn canonical(coo: &CooTensor) -> CooTensor {
 
 fn assert_roundtrips(coo: &CooTensor, label: &str) {
     let want = canonical(coo);
+    let counts = SubsetCounts::of(coo).unwrap();
     for order in permutations(coo.order()) {
         let csf = Csf::from_coo(coo, &order).unwrap();
         assert_eq!(csf.nnz(), want.nnz(), "{label}: nnz under {order:?}");
@@ -48,7 +49,7 @@ fn assert_roundtrips(coo: &CooTensor, label: &str) {
         // The CSF's per-level node counts must agree with the profile
         // computed directly from the COO under the same order (the
         // quantity the order search scores with).
-        let profile = SparsityProfile::from_coo(coo, &order).unwrap();
+        let profile = counts.profile(&order).unwrap();
         for k in 0..coo.order() {
             assert_eq!(
                 profile.prefix_nnz(k + 1),
@@ -147,9 +148,10 @@ fn same_bits(a: &CooTensor, b: &CooTensor) -> bool {
 }
 
 /// Input that is already sorted without duplicates skips the sort in
-/// `sort_dedup`, `Csf::from_coo` and `SparsityProfile::from_coo`; the
-/// result must be what the sort produces from a shuffled copy with
-/// duplicates, under every mode order.
+/// `sort_dedup` and `Csf::from_coo`, and `SubsetCounts::of` counts its
+/// natural prefixes by run length; the result must be what the sort
+/// produces from a shuffled copy with duplicates, under every mode
+/// order.
 #[test]
 fn sorted_input_fast_path_matches_the_sort() {
     let mut rng = StdRng::seed_from_u64(404);
@@ -177,9 +179,9 @@ fn sorted_input_fast_path_matches_the_sort() {
                 "{label}: Csf::from_coo"
             );
             assert_eq!(
-                SparsityProfile::from_coo(&sorted, &order).unwrap(),
-                SparsityProfile::from_coo(&messy, &order).unwrap(),
-                "{label}: SparsityProfile::from_coo"
+                SubsetCounts::of(&sorted).unwrap(),
+                SubsetCounts::of(&messy).unwrap(),
+                "{label}: SubsetCounts::of"
             );
             // Sorted but for one repeated last entry: not canonical, so
             // the duplicate still merges.

@@ -12,10 +12,13 @@
 //!
 //! Keys are honest: two contractions get the same key **iff** the
 //! planner would make identical decisions for both. That includes the
-//! mode-order policy and — for pattern-backed sparsity, where the
-//! search scores orders on exact per-order fiber counts — a fingerprint
-//! of the coordinates themselves, since two patterns with identical
-//! natural-order profiles can crown different orders.
+//! mode-order policy and — for pattern-backed sparsity — the pattern's
+//! distinct-projection count on every mode subset
+//! ([`SubsetCounts`]), since the planner
+//! reads a pattern only through the profiles those counts give under
+//! each order: two patterns with the same counts (one a relabeling of
+//! the other within a mode, say) get the same plan, and the key holds
+//! `2^order` integers, not a hash of `nnz` coordinates.
 //!
 //! Lookups are **single-flight**: when several threads miss on the same
 //! key at once, exactly one runs the planner while the rest block on
@@ -26,25 +29,19 @@ use crate::contraction::{Contraction, CostModel, Plan, PlanOptions, Shapes, Spar
 use crate::Result;
 use spttn_cost::ModeOrderPolicy;
 use spttn_ir::Kernel;
+use spttn_tensor::SubsetCounts;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Hashable fingerprint of the sparsity information the planner ran on.
+/// Hashable form of the sparsity information the planner ran on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum SparsityKey {
-    /// Exact pattern: dims, nonzero count, and the pattern fingerprint
-    /// (a hash of the flat coordinates, computed by the first key built
-    /// for the pattern and shared by every `Shapes` clone that carries
-    /// it — not per lookup). The fingerprint is what keeps
-    /// keys honest under order search — the per-order exact counts the
-    /// search compares are a function of the full pattern, not of any
-    /// single profile.
-    Pattern {
-        dims: Vec<usize>,
-        nnz: usize,
-        coord_hash: u64,
-    },
+    /// Exact pattern: its dims and subset counts (shared with the
+    /// `Shapes` that carry them, not copied per lookup) — everything
+    /// the per-order exact profiles an order search compares are made
+    /// of.
+    Pattern(Arc<SubsetCounts>),
     /// Uniform model: modeled nonzero count (dimensions are already in
     /// the key's `dims`).
     Uniform(u64),
@@ -53,11 +50,7 @@ enum SparsityKey {
 impl SparsityKey {
     fn of(source: &SparsitySource) -> SparsityKey {
         match source {
-            SparsitySource::Pattern(p) => SparsityKey::Pattern {
-                dims: p.coo.dims().to_vec(),
-                nnz: p.coo.nnz(),
-                coord_hash: p.fingerprint(),
-            },
+            SparsitySource::Pattern(p) => SparsityKey::Pattern(Arc::clone(p)),
             SparsitySource::Uniform { nnz } => SparsityKey::Uniform(*nnz),
         }
     }

@@ -51,7 +51,8 @@ impl Plan {
     /// ([`Plan::mode_order`], e.g. under
     /// [`ModeOrderPolicy::Auto`](crate::cost::ModeOrderPolicy)), the
     /// incoming tree is re-sorted into that order here — a one-time
-    /// `O(nnz log nnz)` rebuild, after which execution is as
+    /// counting-sort rebuild ([`Csf::reordered_with_perm`]), after which
+    /// execution is as
     /// allocation-free as ever.
     ///
     /// The first step is budget admission ([`Plan::admit`]): a bind the

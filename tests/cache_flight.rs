@@ -273,10 +273,10 @@ fn racing_networks_share_flights() {
     }
 }
 
-/// Pattern-backed keys carry a fingerprint of the coordinates, computed
-/// on the first lookup that needs it: equal patterns hit whether they
-/// come from one `Shapes` (a clone shares the fingerprint) or two built
-/// apart, and a different pattern with the same dims and nnz misses.
+/// Pattern-backed keys carry the pattern's subset counts, computed once
+/// by `Shapes::with_pattern`: equal patterns hit whether they come from
+/// one `Shapes` (a clone shares the counts) or two built apart, and a
+/// different pattern with the same dims and nnz misses.
 #[test]
 fn pattern_keys_hit_on_equal_patterns_and_miss_on_different_ones() {
     use rand::prelude::*;
@@ -309,4 +309,48 @@ fn pattern_keys_hit_on_equal_patterns_and_miss_on_different_ones() {
         (2, 2),
         "a different pattern re-plans"
     );
+}
+
+/// The plan is a function of the pattern's subset counts, and so is the
+/// key: a pattern relabeled within one mode (a bijection on that mode's
+/// coordinates keeps every distinct-projection count) hits the plan
+/// cached for the original, and planning it without a cache gives the
+/// same plan.
+#[test]
+fn a_pattern_relabeled_within_a_mode_hits_and_plans_the_same() {
+    use rand::prelude::*;
+    use spttn::tensor::{random_coo, CooTensor};
+    let dims = [40usize, 30, 20];
+    let mut rng = StdRng::seed_from_u64(36);
+    let coo = random_coo(&dims, 300, &mut rng).unwrap();
+    let mut label: Vec<usize> = (0..dims[1]).collect();
+    for i in (1..label.len()).rev() {
+        label.swap(i, rng.gen_range(0..i + 1));
+    }
+    let relabeled = CooTensor::from_entries(
+        &dims,
+        coo.iter().map(|(c, v)| (vec![c[0], label[c[1]], c[2]], v)),
+    )
+    .unwrap();
+    assert_ne!(relabeled.coords(), coo.coords());
+    let with = |pattern| {
+        Shapes::new()
+            .with_dims(&[("i", 40), ("j", 30), ("k", 20), ("r", 8)])
+            .with_pattern(pattern)
+    };
+    let cache = PlanCache::new();
+    let opts = PlanOptions::default().with_mode_order(ModeOrderPolicy::Auto);
+    let plan = |shapes: &Shapes| {
+        cache
+            .plan(Contraction::parse(EXPR).unwrap(), shapes, &opts)
+            .unwrap()
+    };
+    let first = plan(&with(coo));
+    assert!(Arc::ptr_eq(&first, &plan(&with(relabeled.clone()))));
+    assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    let uncached = Contraction::parse(EXPR)
+        .unwrap()
+        .plan(&with(relabeled), &opts)
+        .unwrap();
+    assert_eq!(uncached.describe(), first.describe());
 }
