@@ -575,11 +575,7 @@ fn make_factors(kernel: &Kernel, seed: u64) -> Vec<(String, DenseTensor)> {
                 // size here, before `random_dense` allocates for it
                 // (bind-time admission runs only after this).
                 let dims = kernel.ref_dims(r);
-                let bytes = dims
-                    .iter()
-                    .try_fold(8usize, |n, &d| n.checked_mul(d))
-                    .filter(|&b| b <= isize::MAX as usize);
-                if bytes.is_none() {
+                if DenseTensor::checked_len(&dims).is_err() {
                     fail(format!(
                         "factors: '{}' with dims {dims:?} is larger than the address space",
                         r.name

@@ -78,8 +78,6 @@ pub struct OrderCost {
     /// Executed work of the best nest under this order — what orders
     /// are compared by — or `None` when no feasible nest exists for it.
     pub work: Option<WorkCounts>,
-    /// Executed op count of that nest (`work`'s flop component).
-    pub flops: Option<u128>,
     /// Debug rendering of the best nest's cost value (empty when
     /// infeasible).
     pub cost: String,
@@ -193,7 +191,6 @@ pub fn plan_mode_orders<C: TreeCost>(
         explored.push(OrderCost {
             order: order.clone(),
             work: planned.as_ref().map(|p| p.work),
-            flops: planned.as_ref().map(|p| p.flops),
             cost: planned
                 .as_ref()
                 .map(|p| format!("{:?}", p.value))

@@ -42,13 +42,12 @@ pub struct PlannedNest<V> {
     pub spec: NestSpec,
     /// Tree-separable cost value of the nest.
     pub value: V,
-    /// Executed work of the nest under the profile.
+    /// Executed work of the nest under the profile; its executed op
+    /// count is [`WorkCounts::executed_flops`].
     pub work: WorkCounts,
-    /// Executed scalar op count of the nest ([`WorkCounts::flops`]).
-    pub flops: u128,
     /// Leading-order scalar op count of the path
-    /// ([`ContractionPath::flops`]) — what `flops` would be if every
-    /// term ran under its longest sparse prefix.
+    /// ([`ContractionPath::flops`]) — what the nest would execute if
+    /// every term ran under its longest sparse prefix.
     pub ideal_flops: u128,
     /// Which ideal-op-count tier (0 = asymptotically optimal) the path
     /// came from.
@@ -117,7 +116,6 @@ pub fn plan<C: TreeCost>(
             spec: r.spec,
             value: r.value,
             work: r.work,
-            flops: r.work.executed_flops(),
             ideal_flops: ideal,
             tier,
         });
@@ -169,7 +167,7 @@ mod tests {
         assert_eq!(plan.ideal_flops, 2 * nnz * 16 + 2 * nnz_ij * 16);
         // Every loop over a sparse mode runs on the CSF: the nest
         // executes exactly its path's ideal count.
-        assert_eq!(plan.flops, plan.ideal_flops);
+        assert_eq!(plan.work.executed_flops(), plan.ideal_flops);
         // Buffer for the factorized fused nest is one factor row.
         assert!(plan.value <= 16);
     }
@@ -200,7 +198,7 @@ mod tests {
         assert_eq!(plan.tier, 1);
         assert_eq!(plan.path.sparse_term, 0);
         assert_eq!(plan.work.walks, 1.0);
-        assert!(plan.flops > by_flops[0].flops(&k, &prof));
+        assert!(plan.work.executed_flops() > by_flops[0].flops(&k, &prof));
         assert!(plan.work.ns() * 5.0 < krp.work.ns());
     }
 
@@ -261,6 +259,7 @@ mod tests {
         let nnz = prof.prefix_nnz(3) as u128;
         // All terms should run under the sparse descent: op count is
         // O(nnz * R), nowhere near the dense I*J*R.
-        assert!(plan.flops <= 8 * nnz * 8, "flops = {}", plan.flops);
+        let flops = plan.work.executed_flops();
+        assert!(flops <= 8 * nnz * 8, "flops = {flops}");
     }
 }

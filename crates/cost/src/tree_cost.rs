@@ -86,8 +86,7 @@ impl<'a> VertexCtx<'a> {
         self.splitting_buffers()
             .map(|s| {
                 s.iter()
-                    .map(|i| self.kernel.dim(i) as u128)
-                    .product::<u128>()
+                    .fold(1u128, |n, i| n.saturating_mul(self.kernel.dim(i) as u128))
             })
             .max()
             .unwrap_or(0)

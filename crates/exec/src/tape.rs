@@ -447,14 +447,31 @@ impl CompiledTape {
         kernels: KernelSet,
     ) -> Result<CompiledTape> {
         forest.check_descent(kernel, path)?;
+        // Every dense array the program addresses must fit one
+        // allocation; its length (and so each stride) is checked before
+        // any is computed.
+        let factor_lens = (kernel.inputs.iter().enumerate())
+            .map(|(i, r)| {
+                if i == kernel.sparse_input {
+                    Ok(0)
+                } else {
+                    DenseTensor::checked_len(&kernel.ref_dims(r))
+                }
+            })
+            .collect::<std::result::Result<Vec<usize>, _>>()?;
+        let out_len = if kernel.output_sparse {
+            0
+        } else {
+            DenseTensor::checked_len(&kernel.ref_dims(&kernel.output))?
+        };
         let n_terms = path.len();
         let mut buffer_inds: Vec<Vec<IndexId>> = vec![Vec::new(); n_terms];
         let mut buffer_strides: Vec<Vec<usize>> = vec![Vec::new(); n_terms];
         let mut buffer_lens = vec![0usize; n_terms];
         for s in specs {
+            buffer_lens[s.producer] = DenseTensor::checked_len(&s.dims)?;
             buffer_inds[s.producer] = s.inds.clone();
             buffer_strides[s.producer] = s.strides();
-            buffer_lens[s.producer] = s.dims.iter().product();
         }
         let mut c = Compiler {
             kernel,
@@ -476,24 +493,9 @@ impl CompiledTape {
         };
         c.compile_siblings(&forest.roots, n_terms)?;
         let bounds = TapeBounds {
-            factor_lens: kernel
-                .inputs
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    if i == kernel.sparse_input {
-                        0
-                    } else {
-                        kernel.ref_dims(r).iter().product()
-                    }
-                })
-                .collect(),
+            factor_lens,
             buffer_lens: c.buffer_lens,
-            out_len: if kernel.output_sparse {
-                0
-            } else {
-                kernel.ref_dims(&kernel.output).iter().product()
-            },
+            out_len,
             index_dims: (0..kernel.num_indices()).map(|i| kernel.dim(i)).collect(),
             level_index: kernel.csf_index_order().to_vec(),
             output_sparse: kernel.output_sparse,

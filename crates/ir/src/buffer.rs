@@ -38,10 +38,11 @@ impl BufferSpec {
         self.inds.len()
     }
 
-    /// Total element count.
+    /// Total element count, saturating: a buffer past `u128::MAX`
+    /// elements is as unallocatable as one at it.
     #[inline]
     pub fn size(&self) -> u128 {
-        self.dims.iter().map(|&d| d as u128).product()
+        (self.dims.iter()).fold(1, |n, &d| n.saturating_mul(d as u128))
     }
 
     /// Index set of the stored indices.
@@ -112,7 +113,10 @@ pub fn max_buffer_size(buffers: &[BufferSpec]) -> u128 {
 
 /// Total element count over all buffers.
 pub fn total_buffer_size(buffers: &[BufferSpec]) -> u128 {
-    buffers.iter().map(BufferSpec::size).sum()
+    buffers
+        .iter()
+        .map(BufferSpec::size)
+        .fold(0, u128::saturating_add)
 }
 
 #[cfg(test)]

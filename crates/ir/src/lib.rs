@@ -49,6 +49,6 @@ pub use order::{
 };
 pub use parse::{parse_expr, parse_kernel, ParsedExpr, ParsedRef};
 pub use path::{
-    contract_pair, enumerate_paths, leaf_items, pair_term, path_from_picks, ContractionPath,
-    Operand, PathItem, Term,
+    contract_pair, enumerate_paths, leaf_items, pair_term, path_from_picks, prefix_flops,
+    ContractionPath, Operand, PathItem, Term,
 };

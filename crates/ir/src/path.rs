@@ -100,56 +100,41 @@ impl ContractionPath {
 
     /// Leading-order scalar-operation count of this path on a tensor with
     /// the given sparsity profile, assuming maximal fusion (paper
-    /// Sec. 2.4 / Sec. 7 examples).
-    ///
-    /// Each term costs `2 · nnz_prefix(ℓ) · ∏ dims(remaining indices)`,
-    /// where `ℓ` is the longest CSF prefix the term can iterate sparsely:
-    /// prefix indices must be in the term's index set and either belong
-    /// to the term's sparse lineage or (for pre-sparse terms, which can
-    /// be fused under the sparse descent) merely be present.
+    /// Sec. 2.4 / Sec. 7 examples): the sum of each term's
+    /// [`prefix_flops`] over the indices it may iterate sparsely — its
+    /// sparse lineage, or, for a pre-sparse term (which can be fused
+    /// under the sparse descent), every index it iterates.
     pub fn flops(&self, kernel: &Kernel, profile: &SparsityProfile) -> u128 {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(t, _)| self.term_flops(t, kernel, profile))
-            .sum()
+        (0..self.terms.len())
+            .map(|t| {
+                prefix_flops(
+                    kernel,
+                    profile,
+                    self.terms[t].iter_inds(),
+                    self.sparse_inds(t),
+                )
+            })
+            .fold(0, u128::saturating_add)
     }
 
-    /// Leading-order op count of one term (see [`ContractionPath::flops`]).
-    pub fn term_flops(&self, t: usize, kernel: &Kernel, profile: &SparsityProfile) -> u128 {
+    /// Indices term `t` may iterate sparsely (see
+    /// [`ContractionPath::flops`]).
+    fn sparse_inds(&self, t: usize) -> IdxSet {
         let term = &self.terms[t];
-        let inds = term.iter_inds();
-        let ell = self.sparse_prefix_len(t, kernel);
-        let mut prefix = IdxSet::EMPTY;
-        for l in 0..ell {
-            prefix = prefix.insert(kernel.index_at_level(l));
+        if term.lineage().is_empty() && t < self.sparse_term {
+            term.iter_inds()
+        } else {
+            term.lineage()
         }
-        let mut cost: u128 = 2 * profile.prefix_nnz(ell) as u128;
-        for i in inds.minus(prefix).iter() {
-            cost = cost.saturating_mul(kernel.dim(i) as u128);
-        }
-        cost
     }
 
     /// Longest CSF prefix term `t` can iterate sparsely (see
     /// [`ContractionPath::flops`] for the validity rule).
     pub fn sparse_prefix_len(&self, t: usize, kernel: &Kernel) -> usize {
-        let term = &self.terms[t];
-        let inds = term.iter_inds();
-        let lineage = term.lineage();
-        let pre_sparse = lineage.is_empty() && t < self.sparse_term;
-        let nlevels = kernel.csf_index_order().len();
-        let mut ell = 0;
-        for l in 0..nlevels {
-            let idx = kernel.index_at_level(l);
-            let ok = inds.contains(idx) && (lineage.contains(idx) || pre_sparse);
-            if ok {
-                ell += 1;
-            } else {
-                break;
-            }
-        }
-        ell
+        csf_prefix_len(
+            kernel,
+            self.terms[t].iter_inds().intersect(self.sparse_inds(t)),
+        )
     }
 
     /// Render the path as `T(i,j,k)*V(k,s) -> X(i,j,s) ; ...`.
@@ -184,6 +169,32 @@ impl ContractionPath {
             .collect::<Vec<_>>()
             .join(" ; ")
     }
+}
+
+/// Number of leading CSF levels whose indices all lie in `set`.
+fn csf_prefix_len(kernel: &Kernel, set: IdxSet) -> usize {
+    (kernel.csf_index_order().iter())
+        .take_while(|&&i| set.contains(i))
+        .count()
+}
+
+/// Leading-order op count of one pairwise term iterating `inds`, of
+/// which the indices in `sparse` may walk the CSF:
+/// `2 · nnz_ℓ · ∏ dims(inds ∖ prefix_ℓ)`, where `prefix_ℓ` is the
+/// longest prefix of the CSF order inside `inds ∩ sparse`. The one
+/// term-cost formula: [`ContractionPath::flops`] and `spttn-net`'s
+/// sequence model differ only in the `sparse` set they pass.
+pub fn prefix_flops(
+    kernel: &Kernel,
+    profile: &SparsityProfile,
+    inds: IdxSet,
+    sparse: IdxSet,
+) -> u128 {
+    let ell = csf_prefix_len(kernel, inds.intersect(sparse));
+    let prefix = IdxSet::from_iter(kernel.csf_index_order()[..ell].iter().copied());
+    (inds.minus(prefix).iter()).fold(2 * profile.prefix_nnz(ell) as u128, |cost, i| {
+        cost.saturating_mul(kernel.dim(i) as u128)
+    })
 }
 
 /// A tensor on the working list of a pairwise contraction order: a

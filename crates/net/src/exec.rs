@@ -16,8 +16,8 @@
 //! lanes.
 //!
 //! Admission is the collapsed kernel's rule ([`spttn::Plan::admit`]):
-//! a bind hands it the dense steps' flops and the intermediates' bytes
-//! before it touches anything.
+//! a bind hands it the dense steps' flops and the intermediates'
+//! extents before it touches anything.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -193,7 +193,7 @@ impl NetworkExecutor {
             .iter()
             .map(|s| s.flops)
             .fold(0u128, u128::saturating_add);
-        let admitted = plan.plan.admit(dense_flops, plan.intermediate_bytes())?;
+        let admitted = plan.plan.admit(dense_flops, &plan.inter_dims)?;
 
         let mut fmap: HashMap<&str, &DenseTensor> = HashMap::new();
         for (name, t) in factors {

@@ -122,10 +122,12 @@ pub(crate) fn term_loops(kernel: &Kernel, path: &ContractionPath, t: usize) -> V
     let lorder = operand_order(kernel, path, term.left);
     let rorder = operand_order(kernel, path, term.right);
     let out_v = term.out_inds.to_vec();
+    // Saturating: bind refuses an operand whose strides pass `usize`
+    // (admission for an intermediate, the shape check for a factor).
     let stride_in = |order: &[IndexId], idx: IndexId| -> usize {
         match order.iter().position(|&i| i == idx) {
             None => 0,
-            Some(p) => order[p + 1..].iter().map(|&i| kernel.dim(i)).product(),
+            Some(p) => (order[p + 1..].iter()).fold(1, |n, &i| n.saturating_mul(kernel.dim(i))),
         }
     };
     out_v
@@ -152,7 +154,11 @@ pub(crate) fn lower(term: &Term, loops: &[LoopDim]) -> (Vec<LoopDim>, LeafOp) {
         .rev()
         .min_by_key(|&i| {
             let d = outs[i];
-            (d.extent == 1, d.l.max(d.r).max(d.o), d.l + d.r + d.o)
+            (
+                d.extent == 1,
+                d.l.max(d.r).max(d.o),
+                d.l.saturating_add(d.r).saturating_add(d.o),
+            )
         })
         .expect("a dense step has an output index");
     let mut order: Vec<LoopDim> = outs

@@ -7,7 +7,7 @@
 //! [`modeled_path_flops`] charges each pairwise term as if its result
 //! were materialized (which is exactly how the lowered
 //! [`crate::NetworkPlan`] executes dense steps): a term iterating index
-//! union `U` with sparse lineage `L` costs
+//! union `U` with sparse lineage `L` costs [`prefix_flops`]`(U, L)` =
 //! `2 · prefix_nnz(ℓ) · ∏_{i ∈ U \ prefix} dim(i)`, where `ℓ` is the
 //! longest prefix of the sparse tensor's storage order contained in
 //! both `U` and `L`. Dense-dense terms have empty lineage, so `ℓ = 0`
@@ -25,7 +25,8 @@
 //! paths.
 
 use spttn::ir::{
-    contract_pair, leaf_items, pair_term, path_from_picks, ContractionPath, IdxSet, Kernel,
+    contract_pair, leaf_items, pair_term, path_from_picks, prefix_flops, ContractionPath, IdxSet,
+    Kernel,
 };
 use spttn::tensor::SparsityProfile;
 use spttn::PlanOptions;
@@ -53,8 +54,9 @@ impl std::fmt::Display for OrderStrategy {
     }
 }
 
-/// Options for network planning (order search + lowering + the
-/// [`PlanOptions`] handed to the per-step Sec. 5 planner).
+/// Options for network planning: the order search, plus the
+/// [`PlanOptions`] the Sec. 5 planner runs with on the one collapsed
+/// sparse kernel (dense steps are lowered, not planned).
 #[derive(Debug, Clone)]
 pub struct NetOptions {
     /// Order-search strategy.
@@ -117,33 +119,6 @@ pub struct SearchReport {
     pub chosen_flops: u128,
 }
 
-/// Cost of one pairwise term under the sequence model (see module
-/// docs): `union` is the term's iterated index set, `lineage` the
-/// sparse-mode indices its operands inherit from the sparse tensor.
-fn term_model_flops(
-    kernel: &Kernel,
-    profile: &SparsityProfile,
-    union: IdxSet,
-    lineage: IdxSet,
-) -> u128 {
-    let order = kernel.csf_index_order();
-    let mut ell = 0;
-    let mut prefix = IdxSet::EMPTY;
-    for &idx in order {
-        if union.contains(idx) && lineage.contains(idx) {
-            ell += 1;
-            prefix = prefix.insert(idx);
-        } else {
-            break;
-        }
-    }
-    let mut cost: u128 = 2u128.saturating_mul(profile.prefix_nnz(ell) as u128);
-    for i in union.minus(prefix).iter() {
-        cost = cost.saturating_mul(kernel.dim(i) as u128);
-    }
-    cost
-}
-
 /// Modeled flops of a whole contraction path under the sequence cost
 /// model — the objective both [`OrderStrategy`] variants minimize.
 /// Exposed so external checks (tests, benches) can score brute-force
@@ -155,7 +130,7 @@ pub fn modeled_path_flops(
 ) -> u128 {
     path.terms
         .iter()
-        .map(|t| term_model_flops(kernel, profile, t.iter_inds(), t.lineage()))
+        .map(|t| prefix_flops(kernel, profile, t.iter_inds(), t.lineage()))
         .fold(0u128, u128::saturating_add)
 }
 
@@ -172,7 +147,7 @@ fn greedy_picks(kernel: &Kernel, profile: &SparsityProfile) -> (Vec<(usize, usiz
             for b in a + 1..items.len() {
                 evaluated += 1;
                 let term = pair_term(kernel, &items, a, b);
-                let cost = term_model_flops(kernel, profile, term.iter_inds(), term.lineage());
+                let cost = prefix_flops(kernel, profile, term.iter_inds(), term.lineage());
                 let size = term
                     .out_inds
                     .iter()
@@ -266,7 +241,7 @@ fn optimal_picks(
                     }
                     let sub = ca.saturating_add(cb);
                     if sub <= mu_cap {
-                        let t = term_model_flops(
+                        let t = prefix_flops(
                             kernel,
                             profile,
                             inds_of(a).union(inds_of(b)),
@@ -443,7 +418,7 @@ mod tests {
         .unwrap();
         let profile = profile_for(&kernel, 500);
         let p = path_from_picks(&kernel, &[(1, 2), (0, 1)]);
-        let dense = term_model_flops(
+        let dense = prefix_flops(
             &kernel,
             &profile,
             p.terms[0].iter_inds(),
@@ -451,7 +426,7 @@ mod tests {
         );
         assert_eq!(dense, 2 * 30 * 8 * 20 * 9);
         // The sparse term keeps its full-prefix pruning.
-        let sparse = term_model_flops(
+        let sparse = prefix_flops(
             &kernel,
             &profile,
             p.terms[1].iter_inds(),

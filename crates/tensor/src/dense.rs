@@ -26,12 +26,29 @@ fn row_major_strides(dims: &[usize]) -> Vec<usize> {
 }
 
 impl DenseTensor {
+    /// Element count of a tensor with extents `dims`, or
+    /// [`TensorError::TooLarge`] when its bytes would pass `isize::MAX`,
+    /// the most one allocation can address. Callers that size an
+    /// allocation from extents they did not allocate check them here.
+    pub fn checked_len(dims: &[usize]) -> Result<usize, TensorError> {
+        // From the last mode, so every row-major stride is checked too.
+        (dims.iter().rev().try_fold(1usize, |n, &d| n.checked_mul(d)))
+            .filter(|&n| n <= isize::MAX as usize / std::mem::size_of::<f64>())
+            .ok_or_else(|| TensorError::TooLarge {
+                dims: dims.to_vec(),
+            })
+    }
+
     /// Create a zero-filled tensor with the given dimensions.
     ///
     /// A zero-order tensor (`dims == []`) is a scalar holding one value;
     /// a tensor with an extent-0 mode holds none.
+    ///
+    /// # Panics
+    ///
+    /// When [`DenseTensor::checked_len`] refuses `dims`.
     pub fn zeros(dims: &[usize]) -> Self {
-        let len = dims.iter().product();
+        let len = Self::checked_len(dims).unwrap_or_else(|e| panic!("{e}"));
         DenseTensor {
             dims: dims.to_vec(),
             strides: row_major_strides(dims),
@@ -41,7 +58,7 @@ impl DenseTensor {
 
     /// Create a tensor from an explicit row-major data vector.
     pub fn from_data(dims: &[usize], data: Vec<f64>) -> Result<Self, TensorError> {
-        let len: usize = dims.iter().product();
+        let len = Self::checked_len(dims)?;
         if data.len() != len {
             return Err(TensorError::OrderMismatch {
                 expected: len,
@@ -207,6 +224,18 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert_eq!(t.strides(), &[12, 4, 1]);
         assert_eq!(t.sum(), 0.0);
+    }
+
+    #[test]
+    fn checked_len_refuses_unaddressable_extents() {
+        assert_eq!(DenseTensor::checked_len(&[2, 3, 4]), Ok(24));
+        assert_eq!(DenseTensor::checked_len(&[]), Ok(1));
+        let max = isize::MAX as usize / 8;
+        assert_eq!(DenseTensor::checked_len(&[max]), Ok(max));
+        for dims in [vec![max + 1], vec![1 << 60, 16], vec![0, 1 << 40, 1 << 40]] {
+            let e = DenseTensor::checked_len(&dims).unwrap_err();
+            assert_eq!(e, TensorError::TooLarge { dims });
+        }
     }
 
     #[test]

@@ -84,6 +84,12 @@ pub enum TensorError {
         /// [`MAX_COUNTED_ORDER`].
         max: usize,
     },
+    /// A dense array whose extents multiply past what one allocation
+    /// can address (`isize::MAX` bytes).
+    TooLarge {
+        /// The array's extents.
+        dims: Vec<usize>,
+    },
 }
 
 impl std::fmt::Display for TensorError {
@@ -105,6 +111,9 @@ impl std::fmt::Display for TensorError {
                 f,
                 "a pattern of order {order} has too many mode subsets to count (at most {max} modes)"
             ),
+            TensorError::TooLarge { dims } => {
+                write!(f, "a dense array of dims {dims:?} is larger than the address space")
+            }
         }
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! Keys are honest: two contractions get the same key **iff** the
 //! planner would make identical decisions for both. That includes the
-//! mode-order policy and — for pattern-backed sparsity — the pattern's
-//! distinct-projection count on every mode subset
-//! ([`SubsetCounts`]), since the planner
+//! mode-order policy and the sparsity source itself — the modeled nnz,
+//! or the pattern's distinct-projection count on every mode subset
+//! ([`SubsetCounts`](crate::tensor::SubsetCounts)), since the planner
 //! reads a pattern only through the profiles those counts give under
 //! each order: two patterns with the same counts (one a relabeling of
 //! the other within a mode, say) get the same plan, and the key holds
@@ -29,32 +29,9 @@ use crate::contraction::{Contraction, CostModel, Plan, PlanOptions, Shapes, Spar
 use crate::Result;
 use spttn_cost::ModeOrderPolicy;
 use spttn_ir::Kernel;
-use spttn_tensor::SubsetCounts;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Hashable form of the sparsity information the planner ran on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum SparsityKey {
-    /// Exact pattern: its dims and subset counts (shared with the
-    /// `Shapes` that carry them, not copied per lookup) — everything
-    /// the per-order exact profiles an order search compares are made
-    /// of.
-    Pattern(Arc<SubsetCounts>),
-    /// Uniform model: modeled nonzero count (dimensions are already in
-    /// the key's `dims`).
-    Uniform(u64),
-}
-
-impl SparsityKey {
-    fn of(source: &SparsitySource) -> SparsityKey {
-        match source {
-            SparsitySource::Pattern(p) => SparsityKey::Pattern(Arc::clone(p)),
-            SparsitySource::Uniform { nnz } => SparsityKey::Uniform(*nnz),
-        }
-    }
-}
 
 /// Everything the planner's decisions depend on, in hashable form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -67,8 +44,10 @@ pub struct PlanKey {
     sparse_input: usize,
     /// Whether the output shares the sparse pattern.
     output_sparse: bool,
-    /// Sparsity information summary (pattern or model).
-    sparsity: SparsityKey,
+    /// The sparsity source itself: the pattern's subset counts (shared
+    /// with the `Shapes` that carry them, not copied per lookup) or the
+    /// modeled nnz.
+    sparsity: SparsitySource,
     /// Cost model (integral parameters only — derives `Hash` directly).
     cost_model: CostModel,
     /// CSF mode-order policy (structural data — derives `Hash`).
@@ -90,7 +69,7 @@ impl PlanKey {
             dims: (0..kernel.num_indices()).map(|i| kernel.dim(i)).collect(),
             sparse_input: kernel.sparse_input,
             output_sparse: kernel.output_sparse,
-            sparsity: SparsityKey::of(source),
+            sparsity: source.clone(),
             cost_model: opts.cost_model,
             mode_order: opts.mode_order.clone(),
             accumulate,

@@ -32,7 +32,8 @@
 use crate::{Result, SpttnError};
 use spttn_cost::{
     candidate_orders, eval_forest, plan_mode_orders, BlasAware, CacheMiss, MaxBufferDim,
-    MaxBufferSize, ModeOrderPolicy, OrderCost, OrderSearch, TreeCost, Work, WorkCounts,
+    MaxBufferSize, ModeOrderPolicy, OrderCost, OrderSearch, PlannedNest, TreeCost, Work,
+    WorkCounts,
 };
 use spttn_exec::{CancelToken, Microkernels, RunGuard};
 use spttn_ir::{
@@ -103,9 +104,9 @@ impl Threads {
 /// thread plus one dense output partial per thread after the first
 /// ([`Plan::parallel_footprint`] × 8 bytes; network binds add their
 /// materialized intermediates), and `max_modeled_flops` bounds the
-/// operation count the nest that will run executes ([`Plan::flops`] —
-/// not its path's ideal count, which a nest can exceed many times
-/// over; network binds add their dense steps). Workspace pressure
+/// operation count the nest that will run executes ([`Plan::work`]'s
+/// executed flops — not its path's ideal count, which a nest can exceed
+/// many times over; network binds add their dense steps). Workspace pressure
 /// degrades gracefully — the bind drops to the largest thread count
 /// (and hence tile count) that fits, down to one — before a typed
 /// [`crate::SpttnError::BudgetExceeded`] reports the one-thread charge
@@ -457,7 +458,7 @@ impl Shapes {
 /// mode order: exact counts from the pattern's subset counts, or the
 /// uniform model — either way, every order is scored the same way, and
 /// neither touches coordinates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum SparsitySource {
     /// The pattern's subset counts (shared with the [`Shapes`]): its
     /// mode `p` is the index written at position `p` of the expression.
@@ -603,75 +604,6 @@ impl Contraction {
     }
 }
 
-/// Type-erased planner output.
-struct Planned {
-    /// Kernel with the sparse input's written order permuted to the
-    /// chosen CSF order (identical to the input kernel when natural).
-    kernel: Kernel,
-    /// Profile the winning nest was planned against.
-    profile: SparsityProfile,
-    /// Chosen CSF order as a permutation of written positions.
-    order: Vec<usize>,
-    /// Per-candidate-order search record (single entry when fixed).
-    order_costs: Vec<OrderCost>,
-    path: ContractionPath,
-    spec: NestSpec,
-    work: WorkCounts,
-    ideal_flops: u128,
-    tier: usize,
-    cost: String,
-}
-
-fn erase<V: std::fmt::Debug>(s: OrderSearch<V>) -> Planned {
-    Planned {
-        kernel: s.kernel,
-        profile: s.profile,
-        order: s.order,
-        order_costs: s.explored,
-        cost: format!("{:?}", s.planned.value),
-        path: s.planned.path,
-        spec: s.planned.spec,
-        work: s.planned.work,
-        ideal_flops: s.planned.ideal_flops,
-        tier: s.planned.tier,
-    }
-}
-
-fn run_planner(kernel: &Kernel, source: &SparsitySource, opts: &PlanOptions) -> Result<Planned> {
-    fn go<C: TreeCost>(
-        kernel: &Kernel,
-        source: &SparsitySource,
-        cost: &C,
-        opts: &PlanOptions,
-    ) -> Result<Planned>
-    where
-        C::Value: std::fmt::Debug,
-    {
-        let dims = kernel.ref_dims(kernel.sparse_ref());
-        let orders: Vec<Vec<usize>> = match &opts.mode_order {
-            ModeOrderPolicy::Natural => vec![(0..dims.len()).collect()],
-            ModeOrderPolicy::Fixed(order) => {
-                // Surface a bad permutation as its own error instead of
-                // an opaque "no feasible nest".
-                kernel.permute_sparse_modes(order)?;
-                vec![order.clone()]
-            }
-            ModeOrderPolicy::Auto => candidate_orders(&dims),
-        };
-        plan_mode_orders(kernel, cost, &orders, |o| source.profile_for(&dims, o).ok())
-            .map(erase)
-            .ok_or_else(|| SpttnError::Planning("no feasible loop nest found".into()))
-    }
-    match opts.cost_model {
-        CostModel::MaxBufferDim => go(kernel, source, &MaxBufferDim, opts),
-        CostModel::MaxBufferSize => go(kernel, source, &MaxBufferSize, opts),
-        CostModel::CacheMiss { d } => go(kernel, source, &CacheMiss { d }, opts),
-        CostModel::BlasAware { buffer_dim_bound } => {
-            go(kernel, source, &BlasAware { buffer_dim_bound }, opts)
-        }
-    }
-}
-
 /// A planned contraction: the symbolic artifact of Stage 1.
 ///
 /// Holds the kernel, chosen contraction path, loop orders, fused loop
@@ -701,8 +633,9 @@ pub struct Plan {
     pub(crate) ideal_flops: u128,
     /// Scalar-operation count one execution of the chosen nest performs
     /// under the plan's sparsity profile (exact for a pattern-derived
-    /// profile). This is what bind-time admission
-    /// ([`RunBudget::max_modeled_flops`]) compares with the budget.
+    /// profile): [`Plan::work`]'s executed flops, copied here as a
+    /// report. Bind-time admission ([`RunBudget::max_modeled_flops`])
+    /// charges [`Plan::work`], so writing this field changes no bind.
     pub flops: u128,
     /// Tier of the chosen path among all paths ranked by ideal op count
     /// (0 = asymptotically optimal).
@@ -719,25 +652,65 @@ impl Plan {
         accumulate: bool,
         opts: &PlanOptions,
     ) -> Result<Plan> {
-        let planned = run_planner(&kernel, &source, opts)?;
-        let forest = build_forest(&planned.kernel, &planned.path, &planned.spec)?;
-        let buffers = buffers_for_forest(&planned.kernel, &planned.path, &forest);
+        type Parts<'a> = (&'a Kernel, &'a SparsitySource, bool, &'a PlanOptions);
+        fn go<C: TreeCost>(cost: &C, (kernel, source, accumulate, opts): Parts) -> Result<Plan>
+        where
+            C::Value: std::fmt::Debug,
+        {
+            let dims = kernel.ref_dims(kernel.sparse_ref());
+            let orders: Vec<Vec<usize>> = match &opts.mode_order {
+                ModeOrderPolicy::Natural => vec![(0..dims.len()).collect()],
+                ModeOrderPolicy::Fixed(order) => {
+                    // Surface a bad permutation as its own error instead
+                    // of an opaque "no feasible nest".
+                    kernel.permute_sparse_modes(order)?;
+                    vec![order.clone()]
+                }
+                ModeOrderPolicy::Auto => candidate_orders(&dims),
+            };
+            let found =
+                plan_mode_orders(kernel, cost, &orders, |o| source.profile_for(&dims, o).ok())
+                    .ok_or_else(|| SpttnError::Planning("no feasible loop nest found".into()))?;
+            let rendered = format!("{:?}", found.planned.value);
+            Plan::assemble(found, rendered, accumulate, opts.exec.clone())
+        }
+        let parts = (&kernel, &source, accumulate, opts);
+        match opts.cost_model {
+            CostModel::MaxBufferDim => go(&MaxBufferDim, parts),
+            CostModel::MaxBufferSize => go(&MaxBufferSize, parts),
+            CostModel::CacheMiss { d } => go(&CacheMiss { d }, parts),
+            CostModel::BlasAware { buffer_dim_bound } => go(&BlasAware { buffer_dim_bound }, parts),
+        }
+    }
+
+    /// The plan that runs the nest `found` records, whose cost value
+    /// renders as `cost`: the fused forest and its Eq.-5 buffers follow
+    /// from the nest, and [`Plan::flops`] from its work.
+    fn assemble<V>(
+        found: OrderSearch<V>,
+        cost: String,
+        accumulate: bool,
+        exec: ExecOptions,
+    ) -> Result<Plan> {
+        let nest = found.planned;
+        let forest = build_forest(&found.kernel, &nest.path, &nest.spec)?;
+        let buffers = buffers_for_forest(&found.kernel, &nest.path, &forest);
         Ok(Plan {
-            kernel: planned.kernel,
-            path: planned.path,
-            spec: planned.spec,
+            kernel: found.kernel,
+            path: nest.path,
+            spec: nest.spec,
             forest,
             buffers,
             accumulate,
-            profile: planned.profile,
-            exec: opts.exec.clone(),
-            mode_order: planned.order,
-            order_costs: planned.order_costs,
-            flops: planned.work.executed_flops(),
-            work: planned.work,
-            ideal_flops: planned.ideal_flops,
-            tier: planned.tier,
-            cost: planned.cost,
+            profile: found.profile,
+            exec,
+            mode_order: found.order,
+            order_costs: found.explored,
+            flops: nest.work.executed_flops(),
+            work: nest.work,
+            ideal_flops: nest.ideal_flops,
+            tier: nest.tier,
+            cost,
         })
     }
 
@@ -753,7 +726,6 @@ impl Plan {
     /// than whatever the planner currently prefers.
     pub fn with_nest(&self, path: ContractionPath, spec: NestSpec) -> Result<Plan> {
         let forest = build_forest(&self.kernel, &path, &spec)?;
-        let buffers = buffers_for_forest(&self.kernel, &path, &forest);
         let work = eval_forest(&self.kernel, &path, &self.profile, &forest, &Work);
         let ideal_flops = path.flops(&self.kernel, &self.profile);
         // Tier = how many distinct op counts rank below this path's.
@@ -762,18 +734,26 @@ impl Plan {
             .map(|p| p.flops(&self.kernel, &self.profile))
             .filter(|&f| f < ideal_flops)
             .collect();
-        Ok(Plan {
-            cost: "explicit nest".into(),
-            flops: work.executed_flops(),
-            work,
-            ideal_flops,
-            tier: cheaper.len(),
-            path,
-            spec,
-            forest,
-            buffers,
-            ..self.clone()
-        })
+        let found = OrderSearch {
+            order: self.mode_order.clone(),
+            kernel: self.kernel.clone(),
+            profile: self.profile.clone(),
+            planned: PlannedNest {
+                path,
+                spec,
+                value: (),
+                work,
+                ideal_flops,
+                tier: cheaper.len(),
+            },
+            explored: self.order_costs.clone(),
+        };
+        Plan::assemble(
+            found,
+            "explicit nest".into(),
+            self.accumulate,
+            self.exec.clone(),
+        )
     }
 
     /// Replace the execution options this plan carries into

@@ -59,27 +59,35 @@ impl Plan {
     /// plan's [`RunBudget`](crate::RunBudget) rejects returns
     /// [`SpttnError::BudgetExceeded`] having allocated nothing.
     pub fn bind(&self, csf: Csf, factors: &[(&str, &DenseTensor)]) -> Result<Executor> {
-        let admitted = self.admit(0, 0)?;
+        let admitted = self.admit(0, &[])?;
         self.bind_admitted(admitted, csf, factors)
     }
 
     /// Budget admission, the one rule every bind passes first: the
-    /// modeled flops `Plan::flops + extra_flops` against
+    /// executed flops of [`Plan::work`] plus `extra_flops` against
     /// [`RunBudget::max_modeled_flops`](crate::RunBudget), then the
-    /// bytes `8 · Plan::parallel_footprint(t) + extra_bytes` against
+    /// bytes `8 · Plan::parallel_footprint(t)` plus 8 per element of the
+    /// `extra_arrays` against
     /// [`RunBudget::max_workspace_bytes`](crate::RunBudget) at the
     /// largest thread count `t` up to the requested one that fits.
     /// Flops are structural — no thread count lowers them — so they gate
     /// first; workspace pressure sheds threads (and so tiles) down to
-    /// one before it rejects, reporting the one-thread charge.
+    /// one before it rejects, reporting the one-thread charge. An extra
+    /// array, Eq.-5 buffer or dense output whose extents one allocation
+    /// cannot address is refused with
+    /// [`TensorError::TooLarge`](crate::tensor::TensorError).
     ///
     /// The `extra_*` charges are a caller's own beside the kernel's:
-    /// `spttn-net` adds its dense steps and intermediates, then binds
-    /// through [`Plan::bind_admitted`].
+    /// `spttn-net` adds its dense steps and the extents of its
+    /// intermediates, then binds through [`Plan::bind_admitted`].
     #[doc(hidden)]
-    pub fn admit(&self, extra_flops: u128, extra_bytes: u128) -> Result<Admission> {
+    pub fn admit(&self, extra_flops: u128, extra_arrays: &[Vec<usize>]) -> Result<Admission> {
+        let mut extra_bytes = 0u128;
+        for dims in extra_arrays {
+            extra_bytes += 8 * DenseTensor::checked_len(dims)? as u128;
+        }
         let budget = self.exec.budget;
-        let flops = self.flops.saturating_add(extra_flops);
+        let flops = self.work.executed_flops().saturating_add(extra_flops);
         if let Some(allowed) = budget.max_modeled_flops.filter(|&max| flops > max) {
             return Err(SpttnError::BudgetExceeded {
                 resource: "modeled flops",
@@ -104,6 +112,14 @@ impl Plan {
                     allowed,
                 });
             }
+        }
+        // Last, as the one check that allocates (the output's dims), so
+        // a budget rejection allocates nothing.
+        for b in &self.buffers {
+            DenseTensor::checked_len(&b.dims)?;
+        }
+        if !self.kernel.output_sparse {
+            DenseTensor::checked_len(&self.kernel.ref_dims(&self.kernel.output))?;
         }
         Ok(Admission { threads })
     }

@@ -293,6 +293,19 @@ fn injected_faults_are_isolated_and_the_pool_recovers() {
         o.with_budget(RunBudget::default().with_max_modeled_flops(flops))
     });
     assert!(plan.bind(csf.clone(), &factors).is_ok());
+    // The gate charges the plan's work, not the `flops` report a caller
+    // can overwrite.
+    let mut lowered = mttkrp_plan(1, &csf, |o| {
+        o.with_budget(RunBudget::default().with_max_modeled_flops(flops - 1))
+    });
+    lowered.flops = 0;
+    assert!(
+        matches!(
+            lowered.bind(csf.clone(), &factors),
+            Err(SpttnError::BudgetExceeded { predicted, .. }) if predicted == flops
+        ),
+        "a lowered report must not pass the flops gate"
+    );
 
     // The gate reads what the nest that will run executes, not its
     // path's ideal count. TTTP's cheapest path can run its two

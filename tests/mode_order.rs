@@ -98,14 +98,17 @@ fn auto_beats_natural_on_lopsided_mttkrp() {
     let natural_entry = &auto.order_costs()[0];
     assert_eq!(natural_entry.order, vec![0, 1, 2]);
     assert_eq!(natural_entry.work.as_ref(), Some(natural.work()));
-    assert_eq!(natural_entry.flops, Some(natural.flops));
+    assert_eq!(
+        natural_entry.work.map(|w| w.executed_flops()),
+        Some(natural.flops)
+    );
     let chosen = auto
         .order_costs()
         .iter()
         .find(|oc| oc.order == auto.mode_order())
         .expect("chosen order is in the record");
     assert_eq!(chosen.work.as_ref(), Some(auto.work()));
-    assert_eq!(chosen.flops, Some(auto.flops));
+    assert_eq!(chosen.work.map(|w| w.executed_flops()), Some(auto.flops));
     // The chosen order is the minimum of the record.
     let least = auto
         .order_costs()

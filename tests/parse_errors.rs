@@ -6,9 +6,12 @@
 //! never silently swallowed. What only the lowering can see — a sparse
 //! operand with no indices, a sparse operand with nothing to contract
 //! with, an index of extent 0 — is one `KernelError` from every front
-//! end that lowers.
+//! end that lowers. Extents whose dense arrays one allocation cannot
+//! address still plan, and are one `TensorError::TooLarge` from the tape
+//! verifier and from every bind.
 
 use spttn::ir::{parse_kernel, KernelError, MAX_INDICES};
+use spttn::tensor::{CooTensor, Csf, DenseTensor, TensorError};
 use spttn::{Contraction, ModeOrderPolicy, PlanOptions, Shapes, SpttnError};
 use spttn_net::{NetOptions, Network};
 
@@ -236,5 +239,40 @@ fn bad_mode_order_is_not_a_parse_error() {
         let text = e.to_string();
         assert!(text.contains("mode order [0, 0, 1] is not a permutation of 0..3"));
         assert!(!text.contains("parse error"), "{via}: {text}");
+    }
+}
+
+/// An MTTKRP output of `i · 16` elements past the address space: the
+/// first extent overflows `usize` (it used to panic in the tape
+/// compiler of a debug build), the second only the bytes (it used to
+/// bind, then panic allocating the output).
+#[test]
+fn unaddressable_output_is_a_typed_error_at_verify_and_bind() {
+    let expr = "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)";
+    for i in [1usize << 60, 1 << 58] {
+        let want = SpttnError::Tensor(TensorError::TooLarge { dims: vec![i, 16] });
+        let shapes = Shapes::new()
+            .with_dims(&[("i", i), ("j", 5), ("k", 4), ("a", 16)])
+            .with_nnz(18);
+        let plan = Contraction::parse(expr)
+            .unwrap()
+            .plan(&shapes, &PlanOptions::default())
+            .unwrap();
+        assert!(plan.describe().contains("buffer: X0 [a] = 16 elems"));
+        assert_eq!(plan.verify_tape().unwrap_err(), want);
+
+        let mut coo = CooTensor::new(&[i, 5, 4]).unwrap();
+        coo.push(&[i - 1, 4, 3], 1.0).unwrap();
+        let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+        let (b, c) = (DenseTensor::zeros(&[5, 16]), DenseTensor::zeros(&[4, 16]));
+        let factors = [("B", &b), ("C", &c)];
+        assert_eq!(plan.bind(csf.clone(), &factors).unwrap_err(), want);
+        let net = Network::parse(expr)
+            .unwrap()
+            .plan(&shapes, &NetOptions::default())
+            .unwrap();
+        let e = net.bind(csf, &factors).unwrap_err();
+        assert_eq!(e, want);
+        assert!(!e.to_string().contains('\n'), "{e}");
     }
 }

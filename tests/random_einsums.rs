@@ -20,10 +20,14 @@
 //! suite asserts its own coverage, so a generator drift that stops
 //! producing the interesting shapes fails loudly.
 //!
-//! `parity_probe` (ignored by default) replays the same cases and
-//! prints one digest per (cost model, kernel tier) of everything a
-//! behaviour-preserving change must keep: run it at two commits and
-//! diff the lines.
+//! Every plan the suite makes is also folded into a digest of what the
+//! planner decided — one per cost model, and one for the `Auto`
+//! searches — pinned in [`PLAN_DIGESTS`], so a change that moves any
+//! plan fails here. The cases use patterns only (no modeled nnz), so no
+//! libm call enters a profile and the digests do not depend on the
+//! host. `parity_probe` (ignored by default) replays the same cases
+//! and prints one digest per (cost model, kernel tier) of what the
+//! bound programs computed: run it at two commits and diff the lines.
 
 mod common;
 
@@ -50,6 +54,17 @@ const MODELS: [CostModel; 4] = [
     CostModel::CacheMiss { d: 1 },
     CostModel::MaxBufferSize,
     CostModel::MaxBufferDim,
+];
+
+/// FNV-1a digests of [`plan_line`] over every case: one per entry of
+/// [`MODELS`] under the natural CSF order (a refusal folds its
+/// message), then one for the `Auto` searches.
+const PLAN_DIGESTS: [u64; MODELS.len() + 1] = [
+    0x8535_006c_f221_8312,
+    0x5de4_c732_d6a7_e5c2,
+    0xa44c_ab24_ab24_c30d,
+    0x7cad_9dc2_963a_280d,
+    0xf0cd_575c_fd80_b4ba,
 ];
 
 /// One generated einsum with the extents of its indices.
@@ -182,6 +197,23 @@ fn bits(out: &ContractionOutput) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Everything the planner decided for a case, as text: the plan's
+/// description, the order search's record, and the reported flops,
+/// tier, cost and work.
+fn plan_line(case_no: usize, plan: &Plan) -> String {
+    let searched: Vec<String> = (plan.order_costs().iter())
+        .map(|oc| format!("{:?} {:?} {}", oc.order, oc.work, oc.cost))
+        .collect();
+    format!(
+        "{case_no} {}{searched:?} {} {} {} {:?}",
+        plan.describe(),
+        plan.flops,
+        plan.tier,
+        plan.cost,
+        plan.work()
+    )
+}
+
 fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTensor {
     let sparse = coo.to_dense();
     let inputs: Vec<&DenseTensor> = std::iter::once(&sparse).chain(factors).collect();
@@ -195,6 +227,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     let (mut planned, mut refused) = (0usize, 0usize);
     let (mut pattern_out, mut five_factors, mut off_spine, mut dense_csf) = (0, 0, 0, 0);
     let (mut permuted_pattern_out, mut searched, mut reordered) = (0, 0, 0);
+    let mut digests = [FNV_OFFSET; MODELS.len() + 1];
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
         let (coo, factors) = draw(&case, &mut rng);
@@ -215,7 +248,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
                 .any(|f| f.iter().all(|i| DENSE_NAMES.contains(i))),
         );
         let mut want: Option<DenseTensor> = None;
-        for model in MODELS {
+        for (m, model) in MODELS.into_iter().enumerate() {
             let opts = PlanOptions::with_cost_model(model);
             let plan = match Contraction::parse(&case.expr)
                 .unwrap_or_else(|e| panic!("{what}: generated einsum does not parse: {e}"))
@@ -224,13 +257,15 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
                 Ok(plan) => plan,
                 // No feasible nest under this model's bound: a typed,
                 // single-line refusal, counted below.
-                Err(SpttnError::Planning(m)) => {
-                    assert!(!m.contains('\n'), "{what}: {m}");
+                Err(SpttnError::Planning(msg)) => {
+                    assert!(!msg.contains('\n'), "{what}: {msg}");
+                    digests[m] = fnv(digests[m], format!("{case_no} {msg}").as_bytes());
                     refused += 1;
                     continue;
                 }
                 Err(e) => panic!("{what} under {model:?}: untyped planning failure {e:?}"),
             };
+            digests[m] = fnv(digests[m], plan_line(case_no, &plan).as_bytes());
             planned += 1;
             plan.verify_tape()
                 .unwrap_or_else(|e| panic!("{what} under {model:?}: {e}\n{}", plan.describe()));
@@ -289,6 +324,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
                 &PlanOptions::default().with_mode_order(ModeOrderPolicy::Auto),
             )
             .unwrap_or_else(|e| panic!("{what} under Auto: {e}"));
+        digests[MODELS.len()] = fnv(digests[MODELS.len()], plan_line(case_no, &auto).as_bytes());
         reordered += usize::from(!auto.is_natural_order());
         let got = auto
             .bind(csf.clone(), &named)
@@ -317,7 +353,11 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     assert!(five_factors > 0, "no five-factor kernel");
     assert!(off_spine > 0, "no factor without a sparse index");
     assert!(dense_csf > 0, "no plan iterates a CSF index densely");
+    assert_eq!(digests, PLAN_DIGESTS, "a plan moved: {digests:x?}");
 }
+
+/// FNV-1a offset basis, the digest of nothing.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a of `bytes`, continuing from `h`.
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
@@ -339,7 +379,7 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 #[ignore = "prints digests to diff across commits; asserts nothing"]
 fn parity_probe() {
     const TIERS: [Microkernels; 2] = [Microkernels::Scalar, Microkernels::Auto];
-    let mut digests = [(0usize, 0xcbf2_9ce4_8422_2325u64, ""); MODELS.len() * TIERS.len()];
+    let mut digests = [(0usize, FNV_OFFSET, ""); MODELS.len() * TIERS.len()];
     let mut rng = StdRng::seed_from_u64(SEED);
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
