@@ -1,7 +1,7 @@
-//! Network contraction-order search: greedy vs the budgeted exact
-//! subset sweep on multi-tensor networks, reporting each strategy's
-//! modeled flops, search effort, and end-to-end execution wall time
-//! through the network executor.
+//! Network contraction-order search: the greedy order (budget 0) vs
+//! the default budget's exact subset sweep on multi-tensor networks,
+//! reporting each budget's modeled flops, search effort, and end-to-end
+//! execution wall time through the network executor.
 //!
 //! Each row also times its off-spine dense steps on their own
 //! (`NetworkExecutor::execute_dense_steps`): their modeled flops, their
@@ -20,7 +20,7 @@ use spttn::exec::KernelSet;
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{Microkernels, PlanOptions, Shapes, Threads};
 use spttn_bench::{black_box, Harness};
-use spttn_net::{NetOptions, Network, NetworkExecutor, NetworkPlan, OrderStrategy};
+use spttn_net::{NetOptions, Network, NetworkExecutor, NetworkPlan};
 use std::time::Instant;
 
 /// Dense steps below this many flops run for microseconds, where the
@@ -80,22 +80,21 @@ struct Workload {
     dims: &'static [(&'static str, usize)],
     sparse_dims: &'static [usize],
     nnz: usize,
-    strategies: &'static [OrderStrategy],
+    /// Also run the greedy order (budget 0) beside the default budget.
+    greedy_too: bool,
 }
-
-const BOTH: &[OrderStrategy] = &[OrderStrategy::Greedy, OrderStrategy::Optimal];
 
 fn main() {
     let workloads = [
         Workload {
             // The CLI smoke network at scale: the tail C(r,s) can leave
-            // the sparse spine, so the strategies genuinely disagree.
+            // the sparse spine, so the two budgets genuinely disagree.
             name: "krp-chain",
             expr: "T[i,j,k]*A[j,r]*B[k,r]*C[r,s] -> O[i,s]",
             dims: &[("i", 256), ("j", 96), ("k", 96), ("r", 32), ("s", 32)],
             sparse_dims: &[256, 96, 96],
             nnz: 100_000,
-            strategies: BOTH,
+            greedy_too: true,
         },
         Workload {
             name: "tensor-train",
@@ -110,23 +109,24 @@ fn main() {
             ],
             sparse_dims: &[256, 96, 96],
             nnz: 100_000,
-            strategies: BOTH,
+            greedy_too: true,
         },
         Workload {
             // The benchmark gate's `net-factored`: one off-spine GEMM,
             // A(j,m)*D(m,r) at 1500x256x32, beside a collapsed MTTKRP.
-            // Exact order only: greedy contracts D*B first and leaves a
-            // 33-GFLOP kernel (seconds per execute).
+            // Default budget only: greedy contracts D*B first and leaves
+            // a 33-GFLOP kernel (seconds per execute).
             name: "factored",
             expr: "T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]",
             dims: &[("i", 2000), ("j", 1500), ("k", 1000), ("m", 256), ("r", 32)],
             sparse_dims: &[2000, 1500, 1000],
             nnz: 1_000_000,
-            strategies: &[OrderStrategy::Optimal],
+            greedy_too: false,
         },
     ];
 
-    let mut h = Harness::new("net_sequence: greedy vs budgeted-exact network ordering");
+    let default_budget = NetOptions::default().budget;
+    let mut h = Harness::new("net_sequence: greedy (budget 0) vs default-budget network ordering");
     let mut slow_steps = 0;
     let mut dense_rows: Vec<String> = Vec::new();
     let mut order_ratios: Vec<String> = Vec::new();
@@ -149,16 +149,21 @@ fn main() {
             factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
 
         let mut net_medians: Vec<f64> = Vec::new();
-        for &strategy in w.strategies {
+        let budgets: &[u64] = if w.greedy_too {
+            &[0, default_budget]
+        } else {
+            &[default_budget]
+        };
+        for &budget in budgets {
             let nopts = NetOptions::default()
-                .with_order(strategy)
+                .with_budget(budget)
                 .with_plan_options(PlanOptions::default().with_threads(Threads::N(1)));
             let t_plan = Instant::now();
             let nplan = net.plan(&shapes, &nopts).expect("planning succeeds");
             let plan_ms = t_plan.elapsed().as_secs_f64() * 1e3;
             let mut exec = nplan.bind(csf.clone(), &named).expect("bind succeeds");
             let mut out = exec.output_template();
-            let id = format!("{} {strategy:<7} @ 1t", w.name);
+            let id = format!("{} budget {budget:<7} @ 1t", w.name);
             let samples = h.bench_function(&id, || {
                 exec.execute_into(&mut out).expect("execution succeeds");
                 black_box(out.to_dense().sum());
@@ -172,24 +177,23 @@ fn main() {
                 dense_gflops = dense_flops as f64 / dense_ms / 1e6;
                 axpy = axpy_gflops(n);
                 dense_rows.push(format!(
-                    "{id:<28} {dense_flops:>10} {dense_ms:>8.3}ms {dense_gflops:>8.2} {axpy:>8.2}  (n = {n})",
+                    "{id:<34} {dense_flops:>10} {dense_ms:>8.3}ms {dense_gflops:>8.2} {axpy:>8.2}  (n = {n})",
                 ));
                 if dense_gflops < axpy / 4.0 {
                     slow_steps += 1;
                 }
             } else if dense_flops > 0 {
-                dense_rows.push(format!("{id:<28} {dense_flops:>10}  (too small to time)"));
+                dense_rows.push(format!("{id:<34} {dense_flops:>10}  (too small to time)"));
             }
             let r = nplan.report();
             h.note(
                 &id,
                 format!(
-                    "{{\"strategy\": \"{}\", \"chosen_flops\": {}, \"greedy_flops\": {}, \
+                    "{{\"budget\": {budget}, \"chosen_flops\": {}, \"greedy_flops\": {}, \
                      \"evaluated_pairs\": {}, \"truncated\": {}, \"dense_steps\": {}, \
                      \"plan_ms\": {plan_ms:.3}, \"dense_flops\": {dense_flops}, \
                      \"dense_ms\": {}, \"dense_gflops\": {}, \
                      \"axpy_gflops\": {}, \"vector_len\": {n}}}",
-                    r.strategy,
                     r.chosen_flops,
                     r.greedy_flops,
                     r.evaluated_pairs,
@@ -201,20 +205,20 @@ fn main() {
                 ),
             );
         }
-        if let [greedy, optimal] = net_medians[..] {
-            order_ratios.push(format!("{:<40} {:>5.2}x", w.name, greedy / optimal));
+        if let [greedy, default] = net_medians[..] {
+            order_ratios.push(format!("{:<40} {:>5.2}x", w.name, greedy / default));
         }
     }
     h.finish();
 
-    println!("\nwall-time greedy/optimal (median):");
+    println!("\nwall-time budget 0 / default budget (median):");
     for line in &order_ratios {
         println!("{line}");
     }
 
     println!("\ndense steps alone vs AXPY at the same length:");
     println!(
-        "{:<28} {:>10} {:>10} {:>8} {:>8}",
+        "{:<34} {:>10} {:>10} {:>8} {:>8}",
         "bench", "flops", "time", "GFLOP/s", "axpy"
     );
     for row in &dense_rows {

@@ -28,7 +28,7 @@ use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
     RunBudget, Shapes, SpttnError, Threads,
 };
-use spttn_net::{NetOptions, Network, OrderStrategy};
+use spttn_net::{NetOptions, Network};
 use std::time::{Duration, Instant};
 
 const CHECK_TOL: f64 = 1e-9;
@@ -47,8 +47,9 @@ EXPR uses either syntax, first right-hand-side tensor sparse:
 
 'spttn net' plans (and, given a tensor file, executes) a multi-tensor
 network: the dense factors may share indices among themselves, the
-pairwise contraction order is searched (--order), dense-dense steps are
-materialized, and the sparse spine collapses into one planned kernel.
+pairwise contraction order is searched (greedy, then an exact subset
+sweep within --budget), dense-dense steps are materialized, and the
+sparse spine collapses into one planned kernel.
 
 INPUT:
     --tns FILE            FROSTT text tensor (1-based coords, '#' comments)
@@ -61,9 +62,9 @@ OPTIONS:
     --dim name=N          dimension for one index (overrides --rank)
     --threads N|auto      execution threads (at least 1, or 'auto' for one
                           per hardware core) [1]
-    --order O             network contraction order: greedy | optimal
-                          (budgeted exact subset sweep; 'spttn net' only) [greedy]
-    --budget N            pair-cost evaluation budget for --order optimal
+    --budget N            pair-cost evaluations the network order search may
+                          spend, greedy's rounds included; once spent, the
+                          greedy order is used, so 0 plans greedy
                           ('spttn net' only) [1000000]
     --microkernels M      auto (SIMD kernels by CPU detection) | scalar (plain
                           scalar kernels, bitwise-stable baseline) — a kernel
@@ -121,8 +122,7 @@ struct Args {
     rank: usize,
     dim_overrides: Vec<(String, usize)>,
     threads: Threads,
-    order: Option<OrderStrategy>,
-    budget: Option<u64>,
+    budget: u64,
     microkernels: Microkernels,
     cost_model: CostModel,
     mode_order: ModeOrderPolicy,
@@ -260,8 +260,7 @@ fn parse_args() -> Args {
         rank: 16,
         dim_overrides: Vec::new(),
         threads: Threads::N(1),
-        order: None,
-        budget: None,
+        budget: NetOptions::default().budget,
         microkernels: Microkernels::Auto,
         cost_model: CostModel::BlasAware {
             buffer_dim_bound: 2,
@@ -320,19 +319,25 @@ fn parse_args() -> Args {
                     }
                 }
             }
+            // A flag that would change nothing is refused, not ignored.
+            flag @ ("--order" | "--budget") if args.cmd != "net" => fail(format!(
+                "{flag} orders a network: it applies to 'spttn net' only"
+            )),
+            // There is one order search, so `--order optimal` changes
+            // nothing; it is accepted only because the `benchmark/`
+            // package still passes it.
             "--order" => {
-                args.order = Some(match value(&mut argv, "--order").as_str() {
-                    "greedy" => OrderStrategy::Greedy,
-                    "optimal" => OrderStrategy::Optimal,
-                    other => fail(format!("unknown order '{other}' (greedy, optimal)")),
-                })
+                let v = value(&mut argv, "--order");
+                if v != "optimal" {
+                    fail(format!(
+                        "--order {v}: there is one order search; --budget 0 plans greedy"
+                    ));
+                }
             }
             "--budget" => {
-                args.budget = Some(
-                    value(&mut argv, "--budget")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --budget value")),
-                )
+                args.budget = value(&mut argv, "--budget")
+                    .parse()
+                    .unwrap_or_else(|_| fail("bad --budget value"))
             }
             "--microkernels" => {
                 args.microkernels = parse_microkernels(&value(&mut argv, "--microkernels"))
@@ -367,9 +372,6 @@ fn parse_args() -> Args {
         }
     }
     // A flag that would change nothing is refused, not ignored.
-    if args.cmd != "net" && (args.order.is_some() || args.budget.is_some()) {
-        fail("--order and --budget order a network: they apply to 'spttn net' only");
-    }
     if args.nnz.is_some() && (args.tns.is_some() || args.mtx.is_some()) {
         fail("--nnz models a tensor without a file; the file's own pattern is exact");
     }
@@ -646,10 +648,8 @@ fn run_net(args: &Args) {
         &net.all_index_names(),
         coo.as_ref(),
     );
-    let defaults = NetOptions::default();
     let nopts = NetOptions {
-        order: args.order.unwrap_or(defaults.order),
-        budget: args.budget.unwrap_or(defaults.budget),
+        budget: args.budget,
         plan: plan_options(args),
     };
 
@@ -661,8 +661,8 @@ fn run_net(args: &Args) {
     print!("{}", nplan.describe());
     let report = nplan.report();
     println!(
-        "search:  {} pair evaluations ({})",
-        report.evaluated_pairs, report.strategy
+        "search:  {} pair evaluations (budget {})",
+        report.evaluated_pairs, nopts.budget
     );
     println!("planned in {plan_ms:.1} ms");
     if args.verify {

@@ -613,22 +613,6 @@ fn catch_tile0(tile0: impl FnOnce() -> Result<()>) -> Result<()> {
     })
 }
 
-impl Clone for ParallelExecutor {
-    /// Clones tiles, workspaces, and partials, and spawns a **fresh**
-    /// worker pool of the same size (threads are not shareable state).
-    fn clone(&self) -> ParallelExecutor {
-        ParallelExecutor {
-            tiles: self.tiles.clone(),
-            workspaces: self.workspaces.clone(),
-            partials: self.partials.clone(),
-            pool: WorkerPool::new(self.pool.len()),
-            tape: self.tape.clone(),
-            level_nnz: self.level_nnz.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -446,7 +446,7 @@ mod tests {
     use super::*;
     use crate::networks::{goldens, Fixture, Golden};
     use crate::plan::{lower, spine_terms, term_loops};
-    use crate::{NetOptions, OrderStrategy};
+    use crate::NetOptions;
     use spttn::ir::{IdxSet, IndexId, Operand, Term};
     use spttn::{Microkernels, PlanOptions};
 
@@ -702,10 +702,10 @@ mod tests {
         for g in goldens().into_iter().chain(&EXTRAS) {
             let fx = Fixture::golden(g);
             let expr = g.expr;
-            for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+            for budget in [0, NetOptions::default().budget] {
                 let popts = PlanOptions::default().with_microkernels(Microkernels::Scalar);
                 let nopts = NetOptions::default()
-                    .with_order(strategy)
+                    .with_budget(budget)
                     .with_plan_options(popts);
                 let nplan = fx.net.plan(&fx.shapes, &nopts).unwrap();
                 let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
@@ -731,7 +731,7 @@ mod tests {
                     assert_eq!(
                         bits(got.as_slice()),
                         bits(&want),
-                        "{expr} ({strategy}): step {} is not the stride walk bit for bit",
+                        "{expr} (budget {budget}): step {} is not the stride walk bit for bit",
                         step.desc
                     );
                     steps_checked += 1;

@@ -9,9 +9,11 @@
 //! 1. [`Network::parse`] accepts an einsum expression with arbitrarily
 //!    many tensors sharing indices (first input sparse, rest dense).
 //! 2. [`Network::plan`] searches pairwise contraction orders — greedy,
-//!    or a budgeted cost-capped exact subset sweep in the style of
-//!    Pfeifer et al.'s netcon ([`OrderStrategy::Optimal`]) — under the
-//!    materialization-aware cost model of [`modeled_path_flops`].
+//!    refined by a cost-capped exact subset sweep in the style of
+//!    Pfeifer et al.'s netcon that spends at most
+//!    [`NetOptions::budget`] pair evaluations (budget 0 is greedy) —
+//!    under the materialization-aware cost model of
+//!    [`modeled_path_flops`].
 //! 3. The chosen order is lowered ([`NetworkPlan`]): pairwise steps
 //!    that do not involve the sparse operand become materialized dense
 //!    steps (loop nests whose innermost loop is one of the tape's
@@ -26,7 +28,7 @@
 //!
 //! ```
 //! use spttn::{Shapes, Threads};
-//! use spttn_net::{NetOptions, Network, OrderStrategy};
+//! use spttn_net::{NetOptions, Network};
 //!
 //! // One CP-ALS factor update: T contracted with two factor matrices
 //! // and a dense mixing matrix.
@@ -34,8 +36,7 @@
 //! let shapes = Shapes::new()
 //!     .with_dims(&[("i", 30), ("j", 20), ("k", 25), ("r", 8), ("s", 8)])
 //!     .with_nnz(500);
-//! let opts = NetOptions::default().with_order(OrderStrategy::Optimal);
-//! let plan = net.plan(&shapes, &opts).unwrap();
+//! let plan = net.plan(&shapes, &NetOptions::default()).unwrap();
 //! assert!(plan.report().chosen_flops <= plan.report().greedy_flops);
 //! # let _ = Threads::Auto;
 //! ```

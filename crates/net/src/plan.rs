@@ -434,7 +434,7 @@ impl NetworkPlan {
 
     /// A [`WorkspacePool`] shaped for this plan's intermediates. Share
     /// one pool (behind an `Arc`) across executors and threads to reuse
-    /// workspace allocations via [`NetworkPlan::bind_pooled`].
+    /// intermediate sets via [`NetworkPlan::bind_pooled`].
     pub fn pool(&self) -> WorkspacePool {
         WorkspacePool {
             dims: self.inter_dims.clone(),
@@ -452,10 +452,12 @@ impl NetworkPlan {
         NetworkExecutor::bind(self, None, csf, factors)
     }
 
-    /// Like [`NetworkPlan::bind`], but intermediate workspaces are
-    /// checked out of `pool` (and checked back in when the executor
-    /// drops), so repeated bind/drop cycles stop allocating once the
-    /// pool is warm.
+    /// Like [`NetworkPlan::bind`], but the intermediate set is checked
+    /// out of `pool` (and checked back in when the executor drops). The
+    /// pool recycles only that set: every bind still clones each dense
+    /// factor, spine-feeding intermediates included, into the collapsed
+    /// kernel's executor, and every execute copies those intermediates
+    /// into it again.
     pub fn bind_pooled(
         &self,
         pool: &Arc<WorkspacePool>,
@@ -476,8 +478,7 @@ impl NetworkPlan {
         let mut s = String::new();
         s.push_str(&format!("network: {}\n", self.expr));
         s.push_str(&format!(
-            "order:   {} — modeled flops {} (greedy {}){}\n",
-            self.report.strategy,
+            "order:   modeled flops {} (greedy {}){}\n",
             self.report.chosen_flops,
             self.report.greedy_flops,
             if self.report.truncated {

@@ -1,6 +1,6 @@
-//! Contraction-sequence search: greedy ordering and a budgeted,
-//! cost-capped exact subset sweep (netcon-style), both scored by one
-//! materialization-aware cost model.
+//! Contraction-sequence search: one budgeted search, greedy ordering
+//! refined by a cost-capped exact subset sweep (netcon-style), both
+//! scored by one materialization-aware cost model.
 //!
 //! ## The sequence cost model
 //!
@@ -31,38 +31,24 @@ use spttn::ir::{
 use spttn::tensor::SparsityProfile;
 use spttn::PlanOptions;
 
-/// How [`crate::Network::plan`] picks the pairwise contraction order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kept only because the `benchmark/` package still names the strategy
+/// the one order search used to be picked from;
+/// [`NetOptions::with_order`] ignores it.
+#[doc(hidden)]
 pub enum OrderStrategy {
-    /// Each round contracts the cheapest remaining pair (ties broken by
-    /// smaller intermediate). `O(n³)` evaluations; no optimality
-    /// guarantee.
-    Greedy,
-    /// Exact minimum over all contraction trees via a subset dynamic
-    /// program, pruned by the greedy total (μ-cap) and capped by
-    /// [`NetOptions::budget`]; falls back to greedy (reported via
-    /// [`SearchReport::truncated`]) when the budget runs out.
     Optimal,
 }
 
-impl std::fmt::Display for OrderStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OrderStrategy::Greedy => write!(f, "greedy"),
-            OrderStrategy::Optimal => write!(f, "optimal"),
-        }
-    }
-}
-
-/// Options for network planning: the order search, plus the
+/// Options for network planning: the order search's budget, plus the
 /// [`PlanOptions`] the Sec. 5 planner runs with on the one collapsed
 /// sparse kernel (dense steps are lowered, not planned).
 #[derive(Debug, Clone)]
 pub struct NetOptions {
-    /// Order-search strategy.
-    pub order: OrderStrategy,
-    /// Maximum number of pair-cost evaluations the exact sweep may
-    /// spend before falling back to greedy.
+    /// Maximum number of pair-cost evaluations the order search may
+    /// spend, greedy's rounds included. Greedy always runs to the end
+    /// and is charged first; the exact sweep gets what is left and
+    /// falls back to the greedy order when that runs out. So a budget
+    /// of 0 (or any budget greedy alone spends) plans the greedy order.
     pub budget: u64,
     /// Planner options for the collapsed sparse kernel (cost model, mode
     /// order, threads, microkernels, …). Its execution options cover
@@ -74,7 +60,6 @@ pub struct NetOptions {
 impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
-            order: OrderStrategy::Greedy,
             budget: 1_000_000,
             plan: PlanOptions::default(),
         }
@@ -82,13 +67,14 @@ impl Default for NetOptions {
 }
 
 impl NetOptions {
-    /// Set the order-search strategy.
-    pub fn with_order(mut self, order: OrderStrategy) -> Self {
-        self.order = order;
+    /// Kept only for the `benchmark/` package: there is one order
+    /// search, so this returns `self` unchanged.
+    #[doc(hidden)]
+    pub fn with_order(self, _: OrderStrategy) -> Self {
         self
     }
 
-    /// Set the exact-search evaluation budget.
+    /// Set the order search's evaluation budget ([`NetOptions::budget`]).
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
         self
@@ -104,8 +90,6 @@ impl NetOptions {
 /// What the order search did and found.
 #[derive(Debug, Clone)]
 pub struct SearchReport {
-    /// Strategy that was requested.
-    pub strategy: OrderStrategy,
     /// Pair-cost evaluations spent (greedy rounds + exact-sweep splits).
     pub evaluated_pairs: u64,
     /// True when the exact sweep exhausted its budget (or the network
@@ -114,13 +98,14 @@ pub struct SearchReport {
     pub truncated: bool,
     /// Modeled flops of the greedy order.
     pub greedy_flops: u128,
-    /// Modeled flops of the chosen order (`== greedy_flops` for
-    /// [`OrderStrategy::Greedy`], `<=` for a completed exact sweep).
+    /// Modeled flops of the chosen order: the minimum over every
+    /// contraction order when the sweep completed, `greedy_flops` when
+    /// it was truncated.
     pub chosen_flops: u128,
 }
 
 /// Modeled flops of a whole contraction path under the sequence cost
-/// model — the objective both [`OrderStrategy`] variants minimize.
+/// model — the objective the order search minimizes.
 /// Exposed so external checks (tests, benches) can score brute-force
 /// path enumerations with the *identical* model the planner uses.
 pub fn modeled_path_flops(
@@ -171,10 +156,10 @@ const MAX_EXACT_TENSORS: usize = 16;
 
 /// Exact minimum over contraction trees: a dynamic program over leaf
 /// subsets. Sound because the model is position-independent — the
-/// visible index set of a subtree covering leaf set `S` is
-/// `raw(S) ∩ (output ∪ raw(!S))` no matter when the subtree is built,
-/// and its sparse lineage is `sparse_inds ∩ inds(S)` iff the sparse
-/// leaf is in `S`. Splits whose cost already exceeds `mu_cap` (the
+/// visible index set of a subtree covering two or more leaves `S` is
+/// `raw(S) ∩ (output ∪ raw(!S))` no matter when the subtree is built
+/// (a single leaf's is all of its own indices), and its sparse lineage
+/// is `sparse_inds ∩ inds(S)` iff the sparse leaf is in `S`. Splits whose cost already exceeds `mu_cap` (the
 /// greedy total) are pruned: the final answer is `min(dp, greedy)`, so
 /// nothing better is lost. Returns `None` when the evaluation budget
 /// runs out.
@@ -202,8 +187,16 @@ fn optimal_picks(
     let out_set = kernel.output_indices();
     let sparse_bit = 1u32 << kernel.sparse_input;
     let sparse_inds = kernel.sparse_indices();
-    let inds_of =
-        |s: u32| -> IdxSet { raw[s as usize].intersect(out_set.union(raw[(full & !s) as usize])) };
+    // A leaf keeps all its indices, including those no other tensor
+    // has: the first term that reads it sums them. A larger subtree
+    // keeps only what the output or the rest of the network needs.
+    let inds_of = |s: u32| -> IdxSet {
+        if s.count_ones() == 1 {
+            raw[s as usize]
+        } else {
+            raw[s as usize].intersect(out_set.union(raw[(full & !s) as usize]))
+        }
+    };
     let lineage_of = |s: u32| -> IdxSet {
         if s & sparse_bit != 0 {
             sparse_inds.intersect(inds_of(s))
@@ -235,10 +228,10 @@ fn optimal_picks(
             let b = su ^ a;
             let viable = match (cost[a as usize], cost[b as usize]) {
                 (Some(ca), Some(cb)) => {
-                    *evaluated += 1;
-                    if *evaluated > budget {
+                    if *evaluated >= budget {
                         return None;
                     }
+                    *evaluated += 1;
                     let sub = ca.saturating_add(cb);
                     if sub <= mu_cap {
                         let t = prefix_flops(
@@ -301,8 +294,9 @@ fn optimal_picks(
     Some((total, picks))
 }
 
-/// Run the configured order search. The caller guarantees the network
-/// has at least two tensors.
+/// Run the order search: greedy, then the exact sweep on what is left
+/// of the budget. The caller guarantees the network has at least two
+/// tensors.
 pub(crate) fn choose_path(
     kernel: &Kernel,
     profile: &SparsityProfile,
@@ -311,24 +305,18 @@ pub(crate) fn choose_path(
     let (gpicks, mut evaluated) = greedy_picks(kernel, profile);
     let greedy_path = path_from_picks(kernel, &gpicks);
     let greedy_flops = modeled_path_flops(kernel, &greedy_path, profile);
-    let (path, chosen_flops, truncated) = match opts.order {
-        OrderStrategy::Greedy => (greedy_path, greedy_flops, false),
-        OrderStrategy::Optimal => {
-            match optimal_picks(kernel, profile, greedy_flops, opts.budget, &mut evaluated) {
-                Some((flops, picks)) if flops < greedy_flops => {
-                    let path = path_from_picks(kernel, &picks);
-                    debug_assert_eq!(modeled_path_flops(kernel, &path, profile), flops);
-                    (path, flops, false)
-                }
-                // The sweep completed and greedy was already optimal
-                // (it is one of the trees the DP covers).
-                Some(_) => (greedy_path, greedy_flops, false),
-                None => (greedy_path, greedy_flops, true),
+    let (path, chosen_flops, truncated) =
+        match optimal_picks(kernel, profile, greedy_flops, opts.budget, &mut evaluated) {
+            Some((flops, picks)) if flops < greedy_flops => {
+                let path = path_from_picks(kernel, &picks);
+                debug_assert_eq!(modeled_path_flops(kernel, &path, profile), flops);
+                (path, flops, false)
             }
-        }
-    };
+            // The sweep completed and greedy was already optimal (it is
+            // one of the trees the DP covers), or the budget ran out.
+            done => (greedy_path, greedy_flops, done.is_none()),
+        };
     let report = SearchReport {
-        strategy: opts.order,
         evaluated_pairs: evaluated,
         truncated,
         greedy_flops,
@@ -378,8 +366,7 @@ mod tests {
         ] {
             let kernel = parse_kernel(expr, &dims).unwrap();
             let profile = profile_for(&kernel, 700);
-            let opts = NetOptions::default().with_order(OrderStrategy::Optimal);
-            let (path, report) = choose_path(&kernel, &profile, &opts);
+            let (path, report) = choose_path(&kernel, &profile, &NetOptions::default());
             assert!(!report.truncated);
             let best = brute_force_min(&kernel, &profile);
             assert_eq!(report.chosen_flops, best, "{expr}");
@@ -396,9 +383,7 @@ mod tests {
         )
         .unwrap();
         let profile = profile_for(&kernel, 300);
-        let opts = NetOptions::default()
-            .with_order(OrderStrategy::Optimal)
-            .with_budget(1);
+        let opts = NetOptions::default().with_budget(1);
         let (path, report) = choose_path(&kernel, &profile, &opts);
         assert!(report.truncated);
         assert_eq!(report.chosen_flops, report.greedy_flops);

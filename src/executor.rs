@@ -235,7 +235,7 @@ impl Plan {
 ///
 /// See the [module docs](self) for the allocation contract and the
 /// rebinding workflow.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor {
     plan: Plan,
     csf: Csf,

@@ -174,9 +174,11 @@ fn network_cancel_then_retry_is_bitwise_identical() {
     let popts = PlanOptions::default()
         .with_microkernels(Microkernels::Scalar)
         .with_cancel(tok.clone());
-    let nplan = net
-        .plan(&shapes, &NetOptions::default().with_plan_options(popts))
-        .unwrap();
+    // The greedy order (budget 0) materializes D1*D2.
+    let nopts = NetOptions::default()
+        .with_budget(0)
+        .with_plan_options(popts);
+    let nplan = net.plan(&shapes, &nopts).unwrap();
     assert!(nplan.num_dense_steps() >= 1, "fixture must exercise steps");
     let mut exec = nplan.bind(csf, &[("D1", &d1), ("D2", &d2)]).unwrap();
 

@@ -65,9 +65,10 @@ pub const FIVE_TENSOR: Golden = Golden {
     seed: 11,
 };
 
-/// D1*D2 is far cheaper than touching the sparse tensor first, so this
-/// network exercises the materialized dense-step path and the `_net`
-/// intermediate feeding the collapsed kernel.
+/// D1*D2 is the cheapest first pair, so the greedy order (budget 0)
+/// exercises the materialized dense-step path and the `_net`
+/// intermediate feeding the collapsed kernel; the exact sweep keeps
+/// every factor on the sparse spine.
 pub const DENSE_CHAIN: Golden = Golden {
     expr: "T[i,j]*D1[j,m]*D2[m,r] -> O[i,r]",
     dims: &[("i", 20), ("j", 15), ("m", 4), ("r", 6)],
@@ -76,10 +77,22 @@ pub const DENSE_CHAIN: Golden = Golden {
     seed: 23,
 };
 
+/// `a` is on `B` alone, so the term that reads `B` sums it. Shrunk from
+/// `tests/random_networks.rs`: the exact sweep once priced a leaf
+/// without its private indices, modeled `A*B` first at 38 flops when
+/// that order costs 248, and chose it over greedy's 168, the minimum.
+pub const PRIVATE_INDEX: Golden = Golden {
+    expr: "T[i,j]*A[j,r]*B[r,a] -> O[i]",
+    dims: &[("i", 6), ("j", 5), ("r", 3), ("a", 8)],
+    sparse_dims: &[6, 5],
+    nnz: 4,
+    seed: 3,
+};
+
 /// Every golden network, in the order `tests/network.rs` runs them.
 pub fn goldens() -> Vec<&'static Golden> {
     let mut all: Vec<&Golden> = CP_ALS.iter().collect();
-    all.extend([&TENSOR_TRAIN, &FIVE_TENSOR, &DENSE_CHAIN]);
+    all.extend([&TENSOR_TRAIN, &FIVE_TENSOR, &DENSE_CHAIN, &PRIVATE_INDEX]);
     all
 }
 

@@ -19,7 +19,7 @@ use networks::Fixture;
 use rand::prelude::*;
 use spttn::ir::{IndexId, Operand};
 use spttn::{Microkernels, PlanOptions};
-use spttn_net::{NetOptions, NetworkPlan, OrderStrategy};
+use spttn_net::{NetOptions, NetworkPlan};
 
 const TOL: f64 = 1e-9;
 const EXTENTS: [usize; 9] = [1, 2, 3, 5, 7, 8, 16, 32, 33];
@@ -195,7 +195,6 @@ fn generated_dense_steps_match_the_oracle_on_both_tiers() {
         let fx = Fixture::new(&case.expr, &dims, &case.sparse_dims, nnz, cases as u64);
         let plan = |micro: Microkernels| {
             let nopts = NetOptions::default()
-                .with_order(OrderStrategy::Optimal)
                 .with_plan_options(PlanOptions::default().with_microkernels(micro));
             fx.net.plan(&fx.shapes, &nopts).unwrap()
         };

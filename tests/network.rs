@@ -1,9 +1,10 @@
 //! Golden suite for the multi-kernel tensor-network scheduler
 //! (`spttn-net`): every network — CP-ALS sweep, tensor-train, a
 //! five-tensor chain, and a network forcing off-spine dense steps —
-//! must reproduce the naive whole-network einsum oracle under both
-//! order strategies and serial + parallel execution (and so must the
-//! reference interpreter, run on the network flattened to one kernel);
+//! must reproduce the naive whole-network einsum oracle under the
+//! greedy order (budget 0) and the default search, serial and parallel
+//! (and so must the reference interpreter, run on the network
+//! flattened to one kernel);
 //! the budgeted exact search must match brute-force order enumeration;
 //! and pooled executors must move and reuse workspaces across threads.
 
@@ -11,16 +12,17 @@ mod common;
 #[path = "common/networks.rs"]
 mod networks;
 
-use networks::{Fixture, CP_ALS, DENSE_CHAIN, FIVE_TENSOR, TENSOR_TRAIN};
+use networks::{Fixture, CP_ALS, DENSE_CHAIN, FIVE_TENSOR, PRIVATE_INDEX, TENSOR_TRAIN};
 use spttn::ir::enumerate_paths;
 use spttn::{Contraction, PlanCache, PlanOptions, RunBudget, SpttnError, Threads};
-use spttn_net::{modeled_path_flops, NetOptions, Network, OrderStrategy};
+use spttn_net::{modeled_path_flops, NetOptions, Network};
 use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
-/// Plan + bind + execute under every (strategy × threads)
+/// Plan + bind + execute under every (order-search budget × threads)
 /// combination, sharing one `PlanCache`, and compare to the oracle.
+/// Budget 0 plans the greedy order.
 fn check_all(fx: &Fixture) {
     let expr = fx.net.expr();
     // The network flattened to one kernel, through the reference
@@ -35,23 +37,23 @@ fn check_all(fx: &Fixture) {
         "{expr}: reference interpreter disagrees with the naive oracle"
     );
     let cache = PlanCache::new();
-    for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+    for budget in [0, NetOptions::default().budget] {
         for threads in [1usize, 4] {
             let popts = PlanOptions::default()
                 .with_threads(Threads::N(threads))
                 .with_microkernels(spttn::Microkernels::Scalar);
             let nopts = NetOptions::default()
-                .with_order(strategy)
+                .with_budget(budget)
                 .with_plan_options(popts);
             let nplan = fx
                 .net
                 .plan_cached(&cache, &fx.shapes, &nopts)
-                .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
+                .unwrap_or_else(|e| panic!("plan {expr} (budget {budget}): {e}"));
             let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
             let got = exec.execute().unwrap();
             assert!(
                 got.to_dense().approx_eq(&fx.want, TOL),
-                "{expr}: mismatch at {strategy}, {threads} thread(s)\n{}",
+                "{expr}: mismatch at budget {budget}, {threads} thread(s)\n{}",
                 nplan.describe()
             );
         }
@@ -76,9 +78,15 @@ fn five_tensor_network_matches_oracle() {
 }
 
 #[test]
+fn private_index_network_matches_oracle() {
+    check_all(&Fixture::golden(&PRIVATE_INDEX));
+}
+
+#[test]
 fn dense_chain_network_matches_oracle() {
     let fx = Fixture::golden(&DENSE_CHAIN);
-    let nplan = fx.net.plan(&fx.shapes, &NetOptions::default()).unwrap();
+    let greedy = NetOptions::default().with_budget(0);
+    let nplan = fx.net.plan(&fx.shapes, &greedy).unwrap();
     assert!(
         nplan.num_dense_steps() >= 1,
         "expected an off-spine dense step:\n{}",
@@ -107,10 +115,11 @@ fn permuted_pattern_output_matches_oracle() {
 }
 
 /// A network bind passes the collapsed kernel's admission rule with its
-/// dense steps and intermediates on top. The factored shape at 4
-/// threads with exactly the one-thread charge binds at one thread — the
-/// 4-thread bind would hold 3 output partials more — and one byte, or
-/// one flop, under the network totals is refused naming them.
+/// dense steps and intermediates on top. The factored shape under its
+/// greedy order (budget 0, which has a dense step) at 4 threads with
+/// exactly the one-thread charge binds at one thread — the 4-thread
+/// bind would hold 3 output partials more — and one byte, or one flop,
+/// under the network totals is refused naming them.
 #[test]
 fn network_budget_is_the_kernel_rule_plus_the_dense_steps() {
     let fx = Fixture::new(
@@ -124,7 +133,9 @@ fn network_budget_is_the_kernel_rule_plus_the_dense_steps() {
         let popts = PlanOptions::default()
             .with_threads(Threads::N(4))
             .with_budget(budget);
-        let nopts = NetOptions::default().with_plan_options(popts);
+        let nopts = NetOptions::default()
+            .with_budget(0)
+            .with_plan_options(popts);
         fx.net.plan(&fx.shapes, &nopts).unwrap()
     };
     let bind = |budget| plan(budget).bind(fx.csf.clone(), &fx.named());
@@ -187,10 +198,13 @@ fn exact_search_matches_brute_force_enumeration() {
             &[12, 10, 8],
         ),
     ];
-    for (expr, dims, sparse_dims) in cases {
-        let fx = Fixture::new(expr, dims, sparse_dims, 160, 41);
-        let nopts = NetOptions::default().with_order(OrderStrategy::Optimal);
-        let nplan = fx.net.plan(&fx.shapes, &nopts).unwrap();
+    let fixtures = cases
+        .into_iter()
+        .map(|(expr, dims, sparse_dims)| Fixture::new(expr, dims, sparse_dims, 160, 41))
+        .chain([Fixture::golden(&PRIVATE_INDEX)]);
+    for fx in fixtures {
+        let expr = fx.net.expr();
+        let nplan = fx.net.plan(&fx.shapes, &NetOptions::default()).unwrap();
         let report = nplan.report();
         assert!(!report.truncated, "{expr}: default budget must suffice");
 
@@ -222,7 +236,9 @@ fn pooled_executors_move_and_reuse_across_threads() {
     let expr = "T[i,j]*D1[j,m]*D2[m,r] -> O[i,r]";
     let dims: &[(&str, usize)] = &[("i", 20), ("j", 15), ("m", 4), ("r", 6)];
     let fx = Fixture::new(expr, dims, &[20, 15], 120, 53);
-    let nplan = fx.net.plan(&fx.shapes, &NetOptions::default()).unwrap();
+    // The greedy order (budget 0) materializes D1*D2.
+    let greedy = NetOptions::default().with_budget(0);
+    let nplan = fx.net.plan(&fx.shapes, &greedy).unwrap();
     assert!(
         nplan.num_dense_steps() >= 1,
         "pool must have workspaces to own"
@@ -278,6 +294,7 @@ fn cancelled_execution_never_recycles_dirty_workspaces() {
         .plan(
             &fx.shapes,
             &NetOptions::default()
+                .with_budget(0)
                 .with_plan_options(PlanOptions::default().with_cancel(tok.clone())),
         )
         .unwrap();

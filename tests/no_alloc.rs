@@ -151,8 +151,8 @@ fn execute_into_performs_zero_heap_allocations() {
     // Network executor: materialized dense steps feeding a collapsed
     // sparse kernel must also run allocation-free in steady state,
     // including a factor swap that fans out through the routing table.
-    // `D1(j,m)*D2(m,r)` is far cheaper than touching the 350-nonzero
-    // sparse tensor first, so the planner materializes it off-spine.
+    // `D1(j,m)*D2(m,r)` is the cheapest first pair, so the greedy order
+    // (budget 0) materializes it off-spine.
     let coo = random_coo(&[30, 20], 350, &mut rng).unwrap();
     let csf = Csf::from_coo(&coo, &[0, 1]).unwrap();
     let d1 = random_dense(&[20, 4], &mut rng);
@@ -164,7 +164,7 @@ fn execute_into_performs_zero_heap_allocations() {
             &Shapes::new()
                 .with_dims(&[("i", 30), ("j", 20), ("m", 4), ("r", 5)])
                 .with_pattern(csf.to_coo()),
-            &NetOptions::default(),
+            &NetOptions::default().with_budget(0),
         )
         .unwrap();
     assert!(
@@ -219,7 +219,9 @@ fn execute_into_performs_zero_heap_allocations() {
             &Shapes::new()
                 .with_dims(&[("i", 30), ("j", 20), ("m", 4), ("r", 5)])
                 .with_pattern(csf.to_coo()),
-            &NetOptions::default().with_plan_options(one_byte),
+            &NetOptions::default()
+                .with_budget(0)
+                .with_plan_options(one_byte),
         )
         .unwrap();
     assert!(nplan.num_dense_steps() >= 1);

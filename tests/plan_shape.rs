@@ -22,7 +22,7 @@ use spttn::ir::{
 };
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{Contraction, CostModel, Plan, PlanOptions, Shapes, Threads};
-use spttn_net::{NetOptions, Network, OrderStrategy};
+use spttn_net::{NetOptions, Network};
 
 const MODELS: [CostModel; 4] = [
     CostModel::BlasAware {
@@ -331,10 +331,7 @@ fn net_factored_collapses_onto_the_hypersparse_mttkrp_nest() {
     for shapes in sources(&dims, &pattern) {
         let nplan = Network::parse("T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]")
             .unwrap()
-            .plan(
-                &shapes,
-                &NetOptions::default().with_order(OrderStrategy::Optimal),
-            )
+            .plan(&shapes, &NetOptions::default())
             .unwrap();
         let text = nplan.kernel_plan().describe();
         assert!(text.contains("orders: (i,j,k,r),(i,j,r)\n"), "{text}");

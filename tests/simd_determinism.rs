@@ -31,7 +31,7 @@ use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, Plan, PlanOptions, Shapes, Threads,
 };
-use spttn_net::{NetOptions, OrderStrategy};
+use spttn_net::NetOptions;
 
 const TOL: f64 = 1e-9;
 
@@ -192,7 +192,7 @@ fn scalar_forced_tape_reproduces_interp_bitwise() {
 fn network_dense_steps_honour_the_microkernel_policy() {
     for g in networks::goldens() {
         let fx = networks::Fixture::golden(g);
-        for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
+        for budget in [0, NetOptions::default().budget] {
             for threads in [1usize, 4] {
                 // Two binds of one plan, two executes of the first.
                 let run = |micro: Microkernels| -> [Vec<u64>; 3] {
@@ -200,7 +200,7 @@ fn network_dense_steps_honour_the_microkernel_policy() {
                         .with_threads(Threads::N(threads))
                         .with_microkernels(micro);
                     let nopts = NetOptions::default()
-                        .with_order(strategy)
+                        .with_budget(budget)
                         .with_plan_options(popts);
                     let nplan = fx.net.plan(&fx.shapes, &nopts).unwrap();
                     let mut exec = nplan.bind(fx.csf.clone(), &fx.named()).unwrap();
@@ -211,7 +211,7 @@ fn network_dense_steps_honour_the_microkernel_policy() {
                         bits(&again.execute().unwrap()),
                     ]
                 };
-                let what = format!("{} ({strategy}, {threads} thread(s))", g.expr);
+                let what = format!("{} (budget {budget}, {threads} thread(s))", g.expr);
                 let scalar = run(Microkernels::Scalar);
                 let auto = run(Microkernels::Auto);
                 for tier in [&scalar, &auto] {
