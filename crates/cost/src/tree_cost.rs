@@ -12,9 +12,10 @@
 //! index, its sparse/dense classification, and the sibling horizon
 //! (`call_hi`) — the exclusive end of the term range at the vertex's
 //! nesting level. Buffers whose producer lies under the vertex but whose
-//! consumer is a *sibling* (within `call_hi`) split exactly here, so
-//! their stored size `|out_inds \ removed|` (Eq. 5) is exact at this
-//! vertex and charged nowhere else.
+//! consumer is a *sibling* (within `call_hi`) split exactly here — the
+//! rule [`ContractionPath::splits`] states once for the tape and the
+//! bind too — so their stored size `|out_inds \ removed|` (Eq. 5) is
+//! exact at this vertex and charged nowhere else.
 
 use crate::work::WorkCounts;
 use spttn_ir::{ContractionPath, IdxSet, IndexId, Kernel, VertexKind};
@@ -60,20 +61,14 @@ impl<'a> VertexCtx<'a> {
         }
     }
 
-    /// Buffers that split at this vertex: producer in `[lo, hi)`,
-    /// consumer a sibling in `[hi, call_hi)`. Yields the buffer's stored
-    /// index set `out_inds \ removed` (Eq. 5 with the common-ancestor set
-    /// equal to `removed` at the split point).
+    /// Stored index sets of the buffers that split at this vertex, by
+    /// [`ContractionPath::splits`]: producer under the vertex, consumer a
+    /// sibling in `[hi, call_hi)`. The loops enclosing the vertex are
+    /// then the producer–consumer common ancestors, so each buffer
+    /// stores `out_inds \ removed` (Eq. 5) — what a bind allocates.
     pub fn splitting_buffers(&self) -> impl Iterator<Item = IdxSet> + '_ {
-        (self.lo..self.hi).filter_map(move |t| {
-            let term = &self.path.terms[t];
-            let c = term.consumer?;
-            if c >= self.hi && c < self.call_hi {
-                Some(term.out_inds.minus(self.removed))
-            } else {
-                None
-            }
-        })
+        (self.path.splits(self.lo, self.hi, self.call_hi))
+            .map(|t| self.path.terms[t].out_inds.minus(self.removed))
     }
 
     /// Largest dimensionality among buffers splitting at this vertex.

@@ -12,9 +12,10 @@
 //!
 //! # Instruction set
 //!
-//! - `Zero { term }` — reset a term's Eq.-5 buffer at its split vertex
-//!   (the positions the interpreter derives per sibling list are baked
-//!   into the program).
+//! - `Zero { term }` — reset a term's Eq.-5 buffer in front of the
+//!   child where [`ContractionPath::splits`] places its split, so once
+//!   per visit of the producer–consumer common ancestors: the rule that
+//!   sizes and prices the buffer too.
 //! - `Dense` / `Sparse` … `EndLoop` — loop headers paired with a
 //!   trailing `EndLoop`; iteration state lives on an explicit frame
 //!   stack (the driver never recurses). Each header carries a slice of
@@ -674,26 +675,16 @@ impl<'a> Compiler<'a> {
         Ok(cur)
     }
 
-    /// Term range covered by a node.
-    fn node_range(n: &LoopNode) -> (usize, usize) {
-        match n {
-            LoopNode::Leaf(t) => (*t, *t + 1),
-            LoopNode::Loop(v) => (v.term_lo, v.term_hi),
-        }
-    }
-
-    /// Compile a sibling list, baking in the Eq.-5 split-point zeroing:
-    /// a buffer splits here when its producer is inside a child and its
-    /// consumer is a later sibling.
+    /// Compile a sibling list whose parent covers terms ending at
+    /// `parent_hi`, zeroing in front of each child the buffers
+    /// [`ContractionPath::splits`] places there — produced inside the
+    /// child, consumed by a later sibling — so each is reset on every
+    /// visit of its producer–consumer common ancestors.
     fn compile_siblings(&mut self, nodes: &[LoopNode], parent_hi: usize) -> Result<()> {
         for n in nodes {
-            let (lo, hi) = Self::node_range(n);
-            for t in lo..hi {
-                if let Some(c) = self.path.terms[t].consumer {
-                    if c >= hi && c < parent_hi {
-                        self.instrs.push(Instr::Zero { term: t });
-                    }
-                }
+            let (lo, hi) = n.term_range();
+            for term in self.path.splits(lo, hi, parent_hi) {
+                self.instrs.push(Instr::Zero { term });
             }
             match n {
                 LoopNode::Leaf(t) => self.compile_leaf(*t)?,

@@ -1,17 +1,20 @@
 //! Intermediate-buffer inference (paper Eq. 5).
 //!
 //! Every non-final term writes a dense buffer consumed by exactly one
-//! later term. Its stored indices are the producer's output indices
-//! minus the *common ancestors* of producer and consumer leaves in the
-//! fused forest — ancestor loops position the buffer, so only the inner
-//! indices need storage. This is what shrinks the order-3 TTMc
-//! intermediate from `I×J×S` (unfused, Listing 2) to `S` (Listing 3) to
-//! a scalar (Listing 4).
+//! later term. Where it splits is [`ContractionPath::splits`], the one
+//! statement of the rule the tape's zero placement and the cost models'
+//! pricing read too: the loops enclosing the sibling list where the
+//! buffer splits are the producer–consumer *common ancestors* in the
+//! fused forest. They position the buffer, so it stores only the
+//! producer's other output indices. This is what shrinks the order-3
+//! TTMc intermediate from `I×J×S` (unfused, Listing 2) to `S`
+//! (Listing 3) to a scalar (Listing 4).
 
-use crate::fuse::LoopForest;
-use crate::index::{IdxSet, IndexId};
+use crate::fuse::{LoopForest, LoopNode};
+use crate::index::IndexId;
 use crate::kernel::Kernel;
 use crate::path::ContractionPath;
+use spttn_tensor::dense::row_major_strides;
 
 /// A dense intermediate buffer of a fused loop nest.
 ///
@@ -22,8 +25,6 @@ use crate::path::ContractionPath;
 pub struct BufferSpec {
     /// Term producing the buffer.
     pub producer: usize,
-    /// Term consuming the buffer.
-    pub consumer: usize,
     /// Stored indices, ordered by producer loop-order position (so the
     /// producer's innermost loop writes contiguously).
     pub inds: Vec<IndexId>,
@@ -32,22 +33,11 @@ pub struct BufferSpec {
 }
 
 impl BufferSpec {
-    /// Number of stored dimensions (the paper's buffer-dimension metric).
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.inds.len()
-    }
-
     /// Total element count, saturating: a buffer past `u128::MAX`
     /// elements is as unallocatable as one at it.
     #[inline]
     pub fn size(&self) -> u128 {
         (self.dims.iter()).fold(1, |n, &d| n.saturating_mul(d as u128))
-    }
-
-    /// Index set of the stored indices.
-    pub fn index_set(&self) -> IdxSet {
-        IdxSet::from_iter(self.inds.iter().copied())
     }
 
     /// Row-major strides matching [`BufferSpec::dims`] — the layout the
@@ -59,56 +49,52 @@ impl BufferSpec {
     }
 }
 
-/// Row-major strides for a dimension list (last mode contiguous) —
-/// shared by [`BufferSpec::strides`] and
-/// [`crate::Kernel::ref_strides`] so the two layouts cannot drift.
-pub(crate) fn row_major_strides(dims: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; dims.len()];
-    for k in (0..dims.len().saturating_sub(1)).rev() {
-        strides[k] = strides[k + 1] * dims[k + 1];
-    }
-    strides
-}
-
-/// Compute the buffer of every non-final term for a fused forest.
+/// Compute the buffer of every non-final term for a fused forest, in
+/// producer order, in one walk of the forest.
 pub fn buffers_for_forest(
     kernel: &Kernel,
     path: &ContractionPath,
     forest: &LoopForest,
 ) -> Vec<BufferSpec> {
-    let n = path.len();
-    let common = forest.common_ancestor_sets(n);
-    let ancestors = forest.ancestors(n);
-    let mut out = Vec::with_capacity(n.saturating_sub(1));
-    for (t, term) in path.terms.iter().enumerate() {
-        let Some(c) = term.consumer else { continue };
-        let shared = common[t][c];
-        let kept = term.out_inds.minus(shared);
-        // Order by position in the producer's loop order; indices of the
-        // buffer not iterated by the producer cannot occur (buffer inds ⊆
-        // producer inds), so every kept index has a position.
-        let order = &ancestors[t];
-        let mut inds: Vec<IndexId> = kept.to_vec();
-        inds.sort_by_key(|i| order.iter().position(|x| x == i).unwrap_or(usize::MAX));
-        let dims = inds.iter().map(|&i| kernel.dim(i)).collect();
-        out.push(BufferSpec {
-            producer: t,
-            consumer: c,
-            inds,
-            dims,
-        });
+    /// Per term: how many leading loops of its order enclose the list
+    /// where its buffer splits, then its output indices among the loops
+    /// below those, in loop order.
+    fn walk(
+        nodes: &[LoopNode],
+        parent_hi: usize,
+        path: &ContractionPath,
+        trail: &mut Vec<IndexId>,
+        kept: &mut [(usize, Vec<IndexId>)],
+    ) {
+        for n in nodes {
+            let (lo, hi) = n.term_range();
+            for t in path.splits(lo, hi, parent_hi) {
+                kept[t].0 = trail.len();
+            }
+            match n {
+                LoopNode::Leaf(t) => {
+                    let out_inds = path.terms[*t].out_inds;
+                    let below = trail[kept[*t].0..].iter().copied();
+                    kept[*t].1 = below.filter(|&i| out_inds.contains(i)).collect();
+                }
+                LoopNode::Loop(v) => {
+                    trail.push(v.index);
+                    walk(&v.children, v.term_hi, path, trail, kept);
+                    trail.pop();
+                }
+            }
+        }
     }
-    out
-}
-
-/// Maximum buffer dimensionality of a fused nest (Def. 4.5's metric).
-pub fn max_buffer_dim(buffers: &[BufferSpec]) -> usize {
-    buffers.iter().map(BufferSpec::ndim).max().unwrap_or(0)
-}
-
-/// Maximum single-buffer element count.
-pub fn max_buffer_size(buffers: &[BufferSpec]) -> u128 {
-    buffers.iter().map(BufferSpec::size).max().unwrap_or(0)
+    let mut kept = vec![(0, Vec::new()); path.len()];
+    walk(&forest.roots, path.len(), path, &mut Vec::new(), &mut kept);
+    (path.terms.iter().zip(kept).enumerate())
+        .filter(|(_, (term, _))| term.consumer.is_some())
+        .map(|(producer, (_, (_, inds)))| BufferSpec {
+            producer,
+            dims: inds.iter().map(|&i| kernel.dim(i)).collect(),
+            inds,
+        })
+        .collect()
 }
 
 /// Total element count over all buffers.
@@ -147,7 +133,7 @@ mod tests {
         let f = build_forest(&k, &p, &spec).unwrap();
         let bufs = buffers_for_forest(&k, &p, &f);
         assert_eq!(bufs.len(), 1);
-        assert_eq!(bufs[0].ndim(), 3);
+        assert_eq!(bufs[0].inds.len(), 3);
         assert_eq!(bufs[0].size(), 10 * 11 * 5);
         // Row-major layout: last stored mode contiguous.
         assert_eq!(bufs[0].strides(), vec![11 * 5, 5, 1]);
@@ -163,7 +149,6 @@ mod tests {
         let bufs = buffers_for_forest(&k, &p, &f);
         assert_eq!(bufs[0].inds, vec![4]); // s
         assert_eq!(bufs[0].dims, vec![5]);
-        assert_eq!(max_buffer_dim(&bufs), 1);
     }
 
     #[test]
@@ -174,7 +159,7 @@ mod tests {
         };
         let f = build_forest(&k, &p, &spec).unwrap();
         let bufs = buffers_for_forest(&k, &p, &f);
-        assert_eq!(bufs[0].ndim(), 0);
+        assert!(bufs[0].inds.is_empty());
         assert_eq!(bufs[0].size(), 1);
         assert_eq!(total_buffer_size(&bufs), 1);
     }
@@ -212,8 +197,7 @@ mod tests {
         assert_eq!(bufs[0].dims, vec![5]);
         // Y consumed by term 2 under shared (i,j): keeps {s,t}.
         assert_eq!(bufs[1].dims, vec![4, 5]);
-        assert_eq!(max_buffer_dim(&bufs), 2);
-        assert_eq!(max_buffer_size(&bufs), 20);
+        assert_eq!(total_buffer_size(&bufs), 5 + 20);
     }
 
     #[test]

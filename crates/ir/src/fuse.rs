@@ -20,7 +20,7 @@
 //! combinations are rejected, mirroring the paper's restriction to
 //! CSF-consistent iteration.
 
-use crate::index::{IdxSet, IndexId};
+use crate::index::IndexId;
 use crate::kernel::Kernel;
 use crate::order::{order_is_valid, NestSpec};
 use crate::path::ContractionPath;
@@ -95,6 +95,16 @@ pub enum LoopNode {
     Loop(LoopVertex),
     /// A term's innermost contraction.
     Leaf(usize),
+}
+
+impl LoopNode {
+    /// Path positions `[lo, hi)` of the terms the node covers.
+    pub fn term_range(&self) -> (usize, usize) {
+        match self {
+            LoopNode::Leaf(t) => (*t, *t + 1),
+            LoopNode::Loop(v) => (v.term_lo, v.term_hi),
+        }
+    }
 }
 
 /// A loop vertex of the fused forest.
@@ -296,82 +306,6 @@ impl LoopForest {
             }
         }
         self.roots.iter().map(depth).max().unwrap_or(0)
-    }
-
-    /// Ancestor index lists per term (root-to-leaf vertex indices) —
-    /// equals the term's loop order by construction.
-    pub fn ancestors(&self, nterms: usize) -> Vec<Vec<IndexId>> {
-        let mut out = vec![Vec::new(); nterms];
-        fn walk(n: &LoopNode, trail: &mut Vec<IndexId>, out: &mut Vec<Vec<IndexId>>) {
-            match n {
-                LoopNode::Leaf(t) => out[*t] = trail.clone(),
-                LoopNode::Loop(v) => {
-                    trail.push(v.index);
-                    for c in &v.children {
-                        walk(c, trail, out);
-                    }
-                    trail.pop();
-                }
-            }
-        }
-        let mut trail = Vec::new();
-        for r in &self.roots {
-            walk(r, &mut trail, &mut out);
-        }
-        out
-    }
-
-    /// Vertex ancestor *identities* per term as (index, position-path)
-    /// pairs; used to find common ancestors (Eq. 5): two terms share an
-    /// ancestor vertex only when it is the same tree vertex, not merely
-    /// the same index.
-    pub fn common_ancestor_sets(&self, nterms: usize) -> Vec<Vec<IdxSet>> {
-        // For every pair (producer, consumer) we need the shared vertex
-        // prefix. Record each term's root-path as vertex ids.
-        let mut paths: Vec<Vec<usize>> = vec![Vec::new(); nterms];
-        let mut inds: Vec<IndexId> = Vec::new();
-        let mut counter = 0usize;
-        fn walk(
-            n: &LoopNode,
-            trail: &mut Vec<usize>,
-            inds: &mut Vec<IndexId>,
-            counter: &mut usize,
-            paths: &mut Vec<Vec<usize>>,
-        ) {
-            match n {
-                LoopNode::Leaf(t) => paths[*t] = trail.clone(),
-                LoopNode::Loop(v) => {
-                    let id = *counter;
-                    *counter += 1;
-                    inds.push(v.index);
-                    trail.push(id);
-                    for c in &v.children {
-                        walk(c, trail, inds, counter, paths);
-                    }
-                    trail.pop();
-                }
-            }
-        }
-        let mut trail = Vec::new();
-        for r in &self.roots {
-            walk(r, &mut trail, &mut inds, &mut counter, &mut paths);
-        }
-        // common[a][b] as sets of indices shared on the vertex-path prefix.
-        let mut out = vec![vec![IdxSet::EMPTY; nterms]; nterms];
-        for a in 0..nterms {
-            for b in 0..nterms {
-                let mut s = IdxSet::EMPTY;
-                for (x, y) in paths[a].iter().zip(paths[b].iter()) {
-                    if x == y {
-                        s = s.insert(inds[*x]);
-                    } else {
-                        break;
-                    }
-                }
-                out[a][b] = s;
-            }
-        }
-        out
     }
 
     /// Pretty-print the forest as pseudocode resembling the paper's
@@ -774,30 +708,26 @@ mod tests {
     }
 
     #[test]
-    fn common_ancestors_listing3_vs_listing4() {
-        let (k, p) = ttmc3();
-        let spec3 = NestSpec {
-            orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-        };
-        let f3 = build_forest(&k, &p, &spec3).unwrap();
-        let ca3 = f3.common_ancestor_sets(2);
-        assert_eq!(ca3[0][1].to_vec(), vec![0, 1]); // {i,j}
-
-        let spec4 = NestSpec {
-            orders: vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]],
-        };
-        let f4 = build_forest(&k, &p, &spec4).unwrap();
-        let ca4 = f4.common_ancestor_sets(2);
-        assert_eq!(ca4[0][1].to_vec(), vec![0, 1, 4]); // {i,j,s}
-    }
-
-    #[test]
     fn ancestors_equal_loop_orders() {
         let (k, p) = ttmc3();
         let spec = NestSpec {
             orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        assert_eq!(f.ancestors(2), spec.orders);
+        fn walk(n: &LoopNode, trail: &mut Vec<IndexId>, out: &mut [Vec<IndexId>]) {
+            match n {
+                LoopNode::Leaf(t) => out[*t] = trail.clone(),
+                LoopNode::Loop(v) => {
+                    trail.push(v.index);
+                    v.children.iter().for_each(|c| walk(c, trail, out));
+                    trail.pop();
+                }
+            }
+        }
+        let mut ancestors = vec![Vec::new(); 2];
+        f.roots
+            .iter()
+            .for_each(|r| walk(r, &mut Vec::new(), &mut ancestors));
+        assert_eq!(ancestors, spec.orders);
     }
 }

@@ -261,7 +261,7 @@ impl Kernel {
     /// compilers use this to lower operand addressing to precomputed
     /// base-offset + stride pairs without consulting tensor data.
     pub fn ref_strides(&self, r: &TensorRef) -> Vec<usize> {
-        crate::buffer::row_major_strides(&self.ref_dims(r))
+        spttn_tensor::dense::row_major_strides(&self.ref_dims(r))
     }
 
     /// The same kernel with the sparse input's modes stored in a

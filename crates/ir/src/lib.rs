@@ -14,8 +14,11 @@
 //! - [`LoopForest`] / [`build_forest`]: fully-fused loop-nest forests
 //!   via peeling, with sparse/dense vertex classification — Defs.
 //!   4.1–4.3.
-//! - [`BufferSpec`] / [`buffers_for_forest`]: intermediate tensors from
-//!   Eq. 5.
+//! - [`BufferSpec`] / [`buffers_for_forest`] / [`ContractionPath::splits`]:
+//!   the one statement of Eq. 5's split rule: the sibling list where an
+//!   intermediate buffer splits, whose enclosing loops are its
+//!   producer–consumer common ancestors. It sizes what a bind allocates,
+//!   places the tape's zeroes and sets what the cost models price.
 //! - [`LeafOp`] / [`Term::leaf_op`] / [`LoopVertex::leaf_loops`]: the one
 //!   statement of which dense loops become a microkernel call and which
 //!   operand plays which role — Sec. 5's BLAS hand-off ([`lower`]) —
@@ -34,9 +37,7 @@ pub mod parse;
 pub mod path;
 pub mod stdkernels;
 
-pub use buffer::{
-    buffers_for_forest, max_buffer_dim, max_buffer_size, total_buffer_size, BufferSpec,
-};
+pub use buffer::{buffers_for_forest, total_buffer_size, BufferSpec};
 pub use fuse::{
     build_forest, vertex_kind, FuseError, LoopForest, LoopNode, LoopVertex, VertexKind,
 };

@@ -128,6 +128,24 @@ impl ContractionPath {
         }
     }
 
+    /// Eq. 5's split rule, its one statement: of the terms `[lo, hi)`
+    /// one node of a sibling list covers, those consumed by a later
+    /// sibling, in `[hi, parent_hi)`, where the list's parent covers
+    /// terms up to `parent_hi`. Every term with a consumer splits at
+    /// exactly one node of a fused forest, and the loops enclosing that
+    /// node's list are the producer–consumer common ancestors: the
+    /// buffer stores the producer's output indices minus those loops and
+    /// is zeroed in front of the node each time the list runs.
+    pub fn splits(
+        &self,
+        lo: usize,
+        hi: usize,
+        parent_hi: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let later_sibling = move |c: usize| (hi..parent_hi).contains(&c);
+        (lo..hi).filter(move |&t| self.terms[t].consumer.is_some_and(later_sibling))
+    }
+
     /// Longest CSF prefix term `t` can iterate sparsely (see
     /// [`ContractionPath::flops`] for the validity rule).
     pub fn sparse_prefix_len(&self, t: usize, kernel: &Kernel) -> usize {

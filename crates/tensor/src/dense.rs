@@ -17,7 +17,10 @@ pub struct DenseTensor {
     data: Vec<f64>,
 }
 
-fn row_major_strides(dims: &[usize]) -> Vec<usize> {
+/// Row-major strides for a dimension list (last mode contiguous): the
+/// one layout of every dense tensor, buffer and factor, which bind-time
+/// compilers address without materializing a tensor.
+pub fn row_major_strides(dims: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; dims.len()];
     for k in (0..dims.len().saturating_sub(1)).rev() {
         strides[k] = strides[k + 1] * dims[k + 1];

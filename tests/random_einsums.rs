@@ -9,7 +9,8 @@
 //! (and at `SPTTN_TEST_THREADS` when CI sets it) and held to the naive
 //! dense oracle at ≤ 1e-9. Each plan also runs on the scalar kernel
 //! tier, whose output must equal the reference interpreter's bit for
-//! bit, and each case whose search is cheap in a debug build is
+//! bit, and each plan's buffers must be Eq. 5 restated from the loop
+//! orders alone, and each case whose search is cheap in a debug build is
 //! planned once more under `ModeOrderPolicy::Auto`, the search the cost
 //! model steers, and executed from a written-order tensor.
 //!
@@ -33,7 +34,7 @@ mod common;
 
 use common::interp_reference;
 use rand::prelude::*;
-use spttn::ir::{Kernel, LoopNode, VertexKind};
+use spttn::ir::{IndexId, Kernel, LoopNode, VertexKind};
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
@@ -214,6 +215,24 @@ fn plan_line(case_no: usize, plan: &Plan) -> String {
     )
 }
 
+/// Eq. 5 from its definition, on the loop orders alone: every term
+/// with a consumer keeps its output indices outside the longest
+/// loop-order prefix that every term from it to its consumer shares —
+/// the loops peeling fuses them under — in its own loop order.
+fn eq5_buffers(plan: &Plan) -> Vec<(usize, Vec<IndexId>)> {
+    let orders = &plan.spec().orders;
+    (plan.path().terms.iter().enumerate())
+        .filter_map(|(t, term)| {
+            let c = term.consumer?;
+            let shared = (0..orders[t].len())
+                .take_while(|&d| (t..=c).all(|u| orders[u].get(d) == Some(&orders[t][d])))
+                .count();
+            let below = orders[t][shared..].iter().copied();
+            Some((t, below.filter(|&i| term.out_inds.contains(i)).collect()))
+        })
+        .collect()
+}
+
 fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTensor {
     let sparse = coo.to_dense();
     let inputs: Vec<&DenseTensor> = std::iter::once(&sparse).chain(factors).collect();
@@ -267,6 +286,10 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
             };
             digests[m] = fnv(digests[m], plan_line(case_no, &plan).as_bytes());
             planned += 1;
+            let sized: Vec<_> = (plan.buffers().iter())
+                .map(|b| (b.producer, b.inds.clone()))
+                .collect();
+            assert_eq!(sized, eq5_buffers(&plan), "{what} under {model:?}: Eq. 5");
             plan.verify_tape()
                 .unwrap_or_else(|e| panic!("{what} under {model:?}: {e}\n{}", plan.describe()));
             let k = plan.kernel();
