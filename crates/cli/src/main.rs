@@ -46,10 +46,10 @@ EXPR uses either syntax, first right-hand-side tensor sparse:
     \"A(i,a) = T(i,j,k) * B(j,a) * C(k,a)\"   or   \"T[i,j,k]*B[j,a]*C[k,a]->A[i,a]\"
 
 'spttn net' plans (and, given a tensor file, executes) a multi-tensor
-network: the dense factors may share indices among themselves, the
-pairwise contraction order is searched (greedy, then an exact subset
-sweep within --budget), dense-dense steps are materialized, and the
-sparse spine collapses into one planned kernel.
+network: the pairwise contraction order is searched netcon-style
+(greedy, then an exact subset sweep within --budget), dense-dense steps
+are materialized outside the loop nest, and the sparse spine collapses
+into one planned kernel.
 
 INPUT:
     --tns FILE            FROSTT text tensor (1-based coords, '#' comments)

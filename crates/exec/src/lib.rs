@@ -76,5 +76,5 @@ pub use simd::{detected_cpu_features, KernelSel, KernelSet, Microkernels, RankSp
 pub use tape::verify::{TapeInvariantError, TapeReport};
 pub use tape::{execute_tape_into, execute_tape_tile_into, CompiledTape, TapeState};
 pub use workspace::{
-    validate_slotted_operands, ContractionOutput, ExecStats, OutputMut, Workspace,
+    validate_output, validate_slotted_operands, ContractionOutput, ExecStats, OutputMut, Workspace,
 };

@@ -278,9 +278,9 @@ pub enum OutputMut<'a> {
 /// dense dimensions, or the sparse value count (`leaf_len` nonzeros —
 /// the whole tensor for a full execution, one tile's leaves for a tiled
 /// one). Allocation-free on the success path; shared by the tape, the
-/// parallel executor and the reference interpreter so they cannot
-/// drift.
-pub(crate) fn validate_output(kernel: &Kernel, out: &OutputMut<'_>, leaf_len: usize) -> Result<()> {
+/// parallel executor, the reference interpreter and the facade's
+/// executor (which checks before it zeroes) so they cannot drift.
+pub fn validate_output(kernel: &Kernel, out: &OutputMut<'_>, leaf_len: usize) -> Result<()> {
     match out {
         OutputMut::Dense(d) => {
             if kernel.output_sparse {

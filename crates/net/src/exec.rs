@@ -15,9 +15,11 @@
 //! [`RunGuard`], which the walk consults about every [`CHECK_LANES`]
 //! lanes.
 //!
-//! Admission is the collapsed kernel's rule ([`spttn::Plan::admit`]):
-//! a bind hands it the dense steps' flops and the intermediates'
-//! extents before it touches anything.
+//! A bind follows the kernel bind's rules. Admission is the collapsed
+//! kernel's ([`spttn::Plan::admit`]): a bind hands it the dense steps'
+//! flops and the intermediates' extents before it touches anything.
+//! Factor names follow [`spttn::check_factor_names`], checked against the
+//! whole network's kernel.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -168,7 +170,9 @@ pub struct NetworkExecutor {
     /// inner executor before every kernel run.
     feeds: Vec<(usize, String)>,
     routes: HashMap<String, Route>,
-    pool: Option<Arc<WorkspacePool>>,
+    /// Where `inters` came from and returns on drop: the pool of
+    /// [`NetworkPlan::bind_pooled`], or a private one.
+    pool: Arc<WorkspacePool>,
     dense_flops: u128,
     /// True while an execution is in flight (set on entry, cleared on
     /// success): an early exit — error or cancellation — leaves the
@@ -181,7 +185,7 @@ pub struct NetworkExecutor {
 impl NetworkExecutor {
     pub(crate) fn bind(
         plan: &NetworkPlan,
-        pool: Option<Arc<WorkspacePool>>,
+        pool: Option<&Arc<WorkspacePool>>,
         csf: Csf,
         factors: &[(&str, &DenseTensor)],
     ) -> Result<Self> {
@@ -195,24 +199,19 @@ impl NetworkExecutor {
             .fold(0u128, u128::saturating_add);
         let admitted = plan.plan.admit(dense_flops, &plan.inter_dims)?;
 
-        let mut fmap: HashMap<&str, &DenseTensor> = HashMap::new();
-        for (name, t) in factors {
-            fmap.insert(name, t);
-        }
+        // The kernel bind's name rule, against the whole network: every
+        // lookup below finds its factor.
+        let kernel = plan.kernel();
+        spttn::check_factor_names(kernel, factors)?;
+        let fmap: HashMap<&str, &DenseTensor> = factors.iter().copied().collect();
         // Validate every network factor up front, whether it feeds a
         // dense step, the collapsed kernel, or both.
-        let kernel = plan.kernel();
         let mut routes: HashMap<String, Route> = HashMap::new();
         for (slot, r) in kernel.inputs.iter().enumerate() {
             if slot == kernel.sparse_input {
                 continue;
             }
-            let t = fmap.get(r.name.as_str()).ok_or_else(|| {
-                SpttnError::Execution(format!(
-                    "network factor '{}' was not supplied at bind",
-                    r.name
-                ))
-            })?;
+            let t = fmap[r.name.as_str()];
             let want = kernel.ref_dims(r);
             if t.dims() != want.as_slice() {
                 return Err(SpttnError::Shape(format!(
@@ -224,29 +223,16 @@ impl NetworkExecutor {
             }
             routes.entry(r.name.clone()).or_default();
         }
-
-        // Dense-step-only factors never reach the collapsed kernel, so
-        // the input-slot validation above does not cover them — resolve
-        // with a typed error, not an assumption.
         let mut dense_inputs: Vec<DenseTensor> = Vec::with_capacity(plan.step_users.len());
-        for (name, _) in &plan.step_users {
-            let t = fmap.get(name.as_str()).ok_or_else(|| {
-                SpttnError::Execution(format!("network factor '{name}' was not supplied at bind"))
-            })?;
-            dense_inputs.push((*t).clone());
-        }
         for (k, (name, _)) in plan.step_users.iter().enumerate() {
+            dense_inputs.push(fmap[name.as_str()].clone());
             routes.entry(name.clone()).or_default().dense.push(k);
         }
 
-        let inters: Vec<DenseTensor> = match &pool {
-            Some(p) => p.checkout(),
-            None => plan
-                .inter_dims
-                .iter()
-                .map(|d| DenseTensor::zeros(d))
-                .collect(),
-        };
+        // An unpooled bind draws its set from a private pool, made only
+        // now so a rejected bind allocates nothing.
+        let pool = pool.map_or_else(|| Arc::new(plan.pool()), Arc::clone);
+        let inters = pool.checkout();
 
         let mut feeds: Vec<(usize, String)> = Vec::new();
         let mut refs: Vec<(&str, &DenseTensor)> = Vec::new();
@@ -307,7 +293,7 @@ impl NetworkExecutor {
         for (slot, name) in &self.feeds {
             self.exec.set_factor(name, &self.inters[*slot])?;
         }
-        self.exec.execute_into_guarded(out, Some(&guard))?;
+        self.exec.execute_into_guarded(out, &guard)?;
         self.dirty = false;
         Ok(())
     }
@@ -420,18 +406,16 @@ impl NetworkExecutor {
 
 impl Drop for NetworkExecutor {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            let mut set = std::mem::take(&mut self.inters);
-            // An execution that erred or was cancelled left these
-            // partially written; zero them so the pool never hands a
-            // half-computed workspace to the next checkout as clean.
-            if self.dirty {
-                for t in &mut set {
-                    t.fill_zero();
-                }
+        let mut set = std::mem::take(&mut self.inters);
+        // An execution that erred or was cancelled left these partially
+        // written; zero them so the pool never hands a half-computed
+        // workspace to the next checkout as clean.
+        if self.dirty {
+            for t in &mut set {
+                t.fill_zero();
             }
-            pool.checkin(set);
         }
+        self.pool.checkin(set);
     }
 }
 

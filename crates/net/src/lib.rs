@@ -21,7 +21,8 @@
 //!    collapses into a single SpTTN kernel that the Sec. 5 planner
 //!    re-optimizes (loop nest, mode order, buffers) — optionally
 //!    through a shared [`spttn::PlanCache`].
-//! 4. [`NetworkPlan::bind`] produces a [`NetworkExecutor`] whose
+//! 4. [`NetworkPlan::bind`], by the kernel bind's admission and
+//!    factor-name rules, produces a [`NetworkExecutor`] whose
 //!    steady-state `execute_into` is allocation-free; intermediate
 //!    workspaces can be checked out of a [`WorkspacePool`] shared by
 //!    many executors across threads.

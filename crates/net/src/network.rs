@@ -28,10 +28,12 @@ impl Network {
     /// Parse an einsum-style network expression, e.g.
     /// `"T[i,j,k]*A[j,r]*B[k,r]*C[r,s] -> O[i,s]"` (or the `O[..] = ..`
     /// form). The first factor is the sparse tensor; every other factor
-    /// is dense. Unlike [`Contraction`](spttn::Contraction), the dense
-    /// factors may share indices among themselves that never touch the
-    /// sparse tensor (chains, trees, rings). The grammar is
-    /// [`spttn::ir::parse_expr`]'s, the same one the facade reads.
+    /// is dense, and dense factors may share indices among themselves
+    /// (chains, trees, rings), as in a [`Contraction`](spttn::Contraction).
+    /// What a network adds is the netcon-style search for the pairwise
+    /// contraction order, and dense-dense steps materialized outside the
+    /// loop nest. The grammar is [`spttn::ir::parse_expr`]'s, the same
+    /// one the facade reads.
     pub fn parse(expr: &str) -> Result<Self> {
         let parsed = parse_expr(expr)?;
         let inputs = &parsed.inputs;

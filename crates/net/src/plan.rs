@@ -91,16 +91,23 @@ pub(crate) struct DenseStep {
     pub desc: String,
 }
 
+/// The spine rule: operand `op` carries the sparse leaf iff it is the
+/// sparse input or an intermediate of a spine term (`on_spine`, filled
+/// for every earlier term).
+fn sparse_side(kernel: &Kernel, on_spine: &[bool], op: Operand) -> bool {
+    match op {
+        Operand::Input(i) => i == kernel.sparse_input,
+        Operand::Inter(u) => on_spine[u],
+    }
+}
+
 /// Which terms of `path` sit on the sparse spine: a term is on it iff
 /// its subtree contains the sparse leaf (exactly one operand side can).
 pub(crate) fn spine_terms(kernel: &Kernel, path: &ContractionPath) -> Vec<bool> {
     let mut on_spine = vec![false; path.terms.len()];
-    for t in 0..path.terms.len() {
-        let side = |op: Operand| match op {
-            Operand::Input(i) => i == kernel.sparse_input,
-            Operand::Inter(u) => on_spine[u],
-        };
-        on_spine[t] = side(path.terms[t].left) || side(path.terms[t].right);
+    for (t, term) in path.terms.iter().enumerate() {
+        on_spine[t] =
+            sparse_side(kernel, &on_spine, term.left) || sparse_side(kernel, &on_spine, term.right);
     }
     on_spine
 }
@@ -311,11 +318,7 @@ impl NetworkPlan {
                 continue;
             }
             let term = &path.terms[t];
-            let sparse_side = |op: Operand| match op {
-                Operand::Input(i) => i == kernel.sparse_input,
-                Operand::Inter(u) => on_spine[u],
-            };
-            let other = if sparse_side(term.left) {
+            let other = if sparse_side(&kernel, &on_spine, term.left) {
                 term.right
             } else {
                 term.left
@@ -445,7 +448,10 @@ impl NetworkPlan {
     }
 
     /// **Stage 2 — bind.** Attach the sparse tensor and named dense
-    /// factors, allocating fresh intermediate workspaces. The returned
+    /// factors, by the kernel bind's rules ([`spttn::Plan::bind`]):
+    /// admission first, then every dense factor of the network bound
+    /// exactly once under a name it has. The intermediates come from a
+    /// private [`WorkspacePool`] made after admission. The returned
     /// executor's `execute_into` is allocation-free after the first
     /// call.
     pub fn bind(&self, csf: Csf, factors: &[(&str, &DenseTensor)]) -> Result<NetworkExecutor> {
@@ -469,7 +475,7 @@ impl NetworkPlan {
                 "workspace pool was created for a different network plan".into(),
             ));
         }
-        NetworkExecutor::bind(self, Some(Arc::clone(pool)), csf, factors)
+        NetworkExecutor::bind(self, Some(pool), csf, factors)
     }
 
     /// Human-readable summary: order search, per-step lowering, and the

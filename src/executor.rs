@@ -26,9 +26,10 @@
 use crate::contraction::Plan;
 use crate::{Result, SpttnError};
 use spttn_exec::{
-    validate_slotted_operands, CompiledTape, ContractionOutput, ExecStats, OutputMut,
-    ParallelExecutor, RunGuard, TapeReport, Workspace,
+    validate_output, validate_slotted_operands, CompiledTape, ContractionOutput, ExecStats,
+    OutputMut, ParallelExecutor, RunGuard, TapeReport, Workspace,
 };
+use spttn_ir::Kernel;
 use spttn_tensor::{CooTensor, Csf, DenseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,6 +40,39 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct Admission {
     threads: usize,
+}
+
+/// The one factor-name rule of every bind, stated once for
+/// [`Plan::bind`] (against the plan's kernel) and `spttn-net`'s network
+/// bind (against the whole network's kernel, before it collapses): every
+/// dense input of `kernel` is bound exactly once, and no other name is
+/// bound — a duplicate would silently shadow one binding, and an unknown
+/// name would be dropped.
+#[doc(hidden)]
+pub fn check_factor_names(kernel: &Kernel, factors: &[(&str, &DenseTensor)]) -> Result<()> {
+    let dense = || {
+        (kernel.inputs.iter().enumerate())
+            .filter(|&(slot, _)| slot != kernel.sparse_input)
+            .map(|(_, r)| r.name.as_str())
+    };
+    for (pos, (name, _)) in factors.iter().enumerate() {
+        if factors[..pos].iter().any(|(n, _)| n == name) {
+            return Err(SpttnError::Execution(format!(
+                "factor '{name}' bound twice; bind each name once"
+            )));
+        }
+    }
+    if let Some(name) = dense().find(|d| !factors.iter().any(|(n, _)| n == d)) {
+        return Err(SpttnError::Execution(format!(
+            "dense factor '{name}' not bound; pass (\"{name}\", &tensor) to bind"
+        )));
+    }
+    if let Some((name, _)) = factors.iter().find(|(n, _)| !dense().any(|d| d == *n)) {
+        return Err(SpttnError::Execution(format!(
+            "bound factor '{name}' does not appear in the kernel"
+        )));
+    }
+    Ok(())
 }
 
 impl Plan {
@@ -133,48 +167,60 @@ impl Plan {
         csf: Csf,
         factors: &[(&str, &DenseTensor)],
     ) -> Result<Executor> {
-        // A duplicated name would silently shadow the later binding.
-        for (pos, (name, _)) in factors.iter().enumerate() {
-            if factors[..pos].iter().any(|(n, _)| n == name) {
-                return Err(SpttnError::Execution(format!(
-                    "factor '{name}' bound twice; bind each name once"
-                )));
-            }
-        }
-        // Resolve names to input-order tensors (sparse slot skipped). A
-        // name filling several slots is cloned into each.
-        let mut compact: Vec<DenseTensor> = Vec::new();
-        for (slot, r) in self.kernel.inputs.iter().enumerate() {
-            if slot == self.kernel.sparse_input {
+        let kernel = &self.kernel;
+        check_factor_names(kernel, factors)?;
+        // One walk of the input slots: slot-ordered factors (the sparse
+        // slot holds an unread scalar placeholder; a name filling
+        // several slots is cloned into each) and the slots of each name.
+        let mut slotted: Vec<DenseTensor> = Vec::with_capacity(kernel.inputs.len());
+        let mut slots_by_name: HashMap<String, Vec<usize>> = HashMap::new();
+        for (slot, r) in kernel.inputs.iter().enumerate() {
+            if slot == kernel.sparse_input {
+                slotted.push(DenseTensor::zeros(&[]));
                 continue;
             }
-            let t = factors
+            let (_, t) = factors
                 .iter()
                 .find(|(name, _)| *name == r.name)
-                .map(|(_, t)| (*t).clone())
-                .ok_or_else(|| {
-                    SpttnError::Execution(format!(
-                        "dense factor '{}' not bound; pass (\"{}\", &tensor) to bind",
-                        r.name, r.name
-                    ))
-                })?;
-            compact.push(t);
-        }
-        for (name, _) in factors {
-            if !self
-                .kernel
-                .inputs
-                .iter()
-                .enumerate()
-                .any(|(slot, r)| slot != self.kernel.sparse_input && r.name == *name)
-            {
-                return Err(SpttnError::Execution(format!(
-                    "bound factor '{name}' does not appear in the kernel"
-                )));
-            }
+                .expect("check_factor_names binds every dense input");
+            slotted.push((*t).clone());
+            slots_by_name.entry(r.name.clone()).or_default().push(slot);
         }
         let (csf, leaf_perm) = self.reorder_csf(csf)?;
-        Executor::new(self.clone(), csf, leaf_perm, compact, admitted.threads)
+        validate_slotted_operands(kernel, &csf, &slotted)?;
+        let (tape, _) = self.verified_tape()?;
+        let engine = ParallelExecutor::new(
+            kernel,
+            &self.path,
+            &self.forest,
+            &self.buffers,
+            Arc::new(tape),
+            &csf,
+            admitted.threads,
+        );
+        // A pattern-sharing output carries the CSF's entries in leaf
+        // order, shaped as the output is written: its mode `p` is the
+        // tensor mode stored at the level of the output's `p`-th index.
+        let coo_template = if kernel.output_sparse {
+            let modes: Vec<usize> = kernel
+                .output
+                .indices
+                .iter()
+                .map(|&i| csf.mode_order()[kernel.sparse_level(i).expect("pattern index")])
+                .collect();
+            Some(csf.to_coo().permuted_modes(&modes)?)
+        } else {
+            None
+        };
+        Ok(Executor {
+            plan: self.clone(),
+            csf,
+            factors: slotted,
+            slots_by_name,
+            engine,
+            leaf_perm,
+            coo_template,
+        })
     }
 
     /// Compile this plan's nest to an instruction tape and statically
@@ -186,6 +232,17 @@ impl Plan {
     /// only needed to verify a plan that will not be bound here — e.g.
     /// file-less planning.
     pub fn verify_tape(&self) -> Result<TapeReport> {
+        self.verified_tape().map(|(_, report)| report)
+    }
+
+    /// Compile this plan's nest to its instruction tape and prove it
+    /// well-formed (O(program size)) — the one compile-and-verify step
+    /// of [`Plan::verify_tape`] and every bind, so no bound program runs
+    /// unproven. Compiling resolves the plan's microkernel policy
+    /// against the host CPU (and the `SPTTN_MICROKERNELS` override); the
+    /// selected kernels ride in the tape as fn pointers, and every tile
+    /// runs the one immutable tape.
+    fn verified_tape(&self) -> Result<(CompiledTape, TapeReport)> {
         let tape = CompiledTape::compile_with(
             &self.kernel,
             &self.path,
@@ -193,7 +250,8 @@ impl Plan {
             &self.buffers,
             self.exec.microkernels,
         )?;
-        tape.verify().map_err(SpttnError::from)
+        let report = tape.verify()?;
+        Ok((tape, report))
     }
 
     /// Re-sort an incoming written-order CSF into the plan's chosen
@@ -261,85 +319,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    fn new(
-        plan: Plan,
-        csf: Csf,
-        leaf_perm: Option<Vec<usize>>,
-        compact: Vec<DenseTensor>,
-        threads: usize,
-    ) -> Result<Executor> {
-        let kernel = &plan.kernel;
-        let n_dense = kernel.inputs.len() - 1;
-        if compact.len() != n_dense {
-            return Err(SpttnError::Execution(format!(
-                "expected {n_dense} dense factors, got {}",
-                compact.len()
-            )));
-        }
-        let mut factors: Vec<DenseTensor> = Vec::with_capacity(kernel.inputs.len());
-        let mut slots_by_name: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut next = compact.into_iter();
-        for (slot, r) in kernel.inputs.iter().enumerate() {
-            if slot == kernel.sparse_input {
-                factors.push(DenseTensor::zeros(&[]));
-                continue;
-            }
-            factors.push(next.next().expect("length checked above"));
-            slots_by_name.entry(r.name.clone()).or_default().push(slot);
-        }
-        validate_slotted_operands(kernel, &csf, &factors)?;
-
-        // Compile the plan's nest to a flat instruction program
-        // exactly once per bind; every tile runs the same immutable
-        // tape. `compile_with` resolves the plan's microkernel policy
-        // against the host CPU (and the `SPTTN_MICROKERNELS` override)
-        // once, here; the selected kernels ride in the tape as fn
-        // pointers.
-        let tape = CompiledTape::compile_with(
-            kernel,
-            &plan.path,
-            &plan.forest,
-            &plan.buffers,
-            plan.exec.microkernels,
-        )?;
-        // Static verification gate: every bind proves the program
-        // well-formed before it can run (O(program size), once).
-        tape.verify().map_err(SpttnError::from)?;
-        let engine = ParallelExecutor::new(
-            kernel,
-            &plan.path,
-            &plan.forest,
-            &plan.buffers,
-            Arc::new(tape),
-            &csf,
-            threads,
-        );
-        // A pattern-sharing output carries the CSF's entries in leaf
-        // order, shaped as the output is written: its mode `p` is the
-        // tensor mode stored at the level of the output's `p`-th index.
-        let coo_template = if kernel.output_sparse {
-            let modes: Vec<usize> = kernel
-                .output
-                .indices
-                .iter()
-                .map(|&i| csf.mode_order()[kernel.sparse_level(i).expect("pattern index")])
-                .collect();
-            Some(csf.to_coo().permuted_modes(&modes)?)
-        } else {
-            None
-        };
-
-        Ok(Executor {
-            plan,
-            csf,
-            factors,
-            slots_by_name,
-            engine,
-            leaf_perm,
-            coo_template,
-        })
-    }
-
     /// The symbolic plan this executor runs.
     pub fn plan(&self) -> &Plan {
         &self.plan
@@ -416,17 +395,21 @@ impl Executor {
         // The deadline clock starts here, at the execution boundary —
         // not at bind.
         let guard = self.plan.exec.guard();
-        self.execute_into_guarded(out, Some(&guard))
+        self.execute_into_guarded(out, &guard)
     }
 
-    /// [`Executor::execute_into`] with a caller-supplied [`RunGuard`]
+    /// [`Executor::execute_into`] under a caller-supplied [`RunGuard`]
     /// instead of one built from the plan's options — the hook
     /// `spttn-net` uses to share one network-wide deadline across every
-    /// contraction step. `None` runs unguarded.
+    /// contraction step.
+    ///
+    /// `out` is checked before it is zeroed, so an output this plan
+    /// refuses — the wrong kind or dims, or a sparse output whose
+    /// coordinates are not the bound CSF's — is left untouched.
     pub fn execute_into_guarded(
         &mut self,
         out: &mut ContractionOutput,
-        guard: Option<&RunGuard>,
+        guard: &RunGuard,
     ) -> Result<()> {
         let Executor {
             plan,
@@ -437,29 +420,14 @@ impl Executor {
             ..
         } = self;
         let kernel = &plan.kernel;
-        let target = match out {
-            ContractionOutput::Dense(d) => {
-                // Guard before zeroing so a mismatched output is left
-                // untouched; the core revalidates with a full message.
-                let oinds = &kernel.output.indices;
-                let fits = !kernel.output_sparse
-                    && d.order() == oinds.len()
-                    && oinds
-                        .iter()
-                        .enumerate()
-                        .all(|(pos, &i)| d.dims()[pos] == kernel.dim(i));
-                if fits && !plan.accumulate {
-                    d.fill_zero();
-                }
-                OutputMut::Dense(d)
-            }
+        let mut target = match out {
+            ContractionOutput::Dense(d) => OutputMut::Dense(d),
             ContractionOutput::Sparse(c) => {
                 // A pattern-sharing output must carry *exactly* the
                 // bound CSF's coordinates in leaf order and the output's
                 // written mode order — same nnz with different
                 // coordinates would silently pair values with the wrong
-                // positions. Cheap memcmp, no allocation. (A sparse
-                // `out` for a dense-output plan is the core's refusal.)
+                // positions. Cheap memcmp, no allocation.
                 if let Some(template) = coo_template {
                     if c.dims() != template.dims() {
                         return Err(SpttnError::Shape(format!(
@@ -476,14 +444,17 @@ impl Executor {
                         ));
                     }
                 }
-                let fits = kernel.output_sparse && c.nnz() == csf.nnz();
-                if fits && !plan.accumulate {
-                    c.vals_mut().fill(0.0);
-                }
                 OutputMut::Sparse(c.vals_mut())
             }
         };
-        engine.execute_into(kernel, csf, factors, target, guard)
+        validate_output(kernel, &target, csf.nnz())?;
+        if !plan.accumulate {
+            match &mut target {
+                OutputMut::Dense(d) => d.fill_zero(),
+                OutputMut::Sparse(v) => v.fill(0.0),
+            }
+        }
+        engine.execute_into(kernel, csf, factors, target, Some(guard))
     }
 
     /// Execute and return a freshly materialized output (always `=`

@@ -86,7 +86,7 @@ pub use cache::{PlanCache, PlanKey};
 pub use contraction::{
     Contraction, CostModel, ExecOptions, Plan, PlanOptions, RunBudget, Shapes, Threads,
 };
-pub use executor::Executor;
+pub use executor::{check_factor_names, Executor};
 pub use spttn_core::{Result, Scalar, SpttnError};
 pub use spttn_cost::{ModeOrderPolicy, OrderCost};
 pub use spttn_exec::{

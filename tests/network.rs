@@ -14,6 +14,7 @@ mod networks;
 
 use networks::{Fixture, CP_ALS, DENSE_CHAIN, FIVE_TENSOR, PRIVATE_INDEX, TENSOR_TRAIN};
 use spttn::ir::enumerate_paths;
+use spttn::tensor::DenseTensor;
 use spttn::{Contraction, PlanCache, PlanOptions, RunBudget, SpttnError, Threads};
 use spttn_net::{modeled_path_flops, NetOptions, Network};
 use std::sync::Arc;
@@ -169,6 +170,77 @@ fn network_budget_is_the_kernel_rule_plus_the_dense_steps() {
             allowed: flops - 1,
         })
     );
+}
+
+/// A network bind refuses what a kernel bind refuses
+/// (`tests/reuse.rs::bind_rejects_shape_mismatches`): a name bound
+/// twice, an unknown name and a missing factor with the same error the
+/// network's kernel, flattened, gives; wrong dims with a shape error,
+/// on a factor only a dense step reads and on one the collapsed kernel
+/// reads.
+#[test]
+fn network_bind_rejects_what_a_kernel_bind_rejects() {
+    let fx = Fixture::new(
+        "T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]",
+        &[("i", 40), ("j", 30), ("k", 8), ("m", 16), ("r", 32)],
+        &[40, 30, 8],
+        600,
+        41,
+    );
+    let greedy = NetOptions::default().with_budget(0);
+    let nplan = fx.net.plan(&fx.shapes, &greedy).unwrap();
+    let collapsed = &nplan.kernel_plan().kernel().inputs;
+    let named = fx.named();
+    let feeds_kernel = |name: &str| collapsed.iter().any(|r| r.name == name);
+    let step_only = named.iter().find(|(n, _)| !feeds_kernel(n));
+    let kernel_fed = named.iter().find(|(n, _)| feeds_kernel(n));
+    let (Some(&(step_only, _)), Some(&(kernel_fed, _))) = (step_only, kernel_fed) else {
+        panic!(
+            "expected a factor only a dense step reads and one the kernel reads:\n{}",
+            nplan.describe()
+        );
+    };
+    let flat = Contraction::from_kernel(fx.net.kernel(&fx.shapes).unwrap())
+        .plan(&fx.shapes, &PlanOptions::default())
+        .unwrap();
+    let net_bind = |factors: &[(&str, &DenseTensor)]| {
+        nplan.bind(fx.csf.clone(), factors).map(|_| ()).unwrap_err()
+    };
+    let flat_bind = |factors: &[(&str, &DenseTensor)]| {
+        flat.bind(fx.csf.clone(), factors).map(|_| ()).unwrap_err()
+    };
+
+    let first = named[0];
+    let with = |extra| named.iter().copied().chain([extra]).collect::<Vec<_>>();
+    for (case, factors) in [
+        ("bound twice", with(first)),
+        ("does not appear", with(("Z", first.1))),
+        ("not bound", named[..named.len() - 1].to_vec()),
+    ] {
+        let e = net_bind(&factors);
+        assert!(
+            matches!(&e, SpttnError::Execution(m) if m.contains(case)),
+            "{case}: {e:?}"
+        );
+        assert_eq!(e, flat_bind(&factors), "{case}");
+    }
+    for name in [step_only, kernel_fed] {
+        let (_, t) = named.iter().find(|(n, _)| *n == name).unwrap();
+        let mut dims = t.dims().to_vec();
+        *dims.last_mut().unwrap() += 1;
+        let wrong = DenseTensor::zeros(&dims);
+        let factors: Vec<(&str, &DenseTensor)> = named
+            .iter()
+            .map(|&(n, t)| (n, if n == name { &wrong } else { t }))
+            .collect();
+        let e = net_bind(&factors);
+        assert!(matches!(e, SpttnError::Shape(_)), "{name}: {e:?}");
+        assert!(
+            matches!(flat_bind(&factors), SpttnError::Shape(_)),
+            "{name}"
+        );
+    }
+    assert!(nplan.bind(fx.csf.clone(), &named).is_ok());
 }
 
 #[test]

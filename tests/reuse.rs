@@ -37,6 +37,27 @@ fn random_factors(kernel: &Kernel, rng: &mut StdRng) -> Vec<(String, DenseTensor
     out
 }
 
+/// The fill of an output a test expects refused: it must come back
+/// bitwise unchanged.
+const SENTINEL: f64 = -1.75;
+
+/// Execute into `out`, expecting a refusal, and assert it was left
+/// bitwise untouched. Returns the error.
+fn refused_untouched(exec: &mut Executor, mut out: ContractionOutput) -> spttn::SpttnError {
+    let bits = |o: &ContractionOutput| -> Vec<u64> {
+        let vals = match o {
+            ContractionOutput::Dense(d) => d.as_slice(),
+            ContractionOutput::Sparse(c) => c.vals(),
+        };
+        vals.iter().map(|v| v.to_bits()).collect()
+    };
+    let before = bits(&out);
+    assert!(before.iter().all(|&b| b == SENTINEL.to_bits()));
+    let e = exec.execute_into(&mut out).unwrap_err();
+    assert_eq!(bits(&out), before, "a refused output was written ({e})");
+    e
+}
+
 /// Freshly plan, bind and execute the kernel on the given operands
 /// (the from-scratch pipeline the reused executor must agree with).
 fn fresh_pipeline(kernel: &Kernel, csf: Csf, factors: &[(String, DenseTensor)]) -> DenseTensor {
@@ -233,6 +254,14 @@ fn bind_rejects_shape_mismatches() {
 
     // Rebinding mismatches surface too.
     let mut exec = plan.bind(csf, &[("A", &a), ("B", &b)]).unwrap();
+    // A refused output is left as it was: wrong dims, or sparse for a
+    // dense plan.
+    let wrong_dims = ContractionOutput::Dense(DenseTensor::from_fn(&[12, 6], |_| SENTINEL));
+    let e = refused_untouched(&mut exec, wrong_dims);
+    assert!(matches!(e, spttn::SpttnError::Shape(_)), "{e:?}");
+    let sparse = ContractionOutput::Sparse(coo.with_vals(vec![SENTINEL; coo.nnz()]));
+    let e = refused_untouched(&mut exec, sparse);
+    assert!(matches!(e, spttn::SpttnError::Execution(_)), "{e:?}");
     let e = exec.set_factor("A", &bad);
     assert!(matches!(e, Err(spttn::SpttnError::Shape(_))), "{e:?}");
     let e = exec.set_factor("nope", &a);
@@ -394,10 +423,14 @@ fn execute_into_rejects_foreign_sparse_pattern() {
     let other = random_coo(&[8, 9, 10], csf.nnz(), &mut rng).unwrap();
     let other_csf = Csf::from_coo(&other, &[0, 1, 2]).unwrap();
     if other_csf.nnz() == csf.nnz() && other_csf.to_coo().coords() != csf.to_coo().coords() {
-        let mut out = ContractionOutput::Sparse(other_csf.to_coo());
-        let e = exec.execute_into(&mut out);
-        assert!(matches!(e, Err(spttn::SpttnError::Shape(_))), "{e:?}");
+        let foreign = other_csf.to_coo().with_vals(vec![SENTINEL; csf.nnz()]);
+        let e = refused_untouched(&mut exec, ContractionOutput::Sparse(foreign));
+        assert!(matches!(e, spttn::SpttnError::Shape(_)), "{e:?}");
     }
+    // A dense output for this pattern-sharing plan is refused untouched.
+    let dense = ContractionOutput::Dense(DenseTensor::from_fn(&[8, 9, 10], |_| SENTINEL));
+    let e = refused_untouched(&mut exec, dense);
+    assert!(matches!(e, spttn::SpttnError::Execution(_)), "{e:?}");
 
     // The template pattern still works.
     let mut out = exec.output_template();
