@@ -512,12 +512,35 @@ fn print_plan(plan: &Plan) {
     );
 }
 
+/// The largest run `--check`'s dense oracle is allowed: index-space
+/// iterations (every index's extent multiplied) and densified sparse
+/// cells (8 bytes each).
+const ORACLE_MAX_ITERS: u128 = 1 << 31;
+const ORACLE_MAX_CELLS: u128 = 1 << 27;
+
 fn check_against_oracle(
     kernel: &Kernel,
     coo: &CooTensor,
     factors: &[(String, DenseTensor)],
     got: &ContractionOutput,
 ) -> f64 {
+    // The oracle densifies the sparse operand and loops over the whole
+    // index space: refuse it on one line before it allocates.
+    fn product(dims: impl IntoIterator<Item = usize>) -> Option<u128> {
+        (dims.into_iter()).try_fold(1u128, |n, d| n.checked_mul(d as u128))
+    }
+    let iters = product((0..kernel.num_indices()).map(|i| kernel.dim(i)));
+    let cells = product(coo.dims().iter().copied());
+    let count =
+        |n: Option<u128>| n.map_or_else(|| "more than 2^128".to_string(), |n| n.to_string());
+    if iters.is_none_or(|n| n > ORACLE_MAX_ITERS) || cells.is_none_or(|n| n > ORACLE_MAX_CELLS) {
+        fail(format!(
+            "--check: the dense oracle would run {} iterations over {} densified cells \
+             (limits {ORACLE_MAX_ITERS} and {ORACLE_MAX_CELLS}); run without --check",
+            count(iters),
+            count(cells)
+        ));
+    }
     let sparse_dense = coo.to_dense();
     let mut slots: Vec<&DenseTensor> = Vec::new();
     let mut next = 0usize;
@@ -774,16 +797,19 @@ fn main() {
         .bind(csf, &named)
         .unwrap_or_else(|e| fail_stage("bind", e));
     let tape = exec.tape();
+    let report = tape.verify().unwrap_or_else(|e| fail(format!("bind: {e}")));
     println!(
         "bind: {} thread(s), tape of {} instrs, {} cursors; \
-         {} kernels ×{}, {} fused, {} specialized{} ({:.1} ms)",
+         {} kernels ×{}, {} fused ({} fibers), {} specialized, {} scalar fallbacks{} ({:.1} ms)",
         exec.threads(),
         tape.num_instrs(),
         tape.num_cursors(),
         tape.microkernels(),
         tape.kernel_width(),
         tape.superinstructions(),
+        report.fibers,
         tape.specialized(),
+        report.scalar_fallbacks,
         if plan.is_natural_order() {
             String::new()
         } else {

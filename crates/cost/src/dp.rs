@@ -21,6 +21,15 @@
 //! minimizes `Work` over the subtrees whose value stays within the
 //! optimum the first pass found.
 //!
+//! A sparse vertex the tape may run as a fiber (the third row of
+//! [`spttn_ir::fused_loop`]) is priced as fused only around the fiber
+//! body — its run one level down, then its call, or the reverse — and
+//! that body need not be the vertex's best subtree. So the vertex is
+//! weighed twice: around the best subtree as a plain loop, and around
+//! the body, composed from its parts' subproblems, as fused. The body
+//! is unique but for the call's loop order, which `Work` does not see,
+//! so the better of the two is the exact optimum.
+//!
 //! The search honors the same restrictions as enumeration: per-term
 //! sparse-lineage indices stay in CSF order, and a root choice whose
 //! vertex classification is invalid (dense loop covering the sparse
@@ -29,9 +38,13 @@
 
 use crate::tree_cost::{TreeCost, VertexCtx};
 use crate::work::{Work, WorkCounts};
-use spttn_ir::{vertex_kind, ContractionPath, IdxSet, IndexId, Kernel, NestSpec};
+use spttn_ir::{
+    fused_loop, vertex_kind, ContractionPath, FusedLoop, IdxSet, IndexId, Kernel, NestSpec,
+    VertexKind,
+};
 use spttn_tensor::SparsityProfile;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Result of the DP: optimal value and the loop orders achieving it.
 #[derive(Debug, Clone)]
@@ -124,14 +137,122 @@ impl<'a, C: TreeCost> Dp<'a, C> {
         order.is_lt()
     }
 
+    /// Loop `q` of `kind` over terms `lo..hi` around the subtree `inner`,
+    /// among siblings up to `call_hi`; `fused` as in [`VertexCtx`].
+    #[allow(clippy::too_many_arguments)]
+    fn vertex(
+        &self,
+        lo: usize,
+        hi: usize,
+        call_hi: usize,
+        removed: IdxSet,
+        q: IndexId,
+        kind: VertexKind,
+        fused: bool,
+        inner: &Cand<C::Value>,
+    ) -> Cand<C::Value> {
+        let ctx = VertexCtx {
+            kernel: self.kernel,
+            path: self.path,
+            profile: self.profile,
+            lo,
+            hi,
+            call_hi,
+            removed,
+            index: q,
+            kind,
+            fused,
+        };
+        let orders = (inner.orders.iter())
+            .map(|sub| std::iter::once(q).chain(sub.iter().copied()).collect())
+            .collect();
+        Cand {
+            value: self.cost.apply(&ctx, &inner.value),
+            work: Work.apply(&ctx, &inner.work),
+            orders,
+        }
+    }
+
+    /// The forest `a` followed by its siblings `b`.
+    fn concat(&self, a: Cand<C::Value>, b: &Cand<C::Value>) -> Cand<C::Value> {
+        let mut orders = a.orders;
+        orders.extend(b.orders.iter().cloned());
+        Cand {
+            value: self.cost.combine(&a.value, &b.value),
+            work: Work.combine(&a.work, &b.work),
+            orders,
+        }
+    }
+
+    /// The body of a fiber at CSF level `tracked − 1` whose loops iterate
+    /// `removed`: its run — the sparse loop at level `tracked`, whose
+    /// subtree is unique — and its tail, in term order. A run-first
+    /// tail is the best nest of its own term (every one is the call); a
+    /// tail-first one has one index left, so one nest.
+    fn fiber_body(
+        &mut self,
+        run: Range<usize>,
+        tail: usize,
+        removed: IdxSet,
+        tracked: usize,
+    ) -> Option<Cand<C::Value>> {
+        let k = self.kernel.index_at_level(tracked);
+        let run_kind = VertexKind::Sparse { level: tracked };
+        let run_inner = self
+            .solve(run.start, run.end, removed.insert(k), tracked + 1)
+            .best?;
+        if tail > run.start {
+            let r = self.vertex(
+                run.start,
+                run.end,
+                tail + 1,
+                removed,
+                k,
+                run_kind,
+                true,
+                &run_inner,
+            );
+            let t = self.solve(tail, tail + 1, removed, tracked).best?;
+            return Some(self.concat(r, &t));
+        }
+        let q = self.path.terms[tail]
+            .iter_inds()
+            .minus(removed)
+            .iter()
+            .next()?;
+        let t_inner = self
+            .solve(tail, tail + 1, removed.insert(q), tracked)
+            .best?;
+        let t = self.vertex(
+            tail,
+            tail + 1,
+            run.end,
+            removed,
+            q,
+            VertexKind::Dense,
+            false,
+            &t_inner,
+        );
+        let r = self.vertex(
+            run.start, run.end, run.end, removed, k, run_kind, true, &run_inner,
+        );
+        let r = self.concat(r, &self.empty());
+        Some(self.concat(t, &r))
+    }
+
+    /// The empty forest.
+    fn empty(&self) -> Cand<C::Value> {
+        Cand {
+            value: self.cost.empty(),
+            work: Work.empty(),
+            orders: Vec::new(),
+        }
+    }
+
     fn solve(&mut self, lo: usize, hi: usize, removed: IdxSet, tracked: usize) -> Entry<C::Value> {
         if lo == hi {
             return Entry {
-                best: Some(Cand {
-                    value: self.cost.empty(),
-                    work: Work.empty(),
-                    orders: Vec::new(),
-                }),
+                best: Some(self.empty()),
                 second: None,
             };
         }
@@ -206,38 +327,35 @@ impl<'a, C: TreeCost> Dp<'a, C> {
                         other => other,
                     };
                     let Some(yc) = yc else { continue };
-                    let ctx = VertexCtx {
-                        kernel: self.kernel,
-                        path: self.path,
-                        profile: self.profile,
-                        lo,
-                        hi: lo + s,
-                        call_hi: hi,
-                        removed,
-                        index: q,
-                        kind,
-                    };
-                    let value = self
-                        .cost
-                        .combine(&self.cost.apply(&ctx, &xc.value), &yc.value);
-                    if self.cap.as_ref().is_some_and(|cap| value > *cap) {
-                        continue;
-                    }
-                    let mut cand = Cand {
-                        value,
-                        work: Work.combine(&Work.apply(&ctx, &xc.work), &yc.work),
-                        orders: Vec::new(),
-                    };
-                    if self.better(&cand, &cbest) {
-                        cand.orders.reserve(hi - lo);
-                        for sub in &xc.orders {
-                            let mut o = Vec::with_capacity(sub.len() + 1);
-                            o.push(q);
-                            o.extend_from_slice(sub);
-                            cand.orders.push(o);
+                    // The vertex around the best subtree, and — where the
+                    // vertex can run as a fiber — first around the fiber
+                    // body, which the best subtree need not be. Its fused
+                    // price never exceeds its plain one, so on a tie the
+                    // body, whose price is the one it gets, stays.
+                    let fused = match kind {
+                        VertexKind::Sparse { level } => {
+                            fused_loop(self.kernel, self.path, level, lo..lo + s, removed.insert(q))
                         }
-                        cand.orders.extend(yc.orders.iter().cloned());
-                        cbest = Some(cand);
+                        VertexKind::Dense => None,
+                    };
+                    let mut inners = Vec::with_capacity(2);
+                    if let Some(FusedLoop::Fiber { run, tail }) = &fused {
+                        let (iterated, next) = (removed.insert(q), kind.tracked_below(tracked));
+                        let body = self.fiber_body(run.clone(), *tail, iterated, next);
+                        inners.extend(body.map(|b| (true, b)));
+                        inners.push((false, xc));
+                    } else {
+                        inners.push((fused.is_some(), xc));
+                    }
+                    for (fused, inner) in inners {
+                        let v = self.vertex(lo, lo + s, hi, removed, q, kind, fused, &inner);
+                        let cand = self.concat(v, &yc);
+                        if self.cap.as_ref().is_some_and(|cap| cand.value > *cap) {
+                            continue;
+                        }
+                        if self.better(&cand, &cbest) {
+                            cbest = Some(cand);
+                        }
                     }
                 }
                 // Lines 27–30: fold this root's champion into (A, B);

@@ -6,7 +6,7 @@
 //! Used by the exhaustive search and by the DP cross-check tests.
 
 use crate::tree_cost::{TreeCost, VertexCtx};
-use spttn_ir::{ContractionPath, IdxSet, Kernel, LoopForest, LoopNode};
+use spttn_ir::{fused_loop, ContractionPath, IdxSet, Kernel, LoopForest, LoopNode, VertexKind};
 use spttn_tensor::SparsityProfile;
 
 /// Evaluate a tree-separable cost on a fused forest.
@@ -53,6 +53,14 @@ fn eval_nodes<C: TreeCost>(
                     removed.insert(v.index),
                     cost,
                 );
+                let fused = match v.kind {
+                    VertexKind::Sparse { level } => {
+                        let iterated = removed.insert(v.index);
+                        fused_loop(kernel, path, level, v.term_lo..v.term_hi, iterated)
+                            .is_some_and(|f| f.fits(level, &v.children))
+                    }
+                    VertexKind::Dense => false,
+                };
                 let ctx = VertexCtx {
                     kernel,
                     path,
@@ -63,6 +71,7 @@ fn eval_nodes<C: TreeCost>(
                     removed,
                     index: v.index,
                     kind: v.kind,
+                    fused,
                 };
                 cost.apply(&ctx, &inner)
             }

@@ -44,6 +44,10 @@ pub struct VertexCtx<'a> {
     pub index: IndexId,
     /// Sparse (CSF) or dense iteration.
     pub kind: VertexKind,
+    /// Whether the tape runs the vertex as one instruction: a row of
+    /// [`fused_loop`](spttn_ir::fused_loop) that
+    /// [`fits`](spttn_ir::FusedLoop::fits) the subtree chosen below it.
+    pub fused: bool,
 }
 
 impl<'a> VertexCtx<'a> {
@@ -230,6 +234,7 @@ mod tests {
             removed: IdxSet::EMPTY,
             index: 0,
             kind: VertexKind::Sparse { level: 0 },
+            fused: false,
         };
         // Root sparse loop: prefix_nnz(1)/prefix_nnz(0) iterations.
         assert!((ctx.iterations() - prof.prefix_nnz(1) as f64).abs() < 1e-9);

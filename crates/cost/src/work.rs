@@ -24,17 +24,27 @@
 //!   does not restate it; what the model adds is that a CSF index
 //!   iterated densely gets no such discount (see [`Work::apply`]);
 //! - a sparse loop the tape runs as one instruction, by
-//!   [`fused_loop`]: one step per visit instead of one per child, with
-//!   the unfused loop's visits, lanes and flops. A zero point the tape
-//!   folds into a call is worth one buffer fill of lanes; the model
-//!   does not price it.
+//!   [`fused_loop`](spttn_ir::fused_loop): one step per visit instead of
+//!   one per child, with the unfused loop's visits, lanes and flops. A
+//!   zero point the tape folds into a call is worth one buffer fill of
+//!   lanes; the model does not price it.
+//!
+//! A fiber (the rule's third row: a fused loop one level down and one
+//! call per child) is the exception to "one possible subtree": the
+//! vertex may hold other subtrees, which keep their frame. So the price
+//! reads [`VertexCtx::fused`] — whether the subtree chosen below *is*
+//! the fiber body — and Algorithm 1 weighs the vertex twice, around its
+//! best subtree as a plain loop and around the (unique but for the
+//! call's loop order) fiber body as one step per visit. A fused price
+//! never exceeds the plain price of the same subtree, so the better of
+//! the two is the exact optimum (`crates/cost/src/dp.rs`).
 //!
 //! Sparse branching factors telescope to `prefix_nnz`, which makes
 //! [`WorkCounts::flops`] the nest's executed flop count — exact for a
 //! pattern-derived profile, whatever is or is not vectorized.
 
 use crate::tree_cost::{TreeCost, VertexCtx};
-use spttn_ir::{fused_loop, IndexId, VertexKind};
+use spttn_ir::{IndexId, VertexKind};
 use std::cmp::Ordering;
 
 /// One CSF node visit. `benchmark/results/initial.json`:
@@ -197,18 +207,18 @@ impl TreeCost for Work {
             VertexKind::Sparse { .. } => (1.0, 0.0),
             VertexKind::Dense => (0.0, 1.0),
         };
-        // A sparse loop the tape runs as one instruction dispatches once
-        // per visit, not once per child.
-        let fused = matches!(ctx.kind, VertexKind::Sparse { level }
-            if fused_loop(ctx.kernel, ctx.path, level, ctx.lo..ctx.hi, iterated));
         WorkCounts {
             walks: match ctx.kind {
                 VertexKind::Sparse { level: 0 } => 1.0,
                 _ => trips * inner.walks,
             },
             sparse_visits: trips * (own_visit + inner.sparse_visits),
-            steps: if fused {
-                1.0
+            // A sparse loop the tape runs as one instruction dispatches
+            // once per visit, not once per child (never more often than
+            // an unfused loop, which steps nothing when it has no
+            // children).
+            steps: if ctx.fused {
+                trips.min(1.0)
             } else {
                 trips * (own_step + leaves + inner.steps)
             },
@@ -267,9 +277,11 @@ mod tests {
         assert!(inner < hoisted);
     }
 
-    /// A GER nest is one dispatch per visit, not one per row, and the
-    /// fused sparse-AXPY `k` loop beside it one step per visit, not one
-    /// per nonzero: two steps per `(i,j)` fiber.
+    /// A GER nest is one dispatch per visit, not one per row; with the
+    /// sparse-AXPY `k` loop beside it, it is the body of a fiber, so the
+    /// whole `j` loop is one step per visit: one per `i` node. Around
+    /// Listing 4's subtree (the `s` loop fused over both terms) the same
+    /// `j` vertex keeps its frame.
     #[test]
     fn blas2_pair_is_one_dispatch() {
         let k = parse_kernel(
@@ -284,11 +296,18 @@ mod tests {
         };
         let f = build_forest(&k, &p, &spec).unwrap();
         let w = eval_forest(&k, &p, &prof, &f, &Work);
+        let nnz_i = prof.prefix_nnz(1) as f64;
         let (nnz_ij, nnz) = (prof.prefix_nnz(2) as f64, prof.prefix_nnz(3) as f64);
-        assert!((w.steps - 2.0 * nnz_ij).abs() < 1e-6, "{w:?}");
+        assert!((w.steps - nnz_i).abs() < 1e-6, "{w:?}");
         // AXPY rows of 5, GER tiles of 4×5, and `X0[s]` zeroed per (i,j).
         let lanes = nnz * 5.0 + nnz_ij * 20.0 + nnz_ij * 5.0;
         assert!((w.lanes - lanes).abs() < 1e-6, "{w:?}");
+        let spec = NestSpec {
+            orders: vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]],
+        };
+        let f = build_forest(&k, &p, &spec).unwrap();
+        let listing4 = eval_forest(&k, &p, &prof, &f, &Work);
+        assert!(listing4.steps > nnz_ij, "{listing4:?}");
     }
 
     /// SDDMM's inner `j` loop — a rank-12 DOT into a scalar, then the

@@ -61,7 +61,7 @@
 //! - `SparseAxpy` / `SparseDot` replace an innermost sparse loop with a
 //!   straight-line body where [`spttn_ir::fused_loop`] — the rule the
 //!   cost model prices too — names one: one instruction walks the
-//!   parent's children in place — coordinate, cursor advance, body —
+//!   parent's children in place — coordinate, offsets, body —
 //!   with no frame and no per-child dispatch. The two bodies:
 //!   - `Sparse; Axpy; EndLoop` (the inner loop of MTTKRP and TTMc):
 //!     alpha, call. A directly preceding `Zero` of the Axpy's own, fully
@@ -73,7 +73,26 @@
 //!     a register, and the `Leaf` operand that read `t` takes `0.0 + d`
 //!     — exactly what the zeroed cell held — so `t` is never written.
 //!     The `Zero` runs per child, so a loop at any level fuses.
+//! - `Fiber` replaces the sparse loop one level up where the rule's
+//!   fiber row names it and the vertex's children fit it: a header over
+//!   a fixed two-instruction body, the fused loop one level down and one
+//!   call, in either order — `Sparse j; SparseAxpy k; Xmul|Ger|…;
+//!   EndLoop` (MTTKRP, TTMc, the collapsed network kernel: the run fills
+//!   the buffer the call reads) or `Sparse j; Xmul|Axpy; SparseDot k;
+//!   EndLoop` (TTTP: the call fills the buffer the run reads). Per child
+//!   of the fiber's node the driver runs the inner walk and the call
+//!   inline: no frame, no `EndLoop`, no dispatch per call. The body's
+//!   zero point is always folded into an assigning call, so the body
+//!   has none.
 //!
+//! Every fused walk resolves its operands once per walk, not per child:
+//! each one's store (the read/write split of the workspace at the
+//! walk's target terms), its offset and its step per coordinate from the
+//! advance table. A child's offset is then `base + coord·step` (plus the
+//! node index for the sparse value and pattern-sharing cells), computed
+//! in place, so no cursor is written per child; a walk leaves the cursors
+//! and tracked nodes as the unfused loops leave them.
+
 //! # The tape never searches
 //!
 //! A sparse loop iterates the children of the node its enclosing sparse
@@ -115,8 +134,8 @@ use crate::workspace::{
 };
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{
-    fused_loop, BufferSpec, ContractionPath, IdxSet, IndexId, Kernel, LeafOp, LoopForest, LoopNode,
-    LoopVertex, Operand, VertexKind,
+    fused_loop, BufferSpec, ContractionPath, FusedLoop, IdxSet, IndexId, Kernel, LeafOp,
+    LoopForest, LoopNode, LoopVertex, Operand, VertexKind,
 };
 use spttn_tensor::{Csf, CsfTile, DenseTensor};
 use std::ops::Range;
@@ -310,6 +329,11 @@ enum Instr {
         dot: DotCall,
         leaf: ScalarMul,
     },
+    /// Superinstruction: a sparse loop over the CSF nodes at `level`
+    /// whose body is the next two instructions — a `SparseAxpy` or
+    /// `SparseDot` at `level + 1` and one microkernel call, in either
+    /// order — run per child with no frame and no `EndLoop`.
+    Fiber { level: usize, adv: AdvRange },
 }
 
 /// Static operand-store extents captured at compile time, making a
@@ -555,8 +579,8 @@ impl CompiledTape {
     }
 
     /// Number of superinstructions in the program: assigning calls
-    /// (fused `ZeroAccum` pairs) and fused sparse-AXPY and sparse-DOT
-    /// loops.
+    /// (fused `ZeroAccum` pairs), fused sparse-AXPY and sparse-DOT
+    /// loops, and fibers.
     pub fn superinstructions(&self) -> usize {
         self.instrs
             .iter()
@@ -568,6 +592,7 @@ impl CompiledTape {
                         | Instr::Ger { assign: true, .. }
                         | Instr::SparseAxpy { .. }
                         | Instr::SparseDot { .. }
+                        | Instr::Fiber { .. }
                 )
             })
             .count()
@@ -577,22 +602,8 @@ impl CompiledTape {
     /// strides take a fixed rank's unrolled body: contiguous at 8, 16 or
     /// 32 (see [`crate::simd`]).
     pub fn specialized(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| match **i {
-                Instr::Axpy { n, x, y, .. } | Instr::SparseAxpy { n, x, y, .. } => {
-                    unrolled(n, x.inc == 1 && y.inc == 1)
-                }
-                Instr::Xmul { n, x, z, y, .. } => {
-                    unrolled(n, x.inc == 1 && z.inc == 1 && y.inc == 1)
-                }
-                Instr::Ger { n, y, a, .. } => unrolled(n, a.cs == 1 && y.inc == 1),
-                Instr::Gemv { n, a, x, .. } => unrolled(n, a.cs == 1 && x.inc == 1),
-                Instr::Dot { dot, .. } | Instr::SparseDot { dot, .. } => {
-                    unrolled(dot.n, dot.x.inc == 1 && dot.y.inc == 1)
-                }
-                _ => false,
-            })
+        (self.instrs.iter().filter_map(call_site))
+            .filter(|&(n, contiguous)| unrolled(n, contiguous))
             .count()
     }
 
@@ -780,10 +791,15 @@ impl<'a> Compiler<'a> {
                 let enclosing = self.loops.iter().map(|c| c.index);
                 let iterated = enclosing.collect::<IdxSet>().insert(v.index);
                 let terms = v.term_lo..v.term_hi;
-                if fused_loop(self.kernel, self.path, level, terms, iterated) {
-                    return self.fuse_sparse_loop(header, v.index, level, adv);
+                match fused_loop(self.kernel, self.path, level, terms, iterated)
+                    .filter(|f| f.fits(level, &v.children))
+                {
+                    Some(FusedLoop::Fiber { .. }) => {
+                        return self.fuse_fiber(header, v.index, level, adv)
+                    }
+                    Some(_) => return self.fuse_sparse_loop(header, v.index, level, adv),
+                    None => Instr::Sparse { level, adv, end },
                 }
-                Instr::Sparse { level, adv, end }
             }
         };
         self.instrs.push(Instr::EndLoop);
@@ -857,6 +873,39 @@ impl<'a> Compiler<'a> {
         self.instrs.truncate(at);
         self.instrs.push(fused);
         Ok(())
+    }
+
+    /// Make the sparse loop whose header placeholder sits at `header` a
+    /// fiber, where [`fused_loop`] names one that fits its children: the
+    /// body already compiled is the fused loop one level down and the
+    /// call, in the rule's order, and the header becomes `Fiber` over it.
+    fn fuse_fiber(
+        &mut self,
+        header: usize,
+        index: IndexId,
+        level: usize,
+        adv: AdvRange,
+    ) -> Result<()> {
+        let run = |i: &Instr| matches!(i, Instr::SparseAxpy { .. } | Instr::SparseDot { .. });
+        let call = |i: &Instr| {
+            matches!(
+                i,
+                Instr::Axpy { .. }
+                    | Instr::Xmul { .. }
+                    | Instr::Ger { .. }
+                    | Instr::Gemv { .. }
+                    | Instr::Dot { .. }
+            )
+        };
+        match &self.instrs[header + 1..] {
+            [a, b] if (run(a) && call(b)) || (call(a) && run(b)) => {
+                self.instrs[header] = Instr::Fiber { level, adv };
+                Ok(())
+            }
+            _ => Err(SpttnError::Execution(format!(
+                "tape compile: the fiber over index {index} does not have its fused shape"
+            ))),
+        }
     }
 
     fn flush_adv(&mut self, entries: Vec<AdvEntry>) -> AdvRange {
@@ -1086,6 +1135,26 @@ impl<'a> Compiler<'a> {
         self.instrs.push(instr);
         Ok(true)
     }
+}
+
+/// A microkernel site's trip count, and whether its strides take the
+/// kernel's vector body: unit increments along what the kernel
+/// vectorizes (every operand of an AXPY, XMUL or DOT, a GER's `y` and
+/// rows, a GEMV's rows and `x`). A strided site runs the scalar body at
+/// every tier (see [`crate::simd`]).
+fn call_site(i: &Instr) -> Option<(usize, bool)> {
+    Some(match *i {
+        Instr::Axpy { n, x, y, .. } | Instr::SparseAxpy { n, x, y, .. } => {
+            (n, x.inc == 1 && y.inc == 1)
+        }
+        Instr::Xmul { n, x, z, y, .. } => (n, x.inc == 1 && z.inc == 1 && y.inc == 1),
+        Instr::Ger { n, y, a, .. } => (n, a.cs == 1 && y.inc == 1),
+        Instr::Gemv { n, a, x, .. } => (n, a.cs == 1 && x.inc == 1),
+        Instr::Dot { dot, .. } | Instr::SparseDot { dot, .. } => {
+            (dot.n, dot.x.inc == 1 && dot.y.inc == 1)
+        }
+        _ => return None,
+    })
 }
 
 /// Whether a scalar read is of term `term`'s buffer.
@@ -1370,165 +1439,22 @@ impl<'a> Run<'a> {
                     self.cell(tgt, v);
                     pc += 1;
                 }
-                Instr::Dot { dot, tgt } => {
-                    let v = self.dot(dot);
-                    self.stats.dot += 1;
-                    self.stats.dot_elems += dot.n as u64;
-                    self.cell(tgt, v);
+                call @ (Instr::Dot { .. }
+                | Instr::Axpy { .. }
+                | Instr::Xmul { .. }
+                | Instr::Ger { .. }
+                | Instr::Gemv { .. }) => {
+                    self.call(call);
                     pc += 1;
                 }
-                Instr::Axpy {
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    kern,
-                    ..
-                } => {
-                    let a = self.read(alpha);
-                    let Run {
-                        factors,
-                        buffers,
-                        out_dense,
-                        st,
-                        stats,
-                        ..
-                    } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
-                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
-                    kern(n, a, xs, xi, tgt, y.inc);
-                    stats.axpy += 1;
-                    stats.axpy_elems += n as u64;
+                instr @ (Instr::SparseAxpy { level, adv, .. }
+                | Instr::SparseDot { level, adv, .. }) => {
+                    self.fused(instr, level, adv)?;
                     pc += 1;
                 }
-                Instr::Xmul {
-                    n,
-                    term,
-                    x,
-                    z,
-                    y,
-                    kern,
-                    ..
-                } => {
-                    let Run {
-                        factors,
-                        buffers,
-                        out_dense,
-                        st,
-                        stats,
-                        ..
-                    } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
-                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
-                    let (zs, zi) = vec_in(factors, reads, &st.cursors, z);
-                    kern(n, 1.0, xs, xi, zs, zi, tgt, y.inc);
-                    stats.xmul += 1;
-                    stats.xmul_elems += n as u64;
-                    pc += 1;
-                }
-                Instr::Ger {
-                    m,
-                    n,
-                    term,
-                    x,
-                    y,
-                    a,
-                    kern,
-                    ..
-                } => {
-                    let Run {
-                        factors,
-                        buffers,
-                        out_dense,
-                        st,
-                        stats,
-                        ..
-                    } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, a.cur);
-                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
-                    let (ys, yi) = vec_in(factors, reads, &st.cursors, y);
-                    kern(m, n, 1.0, xs, xi, ys, yi, tgt, a.rs, a.cs);
-                    stats.ger += 1;
-                    stats.ger_elems += (m * n) as u64;
-                    pc += 1;
-                }
-                Instr::Gemv {
-                    m,
-                    n,
-                    term,
-                    a,
-                    x,
-                    y,
-                    kern,
-                    ..
-                } => {
-                    let Run {
-                        factors,
-                        buffers,
-                        out_dense,
-                        st,
-                        stats,
-                        ..
-                    } = self;
-                    let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
-                    let (as_, ai) = mat_in(factors, reads, &st.cursors, a);
-                    let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
-                    kern(m, n, 1.0, as_, ai.0, ai.1, xs, xi, tgt, y.inc);
-                    stats.gemv += 1;
-                    stats.gemv_elems += (m * n) as u64;
-                    pc += 1;
-                }
-                Instr::SparseAxpy {
-                    level,
-                    adv,
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    kern,
-                    first,
-                } => {
-                    let mut call = first.unwrap_or(kern);
-                    let calls = self.walk_children(level, adv, |run| {
-                        let a = run.read(alpha);
-                        let Run {
-                            factors,
-                            buffers,
-                            out_dense,
-                            st,
-                            ..
-                        } = run;
-                        let (reads, tgt) = tgt_split(buffers, out_dense, &st.cursors, term, y.cur);
-                        let (xs, xi) = vec_in(factors, reads, &st.cursors, x);
-                        call(n, a, xs, xi, tgt, y.inc);
-                        call = kern;
-                    })?;
-                    self.stats.axpy += calls;
-                    self.stats.axpy_elems += calls * n as u64;
-                    pc += 1;
-                }
-                Instr::SparseDot {
-                    level,
-                    adv,
-                    term,
-                    dot,
-                    leaf,
-                } => {
-                    let (dot_l, dot_r) =
-                        (reads_term(leaf.left, term), reads_term(leaf.right, term));
-                    let calls = self.walk_children(level, adv, |run| {
-                        // What `Zero; Dot` left in the cell: +0.0 for a
-                        // -0.0 product, as the unfused add gives.
-                        let t = 0.0 + run.dot(dot);
-                        let l = if dot_l { t } else { run.read(leaf.left) };
-                        let r = if dot_r { t } else { run.read(leaf.right) };
-                        run.cell(leaf.tgt, l * r);
-                    })?;
-                    self.stats.dot += calls;
-                    self.stats.dot_elems += calls * dot.n as u64;
-                    pc += 1;
+                Instr::Fiber { level, adv } => {
+                    self.fiber(pc, level, adv)?;
+                    pc += 3;
                 }
             }
         }
@@ -1536,36 +1462,152 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// The per-child walk of a fused sparse loop: step the tracked node
-    /// at `level` and the loop's cursors to each node of
-    /// [`Run::level_range`], run `body`, then restore the cursors.
-    /// Returns the number of nodes walked.
-    #[inline(always)]
-    fn walk_children(
-        &mut self,
-        level: usize,
-        adv: AdvRange,
-        mut body: impl FnMut(&mut Self),
-    ) -> Result<u64> {
+    /// The view of the run a fused walk or a call works in: its
+    /// operands' resolver over the stores split at its target terms `ta`
+    /// and `tb` (see [`split_walk`]), both targets' stores, the tensor
+    /// and the stats it books.
+    fn view(&mut self, ta: usize, tb: usize, sparse: bool) -> View<'_> {
+        let Run {
+            tape,
+            csf,
+            leaf_lo,
+            factors,
+            buffers,
+            out_dense,
+            out_sparse,
+            st,
+            stats,
+            ..
+        } = self;
+        let (low, rest, a, b) = split_walk(buffers, out_dense, out_sparse, ta, tb, sparse);
+        let rs = Resolve {
+            adv: &tape.adv,
+            cursors: &st.cursors,
+            factors,
+            vals: csf.vals(),
+            low,
+            first: ta,
+            rest,
+            leaf_lo: *leaf_lo,
+        };
+        View {
+            rs,
+            a,
+            b,
+            csf,
+            stats,
+        }
+    }
+
+    /// Run one microkernel call at the cursors' offsets (and the tracked
+    /// leaf, for the sparse value and pattern-sharing cells).
+    fn call(&mut self, i: Instr) {
+        let (term, sparse) = target_term(&i, self.tape.n_terms - 1);
+        let leaf = self.leaf_node();
+        let View { rs, b, stats, .. } = self.view(term, term, sparse);
+        match i {
+            Instr::Axpy { .. } => fire(&axpy_call(&rs, &i, NO_ADV), leaf, b, stats),
+            Instr::Xmul { .. } => fire(&xmul_call(&rs, &i, NO_ADV), leaf, b, stats),
+            Instr::Ger { .. } => fire(&ger_call(&rs, &i, NO_ADV), leaf, b, stats),
+            Instr::Gemv { .. } => fire(&gemv_call(&rs, &i, NO_ADV), leaf, b, stats),
+            _ => fire(&dot_cell(&rs, &i, NO_ADV), leaf, b, stats),
+        }
+    }
+
+    /// Run a lone fused loop (`SparseAxpy`, `SparseDot`) at `level`: its
+    /// operands are resolved once, then each child costs its call.
+    fn fused(&mut self, instr: Instr, level: usize, adv: AdvRange) -> Result<()> {
+        let (tb, sparse) = target_term(&instr, self.tape.n_terms - 1);
         let range = self.level_range(level);
-        let at_root = self.st.fp == 0;
-        let mut prev = 0usize;
-        for node in range.clone() {
-            // A root-level loop keeps the root frame's cancellation
-            // checkpoint: once per root child.
-            if at_root && node != range.start {
-                if let Some(g) = self.guard {
-                    g.check("tape")?;
+        let guard = self.guard.filter(|_| self.st.fp == 0);
+        let View {
+            rs, b, csf, stats, ..
+        } = self.view(tb, tb, sparse);
+        let coords = &csf.level(level).idx;
+        let calls = range.len() as u64;
+        match instr {
+            Instr::SparseAxpy { .. } => {
+                let run = axpy_run(&rs, &instr, NO_ADV, adv);
+                guarded(range.clone(), guard, |nodes| {
+                    run.walk(coords, nodes, 0, &[], b)
+                })?;
+                run.count(stats, calls);
+            }
+            _ => {
+                let run = dot_run(&rs, &instr, NO_ADV, adv);
+                guarded(range.clone(), guard, |nodes| {
+                    run.walk(coords, nodes, 0, &[], b)
+                })?;
+                run.count(stats, calls);
+            }
+        }
+        // Where the unfused loop leaves its node.
+        if let Some(last) = range.last() {
+            self.st.nodes[level] = last;
+        }
+        Ok(())
+    }
+
+    /// Run the fiber whose header is at `pc`: per child at `level`, the
+    /// run over the child's children and the call, in program order,
+    /// with every operand resolved once for the whole walk.
+    fn fiber(&mut self, pc: usize, level: usize, adv: AdvRange) -> Result<()> {
+        let (a, b) = (self.tape.instrs[pc + 1], self.tape.instrs[pc + 2]);
+        let last = self.tape.n_terms - 1;
+        let ((ta, _), (tb, sparse)) = (target_term(&a, last), target_term(&b, last));
+        let range = self.level_range(level);
+        let guard = self.guard.filter(|_| self.st.fp == 0);
+        let View {
+            rs,
+            a: at,
+            b: bt,
+            csf,
+            stats,
+        } = self.view(ta, tb, sparse);
+        let (l, g, nodes) = ((csf, level), guard, range.clone());
+        match (a, b) {
+            (Instr::SparseAxpy { adv: inner, .. }, call) => {
+                let run = axpy_run(&rs, &a, adv, inner);
+                match call {
+                    Instr::Axpy { .. } => {
+                        let call = axpy_call(&rs, &call, adv);
+                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                    }
+                    Instr::Xmul { .. } => {
+                        let call = xmul_call(&rs, &call, adv);
+                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                    }
+                    Instr::Ger { .. } => {
+                        let call = ger_call(&rs, &call, adv);
+                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                    }
+                    Instr::Gemv { .. } => {
+                        let call = gemv_call(&rs, &call, adv);
+                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                    }
+                    _ => {
+                        let call = dot_cell(&rs, &call, adv);
+                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                    }
                 }
             }
-            let coord = self.csf.node_coord(level, node);
-            self.st.nodes[level] = node;
-            self.advance(adv, coord as isize - prev as isize);
-            prev = coord;
-            body(self);
+            (Instr::Axpy { .. }, run) => {
+                let call = axpy_call(&rs, &a, adv);
+                call_first(&rs, l, nodes, g, &run, adv, &call, at, bt, stats)
+            }
+            (_, run) => {
+                let call = xmul_call(&rs, &a, adv);
+                call_first(&rs, l, nodes, g, &run, adv, &call, at, bt, stats)
+            }
+        }?;
+        // Where the unfused loops leave their nodes.
+        if let Some(x) = range.last() {
+            self.st.nodes[level] = x;
+            if let Some(k) = self.csf.children(level, x).last() {
+                self.st.nodes[level + 1] = k;
+            }
         }
-        self.advance(adv, -(prev as isize));
-        Ok(range.len() as u64)
+        Ok(())
     }
 
     #[inline]
@@ -1636,77 +1678,757 @@ impl<'a> Run<'a> {
             }
         }
     }
+}
 
-    /// Run a DOT call (no mutable target in play).
-    #[inline]
-    fn dot(&self, d: DotCall) -> f64 {
-        let (xs, xi) = self.rslice(d.x);
-        let (ys, yi) = self.rslice(d.y);
-        (d.kern)(d.n, xs, xi, ys, yi)
+// ---------------------------------------------------------------------
+// Fused walks
+// ---------------------------------------------------------------------
+
+/// An operand offset resolved once per fused walk. Inside a fiber the
+/// run's operands first move to the fiber's child at coordinate `co`
+/// ([`Addr::shift`]); a walk then reaches its child node `x` at
+/// coordinate `c` at `base + c·step + x·nstep`. `nstep` is 1 for the
+/// sparse value and pattern-sharing cells, which live at the leaf node,
+/// and 0 for a cursor, so no cursor is written per child.
+#[derive(Debug, Clone, Copy)]
+struct Addr {
+    base: usize,
+    ostep: usize,
+    step: usize,
+    nstep: usize,
+}
+
+impl Addr {
+    /// The node-indexed store of the sparse values.
+    const LEAF: Addr = Addr {
+        base: 0,
+        ostep: 0,
+        step: 0,
+        nstep: 1,
+    };
+
+    #[inline(always)]
+    fn shift(self, co: usize) -> Addr {
+        Addr {
+            base: self.base.wrapping_add(co.wrapping_mul(self.ostep)),
+            ostep: 0,
+            ..self
+        }
     }
 
-    /// Borrow a vector source slice (no mutable target in play).
-    #[inline]
-    fn rslice(&self, v: VecSrc) -> (&[f64], usize) {
-        let off = self.st.cursors[v.cur];
-        match v.buf {
-            RBuf::Factor(i) => (&self.factors[i].as_slice()[off..], v.inc),
-            RBuf::Inter(u) => (&self.buffers[u].as_slice()[off..], v.inc),
+    #[inline(always)]
+    fn at(self, c: usize, x: usize) -> usize {
+        (self.base)
+            .wrapping_add(c.wrapping_mul(self.step))
+            .wrapping_add(x.wrapping_mul(self.nstep))
+    }
+}
+
+/// Where a walk's source lives: a store resolved for the walk, or the
+/// target of a fiber's first part, which its second part reads.
+#[derive(Debug, Clone, Copy)]
+enum Src<'b> {
+    Slice(&'b [f64]),
+    First,
+}
+
+/// A resolved source operand.
+#[derive(Debug, Clone, Copy)]
+struct Opnd<'b> {
+    src: Src<'b>,
+    at: Addr,
+}
+
+impl<'b> Opnd<'b> {
+    #[inline(always)]
+    fn shift(self, co: usize) -> Opnd<'b> {
+        Opnd {
+            at: self.at.shift(co),
+            ..self
+        }
+    }
+
+    /// The operand's store, `first` being the first part's target.
+    #[inline(always)]
+    fn store<'c>(self, first: &'c [f64]) -> &'c [f64]
+    where
+        'b: 'c,
+    {
+        match self.src {
+            Src::Slice(s) => s,
+            Src::First => first,
         }
     }
 }
 
-/// Split the buffers at `term` and borrow the mutable target slice at
-/// cursor `cur` (the dense output for the final term, `term`'s buffer
-/// otherwise); sources always live in earlier buffers or factors, so
-/// the split is safe by the path's producer-before-consumer order.
-#[inline]
-fn tgt_split<'b>(
-    buffers: &'b mut [DenseTensor],
-    out_dense: &'b mut DenseTensor,
-    cursors: &[usize],
-    term: usize,
-    cur: usize,
-) -> (&'b [DenseTensor], &'b mut [f64]) {
-    let off = cursors[cur];
-    let out = term + 1 == buffers.len();
-    let (reads, tail) = buffers.split_at_mut(term);
-    let tgt: &'b mut [f64] = if out {
-        &mut out_dense.as_mut_slice()[off..]
-    } else {
-        &mut tail[0].as_mut_slice()[off..]
-    };
-    (reads, tgt)
+/// Resolves a fused walk's operands once: each one's store, from the
+/// workspace split around the walk's targets, and its offset and steps,
+/// from the cursors and the advance table.
+struct Resolve<'b> {
+    adv: &'b [AdvEntry],
+    cursors: &'b [usize],
+    factors: &'b [DenseTensor],
+    vals: &'b [f64],
+    /// Buffers before the first target's term.
+    low: &'b [DenseTensor],
+    /// The first target's term.
+    first: usize,
+    /// Buffers after it, up to the second target's term.
+    rest: &'b [DenseTensor],
+    leaf_lo: usize,
 }
 
-/// Borrow a vector source from the factor slots or the read-side
-/// buffer split.
-#[inline]
-fn vec_in<'b>(
-    factors: &'b [DenseTensor],
-    reads: &'b [DenseTensor],
-    cursors: &[usize],
-    v: VecSrc,
-) -> (&'b [f64], usize) {
-    let off = cursors[v.cur];
-    match v.buf {
-        RBuf::Factor(i) => (&factors[i].as_slice()[off..], v.inc),
-        RBuf::Inter(u) => (&reads[u].as_slice()[off..], v.inc),
+impl<'b> Resolve<'b> {
+    /// The step a loop's advance entries `adv` give cursor `cur`.
+    fn step(&self, adv: AdvRange, cur: usize) -> usize {
+        (self.adv[adv.0 as usize..adv.1 as usize].iter())
+            .filter(|e| e.cur == cur)
+            .fold(0, |s, e| s.wrapping_add(e.stride))
+    }
+
+    /// Cursor `cur` under a walk of the loop owning `inner`, itself
+    /// inside a fiber's walk of the loop owning `outer`.
+    fn addr(&self, cur: usize, outer: AdvRange, inner: AdvRange) -> Addr {
+        Addr {
+            base: self.cursors[cur],
+            ostep: self.step(outer, cur),
+            step: self.step(inner, cur),
+            nstep: 0,
+        }
+    }
+
+    fn src(&self, buf: RBuf) -> Src<'b> {
+        match buf {
+            RBuf::Factor(i) => Src::Slice(self.factors[i].as_slice()),
+            RBuf::Inter(u) if u < self.first => Src::Slice(self.low[u].as_slice()),
+            RBuf::Inter(u) if u == self.first => Src::First,
+            RBuf::Inter(u) => Src::Slice(self.rest[u - self.first - 1].as_slice()),
+        }
+    }
+
+    fn read(&self, r: Read, outer: AdvRange, inner: AdvRange) -> Opnd<'b> {
+        match r {
+            Read::Cursor { buf, cur } => Opnd {
+                src: self.src(buf),
+                at: self.addr(cur, outer, inner),
+            },
+            Read::SparseVal => Opnd {
+                src: Src::Slice(self.vals),
+                at: Addr::LEAF,
+            },
+        }
+    }
+
+    fn vec(&self, v: VecSrc, outer: AdvRange, inner: AdvRange) -> Opnd<'b> {
+        Opnd {
+            src: self.src(v.buf),
+            at: self.addr(v.cur, outer, inner),
+        }
+    }
+
+    fn cell(&self, w: Write, outer: AdvRange, inner: AdvRange) -> Addr {
+        match w {
+            Write::Cell { cur, .. } => self.addr(cur, outer, inner),
+            // `out_sparse[leaf − leaf_lo]`.
+            Write::SparseCell => Addr {
+                base: self.leaf_lo.wrapping_neg(),
+                ..Addr::LEAF
+            },
+        }
     }
 }
 
-/// Borrow a matrix source (returns the slice plus `(rs, cs)`).
-#[inline]
-fn mat_in<'b>(
-    factors: &'b [DenseTensor],
-    reads: &'b [DenseTensor],
-    cursors: &[usize],
-    m: MatSrc,
-) -> (&'b [f64], (usize, usize)) {
-    let off = cursors[m.cur];
-    match m.buf {
-        RBuf::Factor(i) => (&factors[i].as_slice()[off..], (m.rs, m.cs)),
-        RBuf::Inter(u) => (&reads[u].as_slice()[off..], (m.rs, m.cs)),
+/// An empty advance range: a loop that moves nothing.
+const NO_ADV: AdvRange = (0, 0);
+
+/// Check `guard` before every node of `nodes` but the first: a walk
+/// over the tile roots keeps the root frame's cancellation checkpoint,
+/// once per root child. Runs `body` on each node.
+#[inline(always)]
+fn guarded(
+    nodes: Range<usize>,
+    guard: Option<&RunGuard>,
+    mut body: impl FnMut(Range<usize>),
+) -> Result<()> {
+    match guard {
+        None => body(nodes),
+        Some(g) => {
+            for x in nodes.clone() {
+                if x != nodes.start {
+                    g.check("tape")?;
+                }
+                body(x..x + 1);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The body of a fused sparse loop, resolved for one walk: what one
+/// child runs, into the store `tgt`.
+trait RunBody<'b> {
+    /// Walk `nodes` (coordinates `coords`) inside a fiber child at
+    /// coordinate `co`, or at `co = 0` on its own.
+    fn walk(
+        &self,
+        coords: &[usize],
+        nodes: Range<usize>,
+        co: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    );
+
+    /// Book `calls` calls.
+    fn count(&self, stats: &mut ExecStats, calls: u64);
+}
+
+/// A microkernel call resolved for a walk: a fiber's, once per child
+/// of the fiber's level, or a lone call's, once.
+trait TailCall<'b> {
+    /// The call at the child node `x`, coordinate `c`.
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]);
+
+    /// Book `calls` calls.
+    fn count(&self, stats: &mut ExecStats, calls: u64);
+}
+
+/// A sparse-AXPY body: `y += alpha · x` per child.
+struct AxpyRun<'b> {
+    n: usize,
+    alpha: Opnd<'b>,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Addr,
+    yinc: usize,
+    kern: AxpyFn,
+    first: Option<AxpyFn>,
+}
+
+impl<'b> RunBody<'b> for AxpyRun<'b> {
+    #[inline(always)]
+    fn walk(
+        &self,
+        coords: &[usize],
+        nodes: Range<usize>,
+        co: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (alpha, x, y) = (self.alpha.shift(co), self.x.shift(co), self.y.shift(co));
+        let (als, xs) = (alpha.store(first), x.store(first));
+        let mut call = self.first.unwrap_or(self.kern);
+        for node in nodes {
+            let c = coords[node];
+            let a = als[alpha.at.at(c, node)];
+            call(
+                self.n,
+                a,
+                &xs[x.at.at(c, node)..],
+                self.xinc,
+                &mut tgt[y.at(c, node)..],
+                self.yinc,
+            );
+            call = self.kern;
+        }
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.axpy += calls;
+        stats.axpy_elems += calls * self.n as u64;
+    }
+}
+
+/// A sparse-DOT body: `d = x·y`, then the leaf with the folded term's
+/// reads (`None`) taken as `0.0 + d`.
+struct DotRun<'b> {
+    n: usize,
+    kern: DotFn,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Opnd<'b>,
+    yinc: usize,
+    left: Option<Opnd<'b>>,
+    right: Option<Opnd<'b>>,
+    tgt: Addr,
+}
+
+impl<'b> RunBody<'b> for DotRun<'b> {
+    #[inline(always)]
+    fn walk(
+        &self,
+        coords: &[usize],
+        nodes: Range<usize>,
+        co: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (x, y, cell) = (self.x.shift(co), self.y.shift(co), self.tgt.shift(co));
+        let (xs, ys) = (x.store(first), y.store(first));
+        let left = self.left.map(|o| o.shift(co)).map(|o| (o, o.store(first)));
+        let right = self.right.map(|o| o.shift(co)).map(|o| (o, o.store(first)));
+        for node in nodes {
+            let c = coords[node];
+            // What `Zero; Dot` left in the cell: +0.0 for a -0.0
+            // product, as the unfused add gives.
+            let d = 0.0
+                + (self.kern)(
+                    self.n,
+                    &xs[x.at.at(c, node)..],
+                    self.xinc,
+                    &ys[y.at.at(c, node)..],
+                    self.yinc,
+                );
+            let l = left.map_or(d, |(o, s)| s[o.at.at(c, node)]);
+            let r = right.map_or(d, |(o, s)| s[o.at.at(c, node)]);
+            tgt[cell.at(c, node)] += l * r;
+        }
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.dot += calls;
+        stats.dot_elems += calls * self.n as u64;
+    }
+}
+
+/// An AXPY call.
+struct AxpyCall<'b> {
+    n: usize,
+    alpha: Opnd<'b>,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Addr,
+    yinc: usize,
+    kern: AxpyFn,
+}
+
+impl<'b> TailCall<'b> for AxpyCall<'b> {
+    #[inline(always)]
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
+        let a = self.alpha.store(first)[self.alpha.at.at(c, x)];
+        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
+        (self.kern)(
+            self.n,
+            a,
+            xs,
+            self.xinc,
+            &mut tgt[self.y.at(c, x)..],
+            self.yinc,
+        );
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.axpy += calls;
+        stats.axpy_elems += calls * self.n as u64;
+    }
+}
+
+/// An XMUL call.
+struct XmulCall<'b> {
+    n: usize,
+    x: Opnd<'b>,
+    xinc: usize,
+    z: Opnd<'b>,
+    zinc: usize,
+    y: Addr,
+    yinc: usize,
+    kern: XmulFn,
+}
+
+impl<'b> TailCall<'b> for XmulCall<'b> {
+    #[inline(always)]
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
+        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
+        let zs = &self.z.store(first)[self.z.at.at(c, x)..];
+        let y = &mut tgt[self.y.at(c, x)..];
+        (self.kern)(self.n, 1.0, xs, self.xinc, zs, self.zinc, y, self.yinc);
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.xmul += calls;
+        stats.xmul_elems += calls * self.n as u64;
+    }
+}
+
+/// A GER call.
+struct GerCall<'b> {
+    m: usize,
+    n: usize,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Opnd<'b>,
+    yinc: usize,
+    a: Addr,
+    rs: usize,
+    cs: usize,
+    kern: GerFn,
+}
+
+impl<'b> TailCall<'b> for GerCall<'b> {
+    #[inline(always)]
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
+        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
+        let ys = &self.y.store(first)[self.y.at.at(c, x)..];
+        let a = &mut tgt[self.a.at(c, x)..];
+        (self.kern)(
+            self.m, self.n, 1.0, xs, self.xinc, ys, self.yinc, a, self.rs, self.cs,
+        );
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.ger += calls;
+        stats.ger_elems += calls * (self.m * self.n) as u64;
+    }
+}
+
+/// A GEMV call.
+struct GemvCall<'b> {
+    m: usize,
+    n: usize,
+    a: Opnd<'b>,
+    rs: usize,
+    cs: usize,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Addr,
+    yinc: usize,
+    kern: GemvFn,
+}
+
+impl<'b> TailCall<'b> for GemvCall<'b> {
+    #[inline(always)]
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
+        let a = &self.a.store(first)[self.a.at.at(c, x)..];
+        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
+        let y = &mut tgt[self.y.at(c, x)..];
+        let (m, n) = (self.m, self.n);
+        (self.kern)(m, n, 1.0, a, self.rs, self.cs, xs, self.xinc, y, self.yinc);
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.gemv += calls;
+        stats.gemv_elems += calls * (self.m * self.n) as u64;
+    }
+}
+
+/// A DOT call into one cell.
+struct DotCell<'b> {
+    n: usize,
+    x: Opnd<'b>,
+    xinc: usize,
+    y: Opnd<'b>,
+    yinc: usize,
+    cell: Addr,
+    kern: DotFn,
+}
+
+impl<'b> TailCall<'b> for DotCell<'b> {
+    #[inline(always)]
+    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
+        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
+        let ys = &self.y.store(first)[self.y.at.at(c, x)..];
+        tgt[self.cell.at(c, x)] += (self.kern)(self.n, xs, self.xinc, ys, self.yinc);
+    }
+
+    fn count(&self, stats: &mut ExecStats, calls: u64) {
+        stats.dot += calls;
+        stats.dot_elems += calls * self.n as u64;
+    }
+}
+
+/// The term an instruction's writes land in, and whether they are
+/// pattern-sharing output cells.
+fn target_term(i: &Instr, last: usize) -> (usize, bool) {
+    let of_write = |w: Write| match w {
+        Write::Cell { term, .. } => (term, false),
+        Write::SparseCell => (last, true),
+    };
+    match *i {
+        Instr::Axpy { term, .. }
+        | Instr::Xmul { term, .. }
+        | Instr::Ger { term, .. }
+        | Instr::Gemv { term, .. }
+        | Instr::SparseAxpy { term, .. } => (term, false),
+        Instr::Dot { tgt, .. } => of_write(tgt),
+        Instr::SparseDot { leaf, .. } => of_write(leaf.tgt),
+        _ => unreachable!("the verifier admits only calls and fused loops in a fiber"),
+    }
+}
+
+/// Walk a fiber: per node of `nodes`, its run over the node's children
+/// and its call, the call first when `CALL_FIRST`. The call's target
+/// is `a` when it comes first, the run's otherwise; the second part
+/// writes `b` and reads what the first wrote.
+#[allow(clippy::too_many_arguments)]
+fn fiber_walk<'b, R: RunBody<'b>, C: TailCall<'b>, const CALL_FIRST: bool>(
+    (csf, level): (&Csf, usize),
+    nodes: Range<usize>,
+    guard: Option<&RunGuard>,
+    run: &R,
+    call: &C,
+    a: &mut [f64],
+    b: &mut [f64],
+    stats: &mut ExecStats,
+) -> Result<()> {
+    let (coords, ptr) = (&csf.level(level).idx, &csf.level(level).ptr);
+    let inner = &csf.level(level + 1).idx;
+    let mut kids = 0u64;
+    guarded(nodes.clone(), guard, |nodes| {
+        for x in nodes {
+            let (c, below) = (coords[x], ptr[x]..ptr[x + 1]);
+            kids += below.len() as u64;
+            if CALL_FIRST {
+                call.fire(c, x, &[], a);
+                run.walk(inner, below, c, a, b);
+            } else {
+                run.walk(inner, below, c, &[], a);
+                call.fire(c, x, a, b);
+            }
+        }
+    })?;
+    run.count(stats, kids);
+    call.count(stats, nodes.len() as u64);
+    Ok(())
+}
+
+/// Split the workspace around a fused walk's targets: term `ta`, a
+/// fiber's first part's (`ta == tb` for a lone fused loop, which has no
+/// second part), and term `tb`, the last part's (`sparse`: pattern-
+/// sharing output cells). Returns the buffers before `ta`, those
+/// strictly between the two, and both targets' stores.
+fn split_walk<'b>(
+    buffers: &'b mut [DenseTensor],
+    out_dense: &'b mut DenseTensor,
+    out_sparse: &'b mut [f64],
+    ta: usize,
+    tb: usize,
+    sparse: bool,
+) -> (
+    &'b [DenseTensor],
+    &'b [DenseTensor],
+    &'b mut [f64],
+    &'b mut [f64],
+) {
+    let out = tb + 1 == buffers.len();
+    let (low, high) = buffers.split_at_mut(tb);
+    let b: &mut [f64] = match (out, sparse) {
+        (true, true) => out_sparse,
+        (true, false) => out_dense.as_mut_slice(),
+        (false, _) => high[0].as_mut_slice(),
+    };
+    if ta == tb {
+        return (low, &[], &mut [], b);
+    }
+    let (low, mid) = low.split_at_mut(ta);
+    let (a, rest) = mid
+        .split_first_mut()
+        .expect("the first target precedes the second");
+    (low, rest, a.as_mut_slice(), b)
+}
+
+/// What [`Run::view`] hands a fused walk or a call.
+struct View<'b> {
+    rs: Resolve<'b>,
+    a: &'b mut [f64],
+    b: &'b mut [f64],
+    csf: &'b Csf,
+    stats: &'b mut ExecStats,
+}
+
+/// One call of `call` into `tgt` at the tracked leaf node `leaf`,
+/// booked in `stats`.
+fn fire<'b>(call: &impl TailCall<'b>, leaf: usize, tgt: &mut [f64], stats: &mut ExecStats) {
+    call.fire(0, leaf, &[], tgt);
+    call.count(stats, 1);
+}
+
+/// A fiber whose call comes first, over its run `run`.
+#[allow(clippy::too_many_arguments)]
+fn call_first<'b, C: TailCall<'b>>(
+    rs: &Resolve<'b>,
+    at: (&Csf, usize),
+    nodes: Range<usize>,
+    guard: Option<&RunGuard>,
+    run: &Instr,
+    adv: AdvRange,
+    call: &C,
+    a: &mut [f64],
+    b: &mut [f64],
+    stats: &mut ExecStats,
+) -> Result<()> {
+    match *run {
+        Instr::SparseAxpy { adv: inner, .. } => {
+            let run = axpy_run(rs, run, adv, inner);
+            fiber_walk::<_, _, true>(at, nodes, guard, &run, call, a, b, stats)
+        }
+        Instr::SparseDot { adv: inner, .. } => {
+            let run = dot_run(rs, run, adv, inner);
+            fiber_walk::<_, _, true>(at, nodes, guard, &run, call, a, b, stats)
+        }
+        _ => unreachable!("the verifier proves a fiber's run a fused loop"),
+    }
+}
+
+// The parts of a fused walk, resolved from their instructions: a run's
+// operands move with the fused loop's advance table `inner`, inside a
+// fiber's `outer`; a call's with the fiber's `adv`.
+
+fn axpy_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> AxpyRun<'b> {
+    let Instr::SparseAxpy {
+        n,
+        alpha,
+        x,
+        y,
+        kern,
+        first,
+        ..
+    } = *i
+    else {
+        unreachable!("a sparse-AXPY loop")
+    };
+    AxpyRun {
+        n,
+        alpha: rs.read(alpha, outer, inner),
+        x: rs.vec(x, outer, inner),
+        xinc: x.inc,
+        y: rs.addr(y.cur, outer, inner),
+        yinc: y.inc,
+        kern,
+        first,
+    }
+}
+
+fn dot_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> DotRun<'b> {
+    let Instr::SparseDot {
+        term, dot, leaf, ..
+    } = *i
+    else {
+        unreachable!("a sparse-DOT loop")
+    };
+    let read = |r: Read| (!reads_term(r, term)).then(|| rs.read(r, outer, inner));
+    DotRun {
+        n: dot.n,
+        kern: dot.kern,
+        x: rs.vec(dot.x, outer, inner),
+        xinc: dot.x.inc,
+        y: rs.vec(dot.y, outer, inner),
+        yinc: dot.y.inc,
+        left: read(leaf.left),
+        right: read(leaf.right),
+        tgt: rs.cell(leaf.tgt, outer, inner),
+    }
+}
+
+fn axpy_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> AxpyCall<'b> {
+    let Instr::Axpy {
+        n,
+        alpha,
+        x,
+        y,
+        kern,
+        ..
+    } = *i
+    else {
+        unreachable!("an AXPY")
+    };
+    AxpyCall {
+        n,
+        alpha: rs.read(alpha, NO_ADV, adv),
+        x: rs.vec(x, NO_ADV, adv),
+        xinc: x.inc,
+        y: rs.addr(y.cur, NO_ADV, adv),
+        yinc: y.inc,
+        kern,
+    }
+}
+
+fn xmul_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> XmulCall<'b> {
+    let Instr::Xmul {
+        n, x, z, y, kern, ..
+    } = *i
+    else {
+        unreachable!("an XMUL")
+    };
+    XmulCall {
+        n,
+        x: rs.vec(x, NO_ADV, adv),
+        xinc: x.inc,
+        z: rs.vec(z, NO_ADV, adv),
+        zinc: z.inc,
+        y: rs.addr(y.cur, NO_ADV, adv),
+        yinc: y.inc,
+        kern,
+    }
+}
+
+fn ger_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GerCall<'b> {
+    let Instr::Ger {
+        m,
+        n,
+        x,
+        y,
+        a,
+        kern,
+        ..
+    } = *i
+    else {
+        unreachable!("a GER")
+    };
+    GerCall {
+        m,
+        n,
+        x: rs.vec(x, NO_ADV, adv),
+        xinc: x.inc,
+        y: rs.vec(y, NO_ADV, adv),
+        yinc: y.inc,
+        a: rs.addr(a.cur, NO_ADV, adv),
+        rs: a.rs,
+        cs: a.cs,
+        kern,
+    }
+}
+
+fn gemv_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GemvCall<'b> {
+    let Instr::Gemv {
+        m,
+        n,
+        a,
+        x,
+        y,
+        kern,
+        ..
+    } = *i
+    else {
+        unreachable!("a GEMV")
+    };
+    GemvCall {
+        m,
+        n,
+        a: Opnd {
+            src: rs.src(a.buf),
+            at: rs.addr(a.cur, NO_ADV, adv),
+        },
+        rs: a.rs,
+        cs: a.cs,
+        x: rs.vec(x, NO_ADV, adv),
+        xinc: x.inc,
+        y: rs.addr(y.cur, NO_ADV, adv),
+        yinc: y.inc,
+        kern,
+    }
+}
+
+fn dot_cell<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> DotCell<'b> {
+    let Instr::Dot { dot, tgt } = *i else {
+        unreachable!("a DOT")
+    };
+    DotCell {
+        n: dot.n,
+        x: rs.vec(dot.x, NO_ADV, adv),
+        xinc: dot.x.inc,
+        y: rs.vec(dot.y, NO_ADV, adv),
+        yinc: dot.y.inc,
+        cell: rs.cell(tgt, NO_ADV, adv),
+        kern: dot.kern,
     }
 }
 
@@ -1738,13 +2460,15 @@ mod tests {
             Instr::SparseAxpy { first: Some(_), .. } => "SparseAxpy + Zero",
             Instr::SparseAxpy { .. } => "SparseAxpy",
             Instr::SparseDot { .. } => "SparseDot",
+            Instr::Fiber { .. } => "Fiber",
             _ => return None,
         })
     }
 
     /// Every fused shape — a `Zero` folded into an AXPY, XMUL or GER, a
-    /// sparse-AXPY loop with and without a folded `Zero`, and the
-    /// `Zero; Dot; Leaf` sparse-DOT loop — compiled from one forest
+    /// sparse-AXPY loop with and without a folded `Zero`, the
+    /// `Zero; Dot; Leaf` sparse-DOT loop, and fibers in both orders with
+    /// every call a run-first tail can be — compiled from one forest
     /// gives the dispatch counts of the unfused program, the reference
     /// interpreter: its output bits on the scalar tier, and its output
     /// to ≤ 1e-9 on the host's. Both tiers compile one program. (The
@@ -1753,7 +2477,7 @@ mod tests {
     /// where the unfused pair added it to zero.)
     #[test]
     fn fused_tapes_are_bitwise_the_unfused_tape() {
-        let nests: [Nest; 8] = [
+        let nests: [Nest; 14] = [
             (
                 "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
                 &[("i", 9), ("j", 7), ("r", 32)],
@@ -1768,7 +2492,7 @@ mod tests {
                 80,
                 &[(1, 2), (1, 2), (0, 1)],
                 &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
-                &["assigning Xmul", "SparseDot"],
+                &["Fiber", "assigning Xmul", "SparseDot"],
             ),
             (
                 "y(i) = T(i,j) * U(i,r) * V(j,r)",
@@ -1811,7 +2535,59 @@ mod tests {
                 120,
                 &[(0, 2), (0, 1)],
                 &[&[0, 1, 2, 4], &[0, 1, 4, 3]],
-                &["SparseAxpy + Zero"],
+                &["Fiber", "SparseAxpy + Zero"],
+            ),
+            // Fibers whose run comes first, one per call the tail can be:
+            // MTTKRP's XMUL, a DOT, an AXPY and a GEMV.
+            (
+                "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+                &[("i", 8), ("j", 9), ("k", 10), ("a", 8)],
+                120,
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                &["Fiber", "SparseAxpy + Zero"],
+            ),
+            (
+                "y(i) = T(i,j,k) * B(j,a) * C(k,a)",
+                &[("i", 8), ("j", 9), ("k", 10), ("a", 6)],
+                120,
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                &["Fiber", "SparseAxpy + Zero"],
+            ),
+            (
+                "O(i,a) = T(i,j,k) * B(j) * C(k,a)",
+                &[("i", 8), ("j", 9), ("k", 10), ("a", 6)],
+                120,
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                &["Fiber", "SparseAxpy + Zero"],
+            ),
+            (
+                "O(i,r) = T(i,j,k) * D(j,m,r) * C(k,m)",
+                &[("i", 8), ("j", 9), ("k", 10), ("m", 5), ("r", 3)],
+                120,
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 4, 3]],
+                &["Fiber", "SparseAxpy + Zero"],
+            ),
+            // Fibers whose call comes first: an AXPY before a sparse-DOT
+            // loop, an XMUL before a sparse-AXPY loop.
+            (
+                "S(i,j,k) = T(i,j,k) * U(i) * V(j,r) * W(k,r)",
+                &[("i", 6), ("j", 5), ("k", 7), ("r", 9)],
+                80,
+                &[(1, 2), (1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
+                &["Fiber", "assigning Axpy", "SparseDot"],
+            ),
+            (
+                "O(i,r) = T(i,j,k) * U(i,r) * V(j,r)",
+                &[("i", 6), ("j", 5), ("k", 7), ("r", 9)],
+                80,
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3]],
+                &["Fiber", "assigning Xmul", "SparseAxpy"],
             ),
             // A loop over the CSF roots keeps its `Zero`.
             (

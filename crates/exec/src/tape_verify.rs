@@ -71,14 +71,25 @@
 //!      so after the loop no read of `t` is zero-dominated: `t` has no
 //!      other reader. Any level is sound, since nothing folds across
 //!      children.
+//!    - `Fiber`: the header rules of a sparse loop, then its fixed
+//!      two-instruction body with the loop open, each part checked as
+//!      what it is. The body is a fused loop at the next level and one
+//!      microkernel call, in a fiber's order (a sparse-AXPY loop before
+//!      any call; an AXPY or XMUL before either fused loop). The driver
+//!      splits the stores at the parts' target terms, so the first part
+//!      writes an earlier term than the second and each part reads only
+//!      terms before its own. Zeros set in the body are dropped after
+//!      it, as after any loop.
 //!
 //! The cost is O(program size · nesting depth) — independent of the
 //! tensor data — so every `Plan::bind` runs it; `Plan::verify_tape`
 //! (`spttn plan --verify`) runs it without binding.
 
 use super::{
-    CompiledTape, DotCall, Instr, MatSrc, MatTgt, RBuf, Read, ScalarMul, VecSrc, VecTgt, Write,
+    call_site, target_term, CompiledTape, DotCall, Instr, MatSrc, MatTgt, RBuf, Read, ScalarMul,
+    VecSrc, VecTgt, Write,
 };
+
 use spttn_core::SpttnError;
 use std::fmt;
 
@@ -135,8 +146,9 @@ pub enum TapeInvariantError {
     /// A buffer is read or accumulated into without a dominating
     /// `Zero` — the Eq.-5 split-point reset is missing on some path.
     MissingZero { pc: usize, term: usize },
-    /// A microkernel sources a buffer at or past its target term; the
-    /// driver's read/write split (`buffers[..term]`) cannot serve it.
+    /// A microkernel or scalar leaf reads a buffer at or past its target
+    /// term; the driver's read/write split (`buffers[..term]`) cannot
+    /// serve it.
     ProducerOrderViolation {
         pc: usize,
         source: usize,
@@ -273,6 +285,14 @@ pub struct TapeReport {
     /// (`SparseDot`), each also counted as a sparse loop and a
     /// microkernel.
     pub sparse_dots: usize,
+    /// Sparse loops run as one instruction over a fused loop one level
+    /// down and one call (`Fiber`), each also counted as a sparse loop;
+    /// their bodies are counted as what they are.
+    pub fibers: usize,
+    /// Microkernel sites whose strides take the kernel's scalar body on
+    /// the vector tiers (see [`CompiledTape::specialized`] for the ones
+    /// that take an unrolled vector body).
+    pub scalar_fallbacks: usize,
     /// Cursor-addressed accesses proved in bounds.
     pub accesses_checked: usize,
     /// Distinct cursors bound to a backing store.
@@ -285,8 +305,8 @@ impl fmt::Display for TapeReport {
             f,
             "verified {} instrs ({} dense + {} sparse loops, nesting {}/{}), \
              {} zero points, {} microkernels ({} fused), \
-             {} fused sparse-AXPY loops, {} fused sparse-DOT loops, \
-             {} accesses in bounds over {} cursors",
+             {} fused sparse-AXPY loops, {} fused sparse-DOT loops, {} fibers, \
+             {} scalar fallbacks, {} accesses in bounds over {} cursors",
             self.instrs,
             self.dense_loops,
             self.sparse_loops,
@@ -297,6 +317,8 @@ impl fmt::Display for TapeReport {
             self.zero_accums,
             self.sparse_axpys,
             self.sparse_dots,
+            self.fibers,
+            self.scalar_fallbacks,
             self.accesses_checked,
             self.cursors_bound
         )
@@ -357,6 +379,9 @@ pub(crate) fn verify(tape: &CompiledTape) -> Result<TapeReport, TapeInvariantErr
         },
     };
     ck.block(0, tape.instrs.len())?;
+    ck.report.scalar_fallbacks = (tape.instrs.iter().filter_map(call_site))
+        .filter(|&(_, contiguous)| !contiguous)
+        .count();
     ck.report.cursors_bound = ck.stores.iter().filter(|s| s.is_some()).count();
     Ok(ck.report)
 }
@@ -367,7 +392,8 @@ impl<'t> Checker<'t> {
     fn block(&mut self, lo: usize, hi: usize) -> Result<(), TapeInvariantError> {
         let mut pc = lo;
         while pc < hi {
-            match self.tape.instrs[pc] {
+            let i = self.tape.instrs[pc];
+            match i {
                 Instr::Zero { term } => {
                     self.in_range(pc, "zeroed term", term, self.tape.n_terms)?;
                     self.zeroed[term] = true;
@@ -428,7 +454,8 @@ impl<'t> Checker<'t> {
                     pc += 1;
                 }
                 Instr::Dot { dot, tgt } => {
-                    self.check_dot(pc, dot, None)?;
+                    let term = target_term(&i, self.tape.n_terms.saturating_sub(1)).0;
+                    self.check_dot(pc, dot, Some(term))?;
                     self.check_cell(pc, tgt)?;
                     pc += 1;
                 }
@@ -556,8 +583,82 @@ impl<'t> Checker<'t> {
                     self.report.sparse_dots += 1;
                     pc += 1;
                 }
+                Instr::Fiber { level, adv } => {
+                    self.fiber(pc, level, adv, hi)?;
+                    self.report.fibers += 1;
+                    pc += 3;
+                }
             }
         }
+        Ok(())
+    }
+
+    /// Check a fiber: its header by the rules of a `Sparse` one, then its
+    /// two-instruction body with the loop open. The body is a fused loop
+    /// one level down and a microkernel call: run first, a sparse-AXPY
+    /// loop and any call; call first, an AXPY or XMUL and either fused
+    /// loop. The driver splits the stores at the two parts' target terms,
+    /// so the first part writes an earlier term than the second (each
+    /// reads only earlier terms than its own, as every call does). Zeros
+    /// established in the body prove nothing after it: a tile's root
+    /// range can be empty.
+    fn fiber(
+        &mut self,
+        pc: usize,
+        level: usize,
+        adv: (u32, u32),
+        hi: usize,
+    ) -> Result<(), TapeInvariantError> {
+        let body = self
+            .tape
+            .instrs
+            .get(pc + 1..pc + 3)
+            .filter(|_| pc + 3 <= hi);
+        let shape = |detail: &str| TapeInvariantError::MalformedLoop {
+            pc,
+            detail: format!("fiber body {detail}"),
+        };
+        let Some(&[a, b]) = body else {
+            return Err(shape("runs past its block"));
+        };
+        let is_call = |i: &Instr| {
+            matches!(
+                i,
+                Instr::Axpy { .. }
+                    | Instr::Xmul { .. }
+                    | Instr::Ger { .. }
+                    | Instr::Gemv { .. }
+                    | Instr::Dot { .. }
+            )
+        };
+        let run_level = match (a, b) {
+            (Instr::SparseAxpy { level, .. }, call) if is_call(&call) => level,
+            (
+                Instr::Axpy { .. } | Instr::Xmul { .. },
+                Instr::SparseAxpy { level, .. } | Instr::SparseDot { level, .. },
+            ) => level,
+            _ => return Err(shape("is not a fused loop and a call in a fiber's order")),
+        };
+        if run_level != level + 1 {
+            return Err(TapeInvariantError::TrackingInvariant {
+                pc,
+                detail: format!(
+                    "fiber at level {level} runs a fused loop at level {run_level}, not its children's"
+                ),
+            });
+        }
+        let last = self.tape.n_terms.saturating_sub(1);
+        let (ta, tb) = (target_term(&a, last).0, target_term(&b, last).0);
+        if ta >= tb {
+            return Err(TapeInvariantError::ProducerOrderViolation {
+                pc: pc + 1,
+                source: tb,
+                term: ta,
+            });
+        }
+        let saved = self.zeroed.clone();
+        self.fused_loop(pc, level, adv, |ck| ck.block(pc + 1, pc + 3))?;
+        self.zeroed = saved;
         Ok(())
     }
 
@@ -680,8 +781,12 @@ impl<'t> Checker<'t> {
     /// A scalar contraction — of a `Leaf` or a `SparseDot`.
     fn check_leaf(&mut self, pc: usize, leaf: ScalarMul) -> Result<(), TapeInvariantError> {
         let ScalarMul { left, right, tgt } = leaf;
-        self.check_read(pc, left)?;
-        self.check_read(pc, right)?;
+        let term = match tgt {
+            Write::Cell { term, .. } => term,
+            Write::SparseCell => self.tape.n_terms.saturating_sub(1),
+        };
+        self.check_read(pc, left, term)?;
+        self.check_read(pc, right, term)?;
         self.check_cell(pc, tgt)
     }
 
@@ -714,7 +819,7 @@ impl<'t> Checker<'t> {
         assigning: bool,
     ) -> Result<(), TapeInvariantError> {
         self.in_range(pc, "target term", term, self.tape.n_terms)?;
-        self.check_read(pc, alpha)?;
+        self.check_read(pc, alpha, term)?;
         self.check_vec_src(pc, x, n, Some(term))?;
         self.check_vec_tgt(pc, y, n, term, assigning)?;
         self.report.microkernels += 1;
@@ -851,13 +956,22 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// Scalar source: bounds plus zero domination for buffer reads, the
-    /// tracked leaf for the sparse value.
-    fn check_read(&mut self, pc: usize, r: Read) -> Result<(), TapeInvariantError> {
+    /// Scalar source of a call or leaf for term `term`: bounds, zero
+    /// domination and an earlier term's buffer (what the driver's
+    /// read/write split serves) for buffer reads, the tracked leaf for
+    /// the sparse value.
+    fn check_read(&mut self, pc: usize, r: Read, term: usize) -> Result<(), TapeInvariantError> {
         match r {
             Read::Cursor { buf, cur } => {
                 let store = self.rbuf_store(pc, buf)?;
                 if let RBuf::Inter(u) = buf {
+                    if u >= term {
+                        return Err(TapeInvariantError::ProducerOrderViolation {
+                            pc,
+                            source: u,
+                            term,
+                        });
+                    }
                     self.require_zeroed(pc, u)?;
                 }
                 self.check_access(pc, cur, store, 0)
@@ -1271,7 +1385,7 @@ mod tests {
     /// preallocated capacity.
     #[test]
     fn mutation_frame_overflow_rejected() {
-        let mut tape = tracked_tape();
+        let mut tape = listing4_tape();
         assert!(tape.max_depth > 1);
         tape.max_depth = 1;
         match tape.verify() {
@@ -1697,6 +1811,92 @@ mod tests {
                 assert_eq!((pc, t), (at + 1, term));
             }
             other => panic!("expected MissingZero, got {other:?}"),
+        }
+    }
+
+    /// The fiber of `tape` and its position.
+    fn fiber_at(tape: &CompiledTape) -> usize {
+        (tape.instrs.iter())
+            .position(|i| matches!(i, Instr::Fiber { .. }))
+            .expect("the nest runs its (i,j) fibers as one instruction")
+    }
+
+    /// Both fiber orders verify: Listing 3's run first (`SparseAxpy`,
+    /// then the GER), TTTP's call first (the assigning XMUL, then the
+    /// `SparseDot`).
+    #[test]
+    fn fibers_verify_clean() {
+        for (tape, body) in [(fused_loop_tape(), (1, 0)), (fused_dot_tape(), (0, 1))] {
+            let at = fiber_at(&tape);
+            assert!(matches!(tape.instrs[at], Instr::Fiber { level: 1, .. }));
+            let report = tape.verify().expect("a fiber verifies");
+            assert_eq!(report.fibers, 1);
+            assert_eq!((report.sparse_axpys, report.sparse_dots), body);
+            assert_eq!(report.max_nesting, 3, "i's frame, the fiber, its run");
+        }
+    }
+
+    /// Class 21: move a fiber to the wrong level — over its run's own
+    /// level, whose children the run walks.
+    #[test]
+    fn mutation_fiber_wrong_level_rejected() {
+        let mut tape = fused_loop_tape();
+        let at = fiber_at(&tape);
+        let Instr::Fiber { level, .. } = &mut tape.instrs[at] else {
+            unreachable!()
+        };
+        *level += 1;
+        match tape.verify() {
+            Err(TapeInvariantError::TrackingInvariant { pc, .. }) => assert_eq!(pc, at),
+            other => panic!("expected TrackingInvariant, got {other:?}"),
+        }
+    }
+
+    /// Class 22: give a fiber a body of the wrong shape — its call
+    /// before its run when the call is a GER (a run-first body swapped),
+    /// or a scalar `Leaf` where the call should be.
+    #[test]
+    fn mutation_fiber_body_shape_rejected() {
+        let base = fused_loop_tape();
+        let at = fiber_at(&base);
+        let mut swapped = base.clone();
+        swapped.instrs.swap(at + 1, at + 2);
+        let mut leaf = base.clone();
+        leaf.instrs[at + 2] = Instr::Leaf(ScalarMul {
+            left: Read::SparseVal,
+            right: Read::SparseVal,
+            tgt: Write::SparseCell,
+        });
+        for tape in [swapped, leaf] {
+            match tape.verify() {
+                Err(TapeInvariantError::MalformedLoop { pc, .. }) => assert_eq!(pc, at),
+                other => panic!("expected MalformedLoop, got {other:?}"),
+            }
+        }
+    }
+
+    /// Class 23: make a fiber's call read a buffer it must not — the
+    /// run-first tail reads its own term's store, the call-first head
+    /// the buffer its run folds. The driver serves a part's sources from
+    /// the stores split off before its own target.
+    #[test]
+    fn mutation_fiber_call_reads_a_later_buffer_rejected() {
+        // (tape, the call's offset in the fiber, its source past its term)
+        for (mut tape, call, past) in [(fused_loop_tape(), 2, 0), (fused_dot_tape(), 1, 1)] {
+            let at = fiber_at(&tape) + call;
+            let term = match &mut tape.instrs[at] {
+                Instr::Ger { term, x, .. } | Instr::Xmul { term, x, .. } => {
+                    x.buf = RBuf::Inter(*term + past);
+                    *term
+                }
+                other => panic!("the fiber's call is a GER or an XMUL, got {other:?}"),
+            };
+            match tape.verify() {
+                Err(TapeInvariantError::ProducerOrderViolation { pc, term: t, .. }) => {
+                    assert_eq!((pc, t), (at, term));
+                }
+                other => panic!("expected ProducerOrderViolation, got {other:?}"),
+            }
         }
     }
 

@@ -43,7 +43,7 @@ pub use fuse::{
 };
 pub use index::{IdxSet, IndexId, IndexInfo, MAX_INDICES};
 pub use kernel::{Kernel, KernelBuilder, KernelError, TensorRef};
-pub use lower::{fused_loop, LeafOp, Side};
+pub use lower::{fused_loop, FusedLoop, LeafOp, Side};
 pub use order::{
     count_orders, lineage_in_csf_order, order_is_valid, orders_for_term, LoopOrder, NestSpec,
     NestSpecIter,

@@ -50,12 +50,32 @@
 //! |---|---|---|
 //! | `t` | one index `q`, a dense loop at depth `l + 1`, `leaf_op(q)` an AXPY | sparse-AXPY: `t`'s AXPY |
 //! | `t`, `t + 1`, `t`'s consumer `t + 1` | `t`: one dense `q`, `leaf_op(q)` a DOT; `t + 1`: none | sparse-DOT: `t`'s DOT into a scalar, then `t + 1`'s leaf |
+//! | a run `R` and a tail `u` (below) | `R`: the CSF index of level `l + 1`, then a sparse-AXPY or sparse-DOT row at `l + 1`; `u`: one or two dense indices that lower to one call in either order | fiber: the fused loop over `R`'s children, and `u`'s call |
 //! | anything else | | none: the loop keeps its frame |
 //!
-//! Either way the vertex has exactly one possible subtree, so the cost
-//! model may price it as one step per visit without losing Algorithm
-//! 1's exactness. Whether a zero point folds into the fused call
-//! depends on buffer strides, so that stays the tape compiler's call.
+//! A fiber's two parts are the run `R`, which the vertex's child at
+//! level `l + 1` runs as one of the first two rows, and the tail `u`. Either
+//! the tail consumes the buffer of `R`'s sparse-AXPY term (`R = {u − 1}`:
+//! MTTKRP, TTMc, the collapsed network kernel), or it produces, as an
+//! AXPY or XMUL, a buffer the run reads (`u` first: TTTP). In both cases
+//! the buffer between the parts is a vector over the call's own index,
+//! so its zero point folds into an assigning call and the body has none
+//! of its own. The tail's indices are not CSF indices, so it never
+//! shares a loop with the run.
+//!
+//! The first two rows leave the vertex exactly one possible subtree, so
+//! the cost model may price it as one step per visit without losing
+//! Algorithm 1's exactness. A fiber's vertex has others: the tail's index
+//! may also run the run's term and fuse the two above the sparse loop
+//! (MTTKRP's `a` over `k`). The row says only which subtree is the
+//! fiber body; [`FusedLoop::fits`] tells it from the vertex's children,
+//! and Algorithm 1 prices that one subtree as fused and every other as
+//! a plain loop, so it stays exact. The body itself is unique but for
+//! the order of a two-index tail, and a tail pair that lowered in one
+//! order only would not fuse (by [`Term::leaf_op`]'s table a pair that
+//! lowers in one order lowers in both). Whether a zero point folds
+//! into the fused call depends on buffer strides, so that stays the tape
+//! compiler's call; the rows above are written so that it always does.
 
 use crate::fuse::{vertex_kind, LoopNode, LoopVertex, VertexKind};
 use crate::index::{IdxSet, IndexId};
@@ -155,17 +175,59 @@ impl Term {
     }
 }
 
-/// Whether the tape runs the sparse loop at CSF `level` over `terms` as
-/// one instruction. `iterated` holds its index and its enclosing
-/// loops'; a covered term's other indices are the ones it has left
-/// below. See the [module docs](self).
+/// How the tape runs a sparse loop as one instruction — the rows of the
+/// [module docs](self)' fused-loop table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FusedLoop {
+    /// Per child, the covered term's AXPY.
+    SparseAxpy,
+    /// Per child, a DOT into a scalar, then its consumer's leaf.
+    SparseDot,
+    /// Per child, the run at the next level over the terms `run` (a
+    /// sparse-AXPY or sparse-DOT loop) and the call of term `tail`, in
+    /// term order.
+    Fiber {
+        /// The terms of the fused loop one level down.
+        run: Range<usize>,
+        /// The term lowered to one call.
+        tail: usize,
+    },
+}
+
+impl FusedLoop {
+    /// Whether a sparse vertex at `level` with these children is the
+    /// loop this row fuses. The first two rows have one possible
+    /// subtree; a fiber's children are its run — the sparse loop at
+    /// `level + 1` — and its tail, in term order.
+    pub fn fits(&self, level: usize, children: &[LoopNode]) -> bool {
+        let FusedLoop::Fiber { run, tail } = self else {
+            return true;
+        };
+        let covers = |n: &LoopNode, terms: Range<usize>, kind: Option<VertexKind>| {
+            matches!(n, LoopNode::Loop(v) if (v.term_lo..v.term_hi) == terms
+                && kind.is_none_or(|k| v.kind == k))
+        };
+        let sparse = Some(VertexKind::Sparse { level: level + 1 });
+        let (run, tail) = (run.clone(), *tail..*tail + 1);
+        match children {
+            [a, b] if tail.start < run.start => covers(a, tail, None) && covers(b, run, sparse),
+            [a, b] => covers(a, run, sparse) && covers(b, tail, None),
+            _ => false,
+        }
+    }
+}
+
+/// Whether, and as which row, the tape runs the sparse loop at CSF
+/// `level` over `terms` as one instruction. `iterated` holds its index
+/// and its enclosing loops'; a covered term's other indices are the
+/// ones it has left below. See the [module docs](self).
 pub fn fused_loop(
     kernel: &Kernel,
     path: &ContractionPath,
     level: usize,
     terms: Range<usize>,
     iterated: IdxSet,
-) -> bool {
+) -> Option<FusedLoop> {
     let below = |t: usize| path.terms[t].iter_inds().minus(iterated);
     // The kernel of a term's one loop left below, if that loop is dense.
     let lone_dense_op = |t: usize| {
@@ -175,14 +237,64 @@ pub fn fused_loop(
     };
     let t = terms.start;
     match terms.len() {
-        1 => matches!(lone_dense_op(t), Some(LeafOp::Axpy { .. })),
-        2 => {
-            path.terms[t].consumer == Some(t + 1)
-                && below(t + 1).is_empty()
-                && lone_dense_op(t) == Some(LeafOp::Dot)
+        1 if matches!(lone_dense_op(t), Some(LeafOp::Axpy { .. })) => Some(FusedLoop::SparseAxpy),
+        2 if path.terms[t].consumer == Some(t + 1)
+            && below(t + 1).is_empty()
+            && lone_dense_op(t) == Some(LeafOp::Dot) =>
+        {
+            Some(FusedLoop::SparseDot)
         }
-        _ => false,
+        _ => fiber(kernel, path, level, terms, iterated),
     }
+}
+
+/// The fiber row of [`fused_loop`].
+fn fiber(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    level: usize,
+    terms: Range<usize>,
+    iterated: IdxSet,
+) -> Option<FusedLoop> {
+    let next = level + 1;
+    if terms.len() < 2 || next >= kernel.csf_index_order().len() {
+        return None;
+    }
+    let k = kernel.index_at_level(next);
+    // The run's terms carry the next level's index; the tail's do not.
+    let tail_first = !path.terms[terms.start].iter_inds().contains(k);
+    let (run, tail) = if tail_first {
+        (terms.start + 1..terms.end, terms.start)
+    } else {
+        (terms.start..terms.end - 1, terms.end - 1)
+    };
+    let inner = iterated.insert(k);
+    let row = (run.clone().all(|t| path.terms[t].iter_inds().contains(k))
+        && vertex_kind(kernel, path, run.start, run.end, next, k)
+            == Ok(VertexKind::Sparse { level: next }))
+    .then(|| fused_loop(kernel, path, next, run.clone(), inner))??;
+    // The tail's call, in every order of its indices.
+    let term = &path.terms[tail];
+    let left = term.iter_inds().minus(iterated);
+    let mut qs = left.iter();
+    let dense = left.iter().all(|q| kernel.sparse_level(q).is_none());
+    let op = match (qs.next(), qs.next(), qs.next()) {
+        (Some(q), None, _) => term.leaf_op(q, None),
+        (Some(a), Some(b), None) => term.leaf_op(b, Some(a)).and(term.leaf_op(a, Some(b))),
+        _ => None,
+    };
+    let consumes =
+        |u: usize, by: &Range<usize>| path.terms[u].consumer.is_some_and(|c| by.contains(&c));
+    let fits = if tail_first {
+        // The tail's buffer is one vector the call assigns.
+        consumes(tail, &run) && matches!(op, Some(LeafOp::Axpy { .. } | LeafOp::Xmul))
+    } else {
+        // The run is one sparse-AXPY term whose buffer the tail reads.
+        row == FusedLoop::SparseAxpy && op.is_some() && consumes(run.start, &(tail..tail + 1))
+    };
+    // A fiber's run is never a fiber itself.
+    let run_row = matches!(row, FusedLoop::SparseAxpy | FusedLoop::SparseDot);
+    (dense && fits && run_row).then_some(FusedLoop::Fiber { run, tail })
 }
 
 impl LoopVertex {
@@ -427,6 +539,74 @@ mod tests {
         let mut out = Vec::new();
         walk(&f.roots, &mut out);
         out
+    }
+
+    /// The fiber row on the paper's kernels (`i j k` = `0 1 2`).
+    #[test]
+    fn fiber_row_on_the_paper_kernels() {
+        let set = |ids: &[IndexId]| ids.iter().copied().collect::<IdxSet>();
+        let fiber = |run, tail| Some(FusedLoop::Fiber { run, tail });
+        // MTTKRP and TTMc: the sparse-AXPY `k` loop, then the call that
+        // reads its buffer; TTTP: the XMUL that fills `X0`, then the
+        // sparse-DOT `k` loop that reads it.
+        let mttkrp = parse_kernel(
+            "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+            &[("i", 4), ("j", 5), ("k", 6), ("a", 8)],
+        )
+        .unwrap();
+        let p = path_from_picks(&mttkrp, &[(0, 2), (0, 1)]);
+        assert_eq!(
+            fused_loop(&mttkrp, &p, 1, 0..2, set(&[0, 1])),
+            fiber(0..1, 1)
+        );
+        assert_eq!(fused_loop(&mttkrp, &p, 0, 0..2, set(&[0])), None);
+        // `Fi·Fj`, then each further factor times the last buffer, then `T`.
+        let tttp = |order: usize, picks: &[(usize, usize)]| {
+            let names = ["i", "j", "k", "l"];
+            let sparse = names[..order].join(",");
+            let factors: Vec<String> = (names[..order].iter())
+                .map(|n| format!(" * F{n}({n},r)"))
+                .collect();
+            let expr = format!("S({sparse}) = T({sparse}){}", factors.concat());
+            let dims: Vec<_> = (names[..order].iter().map(|&n| (n, 5)))
+                .chain([("r", 8)])
+                .collect();
+            let k = parse_kernel(&expr, &dims).unwrap();
+            let p = path_from_picks(&k, picks);
+            (k, p)
+        };
+        let (k, p) = tttp(3, &[(1, 2), (1, 2), (0, 1)]);
+        assert_eq!(fused_loop(&k, &p, 1, 0..3, set(&[0, 1])), fiber(1..3, 0));
+        // Order 4: the `k` loop is a fiber; the `j` loop around it is
+        // not, since its run would be that fiber.
+        let (k, p) = tttp(4, &[(1, 2), (1, 3), (1, 2), (0, 1)]);
+        assert_eq!(fused_loop(&k, &p, 2, 1..4, set(&[0, 1, 2])), fiber(2..4, 1));
+        assert_eq!(fused_loop(&k, &p, 1, 0..4, set(&[0, 1])), None);
+        // TTMc: Listing 3's `j` vertex has the run and the GER as its
+        // children; Listing 4's has the fused `s` loop, so the row that
+        // holds at both fits only the first.
+        let ttmc = parse_kernel(
+            "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+            &[("i", 8), ("j", 9), ("k", 10), ("r", 4), ("s", 5)],
+        )
+        .unwrap();
+        let p = path_from_picks(&ttmc, &[(0, 2), (0, 1)]);
+        let row = fused_loop(&ttmc, &p, 1, 0..2, set(&[0, 1]));
+        assert_eq!(row, fiber(0..1, 1));
+        let j_children = |orders| {
+            let f = build_forest(&ttmc, &p, &NestSpec { orders }).unwrap();
+            let LoopNode::Loop(i) = &f.roots[0] else {
+                panic!("a root loop")
+            };
+            let [LoopNode::Loop(j)] = i.children.as_slice() else {
+                panic!("one j loop")
+            };
+            j.children.clone()
+        };
+        let row = row.unwrap();
+        assert!(row.fits(1, &j_children(vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]])));
+        assert!(row.fits(1, &j_children(vec![vec![0, 1, 2, 4], vec![0, 1, 3, 4]])));
+        assert!(!row.fits(1, &j_children(vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]])));
     }
 
     /// The paper's order-3 TTMc listings (`i j k r s` = `0 1 2 3 4`).

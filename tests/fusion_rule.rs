@@ -9,14 +9,15 @@
 //!   rank-specialized sites and verifier report (the hand-picked fused
 //!   shapes get the same check in the tape's own unit tests);
 //! - over every contraction path of every stdkernel, a bounded number
-//!   of nests each, the vertices the rule fuses are the tape's fused
-//!   sparse loops, at both tiers.
+//!   of nests each, the vertices the rule fuses — a fiber only where its
+//!   children fit it — are the tape's fused sparse loops and fibers, at
+//!   both tiers.
 
 use rand::prelude::*;
 use spttn::exec::{CompiledTape, KernelSet, TapeReport};
 use spttn::ir::{
     buffers_for_forest, build_forest, enumerate_paths, fused_loop, stdkernels, ContractionPath,
-    IdxSet, Kernel, LoopForest, LoopNode, NestSpecIter, VertexKind,
+    FusedLoop, IdxSet, Kernel, LoopForest, LoopNode, NestSpecIter, VertexKind,
 };
 use spttn::tensor::random_coo;
 use spttn::{Contraction, CostModel, PlanOptions, Shapes};
@@ -63,21 +64,34 @@ fn program(
     )
 }
 
-/// The vertices of `forest` the fusion rule names a fused loop.
-fn rule_fused(kernel: &Kernel, path: &ContractionPath, forest: &LoopForest) -> usize {
-    fn walk(k: &Kernel, p: &ContractionPath, nodes: &[LoopNode], above: IdxSet) -> usize {
-        let mut fused = 0;
+/// The vertices of `forest` the fusion rule runs as one instruction:
+/// `(fused loops, fibers)`.
+fn rule_fused(kernel: &Kernel, path: &ContractionPath, forest: &LoopForest) -> (usize, usize) {
+    fn walk(k: &Kernel, p: &ContractionPath, nodes: &[LoopNode], above: IdxSet) -> (usize, usize) {
+        let mut fused = (0, 0);
         for n in nodes {
             let LoopNode::Loop(v) = n else { continue };
             let iterated = above.insert(v.index);
             if let VertexKind::Sparse { level } = v.kind {
-                fused += usize::from(fused_loop(k, p, level, v.term_lo..v.term_hi, iterated));
+                match fused_loop(k, p, level, v.term_lo..v.term_hi, iterated)
+                    .filter(|f| f.fits(level, &v.children))
+                {
+                    Some(FusedLoop::Fiber { .. }) => fused.1 += 1,
+                    Some(_) => fused.0 += 1,
+                    None => {}
+                }
             }
-            fused += walk(k, p, &v.children, iterated);
+            let below = walk(k, p, &v.children, iterated);
+            fused = (fused.0 + below.0, fused.1 + below.1);
         }
         fused
     }
     walk(kernel, path, &forest.roots, IdxSet::EMPTY)
+}
+
+/// What the tape fused: `(fused loops, fibers)`.
+fn tape_fused(report: &TapeReport) -> (usize, usize) {
+    (report.sparse_axpys + report.sparse_dots, report.fibers)
 }
 
 #[test]
@@ -104,11 +118,7 @@ fn default_nests_compile_to_one_program_at_every_tier() {
                 "{what}"
             );
             let report = &scalar.3;
-            assert_eq!(
-                rule_fused(k, p, f),
-                report.sparse_axpys + report.sparse_dots,
-                "{what}"
-            );
+            assert_eq!(rule_fused(k, p, f), tape_fused(report), "{what}");
             fused += report.sparse_axpys + report.sparse_dots;
         }
     }
@@ -117,7 +127,7 @@ fn default_nests_compile_to_one_program_at_every_tier() {
 
 #[test]
 fn rule_and_tape_agree_on_every_path() {
-    let (mut nests, mut fused) = (0, 0);
+    let (mut nests, mut fused, mut fibers) = (0, 0, 0);
     for kernel in kernels() {
         for path in enumerate_paths(&kernel) {
             for spec in NestSpecIter::new(&kernel, &path).take(24) {
@@ -129,18 +139,20 @@ fn rule_and_tape_agree_on_every_path() {
                     let report = program(&kernel, &path, &forest, tier).3;
                     assert_eq!(
                         rule,
-                        report.sparse_axpys + report.sparse_dots,
+                        tape_fused(&report),
                         "{} on {}",
                         kernel.to_einsum(),
                         forest.render(&kernel, &path)
                     );
                 }
                 nests += 1;
-                fused += rule;
+                fused += rule.0;
+                fibers += rule.1;
             }
         }
     }
-    println!("{nests} nests, {fused} fused loops");
+    println!("{nests} nests, {fused} fused loops, {fibers} fibers");
     assert!(nests > 500, "the sweep compiled only {nests} nests");
     assert!(fused > 100, "the sweep met only {fused} fused loops");
+    assert!(fibers > 10, "the sweep met only {fibers} fibers");
 }

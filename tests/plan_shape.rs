@@ -342,3 +342,49 @@ fn net_factored_collapses_onto_the_hypersparse_mttkrp_nest() {
         assert_eq!(nplan.kernel_plan().work().walks, 1.0);
     }
 }
+
+/// No planned call on the gate's four kernel tapes takes a kernel's
+/// scalar body, and each runs its `(i,j)` fiber as one instruction. The
+/// factored network planned as one kernel does take one: its
+/// `X0 += A·D` GEMV runs down `D`'s columns at stride `r` (ROADMAP
+/// item 20).
+#[test]
+fn gate_tapes_take_no_scalar_fallback() {
+    let pattern = coo(&[60, 50, 40], 3_000, 1);
+    let sparse = [("i", 60), ("j", 50), ("k", 40)];
+    let with = |dense: &[(&'static str, usize)]| {
+        let dims: Vec<_> = sparse.iter().chain(dense).copied().collect();
+        Shapes::new().with_dims(&dims).with_pattern(pattern.clone())
+    };
+    let kernels = [
+        (MTTKRP, with(&[("a", 32)])),
+        (
+            "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+            with(&[("r", 16), ("s", 16)]),
+        ),
+        (
+            "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+            with(&[("r", 32)]),
+        ),
+    ];
+    let factored = with(&[("m", 256), ("r", 32)]);
+    let network = Network::parse("T[i,j,k]*A[j,m]*D[m,r]*B[k,r] -> O[i,r]")
+        .unwrap()
+        .plan(&factored, &NetOptions::default())
+        .unwrap();
+    let mut reports: Vec<_> = (kernels.iter())
+        .map(|(expr, shapes)| default_plan(expr, shapes).verify_tape().unwrap())
+        .collect();
+    reports.push(network.kernel_plan().verify_tape().unwrap());
+    for r in &reports {
+        assert_eq!((r.scalar_fallbacks, r.fibers), (0, 1), "{r}");
+    }
+    let single = default_plan("O(i,r) = T(i,j,k) * A(j,m) * D(m,r) * B(k,r)", &factored);
+    let report = single.verify_tape().unwrap();
+    assert_eq!(
+        report.scalar_fallbacks,
+        1,
+        "{}\n{report}",
+        single.describe()
+    );
+}

@@ -34,8 +34,17 @@ mod common;
 
 use common::interp_reference;
 use rand::prelude::*;
-use spttn::ir::{IndexId, Kernel, LoopNode, VertexKind};
-use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
+use spttn::cost::{
+    exhaustive_search, optimal_order, BlasAware, CacheMiss, MaxBufferDim, MaxBufferSize, TreeCost,
+    Work,
+};
+use spttn::ir::{
+    build_forest, enumerate_paths, fused_loop, parse_kernel, ContractionPath, FusedLoop, IdxSet,
+    IndexId, Kernel, LoopNode, NestSpecIter, VertexKind,
+};
+use spttn::tensor::{
+    random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile, SubsetCounts,
+};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
     Shapes, SpttnError, Threads,
@@ -61,11 +70,11 @@ const MODELS: [CostModel; 4] = [
 /// [`MODELS`] under the natural CSF order (a refusal folds its
 /// message), then one for the `Auto` searches.
 const PLAN_DIGESTS: [u64; MODELS.len() + 1] = [
-    0x8535_006c_f221_8312,
-    0x5de4_c732_d6a7_e5c2,
-    0xa44c_ab24_ab24_c30d,
-    0x7cad_9dc2_963a_280d,
-    0xf0cd_575c_fd80_b4ba,
+    0x65cb_7677_3322_e7d5,
+    0x1364_44bf_e4b6_98e4,
+    0x3c49_cba2_16c3_0ac8,
+    0xecee_844b_4b42_bd30,
+    0xdaa8_2b78_4a67_0102,
 ];
 
 /// One generated einsum with the extents of its indices.
@@ -377,6 +386,83 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     assert!(off_spine > 0, "no factor without a sparse index");
     assert!(dense_csf > 0, "no plan iterates a CSF index densely");
     assert_eq!(digests, PLAN_DIGESTS, "a plan moved: {digests:x?}");
+}
+
+/// Paths with at most this many nests are small enough to enumerate.
+const ENUMERABLE_NESTS: usize = 600;
+
+/// Algorithm 1 against enumeration on the generator's kernels: on every
+/// path of at most [`ENUMERABLE_NESTS`] nests of the order-2 and
+/// order-3 cases with at most three factors, under the exact pattern's
+/// profile, the DP returns exhaustive search's value under each cost
+/// model and under `Work` itself and, where that value is feasible, its
+/// executed `Work` — the tie-break that prices fibers only where the
+/// chosen subtree is one.
+#[test]
+fn dp_matches_exhaustive_on_generated_kernels() {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let (mut paths, mut fiber_paths) = (0, 0);
+    for case_no in 0..CASES {
+        let case = generate(case_no, &mut rng);
+        let (coo, _) = draw(&case, &mut rng);
+        if case.sparse_dims.len() > 3 || case.factors.len() > 3 {
+            continue;
+        }
+        let kernel = parse_kernel(&case.expr, &case.dims).unwrap();
+        let natural: Vec<usize> = (0..coo.order()).collect();
+        let profile = SubsetCounts::of(&coo).unwrap().profile(&natural).unwrap();
+        for path in enumerate_paths(&kernel) {
+            let nests = NestSpecIter::new(&kernel, &path).take(ENUMERABLE_NESTS + 1);
+            if nests.count() > ENUMERABLE_NESTS {
+                continue;
+            }
+            let what = format!(
+                "case {case_no}: {} on {}",
+                case.expr,
+                path.describe(&kernel)
+            );
+            check_exact(&kernel, &path, &profile, &BlasAware::default(), &what);
+            check_exact(&kernel, &path, &profile, &CacheMiss { d: 1 }, &what);
+            check_exact(&kernel, &path, &profile, &MaxBufferSize, &what);
+            check_exact(&kernel, &path, &profile, &MaxBufferDim, &what);
+            check_exact(&kernel, &path, &profile, &Work, &what);
+            let best = optimal_order(&kernel, &path, &profile, &Work).unwrap();
+            let forest = build_forest(&kernel, &path, &best.spec).unwrap();
+            fiber_paths += usize::from(has_fiber(&kernel, &path, &forest.roots, IdxSet::EMPTY));
+            paths += 1;
+        }
+    }
+    println!("{paths} enumerable paths, {fiber_paths} whose least-work nest has a fiber");
+    assert!(paths >= 100, "only {paths} enumerable paths");
+    assert!(fiber_paths > 0, "no least-work nest has a fiber");
+}
+
+/// The DP and exhaustive search agree on `path` under `cost`.
+fn check_exact<C: TreeCost>(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    profile: &SparsityProfile,
+    cost: &C,
+    what: &str,
+) {
+    let dp = optimal_order(kernel, path, profile, cost).unwrap();
+    let ex = exhaustive_search(kernel, path, profile, cost).unwrap();
+    assert_eq!(dp.value, ex.value, "{what}");
+    if cost.is_feasible(&ex.value) {
+        assert_eq!(dp.work, ex.work, "{what}: {:?} vs {:?}", dp.work, ex.work);
+    }
+}
+
+/// Whether a vertex of `nodes` runs as a fiber.
+fn has_fiber(k: &Kernel, p: &ContractionPath, nodes: &[LoopNode], above: IdxSet) -> bool {
+    nodes.iter().any(|n| {
+        let LoopNode::Loop(v) = n else { return false };
+        let iterated = above.insert(v.index);
+        let fiber = matches!(v.kind, VertexKind::Sparse { level }
+            if matches!(fused_loop(k, p, level, v.term_lo..v.term_hi, iterated),
+                Some(f @ FusedLoop::Fiber { .. }) if f.fits(level, &v.children)));
+        fiber || has_fiber(k, p, &v.children, iterated)
+    })
 }
 
 /// FNV-1a offset basis, the digest of nothing.
