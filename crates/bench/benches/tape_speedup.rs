@@ -12,10 +12,12 @@
 //! The planned MTTKRP rows (the reference cube and the benchmark gate's
 //! hypersparse tensor), TTMc and TTTP (the gate's `tttp-mid` shape)
 //! also carry a `hand-nest` row at 1 thread: the same nest written as
-//! plain Rust loops over the CSF, calling the very microkernel pointers
-//! the SIMD tape binds, its output asserted bitwise equal to the
-//! tape's. That is the ceiling a code generator for the tape could
-//! reach; tape-simd over hand-nest is what interpretation costs today.
+//! plain Rust loops over the CSF, calling the table kernel of the SIMD
+//! tape's tier once per call, its output asserted bitwise equal to the
+//! tape's. That is the per-call baseline — one kernel call per nonzero
+//! and per fiber, each loading and storing the fiber's buffer — which
+//! the tape's walks, compiled per tier with the buffer in registers,
+//! now run under; tape-simd over hand-nest is what they save or cost.
 //!
 //! Tripwires (exit 1, which CI's `bench-smoke` propagates): the planned
 //! cube MTTKRP's tape must compile its innermost `k` loop to a
@@ -24,8 +26,9 @@
 //! their `(i,j)` fibers as one `Fiber` instruction; and the cube's and
 //! TTTP's fastest runs must stay within their [`TRIPWIRES`] ceilings over
 //! the hand nest's (the cube: 3.2× before the fused loop, ≈ 2.2× with
-//! it, 1.3–1.5× with the fiber; TTTP: 3.4–4.7× before, 2.7–3.6× with
-//! it, ≈ 2× with the fiber, on a noisy 2-core box).
+//! it, 1.3–1.5× with the fiber, 0.7–1.0× with walks compiled per tier;
+//! TTTP: 3.4–4.7× before, 2.7–3.6× with it, ≈ 2× with the fiber,
+//! 1.3–2.1× compiled per tier, on a noisy 2-core box).
 //!
 //! Run with `cargo bench -p spttn-bench --bench tape_speedup`; set
 //! `SPTTN_BENCH_JSON=BENCH_results.json` to emit the machine-readable
@@ -125,7 +128,7 @@ fn hoisted_a(plan: Plan) -> Plan {
 /// A planned nest written as plain loops over the natural-order CSF:
 /// the dense factors in written order, the scratch buffer `X0`, the
 /// output (dense data, or sparse values in leaf order) and the kernel
-/// set whose pointers the SIMD tape bound.
+/// set whose tier the SIMD tape bound, called through its table.
 type HandNest = fn(&Csf, &[&[f64]], &mut [f64], &mut [f64], &KernelSet);
 
 /// MTTKRP's planned nest — `(i,j,k,a),(i,j,a)` with `X0[a]` on the

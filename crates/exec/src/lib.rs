@@ -28,12 +28,13 @@
 //!
 //! The [`simd`] module supplies the microkernel tiers (AVX-512F and
 //! AVX2+FMA on x86_64, scalar everywhere) selected **once at bind time**
-//! and recorded in the tape as function pointers — one per kernel
-//! family, which picks its unrolled fixed-rank body from its own trip
-//! count at each call — plus the assigning kernels behind the
-//! superinstructions the tape compiler emits at every tier (assigning
-//! calls that replace a zero point, and fused sparse-AXPY and
-//! sparse-DOT loops).
+//! and recorded in the tape, which runs each call and each fused walk
+//! in the selected tier's compiled body at a rank picked once per call
+//! or walk — plus the assigning kernels behind the superinstructions
+//! the tape compiler emits at every tier (assigning calls that replace
+//! a zero point, fused sparse-AXPY and sparse-DOT loops, and fibers).
+//! Its per-tier tables of kernel function pointers serve calls made
+//! beside a tape.
 //!
 //! Three things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,

@@ -4,9 +4,9 @@
 //! *decision* from the hot loops; what remains is per-element *work*
 //! inside the scalar microkernels of [`crate::blas`]. This module
 //! supplies vectorized twins of those kernels and a [`KernelSet`] that
-//! picks an implementation **once, at bind time** — the chosen function
-//! pointers are stored in the tape instructions themselves, so
-//! execution never asks "which kernel?" again.
+//! picks an implementation **once, at bind time**: the tape records it
+//! and enters the selected tier once per walk or call, so execution
+//! never asks "which kernel?" per element.
 //!
 //! ## Implementations
 //!
@@ -16,32 +16,43 @@
 //! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime              |
 //! | `Avx512`      | x86_64 with AVX-512F (and AVX2+FMA) detected at runtime |
 //!
-//! The element-parallel kernels — AXPY, XMUL, GER and their assigning
-//! twins — are written once, as plain loops, and instantiated once per
-//! tier: under each x86 tier's `#[target_feature]` with `f64::mul_add`
-//! (the compiler picks the vector width), and with no feature and
-//! unfused products and sums as the scalar tier. DOT and GEMV are
-//! hand-written AVX2 lane trees that both x86 tiers share; the scalar
-//! tier's are [`crate::blas`]'s. Each tier is one table with one
-//! function pointer per kernel family.
+//! Each kernel family's arithmetic is written once, generic over a
+//! tier's *lane type* (`Lanes`: `__m512d`, `__m256d`, or one `f64`
+//! with `unfused` arithmetic on the scalar tier): the element-parallel
+//! kernels — AXPY, XMUL, GER and their assigning twins — as lane-vector
+//! loops with an element-wise tail, DOT and GEMV through the tier's
+//! reduction (a hand-written AVX2 lane tree both x86 tiers share,
+//! [`crate::blas`]'s order on the scalar tier). A `Body` is
+//! instantiated with the lane type inside the tier's
+//! `#[target_feature]` region, so every kernel body it reaches inlines
+//! there. Each tier's table (one function pointer per kernel family,
+//! what `spttn-net`'s dense steps and the benches call) enters one
+//! region per family that takes the call's own arguments
+//! (`tier_table!`, which stamps entries and holds no arithmetic); every
+//! walk of the tape enters through `KernelSet::enter` — a fused loop or
+//! fiber runs its kernels inline, per nonzero and per fiber, with no
+//! call.
 //!
 //! Selection is *host state*, not *program shape*: program shape
 //! depends only on the plan. Every bind of the same plan, at every
 //! tier, compiles the same instruction stream (same fusion); binds
-//! differ only in which function pointers the instructions carry.
+//! differ only in which tier the tape enters.
 //!
 //! ## Rank specialization
 //!
 //! Tensor-network ranks are small and fixed (the benches use R ∈
-//! {8, 16, 32}). Each kernel picks its body from its own trip count at
-//! every call: a contiguous call at n = 8, 16 or 32 runs a body
-//! monomorphized over that rank, which the compiler unrolls fully;
-//! any other call runs the generic loop. That is one `match n` inside
-//! the kernel (`at_rank!`) — the element-parallel kernels at every
-//! tier, DOT and GEMV on the x86 tiers — so nothing upstream records
-//! the choice. The [`KernelSet`] accessors report it ([`RankSpec`]) and
-//! [`crate::CompiledTape::specialized`] counts the sites that take an
-//! unrolled body.
+//! {8, 16, 32}). A contiguous call at n = 8, 16 or 32 runs a body
+//! monomorphized over that rank, which the compiler unrolls fully; any
+//! other call runs the generic loop. The rank is picked once per call
+//! of a table kernel, from its own trip count and strides, and once per
+//! walk of the tape — a fused loop by its call site, a fiber by its
+//! buffer's length, whose fixed-rank instance holds that buffer in a
+//! local `[f64; N]` the compiler keeps in registers (`at_rank!`). A
+//! strided walk, a fiber whose parts cannot share a local buffer, and
+//! any other rank run the generic instance of the same body. Nothing
+//! upstream records the choice: the [`KernelSet`] accessors report it
+//! ([`RankSpec`]) and [`crate::CompiledTape::specialized`] counts the
+//! sites that take an unrolled body.
 //!
 //! ## Determinism contract
 //!
@@ -65,6 +76,14 @@
 //!   These stay hand-written intrinsics: a plain-Rust loop of the same
 //!   tree was bitwise equal but 3–5× slower (n = 32 on an AVX-512 Xeon:
 //!   18.7 vs 4.6 ns).
+//! - A walk of the tape is bitwise the sequence of table calls it
+//!   replaces, by construction: the same body per call, the same
+//!   multiply-add per element in the same order, the AXPY and GER skip
+//!   of `α == 0`, a fused DOT's `0.0 + d`, the scalar tier's unfused
+//!   arithmetic. A fiber's buffer held in registers differs from the
+//!   workspace buffer only in where it lives; no one reads it after the
+//!   fiber. `tier_walks_are_bitwise_the_per_call_kernels` in
+//!   [`crate::tape`] checks this on every tier the host has.
 //! - Results are run-to-run bitwise stable at a fixed (thread count,
 //!   kernel selection), and differ from strict scalar ordering only by
 //!   FMA contraction and reassociation, bounded by the ≤1e-9
@@ -73,8 +92,6 @@
 //! The `SPTTN_MICROKERNELS` environment variable overrides the
 //! programmatic option at bind time: `scalar` forces the scalar path,
 //! anything else (or unset) behaves as `auto`.
-
-use crate::blas;
 
 /// Microkernel policy for bound executors (facade `ExecOptions` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -143,16 +160,16 @@ pub(crate) fn unrolled(n: usize, contig: bool) -> bool {
     RankSpec::of(n, contig) != RankSpec::Gen
 }
 
-/// `y[i*incy] += alpha * x[i*incx]` — signature of [`blas::axpy`].
+/// `y[i*incy] += alpha * x[i*incx]` — signature of [`crate::blas::axpy`].
 pub type AxpyFn = fn(usize, f64, &[f64], usize, &mut [f64], usize);
-/// `Σ x[i*incx] * y[i*incy]` — signature of [`blas::dot`].
+/// `Σ x[i*incx] * y[i*incy]` — signature of [`crate::blas::dot`].
 pub type DotFn = fn(usize, &[f64], usize, &[f64], usize) -> f64;
 /// `y[i*incy] += alpha * x[i*incx] * z[i*incz]` — signature of
-/// [`blas::xmul`].
+/// [`crate::blas::xmul`].
 pub type XmulFn = fn(usize, f64, &[f64], usize, &[f64], usize, &mut [f64], usize);
-/// `A[i,j] += alpha * x[i] * y[j]` — signature of [`blas::ger`].
+/// `A[i,j] += alpha * x[i] * y[j]` — signature of [`crate::blas::ger`].
 pub type GerFn = fn(usize, usize, f64, &[f64], usize, &[f64], usize, &mut [f64], usize, usize);
-/// `y[i] += alpha * Σ_j A[i,j] * x[j]` — signature of [`blas::gemv`].
+/// `y[i] += alpha * Σ_j A[i,j] * x[j]` — signature of [`crate::blas::gemv`].
 pub type GemvFn = fn(usize, usize, f64, &[f64], usize, usize, &[f64], usize, &mut [f64], usize);
 
 /// One tier's kernels: one function per family, each picking its body
@@ -278,11 +295,23 @@ impl KernelSet {
 
     fn table(&self) -> &'static Table {
         match self.sel {
-            KernelSel::Scalar => &scalar::TABLE,
+            KernelSel::Scalar => &SCALAR,
             #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx2Fma => &avx2::TABLE,
+            KernelSel::Avx2Fma => &x86::AVX2,
             #[cfg(target_arch = "x86_64")]
-            KernelSel::Avx512 => &avx512::TABLE,
+            KernelSel::Avx512 => &x86::AVX512,
+        }
+    }
+
+    /// Run `body` compiled for this selection's tier: instantiated with
+    /// the tier's lanes, inside its `#[target_feature]` region.
+    pub(crate) fn enter<B: Body>(&self, body: B) -> B::Out {
+        match self.sel {
+            KernelSel::Scalar => Scalar::enter(body),
+            #[cfg(target_arch = "x86_64")]
+            KernelSel::Avx2Fma => x86::Avx2::enter(body),
+            #[cfg(target_arch = "x86_64")]
+            KernelSel::Avx512 => x86::Avx512::enter(body),
         }
     }
 }
@@ -343,41 +372,235 @@ pub fn detected_cpu_features() -> String {
     }
 }
 
-/// `c + a·b`, rounded twice in [`blas`]'s order: the scalar tier's
+/// `c + a·b`, rounded twice in [`crate::blas`]'s order: the scalar tier's
 /// accumulation, and every tier's strided one.
 #[inline(always)]
 fn unfused(a: f64, b: f64, c: f64) -> f64 {
     c + a * b
 }
 
-/// `$body::<R>(args)` (with `$assign` after `R` when given) where `R` is
-/// the fixed rank `n` equals (8, 16 or 32), else 0: a call at a common
-/// rank runs the unrolled body instead of the generic loop, whose
-/// short-length remainder would run a 16-long call at a quarter of the
-/// vector width.
+/// The fixed rank a call at trip count `n` runs (8, 16 or 32, when
+/// `contig`), else 0: the generic loop.
+pub(crate) fn rank(n: usize, contig: bool) -> usize {
+    if unrolled(n, contig) {
+        n
+    } else {
+        0
+    }
+}
+
+/// `$body` with the const `$n` bound to `$rank` when that is 8, 16 or 32,
+/// else to 0 (see [`rank`]): a call or walk at a common rank runs a body
+/// monomorphized over it, which the compiler unrolls fully, instead of
+/// the generic loop, whose short-length remainder would run a 16-long
+/// call at a quarter of the vector width.
 macro_rules! at_rank {
-    ($n:expr, $body:ident$(::<$assign:ident>)?($($arg:expr),*)) => {
-        match $n {
-            8 => $body::<8 $(, $assign)?>($($arg),*),
-            16 => $body::<16 $(, $assign)?>($($arg),*),
-            32 => $body::<32 $(, $assign)?>($($arg),*),
-            _ => $body::<0 $(, $assign)?>($($arg),*),
+    ($rank:expr, $n:ident => $body:expr) => {
+        match $rank {
+            8 => {
+                const $n: usize = 8;
+                $body
+            }
+            16 => {
+                const $n: usize = 16;
+                $body
+            }
+            32 => {
+                const $n: usize = 32;
+                $body
+            }
+            _ => {
+                const $n: usize = 0;
+                $body
+            }
         }
     };
 }
+pub(crate) use at_rank;
 
-/// DOT and GEMV for both x86 tiers (AVX2+FMA): one hand-written lane
-/// tree, because the tree *is* the reduction order the determinism
-/// contract fixes. The wrappers are the only call sites of the
-/// `#[target_feature]` bodies and each carries the SAFETY argument for
-/// why the required CPU features are present. Strided calls run the
-/// scalar tier's [`blas`] loops.
+/// Work compiled once per kernel tier: [`Lanes::enter`] instantiates
+/// `run` with the tier's lane type inside the tier's `#[target_feature]`
+/// region, so every kernel body `run` reaches inlines there and compiles
+/// under the tier's features. Implementations mark `run`
+/// `#[inline(always)]`.
+pub(crate) trait Body {
+    type Out;
+    fn run<L: Lanes>(self, l: L) -> Self::Out;
+}
+
+/// Tier `$lanes`'s table. Each kernel is a safe entry into a region of
+/// its own: one function per family, under the tier's
+/// `#[target_feature]` (`$features`), that takes the call's own
+/// arguments — so a call copies nothing on its way in — and runs the
+/// family's table body (`AxpyK`, …) with the tier's lane value `$lanes`.
+/// The arithmetic is the bodies'; this only stamps the entries.
+macro_rules! tier_table {
+    ($lanes:expr, $tier:ty, [$($features:literal)?]) => {{
+        use $crate::simd::{AxpyK, Body, DotK, GemvK, GerK, Lanes, Table, XmulK};
+        type Y<'a> = &'a mut [f64];
+        $(#[target_feature(enable = $features)])?
+        fn axpy<const A: bool>(n: usize, alpha: f64, x: &[f64], ix: usize, y: Y, iy: usize) {
+            AxpyK::<A>(n, alpha, x, ix, y, iy).run($lanes)
+        }
+        $(#[target_feature(enable = $features)])?
+        #[allow(clippy::too_many_arguments)]
+        fn xmul<const A: bool>(
+            n: usize, alpha: f64, x: &[f64], ix: usize, z: &[f64], iz: usize, y: Y, iy: usize,
+        ) {
+            XmulK::<A>(n, alpha, (x, ix), (z, iz), (y, iy)).run($lanes)
+        }
+        $(#[target_feature(enable = $features)])?
+        #[allow(clippy::too_many_arguments)]
+        fn ger<const A: bool>(
+            m: usize, n: usize, alpha: f64, x: &[f64], ix: usize, y: &[f64], iy: usize, a: Y,
+            rs: usize, cs: usize,
+        ) {
+            GerK::<A>((m, n, alpha), (x, ix), (y, iy), (a, rs, cs)).run($lanes)
+        }
+        $(#[target_feature(enable = $features)])?
+        fn dot(n: usize, x: &[f64], ix: usize, y: &[f64], iy: usize) -> f64 {
+            DotK(n, (x, ix), (y, iy)).run($lanes)
+        }
+        $(#[target_feature(enable = $features)])?
+        #[allow(clippy::too_many_arguments)]
+        fn gemv(
+            m: usize, n: usize, alpha: f64, a: &[f64], rs: usize, cs: usize, x: &[f64],
+            ix: usize, y: Y, iy: usize,
+        ) {
+            GemvK((m, n, alpha), (a, rs, cs), (x, ix), (y, iy)).run($lanes)
+        }
+        // The entries. SAFETY (every `unsafe` below): a tier's table is
+        // reached only through a `KernelSet` selecting the tier, which
+        // selects an x86 tier only where `host_supports` observed its
+        // features; the scalar tier's regions need none.
+        #[allow(unused_unsafe)]
+        fn axpy_e<const A: bool>(n: usize, al: f64, x: &[f64], ix: usize, y: Y, iy: usize) {
+            unsafe { axpy::<A>(n, al, x, ix, y, iy) } // SAFETY: see above.
+        }
+        #[allow(unused_unsafe, clippy::too_many_arguments)]
+        fn xmul_e<const A: bool>(
+            n: usize, al: f64, x: &[f64], ix: usize, z: &[f64], iz: usize, y: Y, iy: usize,
+        ) {
+            unsafe { xmul::<A>(n, al, x, ix, z, iz, y, iy) } // SAFETY: see above.
+        }
+        #[allow(unused_unsafe, clippy::too_many_arguments)]
+        fn ger_e<const A: bool>(
+            m: usize, n: usize, al: f64, x: &[f64], ix: usize, y: &[f64], iy: usize, a: Y,
+            rs: usize, cs: usize,
+        ) {
+            unsafe { ger::<A>(m, n, al, x, ix, y, iy, a, rs, cs) } // SAFETY: see above.
+        }
+        #[allow(unused_unsafe)]
+        fn dot_e(n: usize, x: &[f64], ix: usize, y: &[f64], iy: usize) -> f64 {
+            unsafe { dot(n, x, ix, y, iy) } // SAFETY: see above.
+        }
+        #[allow(unused_unsafe, clippy::too_many_arguments)]
+        fn gemv_e(
+            m: usize, n: usize, al: f64, a: &[f64], rs: usize, cs: usize, x: &[f64], ix: usize,
+            y: Y, iy: usize,
+        ) {
+            unsafe { gemv(m, n, al, a, rs, cs, x, ix, y, iy) } // SAFETY: see above.
+        }
+        Table {
+            name: <$tier>::NAME,
+            width: <$tier>::W,
+            axpy: axpy_e::<false>,
+            zaxpy: axpy_e::<true>,
+            dot: dot_e,
+            xmul: xmul_e::<false>,
+            zxmul: xmul_e::<true>,
+            ger: ger_e::<false>,
+            zger: ger_e::<true>,
+            gemv: gemv_e,
+        }
+    }};
+}
+
+/// A kernel tier's lane type: the vector the element-parallel bodies
+/// run on and the one multiply-add rule every element follows — one
+/// rounding (`fma`) on the x86 tiers, two ([`unfused`]) on the scalar
+/// tier, in vector lanes and in the element-wise tail alike. A value of
+/// an x86 lane type exists only inside its tier's region, entered only
+/// on a host with the tier's features.
+pub(crate) trait Lanes: Copy {
+    type V: Copy;
+    /// f64 lanes per vector.
+    const W: usize;
+    /// The tier's name in reports.
+    const NAME: &'static str;
+    /// Run `body` in this tier's region.
+    fn enter<B: Body>(body: B) -> B::Out;
+    fn splat(self, x: f64) -> Self::V;
+    /// The first `W` elements of `x`.
+    fn load(self, x: &[f64]) -> Self::V;
+    /// Store `v` into the first `W` elements of `y`.
+    fn store(self, y: &mut [f64], v: Self::V);
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a·b + c` in every lane.
+    fn madd(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `a·b + c` on one element, rounded as [`Lanes::madd`] rounds.
+    fn madd1(self, a: f64, b: f64, c: f64) -> f64;
+    /// `Σ x[i]·y[i]` over the first `n` elements (`N` when `N > 0`) in
+    /// the tier's reduction order: strictly left to right on the scalar
+    /// tier, the fixed 4-lane tree on the x86 tiers.
+    fn dot<const N: usize>(self, n: usize, x: &[f64], y: &[f64]) -> f64;
+}
+
+/// The scalar tier's lanes: one `f64`, [`crate::blas`]'s arithmetic.
+#[derive(Clone, Copy)]
+pub(crate) struct Scalar;
+
+impl Lanes for Scalar {
+    type V = f64;
+    const W: usize = 1;
+    const NAME: &'static str = "scalar";
+
+    #[inline(always)]
+    fn enter<B: Body>(body: B) -> B::Out {
+        body.run(Scalar)
+    }
+    #[inline(always)]
+    fn splat(self, x: f64) -> f64 {
+        x
+    }
+    #[inline(always)]
+    fn load(self, x: &[f64]) -> f64 {
+        x[0]
+    }
+    #[inline(always)]
+    fn store(self, y: &mut [f64], v: f64) {
+        y[0] = v;
+    }
+    #[inline(always)]
+    fn mul(self, a: f64, b: f64) -> f64 {
+        a * b
+    }
+    #[inline(always)]
+    fn madd(self, a: f64, b: f64, c: f64) -> f64 {
+        unfused(a, b, c)
+    }
+    #[inline(always)]
+    fn madd1(self, a: f64, b: f64, c: f64) -> f64 {
+        unfused(a, b, c)
+    }
+    #[inline(always)]
+    fn dot<const N: usize>(self, n: usize, x: &[f64], y: &[f64]) -> f64 {
+        let n = if N == 0 { n } else { N };
+        (x[..n].iter().zip(&y[..n])).fold(0.0, |acc, (a, b)| acc + a * b)
+    }
+}
+
+/// The x86 tiers' lanes and regions, and the DOT lane tree both share:
+/// one hand-written tree, because the tree *is* the reduction order the
+/// determinism contract fixes.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::blas;
+    use super::{Body, Lanes};
     use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_setzero_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        __m256d, __m512d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
+        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd,
+        _mm512_storeu_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     /// Lane-striped dot product of the `n` elements at `xp` and `yp`
@@ -432,297 +655,499 @@ mod x86 {
         }
     }
 
-    /// Whole-matrix GEMV row loop inside one `#[target_feature]`
-    /// region: each row's [`lane_tree`] inlines here, under one bound
-    /// for every row. A fixed-rank `x` is copied into a local array so
-    /// it stays in registers across rows instead of being reloaded per
-    /// row.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn gemv_body<const N: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        x: &[f64],
-        y: &mut [f64],
-        incy: usize,
-    ) {
+    /// [`lane_tree`] over the first `n` elements of two slices.
+    #[inline(always)]
+    fn dot<const N: usize>(n: usize, x: &[f64], y: &[f64]) -> f64 {
         let n = if N == 0 { n } else { N };
-        if m == 0 {
-            return;
-        }
-        assert!(y.len() > (m - 1) * incy && a.len() >= (m - 1) * rs + n);
-        let mut fixed = [0.0; N];
-        fixed.copy_from_slice(&x[..N]);
-        let x = if N == 0 { &x[..n] } else { &fixed[..] };
-        let (ap, yp) = (a.as_ptr(), y.as_mut_ptr());
-        // SAFETY: the assert bounds every access — row `i` reads
-        // `[i*rs, i*rs + n) ⊆ [0, (m-1)*rs + n)` of `a` and `x` holds
-        // `n` elements; `y` writes touch `i * incy ≤ (m-1) * incy` only.
-        unsafe {
-            for i in 0..m {
-                *yp.add(i * incy) += alpha * lane_tree::<N>(n, ap.add(i * rs), x.as_ptr());
+        let (x, y) = (&x[..n], &y[..n]);
+        // SAFETY: both slices hold `n` elements, and a lane type — the
+        // only caller — exists only inside a region entered on a host
+        // with AVX2+FMA (both tiers require them).
+        unsafe { lane_tree::<N>(n, x.as_ptr(), y.as_ptr()) }
+    }
+
+    /// AVX2+FMA lanes: 4 × f64.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx2(());
+
+    impl Lanes for Avx2 {
+        type V = __m256d;
+        const W: usize = 4;
+        const NAME: &'static str = "avx2+fma";
+
+        #[inline(always)]
+        fn enter<B: Body>(body: B) -> B::Out {
+            #[target_feature(enable = "avx2,fma")]
+            fn region<B: Body>(body: B) -> B::Out {
+                body.run(Avx2(()))
             }
+            // SAFETY: this tier is entered only through its table or a
+            // `KernelSet` selecting it, and a `KernelSet` selects it only
+            // where `host_supports` observed AVX2+FMA on this host.
+            unsafe { region(body) }
+        }
+        // The methods below run only where an `Avx2` exists, inside the
+        // region above; each SAFETY names what else its intrinsic needs.
+        #[inline(always)]
+        fn splat(self, x: f64) -> __m256d {
+            // SAFETY: AVX2 is present (see above).
+            unsafe { _mm256_set1_pd(x) }
+        }
+        #[inline(always)]
+        fn load(self, x: &[f64]) -> __m256d {
+            assert!(x.len() >= 4);
+            // SAFETY: AVX2 is present, and the assert bounds the read.
+            unsafe { _mm256_loadu_pd(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, y: &mut [f64], v: __m256d) {
+            assert!(y.len() >= 4);
+            // SAFETY: AVX2 is present, and the assert bounds the write.
+            unsafe { _mm256_storeu_pd(y.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m256d, b: __m256d) -> __m256d {
+            // SAFETY: AVX2 is present.
+            unsafe { _mm256_mul_pd(a, b) }
+        }
+        #[inline(always)]
+        fn madd(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: FMA is present.
+            unsafe { _mm256_fmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn madd1(self, a: f64, b: f64, c: f64) -> f64 {
+            a.mul_add(b, c)
+        }
+        #[inline(always)]
+        fn dot<const N: usize>(self, n: usize, x: &[f64], y: &[f64]) -> f64 {
+            dot::<N>(n, x, y)
         }
     }
 
-    /// [`blas::dot`]-shaped wrapper.
-    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &y[..n]);
-            // SAFETY: both slices hold `n` elements, and this is
-            // reachable only via a `KernelSet` whose `detect()` observed
-            // AVX2+FMA on this host at bind time.
-            unsafe { at_rank!(n, lane_tree(n, x.as_ptr(), y.as_ptr())) }
+    /// AVX-512F lanes: 8 × f64. Reductions keep the AVX2 lane tree.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx512(());
+
+    impl Lanes for Avx512 {
+        type V = __m512d;
+        const W: usize = 8;
+        const NAME: &'static str = "avx512f";
+
+        #[inline(always)]
+        fn enter<B: Body>(body: B) -> B::Out {
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            fn region<B: Body>(body: B) -> B::Out {
+                body.run(Avx512(()))
+            }
+            // SAFETY: this tier is entered only through its table or a
+            // `KernelSet` selecting it, and a `KernelSet` selects it only
+            // where `host_supports` observed AVX-512F, AVX2 and FMA.
+            unsafe { region(body) }
+        }
+        // The methods below run only where an `Avx512` exists, inside
+        // the region above; each SAFETY names what else it needs.
+        #[inline(always)]
+        fn splat(self, x: f64) -> __m512d {
+            // SAFETY: AVX-512F is present (see above).
+            unsafe { _mm512_set1_pd(x) }
+        }
+        #[inline(always)]
+        fn load(self, x: &[f64]) -> __m512d {
+            assert!(x.len() >= 8);
+            // SAFETY: AVX-512F is present, and the assert bounds the read.
+            unsafe { _mm512_loadu_pd(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, y: &mut [f64], v: __m512d) {
+            assert!(y.len() >= 8);
+            // SAFETY: AVX-512F is present, and the assert bounds the write.
+            unsafe { _mm512_storeu_pd(y.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is present.
+            unsafe { _mm512_mul_pd(a, b) }
+        }
+        #[inline(always)]
+        fn madd(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: AVX-512F is present.
+            unsafe { _mm512_fmadd_pd(a, b, c) }
+        }
+        #[inline(always)]
+        fn madd1(self, a: f64, b: f64, c: f64) -> f64 {
+            a.mul_add(b, c)
+        }
+        #[inline(always)]
+        fn dot<const N: usize>(self, n: usize, x: &[f64], y: &[f64]) -> f64 {
+            dot::<N>(n, x, y)
+        }
+    }
+
+    pub(super) static AVX2: super::Table = tier_table!(Avx2(()), Avx2, ["avx2,fma"]);
+    pub(super) static AVX512: super::Table = tier_table!(Avx512(()), Avx512, ["avx512f,avx2,fma"]);
+}
+
+// ---------------------------------------------------------------------
+// Kernel bodies: each family's arithmetic, stated once over a tier's
+// lanes. `N > 0` fixes the trip count at that rank and promises unit
+// strides along it (the caller picked it with [`rank`]); `N = 0` takes
+// the runtime trip count and strides, and a strided call runs the
+// scalar tier's unfused arithmetic at every tier. `ASSIGN` overwrites
+// instead of accumulating (the `ZeroAccum` twins).
+// ---------------------------------------------------------------------
+
+/// `y[..n] (+)= alpha · x[..n]`, both contiguous: `W`-lane vectors, then
+/// the tail one element at a time, one multiply-add per element.
+#[inline(always)]
+fn axpy_unit<L: Lanes, const N: usize, const ASSIGN: bool>(
+    l: L,
+    n: usize,
+    alpha: f64,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let n = if N == 0 { n } else { N };
+    let (x, y) = (&x[..n], &mut y[..n]);
+    let a = l.splat(alpha);
+    let mut i = 0;
+    while i + L::W <= n {
+        let xv = l.load(&x[i..]);
+        let v = if ASSIGN {
+            l.mul(a, xv)
         } else {
-            blas::dot(n, x, incx, y, incy)
-        }
+            l.madd(a, xv, l.load(&y[i..]))
+        };
+        l.store(&mut y[i..], v);
+        i += L::W;
     }
+    for (yi, &xi) in y[i..].iter_mut().zip(&x[i..]) {
+        *yi = if ASSIGN {
+            alpha * xi
+        } else {
+            l.madd1(alpha, xi, *yi)
+        };
+    }
+}
 
-    /// [`blas::gemv`]-shaped wrapper: each row is one vector DOT.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv(
-        m: usize,
+/// AXPY: `y[i·incy] (+)= alpha · x[i·incx]`. An accumulating call skips
+/// `alpha == 0` as [`crate::blas::axpy`] does (even NaN inputs leave `y`
+/// alone); an assigning one never skips the write.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn axpy<L: Lanes, const N: usize, const ASSIGN: bool>(
+    l: L,
+    n: usize,
+    alpha: f64,
+    x: &[f64],
+    incx: usize,
+    y: &mut [f64],
+    incy: usize,
+) {
+    if !ASSIGN && alpha == 0.0 {
+        return;
+    }
+    if N == 0 && (incx != 1 || incy != 1) {
+        strided::axpy::<ASSIGN>(n, alpha, x, incx, y, incy);
+    } else {
+        axpy_unit::<L, N, ASSIGN>(l, n, alpha, x, y);
+    }
+}
+
+/// XMUL: `y[i·incy] (+)= alpha · (x[i·incx] · z[i·incz])`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn xmul<L: Lanes, const N: usize, const ASSIGN: bool>(
+    l: L,
+    n: usize,
+    alpha: f64,
+    x: &[f64],
+    incx: usize,
+    z: &[f64],
+    incz: usize,
+    y: &mut [f64],
+    incy: usize,
+) {
+    if N == 0 && (incx != 1 || incz != 1 || incy != 1) {
+        return strided::xmul::<ASSIGN>(n, alpha, (x, incx), (z, incz), (y, incy));
+    }
+    let n = if N == 0 { n } else { N };
+    let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
+    let a = l.splat(alpha);
+    let mut i = 0;
+    while i + L::W <= n {
+        let t = l.mul(l.load(&x[i..]), l.load(&z[i..]));
+        let v = if ASSIGN {
+            l.mul(a, t)
+        } else {
+            l.madd(a, t, l.load(&y[i..]))
+        };
+        l.store(&mut y[i..], v);
+        i += L::W;
+    }
+    while i < n {
+        let t = x[i] * z[i];
+        y[i] = if ASSIGN {
+            alpha * t
+        } else {
+            l.madd1(alpha, t, y[i])
+        };
+        i += 1;
+    }
+}
+
+/// GER: rows `a[i·rs + j·cs] (+)= (alpha · x[i·incx]) · y[j·incy]`;
+/// a contiguous row is an AXPY of `y`. Skips `alpha == 0` as
+/// [`crate::blas::ger`] does unless assigning.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ger<L: Lanes, const N: usize, const ASSIGN: bool>(
+    l: L,
+    m: usize,
+    n: usize,
+    alpha: f64,
+    x: &[f64],
+    incx: usize,
+    y: &[f64],
+    incy: usize,
+    a: &mut [f64],
+    rs: usize,
+    cs: usize,
+) {
+    if !ASSIGN && alpha == 0.0 {
+        return;
+    }
+    if N == 0 && (cs != 1 || incy != 1) {
+        return strided::ger::<ASSIGN>((m, n, alpha), (x, incx), (y, incy), (a, rs, cs));
+    }
+    let n = if N == 0 { n } else { N };
+    // A fixed-rank `y` copied into a local array stays in registers
+    // across rows.
+    let mut fixed = [0.0; N];
+    fixed.copy_from_slice(&y[..N]);
+    let y = if N == 0 { &y[..n] } else { &fixed[..] };
+    for i in 0..m {
+        axpy_unit::<L, N, ASSIGN>(l, n, alpha * x[i * incx], y, &mut a[i * rs..]);
+    }
+}
+
+/// DOT: `Σ x[i·incx] · y[i·incy]`, in the tier's reduction order when
+/// contiguous ([`Lanes::dot`]), strictly left to right otherwise.
+#[inline(always)]
+pub(crate) fn dot<L: Lanes, const N: usize>(
+    l: L,
+    n: usize,
+    x: &[f64],
+    incx: usize,
+    y: &[f64],
+    incy: usize,
+) -> f64 {
+    if N == 0 && (incx != 1 || incy != 1) {
+        return strided::dot(n, x, incx, y, incy);
+    }
+    l.dot::<N>(n, x, y)
+}
+
+/// GEMV: `y[i·incy] += alpha · Σ_j a[i·rs + j·cs] · x[j·incx]`, each row
+/// one [`dot`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemv<L: Lanes, const N: usize>(
+    l: L,
+    m: usize,
+    n: usize,
+    alpha: f64,
+    a: &[f64],
+    rs: usize,
+    cs: usize,
+    x: &[f64],
+    incx: usize,
+    y: &mut [f64],
+    incy: usize,
+) {
+    if N == 0 && (cs != 1 || incx != 1) {
+        return strided::gemv((m, n, alpha), (a, rs, cs), (x, incx), (y, incy));
+    }
+    let n = if N == 0 { n } else { N };
+    // A fixed-rank `x` copied into a local array stays in registers
+    // across rows.
+    let mut fixed = [0.0; N];
+    fixed.copy_from_slice(&x[..N]);
+    let x = if N == 0 { &x[..n] } else { &fixed[..] };
+    for i in 0..m {
+        y[i * incy] += alpha * l.dot::<N>(n, &a[i * rs..], x);
+    }
+}
+
+/// Strided calls: the scalar tier's unfused arithmetic in [`blas`]'s
+/// order, at every tier. One copy each, out of line: no tier or walk
+/// instance carries its own.
+///
+/// [`blas`]: crate::blas
+mod strided {
+    use super::unfused;
+
+    #[inline(never)]
+    pub(super) fn axpy<const ASSIGN: bool>(
         n: usize,
         alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
         x: &[f64],
         incx: usize,
         y: &mut [f64],
         incy: usize,
     ) {
-        if cs == 1 && incx == 1 {
-            // SAFETY: reachable only via a `KernelSet` that detected
-            // AVX2+FMA at bind time (see `dot` above).
-            unsafe { at_rank!(n, gemv_body(m, n, alpha, a, rs, x, y, incy)) }
-        } else {
-            blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
+        for i in 0..n {
+            let (xi, yi) = (x[i * incx], &mut y[i * incy]);
+            *yi = if ASSIGN {
+                alpha * xi
+            } else {
+                unfused(alpha, xi, *yi)
+            };
+        }
+    }
+
+    #[inline(never)]
+    pub(super) fn xmul<const ASSIGN: bool>(
+        n: usize,
+        alpha: f64,
+        (x, incx): (&[f64], usize),
+        (z, incz): (&[f64], usize),
+        (y, incy): (&mut [f64], usize),
+    ) {
+        for i in 0..n {
+            let (t, yi) = (x[i * incx] * z[i * incz], &mut y[i * incy]);
+            *yi = if ASSIGN {
+                alpha * t
+            } else {
+                unfused(alpha, t, *yi)
+            };
+        }
+    }
+
+    #[inline(never)]
+    pub(super) fn ger<const ASSIGN: bool>(
+        (m, n, alpha): (usize, usize, f64),
+        (x, incx): (&[f64], usize),
+        (y, incy): (&[f64], usize),
+        (a, rs, cs): (&mut [f64], usize, usize),
+    ) {
+        for i in 0..m {
+            let xi = alpha * x[i * incx];
+            for j in 0..n {
+                let (yj, aij) = (y[j * incy], &mut a[i * rs + j * cs]);
+                *aij = if ASSIGN {
+                    xi * yj
+                } else {
+                    unfused(xi, yj, *aij)
+                };
+            }
+        }
+    }
+
+    #[inline(never)]
+    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
+        (0..n).fold(0.0, |acc, i| acc + x[i * incx] * y[i * incy])
+    }
+
+    #[inline(never)]
+    pub(super) fn gemv(
+        (m, n, alpha): (usize, usize, f64),
+        (a, rs, cs): (&[f64], usize, usize),
+        (x, incx): (&[f64], usize),
+        (y, incy): (&mut [f64], usize),
+    ) {
+        for i in 0..m {
+            y[i * incy] += alpha * dot(n, &a[i * rs..], cs, x, incx);
         }
     }
 }
 
-/// The element-parallel kernels of one tier — AXPY, XMUL and GER, each
-/// with its assigning twin — written once as plain loops over
-/// `$madd(a, b, c)`, `a·b + c`. An x86 tier compiles them under its
-/// `#[target_feature]` with `f64::mul_add`, so the compiler vectorizes
-/// them at its width with one rounding per element; the scalar tier
-/// compiles them with no feature and [`unfused`], [`blas`]'s arithmetic.
-///
-/// Every body takes `const N` (0: runtime trip count, else the rank,
-/// which lets the compiler unroll fully; every contiguous call at n = 8,
-/// 16 or 32 runs that body, see `at_rank!`) and `const ASSIGN`
-/// (overwrite instead of accumulate: the `ZeroAccum` twins). The entry
-/// points keep the [`blas`] contract — accumulating kernels early-return
-/// on `alpha == 0`, assigning ones never skip the write — and run
-/// strided calls through [`unfused`], so a strided call is the scalar
-/// tier's arithmetic at every tier.
-macro_rules! element_parallel_tier {
-    ($(#[$cfg:meta])? $tier:ident, [$($features:literal)?], $madd:path, $name:literal,
-     $width:literal, $dot:path, $gemv:path) => {
-        $(#[$cfg])?
-        // The scalar tier's bodies need no CPU feature, so its calls
-        // need no `unsafe`.
-        #[allow(unused_unsafe)]
-        mod $tier {
-            use super::{unfused, Table};
+// The table's kernel bodies: one call each, which picks its body from
+// its own trip count and strides (see `tier_table!`).
 
-            /// `y[..n] (+)= alpha * x[..n]`.
-            ///
-            /// The bodies stay out of line, as a `#[target_feature]`
-            /// body is anyway: inlined into the scalar tier's entry,
-            /// a fixed-rank body vectorizes only in part.
-            $(#[target_feature(enable = $features)])?
-            #[inline(never)]
-            fn axpy_body<const N: usize, const ASSIGN: bool>(
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                y: &mut [f64],
-            ) {
-                let n = if N == 0 { n } else { N };
-                for (yi, &xi) in y[..n].iter_mut().zip(&x[..n]) {
-                    *yi = if ASSIGN { alpha * xi } else { $madd(alpha, xi, *yi) };
-                }
-            }
+struct AxpyK<'a, const ASSIGN: bool>(usize, f64, &'a [f64], usize, &'a mut [f64], usize);
 
-            /// `y[..n] (+)= alpha * (x[..n] ∘ z[..n])`.
-            $(#[target_feature(enable = $features)])?
-            #[inline(never)]
-            fn xmul_body<const N: usize, const ASSIGN: bool>(
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                z: &[f64],
-                y: &mut [f64],
-            ) {
-                let n = if N == 0 { n } else { N };
-                for ((yi, &xi), &zi) in y[..n].iter_mut().zip(&x[..n]).zip(&z[..n]) {
-                    let t = xi * zi;
-                    *yi = if ASSIGN { alpha * t } else { $madd(alpha, t, *yi) };
-                }
-            }
-
-            /// Rows `a[i*rs..][..n] (+)= (alpha * x[i*incx]) * y[..n]`.
-            /// One up-front bound covers every row; a fixed-rank `y` is
-            /// copied into a local array so it stays in registers
-            /// across rows.
-            $(#[target_feature(enable = $features)])?
-            #[inline(never)]
-            #[allow(clippy::too_many_arguments)]
-            fn ger_body<const N: usize, const ASSIGN: bool>(
-                m: usize,
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                incx: usize,
-                y: &[f64],
-                a: &mut [f64],
-                rs: usize,
-            ) {
-                let n = if N == 0 { n } else { N };
-                if m == 0 {
-                    return;
-                }
-                assert!(x.len() > (m - 1) * incx && a.len() >= (m - 1) * rs + n);
-                let mut fixed = [0.0; N];
-                fixed.copy_from_slice(&y[..N]);
-                let y = if N == 0 { &y[..n] } else { &fixed[..] };
-                for i in 0..m {
-                    let xi = alpha * x[i * incx];
-                    for (aij, &yj) in a[i * rs..i * rs + n].iter_mut().zip(y) {
-                        *aij = if ASSIGN { xi * yj } else { $madd(xi, yj, *aij) };
-                    }
-                }
-            }
-
-            fn axpy<const ASSIGN: bool>(
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                incx: usize,
-                y: &mut [f64],
-                incy: usize,
-            ) {
-                if !ASSIGN && alpha == 0.0 {
-                    return; // match blas::axpy: even NaN inputs leave y alone
-                }
-                if incx != 1 || incy != 1 {
-                    for i in 0..n {
-                        let (xi, yi) = (x[i * incx], &mut y[i * incy]);
-                        *yi = if ASSIGN { alpha * xi } else { unfused(alpha, xi, *yi) };
-                    }
-                    return;
-                }
-                // SAFETY: this tier's table is only reachable through a
-                // `KernelSet` whose `detect()` observed the tier's CPU
-                // features on this host at bind time.
-                unsafe { at_rank!(n, axpy_body::<ASSIGN>(n, alpha, x, y)) }
-            }
-
-            #[allow(clippy::too_many_arguments)]
-            fn xmul<const ASSIGN: bool>(
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                incx: usize,
-                z: &[f64],
-                incz: usize,
-                y: &mut [f64],
-                incy: usize,
-            ) {
-                if incx != 1 || incz != 1 || incy != 1 {
-                    for i in 0..n {
-                        let (t, yi) = (x[i * incx] * z[i * incz], &mut y[i * incy]);
-                        *yi = if ASSIGN { alpha * t } else { unfused(alpha, t, *yi) };
-                    }
-                    return;
-                }
-                // SAFETY: as in `axpy` — detected at bind time.
-                unsafe { at_rank!(n, xmul_body::<ASSIGN>(n, alpha, x, z, y)) }
-            }
-
-            #[allow(clippy::too_many_arguments)]
-            fn ger<const ASSIGN: bool>(
-                m: usize,
-                n: usize,
-                alpha: f64,
-                x: &[f64],
-                incx: usize,
-                y: &[f64],
-                incy: usize,
-                a: &mut [f64],
-                rs: usize,
-                cs: usize,
-            ) {
-                if !ASSIGN && alpha == 0.0 {
-                    return; // match blas::ger
-                }
-                if cs != 1 || incy != 1 {
-                    for i in 0..m {
-                        let xi = alpha * x[i * incx];
-                        for j in 0..n {
-                            let (yj, aij) = (y[j * incy], &mut a[i * rs + j * cs]);
-                            *aij = if ASSIGN { xi * yj } else { unfused(xi, yj, *aij) };
-                        }
-                    }
-                    return;
-                }
-                // SAFETY: as in `axpy` — detected at bind time.
-                unsafe { at_rank!(n, ger_body::<ASSIGN>(m, n, alpha, x, incx, y, a, rs)) }
-            }
-
-            pub(super) static TABLE: Table = Table {
-                name: $name,
-                width: $width,
-                axpy: axpy::<false>,
-                zaxpy: axpy::<true>,
-                dot: $dot,
-                xmul: xmul::<false>,
-                zxmul: xmul::<true>,
-                ger: ger::<false>,
-                zger: ger::<true>,
-                gemv: $gemv,
-            };
-        }
-    };
+impl<const ASSIGN: bool> Body for AxpyK<'_, ASSIGN> {
+    type Out = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) {
+        let Self(n, alpha, x, incx, y, incy) = self;
+        at_rank!(rank(n, incx == 1 && incy == 1), R => {
+            axpy::<L, R, ASSIGN>(l, n, alpha, x, incx, y, incy)
+        })
+    }
 }
 
-element_parallel_tier!(
-    scalar,
-    [],
-    unfused,
-    "scalar",
-    1,
-    super::blas::dot,
-    super::blas::gemv
-);
-element_parallel_tier!(
-    #[cfg(target_arch = "x86_64")]
-    avx2,
-    ["avx2,fma"],
-    f64::mul_add,
-    "avx2+fma",
-    4,
-    super::x86::dot,
-    super::x86::gemv
-);
-element_parallel_tier!(
-    #[cfg(target_arch = "x86_64")]
-    avx512,
-    ["avx512f"],
-    f64::mul_add,
-    "avx512f",
-    8,
-    super::x86::dot,
-    super::x86::gemv
+struct XmulK<'a, const ASSIGN: bool>(
+    usize,
+    f64,
+    (&'a [f64], usize),
+    (&'a [f64], usize),
+    (&'a mut [f64], usize),
 );
 
+impl<const ASSIGN: bool> Body for XmulK<'_, ASSIGN> {
+    type Out = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) {
+        let Self(n, alpha, (x, incx), (z, incz), (y, incy)) = self;
+        at_rank!(rank(n, incx == 1 && incz == 1 && incy == 1), R => {
+            xmul::<L, R, ASSIGN>(l, n, alpha, x, incx, z, incz, y, incy)
+        })
+    }
+}
+
+struct GerK<'a, const ASSIGN: bool>(
+    (usize, usize, f64),
+    (&'a [f64], usize),
+    (&'a [f64], usize),
+    (&'a mut [f64], usize, usize),
+);
+
+impl<const ASSIGN: bool> Body for GerK<'_, ASSIGN> {
+    type Out = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) {
+        let Self((m, n, alpha), (x, incx), (y, incy), (a, rs, cs)) = self;
+        at_rank!(rank(n, cs == 1 && incy == 1), R => {
+            ger::<L, R, ASSIGN>(l, m, n, alpha, x, incx, y, incy, a, rs, cs)
+        })
+    }
+}
+
+struct DotK<'a>(usize, (&'a [f64], usize), (&'a [f64], usize));
+
+impl Body for DotK<'_> {
+    type Out = f64;
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) -> f64 {
+        let Self(n, (x, incx), (y, incy)) = self;
+        at_rank!(rank(n, incx == 1 && incy == 1), R => dot::<L, R>(l, n, x, incx, y, incy))
+    }
+}
+
+struct GemvK<'a>(
+    (usize, usize, f64),
+    (&'a [f64], usize, usize),
+    (&'a [f64], usize),
+    (&'a mut [f64], usize),
+);
+
+impl Body for GemvK<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) {
+        let Self((m, n, alpha), (a, rs, cs), (x, incx), (y, incy)) = self;
+        at_rank!(rank(n, cs == 1 && incx == 1), R => {
+            gemv::<L, R>(l, m, n, alpha, a, rs, cs, x, incx, y, incy)
+        })
+    }
+}
+
+static SCALAR: Table = tier_table!(Scalar, Scalar, []);
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Resolving `Scalar` picks the scalar table and nothing else: the
@@ -783,7 +1208,7 @@ mod tests {
     }
 
     /// Every tier this host can run, the scalar one first.
-    fn tiers() -> Vec<KernelSel> {
+    pub(crate) fn tiers() -> Vec<KernelSel> {
         #[cfg(target_arch = "x86_64")]
         let tiers = [KernelSel::Scalar, KernelSel::Avx2Fma, KernelSel::Avx512]
             .into_iter()

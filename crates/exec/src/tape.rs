@@ -36,20 +36,20 @@
 //!   ([`Term::leaf_op`](spttn_ir::Term::leaf_op) on
 //!   [`LoopVertex::leaf_loops`]), read off the term's index sets. The
 //!   compiler only addresses — one cursor and the strides per operand,
-//!   resolved at compile time. Each microkernel instruction carries
-//!   the **function pointer** of its implementation, chosen once at
-//!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA
-//!   or AVX-512F — never re-decided per visit). Which body the call
-//!   runs — a fixed rank's unrolled one or the generic loop — the
-//!   kernel picks from its own trip count; the program does not record
-//!   it.
+//!   resolved at compile time. The kernel tier (scalar, AVX2+FMA or
+//!   AVX-512F) is chosen once, at compile time, by a
+//!   [`crate::simd::KernelSet`] the tape records; the driver enters
+//!   that tier's compiled body per call or walk, never re-deciding it
+//!   per visit. Which body the call runs — a fixed rank's unrolled one
+//!   or the generic loop — follows from its trip count and strides; the
+//!   program does not record it.
 //!
 //! # Superinstructions
 //!
 //! At every kernel tier the compiler fuses as it emits — nothing after
 //! the fused site exists yet, so no jump is ever re-patched. The program
-//! is a function of the plan alone; the [`KernelSet`] only supplies the
-//! function pointers:
+//! is a function of the plan alone; the [`KernelSet`] only names the
+//! tier its calls and walks run in:
 //!
 //! - An `Axpy` / `Xmul` / `Ger` with `assign` set fuses a term's Eq.-5
 //!   zero point with its first accumulation: when the call compiled
@@ -91,7 +91,19 @@
 //! advance table. A child's offset is then `base + coord·step` (plus the
 //! node index for the sparse value and pattern-sharing cells), computed
 //! in place, so no cursor is written per child; a walk leaves the cursors
-//! and tracked nodes as the unfused loops leave them.
+//! and tracked nodes as the unfused loops leave them. And every fused
+//! walk runs in one tier-compiled body, its buffer in registers: the
+//! walk — each of the nine run/call shapes of a fiber, a lone
+//! `SparseAxpy` or `SparseDot` — is monomorphized per kernel tier and
+//! per rank (8, 16, 32 or generic) and entered once, inside the tier's
+//! `#[target_feature]` region, so its kernels inline per nonzero and
+//! per fiber child with no call. Where a fiber's first part fills its
+//! buffer whole and the second reads it whole, both contiguous, at a
+//! fixed rank, the buffer is a local `[f64; N]` (the Eq.-5 `X0[a]` of
+//! MTTKRP, 32 doubles) that never touches memory; otherwise — strided
+//! operands, other ranks — the generic instance of the same body runs
+//! through the workspace. Its bits are the per-call sequence's either
+//! way (see [`crate::simd`]'s determinism contract).
 
 //! # The tape never searches
 //!
@@ -128,7 +140,9 @@
 //! stats are plain per-workspace `u64`s ([`Workspace::stats`]).
 
 use crate::guard::RunGuard;
-use crate::simd::{unrolled, AxpyFn, DotFn, GemvFn, GerFn, KernelSet, Microkernels, XmulFn};
+use crate::simd::{
+    at_rank, axpy, dot, gemv, ger, rank, unrolled, xmul, Body, KernelSet, Lanes, Microkernels,
+};
 use crate::workspace::{
     forest_stamp, validate_output, validate_slotted_operands, ExecStats, OutputMut, Workspace,
 };
@@ -219,7 +233,6 @@ struct DotCall {
     n: usize,
     x: VecSrc,
     y: VecSrc,
-    kern: DotFn,
 }
 
 /// Slice of the advance table owned by one loop header.
@@ -259,16 +272,15 @@ enum Instr {
     Leaf(ScalarMul),
     /// `tgt += Σ_q x[q]·y[q]` (an innermost dense loop lowered to DOT).
     Dot { dot: DotCall, tgt: Write },
-    /// `y[q] += alpha · x[q]`. With `assign`, `kern` is the assigning
-    /// twin `y[q] = alpha · x[q]` standing in for the `Zero { term }`
-    /// it was fused with (likewise for `Xmul` and `Ger`).
+    /// `y[q] += alpha · x[q]`. With `assign`, the call is the assigning
+    /// twin `y[q] = alpha · x[q]` standing in for the `Zero { term }` it
+    /// was fused with (likewise for `Xmul` and `Ger`).
     Axpy {
         n: usize,
         term: usize,
         alpha: Read,
         x: VecSrc,
         y: VecTgt,
-        kern: AxpyFn,
         assign: bool,
     },
     /// `y[q] += x[q] · z[q]`.
@@ -278,7 +290,6 @@ enum Instr {
         x: VecSrc,
         z: VecSrc,
         y: VecTgt,
-        kern: XmulFn,
         assign: bool,
     },
     /// Rank-1 update `a[q1,q2] += x[q1] · y[q2]`.
@@ -289,7 +300,6 @@ enum Instr {
         x: VecSrc,
         y: VecSrc,
         a: MatTgt,
-        kern: GerFn,
         assign: bool,
     },
     /// `y[i] += Σ_j a[i,j] · x[j]` (call-parameter order baked in).
@@ -300,13 +310,11 @@ enum Instr {
         a: MatSrc,
         x: VecSrc,
         y: VecTgt,
-        kern: GemvFn,
     },
     /// Superinstruction: `Sparse` header + `Axpy` body + `EndLoop` —
     /// `y[q] += alpha · x[q]` once per child of the parent node, with no
-    /// frame. `first`, when set, is the assigning twin of `kern` that a
-    /// folded `Zero { term }` leaves for the first child (`level > 0`
-    /// only).
+    /// frame. With `first`, the first child's call is the assigning twin
+    /// a folded `Zero { term }` leaves it (`level > 0` only).
     SparseAxpy {
         level: usize,
         adv: AdvRange,
@@ -315,8 +323,7 @@ enum Instr {
         alpha: Read,
         x: VecSrc,
         y: VecTgt,
-        kern: AxpyFn,
-        first: Option<AxpyFn>,
+        first: bool,
     },
     /// Superinstruction: `Sparse` header + `Zero { term }` + `Dot` into
     /// `term`'s one-element buffer + `Leaf` + `EndLoop` — once per child
@@ -514,7 +521,6 @@ impl CompiledTape {
             adv: Vec::new(),
             n_cursors: 0,
             loops: Vec::new(),
-            kernels,
         };
         c.compile_siblings(&forest.roots, n_terms)?;
         let bounds = TapeBounds {
@@ -654,9 +660,6 @@ struct Compiler<'a> {
     adv: Vec<AdvEntry>,
     n_cursors: usize,
     loops: Vec<LoopCtx>,
-    /// Microkernel selection the emitted instructions draw their
-    /// function pointers from.
-    kernels: KernelSet,
 }
 
 impl<'a> Compiler<'a> {
@@ -718,7 +721,6 @@ impl<'a> Compiler<'a> {
     /// call for term `t` only reads factors and buffers of earlier terms
     /// (the verifier's `ProducerOrderViolation` rule).
     fn fuse_zero_into_call(&mut self) {
-        let ks = self.kernels;
         let [.., Instr::Zero { term }, call] = &mut self.instrs[..] else {
             return;
         };
@@ -728,36 +730,24 @@ impl<'a> Compiler<'a> {
                 n,
                 term: t,
                 y,
-                kern,
                 assign,
                 ..
-            } if *t == term && covers(term, y.inc, *n, lens) => {
-                *kern = ks.zaxpy();
-                assign
             }
-            Instr::Xmul {
+            | Instr::Xmul {
                 n,
                 term: t,
                 y,
-                kern,
                 assign,
                 ..
-            } if *t == term && covers(term, y.inc, *n, lens) => {
-                *kern = ks.zxmul();
-                assign
-            }
+            } if *t == term && covers(term, y.inc, *n, lens) => assign,
             Instr::Ger {
                 m,
                 n,
                 term: t,
                 a,
-                kern,
                 assign,
                 ..
-            } if *t == term && a.rs == *n && covers(term, a.cs, *m * *n, lens) => {
-                *kern = ks.zger();
-                assign
-            }
+            } if *t == term && a.rs == *n && covers(term, a.cs, *m * *n, lens) => assign,
             _ => return,
         };
         *assign = true;
@@ -834,7 +824,6 @@ impl<'a> Compiler<'a> {
                 alpha,
                 x,
                 y,
-                kern,
                 ..
             }] => {
                 let fold = level > 0
@@ -849,8 +838,7 @@ impl<'a> Compiler<'a> {
                     alpha,
                     x,
                     y,
-                    kern,
-                    first: fold.then(|| self.kernels.zaxpy()),
+                    first: fold,
                 };
                 (if fold { header - 1 } else { header }, fused)
             }
@@ -1063,23 +1051,22 @@ impl<'a> Compiler<'a> {
                 let x = self.vec_src(term.left, q1)?;
                 let y = self.vec_src(term.right, q1)?;
                 let tgt = self.cell_tgt(t)?;
-                let (kern, _) = self.kernels.dot(n, x.inc == 1 && y.inc == 1);
-                let dot = DotCall { n, x, y, kern };
-                Instr::Dot { dot, tgt }
+                Instr::Dot {
+                    dot: DotCall { n, x, y },
+                    tgt,
+                }
             }
             (LeafOp::Axpy { vec }, _) => {
                 let n = dim(q1);
                 let y = self.vec_tgt(t, q1)?;
                 let x = self.vec_src(term.operand(vec), q1)?;
                 let alpha = self.scalar_src(term.operand(vec.other()))?;
-                let (kern, _) = self.kernels.axpy(n, x.inc == 1 && y.inc == 1, None);
                 Instr::Axpy {
                     n,
                     term: t,
                     alpha,
                     x,
                     y,
-                    kern,
                     assign: false,
                 }
             }
@@ -1093,7 +1080,6 @@ impl<'a> Compiler<'a> {
                     x,
                     z,
                     y,
-                    kern: self.kernels.xmul(),
                     assign: false,
                 }
             }
@@ -1103,7 +1089,6 @@ impl<'a> Compiler<'a> {
                 let x = self.vec_src(xs, q1)?;
                 let y = self.vec_src(ys, q2)?;
                 let a = self.mat_tgt(t, q1, q2)?;
-                let (kern, _) = self.kernels.ger(n, a.cs == 1 && y.inc == 1, None);
                 Instr::Ger {
                     m,
                     n,
@@ -1111,7 +1096,6 @@ impl<'a> Compiler<'a> {
                     x,
                     y,
                     a,
-                    kern,
                     assign: false,
                 }
             }
@@ -1127,7 +1111,6 @@ impl<'a> Compiler<'a> {
                     a,
                     x,
                     y,
-                    kern: self.kernels.gemv(),
                 }
             }
             (LeafOp::Ger { .. }, None) => unreachable!("leaf_op names GER for a loop pair only"),
@@ -1500,46 +1483,39 @@ impl<'a> Run<'a> {
     }
 
     /// Run one microkernel call at the cursors' offsets (and the tracked
-    /// leaf, for the sparse value and pattern-sharing cells).
+    /// leaf, for the sparse value and pattern-sharing cells), in the
+    /// tape's kernel tier at the rank of its site.
     fn call(&mut self, i: Instr) {
         let (term, sparse) = target_term(&i, self.tape.n_terms - 1);
-        let leaf = self.leaf_node();
+        let (leaf, ks, rank) = (self.leaf_node(), self.tape.kernels, site_rank(&i));
         let View { rs, b, stats, .. } = self.view(term, term, sparse);
+        let at = (ks, leaf, rank);
         match i {
-            Instr::Axpy { .. } => fire(&axpy_call(&rs, &i, NO_ADV), leaf, b, stats),
-            Instr::Xmul { .. } => fire(&xmul_call(&rs, &i, NO_ADV), leaf, b, stats),
-            Instr::Ger { .. } => fire(&ger_call(&rs, &i, NO_ADV), leaf, b, stats),
-            Instr::Gemv { .. } => fire(&gemv_call(&rs, &i, NO_ADV), leaf, b, stats),
-            _ => fire(&dot_cell(&rs, &i, NO_ADV), leaf, b, stats),
+            Instr::Axpy { .. } => lone_call(at, &axpy_call(&rs, &i, NO_ADV), b, stats),
+            Instr::Xmul { .. } => lone_call(at, &xmul_call(&rs, &i, NO_ADV), b, stats),
+            Instr::Ger { .. } => lone_call(at, &ger_call(&rs, &i, NO_ADV), b, stats),
+            Instr::Gemv { .. } => lone_call(at, &gemv_call(&rs, &i, NO_ADV), b, stats),
+            _ => lone_call(at, &dot_cell(&rs, &i, NO_ADV), b, stats),
         }
     }
 
     /// Run a lone fused loop (`SparseAxpy`, `SparseDot`) at `level`: its
-    /// operands are resolved once, then each child costs its call.
+    /// operands are resolved once, then the walk runs in the tape's
+    /// kernel tier at the rank of its call site.
     fn fused(&mut self, instr: Instr, level: usize, adv: AdvRange) -> Result<()> {
         let (tb, sparse) = target_term(&instr, self.tape.n_terms - 1);
         let range = self.level_range(level);
         let guard = self.guard.filter(|_| self.st.fp == 0);
+        let (ks, rank) = (self.tape.kernels, site_rank(&instr));
         let View {
             rs, b, csf, stats, ..
         } = self.view(tb, tb, sparse);
-        let coords = &csf.level(level).idx;
-        let calls = range.len() as u64;
+        let walk = (ks, &csf.level(level).idx[..], range.clone(), guard, rank);
         match instr {
             Instr::SparseAxpy { .. } => {
-                let run = axpy_run(&rs, &instr, NO_ADV, adv);
-                guarded(range.clone(), guard, |nodes| {
-                    run.walk(coords, nodes, 0, &[], b)
-                })?;
-                run.count(stats, calls);
+                lone_walk(walk, &axpy_run(&rs, &instr, NO_ADV, adv), b, stats)?;
             }
-            _ => {
-                let run = dot_run(&rs, &instr, NO_ADV, adv);
-                guarded(range.clone(), guard, |nodes| {
-                    run.walk(coords, nodes, 0, &[], b)
-                })?;
-                run.count(stats, calls);
-            }
+            _ => lone_walk(walk, &dot_run(&rs, &instr, NO_ADV, adv), b, stats)?,
         }
         // Where the unfused loop leaves its node.
         if let Some(last) = range.last() {
@@ -1557,6 +1533,7 @@ impl<'a> Run<'a> {
         let ((ta, _), (tb, sparse)) = (target_term(&a, last), target_term(&b, last));
         let range = self.level_range(level);
         let guard = self.guard.filter(|_| self.st.fp == 0);
+        let ks = self.tape.kernels;
         let View {
             rs,
             a: at,
@@ -1571,33 +1548,33 @@ impl<'a> Run<'a> {
                 match call {
                     Instr::Axpy { .. } => {
                         let call = axpy_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
                     }
                     Instr::Xmul { .. } => {
                         let call = xmul_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
                     }
                     Instr::Ger { .. } => {
                         let call = ger_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
                     }
                     Instr::Gemv { .. } => {
                         let call = gemv_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
                     }
                     _ => {
                         let call = dot_cell(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(l, nodes, g, &run, &call, at, bt, stats)
+                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
                     }
                 }
             }
             (Instr::Axpy { .. }, run) => {
                 let call = axpy_call(&rs, &a, adv);
-                call_first(&rs, l, nodes, g, &run, adv, &call, at, bt, stats)
+                call_first(ks, &rs, l, nodes, g, &run, adv, &call, at, bt, stats)
             }
             (_, run) => {
                 let call = xmul_call(&rs, &a, adv);
-                call_first(&rs, l, nodes, g, &run, adv, &call, at, bt, stats)
+                call_first(ks, &rs, l, nodes, g, &run, adv, &call, at, bt, stats)
             }
         }?;
         // Where the unfused loops leave their nodes.
@@ -1690,7 +1667,7 @@ impl<'a> Run<'a> {
 /// coordinate `c` at `base + c·step + x·nstep`. `nstep` is 1 for the
 /// sparse value and pattern-sharing cells, which live at the leaf node,
 /// and 0 for a cursor, so no cursor is written per child.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Addr {
     base: usize,
     ostep: usize,
@@ -1707,6 +1684,14 @@ impl Addr {
         nstep: 1,
     };
 
+    /// Offset 0 wherever the walk stands: a whole fiber buffer's.
+    const ORIGIN: Addr = Addr {
+        base: 0,
+        ostep: 0,
+        step: 0,
+        nstep: 0,
+    };
+
     #[inline(always)]
     fn shift(self, co: usize) -> Addr {
         Addr {
@@ -1721,6 +1706,18 @@ impl Addr {
         (self.base)
             .wrapping_add(c.wrapping_mul(self.step))
             .wrapping_add(x.wrapping_mul(self.nstep))
+    }
+
+    /// The target's elements from child `x` at coordinate `c` on; where
+    /// the part fills a local fiber buffer ([`FILL`]), `tgt` is that
+    /// buffer, whole.
+    #[inline(always)]
+    fn sink<const BUF: u8>(self, c: usize, x: usize, tgt: &mut [f64]) -> &mut [f64] {
+        if BUF == FILL {
+            tgt
+        } else {
+            &mut tgt[self.at(c, x)..]
+        }
     }
 }
 
@@ -1748,16 +1745,60 @@ impl<'b> Opnd<'b> {
         }
     }
 
-    /// The operand's store, `first` being the first part's target.
+    /// The operand's store, `first` being the first part's target. A
+    /// part holding its fiber's buffer locally (`BUF != MEM`) reads it
+    /// through [`Opnd::drain`] only, so here `first` is not passed on:
+    /// the local array's address never meets another operand's.
     #[inline(always)]
-    fn store<'c>(self, first: &'c [f64]) -> &'c [f64]
+    fn store<'c, const BUF: u8>(self, first: &'c [f64]) -> &'c [f64]
     where
         'b: 'c,
     {
         match self.src {
             Src::Slice(s) => s,
-            Src::First => first,
+            Src::First if BUF == MEM => first,
+            Src::First => &[],
         }
+    }
+
+    /// The operand's elements from child `x` at coordinate `c` on.
+    #[inline(always)]
+    fn at<'c, const BUF: u8>(self, c: usize, x: usize, first: &'c [f64]) -> &'c [f64]
+    where
+        'b: 'c,
+    {
+        &self.store::<BUF>(first)[self.at.at(c, x)..]
+    }
+
+    /// The operand's element at child `x`, coordinate `c`.
+    #[inline(always)]
+    fn get<const BUF: u8>(self, c: usize, x: usize, first: &[f64]) -> f64 {
+        self.store::<BUF>(first)[self.at.at(c, x)]
+    }
+
+    /// [`Opnd::at`] for the operand a part drains its fiber's buffer
+    /// through; where the buffer is local ([`DRAIN`]), `first` is it,
+    /// whole.
+    #[inline(always)]
+    fn drain<'c, const BUF: u8>(self, c: usize, x: usize, first: &'c [f64]) -> &'c [f64]
+    where
+        'b: 'c,
+    {
+        if BUF == DRAIN {
+            first
+        } else {
+            self.at::<BUF>(c, x, first)
+        }
+    }
+
+    fn is_first(&self) -> bool {
+        matches!(self.src, Src::First)
+    }
+
+    /// Whether the operand reads its fiber's first target whole: from
+    /// offset 0 wherever the walk stands, at unit stride.
+    fn reads_buf(&self, inc: usize) -> bool {
+        self.is_first() && self.at == Addr::ORIGIN && inc == 1
     }
 }
 
@@ -1841,36 +1882,53 @@ impl<'b> Resolve<'b> {
 /// An empty advance range: a loop that moves nothing.
 const NO_ADV: AdvRange = (0, 0);
 
-/// Check `guard` before every node of `nodes` but the first: a walk
-/// over the tile roots keeps the root frame's cancellation checkpoint,
-/// once per root child. Runs `body` on each node.
+/// How a part of a fused walk reaches the buffer a fiber's first part
+/// writes and its second part reads — the `BUF` parameter of
+/// [`RunBody::walk`] and [`TailCall::fire`]. `MEM`: through the
+/// workspace, every operand at its resolved address (a lone call or
+/// fused loop, or a fiber whose buffer stays in memory).
+const MEM: u8 = 0;
+/// The part writes the fiber's buffer, a local `[f64; N]` passed whole
+/// as its target.
+const FILL: u8 = 1;
+/// The part reads the fiber's local buffer, passed whole as `first`,
+/// through its one operand that reads it ([`Opnd::drain`]).
+const DRAIN: u8 = 2;
+
+/// The chunks a walk runs `nodes` in: all at once without a guard;
+/// with one, node by node, `guard` checked before every node but the
+/// first — a walk over the tile roots keeps the root frame's
+/// cancellation checkpoint, once per root child. The walk's body is the
+/// caller's loop over each chunk, not a closure, so it compiles inside
+/// the caller's kernel-tier region.
 #[inline(always)]
-fn guarded(
+fn guarded<'g>(
     nodes: Range<usize>,
-    guard: Option<&RunGuard>,
-    mut body: impl FnMut(Range<usize>),
-) -> Result<()> {
-    match guard {
-        None => body(nodes),
-        Some(g) => {
-            for x in nodes.clone() {
-                if x != nodes.start {
-                    g.check("tape")?;
-                }
-                body(x..x + 1);
-            }
+    guard: Option<&'g RunGuard>,
+) -> impl Iterator<Item = Result<Range<usize>>> + 'g {
+    let step = if guard.is_some() {
+        1
+    } else {
+        nodes.len().max(1)
+    };
+    (nodes.clone()).step_by(step).map(move |x| {
+        if let Some(g) = guard.filter(|_| x != nodes.start) {
+            g.check("tape")?;
         }
-    }
-    Ok(())
+        Ok(x..nodes.end.min(x + step))
+    })
 }
 
 /// The body of a fused sparse loop, resolved for one walk: what one
-/// child runs, into the store `tgt`.
-trait RunBody<'b> {
+/// child runs, into the store `tgt`. Its kernel bodies are the tier's
+/// `L` at rank `N` (see [`crate::simd`]'s kernel bodies).
+trait RunBody {
     /// Walk `nodes` (coordinates `coords`) inside a fiber child at
     /// coordinate `co`, or at `co = 0` on its own.
-    fn walk(
+    #[allow(clippy::too_many_arguments)]
+    fn walk<L: Lanes, const N: usize, const BUF: u8>(
         &self,
+        l: L,
         coords: &[usize],
         nodes: Range<usize>,
         co: usize,
@@ -1880,19 +1938,47 @@ trait RunBody<'b> {
 
     /// Book `calls` calls.
     fn count(&self, stats: &mut ExecStats, calls: u64);
+
+    /// As a fiber's first part: the length of the buffer it fills whole
+    /// — at unit stride from offset 0, its first write assigning, every
+    /// operand contiguous — if it does.
+    fn fills(&self) -> Option<usize> {
+        None
+    }
+
+    /// As a fiber's second part: whether it reads the first part's
+    /// `n`-long buffer whole through one operand and no other, every
+    /// operand contiguous.
+    fn drains(&self, n: usize) -> bool;
 }
 
 /// A microkernel call resolved for a walk: a fiber's, once per child
 /// of the fiber's level, or a lone call's, once.
-trait TailCall<'b> {
+trait TailCall {
     /// The call at the child node `x`, coordinate `c`.
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]);
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    );
 
     /// Book `calls` calls.
     fn count(&self, stats: &mut ExecStats, calls: u64);
+
+    /// See [`RunBody::fills`].
+    fn fills(&self) -> Option<usize> {
+        None
+    }
+
+    /// See [`RunBody::drains`].
+    fn drains(&self, n: usize) -> bool;
 }
 
-/// A sparse-AXPY body: `y += alpha · x` per child.
+/// A sparse-AXPY body: `y += alpha · x` per child, the first child's
+/// call assigning when `first`.
 struct AxpyRun<'b> {
     n: usize,
     alpha: Opnd<'b>,
@@ -1900,35 +1986,51 @@ struct AxpyRun<'b> {
     xinc: usize,
     y: Addr,
     yinc: usize,
-    kern: AxpyFn,
-    first: Option<AxpyFn>,
+    first: bool,
 }
 
-impl<'b> RunBody<'b> for AxpyRun<'b> {
+impl AxpyRun<'_> {
+    /// One child's call; `(alpha, x, y)` are the run's operands moved to
+    /// its fiber child.
     #[inline(always)]
-    fn walk(
+    #[allow(clippy::too_many_arguments)]
+    fn call<L: Lanes, const N: usize, const BUF: u8, const ASSIGN: bool>(
         &self,
+        l: L,
+        (alpha, x, y): (Opnd<'_>, Opnd<'_>, Addr),
+        c: usize,
+        node: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let a = alpha.get::<BUF>(c, node, first);
+        let xs = x.drain::<BUF>(c, node, first);
+        let ys = y.sink::<BUF>(c, node, tgt);
+        axpy::<L, N, ASSIGN>(l, self.n, a, xs, self.xinc, ys, self.yinc);
+    }
+}
+
+impl RunBody for AxpyRun<'_> {
+    #[inline(always)]
+    fn walk<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
         coords: &[usize],
-        nodes: Range<usize>,
+        mut nodes: Range<usize>,
         co: usize,
         first: &[f64],
         tgt: &mut [f64],
     ) {
-        let (alpha, x, y) = (self.alpha.shift(co), self.x.shift(co), self.y.shift(co));
-        let (als, xs) = (alpha.store(first), x.store(first));
-        let mut call = self.first.unwrap_or(self.kern);
+        let ops = (self.alpha.shift(co), self.x.shift(co), self.y.shift(co));
+        if self.first {
+            if let Some(node) = nodes.next() {
+                let c = coords[node];
+                self.call::<L, N, BUF, true>(l, ops, c, node, first, tgt);
+            }
+        }
         for node in nodes {
             let c = coords[node];
-            let a = als[alpha.at.at(c, node)];
-            call(
-                self.n,
-                a,
-                &xs[x.at.at(c, node)..],
-                self.xinc,
-                &mut tgt[y.at(c, node)..],
-                self.yinc,
-            );
-            call = self.kern;
+            self.call::<L, N, BUF, false>(l, ops, c, node, first, tgt);
         }
     }
 
@@ -1936,13 +2038,22 @@ impl<'b> RunBody<'b> for AxpyRun<'b> {
         stats.axpy += calls;
         stats.axpy_elems += calls * self.n as u64;
     }
+
+    fn fills(&self) -> Option<usize> {
+        let whole = self.first && self.y == Addr::ORIGIN && self.yinc == 1;
+        (whole && self.xinc == 1).then_some(self.n)
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        self.n == n && self.x.reads_buf(self.xinc) && !self.alpha.is_first() && self.yinc == 1
+    }
 }
 
 /// A sparse-DOT body: `d = x·y`, then the leaf with the folded term's
-/// reads (`None`) taken as `0.0 + d`.
+/// reads (`None`) taken as `0.0 + d`. `y` is the operand that reads a
+/// fiber's buffer, if either does.
 struct DotRun<'b> {
     n: usize,
-    kern: DotFn,
     x: Opnd<'b>,
     xinc: usize,
     y: Opnd<'b>,
@@ -1952,10 +2063,11 @@ struct DotRun<'b> {
     tgt: Addr,
 }
 
-impl<'b> RunBody<'b> for DotRun<'b> {
+impl RunBody for DotRun<'_> {
     #[inline(always)]
-    fn walk(
+    fn walk<L: Lanes, const N: usize, const BUF: u8>(
         &self,
+        l: L,
         coords: &[usize],
         nodes: Range<usize>,
         co: usize,
@@ -1963,30 +2075,35 @@ impl<'b> RunBody<'b> for DotRun<'b> {
         tgt: &mut [f64],
     ) {
         let (x, y, cell) = (self.x.shift(co), self.y.shift(co), self.tgt.shift(co));
-        let (xs, ys) = (x.store(first), y.store(first));
-        let left = self.left.map(|o| o.shift(co)).map(|o| (o, o.store(first)));
-        let right = self.right.map(|o| o.shift(co)).map(|o| (o, o.store(first)));
+        let (left, right) = (
+            self.left.map(|o| o.shift(co)),
+            self.right.map(|o| o.shift(co)),
+        );
         for node in nodes {
             let c = coords[node];
+            let (xs, ys) = (x.at::<BUF>(c, node, first), y.drain::<BUF>(c, node, first));
             // What `Zero; Dot` left in the cell: +0.0 for a -0.0
             // product, as the unfused add gives.
-            let d = 0.0
-                + (self.kern)(
-                    self.n,
-                    &xs[x.at.at(c, node)..],
-                    self.xinc,
-                    &ys[y.at.at(c, node)..],
-                    self.yinc,
-                );
-            let l = left.map_or(d, |(o, s)| s[o.at.at(c, node)]);
-            let r = right.map_or(d, |(o, s)| s[o.at.at(c, node)]);
-            tgt[cell.at(c, node)] += l * r;
+            let d = 0.0 + dot::<L, N>(l, self.n, xs, self.xinc, ys, self.yinc);
+            let lv = left.map_or(d, |o| o.get::<BUF>(c, node, first));
+            let rv = right.map_or(d, |o| o.get::<BUF>(c, node, first));
+            tgt[cell.at(c, node)] += lv * rv;
         }
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.dot += calls;
         stats.dot_elems += calls * self.n as u64;
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        let first = |o: Option<Opnd>| o.is_some_and(|o| o.is_first());
+        self.n == n
+            && self.y.reads_buf(self.yinc)
+            && !self.x.is_first()
+            && self.xinc == 1
+            && !first(self.left)
+            && !first(self.right)
     }
 }
 
@@ -1998,31 +2115,49 @@ struct AxpyCall<'b> {
     xinc: usize,
     y: Addr,
     yinc: usize,
-    kern: AxpyFn,
+    assign: bool,
 }
 
-impl<'b> TailCall<'b> for AxpyCall<'b> {
+impl TailCall for AxpyCall<'_> {
     #[inline(always)]
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
-        let a = self.alpha.store(first)[self.alpha.at.at(c, x)];
-        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
-        (self.kern)(
-            self.n,
-            a,
-            xs,
-            self.xinc,
-            &mut tgt[self.y.at(c, x)..],
-            self.yinc,
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let a = self.alpha.get::<BUF>(c, x, first);
+        let xs = self.x.drain::<BUF>(c, x, first);
+        let (ys, (n, xinc, yinc)) = (
+            self.y.sink::<BUF>(c, x, tgt),
+            (self.n, self.xinc, self.yinc),
         );
+        if self.assign {
+            axpy::<L, N, true>(l, n, a, xs, xinc, ys, yinc);
+        } else {
+            axpy::<L, N, false>(l, n, a, xs, xinc, ys, yinc);
+        }
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.axpy += calls;
         stats.axpy_elems += calls * self.n as u64;
     }
+
+    fn fills(&self) -> Option<usize> {
+        let whole = self.assign && self.y == Addr::ORIGIN && self.yinc == 1;
+        (whole && self.xinc == 1).then_some(self.n)
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        self.n == n && self.x.reads_buf(self.xinc) && !self.alpha.is_first() && self.yinc == 1
+    }
 }
 
-/// An XMUL call.
+/// An XMUL call; `z` is the operand that reads a fiber's buffer, if
+/// either does.
 struct XmulCall<'b> {
     n: usize,
     x: Opnd<'b>,
@@ -2031,21 +2166,45 @@ struct XmulCall<'b> {
     zinc: usize,
     y: Addr,
     yinc: usize,
-    kern: XmulFn,
+    assign: bool,
 }
 
-impl<'b> TailCall<'b> for XmulCall<'b> {
+impl TailCall for XmulCall<'_> {
     #[inline(always)]
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
-        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
-        let zs = &self.z.store(first)[self.z.at.at(c, x)..];
-        let y = &mut tgt[self.y.at(c, x)..];
-        (self.kern)(self.n, 1.0, xs, self.xinc, zs, self.zinc, y, self.yinc);
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (xs, zs) = (
+            self.x.at::<BUF>(c, x, first),
+            self.z.drain::<BUF>(c, x, first),
+        );
+        let ys = self.y.sink::<BUF>(c, x, tgt);
+        let (n, xinc, zinc, yinc) = (self.n, self.xinc, self.zinc, self.yinc);
+        if self.assign {
+            xmul::<L, N, true>(l, n, 1.0, xs, xinc, zs, zinc, ys, yinc);
+        } else {
+            xmul::<L, N, false>(l, n, 1.0, xs, xinc, zs, zinc, ys, yinc);
+        }
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.xmul += calls;
         stats.xmul_elems += calls * self.n as u64;
+    }
+
+    fn fills(&self) -> Option<usize> {
+        let whole = self.assign && self.y == Addr::ORIGIN && self.yinc == 1;
+        (whole && self.xinc == 1 && self.zinc == 1).then_some(self.n)
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        let rest = !self.x.is_first() && self.xinc == 1 && self.yinc == 1;
+        self.n == n && self.z.reads_buf(self.zinc) && rest
     }
 }
 
@@ -2060,23 +2219,39 @@ struct GerCall<'b> {
     a: Addr,
     rs: usize,
     cs: usize,
-    kern: GerFn,
+    assign: bool,
 }
 
-impl<'b> TailCall<'b> for GerCall<'b> {
+impl TailCall for GerCall<'_> {
     #[inline(always)]
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
-        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
-        let ys = &self.y.store(first)[self.y.at.at(c, x)..];
-        let a = &mut tgt[self.a.at(c, x)..];
-        (self.kern)(
-            self.m, self.n, 1.0, xs, self.xinc, ys, self.yinc, a, self.rs, self.cs,
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (xs, ys) = (
+            self.x.at::<BUF>(c, x, first),
+            self.y.drain::<BUF>(c, x, first),
         );
+        let a = self.a.sink::<BUF>(c, x, tgt);
+        let (m, n, xinc, yinc, rs, cs) = (self.m, self.n, self.xinc, self.yinc, self.rs, self.cs);
+        if self.assign {
+            ger::<L, N, true>(l, m, n, 1.0, xs, xinc, ys, yinc, a, rs, cs);
+        } else {
+            ger::<L, N, false>(l, m, n, 1.0, xs, xinc, ys, yinc, a, rs, cs);
+        }
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.ger += calls;
         stats.ger_elems += calls * (self.m * self.n) as u64;
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        self.n == n && self.y.reads_buf(self.yinc) && !self.x.is_first() && self.cs == 1
     }
 }
 
@@ -2091,26 +2266,39 @@ struct GemvCall<'b> {
     xinc: usize,
     y: Addr,
     yinc: usize,
-    kern: GemvFn,
 }
 
-impl<'b> TailCall<'b> for GemvCall<'b> {
+impl TailCall for GemvCall<'_> {
     #[inline(always)]
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
-        let a = &self.a.store(first)[self.a.at.at(c, x)..];
-        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
-        let y = &mut tgt[self.y.at(c, x)..];
-        let (m, n) = (self.m, self.n);
-        (self.kern)(m, n, 1.0, a, self.rs, self.cs, xs, self.xinc, y, self.yinc);
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (a, xs) = (
+            self.a.at::<BUF>(c, x, first),
+            self.x.drain::<BUF>(c, x, first),
+        );
+        let y = self.y.sink::<BUF>(c, x, tgt);
+        let (m, n, rs, cs) = (self.m, self.n, self.rs, self.cs);
+        gemv::<L, N>(l, m, n, 1.0, a, rs, cs, xs, self.xinc, y, self.yinc);
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.gemv += calls;
         stats.gemv_elems += calls * (self.m * self.n) as u64;
     }
+
+    fn drains(&self, n: usize) -> bool {
+        self.n == n && self.x.reads_buf(self.xinc) && !self.a.is_first() && self.cs == 1
+    }
 }
 
-/// A DOT call into one cell.
+/// A DOT call into one cell; `y` is the operand that reads a fiber's
+/// buffer, if either does.
 struct DotCell<'b> {
     n: usize,
     x: Opnd<'b>,
@@ -2118,20 +2306,32 @@ struct DotCell<'b> {
     y: Opnd<'b>,
     yinc: usize,
     cell: Addr,
-    kern: DotFn,
 }
 
-impl<'b> TailCall<'b> for DotCell<'b> {
+impl TailCall for DotCell<'_> {
     #[inline(always)]
-    fn fire(&self, c: usize, x: usize, first: &[f64], tgt: &mut [f64]) {
-        let xs = &self.x.store(first)[self.x.at.at(c, x)..];
-        let ys = &self.y.store(first)[self.y.at.at(c, x)..];
-        tgt[self.cell.at(c, x)] += (self.kern)(self.n, xs, self.xinc, ys, self.yinc);
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        l: L,
+        c: usize,
+        x: usize,
+        first: &[f64],
+        tgt: &mut [f64],
+    ) {
+        let (xs, ys) = (
+            self.x.at::<BUF>(c, x, first),
+            self.y.drain::<BUF>(c, x, first),
+        );
+        tgt[self.cell.at(c, x)] += dot::<L, N>(l, self.n, xs, self.xinc, ys, self.yinc);
     }
 
     fn count(&self, stats: &mut ExecStats, calls: u64) {
         stats.dot += calls;
         stats.dot_elems += calls * self.n as u64;
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        self.n == n && self.y.reads_buf(self.yinc) && !self.x.is_first() && self.xinc == 1
     }
 }
 
@@ -2154,12 +2354,89 @@ fn target_term(i: &Instr, last: usize) -> (usize, bool) {
     }
 }
 
-/// Walk a fiber: per node of `nodes`, its run over the node's children
-/// and its call, the call first when `CALL_FIRST`. The call's target
-/// is `a` when it comes first, the run's otherwise; the second part
-/// writes `b` and reads what the first wrote.
+/// A fiber's walk, compiled per kernel tier and per `rank`: per node of
+/// `nodes` at `level`, its run over the node's children and its call,
+/// the call first when `CALL_FIRST`. The call's target is `a` when it
+/// comes first, the run's otherwise; the second part writes `b` and
+/// reads what the first wrote.
+struct FiberWalk<'w, R, C, const CALL_FIRST: bool> {
+    csf: &'w Csf,
+    level: usize,
+    nodes: Range<usize>,
+    guard: Option<&'w RunGuard>,
+    run: &'w R,
+    call: &'w C,
+    a: &'w mut [f64],
+    b: &'w mut [f64],
+    /// The first part's buffer length where the walk holds the buffer in
+    /// a local `[f64; N]` — the first part fills it whole, the second
+    /// drains it whole, at a fixed rank — else 0: the generic instance,
+    /// through the workspace.
+    rank: usize,
+}
+
+impl<R: RunBody, C: TailCall, const CALL_FIRST: bool> Body for FiberWalk<'_, R, C, CALL_FIRST> {
+    /// The run's calls.
+    type Out = Result<u64>;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) -> Result<u64> {
+        at_rank!(self.rank, N => self.walk::<L, N>(l))
+    }
+}
+
+impl<R: RunBody, C: TailCall, const CALL_FIRST: bool> FiberWalk<'_, R, C, CALL_FIRST> {
+    #[inline(always)]
+    fn walk<L: Lanes, const N: usize>(self, l: L) -> Result<u64> {
+        let Self {
+            csf,
+            level,
+            nodes,
+            guard,
+            run,
+            call,
+            a,
+            b,
+            ..
+        } = self;
+        let (coords, ptr) = (&csf.level(level).idx, &csf.level(level).ptr);
+        let inner = &csf.level(level + 1).idx;
+        // The buffer, in registers when the rank is fixed.
+        let mut buf = [0.0; N];
+        let mut kids = 0u64;
+        for nodes in guarded(nodes, guard) {
+            for x in nodes? {
+                let (c, below) = (coords[x], ptr[x]..ptr[x + 1]);
+                kids += below.len() as u64;
+                match (N == 0, CALL_FIRST) {
+                    (true, true) => {
+                        call.fire::<L, 0, MEM>(l, c, x, &[], a);
+                        run.walk::<L, 0, MEM>(l, inner, below, c, a, b);
+                    }
+                    (true, false) => {
+                        run.walk::<L, 0, MEM>(l, inner, below, c, &[], a);
+                        call.fire::<L, 0, MEM>(l, c, x, a, b);
+                    }
+                    (false, true) => {
+                        call.fire::<L, N, FILL>(l, c, x, &[], &mut buf);
+                        run.walk::<L, N, DRAIN>(l, inner, below, c, &buf, b);
+                    }
+                    (false, false) => {
+                        run.walk::<L, N, FILL>(l, inner, below, c, &[], &mut buf);
+                        call.fire::<L, N, DRAIN>(l, c, x, &buf, b);
+                    }
+                }
+            }
+        }
+        Ok(kids)
+    }
+}
+
+/// Walk a fiber in `ks`'s tier (see [`FiberWalk`]), its buffer local
+/// where both parts allow it, and book its calls.
 #[allow(clippy::too_many_arguments)]
-fn fiber_walk<'b, R: RunBody<'b>, C: TailCall<'b>, const CALL_FIRST: bool>(
+fn fiber_walk<R: RunBody, C: TailCall, const CALL_FIRST: bool>(
+    ks: KernelSet,
     (csf, level): (&Csf, usize),
     nodes: Range<usize>,
     guard: Option<&RunGuard>,
@@ -2169,25 +2446,131 @@ fn fiber_walk<'b, R: RunBody<'b>, C: TailCall<'b>, const CALL_FIRST: bool>(
     b: &mut [f64],
     stats: &mut ExecStats,
 ) -> Result<()> {
-    let (coords, ptr) = (&csf.level(level).idx, &csf.level(level).ptr);
-    let inner = &csf.level(level + 1).idx;
-    let mut kids = 0u64;
-    guarded(nodes.clone(), guard, |nodes| {
-        for x in nodes {
-            let (c, below) = (coords[x], ptr[x]..ptr[x + 1]);
-            kids += below.len() as u64;
-            if CALL_FIRST {
-                call.fire(c, x, &[], a);
-                run.walk(inner, below, c, a, b);
+    let filled = if CALL_FIRST {
+        call.fills()
+    } else {
+        run.fills()
+    };
+    let local = filled.filter(|&n| {
+        unrolled(n, true)
+            && if CALL_FIRST {
+                run.drains(n)
             } else {
-                run.walk(inner, below, c, &[], a);
-                call.fire(c, x, a, b);
+                call.drains(n)
             }
-        }
+    });
+    let kids = ks.enter(FiberWalk::<R, C, CALL_FIRST> {
+        csf,
+        level,
+        nodes: nodes.clone(),
+        guard,
+        run,
+        call,
+        a,
+        b,
+        rank: local.unwrap_or(0),
     })?;
     run.count(stats, kids);
     call.count(stats, nodes.len() as u64);
     Ok(())
+}
+
+/// A lone fused loop's walk over `nodes` into `tgt`, at `rank`.
+struct LoneWalk<'w, R> {
+    coords: &'w [usize],
+    nodes: Range<usize>,
+    guard: Option<&'w RunGuard>,
+    run: &'w R,
+    tgt: &'w mut [f64],
+    rank: usize,
+}
+
+impl<R: RunBody> Body for LoneWalk<'_, R> {
+    type Out = Result<()>;
+
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) -> Result<()> {
+        let Self {
+            coords,
+            nodes,
+            guard,
+            run,
+            tgt,
+            rank,
+        } = self;
+        at_rank!(rank, N => {
+            for nodes in guarded(nodes, guard) {
+                run.walk::<L, N, MEM>(l, coords, nodes?, 0, &[], tgt);
+            }
+            Ok(())
+        })
+    }
+}
+
+/// Walk a lone fused loop over `nodes` (coordinates `coords`) in `ks`'s
+/// tier at `rank`, and book its calls.
+fn lone_walk<R: RunBody>(
+    (ks, coords, nodes, guard, rank): (KernelSet, &[usize], Range<usize>, Option<&RunGuard>, usize),
+    run: &R,
+    tgt: &mut [f64],
+    stats: &mut ExecStats,
+) -> Result<()> {
+    let calls = nodes.len() as u64;
+    ks.enter(LoneWalk {
+        coords,
+        nodes,
+        guard,
+        run,
+        tgt,
+        rank,
+    })?;
+    run.count(stats, calls);
+    Ok(())
+}
+
+/// One call at the tracked leaf node `leaf`, at `rank`.
+struct LoneCall<'w, C> {
+    call: &'w C,
+    leaf: usize,
+    tgt: &'w mut [f64],
+    rank: usize,
+}
+
+impl<C: TailCall> Body for LoneCall<'_, C> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<L: Lanes>(self, l: L) {
+        let Self {
+            call,
+            leaf,
+            tgt,
+            rank,
+        } = self;
+        at_rank!(rank, N => call.fire::<L, N, MEM>(l, 0, leaf, &[], tgt))
+    }
+}
+
+/// Make one call in `ks`'s tier at `rank`, and book it.
+fn lone_call(
+    (ks, leaf, rank): (KernelSet, usize, usize),
+    call: &impl TailCall,
+    tgt: &mut [f64],
+    stats: &mut ExecStats,
+) {
+    ks.enter(LoneCall {
+        call,
+        leaf,
+        tgt,
+        rank,
+    });
+    call.count(stats, 1);
+}
+
+/// The rank a call site's body runs at: its trip count where the site
+/// takes an unrolled body, else 0 (see [`crate::simd`]).
+fn site_rank(i: &Instr) -> usize {
+    call_site(i).map_or(0, |(n, contig)| rank(n, contig))
 }
 
 /// Split the workspace around a fused walk's targets: term `ta`, a
@@ -2234,17 +2617,11 @@ struct View<'b> {
     stats: &'b mut ExecStats,
 }
 
-/// One call of `call` into `tgt` at the tracked leaf node `leaf`,
-/// booked in `stats`.
-fn fire<'b>(call: &impl TailCall<'b>, leaf: usize, tgt: &mut [f64], stats: &mut ExecStats) {
-    call.fire(0, leaf, &[], tgt);
-    call.count(stats, 1);
-}
-
 /// A fiber whose call comes first, over its run `run`.
 #[allow(clippy::too_many_arguments)]
-fn call_first<'b, C: TailCall<'b>>(
-    rs: &Resolve<'b>,
+fn call_first<C: TailCall>(
+    ks: KernelSet,
+    rs: &Resolve<'_>,
     at: (&Csf, usize),
     nodes: Range<usize>,
     guard: Option<&RunGuard>,
@@ -2258,11 +2635,11 @@ fn call_first<'b, C: TailCall<'b>>(
     match *run {
         Instr::SparseAxpy { adv: inner, .. } => {
             let run = axpy_run(rs, run, adv, inner);
-            fiber_walk::<_, _, true>(at, nodes, guard, &run, call, a, b, stats)
+            fiber_walk::<_, _, true>(ks, at, nodes, guard, &run, call, a, b, stats)
         }
         Instr::SparseDot { adv: inner, .. } => {
             let run = dot_run(rs, run, adv, inner);
-            fiber_walk::<_, _, true>(at, nodes, guard, &run, call, a, b, stats)
+            fiber_walk::<_, _, true>(ks, at, nodes, guard, &run, call, a, b, stats)
         }
         _ => unreachable!("the verifier proves a fiber's run a fused loop"),
     }
@@ -2270,7 +2647,9 @@ fn call_first<'b, C: TailCall<'b>>(
 
 // The parts of a fused walk, resolved from their instructions: a run's
 // operands move with the fused loop's advance table `inner`, inside a
-// fiber's `outer`; a call's with the fiber's `adv`.
+// fiber's `outer`; a call's with the fiber's `adv`. Where the product
+// commutes (XMUL's `x·z`, DOT's `x·y`, bitwise alike either way round),
+// the operand that reads a fiber's first target goes second.
 
 fn axpy_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> AxpyRun<'b> {
     let Instr::SparseAxpy {
@@ -2278,7 +2657,6 @@ fn axpy_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -
         alpha,
         x,
         y,
-        kern,
         first,
         ..
     } = *i
@@ -2292,8 +2670,23 @@ fn axpy_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -
         xinc: x.inc,
         y: rs.addr(y.cur, outer, inner),
         yinc: y.inc,
-        kern,
         first,
+    }
+}
+
+/// DOT's operands, the one that reads a fiber's first target second.
+fn dot_pair<'b>(
+    rs: &Resolve<'b>,
+    dot: DotCall,
+    outer: AdvRange,
+    inner: AdvRange,
+) -> ((Opnd<'b>, usize), (Opnd<'b>, usize)) {
+    let x = (rs.vec(dot.x, outer, inner), dot.x.inc);
+    let y = (rs.vec(dot.y, outer, inner), dot.y.inc);
+    if x.0.is_first() {
+        (y, x)
+    } else {
+        (x, y)
     }
 }
 
@@ -2305,13 +2698,13 @@ fn dot_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) ->
         unreachable!("a sparse-DOT loop")
     };
     let read = |r: Read| (!reads_term(r, term)).then(|| rs.read(r, outer, inner));
+    let ((x, xinc), (y, yinc)) = dot_pair(rs, dot, outer, inner);
     DotRun {
         n: dot.n,
-        kern: dot.kern,
-        x: rs.vec(dot.x, outer, inner),
-        xinc: dot.x.inc,
-        y: rs.vec(dot.y, outer, inner),
-        yinc: dot.y.inc,
+        x,
+        xinc,
+        y,
+        yinc,
         left: read(leaf.left),
         right: read(leaf.right),
         tgt: rs.cell(leaf.tgt, outer, inner),
@@ -2324,7 +2717,7 @@ fn axpy_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> AxpyCall<'b> {
         alpha,
         x,
         y,
-        kern,
+        assign,
         ..
     } = *i
     else {
@@ -2337,26 +2730,27 @@ fn axpy_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> AxpyCall<'b> {
         xinc: x.inc,
         y: rs.addr(y.cur, NO_ADV, adv),
         yinc: y.inc,
-        kern,
+        assign,
     }
 }
 
 fn xmul_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> XmulCall<'b> {
     let Instr::Xmul {
-        n, x, z, y, kern, ..
+        n, x, z, y, assign, ..
     } = *i
     else {
         unreachable!("an XMUL")
     };
+    let ((x, xinc), (z, zinc)) = dot_pair(rs, DotCall { n, x, y: z }, NO_ADV, adv);
     XmulCall {
         n,
-        x: rs.vec(x, NO_ADV, adv),
-        xinc: x.inc,
-        z: rs.vec(z, NO_ADV, adv),
-        zinc: z.inc,
+        x,
+        xinc,
+        z,
+        zinc,
         y: rs.addr(y.cur, NO_ADV, adv),
         yinc: y.inc,
-        kern,
+        assign,
     }
 }
 
@@ -2367,7 +2761,7 @@ fn ger_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GerCall<'b> {
         x,
         y,
         a,
-        kern,
+        assign,
         ..
     } = *i
     else {
@@ -2383,21 +2777,12 @@ fn ger_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GerCall<'b> {
         a: rs.addr(a.cur, NO_ADV, adv),
         rs: a.rs,
         cs: a.cs,
-        kern,
+        assign,
     }
 }
 
 fn gemv_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GemvCall<'b> {
-    let Instr::Gemv {
-        m,
-        n,
-        a,
-        x,
-        y,
-        kern,
-        ..
-    } = *i
-    else {
+    let Instr::Gemv { m, n, a, x, y, .. } = *i else {
         unreachable!("a GEMV")
     };
     GemvCall {
@@ -2413,7 +2798,6 @@ fn gemv_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> GemvCall<'b> {
         xinc: x.inc,
         y: rs.addr(y.cur, NO_ADV, adv),
         yinc: y.inc,
-        kern,
     }
 }
 
@@ -2421,14 +2805,14 @@ fn dot_cell<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> DotCell<'b> {
     let Instr::Dot { dot, tgt } = *i else {
         unreachable!("a DOT")
     };
+    let ((x, xinc), (y, yinc)) = dot_pair(rs, dot, NO_ADV, adv);
     DotCell {
         n: dot.n,
-        x: rs.vec(dot.x, NO_ADV, adv),
-        xinc: dot.x.inc,
-        y: rs.vec(dot.y, NO_ADV, adv),
-        yinc: dot.y.inc,
+        x,
+        xinc,
+        y,
+        yinc,
         cell: rs.cell(tgt, NO_ADV, adv),
-        kern: dot.kern,
     }
 }
 
@@ -2457,7 +2841,7 @@ mod tests {
             Instr::Axpy { assign: true, .. } => "assigning Axpy",
             Instr::Xmul { assign: true, .. } => "assigning Xmul",
             Instr::Ger { assign: true, .. } => "assigning Ger",
-            Instr::SparseAxpy { first: Some(_), .. } => "SparseAxpy + Zero",
+            Instr::SparseAxpy { first: true, .. } => "SparseAxpy + Zero",
             Instr::SparseAxpy { .. } => "SparseAxpy",
             Instr::SparseDot { .. } => "SparseDot",
             Instr::Fiber { .. } => "Fiber",
@@ -2665,5 +3049,467 @@ mod tests {
                 "{expr}: one program at every tier"
             );
         }
+    }
+
+    impl Run<'_> {
+        /// The per-call reference of the fused walks: instructions
+        /// `pc..end` run as their unfused loops would run them, one call
+        /// of the tape's kernel table per call, addressed through the
+        /// cursors — a fiber's run then its call (or the call first) per
+        /// child, a fused loop's first call assigning where it folded a
+        /// `Zero`, a fused DOT read as `0.0 + d`.
+        fn per_call(&mut self, mut pc: usize, end: usize) {
+            while pc < end {
+                let instr = self.tape.instrs[pc];
+                pc += 1;
+                match instr {
+                    Instr::Zero { term } => self.buffers[term].fill_zero(),
+                    Instr::Dense { dim, adv, end, .. } => {
+                        for x in 0..dim {
+                            self.advance(adv, (x > 0) as isize);
+                            self.per_call(pc, end - 1);
+                        }
+                        self.advance(adv, 1 - dim.max(1) as isize);
+                        pc = end;
+                    }
+                    Instr::Sparse { level, adv, end } => {
+                        let body = pc;
+                        self.each_node(level, adv, |r| r.per_call(body, end - 1));
+                        pc = end;
+                    }
+                    Instr::EndLoop => unreachable!("loops run their bodies"),
+                    Instr::Leaf(ScalarMul { left, right, tgt }) => {
+                        let v = self.read(left) * self.read(right);
+                        self.cell(tgt, v);
+                    }
+                    Instr::Fiber { level, adv } => {
+                        let body = pc;
+                        self.each_node(level, adv, |r| r.per_call(body, body + 2));
+                        pc += 2;
+                    }
+                    Instr::SparseAxpy {
+                        level, adv, first, ..
+                    } => {
+                        let mut assign = first;
+                        self.each_node(level, adv, |r| {
+                            r.table_call(instr, assign);
+                            assign = false;
+                        });
+                    }
+                    Instr::SparseDot {
+                        level,
+                        adv,
+                        term,
+                        dot,
+                        leaf,
+                    } => self.each_node(level, adv, |r| {
+                        let d = 0.0 + r.table_dot(dot);
+                        let read =
+                            |r: &Run, o: Read| if reads_term(o, term) { d } else { r.read(o) };
+                        let v = read(r, leaf.left) * read(r, leaf.right);
+                        r.cell(leaf.tgt, v);
+                    }),
+                    Instr::Axpy { assign, .. }
+                    | Instr::Xmul { assign, .. }
+                    | Instr::Ger { assign, .. } => self.table_call(instr, assign),
+                    _ => self.table_call(instr, false),
+                }
+            }
+        }
+
+        /// Run `body` on every node of a sparse loop at `level`, its
+        /// cursors and tracked node moved as the unfused loop moves them.
+        fn each_node(&mut self, level: usize, adv: AdvRange, mut body: impl FnMut(&mut Self)) {
+            let mut prev = 0;
+            for node in self.level_range(level) {
+                let c = self.csf.node_coord(level, node);
+                self.st.nodes[level] = node;
+                self.advance(adv, c as isize - prev as isize);
+                prev = c;
+                body(self);
+            }
+            self.advance(adv, -(prev as isize));
+        }
+
+        fn src(&self, buf: RBuf, cur: usize) -> &[f64] {
+            let s = match buf {
+                RBuf::Factor(i) => self.factors[i].as_slice(),
+                RBuf::Inter(u) => self.buffers[u].as_slice(),
+            };
+            &s[self.st.cursors[cur]..]
+        }
+
+        fn table_dot(&self, d: DotCall) -> f64 {
+            let kern = self.tape.kernels.dot(d.n, d.x.inc == 1 && d.y.inc == 1).0;
+            kern(
+                d.n,
+                self.src(d.x.buf, d.x.cur),
+                d.x.inc,
+                self.src(d.y.buf, d.y.cur),
+                d.y.inc,
+            )
+        }
+
+        /// One call of the kernel table, the assigning twin when `assign`.
+        fn table_call(&mut self, i: Instr, assign: bool) {
+            let ks = self.tape.kernels;
+            if let Instr::Dot { dot, tgt } = i {
+                let d = self.table_dot(dot);
+                return self.cell(tgt, d);
+            }
+            let (term, _) = target_term(&i, self.tape.n_terms - 1);
+            let alpha = match i {
+                Instr::Axpy { alpha, .. } | Instr::SparseAxpy { alpha, .. } => self.read(alpha),
+                _ => 1.0,
+            };
+            // Calls read factors and earlier terms only: copy them out so
+            // the target can be borrowed mutably beside them.
+            let vec = |r: &Self, v: VecSrc| r.src(v.buf, v.cur).to_vec();
+            let (x, y) = match i {
+                Instr::Axpy { x, .. } | Instr::SparseAxpy { x, .. } => (vec(self, x), vec![]),
+                Instr::Xmul { x, z, .. } => (vec(self, x), vec(self, z)),
+                Instr::Ger { x, y, .. } => (vec(self, x), vec(self, y)),
+                Instr::Gemv { a, x, .. } => (self.src(a.buf, a.cur).to_vec(), vec(self, x)),
+                _ => unreachable!("a call"),
+            };
+            let cursors = &self.st.cursors;
+            let cur = |c: usize| cursors[c];
+            let out = if term + 1 == self.buffers.len() {
+                self.out_dense.as_mut_slice()
+            } else {
+                self.buffers[term].as_mut_slice()
+            };
+            match i {
+                Instr::Axpy { n, x: xs, y: t, .. } | Instr::SparseAxpy { n, x: xs, y: t, .. } => {
+                    let kern = if assign {
+                        ks.zaxpy()
+                    } else {
+                        ks.axpy(n, true, None).0
+                    };
+                    kern(n, alpha, &x, xs.inc, &mut out[cur(t.cur)..], t.inc)
+                }
+                Instr::Xmul {
+                    n, x: xs, z, y: t, ..
+                } => {
+                    let kern = if assign { ks.zxmul() } else { ks.xmul() };
+                    kern(n, 1.0, &x, xs.inc, &y, z.inc, &mut out[cur(t.cur)..], t.inc)
+                }
+                Instr::Ger {
+                    m,
+                    n,
+                    x: xs,
+                    y: ys,
+                    a,
+                    ..
+                } => {
+                    let kern = if assign {
+                        ks.zger()
+                    } else {
+                        ks.ger(n, true, None).0
+                    };
+                    kern(
+                        m,
+                        n,
+                        1.0,
+                        &x,
+                        xs.inc,
+                        &y,
+                        ys.inc,
+                        &mut out[cur(a.cur)..],
+                        a.rs,
+                        a.cs,
+                    )
+                }
+                Instr::Gemv {
+                    m,
+                    n,
+                    a,
+                    x: xs,
+                    y: t,
+                    ..
+                } => {
+                    let at = cur(t.cur);
+                    ks.gemv()(m, n, 1.0, &x, a.rs, a.cs, &y, xs.inc, &mut out[at..], t.inc)
+                }
+                _ => unreachable!("a call"),
+            }
+        }
+    }
+
+    /// One fused walk under test: expression, extents (`R`: the rank
+    /// under test), path picks, loop orders, a factor and its transpose
+    /// for the strided variant, and the walk's fused shape.
+    type Walk = (
+        &'static str,
+        &'static [(&'static str, usize)],
+        &'static [(usize, usize)],
+        &'static [&'static [usize]],
+        (&'static str, &'static str),
+        &'static str,
+    );
+
+    /// The shape of a compiled program's first fused walk.
+    fn walk_shape(tape: &CompiledTape) -> String {
+        let name = |i: &Instr| {
+            format!("{i:?}")
+                .split([' ', '('])
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        let walk = |i: &Instr| fused_shape(i).is_some_and(|s| !s.starts_with("assigning"));
+        let at = tape.instrs.iter().position(walk).expect("a fused walk");
+        match tape.instrs[at] {
+            Instr::Fiber { .. } => {
+                let (a, b) = (&tape.instrs[at + 1], &tape.instrs[at + 2]);
+                format!("Fiber {} {}", name(a), name(b))
+            }
+            ref i => name(i),
+        }
+    }
+
+    /// Every tier's walks — the nine fiber shapes and both lone fused
+    /// loops, at ranks 1, 7, 8, 16, 32 and 33, with contiguous and with
+    /// strided operands — are bitwise the per-call reference
+    /// ([`Run::per_call`]): the same kernel calls of the tier's table in
+    /// the same order. The data hold zero nonzeros (the AXPY skip) and
+    /// products that underflow to −0.0 (the DOT's `0.0 + d` rule, seen
+    /// through an output that starts at −0.0), and each program also
+    /// runs over an empty root range.
+    #[test]
+    fn tier_walks_are_bitwise_the_per_call_kernels() {
+        const R: usize = 0;
+        let walks: [Walk; 12] = [
+            (
+                "A(a,b) = T(k) * B(k,a) * C(a,b)",
+                &[("k", 9), ("a", R), ("b", 3)],
+                &[(0, 1), (0, 1)],
+                &[&[0, 1], &[1, 2]],
+                ("B(k,a)", "B(a,k)"),
+                "SparseAxpy",
+            ),
+            (
+                "A(i,a) = T(i,k) * C(k,a)",
+                &[("i", 5), ("k", 6), ("a", R)],
+                &[(0, 1)],
+                &[&[0, 1, 2]],
+                ("C(k,a)", "C(a,k)"),
+                "SparseAxpy",
+            ),
+            (
+                "S(i,j) = T(i,j) * U(i,r) * V(j,r)",
+                &[("i", 5), ("j", 6), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 2], &[0, 1]],
+                ("V(j,r)", "V(r,j)"),
+                "SparseDot",
+            ),
+            (
+                "A(i,a) = T(i,j,k) * B(j,a) * C(k,a)",
+                &[("i", 4), ("j", 4), ("k", 5), ("a", R)],
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                ("C(k,a)", "C(a,k)"),
+                "Fiber SparseAxpy Xmul",
+            ),
+            (
+                "y(i) = T(i,j,k) * B(j,a) * C(k,a)",
+                &[("i", 4), ("j", 4), ("k", 5), ("a", R)],
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                ("B(j,a)", "B(a,j)"),
+                "Fiber SparseAxpy Dot",
+            ),
+            (
+                "O(i,a) = T(i,j,k) * B(j) * C(k,a)",
+                &[("i", 4), ("j", 4), ("k", 5), ("a", R)],
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 3]],
+                ("C(k,a)", "C(a,k)"),
+                "Fiber SparseAxpy Axpy",
+            ),
+            (
+                "O(i,r) = T(i,j,k) * D(j,m,r) * C(k,m)",
+                &[("i", 4), ("j", 4), ("k", 5), ("m", R), ("r", 3)],
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 3], &[0, 1, 4, 3]],
+                ("C(k,m)", "C(m,k)"),
+                "Fiber SparseAxpy Gemv",
+            ),
+            (
+                "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+                &[("i", 4), ("j", 4), ("k", 5), ("r", 3), ("s", R)],
+                &[(0, 2), (0, 1)],
+                &[&[0, 1, 2, 4], &[0, 1, 4, 3]],
+                ("S(i,r,s)", "S(i,s,r)"),
+                "Fiber SparseAxpy Ger",
+            ),
+            (
+                "S(i,j,k) = T(i,j,k) * U(i,r) * V(j,r) * W(k,r)",
+                &[("i", 4), ("j", 4), ("k", 5), ("r", R)],
+                &[(1, 2), (1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
+                ("W(k,r)", "W(r,k)"),
+                "Fiber Xmul SparseDot",
+            ),
+            (
+                "S(i,j,k) = T(i,j,k) * U(i) * V(j,r) * W(k,r)",
+                &[("i", 4), ("j", 4), ("k", 5), ("r", R)],
+                &[(1, 2), (1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3], &[0, 1, 2]],
+                ("W(k,r)", "W(r,k)"),
+                "Fiber Axpy SparseDot",
+            ),
+            (
+                "O(i,r) = T(i,j,k) * U(i,r) * V(j,r)",
+                &[("i", 4), ("j", 4), ("k", 5), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3]],
+                ("O(i,r)", "O(r,i)"),
+                "Fiber Xmul SparseAxpy",
+            ),
+            (
+                "O(i,r) = T(i,j,k) * U(i) * V(j,r)",
+                &[("i", 4), ("j", 4), ("k", 5), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[0, 1, 3], &[0, 1, 2, 3]],
+                ("V(j,r)", "V(r,j)"),
+                "Fiber Axpy SparseAxpy",
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut runs = 0;
+        for (expr, dims, picks, orders, (plain, transposed), shape) in walks {
+            for strided in [false, true] {
+                let expr = match strided {
+                    true => expr.replacen(plain, transposed, 1),
+                    false => expr.to_string(),
+                };
+                for rank in [1, 7, 8, 16, 32, 33] {
+                    let dims: Vec<(&str, usize)> = (dims.iter())
+                        .map(|&(i, d)| (i, if d == R { rank } else { d }))
+                        .collect();
+                    let kernel = parse_kernel(&expr, &dims).unwrap();
+                    let path = path_from_picks(&kernel, picks);
+                    let orders = orders.iter().map(|o| o.to_vec()).collect();
+                    let forest = build_forest(&kernel, &path, &NestSpec { orders })
+                        .unwrap_or_else(|e| panic!("{expr}: {e:?}"));
+                    let specs = buffers_for_forest(&kernel, &path, &forest);
+                    let sparse_dims = kernel.ref_dims(kernel.sparse_ref());
+                    let nnz = sparse_dims.iter().product::<usize>() / 2;
+                    let coo = random_coo(&sparse_dims, nnz, &mut rng).unwrap();
+                    let modes: Vec<usize> = (0..sparse_dims.len()).collect();
+                    let mut csf = Csf::from_coo(&coo, &modes).unwrap();
+                    // Zero nonzeros, the first leaf's among them: the
+                    // AXPY skip, and a folded zero's first call.
+                    let n = csf.nnz();
+                    csf.vals_mut()[0] = 0.0;
+                    csf.vals_mut()[n / 2] = 0.0;
+                    let last = kernel.inputs.len() - 1;
+                    for tiny in [false, true] {
+                        // Tiny: every factor 1e-100, the last −1e-250, so
+                        // a DOT of products of both underflows to −0.0.
+                        let factors: Vec<DenseTensor> = (kernel.inputs.iter().enumerate())
+                            .map(|(slot, r)| match slot {
+                                s if s == kernel.sparse_input => DenseTensor::zeros(&[]),
+                                s if tiny => {
+                                    let v = if s == last { -1e-250 } else { 1e-100 };
+                                    DenseTensor::from_fn(&kernel.ref_dims(r), |_| v)
+                                }
+                                _ => random_dense(&kernel.ref_dims(r), &mut rng),
+                            })
+                            .collect();
+                        let nest = (&kernel, &path, &forest, &specs[..], &csf, &factors[..]);
+                        for sel in crate::simd::tests::tiers() {
+                            let ks = KernelSet { sel };
+                            let tape = CompiledTape::compile_with_kernels(
+                                &kernel, &path, &forest, &specs, ks,
+                            )
+                            .unwrap();
+                            assert_eq!(walk_shape(&tape), shape, "{expr}");
+                            for root in [csf.root_range(), 0..0] {
+                                let leaves = if root.is_empty() { 0..0 } else { 0..n };
+                                let at = (root.clone(), leaves);
+                                assert_eq!(
+                                    run_once(&tape, nest, at.clone(), false),
+                                    run_once(&tape, nest, at, true),
+                                    "{expr} at rank {rank} on {}, tiny {tiny}, root {root:?}",
+                                    ks.name()
+                                );
+                                runs += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(runs >= 12 * 2 * 6 * 2 * 2, "{runs} runs");
+    }
+
+    /// A nest to run: kernel, path, forest, buffer specs, tensor, factors.
+    type RunNest<'n> = (
+        &'n Kernel,
+        &'n ContractionPath,
+        &'n LoopForest,
+        &'n [BufferSpec],
+        &'n Csf,
+        &'n [DenseTensor],
+    );
+
+    /// Output bits of one run of `tape` over the root range `root`
+    /// (leaves `leaves`), the output starting at −0.0: the tape's own
+    /// walks, or the per-call reference.
+    fn run_once(
+        tape: &CompiledTape,
+        (kernel, path, forest, specs, csf, factors): RunNest<'_>,
+        (root, leaves): (Range<usize>, Range<usize>),
+        per_call: bool,
+    ) -> Vec<u64> {
+        let mut ws = Workspace::from_specs(kernel, path, forest, specs);
+        let mut dense = DenseTensor::from_fn(&kernel.ref_dims(&kernel.output), |_| -0.0);
+        let mut vals = vec![-0.0; leaves.len()];
+        let out = if kernel.output_sparse {
+            OutputMut::Sparse(&mut vals)
+        } else {
+            OutputMut::Dense(&mut dense)
+        };
+        if per_call {
+            ws.prepare_tape(tape);
+            let Workspace {
+                buffers,
+                scratch_dense,
+                stats,
+                tape: st,
+                ..
+            } = &mut ws;
+            let st = st.as_mut().unwrap();
+            st.reset();
+            let (out_dense, out_sparse): (&mut DenseTensor, &mut [f64]) = match out {
+                OutputMut::Dense(d) => (d, &mut []),
+                OutputMut::Sparse(v) => (scratch_dense, v),
+            };
+            let mut run = Run {
+                tape,
+                csf,
+                root,
+                leaf_lo: leaves.start,
+                factors,
+                buffers,
+                out_dense,
+                out_sparse,
+                st,
+                stats,
+                guard: None,
+            };
+            run.per_call(0, tape.instrs.len());
+        } else {
+            let (lo, len) = (leaves.start, leaves.len());
+            run_tape(
+                tape, kernel, csf, root, lo, len, factors, &mut ws, out, None,
+            )
+            .unwrap();
+        }
+        let all = dense.as_slice().iter().chain(&vals);
+        all.map(|v| v.to_bits()).collect()
     }
 }

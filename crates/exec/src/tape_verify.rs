@@ -534,12 +534,12 @@ impl<'t> Checker<'t> {
                     // A folded body's zero domination outlives the loop
                     // (`level > 0`: at least one child runs).
                     self.fused_loop(pc, level, adv, |ck| {
-                        ck.check_axpy(pc, n, term, alpha, x, y, first.is_some())
+                        ck.check_axpy(pc, n, term, alpha, x, y, first)
                     })?;
                     // A folded zero must run on every path its `Zero`
                     // did; a tile's root range can be empty, so at
                     // level 0 it covers nothing on that path.
-                    if first.is_some() && level == 0 {
+                    if first && level == 0 {
                         return Err(TapeInvariantError::ZeroAccumCoverage {
                             pc,
                             term,
@@ -1215,7 +1215,7 @@ mod tests {
     fn folded_loop(tape: &mut CompiledTape) -> &mut Instr {
         tape.instrs
             .iter_mut()
-            .find(|i| matches!(i, Instr::SparseAxpy { first: Some(_), .. }))
+            .find(|i| matches!(i, Instr::SparseAxpy { first: true, .. }))
             .expect("listing 3 folds X0's zero into its fused k loop")
     }
 
@@ -1495,7 +1495,7 @@ mod tests {
             tape.instrs.iter().any(|i| matches!(
                 i,
                 Instr::SparseAxpy {
-                    first: Some(_),
+                    first: true,
                     n: 8,
                     ..
                 }
@@ -1625,11 +1625,10 @@ mod tests {
                     Instr::SparseAxpy {
                         n,
                         term,
-                        kern,
-                        first: first @ None,
+                        first: first @ false,
                         ..
                     } => {
-                        *first = Some(*kern);
+                        *first = true;
                         ("Axpy", *n, *term)
                     }
                     Instr::Xmul {
@@ -1690,15 +1689,12 @@ mod tests {
             .position(|i| matches!(i, Instr::Zero { .. }))
             .expect("the root loop keeps its Zero");
         let Instr::SparseAxpy {
-            level: 0,
-            kern,
-            first,
-            ..
+            level: 0, first, ..
         } = &mut tape.instrs[zero_at + 1]
         else {
             panic!("the Zero sits right before the root-level fused loop");
         };
-        *first = Some(*kern);
+        *first = true;
         tape.instrs.remove(zero_at);
         for ins in &mut tape.instrs {
             match ins {

@@ -9,6 +9,7 @@
 use crate::{DenseTensor, TensorError};
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A sparse tensor in coordinate format.
 ///
@@ -18,7 +19,9 @@ use std::cmp::Ordering;
 pub struct CooTensor {
     dims: Vec<usize>,
     /// Flat coordinates: entry `e` occupies `coords[e*order .. (e+1)*order]`.
-    coords: Vec<usize>,
+    /// Shared by the tensors [`CooTensor::with_vals`] and `clone` make,
+    /// and copied on write.
+    coords: Arc<Vec<usize>>,
     vals: Vec<f64>,
 }
 
@@ -30,7 +33,7 @@ impl CooTensor {
         }
         Ok(CooTensor {
             dims: dims.to_vec(),
-            coords: Vec::new(),
+            coords: Arc::default(),
             vals: Vec::new(),
         })
     }
@@ -52,7 +55,11 @@ impl CooTensor {
     pub(crate) fn from_validated(dims: Vec<usize>, coords: Vec<usize>, vals: Vec<f64>) -> Self {
         debug_assert!(!dims.contains(&0));
         debug_assert_eq!(coords.len(), dims.len() * vals.len());
-        CooTensor { dims, coords, vals }
+        CooTensor {
+            dims,
+            coords: Arc::new(coords),
+            vals,
+        }
     }
 
     /// Append one nonzero entry.
@@ -72,7 +79,7 @@ impl CooTensor {
                 });
             }
         }
-        self.coords.extend_from_slice(coord);
+        Arc::make_mut(&mut self.coords).extend_from_slice(coord);
         self.vals.push(v);
         Ok(())
     }
@@ -110,8 +117,9 @@ impl CooTensor {
 
     /// Flat coordinate storage (`order` entries per nonzero, entry
     /// order). Two tensors share a sparsity pattern exactly when their
-    /// dims and flat coordinates are equal — a cheap memcmp used to
-    /// validate pattern-sharing outputs.
+    /// dims and flat coordinates are equal. Tensors made from one
+    /// another by [`CooTensor::with_vals`] or `clone` share this very
+    /// slice until one of them changes its pattern.
     #[inline]
     pub fn coords(&self) -> &[usize] {
         &self.coords
@@ -211,7 +219,7 @@ impl CooTensor {
                 new_vals.push(self.vals[e]);
             }
         }
-        self.coords = new_coords;
+        self.coords = Arc::new(new_coords);
         self.vals = new_vals;
         Ok(perm)
     }
@@ -274,19 +282,19 @@ impl CooTensor {
     /// cyclic partitioner). Preserves relative order.
     pub fn filter(&self, mut keep: impl FnMut(&[usize]) -> bool) -> CooTensor {
         let d = self.dims.len();
-        let mut out = CooTensor {
-            dims: self.dims.clone(),
-            coords: Vec::new(),
-            vals: Vec::new(),
-        };
+        let (mut coords, mut vals) = (Vec::new(), Vec::new());
         for e in 0..self.nnz() {
             let c = &self.coords[e * d..(e + 1) * d];
             if keep(c) {
-                out.coords.extend_from_slice(c);
-                out.vals.push(self.vals[e]);
+                coords.extend_from_slice(c);
+                vals.push(self.vals[e]);
             }
         }
-        out
+        CooTensor {
+            dims: self.dims.clone(),
+            coords: Arc::new(coords),
+            vals,
+        }
     }
 
     /// The same entries, in the same order, with the modes permuted:
@@ -303,17 +311,18 @@ impl CooTensor {
                 .flat_map(|e| perm.iter().map(move |&m| old.coord(e)[m]))
                 .collect();
             self.dims = perm.iter().map(|&m| self.dims[m]).collect();
-            self.coords = coords;
+            self.coords = Arc::new(coords);
         }
         Ok(self)
     }
 
-    /// Replace all values, keeping the pattern. Length must match `nnz`.
+    /// Replace all values, keeping the pattern — shared, not copied.
+    /// Length must match `nnz`.
     pub fn with_vals(&self, vals: Vec<f64>) -> CooTensor {
         assert_eq!(vals.len(), self.nnz(), "value count must match pattern");
         CooTensor {
             dims: self.dims.clone(),
-            coords: self.coords.clone(),
+            coords: Arc::clone(&self.coords),
             vals,
         }
     }

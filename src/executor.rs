@@ -240,8 +240,8 @@ impl Plan {
     /// of [`Plan::verify_tape`] and every bind, so no bound program runs
     /// unproven. Compiling resolves the plan's microkernel policy
     /// against the host CPU (and the `SPTTN_MICROKERNELS` override); the
-    /// selected kernels ride in the tape as fn pointers, and every tile
-    /// runs the one immutable tape.
+    /// selected tier rides in the tape, and every tile runs the one
+    /// immutable tape.
     fn verified_tape(&self) -> Result<(CompiledTape, TapeReport)> {
         let tape = CompiledTape::compile_with(
             &self.kernel,
@@ -427,7 +427,12 @@ impl Executor {
                 // bound CSF's coordinates in leaf order and the output's
                 // written mode order — same nnz with different
                 // coordinates would silently pair values with the wrong
-                // positions. Cheap memcmp, no allocation.
+                // positions. An output made by `output_template` shares
+                // the template's coordinate slice (copied on write), so
+                // it is recognised in O(1): the template keeps that
+                // allocation alive, so no other live slice can start at
+                // its address. Any other output is compared element by
+                // element. No allocation either way.
                 if let Some(template) = coo_template {
                     if c.dims() != template.dims() {
                         return Err(SpttnError::Shape(format!(
@@ -436,7 +441,9 @@ impl Executor {
                             template.dims()
                         )));
                     }
-                    if c.coords() != template.coords() {
+                    let (theirs, ours) = (c.coords(), template.coords());
+                    let shared = std::ptr::eq(theirs, ours);
+                    if !shared && theirs != ours {
                         return Err(SpttnError::Shape(
                             "sparse output's coordinate pattern differs from the bound CSF; \
                              start from Executor::output_template()"

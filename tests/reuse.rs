@@ -436,3 +436,73 @@ fn execute_into_rejects_foreign_sparse_pattern() {
     let mut out = exec.output_template();
     exec.execute_into(&mut out).unwrap();
 }
+
+/// A sparse output is recognised by its coordinates, whoever made
+/// them: the template's own (shared with `output_template`, so checked
+/// in O(1)) and a separately built copy of equal coordinates both run
+/// and agree bit for bit; a foreign pattern, and a template output whose
+/// pattern `push` changed (which copies the coordinates first), are
+/// refused and left untouched.
+#[test]
+fn sparse_output_is_recognised_by_its_coordinates() {
+    let k = stdkernels::tttp(&[8, 9, 10], 4);
+    let mut rng = StdRng::seed_from_u64(58);
+    let coo = random_coo(&[8, 9, 10], 100, &mut rng).unwrap();
+    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let factors = random_factors(&k, &mut rng);
+    let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let mut exec = Contraction::from_kernel(k)
+        .plan(
+            &Shapes::new().with_pattern(csf.to_coo()),
+            &PlanOptions::default().with_threads(test_threads()),
+        )
+        .unwrap()
+        .bind(csf.clone(), &refs)
+        .unwrap();
+    let sparse = |o: ContractionOutput| match o {
+        ContractionOutput::Sparse(c) => c,
+        ContractionOutput::Dense(_) => panic!("TTTP's output shares the pattern"),
+    };
+    let bits =
+        |c: &spttn::tensor::CooTensor| c.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    let mut out = exec.output_template();
+    exec.execute_into(&mut out).unwrap();
+    let want = sparse(out);
+    assert!(want.vals().iter().any(|&v| v != 0.0));
+
+    // Equal coordinates in an allocation of their own.
+    let copy = spttn::tensor::CooTensor::from_entries(
+        want.dims(),
+        want.iter().map(|(c, _)| (c.to_vec(), SENTINEL)),
+    )
+    .unwrap();
+    assert_eq!(copy.coords(), want.coords());
+    let mut out = ContractionOutput::Sparse(copy);
+    exec.execute_into(&mut out).unwrap();
+    assert_eq!(bits(&sparse(out)), bits(&want));
+
+    // Other coordinates: the last entry moved to a cell not in the pattern.
+    let mut entries: Vec<(Vec<usize>, f64)> =
+        want.iter().map(|(c, _)| (c.to_vec(), SENTINEL)).collect();
+    let free = (0..8 * 9 * 10)
+        .map(|f| vec![f / 90, f / 10 % 9, f % 10])
+        .find(|c| entries.iter().all(|(e, _)| e != c))
+        .unwrap();
+    entries.last_mut().unwrap().0 = free.clone();
+    let foreign = spttn::tensor::CooTensor::from_entries(want.dims(), entries).unwrap();
+    let e = refused_untouched(&mut exec, ContractionOutput::Sparse(foreign));
+    assert!(matches!(e, spttn::SpttnError::Shape(_)), "{e:?}");
+
+    // A template output whose pattern grew.
+    let mut grown = sparse(exec.output_template());
+    grown.vals_mut().fill(SENTINEL);
+    grown.push(&free, SENTINEL).unwrap();
+    let e = refused_untouched(&mut exec, ContractionOutput::Sparse(grown));
+    assert!(matches!(e, spttn::SpttnError::Shape(_)), "{e:?}");
+
+    // The template is unchanged by the copy `push` made.
+    let mut out = exec.output_template();
+    exec.execute_into(&mut out).unwrap();
+    assert_eq!(bits(&sparse(out)), bits(&want));
+}
