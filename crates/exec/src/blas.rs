@@ -5,9 +5,11 @@
 //! pure-Rust equivalents: strided in general, with contiguous fast paths
 //! written so the compiler auto-vectorizes them. The reference
 //! interpreter ([`crate::interp`]) calls them directly; the scalar
-//! kernel tier ([`crate::simd`]) runs their arithmetic — its DOT and
-//! GEMV are these functions — so a scalar-tier tape reproduces the
-//! interpreter bit for bit.
+//! kernel tier ([`crate::simd`]) runs their arithmetic in their order —
+//! its DOT is `Scalar::dot`'s left-to-right fold, its GEMV the shared
+//! `simd::gemv` body over that DOT, its element-parallel kernels the
+//! lane-generic bodies on one unfused `f64` lane — so a scalar-tier tape
+//! reproduces the interpreter bit for bit.
 
 /// `y[i*incy] += alpha * x[i*incx]` for `i in 0..n` (xAXPY).
 #[inline]

@@ -45,11 +45,13 @@
 //! monomorphized over that rank, which the compiler unrolls fully; any
 //! other call runs the generic loop. The rank is picked once per call
 //! of a table kernel, from its own trip count and strides, and once per
-//! walk of the tape — a fused loop by its call site, a fiber by its
-//! buffer's length, whose fixed-rank instance holds that buffer in a
-//! local `[f64; N]` the compiler keeps in registers (`at_rank!`). A
-//! strided walk, a fiber whose parts cannot share a local buffer, and
-//! any other rank run the generic instance of the same body. Nothing
+//! walk of the tape. Every walk runs in one carrier over one kind of
+//! part (one resolved call, fired per node), so one rule picks it: a
+//! lone call or fused loop by its call site, a fiber by its buffer's
+//! length, whose fixed-rank instance holds that buffer in a local
+//! `[f64; N]` the compiler keeps in registers (`at_rank!`). A strided
+//! walk, a fiber whose parts cannot share a local buffer, and any other
+//! rank run the generic instance of the same carrier. Nothing
 //! upstream records the choice: the [`KernelSet`] accessors report it
 //! ([`RankSpec`]) and [`crate::CompiledTape::specialized`] counts the
 //! sites that take an unrolled body.
@@ -187,13 +189,14 @@ struct Table {
     gemv: GemvFn,
 }
 
-/// A bind-time kernel selection: which implementation family to draw
-/// function pointers from.
+/// A bind-time kernel selection: which implementation family — kernel
+/// tier — runs the kernels.
 ///
-/// Program shape — fusion — depends only on the plan; the selection decides which table of kernels its calls point
-/// into, by the [`Microkernels`] option and the host CPU. Copying the
-/// set into the tape makes the selection permanent for that tape's
-/// lifetime.
+/// Program shape — fusion — depends only on the plan; the selection
+/// decides, by the [`Microkernels`] option and the host CPU, which
+/// tier's `#[target_feature]` region the tape's walks are entered in
+/// and which table the accessors below hand out. Copying the set into
+/// the tape makes the selection permanent for that tape's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSet {
     pub(crate) sel: KernelSel,
@@ -1153,7 +1156,7 @@ pub(crate) mod tests {
     /// Resolving `Scalar` picks the scalar table and nothing else: the
     /// body each call takes is the kernel's choice at every tier.
     #[test]
-    fn resolve_scalar_disables_fusion() {
+    fn resolve_scalar_picks_only_the_scalar_table() {
         let ks = KernelSet::resolve(Microkernels::Scalar);
         assert_eq!(ks.selection(), KernelSel::Scalar);
         assert_eq!(ks.width(), 1);

@@ -85,25 +85,38 @@
 //!   zero point is always folded into an assigning call, so the body
 //!   has none.
 //!
-//! Every fused walk resolves its operands once per walk, not per child:
-//! each one's store (the read/write split of the workspace at the
-//! walk's target terms), its offset and its step per coordinate from the
-//! advance table. A child's offset is then `base + coord·step` (plus the
-//! node index for the sparse value and pattern-sharing cells), computed
-//! in place, so no cursor is written per child; a walk leaves the cursors
-//! and tracked nodes as the unfused loops leave them. And every fused
-//! walk runs in one tier-compiled body, its buffer in registers: the
-//! walk — each of the nine run/call shapes of a fiber, a lone
-//! `SparseAxpy` or `SparseDot` — is monomorphized per kernel tier and
-//! per rank (8, 16, 32 or generic) and entered once, inside the tier's
-//! `#[target_feature]` region, so its kernels inline per nonzero and
-//! per fiber child with no call. Where a fiber's first part fills its
-//! buffer whole and the second reads it whole, both contiguous, at a
-//! fixed rank, the buffer is a local `[f64; N]` (the Eq.-5 `X0[a]` of
-//! MTTKRP, 32 doubles) that never touches memory; otherwise — strided
-//! operands, other ranks — the generic instance of the same body runs
-//! through the workspace. Its bits are the per-call sequence's either
-//! way (see [`crate::simd`]'s determinism contract).
+//! A fused loop carries the record of the call it fused: `SparseAxpy`
+//! the `Axpy`'s (its `assign` meaning the first child's call),
+//! `SparseDot` the `Dot`'s and the `Leaf`'s. So the compiler, the
+//! driver and the verifier read one record per call, and the driver
+//! runs one part per call: resolved once per walk, fired per node it
+//! stands on — a lone call once, a fiber's call per child of the
+//! fiber's level, a fused loop's call per child of its parent. A fused
+//! loop is that part fired by one generic per-child loop; the fused DOT
+//! is the one part of its own (the DOT, then the leaf on `0.0 + d`).
+//!
+//! Every walk — a lone call, a lone fused loop, a fiber — resolves its
+//! operands once per walk, not per child: each one's store (the
+//! read/write split of the workspace at the walk's target terms), its
+//! offset and its step per coordinate from the advance table. A child's
+//! offset is then `base + coord·step` (plus the node index for the
+//! sparse value and pattern-sharing cells), computed in place, so no
+//! cursor is written per child; a walk leaves the cursors and tracked
+//! nodes as the unfused loops leave them. And every walk runs in one
+//! carrier, per node a head part then a tail part (a lone walk has only
+//! the tail, which it runs as a fused loop over its nodes), entered once
+//! per walk inside the tier's `#[target_feature]` region: the carrier
+//! is monomorphized per kernel tier, per rank (8, 16, 32 or generic)
+//! and per shape — the nine run/call shapes of a fiber, the two lone
+//! fused loops and the five lone calls, the only pairs the dispatch
+//! names — so its kernels inline per nonzero and per fiber child with
+//! no call. Where a fiber's first part fills its buffer whole and the
+//! second reads it whole, both contiguous, at a fixed rank, the buffer
+//! is a local `[f64; N]` (the Eq.-5 `X0[a]` of MTTKRP, 32 doubles) that
+//! never touches memory; otherwise — strided operands, other ranks —
+//! the generic instance of the same body runs through the workspace.
+//! Its bits are the per-call sequence's either way (see
+//! [`crate::simd`]'s determinism contract).
 
 //! # The tape never searches
 //!
@@ -235,6 +248,21 @@ struct DotCall {
     y: VecSrc,
 }
 
+/// An AXPY call `y[q] += alpha · x[q]` over `n` elements into term
+/// `term`'s store. With `assign`, the call is the assigning twin
+/// `y[q] = alpha · x[q]` standing in for the `Zero { term }` it was
+/// fused with (likewise for `Xmul` and `Ger`) — in a `SparseAxpy`, on
+/// the loop's first child only.
+#[derive(Debug, Clone, Copy)]
+struct AxpyArgs {
+    n: usize,
+    term: usize,
+    alpha: Read,
+    x: VecSrc,
+    y: VecTgt,
+    assign: bool,
+}
+
 /// Slice of the advance table owned by one loop header.
 type AdvRange = (u32, u32);
 
@@ -272,17 +300,8 @@ enum Instr {
     Leaf(ScalarMul),
     /// `tgt += Σ_q x[q]·y[q]` (an innermost dense loop lowered to DOT).
     Dot { dot: DotCall, tgt: Write },
-    /// `y[q] += alpha · x[q]`. With `assign`, the call is the assigning
-    /// twin `y[q] = alpha · x[q]` standing in for the `Zero { term }` it
-    /// was fused with (likewise for `Xmul` and `Ger`).
-    Axpy {
-        n: usize,
-        term: usize,
-        alpha: Read,
-        x: VecSrc,
-        y: VecTgt,
-        assign: bool,
-    },
+    /// `y[q] += alpha · x[q]` (see [`AxpyArgs`]).
+    Axpy(AxpyArgs),
     /// `y[q] += x[q] · z[q]`.
     Xmul {
         n: usize,
@@ -312,18 +331,13 @@ enum Instr {
         y: VecTgt,
     },
     /// Superinstruction: `Sparse` header + `Axpy` body + `EndLoop` —
-    /// `y[q] += alpha · x[q]` once per child of the parent node, with no
-    /// frame. With `first`, the first child's call is the assigning twin
-    /// a folded `Zero { term }` leaves it (`level > 0` only).
+    /// the body's `axpy` once per child of the parent node, with no
+    /// frame. With `assign`, the first child's call is the assigning
+    /// twin a folded `Zero { term }` leaves it (`level > 0` only).
     SparseAxpy {
         level: usize,
         adv: AdvRange,
-        n: usize,
-        term: usize,
-        alpha: Read,
-        x: VecSrc,
-        y: VecTgt,
-        first: bool,
+        axpy: AxpyArgs,
     },
     /// Superinstruction: `Sparse` header + `Zero { term }` + `Dot` into
     /// `term`'s one-element buffer + `Leaf` + `EndLoop` — once per child
@@ -384,8 +398,8 @@ pub struct CompiledTape {
     max_depth: usize,
     forest_stamp: u64,
     bounds: TapeBounds,
-    /// Microkernel selection recorded at compile time (function
-    /// pointers inside the instructions were drawn from this set).
+    /// The kernel tier recorded at compile time: the one every walk of
+    /// the program enters. The instructions hold no kernel.
     kernels: KernelSet,
 }
 
@@ -593,7 +607,7 @@ impl CompiledTape {
             .filter(|i| {
                 matches!(
                     i,
-                    Instr::Axpy { assign: true, .. }
+                    Instr::Axpy(AxpyArgs { assign: true, .. })
                         | Instr::Xmul { assign: true, .. }
                         | Instr::Ger { assign: true, .. }
                         | Instr::SparseAxpy { .. }
@@ -726,13 +740,13 @@ impl<'a> Compiler<'a> {
         };
         let (term, lens) = (*term, &self.buffer_lens);
         let assign = match call {
-            Instr::Axpy {
+            Instr::Axpy(AxpyArgs {
                 n,
                 term: t,
                 y,
                 assign,
                 ..
-            }
+            })
             | Instr::Xmul {
                 n,
                 term: t,
@@ -818,28 +832,17 @@ impl<'a> Compiler<'a> {
         adv: AdvRange,
     ) -> Result<()> {
         let (at, fused) = match self.instrs[header + 1..] {
-            [Instr::Axpy {
-                n,
-                term,
-                alpha,
-                x,
-                y,
-                ..
-            }] => {
+            [Instr::Axpy(axpy)] => {
+                let AxpyArgs { n, term, y, .. } = axpy;
                 let fold = level > 0
                     && header > 0
                     && matches!(self.instrs[header - 1], Instr::Zero { term: z } if z == term)
                     && covers(term, y.inc, n, &self.buffer_lens);
-                let fused = Instr::SparseAxpy {
-                    level,
-                    adv,
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    first: fold,
+                let axpy = AxpyArgs {
+                    assign: fold,
+                    ..axpy
                 };
+                let fused = Instr::SparseAxpy { level, adv, axpy };
                 (if fold { header - 1 } else { header }, fused)
             }
             [Instr::Zero { term }, Instr::Dot { dot, .. }, Instr::Leaf(leaf)] => {
@@ -878,7 +881,7 @@ impl<'a> Compiler<'a> {
         let call = |i: &Instr| {
             matches!(
                 i,
-                Instr::Axpy { .. }
+                Instr::Axpy(_)
                     | Instr::Xmul { .. }
                     | Instr::Ger { .. }
                     | Instr::Gemv { .. }
@@ -1061,14 +1064,14 @@ impl<'a> Compiler<'a> {
                 let y = self.vec_tgt(t, q1)?;
                 let x = self.vec_src(term.operand(vec), q1)?;
                 let alpha = self.scalar_src(term.operand(vec.other()))?;
-                Instr::Axpy {
+                Instr::Axpy(AxpyArgs {
                     n,
                     term: t,
                     alpha,
                     x,
                     y,
                     assign: false,
-                }
+                })
             }
             (LeafOp::Xmul, _) => {
                 let y = self.vec_tgt(t, q1)?;
@@ -1127,9 +1130,7 @@ impl<'a> Compiler<'a> {
 /// every tier (see [`crate::simd`]).
 fn call_site(i: &Instr) -> Option<(usize, bool)> {
     Some(match *i {
-        Instr::Axpy { n, x, y, .. } | Instr::SparseAxpy { n, x, y, .. } => {
-            (n, x.inc == 1 && y.inc == 1)
-        }
+        Instr::Axpy(c) | Instr::SparseAxpy { axpy: c, .. } => (c.n, c.x.inc == 1 && c.y.inc == 1),
         Instr::Xmul { n, x, z, y, .. } => (n, x.inc == 1 && z.inc == 1 && y.inc == 1),
         Instr::Ger { n, y, a, .. } => (n, a.cs == 1 && y.inc == 1),
         Instr::Gemv { n, a, x, .. } => (n, a.cs == 1 && x.inc == 1),
@@ -1422,36 +1423,41 @@ impl<'a> Run<'a> {
                     self.cell(tgt, v);
                     pc += 1;
                 }
-                call @ (Instr::Dot { .. }
-                | Instr::Axpy { .. }
-                | Instr::Xmul { .. }
-                | Instr::Ger { .. }
-                | Instr::Gemv { .. }) => {
-                    self.call(call);
-                    pc += 1;
-                }
-                instr @ (Instr::SparseAxpy { level, adv, .. }
-                | Instr::SparseDot { level, adv, .. }) => {
-                    self.fused(instr, level, adv)?;
-                    pc += 1;
-                }
-                Instr::Fiber { level, adv } => {
-                    self.fiber(pc, level, adv)?;
-                    pc += 3;
-                }
+                // A call, a fused loop or a fiber: one walk.
+                _ => pc += self.walk(pc)?,
             }
         }
         debug_assert_eq!(self.st.fp, 0, "all loops exited");
         Ok(())
     }
 
-    /// The view of the run a fused walk or a call works in: its
-    /// operands' resolver over the stores split at its target terms `ta`
-    /// and `tb` (see [`split_walk`]), both targets' stores, the tensor
-    /// and the stats it books.
-    fn view(&mut self, ta: usize, tb: usize, sparse: bool) -> View<'_> {
+    /// Run the walk at `pc` — a lone call, a lone fused loop, or a fiber
+    /// over its two parts — in the tape's kernel tier, entered once, with
+    /// every operand resolved once for the whole walk (see [`Walker`]);
+    /// returns the instructions it spans.
+    fn walk(&mut self, pc: usize) -> Result<usize> {
+        let (tape, last) = (self.tape, self.tape.n_terms - 1);
+        let (level, adv, head, tail) = match tape.instrs[pc] {
+            Instr::Fiber { level, adv } => {
+                let (head, tail) = (tape.instrs[pc + 1], tape.instrs[pc + 2]);
+                (Some(level), adv, Some(head), tail)
+            }
+            i @ (Instr::SparseAxpy { level, adv, .. } | Instr::SparseDot { level, adv, .. }) => {
+                (Some(level), adv, None, i)
+            }
+            call => (None, NO_ADV, None, call),
+        };
+        let (tb, sparse) = target_term(&tail, last);
+        let ta = head.map_or(tb, |h| target_term(&h, last).0);
+        let nodes = level.map_or(0..1, |l| self.level_range(l));
+        // A walk over the tile roots keeps the root frame's cancellation
+        // checkpoint, once per root child.
+        let guard = self.guard.filter(|_| level.is_some() && self.st.fp == 0);
+        // A lone call's one node stands for the tracked leaf. A lone walk
+        // runs at its call site's rank, a fiber at its buffer's.
+        let node = level.map_or_else(|| self.leaf_node(), |_| 0);
+        let rank = head.map_or_else(|| site_rank(&tail), |_| 0);
         let Run {
-            tape,
             csf,
             leaf_lo,
             factors,
@@ -1463,128 +1469,42 @@ impl<'a> Run<'a> {
             ..
         } = self;
         let (low, rest, a, b) = split_walk(buffers, out_dense, out_sparse, ta, tb, sparse);
-        let rs = Resolve {
-            adv: &tape.adv,
-            cursors: &st.cursors,
-            factors,
-            vals: csf.vals(),
-            low,
-            first: ta,
-            rest,
-            leaf_lo: *leaf_lo,
+        let below = match (level, head) {
+            (Some(l), Some(_)) => (&csf.level(l + 1).idx[..], &csf.level(l).ptr[..]),
+            _ => (&[][..], &[][..]),
         };
-        View {
-            rs,
+        let walker = Walker {
+            rs: Resolve {
+                adv: &tape.adv,
+                cursors: &st.cursors,
+                factors,
+                vals: csf.vals(),
+                low,
+                first: ta,
+                rest,
+                leaf_lo: *leaf_lo,
+                node,
+            },
+            adv,
+            below,
+            ks: tape.kernels,
+            coords: level.map_or(&[0][..], |l| &csf.level(l).idx[..]),
+            nodes: nodes.clone(),
+            guard,
             a,
             b,
-            csf,
             stats,
-        }
-    }
-
-    /// Run one microkernel call at the cursors' offsets (and the tracked
-    /// leaf, for the sparse value and pattern-sharing cells), in the
-    /// tape's kernel tier at the rank of its site.
-    fn call(&mut self, i: Instr) {
-        let (term, sparse) = target_term(&i, self.tape.n_terms - 1);
-        let (leaf, ks, rank) = (self.leaf_node(), self.tape.kernels, site_rank(&i));
-        let View { rs, b, stats, .. } = self.view(term, term, sparse);
-        let at = (ks, leaf, rank);
-        match i {
-            Instr::Axpy { .. } => lone_call(at, &axpy_call(&rs, &i, NO_ADV), b, stats),
-            Instr::Xmul { .. } => lone_call(at, &xmul_call(&rs, &i, NO_ADV), b, stats),
-            Instr::Ger { .. } => lone_call(at, &ger_call(&rs, &i, NO_ADV), b, stats),
-            Instr::Gemv { .. } => lone_call(at, &gemv_call(&rs, &i, NO_ADV), b, stats),
-            _ => lone_call(at, &dot_cell(&rs, &i, NO_ADV), b, stats),
-        }
-    }
-
-    /// Run a lone fused loop (`SparseAxpy`, `SparseDot`) at `level`: its
-    /// operands are resolved once, then the walk runs in the tape's
-    /// kernel tier at the rank of its call site.
-    fn fused(&mut self, instr: Instr, level: usize, adv: AdvRange) -> Result<()> {
-        let (tb, sparse) = target_term(&instr, self.tape.n_terms - 1);
-        let range = self.level_range(level);
-        let guard = self.guard.filter(|_| self.st.fp == 0);
-        let (ks, rank) = (self.tape.kernels, site_rank(&instr));
-        let View {
-            rs, b, csf, stats, ..
-        } = self.view(tb, tb, sparse);
-        let walk = (ks, &csf.level(level).idx[..], range.clone(), guard, rank);
-        match instr {
-            Instr::SparseAxpy { .. } => {
-                lone_walk(walk, &axpy_run(&rs, &instr, NO_ADV, adv), b, stats)?;
-            }
-            _ => lone_walk(walk, &dot_run(&rs, &instr, NO_ADV, adv), b, stats)?,
-        }
-        // Where the unfused loop leaves its node.
-        if let Some(last) = range.last() {
-            self.st.nodes[level] = last;
-        }
-        Ok(())
-    }
-
-    /// Run the fiber whose header is at `pc`: per child at `level`, the
-    /// run over the child's children and the call, in program order,
-    /// with every operand resolved once for the whole walk.
-    fn fiber(&mut self, pc: usize, level: usize, adv: AdvRange) -> Result<()> {
-        let (a, b) = (self.tape.instrs[pc + 1], self.tape.instrs[pc + 2]);
-        let last = self.tape.n_terms - 1;
-        let ((ta, _), (tb, sparse)) = (target_term(&a, last), target_term(&b, last));
-        let range = self.level_range(level);
-        let guard = self.guard.filter(|_| self.st.fp == 0);
-        let ks = self.tape.kernels;
-        let View {
-            rs,
-            a: at,
-            b: bt,
-            csf,
-            stats,
-        } = self.view(ta, tb, sparse);
-        let (l, g, nodes) = ((csf, level), guard, range.clone());
-        match (a, b) {
-            (Instr::SparseAxpy { adv: inner, .. }, call) => {
-                let run = axpy_run(&rs, &a, adv, inner);
-                match call {
-                    Instr::Axpy { .. } => {
-                        let call = axpy_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
-                    }
-                    Instr::Xmul { .. } => {
-                        let call = xmul_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
-                    }
-                    Instr::Ger { .. } => {
-                        let call = ger_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
-                    }
-                    Instr::Gemv { .. } => {
-                        let call = gemv_call(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
-                    }
-                    _ => {
-                        let call = dot_cell(&rs, &call, adv);
-                        fiber_walk::<_, _, false>(ks, l, nodes, g, &run, &call, at, bt, stats)
-                    }
-                }
-            }
-            (Instr::Axpy { .. }, run) => {
-                let call = axpy_call(&rs, &a, adv);
-                call_first(ks, &rs, l, nodes, g, &run, adv, &call, at, bt, stats)
-            }
-            (_, run) => {
-                let call = xmul_call(&rs, &a, adv);
-                call_first(ks, &rs, l, nodes, g, &run, adv, &call, at, bt, stats)
-            }
-        }?;
+            rank,
+        };
+        walker.go(head, tail)?;
         // Where the unfused loops leave their nodes.
-        if let Some(x) = range.last() {
+        if let (Some(level), Some(x)) = (level, nodes.last()) {
             self.st.nodes[level] = x;
-            if let Some(k) = self.csf.children(level, x).last() {
+            if let Some(k) = head.and_then(|_| self.csf.children(level, x).last()) {
                 self.st.nodes[level + 1] = k;
             }
         }
-        Ok(())
+        Ok(if head.is_some() { 3 } else { 1 })
     }
 
     #[inline]
@@ -1658,10 +1578,10 @@ impl<'a> Run<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Fused walks
+// Walks
 // ---------------------------------------------------------------------
 
-/// An operand offset resolved once per fused walk. Inside a fiber the
+/// An operand offset resolved once per walk. Inside a fiber the
 /// run's operands first move to the fiber's child at coordinate `co`
 /// ([`Addr::shift`]); a walk then reaches its child node `x` at
 /// coordinate `c` at `base + c·step + x·nstep`. `nstep` is 1 for the
@@ -1802,9 +1722,10 @@ impl<'b> Opnd<'b> {
     }
 }
 
-/// Resolves a fused walk's operands once: each one's store, from the
+/// Resolves a walk's operands once: each one's store, from the
 /// workspace split around the walk's targets, and its offset and steps,
 /// from the cursors and the advance table.
+#[derive(Clone, Copy)]
 struct Resolve<'b> {
     adv: &'b [AdvEntry],
     cursors: &'b [usize],
@@ -1817,6 +1738,10 @@ struct Resolve<'b> {
     /// Buffers after it, up to the second target's term.
     rest: &'b [DenseTensor],
     leaf_lo: usize,
+    /// The node a walk's node 0 stands for at the leaf level: the
+    /// tracked leaf for a lone call, whose one node is 0; 0 for a walk
+    /// over CSF nodes.
+    node: usize,
 }
 
 impl<'b> Resolve<'b> {
@@ -1855,7 +1780,10 @@ impl<'b> Resolve<'b> {
             },
             Read::SparseVal => Opnd {
                 src: Src::Slice(self.vals),
-                at: Addr::LEAF,
+                at: Addr {
+                    base: self.node,
+                    ..Addr::LEAF
+                },
             },
         }
     }
@@ -1872,7 +1800,7 @@ impl<'b> Resolve<'b> {
             Write::Cell { cur, .. } => self.addr(cur, outer, inner),
             // `out_sparse[leaf − leaf_lo]`.
             Write::SparseCell => Addr {
-                base: self.leaf_lo.wrapping_neg(),
+                base: self.node.wrapping_sub(self.leaf_lo),
                 ..Addr::LEAF
             },
         }
@@ -1882,11 +1810,10 @@ impl<'b> Resolve<'b> {
 /// An empty advance range: a loop that moves nothing.
 const NO_ADV: AdvRange = (0, 0);
 
-/// How a part of a fused walk reaches the buffer a fiber's first part
-/// writes and its second part reads — the `BUF` parameter of
-/// [`RunBody::walk`] and [`TailCall::fire`]. `MEM`: through the
-/// workspace, every operand at its resolved address (a lone call or
-/// fused loop, or a fiber whose buffer stays in memory).
+/// How a part of a walk reaches the buffer a fiber's first part writes
+/// and its second part reads — the `BUF` parameter of [`Part::fire`].
+/// `MEM`: through the workspace, every operand at its resolved address
+/// (a lone call or fused loop, or a fiber whose buffer stays in memory).
 const MEM: u8 = 0;
 /// The part writes the fiber's buffer, a local `[f64; N]` passed whole
 /// as its target.
@@ -1919,29 +1846,39 @@ fn guarded<'g>(
     })
 }
 
-/// The body of a fused sparse loop, resolved for one walk: what one
-/// child runs, into the store `tgt`. Its kernel bodies are the tier's
-/// `L` at rank `N` (see [`crate::simd`]'s kernel bodies).
-trait RunBody {
-    /// Walk `nodes` (coordinates `coords`) inside a fiber child at
-    /// coordinate `co`, or at `co = 0` on its own.
-    #[allow(clippy::too_many_arguments)]
-    fn walk<L: Lanes, const N: usize, const BUF: u8>(
+/// One call of a walk, resolved for the walk: fired per node the walk
+/// stands on — a lone call once, a fiber's call per child of the fiber's
+/// level, a fused loop's call per child of its parent ([`each`]). Its
+/// kernel bodies are the tier's `L` at rank `N` (see [`crate::simd`]'s
+/// kernel bodies).
+trait Part {
+    /// Whether the part is [`Nop`], the missing head of a lone walk.
+    const ABSENT: bool = false;
+
+    /// The call at node `x`, coordinate `c`, into the store `tgt`: its
+    /// assigning twin when `assign`.
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
         l: L,
-        coords: &[usize],
-        nodes: Range<usize>,
-        co: usize,
+        c: usize,
+        x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        assign: bool,
     );
 
-    /// Book `calls` calls.
-    fn count(&self, stats: &mut ExecStats, calls: u64);
+    /// Whether the call is the assigning twin of a folded `Zero` — in a
+    /// fused loop, on its first child only.
+    fn assigns(&self) -> bool {
+        false
+    }
+
+    /// Book the calls of a walk over `nodes`.
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>);
 
     /// As a fiber's first part: the length of the buffer it fills whole
-    /// — at unit stride from offset 0, its first write assigning, every
-    /// operand contiguous — if it does.
+    /// — at unit stride from offset 0, assigning, every operand
+    /// contiguous — if it does.
     fn fills(&self) -> Option<usize> {
         None
     }
@@ -1952,10 +1889,72 @@ trait RunBody {
     fn drains(&self, n: usize) -> bool;
 }
 
-/// A microkernel call resolved for a walk: a fiber's, once per child
-/// of the fiber's level, or a lone call's, once.
-trait TailCall {
-    /// The call at the child node `x`, coordinate `c`.
+/// A part a fused loop fires per child: it moves with a fiber's node.
+trait Fused: Part {
+    /// The part with every operand moved to a fiber's child at
+    /// coordinate `co` ([`Addr::shift`]).
+    fn shift(&self, co: usize) -> Self;
+}
+
+/// A fused loop's walk: `p` fired per node of `nodes` (coordinates
+/// `coords`), the first assigning where a `Zero` folded into the call
+/// and `peel` says `nodes` starts the loop.
+#[inline(always)]
+fn each<P: Part, L: Lanes, const N: usize, const BUF: u8>(
+    p: &P,
+    l: L,
+    coords: &[usize],
+    mut nodes: Range<usize>,
+    first: &[f64],
+    tgt: &mut [f64],
+    peel: bool,
+) {
+    if peel && p.assigns() {
+        if let Some(x) = nodes.next() {
+            p.fire::<L, N, BUF>(l, coords[x], x, first, tgt, true);
+        }
+    }
+    for x in nodes {
+        p.fire::<L, N, BUF>(l, coords[x], x, first, tgt, false);
+    }
+}
+
+/// The head of a lone call or fused loop: none.
+struct Nop;
+
+impl Part for Nop {
+    const ABSENT: bool = true;
+
+    #[inline(always)]
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
+        &self,
+        _: L,
+        _: usize,
+        _: usize,
+        _: &[f64],
+        _: &mut [f64],
+        _: bool,
+    ) {
+    }
+
+    fn count(&self, _: &mut ExecStats, _: Range<usize>) {}
+
+    fn drains(&self, _: usize) -> bool {
+        false
+    }
+}
+
+/// A fiber's fused loop: its part fired per child of the fiber's node
+/// `x` (children `ptr[x]..ptr[x + 1]`, coordinates `coords`), moved to
+/// `x`'s coordinate first.
+struct Each<'w, P> {
+    part: P,
+    coords: &'w [usize],
+    ptr: &'w [usize],
+}
+
+impl<P: Fused> Part for Each<'_, P> {
+    #[inline(always)]
     fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
         l: L,
@@ -1963,84 +1962,72 @@ trait TailCall {
         x: usize,
         first: &[f64],
         tgt: &mut [f64],
-    );
-
-    /// Book `calls` calls.
-    fn count(&self, stats: &mut ExecStats, calls: u64);
-
-    /// See [`RunBody::fills`].
-    fn fills(&self) -> Option<usize> {
-        None
+        _: bool,
+    ) {
+        let (part, kids) = (self.part.shift(c), self.ptr[x]..self.ptr[x + 1]);
+        each::<P, L, N, BUF>(&part, l, self.coords, kids, first, tgt, true);
     }
 
-    /// See [`RunBody::drains`].
-    fn drains(&self, n: usize) -> bool;
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        (self.part).count(stats, self.ptr[nodes.start]..self.ptr[nodes.end]);
+    }
+
+    fn fills(&self) -> Option<usize> {
+        self.part.fills()
+    }
+
+    fn drains(&self, n: usize) -> bool {
+        self.part.drains(n)
+    }
 }
 
-/// A sparse-AXPY body: `y += alpha · x` per child, the first child's
-/// call assigning when `first`.
-struct AxpyRun<'b> {
+/// An AXPY `y += alpha · x`: a call, or a sparse-AXPY loop's per child.
+#[derive(Clone, Copy)]
+struct AxpyCall<'b> {
     n: usize,
     alpha: Opnd<'b>,
     x: Opnd<'b>,
     xinc: usize,
     y: Addr,
     yinc: usize,
-    first: bool,
+    assign: bool,
 }
 
-impl AxpyRun<'_> {
-    /// One child's call; `(alpha, x, y)` are the run's operands moved to
-    /// its fiber child.
+impl Part for AxpyCall<'_> {
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn call<L: Lanes, const N: usize, const BUF: u8, const ASSIGN: bool>(
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
         l: L,
-        (alpha, x, y): (Opnd<'_>, Opnd<'_>, Addr),
         c: usize,
-        node: usize,
+        x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        assign: bool,
     ) {
-        let a = alpha.get::<BUF>(c, node, first);
-        let xs = x.drain::<BUF>(c, node, first);
-        let ys = y.sink::<BUF>(c, node, tgt);
-        axpy::<L, N, ASSIGN>(l, self.n, a, xs, self.xinc, ys, self.yinc);
-    }
-}
-
-impl RunBody for AxpyRun<'_> {
-    #[inline(always)]
-    fn walk<L: Lanes, const N: usize, const BUF: u8>(
-        &self,
-        l: L,
-        coords: &[usize],
-        mut nodes: Range<usize>,
-        co: usize,
-        first: &[f64],
-        tgt: &mut [f64],
-    ) {
-        let ops = (self.alpha.shift(co), self.x.shift(co), self.y.shift(co));
-        if self.first {
-            if let Some(node) = nodes.next() {
-                let c = coords[node];
-                self.call::<L, N, BUF, true>(l, ops, c, node, first, tgt);
-            }
-        }
-        for node in nodes {
-            let c = coords[node];
-            self.call::<L, N, BUF, false>(l, ops, c, node, first, tgt);
+        let a = self.alpha.get::<BUF>(c, x, first);
+        let xs = self.x.drain::<BUF>(c, x, first);
+        let (ys, (n, xinc, yinc)) = (
+            self.y.sink::<BUF>(c, x, tgt),
+            (self.n, self.xinc, self.yinc),
+        );
+        if assign {
+            axpy::<L, N, true>(l, n, a, xs, xinc, ys, yinc);
+        } else {
+            axpy::<L, N, false>(l, n, a, xs, xinc, ys, yinc);
         }
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.axpy += calls;
-        stats.axpy_elems += calls * self.n as u64;
+    fn assigns(&self) -> bool {
+        self.assign
+    }
+
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.axpy += nodes.len() as u64;
+        stats.axpy_elems += (nodes.len() * self.n) as u64;
     }
 
     fn fills(&self) -> Option<usize> {
-        let whole = self.first && self.y == Addr::ORIGIN && self.yinc == 1;
+        let whole = self.assign && self.y == Addr::ORIGIN && self.yinc == 1;
         (whole && self.xinc == 1).then_some(self.n)
     }
 
@@ -2049,10 +2036,23 @@ impl RunBody for AxpyRun<'_> {
     }
 }
 
-/// A sparse-DOT body: `d = x·y`, then the leaf with the folded term's
-/// reads (`None`) taken as `0.0 + d`. `y` is the operand that reads a
-/// fiber's buffer, if either does.
-struct DotRun<'b> {
+impl Fused for AxpyCall<'_> {
+    #[inline(always)]
+    fn shift(&self, co: usize) -> Self {
+        AxpyCall {
+            alpha: self.alpha.shift(co),
+            x: self.x.shift(co),
+            y: self.y.shift(co),
+            ..*self
+        }
+    }
+}
+
+/// A sparse-DOT loop's per child: `d = x·y`, then the leaf with the
+/// folded term's reads (`None`) taken as `0.0 + d`. `y` is the operand
+/// that reads a fiber's buffer, if either does.
+#[derive(Clone, Copy)]
+struct DotLeaf<'b> {
     n: usize,
     x: Opnd<'b>,
     xinc: usize,
@@ -2063,37 +2063,32 @@ struct DotRun<'b> {
     tgt: Addr,
 }
 
-impl RunBody for DotRun<'_> {
+impl Part for DotLeaf<'_> {
     #[inline(always)]
-    fn walk<L: Lanes, const N: usize, const BUF: u8>(
+    fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
         l: L,
-        coords: &[usize],
-        nodes: Range<usize>,
-        co: usize,
+        c: usize,
+        node: usize,
         first: &[f64],
         tgt: &mut [f64],
+        _: bool,
     ) {
-        let (x, y, cell) = (self.x.shift(co), self.y.shift(co), self.tgt.shift(co));
-        let (left, right) = (
-            self.left.map(|o| o.shift(co)),
-            self.right.map(|o| o.shift(co)),
+        let (xs, ys) = (
+            self.x.at::<BUF>(c, node, first),
+            self.y.drain::<BUF>(c, node, first),
         );
-        for node in nodes {
-            let c = coords[node];
-            let (xs, ys) = (x.at::<BUF>(c, node, first), y.drain::<BUF>(c, node, first));
-            // What `Zero; Dot` left in the cell: +0.0 for a -0.0
-            // product, as the unfused add gives.
-            let d = 0.0 + dot::<L, N>(l, self.n, xs, self.xinc, ys, self.yinc);
-            let lv = left.map_or(d, |o| o.get::<BUF>(c, node, first));
-            let rv = right.map_or(d, |o| o.get::<BUF>(c, node, first));
-            tgt[cell.at(c, node)] += lv * rv;
-        }
+        // What `Zero; Dot` left in the cell: +0.0 for a -0.0 product, as
+        // the unfused add gives.
+        let d = 0.0 + dot::<L, N>(l, self.n, xs, self.xinc, ys, self.yinc);
+        let lv = self.left.map_or(d, |o| o.get::<BUF>(c, node, first));
+        let rv = self.right.map_or(d, |o| o.get::<BUF>(c, node, first));
+        tgt[self.tgt.at(c, node)] += lv * rv;
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.dot += calls;
-        stats.dot_elems += calls * self.n as u64;
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.dot += nodes.len() as u64;
+        stats.dot_elems += (nodes.len() * self.n) as u64;
     }
 
     fn drains(&self, n: usize) -> bool {
@@ -2107,52 +2102,17 @@ impl RunBody for DotRun<'_> {
     }
 }
 
-/// An AXPY call.
-struct AxpyCall<'b> {
-    n: usize,
-    alpha: Opnd<'b>,
-    x: Opnd<'b>,
-    xinc: usize,
-    y: Addr,
-    yinc: usize,
-    assign: bool,
-}
-
-impl TailCall for AxpyCall<'_> {
+impl Fused for DotLeaf<'_> {
     #[inline(always)]
-    fn fire<L: Lanes, const N: usize, const BUF: u8>(
-        &self,
-        l: L,
-        c: usize,
-        x: usize,
-        first: &[f64],
-        tgt: &mut [f64],
-    ) {
-        let a = self.alpha.get::<BUF>(c, x, first);
-        let xs = self.x.drain::<BUF>(c, x, first);
-        let (ys, (n, xinc, yinc)) = (
-            self.y.sink::<BUF>(c, x, tgt),
-            (self.n, self.xinc, self.yinc),
-        );
-        if self.assign {
-            axpy::<L, N, true>(l, n, a, xs, xinc, ys, yinc);
-        } else {
-            axpy::<L, N, false>(l, n, a, xs, xinc, ys, yinc);
+    fn shift(&self, co: usize) -> Self {
+        DotLeaf {
+            x: self.x.shift(co),
+            y: self.y.shift(co),
+            left: self.left.map(|o| o.shift(co)),
+            right: self.right.map(|o| o.shift(co)),
+            tgt: self.tgt.shift(co),
+            ..*self
         }
-    }
-
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.axpy += calls;
-        stats.axpy_elems += calls * self.n as u64;
-    }
-
-    fn fills(&self) -> Option<usize> {
-        let whole = self.assign && self.y == Addr::ORIGIN && self.yinc == 1;
-        (whole && self.xinc == 1).then_some(self.n)
-    }
-
-    fn drains(&self, n: usize) -> bool {
-        self.n == n && self.x.reads_buf(self.xinc) && !self.alpha.is_first() && self.yinc == 1
     }
 }
 
@@ -2169,7 +2129,7 @@ struct XmulCall<'b> {
     assign: bool,
 }
 
-impl TailCall for XmulCall<'_> {
+impl Part for XmulCall<'_> {
     #[inline(always)]
     fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
@@ -2178,6 +2138,7 @@ impl TailCall for XmulCall<'_> {
         x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        assign: bool,
     ) {
         let (xs, zs) = (
             self.x.at::<BUF>(c, x, first),
@@ -2185,16 +2146,20 @@ impl TailCall for XmulCall<'_> {
         );
         let ys = self.y.sink::<BUF>(c, x, tgt);
         let (n, xinc, zinc, yinc) = (self.n, self.xinc, self.zinc, self.yinc);
-        if self.assign {
+        if assign {
             xmul::<L, N, true>(l, n, 1.0, xs, xinc, zs, zinc, ys, yinc);
         } else {
             xmul::<L, N, false>(l, n, 1.0, xs, xinc, zs, zinc, ys, yinc);
         }
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.xmul += calls;
-        stats.xmul_elems += calls * self.n as u64;
+    fn assigns(&self) -> bool {
+        self.assign
+    }
+
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.xmul += nodes.len() as u64;
+        stats.xmul_elems += (nodes.len() * self.n) as u64;
     }
 
     fn fills(&self) -> Option<usize> {
@@ -2222,7 +2187,7 @@ struct GerCall<'b> {
     assign: bool,
 }
 
-impl TailCall for GerCall<'_> {
+impl Part for GerCall<'_> {
     #[inline(always)]
     fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
@@ -2231,6 +2196,7 @@ impl TailCall for GerCall<'_> {
         x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        assign: bool,
     ) {
         let (xs, ys) = (
             self.x.at::<BUF>(c, x, first),
@@ -2238,16 +2204,20 @@ impl TailCall for GerCall<'_> {
         );
         let a = self.a.sink::<BUF>(c, x, tgt);
         let (m, n, xinc, yinc, rs, cs) = (self.m, self.n, self.xinc, self.yinc, self.rs, self.cs);
-        if self.assign {
+        if assign {
             ger::<L, N, true>(l, m, n, 1.0, xs, xinc, ys, yinc, a, rs, cs);
         } else {
             ger::<L, N, false>(l, m, n, 1.0, xs, xinc, ys, yinc, a, rs, cs);
         }
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.ger += calls;
-        stats.ger_elems += calls * (self.m * self.n) as u64;
+    fn assigns(&self) -> bool {
+        self.assign
+    }
+
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.ger += nodes.len() as u64;
+        stats.ger_elems += (nodes.len() * self.m * self.n) as u64;
     }
 
     fn drains(&self, n: usize) -> bool {
@@ -2268,7 +2238,7 @@ struct GemvCall<'b> {
     yinc: usize,
 }
 
-impl TailCall for GemvCall<'_> {
+impl Part for GemvCall<'_> {
     #[inline(always)]
     fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
@@ -2277,6 +2247,7 @@ impl TailCall for GemvCall<'_> {
         x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        _: bool,
     ) {
         let (a, xs) = (
             self.a.at::<BUF>(c, x, first),
@@ -2287,9 +2258,9 @@ impl TailCall for GemvCall<'_> {
         gemv::<L, N>(l, m, n, 1.0, a, rs, cs, xs, self.xinc, y, self.yinc);
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.gemv += calls;
-        stats.gemv_elems += calls * (self.m * self.n) as u64;
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.gemv += nodes.len() as u64;
+        stats.gemv_elems += (nodes.len() * self.m * self.n) as u64;
     }
 
     fn drains(&self, n: usize) -> bool {
@@ -2308,7 +2279,7 @@ struct DotCell<'b> {
     cell: Addr,
 }
 
-impl TailCall for DotCell<'_> {
+impl Part for DotCell<'_> {
     #[inline(always)]
     fn fire<L: Lanes, const N: usize, const BUF: u8>(
         &self,
@@ -2317,6 +2288,7 @@ impl TailCall for DotCell<'_> {
         x: usize,
         first: &[f64],
         tgt: &mut [f64],
+        _: bool,
     ) {
         let (xs, ys) = (
             self.x.at::<BUF>(c, x, first),
@@ -2325,9 +2297,9 @@ impl TailCall for DotCell<'_> {
         tgt[self.cell.at(c, x)] += dot::<L, N>(l, self.n, xs, self.xinc, ys, self.yinc);
     }
 
-    fn count(&self, stats: &mut ExecStats, calls: u64) {
-        stats.dot += calls;
-        stats.dot_elems += calls * self.n as u64;
+    fn count(&self, stats: &mut ExecStats, nodes: Range<usize>) {
+        stats.dot += nodes.len() as u64;
+        stats.dot_elems += (nodes.len() * self.n) as u64;
     }
 
     fn drains(&self, n: usize) -> bool {
@@ -2343,228 +2315,204 @@ fn target_term(i: &Instr, last: usize) -> (usize, bool) {
         Write::SparseCell => (last, true),
     };
     match *i {
-        Instr::Axpy { term, .. }
+        Instr::Axpy(AxpyArgs { term, .. })
+        | Instr::SparseAxpy {
+            axpy: AxpyArgs { term, .. },
+            ..
+        }
         | Instr::Xmul { term, .. }
         | Instr::Ger { term, .. }
-        | Instr::Gemv { term, .. }
-        | Instr::SparseAxpy { term, .. } => (term, false),
+        | Instr::Gemv { term, .. } => (term, false),
         Instr::Dot { tgt, .. } => of_write(tgt),
         Instr::SparseDot { leaf, .. } => of_write(leaf.tgt),
         _ => unreachable!("the verifier admits only calls and fused loops in a fiber"),
     }
 }
 
-/// A fiber's walk, compiled per kernel tier and per `rank`: per node of
-/// `nodes` at `level`, its run over the node's children and its call,
-/// the call first when `CALL_FIRST`. The call's target is `a` when it
-/// comes first, the run's otherwise; the second part writes `b` and
-/// reads what the first wrote.
-struct FiberWalk<'w, R, C, const CALL_FIRST: bool> {
-    csf: &'w Csf,
-    level: usize,
-    nodes: Range<usize>,
-    guard: Option<&'w RunGuard>,
-    run: &'w R,
-    call: &'w C,
-    a: &'w mut [f64],
-    b: &'w mut [f64],
-    /// The first part's buffer length where the walk holds the buffer in
-    /// a local `[f64; N]` — the first part fills it whole, the second
-    /// drains it whole, at a fixed rank — else 0: the generic instance,
-    /// through the workspace.
-    rank: usize,
-}
-
-impl<R: RunBody, C: TailCall, const CALL_FIRST: bool> Body for FiberWalk<'_, R, C, CALL_FIRST> {
-    /// The run's calls.
-    type Out = Result<u64>;
-
-    #[inline(always)]
-    fn run<L: Lanes>(self, l: L) -> Result<u64> {
-        at_rank!(self.rank, N => self.walk::<L, N>(l))
-    }
-}
-
-impl<R: RunBody, C: TailCall, const CALL_FIRST: bool> FiberWalk<'_, R, C, CALL_FIRST> {
-    #[inline(always)]
-    fn walk<L: Lanes, const N: usize>(self, l: L) -> Result<u64> {
-        let Self {
-            csf,
-            level,
-            nodes,
-            guard,
-            run,
-            call,
-            a,
-            b,
-            ..
-        } = self;
-        let (coords, ptr) = (&csf.level(level).idx, &csf.level(level).ptr);
-        let inner = &csf.level(level + 1).idx;
-        // The buffer, in registers when the rank is fixed.
-        let mut buf = [0.0; N];
-        let mut kids = 0u64;
-        for nodes in guarded(nodes, guard) {
-            for x in nodes? {
-                let (c, below) = (coords[x], ptr[x]..ptr[x + 1]);
-                kids += below.len() as u64;
-                match (N == 0, CALL_FIRST) {
-                    (true, true) => {
-                        call.fire::<L, 0, MEM>(l, c, x, &[], a);
-                        run.walk::<L, 0, MEM>(l, inner, below, c, a, b);
-                    }
-                    (true, false) => {
-                        run.walk::<L, 0, MEM>(l, inner, below, c, &[], a);
-                        call.fire::<L, 0, MEM>(l, c, x, a, b);
-                    }
-                    (false, true) => {
-                        call.fire::<L, N, FILL>(l, c, x, &[], &mut buf);
-                        run.walk::<L, N, DRAIN>(l, inner, below, c, &buf, b);
-                    }
-                    (false, false) => {
-                        run.walk::<L, N, FILL>(l, inner, below, c, &[], &mut buf);
-                        call.fire::<L, N, DRAIN>(l, c, x, &buf, b);
-                    }
-                }
-            }
-        }
-        Ok(kids)
-    }
-}
-
-/// Walk a fiber in `ks`'s tier (see [`FiberWalk`]), its buffer local
-/// where both parts allow it, and book its calls.
-#[allow(clippy::too_many_arguments)]
-fn fiber_walk<R: RunBody, C: TailCall, const CALL_FIRST: bool>(
+/// A walk ready to run but for its parts, as [`Run::walk`] resolved it:
+/// the operands' resolver, the advance range of the walked loop (none
+/// for a lone call), a fiber's children — their coordinates and each
+/// node's range — and what the carrier ([`Walk`]) walks, writes and
+/// books. A lone walk's `rank` is its call site's.
+struct Walker<'w> {
+    rs: Resolve<'w>,
+    adv: AdvRange,
+    below: (&'w [usize], &'w [usize]),
     ks: KernelSet,
-    (csf, level): (&Csf, usize),
-    nodes: Range<usize>,
-    guard: Option<&RunGuard>,
-    run: &R,
-    call: &C,
-    a: &mut [f64],
-    b: &mut [f64],
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let filled = if CALL_FIRST {
-        call.fills()
-    } else {
-        run.fills()
-    };
-    let local = filled.filter(|&n| {
-        unrolled(n, true)
-            && if CALL_FIRST {
-                run.drains(n)
-            } else {
-                call.drains(n)
-            }
-    });
-    let kids = ks.enter(FiberWalk::<R, C, CALL_FIRST> {
-        csf,
-        level,
-        nodes: nodes.clone(),
-        guard,
-        run,
-        call,
-        a,
-        b,
-        rank: local.unwrap_or(0),
-    })?;
-    run.count(stats, kids);
-    call.count(stats, nodes.len() as u64);
-    Ok(())
-}
-
-/// A lone fused loop's walk over `nodes` into `tgt`, at `rank`.
-struct LoneWalk<'w, R> {
     coords: &'w [usize],
     nodes: Range<usize>,
     guard: Option<&'w RunGuard>,
-    run: &'w R,
-    tgt: &'w mut [f64],
+    a: &'w mut [f64],
+    b: &'w mut [f64],
+    stats: &'w mut ExecStats,
     rank: usize,
 }
 
-impl<R: RunBody> Body for LoneWalk<'_, R> {
+impl<'w> Walker<'w> {
+    /// Resolve the walk's parts from their instructions and run it: the
+    /// one dispatch, naming only the shapes the compiler emits — five
+    /// lone calls, two lone fused loops and nine fibers (a sparse-AXPY
+    /// loop before any call, an AXPY or XMUL before either fused loop).
+    fn go(self, head: Option<Instr>, tail: Instr) -> Result<()> {
+        let (rs, adv) = (self.rs, self.adv);
+        match (head, tail) {
+            (None, Instr::SparseAxpy { axpy, .. }) => {
+                self.run(&Nop, &axpy_call(&rs, axpy, NO_ADV, adv))
+            }
+            (None, Instr::SparseDot { .. }) => self.run(&Nop, &dot_leaf(&rs, &tail, NO_ADV, adv)),
+            (None, call) => self.call(&Nop, call),
+            (
+                Some(Instr::SparseAxpy {
+                    axpy, adv: inner, ..
+                }),
+                call,
+            ) => {
+                let run = self.each(axpy_call(&rs, axpy, adv, inner));
+                self.call(&run, call)
+            }
+            (Some(Instr::Axpy(c)), run) => self.fused(&axpy_call(&rs, c, NO_ADV, adv), run),
+            (Some(call), run) => self.fused(&xmul_call(&rs, &call, adv), run),
+        }
+    }
+
+    /// The walk whose tail is the call `i`: a lone call, or a fiber's
+    /// after its fused loop `head`.
+    fn call<H: Part>(self, head: &H, i: Instr) -> Result<()> {
+        let (rs, adv) = (self.rs, self.adv);
+        match i {
+            Instr::Axpy(c) => self.run(head, &axpy_call(&rs, c, NO_ADV, adv)),
+            Instr::Xmul { .. } => self.run(head, &xmul_call(&rs, &i, adv)),
+            Instr::Ger { .. } => self.run(head, &ger_call(&rs, &i, adv)),
+            Instr::Gemv { .. } => self.run(head, &gemv_call(&rs, &i, adv)),
+            _ => self.run(head, &dot_cell(&rs, &i, adv)),
+        }
+    }
+
+    /// The fiber whose tail is the fused loop `i`, after the call `head`.
+    fn fused<H: Part>(self, head: &H, i: Instr) -> Result<()> {
+        let (rs, adv) = (self.rs, self.adv);
+        match i {
+            Instr::SparseAxpy {
+                axpy, adv: inner, ..
+            } => {
+                let run = self.each(axpy_call(&rs, axpy, adv, inner));
+                self.run(head, &run)
+            }
+            Instr::SparseDot { adv: inner, .. } => {
+                let run = self.each(dot_leaf(&rs, &i, adv, inner));
+                self.run(head, &run)
+            }
+            _ => unreachable!("the verifier proves a fiber's run a fused loop"),
+        }
+    }
+
+    /// A fiber's fused loop over `part`.
+    fn each<P: Fused>(&self, part: P) -> Each<'w, P> {
+        let (coords, ptr) = self.below;
+        Each { part, coords, ptr }
+    }
+
+    /// Enter the carrier with `head` and `tail` in the walk's tier, and
+    /// book their calls. A fiber holds its buffer locally where its head
+    /// fills it whole and its tail drains it whole, at a fixed rank;
+    /// otherwise it runs the generic instance through the workspace.
+    /// Out of line: one instance per walk shape, not a copy per arm.
+    #[inline(never)]
+    fn run<H: Part, T: Part>(self, head: &H, tail: &T) -> Result<()> {
+        let Walker {
+            ks,
+            coords,
+            nodes,
+            guard,
+            a,
+            b,
+            stats,
+            rank,
+            ..
+        } = self;
+        let local = head
+            .fills()
+            .filter(|&n| unrolled(n, true) && tail.drains(n));
+        ks.enter(Walk {
+            coords,
+            nodes: nodes.clone(),
+            guard,
+            head,
+            tail,
+            a,
+            b,
+            rank: local.unwrap_or(rank),
+        })?;
+        head.count(stats, nodes.clone());
+        tail.count(stats, nodes);
+        Ok(())
+    }
+}
+
+/// The one carrier of the tape's walks, compiled per kernel tier and per
+/// rank: per node of `nodes` (coordinates `coords`), the `head` and then
+/// the `tail` — a fiber's call and fused loop ([`Each`]), in program
+/// order. The head writes `a`; the tail reads what it wrote and writes
+/// `b`. Where the rank is a fiber's buffer length, the buffer is a local
+/// `[f64; N]` instead of `a`. A lone call or fused loop has no head
+/// ([`Nop`]): its tail is a fused loop over the nodes ([`each`]), a lone
+/// call's one node standing for the tracked leaf.
+struct Walk<'w, H, T> {
+    coords: &'w [usize],
+    nodes: Range<usize>,
+    guard: Option<&'w RunGuard>,
+    head: &'w H,
+    tail: &'w T,
+    a: &'w mut [f64],
+    b: &'w mut [f64],
+    rank: usize,
+}
+
+impl<H: Part, T: Part> Body for Walk<'_, H, T> {
     type Out = Result<()>;
 
     #[inline(always)]
     fn run<L: Lanes>(self, l: L) -> Result<()> {
+        at_rank!(self.rank, N => self.walk::<L, N>(l))
+    }
+}
+
+impl<H: Part, T: Part> Walk<'_, H, T> {
+    #[inline(always)]
+    fn walk<L: Lanes, const N: usize>(self, l: L) -> Result<()> {
         let Self {
             coords,
             nodes,
             guard,
-            run,
-            tgt,
-            rank,
+            head,
+            tail,
+            a,
+            b,
+            ..
         } = self;
-        at_rank!(rank, N => {
-            for nodes in guarded(nodes, guard) {
-                run.walk::<L, N, MEM>(l, coords, nodes?, 0, &[], tgt);
+        let start = nodes.start;
+        // A fiber's buffer, in registers when the rank is fixed.
+        let mut buf = [0.0; N];
+        for nodes in guarded(nodes, guard) {
+            let nodes = nodes?;
+            if H::ABSENT {
+                let peel = nodes.start == start;
+                each::<T, L, N, MEM>(tail, l, coords, nodes, &[], b, peel);
+                continue;
             }
-            Ok(())
-        })
+            for x in nodes {
+                let c = coords[x];
+                if N == 0 {
+                    head.fire::<L, 0, MEM>(l, c, x, &[], a, head.assigns());
+                    tail.fire::<L, 0, MEM>(l, c, x, a, b, tail.assigns());
+                } else {
+                    head.fire::<L, N, FILL>(l, c, x, &[], &mut buf, head.assigns());
+                    tail.fire::<L, N, DRAIN>(l, c, x, &buf, b, tail.assigns());
+                }
+            }
+        }
+        Ok(())
     }
-}
-
-/// Walk a lone fused loop over `nodes` (coordinates `coords`) in `ks`'s
-/// tier at `rank`, and book its calls.
-fn lone_walk<R: RunBody>(
-    (ks, coords, nodes, guard, rank): (KernelSet, &[usize], Range<usize>, Option<&RunGuard>, usize),
-    run: &R,
-    tgt: &mut [f64],
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let calls = nodes.len() as u64;
-    ks.enter(LoneWalk {
-        coords,
-        nodes,
-        guard,
-        run,
-        tgt,
-        rank,
-    })?;
-    run.count(stats, calls);
-    Ok(())
-}
-
-/// One call at the tracked leaf node `leaf`, at `rank`.
-struct LoneCall<'w, C> {
-    call: &'w C,
-    leaf: usize,
-    tgt: &'w mut [f64],
-    rank: usize,
-}
-
-impl<C: TailCall> Body for LoneCall<'_, C> {
-    type Out = ();
-
-    #[inline(always)]
-    fn run<L: Lanes>(self, l: L) {
-        let Self {
-            call,
-            leaf,
-            tgt,
-            rank,
-        } = self;
-        at_rank!(rank, N => call.fire::<L, N, MEM>(l, 0, leaf, &[], tgt))
-    }
-}
-
-/// Make one call in `ks`'s tier at `rank`, and book it.
-fn lone_call(
-    (ks, leaf, rank): (KernelSet, usize, usize),
-    call: &impl TailCall,
-    tgt: &mut [f64],
-    stats: &mut ExecStats,
-) {
-    ks.enter(LoneCall {
-        call,
-        leaf,
-        tgt,
-        rank,
-    });
-    call.count(stats, 1);
 }
 
 /// The rank a call site's body runs at: its trip count where the site
@@ -2573,9 +2521,9 @@ fn site_rank(i: &Instr) -> usize {
     call_site(i).map_or(0, |(n, contig)| rank(n, contig))
 }
 
-/// Split the workspace around a fused walk's targets: term `ta`, a
-/// fiber's first part's (`ta == tb` for a lone fused loop, which has no
-/// second part), and term `tb`, the last part's (`sparse`: pattern-
+/// Split the workspace around a walk's targets: term `ta`, a fiber's
+/// first part's (`ta == tb` for a lone call or fused loop, which has no
+/// first part), and term `tb`, the last part's (`sparse`: pattern-
 /// sharing output cells). Returns the buffers before `ta`, those
 /// strictly between the two, and both targets' stores.
 fn split_walk<'b>(
@@ -2608,69 +2556,25 @@ fn split_walk<'b>(
     (low, rest, a.as_mut_slice(), b)
 }
 
-/// What [`Run::view`] hands a fused walk or a call.
-struct View<'b> {
-    rs: Resolve<'b>,
-    a: &'b mut [f64],
-    b: &'b mut [f64],
-    csf: &'b Csf,
-    stats: &'b mut ExecStats,
-}
+// The parts of a walk, resolved from their instructions: a fiber's
+// fused loop's operands move with the loop's advance table `inner`
+// inside the fiber's `outer`; every other part's with the walk's `adv`
+// (a lone fused loop's, a fiber's, none for a lone call). Where the
+// product commutes (XMUL's `x·z`, DOT's `x·y`, bitwise alike either way
+// round), the operand that reads a fiber's first target goes second.
 
-/// A fiber whose call comes first, over its run `run`.
-#[allow(clippy::too_many_arguments)]
-fn call_first<C: TailCall>(
-    ks: KernelSet,
-    rs: &Resolve<'_>,
-    at: (&Csf, usize),
-    nodes: Range<usize>,
-    guard: Option<&RunGuard>,
-    run: &Instr,
-    adv: AdvRange,
-    call: &C,
-    a: &mut [f64],
-    b: &mut [f64],
-    stats: &mut ExecStats,
-) -> Result<()> {
-    match *run {
-        Instr::SparseAxpy { adv: inner, .. } => {
-            let run = axpy_run(rs, run, adv, inner);
-            fiber_walk::<_, _, true>(ks, at, nodes, guard, &run, call, a, b, stats)
-        }
-        Instr::SparseDot { adv: inner, .. } => {
-            let run = dot_run(rs, run, adv, inner);
-            fiber_walk::<_, _, true>(ks, at, nodes, guard, &run, call, a, b, stats)
-        }
-        _ => unreachable!("the verifier proves a fiber's run a fused loop"),
-    }
-}
-
-// The parts of a fused walk, resolved from their instructions: a run's
-// operands move with the fused loop's advance table `inner`, inside a
-// fiber's `outer`; a call's with the fiber's `adv`. Where the product
-// commutes (XMUL's `x·z`, DOT's `x·y`, bitwise alike either way round),
-// the operand that reads a fiber's first target goes second.
-
-fn axpy_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> AxpyRun<'b> {
-    let Instr::SparseAxpy {
-        n,
-        alpha,
-        x,
-        y,
-        first,
-        ..
-    } = *i
-    else {
-        unreachable!("a sparse-AXPY loop")
-    };
-    AxpyRun {
-        n,
-        alpha: rs.read(alpha, outer, inner),
-        x: rs.vec(x, outer, inner),
-        xinc: x.inc,
-        y: rs.addr(y.cur, outer, inner),
-        yinc: y.inc,
-        first,
+// Out of line, like the other resolvers: five dispatch arms call it,
+// once per walk.
+#[inline(never)]
+fn axpy_call<'b>(rs: &Resolve<'b>, c: AxpyArgs, outer: AdvRange, inner: AdvRange) -> AxpyCall<'b> {
+    AxpyCall {
+        n: c.n,
+        alpha: rs.read(c.alpha, outer, inner),
+        x: rs.vec(c.x, outer, inner),
+        xinc: c.x.inc,
+        y: rs.addr(c.y.cur, outer, inner),
+        yinc: c.y.inc,
+        assign: c.assign,
     }
 }
 
@@ -2690,7 +2594,7 @@ fn dot_pair<'b>(
     }
 }
 
-fn dot_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> DotRun<'b> {
+fn dot_leaf<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) -> DotLeaf<'b> {
     let Instr::SparseDot {
         term, dot, leaf, ..
     } = *i
@@ -2699,7 +2603,7 @@ fn dot_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) ->
     };
     let read = |r: Read| (!reads_term(r, term)).then(|| rs.read(r, outer, inner));
     let ((x, xinc), (y, yinc)) = dot_pair(rs, dot, outer, inner);
-    DotRun {
+    DotLeaf {
         n: dot.n,
         x,
         xinc,
@@ -2708,29 +2612,6 @@ fn dot_run<'b>(rs: &Resolve<'b>, i: &Instr, outer: AdvRange, inner: AdvRange) ->
         left: read(leaf.left),
         right: read(leaf.right),
         tgt: rs.cell(leaf.tgt, outer, inner),
-    }
-}
-
-fn axpy_call<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> AxpyCall<'b> {
-    let Instr::Axpy {
-        n,
-        alpha,
-        x,
-        y,
-        assign,
-        ..
-    } = *i
-    else {
-        unreachable!("an AXPY")
-    };
-    AxpyCall {
-        n,
-        alpha: rs.read(alpha, NO_ADV, adv),
-        x: rs.vec(x, NO_ADV, adv),
-        xinc: x.inc,
-        y: rs.addr(y.cur, NO_ADV, adv),
-        yinc: y.inc,
-        assign,
     }
 }
 
@@ -2838,10 +2719,13 @@ mod tests {
     /// The fused shape an instruction is, if any.
     fn fused_shape(i: &Instr) -> Option<&'static str> {
         Some(match i {
-            Instr::Axpy { assign: true, .. } => "assigning Axpy",
+            Instr::Axpy(AxpyArgs { assign: true, .. }) => "assigning Axpy",
             Instr::Xmul { assign: true, .. } => "assigning Xmul",
             Instr::Ger { assign: true, .. } => "assigning Ger",
-            Instr::SparseAxpy { first: true, .. } => "SparseAxpy + Zero",
+            Instr::SparseAxpy {
+                axpy: AxpyArgs { assign: true, .. },
+                ..
+            } => "SparseAxpy + Zero",
             Instr::SparseAxpy { .. } => "SparseAxpy",
             Instr::SparseDot { .. } => "SparseDot",
             Instr::Fiber { .. } => "Fiber",
@@ -3087,10 +2971,8 @@ mod tests {
                         self.each_node(level, adv, |r| r.per_call(body, body + 2));
                         pc += 2;
                     }
-                    Instr::SparseAxpy {
-                        level, adv, first, ..
-                    } => {
-                        let mut assign = first;
+                    Instr::SparseAxpy { level, adv, axpy } => {
+                        let mut assign = axpy.assign;
                         self.each_node(level, adv, |r| {
                             r.table_call(instr, assign);
                             assign = false;
@@ -3109,7 +2991,7 @@ mod tests {
                         let v = read(r, leaf.left) * read(r, leaf.right);
                         r.cell(leaf.tgt, v);
                     }),
-                    Instr::Axpy { assign, .. }
+                    Instr::Axpy(AxpyArgs { assign, .. })
                     | Instr::Xmul { assign, .. }
                     | Instr::Ger { assign, .. } => self.table_call(instr, assign),
                     _ => self.table_call(instr, false),
@@ -3159,14 +3041,14 @@ mod tests {
             }
             let (term, _) = target_term(&i, self.tape.n_terms - 1);
             let alpha = match i {
-                Instr::Axpy { alpha, .. } | Instr::SparseAxpy { alpha, .. } => self.read(alpha),
+                Instr::Axpy(c) | Instr::SparseAxpy { axpy: c, .. } => self.read(c.alpha),
                 _ => 1.0,
             };
             // Calls read factors and earlier terms only: copy them out so
             // the target can be borrowed mutably beside them.
             let vec = |r: &Self, v: VecSrc| r.src(v.buf, v.cur).to_vec();
             let (x, y) = match i {
-                Instr::Axpy { x, .. } | Instr::SparseAxpy { x, .. } => (vec(self, x), vec![]),
+                Instr::Axpy(c) | Instr::SparseAxpy { axpy: c, .. } => (vec(self, c.x), vec![]),
                 Instr::Xmul { x, z, .. } => (vec(self, x), vec(self, z)),
                 Instr::Ger { x, y, .. } => (vec(self, x), vec(self, y)),
                 Instr::Gemv { a, x, .. } => (self.src(a.buf, a.cur).to_vec(), vec(self, x)),
@@ -3180,13 +3062,13 @@ mod tests {
                 self.buffers[term].as_mut_slice()
             };
             match i {
-                Instr::Axpy { n, x: xs, y: t, .. } | Instr::SparseAxpy { n, x: xs, y: t, .. } => {
+                Instr::Axpy(c) | Instr::SparseAxpy { axpy: c, .. } => {
                     let kern = if assign {
                         ks.zaxpy()
                     } else {
-                        ks.axpy(n, true, None).0
+                        ks.axpy(c.n, true, None).0
                     };
-                    kern(n, alpha, &x, xs.inc, &mut out[cur(t.cur)..], t.inc)
+                    kern(c.n, alpha, &x, c.x.inc, &mut out[cur(c.y.cur)..], c.y.inc)
                 }
                 Instr::Xmul {
                     n, x: xs, z, y: t, ..
@@ -3248,7 +3130,8 @@ mod tests {
         &'static str,
     );
 
-    /// The shape of a compiled program's first fused walk.
+    /// The shape of a compiled program's first walk: a fiber and its
+    /// parts, a lone fused loop, or a lone call that assigns nothing.
     fn walk_shape(tape: &CompiledTape) -> String {
         let name = |i: &Instr| {
             format!("{i:?}")
@@ -3257,8 +3140,11 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
-        let walk = |i: &Instr| fused_shape(i).is_some_and(|s| !s.starts_with("assigning"));
-        let at = tape.instrs.iter().position(walk).expect("a fused walk");
+        let walk = |i: &Instr| match fused_shape(i) {
+            Some(s) => !s.starts_with("assigning"),
+            None => call_site(i).is_some(),
+        };
+        let at = tape.instrs.iter().position(walk).expect("a walk");
         match tape.instrs[at] {
             Instr::Fiber { .. } => {
                 let (a, b) = (&tape.instrs[at + 1], &tape.instrs[at + 2]);
@@ -3268,9 +3154,10 @@ mod tests {
         }
     }
 
-    /// Every tier's walks — the nine fiber shapes and both lone fused
-    /// loops, at ranks 1, 7, 8, 16, 32 and 33, with contiguous and with
-    /// strided operands — are bitwise the per-call reference
+    /// Every tier's walks — the nine fiber shapes, both lone fused
+    /// loops and the five lone calls, at ranks 1, 7, 8, 16, 32 and 33,
+    /// with contiguous and with strided operands — are bitwise the
+    /// per-call reference
     /// ([`Run::per_call`]): the same kernel calls of the tier's table in
     /// the same order. The data hold zero nonzeros (the AXPY skip) and
     /// products that underflow to −0.0 (the DOT's `0.0 + d` rule, seen
@@ -3279,7 +3166,7 @@ mod tests {
     #[test]
     fn tier_walks_are_bitwise_the_per_call_kernels() {
         const R: usize = 0;
-        let walks: [Walk; 12] = [
+        let walks: [Walk; 17] = [
             (
                 "A(a,b) = T(k) * B(k,a) * C(a,b)",
                 &[("k", 9), ("a", R), ("b", 3)],
@@ -3376,6 +3263,48 @@ mod tests {
                 ("V(j,r)", "V(r,j)"),
                 "Fiber Axpy SparseAxpy",
             ),
+            // Lone calls: the first term is a dense-only tree in front of
+            // the sparse one, its innermost loops one call.
+            (
+                "O(i,r) = T(i,j) * B(j) * D(j,r)",
+                &[("i", 4), ("j", 5), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[1, 2], &[0, 1, 2]],
+                ("D(j,r)", "D(r,j)"),
+                "Axpy",
+            ),
+            (
+                "O(i,r) = T(i,j) * B(j,r) * D(j,r)",
+                &[("i", 4), ("j", 5), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[1, 2], &[0, 1, 2]],
+                ("D(j,r)", "D(r,j)"),
+                "Xmul",
+            ),
+            (
+                "O(i,r) = T(i,j) * B(j,m) * D(m,r)",
+                &[("i", 4), ("j", 5), ("m", 3), ("r", R)],
+                &[(1, 2), (0, 1)],
+                &[&[2, 1, 3], &[0, 1, 3]],
+                ("D(m,r)", "D(r,m)"),
+                "Ger",
+            ),
+            (
+                "O(i,r) = T(i,j) * B(j,m) * D(m,r)",
+                &[("i", 4), ("j", 5), ("m", R), ("r", 3)],
+                &[(1, 2), (0, 1)],
+                &[&[1, 3, 2], &[0, 1, 3]],
+                ("D(m,r)", "D(r,m)"),
+                "Gemv",
+            ),
+            (
+                "O(i,j) = T(i,j) * B(j,m) * D(j,m)",
+                &[("i", 4), ("j", 5), ("m", R)],
+                &[(1, 2), (0, 1)],
+                &[&[1, 2], &[0, 1]],
+                ("D(j,m)", "D(m,j)"),
+                "Dot",
+            ),
         ];
         let mut rng = StdRng::seed_from_u64(43);
         let mut runs = 0;
@@ -3443,7 +3372,7 @@ mod tests {
                 }
             }
         }
-        assert!(runs >= 12 * 2 * 6 * 2 * 2, "{runs} runs");
+        assert!(runs >= 17 * 2 * 6 * 2 * 2, "{runs} runs");
     }
 
     /// A nest to run: kernel, path, forest, buffer specs, tensor, factors.

@@ -86,8 +86,8 @@
 //! (`spttn plan --verify`) runs it without binding.
 
 use super::{
-    call_site, target_term, CompiledTape, DotCall, Instr, MatSrc, MatTgt, RBuf, Read, ScalarMul,
-    VecSrc, VecTgt, Write,
+    call_site, target_term, AxpyArgs, CompiledTape, DotCall, Instr, MatSrc, MatTgt, RBuf, Read,
+    ScalarMul, VecSrc, VecTgt, Write,
 };
 
 use spttn_core::SpttnError;
@@ -459,16 +459,8 @@ impl<'t> Checker<'t> {
                     self.check_cell(pc, tgt)?;
                     pc += 1;
                 }
-                Instr::Axpy {
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    assign,
-                    ..
-                } => {
-                    self.check_axpy(pc, n, term, alpha, x, y, assign)?;
+                Instr::Axpy(axpy) => {
+                    self.check_axpy(pc, axpy)?;
                     pc += 1;
                 }
                 Instr::Xmul {
@@ -520,31 +512,19 @@ impl<'t> Checker<'t> {
                     self.report.microkernels += 1;
                     pc += 1;
                 }
-                Instr::SparseAxpy {
-                    level,
-                    adv,
-                    n,
-                    term,
-                    alpha,
-                    x,
-                    y,
-                    first,
-                    ..
-                } => {
+                Instr::SparseAxpy { level, adv, axpy } => {
                     // A folded body's zero domination outlives the loop
                     // (`level > 0`: at least one child runs).
-                    self.fused_loop(pc, level, adv, |ck| {
-                        ck.check_axpy(pc, n, term, alpha, x, y, first)
-                    })?;
+                    self.fused_loop(pc, level, adv, |ck| ck.check_axpy(pc, axpy))?;
                     // A folded zero must run on every path its `Zero`
                     // did; a tile's root range can be empty, so at
                     // level 0 it covers nothing on that path.
-                    if first && level == 0 {
+                    if axpy.assign && level == 0 {
                         return Err(TapeInvariantError::ZeroAccumCoverage {
                             pc,
-                            term,
+                            term: axpy.term,
                             covered: 0,
-                            len: self.tape.bounds.buffer_lens[term],
+                            len: self.tape.bounds.buffer_lens[axpy.term],
                         });
                     }
                     self.report.sparse_axpys += 1;
@@ -624,7 +604,7 @@ impl<'t> Checker<'t> {
         let is_call = |i: &Instr| {
             matches!(
                 i,
-                Instr::Axpy { .. }
+                Instr::Axpy(_)
                     | Instr::Xmul { .. }
                     | Instr::Ger { .. }
                     | Instr::Gemv { .. }
@@ -634,7 +614,7 @@ impl<'t> Checker<'t> {
         let run_level = match (a, b) {
             (Instr::SparseAxpy { level, .. }, call) if is_call(&call) => level,
             (
-                Instr::Axpy { .. } | Instr::Xmul { .. },
+                Instr::Axpy(_) | Instr::Xmul { .. },
                 Instr::SparseAxpy { level, .. } | Instr::SparseDot { level, .. },
             ) => level,
             _ => return Err(shape("is not a fused loop and a call in a fiber's order")),
@@ -805,23 +785,21 @@ impl<'t> Checker<'t> {
         Ok(())
     }
 
-    /// An AXPY body — of an `Axpy` (`assigning` when fused with its
-    /// `Zero`), or of a `SparseAxpy` with or without a folded zero.
-    #[allow(clippy::too_many_arguments)]
-    fn check_axpy(
-        &mut self,
-        pc: usize,
-        n: usize,
-        term: usize,
-        alpha: Read,
-        x: VecSrc,
-        y: VecTgt,
-        assigning: bool,
-    ) -> Result<(), TapeInvariantError> {
+    /// An AXPY — of an `Axpy` (assigning when fused with its `Zero`), or
+    /// of a `SparseAxpy` with or without a folded zero.
+    fn check_axpy(&mut self, pc: usize, axpy: AxpyArgs) -> Result<(), TapeInvariantError> {
+        let AxpyArgs {
+            n,
+            term,
+            alpha,
+            x,
+            y,
+            assign,
+        } = axpy;
         self.in_range(pc, "target term", term, self.tape.n_terms)?;
         self.check_read(pc, alpha, term)?;
         self.check_vec_src(pc, x, n, Some(term))?;
-        self.check_vec_tgt(pc, y, n, term, assigning)?;
+        self.check_vec_tgt(pc, y, n, term, assign)?;
         self.report.microkernels += 1;
         Ok(())
     }
@@ -1215,7 +1193,7 @@ mod tests {
     fn folded_loop(tape: &mut CompiledTape) -> &mut Instr {
         tape.instrs
             .iter_mut()
-            .find(|i| matches!(i, Instr::SparseAxpy { first: true, .. }))
+            .find(|i| matches!(i, Instr::SparseAxpy { axpy, .. } if axpy.assign))
             .expect("listing 3 folds X0's zero into its fused k loop")
     }
 
@@ -1494,11 +1472,7 @@ mod tests {
         assert!(
             tape.instrs.iter().any(|i| matches!(
                 i,
-                Instr::SparseAxpy {
-                    first: true,
-                    n: 8,
-                    ..
-                }
+                Instr::SparseAxpy { axpy, .. } if axpy.assign && axpy.n == 8
             )),
             "the k loop fuses with its rank-8 AXPY and folds X0's zero"
         );
@@ -1578,7 +1552,7 @@ mod tests {
             .instrs
             .iter_mut()
             .find_map(|i| match i {
-                Instr::SparseAxpy { n: n @ 8, .. } => Some(n),
+                Instr::SparseAxpy { axpy, .. } if axpy.n == 8 => Some(&mut axpy.n),
                 _ => None,
             })
             .expect("nest fuses its rank-8 AXPY loop");
@@ -1616,20 +1590,9 @@ mod tests {
                 // An AXPY fused into its sparse loop assigns through the
                 // first child's call.
                 let (kind, n, term) = match &mut bad.instrs[pc] {
-                    Instr::Axpy {
-                        n, term, assign, ..
-                    } if !*assign => {
-                        *assign = true;
-                        ("Axpy", *n, *term)
-                    }
-                    Instr::SparseAxpy {
-                        n,
-                        term,
-                        first: first @ false,
-                        ..
-                    } => {
-                        *first = true;
-                        ("Axpy", *n, *term)
+                    Instr::Axpy(axpy) | Instr::SparseAxpy { axpy, .. } if !axpy.assign => {
+                        axpy.assign = true;
+                        ("Axpy", axpy.n, axpy.term)
                     }
                     Instr::Xmul {
                         n, term, assign, ..
@@ -1688,13 +1651,10 @@ mod tests {
             .iter()
             .position(|i| matches!(i, Instr::Zero { .. }))
             .expect("the root loop keeps its Zero");
-        let Instr::SparseAxpy {
-            level: 0, first, ..
-        } = &mut tape.instrs[zero_at + 1]
-        else {
+        let Instr::SparseAxpy { level: 0, axpy, .. } = &mut tape.instrs[zero_at + 1] else {
             panic!("the Zero sits right before the root-level fused loop");
         };
-        *first = true;
+        axpy.assign = true;
         tape.instrs.remove(zero_at);
         for ins in &mut tape.instrs {
             match ins {
@@ -1715,10 +1675,10 @@ mod tests {
     #[test]
     fn mutation_partial_folded_loop_rejected() {
         let mut tape = fused_loop_tape();
-        let Instr::SparseAxpy { n, .. } = folded_loop(&mut tape) else {
+        let Instr::SparseAxpy { axpy, .. } = folded_loop(&mut tape) else {
             unreachable!()
         };
-        *n -= 1;
+        axpy.n -= 1;
         match tape.verify() {
             Err(TapeInvariantError::ZeroAccumCoverage { covered, len, .. }) => {
                 assert!(covered < len);

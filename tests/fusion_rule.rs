@@ -11,7 +11,10 @@
 //! - over every contraction path of every stdkernel, a bounded number
 //!   of nests each, the vertices the rule fuses — a fiber only where its
 //!   children fit it — are the tape's fused sparse loops and fibers, at
-//!   both tiers.
+//!   both tiers;
+//! - the call sites of every stdkernel's default nest whose strides take
+//!   a kernel's scalar body (`TapeReport::scalar_fallbacks`) are listed,
+//!   per cost model.
 
 use rand::prelude::*;
 use spttn::exec::{CompiledTape, KernelSet, TapeReport};
@@ -155,4 +158,52 @@ fn rule_and_tape_agree_on_every_path() {
     assert!(nests > 500, "the sweep compiled only {nests} nests");
     assert!(fused > 100, "the sweep met only {fused} fused loops");
     assert!(fibers > 10, "the sweep met only {fibers} fibers");
+}
+
+/// The scalar fallbacks of every stdkernel's default nest under each
+/// cost model ([`MODELS`]' order): the call sites whose strides take a
+/// kernel's scalar body (ROADMAP item 20's list). A plan or a lowering
+/// that moves a call off its unit stride shows here.
+#[test]
+fn scalar_fallbacks_of_every_default_nest() {
+    const FALLBACKS: [(&str, [usize; 4]); 7] = [
+        ("A(i,a) = T(i,j,k) * F1(j,a) * F2(k,a)", [0, 0, 0, 0]),
+        (
+            "A(i,a) = T(i,j,k,l) * F1(j,a) * F2(k,a) * F3(l,a)",
+            [1, 1, 0, 0],
+        ),
+        ("S(i,r,s) = T(i,j,k) * F1(j,r) * F2(k,s)", [1, 1, 0, 0]),
+        (
+            "S(r,s,t) = T(i,j,k) * F0(i,r) * F1(j,s) * F2(k,t)",
+            [0, 0, 1, 1],
+        ),
+        ("S(i,j) = T(i,j) * F0(i,r) * F1(j,r)", [0, 0, 0, 0]),
+        (
+            "S(i,j,k) = T(i,j,k) * F0(i,r) * F1(j,r) * F2(k,r)",
+            [0, 0, 2, 0],
+        ),
+        (
+            "Z(l,b2) = T(i,j,k,l) * A(i,b0) * G1(b0,j,b1) * G2(b1,k,b2)",
+            [2, 2, 3, 2],
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut got = Vec::new();
+    for kernel in kernels() {
+        let sparse_dims = kernel.ref_dims(kernel.sparse_ref());
+        let cells: usize = sparse_dims.iter().product();
+        let shapes =
+            Shapes::new().with_pattern(random_coo(&sparse_dims, cells / 4, &mut rng).unwrap());
+        let counts = MODELS.map(|model| {
+            let plan = Contraction::from_kernel(kernel.clone())
+                .plan(&shapes, &PlanOptions::with_cost_model(model))
+                .unwrap();
+            plan.verify_tape().unwrap().scalar_fallbacks
+        });
+        got.push((kernel.to_einsum(), counts));
+    }
+    let want: Vec<_> = (FALLBACKS.iter())
+        .map(|&(k, c)| (k.to_string(), c))
+        .collect();
+    assert_eq!(got, want, "{got:#?}");
 }
