@@ -23,7 +23,7 @@
 use rand::prelude::*;
 use spttn::exec::naive_einsum;
 use spttn::ir::Kernel;
-use spttn::tensor::{load_coo, random_dense, read_tns, CooTensor, Csf, DenseTensor};
+use spttn::tensor::{load_coo, load_tns, random_dense, CooTensor, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
     RunBudget, Shapes, SpttnError, Threads,
@@ -411,11 +411,7 @@ fn load_input(args: &Args) -> Option<CooTensor> {
     };
     let coo = match (&args.tns, &args.dims) {
         // Declared dims validate the file's coordinates.
-        (Some(_), Some(dims)) => {
-            let file = std::fs::File::open(path)
-                .unwrap_or_else(|e| fail(format!("cannot open '{path}': {e}")));
-            read_tns(std::io::BufReader::new(file), Some(dims))
-        }
+        (Some(_), Some(dims)) => load_tns(path, Some(dims)),
         _ => load_coo(path),
     }
     .unwrap_or_else(|e| fail(format!("reading '{path}': {e}")));

@@ -5,17 +5,28 @@
 //! The layout is row-major: the last mode is contiguous, matching the
 //! paper's convention that the innermost dense loops stream over
 //! contiguous factor rows so they can be offloaded to BLAS-style
-//! microkernels.
+//! microkernels. Every tensor's values start on a 64-byte boundary,
+//! whichever address the allocator returns, so a row of eight values
+//! is one cache line and a vector load or store of a row never
+//! straddles two: the speed of a bind's buffers and outputs does not
+//! depend on where the heap happened to put them.
 
 use crate::TensorError;
 
 /// A dense tensor of `f64` values in row-major layout.
-#[derive(Debug, Clone, PartialEq)]
 pub struct DenseTensor {
     dims: Vec<usize>,
     strides: Vec<usize>,
-    data: Vec<f64>,
+    /// The values are `buf[start..start + len]`, the first on a 64-byte
+    /// boundary; `buf` holds [`ALIGN_PAD`] more values to make room.
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
 }
+
+/// Values a buffer needs beyond its tensor's to start them on a
+/// 64-byte boundary, the allocation itself being 8-byte aligned.
+const ALIGN_PAD: usize = 64 / std::mem::size_of::<f64>() - 1;
 
 /// Row-major strides for a dimension list (last mode contiguous): the
 /// one layout of every dense tensor, buffer and factor, which bind-time
@@ -52,14 +63,26 @@ impl DenseTensor {
     /// When [`DenseTensor::checked_len`] refuses `dims`.
     pub fn zeros(dims: &[usize]) -> Self {
         let len = Self::checked_len(dims).unwrap_or_else(|e| panic!("{e}"));
+        Self::aligned_zeros(dims, len)
+    }
+
+    /// A zero tensor of extents `dims` and `len` values, its values
+    /// starting on a 64-byte boundary.
+    fn aligned_zeros(dims: &[usize], len: usize) -> Self {
+        let buf = vec![0.0; len + ALIGN_PAD];
+        // Bytes to the next 64-byte boundary, in whole values.
+        let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f64>();
         DenseTensor {
             dims: dims.to_vec(),
             strides: row_major_strides(dims),
-            data: vec![0.0; len],
+            buf,
+            start,
+            len,
         }
     }
 
-    /// Create a tensor from an explicit row-major data vector.
+    /// Create a tensor from an explicit row-major data vector (copied
+    /// into aligned storage).
     pub fn from_data(dims: &[usize], data: Vec<f64>) -> Result<Self, TensorError> {
         let len = Self::checked_len(dims)?;
         if data.len() != len {
@@ -68,19 +91,17 @@ impl DenseTensor {
                 actual: data.len(),
             });
         }
-        Ok(DenseTensor {
-            dims: dims.to_vec(),
-            strides: row_major_strides(dims),
-            data,
-        })
+        let mut t = Self::aligned_zeros(dims, len);
+        t.as_mut_slice().copy_from_slice(&data);
+        Ok(t)
     }
 
     /// Create a tensor by evaluating `f` at every coordinate.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let mut t = DenseTensor::zeros(dims);
         let mut coord = vec![0usize; dims.len()];
-        for pos in 0..t.data.len() {
-            t.data[pos] = f(&coord);
+        for v in t.as_mut_slice() {
+            *v = f(&coord);
             // Advance the row-major odometer.
             for k in (0..dims.len()).rev() {
                 coord[k] += 1;
@@ -114,13 +135,13 @@ impl DenseTensor {
     /// Total number of stored elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True when the tensor stores no elements (never: scalars store one).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Flat row-major offset of a coordinate.
@@ -138,53 +159,53 @@ impl DenseTensor {
     /// Read the value at a coordinate.
     #[inline]
     pub fn get(&self, coord: &[usize]) -> f64 {
-        self.data[self.offset(coord)]
+        self.as_slice()[self.offset(coord)]
     }
 
     /// Write the value at a coordinate.
     #[inline]
     pub fn set(&mut self, coord: &[usize], v: f64) {
         let off = self.offset(coord);
-        self.data[off] = v;
+        self.as_mut_slice()[off] = v;
     }
 
     /// Accumulate into the value at a coordinate.
     #[inline]
     pub fn add(&mut self, coord: &[usize], v: f64) {
         let off = self.offset(coord);
-        self.data[off] += v;
+        self.as_mut_slice()[off] += v;
     }
 
-    /// Immutable view of the backing storage.
+    /// Immutable view of the values, the first on a 64-byte boundary.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        &self.buf[self.start..self.start + self.len]
     }
 
-    /// Mutable view of the backing storage.
+    /// Mutable view of the values, the first on a 64-byte boundary.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        &mut self.buf[self.start..self.start + self.len]
     }
 
     /// Reset all elements to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.as_mut_slice().fill(0.0);
     }
 
     /// Fill every element with `v`.
     pub fn fill(&mut self, v: f64) {
-        self.data.fill(v);
+        self.as_mut_slice().fill(v);
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
+        self.as_slice().iter().sum()
     }
 
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum()
+        self.as_slice().iter().map(|x| x * x).sum()
     }
 
     /// Frobenius norm.
@@ -196,9 +217,9 @@ impl DenseTensor {
     /// same shape. Panics if shapes differ.
     pub fn max_abs_diff(&self, other: &DenseTensor) -> f64 {
         assert_eq!(self.dims, other.dims, "shape mismatch in max_abs_diff");
-        self.data
+        self.as_slice()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.as_slice())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
@@ -209,10 +230,35 @@ impl DenseTensor {
         if self.dims != other.dims {
             return false;
         }
-        self.data.iter().zip(other.data.iter()).all(|(a, b)| {
+        self.as_slice().iter().zip(other.as_slice()).all(|(a, b)| {
             let scale = a.abs().max(b.abs()).max(1.0);
             (a - b).abs() <= tol * scale
         })
+    }
+}
+
+// By hand, not derived: a copy or a comparison is of the values, not of
+// the padding before them, and a copy starts its own on a boundary.
+impl Clone for DenseTensor {
+    fn clone(&self) -> Self {
+        let mut t = Self::aligned_zeros(&self.dims, self.len);
+        t.as_mut_slice().copy_from_slice(self.as_slice());
+        t
+    }
+}
+
+impl PartialEq for DenseTensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims == other.dims && self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for DenseTensor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DenseTensor")
+            .field("dims", &self.dims)
+            .field("data", &self.as_slice())
+            .finish()
     }
 }
 
@@ -264,6 +310,17 @@ mod tests {
         assert_eq!(t.offset(&[0, 3]), 3);
         assert_eq!(t.offset(&[1, 0]), 4);
         assert_eq!(t.offset(&[2, 3]), 11);
+    }
+
+    #[test]
+    fn values_start_on_a_cache_line() {
+        for n in 0..40 {
+            let t = DenseTensor::from_fn(&[n + 1], |c| c[0] as f64);
+            assert_eq!(t.as_slice().as_ptr() as usize % 64, 0);
+            let c = t.clone();
+            assert_eq!(c.as_slice().as_ptr() as usize % 64, 0);
+            assert_eq!(c, t);
+        }
     }
 
     #[test]

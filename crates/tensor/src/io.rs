@@ -17,21 +17,33 @@
 //!
 //! Both readers stream from any [`BufRead`] one line at a time, as
 //! bytes, through one reused buffer, and validate as they go; the whole
-//! file is never held in memory. An all-ASCII line is split into fields
+//! file is never held in memory. A `.tns` file read by path
+//! ([`load_coo`], [`load_tns`]) is cut into line-aligned parts, one per
+//! core and per `MIN_PART_BYTES` (4 MiB) of file, whichever is fewer,
+//! and each part streams that way through the same line rule on a
+//! thread of its own; the parts' entries are then joined in file order.
+//! Parts only report success: if one fails, or two disagree on the mode
+//! count, the file is read again in one part, so every error names its
+//! line in the whole file, and every core count yields the same tensor,
+//! bit for bit, or the same error. An all-ASCII line is split into fields
 //! byte by byte; a line with any byte ≥ 0x80 must be UTF-8 (comment
 //! included) and is split on Unicode whitespace, exactly as
 //! [`str::split_whitespace`] does. Coordinates are parsed as integers
 //! straight from the bytes (an optional `+`, then decimal digits, no
 //! overflow); values go through [`str::parse::<f64>`], which is
-//! correctly rounded. Entries land directly in the tensor's storage,
-//! and the readers finish with the canonical ingest step the rest of the
+//! correctly rounded. Entries land directly in the tensor's storage
+//! (a later part's are appended to the first part's), and the readers
+//! finish with the canonical ingest step the rest of the
 //! stack expects: entries sorted lexicographically in natural mode order
 //! with duplicate coordinates summed ([`CooTensor::sort_dedup`], a
 //! single O(nnz) check when the file is already sorted). [`load_coo`]
-//! dispatches on a file path's extension.
+//! dispatches on a file path's extension; [`load_tns`] reads a path as
+//! `.tns` against declared dims.
 
 use crate::{CooTensor, TensorError};
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
 
@@ -233,25 +245,54 @@ fn finish(dims: Vec<usize>, coords: Vec<usize>, vals: Vec<f64>) -> Result<CooTen
 /// Read a FROSTT `.tns` tensor: one `c1 ... cd value` entry per line,
 /// 1-based coordinates, `#` comments and blank lines skipped.
 ///
-/// The mode count comes from the first data line; every later line must
-/// match it. `dims` declares the dimensions (each entry is checked
-/// against them on its own line); `None` infers each dimension as the
-/// largest coordinate seen in that mode. Entries are sorted in natural
-/// mode order and duplicate coordinates are summed on ingest.
+/// The mode count comes from the first data line, which must match
+/// declared dims; every later line must match it. `dims` declares the
+/// dimensions (each entry is checked against them on its own line);
+/// `None` infers each dimension as the largest coordinate seen in that
+/// mode. Entries are sorted in natural mode order and duplicate
+/// coordinates are summed on ingest.
 ///
 /// An input with no data lines errors: a tensor's mode count cannot be
 /// inferred from nothing (declare dims and build an empty
 /// [`CooTensor`] directly if that is what you mean).
 pub fn read_tns<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<CooTensor, IoError> {
-    let mut lines = Lines::new(reader);
-    let mut fields = Vec::new();
-    // Declared dims, or the largest 1-based coordinate seen per mode.
-    let mut extents: Vec<usize> = Vec::new();
-    let (mut coords, mut vals) = (Vec::new(), Vec::new());
-    while let Some((lineno, line)) = lines.next_line()? {
-        split_fields(line, Some(b'#'), lineno, &mut fields)?;
+    TnsEntries::read(reader, dims)?.finish()
+}
+
+/// The entries of `.tns` lines in input order: the extents (declared
+/// dims, or the largest 1-based coordinate seen per mode; empty before
+/// the first data line), then the 0-based coordinates and the values.
+#[derive(Default)]
+struct TnsEntries {
+    extents: Vec<usize>,
+    coords: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl TnsEntries {
+    /// Every line of `reader`, checked against `dims` line by line.
+    fn read<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<Self, IoError> {
+        let mut lines = Lines::new(reader);
+        let mut fields = Vec::new();
+        let mut entries = TnsEntries::default();
+        while let Some((lineno, line)) = lines.next_line()? {
+            entries.push_line(line, lineno, dims, &mut fields)?;
+        }
+        Ok(entries)
+    }
+
+    /// Add line `lineno`'s entry, if it holds one: the one line rule of
+    /// every `.tns` read. `fields` is scratch space.
+    fn push_line(
+        &mut self,
+        line: &[u8],
+        lineno: usize,
+        dims: Option<&[usize]>,
+        fields: &mut Vec<Range<usize>>,
+    ) -> Result<(), IoError> {
+        split_fields(line, Some(b'#'), lineno, fields)?;
         match fields.len() {
-            0 => continue,
+            0 => return Ok(()),
             // One field is all the line holds besides whitespace.
             1 => {
                 let got = String::from_utf8_lossy(&line[fields[0].clone()]);
@@ -263,24 +304,26 @@ pub fn read_tns<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<CooTens
             _ => {}
         }
         let order = fields.len() - 1;
-        if vals.is_empty() {
-            extents = match dims {
+        if self.vals.is_empty() {
+            self.extents = match dims {
                 Some(d) if d.len() != order => {
-                    return Err(TensorError::OrderMismatch {
-                        expected: order,
-                        actual: d.len(),
-                    }
-                    .into())
+                    return Err(parse_err(
+                        lineno,
+                        format!(
+                            "entry has {order} coordinates, the declared dims have {}",
+                            d.len()
+                        ),
+                    ))
                 }
                 Some(d) => d.to_vec(),
                 None => vec![0; order],
             };
-        } else if order != extents.len() {
+        } else if order != self.extents.len() {
             return Err(parse_err(
                 lineno,
                 format!(
                     "entry has {order} coordinates, previous entries have {}",
-                    extents.len()
+                    self.extents.len()
                 ),
             ));
         }
@@ -290,24 +333,50 @@ pub fn read_tns<R: BufRead>(reader: R, dims: Option<&[usize]>) -> Result<CooTens
                 return Err(parse_err(lineno, "coordinates are 1-based; got 0"));
             }
             if dims.is_none() {
-                extents[m] = extents[m].max(c);
-            } else if c > extents[m] {
+                self.extents[m] = self.extents[m].max(c);
+            } else if c > self.extents[m] {
                 return Err(parse_err(
                     lineno,
                     format!(
                         "coordinate {c} out of bounds for mode {m} of dimension {}",
-                        extents[m]
+                        self.extents[m]
                     ),
                 ));
             }
-            coords.push(c - 1);
+            self.coords.push(c - 1);
         }
-        vals.push(parse_value(&line[fields[order].clone()], lineno)?);
+        self.vals
+            .push(parse_value(&line[fields[order].clone()], lineno)?);
+        Ok(())
     }
-    if vals.is_empty() {
-        return Err(IoError::Format("no tensor entries in input".into()));
+
+    /// Append the entries of the lines that follow these ones, or return
+    /// `None` when the two disagree on the mode count. Extents merge as
+    /// a per-mode max (declared dims are the same on both sides).
+    fn append(mut self, next: TnsEntries) -> Option<Self> {
+        if self.vals.is_empty() {
+            return Some(next);
+        }
+        if next.vals.is_empty() {
+            return Some(self);
+        }
+        if next.extents.len() != self.extents.len() {
+            return None;
+        }
+        for (e, &n) in self.extents.iter_mut().zip(&next.extents) {
+            *e = (*e).max(n);
+        }
+        self.coords.extend_from_slice(&next.coords);
+        self.vals.extend_from_slice(&next.vals);
+        Some(self)
     }
-    finish(extents, coords, vals)
+
+    fn finish(self) -> Result<CooTensor, IoError> {
+        if self.vals.is_empty() {
+            return Err(IoError::Format("no tensor entries in input".into()));
+        }
+        finish(self.extents, self.coords, self.vals)
+    }
 }
 
 /// Read a MatrixMarket coordinate file as a 2-mode [`CooTensor`].
@@ -428,18 +497,17 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<CooTensor, IoError> {
 }
 
 /// Load a sparse tensor from a file path, dispatching on the extension:
-/// `.tns` → [`read_tns`] (dimensions inferred), `.mtx` → [`read_mtx`].
+/// `.tns` → [`load_tns`] (dimensions inferred), `.mtx` → [`read_mtx`].
 pub fn load_coo(path: impl AsRef<Path>) -> Result<CooTensor, IoError> {
     let path = path.as_ref();
     let ext = path
         .extension()
         .and_then(|e| e.to_str())
         .map(str::to_lowercase);
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
+    let file = File::open(path)?;
     match ext.as_deref() {
-        Some("tns") => read_tns(reader, None),
-        Some("mtx") => read_mtx(reader),
+        Some("tns") => read_tns_file(path, file, None),
+        Some("mtx") => read_mtx(BufReader::new(file)),
         _ => Err(IoError::Format(format!(
             "unrecognized tensor file extension in '{}'; expected .tns or .mtx",
             path.display()
@@ -447,9 +515,97 @@ pub fn load_coo(path: impl AsRef<Path>) -> Result<CooTensor, IoError> {
     }
 }
 
+/// Read the `.tns` file at `path`, whatever its extension, as
+/// [`read_tns`] reads it, on up to every core (see the module doc).
+pub fn load_tns(path: impl AsRef<Path>, dims: Option<&[usize]>) -> Result<CooTensor, IoError> {
+    let path = path.as_ref();
+    read_tns_file(path, File::open(path)?, dims)
+}
+
+/// The smallest share of a `.tns` file worth a thread of its own: a
+/// file shorter than two of these is read in one part. A part costs a
+/// thread with its own allocator arena and stack, and the append of its
+/// entries; on files of a few MiB that cost about a sixteenth of the
+/// peak memory of a run for a saving of a few milliseconds.
+const MIN_PART_BYTES: u64 = 4 << 20;
+
+/// Read `file`, opened at `path`, in one part per core and per
+/// [`MIN_PART_BYTES`] of it, whichever is fewer.
+fn read_tns_file(path: &Path, file: File, dims: Option<&[usize]>) -> Result<CooTensor, IoError> {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let by_size = file.metadata()?.len() / MIN_PART_BYTES;
+    let parts = usize::try_from(by_size).map_or(cores, |p| p.min(cores));
+    read_tns_parts(path, file, dims, parts)
+}
+
+/// Read `file`, opened at `path`, as `parts` line-aligned byte ranges
+/// parsed side by side, each through [`TnsEntries::read`] on a handle
+/// of its own (part 0 on `file`, on the calling thread), then appended
+/// in file order. The parts only report success: when one fails, or
+/// two disagree on the mode count, the file is read again by
+/// [`read_tns`], which names the error's line in the whole file.
+fn read_tns_parts(
+    path: &Path,
+    mut file: File,
+    dims: Option<&[usize]>,
+    parts: usize,
+) -> Result<CooTensor, IoError> {
+    if parts > 1 {
+        let seams = part_seams(&file, parts)?;
+        let read = |mut part: &File, range: &[u64]| {
+            part.seek(SeekFrom::Start(range[0]))?;
+            TnsEntries::read(BufReader::new(part.take(range[1] - range[0])), dims)
+        };
+        let merged = std::thread::scope(|s| {
+            let later: Vec<_> = seams[1..]
+                .windows(2)
+                .map(|range| s.spawn(move || read(&File::open(path)?, range)))
+                .collect();
+            let mut all = read(&file, &seams[..2]).ok()?;
+            for part in later {
+                let part = part.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                all = all.append(part.ok()?)?;
+            }
+            Some(all)
+        });
+        if let Some(entries) = merged {
+            return entries.finish();
+        }
+        file.rewind()?;
+    }
+    read_tns(BufReader::new(file), dims)
+}
+
+/// The `parts + 1` offsets that cut `file` into line-aligned ranges:
+/// 0, then for each `k` in `1..parts` the first line start at or past
+/// `k / parts` of the file (a line longer than a part leaves the part
+/// after it empty), then the file's length.
+fn part_seams(file: &File, parts: usize) -> Result<Vec<u64>, IoError> {
+    let len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
+    let mut seams = vec![0];
+    let mut skipped = Vec::new();
+    for k in 1..parts {
+        let target = (u128::from(len) * k as u128 / parts as u128) as u64;
+        let prev = seams[k - 1];
+        let seam = if target <= prev {
+            prev
+        } else {
+            // A line starts at `target` if the byte before it ends one.
+            reader.seek(SeekFrom::Start(target - 1))?;
+            skipped.clear();
+            target - 1 + reader.read_until(b'\n', &mut skipped)? as u64
+        };
+        seams.push(seam);
+    }
+    seams.push(len);
+    Ok(seams)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn tns_basic_with_comments_and_dedup() {
@@ -484,23 +640,46 @@ mod tests {
             e.to_string(),
             "line 2: coordinate 2 out of bounds for mode 0 of dimension 1"
         );
-        let e = read_tns(text.as_bytes(), Some(&[5, 5, 5])).unwrap_err();
-        assert!(matches!(
-            e,
-            IoError::Tensor(TensorError::OrderMismatch { .. })
-        ));
+        // A mode count the declared dims disagree with: the first data
+        // line, and both counts.
+        let e = read_tns("# c\n\n1 1 1.0\n".as_bytes(), Some(&[5, 5, 5])).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 3, .. }), "{e}");
+        assert_eq!(
+            e.to_string(),
+            "line 3: entry has 2 coordinates, the declared dims have 3"
+        );
+        let e = read_tns("1 1 1 1.0\n".as_bytes(), Some(&[4, 4])).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 1: entry has 3 coordinates, the declared dims have 2"
+        );
     }
+
+    /// Inputs `tns_rejects_malformed` pins, each an error.
+    const MALFORMED: [&[u8]; 8] = [
+        // Zero coordinate (1-based format).
+        b"0 1 1.0\n",
+        // Ragged arity.
+        b"1 1 1.0\n1 1 1 1.0\n",
+        // Non-numeric value.
+        b"1 1 x\n",
+        // Lone field.
+        b"7\n",
+        // Empty input.
+        b"# only comments\n",
+        // A bad coordinate on line 2.
+        b"1 1 1.0\n1 bad 2.0\n",
+        // Invalid UTF-8 on line 2.
+        b"1 1 1.0\n1 1 2.0 # \xff\n",
+        // An overflowing coordinate.
+        b"99999999999999999999999 1 1.0\n",
+    ];
 
     #[test]
     fn tns_rejects_malformed() {
-        // Zero coordinate (1-based format).
-        assert!(read_tns("0 1 1.0\n".as_bytes(), None).is_err());
-        // Ragged arity.
-        assert!(read_tns("1 1 1.0\n1 1 1 1.0\n".as_bytes(), None).is_err());
-        // Non-numeric value.
-        assert!(read_tns("1 1 x\n".as_bytes(), None).is_err());
-        // Lone field.
-        assert!(read_tns("7\n".as_bytes(), None).is_err());
+        for text in MALFORMED {
+            assert!(read_tns(text, None).is_err());
+        }
         // Empty input: mode count unknowable, and no line to blame.
         let e = read_tns("# only comments\n".as_bytes(), None).unwrap_err();
         assert!(matches!(e, IoError::Format(_)), "{e}");
@@ -526,6 +705,188 @@ mod tests {
         assert_eq!(coo.dims(), &[2, 2]);
         assert_eq!(coo.coords(), &[0, 0, 0, 1, 1, 0]);
         assert_eq!(coo.vals(), &[1.0, 3.5, 0.5]);
+    }
+
+    /// A file holding some bytes, removed on drop.
+    struct TempTns(std::path::PathBuf);
+
+    impl TempTns {
+        fn new(text: &[u8]) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("spttn-io-{}-{n}.tns", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, text).unwrap();
+            TempTns(path)
+        }
+
+        fn open(&self) -> File {
+            File::open(&self.0).unwrap()
+        }
+    }
+
+    impl Drop for TempTns {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// Read `text` from a file in k = 1..=5 parts and check that each
+    /// read is serial `read_tns` on the same bytes: the same tensor,
+    /// value bits included, or the same error string. Returns the
+    /// interior seams of every k.
+    fn parts_match_serial(text: &[u8], dims: Option<&[usize]>) -> Vec<u64> {
+        let file = TempTns::new(text);
+        let serial = read_tns(text, dims);
+        let bits = |c: &CooTensor| c.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut seams = Vec::new();
+        for k in 1..=5 {
+            match (&serial, read_tns_parts(&file.0, file.open(), dims, k)) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!((a.dims(), a.coords()), (b.dims(), b.coords()), "k = {k}");
+                    assert_eq!(bits(a), bits(&b), "k = {k}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "k = {k}"),
+                (a, b) => panic!("k = {k}: serial read {a:?}, {k} parts {b:?}"),
+            }
+            let all = part_seams(&file.open(), k).unwrap();
+            seams.extend_from_slice(&all[1..k]);
+        }
+        seams
+    }
+
+    /// `n` 3-mode entries in every form the reader accepts, picked per
+    /// line by a fixed LCG: tab, space and U+00A0 separators, LF and
+    /// CRLF ends, `+` signs, trailing and whole-line comments, blank
+    /// lines, three value notations and repeated coordinates.
+    fn mixed_tns(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % m
+        };
+        let mut out = String::new();
+        for _ in 0..n {
+            match next(8) {
+                0 => out += "# comment 1 2 3\n",
+                1 => out += "\n",
+                2 => out += " \t\r\n",
+                _ => {}
+            }
+            let (sep, end) = match next(5) {
+                0 => ("\t", "\r\n"),
+                1 => (" \u{a0}", "\n"),
+                2 => ("  ", " # note\n"),
+                3 => (" ", "\r\n"),
+                _ => (" ", "\n"),
+            };
+            let plus = if next(4) == 0 { "+" } else { "" };
+            let c = [next(9) + 1, next(7) + 1, next(5) + 1];
+            let v = (next(2001) as f64 - 1000.0) / 7.0;
+            let v = match next(3) {
+                0 => format!("{v}"),
+                1 => format!("{v:e}"),
+                _ if v >= 0.0 => format!("{plus}{v:.3}"),
+                _ => format!("{v:.3}"),
+            };
+            out += &format!("{plus}{}{sep}{}{sep}{}{sep}{v}{end}", c[0], c[1], c[2]);
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn tns_parts_read_every_accepted_form() {
+        parts_match_serial(include_bytes!("../../../tests/data/small.tns"), None);
+        for seed in 1..=6 {
+            let text = mixed_tns(40 * seed as usize, seed);
+            assert!(read_tns(&text[..], None).is_ok());
+            parts_match_serial(&text, None);
+            parts_match_serial(&text, Some(&[9, 7, 5]));
+            // No newline at the end of the last line.
+            let cut = text.trim_ascii_end();
+            parts_match_serial(cut, None);
+        }
+    }
+
+    #[test]
+    fn tns_parts_with_fewer_lines_than_parts() {
+        for text in [
+            "",
+            "\n",
+            "# c\n\n",
+            "1 1 1.0\n",
+            "1 1 1.0\n2 2 2.0",
+            "\r\n3 1 -2\r\n",
+        ] {
+            parts_match_serial(text.as_bytes(), None);
+        }
+    }
+
+    /// A comment, a blank line or a CRLF line moved through every place
+    /// of a small file: some read must cut the file at its start.
+    #[test]
+    fn tns_parts_seams_on_every_line_kind() {
+        let data = "1 2 3 0.5\n";
+        for special in ["# 1 2 3 4\n", "\n", " \t\n", "2 1 3 -1.5\r\n", "\r\n"] {
+            let mut cut_there = false;
+            for at in 0..=6 {
+                let text = data.repeat(at) + special + &data.repeat(6 - at);
+                let seams = parts_match_serial(text.as_bytes(), None);
+                cut_there |= seams.contains(&((data.len() * at) as u64));
+            }
+            assert!(cut_there, "no seam on {special:?}");
+        }
+    }
+
+    /// A bad line in the last part is named by its line in the whole
+    /// file, and a mode count two parts disagree on is the serial error.
+    #[test]
+    fn tns_parts_errors_are_the_serial_errors() {
+        let good = "1 2 0.25\n".repeat(40);
+        for (bad, dims, message) in [
+            (
+                "1 1 1 1.0\n",
+                None,
+                "line 41: entry has 3 coordinates, previous entries have 2",
+            ),
+            ("0 1 1.0\n", None, "line 41: coordinates are 1-based; got 0"),
+            ("1 1 x\n", None, "line 41: bad value 'x'"),
+            (
+                "9 1 1.0\n",
+                Some(&[8, 8][..]),
+                "line 41: coordinate 9 out of bounds for mode 0 of dimension 8",
+            ),
+        ] {
+            let text = good.clone() + bad;
+            assert_eq!(
+                read_tns(text.as_bytes(), dims).unwrap_err().to_string(),
+                message
+            );
+            parts_match_serial(text.as_bytes(), dims);
+        }
+        // Two halves, each consistent, of different mode counts.
+        let text = "1 2 0.25\n".repeat(20) + &"1 2 3 0.25\n".repeat(20);
+        parts_match_serial(text.as_bytes(), None);
+        parts_match_serial(text.as_bytes(), Some(&[3, 3]));
+        for text in MALFORMED {
+            parts_match_serial(text, None);
+        }
+    }
+
+    /// A file of more than two parts' worth goes through `load_coo` as
+    /// it reads through `read_tns`.
+    #[test]
+    fn load_coo_reads_a_large_file_as_read_tns_does() {
+        let text = mixed_tns(330_000, 7);
+        assert!(text.len() as u64 > 2 * MIN_PART_BYTES);
+        let file = TempTns::new(&text);
+        let serial = read_tns(&text[..], None).unwrap();
+        let loaded = load_coo(&file.0).unwrap();
+        assert_eq!(serial, loaded);
+        let declared = load_tns(&file.0, Some(&[9, 7, 5])).unwrap();
+        assert_eq!(serial, declared);
     }
 
     #[test]

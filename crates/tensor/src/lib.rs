@@ -29,7 +29,8 @@
 //! FROSTT `.tns` ([`read_tns`]) and MatrixMarket coordinate
 //! ([`read_mtx`]) files, both finishing with the canonical
 //! sort-and-dedup ingest step, plus [`load_coo`] which dispatches on
-//! the file extension. A loaded tensor can be stored under any CSF mode
+//! the file extension and [`load_tns`] which reads a `.tns` path
+//! against declared dims, both parsing a large file on every core. A loaded tensor can be stored under any CSF mode
 //! order — [`Csf::reordered`] rebuilds an existing tree under a new
 //! order, which is how plans produced by the mode-order search attach
 //! to data ingested in natural order.
@@ -48,7 +49,7 @@ pub use coo::CooTensor;
 pub use csf::{Csf, CsfLevel, CsfTile};
 pub use dense::DenseTensor;
 pub use gen::{random_coo, random_dense, random_vec, skewed_coo};
-pub use io::{load_coo, read_mtx, read_tns, IoError};
+pub use io::{load_coo, load_tns, read_mtx, read_tns, IoError};
 pub use profile::{SparsityProfile, SubsetCounts, MAX_COUNTED_ORDER};
 
 /// Errors produced by tensor construction and validation.
