@@ -39,8 +39,8 @@ pub enum SpttnError {
     Execution(String),
     /// Execution stopped cooperatively before completion — a
     /// `CancelToken` fired or a deadline expired. `phase` names the
-    /// checkpoint that observed the stop ("tape", "interp",
-    /// "network"); `elapsed` is wall time since the execution started.
+    /// checkpoint that observed the stop ("tape" or "network");
+    /// `elapsed` is wall time since the execution started.
     /// The caller-visible output holds no partial results.
     Cancelled {
         phase: &'static str,

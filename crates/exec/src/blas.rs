@@ -3,13 +3,15 @@
 //! The paper offloads innermost dense loops to BLAS (Sec. 5, Fig. 6:
 //! xAXPY for rank-1 updates along one mode, xGER for two). These are
 //! pure-Rust equivalents: strided in general, with contiguous fast paths
-//! written so the compiler auto-vectorizes them. The reference
-//! interpreter ([`crate::interp`]) calls them directly; the scalar
-//! kernel tier ([`crate::simd`]) runs their arithmetic in their order —
-//! its DOT is `Scalar::dot`'s left-to-right fold, its GEMV the shared
-//! `simd::gemv` body over that DOT, its element-parallel kernels the
-//! lane-generic bodies on one unfused `f64` lane — so a scalar-tier tape
-//! reproduces the interpreter bit for bit.
+//! written so the compiler auto-vectorizes them. They are the reference
+//! the kernel tiers are held to (`tests/simd_diff.rs`,
+//! `tests/blas_ref.rs`): the scalar kernel tier ([`crate::simd`]) runs
+//! their arithmetic in their order — its DOT is `Scalar::dot`'s
+//! left-to-right fold, its GEMV the shared `simd::gemv` body over that
+//! DOT, its element-parallel kernels the lane-generic bodies on one
+//! unfused `f64` lane — and the committed digests
+//! (`tests/tape_digests.txt`) pin the bits a scalar-tier tape computes
+//! with them.
 
 /// `y[i*incy] += alpha * x[i*incx]` for `i in 0..n` (xAXPY).
 #[inline]

@@ -36,14 +36,14 @@
 //! Its per-tier tables of kernel function pointers serve calls made
 //! beside a tape.
 //!
-//! Three things exist only to check the tape: [`tape::verify`]
+//! Two things exist only to check the tape: [`tape::verify`]
 //! statically proves every compiled tape well-formed (loop structure,
 //! cursor bounds, Eq.-5 zero placement, node tracking) before it ever
-//! runs; the reference interpreter ([`interp::execute_forest_into`])
-//! walks the forest directly, serially and over the whole tree, and is
-//! the bitwise twin of a scalar-kernel tape that the differential
-//! suites compare against; and a brute-force dense einsum oracle
-//! ([`naive_einsum`]) backs both.
+//! runs, and a brute-force dense einsum oracle ([`naive_einsum`])
+//! judges what it computes. The bits it computes are pinned by
+//! committed digests (`tests/tape_digests.txt`): one line per (case,
+//! cost model, tier class, tile count) over the output bits and
+//! [`ExecStats`], which the scalar tier must reproduce exactly.
 //!
 //! The [`guard`] module hardens all of this for long-lived services:
 //! a [`CancelToken`]/[`RunGuard`] pair gives the tape cooperative
@@ -63,7 +63,6 @@
 pub mod blas;
 pub mod faults;
 pub mod guard;
-pub mod interp;
 pub mod parallel;
 pub mod reference;
 pub mod simd;
@@ -79,3 +78,8 @@ pub use tape::{execute_tape_into, execute_tape_tile_into, CompiledTape, TapeStat
 pub use workspace::{
     validate_output, validate_slotted_operands, ContractionOutput, ExecStats, OutputMut, Workspace,
 };
+
+/// The committed digests the tape's unit tests check runs against.
+#[cfg(test)]
+#[path = "../tests/common/digest.rs"]
+mod digest;

@@ -2,9 +2,9 @@
 //!
 //! Evaluates a [`Kernel`] by brute force over the full cartesian index
 //! space — `O(Π dims)` time, no sparsity, no fusion. It is the oracle
-//! the loop-forest interpreter is validated against: for any kernel and
-//! any planned nest, executing the nest must match this evaluator to
-//! floating-point accumulation tolerance.
+//! the tape is validated against: for any kernel and any planned nest,
+//! executing the nest must match this evaluator to floating-point
+//! accumulation tolerance.
 
 use spttn_core::{Result, SpttnError};
 use spttn_ir::Kernel;

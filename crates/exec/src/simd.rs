@@ -60,10 +60,11 @@
 //!
 //! - Scalar kernels round every product and sum, in [`crate::blas`]'s
 //!   order, and accumulate DOT and GEMV strictly left-to-right; forcing
-//!   [`Microkernels::Scalar`] reproduces the reference interpreter
-//!   [`crate::interp`] **bitwise**, fused program and all. (XMUL
-//!   computes `α·(x·z)` where `blas` computes `(α·x)·z`; every caller
-//!   passes `α = 1`.)
+//!   [`Microkernels::Scalar`] reproduces the committed digests' scalar
+//!   rows (`tests/tape_digests.txt`: the unfused loop-forest
+//!   interpreter's bits, recorded) **bitwise**, fused program and all.
+//!   (XMUL computes `α·(x·z)` where `blas` computes `(α·x)·z`; every
+//!   caller passes `α = 1`.) The x86 FMA tiers share one set of rows.
 //! - Element-parallel SIMD kernels have no reduction order: a
 //!   contiguous call computes each output element with one fused
 //!   multiply-add (`y = fma(α, x, y)`, `y = fma(α, x·z, y)`,
@@ -105,7 +106,7 @@ pub enum Microkernels {
     Auto,
     /// Force the scalar [`crate::blas`] kernel table. A kernel table,
     /// not a program shape: the tape is the one every tier runs, and
-    /// its results equal the reference interpreter's bit for bit.
+    /// its results equal the committed digests' scalar rows bit for bit.
     Scalar,
 }
 
@@ -216,8 +217,8 @@ impl KernelSet {
 
     /// The always-available scalar table: [`crate::blas`]'s arithmetic,
     /// unfused, and its assigning twins. A kernel table, not a program
-    /// shape: the tape fuses as at every tier, and runs the reference
-    /// interpreter's operation order bit for bit.
+    /// shape: the tape fuses as at every tier, and reproduces the
+    /// committed digests' scalar rows bit for bit.
     pub fn scalar() -> KernelSet {
         KernelSet {
             sel: KernelSel::Scalar,

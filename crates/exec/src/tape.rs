@@ -1,11 +1,11 @@
 //! Bind-time compilation of loop forests to a flat instruction tape.
 //!
-//! The reference interpreter ([`crate::interp`]) walks a planned
-//! [`LoopForest`] directly: every vertex visit re-matches node variants,
-//! asks the lowering rule again whether the vertex is a microkernel
-//! call, and recomputes strided offsets from scratch.
-//! All of those decisions depend only on the *plan*, not on the data —
-//! so [`CompiledTape::compile_with`] makes each of them exactly once,
+//! Walking a planned [`LoopForest`] directly would, on every vertex
+//! visit, re-match node variants, ask the lowering rule again whether
+//! the vertex is a microkernel call, and recompute strided offsets from
+//! scratch. All of those decisions depend only on the *plan*, not on
+//! the data — so [`CompiledTape::compile_with`] makes each of them
+//! exactly once,
 //! lowering `(Kernel, ContractionPath, LoopForest)` into a flat
 //! `Vec<Instr>` program that the tile-parametric driver replays per
 //! execution.
@@ -21,8 +21,8 @@
 //!   stack (the driver never recurses). Each header carries a slice of
 //!   the *advance table*: `(cursor, stride)` pairs whose running
 //!   offsets are incremented by `Δcoordinate · stride` on every step
-//!   and restored on exit, replacing the interpreter's per-visit
-//!   `offset_in` recomputation. A sparse header names only its CSF
+//!   and restored on exit, in place of recomputing each offset from
+//!   the coordinates on every visit. A sparse header names only its CSF
 //!   level: at level 0 it iterates the tile root range, below that the
 //!   children of the node the enclosing level-`ℓ−1` loop stands on.
 //! - `Leaf` — one scalar contraction `tgt += l · r`, with both operand
@@ -136,15 +136,19 @@
 //!
 //! # Contracts
 //!
-//! The tape and the interpreter read the same forest and the same
-//! lowering rule, so they have the same loop structure and the same
-//! microkernel calls by construction; what each does on its own —
-//! addressing, and under [`KernelSet::scalar`] the floating-point
-//! operation order — the differential suite (`tests/tape_vs_interp.rs`)
-//! checks: the tape to ≤1e-9 of the interpreter, the scalar tape to
-//! bitwise equality. Neither is a second opinion on the rule itself;
-//! that is tested where it is stated (`spttn_ir::lower`), and against
-//! exact dispatch and flop counts in `tests/plan_shape.rs`.
+//! The tape's loop structure and microkernel calls come from the forest
+//! and the lowering rule; what it does on its own — addressing, and
+//! under [`KernelSet::scalar`] the floating-point operation order — is
+//! pinned by committed digests (`crates/exec/tests/tape_digests.txt`):
+//! one line per (case, cost model, tier class, tile count) over the
+//! output bits and [`ExecStats`], recorded while a separate unfused
+//! loop-forest interpreter still existed and shown equal to its bits.
+//! The scalar tape must reproduce its lines exactly, every other tier
+//! stays within ≤1e-9 of it (`tests/tape_vs_interp.rs`), and the naive
+//! oracle ([`crate::naive_einsum`]) judges both. None of this is a
+//! second opinion on the lowering rule itself; that is tested where it
+//! is stated (`spttn_ir::lower`), and against exact dispatch and flop
+//! counts in `tests/plan_shape.rs`.
 //! One compiled tape is shared by all
 //! worker threads (it is immutable and tile-parametric); the mutable
 //! driver state ([`TapeState`]) lives in each [`Workspace`], is
@@ -2700,6 +2704,7 @@ fn dot_cell<'b>(rs: &Resolve<'b>, i: &Instr, adv: AdvRange) -> DotCell<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::Digests;
     use crate::simd::KernelSel;
     use rand::prelude::*;
     use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
@@ -2737,12 +2742,15 @@ mod tests {
     /// sparse-AXPY loop with and without a folded `Zero`, the
     /// `Zero; Dot; Leaf` sparse-DOT loop, and fibers in both orders with
     /// every call a run-first tail can be — compiled from one forest
-    /// gives the dispatch counts of the unfused program, the reference
-    /// interpreter: its output bits on the scalar tier, and its output
-    /// to ≤ 1e-9 on the host's. Both tiers compile one program. (The
-    /// fused DOT loop reads `0.0 + d` where the unfused one stored `d`
-    /// into a zeroed cell and loaded it; an assigning call writes `αx`
-    /// where the unfused pair added it to zero.)
+    /// reproduces its committed digest lines (suite `fused`): the
+    /// unfused program's output bits and dispatch counts on the scalar
+    /// tier, recorded from the loop-forest interpreter that ran it, and
+    /// the x86 FMA tiers' own bits, shared by AVX2 and AVX-512. Every
+    /// tier the host has runs the scalar tier's dispatch counts to
+    /// ≤ 1e-9 of its output, and all compile one program. (The fused DOT
+    /// loop reads `0.0 + d` where the unfused one stored `d` into a
+    /// zeroed cell and loaded it; an assigning call writes `αx` where
+    /// the unfused pair added it to zero.)
     #[test]
     fn fused_tapes_are_bitwise_the_unfused_tape() {
         let nests: [Nest; 14] = [
@@ -2868,7 +2876,8 @@ mod tests {
             ),
         ];
         let mut rng = StdRng::seed_from_u64(41);
-        for (expr, dims, nnz, picks, orders, shapes) in nests {
+        let mut digests = Digests::new("fused");
+        for (n, (expr, dims, nnz, picks, orders, shapes)) in nests.into_iter().enumerate() {
             let kernel = parse_kernel(expr, dims).unwrap();
             let path = path_from_picks(&kernel, picks);
             let orders = orders.iter().map(|o| o.to_vec()).collect();
@@ -2886,7 +2895,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let run = |ks: Option<KernelSet>| {
+            let run = |ks: KernelSet| {
                 let mut ws = Workspace::from_specs(&kernel, &path, &forest, &specs);
                 let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
                 let mut vals = vec![0.0; csf.nnz()];
@@ -2895,44 +2904,36 @@ mod tests {
                 } else {
                     OutputMut::Dense(&mut dense)
                 };
-                let (mut fused, mut program) = (Vec::new(), None);
-                if let Some(ks) = ks {
-                    let tape =
-                        CompiledTape::compile_with_kernels(&kernel, &path, &forest, &specs, ks)
-                            .unwrap();
-                    fused = tape.instrs.iter().filter_map(fused_shape).collect();
-                    assert_eq!(fused.len(), tape.superinstructions());
-                    let (n, sup, spec) = (tape.num_instrs(), fused.len(), tape.specialized());
-                    program = Some((n, sup, spec, tape.verify().unwrap()));
-                    execute_tape_into(&tape, &kernel, &csf, &factors, &mut ws, out).unwrap();
-                } else {
-                    crate::interp::execute_forest_into(
-                        &kernel, &path, &forest, &csf, &factors, &mut ws, out,
-                    )
+                let tape = CompiledTape::compile_with_kernels(&kernel, &path, &forest, &specs, ks)
                     .unwrap();
-                }
+                let fused: Vec<_> = tape.instrs.iter().filter_map(fused_shape).collect();
+                assert_eq!(fused.len(), tape.superinstructions());
+                let (n, sup, spec) = (tape.num_instrs(), fused.len(), tape.specialized());
+                let program = (n, sup, spec, tape.verify().unwrap());
+                execute_tape_into(&tape, &kernel, &csf, &factors, &mut ws, out).unwrap();
                 let vals: Vec<f64> = dense.as_slice().iter().chain(&vals).copied().collect();
                 (fused, vals, ws.stats(), program)
             };
-            let reference = run(None);
             let mut programs = Vec::new();
-            for ks in [KernelSet::scalar(), KernelSet::auto_detected()] {
-                let got = run(Some(ks));
+            let mut scalar = None;
+            for sel in crate::simd::tests::tiers() {
+                let ks = KernelSet { sel };
+                let got = run(ks);
                 programs.push(got.3);
                 assert_eq!(&got.0[..], shapes, "{expr}");
-                assert_eq!(got.2, reference.2, "{expr}: same dispatches and elements");
-                for (g, r) in got.1.iter().zip(&reference.1) {
-                    match ks.selection() {
-                        KernelSel::Scalar => assert_eq!(g.to_bits(), r.to_bits(), "{expr}"),
-                        _ => assert!((g - r).abs() <= 1e-9, "{expr} on {}", ks.name()),
-                    }
+                digests.record(n, "-", sel == KernelSel::Scalar, 1, &got.1, &got.2);
+                let (vals, stats) = scalar.get_or_insert_with(|| (got.1.clone(), got.2));
+                assert_eq!(got.2, *stats, "{expr}: same dispatches and elements");
+                for (g, r) in got.1.iter().zip(vals.iter()) {
+                    assert!((g - r).abs() <= 1e-9, "{expr} on {}", ks.name());
                 }
             }
-            assert_eq!(
-                programs[0], programs[1],
+            assert!(
+                programs.windows(2).all(|w| w[0] == w[1]),
                 "{expr}: one program at every tier"
             );
         }
+        digests.check();
     }
 
     impl Run<'_> {

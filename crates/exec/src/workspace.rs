@@ -4,10 +4,9 @@
 //! [`Workspace`] holds every Eq.-5 intermediate buffer plus the tape
 //! driver's state, sized purely from the plan (no operand data), an
 //! [`OutputMut`] names the caller-owned output a run accumulates into,
-//! and [`ExecStats`] counts what the run dispatched. Both the tape
-//! ([`crate::tape`]) and the reference interpreter ([`crate::interp`])
-//! run against these types, which is what lets tests compare them on
-//! identical inputs.
+//! and [`ExecStats`] counts what the run dispatched. The tape
+//! ([`crate::tape`]) runs against these types; the committed digests
+//! the tests hold it to fold a run's output bits and its [`ExecStats`].
 
 use spttn_core::{Result, SpttnError};
 use spttn_ir::{buffers_for_forest, BufferSpec, ContractionPath, Kernel, LoopForest};
@@ -278,8 +277,8 @@ pub enum OutputMut<'a> {
 /// dense dimensions, or the sparse value count (`leaf_len` nonzeros —
 /// the whole tensor for a full execution, one tile's leaves for a tiled
 /// one). Allocation-free on the success path; shared by the tape, the
-/// parallel executor, the reference interpreter and the facade's
-/// executor (which checks before it zeroes) so they cannot drift.
+/// parallel executor and the facade's executor (which checks before it
+/// zeroes) so they cannot drift.
 pub fn validate_output(kernel: &Kernel, out: &OutputMut<'_>, leaf_len: usize) -> Result<()> {
     match out {
         OutputMut::Dense(d) => {

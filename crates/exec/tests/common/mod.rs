@@ -2,6 +2,8 @@
 //! `*_into` entry points from freshly allocated state.
 #![allow(dead_code)] // each suite uses its own subset
 
+pub mod digest;
+
 use spttn_core::Result;
 use spttn_exec::{CompiledTape, ContractionOutput, KernelSet, OutputMut};
 use spttn_ir::{buffers_for_forest, ContractionPath, Kernel, LoopForest};
@@ -40,8 +42,17 @@ pub fn fresh_output(
     }
 }
 
-/// The nest lowered with the scalar kernel set — the program the
-/// interpreter is the bitwise twin of.
+/// The output's values, as a digest folds them: a dense output's cells
+/// or a pattern-sharing output's entries.
+pub fn vals(out: &ContractionOutput) -> &[f64] {
+    match out {
+        ContractionOutput::Dense(d) => d.as_slice(),
+        ContractionOutput::Sparse(c) => c.vals(),
+    }
+}
+
+/// The nest lowered with the scalar kernel set — the program whose
+/// bits the committed digests pin.
 pub fn scalar_tape(kernel: &Kernel, path: &ContractionPath, forest: &LoopForest) -> CompiledTape {
     let specs = buffers_for_forest(kernel, path, forest);
     CompiledTape::compile_with_kernels(kernel, path, forest, &specs, KernelSet::scalar())

@@ -1,12 +1,12 @@
 //! Exec-level tile-engine golden tests: the tape-backed
-//! [`ParallelExecutor`] must match the whole-tree reference interpreter
-//! on dense- and sparse-output nests, at every tile count — one
-//! included — bitwise-deterministically.
+//! [`ParallelExecutor`] must match the whole-tree scalar tape — whose
+//! bits the committed digests pin — on dense- and sparse-output nests,
+//! at every tile count — one included — bitwise-deterministically.
 
 mod common;
 
+use common::digest::Digests;
 use rand::prelude::*;
-use spttn_exec::interp::execute_forest_into;
 use spttn_exec::{
     execute_tape_into, execute_tape_tile_into, ContractionOutput, ExecStats, OutputMut,
     ParallelExecutor, Workspace,
@@ -89,19 +89,25 @@ fn slotted(f: &Fixture) -> Vec<DenseTensor> {
     common::by_slot(&f.kernel, &f.factors.iter().collect::<Vec<_>>())
 }
 
-/// The reference: the interpreter, one thread over the whole tree.
-fn serial(f: &Fixture) -> (ContractionOutput, ExecStats) {
+/// The reference: the fixture's scalar tape, one thread over the whole
+/// tree, held to the committed digest line of `case` (the
+/// interpreter's bits).
+fn serial(f: &Fixture, case: &str) -> (ContractionOutput, ExecStats) {
     let slots = slotted(f);
+    let tape = common::scalar_tape(&f.kernel, &f.path, &f.forest);
     let mut ws = Workspace::new(&f.kernel, &f.path, &f.forest);
     let out = common::fresh_output(&f.kernel, &f.csf, |out| {
-        execute_forest_into(&f.kernel, &f.path, &f.forest, &f.csf, &slots, &mut ws, out)
+        execute_tape_into(&tape, &f.kernel, &f.csf, &slots, &mut ws, out)
     })
     .unwrap();
+    let mut digests = Digests::new("parallel_exec");
+    digests.record(case, "-", true, 1, common::vals(&out), &ws.stats());
+    digests.check();
     (out, ws.stats())
 }
 
 /// A pool of `threads` running the fixture's scalar tape — the program
-/// the reference is the bitwise twin of.
+/// the reference runs over the whole tree.
 fn pool(f: &Fixture, threads: usize) -> ParallelExecutor {
     ParallelExecutor::new(
         &f.kernel,
@@ -117,7 +123,7 @@ fn pool(f: &Fixture, threads: usize) -> ParallelExecutor {
 #[test]
 fn parallel_executor_matches_serial_and_is_deterministic() {
     let fixture = ttmc_fixture(21);
-    let want = serial(&fixture).0.to_dense();
+    let want = serial(&fixture, "ttmc21").0.to_dense();
     let slots = slotted(&fixture);
     // 64 threads: far more than the tensor has root fibers. Miri runs
     // this test too, so it gets the short list.
@@ -219,7 +225,7 @@ fn tile0_accumulates_into_the_callers_output() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn parallel_executor_sparse_output_disjoint_ranges() {
     let fixture = tttp_fixture(22);
-    let (ContractionOutput::Sparse(serial_coo), serial_stats) = serial(&fixture) else {
+    let (ContractionOutput::Sparse(serial_coo), serial_stats) = serial(&fixture, "tttp22") else {
         panic!("TTTP output must be sparse");
     };
     let slots = slotted(&fixture);
@@ -290,7 +296,7 @@ fn parallel_executor_rejects_different_structure() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn tile_partials_sum_to_full_output() {
     let fixture = ttmc_fixture(23);
-    let want = serial(&fixture).0.to_dense();
+    let want = serial(&fixture, "ttmc23").0.to_dense();
     let slots = slotted(&fixture);
     let tape = common::scalar_tape(&fixture.kernel, &fixture.path, &fixture.forest);
     let tiles = fixture.csf.partition(3);

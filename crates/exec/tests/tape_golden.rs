@@ -1,18 +1,24 @@
 //! Tape golden tests: every compiled tape must reproduce both the
-//! naive dense einsum oracle and the reference interpreter —
-//! across fused and unfused forests, dense and pattern-sharing
-//! outputs, all five microkernel lowerings, sparse loops under dense
-//! ones, and a nest whose CSF indices iterate densely under a dense
-//! ancestor of their parent level.
+//! naive dense einsum oracle and its committed digest lines (the
+//! interpreter's bits on the scalar tier) — across fused and unfused
+//! forests, dense and pattern-sharing outputs, all five microkernel
+//! lowerings, sparse loops under dense ones, and a nest whose CSF
+//! indices iterate densely under a dense ancestor of their parent
+//! level — and the whole-tree runner must refuse what does not fit
+//! and accumulate into what the caller left in the output.
 
 mod common;
 
+use common::digest::Digests;
 use common::scalar_tape;
 use rand::prelude::*;
-use spttn_exec::interp::execute_forest_into;
-use spttn_exec::{execute_tape_into, naive_einsum, ContractionOutput, OutputMut, Workspace};
+use spttn_exec::{
+    execute_tape_into, naive_einsum, CompiledTape, ContractionOutput, ExecStats, KernelSel,
+    KernelSet, Microkernels, OutputMut, Workspace,
+};
 use spttn_ir::{
-    build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel, LoopForest, NestSpec,
+    buffers_for_forest, build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel,
+    LoopForest, NestSpec,
 };
 use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 
@@ -34,58 +40,66 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
-/// Run a forest through the interpreter and through its scalar tape
-/// (each from a fresh workspace and output), asserting bitwise
-/// agreement — the tape mirrors the interpreter's operation order
-/// exactly — and return the tape's output for the oracle check.
-fn run_forest_both(
+/// Run a forest's tape on the scalar tier and on the host's (each from
+/// a fresh workspace and output), hold the host's to the scalar run at
+/// ≤ 1e-9, and record both runs under `case`: the committed digests
+/// are the interpreter's bits, so the scalar tape must reproduce them
+/// exactly. Returns the scalar run's output and dispatch counters.
+fn run_forest(
+    digests: &mut Digests,
+    case: &str,
     kernel: &Kernel,
     path: &ContractionPath,
     forest: &LoopForest,
     csf: &Csf,
     factors: &[DenseTensor],
-) -> ContractionOutput {
+) -> (ContractionOutput, ExecStats) {
     let refs: Vec<&DenseTensor> = factors.iter().collect();
     let slots = common::by_slot(kernel, &refs);
-    let mut ws = Workspace::new(kernel, path, forest);
-    let interp = common::fresh_output(kernel, csf, |out| {
-        execute_forest_into(kernel, path, forest, csf, &slots, &mut ws, out)
-    })
-    .unwrap();
-    let compiled = scalar_tape(kernel, path, forest);
-    // Every golden nest's compiled program must also pass the static
-    // verifier before we trust its output.
-    compiled.verify().expect("golden tape verifies clean");
-    let mut ws = Workspace::new(kernel, path, forest);
-    let tape = common::fresh_output(kernel, csf, |out| {
-        execute_tape_into(&compiled, kernel, csf, &slots, &mut ws, out)
-    })
-    .unwrap();
-    match (&interp, &tape) {
-        (ContractionOutput::Dense(a), ContractionOutput::Dense(b)) => {
-            assert_eq!(a.as_slice(), b.as_slice(), "tape != interp bitwise");
-        }
-        (ContractionOutput::Sparse(a), ContractionOutput::Sparse(b)) => {
-            assert_eq!(a.vals(), b.vals(), "tape != interp bitwise (sparse)");
-        }
-        _ => panic!("tape and interpreter disagree on output flavor"),
+    let specs = buffers_for_forest(kernel, path, forest);
+    let mut runs = Vec::new();
+    for ks in [KernelSet::scalar(), KernelSet::resolve(Microkernels::Auto)] {
+        let compiled = CompiledTape::compile_with_kernels(kernel, path, forest, &specs, ks)
+            .expect("nest compiles");
+        // Every golden nest's compiled program must also pass the
+        // static verifier before we trust its output.
+        compiled.verify().expect("golden tape verifies clean");
+        let mut ws = Workspace::new(kernel, path, forest);
+        let out = common::fresh_output(kernel, csf, |out| {
+            execute_tape_into(&compiled, kernel, csf, &slots, &mut ws, out)
+        })
+        .unwrap();
+        let scalar = ks.selection() == KernelSel::Scalar;
+        digests.record(case, "-", scalar, 1, common::vals(&out), &ws.stats());
+        runs.push((out, ws.stats()));
     }
-    tape
+    let host = runs.pop().unwrap().0;
+    let scalar = runs.pop().unwrap();
+    assert!(
+        host.to_dense().approx_eq(&scalar.0.to_dense(), TOL),
+        "{case}: the host tier diverged from the scalar tier"
+    );
+    scalar
 }
 
-/// [`run_forest_both`] on the nest `(picks, orders)` describe.
+/// [`run_forest`] on the nest `(picks, orders)` describe, held to the
+/// digests of `case`.
 fn run_both(
+    case: &str,
     kernel: &Kernel,
     picks: &[(usize, usize)],
     orders: Vec<Vec<usize>>,
     coo: &CooTensor,
     factors: &[DenseTensor],
-) -> ContractionOutput {
+) -> (ContractionOutput, ExecStats) {
     let path = path_from_picks(kernel, picks);
     let forest = build_forest(kernel, &path, &NestSpec { orders }).unwrap();
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(coo, &order).unwrap();
-    run_forest_both(kernel, &path, &forest, &csf, factors)
+    let mut digests = Digests::new("tape_golden");
+    let got = run_forest(&mut digests, case, kernel, &path, &forest, &csf, factors);
+    digests.check();
+    got
 }
 
 fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
@@ -106,13 +120,15 @@ fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing3_matches_oracle() {
     let (k, coo, f) = ttmc_setup(1);
-    let got = run_both(
+    let (got, stats) = run_both(
+        "ttmc_listing3",
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         &coo,
         &f,
     );
+    assert!(stats.axpy > 0, "AXPY microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -125,7 +141,8 @@ fn ttmc_listing3_matches_oracle() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing4_finger_search_matches_oracle() {
     let (k, coo, f) = ttmc_setup(2);
-    let got = run_both(
+    let (got, _) = run_both(
+        "ttmc_listing4_finger_search",
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]],
@@ -143,7 +160,8 @@ fn ttmc_listing4_finger_search_matches_oracle() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_unfused_redescent_matches_oracle() {
     let (k, coo, f) = ttmc_setup(3);
-    let got = run_both(
+    let (got, _) = run_both(
+        "ttmc_unfused_redescent",
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 2, 4], vec![4, 0, 1, 3]],
@@ -159,7 +177,8 @@ fn ttmc_unfused_redescent_matches_oracle() {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_dense_first_path_matches_oracle() {
     let (k, coo, f) = ttmc_setup(4);
-    let got = run_both(
+    let (got, _) = run_both(
+        "ttmc_dense_first_path",
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 3, 2, 4], vec![0, 1, 2, 3, 4]],
@@ -184,7 +203,8 @@ fn mttkrp_factorized_matches_oracle() {
     let b = random_dense(&[8, 5], &mut rng);
     let c = random_dense(&[9, 5], &mut rng);
     let f = vec![b, c];
-    let got = run_both(
+    let (got, _) = run_both(
+        "mttkrp_factorized",
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 2, 3], vec![0, 1, 3]],
@@ -212,7 +232,8 @@ fn tttp_sparse_output_matches_oracle() {
         random_dense(&[7, 3], &mut rng),
         random_dense(&[8, 3], &mut rng),
     ];
-    let got = run_both(
+    let (got, _) = run_both(
+        "tttp_sparse_output",
         &k,
         &[(1, 2), (1, 2), (0, 1)],
         vec![vec![0, 1, 3], vec![0, 1, 2, 3], vec![0, 1, 2]],
@@ -239,13 +260,15 @@ fn ger_lowering_matches_oracle() {
     let mut rng = StdRng::seed_from_u64(7);
     let coo = random_coo(&[6], 4, &mut rng).unwrap();
     let f = vec![random_dense(&[5], &mut rng), random_dense(&[4], &mut rng)];
-    let got = run_both(
+    let (got, stats) = run_both(
+        "ger_lowering",
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1, 2]],
         &coo,
         &f,
     );
+    assert!(stats.ger > 0, "GER microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -265,13 +288,15 @@ fn gemv_lowering_matches_oracle() {
         random_dense(&[6, 7], &mut rng),
         random_dense(&[7], &mut rng),
     ];
-    let got = run_both(
+    let (got, stats) = run_both(
+        "gemv_lowering",
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1]],
         &coo,
         &f,
     );
+    assert!(stats.gemv > 0, "GEMV microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -300,7 +325,8 @@ fn order4_ttmc_fig6_matches_oracle() {
         random_dense(&[5, 3], &mut rng),
         random_dense(&[5, 3], &mut rng),
     ];
-    let got = run_both(
+    let (got, _) = run_both(
+        "order4_ttmc_fig6",
         &k,
         &[(0, 3), (1, 2), (0, 1)],
         vec![
@@ -326,13 +352,15 @@ fn randomized_nests_agree_with_interpreter() {
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(&coo, &order).unwrap();
     let want = oracle(&k, &coo, &f);
+    let mut digests = Digests::new("tape_golden");
     let mut checked = 0usize;
     for path in enumerate_paths(&k) {
         for spec in NestSpecIter::new(&k, &path).take(12) {
             let Ok(forest) = build_forest(&k, &path, &spec) else {
                 continue;
             };
-            let tape = run_forest_both(&k, &path, &forest, &csf, &f);
+            let case = format!("sweep{checked}");
+            let (tape, _) = run_forest(&mut digests, &case, &k, &path, &forest, &csf, &f);
             assert!(
                 tape.to_dense().approx_eq(&want, TOL),
                 "diverged from the oracle on {}",
@@ -342,6 +370,7 @@ fn randomized_nests_agree_with_interpreter() {
         }
     }
     assert!(checked > 10, "sweep exercised only {checked} nests");
+    digests.check();
 }
 
 /// The one nest shape that used to reach a CSF node by search: terms
@@ -365,7 +394,8 @@ fn csf_indices_under_a_dense_ancestor_match_oracle() {
         random_dense(&[8, 3], &mut rng),
     ];
     // T*B→X0; A*C→X1; D*X0→X2; X1*X2→S.
-    let got = run_both(
+    let (got, _) = run_both(
+        "csf_indices_under_a_dense_ancestor_match_oracle",
         &k,
         &[(0, 2), (0, 1), (0, 1), (0, 1)],
         vec![
@@ -385,8 +415,87 @@ fn csf_indices_under_a_dense_ancestor_match_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
+/// Shape validation: wrong factor dims, too few factors and a CSF in
+/// another mode order than the kernel declares are each refused.
+#[test]
+#[cfg_attr(miri, ignore)] // too slow under the interpreter
+fn executor_validates_shapes() {
+    let (k, coo, f) = ttmc_setup(9);
+    let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
+    let spec = NestSpec {
+        orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
+    };
+    let forest = build_forest(&k, &path, &spec).unwrap();
+    let tape = scalar_tape(&k, &path, &forest);
+    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let run = |csf: &Csf, dense: &[&DenseTensor]| {
+        let slots = common::by_slot(&k, dense);
+        let mut ws = Workspace::new(&k, &path, &forest);
+        common::fresh_output(&k, csf, |out| {
+            execute_tape_into(&tape, &k, csf, &slots, &mut ws, out)
+        })
+    };
+    assert!(run(&csf, &[&f[0], &f[1]]).is_ok());
+    // Swap the factors: dims no longer match the kernel.
+    assert!(run(&csf, &[&f[1], &f[0]]).is_err());
+    // Too few factors.
+    assert!(run(&csf, &[&f[0]]).is_err());
+    // CSF built in a different mode order than the kernel declares.
+    let bad_csf = Csf::from_coo(&coo, &[2, 1, 0]).unwrap();
+    assert!(run(&bad_csf, &[&f[0], &f[1]]).is_err());
+}
+
+/// A reused workspace must produce identical results across executions
+/// (stale intermediate/cursor state fully overwritten), and the
+/// accumulate contract of `execute_tape_into` must hold: contributions
+/// add on top of whatever the caller left in the output.
+#[test]
+#[cfg_attr(miri, ignore)] // too slow under the interpreter
+fn workspace_reuse_is_deterministic_and_accumulating() {
+    let (k, coo, factors) = ttmc_setup(77);
+    let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
+    let spec = NestSpec {
+        orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
+    };
+    let forest = build_forest(&k, &path, &spec).unwrap();
+    let tape = scalar_tape(&k, &path, &forest);
+    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
+    let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
+    slots.extend(factors.iter().cloned());
+    let mut ws = Workspace::new(&k, &path, &forest);
+    let want = oracle(&k, &coo, &factors);
+    let mut run = |out: OutputMut<'_>| execute_tape_into(&tape, &k, &csf, &slots, &mut ws, out);
+
+    let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
+    run(OutputMut::Dense(&mut out)).unwrap();
+    assert!(out.approx_eq(&want, TOL), "first execution diverged");
+    let first = out.clone();
+
+    // Second run into the same (non-zeroed) output accumulates: 2×.
+    run(OutputMut::Dense(&mut out)).unwrap();
+    let mut twice = want.clone();
+    for (d, s) in twice.as_mut_slice().iter_mut().zip(want.as_slice()) {
+        *d += s;
+    }
+    assert!(out.approx_eq(&twice, TOL), "accumulation diverged");
+
+    // Zeroed output, reused workspace: the first run's bits again.
+    out.fill_zero();
+    run(OutputMut::Dense(&mut out)).unwrap();
+    assert_eq!(
+        out.as_slice(),
+        first.as_slice(),
+        "reused workspace diverged"
+    );
+
+    // Mismatched output flavor is rejected.
+    let mut vals = vec![0.0; csf.nnz()];
+    let e = run(OutputMut::Sparse(&mut vals));
+    assert!(e.is_err(), "dense kernel accepted a sparse output");
+}
+
 /// A workspace built for a different forest is rejected by the tape
-/// runner, mirroring the interpreter's stamp check.
+/// runner: its buffer shapes would silently disagree.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn tape_rejects_mismatched_workspace() {

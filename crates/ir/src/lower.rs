@@ -6,9 +6,8 @@
 //! `out += left · right` one kernel call, and which operand plays which
 //! role — is stated here once, as a function of which of the term's
 //! three index sets carry the loop indices. The tape compiler emits the
-//! instruction it names, the reference interpreter runs the call it
-//! names, and the cost model prices a dispatch exactly where it names
-//! one; none of them looks at index membership again.
+//! instruction it names and the cost model prices a dispatch exactly
+//! where it names one; neither looks at index membership again.
 //!
 //! One loop `q` ([`Term::leaf_op`] with no second index):
 //!

@@ -435,8 +435,8 @@ mod tests {
     use spttn::{Microkernels, PlanOptions};
 
     /// The recursive stride walk the lowering replaced, kept as the
-    /// scalar tier's bitwise reference (the role `spttn::exec::interp`
-    /// plays for the tape): loops in canonical order, one scalar
+    /// scalar tier's bitwise reference (the role the committed digests
+    /// play for the tape): loops in canonical order, one scalar
     /// multiply-add at the leaf, contracted indices innermost and
     /// ascending.
     fn run_loops(

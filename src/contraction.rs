@@ -161,8 +161,8 @@ pub struct ExecOptions {
     /// Microkernel policy for the compiled tape (default
     /// [`Microkernels::Auto`]): `Auto` selects SIMD kernels
     /// (AVX-512F / AVX2+FMA) by runtime CPU detection once at bind time;
-    /// `Scalar` pins the plain scalar kernels, bitwise-identical to the
-    /// reference interpreter. Either way the tape is the same fused
+    /// `Scalar` pins the plain scalar kernels, whose bits the committed
+    /// digests pin per tile count. Either way the tape is the same fused
     /// program: the policy picks a kernel table, not a program shape. The `SPTTN_MICROKERNELS` environment variable
     /// (`auto` / `scalar`) overrides either.
     pub microkernels: Microkernels,
@@ -253,7 +253,7 @@ impl PlanOptions {
 
     /// Set the tape microkernel policy (builder style).
     /// [`Microkernels::Scalar`] forces the plain scalar kernels —
-    /// bitwise-identical to the reference interpreter — while
+    /// bitwise the committed digests' scalar rows — while
     /// [`Microkernels::Auto`] (the default) picks the best SIMD
     /// implementation the host supports at bind time; both run the same
     /// program. Honored on

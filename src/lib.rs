@@ -37,9 +37,10 @@
 //!
 //! There is one way in — parse → plan → bind → execute — and one engine
 //! behind it: [`Plan::bind`] compiles the nest to an instruction tape
-//! ([`CompiledTape`]) that every execution replays. The loop-forest
-//! interpreter in [`exec::interp`] is a reference the test suites
-//! compare the tape against; nothing here calls it.
+//! ([`CompiledTape`]) that every execution replays. The test suites
+//! hold it to committed digests of its output bits and dispatch counts
+//! (`crates/exec/tests/tape_digests.txt`, see README's *Determinism
+//! contract*) and to a naive dense oracle ([`exec::naive_einsum`]).
 //!
 //! ```
 //! use rand::prelude::*;

@@ -104,9 +104,9 @@ fn failed_flights_are_not_cached() {
 /// A cache hit must honor the *caller's* execution options, not the
 /// flight leader's: the symbolic nest is shared, but the thread count
 /// is re-applied on mismatch. Matching options keep sharing one `Arc`
-/// (no clone). The cached nest also serves the reference interpreter —
-/// the cross-check workflow: a hit re-bound at 4 threads must land on
-/// what the leader's plan interprets to.
+/// (no clone). The cached nest also serves the serial reference — the
+/// cross-check workflow: a hit re-bound at 4 threads must land on what
+/// the leader's plan computes at one tile on the scalar tier.
 #[test]
 fn cache_hit_reapplies_callers_exec_options() {
     use rand::prelude::*;
@@ -136,7 +136,7 @@ fn cache_hit_reapplies_callers_exec_options() {
         random_dense(&[30, 8], &mut rng),
         random_dense(&[20, 8], &mut rng),
     );
-    let (want, _) = common::interp_reference(&p1, &csf, &[("B", &b), ("C", &c)]);
+    let (want, _) = common::scalar_reference(&p1, &csf, &[("B", &b), ("C", &c)]);
     let mut exec = p2.bind(csf, &[("B", &b), ("C", &c)]).unwrap();
     assert_eq!(exec.threads(), 4);
     assert!(want

@@ -1,62 +1,69 @@
-//! The reference the differential suites hold the tape to: the serial
-//! loop-forest interpreter (`spttn::exec::interp`), run on exactly the
-//! nest and operands `Plan::bind` would hand the tape.
+//! What the facade suites hold the tape to: the committed digests
+//! (`crates/exec/tests/tape_digests.txt`, through [`digest`]) and the
+//! 1-tile scalar tape they pin.
+#![allow(dead_code)] // each suite uses its own subset
 
-use spttn::exec::interp::execute_forest_into;
-use spttn::exec::{OutputMut, Workspace};
+#[path = "../../crates/exec/tests/common/digest.rs"]
+pub mod digest;
+
+use digest::Digests;
+use spttn::exec::KernelSel;
 use spttn::tensor::{Csf, DenseTensor};
-use spttn::{ContractionOutput, ExecStats, Plan};
+use spttn::{ContractionOutput, CostModel, Executor, Microkernels, Plan, Threads};
 
-/// Interpret `plan`'s nest over `csf` and the named factors from a
-/// zeroed output (`=` semantics). Returns the result with the
-/// interpreter's dispatch counters. Natural-order plans only: the
-/// interpreter walks the CSF as given, it does not re-sort it.
-pub fn interp_reference(
+/// The name a digest line gives a cost model.
+pub fn model_name(model: CostModel) -> &'static str {
+    match model {
+        CostModel::BlasAware { .. } => "blas-aware",
+        CostModel::CacheMiss { .. } => "cache-miss",
+        CostModel::MaxBufferSize => "max-buffer-size",
+        CostModel::MaxBufferDim => "max-buffer-dim",
+    }
+}
+
+/// The output's values, as a digest folds them: a dense output's cells
+/// or a pattern-sharing output's entries.
+pub fn vals(out: &ContractionOutput) -> &[f64] {
+    match out {
+        ContractionOutput::Dense(d) => d.as_slice(),
+        ContractionOutput::Sparse(c) => c.vals(),
+    }
+}
+
+/// Record `exec`'s last run, whose output is `out`, under its bound
+/// tier class and tile count.
+pub fn record(
+    digests: &mut Digests,
+    case: impl std::fmt::Display,
+    model: CostModel,
+    exec: &Executor,
+    out: &ContractionOutput,
+) {
+    let scalar = exec.tape().kernels().selection() == KernelSel::Scalar;
+    let stats = exec.last_stats();
+    digests.record(
+        case,
+        model_name(model),
+        scalar,
+        exec.threads(),
+        vals(out),
+        &stats,
+    );
+}
+
+/// `plan` bound at one tile on the scalar tier and run from a zeroed
+/// output (`=` semantics): the program whose bits the digests pin.
+/// Returns the result and the executor, which holds the run's stats.
+pub fn scalar_reference(
     plan: &Plan,
     csf: &Csf,
     factors: &[(&str, &DenseTensor)],
-) -> (ContractionOutput, ExecStats) {
-    assert!(
-        plan.is_natural_order(),
-        "reference needs the CSF in plan order"
-    );
-    let kernel = plan.kernel();
-    let by_slot: Vec<DenseTensor> = kernel
-        .inputs
-        .iter()
-        .enumerate()
-        .map(|(slot, r)| {
-            if slot == kernel.sparse_input {
-                return DenseTensor::zeros(&[]);
-            }
-            let (_, t) = factors
-                .iter()
-                .find(|(name, _)| *name == r.name)
-                .unwrap_or_else(|| panic!("factor '{}' not supplied", r.name));
-            (*t).clone()
-        })
-        .collect();
-    let mut ws = Workspace::from_specs(kernel, plan.path(), plan.forest(), plan.buffers());
-    let mut run = |out: OutputMut<'_>| {
-        execute_forest_into(
-            kernel,
-            plan.path(),
-            plan.forest(),
-            csf,
-            &by_slot,
-            &mut ws,
-            out,
-        )
-        .expect("reference interpreter runs")
-    };
-    let out = if kernel.output_sparse {
-        let mut vals = vec![0.0; csf.nnz()];
-        run(OutputMut::Sparse(&mut vals));
-        ContractionOutput::Sparse(csf.to_coo().with_vals(vals))
-    } else {
-        let mut dense = DenseTensor::zeros(&kernel.ref_dims(&kernel.output));
-        run(OutputMut::Dense(&mut dense));
-        ContractionOutput::Dense(dense)
-    };
-    (out, ws.stats())
+) -> (ContractionOutput, Executor) {
+    let mut opts = plan.exec().clone();
+    (opts.threads, opts.microkernels) = (Threads::N(1), Microkernels::Scalar);
+    let mut exec = (plan.clone().with_exec(opts))
+        .bind(csf.clone(), factors)
+        .expect("the scalar reference binds");
+    let out = exec.execute().expect("the scalar reference runs");
+    (out, exec)
 }

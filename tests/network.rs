@@ -3,8 +3,8 @@
 //! five-tensor chain, and a network forcing off-spine dense steps —
 //! must reproduce the naive whole-network einsum oracle under the
 //! greedy order (budget 0) and the default search, serial and parallel
-//! (and so must the reference interpreter, run on the network
-//! flattened to one kernel);
+//! (and so must the 1-tile scalar tape of the network flattened to one
+//! kernel);
 //! the budgeted exact search must match brute-force order enumeration;
 //! and pooled executors must move and reuse workspaces across threads.
 
@@ -26,16 +26,16 @@ const TOL: f64 = 1e-9;
 /// Budget 0 plans the greedy order.
 fn check_all(fx: &Fixture) {
     let expr = fx.net.expr();
-    // The network flattened to one kernel, through the reference
-    // interpreter: a second answer independent of every scheduler
-    // decision below.
+    // The network flattened to one kernel, at one tile on the scalar
+    // tier: a second answer independent of every scheduler decision
+    // below.
     let flat = Contraction::from_kernel(fx.net.kernel(&fx.shapes).unwrap())
         .plan(&fx.shapes, &PlanOptions::default())
         .unwrap();
-    let (reference, _) = common::interp_reference(&flat, &fx.csf, &fx.named());
+    let (reference, _) = common::scalar_reference(&flat, &fx.csf, &fx.named());
     assert!(
         reference.to_dense().approx_eq(&fx.want, TOL),
-        "{expr}: reference interpreter disagrees with the naive oracle"
+        "{expr}: the flattened kernel disagrees with the naive oracle"
     );
     let cache = PlanCache::new();
     for budget in [0, NetOptions::default().budget] {

@@ -8,11 +8,15 @@
 //! four cost models, statically verified, executed at 1 and 3 threads
 //! (and at `SPTTN_TEST_THREADS` when CI sets it) and held to the naive
 //! dense oracle at ≤ 1e-9. Each plan also runs on the scalar kernel
-//! tier, whose output must equal the reference interpreter's bit for
-//! bit, and each plan's buffers must be Eq. 5 restated from the loop
-//! orders alone, and each case whose search is cheap in a debug build is
-//! planned once more under `ModeOrderPolicy::Auto`, the search the cost
-//! model steers, and executed from a written-order tensor.
+//! tier at 1 and 3 tiles, and every run at those tile counts must
+//! reproduce its committed digest line
+//! (`crates/exec/tests/tape_digests.txt`: output bits and `ExecStats`
+//! per case, cost model, tier class and tile count; the 1-tile scalar
+//! lines are the interpreter's bits, recorded). Each plan's buffers
+//! must be Eq. 5 restated from the loop orders alone, and each case
+//! whose search is cheap in a debug build is planned once more under
+//! `ModeOrderPolicy::Auto`, the search the cost model steers, and
+//! executed from a written-order tensor.
 //!
 //! This is the test that catches a wrong CSF-continuity rule
 //! (`spttn_ir::vertex_kind`): a nest that iterates a CSF index sparsely
@@ -26,13 +30,16 @@
 //! searches — pinned in [`PLAN_DIGESTS`], so a change that moves any
 //! plan fails here. The cases use patterns only (no modeled nnz), so no
 //! libm call enters a profile and the digests do not depend on the
-//! host. `parity_probe` (ignored by default) replays the same cases
-//! and prints one digest per (cost model, kernel tier) of what the
-//! bound programs computed: run it at two commits and diff the lines.
+//! host.
+//!
+//! Degenerate inputs get their own seed and test, so the 128-case
+//! stream and [`PLAN_DIGESTS`] stay as they are: generated cases with
+//! extent-1 modes, a third of them with no nonzeros, run as the main
+//! cases run, against the oracle and their own digest lines.
 
 mod common;
 
-use common::interp_reference;
+use common::digest::{fnv, Digests, FNV_OFFSET};
 use rand::prelude::*;
 use spttn::cost::{
     exhaustive_search, optimal_order, BlasAware, CacheMiss, MaxBufferDim, MaxBufferSize, TreeCost,
@@ -46,8 +53,8 @@ use spttn::tensor::{
     random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile, SubsetCounts,
 };
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
-    Shapes, SpttnError, Threads,
+    Contraction, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions, Shapes, SpttnError,
+    Threads,
 };
 use spttn_exec::naive_einsum;
 
@@ -157,7 +164,12 @@ fn generate(case_no: usize, rng: &mut StdRng) -> Case {
 /// factors.
 fn draw(case: &Case, rng: &mut StdRng) -> (CooTensor, Vec<DenseTensor>) {
     let cells: usize = case.sparse_dims.iter().product();
-    let coo = random_coo(&case.sparse_dims, (cells / 3).max(2), rng).unwrap();
+    draw_with(case, (cells / 3).max(2), rng)
+}
+
+/// [`draw`] with `nnz` nonzeros.
+fn draw_with(case: &Case, nnz: usize, rng: &mut StdRng) -> (CooTensor, Vec<DenseTensor>) {
+    let coo = random_coo(&case.sparse_dims, nnz, rng).unwrap();
     let factors = case
         .factors
         .iter()
@@ -171,6 +183,9 @@ fn draw(case: &Case, rng: &mut StdRng) -> (CooTensor, Vec<DenseTensor>) {
         .collect();
     (coo, factors)
 }
+
+/// Tile counts whose runs the committed digests pin, on both tiers.
+const DIGEST_TILES: [usize; 2] = [1, 3];
 
 /// Thread counts every case executes at.
 fn thread_counts() -> Vec<usize> {
@@ -196,15 +211,6 @@ fn has_dense_csf_loop(plan: &Plan) -> bool {
         })
     }
     go(&plan.forest().roots, plan.kernel())
-}
-
-/// The output's values, bit for bit.
-fn bits(out: &ContractionOutput) -> Vec<u64> {
-    let vals = match out {
-        ContractionOutput::Dense(d) => d.as_slice(),
-        ContractionOutput::Sparse(c) => c.vals(),
-    };
-    vals.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Everything the planner decided for a case, as text: the plan's
@@ -256,6 +262,7 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     let (mut pattern_out, mut five_factors, mut off_spine, mut dense_csf) = (0, 0, 0, 0);
     let (mut permuted_pattern_out, mut searched, mut reordered) = (0, 0, 0);
     let mut digests = [FNV_OFFSET; MODELS.len() + 1];
+    let mut tape_digests = Digests::new("einsums");
     for case_no in 0..CASES {
         let case = generate(case_no, &mut rng);
         let (coo, factors) = draw(&case, &mut rng);
@@ -307,41 +314,14 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
                 usize::from(k.output_sparse && k.output.indices != k.sparse_ref().indices);
             dense_csf += usize::from(has_dense_csf_loop(&plan));
             let want = want.get_or_insert_with(|| oracle(plan.kernel(), &coo, &factors));
-            for &t in &threads {
-                let mut exec_opts = plan.exec().clone();
-                exec_opts.threads = Threads::N(t);
-                let got = plan
-                    .clone()
-                    .with_exec(exec_opts)
-                    .bind(csf.clone(), &named)
-                    .and_then(|mut exec| exec.execute())
-                    .unwrap_or_else(|e| panic!("{what} under {model:?} at {t} threads: {e}"));
-                assert!(
-                    got.to_dense().approx_eq(want, TOL),
-                    "{what} under {model:?} at {t} threads diverged from the oracle\n{}",
-                    plan.describe()
-                );
-            }
-            // The scalar tier runs the fused program in the unfused
-            // interpreter's operation order.
-            let mut exec_opts = plan.exec().clone();
-            (exec_opts.threads, exec_opts.microkernels) = (Threads::N(1), Microkernels::Scalar);
-            let scalar = plan
-                .clone()
-                .with_exec(exec_opts)
-                .bind(csf.clone(), &named)
-                .and_then(|mut exec| exec.execute())
-                .unwrap_or_else(|e| panic!("{what} under {model:?} on the scalar tier: {e}"));
-            assert!(
-                scalar.to_dense().approx_eq(want, TOL),
-                "{what} under {model:?}"
-            );
-            assert_eq!(
-                bits(&scalar),
-                bits(&interp_reference(&plan, &csf, &named).0),
-                "{what} under {model:?}: the scalar tier is not the interpreter bitwise\n{}",
-                plan.describe()
-            );
+            let at = Site {
+                case_no,
+                what: &what,
+                model,
+                csf: &csf,
+                named: &named,
+            };
+            execute_everywhere(&plan, &at, want, &threads, &mut tape_digests);
         }
         // An order-4 search plans 24 orders; with three or more factors
         // each has hundreds of paths, seconds per case in a debug build.
@@ -386,6 +366,127 @@ fn random_einsums_match_the_oracle_under_every_cost_model() {
     assert!(off_spine > 0, "no factor without a sparse index");
     assert!(dense_csf > 0, "no plan iterates a CSF index densely");
     assert_eq!(digests, PLAN_DIGESTS, "a plan moved: {digests:x?}");
+    tape_digests.check();
+}
+
+/// Where a plan came from: its case, its cost model and its operands.
+struct Site<'a> {
+    case_no: usize,
+    what: &'a str,
+    model: CostModel,
+    csf: &'a Csf,
+    named: &'a [(&'a str, &'a DenseTensor)],
+}
+
+/// Run `plan` on the host tier at every thread count and on the scalar
+/// tier at [`DIGEST_TILES`], each held to the oracle `want` at ≤ 1e-9,
+/// and record the runs at [`DIGEST_TILES`] in `digests`.
+fn execute_everywhere(
+    plan: &Plan,
+    at: &Site<'_>,
+    want: &DenseTensor,
+    threads: &[usize],
+    digests: &mut Digests,
+) {
+    let Site {
+        case_no,
+        what,
+        model,
+        ..
+    } = *at;
+    let host = threads.iter().map(|&t| (t, Microkernels::Auto));
+    for (t, micro) in host.chain(DIGEST_TILES.map(|t| (t, Microkernels::Scalar))) {
+        let mut exec_opts = plan.exec().clone();
+        (exec_opts.threads, exec_opts.microkernels) = (Threads::N(t), micro);
+        let mut exec = (plan.clone().with_exec(exec_opts))
+            .bind(at.csf.clone(), at.named)
+            .unwrap_or_else(|e| panic!("{what} under {model:?} at {t} threads: {e}"));
+        let got = (exec.execute())
+            .unwrap_or_else(|e| panic!("{what} under {model:?} at {t} threads: {e}"));
+        assert!(
+            got.to_dense().approx_eq(want, TOL),
+            "{what} under {model:?} at {t} threads on {micro:?} diverged from the oracle\n{}",
+            plan.describe()
+        );
+        if DIGEST_TILES.contains(&t) {
+            common::record(digests, case_no, model, &exec, &got);
+        }
+    }
+}
+
+/// Seed of the degenerate cases, apart from [`SEED`]'s stream.
+const DEGENERATE_SEED: u64 = 0xde9e_11e5;
+/// Generated einsums with extent-1 modes; every third has no nonzeros.
+const DEGENERATE_CASES: usize = 24;
+
+/// The generator's einsums made degenerate: each index has extent 1
+/// with even odds (one of the sparse input's always does), and every
+/// third case's sparse input holds no nonzeros. Each is planned under
+/// every cost model and run as [`execute_everywhere`] runs the main
+/// cases, against the oracle and the committed digests.
+#[test]
+fn degenerate_einsums_match_the_oracle_under_every_cost_model() {
+    let mut rng = StdRng::seed_from_u64(DEGENERATE_SEED);
+    let threads = thread_counts();
+    let mut tape_digests = Digests::new("degenerate");
+    let (mut empty_runs, mut unit_sparse_runs, mut unit_dense_runs) = (0, 0, 0);
+    for case_no in 0..DEGENERATE_CASES {
+        let mut case = generate(case_no, &mut rng);
+        let order = case.sparse_dims.len();
+        let forced = rng.gen_range(0..order);
+        for (n, (_, d)) in case.dims.iter_mut().enumerate() {
+            if n == forced || rng.gen_range(0..2usize) == 0 {
+                *d = 1;
+            }
+        }
+        case.sparse_dims = case.dims[..order].iter().map(|&(_, d)| d).collect();
+        let cells: usize = case.sparse_dims.iter().product();
+        let nnz = if case_no % 3 == 0 {
+            0
+        } else {
+            (cells / 3).max(1)
+        };
+        let (coo, factors) = draw_with(&case, nnz, &mut rng);
+        let names: Vec<String> = (0..factors.len()).map(|f| format!("F{f}")).collect();
+        let named: Vec<(&str, &DenseTensor)> =
+            names.iter().map(String::as_str).zip(&factors).collect();
+        let natural: Vec<usize> = (0..order).collect();
+        let csf = Csf::from_coo(&coo, &natural).unwrap();
+        let shapes = Shapes::new()
+            .with_dims(&case.dims)
+            .with_pattern(coo.clone());
+        let what = format!("degenerate case {case_no} ({nnz} nonzeros): {}", case.expr);
+        let mut want: Option<DenseTensor> = None;
+        for model in MODELS {
+            let opts = PlanOptions::with_cost_model(model);
+            let plan = (Contraction::parse(&case.expr).unwrap().plan(&shapes, &opts))
+                .unwrap_or_else(|e| panic!("{what} under {model:?}: {e}"));
+            plan.verify_tape()
+                .unwrap_or_else(|e| panic!("{what} under {model:?}: {e}\n{}", plan.describe()));
+            let want = want.get_or_insert_with(|| oracle(plan.kernel(), &coo, &factors));
+            let at = Site {
+                case_no,
+                what: &what,
+                model,
+                csf: &csf,
+                named: &named,
+            };
+            execute_everywhere(&plan, &at, want, &threads, &mut tape_digests);
+            empty_runs += usize::from(nnz == 0);
+            unit_sparse_runs += usize::from(case.sparse_dims.contains(&1));
+            unit_dense_runs += usize::from(case.dims[order..].iter().any(|&(_, d)| d == 1));
+        }
+    }
+    assert!(empty_runs > 0, "no plan ran on an empty tensor");
+    assert!(
+        unit_sparse_runs > 0,
+        "no plan ran with an extent-1 sparse mode"
+    );
+    assert!(
+        unit_dense_runs > 0,
+        "no plan ran with an extent-1 dense index"
+    );
+    tape_digests.check();
 }
 
 /// Paths with at most this many nests are small enough to enumerate.
@@ -463,73 +564,4 @@ fn has_fiber(k: &Kernel, p: &ContractionPath, nodes: &[LoopNode], above: IdxSet)
                 Some(f @ FusedLoop::Fiber { .. }) if f.fits(level, &v.children)));
         fiber || has_fiber(k, p, &v.children, iterated)
     })
-}
-
-/// FNV-1a offset basis, the digest of nothing.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a of `bytes`, continuing from `h`.
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
-/// Parity probe: every case of the suite, planned under each cost
-/// model and bound at one thread on each kernel tier, folded into one
-/// digest line per (cost model, tier). A digest covers the output
-/// bits, the run's `ExecStats`, the tape's instruction,
-/// superinstruction and specialized-site counts, and its full
-/// `TapeReport`, so equal lines at two commits mean the same programs
-/// computed the same bits:
-///
-/// `cargo test --release --test random_einsums -- --ignored --nocapture parity_probe`
-#[test]
-#[ignore = "prints digests to diff across commits; asserts nothing"]
-fn parity_probe() {
-    const TIERS: [Microkernels; 2] = [Microkernels::Scalar, Microkernels::Auto];
-    let mut digests = [(0usize, FNV_OFFSET, ""); MODELS.len() * TIERS.len()];
-    let mut rng = StdRng::seed_from_u64(SEED);
-    for case_no in 0..CASES {
-        let case = generate(case_no, &mut rng);
-        let (coo, factors) = draw(&case, &mut rng);
-        let names: Vec<String> = (0..factors.len()).map(|f| format!("F{f}")).collect();
-        let named: Vec<(&str, &DenseTensor)> =
-            names.iter().map(String::as_str).zip(&factors).collect();
-        let natural: Vec<usize> = (0..coo.order()).collect();
-        let csf = Csf::from_coo(&coo, &natural).unwrap();
-        let shapes = Shapes::new().with_dims(&case.dims).with_pattern(coo);
-        for (m, model) in MODELS.into_iter().enumerate() {
-            let opts = PlanOptions::with_cost_model(model);
-            let Ok(plan) = Contraction::parse(&case.expr).unwrap().plan(&shapes, &opts) else {
-                continue;
-            };
-            for (t, tier) in TIERS.into_iter().enumerate() {
-                let mut exec_opts = plan.exec().clone();
-                (exec_opts.threads, exec_opts.microkernels) = (Threads::N(1), tier);
-                let mut exec = plan
-                    .clone()
-                    .with_exec(exec_opts)
-                    .bind(csf.clone(), &named)
-                    .unwrap();
-                let out = exec.execute().unwrap();
-                let tape = exec.tape();
-                let line = format!(
-                    "{case_no} {:?} {:?} {} {} {} {:?}",
-                    bits(&out),
-                    exec.last_stats(),
-                    tape.num_instrs(),
-                    tape.superinstructions(),
-                    tape.specialized(),
-                    tape.verify().unwrap()
-                );
-                let (n, h, name) = &mut digests[m * TIERS.len() + t];
-                (*n, *h, *name) = (*n + 1, fnv(*h, line.as_bytes()), tape.microkernels());
-            }
-        }
-    }
-    for (i, (n, h, name)) in digests.iter().enumerate() {
-        let (model, tier) = (MODELS[i / TIERS.len()], TIERS[i % TIERS.len()]);
-        println!("parity {model:?} {tier:?} ({name}): {n} plans, digest {h:016x}");
-    }
 }

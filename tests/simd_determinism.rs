@@ -1,14 +1,16 @@
 //! Determinism contract of the SIMD microkernel layer, end to end
 //! through the facade:
 //!
-//! - the default (`Microkernels::Auto`) tape agrees with the scalar
-//!   reference interpreter to ≤1e-9 on rank-specialization-friendly
-//!   kernels (rank ∈ {8, 16, 32} hits the fixed-trip microkernels);
+//! - the default (`Microkernels::Auto`) tape agrees with the 1-tile
+//!   scalar tape to ≤1e-9 on rank-specialization-friendly kernels
+//!   (rank ∈ {8, 16, 32} hits the fixed-trip microkernels);
 //! - a parallel SIMD tape is bitwise run-to-run deterministic at a
 //!   fixed thread count, both across repeat executions of one bind and
 //!   across independent binds of the same plan;
-//! - `Microkernels::Scalar` reproduces the interpreter bitwise — the
-//!   opt-out knob really does restore the pre-SIMD operation order;
+//! - `Microkernels::Scalar` reproduces the interpreter's bits as the
+//!   committed digests recorded them — the opt-out knob really does
+//!   restore the pre-SIMD operation order — and the host tier its own
+//!   digest lines;
 //! - the policy reaches `spttn-net`'s dense steps: on every golden
 //!   network of `tests/network.rs`, `Auto` agrees with `Scalar` to
 //!   ≤1e-9 and both are bitwise stable across executes and binds. (That
@@ -24,7 +26,7 @@ mod common;
 #[path = "common/networks.rs"]
 mod networks;
 
-use common::interp_reference;
+use common::digest::Digests;
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
@@ -34,6 +36,10 @@ use spttn::{
 use spttn_net::NetOptions;
 
 const TOL: f64 = 1e-9;
+/// The one cost model this suite plans under.
+const MODEL: CostModel = CostModel::BlasAware {
+    buffer_dim_bound: 2,
+};
 
 fn operands(kernel: &Kernel, nnz: usize, seed: u64) -> (Csf, Vec<(String, DenseTensor)>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,11 +68,9 @@ fn plan(kernel: &Kernel, csf: &Csf, micro: Microkernels, threads: usize) -> Plan
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
             &Shapes::new().with_pattern(csf.to_coo()),
-            &PlanOptions::with_cost_model(CostModel::BlasAware {
-                buffer_dim_bound: 2,
-            })
-            .with_threads(Threads::N(threads))
-            .with_microkernels(micro),
+            &PlanOptions::with_cost_model(MODEL)
+                .with_threads(Threads::N(threads))
+                .with_microkernels(micro),
         )
         .expect("planning succeeds");
     plan.verify_tape().expect("SIMD tape verifies clean");
@@ -87,15 +91,11 @@ fn run(
         .unwrap()
 }
 
-/// The serial reference interpreter on the same nest (it always runs
-/// the scalar kernels; the plan's microkernel option is inert there).
+/// The 1-tile scalar tape on the same nest, whose bits the committed
+/// digests pin (see `scalar_forced_tape_reproduces_interp_bitwise`).
 fn reference(kernel: &Kernel, csf: &Csf, factors: &[(String, DenseTensor)]) -> ContractionOutput {
-    interp_reference(
-        &plan(kernel, csf, Microkernels::Scalar, 1),
-        csf,
-        &named(factors),
-    )
-    .0
+    let plan = plan(kernel, csf, Microkernels::Scalar, 1);
+    common::scalar_reference(&plan, csf, &named(factors)).0
 }
 
 fn bits(out: &ContractionOutput) -> Vec<u64> {
@@ -123,7 +123,7 @@ fn simd_tape_matches_interp_oracle() {
             let simd = run(&kernel, &csf, &factors, Microkernels::Auto, threads);
             assert!(
                 oracle.to_dense().approx_eq(&simd.to_dense(), TOL),
-                "SIMD tape diverged from interp oracle: {} at {threads} threads",
+                "SIMD tape diverged from the scalar reference: {} at {threads} threads",
                 kernel.to_einsum()
             );
         }
@@ -171,21 +171,24 @@ fn parallel_simd_tape_is_run_to_run_bitwise_deterministic() {
     }
 }
 
+/// The scalar-forced tape reproduces the interpreter's bits, as the
+/// committed digests recorded them (scalar rows), and so does the host
+/// tier its own (x86-fma rows).
 #[test]
 fn scalar_forced_tape_reproduces_interp_bitwise() {
-    for (kernel, nnz, seed) in specialization_kernels() {
+    let mut digests = Digests::new("specialized");
+    let cases = ["mttkrp", "ttmc"].into_iter().zip(specialization_kernels());
+    for (case, (kernel, nnz, seed)) in cases {
         let (csf, factors) = operands(&kernel, nnz, seed);
-        let interp = reference(&kernel, &csf, &factors);
-        let scalar_tape = run(&kernel, &csf, &factors, Microkernels::Scalar, 1);
-        // The scalar-forced tape runs the same generic loops in the
-        // same order as the interpreter — bit-for-bit, not just ≤1e-9.
-        assert_eq!(
-            bits(&interp),
-            bits(&scalar_tape),
-            "Microkernels::Scalar must restore the pre-SIMD operation order: {}",
-            kernel.to_einsum()
-        );
+        for micro in [Microkernels::Scalar, Microkernels::Auto] {
+            let mut exec = plan(&kernel, &csf, micro, 1)
+                .bind(csf.clone(), &named(&factors))
+                .expect("bind succeeds");
+            let out = exec.execute().unwrap();
+            common::record(&mut digests, case, MODEL, &exec, &out);
+        }
     }
+    digests.check();
 }
 
 #[test]

@@ -1,22 +1,26 @@
-//! Differential harness: the tape vs the reference interpreter.
+//! Differential harness: the tape at every tile count and tier vs the
+//! interpreter's bits, as the committed digests hold them.
 //!
 //! Every standard kernel (MTTKRP, TTMc, TTTP, all-mode TTMc, SpMV)
 //! plus randomized 3-/4-mode expressions, under **all four cost
 //! models × threads {1, 4}**: the tape must agree with the serial
-//! reference (`common::interp_reference`) to ≤1e-9 everywhere,
-//! parallel reductions must be bitwise-reproducible run to run, and
-//! the `+=` accumulate and rebinding (`set_factor` /
+//! reference — the 1-tile scalar tape (`common::scalar_reference`),
+//! whose bits and dispatch counts the committed digests pin — to
+//! ≤1e-9 everywhere, parallel reductions must be bitwise-reproducible
+//! run to run, and the `+=` accumulate and rebinding (`set_factor` /
 //! `set_sparse_values`) paths must land on the reference too.
 
 mod common;
 
-use common::interp_reference;
+use common::digest::Digests;
+use common::scalar_reference;
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor};
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Executor, Plan, PlanOptions, Shapes, Threads,
+    Contraction, ContractionOutput, CostModel, ExecStats, Executor, Plan, PlanOptions, Shapes,
+    Threads,
 };
 
 const TOL: f64 = 1e-9;
@@ -88,13 +92,30 @@ fn bits(out: &ContractionOutput) -> Vec<u64> {
         .collect()
 }
 
+/// The serial reference of `plan`, recorded under `case` and held to
+/// its committed digest line by `digests`.
+fn reference(
+    digests: &mut Digests,
+    case: &str,
+    model: CostModel,
+    plan: &Plan,
+    csf: &Csf,
+    factors: &[(&str, &DenseTensor)],
+) -> (ContractionOutput, ExecStats) {
+    let (want, exec) = scalar_reference(plan, csf, factors);
+    common::record(digests, case, model, &exec, &want);
+    (want, exec.last_stats())
+}
+
 /// The full matrix: kernels × models × threads, tape vs the serial
 /// reference ≤1e-9 and bitwise run-to-run reproducibility of the tape.
-fn differential(kernel: &Kernel, nnz: usize, seed: u64) {
+fn differential(case: &str, kernel: &Kernel, nnz: usize, seed: u64) {
     let (csf, factors) = operands(kernel, nnz, seed);
+    let mut digests = Digests::new("differential");
     for model in MODELS {
+        let plan = plan_at(kernel, &csf, model, 1);
         let (want, want_stats) =
-            interp_reference(&plan_at(kernel, &csf, model, 1), &csf, &named(&factors));
+            reference(&mut digests, case, model, &plan, &csf, &named(&factors));
         for threads in [1usize, 4] {
             let mut tape = bind_at(kernel, &csf, &factors, model, threads);
             let got = tape.execute().unwrap();
@@ -123,26 +144,28 @@ fn differential(kernel: &Kernel, nnz: usize, seed: u64) {
             );
         }
     }
+    digests.check();
 }
 
 #[test]
 fn mttkrp_differential() {
-    differential(&stdkernels::mttkrp(&[40, 30, 35], 8), 900, 1);
+    differential("mttkrp", &stdkernels::mttkrp(&[40, 30, 35], 8), 900, 1);
 }
 
 #[test]
 fn ttmc_differential() {
-    differential(&stdkernels::ttmc(&[30, 25, 28], &[5, 6]), 700, 2);
+    differential("ttmc", &stdkernels::ttmc(&[30, 25, 28], &[5, 6]), 700, 2);
 }
 
 #[test]
 fn tttp_differential() {
-    differential(&stdkernels::tttp(&[18, 20, 22], 5), 600, 3);
+    differential("tttp", &stdkernels::tttp(&[18, 20, 22], 5), 600, 3);
 }
 
 #[test]
 fn all_mode_ttmc_differential() {
     differential(
+        "all-mode-ttmc",
         &stdkernels::all_mode_ttmc(&[14, 15, 16], &[4, 5, 6]),
         500,
         4,
@@ -153,20 +176,25 @@ fn all_mode_ttmc_differential() {
 fn spmv_differential() {
     // SpMV through the expression front door (order-2 sparse input).
     let kernel = spttn::ir::parse_kernel("y(i) = M(i,j) * x(j)", &[("i", 50), ("j", 60)]).unwrap();
-    differential(&kernel, 400, 5);
+    differential("spmv", &kernel, 400, 5);
 }
 
 #[test]
 fn randomized_3mode_expression_differential() {
     // A tensor-train-style 3-mode contraction (TTTc shape).
     let kernel = stdkernels::tttc(&[16, 17, 18], 4);
-    differential(&kernel, 450, 6);
+    differential("tttc", &kernel, 450, 6);
 }
 
 #[test]
 fn randomized_4mode_expression_differential() {
     // Order-4 TTMc: deeper nests, two intermediate buffers.
-    differential(&stdkernels::ttmc(&[12, 10, 11, 9], &[3, 4, 5]), 500, 7);
+    differential(
+        "ttmc4",
+        &stdkernels::ttmc(&[12, 10, 11, 9], &[3, 4, 5]),
+        500,
+        7,
+    );
 }
 
 /// `+=` accumulate path: two executions stack on top of the bound
@@ -194,7 +222,19 @@ fn accumulate_path_matches_across_engines() {
             )
             .unwrap()
     };
-    let (once, _) = interp_reference(&plan_at(1), &csf, &factors);
+    let mut digests = Digests::new("differential");
+    let model = CostModel::BlasAware {
+        buffer_dim_bound: 2,
+    };
+    let (once, _) = reference(
+        &mut digests,
+        "accumulate",
+        model,
+        &plan_at(1),
+        &csf,
+        &factors,
+    );
+    digests.check();
     let once = once.to_dense();
     let twice = DenseTensor::from_fn(once.dims(), |c| 2.0 * once.get(c));
     for threads in [1usize, 4] {
@@ -226,11 +266,11 @@ fn rebind_path_matches_across_engines() {
         .into_iter()
         .map(|(n, t)| (n, if n == "F1" { &new_f1 } else { t }))
         .collect();
-    let (want, _) = interp_reference(
-        &plan_at(&kernel, &csf, CostModel::MaxBufferSize, 1),
-        &new_csf,
-        &new_factors,
-    );
+    let mut digests = Digests::new("differential");
+    let model = CostModel::MaxBufferSize;
+    let plan = plan_at(&kernel, &csf, model, 1);
+    let (want, _) = reference(&mut digests, "rebind", model, &plan, &new_csf, &new_factors);
+    digests.check();
     for threads in [1usize, 4] {
         let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, threads);
         exec.execute().unwrap(); // stale state to overwrite
@@ -250,11 +290,18 @@ fn rebind_path_matches_across_engines() {
 fn sparse_output_accumulate_across_engines() {
     let kernel = stdkernels::tttp(&[14, 15, 16], 4);
     let (csf, factors) = operands(&kernel, 350, 41);
-    let (want, _) = interp_reference(
-        &plan_at(&kernel, &csf, CostModel::MaxBufferDim, 1),
+    let mut digests = Digests::new("differential");
+    let model = CostModel::MaxBufferDim;
+    let plan = plan_at(&kernel, &csf, model, 1);
+    let (want, _) = reference(
+        &mut digests,
+        "sparse-output",
+        model,
+        &plan,
         &csf,
         &named(&factors),
     );
+    digests.check();
     for threads in [1usize, 4] {
         let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferDim, threads);
         let mut out = exec.output_template();
