@@ -1,18 +1,24 @@
-//! Interpreter golden tests: every fused loop nest must reproduce the
-//! naive dense einsum oracle, across the paper's listings and output
-//! flavors (dense, pattern-sharing), fused and unfused forests, and the
-//! BLAS dispatch paths (AXPY, DOT, elementwise, GER, GEMV).
+//! Tile-entry golden tests: the paper's listings — the nests the
+//! loop-forest interpreter was once held to — run through
+//! [`execute_tape_tile_into`] over a `Csf::partition`, one fresh
+//! workspace per tile, dense partials summed in tile order and a
+//! pattern-sharing output written through each tile's leaf range. The
+//! 3-tile run must match the naive dense oracle at 1e-9, and a 1-tile
+//! partition must reproduce the whole-tree scalar tape bit for bit
+//! (`tape_golden` pins those bits to the committed digests).
 
 mod common;
 
 use rand::prelude::*;
 use spttn_core::Result;
-use spttn_exec::interp::execute_forest_into;
-use spttn_exec::{naive_einsum, ContractionOutput, ExecStats, OutputMut, Workspace};
+use spttn_exec::{
+    execute_tape_into, execute_tape_tile_into, naive_einsum, ContractionOutput, ExecStats,
+    OutputMut, Workspace,
+};
 use spttn_ir::{
     build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel, LoopForest, NestSpec,
 };
-use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
+use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, CsfTile, DenseTensor};
 
 const TOL: f64 = 1e-9;
 
@@ -32,23 +38,51 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
-/// Interpret a nest from a fresh workspace into a fresh output.
-fn interpret(
+/// Run the nest's scalar tape tile by tile over `csf.partition(n_tiles)`
+/// into a fresh output, each tile from a fresh workspace; the dispatch
+/// counters are merged across tiles.
+fn run_tiles(
     kernel: &Kernel,
     path: &ContractionPath,
     forest: &LoopForest,
     csf: &Csf,
-    dense: &[&DenseTensor],
+    slots: &[DenseTensor],
+    n_tiles: usize,
 ) -> Result<(ContractionOutput, ExecStats)> {
-    let slots = common::by_slot(kernel, dense);
-    let mut ws = Workspace::new(kernel, path, forest);
+    let tape = common::scalar_tape(kernel, path, forest);
+    let mut stats = ExecStats::default();
     let out = common::fresh_output(kernel, csf, |out| {
-        execute_forest_into(kernel, path, forest, csf, &slots, &mut ws, out)
+        let tiles = csf.partition(n_tiles);
+        let mut run = |tile: &CsfTile, out: OutputMut<'_>| -> Result<()> {
+            let mut ws = Workspace::new(kernel, path, forest);
+            execute_tape_tile_into(&tape, kernel, csf, tile, slots, &mut ws, out)?;
+            stats.merge(&ws.stats());
+            Ok(())
+        };
+        match out {
+            OutputMut::Dense(d) => {
+                for tile in &tiles {
+                    let mut partial = DenseTensor::zeros(d.dims());
+                    run(tile, OutputMut::Dense(&mut partial))?;
+                    for (o, p) in d.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+                        *o += p;
+                    }
+                }
+            }
+            OutputMut::Sparse(vals) => {
+                for tile in &tiles {
+                    run(tile, OutputMut::Sparse(&mut vals[tile.leaf_range()]))?;
+                }
+            }
+        }
+        Ok(())
     })?;
-    Ok((out, ws.stats()))
+    Ok((out, stats))
 }
 
-/// [`run`] plus the run's dispatch counters.
+/// Run the nest `(picks, orders)` describe on 1 and on 3 tiles: the
+/// 1-tile run must equal the whole-tree scalar tape bit for bit and in
+/// its counters. Returns the 3-tile run.
 fn run_counted(
     kernel: &Kernel,
     picks: &[(usize, usize)],
@@ -57,12 +91,29 @@ fn run_counted(
     factors: &[DenseTensor],
 ) -> (ContractionOutput, ExecStats) {
     let path = path_from_picks(kernel, picks);
-    let spec = NestSpec { orders };
-    let forest = build_forest(kernel, &path, &spec).unwrap();
+    let forest = build_forest(kernel, &path, &NestSpec { orders }).unwrap();
     let order: Vec<usize> = (0..coo.order()).collect();
     let csf = Csf::from_coo(coo, &order).unwrap();
     let refs: Vec<&DenseTensor> = factors.iter().collect();
-    interpret(kernel, &path, &forest, &csf, &refs).unwrap()
+    let slots = common::by_slot(kernel, &refs);
+
+    let tape = common::scalar_tape(kernel, &path, &forest);
+    let mut ws = Workspace::new(kernel, &path, &forest);
+    let whole = common::fresh_output(kernel, &csf, |out| {
+        execute_tape_into(&tape, kernel, &csf, &slots, &mut ws, out)
+    })
+    .unwrap();
+    let (one, one_stats) = run_tiles(kernel, &path, &forest, &csf, &slots, 1).unwrap();
+    let bits = |o: &ContractionOutput| -> Vec<u64> {
+        common::vals(o).iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&one),
+        bits(&whole),
+        "1-tile run diverged from the whole tree"
+    );
+    assert_eq!(one_stats, ws.stats(), "1-tile counters diverged");
+    run_tiles(kernel, &path, &forest, &csf, &slots, 3).unwrap()
 }
 
 fn run(
@@ -105,7 +156,7 @@ fn ttmc_listing3_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// Listing 4: scalar buffer, dense s above sparse k (DOT-free generic).
+/// Listing 4: scalar buffer, dense s above sparse k.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing4_matches_oracle() {
@@ -122,7 +173,7 @@ fn ttmc_listing4_matches_oracle() {
 }
 
 /// Listing 2 (unfused): 3-d materialized buffer; the consumer
-/// re-descends the CSF below its own dense s loop.
+/// re-descends the tile's part of the CSF below its own dense s loop.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_unfused_matches_oracle() {
@@ -180,8 +231,7 @@ fn mttkrp_factorized_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// TTTP: pattern-sharing output, pre-sparse dense term fused under the
-/// sparse descent.
+/// TTTP: pattern-sharing output, each tile writing its own leaf range.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn tttp_sparse_output_matches_oracle() {
@@ -267,29 +317,6 @@ fn gemv_dispatch_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// Shape validation: wrong factor dims and wrong CSF order are rejected.
-#[test]
-#[cfg_attr(miri, ignore)] // too slow under the interpreter
-fn executor_validates_shapes() {
-    let (k, coo, f) = ttmc_setup(9);
-    let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
-    let spec = NestSpec {
-        orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-    };
-    let forest = build_forest(&k, &path, &spec).unwrap();
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    // Swap the factors: dims no longer match the kernel.
-    let refs: Vec<&DenseTensor> = vec![&f[1], &f[0]];
-    assert!(interpret(&k, &path, &forest, &csf, &refs).is_err());
-    // Too few factors.
-    let refs2: Vec<&DenseTensor> = vec![&f[0]];
-    assert!(interpret(&k, &path, &forest, &csf, &refs2).is_err());
-    // CSF built in a different mode order than the kernel declares.
-    let bad_csf = Csf::from_coo(&coo, &[2, 1, 0]).unwrap();
-    let refs3: Vec<&DenseTensor> = f.iter().collect();
-    assert!(interpret(&k, &path, &forest, &bad_csf, &refs3).is_err());
-}
-
 /// Order-4 TTMc with the Fig. 6 nest: two buffers, deep fusion.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
@@ -329,87 +356,9 @@ fn order4_ttmc_fig6_matches_oracle() {
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
 
-/// A reused workspace must produce identical results across executions
-/// (stale intermediate/cursor state fully overwritten), and the
-/// accumulate contract of `execute_forest_into` must hold: contributions
-/// add on top of whatever the caller left in the output.
-#[test]
-#[cfg_attr(miri, ignore)] // too slow under the interpreter
-fn workspace_reuse_is_deterministic_and_accumulating() {
-    let (k, coo, factors) = ttmc_setup(77);
-    let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
-    let spec = NestSpec {
-        orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
-    };
-    let forest = build_forest(&k, &path, &spec).unwrap();
-    let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-
-    let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
-    slots.extend(factors.iter().cloned());
-    let mut ws = Workspace::new(&k, &path, &forest);
-    let want = oracle(&k, &coo, &factors);
-
-    let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
-    assert!(out.approx_eq(&want, TOL), "first execution diverged");
-
-    // Second run into the same (non-zeroed) output accumulates: 2×.
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
-    let mut twice = want.clone();
-    for (d, s) in twice.as_mut_slice().iter_mut().zip(want.as_slice()) {
-        *d += s;
-    }
-    assert!(out.approx_eq(&twice, TOL), "accumulation diverged");
-
-    // Zeroed output, reused workspace: back to the oracle exactly.
-    out.fill_zero();
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
-    assert!(out.approx_eq(&want, TOL), "reused workspace diverged");
-
-    // Mismatched output flavor is rejected.
-    let mut vals = vec![0.0; csf.nnz()];
-    let e = execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Sparse(&mut vals),
-    );
-    assert!(e.is_err(), "dense kernel accepted a sparse output");
-}
-
-/// A workspace built for one forest must be rejected when driven with a
-/// different forest of the same kernel/path — its buffer shapes would
-/// silently disagree.
+/// A workspace built for one forest must be rejected by the tile entry
+/// when driven with a different forest of the same kernel/path — its
+/// buffer shapes would silently disagree — on every tile.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn workspace_from_other_forest_is_rejected() {
@@ -432,19 +381,21 @@ fn workspace_from_other_forest_is_rejected() {
     )
     .unwrap();
     let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-    let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
-    slots.extend(factors.iter().cloned());
+    let refs: Vec<&DenseTensor> = factors.iter().collect();
+    let slots = common::by_slot(&k, &refs);
     let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-
-    let mut ws = Workspace::new(&k, &path, &unfused);
-    let e = execute_forest_into(
-        &k,
-        &path,
-        &fused,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    );
-    assert!(e.is_err(), "mismatched workspace was accepted");
+    let tape = common::scalar_tape(&k, &path, &fused);
+    for tile in &csf.partition(3) {
+        let mut ws = Workspace::new(&k, &path, &unfused);
+        let e = execute_tape_tile_into(
+            &tape,
+            &k,
+            &csf,
+            tile,
+            &slots,
+            &mut ws,
+            OutputMut::Dense(&mut out),
+        );
+        assert!(e.is_err(), "mismatched workspace was accepted");
+    }
 }
