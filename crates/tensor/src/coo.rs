@@ -1,14 +1,12 @@
 //! Coordinate-format (COO) sparse tensors.
 //!
-//! COO is the interchange format: generators produce COO, the distributed
-//! layer partitions COO cyclically across the virtual processor grid, and
-//! [`crate::Csf`] is built from sorted COO. Coordinates are stored
-//! structure-of-arrays style (one flat `Vec` with `order` entries per
-//! nonzero) to keep sorting and partitioning cache-friendly.
+//! COO is the interchange format: the readers in [`crate::io`] and the
+//! generators produce COO, and [`crate::Csf`] is built from it.
+//! Coordinates are stored entry-major (array-of-structs): one flat `Vec`
+//! holding each nonzero's `order` coordinates together, so a comparison
+//! of two entries, as sorting and counting do, reads two short runs.
 
 use crate::{DenseTensor, TensorError};
-use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A sparse tensor in coordinate format.
@@ -158,34 +156,70 @@ impl CooTensor {
         if !is_permutation(mode_order, self.order()) {
             return Err(TensorError::InvalidPermutation);
         }
-        if !self.is_canonical(mode_order) {
+        if self.canonical_counts(mode_order).is_none() {
             self.sort_dedup_ranks(mode_order)?;
         }
         Ok(())
     }
 
-    /// These entries sorted and deduplicated under `mode_order`: `self`
-    /// itself when it already is, else a sorted copy. What
-    /// [`crate::Csf::from_coo`] builds from, so canonical input is
-    /// neither copied nor re-sorted.
-    pub(crate) fn sorted_under(&self, mode_order: &[usize]) -> Result<Cow<'_, Self>, TensorError> {
-        if !is_permutation(mode_order, self.order()) {
-            return Err(TensorError::InvalidPermutation);
+    /// The first-difference rule every count of distinct prefixes rests
+    /// on. Walks `entries` in turn and calls `f(ell, coord)` for each
+    /// one that differs from the entry before it under `order`, where
+    /// `ell` is the first position `k` at which `coord[order[k]]`
+    /// differs (0 for the first entry): the entry opens a new prefix of
+    /// every length past `ell`. Entries equal to the one before are
+    /// skipped. Returns false at the first entry smaller than the one
+    /// before it, true when `entries` are nondecreasing under `order`.
+    pub(crate) fn first_differences(
+        &self,
+        order: &[usize],
+        entries: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(usize, &[usize]),
+    ) -> bool {
+        let mut prev: Option<&[usize]> = None;
+        for e in entries {
+            let next = self.coord(e);
+            let ell = match prev {
+                None => 0,
+                Some(prev) => match order.iter().position(|&m| prev[m] != next[m]) {
+                    None => continue,
+                    Some(ell) if next[order[ell]] < prev[order[ell]] => return false,
+                    Some(ell) => ell,
+                },
+            };
+            f(ell, next);
+            prev = Some(next);
         }
-        if self.is_canonical(mode_order) {
-            return Ok(Cow::Borrowed(self));
-        }
-        let mut sorted = self.clone();
-        sorted.sort_dedup_ranks(mode_order)?;
-        Ok(Cow::Owned(sorted))
+        true
     }
 
-    /// True when every entry is strictly greater than the one before it
-    /// under `mode_order` (a valid permutation): what `sort_dedup` would
-    /// leave unchanged.
-    fn is_canonical(&self, mode_order: &[usize]) -> bool {
-        (1..self.nnz())
-            .all(|e| cmp_under(self.coord(e - 1), self.coord(e), mode_order) == Ordering::Less)
+    /// `counts[k]` = distinct projections of `entries` onto the modes
+    /// `order[..=k]`, counted in one pass by
+    /// [`CooTensor::first_differences`] — or `None` unless `entries`
+    /// are nondecreasing under `order`.
+    pub(crate) fn prefix_counts(
+        &self,
+        order: &[usize],
+        entries: impl IntoIterator<Item = usize>,
+    ) -> Option<Vec<usize>> {
+        let mut counts = vec![0; order.len()];
+        let sorted = self.first_differences(order, entries, |ell, _| {
+            for c in &mut counts[ell..] {
+                *c += 1;
+            }
+        });
+        sorted.then_some(counts)
+    }
+
+    /// The prefix counts under `mode_order` (a valid permutation) when
+    /// the entries are canonical under it — strictly increasing, what
+    /// `sort_dedup` leaves unchanged: the counts exist and the last one
+    /// equals nnz (with no modes, when nnz is at most 1). `None`
+    /// otherwise.
+    pub(crate) fn canonical_counts(&self, mode_order: &[usize]) -> Option<Vec<usize>> {
+        let n = self.nnz();
+        self.prefix_counts(mode_order, 0..n)
+            .filter(|counts| counts.last().map_or(n <= 1, |&last| last == n))
     }
 
     /// [`CooTensor::sort_dedup`], returning the sort itself: incoming
@@ -278,8 +312,8 @@ impl CooTensor {
         self.vals.iter().map(|v| v * v).sum()
     }
 
-    /// Retain only the entries for which `keep` returns true (used by the
-    /// cyclic partitioner). Preserves relative order.
+    /// Retain only the entries for which `keep` returns true. Preserves
+    /// relative order.
     pub fn filter(&self, mut keep: impl FnMut(&[usize]) -> bool) -> CooTensor {
         let d = self.dims.len();
         let (mut coords, mut vals) = (Vec::new(), Vec::new());
@@ -326,18 +360,6 @@ impl CooTensor {
             vals,
         }
     }
-}
-
-/// Lexicographic order of two coordinates, comparing mode `mode_order[k]`
-/// at position `k`.
-fn cmp_under(a: &[usize], b: &[usize], mode_order: &[usize]) -> Ordering {
-    for &m in mode_order {
-        match a[m].cmp(&b[m]) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
 }
 
 pub(crate) fn is_permutation(p: &[usize], d: usize) -> bool {

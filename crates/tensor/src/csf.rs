@@ -12,6 +12,7 @@
 //! original tensor mode stored at that level); the paper restricts loop
 //! orders to iterate sparse indices in this storage order.
 
+use crate::coo::is_permutation;
 use crate::{CooTensor, TensorError};
 use std::ops::Range;
 
@@ -103,90 +104,75 @@ pub struct Csf {
 impl Csf {
     /// Build a CSF tree from a COO tensor under the given mode order.
     ///
-    /// Input that is already sorted lexicographically in `mode_order`
-    /// without duplicates (what the readers in [`crate::io`] produce for
-    /// the natural order) is read in place after one O(nnz) check.
+    /// Two walks over entries sorted under `mode_order`. The first finds
+    /// where each entry first differs from the one before it, which
+    /// gives every level's node count; the same walk refuses entries
+    /// that are not strictly increasing, so it is also the order check.
+    /// The second allocates every `idx` and `ptr` at its exact size and
+    /// fills them all: a level-`k` node opens where an entry first
+    /// differs at `k` or above, and `ptr` records the next level's
+    /// length as it does. Input that is already sorted without
+    /// duplicates (what the readers in [`crate::io`] produce for the
+    /// natural order) is read in place and holds no per-entry scratch.
     /// Anything else is copied, sorted, and deduplicated first
-    /// (duplicate coordinates are summed); the tree is the same either
-    /// way. An order-0 tensor is refused: a tree needs at least one level.
+    /// (duplicate coordinates are summed), then counted and filled;
+    /// the tree is the same either way. An order-0 tensor is refused: a
+    /// tree needs at least one level.
     pub fn from_coo(coo: &CooTensor, mode_order: &[usize]) -> Result<Self, TensorError> {
         if coo.order() == 0 {
             return Err(TensorError::ZeroOrder);
         }
-        let sorted = coo.sorted_under(mode_order)?;
+        if !is_permutation(mode_order, coo.order()) {
+            return Err(TensorError::InvalidPermutation);
+        }
+        if let Some(counts) = coo.canonical_counts(mode_order) {
+            return Ok(Self::fill(coo, mode_order, &counts));
+        }
+        let mut sorted = coo.clone();
+        sorted.sort_dedup_ranks(mode_order)?;
         Ok(Self::from_sorted(&sorted, mode_order))
     }
 
     /// Build the tree over entries already sorted under `mode_order`
     /// and free of duplicates.
     fn from_sorted(sorted: &CooTensor, mode_order: &[usize]) -> Self {
-        let d = sorted.order();
-        let n = sorted.nnz();
+        let counts = sorted
+            .canonical_counts(mode_order)
+            .expect("entries are sorted and free of duplicates");
+        Self::fill(sorted, mode_order, &counts)
+    }
 
-        // Permuted coordinate accessor: coordinate at tree level k of entry e.
-        let pc = |e: usize, k: usize| sorted.coord(e)[mode_order[k]];
-
-        // prefix_change[e]: smallest level at which entry e differs from
-        // entry e-1 (0 for the first entry).
-        let mut prefix_change = vec![0usize; n];
-        for (e, slot) in prefix_change.iter_mut().enumerate().skip(1) {
-            let mut ell = d; // identical prefixes cannot happen after dedup
-            for k in 0..d {
-                if pc(e, k) != pc(e - 1, k) {
-                    ell = k;
-                    break;
-                }
-            }
-            debug_assert!(ell < d, "duplicate coordinates after dedup");
-            *slot = ell;
-        }
-
+    /// The tree over canonical entries whose level `k` holds `counts[k]`
+    /// nodes, filled in one walk into arrays of exactly that size.
+    fn fill(sorted: &CooTensor, mode_order: &[usize], counts: &[usize]) -> Self {
+        let d = mode_order.len();
         let mut levels: Vec<CsfLevel> = (0..d)
-            .map(|_| CsfLevel {
-                idx: Vec::new(),
-                ptr: Vec::new(),
+            .map(|k| CsfLevel {
+                idx: Vec::with_capacity(counts[k]),
+                ptr: Vec::with_capacity(if k + 1 < d { counts[k] + 1 } else { 0 }),
             })
             .collect();
-
-        for (e, &ell) in prefix_change.iter().enumerate() {
-            for (k, level) in levels.iter_mut().enumerate().skip(ell) {
-                level.idx.push(pc(e, k));
-            }
-        }
-
-        // Child pointers for levels 0..d-1.
-        for k in 0..d.saturating_sub(1) {
-            let mut ptr = Vec::with_capacity(levels[k].idx.len() + 1);
-            ptr.push(0usize);
-            let mut children = 0usize;
-            let mut started = false;
-            for &ell in &prefix_change {
-                if ell <= k {
-                    if started {
-                        ptr.push(children);
-                    }
-                    started = true;
+        let sorted_ok = sorted.first_differences(mode_order, 0..sorted.nnz(), |ell, c| {
+            for k in ell..d {
+                if k + 1 < d {
+                    let first_child = levels[k + 1].idx.len();
+                    levels[k].ptr.push(first_child);
                 }
-                if ell <= k + 1 {
-                    children += 1;
-                }
+                levels[k].idx.push(c[mode_order[k]]);
             }
-            if started {
-                ptr.push(children);
-            }
-            debug_assert_eq!(ptr.len(), levels[k].idx.len() + 1);
-            debug_assert_eq!(*ptr.last().unwrap_or(&0), levels[k + 1].idx.len());
-            levels[k].ptr = ptr;
+        });
+        debug_assert!(sorted_ok);
+        for k in 1..d {
+            let end = levels[k].idx.len();
+            levels[k - 1].ptr.push(end);
         }
-
-        let vals = sorted.vals().to_vec();
-        debug_assert_eq!(vals.len(), levels.last().map_or(0, |l| l.idx.len()));
+        debug_assert!((0..d).all(|k| levels[k].idx.len() == counts[k]));
 
         Csf {
             dims: sorted.dims().to_vec(),
             mode_order: mode_order.to_vec(),
             levels,
-            vals,
+            vals: sorted.vals().to_vec(),
         }
     }
 
@@ -445,6 +431,7 @@ fn next_in(r: &mut Range<usize>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SubsetCounts;
 
     fn sample() -> CooTensor {
         // 3x3x3 tensor with 5 nonzeros.
@@ -730,5 +717,193 @@ mod tests {
         assert_eq!(csf.level(0).idx, vec![1, 4]);
         assert_eq!(csf.vals(), &[1.0, 2.0]);
         assert_eq!(csf.level_nnz(0), 2);
+    }
+
+    /// The reference the count-then-fill trees are checked against, an
+    /// independent build over the same sorted entries: a per-entry
+    /// `prefix_change` array, `idx` grown from empty, then one pass over
+    /// that array per `ptr` level.
+    fn prefix_change_build(sorted: &CooTensor, mode_order: &[usize]) -> Csf {
+        let d = sorted.order();
+        let n = sorted.nnz();
+
+        // Permuted coordinate accessor: coordinate at tree level k of entry e.
+        let pc = |e: usize, k: usize| sorted.coord(e)[mode_order[k]];
+
+        // prefix_change[e]: smallest level at which entry e differs from
+        // entry e-1 (0 for the first entry).
+        let mut prefix_change = vec![0usize; n];
+        for (e, slot) in prefix_change.iter_mut().enumerate().skip(1) {
+            let mut ell = d; // identical prefixes cannot happen after dedup
+            for k in 0..d {
+                if pc(e, k) != pc(e - 1, k) {
+                    ell = k;
+                    break;
+                }
+            }
+            debug_assert!(ell < d, "duplicate coordinates after dedup");
+            *slot = ell;
+        }
+
+        let mut levels: Vec<CsfLevel> = (0..d)
+            .map(|_| CsfLevel {
+                idx: Vec::new(),
+                ptr: Vec::new(),
+            })
+            .collect();
+
+        for (e, &ell) in prefix_change.iter().enumerate() {
+            for (k, level) in levels.iter_mut().enumerate().skip(ell) {
+                level.idx.push(pc(e, k));
+            }
+        }
+
+        // Child pointers for levels 0..d-1.
+        for k in 0..d.saturating_sub(1) {
+            let mut ptr = Vec::with_capacity(levels[k].idx.len() + 1);
+            ptr.push(0usize);
+            let mut children = 0usize;
+            let mut started = false;
+            for &ell in &prefix_change {
+                if ell <= k {
+                    if started {
+                        ptr.push(children);
+                    }
+                    started = true;
+                }
+                if ell <= k + 1 {
+                    children += 1;
+                }
+            }
+            if started {
+                ptr.push(children);
+            }
+            debug_assert_eq!(ptr.len(), levels[k].idx.len() + 1);
+            debug_assert_eq!(*ptr.last().unwrap_or(&0), levels[k + 1].idx.len());
+            levels[k].ptr = ptr;
+        }
+
+        let vals = sorted.vals().to_vec();
+        debug_assert_eq!(vals.len(), levels.last().map_or(0, |l| l.idx.len()));
+
+        Csf {
+            dims: sorted.dims().to_vec(),
+            mode_order: mode_order.to_vec(),
+            levels,
+            vals,
+        }
+    }
+
+    /// Every ordering of `0..d`.
+    fn permutations(d: usize) -> Vec<Vec<usize>> {
+        if d == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for shorter in permutations(d - 1) {
+            for at in 0..d {
+                let mut p = shorter.clone();
+                p.insert(at, d - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Orders 1–6, nnz 0, 1, 40 and 2 500, with and without extent-1
+    /// modes; each pattern comes sorted and deduplicated, in random
+    /// order (duplicates included where the cells run out), and sorted
+    /// with every entry twice.
+    fn generated_inputs(rng: &mut impl rand::Rng) -> Vec<CooTensor> {
+        const EXTENTS: [usize; 6] = [40, 3, 60, 5, 9, 4];
+        let mut out = Vec::new();
+        for d in 1..=6 {
+            let natural: Vec<usize> = (0..d).collect();
+            for unit in [false, true] {
+                let dims: Vec<usize> = (0..d)
+                    .map(|m| if unit && m % 2 == 1 { 1 } else { EXTENTS[m] })
+                    .collect();
+                for nnz in [0, 1, 40, 2500] {
+                    let mut random = CooTensor::new(&dims).unwrap();
+                    for _ in 0..nnz {
+                        let c: Vec<usize> = dims.iter().map(|&x| rng.gen_range(0..x)).collect();
+                        random.push(&c, rng.gen_range(-1.0..1.0)).unwrap();
+                    }
+                    let mut sorted = random.clone();
+                    sorted.sort_dedup(&natural).unwrap();
+                    let mut twice = CooTensor::new(&dims).unwrap();
+                    for (c, v) in sorted.iter() {
+                        twice.push(c, v).unwrap();
+                        twice.push(c, v / 3.0).unwrap();
+                    }
+                    out.extend([sorted, random, twice]);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_same_tree(got: &Csf, want: &Csf, what: &str) {
+        assert_eq!(got.dims, want.dims, "{what}");
+        assert_eq!(got.mode_order, want.mode_order, "{what}");
+        assert_eq!(got.levels, want.levels, "{what}");
+        let bits = |c: &Csf| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// Exact allocations: no `idx` or `ptr` holds spare capacity.
+    fn assert_exact(csf: &Csf, what: &str) {
+        for (k, level) in csf.levels.iter().enumerate() {
+            assert_eq!(level.idx.capacity(), level.idx.len(), "{what}: idx {k}");
+            assert_eq!(level.ptr.capacity(), level.ptr.len(), "{what}: ptr {k}");
+        }
+    }
+
+    #[test]
+    fn count_then_fill_matches_prefix_change_builder() {
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(48);
+        for coo in generated_inputs(&mut rng) {
+            let d = coo.order();
+            let natural: Vec<usize> = (0..d).collect();
+            let orders = if d <= 4 {
+                permutations(d)
+            } else {
+                (0..8)
+                    .map(|_| {
+                        let mut p = natural.clone();
+                        for i in (1..d).rev() {
+                            p.swap(i, rng.gen_range(0..i + 1));
+                        }
+                        p
+                    })
+                    .collect()
+            };
+            let counts = SubsetCounts::of(&coo).unwrap();
+            let from_natural = Csf::from_coo(&coo, &natural).unwrap();
+            for order in &orders {
+                let what = format!("dims {:?}, nnz {}, order {order:?}", coo.dims(), coo.nnz());
+                let mut sorted = coo.clone();
+                sorted.sort_dedup(order).unwrap();
+                let want = prefix_change_build(&sorted, order);
+                // Any input, input canonical under `order`, and a re-sort.
+                let built = [
+                    Csf::from_coo(&coo, order).unwrap(),
+                    Csf::from_coo(&sorted, order).unwrap(),
+                    from_natural.reordered_with_perm(order).unwrap().0,
+                ];
+                for csf in &built {
+                    assert_same_tree(csf, &want, &what);
+                    assert_exact(csf, &what);
+                    for k in 0..d {
+                        assert_eq!(
+                            csf.level_nnz(k) as u64,
+                            counts.count(&order[..=k]),
+                            "{what}: level {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

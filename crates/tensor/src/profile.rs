@@ -141,10 +141,13 @@ impl SubsetCounts {
     ///   over its modes, and the same run-length pass then counts it and
     ///   every uncounted prefix of the order it was sorted in.
     ///
-    /// Transient memory is at most 8 bytes per nonzero of bitmaps, and
-    /// 16 bytes per nonzero (two indices) while a sort runs — which
-    /// natural-order input whose pair subsets fit a bitmap, as at order 3
-    /// with extents up to a few thousand, never needs.
+    /// The run-length pass holds nothing per nonzero; it is the same
+    /// first-difference walk that counts a CSF's levels before
+    /// [`crate::Csf::from_coo`] fills them. Bitmaps take at most 8 bytes
+    /// per nonzero, and a sort 16 bytes per nonzero (two indices) while
+    /// it runs — which natural-order input whose pair subsets fit a
+    /// bitmap, as at order 3 with extents up to a few thousand, never
+    /// needs.
     ///
     /// Errors above [`MAX_COUNTED_ORDER`] modes.
     pub fn of(coo: &CooTensor) -> Result<Self, TensorError> {
@@ -210,7 +213,7 @@ fn count_subsets(coo: &CooTensor, counts: &mut [u64]) {
     let mut counted = vec![false; counts.len()];
     counted[0] = true;
     let natural: Vec<usize> = (0..d).collect();
-    if let Some(prefix) = prefix_counts(coo, &natural, 0..coo.nnz()) {
+    if let Some(prefix) = coo.prefix_counts(&natural, 0..coo.nnz()) {
         record_chain(&natural, &prefix, counts, &mut counted);
     }
     let budget = (coo.nnz() as u64).saturating_mul(BITMAP_BITS_PER_NNZ);
@@ -239,45 +242,20 @@ fn count_subsets(coo: &CooTensor, counts: &mut [u64]) {
     for s in (1..counts.len()).rev() {
         if !counted[s] {
             let order = chain_order(s, &counted);
-            let prefix = prefix_counts(coo, &order, coo.sorted_perm(&order).into_iter())
+            let prefix = coo
+                .prefix_counts(&order, coo.sorted_perm(&order))
                 .expect("sorted_perm orders the entries");
             record_chain(&order, &prefix, counts, &mut counted);
         }
     }
 }
 
-/// `prefix[k]` = distinct projections onto `order[..=k]`, counted in one
-/// pass over `entries` by where each entry first differs from the one
-/// before it — or `None` unless `entries` lists every entry in
-/// nondecreasing order under `order`. Needs at least one entry.
-fn prefix_counts(
-    coo: &CooTensor,
-    order: &[usize],
-    mut entries: impl Iterator<Item = usize>,
-) -> Option<Vec<u64>> {
-    let mut prefix = vec![1u64; order.len()];
-    let mut prev = coo.coord(entries.next()?);
-    for e in entries {
-        let next = coo.coord(e);
-        if let Some(ell) = order.iter().position(|&m| prev[m] != next[m]) {
-            if next[order[ell]] < prev[order[ell]] {
-                return None;
-            }
-            for p in &mut prefix[ell..] {
-                *p += 1;
-            }
-        }
-        prev = next;
-    }
-    Some(prefix)
-}
-
 /// Record `prefix[k]` as the count of the subset `order[..=k]`.
-fn record_chain(order: &[usize], prefix: &[u64], counts: &mut [u64], counted: &mut [bool]) {
+fn record_chain(order: &[usize], prefix: &[usize], counts: &mut [u64], counted: &mut [bool]) {
     let mut subset = 0;
     for (&m, &c) in order.iter().zip(prefix) {
         subset |= 1 << m;
-        counts[subset] = c;
+        counts[subset] = c as u64;
         counted[subset] = true;
     }
 }
